@@ -416,7 +416,11 @@ def measure_scan_filter(num_rows: int = ROWS, repeats: int = 3) -> Dict:
     selectivity; the projection (price, discount) includes one column the
     predicate never touches.  Both paths run the same scan operator with the
     predicate pushed down; only ``ScanConfig.late_materialization`` differs.
+    The zero-latency bandwidth model makes the read plan exact (one GET per
+    chunk, no hole read-through), so the request counts show which chunks
+    each path asked for rather than how well they coalesced.
     """
+    from repro.cloud.network import BandwidthModel
     from repro.engine.scan import S3ScanOperator, ScanConfig
     from repro.engine.table import concat_tables, table_num_rows, tables_allclose
     from repro.plan.expressions import col
@@ -435,6 +439,7 @@ def measure_scan_filter(num_rows: int = ROWS, repeats: int = 3) -> Dict:
             ["s3://bench/q6.lpq"],
             columns=columns,
             config=ScanConfig(late_materialization=late),
+            bandwidth=BandwidthModel(request_latency_seconds=0.0),
             predicate=predicate,
         )
         scan.result = concat_tables(list(scan.scan()))
@@ -1112,7 +1117,7 @@ def test_scan_filter_speedup(bench_recorder, experiment_report):
         f"chunks short-circuited)"
     )
     assert measurement["speedup"] >= 3.0
-    assert measurement["late_get_requests"] <= measurement["baseline_get_requests"]
+    assert measurement["late_get_requests"] < measurement["baseline_get_requests"]
 
 
 def test_shuffle_requests_collapse(bench_recorder, experiment_report):

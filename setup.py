@@ -19,4 +19,6 @@ setup(
     packages=find_packages(where="src"),
     python_requires=">=3.10",
     install_requires=["numpy>=1.24"],
+    # The property tests import hypothesis unconditionally.
+    extras_require={"test": ["pytest", "hypothesis"]},
 )

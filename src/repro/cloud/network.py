@@ -20,6 +20,7 @@ the effective bandwidth so that benchmarks can reproduce Figures 6 and 7.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from repro.config import (
     LAMBDA_MEMORY_PER_VCPU_MIB,
@@ -39,6 +40,10 @@ class TransferPlan:
     chunk_bytes: int
     connections: int = 1
     memory_mib: int = 2048
+    #: Explicit number of GETs for a vectored read whose requests are not
+    #: ``chunk_bytes``-sized pieces of one contiguous range; ``None`` derives
+    #: it from the sizes.
+    requests: Optional[int] = None
 
     def __post_init__(self):
         if self.total_bytes < 0:
@@ -49,10 +54,14 @@ class TransferPlan:
             raise ValueError("connections must be at least 1")
         if self.memory_mib <= 0:
             raise ValueError("memory_mib must be positive")
+        if self.requests is not None and self.requests < 0:
+            raise ValueError("requests must be non-negative")
 
     @property
     def request_count(self) -> int:
         """Number of ranged GET requests needed for the transfer."""
+        if self.requests is not None:
+            return self.requests
         if self.total_bytes == 0:
             return 0
         return -(-self.total_bytes // self.chunk_bytes)  # ceil division

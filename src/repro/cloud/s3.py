@@ -82,6 +82,32 @@ def parse_s3_path(path: str) -> Tuple[str, str]:
     return bucket, key
 
 
+def resolve_range(
+    size: int, range_start: int, range_end: Optional[int], suffix_length: Optional[int]
+) -> Tuple[int, int]:
+    """Byte span ``[start, end)`` a ranged GET of a ``size``-byte object serves.
+
+    ``suffix_length`` is S3's ``Range: bytes=-N``: the last ``N`` bytes,
+    clamped to the whole object; it excludes an explicit start/end, and
+    ``N <= 0`` is unsatisfiable.  Raises
+    :class:`~repro.errors.InvalidRangeError` where S3 returns 416.
+    """
+    if suffix_length is not None:
+        if range_start != 0 or range_end is not None:
+            raise InvalidRangeError("suffix range excludes an explicit start/end")
+        if suffix_length <= 0:
+            raise InvalidRangeError(f"unsatisfiable suffix length {suffix_length}")
+        return max(0, size - suffix_length), size
+    if range_start < 0:
+        raise InvalidRangeError(f"negative range start {range_start}")
+    if range_start > size or (range_start == size and size > 0):
+        raise InvalidRangeError(f"range start {range_start} beyond object size {size}")
+    end = size if range_end is None else min(range_end, size)
+    if end < range_start:
+        raise InvalidRangeError(f"range end {end} before range start {range_start}")
+    return range_start, end
+
+
 class ObjectStore:
     """In-memory object store with S3 request semantics."""
 
@@ -206,11 +232,15 @@ class ObjectStore:
         key: str,
         range_start: int = 0,
         range_end: Optional[int] = None,
+        suffix_length: Optional[int] = None,
     ) -> GetResult:
         """Fetch an object or a byte range of it.
 
         ``range_end`` is exclusive; ``None`` means "to the end of the object".
-        Requesting a range that starts beyond the object raises
+        ``suffix_length`` asks for the last *N* bytes instead (see
+        :func:`resolve_range`); the result's metadata carries the object
+        size, so a reader needs no HEAD to locate a footer.  Requesting a
+        range that starts beyond the object raises
         :class:`~repro.errors.InvalidRangeError` (as S3 returns 416).
         """
         with self._lock:
@@ -234,18 +264,9 @@ class ObjectStore:
                     # Serve the retained previous version — the stored object
                     # is untouched, exactly like a lagging replica.
                     data = previous
-            size = len(data)
-            if range_start < 0:
-                raise InvalidRangeError(f"negative range start {range_start}")
-            if range_start > size or (range_start == size and size > 0):
-                raise InvalidRangeError(
-                    f"range start {range_start} beyond object size {size}"
-                )
-            end = size if range_end is None else min(range_end, size)
-            if end < range_start:
-                raise InvalidRangeError(
-                    f"range end {end} before range start {range_start}"
-                )
+            range_start, end = resolve_range(
+                len(data), range_start, range_end, suffix_length
+            )
             chunk = data[range_start:end]
             self.request_counts[bucket]["get"] += 1
             self.ledger.record("s3", "get_requests", 1, self.clock.now)
@@ -457,7 +478,7 @@ class SharedSegmentStore:
     """Read-only object-store facade over a :class:`SharedObjectExport` segment.
 
     Implements exactly the surface the scan stack touches
-    (:meth:`head_object` / :meth:`get_object`) against the exported
+    (:meth:`get_object`, suffix ranges included) against the exported
     ``{path: (offset, length)}`` directory, with the same error and request-
     accounting semantics as :class:`ObjectStore` — so per-worker scan
     statistics (and therefore modelled request costs) are identical to a scan
@@ -467,7 +488,7 @@ class SharedSegmentStore:
     def __init__(self, buffer, directory: Dict[str, Tuple[int, int]]):
         self._buf = buffer
         self._directory = dict(directory)
-        self.request_counts: Dict[str, int] = {"get": 0, "head": 0}
+        self.request_counts: Dict[str, int] = {"get": 0}
 
     def _lookup(self, bucket: str, key: str) -> Tuple[int, int]:
         path = f"s3://{bucket}/{key}"
@@ -476,28 +497,16 @@ class SharedSegmentStore:
         except KeyError:
             raise NoSuchKeyError(path) from None
 
-    def head_object(self, bucket: str, key: str) -> ObjectMetadata:
-        offset, size = self._lookup(bucket, key)
-        self.request_counts["head"] += 1
-        return ObjectMetadata(bucket=bucket, key=key, size=size, created_at=0.0)
-
     def get_object(
         self,
         bucket: str,
         key: str,
         range_start: int = 0,
         range_end: Optional[int] = None,
+        suffix_length: Optional[int] = None,
     ) -> GetResult:
         offset, size = self._lookup(bucket, key)
-        if range_start < 0:
-            raise InvalidRangeError(f"negative range start {range_start}")
-        if range_start > size or (range_start == size and size > 0):
-            raise InvalidRangeError(
-                f"range start {range_start} beyond object size {size}"
-            )
-        end = size if range_end is None else min(range_end, size)
-        if end < range_start:
-            raise InvalidRangeError(f"range end {end} before range start {range_start}")
+        range_start, end = resolve_range(size, range_start, range_end, suffix_length)
         chunk = bytes(self._buf[offset + range_start:offset + end])
         self.request_counts["get"] += 1
         return GetResult(

@@ -2,15 +2,20 @@
 
 Reproduces the design of the paper's Parquet scan operator (§4.3.2, Figure 8):
 
-* one small read fetches the file footer (metadata);
+* one suffix read opens the file and fetches its footer (metadata) — a
+  break-even's worth of bytes, so a small file arrives whole with it;
 * row groups are pruned against the predicate using the footer's min/max
   statistics before any data is fetched;
-* only the projected columns' chunks are downloaded, one ranged request per
-  column chunk (or several chunk-sized requests for large chunks);
-* downloads are modelled as happening over several concurrent connections and
-  are overlapped with decompression of the previous row group ("level 3"
-  concurrency), falling back to column-chunk parallelism ("level 2") for
-  single-row-group files.
+* only the projected columns' chunks are downloaded, as a **read plan** per
+  row group: the chunks' ranges go to the source in one batch, which merges
+  neighbours whose gap streams in less than a round trip, splits at the
+  chunk size, and pipelines the resulting GETs over the concurrent
+  connections ("level 2" concurrency) as one modelled transfer
+  (:meth:`~repro.engine.s3io.S3ObjectSource.read_ranges`);
+* the summed download time is modelled as overlapped with decompression of
+  the previous row group ("level 3" concurrency) when
+  ``overlap_downloads`` is set; the code itself reads and decodes row groups
+  one after another.
 
 The operator yields decoded table chunks and accumulates
 :class:`~repro.engine.s3io.ScanStatistics` plus scan-level counters used by
@@ -23,12 +28,14 @@ dictionaries/runs, a selection vector is computed, fully-rejected chunks are
 short-circuited before the remaining projected columns are even downloaded,
 and surviving rows are gathered through
 :func:`~repro.formats.encoding.decode_gather` instead of decode-then-mask.
+Such a row group is therefore two batches: the predicate's columns, then —
+only if a row survives — the rest of the projection.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Sequence
+from typing import Callable, Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -262,6 +269,7 @@ class S3ScanOperator:
                 continue
             chunk: Table = {}
             heavyweight = False
+            reader.prefetch(group, columns)
             for name in columns:
                 chunk[name] = reader.read_column_chunk(group, name)
                 heavyweight = heavyweight or group.column_meta(name).compression.is_heavyweight
@@ -283,25 +291,19 @@ class S3ScanOperator:
         survives (in which case non-predicate column chunks were never
         downloaded).
         """
-        compiled = self._compiled
         num_rows = group.num_rows
-        encoded: Dict[str, EncodedChunk] = {}
-        decoded: Dict[str, np.ndarray] = {}
-
-        def load(name: str) -> EncodedChunk:
-            if name not in encoded:
-                encoded[name] = reader.read_encoded_chunk(group, name)
-            return encoded[name]
-
         if not self.config.late_materialization:
             # Full-decode baseline: decode every needed column, evaluate the
             # whole predicate on the decoded arrays, mask-copy the chunk.
+            compiled = self._compiled
             needed = list(columns)
             for name in compiled.comparison_columns | compiled.residual_columns:
                 if name not in needed:
                     needed.append(name)
-            for name in needed:
-                decoded[name] = load(name).decode()
+            reader.prefetch(group, needed)
+            decoded = {
+                name: reader.read_encoded_chunk(group, name).decode() for name in needed
+            }
             mask = np.asarray(evaluate(self.predicate, decoded), dtype=bool)
             self._charge_decode(group, needed, (), 0)
             if not mask.any():
@@ -310,30 +312,13 @@ class S3ScanOperator:
                 return {name: decoded[name] for name in columns}
             return {name: decoded[name][mask] for name in columns}
 
-        mask = self._group_selection(load, decoded, num_rows)
-
-        # 2. Short-circuit fully-rejected and fully-selected chunks.
-        if mask is not None and not mask.any():
-            skipped = [
-                name for name in columns if name not in encoded and name not in decoded
-            ]
-            self.counters.column_chunks_skipped += len(skipped)
-            self.counters.rows_decode_saved += num_rows * sum(
-                1 for name in columns if name not in decoded
-            )
-            self.counters.row_groups_shortcircuit_empty += 1
-            self._charge_decode(group, list(encoded), (), 0)
+        selected_rows = self._select_rows(reader, group, columns)
+        if selected_rows is None:
             return None
-        if mask is None or mask.all():
-            selection: Optional[np.ndarray] = None
-            selected = num_rows
-            self.counters.row_groups_shortcircuit_full += 1
-        else:
-            selection = np.flatnonzero(mask)
-            selected = len(selection)
+        load, encoded, decoded, selection = selected_rows
+        selected = num_rows if selection is None else len(selection)
 
-        # 3. Gather the projected columns for surviving rows only; columns not
-        #    touched by the predicate are downloaded just-in-time here.
+        # Gather the projected columns for surviving rows only.
         predicate_columns = list(encoded)
         gathered_columns = [name for name in columns if name not in encoded]
         chunk: Table = {}
@@ -348,6 +333,50 @@ class S3ScanOperator:
                     self.counters.rows_decode_saved += num_rows - selected
         self._charge_decode(group, predicate_columns, gathered_columns, selected)
         return chunk
+
+    def _select_rows(
+        self, reader: ColumnarFile, group: RowGroupMeta, columns: Sequence[str]
+    ) -> Optional[Tuple[Callable[[str], EncodedChunk], Dict, Dict, Optional[np.ndarray]]]:
+        """Fetch one row group in (at most) two batches around its selection vector.
+
+        Batch 1 is the pushed-down predicate's columns; the selection vector
+        is evaluated on them, and a fully-rejected group returns ``None``
+        before batch 2 — the rest of ``columns`` — is ever requested.  The
+        I/O step shared by the filtered and fused scan paths: returns the
+        chunk loader, the chunks it has parsed and decoded so far, and the
+        surviving row indices (``None`` for "all rows").
+        """
+        num_rows = group.num_rows
+        encoded: Dict[str, EncodedChunk] = {}
+        decoded: Dict[str, np.ndarray] = {}
+
+        def load(name: str) -> EncodedChunk:
+            if name not in encoded:
+                encoded[name] = reader.read_encoded_chunk(group, name)
+            return encoded[name]
+
+        mask: Optional[np.ndarray] = None
+        if self._compiled is not None:
+            reader.prefetch(
+                group, self._compiled.comparison_columns | self._compiled.residual_columns
+            )
+            mask = self._group_selection(load, decoded, num_rows)
+            if mask is not None and not mask.any():
+                self.counters.column_chunks_skipped += sum(
+                    1 for name in columns if name not in encoded
+                )
+                self.counters.rows_decode_saved += num_rows * sum(
+                    1 for name in columns if name not in decoded
+                )
+                self.counters.row_groups_shortcircuit_empty += 1
+                self._charge_decode(group, list(encoded), (), 0)
+                return None
+            if mask is None or mask.all():
+                mask = None
+                self.counters.row_groups_shortcircuit_full += 1
+        selection = None if mask is None else np.flatnonzero(mask)
+        reader.prefetch(group, [name for name in columns if name not in encoded])
+        return load, encoded, decoded, selection
 
     def _group_selection(self, load, decoded, num_rows: int) -> Optional[np.ndarray]:
         """Evaluate the compiled predicate on encoded chunks for one row group.
@@ -399,37 +428,11 @@ class S3ScanOperator:
         stay in code space whenever the encoding provides codes.
         """
         num_rows = group.num_rows
-        encoded: Dict[str, EncodedChunk] = {}
-        decoded: Dict[str, np.ndarray] = {}
-
-        def load(name: str) -> EncodedChunk:
-            if name not in encoded:
-                encoded[name] = reader.read_encoded_chunk(group, name)
-            return encoded[name]
-
-        mask: Optional[np.ndarray] = None
-        if self._compiled is not None:
-            mask = self._group_selection(load, decoded, num_rows)
-            if mask is not None and not mask.any():
-                skipped = [
-                    name for name in columns if name not in encoded and name not in decoded
-                ]
-                self.counters.column_chunks_skipped += len(skipped)
-                self.counters.rows_decode_saved += num_rows * sum(
-                    1 for name in columns if name not in decoded
-                )
-                self.counters.row_groups_shortcircuit_empty += 1
-                self._charge_decode(group, list(encoded), (), 0)
-                return None
-
-        if mask is None or mask.all():
-            selection: Optional[np.ndarray] = None
-            selected = num_rows
-            if self._compiled is not None:
-                self.counters.row_groups_shortcircuit_full += 1
-        else:
-            selection = np.flatnonzero(mask)
-            selected = len(selection)
+        selected_rows = self._select_rows(reader, group, columns)
+        if selected_rows is None:
+            return None
+        load, encoded, decoded, selection = selected_rows
+        selected = num_rows if selection is None else len(selection)
 
         predicate_columns = list(encoded)
         gathered_columns = [name for name in columns if name not in encoded]

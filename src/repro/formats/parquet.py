@@ -11,8 +11,10 @@ The *footer* is a JSON document describing the schema and, for every row
 group, the byte offset, compressed/uncompressed size, encoding, compression,
 value count, and min/max statistics of each column chunk.  The *tail* is an
 8-byte little-endian footer length followed by the 4-byte magic, so a reader
-can locate the footer with a single small read from the end of the file —
-exactly the access pattern the paper's scan operator exploits.
+can locate the footer with a single read from the end of the file — exactly
+the access pattern the paper's scan operator exploits.  The source decides
+how much that one read fetches: the S3 source asks for a break-even's worth,
+so the footer (and a small file's data) arrives with the tail.
 
 Readers work against a :class:`~repro.formats.source.RandomAccessSource`, so
 the same code path serves local bytes and the S3-backed source.
@@ -23,8 +25,9 @@ from __future__ import annotations
 import json
 import struct
 import zlib
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from collections.abc import Mapping
+from dataclasses import dataclass
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -105,13 +108,40 @@ class ColumnChunkMeta:
         )
 
 
+class _LazyChunkMetas(Mapping):
+    """Read-only ``column -> ColumnChunkMeta`` view over a row group's footer JSON.
+
+    An entry is built (and kept) on first access, so opening a file costs the
+    JSON parse only and a scan pays for the chunks it projects.
+    """
+
+    def __init__(self, raw: Dict[str, Dict]):
+        self._raw = raw
+        self._built: Dict[str, ColumnChunkMeta] = {}
+
+    def __getitem__(self, name: str) -> ColumnChunkMeta:
+        meta = self._built.get(name)
+        if meta is None:
+            meta = self._built[name] = ColumnChunkMeta.from_dict(self._raw[name])
+        return meta
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._raw
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._raw)
+
+    def __len__(self) -> int:
+        return len(self._raw)
+
+
 @dataclass(frozen=True)
 class RowGroupMeta:
     """Footer metadata for one row group."""
 
     index: int
     num_rows: int
-    columns: Dict[str, ColumnChunkMeta]
+    columns: Mapping[str, ColumnChunkMeta]
 
     def column_meta(self, name: str) -> ColumnChunkMeta:
         """Metadata of one column chunk."""
@@ -138,10 +168,7 @@ class RowGroupMeta:
         return cls(
             index=int(data["index"]),
             num_rows=int(data["num_rows"]),
-            columns={
-                name: ColumnChunkMeta.from_dict(meta)
-                for name, meta in data["columns"].items()
-            },
+            columns=_LazyChunkMetas(data["columns"]),
         )
 
 
@@ -297,6 +324,7 @@ class ColumnarFile:
         self.name = name if name is not None else getattr(source, "path", None)
         #: Verify embedded checksums on read (``IntegrityConfig.verify``).
         self.verify = verify
+        self._magic_checked = False
         self.metadata = self._read_metadata()
 
     @classmethod
@@ -309,25 +337,22 @@ class ColumnarFile:
     # -- metadata ---------------------------------------------------------------
 
     def _read_metadata(self) -> FileMetadata:
+        # One tail read serves both formats: the last 12 bytes are always
+        # ``<length><magic>``, and a ``LPQ2`` magic means 4 crc bytes precede
+        # them.  It also opens the source, so the size is known afterwards.
+        tail = self.source.read_suffix(_CHECKED_TAIL_STRUCT.size)
         size = self.source.size()
         if size < len(MAGIC) + _TAIL_STRUCT.size:
             raise CorruptFileError(
                 f"file of {size} bytes is too small to be LPQ",
                 key=self.name, layer="lpq.tail",
             )
-        # One tail read serves both formats: the last 12 bytes are always
-        # ``<length><magic>``, and a ``LPQ2`` magic means 4 crc bytes precede
-        # them (already fetched when the file is big enough to hold them).
-        tail_size = (
-            _CHECKED_TAIL_STRUCT.size
-            if size >= len(MAGIC) + _CHECKED_TAIL_STRUCT.size
-            else _TAIL_STRUCT.size
-        )
-        tail = self.source.read_at(size - tail_size, tail_size)
         footer_length, magic = _TAIL_STRUCT.unpack(tail[-_TAIL_STRUCT.size:])
         footer_crc: Optional[int] = None
+        tail_used = _TAIL_STRUCT.size
         if magic == CHECKED_MAGIC:
-            if tail_size < _CHECKED_TAIL_STRUCT.size:
+            tail_used = _CHECKED_TAIL_STRUCT.size
+            if size < len(MAGIC) + tail_used:
                 raise CorruptFileError(
                     f"file of {size} bytes is too small for the checked tail",
                     key=self.name, layer="lpq.tail",
@@ -338,14 +363,12 @@ class ColumnarFile:
                 "bad trailing magic; not an LPQ file",
                 key=self.name, layer="lpq.tail",
             )
-        tail_used = (
-            _CHECKED_TAIL_STRUCT.size if magic == CHECKED_MAGIC else _TAIL_STRUCT.size
-        )
         footer_start = size - tail_used - footer_length
         if footer_start < len(MAGIC):
             raise CorruptFileError(
                 "footer length exceeds file size", key=self.name, layer="lpq.tail"
             )
+        # Served from the tail read unless the footer is longer than it.
         footer = self.source.read_at(footer_start, footer_length)
         if self.verify and footer_crc is not None:
             actual = zlib.crc32(footer)
@@ -355,13 +378,26 @@ class ColumnarFile:
                     key=self.name, layer="lpq.footer", offset=footer_start,
                     expected=footer_crc, actual=actual,
                 )
-        header = self.source.read_at(0, len(MAGIC))
+        self._check_magic()
+        return FileMetadata.from_json(footer, key=self.name)
+
+    def _check_magic(self) -> None:
+        """Validate the leading magic once it is available without a request.
+
+        Never worth a round trip of its own: a source that has not fetched
+        offset 0 yet is asked again after each :meth:`prefetch`.
+        """
+        if self._magic_checked:
+            return
+        header = self.source.peek(0, len(MAGIC))
+        if header is None:
+            return
         if header != MAGIC:
             raise CorruptFileError(
                 "bad leading magic; not an LPQ file",
                 key=self.name, layer="lpq.magic", offset=0,
             )
-        return FileMetadata.from_json(footer, key=self.name)
+        self._magic_checked = True
 
     @property
     def schema(self) -> Schema:
@@ -380,12 +416,31 @@ class ColumnarFile:
 
     # -- data access -------------------------------------------------------------
 
+    def prefetch(self, group: RowGroupMeta, columns: Iterable[str]) -> None:
+        """Fetch the chunks of ``columns`` of one row group in one vectored read.
+
+        A source that pays per request keeps what it fetched, so the
+        :meth:`read_encoded_chunk` calls that follow issue no request.
+        """
+        metas = [group.column_meta(name) for name in columns]
+        ranges = [(meta.offset, meta.compressed_size) for meta in metas]
+        if not self._magic_checked:
+            # The file's first chunk starts right behind the leading magic:
+            # fetch the two as one piece instead of never seeing the magic.
+            ranges = [
+                (0, offset + length) if offset == len(MAGIC) else (offset, length)
+                for offset, length in ranges
+            ]
+        self.source.read_ranges(ranges)
+        self._check_magic()
+
     def read_encoded_chunk(self, group: RowGroupMeta, column: str) -> EncodedChunk:
         """Read one column chunk as a still-encoded view (no value decode).
 
-        Downloads and decompresses the chunk bytes but leaves the encoding in
-        place, so the late-materialization scan can evaluate predicates on
-        dictionaries/runs and gather only surviving rows.
+        Reads (from a :meth:`prefetch`-ed span, if any), verifies and
+        decompresses the chunk bytes but leaves the encoding in place, so the
+        late-materialization scan can evaluate predicates on dictionaries/runs
+        and gather only surviving rows.
         """
         meta = group.column_meta(column)
         raw = self.source.read_at(meta.offset, meta.compressed_size)

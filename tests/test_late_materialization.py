@@ -10,6 +10,7 @@ row groups.
 import numpy as np
 import pytest
 
+from repro.cloud.network import BandwidthModel
 from repro.cloud.s3 import ObjectStore
 from repro.engine.pipeline import execute_worker_plan
 from repro.engine.scan import S3ScanOperator, ScanConfig
@@ -248,15 +249,23 @@ def test_scan_shortcircuit_counters(mixed_encoding_store):
 def test_empty_selection_downloads_fewer_bytes(mixed_encoding_store):
     store, _ = mixed_encoding_store
     # The projected column (disc) is not a predicate column, so when every
-    # selection comes out empty its chunks are never downloaded at all.
+    # selection comes out empty its chunks are never downloaded at all.  A
+    # zero break-even keeps the read plan exact (no whole-file open, no hole
+    # read-through), so the second batch's requests and bytes are visible.
+    exact = BandwidthModel(request_latency_seconds=0.0)
     selective = S3ScanOperator(
-        store, ["s3://data/mixed.lpq"], columns=["disc"], predicate=col("price") < 0
+        store, ["s3://data/mixed.lpq"], columns=["disc"], predicate=col("price") < 0,
+        bandwidth=exact,
     )
     list(selective.scan())
     full = S3ScanOperator(
-        store, ["s3://data/mixed.lpq"], columns=["disc"], predicate=col("price") >= 0
+        store, ["s3://data/mixed.lpq"], columns=["disc"], predicate=col("price") >= 0,
+        bandwidth=exact,
     )
     list(full.scan())
+    # Open (tail + footer) = 2 GETs; then one batch per row group, or two.
+    assert selective.statistics.get_requests == 2 + 6
+    assert full.statistics.get_requests == 2 + 2 * 6
     assert selective.statistics.bytes_read < full.statistics.bytes_read
     assert selective.statistics.get_requests < full.statistics.get_requests
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.cloud.network import BandwidthModel
 from repro.cloud.s3 import ObjectStore
 from repro.engine.s3io import S3ObjectSource, ScanStatistics
 from repro.engine.scan import S3ScanOperator, ScanConfig
@@ -42,11 +43,12 @@ def test_source_chunked_reads_issue_multiple_requests(store_with_file):
     source = S3ObjectSource(
         store, "s3://data/t/part-0.lpq", chunk_bytes=1024, statistics=stats
     )
-    before = stats.get_requests
+    source.size()  # the open: one suffix GET of chunk_bytes, no HEAD
+    assert (stats.get_requests, stats.bytes_read) == (1, 1024)
     source.read_at(0, 5000)
     # ceil(5000 / 1024) = 5 data requests.
-    assert stats.get_requests - before == 5
-    assert stats.bytes_read == 5000
+    assert stats.get_requests - 1 == 5
+    assert stats.bytes_read - 1024 == 5000
     assert stats.transfer_seconds > 0
 
 
@@ -100,9 +102,14 @@ def test_scan_projection_only_returns_requested_columns(store_with_file):
 
 def test_scan_projection_reads_fewer_bytes(store_with_file):
     store, _ = store_with_file
-    full = S3ScanOperator(store, ["s3://data/t/part-0.lpq"])
+    # With the default model a file this small arrives whole with the open
+    # request; a zero break-even makes the scan fetch exactly what it projects.
+    exact = BandwidthModel(request_latency_seconds=0.0)
+    full = S3ScanOperator(store, ["s3://data/t/part-0.lpq"], bandwidth=exact)
     list(full.scan())
-    projected = S3ScanOperator(store, ["s3://data/t/part-0.lpq"], columns=["v"])
+    projected = S3ScanOperator(
+        store, ["s3://data/t/part-0.lpq"], columns=["v"], bandwidth=exact
+    )
     list(projected.scan())
     assert projected.statistics.bytes_read < full.statistics.bytes_read
 
