@@ -11,7 +11,7 @@ Usage::
 ``--baseline`` is repeatable; with none given, both committed trajectories
 (``BENCH_hot_paths.json`` and ``BENCH_tpch.json``) are loaded and merged.
 
-Four kinds of checks:
+Six kinds of checks:
 
 * **absolute floors** — the speedups the PR's acceptance criteria promise
   (partition scatter >= 5x, payload round-trip >= 3x, shuffle PUT collapse
@@ -28,6 +28,9 @@ Four kinds of checks:
   fault-free TPC-H Q1 path less than 2% of wall time, the integrity
   plane's end-to-end checksumming less than 3%, and the armed overload
   plane (admission, budgets, breakers, cancellation) less than 2%;
+* **absolute modelled-seconds ceilings** — the slowest worker of any N-way
+  join DAG query must stay under the duration only a pipelined exchange
+  read reaches (a fall-back to one round trip per slice fails here);
 * **relative regression** — each current speedup must stay within
   ``tolerance`` of the committed baseline (defaults to 60%, loose enough for
   machine-to-machine noise, tight enough to catch an accidental
@@ -131,6 +134,14 @@ ABSOLUTE_RATIO_CEILINGS = {
     ("end_to_end_q1", "faultfree_overhead_ratio"): 1.02,
     ("end_to_end_q1", "integrity_overhead_ratio"): 1.03,
     ("end_to_end_q1", "admission_overhead_ratio"): 1.02,
+}
+
+#: Maximum modelled seconds, keyed ``(section, field)``.  The exchange
+#: receiver issues its whole fetch plan as one pipelined transfer (PR 13): at
+#: the committed scale factor the slowest worker of the five DAG queries takes
+#: 0.17 s, where charging one serial round trip per slice gave 0.316 s.
+ABSOLUTE_SECONDS_CEILINGS = {
+    ("dag_join", "max_worker_seconds"): 0.25,
 }
 
 #: Fields compared against the committed baseline for relative regressions.
@@ -247,23 +258,31 @@ def check(
         else:
             print(f"ok: {name} {field} {observed} requests (ceiling {ceiling})")
 
-    for (name, field), ceiling in ABSOLUTE_RATIO_CEILINGS.items():
-        if not in_scope(name):
-            continue
-        measurement = current.get(name)
-        if measurement is None:
-            failures.append(f"{name}: missing from current results")
-            continue
-        observed = measurement.get(field)
-        if observed is None:
-            failures.append(f"{name}: missing the {field!r} ratio")
-        elif observed > ceiling:
-            failures.append(
-                f"{name}: {field} = {observed:.3f} exceeds the ceiling of "
-                f"{ceiling:.2f} (fault hooks taxing the fault-free path?)"
-            )
-        else:
-            print(f"ok: {name} {field} {observed:.3f} (ceiling {ceiling:.2f})")
+    for ceilings, what, hint in (
+        (ABSOLUTE_RATIO_CEILINGS, "ratio", "fault hooks taxing the fault-free path?"),
+        (
+            ABSOLUTE_SECONDS_CEILINGS,
+            "modelled duration",
+            "exchange reads charged one round trip per slice again?",
+        ),
+    ):
+        for (name, field), ceiling in ceilings.items():
+            if not in_scope(name):
+                continue
+            measurement = current.get(name)
+            if measurement is None:
+                failures.append(f"{name}: missing from current results")
+                continue
+            observed = measurement.get(field)
+            if observed is None:
+                failures.append(f"{name}: missing the {field!r} {what}")
+            elif observed > ceiling:
+                failures.append(
+                    f"{name}: {field} = {observed:.3f} exceeds the ceiling of "
+                    f"{ceiling:.2f} ({hint})"
+                )
+            else:
+                print(f"ok: {name} {field} {observed:.3f} (ceiling {ceiling:.2f})")
 
     if current_path is not None:
         for name, measurement in baseline.items():

@@ -214,6 +214,7 @@ def run(arguments: argparse.Namespace) -> dict:
             "discovery_list_requests": int(exchange.list_requests),
             "discovery_head_requests": int(exchange.head_requests),
             "gc_objects_deleted": int(stats.gc_objects_deleted),
+            "max_worker_seconds": float(stats.max_worker_seconds),
         }
         print(
             f"{name:<4} {'ok' if correct else 'WRONG':<5} "
@@ -241,6 +242,9 @@ def run(arguments: argparse.Namespace) -> dict:
             ),
             "combined_put_requests": sum(
                 results[n]["exchange_combined_put_requests"] for n in dag_measured
+            ),
+            "max_worker_seconds": max(
+                results[n]["max_worker_seconds"] for n in dag_measured
             ),
         }
 

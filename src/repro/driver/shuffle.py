@@ -21,16 +21,16 @@ I/O plane (paper §4.4):
   legacy O(P²) one-object-per-receiver pattern.  The legacy pattern survives
   behind ``ShuffleConfig(write_combining=False)`` as the parity baseline
   (with empty partitions elided before the PUT);
-* **reduce wave** — each worker discovers the senders' combined objects with
-  batched LIST requests (the offsets directory rides in the keys, so
-  discovery costs no GETs), issues **one ranged GET per non-empty slice**,
-  decodes the slices zero-copy with
-  :func:`~repro.exchange.codec.decode_partition_slice`, folds them with a
-  single :func:`~repro.engine.aggregates.merge_partials` pass, and returns
-  its result rows to the driver through SQS (spilling to S3 when large).
-  Legacy per-receiver objects are located through the same metadata path
-  (one LIST, HEAD for stragglers) — never through exception-driven GET
-  polling — so combined and legacy senders interoperate within one query.
+* **reduce wave** — each worker builds one
+  :class:`~repro.exchange.fetch.FetchPlan` from the manifest the map barrier
+  announced (the offset directory rides in the combined keys, so discovery
+  costs no request; legacy per-receiver objects cost one LIST), issues it as
+  one batch — **one ranged GET per non-empty slice**, charged as a single
+  transfer pipelined over the scan's connection count — decodes the slices
+  zero-copy, folds them with a single
+  :func:`~repro.engine.aggregates.merge_partials` pass, and returns its
+  result rows to the driver through SQS (spilling to S3 when large).
+  Combined and legacy senders interoperate within one query.
 
 Request/byte counters of both waves are accumulated into
 :class:`~repro.exchange.basic.ExchangeStats`, shipped inside each worker's
@@ -49,7 +49,8 @@ exchange, and the join wave probes both sides' slices with the vectorized
 aggregates placed above the join.  Because the driver barriers on the map
 waves, mappers announce their offset-bearing combined keys through the
 result queue and the join wave needs **zero** discovery requests — one
-ranged GET per non-empty slice is all it issues.
+fetch plan over both sides, one ranged GET per non-empty slice, is all it
+issues.
 """
 
 from __future__ import annotations
@@ -65,12 +66,8 @@ import numpy as np
 
 from repro.cloud.environment import CloudEnvironment
 from repro.cloud.lambda_service import FunctionConfig, InvocationContext
-from repro.cloud.s3 import ObjectMetadata, parse_s3_path
-from repro.config import (
-    DEFAULT_RESILIENCE,
-    IntegrityConfig,
-    S3_REQUEST_LATENCY_SECONDS,
-)
+from repro.cloud.s3 import parse_s3_path
+from repro.config import DEFAULT_RESILIENCE, IntegrityConfig
 from repro.driver.integrity import IntegrityStats, message_intact, sign_message
 from repro.driver.resilience import (
     DEFAULT_RESILIENCE_POLICY,
@@ -102,7 +99,6 @@ from repro.engine.table import (
 )
 from repro.errors import (
     CloudError,
-    CorruptFileError,
     ExchangeError,
     ExecutionError,
     IntegrityError,
@@ -112,13 +108,9 @@ from repro.errors import (
     WorkerCrashError,
     WorkerFailedError,
 )
-from repro.exchange.basic import (
-    ExchangeStats,
-    deserialize_partition,
-    discover_combined_objects,
-    serialize_partition,
-)
-from repro.exchange.codec import decode_partition_slice, encode_partition_set
+from repro.exchange.basic import ExchangeStats, serialize_partition
+from repro.exchange.codec import encode_partition_set
+from repro.exchange.fetch import FetchPlan, SenderManifest
 from repro.exchange.naming import MultiBucketNaming, WriteCombiningNaming
 from repro.exchange.partition import partition_assignments, scatter_by_assignment, slice_partition
 from repro.formats.compression import Compression
@@ -161,8 +153,6 @@ class ShuffleConfig:
     fast_codec: bool = True
     #: Compression of the partition payloads.
     compression: Compression = Compression.FAST
-    #: How often a reducer repeats its discovery LIST round before failing.
-    max_poll_rounds: int = 10
     #: Content-checksum generation/verification knobs (both default on):
     #: slice crcs in the combined-object keys, embedded frame checksums, and
     #: digests on every result message.
@@ -184,9 +174,8 @@ class ShuffleStatistics:
     #: Request and byte counters of both waves (PUT/GET/LIST/HEAD, combined
     #: PUTs, ranged GETs, empty partitions elided, bytes shipped vs touched).
     exchange: ExchangeStats = field(default_factory=ExchangeStats)
-    #: Modelled duration of the slowest worker per wave (scan/merge time plus
-    #: one :data:`~repro.config.S3_REQUEST_LATENCY_SECONDS` round-trip per
-    #: exchange request the worker issued).
+    #: Modelled duration of the slowest worker per wave (scan/merge time, the
+    #: fetch plan's pipelined transfer, and one round trip per PUT/LIST).
     modelled_map_seconds: float = 0.0
     modelled_reduce_seconds: float = 0.0
     #: Retries, wave re-runs, fallbacks, and injected-fault counts survived.
@@ -557,6 +546,32 @@ def _gc_tag_objects(
     return deleted
 
 
+def _delete_consumed_outputs(
+    env: CloudEnvironment, messages: Sequence[Dict], num_partitions: int, legacy_naming
+) -> int:
+    """Delete the objects the senders of fully-folded waves announced.
+
+    By path, not by LIST: the driver holds every accepted ``combined_path``
+    and spilled ``result_s3``, and a legacy sender's per-receiver keys follow
+    from its id and the ``legacy_naming(message)`` of the attempt it announced
+    (a key elided as empty is a no-op).  DELETE is unmetered, so this costs
+    no request.  Returns the number of objects the senders reported writing.
+    """
+    deleted = 0
+    for message in messages:
+        paths = [message[name] for name in ("combined_path", "result_s3") if name in message]
+        if message.get("format") == "objects":
+            naming = legacy_naming(message)
+            paths.extend(
+                naming.path(message["worker_id"], receiver)
+                for receiver in range(num_partitions)
+            )
+        for path in paths:
+            env.s3.delete_object(*parse_s3_path(path))
+        deleted += int(message.get("partitions_written", 0)) + ("result_s3" in message)
+    return deleted
+
+
 def _gc_cancelled_query(env: CloudEnvironment, query_id: str, namings, queue: str) -> int:
     """Garbage-collect a cancelled query's cloud state; returns keys deleted.
 
@@ -722,14 +737,7 @@ def _make_map_handler(env: CloudEnvironment):
                 stats.put_requests += 1
                 stats.bytes_written += len(data)
                 written += 1
-        # Modelled duration: the scan plus one round-trip per exchange
-        # request the mapper issued (requests go out sequentially, as in
-        # Algorithm 1) — this is where write combining buys its latency.
-        modelled_seconds = (
-            scan.modelled_seconds()
-            + stats.total_requests * S3_REQUEST_LATENCY_SECONDS
-        ) * getattr(context, "straggler_factor", 1.0)
-        context.charge(modelled_seconds)
+        modelled_seconds = _charge_worker(env, context, scan.modelled_seconds(), stats)
 
         result = WorkerResult(
             partial={},
@@ -764,220 +772,58 @@ def _make_map_handler(env: CloudEnvironment):
     return _guarded(env, handler)
 
 
-def _discover_legacy(
+def _reduce_compute_seconds(objects_read: int) -> float:
+    """Modelled merge/probe time of a reduce-side worker: a fixed start-up
+    share plus a per-slice decode cost."""
+    return 0.1 + 0.001 * objects_read
+
+
+def _charge_worker(
     env: CloudEnvironment,
-    naming: MultiBucketNaming,
-    object_senders: Sequence[int],
-    partition: int,
+    context: InvocationContext,
+    compute_seconds: float,
     stats: ExchangeStats,
-) -> Dict[int, ObjectMetadata]:
-    """Find the legacy per-receiver objects addressed to ``partition``.
+    fetch_seconds: float = 0.0,
+) -> float:
+    """Charge one wave worker's modelled duration to its invocation.
 
-    One LIST covers the receiver's bucket.  The map-wave barrier (the driver
-    collects every mapper's result before invoking the reduce wave)
-    guarantees all objects are already visible, so a key absent from the
-    LIST is definitively an empty partition the sender elided — no HEAD
-    probe is spent confirming it.  (The barrier-free generic exchange keeps
-    its HEAD-for-stragglers path in ``BasicGroupExchange``.)
+    ``compute_seconds`` is the worker's own work (a mapper's scan, a
+    reducer's merge).  The exchange GETs are already priced in
+    ``fetch_seconds`` — the fetch plan's pipelined transfer plus any
+    re-reads — while every other exchange request (the emit PUTs, a legacy
+    discovery LIST) is issued on its own, as in Algorithm 1, and costs one
+    round trip: this is where write combining buys its latency.
     """
-    found: Dict[int, ObjectMetadata] = {}
-    if not object_senders:
-        return found
-    bucket = naming.bucket_for(partition)
-    stats.list_requests += 1
-    try:
-        listed = {meta.key: meta for meta in env.s3.list_objects(bucket, naming.prefix)}
-    except NoSuchBucketError:
-        listed = {}
-    for sender in object_senders:
-        _, key = parse_s3_path(naming.path(sender, partition))
-        meta = listed.get(key)
-        if meta is None:
-            stats.empty_parts_elided += 1
-            continue
-        found[sender] = meta
-    return found
+    round_trips = stats.total_requests - stats.get_requests
+    seconds = (
+        compute_seconds
+        + fetch_seconds
+        + round_trips * env.bandwidth.request_latency_seconds
+    ) * getattr(context, "straggler_factor", 1.0)
+    context.charge(seconds)
+    return seconds
 
 
-def _normalize_senders(entries: Sequence) -> List[tuple]:
-    """Normalize sender entries to ``(sender, attempt)`` pairs.
-
-    Driver-built events ship ``[sender, attempt]`` pairs (retried mappers
-    write under attempt-suffixed prefixes); bare ints from older callers mean
-    attempt 0.
-    """
-    normalized: List[tuple] = []
-    for entry in entries or []:
-        if isinstance(entry, (list, tuple)):
-            normalized.append((int(entry[0]), int(entry[1])))
-        else:
-            normalized.append((int(entry), 0))
-    return normalized
-
-
-def _verified_read(read, integrity: Optional[IntegrityStats]):
-    """Run ``read`` with one verification-failure retry.
-
-    ``read`` issues the GET and raises
-    :class:`~repro.errors.CorruptFileError` (usually its
-    :class:`~repro.errors.IntegrityError` subclass) when any check fails.
-    Injected corruption is applied in flight — the object at rest is clean —
-    so a re-issued GET returns intact bytes; the cure is counted into
-    ``integrity.re_reads``.  A second failure means the stored bytes
-    themselves are bad: the error propagates with full provenance and the
-    wave retry re-executes the producing attempt.
-    """
-    try:
-        return read()
-    except CorruptFileError as exc:
-        if integrity is not None:
-            integrity.note_mismatch(getattr(exc, "layer", None) or "slice.decode")
-        try:
-            value = read()
-        except CorruptFileError as again:
-            if integrity is not None:
-                integrity.note_mismatch(
-                    getattr(again, "layer", None) or "slice.decode"
-                )
-            raise
-        if integrity is not None:
-            integrity.re_reads += 1
-        return value
-
-
-def _collect_partition_pieces(
+def _fetch_partition(
     env: CloudEnvironment,
-    combined_naming: WriteCombiningNaming,
-    legacy_naming_for,
-    combined_entries: Sequence,
-    combined_senders: Sequence[int],
-    object_senders: Sequence,
+    context: InvocationContext,
+    manifests: Sequence[SenderManifest],
     partition: int,
     num_partitions: int,
-    max_poll_rounds: int,
     stats: ExchangeStats,
-    verify: bool = True,
-    integrity: Optional[IntegrityStats] = None,
+    integrity: IntegrityConfig,
+    istats: IntegrityStats,
 ) -> tuple:
-    """Read every sender's slice addressed to ``partition``.
+    """Plan and fetch ``partition``'s slices of every input side.
 
-    ``combined_entries`` is the driver-built manifest — ``(sender, path,
-    size)`` of each combined object, announced by the accepted map attempt
-    through the barrier.  Manifest slices need no discovery requests (the
-    offsets ride in the keys) and, crucially, an orphaned object from a
-    mapper attempt that crashed after its PUT is never read: only announced
-    keys are touched.  ``combined_senders`` is the manifest-less fallback
-    (batched discovery LISTs against ``combined_naming``); ``object_senders``
-    are legacy per-receiver senders as ``(sender, attempt)`` pairs, located
-    with one LIST per attempt prefix via ``legacy_naming_for(attempt)``.
-    Returns ``(pieces, objects_read)`` with empty pieces dropped, in global
-    sender order regardless of format — the reduce output is bit-identical
-    however each sender shipped its partitions.
-
-    With ``verify`` on, every read is checked before its rows are used:
-    ranged-GET lengths against the offset directory, slice bytes against the
-    per-slice crcs riding in the key, and the frame's embedded checksums on
-    decode.  A failed check triggers one re-issued GET (in-flight corruption
-    is cured by a clean second read, counted as ``integrity.re_reads``); if
-    the second read also fails, the :class:`~repro.errors.IntegrityError`
-    propagates with full provenance and the driver's wave retry re-executes
-    the consuming attempt.
+    Returns ``(pieces per side, slices read, modelled fetch seconds)``.
     """
-    sliced: Dict[int, tuple] = {}
-    for sender, path, size in combined_entries or []:
-        sliced[int(sender)] = (path, int(size), None)
-    if combined_senders:
-        discovered = discover_combined_objects(
-            env.s3, combined_naming, combined_senders, max_poll_rounds, stats
-        )
-        for sender, (meta, offsets) in discovered.items():
-            sliced[sender] = (meta.path, meta.size, offsets)
-
-    legacy_by_attempt: Dict[int, List[int]] = {}
-    for sender, attempt in _normalize_senders(object_senders):
-        legacy_by_attempt.setdefault(attempt, []).append(sender)
-    legacy: Dict[int, ObjectMetadata] = {}
-    for attempt in sorted(legacy_by_attempt):
-        legacy.update(
-            _discover_legacy(
-                env,
-                legacy_naming_for(attempt),
-                legacy_by_attempt[attempt],
-                partition,
-                stats,
-            )
-        )
-
-    pieces: List[Table] = []
-    objects_read = 0
-    for sender in sorted(set(sliced) | set(legacy)):
-        if sender in sliced:
-            path, size, offsets = sliced[sender]
-            _, key = parse_s3_path(path)
-            _, parsed_offsets, crcs = WriteCombiningNaming.parse_directory(key)
-            if offsets is None:
-                offsets = parsed_offsets
-            if len(offsets) != num_partitions + 1:
-                raise ExchangeError(
-                    f"combined object {path!r} has {len(offsets) - 1} "
-                    f"parts, expected {num_partitions}"
-                )
-            start, end = offsets[partition], offsets[partition + 1]
-            if end <= start:
-                # Empty slice: zero bytes in the object, no GET at all.
-                stats.empty_parts_elided += 1
-                continue
-            expected_crc = crcs[partition] if crcs is not None else None
-
-            def read_slice(path=path, start=start, end=end,
-                           size=size, expected_crc=expected_crc):
-                result = env.s3.get_path(path, start, end)
-                stats.get_requests += 1
-                stats.ranged_get_requests += 1
-                stats.bytes_read += len(result.data)
-                stats.bytes_touched += int(size)
-                if verify and len(result.data) != end - start:
-                    raise IntegrityError(
-                        "ranged GET returned wrong slice length",
-                        key=path, layer="slice.length", offset=start,
-                        expected=end - start, actual=len(result.data),
-                    )
-                if verify and expected_crc is not None:
-                    actual = zlib.crc32(result.data)
-                    if actual != expected_crc:
-                        raise IntegrityError(
-                            f"slice of partition {partition} failed its "
-                            "directory crc",
-                            key=path, layer="slice.crc", offset=start,
-                            expected=expected_crc, actual=actual,
-                        )
-                piece = decode_partition_slice(
-                    result.data, verify=verify, key=path
-                )
-                return piece, len(result.data)
-
-            piece, nbytes = _verified_read(read_slice, integrity)
-            objects_read += 1
-        else:
-            meta = legacy[sender]
-
-            def read_object(meta=meta):
-                result = env.s3.get_path(meta.path)
-                stats.get_requests += 1
-                stats.bytes_read += len(result.data)
-                stats.bytes_touched += meta.size
-                piece = deserialize_partition(
-                    result.data, verify=verify, key=meta.path
-                )
-                return piece, len(result.data)
-
-            piece, nbytes = _verified_read(read_object, integrity)
-            objects_read += 1
-        if integrity is not None and verify:
-            integrity.verified_bytes += nbytes
-        if table_num_rows(piece):
-            pieces.append(piece)
-    return pieces, objects_read
+    plan = FetchPlan.build(env.s3, manifests, partition, num_partitions, stats)
+    pieces, fetch_seconds = plan.fetch(
+        env.s3, env.bandwidth, context.memory_mib, stats,
+        verify=integrity.verify, integrity=istats,
+    )
+    return pieces, len(plan.ranges), fetch_seconds
 
 
 def _make_reduce_handler(env: CloudEnvironment):
@@ -990,40 +836,28 @@ def _make_reduce_handler(env: CloudEnvironment):
         partition = event["partition"]
         attempt = int(event.get("attempt", 0))
         num_partitions = event["num_partitions"]
-        combined_entries = list(event.get("combined", []))
-        combined_senders = list(event.get("combined_senders", []))
-        object_senders = list(event.get("object_senders", []))
         group_by = list(event["group_by"])
         partials_specs = [AggregateSpec.from_dict(item) for item in event["aggregates"]]
         num_buckets = int(event.get("num_buckets", 10))
-        max_poll_rounds = int(event.get("max_poll_rounds", 10))
         integrity = IntegrityConfig.from_dict(event.get("integrity"))
         istats = IntegrityStats()
 
         stats = ExchangeStats()
-        pieces, objects_read = _collect_partition_pieces(
-            env,
-            _map_naming(query_id, num_buckets),
+        manifest = SenderManifest(
+            event.get("combined", []),
+            event.get("object_senders", []),
             lambda map_attempt: _legacy_naming(query_id, num_buckets, map_attempt),
-            combined_entries,
-            combined_senders,
-            object_senders,
-            partition,
-            num_partitions,
-            max_poll_rounds,
-            stats,
-            verify=integrity.verify,
-            integrity=istats,
+        )
+        (pieces,), objects_read, fetch_seconds = _fetch_partition(
+            env, context, [manifest], partition, num_partitions, stats,
+            integrity, istats,
         )
         # Single merge pass: the zero-copy slice views are folded (and thereby
         # materialised into fresh group buffers) exactly once.
         merged = merge_partials(pieces, group_by, partials_specs)
-        modelled_seconds = (
-            0.1
-            + 0.001 * objects_read
-            + stats.total_requests * S3_REQUEST_LATENCY_SECONDS
-        ) * getattr(context, "straggler_factor", 1.0)
-        context.charge(modelled_seconds)
+        modelled_seconds = _charge_worker(
+            env, context, _reduce_compute_seconds(objects_read), stats, fetch_seconds
+        )
 
         result = WorkerResult(
             partial={},
@@ -1363,12 +1197,7 @@ class ShuffleAggregateCoordinator(_ResilientWaves):
         combined_entries = sorted(
             [m["worker_id"], m["combined_path"], m["combined_size"]]
             for m in map_messages
-            if m.get("format") == "combined" and "combined_path" in m
-        )
-        combined_senders = sorted(
-            m["worker_id"]
-            for m in map_messages
-            if m.get("format") == "combined" and "combined_path" not in m
+            if m.get("format") == "combined"
         )
         object_senders = sorted(
             [m["worker_id"], int(m.get("attempt", 0))]
@@ -1385,13 +1214,11 @@ class ShuffleAggregateCoordinator(_ResilientWaves):
                 "attempt": 0,
                 "num_partitions": len(assignments),
                 "combined": combined_entries,
-                "combined_senders": combined_senders,
                 "object_senders": object_senders,
                 "group_by": list(group_by),
                 "aggregates": [spec.to_dict() for spec in partials],
                 "result_queue": self.result_queue,
                 "num_buckets": self.num_buckets,
-                "max_poll_rounds": self.config.max_poll_rounds,
                 "integrity": self.config.integrity.to_dict(),
             }
         reduce_messages = self._wave(
@@ -1425,6 +1252,14 @@ class ShuffleAggregateCoordinator(_ResilientWaves):
                     key=f"reduce-{message.get('worker_id')}",
                 )
             )
+        # Both waves are folded: the accepted mappers' objects and the spilled
+        # reduce results have no reader left.
+        _delete_consumed_outputs(
+            self.env, map_messages + reduce_messages, len(assignments),
+            lambda m: _legacy_naming(
+                query_id, self.num_buckets, int(m.get("attempt", 0))
+            ),
+        )
         merged = concat_tables([piece for piece in pieces if table_num_rows(piece)])
         result = finalize_aggregates(merged, list(group_by), list(finals))
         if order_by:
@@ -1556,11 +1391,7 @@ def _make_join_map_handler(env: CloudEnvironment):
                 stats.put_requests += 1
                 stats.bytes_written += len(data)
                 written += 1
-        modelled_seconds = (
-            scan.modelled_seconds()
-            + stats.total_requests * S3_REQUEST_LATENCY_SECONDS
-        ) * getattr(context, "straggler_factor", 1.0)
-        context.charge(modelled_seconds)
+        modelled_seconds = _charge_worker(env, context, scan.modelled_seconds(), stats)
 
         result = WorkerResult(
             partial={},
@@ -1604,6 +1435,7 @@ def _emit_intermediate(
     stats: ExchangeStats,
     istats: IntegrityStats,
     objects_read: int,
+    fetch_seconds: float,
     probe_rows: int,
     build_rows: int,
     integrity: IntegrityConfig,
@@ -1679,12 +1511,9 @@ def _emit_intermediate(
                 stats.bytes_written += len(data)
                 written += 1
 
-    modelled_seconds = (
-        0.1
-        + 0.001 * objects_read
-        + stats.total_requests * S3_REQUEST_LATENCY_SECONDS
-    ) * getattr(context, "straggler_factor", 1.0)
-    context.charge(modelled_seconds)
+    modelled_seconds = _charge_worker(
+        env, context, _reduce_compute_seconds(objects_read), stats, fetch_seconds
+    )
 
     result = WorkerResult(
         partial={},
@@ -1749,13 +1578,11 @@ def _make_join_reduce_handler(env: CloudEnvironment):
         collect_rows = bool(event.get("collect_rows", False))
         suffix = event.get("suffix", "_right")
         num_buckets = int(event.get("num_buckets", 10))
-        max_poll_rounds = int(event.get("max_poll_rounds", 10))
         integrity = IntegrityConfig.from_dict(event.get("integrity"))
         istats = IntegrityStats()
 
         stats = ExchangeStats()
-        side_tables: Dict[str, Table] = {}
-        objects_read = 0
+        manifests = []
         for side in JOIN_SIDES:
             spec = event["sides"][side]
             # DAG stages address each input by its exchange tag: the probe
@@ -1763,26 +1590,24 @@ def _make_join_reduce_handler(env: CloudEnvironment):
             # ("J{k-1}"), the build side a scan fleet ("R{k}").  Binary
             # joins omit the tag and keep the historical "L"/"R" prefixes.
             tag = spec.get("tag", side)
-            pieces, side_objects = _collect_partition_pieces(
-                env,
-                _join_map_naming(query_id, tag, num_buckets),
-                lambda map_attempt, tag=tag: _join_legacy_naming(
-                    query_id, tag, num_buckets, map_attempt
-                ),
-                spec.get("combined", []),
-                spec.get("combined_senders", []),
-                spec.get("object_senders", []),
-                partition,
-                num_partitions,
-                max_poll_rounds,
-                stats,
-                verify=integrity.verify,
-                integrity=istats,
+            manifests.append(
+                SenderManifest(
+                    spec.get("combined", []),
+                    spec.get("object_senders", []),
+                    lambda map_attempt, tag=tag: _join_legacy_naming(
+                        query_id, tag, num_buckets, map_attempt
+                    ),
+                )
             )
-            objects_read += side_objects
-            side_tables[side] = concat_tables(pieces) if pieces else {}
-
-        left, right = side_tables["L"], side_tables["R"]
+        # One plan over both sides: the probe and build slices go out as a
+        # single pipelined batch.
+        pieces, objects_read, fetch_seconds = _fetch_partition(
+            env, context, manifests, partition, num_partitions, stats,
+            integrity, istats,
+        )
+        left, right = (
+            concat_tables(side_pieces) if side_pieces else {} for side_pieces in pieces
+        )
         left_key = event["sides"]["L"]["key"]
         right_key = event["sides"]["R"]["key"]
         probe_rows = table_num_rows(left)
@@ -1818,6 +1643,7 @@ def _make_join_reduce_handler(env: CloudEnvironment):
                 stats,
                 istats,
                 objects_read,
+                fetch_seconds,
                 probe_rows,
                 build_rows,
                 integrity,
@@ -1827,12 +1653,9 @@ def _make_join_reduce_handler(env: CloudEnvironment):
             partial_table = joined
         else:
             partial_table = partial_aggregate(joined, group_by, partials_specs)
-        modelled_seconds = (
-            0.1
-            + 0.001 * objects_read
-            + stats.total_requests * S3_REQUEST_LATENCY_SECONDS
-        ) * getattr(context, "straggler_factor", 1.0)
-        context.charge(modelled_seconds)
+        modelled_seconds = _charge_worker(
+            env, context, _reduce_compute_seconds(objects_read), stats, fetch_seconds
+        )
 
         result = WorkerResult(
             partial={},
@@ -1955,7 +1778,8 @@ class ShuffleJoinCoordinator(_ResilientWaves):
 
     Consumed intermediates are garbage-collected as soon as the wave that
     read them completes, and a multi-stage query ends with a sweep of its
-    whole exchange prefix, so retried attempts leave no orphaned objects.
+    whole exchange prefix, so retried attempts leave no orphaned objects.  A
+    binary join deletes its scan fleets' outputs by their announced paths.
     """
 
     def __init__(
@@ -2188,7 +2012,6 @@ class ShuffleJoinCoordinator(_ResilientWaves):
                     "emit": emit,
                     "result_queue": self.result_queue,
                     "num_buckets": self.num_buckets,
-                    "max_poll_rounds": self.config.max_poll_rounds,
                     "integrity": self.config.integrity.to_dict(),
                     "write_combining": self.config.write_combining,
                     "fast_codec": self.config.fast_codec,
@@ -2274,6 +2097,18 @@ class ShuffleJoinCoordinator(_ResilientWaves):
                     key=f"join-{message.get('worker_id')}",
                 )
             )
+
+        # The final wave is folded: its spilled results have no reader left,
+        # and a binary join (no intermediates, hence no sweep above) drops its
+        # scan fleets' outputs the same way.
+        gc_deleted += _delete_consumed_outputs(
+            self.env,
+            reduce_waves[-1] + (map_messages if num_stages == 1 else []),
+            num_partitions,
+            lambda m: _join_legacy_naming(
+                query_id, m["side"], self.num_buckets, int(m.get("attempt", 0))
+            ),
+        )
 
         driver_plan = dag.driver
         if driver_plan.collect_rows:

@@ -218,6 +218,9 @@ def decode_partition(
         raise CorruptFileError(
             "not a fast-codec partition object", key=key, layer="codec.prefix"
         )
+    # One view of the input: the checksum and decompress calls below take
+    # slices of it instead of copying the body out per layer.
+    view = memoryview(data)
     checked = data[0] == CHECKED_PARTITION_TAG
     prefix = _CHECKED_PREFIX if checked else _PREFIX
     if len(data) < prefix.size:
@@ -234,7 +237,7 @@ def decode_partition(
         raise CorruptFileError(
             "truncated fast partition header", key=key, layer="codec.header"
         )
-    header_bytes = bytes(data[prefix.size:header_end])
+    header_bytes = bytes(view[prefix.size:header_end])
     if verify and header_crc is not None:
         actual = zlib.crc32(header_bytes)
         if actual != header_crc:
@@ -251,7 +254,7 @@ def decode_partition(
         ) from exc
     body_crc = header.get("body_crc")
     if verify and body_crc is not None:
-        actual = zlib.crc32(bytes(data[header_end:]))
+        actual = zlib.crc32(view[header_end:])
         if actual != body_crc:
             raise IntegrityError(
                 "fast partition body checksum mismatch",
@@ -263,9 +266,12 @@ def decode_partition(
         # Zero-copy hot path: an uncompressed body is sliced, not copied, so a
         # partition living in a shared-memory segment decodes into views of
         # the segment itself (``memoryview`` slices reference the same buffer).
-        body = data[header_end:] if isinstance(data, (bytes, memoryview)) else bytes(data[header_end:])
+        body = view[header_end:]
+        if isinstance(data, bytearray):
+            # Mutable input: detach, so the columns stay read-only.
+            body = memoryview(bytes(body))
     else:
-        body = decompress(bytes(data[header_end:]), compression)
+        body = memoryview(decompress(view[header_end:], compression))
 
     table: Table = {}
     num_rows = int(header["num_rows"])
@@ -284,7 +290,7 @@ def decode_partition(
                 )
             expected_crc = column.get("crc")
             if verify and expected_crc is not None:
-                actual = zlib.crc32(bytes(body[offset:offset + nbytes]))
+                actual = zlib.crc32(body[offset:offset + nbytes])
                 if actual != expected_crc:
                     raise IntegrityError(
                         f"column {name!r} buffer checksum mismatch",

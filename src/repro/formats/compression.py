@@ -46,6 +46,6 @@ def decompress(data: bytes, codec: Compression) -> bytes:
     if codec is Compression.NONE:
         return bytes(data)
     try:
-        return zlib.decompress(bytes(data))
+        return zlib.decompress(data)
     except zlib.error as exc:
         raise CorruptFileError(f"failed to decompress column chunk: {exc}") from exc

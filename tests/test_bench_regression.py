@@ -118,6 +118,17 @@ def test_checker_flags_ratio_ceiling_violation(checker, baseline, tmp_path):
     assert checker.check(taxed, None, tolerance=0.6) != 0
 
 
+def test_checker_flags_serial_exchange_read_charging(checker, baseline, tmp_path):
+    # One blocking round trip per slice (the pre-fetch-plan charging) puts the
+    # slowest DAG worker at 0.316 s at the committed scale factor.
+    assert baseline["results"]["dag_join"]["max_worker_seconds"] <= 0.25
+    doctored = json.loads(json.dumps(baseline))
+    doctored["results"]["dag_join"]["max_worker_seconds"] = 0.316
+    serial = tmp_path / "serial.json"
+    serial.write_text(json.dumps(doctored), encoding="utf-8")
+    assert checker.check(serial, None, tolerance=0.6) != 0
+
+
 def test_baseline_passes_absolute_floors(checker):
     assert (
         checker.check([BASELINE_PATH, TPCH_BASELINE_PATH], None, tolerance=0.6)
