@@ -11,7 +11,7 @@ Usage::
 ``--baseline`` is repeatable; with none given, both committed trajectories
 (``BENCH_hot_paths.json`` and ``BENCH_tpch.json``) are loaded and merged.
 
-Six kinds of checks:
+Seven kinds of checks:
 
 * **absolute floors** — the speedups the PR's acceptance criteria promise
   (partition scatter >= 5x, payload round-trip >= 3x, shuffle PUT collapse
@@ -31,6 +31,9 @@ Six kinds of checks:
 * **absolute modelled-seconds ceilings** — the slowest worker of any N-way
   join DAG query must stay under the duration only a pipelined exchange
   read reaches (a fall-back to one round trip per slice fails here);
+* **absolute wave ceilings** — at the committed scale factor every build
+  side of the five DAG queries is broadcastable, so each must run as one
+  join wave (a regression to a wave per join fails here);
 * **relative regression** — each current speedup must stay within
   ``tolerance`` of the committed baseline (defaults to 60%, loose enough for
   machine-to-machine noise, tight enough to catch an accidental
@@ -75,7 +78,8 @@ ABSOLUTE_FLOORS = {
     ("join_e2e", "modelled_speedup"): 1.2,
     # PR 10: the five N-way join DAGs (Q5/Q7/Q9/Q10/Q18) in BENCH_tpch.json
     # must all be bit-identical to their NumPy references, and each must
-    # have lowered to a genuine multi-stage DAG (>= 2 join stages).
+    # have lowered to a genuine multi-stage DAG (>= 2 *logical* join stages,
+    # however few waves they then run as).
     ("dag_join", "correct_fraction"): 1.0,
     ("dag_join", "min_dag_stages"): 2.0,
 }
@@ -118,6 +122,10 @@ ABSOLUTE_REQUEST_CEILINGS = {
     # requests.  A single regression to discovery-by-listing fails here.
     ("dag_join", "discovery_list_requests"): 0,
     ("dag_join", "discovery_head_requests"): 0,
+    # PR 14: a fault-free query deletes its exchange objects by their
+    # announced paths; the LIST sweep is for queries that saw a fault.  A
+    # regression to sweep-by-LIST (40 LISTs per consumed tag) fails here.
+    ("dag_join", "gc_list_requests"): 0,
 }
 
 #: Maximum overhead ratios, keyed ``(section, field)``.  The resilience
@@ -139,9 +147,18 @@ ABSOLUTE_RATIO_CEILINGS = {
 #: Maximum modelled seconds, keyed ``(section, field)``.  The exchange
 #: receiver issues its whole fetch plan as one pipelined transfer (PR 13): at
 #: the committed scale factor the slowest worker of the five DAG queries takes
-#: 0.17 s, where charging one serial round trip per slice gave 0.316 s.
+#: 0.17 s — still so now that it is a fused join worker reading its broadcast
+#: build sides in the same batch (PR 14) — where charging one serial round
+#: trip per slice gave 0.316 s.
 ABSOLUTE_SECONDS_CEILINGS = {
     ("dag_join", "max_worker_seconds"): 0.25,
+}
+
+#: Maximum join waves of any one DAG query, keyed ``(section, field)``.  At
+#: the committed scale factor every build side is far below the broadcast
+#: break-even, so each DAG query runs one scan wave and ONE join wave (PR 14).
+ABSOLUTE_WAVE_CEILINGS = {
+    ("dag_join", "max_join_waves"): 1,
 }
 
 #: Fields compared against the committed baseline for relative regressions.
@@ -264,6 +281,11 @@ def check(
             ABSOLUTE_SECONDS_CEILINGS,
             "modelled duration",
             "exchange reads charged one round trip per slice again?",
+        ),
+        (
+            ABSOLUTE_WAVE_CEILINGS,
+            "wave count",
+            "small build sides run a wave per join again?",
         ),
     ):
         for (name, field), ceiling in ceilings.items():

@@ -204,6 +204,8 @@ def run(arguments: argparse.Namespace) -> dict:
             "rows": int(last.num_rows),
             "runs": arguments.runs,
             "dag_stages": int(stats.dag_stages),
+            "join_waves": int(stats.join_waves),
+            "broadcast_stages": int(stats.broadcast_stages),
             "workers": int(stats.num_workers),
             "modelled_latency_median_seconds": statistics.median(latencies),
             "modelled_latency_min_seconds": min(latencies),
@@ -214,12 +216,14 @@ def run(arguments: argparse.Namespace) -> dict:
             "discovery_list_requests": int(exchange.list_requests),
             "discovery_head_requests": int(exchange.head_requests),
             "gc_objects_deleted": int(stats.gc_objects_deleted),
+            "gc_list_requests": int(stats.gc_list_requests),
             "max_worker_seconds": float(stats.max_worker_seconds),
         }
         print(
             f"{name:<4} {'ok' if correct else 'WRONG':<5} "
             f"rows {results[name]['rows']:>5}  "
-            f"stages {results[name]['dag_stages']}  "
+            f"stages {results[name]['dag_stages']} "
+            f"in {results[name]['join_waves']} wave(s)  "
             f"latency {results[name]['modelled_latency_median_seconds']:6.2f} s  "
             f"cost {results[name]['modelled_cost_median_dollars'] * 100:8.4f} ¢  "
             f"discovery {results[name]['discovery_list_requests'] + results[name]['discovery_head_requests']}"
@@ -233,7 +237,13 @@ def run(arguments: argparse.Namespace) -> dict:
                 results[n]["correct"] for n in dag_measured
             ) / len(dag_measured),
             "min_dag_stages": min(results[n]["dag_stages"] for n in dag_measured),
-            "total_waves": sum(results[n]["dag_stages"] + 1 for n in dag_measured),
+            # Executed waves: the scan wave plus the join waves that ran
+            # (stages with broadcastable build sides fuse into one wave).
+            "total_waves": sum(results[n]["join_waves"] + 1 for n in dag_measured),
+            "max_join_waves": max(results[n]["join_waves"] for n in dag_measured),
+            "gc_list_requests": sum(
+                results[n]["gc_list_requests"] for n in dag_measured
+            ),
             "discovery_list_requests": sum(
                 results[n]["discovery_list_requests"] for n in dag_measured
             ),

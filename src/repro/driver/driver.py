@@ -79,6 +79,7 @@ from repro.plan.physical import (
     DagPhysicalPlan,
     JoinPhysicalPlan,
     PhysicalPlan,
+    describe_executed_waves,
     resolve_udf,
 )
 
@@ -123,13 +124,20 @@ class QueryStatistics:
     join_probe_rows: int = 0
     join_build_rows: int = 0
     join_output_rows: int = 0
-    #: Number of join waves in the executed schedule (1 for a binary join,
+    #: Logical join stages of the plan (1 for a binary join,
     #: ``len(dag.stages)`` for an N-way join DAG; 1 for scan queries too,
-    #: where no join wave exists but the field keeps a uniform meaning).
+    #: where no join exists but the field keeps a uniform meaning).
     dag_stages: int = 1
-    #: Intermediate exchange objects deleted by the coordinator's per-stage
-    #: and end-of-query garbage collection (0 for scan and binary joins).
+    #: The join waves that actually ran, each the DAG stages it executed —
+    #: its first stage repartitioned, the others fused in as broadcast joins
+    #: (decided at run time from the build sides' sizes; empty for scans).
+    wave_stages: List[List[int]] = field(default_factory=list)
+    #: Exchange objects the coordinator deleted: each wave's consumed inputs,
+    #: spilled results, and whatever a post-fault sweep found (0 for scans).
     gc_objects_deleted: int = 0
+    #: LIST requests of the coordinator's end-of-query orphan sweep, which
+    #: only runs after a fault (0 on a clean run).
+    gc_list_requests: int = 0
     #: Fault-tolerance counters for this query: retries, hedges won/lost,
     #: injected faults survived, degradation fallbacks, wasted modelled cost.
     #: All-zero on a clean run.
@@ -143,6 +151,16 @@ class QueryStatistics:
     #: end.  ``None`` only for catalog-pruned empty results, which never
     #: touch the fleet.
     overload: Optional[Dict[str, Any]] = None
+
+    @property
+    def join_waves(self) -> int:
+        """Join waves executed (0 for scans, at most ``dag_stages``)."""
+        return len(self.wave_stages)
+
+    @property
+    def broadcast_stages(self) -> int:
+        """Join stages that ran as a broadcast join inside an earlier wave."""
+        return sum(len(wave) - 1 for wave in self.wave_stages)
 
     @property
     def cost_total(self) -> float:
@@ -191,13 +209,16 @@ class QueryResult:
         """The executed schedule: join order, waves, and push-downs.
 
         Combines the optimizer's report (join order, pruned columns,
-        estimated costs) with the physical plan's wave-by-wave rendering.
+        estimated costs) with the physical plan's rendering and, for join
+        plans, how the stages were grouped into waves at run time.
         """
         parts = []
         if self.optimizer_report is not None:
             parts.append(self.optimizer_report.describe())
         if self.plan_explain:
             parts.append(self.plan_explain)
+        if self.statistics.wave_stages:
+            parts.append(describe_executed_waves(self.statistics.wave_stages))
         return "\n".join(parts) if parts else "(no plan recorded)"
 
     def scalar(self) -> float:
@@ -524,8 +545,9 @@ class LambadaDriver:
         """Execute a join plan through the shuffle-join coordinator.
 
         The DAG schedule (one scan wave repartitioning every relation by its
-        join key through the write-combined exchange, then one join wave per
-        DAG stage — middle stages re-emit into the exchange, the final stage
+        join key through the write-combined exchange, then the join waves —
+        stages with small build sides join in place inside the wave before
+        them, non-final waves re-emit into the exchange, the final one
         computes the partial aggregates placed above the join) runs in
         :class:`~repro.driver.shuffle.ShuffleJoinCoordinator`; this wrapper
         folds its worker results into the same :class:`QueryStatistics` shape
@@ -584,7 +606,9 @@ class LambadaDriver:
         exchange = join_stats.exchange
         cost_s3 = prices.s3_get_cost(
             get_requests + exchange.get_requests + exchange.head_requests
-        ) + prices.s3_put_cost(exchange.put_requests + exchange.list_requests)
+        ) + prices.s3_put_cost(
+            exchange.put_requests + exchange.list_requests + join_stats.gc_list_requests
+        )
         sqs_requests = num_total + math.ceil(num_total / 10) + 2
         statistics = QueryStatistics(
             num_workers=num_total,
@@ -612,7 +636,9 @@ class LambadaDriver:
             join_build_rows=join_stats.join_build_rows,
             join_output_rows=join_stats.join_output_rows,
             dag_stages=join_stats.dag_stages,
+            wave_stages=join_stats.wave_stages,
             gc_objects_deleted=join_stats.gc_objects_deleted,
+            gc_list_requests=join_stats.gc_list_requests,
             resilience=resilience,
             integrity=join_stats.integrity,
         )

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import uuid
+from collections import deque
 from multiprocessing import connection as mp_connection
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -154,9 +155,9 @@ class ProcessWorkerPool:
     """Spawn-safe pool of persistent worker processes.
 
     Children stay warm across :meth:`run_tasks` calls (and therefore across
-    queries and retry waves), mirroring warm Lambda instances.  Tasks are
-    dispatched round-robin; results are collected as they complete via
-    ``multiprocessing.connection.wait``.
+    queries and retry waves), mirroring warm Lambda instances.  Tasks go to
+    whichever child has room (see :meth:`run_tasks`); results are collected
+    as they complete via ``multiprocessing.connection.wait``.
     """
 
     def __init__(self, size: int):
@@ -228,6 +229,12 @@ class ProcessWorkerPool:
     def run_tasks(self, tasks: List[tuple]) -> Dict[Any, tuple]:
         """Dispatch ``("run", task_id, ...)`` tuples; collect all results.
 
+        Each child holds one task at a time and gets its next one when its
+        result comes back, so a child on a slow or shared core takes fewer
+        tasks instead of setting the wave's wall time: an equal deal up front
+        makes the wave as slow as its slowest core whenever anything else
+        runs on the host.  Which child ran a task never shows in its result.
+
         Returns ``{task_id: child_message}`` where each message is either
         ``("ok", ...)`` or ``("err", task_id, reason)``.  Tasks stranded on a
         child that dies mid-flight are synthesised as errors, which the
@@ -236,8 +243,12 @@ class ProcessWorkerPool:
         results: Dict[Any, tuple] = {}
         if not tasks:
             return results
-        children = self._ensure_children()
-        for index, task in enumerate(tasks):
+        live = list(self._ensure_children())
+        by_conn = {child.conn: child for child in live}
+        queue = deque(tasks)
+
+        def feed(child: _Child) -> None:
+            task = queue.popleft()
             result_name: Optional[str] = None
             if task[0] == "run":
                 if len(task) > 7:
@@ -247,15 +258,18 @@ class ProcessWorkerPool:
                     # mid-task cannot leak the segment it may have created.
                     result_name = f"{RESULT_SEGMENT_PREFIX}{uuid.uuid4().hex[:12]}"
                     task = task + (result_name,)
-            child = children[index % len(children)]
-            child.conn.send(task)
             child.pending[task[1]] = result_name
+            try:
+                child.conn.send(task)
+            except OSError:
+                pass  # the child is gone: its pipe reads EOF in the loop below
 
-        outstanding = len(tasks)
-        by_conn = {child.conn: child for child in children}
-        while outstanding:
+        for child in live[: len(queue)]:
+            feed(child)
+
+        while any(child.pending for child in live):
             ready = mp_connection.wait(
-                [child.conn for child in children if child.pending]
+                [child.conn for child in live if child.pending]
             )
             for conn in ready:
                 child = by_conn[conn]
@@ -266,15 +280,19 @@ class ProcessWorkerPool:
                         results[task_id] = (
                             "err", task_id, "worker process terminated unexpectedly",
                         )
-                    outstanding -= len(child.pending)
                     self._release_orphans(child)
                     child.pending = {}
+                    live.remove(child)
                     continue
                 task_id = message[1]
-                if task_id in child.pending:
-                    child.pending.pop(task_id)
-                    outstanding -= 1
+                child.pending.pop(task_id, None)
                 results[task_id] = message
+                if queue:
+                    feed(child)
+        for task in queue:  # every child died with tasks still unsent
+            results[task[1]] = (
+                "err", task[1], "worker process terminated unexpectedly",
+            )
         return results
 
     def forget_segments(self, names: List[str]) -> None:

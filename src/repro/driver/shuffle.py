@@ -50,7 +50,10 @@ aggregates placed above the join.  Because the driver barriers on the map
 waves, mappers announce their offset-bearing combined keys through the
 result queue and the join wave needs **zero** discovery requests — one
 fetch plan over both sides, one ranged GET per non-empty slice, is all it
-issues.
+issues.  An N-way join DAG (Q5/Q7/Q9/Q10/Q18) runs as few such join waves as
+its build sides allow: a stage whose build side is cheaper to read whole than
+a wave is to run is fused into the wave before it as a broadcast join
+(:func:`_group_join_waves`).
 """
 
 from __future__ import annotations
@@ -67,7 +70,7 @@ import numpy as np
 from repro.cloud.environment import CloudEnvironment
 from repro.cloud.lambda_service import FunctionConfig, InvocationContext
 from repro.cloud.s3 import parse_s3_path
-from repro.config import DEFAULT_RESILIENCE, IntegrityConfig
+from repro.config import DEFAULT_RESILIENCE, IntegrityConfig, MiB
 from repro.driver.integrity import IntegrityStats, message_intact, sign_message
 from repro.driver.resilience import (
     DEFAULT_RESILIENCE_POLICY,
@@ -119,7 +122,6 @@ from repro.plan.logical import AggregateSpec
 from repro.plan.optimizer import _decompose_aggregates
 from repro.plan.physical import (
     DagPhysicalPlan,
-    JoinPhysicalPlan,
     JoinSidePlan,
     PruneRange,
 )
@@ -485,13 +487,15 @@ def _slice_crcs(payload: bytes, offsets: Sequence[int]) -> List[int]:
     ]
 
 
-def _gc_query_objects(env: CloudEnvironment, query_id: str, namings) -> int:
-    """Delete every exchange object a query's attempts wrote; returns count.
+def _gc_query_objects(env: CloudEnvironment, query_id: str, namings) -> tuple:
+    """Sweep every exchange object a query's attempts wrote.
 
     All attempt prefixes (and, for DAG queries, all side/stage tags) live
     under ``{query_id}/`` in every naming's buckets, so one LIST per bucket
-    sweeps the lot.  Best-effort: an injected fault during cleanup skips
-    that bucket rather than masking the caller's own outcome.
+    sweeps the lot — including the orphans of superseded attempts, which no
+    announced path names.  Best-effort: an injected fault during cleanup
+    skips that bucket rather than masking the caller's own outcome.  Returns
+    ``(objects deleted, LIST requests issued)``.
     """
     deleted = 0
     swept: Set[str] = set()
@@ -510,58 +514,29 @@ def _gc_query_objects(env: CloudEnvironment, query_id: str, namings) -> int:
                     deleted += 1
                 except CloudError:
                     continue
-    return deleted
-
-
-def _gc_tag_objects(
-    env: CloudEnvironment,
-    query_id: str,
-    tag: str,
-    num_buckets: int,
-    max_attempts: int,
-) -> int:
-    """Delete one exchange tag's objects across every attempt prefix.
-
-    Used by the DAG scheduler to drop a consumed intermediate result (tag
-    ``J{k}``) as soon as the wave that read it completes, bounding peak
-    shuffle storage to two live stages instead of the whole DAG.  Listing
-    the exact ``{attempt prefix}{tag}/`` prefix catches combined and legacy
-    objects alike, including orphans from superseded attempts.
-    """
-    deleted = 0
-    buckets = _join_map_naming(query_id, tag, num_buckets).buckets()
-    for attempt in range(max(1, max_attempts)):
-        prefix = f"{_attempt_prefix(query_id, attempt)}{tag}/"
-        for bucket in buckets:
-            try:
-                metas = env.s3.list_objects(bucket, prefix=prefix)
-            except CloudError:
-                continue
-            for meta in metas:
-                try:
-                    env.s3.delete_object(bucket, meta.key)
-                    deleted += 1
-                except CloudError:
-                    continue
-    return deleted
+    return deleted, len(swept)
 
 
 def _delete_consumed_outputs(
-    env: CloudEnvironment, messages: Sequence[Dict], num_partitions: int, legacy_naming
+    env: CloudEnvironment,
+    messages: Sequence[Dict],
+    num_partitions: int,
+    legacy_naming=None,
 ) -> int:
     """Delete the objects the senders of fully-folded waves announced.
 
     By path, not by LIST: the driver holds every accepted ``combined_path``
     and spilled ``result_s3``, and a legacy sender's per-receiver keys follow
-    from its id and the ``legacy_naming(message)`` of the attempt it announced
-    (a key elided as empty is a no-op).  DELETE is unmetered, so this costs
-    no request.  Returns the number of objects the senders reported writing.
+    from its id and the ``legacy_naming(attempt)`` of the attempt it announced
+    (a key elided as empty is a no-op; result messages need no naming).
+    DELETE is unmetered, so this costs no request.  Returns the number of
+    objects the senders reported writing.
     """
     deleted = 0
     for message in messages:
         paths = [message[name] for name in ("combined_path", "result_s3") if name in message]
         if message.get("format") == "objects":
-            naming = legacy_naming(message)
+            naming = legacy_naming(int(message.get("attempt", 0)))
             paths.extend(
                 naming.path(message["worker_id"], receiver)
                 for receiver in range(num_partitions)
@@ -582,7 +557,7 @@ def _gc_cancelled_query(env: CloudEnvironment, query_id: str, namings, queue: st
     provoked the cancellation may still be raging) skips that bucket rather
     than masking the cancellation itself.
     """
-    deleted = _gc_query_objects(env, query_id, namings)
+    deleted, _ = _gc_query_objects(env, query_id, namings)
     try:
         env.sqs.purge_queue(queue)
     except CloudError:
@@ -656,6 +631,74 @@ def _guarded(env: CloudEnvironment, run):
     return handler
 
 
+def _write_partitions(
+    env: CloudEnvironment,
+    event: Dict,
+    sender: int,
+    rows: Table,
+    keys: Sequence[str],
+    num_partitions: int,
+    combined_naming: WriteCombiningNaming,
+    legacy_naming: MultiBucketNaming,
+    stats: ExchangeStats,
+    integrity: IntegrityConfig,
+) -> Dict:
+    """Hash-partition ``rows`` by ``keys`` and ship them through the exchange.
+
+    Partitions once into contiguous slices; both formats serialise straight
+    from the scattered columns without re-gathering rows.  With write
+    combining the sender issues one PUT for all receivers and the returned
+    announcement carries the offset-bearing path — shipped through the
+    driver's wave barrier, it lets the consuming wave skip discovery
+    entirely, and an orphaned duplicate from a crashed earlier attempt is
+    never read.  Otherwise (``write_combining`` off, or an offset directory
+    that overflows the S3 key limit on a very wide fleet) it writes one
+    object per non-empty receiver; the consuming wave handles mixed formats.
+    Returns the announcement fields of the sender's result message.
+    """
+    compression = Compression(event.get("compression", Compression.FAST.value))
+    assignment = partition_assignments(rows, list(keys), num_partitions)
+    reordered, boundaries = scatter_by_assignment(rows, assignment, num_partitions)
+    if bool(event.get("write_combining", True)):
+        payload, offsets = encode_partition_set(
+            reordered, boundaries, compression, checksum=integrity.generate
+        )
+        crcs = _slice_crcs(payload, offsets) if integrity.generate else None
+        try:
+            path = combined_naming.combined_path(sender, offsets, crcs)
+        except ExchangeError:
+            pass
+        else:
+            env.s3.put_path(path, payload)
+            stats.put_requests += 1
+            stats.combined_put_requests += 1
+            stats.bytes_written += len(payload)
+            return {
+                "format": "combined",
+                "partitions_written": 1,
+                "combined_path": path,
+                "combined_size": len(payload),
+            }
+    written = 0
+    for receiver in range(num_partitions):
+        data = serialize_partition(
+            slice_partition(reordered, boundaries, receiver),
+            compression,
+            fast=bool(event.get("fast_codec", True)),
+            checksum=integrity.generate,
+        )
+        if not data:
+            # Empty partition: skip the PUT entirely (the consuming wave
+            # treats the missing object as an elided empty).
+            stats.empty_parts_elided += 1
+            continue
+        env.s3.put_path(legacy_naming.path(sender, receiver), data)
+        stats.put_requests += 1
+        stats.bytes_written += len(data)
+        written += 1
+    return {"format": "objects", "partitions_written": written}
+
+
 def _make_map_handler(env: CloudEnvironment):
     """Handler of the map-wave function."""
 
@@ -667,10 +710,6 @@ def _make_map_handler(env: CloudEnvironment):
         partials_specs = [AggregateSpec.from_dict(item) for item in event["aggregates"]]
         predicate = expression_from_dict(event.get("predicate"))
         prune_ranges = [PruneRange.from_dict(item) for item in event.get("prune_ranges", [])]
-        num_partitions = event["num_partitions"]
-        write_combining = bool(event.get("write_combining", True))
-        fast_codec = bool(event.get("fast_codec", True))
-        compression = Compression(event.get("compression", Compression.FAST.value))
         num_buckets = int(event.get("num_buckets", 10))
         integrity = IntegrityConfig.from_dict(event.get("integrity"))
 
@@ -691,52 +730,13 @@ def _make_map_handler(env: CloudEnvironment):
             partials.append(partial_aggregate_fused(batch, group_by, partials_specs))
         merged = merge_partials(partials, group_by, partials_specs)
 
-        # Partition once into contiguous slices; both formats serialise
-        # straight from the scattered columns without re-gathering rows.
-        assignment = partition_assignments(merged, group_by, num_partitions)
-        reordered, boundaries = scatter_by_assignment(merged, assignment, num_partitions)
-
         stats = ExchangeStats()
-        written = 0
-        combined_written = False
-        if write_combining:
-            naming = _map_naming(query_id, num_buckets, attempt)
-            payload, offsets = encode_partition_set(
-                reordered, boundaries, compression, checksum=integrity.generate
-            )
-            crcs = _slice_crcs(payload, offsets) if integrity.generate else None
-            try:
-                path = naming.combined_path(worker_id, offsets, crcs)
-            except ExchangeError:
-                # The offset directory of a very wide fleet overflows the S3
-                # key limit; fall back to per-receiver objects for this
-                # mapper — the reduce wave handles mixed formats.
-                pass
-            else:
-                env.s3.put_path(path, payload)
-                stats.put_requests += 1
-                stats.combined_put_requests += 1
-                stats.bytes_written += len(payload)
-                written = 1
-                combined_written = True
-        if not combined_written:
-            naming = _legacy_naming(query_id, num_buckets, attempt)
-            for receiver in range(num_partitions):
-                data = serialize_partition(
-                    slice_partition(reordered, boundaries, receiver),
-                    compression,
-                    fast=fast_codec,
-                    checksum=integrity.generate,
-                )
-                if not data:
-                    # Empty partition: skip the PUT entirely (the reduce wave
-                    # treats the missing object as an elided empty).
-                    stats.empty_parts_elided += 1
-                    continue
-                env.s3.put_path(naming.path(worker_id, receiver), data)
-                stats.put_requests += 1
-                stats.bytes_written += len(data)
-                written += 1
+        announcement = _write_partitions(
+            env, event, worker_id, merged, group_by, event["num_partitions"],
+            _map_naming(query_id, num_buckets, attempt),
+            _legacy_naming(query_id, num_buckets, attempt),
+            stats, integrity,
+        )
         modelled_seconds = _charge_worker(env, context, scan.modelled_seconds(), stats)
 
         result = WorkerResult(
@@ -752,18 +752,10 @@ def _make_map_handler(env: CloudEnvironment):
             "worker_id": worker_id,
             "status": "ok",
             "attempt": attempt,
-            "format": "combined" if combined_written else "objects",
             "rows_scanned": scan.counters.rows_scanned,
-            "partitions_written": written,
             "worker_result": result.to_payload(),
+            **announcement,
         }
-        if combined_written:
-            # Announcing the offset-bearing path through the map barrier lets
-            # the driver hand the reduce wave a manifest: zero discovery
-            # LISTs, and an orphaned duplicate from a crashed earlier attempt
-            # is never read.
-            message["combined_path"] = path
-            message["combined_size"] = len(payload)
         if integrity.generate:
             sign_message(message)
         env.sqs.send_json(event["result_queue"], message)
@@ -823,7 +815,7 @@ def _fetch_partition(
         env.s3, env.bandwidth, context.memory_mib, stats,
         verify=integrity.verify, integrity=istats,
     )
-    return pieces, len(plan.ranges), fetch_seconds
+    return pieces, plan.slices, fetch_seconds
 
 
 def _make_reduce_handler(env: CloudEnvironment):
@@ -1256,9 +1248,7 @@ class ShuffleAggregateCoordinator(_ResilientWaves):
         # reduce results have no reader left.
         _delete_consumed_outputs(
             self.env, map_messages + reduce_messages, len(assignments),
-            lambda m: _legacy_naming(
-                query_id, self.num_buckets, int(m.get("attempt", 0))
-            ),
+            lambda attempt: _legacy_naming(query_id, self.num_buckets, attempt),
         )
         merged = concat_tables([piece for piece in pieces if table_num_rows(piece)])
         result = finalize_aggregates(merged, list(group_by), list(finals))
@@ -1330,10 +1320,6 @@ def _make_join_map_handler(env: CloudEnvironment):
         side = event["side"]
         attempt = int(event.get("attempt", 0))
         side_plan = JoinSidePlan.from_dict(event)
-        num_partitions = event["num_partitions"]
-        write_combining = bool(event.get("write_combining", True))
-        fast_codec = bool(event.get("fast_codec", True))
-        compression = Compression(event.get("compression", Compression.FAST.value))
         num_buckets = int(event.get("num_buckets", 10))
         integrity = IntegrityConfig.from_dict(event.get("integrity"))
 
@@ -1350,47 +1336,13 @@ def _make_join_map_handler(env: CloudEnvironment):
         # arrive already filtered through the late-materialization path.
         rows = concat_tables(list(scan.scan()))
 
-        assignment = partition_assignments(rows, [side_plan.key], num_partitions)
-        reordered, boundaries = scatter_by_assignment(rows, assignment, num_partitions)
-
         stats = ExchangeStats()
-        written = 0
-        combined_written = False
-        if write_combining:
-            naming = _join_map_naming(query_id, side, num_buckets, attempt)
-            payload, offsets = encode_partition_set(
-                reordered, boundaries, compression, checksum=integrity.generate
-            )
-            crcs = _slice_crcs(payload, offsets) if integrity.generate else None
-            try:
-                path = naming.combined_path(worker_id, offsets, crcs)
-            except ExchangeError:
-                # Offset directory overflows the S3 key limit (very wide
-                # fleet): fall back to per-receiver objects for this mapper.
-                pass
-            else:
-                env.s3.put_path(path, payload)
-                stats.put_requests += 1
-                stats.combined_put_requests += 1
-                stats.bytes_written += len(payload)
-                written = 1
-                combined_written = True
-        if not combined_written:
-            naming = _join_legacy_naming(query_id, side, num_buckets, attempt)
-            for receiver in range(num_partitions):
-                data = serialize_partition(
-                    slice_partition(reordered, boundaries, receiver),
-                    compression,
-                    fast=fast_codec,
-                    checksum=integrity.generate,
-                )
-                if not data:
-                    stats.empty_parts_elided += 1
-                    continue
-                env.s3.put_path(naming.path(worker_id, receiver), data)
-                stats.put_requests += 1
-                stats.bytes_written += len(data)
-                written += 1
+        announcement = _write_partitions(
+            env, event, worker_id, rows, [side_plan.key], event["num_partitions"],
+            _join_map_naming(query_id, side, num_buckets, attempt),
+            _join_legacy_naming(query_id, side, num_buckets, attempt),
+            stats, integrity,
+        )
         modelled_seconds = _charge_worker(env, context, scan.modelled_seconds(), stats)
 
         result = WorkerResult(
@@ -1408,17 +1360,10 @@ def _make_join_map_handler(env: CloudEnvironment):
             "side": side,
             "status": "ok",
             "attempt": attempt,
-            "format": "combined" if combined_written else "objects",
             "rows_scanned": scan.counters.rows_scanned,
-            "partitions_written": written,
             "worker_result": result.to_payload(),
+            **announcement,
         }
-        if combined_written:
-            # The offset directory rides in the key; shipping the path through
-            # the driver's map barrier lets the join wave skip discovery LISTs
-            # entirely (zero requests beyond the ranged slice GETs).
-            message["combined_path"] = path
-            message["combined_size"] = len(payload)
         if integrity.generate:
             sign_message(message)
         env.sqs.send_json(event["result_queue"], message)
@@ -1430,272 +1375,169 @@ def _make_join_map_handler(env: CloudEnvironment):
 def _emit_intermediate(
     env: CloudEnvironment,
     event: Dict,
-    context: InvocationContext,
-    joined: Table,
+    rows: Table,
     stats: ExchangeStats,
-    istats: IntegrityStats,
-    objects_read: int,
-    fetch_seconds: float,
-    probe_rows: int,
-    build_rows: int,
     integrity: IntegrityConfig,
 ) -> Dict:
     """Repartition a non-final join wave's output back into the exchange.
 
-    A middle DAG stage does not return rows to the driver: it prunes the
-    joined rows to the columns later stages still need, scatters them by the
-    *next* stage's probe key under the intermediate tag (``J{k}``), and
-    announces the combined object's offset-bearing path through the result
-    queue — so the next join wave reads its slices with zero discovery
-    requests, exactly like a scan-side mapper with the join output as its
-    "scan".  Zero joined rows cost zero PUTs (format ``"empty"``).
+    A non-final wave does not return rows to the driver: it scatters its
+    joined rows by the *next wave's* probe key under the intermediate tag
+    (``J{k}``, ``k`` the wave's last stage) — exactly like a scan-side mapper
+    with the join output as its "scan" — and announces what it wrote through
+    the result queue.  Zero joined rows cost zero PUTs (format ``"empty"``).
+    Returns the announcement fields of the worker's result message.
     """
-    query_id = event["query_id"]
-    partition = event["partition"]
-    attempt = int(event.get("attempt", 0))
     emit = event["emit"]
-    emit_tag = emit["tag"]
-    emit_key = emit["key"]
-    emit_partitions = int(emit.get("num_partitions", event["num_partitions"]))
-    out_columns = list(emit.get("columns") or [])
-    write_combining = bool(event.get("write_combining", True))
-    fast_codec = bool(event.get("fast_codec", True))
-    compression = Compression(event.get("compression", Compression.FAST.value))
+    attempt = int(event.get("attempt", 0))
     num_buckets = int(event.get("num_buckets", 10))
-
-    rows = joined
-    if out_columns and table_num_rows(joined):
-        rows = select_columns(joined, out_columns)
-
-    written = 0
-    combined_written = False
-    path = None
-    payload_len = 0
     if table_num_rows(rows):
-        assignment = partition_assignments(rows, [emit_key], emit_partitions)
-        reordered, boundaries = scatter_by_assignment(rows, assignment, emit_partitions)
-        if write_combining:
-            naming = _join_map_naming(query_id, emit_tag, num_buckets, attempt)
-            payload, offsets = encode_partition_set(
-                reordered, boundaries, compression, checksum=integrity.generate
-            )
-            crcs = _slice_crcs(payload, offsets) if integrity.generate else None
-            try:
-                path = naming.combined_path(partition, offsets, crcs)
-            except ExchangeError:
-                # Offset directory overflows the S3 key limit: fall back to
-                # per-receiver objects for this emitter.
-                path = None
-            else:
-                env.s3.put_path(path, payload)
-                stats.put_requests += 1
-                stats.combined_put_requests += 1
-                stats.bytes_written += len(payload)
-                payload_len = len(payload)
-                written = 1
-                combined_written = True
-        if not combined_written:
-            naming = _join_legacy_naming(query_id, emit_tag, num_buckets, attempt)
-            for receiver in range(emit_partitions):
-                data = serialize_partition(
-                    slice_partition(reordered, boundaries, receiver),
-                    compression,
-                    fast=fast_codec,
-                    checksum=integrity.generate,
-                )
-                if not data:
-                    stats.empty_parts_elided += 1
-                    continue
-                env.s3.put_path(naming.path(partition, receiver), data)
-                stats.put_requests += 1
-                stats.bytes_written += len(data)
-                written += 1
+        announcement = _write_partitions(
+            env, event, event["partition"], rows, [emit["key"]],
+            int(emit.get("num_partitions", event["num_partitions"])),
+            _join_map_naming(event["query_id"], emit["tag"], num_buckets, attempt),
+            _join_legacy_naming(event["query_id"], emit["tag"], num_buckets, attempt),
+            stats, integrity,
+        )
+        if announcement["partitions_written"]:
+            return announcement
+    return {"format": "empty", "partitions_written": 0}
 
-    modelled_seconds = _charge_worker(
-        env, context, _reduce_compute_seconds(objects_read), stats, fetch_seconds
-    )
 
-    result = WorkerResult(
-        partial={},
-        rows_output=table_num_rows(rows),
-        join_probe_rows=probe_rows,
-        join_build_rows=build_rows,
-        join_output_rows=table_num_rows(joined),
-        duration_seconds=modelled_seconds,
-        exchange_stats=stats.to_dict(),
-        integrity_stats=istats.to_dict(),
+def _join_step(probe: Table, build: Table, step: Dict) -> Table:
+    """One join of a wave: ``probe ⋈ build`` on the step's keys, the build
+    key restored, the stage residual applied, pruned to the columns later
+    stages still need."""
+    if not (table_num_rows(probe) and table_num_rows(build)):
+        # One side is empty: an inner join produces nothing.
+        return {}
+    left_key, right_key = step["left_key"], step["right_key"]
+    joined = hash_join(
+        probe, build, left_key, right_key, suffix=step.get("suffix", "_right")
     )
-    if combined_written:
-        out_format = "combined"
-    elif written:
-        out_format = "objects"
-    else:
-        out_format = "empty"
-    message = {
-        "query_id": query_id,
-        "worker_id": partition,
-        "status": "ok",
-        "attempt": attempt,
-        "objects_read": objects_read,
-        "format": out_format,
-        "partitions_written": written,
-        "worker_result": result.to_payload(),
-    }
-    if event.get("side") is not None:
-        message["side"] = event["side"]
-    if combined_written:
-        message["combined_path"] = path
-        message["combined_size"] = payload_len
-    if integrity.generate:
-        sign_message(message)
-    env.sqs.send_json(event["result_queue"], message)
-    return message
+    if not table_num_rows(joined):
+        return joined
+    if step.get("restore_right_key") and right_key not in joined:
+        # hash_join drops the build side's key column (it equals the probe
+        # key on every joined row); a later stage or residual that references
+        # it gets the column materialized back here.
+        joined = dict(joined)
+        joined[right_key] = joined[left_key]
+    residual = expression_from_dict(step.get("residual_predicate"))
+    if residual is not None:
+        joined = filter_table(
+            joined, np.asarray(evaluate(residual, joined), dtype=bool)
+        )
+    columns = step.get("output_columns")
+    if columns and table_num_rows(joined):
+        joined = select_columns(joined, columns)
+    return joined
 
 
 def _make_join_reduce_handler(env: CloudEnvironment):
     """Handler of the join-wave function.
 
-    Each join worker owns one hash partition of the key space: it reads its
-    slice of every mapper's output on both sides (write-combined objects are
+    Each join worker owns one hash partition of the wave's probe input and
+    runs the wave's join *steps* in order.  Step 0's build side is
+    partitioned by the same key, so the worker reads its slice of it; every
+    later step is a DAG stage fused into the wave because its build side is
+    small — the worker reads that side whole (*broadcast*) and joins in
+    place, instead of the fleet re-shuffling the probe rows through one more
+    barriered wave.  All reads, partition slices and whole objects alike, are
+    one fetch plan issued as a single batch (write-combined objects are
     announced with their offset-bearing keys through the driver barrier, so
-    non-empty slices cost one ranged GET each and nothing else), probes the
-    build (right) side with the vectorized join kernel, applies the residual
-    two-sided predicate, computes the partial aggregates placed above the
-    join, and returns the partials (or the joined rows for aggregate-free
-    queries) to the driver.
+    discovery costs nothing).  After the last step the worker either
+    re-emits by the next wave's probe key, or computes the partial
+    aggregates placed above the join and returns them (or the joined rows
+    for aggregate-free queries) to the driver.
     """
 
     def handler(event: Dict, context: InvocationContext) -> Dict:
-        import json
-
         query_id = event["query_id"]
         partition = event["partition"]
         attempt = int(event.get("attempt", 0))
-        num_partitions = event["num_partitions"]
-        group_by = list(event["group_by"])
-        partials_specs = [AggregateSpec.from_dict(item) for item in event["aggregates"]]
-        residual = expression_from_dict(event.get("residual_predicate"))
-        collect_rows = bool(event.get("collect_rows", False))
-        suffix = event.get("suffix", "_right")
         num_buckets = int(event.get("num_buckets", 10))
         integrity = IntegrityConfig.from_dict(event.get("integrity"))
         istats = IntegrityStats()
-
         stats = ExchangeStats()
-        manifests = []
-        for side in JOIN_SIDES:
-            spec = event["sides"][side]
-            # DAG stages address each input by its exchange tag: the probe
-            # side of stage k>0 is the previous stage's intermediate
-            # ("J{k-1}"), the build side a scan fleet ("R{k}").  Binary
-            # joins omit the tag and keep the historical "L"/"R" prefixes.
-            tag = spec.get("tag", side)
-            manifests.append(
-                SenderManifest(
-                    spec.get("combined", []),
-                    spec.get("object_senders", []),
-                    lambda map_attempt, tag=tag: _join_legacy_naming(
-                        query_id, tag, num_buckets, map_attempt
-                    ),
-                )
+        steps = event["steps"]
+
+        def manifest(spec: Dict, broadcast: bool = False) -> SenderManifest:
+            # Each input is addressed by its exchange tag: the probe side of a
+            # later wave is the previous wave's intermediate ("J{k}"), a
+            # build side a scan fleet ("R{k}").
+            return SenderManifest(
+                spec.get("combined", []),
+                spec.get("object_senders", []),
+                lambda map_attempt: _join_legacy_naming(
+                    query_id, spec["tag"], num_buckets, map_attempt
+                ),
+                broadcast,
             )
-        # One plan over both sides: the probe and build slices go out as a
-        # single pipelined batch.
-        pieces, objects_read, fetch_seconds = _fetch_partition(
-            env, context, manifests, partition, num_partitions, stats,
-            integrity, istats,
+
+        pieces, slices_read, fetch_seconds = _fetch_partition(
+            env, context,
+            [manifest(event["probe"])]
+            + [manifest(step["build"], bool(step.get("broadcast"))) for step in steps],
+            partition, event["num_partitions"], stats, integrity, istats,
         )
-        left, right = (
+        joined, *builds = (
             concat_tables(side_pieces) if side_pieces else {} for side_pieces in pieces
         )
-        left_key = event["sides"]["L"]["key"]
-        right_key = event["sides"]["R"]["key"]
-        probe_rows = table_num_rows(left)
-        build_rows = table_num_rows(right)
-        if probe_rows and build_rows:
-            joined = hash_join(left, right, left_key, right_key, suffix=suffix)
-            if (
-                bool(event.get("restore_right_key", False))
-                and table_num_rows(joined)
-                and right_key not in joined
-            ):
-                # hash_join drops the build side's key column (it equals the
-                # probe key on every joined row); a later stage or residual
-                # that references it gets the column materialized back here.
-                joined = dict(joined)
-                joined[right_key] = joined[left_key]
-            if residual is not None and table_num_rows(joined):
-                joined = filter_table(
-                    joined, np.asarray(evaluate(residual, joined), dtype=bool)
-                )
-        else:
-            # One side is empty: an inner join produces nothing; the partial
-            # aggregate below still emits the right (empty) columns.
-            joined = {}
-        output_rows = table_num_rows(joined)
+        probe_rows = build_rows = output_rows = 0
+        for step, build in zip(steps, builds):
+            probe_rows += table_num_rows(joined)
+            build_rows += table_num_rows(build)
+            joined = _join_step(joined, build, step)
+            output_rows += table_num_rows(joined)
 
+        message = {
+            "query_id": query_id,
+            "worker_id": partition,
+            "status": "ok",
+            "attempt": attempt,
+            "objects_read": slices_read,
+        }
+        if event.get("side") is not None:
+            message["side"] = event["side"]
         if event.get("emit") is not None:
-            return _emit_intermediate(
-                env,
-                event,
-                context,
-                joined,
-                stats,
-                istats,
-                objects_read,
-                fetch_seconds,
-                probe_rows,
-                build_rows,
-                integrity,
-            )
-
-        if collect_rows:
-            partial_table = joined
+            rows_output = table_num_rows(joined)
+            body = _emit_intermediate(env, event, joined, stats, integrity)
         else:
-            partial_table = partial_aggregate(joined, group_by, partials_specs)
+            # With no joined rows the partial aggregate still emits the right
+            # (empty) columns.
+            partial_table = joined if event.get("collect_rows") else partial_aggregate(
+                joined,
+                list(event["group_by"]),
+                [AggregateSpec.from_dict(item) for item in event["aggregates"]],
+            )
+            rows_output = table_num_rows(partial_table)
+            body = {"result": encode_table(partial_table, checksum=integrity.generate)}
         modelled_seconds = _charge_worker(
-            env, context, _reduce_compute_seconds(objects_read), stats, fetch_seconds
+            env, context, _reduce_compute_seconds(slices_read), stats, fetch_seconds
         )
-
-        result = WorkerResult(
+        message["worker_result"] = WorkerResult(
             partial={},
-            rows_output=table_num_rows(partial_table),
+            rows_output=rows_output,
             join_probe_rows=probe_rows,
             join_build_rows=build_rows,
             join_output_rows=output_rows,
             duration_seconds=modelled_seconds,
             exchange_stats=stats.to_dict(),
             integrity_stats=istats.to_dict(),
-        )
-        payload = {
-            "query_id": query_id,
-            "worker_id": partition,
-            "status": "ok",
-            "attempt": attempt,
-            "objects_read": objects_read,
-            "worker_result": result.to_payload(),
-            "result": encode_table(partial_table, checksum=integrity.generate),
-        }
-        if event.get("side") is not None:
-            payload["side"] = event["side"]
+        ).to_payload()
+
+        payload = {**message, **body}
         if integrity.generate:
             sign_message(payload)
         encoded = json.dumps(payload).encode("utf-8")
-        if len(encoded) > RESULT_SPILL_BYTES:
+        # Only result rows spill: an emit announcement must reach the driver
+        # in the message itself (it holds the path the next wave reads).
+        if "result" in body and len(encoded) > RESULT_SPILL_BYTES:
             env.s3.ensure_bucket(RESULT_BUCKET)
             spill_key = f"{query_id}/join-{partition}.a{attempt}.json"
             env.s3.put_object(RESULT_BUCKET, spill_key, encoded)
-            pointer = {
-                "query_id": query_id,
-                "worker_id": partition,
-                "status": "ok",
-                "attempt": attempt,
-                "objects_read": objects_read,
-                "worker_result": result.to_payload(),
-                "result_s3": f"s3://{RESULT_BUCKET}/{spill_key}",
-            }
-            if event.get("side") is not None:
-                pointer["side"] = event["side"]
+            pointer = {**message, "result_s3": f"s3://{RESULT_BUCKET}/{spill_key}"}
             if integrity.generate:
                 sign_message(pointer)
             env.sqs.send_json(event["result_queue"], pointer)
@@ -1731,11 +1573,27 @@ class JoinStatistics:
     resilience: ResilienceStats = field(default_factory=ResilienceStats)
     #: Checksum verification and corruption-recovery counters.
     integrity: IntegrityStats = field(default_factory=IntegrityStats)
-    #: Number of join waves the DAG scheduler ran (1 for a binary join).
+    #: Logical join stages of the plan (1 for a binary join).
     dag_stages: int = 1
-    #: Intermediate/exchange objects garbage-collected during and after the
-    #: query (per-stage intermediate GC plus the end-of-query sweep).
+    #: The join waves that ran, each the DAG stages it executed: its first
+    #: stage repartitioned, every further one fused in as a broadcast join.
+    wave_stages: List[List[int]] = field(default_factory=lambda: [[0]])
+    #: Exchange objects deleted during and after the query: the inputs each
+    #: wave consumed, spilled results, and whatever a post-fault sweep found.
     gc_objects_deleted: int = 0
+    #: LIST requests of the end-of-query orphan sweep (0 on a clean run,
+    #: which deletes by announced path alone).
+    gc_list_requests: int = 0
+
+    @property
+    def join_waves(self) -> int:
+        """Join waves executed (at most ``dag_stages``)."""
+        return len(self.wave_stages)
+
+    @property
+    def broadcast_stages(self) -> int:
+        """Stages that ran as a broadcast join inside another stage's wave."""
+        return self.dag_stages - self.join_waves
 
     @property
     def modelled_latency_seconds(self) -> float:
@@ -1753,8 +1611,94 @@ class JoinStatistics:
         return self.left_map_workers + self.right_map_workers + self.reduce_workers
 
 
+def _sender_spec(tag: str, messages: Sequence[Dict]) -> Dict:
+    """What one input side's accepted senders announced, as shipped to the
+    join workers; ``tag`` names the exchange prefix they wrote under."""
+    return {
+        "tag": tag,
+        # Combined objects are announced with their offset-bearing paths: the
+        # join wave needs no discovery requests for them, and an orphaned
+        # earlier-attempt duplicate is never read.
+        "combined": sorted(
+            [m["worker_id"], m["combined_path"], m["combined_size"]]
+            for m in messages
+            if m.get("format") == "combined"
+        ),
+        # Legacy senders as (sender, attempt) pairs: retried writers wrote
+        # under attempt-suffixed prefixes.  ``"empty"`` senders (an emit wave
+        # that joined zero rows) wrote nothing and are announced in neither
+        # list.
+        "object_senders": sorted(
+            [m["worker_id"], int(m.get("attempt", 0))]
+            for m in messages
+            if m.get("format") == "objects"
+        ),
+    }
+
+
+#: Share of a join worker's memory the broadcast build sides of one wave may
+#: fill, counted in announced (compressed) bytes: the decoded columns and the
+#: join's working set need the rest.
+BROADCAST_MEMORY_FRACTION = 0.125
+
+
+def _group_join_waves(
+    env: CloudEnvironment,
+    build_sides: Sequence[Dict],
+    num_partitions: int,
+    memory_mib: int,
+) -> List[List[int]]:
+    """Group a DAG's consecutive join stages into waves, from what the scan
+    wave announced.
+
+    ``build_sides[k]`` is stage ``k``'s build-side sender spec.  A wave
+    starts at a stage whose probe input is partitioned by that stage's key
+    (stage 0 always is) and absorbs the following stages for as long as
+    their build side can be *broadcast*: every sender announced a combined
+    object (a whole-object read needs the offset directory), reading and
+    decoding the whole side costs a worker less modelled time than the wave
+    the fusion removes — a reduce worker's fixed share, one emit PUT and one
+    fetch round — and the wave's broadcast sides together stay within
+    :data:`BROADCAST_MEMORY_FRACTION` of the worker's memory.  The side is
+    priced as the very fetch plan a worker would issue for it, with the
+    environment's own bandwidth model, so there is nothing to configure.
+    """
+    removed_wave_seconds = (
+        _reduce_compute_seconds(0) + 2 * env.bandwidth.request_latency_seconds
+    )
+    budget = BROADCAST_MEMORY_FRACTION * memory_mib * MiB
+    waves = [[0]]
+    fused_bytes = 0
+    for stage in range(1, len(build_sides)):
+        side = build_sides[stage]
+        fuse = False
+        if not side["object_senders"]:
+            plan = FetchPlan.build(
+                env.s3, [SenderManifest(side["combined"], broadcast=True)],
+                0, num_partitions, ExchangeStats(),
+            )
+            transfer = plan.transfer_plan(memory_mib)
+            broadcast_seconds = (
+                env.bandwidth.transfer_seconds(transfer)
+                + _reduce_compute_seconds(plan.slices)
+                - _reduce_compute_seconds(0)
+            )
+            fuse = (
+                fused_bytes + transfer.total_bytes <= budget
+                and broadcast_seconds < removed_wave_seconds
+            )
+        if fuse:
+            waves[-1].append(stage)
+            fused_bytes += transfer.total_bytes
+        else:
+            waves.append([stage])
+            fused_bytes = 0
+    return waves
+
+
 class ShuffleJoinCoordinator(_ResilientWaves):
-    """Schedules a join DAG as a scan wave + successive shuffle-join waves.
+    """Schedules a join DAG as a scan wave + as few shuffle-join waves as
+    its build sides allow.
 
     Accepts any shuffle physical plan (:class:`JoinPhysicalPlan` is
     normalised through ``as_dag()`` into a one-stage
@@ -1764,22 +1708,29 @@ class ShuffleJoinCoordinator(_ResilientWaves):
        pushed-down filter, projection, repartition by that relation's join
        key through the write-combined exchange (one combined PUT per
        mapper, offsets in the key);
-    2. **join waves** (one per DAG stage) — one worker per hash partition
-       reads its slice of every announced sender object (the combined
-       paths ride through the driver barrier, so discovery costs zero
-       requests), probes with :func:`~repro.engine.join.hash_join`,
-       restores the build key when a later stage needs it, applies the
-       stage residual, then either *emits* — reprojects to the columns
-       later stages need and scatters by the next stage's probe key under
-       the intermediate tag ``J{k}`` — or, on the final stage, computes
-       the partial aggregates placed above the join;
+    2. **join waves** — behind the scan barrier the driver knows every build
+       side's exact size and groups consecutive stages into waves
+       (:func:`_group_join_waves`): a stage whose build side is cheaper to
+       read whole than a wave is to run joins *in place*, inside the wave of
+       the stage before it.  One worker per hash partition of the wave's
+       probe input reads, in one fetch plan, its slice of the probe side and
+       of the first stage's build side plus the whole of every fused
+       (broadcast) build side (the combined paths ride through the driver
+       barrier, so discovery costs zero requests), runs the stages' joins
+       with :func:`~repro.engine.join.hash_join` — build key restored,
+       residual applied, columns pruned per stage — then either *emits*,
+       scattering by the next wave's probe key under the intermediate tag
+       ``J{k}``, or, after the final stage, computes the partial aggregates
+       placed above the join;
     3. **driver scope** — merge the disjoint partials, finalise derived
        aggregates, order, and limit.
 
-    Consumed intermediates are garbage-collected as soon as the wave that
-    read them completes, and a multi-stage query ends with a sweep of its
-    whole exchange prefix, so retried attempts leave no orphaned objects.  A
-    binary join deletes its scan fleets' outputs by their announced paths.
+    Every wave's inputs are deleted by their announced paths as soon as the
+    wave completes (DELETE is unmetered), so peak exchange storage is the
+    live waves' inputs and a clean query issues no LIST at all.  Only a query
+    that saw a retry, hedge, fallback or injected fault ends with a LIST
+    sweep of its exchange prefix: a superseded attempt may have left objects
+    no announcement names.
     """
 
     def __init__(
@@ -1942,118 +1893,97 @@ class ShuffleJoinCoordinator(_ResilientWaves):
             integrity=integrity_stats,
         )
 
-        def sender_spec(
-            key: str, tag: str, messages: List[Dict], side: Optional[str] = None
-        ) -> Dict:
-            # ``tag`` names the exchange prefix the objects live under;
-            # ``side`` the wave key their announcements carried (an emit
-            # wave's messages are keyed "S{k}" but write under "J{k}").
-            tagged = [m for m in messages if m.get("side") == (side or tag)]
-            return {
-                "key": key,
-                "tag": tag,
-                # Combined objects are announced with their offset-bearing
-                # paths: the join wave needs no discovery requests for them,
-                # and an orphaned earlier-attempt duplicate is never read.
-                "combined": sorted(
-                    [m["worker_id"], m["combined_path"], m["combined_size"]]
-                    for m in tagged
-                    if m.get("format") == "combined"
-                ),
-                # Legacy senders as (sender, attempt) pairs: retried writers
-                # wrote under attempt-suffixed prefixes.  ``"empty"`` senders
-                # (an emit stage that joined zero rows) wrote nothing and are
-                # announced in neither list.
-                "object_senders": sorted(
-                    [m["worker_id"], int(m.get("attempt", 0))]
-                    for m in tagged
-                    if m.get("format") == "objects"
-                ),
-            }
-
         rows_scanned = sum(message.get("rows_scanned", 0) for message in map_messages)
         objects_written = sum(message.get("partitions_written", 0) for message in map_messages)
 
-        # -- join waves (one per DAG stage, chained through the exchange) ----------
-        left_spec = sender_spec(dag.stages[0].left_key, "L", map_messages)
+        # -- join waves (grouped from the announced sizes, chained through the
+        # exchange) ------------------------------------------------------------------
+        announced = {
+            tag: [m for m in map_messages if m.get("side") == tag] for tag in fleets
+        }
+        build_sides = [_sender_spec(tag, announced[tag]) for tag in build_tags]
+        wave_stages = _group_join_waves(
+            self.env, build_sides, num_partitions, self.memory_mib
+        )
+        probe_tag, probe_messages = "L", announced["L"]
         reduce_waves: List[List[Dict]] = []
         objects_read = 0
         gc_deleted = 0
-        for k, stage in enumerate(dag.stages):
-            final = k == num_stages - 1
-            emit = None
-            if not final:
-                emit = {
-                    "tag": inter_tags[k],
-                    "key": dag.stages[k + 1].left_key,
+        for wave in wave_stages:
+            first, last = wave[0], wave[-1]
+            final = last == num_stages - 1
+            side = f"S{last}"
+            event = {
+                "query_id": query_id,
+                "side": side,
+                "attempt": 0,
+                "num_partitions": num_partitions,
+                "probe": _sender_spec(probe_tag, probe_messages),
+                "steps": [
+                    {
+                        "left_key": dag.stages[k].left_key,
+                        "right_key": dag.stages[k].right.key,
+                        "build": build_sides[k],
+                        "broadcast": k != first,
+                        "suffix": dag.stages[k].suffix,
+                        "restore_right_key": dag.stages[k].restore_right_key,
+                        "residual_predicate": expression_to_dict(
+                            dag.stages[k].residual_predicate
+                        ),
+                        "output_columns": list(dag.stages[k].output_columns),
+                    }
+                    for k in wave
+                ],
+                "group_by": list(dag.group_by) if final else [],
+                "aggregates": (
+                    [spec.to_dict() for spec in dag.aggregates] if final else []
+                ),
+                "collect_rows": dag.driver.collect_rows if final else False,
+                "emit": None if final else {
+                    "tag": inter_tags[last],
+                    "key": dag.stages[last + 1].left_key,
                     "num_partitions": num_partitions,
-                    "columns": list(stage.output_columns),
-                }
-            reduce_events: Dict = {}
-            for partition in range(num_partitions):
-                reduce_events[(f"S{k}", partition)] = {
-                    "query_id": query_id,
-                    "partition": partition,
-                    "side": f"S{k}",
-                    "attempt": 0,
-                    "num_partitions": num_partitions,
-                    "sides": {
-                        "L": left_spec,
-                        "R": sender_spec(stage.right.key, build_tags[k], map_messages),
-                    },
-                    "group_by": list(dag.group_by) if final else [],
-                    "aggregates": (
-                        [spec.to_dict() for spec in dag.aggregates] if final else []
-                    ),
-                    "residual_predicate": expression_to_dict(stage.residual_predicate),
-                    "collect_rows": dag.driver.collect_rows if final else False,
-                    "suffix": stage.suffix,
-                    "restore_right_key": stage.restore_right_key,
-                    "emit": emit,
-                    "result_queue": self.result_queue,
-                    "num_buckets": self.num_buckets,
-                    "integrity": self.config.integrity.to_dict(),
-                    "write_combining": self.config.write_combining,
-                    "fast_codec": self.config.fast_codec,
-                    "compression": self.config.compression.value,
-                }
+                },
+                "result_queue": self.result_queue,
+                "num_buckets": self.num_buckets,
+                "integrity": self.config.integrity.to_dict(),
+                "write_combining": self.config.write_combining,
+                "fast_codec": self.config.fast_codec,
+                "compression": self.config.compression.value,
+            }
+            if final:
+                what = "join"
+            elif first == last:
+                what = f"join stage {last}"
+            else:
+                what = f"join stages {first}-{last}"
             reduce_messages = self._wave(
-                JOIN_REDUCE_FUNCTION_NAME, reduce_events, query_id,
-                "join" if final else f"join stage {k}", resilience,
+                JOIN_REDUCE_FUNCTION_NAME,
+                {
+                    (side, partition): {**event, "partition": partition}
+                    for partition in range(num_partitions)
+                },
+                query_id, what, resilience,
                 on_retry=None if final else self._degrade_map_retry(resilience),
                 integrity=integrity_stats,
             )
             reduce_waves.append(reduce_messages)
             objects_read += sum(m.get("objects_read", 0) for m in reduce_messages)
+            # The wave has folded: nothing reads its inputs again.
+            consumed = [(probe_tag, probe_messages)]
+            consumed.extend((build_tags[k], announced[build_tags[k]]) for k in wave)
+            for tag, messages in consumed:
+                gc_deleted += _delete_consumed_outputs(
+                    self.env, messages, num_partitions,
+                    lambda attempt, tag=tag: _join_legacy_naming(
+                        query_id, tag, self.num_buckets, attempt
+                    ),
+                )
             if not final:
                 objects_written += sum(
                     m.get("partitions_written", 0) for m in reduce_messages
                 )
-                left_spec = sender_spec(
-                    dag.stages[k + 1].left_key, inter_tags[k], reduce_messages,
-                    side=f"S{k}",
-                )
-            if k > 0:
-                # Stage k has fully consumed the previous intermediate: drop
-                # its objects now so peak exchange storage stays bounded by
-                # two live stages, not the whole DAG.
-                gc_deleted += _gc_tag_objects(
-                    self.env, query_id, inter_tags[k - 1], self.num_buckets,
-                    self.resilience_policy.max_attempts,
-                )
-        if num_stages > 1:
-            # End-of-query sweep: superseded attempts of any tag (scan sides
-            # included) may have left orphans the per-stage GC and the
-            # announced-path manifests never referenced.  Both naming planes
-            # must be swept — a degraded retry writes one-object-per-receiver
-            # keys into the legacy buckets, not the write-combined ones.
-            gc_deleted += _gc_query_objects(
-                self.env, query_id,
-                [
-                    _join_map_naming(query_id, "L", self.num_buckets),
-                    _join_legacy_naming(query_id, "L", self.num_buckets),
-                ],
-            )
+                probe_tag, probe_messages = inter_tags[last], reduce_messages
 
         # -- fold statistics ---------------------------------------------------------
         exchange = ExchangeStats()
@@ -2098,17 +2028,24 @@ class ShuffleJoinCoordinator(_ResilientWaves):
                 )
             )
 
-        # The final wave is folded: its spilled results have no reader left,
-        # and a binary join (no intermediates, hence no sweep above) drops its
-        # scan fleets' outputs the same way.
-        gc_deleted += _delete_consumed_outputs(
-            self.env,
-            reduce_waves[-1] + (map_messages if num_stages == 1 else []),
-            num_partitions,
-            lambda m: _join_legacy_naming(
-                query_id, m["side"], self.num_buckets, int(m.get("attempt", 0))
-            ),
-        )
+        # The final wave is folded: its spilled results have no reader left.
+        gc_deleted += _delete_consumed_outputs(self.env, reduce_waves[-1], num_partitions)
+        resilience.faults_injected = _fault_delta(self.env, fault_snapshot)
+        gc_lists = 0
+        if not resilience.clean:
+            # A superseded attempt (crash after PUT, hedge loser, degraded
+            # retry) may have left objects no announcement names.  Both
+            # naming planes must be swept — a degraded retry writes
+            # one-object-per-receiver keys into the legacy buckets, not the
+            # write-combined ones; every tag shares those buckets.
+            swept, gc_lists = _gc_query_objects(
+                self.env, query_id,
+                [
+                    _join_map_naming(query_id, "L", self.num_buckets),
+                    _join_legacy_naming(query_id, "L", self.num_buckets),
+                ],
+            )
+            gc_deleted += swept
 
         driver_plan = dag.driver
         if driver_plan.collect_rows:
@@ -2129,13 +2066,12 @@ class ShuffleJoinCoordinator(_ResilientWaves):
             count = min(driver_plan.limit, table_num_rows(result))
             result = {name: np.asarray(column)[:count] for name, column in result.items()}
 
-        resilience.faults_injected = _fault_delta(self.env, fault_snapshot)
         statistics = JoinStatistics(
             left_map_workers=len(assignments["L"]),
             right_map_workers=sum(
                 len(workers) for tag, workers in assignments.items() if tag != "L"
             ),
-            reduce_workers=num_partitions * num_stages,
+            reduce_workers=num_partitions * len(wave_stages),
             rows_scanned=rows_scanned,
             join_probe_rows=counters["probe"],
             join_build_rows=counters["build"],
@@ -2149,6 +2085,8 @@ class ShuffleJoinCoordinator(_ResilientWaves):
             resilience=resilience,
             integrity=integrity_stats,
             dag_stages=num_stages,
+            wave_stages=wave_stages,
             gc_objects_deleted=gc_deleted,
+            gc_list_requests=gc_lists,
         )
         return result, statistics, worker_results

@@ -11,6 +11,11 @@ slice, and charges the batch as a single transfer pipelined over the scan's
 connection count — the same :class:`~repro.cloud.network.BandwidthModel` the
 scan operator is charged by, so S3's first-byte latency is paid once per round
 of connections instead of once per slice.
+
+A *broadcast* side (:attr:`SenderManifest.broadcast`) is read whole instead:
+one GET per sender object — the same request count as reading one slice of
+it — split by the offset directory into its non-empty slices, each verified
+against its directory crc and decoded like any other slice.
 """
 
 from __future__ import annotations
@@ -38,12 +43,15 @@ class SenderManifest:
     attempt that crashed after its PUT is never touched.  ``object_senders``
     lists legacy one-object-per-receiver senders as ``(sender, attempt)``
     (a bare sender id means attempt 0); ``legacy_naming(attempt)`` names the
-    prefix that attempt wrote under.
+    prefix that attempt wrote under.  ``broadcast`` makes every receiver read
+    the side whole — all partitions of every combined object — instead of its
+    own partition; such a side must consist of combined objects only.
     """
 
     combined: Sequence = ()
     object_senders: Sequence = ()
     legacy_naming: Optional[Callable[[int], MultiBucketNaming]] = None
+    broadcast: bool = False
 
 
 @dataclass(frozen=True)
@@ -62,11 +70,20 @@ class SliceRange:
     crc: Optional[int]
     #: Size of the object the range is served from.
     object_size: int
+    #: For a whole combined object (a broadcast side): the ``(start, end,
+    #: crc)`` of each non-empty slice the response is split into.  Empty for a
+    #: range that is one slice, described by the fields above.
+    parts: Tuple[Tuple[int, int, Optional[int]], ...] = ()
 
     @property
     def length(self) -> int:
         """Bytes the request is planned to return."""
         return self.object_size if self.end is None else self.end - self.start
+
+    @property
+    def slices(self) -> int:
+        """Slices the response decodes into."""
+        return len(self.parts) or 1
 
 
 class FetchPlan:
@@ -76,6 +93,11 @@ class FetchPlan:
         self.partition = partition
         self.num_sides = num_sides
         self.ranges: Tuple[SliceRange, ...] = tuple(ranges)
+
+    @property
+    def slices(self) -> int:
+        """Slices the plan decodes (a whole-object range holds several)."""
+        return sum(item.slices for item in self.ranges)
 
     @classmethod
     def build(
@@ -91,10 +113,15 @@ class FetchPlan:
         Combined objects cost no discovery at all (the offsets ride in the
         announced keys); legacy senders cost one LIST per attempt prefix.
         Empty slices and elided legacy objects are counted into
-        ``stats.empty_parts_elided`` and planned as zero requests.
+        ``stats.empty_parts_elided`` and planned as zero requests.  A
+        broadcast side plans one whole-object range per non-empty sender.
         """
         ranges: List[SliceRange] = []
         for side, manifest in enumerate(manifests):
+            if manifest.broadcast and manifest.object_senders:
+                raise ExchangeError(
+                    "a broadcast side must consist of combined objects only"
+                )
             by_sender: Dict[int, SliceRange] = {}
             for sender, path, size in manifest.combined:
                 _, offsets, crcs = WriteCombiningNaming.parse_directory(
@@ -105,14 +132,25 @@ class FetchPlan:
                         f"combined object {path!r} has {len(offsets) - 1} "
                         f"parts, expected {num_partitions}"
                     )
-                start, end = offsets[partition], offsets[partition + 1]
-                if end <= start:
+                parts = tuple(
+                    (offsets[p], offsets[p + 1], crcs[p] if crcs is not None else None)
+                    for p in (range(num_partitions) if manifest.broadcast else (partition,))
+                    if offsets[p + 1] > offsets[p]
+                )
+                if not parts:
                     stats.empty_parts_elided += 1
                     continue
-                by_sender[int(sender)] = SliceRange(
-                    side, int(sender), path, start, end,
-                    crcs[partition] if crcs is not None else None, int(size),
-                )
+                if manifest.broadcast:
+                    # Empty slices occupy no bytes, so the non-empty ones tile
+                    # the object: one GET of [0, size) returns them all.
+                    by_sender[int(sender)] = SliceRange(
+                        side, int(sender), path, 0, offsets[-1], None, int(size), parts
+                    )
+                else:
+                    (start, end, crc), = parts
+                    by_sender[int(sender)] = SliceRange(
+                        side, int(sender), path, start, end, crc, int(size)
+                    )
             for sender, meta in _discover_legacy(store, manifest, partition, stats).items():
                 by_sender[sender] = SliceRange(
                     side, sender, meta.path, 0, None, None, meta.size
@@ -142,7 +180,7 @@ class FetchPlan:
         With ``verify`` on, every response is checked before its rows are
         used: ranged-GET length against the offset directory, slice bytes
         against the directory crc, and the frame's embedded checksums on
-        decode.  A failed check re-fetches that slice alone (in-flight
+        decode.  A failed check re-fetches that range alone (in-flight
         corruption is cured by a clean second read, counted into
         ``integrity.re_reads`` and charged as its own one-request transfer);
         a second failure propagates with full provenance and the driver's
@@ -152,14 +190,14 @@ class FetchPlan:
         seconds = bandwidth.transfer_seconds(self.transfer_plan(memory_mib))
         for item in self.ranges:
             try:
-                piece, nbytes = self._read(store, item, stats, verify)
+                tables, nbytes = self._read(store, item, stats, verify)
             except CorruptFileError as exc:
                 _note_mismatch(integrity, exc)
                 seconds += bandwidth.transfer_seconds(
                     _transfer((item,), memory_mib, DEFAULT_SCAN_CONNECTIONS)
                 )
                 try:
-                    piece, nbytes = self._read(store, item, stats, verify)
+                    tables, nbytes = self._read(store, item, stats, verify)
                 except CorruptFileError as again:
                     _note_mismatch(integrity, again)
                     raise
@@ -167,20 +205,21 @@ class FetchPlan:
                     integrity.re_reads += 1
             if integrity is not None and verify:
                 integrity.verified_bytes += nbytes
-            if table_num_rows(piece):
-                pieces[item.side].append(piece)
+            pieces[item.side].extend(
+                table for table in tables if table_num_rows(table)
+            )
         return pieces, seconds
 
     def _read(
         self, store: ObjectStore, item: SliceRange, stats: ExchangeStats, verify: bool
-    ) -> Tuple[Table, int]:
-        """One GET of ``item``, verified and decoded."""
+    ) -> Tuple[List[Table], int]:
+        """One GET of ``item``, verified and decoded slice by slice."""
         data = store.get_path(item.path, item.start, item.end).data
         stats.get_requests += 1
         stats.bytes_read += len(data)
         stats.bytes_touched += item.object_size
         if item.end is None:
-            return deserialize_partition(data, verify=verify, key=item.path), len(data)
+            return [deserialize_partition(data, verify=verify, key=item.path)], len(data)
         stats.ranged_get_requests += 1
         if verify and len(data) != item.length:
             raise IntegrityError(
@@ -188,15 +227,21 @@ class FetchPlan:
                 key=item.path, layer="slice.length", offset=item.start,
                 expected=item.length, actual=len(data),
             )
-        if verify and item.crc is not None:
-            actual = zlib.crc32(data)
-            if actual != item.crc:
-                raise IntegrityError(
-                    f"slice of partition {self.partition} failed its directory crc",
-                    key=item.path, layer="slice.crc", offset=item.start,
-                    expected=item.crc, actual=actual,
-                )
-        return decode_partition_slice(data, verify=verify, key=item.path), len(data)
+        view = memoryview(data)
+        tables: List[Table] = []
+        for start, end, crc in item.parts or ((item.start, item.end, item.crc),):
+            piece = view[start - item.start:end - item.start]
+            if verify and crc is not None:
+                actual = zlib.crc32(piece)
+                if actual != crc:
+                    raise IntegrityError(
+                        f"slice read by partition {self.partition} failed its "
+                        "directory crc",
+                        key=item.path, layer="slice.crc", offset=start,
+                        expected=crc, actual=actual,
+                    )
+            tables.append(decode_partition_slice(piece, verify=verify, key=item.path))
+        return tables, len(data)
 
 
 def _transfer(

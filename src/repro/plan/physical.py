@@ -265,11 +265,13 @@ class DagJoinStage:
 
     Stage ``k`` joins the accumulated intermediate result (the *probe* side,
     keyed by ``left_key``, a column of the accumulated scope) against a
-    freshly scanned base relation (the *build* side, ``right``).  Every stage
-    except the last repartitions its joined rows by the next stage's
-    ``left_key`` through the write-combined exchange (``output_columns``
-    limits what is carried forward); the last stage feeds the partial
-    aggregation / row collection described on the plan itself.
+    freshly scanned base relation (the *build* side, ``right``);
+    ``output_columns`` limits what is carried into the next stage, and the
+    last stage feeds the partial aggregation / row collection described on
+    the plan itself.  A stage is *logical*: whether its joined rows are
+    repartitioned by the next stage's ``left_key`` through the exchange, or
+    the next stage joins them in place against a broadcast build side, is
+    decided at run time (see :class:`DagPhysicalPlan`).
     """
 
     #: Join key column on the accumulated (probe) side.
@@ -297,12 +299,15 @@ class DagPhysicalPlan:
 
     One map *wave* scans every base relation concurrently (one fleet per
     relation, each repartitioning by the key of the stage that consumes it),
-    then one join wave per stage: stage ``k`` probes the repartitioned
-    intermediate of stage ``k-1`` against its build relation's slices, and —
-    unless it is the last stage — re-emits the joined rows through the
-    exchange partitioned by stage ``k+1``'s probe key.  Because every
-    combined-object path is announced through the wave barrier, no stage
-    issues a single discovery request.
+    then the join waves.  The plan lists *logical* stages; the coordinator
+    groups them into waves once the scan wave has announced every build
+    side's size: a wave repartitions for its first stage — probing the
+    previous wave's intermediate against that stage's build slices — and
+    runs each following stage whose build side is small enough to broadcast
+    in place, then re-emits by the next wave's probe key (or, after the last
+    stage, aggregates).  At most one join wave per stage, at least one.
+    Because every combined-object path is announced through the wave
+    barrier, no wave issues a single discovery request.
     """
 
     engine = "shuffle-dag"
@@ -329,9 +334,11 @@ class DagPhysicalPlan:
     def waves(self) -> List[Dict]:
         """Wave descriptors, in dispatch order (the unified plan protocol).
 
-        The first wave scans every base relation; each following wave is one
-        join stage.  ``workers`` counts per-fleet upper bounds (actual fleet
-        sizes shrink to the file count at execution time).
+        The first wave scans every base relation; each following descriptor
+        is one logical join stage — the upper bound on join waves, since the
+        coordinator fuses stages with broadcastable build sides into the
+        wave before them at run time.  ``files`` bounds each fleet's size
+        (actual fleets shrink to the file count at execution time).
         """
         fleets = [
             {
@@ -377,8 +384,11 @@ class DagPhysicalPlan:
         return _estimate_exchange_cost(self.waves(), num_workers)
 
     def explain(self) -> str:
-        """Human-readable description of the DAG: one line per wave/fleet."""
-        lines = [f"DagPhysicalPlan ({len(self.stages)} join stage(s))"]
+        """Human-readable description of the DAG: one line per fleet/stage."""
+        lines = [
+            f"DagPhysicalPlan ({len(self.stages)} join stage(s), "
+            "grouped into join waves at run time)"
+        ]
         for wave_index, wave in enumerate(self.waves()):
             if wave["kind"] == "map":
                 lines.append(f"wave {wave_index}: map (scan + repartition)")
@@ -394,7 +404,7 @@ class DagPhysicalPlan:
             else:
                 stage = self.stages[wave["stage"]]
                 parts = [
-                    f"wave {wave_index}: join stage {wave['stage']} on "
+                    f"join stage {wave['stage']} on "
                     f"{wave['left_key']} = {wave['right_key']}"
                 ]
                 if wave["residual"]:
@@ -403,7 +413,7 @@ class DagPhysicalPlan:
                     parts.append(f"restore {stage.right.key}")
                 if wave["emit_key"] is not None:
                     cols = stage.output_columns or ["*"]
-                    parts.append(f"emit by {wave['emit_key']} cols={cols}")
+                    parts.append(f"carry cols={cols} to key {wave['emit_key']}")
                 lines.append("; ".join(parts))
         if self.aggregates:
             aggs = [f"{a.function}(...) as {a.alias}" for a in self.aggregates]
@@ -481,8 +491,27 @@ class JoinPhysicalPlan:
         return self.as_dag().explain()
 
 
+def describe_executed_waves(wave_stages: Sequence[Sequence[int]]) -> str:
+    """One line on how a run grouped a DAG's stages into join waves, e.g.
+    ``executed: wave 1 = stages 0-4 (1-4 broadcast)``."""
+
+    def span(stages: Sequence[int]) -> str:
+        if len(stages) == 1:
+            return str(stages[0])
+        return f"{stages[0]}-{stages[-1]}"
+
+    waves = []
+    for index, stages in enumerate(wave_stages, start=1):
+        text = f"wave {index} = stage{'s' if len(stages) > 1 else ''} {span(stages)}"
+        if len(stages) > 1:
+            text += f" ({span(stages[1:])} broadcast)"
+        waves.append(text)
+    return "executed: " + ", ".join(waves)
+
+
 def _estimate_exchange_cost(waves: Sequence[Dict], num_workers: int) -> float:
-    """Sum the write-combined exchange cost model over a plan's waves."""
+    """Sum the write-combined exchange cost model over a plan's waves (one
+    exchange per logical join stage: the upper bound, before fusion)."""
     from repro.exchange.cost_model import ExchangeCostModel
 
     model = ExchangeCostModel()

@@ -129,6 +129,29 @@ def test_checker_flags_serial_exchange_read_charging(checker, baseline, tmp_path
     assert checker.check(serial, None, tolerance=0.6) != 0
 
 
+@pytest.mark.parametrize(
+    "field, regressed",
+    [
+        # Q5 back to one barriered wave per join stage.
+        ("max_join_waves", 5),
+        # Per-stage sweeps again: 40 LISTs per consumed tag across the five queries.
+        ("gc_list_requests", 580),
+    ],
+)
+def test_checker_flags_wave_per_join_and_sweep_by_list(
+    checker, baseline, tmp_path, field, regressed
+):
+    dag_join = baseline["results"]["dag_join"]
+    assert dag_join["max_join_waves"] == 1 and dag_join["gc_list_requests"] == 0
+    assert dag_join["min_dag_stages"] >= 2  # the stages stay logical
+    doctored = json.loads(json.dumps(baseline))
+    doctored["results"]["dag_join"][field] = regressed
+    path = tmp_path / "regressed.json"
+    path.write_text(json.dumps(doctored), encoding="utf-8")
+    assert checker.check(path, None, tolerance=0.6) != 0
+    assert checker.check(path, None, tolerance=0.6, sections=["join_e2e"]) == 0
+
+
 def test_baseline_passes_absolute_floors(checker):
     assert (
         checker.check([BASELINE_PATH, TPCH_BASELINE_PATH], None, tolerance=0.6)

@@ -13,9 +13,9 @@ Q5 (the deepest plan, five stages):
 
 * under :func:`~repro.cloud.faults.chaos_plan`, wave retries must converge to
   the fault-free result and leave zero orphaned exchange objects;
-* a cancellation landing mid-DAG — after intermediate stages already emitted
-  into the exchange — must garbage-collect every tag's objects and leave the
-  next query over the same environment bit-identical to the baseline.
+* a cancellation landing mid-DAG — after waves already wrote into the
+  exchange — must garbage-collect every tag's objects and leave the next
+  query over the same environment bit-identical to the baseline.
 """
 
 from __future__ import annotations
@@ -204,7 +204,7 @@ def test_dag_parity(stack, plans, references, drivers, query, mode):
         f"{label}: {exchange.list_requests} LIST + "
         f"{exchange.head_requests} HEAD discovery requests"
     )
-    # End-of-query GC swept every intermediate and scan-side exchange object.
+    # Every wave's consumed inputs were deleted by their announced paths.
     assert stats.gc_objects_deleted >= 1, f"{label}: nothing was gc'd"
     assert _exchange_object_count(env) == 0, f"{label}: orphaned exchange objects"
     assert leaked_segments() == []
@@ -270,7 +270,7 @@ def test_q5_chaos_parity(stack, plans, drivers, q5_baseline, seed):
     resilience = result.statistics.resilience
     assert resilience.faults_injected, f"{label}: no faults injected"
     assert sum(resilience.faults_injected.values()) <= 9 * MAX_FAULTS
-    # Retried waves re-emit under bumped attempt prefixes; the end-of-query
+    # Retried waves write under bumped attempt prefixes; the post-fault
     # sweep must still leave the shared exchange buckets empty.
     assert _exchange_object_count(env) == 0, f"{label}: orphaned exchange objects"
     assert leaked_segments() == []
@@ -281,14 +281,15 @@ def test_q5_chaos_parity(stack, plans, drivers, q5_baseline, seed):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("stage", ["join map", "join stage 1"])
+@pytest.mark.parametrize("stage", ["join map", "join"])
 def test_q5_cancel_mid_dag_gcs_exchange_state(
     stack, plans, drivers, q5_baseline, monkeypatch, stage
 ):
-    """Cancelled after a DAG wave ran — at ``join stage 1`` two join waves
-    already re-emitted intermediates into the exchange — every tag's objects
-    (scan sides and intermediates alike) are swept, and a rerun over the same
-    environment is bit-identical to the baseline."""
+    """Cancelled after a DAG wave ran — at ``join`` the fused join wave has
+    already read the exchange and posted its results — every tag's objects
+    are swept, and a rerun over the same environment is bit-identical to the
+    baseline.  (Cancellation *between* join waves, with intermediates in the
+    exchange, needs an unfused run: ``tests/test_join_wave_fusion.py``.)"""
     env = stack[0]
     before = _exchange_object_count(env)
     deleted = []

@@ -164,6 +164,74 @@ def test_pool_stays_warm_across_queries(stack, processes_driver):
     assert all(not child.process.is_alive() for child in pool._children) or not pool._children
 
 
+def test_child_killed_before_dispatch_is_retried(stack, processes_driver, monkeypatch):
+    _, dataset, serial_driver = stack
+    pool = processes_driver._ensure_pool()
+    victim = pool._children[0]
+    victim.process.kill()
+    victim.process.join()
+    # Skip the pre-dispatch respawn once, as if the child died right after it:
+    # the task fed to it must come back as an error and be retried.
+    real_ensure = pool._ensure_children
+    skipped = []
+
+    def ensure_once_blind():
+        if not skipped:
+            skipped.append(True)
+            return pool._children
+        return real_ensure()
+
+    monkeypatch.setattr(pool, "_ensure_children", ensure_once_blind)
+    pooled = run_tpch_query(processes_driver, dataset, "q1")
+    serial = run_tpch_query(serial_driver, dataset, "q1")
+    assert_bit_identical(serial.table, pooled.table)
+    assert pooled.statistics.resilience.retries >= 1
+    assert pool.stats() == {"size": 2, "alive": 2, "respawns": 1}
+    assert leaked_segments() == []
+
+
+def test_tasks_go_to_the_child_that_is_free(monkeypatch):
+    """A child that is slow takes fewer tasks; none is handed out twice."""
+    from repro.driver import procpool
+
+    class FakeConn:
+        def __init__(self, delay):
+            self.delay, self.inbox, self.sent = delay, [], []
+
+        def send(self, task):
+            self.sent.append(task[1])
+            self.inbox.append((clock[0] + self.delay, task[1]))
+
+        def recv(self):
+            return ("ok", self.inbox.pop(0)[1], {}, None, 0)
+
+    class FakeChild:
+        alive = True
+
+        def __init__(self, delay):
+            self.conn, self.pending = FakeConn(delay), {}
+
+    def fake_wait(conns):
+        first = min(conns, key=lambda conn: conn.inbox[0][0])
+        clock[0] = first.inbox[0][0]
+        return [first]
+
+    clock = [0.0]
+    pool = procpool.ProcessWorkerPool.__new__(procpool.ProcessWorkerPool)
+    slow, fast = children = [FakeChild(delay=3.0), FakeChild(delay=1.0)]
+    pool._children = children
+    monkeypatch.setattr(procpool.mp_connection, "wait", fake_wait)
+    try:
+        results = pool.run_tasks([("noop", task_id) for task_id in range(8)])
+    finally:
+        pool._children = []  # nothing for __del__ to stop
+    assert sorted(results) == list(range(8))
+    assert sorted(slow.conn.sent + fast.conn.sent) == list(range(8))
+    # Dealt out up front each child would run 4 and the wave would take 12.
+    assert (len(slow.conn.sent), len(fast.conn.sent)) == (2, 6)
+    assert clock[0] == 6.0
+
+
 def test_pool_rejects_zero_size():
     from repro.driver.procpool import ProcessWorkerPool
 
