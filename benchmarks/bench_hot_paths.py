@@ -15,8 +15,10 @@ structured trajectory (``BENCH_hot_paths.json``):
   loop (:func:`hash_join_dict`);
 * **exchange route** — the multilevel exchange's table-lookup routing versus
   the seed's ``np.vectorize`` dict lookup;
-* **shuffle codec** — fast partition codec (:mod:`repro.exchange.codec`)
-  versus the full LPQ columnar-file writer, round-tripped;
+* **shuffle codec** — typed partition frames (:mod:`repro.exchange.codec`)
+  versus the full LPQ columnar-file writer, round-tripped, and versus zlib-1
+  over raw column buffers (the wire format they replaced) in seconds and
+  bytes, on the hot table and on a TPC-H-shaped one;
 * **encoded eval** — predicate masks computed directly on encoded chunks
   (:func:`repro.formats.encoding.evaluate_comparison`) versus decode-then-
   compare, per encoding;
@@ -55,7 +57,13 @@ from repro.engine.join import hash_join, hash_join_dict
 from repro.engine.payload import decode_table, encode_table
 from repro.engine.table import table_to_payload, table_from_payload, tables_allclose
 from repro.exchange.basic import deserialize_partition, serialize_partition
-from repro.exchange.partition import hash_partition, hash_partition_masked
+from repro.exchange.codec import decode_partition_slice, encode_partition_set
+from repro.exchange.partition import (
+    hash_partition,
+    hash_partition_masked,
+    partition_scatter,
+    slice_partition,
+)
 
 #: Row count of the micro-benchmarks (the acceptance bar is "at 1M rows").
 ROWS = 1_000_000
@@ -254,49 +262,126 @@ def measure_exchange_route(
 # shuffle codec
 # ---------------------------------------------------------------------------
 
+def _tpch_shaped_table(num_rows: int, seed: int = 11) -> Dict[str, np.ndarray]:
+    """What a TPC-H map wave ships: sorted key, 2-decimal price, discount, date."""
+    rng = np.random.default_rng(seed)
+    return {
+        "l_orderkey": np.cumsum(rng.integers(0, 4, num_rows)).astype(np.int64),
+        "l_extendedprice": np.round(rng.uniform(900.0, 105_000.0, num_rows), 2),
+        "l_discount": rng.integers(0, 11, num_rows) / 100.0,
+        "l_shipdate": rng.integers(8035, 10_561, num_rows).astype(np.int32),
+    }
+
+
+def _zlib_set_roundtrip(reordered, boundaries) -> int:
+    """The wire format the typed frames replaced, minus its JSON header:
+    each partition's raw column buffers through zlib-1 with a body crc on
+    each side.  Returns the bytes shipped."""
+    import zlib
+
+    columns = list(reordered.values())
+    shipped = 0
+    for start, end in zip(boundaries[:-1].tolist(), boundaries[1:].tolist()):
+        if end == start:
+            continue
+        body = zlib.compress(b"".join(c[start:end].tobytes() for c in columns), 1)
+        zlib.crc32(body)
+        shipped += len(body)
+        zlib.crc32(body)
+        raw = memoryview(zlib.decompress(body))
+        offset = 0
+        for column in columns:
+            np.frombuffer(raw, dtype=column.dtype, count=end - start, offset=offset)
+            offset += (end - start) * column.dtype.itemsize
+    return shipped
+
+
+def _typed_set_roundtrip(reordered, boundaries, compression) -> int:
+    """One sender's real write (``encode_partition_set``) and every
+    receiver's slice decode.  Returns the bytes shipped."""
+    payload, offsets = encode_partition_set(reordered, boundaries, compression)
+    view = memoryview(payload)
+    for start, end in zip(offsets, offsets[1:]):
+        decode_partition_slice(view[start:end])
+    return len(payload)
+
+
+def _lpq_set_roundtrip(reordered, boundaries, compression) -> int:
+    """The same partitions through the full LPQ file writer and reader."""
+    shipped = 0
+    for partition in range(len(boundaries) - 1):
+        data = serialize_partition(
+            slice_partition(reordered, boundaries, partition), compression, fast=False
+        )
+        deserialize_partition(data)
+        shipped += len(data)
+    return shipped
+
+
 def measure_shuffle_codec(
     num_rows: int = ROWS, num_partitions: int = PARTITIONS, repeats: int = 3
 ) -> Dict:
-    """Fast partition codec versus the full LPQ writer on a shuffle write.
+    """The partition-frame codec on a shuffle write, against what it replaced.
 
-    The timed unit is what one exchange sender actually does: serialise (and
-    the receivers deserialise) all ``num_partitions`` partition objects of a
-    ``num_rows``-row table.  Measured twice — at the exchange's default
-    ``Compression.FAST``, where zlib dominates both codecs, and at
-    ``Compression.NONE``, which isolates the framing cost the fast codec
-    eliminates (per-row-group encoding choice, statistics, JSON footer).
+    The timed unit is what one exchange sender and its receivers do: serialise
+    all ``num_partitions`` partitions of a scattered ``num_rows``-row table
+    and decode every one of them.
+
+    * ``lpq`` vs ``fast`` (``speedup``): the full LPQ writer versus typed
+      frames, both with the zlib-1 block stage, where zlib dominates either;
+      ``framing_lpq`` vs ``typed`` (``framing_speedup``): both with no
+      compressor, which isolates what the LPQ writer adds per partition
+      (per-row-group encoding choice, statistics, JSON footer).
+    * ``zlib`` vs ``typed`` (``typed_speedup``, ``bytes_ratio``): zlib-1 over
+      raw column buffers — the previous default wire format — versus the
+      typed frames that are the default now; on the hot table and
+      (``tpch_*``) on a TPC-H-shaped one (sorted int64 key, 2-decimal price,
+      low-cardinality discount, int32 date), where the typed encodings must
+      also ship no more bytes than zlib did.
     """
+    from repro.driver.shuffle import ShuffleConfig
     from repro.formats.compression import Compression
 
-    table = _hot_table(num_rows)
-    parts = list(hash_partition(table, ["key"], num_partitions).values())
-
-    def roundtrip(fast: bool, compression: Compression):
-        for part in parts:
-            deserialize_partition(serialize_partition(part, compression, fast=fast))
-
+    hot = partition_scatter(_hot_table(num_rows), ["key"], num_partitions)
+    tpch = partition_scatter(_tpch_shaped_table(num_rows), ["l_orderkey"], num_partitions)
     for compression in (Compression.FAST, Compression.NONE):
+        first = slice_partition(*hot, 0)
         assert tables_allclose(
-            deserialize_partition(serialize_partition(parts[0], compression, fast=False)),
-            deserialize_partition(serialize_partition(parts[0], compression, fast=True)),
+            deserialize_partition(serialize_partition(first, compression, fast=False)),
+            deserialize_partition(serialize_partition(first, compression, fast=True)),
         )
 
-    lpq_seconds = _best_of(lambda: roundtrip(False, Compression.FAST), repeats)
-    fast_seconds = _best_of(lambda: roundtrip(True, Compression.FAST), repeats)
-    framing_lpq = _best_of(lambda: roundtrip(False, Compression.NONE), repeats)
-    framing_fast = _best_of(lambda: roundtrip(True, Compression.NONE), repeats)
-    return {
+    lpq_seconds = _best_of(lambda: _lpq_set_roundtrip(*hot, Compression.FAST), repeats)
+    fast_seconds = _best_of(lambda: _typed_set_roundtrip(*hot, Compression.FAST), repeats)
+    framing_lpq = _best_of(lambda: _lpq_set_roundtrip(*hot, Compression.NONE), repeats)
+    measurement = {
         "num_rows": num_rows,
         "num_partitions": num_partitions,
         "lpq_seconds": lpq_seconds,
         "fast_seconds": fast_seconds,
         "speedup": lpq_seconds / fast_seconds,
         "framing_lpq_seconds": framing_lpq,
-        "framing_fast_seconds": framing_fast,
-        "framing_speedup": framing_lpq / framing_fast,
-        "lpq_bytes": sum(len(serialize_partition(p, fast=False)) for p in parts),
-        "fast_bytes": sum(len(serialize_partition(p, fast=True)) for p in parts),
+        "lpq_bytes": _lpq_set_roundtrip(*hot, Compression.FAST),
+        "fast_bytes": _typed_set_roundtrip(*hot, Compression.FAST),
     }
+    default = ShuffleConfig().compression
+    for prefix, scattered in (("", hot), ("tpch_", tpch)):
+        typed_seconds = _best_of(
+            lambda: _typed_set_roundtrip(*scattered, default), repeats
+        )
+        zlib_seconds = _best_of(lambda: _zlib_set_roundtrip(*scattered), repeats)
+        typed_bytes = _typed_set_roundtrip(*scattered, default)
+        zlib_bytes = _zlib_set_roundtrip(*scattered)
+        measurement.update({
+            f"{prefix}typed_seconds": typed_seconds,
+            f"{prefix}zlib_seconds": zlib_seconds,
+            f"{prefix}typed_speedup": zlib_seconds / typed_seconds,
+            f"{prefix}typed_bytes": typed_bytes,
+            f"{prefix}zlib_bytes": zlib_bytes,
+            f"{prefix}bytes_ratio": typed_bytes / zlib_bytes,
+        })
+    measurement["framing_speedup"] = framing_lpq / measurement["typed_seconds"]
+    return measurement
 
 
 # ---------------------------------------------------------------------------
@@ -1085,10 +1170,18 @@ def test_shuffle_codec_speedup(bench_recorder, experiment_report):
         f"LPQ {measurement['lpq_seconds']:.3f}s, "
         f"fast {measurement['fast_seconds']:.3f}s "
         f"({measurement['speedup']:.1f}x; framing only "
-        f"{measurement['framing_speedup']:.1f}x)"
+        f"{measurement['framing_speedup']:.1f}x); typed set "
+        f"{measurement['typed_seconds']:.3f}s vs zlib-1 "
+        f"{measurement['zlib_seconds']:.3f}s "
+        f"({measurement['typed_speedup']:.1f}x, "
+        f"{measurement['bytes_ratio']:.2f}x the bytes; TPC-H shape "
+        f"{measurement['tpch_typed_speedup']:.1f}x, "
+        f"{measurement['tpch_bytes_ratio']:.2f}x the bytes)"
     )
     assert measurement["speedup"] >= 1.2
     assert measurement["framing_speedup"] >= 5.0
+    assert measurement["typed_speedup"] >= 3.0
+    assert measurement["tpch_bytes_ratio"] <= 1.0
 
 
 def test_encoded_eval_speedup(bench_recorder, experiment_report):

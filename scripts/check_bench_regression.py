@@ -27,7 +27,9 @@ Seven kinds of checks:
   the *current* run: the resilience plane's fault hooks must cost the
   fault-free TPC-H Q1 path less than 2% of wall time, the integrity
   plane's end-to-end checksumming less than 3%, and the armed overload
-  plane (admission, budgets, breakers, cancellation) less than 2%;
+  plane (admission, budgets, breakers, cancellation) less than 2% — and the
+  typed exchange frames must ship no more bytes than zlib-1 did on a
+  TPC-H-shaped table;
 * **absolute modelled-seconds ceilings** — the slowest worker of any N-way
   join DAG query must stay under the duration only a pipelined exchange
   read reaches (a fall-back to one round trip per slice fails here);
@@ -68,6 +70,10 @@ ABSOLUTE_FLOORS = {
     ("exchange_route", "speedup"): 5.0,
     ("shuffle_codec", "speedup"): 1.2,
     ("shuffle_codec", "framing_speedup"): 5.0,
+    # PR 15: a sender's set encode + every receiver's slice decode in typed
+    # frames must stay >= 3x faster than zlib-1 over raw column buffers, the
+    # wire format they replaced.
+    ("shuffle_codec", "typed_speedup"): 3.0,
     ("scan_filter", "speedup"): 3.0,
     ("encoded_eval", "speedup"): 1.5,
     ("shuffle_requests", "put_collapse"): 16.0,
@@ -142,6 +148,10 @@ ABSOLUTE_RATIO_CEILINGS = {
     ("end_to_end_q1", "faultfree_overhead_ratio"): 1.02,
     ("end_to_end_q1", "integrity_overhead_ratio"): 1.03,
     ("end_to_end_q1", "admission_overhead_ratio"): 1.02,
+    # PR 15: on a TPC-H-shaped table (sorted key, 2-decimal price, discount,
+    # date) the typed frames ship no more bytes than zlib-1 did — a silent
+    # fall-back to raw columns (2.2x the bytes) fails here.
+    ("shuffle_codec", "tpch_bytes_ratio"): 1.0,
 }
 
 #: Maximum modelled seconds, keyed ``(section, field)``.  The exchange
@@ -165,6 +175,7 @@ ABSOLUTE_WAVE_CEILINGS = {
 RELATIVE_FIELDS = (
     "speedup",
     "framing_speedup",
+    "typed_speedup",
     "put_collapse",
     "request_cost_collapse",
     "modelled_speedup",
@@ -276,7 +287,11 @@ def check(
             print(f"ok: {name} {field} {observed} requests (ceiling {ceiling})")
 
     for ceilings, what, hint in (
-        (ABSOLUTE_RATIO_CEILINGS, "ratio", "fault hooks taxing the fault-free path?"),
+        (
+            ABSOLUTE_RATIO_CEILINGS,
+            "ratio",
+            "fault hooks taxing the fault-free path, or typed frames gone raw?",
+        ),
         (
             ABSOLUTE_SECONDS_CEILINGS,
             "modelled duration",

@@ -256,7 +256,7 @@ class IntegrityConfig:
     """End-to-end content-checksum knobs.
 
     ``generate`` embeds crc32 checksums in everything the engine writes (LPQ
-    chunks and footers, fast-codec partition frames, binary worker payloads,
+    chunks and footers, exchange partition frames, binary worker payloads,
     combined-object slice directories, SQS result messages).  ``verify``
     makes every consumer check them on read and raise
     :class:`~repro.errors.IntegrityError` on mismatch.  Both default on;

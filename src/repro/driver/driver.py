@@ -999,8 +999,8 @@ class LambadaDriver:
     ) -> Dict:
         """Convert one pool child message into the classic result-message shape.
 
-        Result segments are attached here and decoded as zero-copy views; the
-        attached handles collect in ``attached`` so ``_execute_pooled`` can
+        Result segments are attached here and decoded in place (raw columns
+        stay zero-copy views of the segment); the attached handles collect in ``attached`` so ``_execute_pooled`` can
         unlink every segment when the query finishes.
         """
         if raw is None:

@@ -12,10 +12,10 @@ through shared memory instead of pickle:
   query and mounts it as a read-only
   :class:`~repro.cloud.s3.SharedSegmentStore`.  Only the segment *name* and
   the ``{path: (offset, length)}`` directory cross the pipe.
-* **Outputs** — each child writes its partial table as an uncompressed
-  fast-codec partition blob (:func:`repro.exchange.codec.encode_partition`)
-  into a fresh shared-memory segment and sends back the segment name; the
-  driver decodes it with ``decode_partition(..., copy=False)`` into zero-copy
+* **Outputs** — each child writes its partial table as one typed partition
+  frame (:func:`repro.exchange.codec.encode_partition`) into a fresh
+  shared-memory segment and sends back the segment name; the driver decodes
+  it with ``decode_partition(..., copy=False)``, so raw columns are zero-copy
   views of the segment.  Column arrays never pass through pickle in either
   direction.
 
@@ -72,7 +72,6 @@ def _child_main(conn) -> None:
     from repro.cloud.s3 import SharedSegmentStore
     from repro.engine.pipeline import execute_worker_plan_table
     from repro.exchange.codec import encode_partition
-    from repro.formats.compression import Compression
     from repro.plan.physical import WorkerPlan
 
     # Cache of attached input segments: name -> (SharedMemory, SharedSegmentStore)
@@ -115,7 +114,7 @@ def _child_main(conn) -> None:
             result_segment: Optional[str] = None
             nbytes = 0
             if table is not None:
-                blob = encode_partition(table, Compression.NONE)
+                blob = encode_partition(table)
                 out = shared_memory.SharedMemory(
                     name=assigned_name
                     or f"{RESULT_SEGMENT_PREFIX}{uuid.uuid4().hex[:12]}",

@@ -26,8 +26,8 @@ I/O plane (paper §4.4):
   announced (the offset directory rides in the combined keys, so discovery
   costs no request; legacy per-receiver objects cost one LIST), issues it as
   one batch — **one ranged GET per non-empty slice**, charged as a single
-  transfer pipelined over the scan's connection count — decodes the slices
-  zero-copy, folds them with a single
+  transfer pipelined over the scan's connection count — verifies and decodes
+  each slice in one pass over its bytes, folds them with a single
   :func:`~repro.engine.aggregates.merge_partials` pass, and returns its
   result rows to the driver through SQS (spilling to S3 when large).
   Combined and legacy senders interoperate within one query.
@@ -61,7 +61,6 @@ from __future__ import annotations
 import json
 import random
 import uuid
-import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set
 
@@ -112,7 +111,7 @@ from repro.errors import (
     WorkerFailedError,
 )
 from repro.exchange.basic import ExchangeStats, serialize_partition
-from repro.exchange.codec import encode_partition_set
+from repro.exchange.codec import encode_partition_set, slice_crcs
 from repro.exchange.fetch import FetchPlan, SenderManifest
 from repro.exchange.naming import MultiBucketNaming, WriteCombiningNaming
 from repro.exchange.partition import partition_assignments, scatter_by_assignment, slice_partition
@@ -149,15 +148,16 @@ class ShuffleConfig:
 
     #: Combine all of a mapper's partitions into a single object.
     write_combining: bool = True
-    #: Serialise legacy per-receiver objects with the fast codec
+    #: Serialise legacy per-receiver objects as typed frames
     #: (:mod:`repro.exchange.codec`); ``False`` writes full LPQ files.
     #: Readers sniff the format per object/slice regardless.
     fast_codec: bool = True
-    #: Compression of the partition payloads.
-    compression: Compression = Compression.FAST
-    #: Content-checksum generation/verification knobs (both default on):
-    #: slice crcs in the combined-object keys, embedded frame checksums, and
-    #: digests on every result message.
+    #: Optional block-compression stage over the encoded partition frames
+    #: (off: the typed column encodings do the size work, without the CPU).
+    compression: Compression = Compression.NONE
+    #: Content-checksum generation/verification knobs (both default on): one
+    #: crc32 per partition frame, published again in the combined-object
+    #: keys, and digests on every result message.
     integrity: IntegrityConfig = field(default_factory=IntegrityConfig)
 
 
@@ -472,21 +472,6 @@ def _fault_delta(env: CloudEnvironment, snapshot: Optional[Dict]) -> Dict[str, i
     }
 
 
-def _slice_crcs(payload: bytes, offsets: Sequence[int]) -> List[int]:
-    """Per-receiver crc32 digests of a combined object's slices.
-
-    They ride in the object key next to the offset directory
-    (:meth:`~repro.exchange.naming.WriteCombiningNaming.combined_key`), so a
-    reducer verifies each ranged GET against a directory it already holds —
-    no extra request, and a truncated or bit-flipped slice is caught before
-    it is decoded.
-    """
-    return [
-        zlib.crc32(payload[offsets[index]:offsets[index + 1]])
-        for index in range(len(offsets) - 1)
-    ]
-
-
 def _gc_query_objects(env: CloudEnvironment, query_id: str, namings) -> tuple:
     """Sweep every exchange object a query's attempts wrote.
 
@@ -656,14 +641,14 @@ def _write_partitions(
     object per non-empty receiver; the consuming wave handles mixed formats.
     Returns the announcement fields of the sender's result message.
     """
-    compression = Compression(event.get("compression", Compression.FAST.value))
+    compression = Compression(event.get("compression", Compression.NONE.value))
     assignment = partition_assignments(rows, list(keys), num_partitions)
     reordered, boundaries = scatter_by_assignment(rows, assignment, num_partitions)
     if bool(event.get("write_combining", True)):
         payload, offsets = encode_partition_set(
             reordered, boundaries, compression, checksum=integrity.generate
         )
-        crcs = _slice_crcs(payload, offsets) if integrity.generate else None
+        crcs = slice_crcs(payload, offsets) if integrity.generate else None
         try:
             path = combined_naming.combined_path(sender, offsets, crcs)
         except ExchangeError:
@@ -844,8 +829,8 @@ def _make_reduce_handler(env: CloudEnvironment):
             env, context, [manifest], partition, num_partitions, stats,
             integrity, istats,
         )
-        # Single merge pass: the zero-copy slice views are folded (and thereby
-        # materialised into fresh group buffers) exactly once.
+        # Single merge pass: the decoded slices (raw columns are views of the
+        # response) are folded into fresh group buffers exactly once.
         merged = merge_partials(pieces, group_by, partials_specs)
         modelled_seconds = _charge_worker(
             env, context, _reduce_compute_seconds(objects_read), stats, fetch_seconds
@@ -1637,8 +1622,9 @@ def _sender_spec(tag: str, messages: Sequence[Dict]) -> Dict:
 
 
 #: Share of a join worker's memory the broadcast build sides of one wave may
-#: fill, counted in announced (compressed) bytes: the decoded columns and the
-#: join's working set need the rest.
+#: fill, counted in announced (encoded) bytes: the decoded columns — narrowed
+#: keys and decimals widen back to 8 bytes a value — and the join's working
+#: set need the rest.
 BROADCAST_MEMORY_FRACTION = 0.125
 
 

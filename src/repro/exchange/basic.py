@@ -14,7 +14,6 @@ of the paper's cost analysis.
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass, field, fields as dataclass_fields
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -23,13 +22,13 @@ import numpy as np
 from repro.cloud.s3 import ObjectMetadata, ObjectStore, parse_s3_path
 from repro.config import IntegrityConfig
 from repro.engine.table import Table, concat_tables, table_num_rows
-from repro.errors import ExchangeError, IntegrityError, NoSuchBucketError, NoSuchKeyError
+from repro.errors import ExchangeError, NoSuchBucketError, NoSuchKeyError
 from repro.exchange.codec import (
-    decode_partition,
     decode_partition_slice,
+    decode_ranged_slices,
     encode_partition,
     encode_partition_set,
-    is_fast_partition,
+    slice_crcs,
 )
 from repro.exchange.naming import FileNaming, MultiBucketNaming, WriteCombiningNaming
 from repro.exchange.partition import (
@@ -38,7 +37,7 @@ from repro.exchange.partition import (
     slice_partition,
 )
 from repro.formats.compression import Compression
-from repro.formats.parquet import ColumnarFile, write_table
+from repro.formats.parquet import write_table
 
 
 @dataclass
@@ -51,10 +50,13 @@ class ExchangeConfig:
     write_combining: bool = False
     #: Number of buckets to spread files over (rate-limit bypass, §4.4.1).
     num_buckets: int = 10
-    #: Compression of the partition files (FAST keeps CPU cost low).
-    compression: Compression = Compression.FAST
-    #: Serialise partitions with the single-pass fast codec
-    #: (:mod:`repro.exchange.codec`) instead of the full LPQ file writer.
+    #: Optional block-compression stage over the encoded partition frames.
+    #: Off by default: the typed column encodings of
+    #: :mod:`repro.exchange.codec` already ship fewer bytes than zlib did on
+    #: keys, dates and decimals, and the exchange is request-bound (§4.4).
+    compression: Compression = Compression.NONE
+    #: Serialise partitions as typed frames (:mod:`repro.exchange.codec`)
+    #: instead of with the full LPQ file writer.
     #: Readers accept both formats regardless of this flag.
     fast_codec: bool = True
     #: How often a receiver re-checks for a missing sender file before failing.
@@ -170,16 +172,16 @@ def discover_combined_objects(
 
 def serialize_partition(
     table: Table,
-    compression: Compression = Compression.FAST,
+    compression: Compression = Compression.NONE,
     fast: bool = True,
     checksum: bool = True,
 ) -> bytes:
     """Serialise a partition table into bytes (empty table -> empty bytes).
 
-    By default the single-pass fast codec of :mod:`repro.exchange.codec` is
-    used; ``fast=False`` writes a full LPQ columnar file instead (the seed
+    By default one typed frame of :mod:`repro.exchange.codec` is written;
+    ``fast=False`` writes a full LPQ columnar file instead (the seed
     behaviour, kept for durable outputs and legacy-format tests).
-    ``checksum=False`` emits the pre-integrity format without embedded crcs.
+    ``checksum=False`` writes no embedded crc.
     """
     if table_num_rows(table) == 0:
         return b""
@@ -193,16 +195,12 @@ def deserialize_partition(
 ) -> Table:
     """Inverse of :func:`serialize_partition` (empty bytes -> empty table).
 
-    Sniffs the leading format byte, so fast-codec objects and legacy LPQ
-    objects (including parts of old write-combined objects) both decode.
+    Sniffs the leading format byte, so typed frames and legacy LPQ objects
+    both decode.
     Embedded checksums (when present) are verified unless ``verify=False``;
     ``key`` names the object in corruption reports.
     """
-    if not data:
-        return {}
-    if is_fast_partition(data):
-        return decode_partition(data, verify=verify, key=key)
-    return ColumnarFile.from_bytes(data, verify=verify, name=key).read_table()
+    return decode_partition_slice(data, copy=True, verify=verify, key=key)
 
 
 class BasicGroupExchange:
@@ -328,16 +326,10 @@ class BasicGroupExchange:
             for blob in blobs:
                 offsets.append(offsets[-1] + len(blob))
             payload = b"".join(blobs)
-        # Per-slice crcs ride in the key next to the offsets: receivers verify
-        # their ranged GET against the directory they already hold, for free.
-        crcs = (
-            [
-                zlib.crc32(payload[offsets[slot]:offsets[slot + 1]])
-                for slot in range(num_slots)
-            ]
-            if generate
-            else None
-        )
+        # The crc each frame already carries rides in the key next to the
+        # offsets: receivers check their ranged GET against the directory they
+        # already hold.  LPQ parts embed their own checksums instead.
+        crcs = slice_crcs(payload, offsets) if generate and self.config.fast_codec else None
         path = self.naming.combined_path(worker, offsets, crcs)
         self.store.put_path(path, payload)
         stats.put_requests += 1
@@ -438,22 +430,9 @@ class BasicGroupExchange:
                 stats.ranged_get_requests += 1
                 stats.bytes_read += len(result.data)
                 stats.bytes_touched += meta.size
-                if verify and len(result.data) != end - start:
-                    raise IntegrityError(
-                        "ranged GET returned wrong slice length",
-                        key=meta.path, layer="slice.length", offset=start,
-                        expected=end - start, actual=len(result.data),
-                    )
-                if verify and crcs is not None:
-                    actual = zlib.crc32(result.data)
-                    if actual != crcs[my_slot]:
-                        raise IntegrityError(
-                            f"slice of receiver {worker} failed its directory crc",
-                            key=meta.path, layer="slice.crc", offset=start,
-                            expected=crcs[my_slot], actual=actual,
-                        )
-                piece = decode_partition_slice(
-                    result.data, verify=verify, key=meta.path
+                crc = crcs[my_slot] if crcs is not None else None
+                piece, = decode_ranged_slices(
+                    result.data, start, ((start, end, crc),), verify=verify, key=meta.path
                 )
                 if table_num_rows(piece):
                     pieces.append(piece)

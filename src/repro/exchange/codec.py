@@ -1,50 +1,89 @@
-"""Fast codec for shuffle-internal partition objects.
+"""Typed, lightweight wire format of shuffle-internal partition objects.
 
-Every shuffle hop used to round-trip each partition through the full LPQ
-columnar-file writer (:mod:`repro.formats.parquet`): per-row-group encoding
-choice, min/max statistics, chunk bookkeeping, and a JSON footer — machinery
-a *durable* file needs, but pure overhead for a partition object whose only
-reader is the exchange peer a few hundred milliseconds later.
+A partition object's only reader is the exchange peer a few hundred
+milliseconds later, and the exchange is bound by *requests*, not bytes
+(paper §4.4) — so the format spends no CPU on a general-purpose compressor.
+Each column is instead stored in the cheapest of a few *light-weight*
+encodings (paper §4.3.2), chosen from the data in a handful of vectorised
+NumPy passes per column for **all** partitions of a sender at once.
 
-This codec ships a partition the way :mod:`repro.engine.payload` ships worker
-results: one dtype-tagged raw buffer per column, written and read with a
-single ``tobytes`` / ``np.frombuffer`` pass.  Layout::
+Frame layout (all integers little endian)::
 
-    +------+------------+-------------+----------------------------------+
-    | 0x01 | hdr length | JSON header | column buffers (one compressed   |
-    | tag  | uint32 LE  |             |  block, codec named in header)   |
-    +------+------------+-------------+----------------------------------+
+    prefix   u8  tag        0x03 checked frame, 0x04 unchecked (crc field 0)
+             u32 crc32      of every byte after the prefix
+    head     u16 schema length
+             ... schema     identical for every slice of one sender: packed
+                            once per ``encode_partition_set`` call, parsed
+                            once per distinct schema on the read side
+             u32 num_rows
+             ... directory  one 11-byte entry per column
+    body     column blocks in schema order (one optional block-compression
+             stage over the whole body, named in the schema; default none)
 
-with a JSON header of the form::
+    schema   u8  compression   0 none, 1 fast (zlib-1), 2 gzip (zlib-6)
+             u16 column count
+             per column: u16 name length, utf-8 name,
+                         u8 dtype length, ascii ``dtype.str`` or ``object``
 
-    {"num_rows": 1234, "compression": "fast",
-     "columns": [{"name": "k", "dtype": "<i8", "nbytes": 9872},
-                 {"name": "tag", "dtype": "object", "values": [...]}]}
+    entry    u8  encoding   see below
+             u8  width      bytes per stored value of FOR/DELTA: 0, 1, 2 or 4
+             u8  exponent   float64 columns stored as integers of
+                            ``value * 10**exponent`` (0 or 2); else 0
+             u64 base       FOR: minimum; DELTA: first value (both as the
+                            unsigned bit pattern); JSON: block length
 
-The leading *format byte* ``0x01`` distinguishes fast-codec objects from
-legacy LPQ files (which start with ``b"LPQ1"``, i.e. ``0x4C``), so
-:func:`repro.exchange.basic.deserialize_partition` decodes old partition
-objects — including the parts of write-combined objects — unchanged.
-Columns holding Python objects cannot be shipped as raw buffers and fall
-back to a JSON list inside the header, mirroring the payload codec.
+Encodings (the id in the directory entry):
 
-**Multi-partition framing.**  :func:`encode_partition_set` serialises *all*
+``RAW`` (0)
+    The column's own bytes — written and read zero-copy.  Everything that
+    does not narrow: floats with real fractions, hashed keys, strings.
+``FOR`` (1)
+    Frame of reference: ``value - min`` narrowed to u8/u16/u32; width 0 is a
+    constant column and stores nothing.
+``DELTA`` (2)
+    ``value[i] - value[i-1]`` (first delta 0) narrowed the same way, chosen
+    when it is narrower than ``FOR`` — sorted keys; decode is a ``cumsum``.
+``JSON`` (3)
+    Object columns only: the utf-8 JSON list of the values (tuples come back
+    as lists).  The only use of ``json`` in this module.
+
+All integer arithmetic is modulo 2**(8·itemsize) on the unsigned view of the
+column, so a span that overflows int64 simply fails to narrow and every
+narrowed column round-trips exactly.  A ``float64`` column is narrowed as the
+int64 column ``rint(value * 10**e)`` for the first ``e`` in (0, 2) whose
+decode reproduces every value **bit for bit** (so NaN, ±inf and −0.0 fall
+back to ``RAW``): counts, quantities and two-decimal prices.  A partition of
+fewer than 16 rows is shipped ``RAW`` unexamined: looking costs more than its
+bytes.  Every choice is made per partition, from that partition's rows alone.
+
+**Integrity.**  One crc32 pass per byte on each side.  The writer hashes the
+frame's bytes after the prefix once and stores the digest in the prefix; a
+combined object's key directory publishes that same number per slice
+(:func:`slice_crcs` reads it back, it does not re-hash).  The reader hashes a
+slice once, against the embedded digest (layer ``codec.crc``), and compares
+the embedded digest with the directory's (layer ``slice.crc``, which is what
+catches a stale but self-consistent body) — :func:`decode_ranged_slices`.
+The two tags differ in three bits, so no single flipped bit turns a checked
+frame into an unchecked one.
+
+**Multi-partition framing.**  :func:`encode_partition_set` serialises all
 partitions of one sender into a single buffer in receiver order, returning
 the byte-offset directory alongside it: partition ``p`` occupies
-``offsets[p]:offsets[p + 1]`` and empty partitions occupy zero bytes.  Each
-slice is a self-contained fast-codec blob, so a receiver decodes its share
-with :func:`decode_partition_slice` straight from a ranged GET of its slice,
-without downloading (or even touching) any other receiver's bytes.  This is
-the write-combining layout of the paper's §4.4 cost analysis: one PUT per
+``offsets[p]:offsets[p + 1]``, empty partitions occupy zero bytes, and each
+slice is a self-contained frame — byte-identical to :func:`encode_partition`
+of that partition — that a receiver decodes straight from a ranged GET.  This
+is the write-combining layout of the paper's §4.4 cost analysis: one PUT per
 sender, one ranged GET per non-empty (sender, receiver) pair.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import re
 import struct
 import zlib
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -52,90 +91,303 @@ from repro.engine.table import Table, table_num_rows
 from repro.errors import CorruptFileError, IntegrityError
 from repro.formats.compression import Compression, compress, decompress
 
-#: Format byte of fast-codec partition objects (legacy LPQ starts with 0x4C).
-FAST_PARTITION_TAG = 0x01
+#: Format byte of a checksummed frame (legacy LPQ files start with 0x4C).
+CHECKED_PARTITION_TAG = 0x03
 
-#: Format byte of *checksummed* fast-codec partition objects.  Same layout as
-#: :data:`FAST_PARTITION_TAG` frames, except the prefix also carries a crc32
-#: of the header bytes, the header carries a ``body_crc`` over the framed
-#: (compressed) body, and every raw column entry carries a ``crc`` over its
-#: decompressed buffer — complete byte coverage, so any flipped bit in the
-#: frame fails either the prefix parse or one of the three checksum layers.
-CHECKED_PARTITION_TAG = 0x02
+#: Format byte of a frame written with ``checksum=False``: same layout, crc
+#: field zero.  Three bits away from :data:`CHECKED_PARTITION_TAG`.
+UNCHECKED_PARTITION_TAG = 0x04
 
-#: Framing prefix: format byte + uint32 header length, little endian.
+#: Column encoding ids of a directory entry.
+RAW, FOR, DELTA, JSON = 0, 1, 2, 3
+
 _PREFIX = struct.Struct("<BI")
+_SCHEMA_LENGTH = struct.Struct("<H")
+_SCHEMA_HEAD = struct.Struct("<BH")
+_NAME_LENGTH = struct.Struct("<H")
+_NUM_ROWS = struct.Struct("<I")
 
-#: Checksummed framing prefix: format byte + uint32 header length + uint32
-#: crc32 of the header bytes, little endian.
-_CHECKED_PREFIX = struct.Struct("<BII")
+#: One column's directory entry (packed, 11 bytes).
+_ENTRY = np.dtype(
+    [("encoding", "u1"), ("width", "u1"), ("exponent", "u1"), ("base", "<u8")]
+)
+
+_COMPRESSION_IDS = {Compression.NONE: 0, Compression.FAST: 1, Compression.GZIP: 2}
+_COMPRESSIONS = {value: codec for codec, value in _COMPRESSION_IDS.items()}
+
+#: Little-endian unsigned dtype per stored width / column itemsize.
+_UNSIGNED = {1: np.dtype("u1"), 2: np.dtype("<u2"), 4: np.dtype("<u4"), 8: np.dtype("<u8")}
+
+#: ``span <= _LIMITS[i]`` needs ``_WIDTHS[i]`` bytes; beyond the last, 8.
+_LIMITS = np.array([0, 0xFF, 0xFFFF, 0xFFFFFFFF], dtype=np.uint64)
+_WIDTHS = np.array([0, 1, 2, 4, 8], dtype=np.uint8)
+
+#: Partitions shorter than this ship RAW without being looked at.  Choosing an
+#: encoding costs a fixed couple of dozen NumPy calls per column however few
+#: rows there are; below this length that is more time than the at most
+#: ``8 * rows`` bytes it could save take to transfer, and the objects that
+#: short — a worker's partial aggregates, a dimension table's partitions —
+#: are where the fixed cost is all there is.
+_MIN_NARROW_ROWS = 16
+
+#: Decimal exponents tried for float64 columns, with their scale factors.
+_SCALES = {0: None, 2: 100.0}
+
+_FLOAT64 = np.dtype(np.float64)
+
+#: ``dtype.str`` of the fixed-width column types a frame can carry; anything
+#: else in a schema section is corruption, not something to hand ``np.dtype``.
+_DTYPE_STR = re.compile(rb"[<>|=][biufcmMSUV]\d+(\[[0-9A-Za-z]+\])?")
+
+Buffer = Union[bytes, bytearray, memoryview]
 
 
-def is_fast_partition(data: Union[bytes, bytearray, memoryview]) -> bool:
-    """Whether ``data`` is a fast-codec partition object (either tag)."""
+def is_fast_partition(data: Buffer) -> bool:
+    """Whether ``data`` starts like a partition frame (either tag)."""
     return len(data) >= _PREFIX.size and data[0] in (
-        FAST_PARTITION_TAG,
         CHECKED_PARTITION_TAG,
+        UNCHECKED_PARTITION_TAG,
     )
 
 
-def _encode_blob(
+# -- write side --------------------------------------------------------------------------
+
+
+def _pack_schema(
+    names: Sequence[str], arrays: Sequence[np.ndarray], compression: Compression
+) -> bytes:
+    """The schema section, prefixed with its length: once per sender."""
+    parts = [_SCHEMA_HEAD.pack(_COMPRESSION_IDS[compression], len(names))]
+    for name, array in zip(names, arrays):
+        encoded = name.encode("utf-8")
+        dtype = b"object" if array.dtype.hasobject else array.dtype.str.encode("ascii")
+        parts += [_NAME_LENGTH.pack(len(encoded)), encoded, bytes([len(dtype)]), dtype]
+    schema = b"".join(parts)
+    return _SCHEMA_LENGTH.pack(len(schema)) + schema
+
+
+def _widths(spans: np.ndarray) -> np.ndarray:
+    """Bytes needed to store values in ``[0, span]``, per span."""
+    return _WIDTHS[np.searchsorted(_LIMITS, spans)]
+
+
+class _Tiling(NamedTuple):
+    """The non-empty partitions of one sender, tiling its columns' rows."""
+
+    #: First row of each partition (strictly increasing, ``starts[0] == 0``).
+    starts: np.ndarray
+    #: Rows per partition.
+    counts: np.ndarray
+    #: The same ranges as Python ``(start, end)`` pairs.
+    slices: List[Tuple[int, int]]
+    #: Which partitions are long enough to narrow (:data:`_MIN_NARROW_ROWS`).
+    long: np.ndarray
+
+
+def _narrow(
+    values: np.ndarray, tiling: _Tiling
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List]:
+    """Choose FOR/DELTA/RAW per partition of an integer column.
+
+    ``values`` is a native integer (or bool) column.  Returns the directory
+    fields ``(encoding, width, base)`` per partition and one block each: the
+    narrowed values, ``b""`` for a constant, ``None`` where nothing narrows
+    and the caller ships the raw column.
+    """
+    starts = tiling.starts
+    itemsize = values.dtype.itemsize
+    unsigned = _UNSIGNED[itemsize].newbyteorder("=")
+    ordered = values.view(np.uint8) if values.dtype.kind == "b" else values
+    bits = values.view(unsigned)
+    base = np.minimum.reduceat(ordered, starts).view(unsigned)
+    # Modulo 2**bits the difference of the signed extremes is the true span.
+    width = _widths(np.maximum.reduceat(ordered, starts).view(unsigned) - base)
+    encoding = np.full(len(starts), FOR, dtype=np.uint8)
+    steps = None
+    if width.max() > 1:
+        steps = np.empty_like(bits)
+        np.subtract(bits[1:], bits[:-1], out=steps[1:])
+        steps[starts] = 0
+        step_width = _widths(np.maximum.reduceat(steps, starts))
+        delta = step_width < width
+        encoding[delta] = DELTA
+        base = np.where(delta, bits[starts], base)
+        width = np.minimum(width, step_width)
+    raw = (width >= itemsize) | ~tiling.long
+    encoding[raw] = RAW
+    width[raw] = 0
+    base[raw] = 0
+
+    offsets = None
+    narrowed = {}
+    blocks: List = []
+    for (start, end), code, size in zip(tiling.slices, encoding.tolist(), width.tolist()):
+        if code == RAW:
+            blocks.append(None)
+        elif size == 0:
+            blocks.append(b"")
+        else:
+            # One narrowing pass per (encoding, width) in use covers every
+            # partition that chose it; FOR subtracts each partition's minimum.
+            column = narrowed.get((code, size))
+            if column is None:
+                if code == FOR and offsets is None:
+                    offsets = bits - np.repeat(base, tiling.counts)
+                source = steps if code == DELTA else offsets
+                column = narrowed[code, size] = source.astype(_UNSIGNED[size])
+            blocks.append(column[start:end])
+    return encoding, width, base, blocks
+
+
+def _scaled_exactly(
+    values: np.ndarray, scale: Optional[float], starts: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``rint(values * scale)`` as int64, and which partitions it is exact for.
+
+    Exact means decoding the integers reproduces every value of the
+    partition bit for bit — never true with a NaN, ±inf, −0.0 or a value
+    beyond int64 in it (the invalid cast yields some integer; it cannot
+    decode to those bits).
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        scaled = np.rint(values if scale is None else values * scale).astype(np.int64)
+    restored = scaled.astype(np.float64)
+    if scale is not None:
+        restored /= scale
+    same = restored.view(np.int64) == values.view(np.int64)
+    return scaled, np.logical_and.reduceat(same, starts)
+
+
+def _plan_column(array: np.ndarray, tiling: _Tiling, entries: np.ndarray) -> List:
+    """Encode one column for every partition: fills ``entries``, returns blocks."""
+    dtype = array.dtype
+    slices = tiling.slices
+    blocks: List = [None] * len(slices)
+    narrow = tiling.long.any()
+    if dtype.hasobject:
+        blocks = [
+            json.dumps(array[start:end].tolist()).encode("utf-8")
+            for start, end in slices
+        ]
+        entries["encoding"] = JSON
+        entries["base"] = [len(block) for block in blocks]
+    elif narrow and dtype.isnative and dtype.kind in "iub":
+        entries["encoding"], entries["width"], entries["base"], blocks = _narrow(
+            array, tiling
+        )
+    elif narrow and dtype == _FLOAT64:
+        # Per partition, the first exponent that is exact decides: narrowed
+        # if its integers narrow, RAW if they do not.
+        pending = tiling.long.copy()
+        for exponent, scale in _SCALES.items():
+            scaled, exact = _scaled_exactly(array, scale, tiling.starts)
+            exact &= pending
+            if exact.any():
+                encoding, width, base, narrowed = _narrow(scaled, tiling)
+                chosen = exact & (encoding != RAW)
+                entries["encoding"][chosen] = encoding[chosen]
+                entries["width"][chosen] = width[chosen]
+                entries["base"][chosen] = base[chosen]
+                entries["exponent"][chosen] = exponent
+                for index in np.flatnonzero(chosen).tolist():
+                    blocks[index] = narrowed[index]
+                pending &= ~exact
+            if not pending.any():
+                break
+    return [
+        array[start:end] if block is None else block
+        for block, (start, end) in zip(blocks, slices)
+    ]
+
+
+def _seal(head: bytes, blocks: Sequence, checksum: bool) -> List:
+    """A frame's buffers: the prefix — with the one crc32 over everything
+    after it, when ``checksum`` — then ``head`` and ``blocks``."""
+    if not checksum:
+        return [_PREFIX.pack(UNCHECKED_PARTITION_TAG, 0), head, *blocks]
+    crc = zlib.crc32(head)
+    for block in blocks:
+        crc = zlib.crc32(block, crc)
+    return [_PREFIX.pack(CHECKED_PARTITION_TAG, crc), head, *blocks]
+
+
+def _encode_frames(
     names: Sequence[str],
     arrays: Sequence[np.ndarray],
-    num_rows: int,
+    bounds: Sequence[int],
     compression: Compression,
-    checksum: bool = True,
-) -> bytes:
-    """Frame one partition's columns as a self-contained fast-codec blob."""
-    columns: List[Dict] = []
-    buffers: List[bytes] = []
-    for name, array in zip(names, arrays):
-        if array.dtype.hasobject:
-            columns.append({"name": name, "dtype": "object", "values": array.tolist()})
-        else:
-            raw = array.tobytes()
-            column = {"name": name, "dtype": array.dtype.str, "nbytes": len(raw)}
-            if checksum:
-                column["crc"] = zlib.crc32(raw)
-            columns.append(column)
-            buffers.append(raw)
-    body = compress(b"".join(buffers), compression)
-    payload = {
-        "num_rows": int(num_rows), "compression": compression.value, "columns": columns
-    }
-    if checksum:
-        payload["body_crc"] = zlib.crc32(body)
-        header = json.dumps(payload).encode("utf-8")
-        prefix = _CHECKED_PREFIX.pack(
-            CHECKED_PARTITION_TAG, len(header), zlib.crc32(header)
-        )
-        return prefix + header + body
-    header = json.dumps(payload).encode("utf-8")
-    return _PREFIX.pack(FAST_PARTITION_TAG, len(header)) + header + body
+    checksum: bool,
+) -> Tuple[List, List[int]]:
+    """Frame the non-empty partitions ``bounds[p]:bounds[p + 1]`` of ``arrays``.
+
+    Returns the buffers of all frames in order (for one final ``join``) and
+    the byte length of each partition's frame (0 for an empty partition).
+    """
+    lengths = [0] * (len(bounds) - 1)
+    live = [p for p in range(len(lengths)) if bounds[p + 1] > bounds[p]]
+    if not live:
+        return [], lengths
+    schema = _pack_schema(names, arrays, compression)
+    low, high = bounds[live[0]], bounds[live[-1] + 1]
+    slices = [(bounds[p] - low, bounds[p + 1] - low) for p in live]
+    counts = np.array([end - start for start, end in slices], dtype=np.intp)
+    tiling = _Tiling(
+        np.array([start for start, _ in slices], dtype=np.intp),
+        counts,
+        slices,
+        counts >= _MIN_NARROW_ROWS,
+    )
+    directory = np.zeros((len(live), len(arrays)), dtype=_ENTRY)
+    columns = [
+        _plan_column(array[low:high], tiling, directory[:, index])
+        for index, array in enumerate(arrays)
+    ]
+    parts: List = []
+    for index, partition in enumerate(live):
+        head = b"".join((
+            schema,
+            _NUM_ROWS.pack(bounds[partition + 1] - bounds[partition]),
+            directory[index].tobytes(),
+        ))
+        blocks = [column[index] for column in columns]
+        if compression is not Compression.NONE:
+            blocks = [compress(b"".join(blocks), compression)]
+        frame = _seal(head, blocks, checksum)
+        lengths[partition] = sum(memoryview(part).nbytes for part in frame)
+        parts += frame
+    return parts, lengths
 
 
 def encode_partition(
     table: Table,
-    compression: Compression = Compression.FAST,
+    compression: Compression = Compression.NONE,
     checksum: bool = True,
 ) -> bytes:
-    """Serialise a partition table into the fast single-pass format.
+    """Serialise a partition table into one frame.
 
     ``checksum`` (default on, per :class:`~repro.config.IntegrityConfig`)
-    embeds header/body/per-column crc32 digests; pass ``False`` to emit the
-    pre-integrity ``0x01`` frame.
+    embeds the frame crc32; ``False`` writes the unchecked tag and no digest.
+    ``compression`` is the optional block stage over the encoded body.
     """
     names = list(table.keys())
     arrays = [np.ascontiguousarray(table[name]) for name in names]
-    return _encode_blob(
-        names, arrays, table_num_rows(table), compression, checksum=checksum
-    )
+    num_rows = table_num_rows(table)
+    if num_rows == 0:
+        # Nothing to choose an encoding from: every column is an empty RAW.
+        head = (
+            _pack_schema(names, arrays, Compression.NONE)
+            + _NUM_ROWS.pack(0)
+            + np.zeros(len(arrays), dtype=_ENTRY).tobytes()
+        )
+        return b"".join(_seal(head, (), checksum))
+    parts, _ = _encode_frames(names, arrays, [0, num_rows], compression, checksum)
+    return b"".join(parts)
 
 
 def encode_partition_set(
     reordered: Table,
     boundaries: Union[Sequence[int], np.ndarray],
-    compression: Compression = Compression.FAST,
+    compression: Compression = Compression.NONE,
     checksum: bool = True,
 ) -> Tuple[bytes, List[int]]:
     """Serialise every partition of a scattered table into one buffer.
@@ -145,39 +397,211 @@ def encode_partition_set(
     occupies rows ``boundaries[p]:boundaries[p + 1]`` of every column.
     Returns ``(payload, offsets)`` where ``offsets`` has one entry per
     partition plus a final total length, i.e. partition ``p``'s slice is
-    ``payload[offsets[p]:offsets[p + 1]]`` — a self-contained blob that
+    ``payload[offsets[p]:offsets[p + 1]]`` — a self-contained frame that
     :func:`decode_partition_slice` reads from a ranged GET.  Empty partitions
-    occupy zero bytes and are never serialised at all, so a sender pays
-    nothing — no framing, no compression call — for receivers it has no rows
-    for.
+    occupy zero bytes and are never serialised at all.  The schema is packed
+    and every column's encodings are chosen once for the whole set.
     """
-    num_partitions = len(boundaries) - 1
     names = list(reordered.keys())
-    # One contiguity pass per column for the whole set; partition slices of a
-    # contiguous array are themselves contiguous, so the per-partition
-    # ``tobytes`` below copies each row range exactly once.
     arrays = [np.ascontiguousarray(reordered[name]) for name in names]
-    blobs: List[bytes] = []
-    offsets: List[int] = [0]
-    for partition in range(num_partitions):
-        start, end = int(boundaries[partition]), int(boundaries[partition + 1])
-        if end <= start:
-            offsets.append(offsets[-1])
-            continue
-        blob = _encode_blob(
-            names,
-            [array[start:end] for array in arrays],
-            end - start,
-            compression,
-            checksum=checksum,
+    parts, lengths = _encode_frames(
+        names, arrays, [int(bound) for bound in boundaries], compression, checksum
+    )
+    offsets = [0]
+    for length in lengths:
+        offsets.append(offsets[-1] + length)
+    return b"".join(parts), offsets
+
+
+def slice_crcs(payload: Buffer, offsets: Sequence[int]) -> List[int]:
+    """The crc32 each slice of a combined object carries in its prefix.
+
+    These are the numbers a combined object's key publishes next to the
+    offset directory (:meth:`~repro.exchange.naming.WriteCombiningNaming.
+    combined_key`): read back from the frames, not re-hashed.  Empty slices
+    publish 0.
+    """
+    return [
+        _PREFIX.unpack_from(payload, start)[1] if end > start else 0
+        for start, end in zip(offsets, offsets[1:])
+    ]
+
+
+# -- read side ---------------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=256)
+def _parse_schema(schema: bytes) -> Tuple[Compression, Tuple[str, ...], Tuple]:
+    """``(compression, names, dtypes)`` of a schema section (``None`` = object).
+
+    Cached on the section's bytes: every slice of one sender — and usually of
+    one wave — repeats the same section.
+    """
+    compression_id, count = _SCHEMA_HEAD.unpack_from(schema)
+    offset = _SCHEMA_HEAD.size
+    names, dtypes = [], []
+    for _ in range(count):
+        (length,) = _NAME_LENGTH.unpack_from(schema, offset)
+        offset += _NAME_LENGTH.size
+        names.append(schema[offset:offset + length].decode("utf-8"))
+        offset += length
+        length = schema[offset]
+        text = schema[offset + 1:offset + 1 + length]
+        offset += 1 + length
+        if text == b"object":
+            dtypes.append(None)
+        elif _DTYPE_STR.fullmatch(text):
+            dtypes.append(np.dtype(text.decode("ascii")))
+        else:
+            raise ValueError(f"not a plain dtype string: {text!r}")
+    if offset != len(schema):
+        raise ValueError("schema section does not match its length")
+    return _COMPRESSIONS[compression_id], tuple(names), tuple(dtypes)
+
+
+def _read_head(view: memoryview):
+    """A frame's head: ``(compression, names, dtypes, num_rows, directory
+    entries as (encoding, width, exponent, base) tuples, body offset)``."""
+    (schema_length,) = _SCHEMA_LENGTH.unpack_from(view, _PREFIX.size)
+    offset = _PREFIX.size + _SCHEMA_LENGTH.size
+    if offset + schema_length > len(view):
+        raise ValueError("truncated schema section")
+    compression, names, dtypes = _parse_schema(bytes(view[offset:offset + schema_length]))
+    offset += schema_length
+    (num_rows,) = _NUM_ROWS.unpack_from(view, offset)
+    offset += _NUM_ROWS.size
+    entries = np.frombuffer(view, dtype=_ENTRY, count=len(names), offset=offset)
+    offset += len(names) * _ENTRY.itemsize
+    return compression, names, dtypes, num_rows, entries.tolist(), offset
+
+
+def _decode_column(
+    body: memoryview,
+    offset: int,
+    dtype: Optional[np.dtype],
+    num_rows: int,
+    entry: Tuple[int, int, int, int],
+    copy: bool,
+) -> Tuple[np.ndarray, int]:
+    """One column from its directory entry; returns it and its block length."""
+    encoding, width, exponent, base = entry
+    if num_rows == 0:
+        # A zero-row frame stores no blocks, whatever the column type.
+        return np.empty(0, dtype=object if dtype is None else dtype), 0
+    if dtype is None:
+        if encoding != JSON or offset + base > len(body):
+            raise ValueError("object column without a JSON block")
+        values = json.loads(bytes(body[offset:offset + base]))
+        if not isinstance(values, list):
+            raise ValueError("JSON block is not a list")
+        column = np.empty(len(values), dtype=object)
+        for index, value in enumerate(values):
+            column[index] = value
+        return column, base
+    if encoding == RAW:
+        raw = np.frombuffer(body, dtype=dtype, count=num_rows, offset=offset)
+        return (raw.copy() if copy else raw), num_rows * dtype.itemsize
+    decimal = dtype == _FLOAT64
+    narrowable = decimal or (dtype.kind in "iub" and dtype.isnative)
+    known = (encoding == FOR and width == 0) or (
+        encoding in (FOR, DELTA) and width in _UNSIGNED
+    )
+    if not (
+        narrowable
+        and known
+        and width < dtype.itemsize
+        and exponent in _SCALES
+        and (decimal or not exponent)
+    ):
+        raise ValueError("invalid directory entry")
+    unsigned = _UNSIGNED[dtype.itemsize]
+    if width == 0:
+        bits = np.full(num_rows, base, dtype=unsigned)
+    else:
+        stored = np.frombuffer(body, dtype=_UNSIGNED[width], count=num_rows, offset=offset)
+        if encoding == FOR:
+            bits = np.add(stored, unsigned.type(base), dtype=unsigned)
+        else:
+            bits = np.cumsum(stored, dtype=unsigned)
+            bits += unsigned.type(base)
+    if not decimal:
+        return bits.view(dtype), num_rows * width
+    column = bits.view(np.int64).astype(np.float64)
+    if exponent:
+        column /= _SCALES[exponent]
+    return column, num_rows * width
+
+
+def decode_partition(
+    data: Buffer,
+    copy: bool = True,
+    verify: bool = True,
+    key: Optional[str] = None,
+) -> Table:
+    """Inverse of :func:`encode_partition`.
+
+    A checked frame's crc32 is verified in one pass unless ``verify=False``;
+    a mismatch raises :class:`~repro.errors.IntegrityError`, a frame that does
+    not parse raises :class:`~repro.errors.CorruptFileError`, both with
+    ``key`` as the provenance.  ``copy=False`` leaves ``RAW`` columns as
+    read-only zero-copy views of ``data`` (a shared-memory segment decodes
+    into views of the segment itself); narrowed columns are always fresh.
+    """
+    if not is_fast_partition(data):
+        raise CorruptFileError(
+            "not a partition frame", key=key, layer="codec.prefix"
         )
-        blobs.append(blob)
-        offsets.append(offsets[-1] + len(blob))
-    return b"".join(blobs), offsets
+    view = memoryview(data).toreadonly()
+    tag, expected = _PREFIX.unpack_from(view)
+    if verify and tag == CHECKED_PARTITION_TAG:
+        actual = zlib.crc32(view[_PREFIX.size:])
+        if actual != expected:
+            raise IntegrityError(
+                "partition frame checksum mismatch",
+                key=key, layer="codec.crc", offset=_PREFIX.size,
+                expected=expected, actual=actual,
+            )
+    try:
+        compression, names, dtypes, num_rows, entries, body_start = _read_head(view)
+    except (struct.error, ValueError, KeyError, TypeError, IndexError) as exc:
+        raise CorruptFileError(
+            f"invalid partition frame header: {exc}", key=key, layer="codec.header"
+        ) from exc
+    body = view[body_start:]
+    if compression is not Compression.NONE:
+        try:
+            body = memoryview(decompress(body, compression))
+        except CorruptFileError as exc:
+            raise CorruptFileError(str(exc), key=key, layer="codec.body") from exc
+
+    table: Table = {}
+    offset = 0
+    for name, dtype, entry in zip(names, dtypes, entries):
+        try:
+            table[name], length = _decode_column(
+                body, offset, dtype, num_rows, entry, copy
+            )
+        except (ValueError, OverflowError) as exc:
+            raise CorruptFileError(
+                f"invalid block of column {name!r}: {exc}",
+                key=key, layer="codec.column", offset=offset,
+            ) from exc
+        if len(table[name]) != num_rows:
+            raise CorruptFileError(
+                f"column {name!r} has {len(table[name])} values, expected {num_rows}",
+                key=key, layer="codec.column", offset=offset,
+            )
+        offset += length
+    if offset != len(body):
+        raise CorruptFileError(
+            f"frame body holds {len(body)} bytes, its directory describes {offset}",
+            key=key, layer="codec.column", offset=offset,
+        )
+    return table
 
 
 def decode_partition_slice(
-    data: Union[bytes, bytearray, memoryview],
+    data: Buffer,
     copy: bool = False,
     verify: bool = True,
     key: Optional[str] = None,
@@ -185,11 +609,10 @@ def decode_partition_slice(
     """Decode one receiver's slice of a combined partition object.
 
     Zero-length slices (empty partitions) decode to an empty table without
-    any parsing.  The slice format is sniffed per blob, so combined objects
-    whose parts were written by an old LPQ sender still decode.  By default
-    the columns are read-only zero-copy views of the slice bytes (the reduce
-    side folds them straight into a merge); pass ``copy=True`` for mutable
-    columns.  ``key`` names the object in corruption reports.
+    any parsing; a slice that is not a frame is read as a legacy LPQ file.
+    ``RAW`` columns are read-only zero-copy views of the slice by default
+    (the reduce side folds them straight into a merge); pass ``copy=True``
+    for mutable columns.  ``key`` names the object in corruption reports.
     """
     if not data:
         return {}
@@ -197,116 +620,44 @@ def decode_partition_slice(
         return decode_partition(data, copy=copy, verify=verify, key=key)
     from repro.formats.parquet import ColumnarFile
 
-    return ColumnarFile.from_bytes(bytes(data), name=key).read_table()
+    return ColumnarFile.from_bytes(bytes(data), verify=verify, name=key).read_table()
 
 
-def decode_partition(
-    data: Union[bytes, bytearray, memoryview],
-    copy: bool = True,
+def decode_ranged_slices(
+    data: Buffer,
+    start: int,
+    parts: Sequence[Tuple[int, int, Optional[int]]],
     verify: bool = True,
     key: Optional[str] = None,
-) -> Table:
-    """Inverse of :func:`encode_partition`.
+) -> List[Table]:
+    """Verify a ranged GET against its directory entries, then decode it.
 
-    ``copy=False`` returns read-only ``frombuffer`` views of the body where
-    possible instead of materialising fresh arrays.  Checksummed (``0x02``)
-    frames are verified on read unless ``verify=False``; a mismatch raises
-    :class:`~repro.errors.IntegrityError` with ``key`` as the provenance.
-    Pre-integrity ``0x01`` frames always decode without verification.
+    ``data`` is the response to a GET of a combined object from byte
+    ``start``; ``parts`` are the ``(start, end, crc or None)`` directory
+    entries of the non-empty slices it covers, which tile the range.  With
+    ``verify`` on, the response must have the planned length (layer
+    ``slice.length``), each frame must carry the digest its directory entry
+    publishes (``slice.crc``) and must hash to it (``codec.crc``, one pass, in
+    :func:`decode_partition`).  The one place a directory slice is verified.
     """
-    if not is_fast_partition(data):
-        raise CorruptFileError(
-            "not a fast-codec partition object", key=key, layer="codec.prefix"
+    expected = parts[-1][1] - start
+    if verify and len(data) != expected:
+        raise IntegrityError(
+            "ranged GET returned wrong slice length",
+            key=key, layer="slice.length", offset=start,
+            expected=expected, actual=len(data),
         )
-    # One view of the input: the checksum and decompress calls below take
-    # slices of it instead of copying the body out per layer.
     view = memoryview(data)
-    checked = data[0] == CHECKED_PARTITION_TAG
-    prefix = _CHECKED_PREFIX if checked else _PREFIX
-    if len(data) < prefix.size:
-        raise CorruptFileError(
-            "truncated fast partition prefix", key=key, layer="codec.prefix"
-        )
-    header_crc: Optional[int] = None
-    if checked:
-        _, header_length, header_crc = prefix.unpack_from(data)
-    else:
-        _, header_length = prefix.unpack_from(data)
-    header_end = prefix.size + header_length
-    if len(data) < header_end:
-        raise CorruptFileError(
-            "truncated fast partition header", key=key, layer="codec.header"
-        )
-    header_bytes = bytes(view[prefix.size:header_end])
-    if verify and header_crc is not None:
-        actual = zlib.crc32(header_bytes)
-        if actual != header_crc:
-            raise IntegrityError(
-                "fast partition header checksum mismatch",
-                key=key, layer="codec.header",
-                expected=header_crc, actual=actual,
-            )
-    try:
-        header = json.loads(header_bytes.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CorruptFileError(
-            f"invalid fast partition header: {exc}", key=key, layer="codec.header"
-        ) from exc
-    body_crc = header.get("body_crc")
-    if verify and body_crc is not None:
-        actual = zlib.crc32(view[header_end:])
-        if actual != body_crc:
-            raise IntegrityError(
-                "fast partition body checksum mismatch",
-                key=key, layer="codec.body",
-                expected=body_crc, actual=actual,
-            )
-    compression = Compression(header["compression"])
-    if compression is Compression.NONE:
-        # Zero-copy hot path: an uncompressed body is sliced, not copied, so a
-        # partition living in a shared-memory segment decodes into views of
-        # the segment itself (``memoryview`` slices reference the same buffer).
-        body = view[header_end:]
-        if isinstance(data, bytearray):
-            # Mutable input: detach, so the columns stay read-only.
-            body = memoryview(bytes(body))
-    else:
-        body = memoryview(decompress(view[header_end:], compression))
-
-    table: Table = {}
-    num_rows = int(header["num_rows"])
-    offset = 0
-    for column in header["columns"]:
-        name = column["name"]
-        if column["dtype"] == "object":
-            table[name] = np.asarray(column["values"], dtype=object)
-        else:
-            dtype = np.dtype(column["dtype"])
-            nbytes = int(column["nbytes"])
-            if offset + nbytes > len(body) or nbytes % dtype.itemsize:
-                raise CorruptFileError(
-                    f"truncated column buffer for {name!r}",
-                    key=key, layer="codec.column", offset=offset,
+    tables: List[Table] = []
+    for low, high, crc in parts:
+        piece = view[low - start:high - start]
+        if verify and crc is not None and is_fast_partition(piece):
+            embedded = _PREFIX.unpack_from(piece)[1]
+            if embedded != crc:
+                raise IntegrityError(
+                    "slice does not carry the crc its directory publishes",
+                    key=key, layer="slice.crc", offset=low,
+                    expected=crc, actual=embedded,
                 )
-            expected_crc = column.get("crc")
-            if verify and expected_crc is not None:
-                actual = zlib.crc32(body[offset:offset + nbytes])
-                if actual != expected_crc:
-                    raise IntegrityError(
-                        f"column {name!r} buffer checksum mismatch",
-                        key=key, layer="codec.column", offset=offset,
-                        expected=expected_crc, actual=actual,
-                    )
-            # frombuffer is a read-only view of the body; copy (by default) so
-            # callers can sort/mutate the columns like any other table.
-            view = np.frombuffer(
-                body, dtype=dtype, count=nbytes // dtype.itemsize, offset=offset
-            )
-            table[name] = view.copy() if copy else view
-            offset += nbytes
-        if len(table[name]) != num_rows:
-            raise CorruptFileError(
-                f"column {name!r} has {len(table[name])} values, expected {num_rows}",
-                key=key, layer="codec.column",
-            )
-    return table
+        tables.append(decode_partition_slice(piece, verify=verify, key=key))
+    return tables

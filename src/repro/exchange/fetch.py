@@ -15,12 +15,11 @@ of connections instead of once per slice.
 A *broadcast* side (:attr:`SenderManifest.broadcast`) is read whole instead:
 one GET per sender object — the same request count as reading one slice of
 it — split by the offset directory into its non-empty slices, each verified
-against its directory crc and decoded like any other slice.
+against its directory entry and decoded like any other slice.
 """
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -28,9 +27,9 @@ from repro.cloud.network import BandwidthModel, TransferPlan
 from repro.cloud.s3 import ObjectMetadata, ObjectStore, parse_s3_path
 from repro.config import DEFAULT_SCAN_CHUNK_BYTES, DEFAULT_SCAN_CONNECTIONS
 from repro.engine.table import Table, table_num_rows
-from repro.errors import CorruptFileError, ExchangeError, IntegrityError, NoSuchBucketError
+from repro.errors import CorruptFileError, ExchangeError, NoSuchBucketError
 from repro.exchange.basic import ExchangeStats, deserialize_partition
-from repro.exchange.codec import decode_partition_slice
+from repro.exchange.codec import decode_ranged_slices
 from repro.exchange.naming import MultiBucketNaming, WriteCombiningNaming
 
 
@@ -178,9 +177,10 @@ class FetchPlan:
         Pieces keep plan order with empty tables dropped, so the consumer's
         output is bit-identical however each sender shipped its partitions.
         With ``verify`` on, every response is checked before its rows are
-        used: ranged-GET length against the offset directory, slice bytes
-        against the directory crc, and the frame's embedded checksums on
-        decode.  A failed check re-fetches that range alone (in-flight
+        used: ranged-GET length against the offset directory, each frame's
+        embedded crc against the directory's, and the frame's bytes against
+        that crc in one pass (:func:`~repro.exchange.codec.
+        decode_ranged_slices`).  A failed check re-fetches that range alone (in-flight
         corruption is cured by a clean second read, counted into
         ``integrity.re_reads`` and charged as its own one-request transfer);
         a second failure propagates with full provenance and the driver's
@@ -213,7 +213,7 @@ class FetchPlan:
     def _read(
         self, store: ObjectStore, item: SliceRange, stats: ExchangeStats, verify: bool
     ) -> Tuple[List[Table], int]:
-        """One GET of ``item``, verified and decoded slice by slice."""
+        """One GET of ``item``, verified against its directory entries and decoded."""
         data = store.get_path(item.path, item.start, item.end).data
         stats.get_requests += 1
         stats.bytes_read += len(data)
@@ -221,26 +221,8 @@ class FetchPlan:
         if item.end is None:
             return [deserialize_partition(data, verify=verify, key=item.path)], len(data)
         stats.ranged_get_requests += 1
-        if verify and len(data) != item.length:
-            raise IntegrityError(
-                "ranged GET returned wrong slice length",
-                key=item.path, layer="slice.length", offset=item.start,
-                expected=item.length, actual=len(data),
-            )
-        view = memoryview(data)
-        tables: List[Table] = []
-        for start, end, crc in item.parts or ((item.start, item.end, item.crc),):
-            piece = view[start - item.start:end - item.start]
-            if verify and crc is not None:
-                actual = zlib.crc32(piece)
-                if actual != crc:
-                    raise IntegrityError(
-                        f"slice read by partition {self.partition} failed its "
-                        "directory crc",
-                        key=item.path, layer="slice.crc", offset=start,
-                        expected=crc, actual=actual,
-                    )
-            tables.append(decode_partition_slice(piece, verify=verify, key=item.path))
+        parts = item.parts or ((item.start, item.end, item.crc),)
+        tables = decode_ranged_slices(data, item.start, parts, verify=verify, key=item.path)
         return tables, len(data)
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 import zlib
+from typing import Union
 
 from repro.errors import CorruptFileError
 
@@ -33,18 +34,23 @@ class Compression(enum.Enum):
 
 _LEVELS = {Compression.FAST: 1, Compression.GZIP: 6}
 
+Buffer = Union[bytes, bytearray, memoryview]
 
-def compress(data: bytes, codec: Compression) -> bytes:
-    """Compress ``data`` with ``codec``."""
+
+def compress(data: Buffer, codec: Compression) -> Buffer:
+    """Compress ``data`` (any bytes-like object) with ``codec``.
+
+    ``NONE`` hands ``data`` back as it came — no copy.
+    """
     if codec is Compression.NONE:
-        return bytes(data)
-    return zlib.compress(bytes(data), _LEVELS[codec])
+        return data
+    return zlib.compress(data, _LEVELS[codec])
 
 
-def decompress(data: bytes, codec: Compression) -> bytes:
-    """Decompress data produced by :func:`compress`."""
+def decompress(data: Buffer, codec: Compression) -> Buffer:
+    """Decompress data produced by :func:`compress` (``NONE``: no copy)."""
     if codec is Compression.NONE:
-        return bytes(data)
+        return data
     try:
         return zlib.decompress(data)
     except zlib.error as exc:

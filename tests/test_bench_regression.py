@@ -152,6 +152,29 @@ def test_checker_flags_wave_per_join_and_sweep_by_list(
     assert checker.check(path, None, tolerance=0.6, sections=["join_e2e"]) == 0
 
 
+@pytest.mark.parametrize(
+    "field, regressed",
+    [
+        # A general-purpose compressor (or per-slice Python) back on the path.
+        ("typed_speedup", 1.1),
+        # Every column silently shipped raw: 2.2x what zlib-1 shipped.
+        ("tpch_bytes_ratio", 2.2),
+    ],
+)
+def test_checker_flags_slow_or_raw_exchange_frames(
+    checker, baseline, tmp_path, field, regressed
+):
+    codec = baseline["results"]["shuffle_codec"]
+    assert codec["typed_speedup"] >= 3.0 and codec["tpch_bytes_ratio"] <= 1.0
+    assert codec["tpch_typed_bytes"] <= codec["tpch_zlib_bytes"]
+    doctored = json.loads(json.dumps(baseline))
+    doctored["results"]["shuffle_codec"][field] = regressed
+    path = tmp_path / "frames.json"
+    path.write_text(json.dumps(doctored), encoding="utf-8")
+    assert checker.check(path, None, tolerance=0.6) != 0
+    assert checker.check(path, None, tolerance=0.6, sections=["join_e2e"]) == 0
+
+
 def test_baseline_passes_absolute_floors(checker):
     assert (
         checker.check([BASELINE_PATH, TPCH_BASELINE_PATH], None, tolerance=0.6)

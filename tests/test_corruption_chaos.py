@@ -202,7 +202,7 @@ def test_shuffle_slice_bitflip_is_cured_by_one_reread(stack):
     assert integrity.re_reads == 1
     assert integrity.re_executions == 0
     assert sum(integrity.mismatches.values()) == 1
-    assert all(site.startswith("slice.") for site in integrity.mismatches)
+    assert all(site.startswith(("slice.", "codec.")) for site in integrity.mismatches)
 
 
 def test_corrupt_result_message_is_dropped_and_reexecuted(stack, plans, drivers):

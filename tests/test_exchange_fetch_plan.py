@@ -2,7 +2,6 @@
 it recovers from a corrupt slice, and that a finished query leaves nothing
 behind in the object store."""
 
-import zlib
 
 import numpy as np
 import pytest
@@ -14,7 +13,7 @@ from repro.config import DEFAULT_SCAN_CHUNK_BYTES, DEFAULT_SCAN_CONNECTIONS
 from repro.driver.integrity import IntegrityStats
 from repro.driver.shuffle import ShuffleAggregateCoordinator
 from repro.exchange.basic import ExchangeStats, serialize_partition
-from repro.exchange.codec import encode_partition_set
+from repro.exchange.codec import encode_partition_set, slice_crcs
 from repro.exchange.fetch import FetchPlan, SenderManifest
 from repro.exchange.naming import MultiBucketNaming, WriteCombiningNaming
 from repro.exchange.partition import (
@@ -60,7 +59,7 @@ def _write_side(store, tag: str, tables, legacy=()):
             object_senders.append([sender, 0])
         else:
             payload, offsets = encode_partition_set(reordered, boundaries)
-            crcs = [zlib.crc32(payload[offsets[p]:offsets[p + 1]]) for p in range(P)]
+            crcs = slice_crcs(payload, offsets)
             path = combined_naming.combined_path(sender, offsets, crcs)
             store.put_path(path, payload)
             combined.append([sender, path, len(payload)])

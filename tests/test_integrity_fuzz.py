@@ -11,6 +11,10 @@ surface as a struct/JSON/zlib error before the crc check runs — but the
 common path should be :class:`CorruptFileError` (of which
 :class:`IntegrityError` is a subclass).  What is *never* allowed is a
 clean decode of different data.
+
+The exchange partition frame has the stricter suite — every single bit,
+every truncation, a typed error with key and layer each time — in
+``test_exchange_wire_format.py``.
 """
 
 import json
@@ -21,7 +25,6 @@ import pytest
 from repro.driver.integrity import message_intact, sign_message
 from repro.engine.payload import decode_table, encode_table
 from repro.errors import CorruptFileError
-from repro.exchange.codec import decode_partition, encode_partition
 from repro.formats.compression import Compression
 from repro.formats.parquet import ColumnarFile, write_table
 
@@ -76,37 +79,6 @@ def _assert_flips_detected(data: bytes, decode, baseline, label: str):
             )
     # The formats carry no slack bytes, so essentially every flip must land.
     assert raised > 0
-
-
-# -- fast codec frames ------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("compression", [Compression.NONE, Compression.FAST])
-def test_codec_frame_flips_always_detected(compression):
-    table = _fuzz_table()
-    data = encode_partition(table, compression, checksum=True)
-    _assert_flips_detected(
-        data,
-        lambda blob: decode_partition(blob, verify=True, key="fuzz"),
-        table,
-        f"codec[{compression.name}]",
-    )
-
-
-def test_codec_frame_clean_roundtrip_and_unchecked_compat():
-    table = _fuzz_table()
-    assert _tables_equal(table, decode_partition(encode_partition(table)))
-    # Pre-integrity frames (no checksums) still decode under a verifying reader.
-    unchecked = encode_partition(table, checksum=False)
-    assert _tables_equal(table, decode_partition(unchecked, verify=True))
-
-
-def test_codec_truncations_always_detected():
-    table = _fuzz_table()
-    data = encode_partition(table, Compression.NONE, checksum=True)
-    for cut in _positions(len(data) - 1):
-        with pytest.raises(CorruptFileError):
-            decode_partition(data[: cut + 1], verify=True)
 
 
 # -- LPQ columnar files -----------------------------------------------------------------

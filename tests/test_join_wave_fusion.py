@@ -29,7 +29,7 @@ from repro.driver.shuffle import (
 )
 from repro.errors import ExchangeError, QueryCancelledError
 from repro.exchange.basic import ExchangeStats
-from repro.exchange.codec import encode_partition_set
+from repro.exchange.codec import encode_partition_set, slice_crcs
 from repro.exchange.fetch import FetchPlan, SenderManifest
 from repro.exchange.naming import WriteCombiningNaming
 from repro.exchange.partition import partition_assignments, scatter_by_assignment
@@ -64,9 +64,10 @@ DAG_QUERIES = {
     "q18": (q.q18_sql, q.reference_q18, ("lineitem", "orders", "customer")),
 }
 
-#: One wave per stage: at 1 KB/s reading the one-row REGION side whole costs
-#: more modelled time than the wave its fusion would remove.
-SLOW_LINK = dict(steady_bandwidth=1000.0, burst_bandwidth=1000.0)
+#: One wave per stage: at 100 B/s reading even the one-row REGION side (one
+#: 65-byte frame) whole costs more modelled time than the wave its fusion
+#: would remove.
+SLOW_LINK = dict(steady_bandwidth=100.0, burst_bandwidth=100.0)
 
 
 def _stack(scale_factor=SF, lineitem_files=4, orders_files=2, slow=False):
@@ -278,7 +279,7 @@ def _write_combined(store, sender, keys):
     assignment = partition_assignments(table, ["k"], P)
     reordered, boundaries = scatter_by_assignment(table, assignment, P)
     payload, offsets = encode_partition_set(reordered, boundaries)
-    crcs = shuffle_module._slice_crcs(payload, offsets)
+    crcs = slice_crcs(payload, offsets)
     naming = WriteCombiningNaming(bucket="fx", prefix="q/R1/", num_buckets=2)
     path = naming.combined_path(sender, offsets, crcs)
     store.put_path(path, payload)

@@ -1,4 +1,8 @@
-"""Round-trip and format-compatibility tests for the fast shuffle codec."""
+"""Round-trip and format-compatibility tests for the partition-frame codec.
+
+The layout itself (encodings chosen, single crc, directory) is pinned in
+``test_exchange_wire_format.py``.
+"""
 
 import numpy as np
 import pytest
@@ -8,7 +12,7 @@ from repro.errors import CorruptFileError
 from repro.exchange.basic import deserialize_partition, serialize_partition
 from repro.exchange.codec import (
     CHECKED_PARTITION_TAG,
-    FAST_PARTITION_TAG,
+    UNCHECKED_PARTITION_TAG,
     decode_partition,
     decode_partition_slice,
     encode_partition,
@@ -51,7 +55,7 @@ def test_fast_codec_roundtrip_exact(case, compression):
         np.testing.assert_array_equal(restored[name], table[name])
 
 
-def test_object_dtype_falls_back_to_json_values():
+def test_object_dtype_falls_back_to_json_block():
     table = {"tag": np.asarray(["x", None, ("a", 1)], dtype=object)}
     restored = decode_partition(encode_partition(table))
     assert restored["tag"].dtype == object
@@ -69,12 +73,13 @@ def test_serialize_partition_uses_fast_codec_by_default():
     table = {"k": np.arange(5, dtype=np.int64)}
     data = serialize_partition(table)
     assert is_fast_partition(data)
-    # Checksums are on by default, so the checked frame tag is written; the
-    # pre-integrity tag survives with checksum=False.
+    # Checksums are on by default, so the checked frame tag is written;
+    # checksum=False writes the same layout under the unchecked tag.
     assert data[0] == CHECKED_PARTITION_TAG
     unchecked = serialize_partition(table, checksum=False)
     assert is_fast_partition(unchecked)
-    assert unchecked[0] == FAST_PARTITION_TAG
+    assert unchecked[0] == UNCHECKED_PARTITION_TAG
+    assert unchecked[5:] == data[5:]
 
 
 def test_legacy_lpq_objects_still_decode():
@@ -187,13 +192,15 @@ def test_decode_partition_slice_accepts_legacy_lpq_parts():
 
 
 def test_decode_partition_slice_views_and_copies():
-    table = {"k": np.arange(10, dtype=np.int64)}
+    # A column that does not narrow travels raw, and raw decodes zero-copy.
+    table = {"v": np.random.default_rng(1).random(10)}
     blob = encode_partition(table, Compression.NONE)
     view = decode_partition_slice(blob)  # zero-copy default
-    assert not view["k"].flags.writeable
+    assert not view["v"].flags.writeable
+    assert np.shares_memory(view["v"], np.frombuffer(blob, dtype=np.uint8))
     copied = decode_partition_slice(blob, copy=True)
-    copied["k"][0] = -1
-    assert copied["k"][0] == -1
+    copied["v"][0] = -1
+    assert copied["v"][0] == -1
 
 
 def test_exchange_roundtrip_with_legacy_sender():
