@@ -425,7 +425,7 @@ def measure_encoded_eval(num_rows: int = ROWS, repeats: int = 3) -> Dict:
     decoded_total = 0.0
     encoded_total = 0.0
     for name, (values, column_type, encoding, op, threshold) in cases.items():
-        data = encode_column(values, column_type, encoding)
+        data = encode_column(values, column_type, encoding).data
         chunk = parse_encoded_chunk(data, column_type, encoding, num_rows)
         np.testing.assert_array_equal(
             evaluate_comparison(chunk, op, threshold),

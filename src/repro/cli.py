@@ -28,7 +28,9 @@ and the bill.  Subcommands:
 ``verify-dataset``
     Generate a dataset and checksum-scan every object end to end (footer,
     per-chunk crcs, full decode), optionally flipping a byte in some files
-    first to demonstrate detection.  Exits non-zero if corruption is found.
+    first to demonstrate detection.  Prints, per intact file, its size, the
+    size of its footer and how many column chunks the writer stored in each
+    encoding.  Exits non-zero if corruption is found.
 
 ``overload-demo``
     Submit a batch of concurrent queries from several tenants through the
@@ -294,8 +296,13 @@ def _run_verify_dataset(args: argparse.Namespace, out) -> int:
         try:
             file = ColumnarFile.from_bytes(data, verify=True, name=path)
             rows = table_num_rows(file.read_table())
+            chunks = " ".join(
+                f"{encoding.name}={count}"
+                for encoding, count in file.metadata.encoding_counts().items()
+            )
             print(f"  ok       {path}  rows={rows} "
-                  f"row_groups={len(file.row_groups)} bytes={len(data)}", file=out)
+                  f"row_groups={len(file.row_groups)} bytes={len(data)} "
+                  f"footer={len(file.metadata.pack())} chunks: {chunks}", file=out)
         except Exception as exc:  # noqa: BLE001 - any decode failure = corrupt
             corrupt += 1
             layer = getattr(exc, "layer", None) or "unknown"

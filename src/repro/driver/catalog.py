@@ -17,7 +17,6 @@ the effect.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence
 
@@ -86,21 +85,9 @@ class StatisticsCatalog:
         """Read one file's footer and record its statistics."""
         source = S3ObjectSource(store, path)
         reader = ColumnarFile(source)
-        column_ranges: Dict[str, tuple] = {}
-        for name in reader.schema.names:
-            lows, highs = [], []
-            for group in reader.row_groups:
-                if group.num_rows == 0:
-                    continue
-                meta = group.column_meta(name)
-                lows.append(meta.min_value)
-                highs.append(meta.max_value)
-            if lows:
-                column_ranges[name] = (min(lows), max(highs))
-            else:
-                column_ranges[name] = (math.inf, -math.inf)
         statistics = FileStatistics(
-            path=path, num_rows=reader.num_rows, column_ranges=column_ranges
+            path=path, num_rows=reader.num_rows,
+            column_ranges=reader.metadata.column_ranges(),
         )
         self.kv.put_item(self.table, self._key(dataset, path), statistics.to_item())
         return statistics

@@ -178,18 +178,6 @@ class S3ScanOperator:
         """Whether yielded chunks are already filtered by the pushed predicate."""
         return self.predicate is not None
 
-    # -- pruning -----------------------------------------------------------------
-
-    def _group_survives(self, group: RowGroupMeta) -> bool:
-        """Whether a row group's min/max statistics intersect all prune ranges."""
-        for prange in self.prune_ranges:
-            if prange.column not in group.columns:
-                continue
-            meta = group.column_meta(prange.column)
-            if meta.max_value < prange.lower or meta.min_value > prange.upper:
-                return False
-        return True
-
     # -- decoding cost model --------------------------------------------------------
 
     def _decode_seconds(self, rows: int, heavyweight: bool) -> float:
@@ -249,11 +237,15 @@ class S3ScanOperator:
         metadata_transfer = source.statistics.transfer_seconds
 
         columns = self.columns or reader.schema.names
-        for group in reader.row_groups:
+        # Min/max pruning of every row group at once, before any data is fetched.
+        survives = reader.metadata.surviving_groups(
+            (prange.column, prange.lower, prange.upper) for prange in self.prune_ranges
+        )
+        for group, alive in zip(reader.row_groups, survives.tolist()):
             if group.num_rows == 0:
                 continue
             self.counters.row_groups_total += 1
-            if not self._group_survives(group):
+            if not alive:
                 self.counters.row_groups_pruned += 1
                 continue
             self.counters.rows_scanned += group.num_rows
@@ -477,7 +469,7 @@ class S3ScanOperator:
         normalised by the projected column count, so an unfiltered scan of the
         same columns costs exactly the legacy ``_decode_seconds(num_rows)``.
         """
-        projected = self.columns or list(group.columns)
+        projected = self.columns or group.schema.names
         width = max(len(projected), 1)
         touched = list(full_columns) + list(gathered_columns)
         heavyweight = any(

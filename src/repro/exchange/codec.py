@@ -3,9 +3,10 @@
 A partition object's only reader is the exchange peer a few hundred
 milliseconds later, and the exchange is bound by *requests*, not bytes
 (paper §4.4) — so the format spends no CPU on a general-purpose compressor.
-Each column is instead stored in the cheapest of a few *light-weight*
-encodings (paper §4.3.2), chosen from the data in a handful of vectorised
-NumPy passes per column for **all** partitions of a sender at once.
+Each column is instead stored in the cheapest of the *light-weight*
+encodings LPQ files use too (paper §4.3.2; one table and one set of kernels,
+:mod:`repro.formats.encoding`), chosen from the data in a handful of
+vectorised NumPy passes per column for **all** partitions of a sender at once.
 
 Frame layout (all integers little endian)::
 
@@ -32,29 +33,24 @@ Frame layout (all integers little endian)::
              u64 base       FOR: minimum; DELTA: first value (both as the
                             unsigned bit pattern); JSON: block length
 
-Encodings (the id in the directory entry):
+Encodings (the id in the directory entry; ``RAW``, ``FOR`` and ``DELTA`` are
+the file format's ``PLAIN`` / ``FOR`` / ``DELTA``, narrowing rules and all —
+see :mod:`repro.formats.encoding`):
 
 ``RAW`` (0)
     The column's own bytes — written and read zero-copy.  Everything that
     does not narrow: floats with real fractions, hashed keys, strings.
-``FOR`` (1)
-    Frame of reference: ``value - min`` narrowed to u8/u16/u32; width 0 is a
-    constant column and stores nothing.
-``DELTA`` (2)
-    ``value[i] - value[i-1]`` (first delta 0) narrowed the same way, chosen
-    when it is narrower than ``FOR`` — sorted keys; decode is a ``cumsum``.
+``FOR`` (1), ``DELTA`` (2)
+    Offsets from the partition's minimum / steps from the previous value,
+    narrowed to u8/u16/u32; ``float64`` columns go through them as exact
+    scaled decimals.
 ``JSON`` (3)
     Object columns only: the utf-8 JSON list of the values (tuples come back
     as lists).  The only use of ``json`` in this module.
 
-All integer arithmetic is modulo 2**(8·itemsize) on the unsigned view of the
-column, so a span that overflows int64 simply fails to narrow and every
-narrowed column round-trips exactly.  A ``float64`` column is narrowed as the
-int64 column ``rint(value * 10**e)`` for the first ``e`` in (0, 2) whose
-decode reproduces every value **bit for bit** (so NaN, ±inf and −0.0 fall
-back to ``RAW``): counts, quantities and two-decimal prices.  A partition of
-fewer than 16 rows is shipped ``RAW`` unexamined: looking costs more than its
-bytes.  Every choice is made per partition, from that partition's rows alone.
+A partition of fewer than 16 rows is shipped ``RAW`` unexamined: looking
+costs more than its bytes.  Every choice is made per partition, from that
+partition's rows alone.
 
 **Integrity.**  One crc32 pass per byte on each side.  The writer hashes the
 frame's bytes after the prefix once and stores the digest in the prefix; a
@@ -83,44 +79,47 @@ import json
 import re
 import struct
 import zlib
-from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.engine.table import Table, table_num_rows
 from repro.errors import CorruptFileError, IntegrityError
-from repro.formats.compression import Compression, compress, decompress
+from repro.formats.compression import (
+    COMPRESSION_BY_ID,
+    COMPRESSION_IDS,
+    Compression,
+    compress,
+    decompress,
+)
+from repro.formats.encoding import (
+    DELTA,
+    ENTRY,
+    FOR,
+    RAW,
+    SCALES,
+    UNSIGNED,
+    Tiling,
+    narrow_tiles,
+    widen,
+)
 
-#: Format byte of a checksummed frame (legacy LPQ files start with 0x4C).
+#: Format byte of a checksummed frame (LPQ files start with 0x4C).
 CHECKED_PARTITION_TAG = 0x03
 
 #: Format byte of a frame written with ``checksum=False``: same layout, crc
 #: field zero.  Three bits away from :data:`CHECKED_PARTITION_TAG`.
 UNCHECKED_PARTITION_TAG = 0x04
 
-#: Column encoding ids of a directory entry.
-RAW, FOR, DELTA, JSON = 0, 1, 2, 3
+#: Directory id of an object column's JSON block; the fixed-width encodings
+#: (``RAW`` / ``FOR`` / ``DELTA``) are :mod:`repro.formats.encoding`'s.
+JSON = 3
 
 _PREFIX = struct.Struct("<BI")
 _SCHEMA_LENGTH = struct.Struct("<H")
 _SCHEMA_HEAD = struct.Struct("<BH")
 _NAME_LENGTH = struct.Struct("<H")
 _NUM_ROWS = struct.Struct("<I")
-
-#: One column's directory entry (packed, 11 bytes).
-_ENTRY = np.dtype(
-    [("encoding", "u1"), ("width", "u1"), ("exponent", "u1"), ("base", "<u8")]
-)
-
-_COMPRESSION_IDS = {Compression.NONE: 0, Compression.FAST: 1, Compression.GZIP: 2}
-_COMPRESSIONS = {value: codec for codec, value in _COMPRESSION_IDS.items()}
-
-#: Little-endian unsigned dtype per stored width / column itemsize.
-_UNSIGNED = {1: np.dtype("u1"), 2: np.dtype("<u2"), 4: np.dtype("<u4"), 8: np.dtype("<u8")}
-
-#: ``span <= _LIMITS[i]`` needs ``_WIDTHS[i]`` bytes; beyond the last, 8.
-_LIMITS = np.array([0, 0xFF, 0xFFFF, 0xFFFFFFFF], dtype=np.uint64)
-_WIDTHS = np.array([0, 1, 2, 4, 8], dtype=np.uint8)
 
 #: Partitions shorter than this ship RAW without being looked at.  Choosing an
 #: encoding costs a fixed couple of dozen NumPy calls per column however few
@@ -129,9 +128,6 @@ _WIDTHS = np.array([0, 1, 2, 4, 8], dtype=np.uint8)
 #: short — a worker's partial aggregates, a dimension table's partitions —
 #: are where the fixed cost is all there is.
 _MIN_NARROW_ROWS = 16
-
-#: Decimal exponents tried for float64 columns, with their scale factors.
-_SCALES = {0: None, 2: 100.0}
 
 _FLOAT64 = np.dtype(np.float64)
 
@@ -157,7 +153,7 @@ def _pack_schema(
     names: Sequence[str], arrays: Sequence[np.ndarray], compression: Compression
 ) -> bytes:
     """The schema section, prefixed with its length: once per sender."""
-    parts = [_SCHEMA_HEAD.pack(_COMPRESSION_IDS[compression], len(names))]
+    parts = [_SCHEMA_HEAD.pack(COMPRESSION_IDS[compression], len(names))]
     for name, array in zip(names, arrays):
         encoded = name.encode("utf-8")
         dtype = b"object" if array.dtype.hasobject else array.dtype.str.encode("ascii")
@@ -166,137 +162,20 @@ def _pack_schema(
     return _SCHEMA_LENGTH.pack(len(schema)) + schema
 
 
-def _widths(spans: np.ndarray) -> np.ndarray:
-    """Bytes needed to store values in ``[0, span]``, per span."""
-    return _WIDTHS[np.searchsorted(_LIMITS, spans)]
-
-
-class _Tiling(NamedTuple):
-    """The non-empty partitions of one sender, tiling its columns' rows."""
-
-    #: First row of each partition (strictly increasing, ``starts[0] == 0``).
-    starts: np.ndarray
-    #: Rows per partition.
-    counts: np.ndarray
-    #: The same ranges as Python ``(start, end)`` pairs.
-    slices: List[Tuple[int, int]]
-    #: Which partitions are long enough to narrow (:data:`_MIN_NARROW_ROWS`).
-    long: np.ndarray
-
-
-def _narrow(
-    values: np.ndarray, tiling: _Tiling
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List]:
-    """Choose FOR/DELTA/RAW per partition of an integer column.
-
-    ``values`` is a native integer (or bool) column.  Returns the directory
-    fields ``(encoding, width, base)`` per partition and one block each: the
-    narrowed values, ``b""`` for a constant, ``None`` where nothing narrows
-    and the caller ships the raw column.
-    """
-    starts = tiling.starts
-    itemsize = values.dtype.itemsize
-    unsigned = _UNSIGNED[itemsize].newbyteorder("=")
-    ordered = values.view(np.uint8) if values.dtype.kind == "b" else values
-    bits = values.view(unsigned)
-    base = np.minimum.reduceat(ordered, starts).view(unsigned)
-    # Modulo 2**bits the difference of the signed extremes is the true span.
-    width = _widths(np.maximum.reduceat(ordered, starts).view(unsigned) - base)
-    encoding = np.full(len(starts), FOR, dtype=np.uint8)
-    steps = None
-    if width.max() > 1:
-        steps = np.empty_like(bits)
-        np.subtract(bits[1:], bits[:-1], out=steps[1:])
-        steps[starts] = 0
-        step_width = _widths(np.maximum.reduceat(steps, starts))
-        delta = step_width < width
-        encoding[delta] = DELTA
-        base = np.where(delta, bits[starts], base)
-        width = np.minimum(width, step_width)
-    raw = (width >= itemsize) | ~tiling.long
-    encoding[raw] = RAW
-    width[raw] = 0
-    base[raw] = 0
-
-    offsets = None
-    narrowed = {}
-    blocks: List = []
-    for (start, end), code, size in zip(tiling.slices, encoding.tolist(), width.tolist()):
-        if code == RAW:
-            blocks.append(None)
-        elif size == 0:
-            blocks.append(b"")
-        else:
-            # One narrowing pass per (encoding, width) in use covers every
-            # partition that chose it; FOR subtracts each partition's minimum.
-            column = narrowed.get((code, size))
-            if column is None:
-                if code == FOR and offsets is None:
-                    offsets = bits - np.repeat(base, tiling.counts)
-                source = steps if code == DELTA else offsets
-                column = narrowed[code, size] = source.astype(_UNSIGNED[size])
-            blocks.append(column[start:end])
-    return encoding, width, base, blocks
-
-
-def _scaled_exactly(
-    values: np.ndarray, scale: Optional[float], starts: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """``rint(values * scale)`` as int64, and which partitions it is exact for.
-
-    Exact means decoding the integers reproduces every value of the
-    partition bit for bit — never true with a NaN, ±inf, −0.0 or a value
-    beyond int64 in it (the invalid cast yields some integer; it cannot
-    decode to those bits).
-    """
-    with np.errstate(invalid="ignore", over="ignore"):
-        scaled = np.rint(values if scale is None else values * scale).astype(np.int64)
-    restored = scaled.astype(np.float64)
-    if scale is not None:
-        restored /= scale
-    same = restored.view(np.int64) == values.view(np.int64)
-    return scaled, np.logical_and.reduceat(same, starts)
-
-
-def _plan_column(array: np.ndarray, tiling: _Tiling, entries: np.ndarray) -> List:
+def _plan_column(array: np.ndarray, tiling: Tiling, entries: np.ndarray) -> List:
     """Encode one column for every partition: fills ``entries``, returns blocks."""
-    dtype = array.dtype
     slices = tiling.slices
-    blocks: List = [None] * len(slices)
-    narrow = tiling.long.any()
-    if dtype.hasobject:
+    if array.dtype.hasobject:
         blocks = [
             json.dumps(array[start:end].tolist()).encode("utf-8")
             for start, end in slices
         ]
         entries["encoding"] = JSON
         entries["base"] = [len(block) for block in blocks]
-    elif narrow and dtype.isnative and dtype.kind in "iub":
-        entries["encoding"], entries["width"], entries["base"], blocks = _narrow(
-            array, tiling
-        )
-    elif narrow and dtype == _FLOAT64:
-        # Per partition, the first exponent that is exact decides: narrowed
-        # if its integers narrow, RAW if they do not.
-        pending = tiling.long.copy()
-        for exponent, scale in _SCALES.items():
-            scaled, exact = _scaled_exactly(array, scale, tiling.starts)
-            exact &= pending
-            if exact.any():
-                encoding, width, base, narrowed = _narrow(scaled, tiling)
-                chosen = exact & (encoding != RAW)
-                entries["encoding"][chosen] = encoding[chosen]
-                entries["width"][chosen] = width[chosen]
-                entries["base"][chosen] = base[chosen]
-                entries["exponent"][chosen] = exponent
-                for index in np.flatnonzero(chosen).tolist():
-                    blocks[index] = narrowed[index]
-                pending &= ~exact
-            if not pending.any():
-                break
+        return blocks
     return [
         array[start:end] if block is None else block
-        for block, (start, end) in zip(blocks, slices)
+        for block, (start, end) in zip(narrow_tiles(array, tiling, entries), slices)
     ]
 
 
@@ -331,13 +210,13 @@ def _encode_frames(
     low, high = bounds[live[0]], bounds[live[-1] + 1]
     slices = [(bounds[p] - low, bounds[p + 1] - low) for p in live]
     counts = np.array([end - start for start, end in slices], dtype=np.intp)
-    tiling = _Tiling(
+    tiling = Tiling(
         np.array([start for start, _ in slices], dtype=np.intp),
         counts,
         slices,
         counts >= _MIN_NARROW_ROWS,
     )
-    directory = np.zeros((len(live), len(arrays)), dtype=_ENTRY)
+    directory = np.zeros((len(live), len(arrays)), dtype=ENTRY)
     columns = [
         _plan_column(array[low:high], tiling, directory[:, index])
         for index, array in enumerate(arrays)
@@ -377,7 +256,7 @@ def encode_partition(
         head = (
             _pack_schema(names, arrays, Compression.NONE)
             + _NUM_ROWS.pack(0)
-            + np.zeros(len(arrays), dtype=_ENTRY).tobytes()
+            + np.zeros(len(arrays), dtype=ENTRY).tobytes()
         )
         return b"".join(_seal(head, (), checksum))
     parts, _ = _encode_frames(names, arrays, [0, num_rows], compression, checksum)
@@ -456,7 +335,7 @@ def _parse_schema(schema: bytes) -> Tuple[Compression, Tuple[str, ...], Tuple]:
             raise ValueError(f"not a plain dtype string: {text!r}")
     if offset != len(schema):
         raise ValueError("schema section does not match its length")
-    return _COMPRESSIONS[compression_id], tuple(names), tuple(dtypes)
+    return COMPRESSION_BY_ID[compression_id], tuple(names), tuple(dtypes)
 
 
 def _read_head(view: memoryview):
@@ -470,8 +349,8 @@ def _read_head(view: memoryview):
     offset += schema_length
     (num_rows,) = _NUM_ROWS.unpack_from(view, offset)
     offset += _NUM_ROWS.size
-    entries = np.frombuffer(view, dtype=_ENTRY, count=len(names), offset=offset)
-    offset += len(names) * _ENTRY.itemsize
+    entries = np.frombuffer(view, dtype=ENTRY, count=len(names), offset=offset)
+    offset += len(names) * ENTRY.itemsize
     return compression, names, dtypes, num_rows, entries.tolist(), offset
 
 
@@ -504,32 +383,22 @@ def _decode_column(
     decimal = dtype == _FLOAT64
     narrowable = decimal or (dtype.kind in "iub" and dtype.isnative)
     known = (encoding == FOR and width == 0) or (
-        encoding in (FOR, DELTA) and width in _UNSIGNED
+        encoding in (FOR, DELTA) and width in UNSIGNED
     )
     if not (
         narrowable
         and known
         and width < dtype.itemsize
-        and exponent in _SCALES
+        and exponent in SCALES
         and (decimal or not exponent)
     ):
         raise ValueError("invalid directory entry")
-    unsigned = _UNSIGNED[dtype.itemsize]
-    if width == 0:
-        bits = np.full(num_rows, base, dtype=unsigned)
-    else:
-        stored = np.frombuffer(body, dtype=_UNSIGNED[width], count=num_rows, offset=offset)
-        if encoding == FOR:
-            bits = np.add(stored, unsigned.type(base), dtype=unsigned)
-        else:
-            bits = np.cumsum(stored, dtype=unsigned)
-            bits += unsigned.type(base)
-    if not decimal:
-        return bits.view(dtype), num_rows * width
-    column = bits.view(np.int64).astype(np.float64)
-    if exponent:
-        column /= _SCALES[exponent]
-    return column, num_rows * width
+    stored = (
+        np.frombuffer(body, dtype=UNSIGNED[width], count=num_rows, offset=offset)
+        if width
+        else None
+    )
+    return widen(stored, num_rows, dtype, encoding, exponent, base), num_rows * width
 
 
 def decode_partition(

@@ -7,11 +7,12 @@ scan operator relies on:
 
 * data is laid out in **row groups**, each storing one **column chunk** per
   projected column;
-* each column chunk is independently encoded (plain / RLE / dictionary) and
-  compressed (none / zlib), so projections only read the needed byte ranges;
-* the **footer** holds the schema, per-chunk byte offsets, and min/max
-  statistics, so a single small read is enough to plan the scan and prune row
-  groups against predicates.
+* each column chunk is independently encoded (plain / FOR / DELTA / RLE /
+  dictionary — light-weight, typed pages) and then block-compressed (none /
+  zlib), so projections only read the needed byte ranges;
+* the binary **footer** holds the schema and one packed directory of per-chunk
+  byte offsets, page descriptions and min/max statistics, so a single small
+  read is enough to plan the scan and prune row groups against predicates.
 
 The public surface is :class:`~repro.formats.parquet.ColumnarWriter`,
 :class:`~repro.formats.parquet.ColumnarFile`, and the schema classes.

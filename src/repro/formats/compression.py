@@ -34,6 +34,10 @@ class Compression(enum.Enum):
 
 _LEVELS = {Compression.FAST: 1, Compression.GZIP: 6}
 
+#: The id an LPQ footer or an exchange frame's schema section stores per codec.
+COMPRESSION_IDS = {Compression.NONE: 0, Compression.FAST: 1, Compression.GZIP: 2}
+COMPRESSION_BY_ID = {value: codec for codec, value in COMPRESSION_IDS.items()}
+
 Buffer = Union[bytes, bytearray, memoryview]
 
 

@@ -24,15 +24,11 @@ class ColumnType(enum.Enum):
     INT64 = "int64"
     FLOAT64 = "float64"
 
-    @property
-    def numpy_dtype(self) -> np.dtype:
-        """The NumPy dtype used to hold columns of this type."""
-        return np.dtype(self.value)
-
-    @property
-    def item_size(self) -> int:
-        """Size of one value in bytes (plain encoding)."""
-        return self.numpy_dtype.itemsize
+    def __init__(self, name: str):
+        #: The NumPy dtype used to hold columns of this type.
+        self.numpy_dtype = np.dtype(name)
+        #: Size of one value in bytes (plain encoding).
+        self.item_size = self.numpy_dtype.itemsize
 
     @classmethod
     def from_numpy(cls, dtype: np.dtype) -> "ColumnType":
@@ -55,15 +51,6 @@ class Field:
 
     name: str
     type: ColumnType
-
-    def to_dict(self) -> Dict[str, str]:
-        """JSON-serialisable representation."""
-        return {"name": self.name, "type": self.type.value}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, str]) -> "Field":
-        """Inverse of :meth:`to_dict`."""
-        return cls(name=data["name"], type=ColumnType(data["type"]))
 
 
 class Schema:
@@ -156,12 +143,3 @@ class Schema:
         lengths = {name: len(column) for name, column in table.items()}
         if len(set(lengths.values())) > 1:
             raise SchemaMismatchError(f"columns have differing lengths: {lengths}")
-
-    def to_dict(self) -> List[Dict[str, str]]:
-        """JSON-serialisable representation."""
-        return [field.to_dict() for field in self._fields]
-
-    @classmethod
-    def from_dict(cls, data: List[Dict[str, str]]) -> "Schema":
-        """Inverse of :meth:`to_dict`."""
-        return cls(Field.from_dict(item) for item in data)

@@ -69,6 +69,27 @@ def test_verify_dataset_clean():
     assert "verification clean: 3/3 files intact" in output
 
 
+def test_verify_dataset_reports_footer_size_and_chunks_per_encoding():
+    output = _run("verify-dataset", "--scale-factor", "0.004", "--files", "2")
+    lines = [line for line in output.splitlines() if line.startswith("  ok       ")]
+    assert len(lines) == 2
+    for line in lines:
+        fields = dict(item.split("=") for item in line.split() if "=" in item)
+        chunks = {
+            name: int(fields[name]) for name in ("PLAIN", "RLE", "DICTIONARY", "FOR", "DELTA")
+        }
+        # 15 LINEITEM columns per row group, every chunk in exactly one encoding.
+        assert sum(chunks.values()) == 15 * int(fields["row_groups"])
+        # Keys, dates, quantities and prices narrow; flags and discounts are
+        # dictionaries; nothing of LINEITEM needs a raw 8-byte page.
+        assert chunks["FOR"] + chunks["DELTA"] >= 6 * int(fields["row_groups"])
+        assert chunks["DICTIONARY"] >= 6 * int(fields["row_groups"])
+        assert chunks["PLAIN"] == 0
+        # A binary footer: 52 bytes per chunk plus the schema.
+        assert 0 < int(fields["footer"]) - 52 * sum(chunks.values()) < 300
+        assert int(fields["footer"]) < int(fields["bytes"]) // 10
+
+
 def test_verify_dataset_detects_flipped_bytes():
     out = io.StringIO()
     code = main(

@@ -253,6 +253,65 @@ def test_no_general_purpose_compressor_by_default(monkeypatch):
     )
 
 
+# -- the wire format is pinned: the kernels moved, the bytes did not ----------------------
+
+
+def _golden_table():
+    rng = np.random.default_rng(20260927)
+    n = 5000
+    table = {
+        "key": np.cumsum(rng.integers(1, 60, n)).astype(np.int64) + (1 << 34),
+        "hash": rng.integers(-(2 ** 62), 2 ** 62, n, dtype=np.int64),
+        "date": rng.integers(8000, 10500, n).astype(np.int32),
+        "flag": rng.integers(0, 2, n).astype(bool),
+        "small": rng.integers(-100, 100, n).astype(np.int16),
+        "price": np.round(rng.uniform(900.0, 105000.0, n), 2),
+        "qty": rng.integers(1, 51, n).astype(np.float64),
+        "ratio": rng.random(n),
+        "special": np.where(rng.random(n) < 0.001, np.nan, np.round(rng.uniform(0, 9, n), 2)),
+        "single": rng.random(n).astype(np.float32),
+        "const": np.full(n, 7, dtype=np.int64),
+    }
+    names = np.empty(n, dtype=object)
+    for index in range(n):
+        names[index] = ("n%d" % (index % 13), index % 3)
+    table["names"] = names
+    # Empty, short (below the narrowing threshold) and long partitions.
+    return table, [0, 0, 700, 705, 705, 1900, 1915, 3600, 5000, 5000]
+
+
+@pytest.mark.parametrize(
+    "compression, checksum, length, crc",
+    [
+        # Measured at the commit before the narrowing kernels moved into
+        # ``repro.formats.encoding`` (PR 15's codec).
+        (Compression.NONE, True, 239994, 2352365570),
+        (Compression.NONE, False, 239994, 1478282560),
+        (Compression.FAST, True, 158676, 2159878260),
+        (Compression.FAST, False, 158676, 1636043203),
+    ],
+)
+def test_frames_are_byte_identical_to_the_pinned_wire_format(compression, checksum, length, crc):
+    import zlib
+
+    table, bounds = _golden_table()
+    payload, offsets = encode_partition_set(table, bounds, compression, checksum)
+    assert (len(payload), zlib.crc32(payload)) == (length, crc)
+    assert offsets[-1] == length and offsets[1] == 0 and offsets[3] == offsets[4]
+    for index, (low, high) in enumerate(zip(bounds, bounds[1:])):
+        decoded = decode_partition_slice(payload[offsets[index]:offsets[index + 1]], copy=True)
+        if high == low:
+            assert decoded == {}
+            continue
+        for name, column in table.items():
+            expected = column[low:high]
+            if column.dtype.hasobject:
+                assert decoded[name].tolist() == [list(value) for value in expected]
+            else:
+                assert decoded[name].dtype == column.dtype
+                assert decoded[name].tobytes() == expected.tobytes()
+
+
 # -- one crc: every flip and every truncation is caught, with provenance ------------------
 
 

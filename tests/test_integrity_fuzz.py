@@ -12,9 +12,10 @@ common path should be :class:`CorruptFileError` (of which
 :class:`IntegrityError` is a subclass).  What is *never* allowed is a
 clean decode of different data.
 
-The exchange partition frame has the stricter suite — every single bit,
-every truncation, a typed error with key and layer each time — in
-``test_exchange_wire_format.py``.
+LPQ files additionally get the stricter suite the exchange partition frame
+has in ``test_exchange_wire_format.py``: every single bit of a small file —
+leading magic, pages, footer head, footer directory, tail — and every
+truncation, a typed error with key and layer each time.
 """
 
 import json
@@ -24,9 +25,17 @@ import pytest
 
 from repro.driver.integrity import message_intact, sign_message
 from repro.engine.payload import decode_table, encode_table
-from repro.errors import CorruptFileError
+from repro.errors import CorruptFileError, IntegrityError
 from repro.formats.compression import Compression
-from repro.formats.parquet import ColumnarFile, write_table
+from repro.formats.encoding import Encoding
+from repro.formats.parquet import (
+    CHECKED_MAGIC,
+    MAGIC,
+    ColumnarFile,
+    ColumnarWriter,
+    write_table,
+)
+from repro.formats.schema import Schema
 
 
 def _fuzz_table():
@@ -97,9 +106,95 @@ def test_lpq_file_flips_always_detected():
 def test_lpq_unchecked_file_still_decodes():
     table = _fuzz_table()
     data = write_table(table, checksum=False)
-    assert data[:4] == b"LPQ1" and data[-4:] == b"LPQ1"
+    assert data[:4] == MAGIC and data[-4:] == MAGIC
+    assert write_table(table)[-4:] == CHECKED_MAGIC
     restored = ColumnarFile.from_bytes(data, verify=True).read_table()
-    assert set(restored) == set(table)
+    assert _tables_equal(table, restored)
+
+
+def _small_file(checksum: bool = True):
+    """A two-row-group file with a page of every kind, and where its parts lie."""
+    rng = np.random.default_rng(91)
+    n = 32
+    table = {
+        "k": np.cumsum(rng.integers(1, 40, n)).astype(np.int64),
+        "price": np.round(rng.uniform(1.0, 500.0, n), 2),
+        "v": rng.random(n),
+        "flag": rng.integers(0, 3, n).astype(np.int32),
+        "day": np.repeat(np.arange(4, dtype=np.int32), 8),
+    }
+    # Chunks this short all hold few enough values for a dictionary: force
+    # the encodings a longer file would choose.
+    encodings = {
+        "k": Encoding.DELTA, "price": Encoding.FOR, "v": Encoding.PLAIN,
+        "flag": Encoding.DICTIONARY, "day": Encoding.RLE,
+    }
+    writer = ColumnarWriter(
+        Schema.from_table(table), row_group_rows=16, encodings=encodings, checksum=checksum
+    )
+    data = writer.write(table)
+    reader = ColumnarFile.from_bytes(data, name="obj")
+    metas = [group.column_meta(name) for group in reader.row_groups for name in table]
+    assert {meta.encoding for meta in metas} == set(Encoding)
+    footer_start = len(data) - 16 - len(reader.metadata.pack())
+    assert metas[-1].offset + metas[-1].compressed_size == footer_start
+    return table, data, footer_start
+
+
+def _read(blob: bytes):
+    return ColumnarFile.from_bytes(blob, verify=True, name="obj").read_table()
+
+
+def test_every_single_bit_flip_of_a_checked_file_raises_typed():
+    table, data, footer_start = _small_file()
+    assert _tables_equal(table, _read(data))
+    for position in range(len(data)):
+        for bit in range(8):
+            flipped = bytearray(data)
+            flipped[position] ^= 1 << bit
+            with pytest.raises(CorruptFileError) as caught:
+                _read(bytes(flipped))
+            error = caught.value
+            assert error.key == "obj", position
+            if position < 4:
+                expected = {"lpq.magic"}
+            elif position < footer_start:
+                expected = {"lpq.chunk"}  # the page's crc
+            elif position < len(data) - 12:
+                expected = {"lpq.footer"}  # head, schema, directory, and the crc itself
+            else:
+                expected = {"lpq.tail", "lpq.footer"}  # length, magic
+            assert error.layer in expected, (position, bit, error.layer)
+            if 4 <= position < len(data) - 16:
+                # Every page and every footer byte is under a crc.
+                assert isinstance(error, IntegrityError), position
+
+
+def test_every_truncation_of_a_checked_file_raises_typed():
+    _, data, _ = _small_file()
+    for cut in range(len(data)):
+        with pytest.raises(CorruptFileError) as caught:
+            _read(data[:cut])
+        assert caught.value.key == "obj" and caught.value.layer.startswith("lpq."), cut
+
+
+def test_unchecked_files_fail_typed_on_flips_and_truncations():
+    """Without a crc a flip may decode (to other values) — but what raises,
+    raises typed with provenance, never a bare NumPy/struct/zlib error."""
+    table, data, _ = _small_file(checksum=False)
+    assert _tables_equal(table, _read(data))
+    for cut in range(len(data)):
+        with pytest.raises(CorruptFileError) as caught:
+            _read(data[:cut])
+        assert caught.value.key == "obj" and caught.value.layer.startswith("lpq."), cut
+    for position in range(len(data)):
+        for bit in range(8):
+            flipped = bytearray(data)
+            flipped[position] ^= 1 << bit
+            try:
+                _read(bytes(flipped))
+            except CorruptFileError as error:
+                assert error.key == "obj" and error.layer.startswith("lpq."), position
 
 
 # -- result payloads inside signed messages ---------------------------------------------

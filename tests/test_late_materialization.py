@@ -1,14 +1,16 @@
 """Parity tests for encoding-aware predicate evaluation and late materialization.
 
 Pins the encoded-chunk fast paths — :func:`evaluate_comparison`,
-:func:`decode_gather`, and the selection-vector scan — to the decoded
-``evaluate``-then-mask baseline across PLAIN/RLE/DICTIONARY chunks, every
-comparison operator, empty/all-true/all-false selections, and mixed-encoding
-row groups.
+:func:`decode_gather`, :func:`encoded_key_codes` and the selection-vector
+scan — to the decoded ``evaluate``-then-mask baseline across
+PLAIN/RLE/DICTIONARY/FOR/DELTA chunks, every comparison operator,
+empty/all-true/all-false selections, and mixed-encoding row groups.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cloud.network import BandwidthModel
 from repro.cloud.s3 import ObjectStore
@@ -21,6 +23,7 @@ from repro.formats.encoding import (
     decode_column,
     decode_gather,
     encode_column,
+    encoded_key_codes,
     evaluate_comparison,
     parse_encoded_chunk,
 )
@@ -31,7 +34,12 @@ from repro.plan.logical import AggregateSpec
 from repro.plan.physical import WorkerPlan
 
 ALL_OPS = ["==", "!=", "<", "<=", ">", ">="]
-ALL_ENCODINGS = [Encoding.PLAIN, Encoding.RLE, Encoding.DICTIONARY]
+ALL_ENCODINGS = list(Encoding)
+UFUNCS = {
+    "==": np.equal, "!=": np.not_equal,
+    "<": np.less, "<=": np.less_equal,
+    ">": np.greater, ">=": np.greater_equal,
+}
 
 
 def _chunk_datasets(rng):
@@ -40,14 +48,23 @@ def _chunk_datasets(rng):
         (rng.integers(0, 8, 500).astype(np.int32), ColumnType.INT32),
         (np.sort(rng.integers(0, 40, 500)).astype(np.int64), ColumnType.INT64),
         (np.round(rng.uniform(0.0, 0.1, 500), 2), ColumnType.FLOAT64),
-        (np.repeat(np.int64(7), 300), ColumnType.INT64),  # one run, one dict entry
+        (np.repeat(np.int64(7), 300), ColumnType.INT64),  # one run, one dict entry, width 0
         (np.zeros(0, dtype=np.float64), ColumnType.FLOAT64),  # empty chunk
+        (np.round(rng.uniform(900.0, 105000.0, 500), 2), ColumnType.FLOAT64),  # 4-byte cents
+        (rng.integers(0, 3000, 700) * 1000 - 5, ColumnType.INT64),  # 2-byte dictionary codes
+        (np.cumsum(rng.integers(1, 90, 500)) + (1 << 35), ColumnType.INT64),  # sorted keys
+        (rng.random(400), ColumnType.FLOAT64),  # narrows under no override
     ]
 
 
 def _encoded(values, column_type, encoding):
-    data = encode_column(values, column_type, encoding)
-    return parse_encoded_chunk(data, column_type, encoding, len(values))
+    """``(chunk view, decoded array)`` of one chunk under an encoding override."""
+    page = encode_column(values, column_type, encoding)
+    width, exponent, base = page[1:4]
+    arguments = (page.data, column_type, page.encoding, len(values), width, exponent, base)
+    decoded = decode_column(*arguments)
+    assert decoded.tobytes() == np.asarray(values, dtype=column_type.numpy_dtype).tobytes()
+    return parse_encoded_chunk(*arguments), decoded
 
 
 # -- evaluate_comparison parity -----------------------------------------------------
@@ -56,21 +73,13 @@ def _encoded(values, column_type, encoding):
 @pytest.mark.parametrize("encoding", ALL_ENCODINGS)
 def test_encoded_comparison_matches_decoded(encoding):
     rng = np.random.default_rng(42)
-    ufuncs = {
-        "==": np.equal, "!=": np.not_equal,
-        "<": np.less, "<=": np.less_equal,
-        ">": np.greater, ">=": np.greater_equal,
-    }
     for values, column_type in _chunk_datasets(rng):
-        chunk = _encoded(values, column_type, encoding)
-        decoded = decode_column(
-            encode_column(values, column_type, encoding), column_type, encoding, len(values)
-        )
+        chunk, decoded = _encoded(values, column_type, encoding)
         # Thresholds that force empty, full, and partial masks.
-        thresholds = [-1.0, 0.0, 3.0, 7, 1e9]
+        thresholds = [-1.0, 0.0, 3.0, 7, 0.05, 50000.0, 1e9, float(1 << 35) + 20000]
         for op in ALL_OPS:
             for threshold in thresholds:
-                expected = ufuncs[op](decoded, threshold)
+                expected = UFUNCS[op](decoded, threshold)
                 observed = evaluate_comparison(chunk, op, threshold)
                 np.testing.assert_array_equal(observed, expected)
                 assert observed.dtype == np.bool_
@@ -83,10 +92,7 @@ def test_encoded_comparison_matches_decoded(encoding):
 def test_decode_gather_matches_decoded_fancy_index(encoding):
     rng = np.random.default_rng(43)
     for values, column_type in _chunk_datasets(rng):
-        chunk = _encoded(values, column_type, encoding)
-        decoded = decode_column(
-            encode_column(values, column_type, encoding), column_type, encoding, len(values)
-        )
+        chunk, decoded = _encoded(values, column_type, encoding)
         n = len(values)
         selections = [
             np.zeros(0, dtype=np.int64),  # empty selection
@@ -97,12 +103,57 @@ def test_decode_gather_matches_decoded_fancy_index(encoding):
             selections.append(np.array([0, n - 1], dtype=np.int64))  # boundaries
         for selection in selections:
             gathered = decode_gather(chunk, selection)
-            np.testing.assert_array_equal(gathered, decoded[selection])
+            assert gathered.tobytes() == decoded[selection].tobytes()
             assert gathered.dtype == decoded.dtype
         # selection=None is a full decode.
         full = decode_gather(chunk, None)
-        np.testing.assert_array_equal(full, decoded)
+        assert full.tobytes() == decoded.tobytes()
         assert full.dtype == decoded.dtype
+
+
+# -- random chunks: every call on the view equals the call on the decoded array -----
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    data=st.data(),
+    shape=st.sampled_from(["codes", "cents", "keys", "dates", "wide"]),
+    encoding=st.sampled_from([None, *Encoding]),
+    rows=st.integers(1, 400),
+)
+def test_encoded_views_equal_the_decoded_array(data, shape, encoding, rows):
+    seed = data.draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    values, column_type = {
+        "codes": (rng.integers(0, 300, rows) * 7919, ColumnType.INT64),
+        "cents": (np.round(rng.uniform(-50.0, 70000.0, rows), 2), ColumnType.FLOAT64),
+        "keys": (np.cumsum(rng.integers(0, 300, rows)) - (1 << 50), ColumnType.INT64),
+        "dates": (rng.integers(8000, 8000 + rows, rows).astype(np.int32), ColumnType.INT32),
+        "wide": (rng.integers(-(2 ** 62), 2 ** 62, rows), ColumnType.INT64),
+    }[shape]
+    chunk, decoded = _encoded(values, column_type, encoding)
+    plain = parse_encoded_chunk(decoded.tobytes(), column_type, Encoding.PLAIN, rows)
+
+    selection = np.flatnonzero(rng.random(rows) < data.draw(st.sampled_from([0.0, 0.1, 0.9, 1.0])))
+    for picked in (selection, None):
+        gathered = decode_gather(chunk, picked)
+        assert gathered.dtype == decoded.dtype
+        assert gathered.tobytes() == decode_gather(plain, picked).tobytes()
+        keyed = encoded_key_codes(chunk, picked)
+        if keyed is not None:
+            uniques, codes = keyed
+            assert np.all(uniques[1:] > uniques[:-1]) and codes.dtype == np.int64
+            assert uniques[codes].tobytes() == gathered.tobytes()
+        else:
+            assert chunk.encoding in (Encoding.PLAIN, Encoding.FOR, Encoding.DELTA)
+
+    threshold = data.draw(st.sampled_from(
+        [float(decoded[rng.integers(rows)]), float(np.median(decoded)), -1e30, 1e30, 0.05]
+    ))
+    for op in ALL_OPS:
+        assert np.array_equal(
+            evaluate_comparison(chunk, op, threshold), evaluate_comparison(plain, op, threshold)
+        )
 
 
 # -- predicate compilation ----------------------------------------------------------

@@ -11,6 +11,8 @@ a handful of round trips instead of one per column chunk.
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,7 +24,12 @@ from repro.cloud.s3 import ObjectStore, SharedSegmentStore
 from repro.engine.pipeline import execute_worker_plan
 from repro.engine.s3io import S3ObjectSource
 from repro.engine.scan import S3ScanOperator
-from repro.errors import CorruptFileError, IntegrityError, InvalidRangeError
+from repro.errors import (
+    CorruptFileError,
+    IntegrityError,
+    InvalidRangeError,
+    UnknownColumnError,
+)
 from repro.formats.compression import Compression
 from repro.formats.parquet import ColumnarFile, write_table
 from repro.plan.expressions import col
@@ -220,7 +227,15 @@ def _table(rows: int = 3000):
     }
 
 
-@pytest.mark.parametrize("checksum", [False, True], ids=["LPQ1", "LPQ2"])
+TAIL_BYTES = 16
+
+
+def footer_bytes(data: bytes) -> int:
+    """Length of a written file's footer, as its tail records it."""
+    return struct.unpack("<IQ4s", data[-TAIL_BYTES:])[1]
+
+
+@pytest.mark.parametrize("checksum", [False, True], ids=["unchecked", "checked"])
 def test_open_small_file_is_one_get_and_no_head(checksum):
     table = _table()
     data = write_table(table, row_group_rows=500, checksum=checksum)
@@ -242,24 +257,31 @@ def test_open_small_file_is_one_get_and_no_head(checksum):
     assert shared.request_counts == {"get": 1}
 
 
-@pytest.mark.parametrize("checksum", [False, True], ids=["LPQ1", "LPQ2"])
-@pytest.mark.parametrize("gap_bytes", [0, 64, 4096], ids=["exact", "short", "covers-footer"])
-def test_open_large_file_is_at_most_two_gets(checksum, gap_bytes):
+@pytest.mark.parametrize("checksum", [False, True], ids=["unchecked", "checked"])
+@pytest.mark.parametrize(
+    "break_even", [0.0, 0.5, 1.5], ids=["exact", "short", "covers-footer"]
+)
+def test_open_large_file_is_at_most_two_gets(checksum, break_even):
     table = _table()
     data = write_table(
         table, row_group_rows=500, compression=Compression.NONE, checksum=checksum
     )
+    # The break-even hole as a share of what the open needs: footer and tail.
+    footer_length = footer_bytes(data)
+    gap_bytes = int(break_even * (footer_length + TAIL_BYTES))
+    assert gap_bytes < len(data) // 4  # far from fetching the whole file
     store = recording_store(data)
     source = S3ObjectSource(store, PATH, bandwidth=model_with_gap(gap_bytes))
     reader = ColumnarFile(source)
-    footer_length = len(reader.metadata.to_json())
+    assert len(reader.metadata.pack()) == footer_length
     # A footer longer than the speculative read costs a second request —
     # never a third, and never one for the 4 magic bytes.
-    expected = 1 if source.coalesce_gap >= footer_length + 16 else 2
+    expected = 1 if source.coalesce_gap >= footer_length + TAIL_BYTES else 2
+    assert expected == (1 if break_even > 1 else 2)
     assert len(store.gets) == expected
     assert all(end - start > 4 for start, end, _ in store.gets)
     assert not reader._magic_checked
-    assert reader.metadata.to_json() == ColumnarFile.from_bytes(data).metadata.to_json()
+    assert reader.metadata.pack() == ColumnarFile.from_bytes(data).metadata.pack()
     # The magic is checked with the first data read that reaches offset 0.
     reader.prefetch(reader.row_groups[0], ["id"])
     assert reader._magic_checked
@@ -284,16 +306,22 @@ def test_lazy_footer_builds_only_projected_chunk_metas():
     data = write_table(_table(), row_group_rows=500)
     reader = ColumnarFile.from_bytes(data)
     group = reader.row_groups[0]
-    assert group.columns._built == {}
-    assert "v" in group.columns and "nope" not in group.columns
-    assert group.columns._built == {}
+    # Opening parsed no chunk: the directory is one array over the footer bytes.
+    assert all(other._built == {} for other in reader.row_groups)
+    assert reader.metadata.chunks.shape == (6, 3) and reader.metadata.chunks.base is not None
+    assert group.schema.names == ["id", "v", "k"]
+    with pytest.raises(UnknownColumnError):
+        group.column_meta("nope")
+    assert group._built == {}
     meta = group.column_meta("v")
-    assert group.columns["v"] is meta and list(group.columns._built) == ["v"]
-    assert list(group.columns) == ["id", "v", "k"] and len(group.columns) == 3
+    assert group.column_meta("v") is meta and list(group._built) == ["v"]
+    assert (meta.column, meta.num_values, meta.crc is not None) == ("v", 500, True)
     # Serialising the parsed footer reproduces the stored one byte for byte.
-    footer = reader.metadata.to_json()
-    assert data[-16 - len(footer):-16] == footer
-    assert group.total_compressed_size == sum(m.compressed_size for m in group.columns.values())
+    footer = reader.metadata.pack()
+    assert data[-TAIL_BYTES - len(footer):-TAIL_BYTES] == footer
+    assert group.total_compressed_size == sum(
+        group.column_meta(name).compressed_size for name in group.schema.names
+    )
 
 
 # -- (d) answers do not depend on the plan ---------------------------------------------
@@ -358,13 +386,16 @@ def test_corrupt_merged_response_raises_typed_chunk_error(corrupt, error):
     table = _table()
     data = write_table(table, row_group_rows=500, compression=Compression.NONE)
     store = recording_store(data)
-    # Break-even of 2 KiB: the open does not cover the data, and a row
-    # group's three chunks come back as one merged response.
-    scan = S3ScanOperator(store, [PATH], bandwidth=model_with_gap(2048))
+    # A break-even just past footer + tail: the open fetches the footer and
+    # less than the last row group, and a row group's three adjacent chunks
+    # come back as one merged response.
+    break_even = footer_bytes(data) + TAIL_BYTES + 8
+    assert break_even < ColumnarFile.from_bytes(data).row_groups[-1].total_compressed_size
+    scan = S3ScanOperator(store, [PATH], bandwidth=model_with_gap(break_even))
     chunks = scan.scan()
     first = next(chunks)
     np.testing.assert_array_equal(first["id"], table["id"][:500])
-    assert len(store.gets) == 2 + 1  # open (tail, footer) + one merged batch
+    assert len(store.gets) == 1 + 1  # open (tail + footer) + one merged batch
     store.corrupt = corrupt
     with pytest.raises(error) as caught:
         next(chunks)

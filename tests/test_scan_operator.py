@@ -9,7 +9,7 @@ from repro.engine.s3io import S3ObjectSource, ScanStatistics
 from repro.engine.scan import S3ScanOperator, ScanConfig
 from repro.engine.table import concat_tables, table_num_rows
 from repro.formats.compression import Compression
-from repro.formats.parquet import write_table
+from repro.formats.parquet import CHECKED_MAGIC, MAGIC, write_table
 from repro.plan.physical import PruneRange
 
 
@@ -34,7 +34,7 @@ def test_source_size_and_read(store_with_file):
     source = S3ObjectSource(store, "s3://data/t/part-0.lpq")
     size = store.head_object("data", "t/part-0.lpq").size
     assert source.size() == size
-    assert source.read_at(0, 4) == b"LPQ1"
+    assert source.read_at(0, 4) == MAGIC
 
 
 def test_source_chunked_reads_issue_multiple_requests(store_with_file):
@@ -56,9 +56,8 @@ def test_source_read_past_end_is_clamped(store_with_file):
     store, _ = store_with_file
     source = S3ObjectSource(store, "s3://data/t/part-0.lpq")
     tail = source.read_at(source.size() - 4, 100)
-    # Checksummed files end with the LPQ2 tail magic (pre-integrity files
-    # with LPQ1); either way the clamped read returns exactly 4 bytes.
-    assert tail in (b"LPQ1", b"LPQ2")
+    # The clamped read returns exactly the 4 bytes of the (checked) tail magic.
+    assert tail == CHECKED_MAGIC
 
 
 def test_source_rejects_bad_arguments(store_with_file):

@@ -92,14 +92,19 @@ def test_validate_table_ragged_columns():
         schema.validate_table({"a": np.zeros(3), "b": np.zeros(4)})
 
 
-def test_schema_dict_roundtrip():
-    schema = Schema.from_pairs([("a", ColumnType.INT64), ("b", ColumnType.FLOAT64)])
-    assert Schema.from_dict(schema.to_dict()) == schema
+def test_schema_survives_a_file_footer():
+    """The serialised form of a schema is the LPQ footer's schema section."""
+    from repro.formats.parquet import ColumnarFile, ColumnarWriter
 
-
-def test_field_dict_roundtrip():
-    field = Field("x", ColumnType.INT32)
-    assert Field.from_dict(field.to_dict()) == field
+    schema = Schema.from_pairs(
+        [("a", ColumnType.INT64), ("bé", ColumnType.FLOAT64), ("x", ColumnType.INT32)]
+    )
+    data = ColumnarWriter(schema).write({name: np.arange(3) for name in schema.names})
+    restored = ColumnarFile.from_bytes(data).schema
+    assert restored == schema
+    assert restored.fields == [
+        Field("a", ColumnType.INT64), Field("bé", ColumnType.FLOAT64), Field("x", ColumnType.INT32)
+    ]
 
 
 def test_schema_equality_and_repr():

@@ -21,6 +21,7 @@ from repro.exchange.codec import (
 )
 from repro.exchange.partition import partition_scatter
 from repro.formats.compression import Compression
+from repro.formats.parquet import MAGIC
 
 
 def _case_tables():
@@ -86,7 +87,7 @@ def test_legacy_lpq_objects_still_decode():
     table = {"k": np.arange(100, dtype=np.int64), "v": np.linspace(0, 1, 100)}
     legacy = serialize_partition(table, fast=False)
     assert not is_fast_partition(legacy)
-    assert legacy[:4] == b"LPQ1"
+    assert legacy[:4] == MAGIC
     assert tables_allclose(deserialize_partition(legacy), table)
 
 
