@@ -11,7 +11,6 @@ which the evaluation benchmarks consume.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import os
 import random
@@ -20,13 +19,13 @@ import uuid
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.cloud.environment import CloudEnvironment
 from repro.cloud.lambda_service import FunctionConfig
-from repro.cloud.s3 import SharedObjectExport, parse_s3_path
+from repro.cloud.s3 import SharedObjectExport
 from repro.config import DEFAULT_RESILIENCE, IntegrityConfig
 from repro.driver.admission import (
     AdmissionConfig,
@@ -35,7 +34,7 @@ from repro.driver.admission import (
     CancellationToken,
 )
 from repro.driver.breakers import BreakerBoard, RetryBudget
-from repro.driver.integrity import IntegrityStats, message_intact
+from repro.driver.integrity import IntegrityStats, fetch_spilled_result, message_intact
 from repro.driver.invocation import TreeInvocationModel, build_invocation_tree
 from repro.driver.resilience import (
     DEFAULT_RESILIENCE_POLICY,
@@ -45,7 +44,18 @@ from repro.driver.resilience import (
     ResilienceStats,
     call_with_backoff,
     decorrelated_jitter,
+    fault_delta,
+    fault_snapshot,
+    merge_attempt_message,
     pick_stragglers,
+)
+from repro.driver.shuffle import (
+    JOIN_MAP_FUNCTION_NAME,
+    JOIN_REDUCE_FUNCTION_NAME,
+    ShuffleConfig,
+    ShuffleJoinCoordinator,
+    expand_glob_paths,
+    join_costs,
 )
 from repro.driver.worker import (
     COLD_EXECUTION_PENALTY,
@@ -67,7 +77,6 @@ from repro.engine.table import (
 from repro.errors import (
     CloudError,
     ExecutionError,
-    IntegrityError,
     QueryCancelledError,
     QueryTimeoutError,
     RetryBudgetExhaustedError,
@@ -125,8 +134,9 @@ class QueryStatistics:
     join_build_rows: int = 0
     join_output_rows: int = 0
     #: Logical join stages of the plan (1 for a binary join,
-    #: ``len(dag.stages)`` for an N-way join DAG; 1 for scan queries too,
-    #: where no join exists but the field keeps a uniform meaning).
+    #: ``len(dag.stages)`` for an N-way join DAG, 0 for a repartitioned
+    #: aggregation; 1 for scan queries too, where no join exists but the
+    #: field keeps a uniform meaning).
     dag_stages: int = 1
     #: The join waves that actually ran, each the DAG stages it executed —
     #: its first stage repartitioned, the others fused in as broadcast joins
@@ -160,7 +170,7 @@ class QueryStatistics:
     @property
     def broadcast_stages(self) -> int:
         """Join stages that ran as a broadcast join inside an earlier wave."""
-        return sum(len(wave) - 1 for wave in self.wave_stages)
+        return sum(len(wave) - 1 for wave in self.wave_stages if wave)
 
     @property
     def cost_total(self) -> float:
@@ -250,7 +260,7 @@ class LambadaDriver:
         worker_timeout_seconds: float = 900.0,
         execution_mode: str = "serial",
         max_parallel_invocations: Optional[int] = None,
-        shuffle_config: Optional["ShuffleConfig"] = None,
+        shuffle_config: Optional[ShuffleConfig] = None,
         resilience_policy: Optional[ResiliencePolicy] = None,
         integrity: Optional[IntegrityConfig] = None,
         breakers: Optional[BreakerBoard] = None,
@@ -402,7 +412,7 @@ class LambadaDriver:
                 cancel=cancel,
             )
 
-        input_files = self._expand_paths(physical.input_files)
+        input_files = expand_glob_paths(self.env.s3, physical.input_files)
         if catalog is not None and dataset_name is not None:
             input_files = catalog.prune_paths(
                 input_files, dataset_name, physical.worker_template.prune_ranges
@@ -450,7 +460,7 @@ class LambadaDriver:
 
         resilience = ResilienceStats()
         integrity_stats = IntegrityStats()
-        fault_snapshot = self._fault_snapshot()
+        faults_before = fault_snapshot(self.env)
 
         def now_fn() -> float:
             # Modelled "now" for breaker windows and deadlines: environment
@@ -471,7 +481,7 @@ class LambadaDriver:
             if self.execution_mode == "processes" and self._pool_supported(physical):
                 pooled = self._execute_pooled(
                     physical, payloads, report, cold, max_worker_retries,
-                    resilience, fault_snapshot,
+                    resilience, faults_before,
                 )
                 if pooled is not None:
                     return pooled
@@ -511,7 +521,7 @@ class LambadaDriver:
             table, reduce_value = self._merge(physical, worker_results)
             statistics = self._build_statistics(
                 physical, worker_results, num_workers=len(payloads), cold=cold,
-                resilience=resilience, fault_snapshot=fault_snapshot,
+                resilience=resilience, fault_snapshot=faults_before,
                 extra_billed_seconds=hedge_billed_seconds,
                 integrity=integrity_stats,
             )
@@ -554,13 +564,6 @@ class LambadaDriver:
         scan queries report, with the exchange and join counters threaded
         through.
         """
-        from repro.driver.shuffle import (
-            JOIN_MAP_FUNCTION_NAME,
-            JOIN_REDUCE_FUNCTION_NAME,
-            ShuffleConfig,
-            ShuffleJoinCoordinator,
-        )
-
         if self._join_coordinator is None:
             # An explicit shuffle config wins; otherwise the driver's
             # integrity knobs carry over to the join exchange plane.
@@ -587,7 +590,6 @@ class LambadaDriver:
             now_fn=lambda: self.env.clock.now,
         )
 
-        prices = self.env.ledger.prices
         durations = [result.duration_seconds for result in worker_results]
         invocation = TreeInvocationModel(region=self.env.region)
         num_total = join_stats.num_workers
@@ -598,18 +600,6 @@ class LambadaDriver:
             + join_stats.modelled_latency_seconds
             + result_poll_seconds
         )
-        resilience = join_stats.resilience
-        resilience.wasted_cost_dollars += prices.lambda_invocation_cost(
-            resilience.retries
-        )
-        get_requests = sum(result.get_requests for result in worker_results)
-        exchange = join_stats.exchange
-        cost_s3 = prices.s3_get_cost(
-            get_requests + exchange.get_requests + exchange.head_requests
-        ) + prices.s3_put_cost(
-            exchange.put_requests + exchange.list_requests + join_stats.gc_list_requests
-        )
-        sqs_requests = num_total + math.ceil(num_total / 10) + 2
         statistics = QueryStatistics(
             num_workers=num_total,
             memory_mib=self.memory_mib,
@@ -620,18 +610,12 @@ class LambadaDriver:
             latency_seconds=latency,
             rows_scanned=join_stats.rows_scanned,
             bytes_read=sum(result.bytes_read for result in worker_results),
-            get_requests=get_requests,
-            cost_lambda_duration=sum(
-                prices.lambda_duration_cost(self.memory_mib, duration)
-                for duration in durations
+            get_requests=sum(result.get_requests for result in worker_results),
+            **join_costs(
+                self.env.ledger.prices, self.memory_mib, join_stats, worker_results
             ),
-            cost_lambda_requests=prices.lambda_invocation_cost(
-                num_total + resilience.retries
-            ),
-            cost_s3_requests=cost_s3,
-            cost_sqs_requests=prices.sqs_cost(sqs_requests),
             worker_durations=durations,
-            exchange=exchange,
+            exchange=join_stats.exchange,
             join_probe_rows=join_stats.join_probe_rows,
             join_build_rows=join_stats.join_build_rows,
             join_output_rows=join_stats.join_output_rows,
@@ -639,7 +623,7 @@ class LambadaDriver:
             wave_stages=join_stats.wave_stages,
             gc_objects_deleted=join_stats.gc_objects_deleted,
             gc_list_requests=join_stats.gc_list_requests,
-            resilience=resilience,
+            resilience=join_stats.resilience,
             integrity=join_stats.integrity,
         )
         statistics.overload = self._overload_block(budget)
@@ -1068,26 +1052,6 @@ class LambadaDriver:
             for future in futures:
                 future.result()
 
-    def _expand_paths(self, paths: Sequence[str]) -> List[str]:
-        """Expand glob patterns against the object store.
-
-        Globs over missing buckets expand to nothing (the caller then reports
-        "no input files"), mirroring how a CLI glob over a missing directory
-        behaves.
-        """
-        from repro.errors import NoSuchBucketError
-
-        expanded: List[str] = []
-        for path in paths:
-            if "*" in path:
-                try:
-                    expanded.extend(self.env.s3.glob(path))
-                except NoSuchBucketError:
-                    continue
-            else:
-                expanded.append(path)
-        return expanded
-
     #: Worker-reported error prefixes that mean the invocation plane itself
     #: failed (vs. a data error inside a healthy worker).
     _LAMBDA_FAILURE_PREFIXES = (
@@ -1145,23 +1109,6 @@ class LambadaDriver:
             except CloudError:
                 continue
         return deleted
-
-    def _fault_snapshot(self) -> Optional[Dict[str, int]]:
-        """Per-kind injection counts of the installed fault plan, or ``None``."""
-        plan = getattr(self.env, "fault_plan", None)
-        if plan is None:
-            return None
-        return plan.to_dict()
-
-    def _fault_delta(self, snapshot: Optional[Dict[str, int]]) -> Dict[str, int]:
-        """Faults injected since ``snapshot`` (the plan outlives single queries)."""
-        if snapshot is None:
-            return {}
-        current = self._fault_snapshot() or {}
-        delta = {
-            kind: count - snapshot.get(kind, 0) for kind, count in current.items()
-        }
-        return {kind: count for kind, count in delta.items() if count > 0}
 
     def _collect_messages(
         self,
@@ -1229,36 +1176,6 @@ class LambadaDriver:
             )
         return messages
 
-    @staticmethod
-    def _merge_message(
-        by_worker: Dict[int, Dict],
-        message: Dict,
-        resilience: Optional[ResilienceStats] = None,
-    ) -> None:
-        """Fold one result message into ``by_worker`` with attempt dedup.
-
-        Higher attempts win; at the same attempt an ok beats an error (and
-        anything else is a duplicate delivery).  A late or re-delivered
-        message from an earlier attempt can therefore never clobber a
-        successful retry.
-        """
-        worker_id = message["worker_id"]
-        attempt = message.get("attempt", 0)
-        current = by_worker.get(worker_id)
-        if current is None:
-            by_worker[worker_id] = message
-            return
-        current_attempt = current.get("attempt", 0)
-        if attempt > current_attempt:
-            by_worker[worker_id] = message
-        elif attempt < current_attempt:
-            if resilience is not None:
-                resilience.stale_messages_ignored += 1
-        elif current.get("status") != "ok" and message.get("status") == "ok":
-            by_worker[worker_id] = message
-        elif resilience is not None:
-            resilience.duplicate_messages_ignored += 1
-
     def _group_messages(
         self,
         messages: List[Dict],
@@ -1278,60 +1195,16 @@ class LambadaDriver:
             by_worker = {}
         for message in messages:
             if "result_s3" in message:
-                spilled = self._fetch_spilled_result(
-                    message["result_s3"], resilience, integrity
+                spilled = fetch_spilled_result(
+                    self.env.s3, message["result_s3"], self.integrity.verify, integrity,
+                    policy=self.resilience_policy, rng=self._jitter_rng,
+                    stats=resilience, breakers=self.breakers,
+                    budget=self._active_budget, now_fn=self._active_now,
                 )
                 spilled.setdefault("attempt", message.get("attempt", 0))
                 message = spilled
-            self._merge_message(by_worker, message, resilience)
+            merge_attempt_message(by_worker, message["worker_id"], message, resilience)
         return by_worker
-
-    def _fetch_spilled_result(
-        self,
-        path: str,
-        resilience: Optional[ResilienceStats],
-        integrity: Optional[IntegrityStats],
-    ) -> Dict:
-        """Fetch a spilled result object, verifying its content digest."""
-        bucket, key = parse_s3_path(path)
-        verify = self.integrity.verify
-        last_error: Optional[IntegrityError] = None
-        for read_attempt in range(DEFAULT_RESILIENCE.spill_read_attempts):
-            raw = call_with_backoff(
-                self.env.s3.get_object,
-                bucket,
-                key,
-                policy=self.resilience_policy,
-                rng=self._jitter_rng,
-                stats=resilience,
-                breakers=self.breakers,
-                budget=self._active_budget,
-                now_fn=self._active_now,
-            ).data
-            try:
-                spilled = json.loads(raw.decode("utf-8"))
-                if not isinstance(spilled, dict):
-                    raise ValueError("spilled result is not an object")
-            except (ValueError, UnicodeDecodeError) as exc:
-                last_error = IntegrityError(
-                    f"spilled result does not parse: {exc}",
-                    key=path, layer="spill.digest",
-                )
-            else:
-                if not verify or message_intact(spilled):
-                    if integrity is not None:
-                        if verify:
-                            integrity.verified_bytes += len(raw)
-                        if read_attempt:
-                            integrity.re_reads += 1
-                    return spilled
-                last_error = IntegrityError(
-                    "spilled result failed its content digest",
-                    key=path, layer="spill.digest",
-                )
-            if integrity is not None:
-                integrity.note_mismatch("spill.digest")
-        raise last_error
 
     def _retry_failures(
         self,
@@ -1650,7 +1523,7 @@ class LambadaDriver:
         resilience = resilience if resilience is not None else ResilienceStats()
         integrity = integrity if integrity is not None else IntegrityStats()
         if fault_snapshot is not None:
-            resilience.faults_injected = self._fault_delta(fault_snapshot)
+            resilience.faults_injected = fault_delta(self.env, fault_snapshot)
         prices = self.env.ledger.prices
         durations = [result.duration_seconds for result in worker_results]
         invocation = TreeInvocationModel(region=self.env.region)

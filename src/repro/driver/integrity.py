@@ -14,6 +14,8 @@ Everything the verify-and-recover read path shares lives here:
   itself; JSON round-trips of ints, strings, and shortest-repr floats are
   representation-stable, so the receiver recomputes the identical value from
   the parsed dict.
+* :func:`fetch_spilled_result` — the one reader of spilled result objects:
+  GET with backoff, parse, verify the digest, re-read once on a mismatch.
 
 A clean run with verification disabled (or unchecksummed inputs) reports
 all-zero mismatch counters; verified byte counts accumulate wherever a
@@ -26,6 +28,11 @@ import json
 import zlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
+
+from repro.cloud.s3 import parse_s3_path
+from repro.config import DEFAULT_RESILIENCE
+from repro.driver.resilience import call_with_backoff
+from repro.errors import IntegrityError
 
 #: Key under which a result message carries its content digest.
 MESSAGE_DIGEST_KEY = "digest"
@@ -113,3 +120,52 @@ class IntegrityStats:
     def clean(self) -> bool:
         """True when no corruption was detected (recovery never ran)."""
         return not self.mismatches and self.re_reads == 0 and self.re_executions == 0
+
+
+def fetch_spilled_result(
+    s3: Any,
+    path: str,
+    verify: bool,
+    integrity: Optional[IntegrityStats] = None,
+    **backoff: Any,
+) -> Dict[str, Any]:
+    """Fetch and decode a spilled result message, retrying transients.
+
+    The pointed-to object may be transiently invisible under an injected
+    read-after-write lag, so the GET goes through
+    :func:`~repro.driver.resilience.call_with_backoff` with the caller's
+    ``backoff`` context (``policy``/``rng``/``stats`` and the overload
+    plane's ``breakers``/``budget``/``now_fn``).  With ``verify`` on, the
+    spilled JSON must parse and match its content digest; a corrupt first
+    read (in-flight corruption) is cured by one re-issued GET counted into
+    ``integrity.re_reads``.  Unverified mode still needs parseable JSON, for
+    which a blind re-read is the best recovery available.
+    """
+    bucket, key = parse_s3_path(path)
+    last_error: Optional[IntegrityError] = None
+    for read_attempt in range(DEFAULT_RESILIENCE.spill_read_attempts):
+        raw = call_with_backoff(s3.get_object, bucket, key, **backoff).data
+        try:
+            spilled = json.loads(raw.decode("utf-8"))
+            if not isinstance(spilled, dict):
+                raise ValueError("spilled result is not an object")
+        except (ValueError, UnicodeDecodeError) as exc:
+            last_error = IntegrityError(
+                f"spilled result does not parse: {exc}",
+                key=path, layer="spill.digest",
+            )
+        else:
+            if not verify or message_intact(spilled):
+                if integrity is not None:
+                    if verify:
+                        integrity.verified_bytes += len(raw)
+                    if read_attempt:
+                        integrity.re_reads += 1
+                return spilled
+            last_error = IntegrityError(
+                "spilled result failed its content digest",
+                key=path, layer="spill.digest",
+            )
+        if integrity is not None:
+            integrity.note_mismatch("spill.digest")
+    raise last_error

@@ -17,6 +17,9 @@ failures a real deployment would see) lives here:
   :class:`~repro.driver.driver.QueryStatistics`: retries, hedges won/lost,
   stale/duplicate messages ignored, injected faults survived, degradation
   fallbacks, and the wasted modelled dollars the failures cost.
+* :func:`merge_attempt_message` — the (worker, attempt) dedup every result
+  collector applies; :func:`fault_snapshot` / :func:`fault_delta` — what the
+  installed fault plan injected during one query.
 
 A clean run (no fault plan, homogeneous fleet) reports all-zero stats and
 takes none of these code paths beyond a handful of comparisons.
@@ -243,6 +246,52 @@ class ResilienceStats:
             and not self.fallbacks
             and not self.faults_injected
         )
+
+
+def fault_snapshot(env: Any) -> Optional[Dict[str, int]]:
+    """Per-kind injection counts of the installed fault plan, or ``None``."""
+    plan = getattr(env, "fault_plan", None)
+    return plan.to_dict() if plan is not None else None
+
+
+def fault_delta(env: Any, snapshot: Optional[Dict[str, int]]) -> Dict[str, int]:
+    """Faults injected since ``snapshot`` (the plan outlives single queries)."""
+    if snapshot is None:
+        return {}
+    current = fault_snapshot(env) or {}
+    return {
+        kind: count - snapshot.get(kind, 0)
+        for kind, count in current.items()
+        if count > snapshot.get(kind, 0)
+    }
+
+
+def merge_attempt_message(
+    by_key: Dict, key: Any, message: Dict, stats: Optional[ResilienceStats] = None
+) -> None:
+    """Fold one result message into ``by_key`` under (key, attempt) dedup.
+
+    A higher attempt supersedes a lower one; within the same attempt an ok
+    result beats an error (an injected SQS duplicate of either is dropped).
+    A late or re-delivered message from an earlier attempt can therefore
+    never clobber a successful retry; superseded and duplicate deliveries
+    are counted, never double-applied.
+    """
+    current = by_key.get(key)
+    if current is None:
+        by_key[key] = message
+        return
+    current_attempt = int(current.get("attempt", 0))
+    attempt = int(message.get("attempt", 0))
+    if attempt > current_attempt:
+        by_key[key] = message
+    elif attempt < current_attempt:
+        if stats is not None:
+            stats.stale_messages_ignored += 1
+    elif current.get("status") != "ok" and message.get("status") == "ok":
+        by_key[key] = message
+    elif stats is not None:
+        stats.duplicate_messages_ignored += 1
 
 
 @dataclass

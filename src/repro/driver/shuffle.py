@@ -1,64 +1,64 @@
-"""Shuffle-based (repartitioned) aggregation across two waves of workers.
+"""The shuffle coordinator: every repartitioning plan as waves over one exchange.
 
-The driver-merge aggregation path (``LambadaDriver.execute``) is ideal for the
-paper's evaluation queries, whose results have a handful of groups.  For
-high-cardinality group-bys the driver would become the bottleneck; the paper's
-exchange operator exists precisely so that such queries can repartition data
-among the serverless workers through S3.
+The driver-merge path (``LambadaDriver.execute``) suits queries whose results
+have a handful of groups and whose inputs need not meet.  Joins and
+high-cardinality group-bys have to repartition data among the serverless
+workers through S3 — the paper's exchange operator (§4.4) — and
+:class:`ShuffleJoinCoordinator` runs every such plan, lowered to a
+:class:`~repro.plan.physical.DagPhysicalPlan`, as barriered waves of function
+invocations with one wave body, one map handler and one reduce handler:
 
-:class:`ShuffleAggregateCoordinator` implements that execution strategy as two
-waves of serverless function invocations riding the write-combined exchange
-I/O plane (paper §4.4):
+* **scan wave** — every base relation's fleet at once.  A mapper scans its
+  files with the fragment's pushed-down predicate and projection (a fragment
+  that carries a group-by folds the map-side partial aggregation into the
+  scan), hash-partitions the rows by the fragment's partition keys and ships
+  them through the write-combined exchange: all partitions serialised into
+  **one** combined object via
+  :func:`~repro.exchange.codec.encode_partition_set`, the per-receiver byte
+  offsets riding in the object key
+  (:class:`~repro.exchange.naming.WriteCombiningNaming`), empty partitions
+  occupying zero bytes — O(P) PUTs per fleet instead of the legacy O(P²)
+  one-object-per-receiver pattern, which survives behind
+  ``ShuffleConfig(write_combining=False)`` as the parity baseline and as the
+  degradation target of a mapper whose combined write keeps failing;
+* **0…k join waves** — one worker per hash partition builds one
+  :class:`~repro.exchange.fetch.FetchPlan` from the manifests the barrier
+  before it announced (the offset directory rides in the combined keys, so
+  discovery costs **zero** requests; legacy per-receiver objects cost one
+  LIST), issues it as one batch — one ranged GET per non-empty slice,
+  charged as a single pipelined transfer — and runs the wave's join steps
+  with :func:`~repro.engine.join.hash_join`.  A DAG's stages are grouped into
+  as few waves as its build sides allow: a stage whose build side is cheaper
+  to read whole than a wave is to run is fused into the wave before it as a
+  broadcast join (:func:`_group_join_waves`).  A non-final wave re-emits its
+  rows by the next wave's probe key; the final wave computes the plan's
+  partial aggregates and returns them to the driver through SQS (spilling to
+  S3 when large);
+* **driver scope** — merge the partials, finalise derived aggregates
+  (``avg``), order, limit.
 
-* **map wave** — each worker scans its files, applies the filter, computes
-  per-group partial aggregates, and hash-partitions them by the group keys.
-  With write combining (the default) all of a mapper's partitions are
-  serialised into **one** combined object via
-  :func:`~repro.exchange.codec.encode_partition_set`; the per-receiver byte
-  offsets ride in the object key (:class:`~repro.exchange.naming.
-  WriteCombiningNaming`), empty partitions occupy zero bytes, and the map
-  wave issues exactly one PUT per mapper — O(P) requests instead of the
-  legacy O(P²) one-object-per-receiver pattern.  The legacy pattern survives
-  behind ``ShuffleConfig(write_combining=False)`` as the parity baseline
-  (with empty partitions elided before the PUT);
-* **reduce wave** — each worker builds one
-  :class:`~repro.exchange.fetch.FetchPlan` from the manifest the map barrier
-  announced (the offset directory rides in the combined keys, so discovery
-  costs no request; legacy per-receiver objects cost one LIST), issues it as
-  one batch — **one ranged GET per non-empty slice**, charged as a single
-  transfer pipelined over the scan's connection count — verifies and decodes
-  each slice in one pass over its bytes, folds them with a single
-  :func:`~repro.engine.aggregates.merge_partials` pass, and returns its
-  result rows to the driver through SQS (spilling to S3 when large).
-  Combined and legacy senders interoperate within one query.
+A repartitioned aggregation is the **k = 0** case: the base fragment
+aggregates, the final wave has no join step, and its ``aggregates`` are the
+merge functions (sum of sums, min of mins) — so the reduce side is the join
+wave's own partial aggregation over the fetched slices.
+:class:`ShuffleAggregateCoordinator` is the facade that lowers a group-by to
+that plan and repackages the run as :class:`ShuffleStatistics`; what its waves
+are *called* (functions, stage labels, spill-key stem) is data
+(:class:`WaveNames`), not a second code path.
 
-Request/byte counters of both waves are accumulated into
+Request/byte counters of every wave are accumulated into
 :class:`~repro.exchange.basic.ExchangeStats`, shipped inside each worker's
 :class:`~repro.engine.pipeline.WorkerResult`, and folded into the returned
-:class:`ShuffleStatistics`.
-
-The driver only concatenates the disjoint reduce outputs and finalises derived
-aggregates (``avg``), so its work is proportional to the result size of its
-own share, not to the number of groups.
-
-:class:`ShuffleJoinCoordinator` extends the same machinery to distributed
-equi-joins (TPC-H Q3/Q12/Q14): one map wave per side repartitions the
-filtered, projected rows by join-key hash through the write-combined
-exchange, and the join wave probes both sides' slices with the vectorized
-:func:`~repro.engine.join.hash_join` kernel before computing the partial
-aggregates placed above the join.  Because the driver barriers on the map
-waves, mappers announce their offset-bearing combined keys through the
-result queue and the join wave needs **zero** discovery requests — one
-fetch plan over both sides, one ranged GET per non-empty slice, is all it
-issues.  An N-way join DAG (Q5/Q7/Q9/Q10/Q18) runs as few such join waves as
-its build sides allow: a stage whose build side is cheaper to read whole than
-a wave is to run is fused into the wave before it as a broadcast join
-(:func:`_group_join_waves`).
+statistics.  Every wave's inputs are deleted by their announced paths as soon
+as the wave has folded, so a clean query issues no LIST at all; only a query
+that saw a retry, fallback or injected fault ends with a LIST sweep of its
+exchange and result prefixes for the objects of superseded attempts.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import random
 import uuid
 from dataclasses import dataclass, field
@@ -70,7 +70,12 @@ from repro.cloud.environment import CloudEnvironment
 from repro.cloud.lambda_service import FunctionConfig, InvocationContext
 from repro.cloud.s3 import parse_s3_path
 from repro.config import DEFAULT_RESILIENCE, IntegrityConfig, MiB
-from repro.driver.integrity import IntegrityStats, message_intact, sign_message
+from repro.driver.integrity import (
+    IntegrityStats,
+    fetch_spilled_result,
+    message_intact,
+    sign_message,
+)
 from repro.driver.resilience import (
     DEFAULT_RESILIENCE_POLICY,
     TRANSIENT_CLOUD_ERRORS,
@@ -79,6 +84,9 @@ from repro.driver.resilience import (
     ResilienceStats,
     call_with_backoff,
     decorrelated_jitter,
+    fault_delta,
+    fault_snapshot,
+    merge_attempt_message,
 )
 from repro.driver.worker import RESULT_BUCKET, RESULT_SPILL_BYTES
 from repro.engine.aggregates import (
@@ -103,7 +111,6 @@ from repro.errors import (
     CloudError,
     ExchangeError,
     ExecutionError,
-    IntegrityError,
     NoSuchBucketError,
     QueryCancelledError,
     QueryTimeoutError,
@@ -116,20 +123,54 @@ from repro.exchange.fetch import FetchPlan, SenderManifest
 from repro.exchange.naming import MultiBucketNaming, WriteCombiningNaming
 from repro.exchange.partition import partition_assignments, scatter_by_assignment, slice_partition
 from repro.formats.compression import Compression
-from repro.plan.expressions import evaluate, expression_from_dict, expression_to_dict
+from repro.plan.expressions import col, evaluate, expression_from_dict, expression_to_dict
 from repro.plan.logical import AggregateSpec
 from repro.plan.optimizer import _decompose_aggregates
-from repro.plan.physical import (
-    DagPhysicalPlan,
-    JoinSidePlan,
-    PruneRange,
-)
+from repro.plan.physical import DagPhysicalPlan, DriverPlan, JoinSidePlan
 
 MAP_FUNCTION_NAME = "lambada-shuffle-map"
 REDUCE_FUNCTION_NAME = "lambada-shuffle-reduce"
 SHUFFLE_RESULT_QUEUE = "lambada-shuffle-results"
 JOIN_MAP_FUNCTION_NAME = "lambada-join-map"
 JOIN_REDUCE_FUNCTION_NAME = "lambada-join-reduce"
+JOIN_RESULT_QUEUE = "lambada-join-results"
+
+
+@dataclass(frozen=True)
+class WaveNames:
+    """What a coordinator's waves are called.
+
+    The deployed functions (each keeps its own warm instances and memory
+    size), the stage labels that cancellation pump points and worker-failure
+    errors report, and the stem of spilled-result keys (fault rules match on
+    it).  Data on the coordinator class, so that an aggregation and a join
+    run the same wave body under the names their callers know.
+    """
+
+    map_function: str
+    reduce_function: str
+    #: Stage label of the scan wave; ``"<label> dispatch"`` before it starts.
+    map_label: str
+    #: Stage label of the final wave (non-final waves are ``join stage k``).
+    reduce_label: str
+    #: Final-wave results spill to ``{query_id}/{stem}-{partition}.a{attempt}.json``.
+    spill_stem: str
+
+
+AGGREGATE_WAVES = WaveNames(
+    map_function=MAP_FUNCTION_NAME,
+    reduce_function=REDUCE_FUNCTION_NAME,
+    map_label="shuffle map",
+    reduce_label="shuffle reduce",
+    spill_stem="reduce",
+)
+JOIN_WAVES = WaveNames(
+    map_function=JOIN_MAP_FUNCTION_NAME,
+    reduce_function=JOIN_REDUCE_FUNCTION_NAME,
+    map_label="join map",
+    reduce_label="join",
+    spill_stem="join",
+)
 
 #: Bucket family of the shuffle exchange objects (spread per §4.4.1).
 SHUFFLE_BUCKET_PREFIX = "shuffle-b"
@@ -184,6 +225,9 @@ class ShuffleStatistics:
     resilience: ResilienceStats = field(default_factory=ResilienceStats)
     #: Checksum verification and corruption-recovery counters.
     integrity: IntegrityStats = field(default_factory=IntegrityStats)
+    #: Modelled dollars of the run (Lambda duration and requests, S3 and SQS
+    #: requests), priced by :func:`join_costs`.
+    cost_total: float = 0.0
 
     @property
     def modelled_latency_seconds(self) -> float:
@@ -196,11 +240,12 @@ class ShuffleStatistics:
         )
 
 
-def _expand_glob_paths(s3, paths: Sequence[str]) -> List[str]:
+def expand_glob_paths(s3, paths: Sequence[str]) -> List[str]:
     """Expand glob patterns against the object store.
 
-    Globs over missing buckets expand to nothing; the caller then reports
-    "no input files" (mirroring ``LambadaDriver._expand_paths``).
+    Globs over missing buckets expand to nothing (the caller then reports
+    "no input files"), mirroring how a CLI glob over a missing directory
+    behaves.
     """
     expanded: List[str] = []
     for path in paths:
@@ -224,33 +269,6 @@ def _message_key(payload: Dict):
     side = payload.get("side")
     worker = payload.get("worker_id", -1)
     return (side, worker) if side is not None else worker
-
-
-def _merge_wave_message(
-    by_key: Dict, key, payload: Dict, resilience: Optional[ResilienceStats]
-) -> None:
-    """Fold one result message into ``by_key`` under (key, attempt) dedup.
-
-    A higher attempt supersedes a lower one; within the same attempt an ok
-    result beats an error (an injected SQS duplicate of either is dropped).
-    Superseded and duplicate deliveries are counted, never double-applied.
-    """
-    current = by_key.get(key)
-    if current is None:
-        by_key[key] = payload
-        return
-    current_attempt = int(current.get("attempt", 0))
-    new_attempt = int(payload.get("attempt", 0))
-    if new_attempt > current_attempt:
-        by_key[key] = payload
-    elif new_attempt < current_attempt:
-        if resilience is not None:
-            resilience.stale_messages_ignored += 1
-    elif current.get("status") != "ok" and payload.get("status") == "ok":
-        by_key[key] = payload
-    else:
-        if resilience is not None:
-            resilience.duplicate_messages_ignored += 1
 
 
 def _collect_wave_messages(
@@ -325,7 +343,7 @@ def _collect_wave_messages(
             key = _message_key(payload)
             if want is not None and key not in want:
                 continue
-            _merge_wave_message(by_key, key, payload, resilience)
+            merge_attempt_message(by_key, key, payload, resilience)
         if satisfied() >= target:
             return by_key
     if raise_on_timeout:
@@ -459,47 +477,33 @@ def _run_wave(
     raise WorkerFailedError(worker_id, f"{what}: {error}", attempts=history)
 
 
-def _fault_delta(env: CloudEnvironment, snapshot: Optional[Dict]) -> Dict[str, int]:
-    """Faults the installed plan injected since ``snapshot`` (per kind)."""
-    plan = getattr(env, "fault_plan", None)
-    if plan is None or snapshot is None:
-        return {}
-    now = plan.to_dict()
-    return {
-        kind: count - snapshot.get(kind, 0)
-        for kind, count in now.items()
-        if count > snapshot.get(kind, 0)
-    }
+def _gc_query_objects(env: CloudEnvironment, query_id: str, num_buckets: int) -> tuple:
+    """Sweep every object a query's attempts wrote.
 
-
-def _gc_query_objects(env: CloudEnvironment, query_id: str, namings) -> tuple:
-    """Sweep every exchange object a query's attempts wrote.
-
-    All attempt prefixes (and, for DAG queries, all side/stage tags) live
-    under ``{query_id}/`` in every naming's buckets, so one LIST per bucket
-    sweeps the lot — including the orphans of superseded attempts, which no
-    announced path names.  Best-effort: an injected fault during cleanup
-    skips that bucket rather than masking the caller's own outcome.  Returns
-    ``(objects deleted, LIST requests issued)``.
+    All attempt prefixes and all side/stage tags live under ``{query_id}/``
+    in the shuffle buckets (both naming planes — a degraded retry writes
+    one-object-per-receiver keys into the legacy buckets), and every spilled
+    result under the same prefix of the result bucket, so one LIST per
+    bucket sweeps the lot — including the orphans of superseded attempts,
+    which no announced path names.  Best-effort: an injected fault during
+    cleanup skips that bucket rather than masking the caller's own outcome,
+    and a result bucket no worker ever spilled into does not exist yet.
+    Returns ``(objects deleted, LIST requests answered)``.
     """
-    deleted = 0
-    swept: Set[str] = set()
-    for naming in namings:
-        for bucket in naming.buckets():
-            if bucket in swept:
-                continue
-            swept.add(bucket)
+    deleted = lists = 0
+    for bucket in _exchange_buckets(num_buckets) + [RESULT_BUCKET]:
+        try:
+            metas = env.s3.list_objects(bucket, prefix=f"{query_id}/")
+        except CloudError:
+            continue
+        lists += 1
+        for meta in metas:
             try:
-                metas = env.s3.list_objects(bucket, prefix=f"{query_id}/")
+                env.s3.delete_object(bucket, meta.key)
+                deleted += 1
             except CloudError:
                 continue
-            for meta in metas:
-                try:
-                    env.s3.delete_object(bucket, meta.key)
-                    deleted += 1
-                except CloudError:
-                    continue
-    return deleted, len(swept)
+    return deleted, lists
 
 
 def _delete_consumed_outputs(
@@ -532,17 +536,16 @@ def _delete_consumed_outputs(
     return deleted
 
 
-def _gc_cancelled_query(env: CloudEnvironment, query_id: str, namings, queue: str) -> int:
+def _gc_cancelled_query(env: CloudEnvironment, query_id: str, num_buckets: int, queue: str) -> int:
     """Garbage-collect a cancelled query's cloud state; returns keys deleted.
 
-    Deletes every exchange object the query's attempts wrote (all attempt
-    prefixes live under ``{query_id}/`` in every naming's buckets) and purges
-    the result queue so no orphaned message can leak into a later query's
-    poll.  Best-effort: an injected fault during cleanup (the brownout that
-    provoked the cancellation may still be raging) skips that bucket rather
-    than masking the cancellation itself.
+    Deletes every object the query's attempts wrote (:func:`_gc_query_objects`)
+    and purges the result queue so no orphaned message can leak into a later
+    query's poll.  Best-effort: an injected fault during cleanup (the
+    brownout that provoked the cancellation may still be raging) skips that
+    bucket rather than masking the cancellation itself.
     """
-    deleted, _ = _gc_query_objects(env, query_id, namings)
+    deleted, _ = _gc_query_objects(env, query_id, num_buckets)
     try:
         env.sqs.purge_queue(queue)
     except CloudError:
@@ -555,31 +558,47 @@ def _attempt_prefix(query_id: str, attempt: int) -> str:
 
     Retries write under a fresh ``r{attempt}`` prefix, so a mapper that
     crashed *after* its PUT (duplicate-object hazard) can never have its
-    orphaned first-attempt object confused with the retry's: the reduce wave
-    reads only the keys announced by the attempt the driver accepted.
+    orphaned first-attempt object confused with the retry's: the consuming
+    wave reads only the keys announced by the attempt the driver accepted.
     """
     return f"{query_id}/" if attempt <= 0 else f"{query_id}/r{attempt}/"
 
 
-def _map_naming(
-    query_id: str, num_buckets: int, attempt: int = 0
+def _join_map_naming(
+    query_id: str, side: str, num_buckets: int, attempt: int = 0
 ) -> WriteCombiningNaming:
-    """Naming of the combined (write-combined) map outputs."""
+    """Naming of one side's combined (write-combined) map outputs.
+
+    ``side`` is the exchange tag of the stream — ``"L"`` the base fleet,
+    ``"R{k}"`` stage ``k``'s build fleet, ``"J{k}"`` the intermediate a wave
+    re-emits — so the repartition streams of one query never collide.
+    """
     return WriteCombiningNaming(
         bucket=SHUFFLE_BUCKET_PREFIX,
-        prefix=_attempt_prefix(query_id, attempt),
+        prefix=f"{_attempt_prefix(query_id, attempt)}{side}/",
         num_buckets=num_buckets,
     )
 
 
-def _legacy_naming(
-    query_id: str, num_buckets: int, attempt: int = 0
+def _join_legacy_naming(
+    query_id: str, side: str, num_buckets: int, attempt: int = 0
 ) -> MultiBucketNaming:
-    """Naming of the legacy one-object-per-receiver map outputs."""
+    """Naming of one side's legacy one-object-per-receiver map outputs."""
     return MultiBucketNaming(
         num_buckets=num_buckets,
         bucket_prefix=SHUFFLE_BUCKET_PREFIX,
-        prefix=_attempt_prefix(query_id, attempt),
+        prefix=f"{_attempt_prefix(query_id, attempt)}{side}/",
+    )
+
+
+def _exchange_buckets(num_buckets: int) -> List[str]:
+    """Buckets of both exchange planes; every query and every exchange tag
+    shares them (only the key prefix differs)."""
+    return list(
+        dict.fromkeys(
+            _join_map_naming("", "", num_buckets).buckets()
+            + _join_legacy_naming("", "", num_buckets).buckets()
+        )
     )
 
 
@@ -685,41 +704,56 @@ def _write_partitions(
 
 
 def _make_map_handler(env: CloudEnvironment):
-    """Handler of the map-wave function."""
+    """Handler of the scan-wave functions.
+
+    One fleet's mapper scans its files with the fragment's pushed-down
+    predicate and projection, hash-partitions what survives by the
+    fragment's partition keys, and ships the partitions through the
+    write-combined exchange (one combined PUT per mapper; the legacy
+    one-object-per-receiver plane survives behind ``write_combining=False``).
+    A fragment that carries a group-by ships one partial-aggregate row per
+    group instead of the rows themselves.
+    """
 
     def handler(event: Dict, context: InvocationContext) -> Dict:
         query_id = event["query_id"]
         worker_id = event["worker_id"]
+        side = event["side"]
         attempt = int(event.get("attempt", 0))
-        group_by = list(event["group_by"])
-        partials_specs = [AggregateSpec.from_dict(item) for item in event["aggregates"]]
-        predicate = expression_from_dict(event.get("predicate"))
-        prune_ranges = [PruneRange.from_dict(item) for item in event.get("prune_ranges", [])]
+        side_plan = JoinSidePlan.from_dict(event)
         num_buckets = int(event.get("num_buckets", 10))
         integrity = IntegrityConfig.from_dict(event.get("integrity"))
 
-        # The predicate is pushed into the scan (selection vectors on encoded
-        # chunks) and the fused kernel folds surviving rows straight into the
-        # partial aggregates — same single-pass pipeline as scan workers.
+        # The pushed-down predicate rides inside the scan operator, so chunks
+        # arrive already filtered through the late-materialization path.
         scan = S3ScanOperator(
             env.s3,
-            files=event["files"],
-            columns=event.get("columns") or None,
-            prune_ranges=prune_ranges,
+            files=side_plan.files,
+            columns=side_plan.columns or None,
+            prune_ranges=side_plan.prune_ranges,
             config=ScanConfig(memory_mib=context.memory_mib),
             bandwidth=env.bandwidth,
-            predicate=predicate,
+            predicate=side_plan.predicate,
         )
-        partials: List[Table] = []
-        for batch in scan.scan_fused(group_by):
-            partials.append(partial_aggregate_fused(batch, group_by, partials_specs))
-        merged = merge_partials(partials, group_by, partials_specs)
+        if side_plan.group_by:
+            # The fused kernel folds surviving rows straight into the partial
+            # aggregates — same single-pass pipeline as scan workers.
+            rows = merge_partials(
+                [
+                    partial_aggregate_fused(batch, side_plan.group_by, side_plan.aggregates)
+                    for batch in scan.scan_fused(side_plan.group_by)
+                ],
+                side_plan.group_by,
+                side_plan.aggregates,
+            )
+        else:
+            rows = concat_tables(list(scan.scan()))
 
         stats = ExchangeStats()
         announcement = _write_partitions(
-            env, event, worker_id, merged, group_by, event["num_partitions"],
-            _map_naming(query_id, num_buckets, attempt),
-            _legacy_naming(query_id, num_buckets, attempt),
+            env, event, worker_id, rows, side_plan.partition_keys, event["num_partitions"],
+            _join_map_naming(query_id, side, num_buckets, attempt),
+            _join_legacy_naming(query_id, side, num_buckets, attempt),
             stats, integrity,
         )
         modelled_seconds = _charge_worker(env, context, scan.modelled_seconds(), stats)
@@ -727,6 +761,7 @@ def _make_map_handler(env: CloudEnvironment):
         result = WorkerResult(
             partial={},
             rows_scanned=scan.counters.rows_scanned,
+            rows_after_filter=table_num_rows(rows),
             get_requests=scan.statistics.get_requests,
             bytes_read=scan.statistics.bytes_read,
             duration_seconds=modelled_seconds,
@@ -735,6 +770,7 @@ def _make_map_handler(env: CloudEnvironment):
         message = {
             "query_id": query_id,
             "worker_id": worker_id,
+            "side": side,
             "status": "ok",
             "attempt": attempt,
             "rows_scanned": scan.counters.rows_scanned,
@@ -803,560 +839,6 @@ def _fetch_partition(
     return pieces, plan.slices, fetch_seconds
 
 
-def _make_reduce_handler(env: CloudEnvironment):
-    """Handler of the reduce-wave function."""
-
-    def handler(event: Dict, context: InvocationContext) -> Dict:
-        import json
-
-        query_id = event["query_id"]
-        partition = event["partition"]
-        attempt = int(event.get("attempt", 0))
-        num_partitions = event["num_partitions"]
-        group_by = list(event["group_by"])
-        partials_specs = [AggregateSpec.from_dict(item) for item in event["aggregates"]]
-        num_buckets = int(event.get("num_buckets", 10))
-        integrity = IntegrityConfig.from_dict(event.get("integrity"))
-        istats = IntegrityStats()
-
-        stats = ExchangeStats()
-        manifest = SenderManifest(
-            event.get("combined", []),
-            event.get("object_senders", []),
-            lambda map_attempt: _legacy_naming(query_id, num_buckets, map_attempt),
-        )
-        (pieces,), objects_read, fetch_seconds = _fetch_partition(
-            env, context, [manifest], partition, num_partitions, stats,
-            integrity, istats,
-        )
-        # Single merge pass: the decoded slices (raw columns are views of the
-        # response) are folded into fresh group buffers exactly once.
-        merged = merge_partials(pieces, group_by, partials_specs)
-        modelled_seconds = _charge_worker(
-            env, context, _reduce_compute_seconds(objects_read), stats, fetch_seconds
-        )
-
-        result = WorkerResult(
-            partial={},
-            rows_output=table_num_rows(merged),
-            duration_seconds=modelled_seconds,
-            exchange_stats=stats.to_dict(),
-            integrity_stats=istats.to_dict(),
-        )
-        payload = {
-            "query_id": query_id,
-            "worker_id": partition,
-            "status": "ok",
-            "attempt": attempt,
-            "objects_read": objects_read,
-            "worker_result": result.to_payload(),
-            "result": encode_table(merged, checksum=integrity.generate),
-        }
-        if integrity.generate:
-            sign_message(payload)
-        encoded = json.dumps(payload).encode("utf-8")
-        if len(encoded) > RESULT_SPILL_BYTES:
-            env.s3.ensure_bucket(RESULT_BUCKET)
-            # The attempt suffix keeps a retried reducer from overwriting an
-            # earlier attempt's spill mid-read.
-            key = f"{query_id}/reduce-{partition}.a{attempt}.json"
-            env.s3.put_object(RESULT_BUCKET, key, encoded)
-            pointer = {
-                "query_id": query_id,
-                "worker_id": partition,
-                "status": "ok",
-                "attempt": attempt,
-                "objects_read": objects_read,
-                "worker_result": result.to_payload(),
-                "result_s3": f"s3://{RESULT_BUCKET}/{key}",
-            }
-            if integrity.generate:
-                sign_message(pointer)
-            env.sqs.send_json(event["result_queue"], pointer)
-        else:
-            # Reuse the bytes already serialised for the spill-size check.
-            env.sqs.send_message(event["result_queue"], encoded.decode("utf-8"))
-        return payload
-
-    return _guarded(env, handler)
-
-
-class _ResilientWaves:
-    """Shared wave-retry plumbing of the shuffle coordinators.
-
-    Expects the subclass to provide ``env``, ``result_queue``,
-    ``resilience_policy``, and ``_jitter_rng``.
-
-    The overload-control context (PR 9) is armed per query through
-    :meth:`_arm_overload`: the driver passes its cancellation token, breaker
-    board, retry budget, and modelled now-function before delegating, and
-    every wave threads them into :func:`_run_wave`.
-    """
-
-    #: Per-query overload context; ``None`` on plain (pre-PR-9) calls.
-    _cancel = None
-    _breakers = None
-    _budget = None
-    _now_fn = None
-
-    def _arm_overload(self, cancel=None, breakers=None, budget=None, now_fn=None):
-        """Install the per-query overload context (cleared by the caller)."""
-        self._cancel = cancel
-        self._breakers = breakers
-        self._budget = budget
-        self._now_fn = now_fn
-
-    def _expand(self, paths: Sequence[str]) -> List[str]:
-        return _expand_glob_paths(self.env.s3, paths)
-
-    def _fault_snapshot(self) -> Optional[Dict]:
-        plan = getattr(self.env, "fault_plan", None)
-        return plan.to_dict() if plan is not None else None
-
-    def _wave(
-        self,
-        function_name: str,
-        events: Dict,
-        query_id: str,
-        what: str,
-        resilience: ResilienceStats,
-        on_retry=None,
-        integrity: Optional[IntegrityStats] = None,
-    ) -> List[Dict]:
-        """Run one wave with retries; messages in wave-key order."""
-        by_key = _run_wave(
-            self.env,
-            function_name,
-            events,
-            self.result_queue,
-            query_id,
-            what,
-            self.resilience_policy,
-            self._jitter_rng,
-            resilience,
-            on_retry=on_retry,
-            verify=self.config.integrity.verify,
-            integrity=integrity,
-            cancel=self._cancel,
-            breakers=self._breakers,
-            budget=self._budget,
-            now_fn=self._now_fn,
-        )
-        return [by_key[key] for key in sorted(by_key)]
-
-    def _degrade_map_retry(self, resilience: ResilienceStats):
-        """Retry hook flipping a repeatedly-failing mapper to the legacy plane.
-
-        A mapper whose combined write keeps failing (e.g. throttles or
-        crash-after-PUT aimed at its one big object) degrades to the legacy
-        one-object-per-receiver format from
-        ``policy.combined_fallback_attempt`` on — the reduce wave handles
-        mixed formats within one query, so correctness is unaffected.
-        """
-
-        def on_retry(key, retry: Dict) -> None:
-            if not retry.get("write_combining"):
-                return
-            threshold = self.resilience_policy.combined_fallback_attempt
-            if self._breakers is not None and "s3" in self._breakers.open_services():
-                # Brownout response: with the S3 breaker open the combined
-                # write plane (one big PUT per mapper) is the most exposed,
-                # so degrade to the legacy format on the first retry already.
-                threshold = 1
-            if retry["attempt"] >= threshold:
-                retry["write_combining"] = False
-                resilience.note_fallback("combined_to_legacy")
-
-        return on_retry
-
-    def _fetch_spilled(
-        self,
-        path: str,
-        resilience: ResilienceStats,
-        integrity: Optional[IntegrityStats] = None,
-    ) -> Dict:
-        """Fetch and decode a spilled result message, retrying transients.
-
-        With verification on, the spilled JSON must parse and match its
-        content digest; a corrupt first read (in-flight corruption) is cured
-        by one re-issued GET counted into ``integrity.re_reads``.
-        """
-        import json
-
-        bucket, key = parse_s3_path(path)
-        verify = self.config.integrity.verify
-        last_error: Optional[IntegrityError] = None
-        for read_attempt in range(2):
-            spilled = call_with_backoff(
-                self.env.s3.get_object, bucket, key,
-                policy=self.resilience_policy, rng=self._jitter_rng,
-                stats=resilience,
-            )
-            try:
-                payload = json.loads(spilled.data.decode("utf-8"))
-                if not isinstance(payload, dict):
-                    raise ValueError("spilled result is not an object")
-            except (ValueError, UnicodeDecodeError) as exc:
-                last_error = IntegrityError(
-                    f"spilled result does not parse: {exc}",
-                    key=path, layer="spill.digest",
-                )
-            else:
-                if not verify or message_intact(payload):
-                    if integrity is not None:
-                        if verify:
-                            integrity.verified_bytes += len(spilled.data)
-                        if read_attempt:
-                            integrity.re_reads += 1
-                    return payload
-                last_error = IntegrityError(
-                    "spilled result failed its content digest",
-                    key=path, layer="spill.digest",
-                )
-            if integrity is not None:
-                integrity.note_mismatch("spill.digest")
-            if not verify:
-                # Unverified mode still needs parseable JSON; one blind
-                # re-read is the best recovery available.
-                continue
-        raise last_error
-
-
-class ShuffleAggregateCoordinator(_ResilientWaves):
-    """Coordinates two-wave (map + reduce) aggregation over serverless workers."""
-
-    def __init__(
-        self,
-        env: CloudEnvironment,
-        memory_mib: int = 2048,
-        num_buckets: int = 10,
-        result_queue: str = SHUFFLE_RESULT_QUEUE,
-        config: Optional[ShuffleConfig] = None,
-        resilience_policy: Optional[ResiliencePolicy] = None,
-    ):
-        self.env = env
-        self.memory_mib = memory_mib
-        self.num_buckets = num_buckets
-        self.result_queue = result_queue
-        self.config = config or ShuffleConfig()
-        self.resilience_policy = resilience_policy or DEFAULT_RESILIENCE_POLICY
-        self._jitter_rng = random.Random(self.resilience_policy.jitter_seed)
-        env.sqs.create_queue(result_queue)
-        # The handlers are stateless (per-query naming is derived from the
-        # event), so coordinators sharing an environment can interleave.
-        env.lambda_service.deploy(
-            FunctionConfig(name=MAP_FUNCTION_NAME, memory_mib=memory_mib),
-            _make_map_handler(env),
-        )
-        env.lambda_service.deploy(
-            FunctionConfig(name=REDUCE_FUNCTION_NAME, memory_mib=memory_mib),
-            _make_reduce_handler(env),
-        )
-
-    # -- execution ------------------------------------------------------------------
-
-    def _map_mode(self, worker_id: int) -> bool:
-        """Whether mapper ``worker_id`` write-combines its partitions.
-
-        The default applies the coordinator's configuration uniformly;
-        subclasses (and the mixed-format parity tests) may vary it per
-        mapper — the reduce wave handles both formats within one query.
-        """
-        return self.config.write_combining
-
-    def execute(
-        self,
-        paths: Sequence[str],
-        group_by: Sequence[str],
-        aggregates: Sequence[AggregateSpec],
-        predicate=None,
-        columns: Optional[Sequence[str]] = None,
-        num_workers: Optional[int] = None,
-        order_by: Optional[Sequence[str]] = None,
-        cancel=None,
-        breakers=None,
-        budget=None,
-        now_fn=None,
-    ):
-        """Run a repartitioned group-by aggregation and return (table, statistics).
-
-        ``cancel``/``breakers``/``budget``/``now_fn`` arm the overload plane
-        for this query (see :class:`_ResilientWaves`); a cancellation raised
-        mid-wave garbage-collects every exchange object the query wrote and
-        purges its result-queue messages before propagating.
-        """
-        paths = self._expand(paths)
-        if not paths:
-            raise ExecutionError("shuffle aggregation has no input files")
-        if not group_by:
-            raise ExecutionError("shuffle aggregation requires group-by keys")
-        num_workers = num_workers or len(paths)
-        num_workers = min(num_workers, len(paths))
-
-        partials, finals = _decompose_aggregates(list(aggregates))
-        query_id = uuid.uuid4().hex[:12]
-        namings = (
-            _map_naming(query_id, self.num_buckets),
-            _legacy_naming(query_id, self.num_buckets),
-        )
-        for naming in namings:
-            for bucket in naming.buckets():
-                self.env.s3.ensure_bucket(bucket)
-
-        # Per-query jitter reseed: backoff schedules must not depend on how
-        # many queries this coordinator ran before (order-independent chaos).
-        self._jitter_rng = random.Random(self.resilience_policy.jitter_seed)
-        self._arm_overload(cancel, breakers, budget, now_fn)
-        if cancel is not None and now_fn is not None:
-            cancel.bind(now_fn, query_id=query_id)
-        try:
-            return self._execute_waves(
-                paths, group_by, partials, finals, predicate, columns,
-                num_workers, order_by, query_id,
-            )
-        except QueryCancelledError:
-            _gc_cancelled_query(self.env, query_id, namings, self.result_queue)
-            raise
-        finally:
-            self._arm_overload()
-
-    def _execute_waves(
-        self,
-        paths: Sequence[str],
-        group_by: Sequence[str],
-        partials,
-        finals,
-        predicate,
-        columns: Optional[Sequence[str]],
-        num_workers: int,
-        order_by: Optional[Sequence[str]],
-        query_id: str,
-    ):
-        """The wave body of :meth:`execute` (split out for cancellation GC)."""
-        resilience = ResilienceStats()
-        integrity_stats = IntegrityStats()
-        fault_snapshot = self._fault_snapshot()
-
-        # -- map wave -------------------------------------------------------------
-        assignments = [paths[i::num_workers] for i in range(num_workers)]
-        assignments = [files for files in assignments if files]
-        map_events = {}
-        for worker_id, files in enumerate(assignments):
-            map_events[worker_id] = {
-                "query_id": query_id,
-                "worker_id": worker_id,
-                "attempt": 0,
-                "files": files,
-                "columns": list(columns) if columns else None,
-                "predicate": expression_to_dict(predicate),
-                "prune_ranges": [],
-                "group_by": list(group_by),
-                "aggregates": [spec.to_dict() for spec in partials],
-                "num_partitions": len(assignments),
-                "result_queue": self.result_queue,
-                "write_combining": self._map_mode(worker_id),
-                "fast_codec": self.config.fast_codec,
-                "compression": self.config.compression.value,
-                "num_buckets": self.num_buckets,
-                "integrity": self.config.integrity.to_dict(),
-            }
-        map_messages = self._wave(
-            MAP_FUNCTION_NAME, map_events, query_id, "shuffle map", resilience,
-            on_retry=self._degrade_map_retry(resilience),
-            integrity=integrity_stats,
-        )
-        rows_scanned = sum(message.get("rows_scanned", 0) for message in map_messages)
-        objects_written = sum(message.get("partitions_written", 0) for message in map_messages)
-        # Reduce manifest: combined objects are announced with their
-        # offset-bearing paths (zero discovery requests, and an orphaned
-        # earlier-attempt duplicate is never read); legacy senders travel as
-        # (sender, attempt) pairs so retried mappers' prefixes are found.
-        combined_entries = sorted(
-            [m["worker_id"], m["combined_path"], m["combined_size"]]
-            for m in map_messages
-            if m.get("format") == "combined"
-        )
-        object_senders = sorted(
-            [m["worker_id"], int(m.get("attempt", 0))]
-            for m in map_messages
-            if m.get("format") != "combined"
-        )
-
-        # -- reduce wave ------------------------------------------------------------
-        reduce_events = {}
-        for partition in range(len(assignments)):
-            reduce_events[partition] = {
-                "query_id": query_id,
-                "partition": partition,
-                "attempt": 0,
-                "num_partitions": len(assignments),
-                "combined": combined_entries,
-                "object_senders": object_senders,
-                "group_by": list(group_by),
-                "aggregates": [spec.to_dict() for spec in partials],
-                "result_queue": self.result_queue,
-                "num_buckets": self.num_buckets,
-                "integrity": self.config.integrity.to_dict(),
-            }
-        reduce_messages = self._wave(
-            REDUCE_FUNCTION_NAME, reduce_events, query_id, "shuffle reduce",
-            resilience, integrity=integrity_stats,
-        )
-        objects_read = sum(message.get("objects_read", 0) for message in reduce_messages)
-
-        exchange = ExchangeStats()
-        wave_seconds = {"map": 0.0, "reduce": 0.0}
-        for wave, messages in (("map", map_messages), ("reduce", reduce_messages)):
-            for message in messages:
-                worker_result = message.get("worker_result")
-                if not worker_result:
-                    continue
-                parsed = WorkerResult.from_payload(worker_result)
-                exchange.merge(ExchangeStats.from_dict(parsed.exchange_stats))
-                integrity_stats.merge(IntegrityStats.from_dict(parsed.integrity_stats))
-                wave_seconds[wave] = max(wave_seconds[wave], parsed.duration_seconds)
-
-        pieces = []
-        for message in reduce_messages:
-            if "result_s3" in message:
-                message = self._fetch_spilled(
-                    message["result_s3"], resilience, integrity_stats
-                )
-            pieces.append(
-                decode_table(
-                    message["result"],
-                    verify=self.config.integrity.verify,
-                    key=f"reduce-{message.get('worker_id')}",
-                )
-            )
-        # Both waves are folded: the accepted mappers' objects and the spilled
-        # reduce results have no reader left.
-        _delete_consumed_outputs(
-            self.env, map_messages + reduce_messages, len(assignments),
-            lambda attempt: _legacy_naming(query_id, self.num_buckets, attempt),
-        )
-        merged = concat_tables([piece for piece in pieces if table_num_rows(piece)])
-        result = finalize_aggregates(merged, list(group_by), list(finals))
-        if order_by:
-            result = sort_table(result, list(order_by))
-
-        resilience.faults_injected = _fault_delta(self.env, fault_snapshot)
-        statistics = ShuffleStatistics(
-            map_workers=len(assignments),
-            reduce_workers=len(assignments),
-            rows_scanned=rows_scanned,
-            partition_objects_written=objects_written,
-            partition_objects_read=objects_read,
-            result_rows=table_num_rows(result),
-            exchange=exchange,
-            modelled_map_seconds=wave_seconds["map"],
-            modelled_reduce_seconds=wave_seconds["reduce"],
-            resilience=resilience,
-            integrity=integrity_stats,
-        )
-        return result, statistics
-
-# ---------------------------------------------------------------------------
-# Distributed shuffle join
-# ---------------------------------------------------------------------------
-
-JOIN_RESULT_QUEUE = "lambada-join-results"
-
-#: Side tags of the join exchange; each side writes under its own prefix of
-#: the shuffle buckets so the two repartition streams never collide.
-JOIN_SIDES = ("L", "R")
-
-
-def _join_map_naming(
-    query_id: str, side: str, num_buckets: int, attempt: int = 0
-) -> WriteCombiningNaming:
-    """Naming of one side's combined (write-combined) map outputs."""
-    return WriteCombiningNaming(
-        bucket=SHUFFLE_BUCKET_PREFIX,
-        prefix=f"{_attempt_prefix(query_id, attempt)}{side}/",
-        num_buckets=num_buckets,
-    )
-
-
-def _join_legacy_naming(
-    query_id: str, side: str, num_buckets: int, attempt: int = 0
-) -> MultiBucketNaming:
-    """Naming of one side's legacy one-object-per-receiver map outputs."""
-    return MultiBucketNaming(
-        num_buckets=num_buckets,
-        bucket_prefix=SHUFFLE_BUCKET_PREFIX,
-        prefix=f"{_attempt_prefix(query_id, attempt)}{side}/",
-    )
-
-
-def _make_join_map_handler(env: CloudEnvironment):
-    """Handler of the join map-wave function.
-
-    One side's mapper scans its files with the side's pushed-down predicate
-    and projection, hash-partitions the surviving rows by the join key, and
-    ships the partitions through the write-combined exchange (one combined
-    PUT per mapper; the legacy one-object-per-receiver plane survives behind
-    ``write_combining=False``).
-    """
-
-    def handler(event: Dict, context: InvocationContext) -> Dict:
-        query_id = event["query_id"]
-        worker_id = event["worker_id"]
-        side = event["side"]
-        attempt = int(event.get("attempt", 0))
-        side_plan = JoinSidePlan.from_dict(event)
-        num_buckets = int(event.get("num_buckets", 10))
-        integrity = IntegrityConfig.from_dict(event.get("integrity"))
-
-        scan = S3ScanOperator(
-            env.s3,
-            files=side_plan.files,
-            columns=side_plan.columns or None,
-            prune_ranges=side_plan.prune_ranges,
-            config=ScanConfig(memory_mib=context.memory_mib),
-            bandwidth=env.bandwidth,
-            predicate=side_plan.predicate,
-        )
-        # The pushed-down predicate rides inside the scan operator, so chunks
-        # arrive already filtered through the late-materialization path.
-        rows = concat_tables(list(scan.scan()))
-
-        stats = ExchangeStats()
-        announcement = _write_partitions(
-            env, event, worker_id, rows, [side_plan.key], event["num_partitions"],
-            _join_map_naming(query_id, side, num_buckets, attempt),
-            _join_legacy_naming(query_id, side, num_buckets, attempt),
-            stats, integrity,
-        )
-        modelled_seconds = _charge_worker(env, context, scan.modelled_seconds(), stats)
-
-        result = WorkerResult(
-            partial={},
-            rows_scanned=scan.counters.rows_scanned,
-            rows_after_filter=table_num_rows(rows),
-            get_requests=scan.statistics.get_requests,
-            bytes_read=scan.statistics.bytes_read,
-            duration_seconds=modelled_seconds,
-            exchange_stats=stats.to_dict(),
-        )
-        message = {
-            "query_id": query_id,
-            "worker_id": worker_id,
-            "side": side,
-            "status": "ok",
-            "attempt": attempt,
-            "rows_scanned": scan.counters.rows_scanned,
-            "worker_result": result.to_payload(),
-            **announcement,
-        }
-        if integrity.generate:
-            sign_message(message)
-        env.sqs.send_json(event["result_queue"], message)
-        return message
-
-    return _guarded(env, handler)
-
-
 def _emit_intermediate(
     env: CloudEnvironment,
     event: Dict,
@@ -1419,11 +901,13 @@ def _join_step(probe: Table, build: Table, step: Dict) -> Table:
     return joined
 
 
-def _make_join_reduce_handler(env: CloudEnvironment):
-    """Handler of the join-wave function.
+def _make_reduce_handler(env: CloudEnvironment):
+    """Handler of the join-wave functions.
 
     Each join worker owns one hash partition of the wave's probe input and
-    runs the wave's join *steps* in order.  Step 0's build side is
+    runs the wave's join *steps* in order (none at all in the one wave of a
+    repartitioned aggregation, whose probe input is already the partial
+    aggregates to merge).  Step 0's build side is
     partitioned by the same key, so the worker reads its slice of it; every
     later step is a DAG stage fused into the wave because its build side is
     small — the worker reads that side whole (*broadcast*) and joins in
@@ -1520,7 +1004,9 @@ def _make_join_reduce_handler(env: CloudEnvironment):
         # in the message itself (it holds the path the next wave reads).
         if "result" in body and len(encoded) > RESULT_SPILL_BYTES:
             env.s3.ensure_bucket(RESULT_BUCKET)
-            spill_key = f"{query_id}/join-{partition}.a{attempt}.json"
+            # The attempt suffix keeps a retried worker from overwriting an
+            # earlier attempt's spill mid-read.
+            spill_key = f"{query_id}/{event['spill_stem']}-{partition}.a{attempt}.json"
             env.s3.put_object(RESULT_BUCKET, spill_key, encoded)
             pointer = {**message, "result_s3": f"s3://{RESULT_BUCKET}/{spill_key}"}
             if integrity.generate:
@@ -1535,7 +1021,7 @@ def _make_join_reduce_handler(env: CloudEnvironment):
 
 @dataclass
 class JoinStatistics:
-    """Statistics of one distributed join execution."""
+    """Statistics of one coordinator run (any shuffle DAG, joins or none)."""
 
     left_map_workers: int
     right_map_workers: int
@@ -1558,10 +1044,12 @@ class JoinStatistics:
     resilience: ResilienceStats = field(default_factory=ResilienceStats)
     #: Checksum verification and corruption-recovery counters.
     integrity: IntegrityStats = field(default_factory=IntegrityStats)
-    #: Logical join stages of the plan (1 for a binary join).
+    #: Logical join stages of the plan (1 for a binary join, 0 for a
+    #: repartitioned aggregation).
     dag_stages: int = 1
     #: The join waves that ran, each the DAG stages it executed: its first
-    #: stage repartitioned, every further one fused in as a broadcast join.
+    #: stage repartitioned, every further one fused in as a broadcast join
+    #: (``[[]]`` for a repartitioned aggregation: one wave, nothing joined).
     wave_stages: List[List[int]] = field(default_factory=lambda: [[0]])
     #: Exchange objects deleted during and after the query: the inputs each
     #: wave consumed, spilled results, and whatever a post-fault sweep found.
@@ -1569,6 +1057,9 @@ class JoinStatistics:
     #: LIST requests of the end-of-query orphan sweep (0 on a clean run,
     #: which deletes by announced path alone).
     gc_list_requests: int = 0
+    #: Final-wave results too large for a queue message: each travelled
+    #: through the result bucket instead (one PUT, one driver-side GET).
+    results_spilled: int = 0
 
     @property
     def join_waves(self) -> int:
@@ -1578,7 +1069,7 @@ class JoinStatistics:
     @property
     def broadcast_stages(self) -> int:
         """Stages that ran as a broadcast join inside another stage's wave."""
-        return self.dag_stages - self.join_waves
+        return sum(len(wave) - 1 for wave in self.wave_stages if wave)
 
     @property
     def modelled_latency_seconds(self) -> float:
@@ -1594,6 +1085,46 @@ class JoinStatistics:
     def num_workers(self) -> int:
         """Total serverless workers across all waves."""
         return self.left_map_workers + self.right_map_workers + self.reduce_workers
+
+
+def join_costs(
+    prices,
+    memory_mib: int,
+    statistics: JoinStatistics,
+    worker_results: Sequence[WorkerResult],
+) -> Dict[str, float]:
+    """Modelled dollars of one coordinator run, keyed by the
+    :class:`~repro.driver.driver.QueryStatistics` cost component.
+
+    Every worker bills its modelled duration and one invocation (retried
+    attempts bill a further one each); S3 bills the scans' GETs, every
+    exchange request — LISTs, including the post-fault sweep's, at the PUT
+    rate — and a PUT + GET per spilled result; SQS bills one send per worker,
+    the batched receives and the queue's two control requests.
+    """
+    num_total = statistics.num_workers
+    exchange = statistics.exchange
+    spilled = statistics.results_spilled
+    scan_gets = sum(result.get_requests for result in worker_results)
+    return {
+        "cost_lambda_duration": sum(
+            prices.lambda_duration_cost(memory_mib, result.duration_seconds)
+            for result in worker_results
+        ),
+        "cost_lambda_requests": prices.lambda_invocation_cost(
+            num_total + statistics.resilience.retries
+        ),
+        "cost_s3_requests": prices.s3_get_cost(
+            scan_gets + exchange.get_requests + exchange.head_requests + spilled
+        )
+        + prices.s3_put_cost(
+            exchange.put_requests
+            + exchange.list_requests
+            + statistics.gc_list_requests
+            + spilled
+        ),
+        "cost_sqs_requests": prices.sqs_cost(num_total + math.ceil(num_total / 10) + 2),
+    }
 
 
 def _sender_spec(tag: str, messages: Sequence[Dict]) -> Dict:
@@ -1637,9 +1168,10 @@ def _group_join_waves(
     """Group a DAG's consecutive join stages into waves, from what the scan
     wave announced.
 
-    ``build_sides[k]`` is stage ``k``'s build-side sender spec.  A wave
-    starts at a stage whose probe input is partitioned by that stage's key
-    (stage 0 always is) and absorbs the following stages for as long as
+    ``build_sides[k]`` is stage ``k``'s build-side sender spec (none at all
+    for a repartitioned aggregation, which runs one wave that joins
+    nothing).  A wave starts at a stage whose probe input is partitioned by
+    that stage's key (stage 0 always is) and absorbs the following stages for as long as
     their build side can be *broadcast*: every sender announced a combined
     object (a whole-object read needs the offset directory), reading and
     decoding the whole side costs a worker less modelled time than the wave
@@ -1653,7 +1185,7 @@ def _group_join_waves(
         _reduce_compute_seconds(0) + 2 * env.bandwidth.request_latency_seconds
     )
     budget = BROADCAST_MEMORY_FRACTION * memory_mib * MiB
-    waves = [[0]]
+    waves = [[0] if build_sides else []]
     fused_bytes = 0
     for stage in range(1, len(build_sides)):
         side = build_sides[stage]
@@ -1682,18 +1214,19 @@ def _group_join_waves(
     return waves
 
 
-class ShuffleJoinCoordinator(_ResilientWaves):
-    """Schedules a join DAG as a scan wave + as few shuffle-join waves as
-    its build sides allow.
+class ShuffleJoinCoordinator:
+    """Schedules a shuffle DAG as a scan wave + as few join waves as its
+    build sides allow.
 
     Accepts any shuffle physical plan (:class:`JoinPhysicalPlan` is
     normalised through ``as_dag()`` into a one-stage
     :class:`~repro.plan.physical.DagPhysicalPlan`):
 
     1. **scan wave** — every relation's fleet in one wave: scan, per-side
-       pushed-down filter, projection, repartition by that relation's join
-       key through the write-combined exchange (one combined PUT per
-       mapper, offsets in the key);
+       pushed-down filter, projection (and, for an aggregating fragment, the
+       map-side partial aggregation), repartition by that fragment's
+       partition keys through the write-combined exchange (one combined PUT
+       per mapper, offsets in the key);
     2. **join waves** — behind the scan barrier the driver knows every build
        side's exact size and groups consecutive stages into waves
        (:func:`_group_join_waves`): a stage whose build side is cheaper to
@@ -1707,7 +1240,9 @@ class ShuffleJoinCoordinator(_ResilientWaves):
        residual applied, columns pruned per stage — then either *emits*,
        scattering by the next wave's probe key under the intermediate tag
        ``J{k}``, or, after the final stage, computes the partial aggregates
-       placed above the join;
+       placed above the join.  A plan without stages runs exactly one such
+       wave with no join in it: the partial aggregation over the fetched
+       slices is the merge of the mappers' partials;
     3. **driver scope** — merge the disjoint partials, finalise derived
        aggregates, order, and limit.
 
@@ -1715,9 +1250,24 @@ class ShuffleJoinCoordinator(_ResilientWaves):
     wave completes (DELETE is unmetered), so peak exchange storage is the
     live waves' inputs and a clean query issues no LIST at all.  Only a query
     that saw a retry, hedge, fallback or injected fault ends with a LIST
-    sweep of its exchange prefix: a superseded attempt may have left objects
-    no announcement names.
+    sweep of its exchange and result prefixes: a superseded attempt may have
+    left objects no announcement names.
+
+    The overload-control context (PR 9) is armed per query: the driver passes
+    its cancellation token, breaker board, retry budget, and modelled
+    now-function to :meth:`execute`, and every wave and spill read threads
+    them into :func:`_run_wave` / :func:`~repro.driver.resilience.
+    call_with_backoff`.
     """
+
+    #: What this coordinator's waves are called (see :class:`WaveNames`).
+    names = JOIN_WAVES
+
+    #: Per-query overload context; ``None`` on plain (pre-PR-9) calls.
+    _cancel = None
+    _breakers = None
+    _budget = None
+    _now_fn = None
 
     def __init__(
         self,
@@ -1736,21 +1286,96 @@ class ShuffleJoinCoordinator(_ResilientWaves):
         self.resilience_policy = resilience_policy or DEFAULT_RESILIENCE_POLICY
         self._jitter_rng = random.Random(self.resilience_policy.jitter_seed)
         env.sqs.create_queue(result_queue)
+        # The handlers are stateless (per-query naming is derived from the
+        # event), so coordinators sharing an environment can interleave.
         env.lambda_service.deploy(
-            FunctionConfig(name=JOIN_MAP_FUNCTION_NAME, memory_mib=memory_mib),
-            _make_join_map_handler(env),
+            FunctionConfig(name=self.names.map_function, memory_mib=memory_mib),
+            _make_map_handler(env),
         )
         env.lambda_service.deploy(
-            FunctionConfig(name=JOIN_REDUCE_FUNCTION_NAME, memory_mib=memory_mib),
-            _make_join_reduce_handler(env),
+            FunctionConfig(name=self.names.reduce_function, memory_mib=memory_mib),
+            _make_reduce_handler(env),
         )
 
     # -- execution ------------------------------------------------------------------
 
     def _map_mode(self, side: str, worker_id: int) -> bool:
-        """Whether mapper ``worker_id`` of ``side`` write-combines (see
-        :meth:`ShuffleAggregateCoordinator._map_mode`)."""
+        """Whether mapper ``worker_id`` of ``side`` write-combines its
+        partitions.
+
+        The default applies the coordinator's configuration uniformly;
+        subclasses (and the mixed-format parity tests) may vary it per
+        mapper — the consuming wave handles both formats within one query.
+        """
         return self.config.write_combining
+
+    def _writes_combined(self, side: str, worker_id: int) -> bool:
+        """What the scan wave asks per mapper; the aggregation facade answers
+        from its one-fleet :meth:`_map_mode` signature."""
+        return self._map_mode(side, worker_id)
+
+    def _arm_overload(self, cancel=None, breakers=None, budget=None, now_fn=None):
+        """Install the per-query overload context (cleared by the caller)."""
+        self._cancel = cancel
+        self._breakers = breakers
+        self._budget = budget
+        self._now_fn = now_fn
+
+    def _wave(
+        self,
+        function_name: str,
+        events: Dict,
+        query_id: str,
+        what: str,
+        resilience: ResilienceStats,
+        on_retry=None,
+        integrity: Optional[IntegrityStats] = None,
+    ) -> List[Dict]:
+        """Run one wave with retries; messages in wave-key order."""
+        by_key = _run_wave(
+            self.env,
+            function_name,
+            events,
+            self.result_queue,
+            query_id,
+            what,
+            self.resilience_policy,
+            self._jitter_rng,
+            resilience,
+            on_retry=on_retry,
+            verify=self.config.integrity.verify,
+            integrity=integrity,
+            cancel=self._cancel,
+            breakers=self._breakers,
+            budget=self._budget,
+            now_fn=self._now_fn,
+        )
+        return [by_key[key] for key in sorted(by_key)]
+
+    def _degrade_map_retry(self, resilience: ResilienceStats):
+        """Retry hook flipping a repeatedly-failing writer to the legacy plane.
+
+        A mapper whose combined write keeps failing (e.g. throttles or
+        crash-after-PUT aimed at its one big object) degrades to the legacy
+        one-object-per-receiver format from
+        ``policy.combined_fallback_attempt`` on — the consuming wave handles
+        mixed formats within one query, so correctness is unaffected.
+        """
+
+        def on_retry(key, retry: Dict) -> None:
+            if not retry.get("write_combining"):
+                return
+            threshold = self.resilience_policy.combined_fallback_attempt
+            if self._breakers is not None and "s3" in self._breakers.open_services():
+                # Brownout response: with the S3 breaker open the combined
+                # write plane (one big PUT per mapper) is the most exposed,
+                # so degrade to the legacy format on the first retry already.
+                threshold = 1
+            if retry["attempt"] >= threshold:
+                retry["write_combining"] = False
+                resilience.note_fallback("combined_to_legacy")
+
+        return on_retry
 
     def execute(
         self,
@@ -1769,10 +1394,10 @@ class ShuffleJoinCoordinator(_ResilientWaves):
         ``"L"``/``"R"`` exchange tags.
 
         ``cancel``/``breakers``/``budget``/``now_fn`` arm the overload plane
-        for this query (see :class:`_ResilientWaves`); a cancellation raised
-        mid-wave garbage-collects every tag's exchange objects (scan sides
-        and intermediates alike — they all live under the query prefix) and
-        purges the query's result-queue messages before propagating.
+        for this query; a cancellation raised mid-wave garbage-collects every
+        tag's exchange objects (scan sides and intermediates alike — they
+        all live under the query prefix) and purges the query's result-queue
+        messages before propagating.
         """
         dag = physical.as_dag()
         fleets: Dict[str, JoinSidePlan] = {"L": dag.base}
@@ -1785,7 +1410,7 @@ class ShuffleJoinCoordinator(_ResilientWaves):
 
         paths: Dict[str, List[str]] = {}
         for tag, plan in fleets.items():
-            expanded = self._expand(plan.files)
+            expanded = expand_glob_paths(self.env.s3, plan.files)
             if not expanded:
                 label = "left" if tag == "L" else "right"
                 raise ExecutionError(f"join {label} side has no input files")
@@ -1798,20 +1423,8 @@ class ShuffleJoinCoordinator(_ResilientWaves):
         num_partitions = num_workers or max(mappers.values())
 
         query_id = uuid.uuid4().hex[:12]
-        namings = []
-        for tag in list(fleets) + inter_tags:
-            namings.extend(
-                (
-                    _join_map_naming(query_id, tag, self.num_buckets),
-                    _join_legacy_naming(query_id, tag, self.num_buckets),
-                )
-            )
-        seen_buckets: Set[str] = set()
-        for naming in namings:
-            for bucket in naming.buckets():
-                if bucket not in seen_buckets:
-                    seen_buckets.add(bucket)
-                    self.env.s3.ensure_bucket(bucket)
+        for bucket in _exchange_buckets(self.num_buckets):
+            self.env.s3.ensure_bucket(bucket)
 
         # Per-query jitter reseed: backoff schedules must not depend on how
         # many queries this coordinator ran before (order-independent chaos).
@@ -1825,7 +1438,7 @@ class ShuffleJoinCoordinator(_ResilientWaves):
                 num_partitions, query_id,
             )
         except QueryCancelledError:
-            _gc_cancelled_query(self.env, query_id, namings, self.result_queue)
+            _gc_cancelled_query(self.env, query_id, self.num_buckets, self.result_queue)
             raise
         finally:
             self._arm_overload()
@@ -1844,8 +1457,7 @@ class ShuffleJoinCoordinator(_ResilientWaves):
         """The wave body of :meth:`execute` (split out for cancellation GC)."""
         resilience = ResilienceStats()
         integrity_stats = IntegrityStats()
-        fault_snapshot = self._fault_snapshot()
-        num_stages = len(dag.stages)
+        faults_before = fault_snapshot(self.env)
 
         # -- scan wave (every relation's fleet dispatched together) ----------------
         assignments: Dict[str, List[List[str]]] = {}
@@ -1867,15 +1479,15 @@ class ShuffleJoinCoordinator(_ResilientWaves):
                     "attempt": 0,
                     "num_partitions": num_partitions,
                     "result_queue": self.result_queue,
-                    "write_combining": self._map_mode(tag, worker_id),
+                    "write_combining": self._writes_combined(tag, worker_id),
                     "fast_codec": self.config.fast_codec,
                     "compression": self.config.compression.value,
                     "num_buckets": self.num_buckets,
                     "integrity": self.config.integrity.to_dict(),
                 }
         map_messages = self._wave(
-            JOIN_MAP_FUNCTION_NAME, map_events, query_id, "join map", resilience,
-            on_retry=self._degrade_map_retry(resilience),
+            self.names.map_function, map_events, query_id, self.names.map_label,
+            resilience, on_retry=self._degrade_map_retry(resilience),
             integrity=integrity_stats,
         )
 
@@ -1896,9 +1508,8 @@ class ShuffleJoinCoordinator(_ResilientWaves):
         objects_read = 0
         gc_deleted = 0
         for wave in wave_stages:
-            first, last = wave[0], wave[-1]
-            final = last == num_stages - 1
-            side = f"S{last}"
+            final = wave is wave_stages[-1]
+            side = f"S{len(reduce_waves)}"
             event = {
                 "query_id": query_id,
                 "side": side,
@@ -1910,7 +1521,7 @@ class ShuffleJoinCoordinator(_ResilientWaves):
                         "left_key": dag.stages[k].left_key,
                         "right_key": dag.stages[k].right.key,
                         "build": build_sides[k],
-                        "broadcast": k != first,
+                        "broadcast": k != wave[0],
                         "suffix": dag.stages[k].suffix,
                         "restore_right_key": dag.stages[k].restore_right_key,
                         "residual_predicate": expression_to_dict(
@@ -1926,10 +1537,11 @@ class ShuffleJoinCoordinator(_ResilientWaves):
                 ),
                 "collect_rows": dag.driver.collect_rows if final else False,
                 "emit": None if final else {
-                    "tag": inter_tags[last],
-                    "key": dag.stages[last + 1].left_key,
+                    "tag": inter_tags[wave[-1]],
+                    "key": dag.stages[wave[-1] + 1].left_key,
                     "num_partitions": num_partitions,
                 },
+                "spill_stem": self.names.spill_stem,
                 "result_queue": self.result_queue,
                 "num_buckets": self.num_buckets,
                 "integrity": self.config.integrity.to_dict(),
@@ -1938,13 +1550,13 @@ class ShuffleJoinCoordinator(_ResilientWaves):
                 "compression": self.config.compression.value,
             }
             if final:
-                what = "join"
-            elif first == last:
-                what = f"join stage {last}"
+                what = self.names.reduce_label
+            elif len(wave) == 1:
+                what = f"join stage {wave[0]}"
             else:
-                what = f"join stages {first}-{last}"
+                what = f"join stages {wave[0]}-{wave[-1]}"
             reduce_messages = self._wave(
-                JOIN_REDUCE_FUNCTION_NAME,
+                self.names.reduce_function,
                 {
                     (side, partition): {**event, "partition": partition}
                     for partition in range(num_partitions)
@@ -1969,7 +1581,7 @@ class ShuffleJoinCoordinator(_ResilientWaves):
                 objects_written += sum(
                     m.get("partitions_written", 0) for m in reduce_messages
                 )
-                probe_tag, probe_messages = inter_tags[last], reduce_messages
+                probe_tag, probe_messages = inter_tags[wave[-1]], reduce_messages
 
         # -- fold statistics ---------------------------------------------------------
         exchange = ExchangeStats()
@@ -2003,34 +1615,33 @@ class ShuffleJoinCoordinator(_ResilientWaves):
         partials: List[Table] = []
         for message in reduce_waves[-1]:
             if "result_s3" in message:
-                message = self._fetch_spilled(
-                    message["result_s3"], resilience, integrity_stats
+                message = fetch_spilled_result(
+                    self.env.s3, message["result_s3"], self.config.integrity.verify,
+                    integrity_stats, policy=self.resilience_policy,
+                    rng=self._jitter_rng, stats=resilience, breakers=self._breakers,
+                    budget=self._budget, now_fn=self._now_fn,
                 )
             partials.append(
                 decode_table(
                     message["result"],
                     verify=self.config.integrity.verify,
-                    key=f"join-{message.get('worker_id')}",
+                    key=f"{self.names.spill_stem}-{message.get('worker_id')}",
                 )
             )
 
         # The final wave is folded: its spilled results have no reader left.
         gc_deleted += _delete_consumed_outputs(self.env, reduce_waves[-1], num_partitions)
-        resilience.faults_injected = _fault_delta(self.env, fault_snapshot)
+        resilience.faults_injected = fault_delta(self.env, faults_before)
+        # The request fee of every superseded attempt bought nothing.
+        resilience.wasted_cost_dollars += self.env.ledger.prices.lambda_invocation_cost(
+            resilience.retries
+        )
         gc_lists = 0
         if not resilience.clean:
             # A superseded attempt (crash after PUT, hedge loser, degraded
-            # retry) may have left objects no announcement names.  Both
-            # naming planes must be swept — a degraded retry writes
-            # one-object-per-receiver keys into the legacy buckets, not the
-            # write-combined ones; every tag shares those buckets.
-            swept, gc_lists = _gc_query_objects(
-                self.env, query_id,
-                [
-                    _join_map_naming(query_id, "L", self.num_buckets),
-                    _join_legacy_naming(query_id, "L", self.num_buckets),
-                ],
-            )
+            # retry) may have left objects no announcement names: exchange
+            # objects on either naming plane, or a spilled result.
+            swept, gc_lists = _gc_query_objects(self.env, query_id, self.num_buckets)
             gc_deleted += swept
 
         driver_plan = dag.driver
@@ -2070,9 +1681,122 @@ class ShuffleJoinCoordinator(_ResilientWaves):
             modelled_reduce_seconds=wave_seconds["reduce"],
             resilience=resilience,
             integrity=integrity_stats,
-            dag_stages=num_stages,
+            dag_stages=len(dag.stages),
             wave_stages=wave_stages,
             gc_objects_deleted=gc_deleted,
             gc_list_requests=gc_lists,
+            results_spilled=sum("result_s3" in message for message in reduce_waves[-1]),
         )
         return result, statistics, worker_results
+
+
+class ShuffleAggregateCoordinator(ShuffleJoinCoordinator):
+    """Repartitioned (two-wave) group-by aggregation: a facade over the DAG
+    coordinator.
+
+    :meth:`execute` lowers the group-by to a zero-stage
+    :class:`~repro.plan.physical.DagPhysicalPlan` — the base fragment carries
+    the map-side partial aggregation and partitions by all group keys, the
+    plan's ``aggregates`` merge the partials — runs it on the inherited
+    waves, and repackages the run as :class:`ShuffleStatistics`.  Only the
+    names of its waves differ (:data:`AGGREGATE_WAVES`).
+    """
+
+    names = AGGREGATE_WAVES
+
+    def __init__(
+        self,
+        env: CloudEnvironment,
+        memory_mib: int = 2048,
+        num_buckets: int = 10,
+        result_queue: str = SHUFFLE_RESULT_QUEUE,
+        config: Optional[ShuffleConfig] = None,
+        resilience_policy: Optional[ResiliencePolicy] = None,
+    ):
+        super().__init__(
+            env, memory_mib, num_buckets, result_queue, config, resilience_policy
+        )
+
+    def _map_mode(self, worker_id: int) -> bool:
+        """Whether mapper ``worker_id`` write-combines its partitions (see
+        :meth:`ShuffleJoinCoordinator._map_mode`; there is one fleet)."""
+        return self.config.write_combining
+
+    def _writes_combined(self, side: str, worker_id: int) -> bool:
+        return self._map_mode(worker_id)
+
+    def execute(
+        self,
+        paths: Sequence[str],
+        group_by: Sequence[str],
+        aggregates: Sequence[AggregateSpec],
+        predicate=None,
+        columns: Optional[Sequence[str]] = None,
+        num_workers: Optional[int] = None,
+        order_by: Optional[Sequence[str]] = None,
+        cancel=None,
+        breakers=None,
+        budget=None,
+        now_fn=None,
+    ):
+        """Run a repartitioned group-by aggregation and return (table, statistics).
+
+        The facade's own signature: it takes the group-by, not the physical
+        plan :meth:`ShuffleJoinCoordinator.execute` takes.
+        ``cancel``/``breakers``/``budget``/``now_fn`` arm the overload plane
+        for this query, as there.
+        """
+        paths = expand_glob_paths(self.env.s3, paths)
+        if not paths:
+            raise ExecutionError("shuffle aggregation has no input files")
+        if not group_by:
+            raise ExecutionError("shuffle aggregation requires group-by keys")
+        group_by = list(group_by)
+        partials, finals = _decompose_aggregates(list(aggregates))
+        dag = DagPhysicalPlan(
+            base=JoinSidePlan(
+                files=paths,
+                key=group_by[0],
+                columns=list(columns or []),
+                predicate=predicate,
+                group_by=group_by,
+                aggregates=partials,
+            ),
+            stages=[],
+            driver=DriverPlan(
+                group_by=group_by,
+                final_aggregates=finals,
+                order_by=list(order_by or []),
+            ),
+            group_by=group_by,
+            # Partial sums and counts add up; mins/maxes merge with themselves.
+            aggregates=[
+                AggregateSpec(
+                    "sum" if spec.function == "count" else spec.function,
+                    col(spec.alias),
+                    spec.alias,
+                )
+                for spec in partials
+            ],
+        )
+        # One reducer per mapper, never more mappers than files.
+        table, run, worker_results = super().execute(
+            dag,
+            num_workers=min(num_workers or len(paths), len(paths)),
+            cancel=cancel, breakers=breakers, budget=budget, now_fn=now_fn,
+        )
+        costs = join_costs(self.env.ledger.prices, self.memory_mib, run, worker_results)
+        return table, ShuffleStatistics(
+            map_workers=run.left_map_workers,
+            reduce_workers=run.reduce_workers,
+            rows_scanned=run.rows_scanned,
+            partition_objects_written=run.partition_objects_written,
+            partition_objects_read=run.partition_objects_read,
+            result_rows=run.result_rows,
+            exchange=run.exchange,
+            modelled_map_seconds=run.modelled_map_seconds,
+            modelled_reduce_seconds=run.modelled_reduce_seconds,
+            resilience=run.resilience,
+            integrity=run.integrity,
+            cost_total=sum(costs.values()),
+        )

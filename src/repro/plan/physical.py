@@ -218,12 +218,16 @@ class DriverPlan:
 
 @dataclass
 class JoinSidePlan:
-    """Serialisable scan fragment of one side of a distributed join.
+    """Serialisable scan fragment of one fleet of a shuffle DAG.
 
     Each side's map wave scans its files, applies the pushed-down predicate,
     projects the pushed-down columns, and repartitions the surviving rows by
     the hash of ``key`` through the write-combined exchange so matching keys
-    meet on the same join worker.
+    meet on the same join worker.  A fragment that carries ``group_by``
+    folds the map-side partial aggregation into the scan — the way a
+    Select/Project folds into the step that produces its input — and ships
+    one row per group, partitioned by *all* group keys, so every group meets
+    on one worker of the consuming wave.
     """
 
     #: Object-store paths (or globs) of this side's files.
@@ -236,6 +240,17 @@ class JoinSidePlan:
     predicate: Optional[Expression] = None
     #: Min/max prune ranges derived from this side's predicate.
     prune_ranges: List[PruneRange] = field(default_factory=list)
+    #: Group keys of the partial aggregation folded into the scan ([] ships
+    #: the filtered rows).
+    group_by: List[str] = field(default_factory=list)
+    #: Partial aggregates computed per group (avg already decomposed).
+    aggregates: List[AggregateSpec] = field(default_factory=list)
+
+    @property
+    def partition_keys(self) -> List[str]:
+        """Columns whose hash routes a row: every group key of an
+        aggregating fragment, the join key otherwise."""
+        return list(self.group_by) or [self.key]
 
     def to_dict(self) -> Dict:
         """Serialise to a JSON-compatible dict for the invocation payload."""
@@ -245,6 +260,8 @@ class JoinSidePlan:
             "columns": list(self.columns),
             "predicate": expression_to_dict(self.predicate),
             "prune_ranges": [item.to_dict() for item in self.prune_ranges],
+            "group_by": list(self.group_by),
+            "aggregates": [spec.to_dict() for spec in self.aggregates],
         }
 
     @classmethod
@@ -256,6 +273,8 @@ class JoinSidePlan:
             columns=list(data.get("columns", [])),
             predicate=expression_from_dict(data.get("predicate")),
             prune_ranges=[PruneRange.from_dict(item) for item in data.get("prune_ranges", [])],
+            group_by=list(data.get("group_by", [])),
+            aggregates=[AggregateSpec.from_dict(item) for item in data.get("aggregates", [])],
         )
 
 
@@ -308,13 +327,20 @@ class DagPhysicalPlan:
     stage, aggregates).  At most one join wave per stage, at least one.
     Because every combined-object path is announced through the wave
     barrier, no wave issues a single discovery request.
+
+    A plan with **no** stages is a repartitioned aggregation: the base
+    fragment carries the map-side partial aggregation, and the one final
+    wave joins nothing — it folds its hash partition of the partials with
+    the plan's ``aggregates`` (the merge functions: sum of sums, min of
+    mins).
     """
 
     engine = "shuffle-dag"
 
     #: Scan fragment of the first (probe-side) base relation.
     base: JoinSidePlan
-    #: The join levels, in execution order (at least one).
+    #: The join levels, in execution order ([] for a repartitioned
+    #: aggregation, whose base fragment aggregates).
     stages: List[DagJoinStage]
     driver: DriverPlan
     #: Explicit projection above the final join (row-collecting queries only).
@@ -325,8 +351,10 @@ class DagPhysicalPlan:
     aggregates: List[AggregateSpec] = field(default_factory=list)
 
     def __post_init__(self):
-        if not self.stages:
-            raise InvalidPlanError("a DAG join plan requires at least one stage")
+        if not self.stages and not self.base.group_by:
+            raise InvalidPlanError(
+                "a DAG plan without join stages requires an aggregating base fragment"
+            )
 
     def as_dag(self) -> "DagPhysicalPlan":
         return self
@@ -337,31 +365,31 @@ class DagPhysicalPlan:
         The first wave scans every base relation; each following descriptor
         is one logical join stage — the upper bound on join waves, since the
         coordinator fuses stages with broadcastable build sides into the
-        wave before them at run time.  ``files`` bounds each fleet's size
-        (actual fleets shrink to the file count at execution time).
+        wave before them at run time — or, for a plan without stages, the
+        one wave that merges the repartitioned partial aggregates.  ``files``
+        bounds each fleet's size (actual fleets shrink to the file count at
+        execution time).
         """
+        sides = [("L", self.base)]
+        sides.extend(
+            ("R" if index == 0 else f"R{index}", stage.right)
+            for index, stage in enumerate(self.stages)
+        )
         fleets = [
             {
                 "role": "scan",
-                "tag": "L",
-                "key": self.base.key,
-                "files": len(self.base.files),
-                "columns": list(self.base.columns),
-                "predicate": self.base.predicate is not None,
+                "tag": tag,
+                "key": side.key,
+                "group_by": list(side.group_by),
+                "files": len(side.files),
+                "columns": list(side.columns),
+                "predicate": side.predicate is not None,
             }
+            for tag, side in sides
         ]
-        for index, stage in enumerate(self.stages):
-            fleets.append(
-                {
-                    "role": "scan",
-                    "tag": "R" if index == 0 else f"R{index}",
-                    "key": stage.right.key,
-                    "files": len(stage.right.files),
-                    "columns": list(stage.right.columns),
-                    "predicate": stage.right.predicate is not None,
-                }
-            )
         waves: List[Dict] = [{"kind": "map", "fleets": fleets}]
+        if not self.stages:
+            waves.append({"kind": "merge", "group_by": list(self.base.group_by)})
         last = len(self.stages) - 1
         for index, stage in enumerate(self.stages):
             waves.append(
@@ -397,10 +425,16 @@ class DagPhysicalPlan:
                     cols = (
                         f" cols={fleet['columns']}" if fleet["columns"] else " cols=*"
                     )
+                    fold = "partial aggregate, " if fleet["group_by"] else ""
+                    keys = ", ".join(fleet["group_by"] or [fleet["key"]])
                     lines.append(
                         f"  fleet {fleet['tag']}: {fleet['files']} file(s), "
-                        f"partition by {fleet['key']}{cols}{pred}"
+                        f"{fold}partition by {keys}{cols}{pred}"
                     )
+            elif wave["kind"] == "merge":
+                lines.append(
+                    f"wave {wave_index}: merge partials by {', '.join(wave['group_by'])}"
+                )
             else:
                 stage = self.stages[wave["stage"]]
                 parts = [
@@ -415,7 +449,7 @@ class DagPhysicalPlan:
                     cols = stage.output_columns or ["*"]
                     parts.append(f"carry cols={cols} to key {wave['emit_key']}")
                 lines.append("; ".join(parts))
-        if self.aggregates:
+        if self.aggregates or self.group_by:
             aggs = [f"{a.function}(...) as {a.alias}" for a in self.aggregates]
             lines.append(f"final: group_by={self.group_by} aggs={aggs}")
         elif self.project:
@@ -493,7 +527,8 @@ class JoinPhysicalPlan:
 
 def describe_executed_waves(wave_stages: Sequence[Sequence[int]]) -> str:
     """One line on how a run grouped a DAG's stages into join waves, e.g.
-    ``executed: wave 1 = stages 0-4 (1-4 broadcast)``."""
+    ``executed: wave 1 = stages 0-4 (1-4 broadcast)``; the wave of a plan
+    without stages reads ``wave 1 = merge partials``."""
 
     def span(stages: Sequence[int]) -> str:
         if len(stages) == 1:
@@ -502,6 +537,9 @@ def describe_executed_waves(wave_stages: Sequence[Sequence[int]]) -> str:
 
     waves = []
     for index, stages in enumerate(wave_stages, start=1):
+        if not stages:
+            waves.append(f"wave {index} = merge partials")
+            continue
         text = f"wave {index} = stage{'s' if len(stages) > 1 else ''} {span(stages)}"
         if len(stages) > 1:
             text += f" ({span(stages[1:])} broadcast)"
@@ -511,7 +549,8 @@ def describe_executed_waves(wave_stages: Sequence[Sequence[int]]) -> str:
 
 def _estimate_exchange_cost(waves: Sequence[Dict], num_workers: int) -> float:
     """Sum the write-combined exchange cost model over a plan's waves (one
-    exchange per logical join stage: the upper bound, before fusion)."""
+    exchange per scan fleet and per logical join stage: the upper bound,
+    before fusion; a merge wave only reads what its fleet wrote)."""
     from repro.exchange.cost_model import ExchangeCostModel
 
     model = ExchangeCostModel()
@@ -521,7 +560,7 @@ def _estimate_exchange_cost(waves: Sequence[Dict], num_workers: int) -> float:
             for fleet in wave["fleets"]:
                 workers = max(1, min(num_workers, fleet["files"] or 1))
                 total += model.cost("1l-wc", workers)["total_cost"]
-        else:
+        elif wave["kind"] == "join":
             total += model.cost("1l-wc", max(1, num_workers))["total_cost"]
     return total
 

@@ -28,8 +28,8 @@ from repro.driver.resilience import ResiliencePolicy
 from repro.driver.shuffle import (
     SHUFFLE_RESULT_QUEUE,
     ShuffleAggregateCoordinator,
-    _legacy_naming,
-    _map_naming,
+    _join_legacy_naming,
+    _join_map_naming,
 )
 from repro.driver.worker import RESULT_BUCKET
 from repro.errors import QueryCancelledError, RetryBudgetExhaustedError
@@ -69,7 +69,10 @@ def pooled_driver(stack):
 def _shuffle_buckets():
     """Bucket names of both exchange formats (query-independent)."""
     names = []
-    for naming in (_map_naming("x", NUM_BUCKETS), _legacy_naming("x", NUM_BUCKETS)):
+    for naming in (
+        _join_map_naming("x", "L", NUM_BUCKETS),
+        _join_legacy_naming("x", "L", NUM_BUCKETS),
+    ):
         names.extend(naming.buckets())
     return sorted(set(names))
 

@@ -169,6 +169,7 @@ def test_repeated_crash_degrades_combined_write_to_legacy(stack):
     baseline, _ = _group_sum(
         ShuffleAggregateCoordinator(env, memory_mib=2048, num_buckets=4), dataset
     )
+    objects_before = env.s3.object_count()
 
     env.install_fault_plan(
         FaultPlan(
@@ -193,6 +194,8 @@ def test_repeated_crash_degrades_combined_write_to_legacy(stack):
     assert resilience.retries >= 2
     assert resilience.wave_retries >= 1
     assert resilience.backoff_seconds > 0.0
+    # The two orphaned combined objects no announcement names were swept.
+    assert env.s3.object_count() == objects_before
 
 
 def test_crashed_reduce_spill_is_retried(stack, monkeypatch):
@@ -207,6 +210,7 @@ def test_crashed_reduce_spill_is_retried(stack, monkeypatch):
     baseline, _ = _group_sum(
         ShuffleAggregateCoordinator(env, memory_mib=2048, num_buckets=4), dataset
     )
+    objects_before = env.s3.object_count()
     env.install_fault_plan(
         FaultPlan(
             [FaultRule("s3", "crash_after_put", 1.0, match="reduce-0.a0", max_count=1)],
@@ -222,3 +226,34 @@ def test_crashed_reduce_spill_is_retried(stack, monkeypatch):
     assert_bit_identical(baseline, result, "reduce-crash")
     assert statistics.resilience.faults_injected == {"s3.crash_after_put": 1}
     assert statistics.resilience.retries >= 1
+    # The superseded attempt's spill in the result bucket was swept too.
+    assert env.s3.object_count() == objects_before
+
+
+def test_crashed_join_spill_is_retried(stack, plans, drivers, monkeypatch):
+    """The join twin: a Q3 join worker crashing after its spill PUT is
+    re-run, the result stays bit-identical, and the post-fault sweep (LISTs
+    the clean baseline never issues) removes the superseded spill."""
+    import repro.driver.shuffle as shuffle_module
+
+    env = stack[0]
+    monkeypatch.setattr(shuffle_module, "RESULT_SPILL_BYTES", 64)
+    baseline = drivers["serial"].execute(plans["q3"])
+    assert baseline.statistics.gc_list_requests == 0
+    objects_before = env.s3.object_count()
+    env.install_fault_plan(
+        FaultPlan(
+            [FaultRule("s3", "crash_after_put", 1.0, match="join-0.a0", max_count=1)],
+            seed=1,
+        )
+    )
+    try:
+        result = drivers["serial"].execute(plans["q3"])
+    finally:
+        env.install_fault_plan(None)
+    assert_bit_identical(baseline.table, result.table, "join-crash")
+    statistics = result.statistics
+    assert statistics.resilience.faults_injected == {"s3.crash_after_put": 1}
+    assert statistics.resilience.retries >= 1
+    assert statistics.gc_list_requests > 0
+    assert env.s3.object_count() == objects_before

@@ -8,7 +8,10 @@ from repro.errors import InvalidPlanError
 from repro.plan.expressions import col
 from repro.plan.logical import AggregateSpec
 from repro.plan.physical import (
+    DagJoinStage,
+    DagPhysicalPlan,
     DriverPlan,
+    JoinSidePlan,
     PhysicalPlan,
     PruneRange,
     WorkerPlan,
@@ -127,3 +130,87 @@ def test_udf_references_are_unique():
     first = register_udf(lambda x: x)
     second = register_udf(lambda x: x * 2)
     assert first != second
+
+
+# ---------------------------------------------------------------------------
+# Zero-stage DAG plans (repartitioned aggregation)
+# ---------------------------------------------------------------------------
+
+
+def _aggregating_side() -> JoinSidePlan:
+    return JoinSidePlan(
+        files=["s3://b/0.lpq", "s3://b/1.lpq", "s3://b/2.lpq"],
+        key="g",
+        columns=["g", "h", "v"],
+        predicate=col("v") > 1,
+        prune_ranges=[PruneRange("v", 1, math.inf)],
+        group_by=["g", "h"],
+        aggregates=[AggregateSpec("sum", col("v"), "s"), AggregateSpec("count", None, "n")],
+    )
+
+
+def _zero_stage_plan() -> DagPhysicalPlan:
+    return DagPhysicalPlan(
+        base=_aggregating_side(),
+        stages=[],
+        driver=DriverPlan(group_by=["g", "h"], order_by=["g"]),
+        group_by=["g", "h"],
+        aggregates=[AggregateSpec("sum", col("s"), "s"), AggregateSpec("sum", col("n"), "n")],
+    )
+
+
+def test_join_side_plan_roundtrips_its_partial_aggregate_fragment():
+    side = _aggregating_side()
+    restored = JoinSidePlan.from_dict(side.to_dict())
+    assert restored.files == side.files and restored.key == "g"
+    assert restored.columns == side.columns
+    assert restored.predicate.equals(side.predicate)
+    assert restored.prune_ranges == side.prune_ranges
+    assert restored.group_by == ["g", "h"]
+    assert [spec.to_dict() for spec in restored.aggregates] == [
+        spec.to_dict() for spec in side.aggregates
+    ]
+    # An aggregating fragment partitions by every group key, a plain one by
+    # its join key; fragments serialised before the extension still load.
+    assert restored.partition_keys == ["g", "h"]
+    plain = JoinSidePlan.from_dict({"files": ["s3://b/0.lpq"], "key": "k"})
+    assert plain.group_by == [] and plain.aggregates == []
+    assert plain.partition_keys == ["k"]
+
+
+def test_zero_stage_dag_describes_a_scan_wave_and_a_merge_wave():
+    plan = _zero_stage_plan()
+    assert plan.as_dag() is plan
+    waves = plan.waves()
+    assert [wave["kind"] for wave in waves] == ["map", "merge"]
+    (fleet,) = waves[0]["fleets"]
+    assert (fleet["tag"], fleet["files"], fleet["group_by"]) == ("L", 3, ["g", "h"])
+    assert waves[1]["group_by"] == ["g", "h"]
+    explained = plan.explain()
+    assert "0 join stage(s)" in explained
+    assert "fleet L: 3 file(s), partial aggregate, partition by g, h" in explained
+    assert "wave 1: merge partials by g, h" in explained
+    assert "final: group_by=['g', 'h']" in explained
+    assert "join stage 0" not in explained
+
+
+def test_zero_stage_dag_costs_one_exchange():
+    """The merge wave reads what the one fleet wrote: one exchange, where a
+    join stage over the same fleet adds its build fleet and its own."""
+    plan = _zero_stage_plan()
+    cost = plan.estimated_cost(num_workers=8)
+    assert cost > 0.0
+    assert cost == plan.estimated_cost(num_workers=3)  # fleets shrink to their files
+    joined = DagPhysicalPlan(
+        base=plan.base,
+        stages=[DagJoinStage(left_key="g", right=JoinSidePlan(files=["s3://b/r.lpq"], key="k"))],
+        driver=DriverPlan(),
+    )
+    assert joined.estimated_cost(num_workers=8) > cost
+
+
+def test_dag_without_stages_requires_an_aggregating_base():
+    with pytest.raises(InvalidPlanError):
+        DagPhysicalPlan(
+            base=JoinSidePlan(files=["s3://b/0.lpq"], key="k"), stages=[], driver=DriverPlan()
+        )
