@@ -90,10 +90,10 @@ from repro.driver.resilience import (
 )
 from repro.driver.worker import RESULT_BUCKET, RESULT_SPILL_BYTES
 from repro.engine.aggregates import (
+    FusedBatchAccumulator,
     finalize_aggregates,
     merge_partials,
     partial_aggregate,
-    partial_aggregate_fused,
 )
 from repro.engine.join import hash_join
 from repro.engine.payload import decode_table, encode_table
@@ -123,7 +123,13 @@ from repro.exchange.fetch import FetchPlan, SenderManifest
 from repro.exchange.naming import MultiBucketNaming, WriteCombiningNaming
 from repro.exchange.partition import partition_assignments, scatter_by_assignment, slice_partition
 from repro.formats.compression import Compression
-from repro.plan.expressions import col, evaluate, expression_from_dict, expression_to_dict
+from repro.plan.expressions import (
+    col,
+    evaluate,
+    expression_from_dict,
+    expression_to_dict,
+    referenced_columns,
+)
 from repro.plan.logical import AggregateSpec
 from repro.plan.optimizer import _decompose_aggregates
 from repro.plan.physical import DagPhysicalPlan, DriverPlan, JoinSidePlan
@@ -738,13 +744,11 @@ def _make_map_handler(env: CloudEnvironment):
         if side_plan.group_by:
             # The fused kernel folds surviving rows straight into the partial
             # aggregates — same single-pass pipeline as scan workers.
+            accumulator = FusedBatchAccumulator(side_plan.group_by, side_plan.aggregates)
+            for batch in scan.scan_fused(side_plan.group_by):
+                accumulator.add(batch)
             rows = merge_partials(
-                [
-                    partial_aggregate_fused(batch, side_plan.group_by, side_plan.aggregates)
-                    for batch in scan.scan_fused(side_plan.group_by)
-                ],
-                side_plan.group_by,
-                side_plan.aggregates,
+                accumulator.finish(), side_plan.group_by, side_plan.aggregates
             )
         else:
             rows = concat_tables(list(scan.scan()))
@@ -1742,7 +1746,9 @@ class ShuffleAggregateCoordinator(ShuffleJoinCoordinator):
         """Run a repartitioned group-by aggregation and return (table, statistics).
 
         The facade's own signature: it takes the group-by, not the physical
-        plan :meth:`ShuffleJoinCoordinator.execute` takes.
+        plan :meth:`ShuffleJoinCoordinator.execute` takes.  ``columns`` is the
+        scan projection; left ``None`` it is derived as the group keys plus
+        every column an aggregate or the predicate references.
         ``cancel``/``breakers``/``budget``/``now_fn`` arm the overload plane
         for this query, as there.
         """
@@ -1753,11 +1759,18 @@ class ShuffleAggregateCoordinator(ShuffleJoinCoordinator):
             raise ExecutionError("shuffle aggregation requires group-by keys")
         group_by = list(group_by)
         partials, finals = _decompose_aggregates(list(aggregates))
+        if columns is None:
+            # Projection push-down: scan only what the query references.
+            needed = set(group_by)
+            for expression in [predicate] + [spec.expression for spec in partials]:
+                if expression is not None:
+                    needed |= referenced_columns(expression)
+            columns = sorted(needed)
         dag = DagPhysicalPlan(
             base=JoinSidePlan(
                 files=paths,
                 key=group_by[0],
-                columns=list(columns or []),
+                columns=list(columns),
                 predicate=predicate,
                 group_by=group_by,
                 aggregates=partials,

@@ -8,14 +8,15 @@ vectorised NumPy group-by kernels.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ExecutionError
-from repro.plan.expressions import evaluate
+from repro.plan.expressions import col, evaluate
 from repro.plan.logical import AggregateSpec
-from repro.engine.table import Table, concat_tables, table_num_rows
+from repro.engine.scan import FusedBatch
+from repro.engine.table import Table, concat_tables, empty_table_like, table_num_rows
 
 
 def _column_codes(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -33,11 +34,25 @@ def _column_codes(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return unique, inverse
 
 
-#: Combined-key cardinality up to which the multi-key group-by factorises the
-#: dense code space with one ``np.bincount`` pass (O(N + C)) instead of the
-#: sort-based ``np.unique`` (O(N log N)).  2^21 int64 counts is a 16 MiB
-#: scratch array — trivial next to a worker's chunk buffers.
+#: Hard cap on the dense factorisation's code space, whatever the row count:
+#: 2^21 int64 counts is a 16 MiB scratch array.
 DENSE_FACTORIZE_MAX_CARDINALITY = 1 << 21
+
+#: Rows of fused batches a :class:`FusedBatchAccumulator` collects per kernel
+#: pass (32 row groups of 2048 rows).
+FUSED_PASS_ROWS = 1 << 16
+
+#: Leading group key of a segmented pass: the batch's ordinal in the pass.
+_SEGMENT_KEY = "__segment__"
+
+
+def _fits_dense(cardinality: int, num_rows: int) -> bool:
+    """Whether a code space of ``cardinality`` is worth a dense pass over
+    ``num_rows`` rows: the ``bincount`` remap costs O(N + C), so it wins only
+    while C stays a small multiple of N; beyond that sorting the N codes
+    (O(N log N), independent of C) is cheaper and allocates nothing C-sized.
+    """
+    return cardinality <= min(4 * num_rows + 64, DENSE_FACTORIZE_MAX_CARDINALITY)
 
 
 def _dense_factorize(combined: np.ndarray, cardinality: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -53,64 +68,82 @@ def _dense_factorize(combined: np.ndarray, cardinality: int) -> Tuple[np.ndarray
     return np.flatnonzero(present), remap[combined]
 
 
+def _factorize(
+    group_by: Sequence[str],
+    per_key: Sequence[Tuple[np.ndarray, np.ndarray]],
+    num_rows: int,
+) -> Tuple[Table, np.ndarray, int]:
+    """Group rows given each key as ``(ascending uniques, per-row codes)``.
+
+    The one combine-and-factorize routine behind every group-by: returns
+    ``(key_table, inverse, num_groups)`` with the distinct key combinations
+    in lexicographic order.  ``uniques`` may be a superset of the values
+    present (a chunk dictionary after filtering); absent combinations drop
+    out.  Per-column codes are rank-preserving, so the codes are combined
+    into one int64 per row instead of sorting a record array (slow per-row
+    void comparisons), and the strategy follows the shape: the dense remap
+    when the combined code space C fits the N rows (:func:`_fits_dense`),
+    a sort of the N combined codes otherwise — O(N + min(C, N log N)).
+    With no keys all rows form one group.
+    """
+    if not per_key:
+        return {}, np.zeros(num_rows, dtype=np.int64), 1
+    widths = [max(len(uniques), 1) for uniques, _ in per_key]
+    cardinality = 1
+    for width in widths:
+        cardinality *= width
+
+    if cardinality > 2 ** 62:
+        # Combined codes would overflow int64: sort the keys as records.
+        stacked = np.rec.fromarrays(
+            [uniques[codes] for uniques, codes in per_key],
+            names=[f"k{i}" for i in range(len(per_key))],
+        )
+        unique, inverse = np.unique(stacked, return_inverse=True)
+        key_table = {name: np.asarray(unique[f"k{i}"]) for i, name in enumerate(group_by)}
+        return key_table, inverse, len(unique)
+
+    combined: Optional[np.ndarray] = None
+    for width, (_, codes) in zip(widths, per_key):
+        combined = (
+            codes.astype(np.int64, copy=False)
+            if combined is None
+            else combined * width + codes
+        )
+    if _fits_dense(cardinality, num_rows):
+        unique_codes, inverse = _dense_factorize(combined, cardinality)
+    else:
+        unique_codes, inverse = np.unique(combined, return_inverse=True)
+    key_table: Table = {}
+    remaining = unique_codes
+    for name, width, (uniques, _) in zip(
+        reversed(group_by), reversed(widths), reversed(per_key)
+    ):
+        key_table[name] = uniques[remaining % width]
+        remaining = remaining // width
+    key_table = {name: key_table[name] for name in group_by}
+    return key_table, inverse, len(unique_codes)
+
+
 def _group_indices(table: Table, group_by: Sequence[str]) -> Tuple[Table, np.ndarray, int]:
     """Compute group keys and per-row group indices.
 
     Returns ``(key_table, inverse, num_groups)`` where ``key_table`` holds the
     distinct key combinations in sorted order and ``inverse[i]`` is the group
     index of row ``i``.
-
-    Multi-key grouping combines per-column integer codes into a single int64
-    key instead of sorting a record array, which would fall back to slow
-    per-row void comparisons.  Each column's codes are rank-preserving, so the
-    combined sort order equals the lexicographic order of the key values.
     """
-    num_rows = table_num_rows(table)
-    if not group_by:
-        return {}, np.zeros(num_rows, dtype=np.int64), 1 if num_rows else 1
-    keys = [np.asarray(table[name]) for name in group_by]
-
-    if len(keys) == 1:
-        unique_values, inverse = _column_codes(keys[0])
+    if len(group_by) == 1:
+        # One key's codes already are the factorisation.
+        unique_values, inverse = _column_codes(table[group_by[0]])
         return {group_by[0]: unique_values}, inverse, len(unique_values)
-
-    column_uniques: List[np.ndarray] = []
-    combined: Optional[np.ndarray] = None
-    cardinality = 1
-    for key in keys:
-        unique_values, codes = _column_codes(key)
-        column_uniques.append(unique_values)
-        cardinality *= max(len(unique_values), 1)
-        if cardinality > 2 ** 62:
-            break  # combined codes would overflow; use the record-array path
-        combined = codes if combined is None else combined * len(unique_values) + codes
-
-    if cardinality > 2 ** 62:
-        stacked = np.rec.fromarrays(keys, names=[f"k{i}" for i in range(len(keys))])
-        unique, inverse = np.unique(stacked, return_inverse=True)
-        key_table = {
-            name: np.asarray(unique[f"k{i}"]) for i, name in enumerate(group_by)
-        }
-        return key_table, inverse, len(unique)
-
-    if cardinality <= DENSE_FACTORIZE_MAX_CARDINALITY:
-        unique_codes, inverse = _dense_factorize(combined, cardinality)
-    else:
-        unique_codes, inverse = np.unique(combined, return_inverse=True)
-    key_table: Table = {}
-    remaining = unique_codes
-    for name, unique_values in zip(reversed(group_by), reversed(column_uniques)):
-        width = max(len(unique_values), 1)
-        key_table[name] = unique_values[remaining % width]
-        remaining = remaining // width
-    key_table = {name: key_table[name] for name in group_by}
-    return key_table, inverse, len(unique_codes)
+    per_key = [_column_codes(table[name]) for name in group_by]
+    return _factorize(group_by, per_key, table_num_rows(table))
 
 
-def _aggregate_column(
-    values: np.ndarray, inverse: np.ndarray, num_groups: int, function: str
+def _reduce_column(
+    values: Optional[np.ndarray], inverse: np.ndarray, num_groups: int, function: str
 ) -> np.ndarray:
-    """Aggregate ``values`` per group index."""
+    """Reduce ``values`` per group index (``count`` takes no values)."""
     if function == "sum":
         return np.bincount(inverse, weights=values, minlength=num_groups)
     if function == "count":
@@ -118,10 +151,34 @@ def _aggregate_column(
     if function in ("min", "max"):
         result = np.full(num_groups, np.inf if function == "min" else -np.inf)
         reducer = np.minimum if function == "min" else np.maximum
-        np_func = reducer.at
-        np_func(result, inverse, values)
+        reducer.at(result, inverse, values)
         return result
     raise ExecutionError(f"unsupported partial aggregate {function!r}")
+
+
+def _aggregate_groups(
+    table: Table, aggregates: Sequence[AggregateSpec], inverse: np.ndarray, num_groups: int
+) -> Table:
+    """One column per aggregate alias, reduced over the group indices.
+
+    Each distinct ``(function, expression)`` is evaluated and reduced once and
+    shared by every alias that names it (``avg(x)`` and ``sum(x)`` both ship a
+    sum of ``x``).  A count needs no input values — there are no NULLs — so
+    every ``count``, with or without an argument, is the same reduction.
+    """
+    reduced: Dict[Tuple[str, Optional[str]], np.ndarray] = {}
+    columns: Table = {}
+    for spec in aggregates:
+        counting = spec.function == "count"
+        # ``==`` on expressions builds a comparison; the repr is structural.
+        key = (spec.function, None if counting else repr(spec.expression))
+        if key not in reduced:
+            values = None if counting else np.asarray(
+                evaluate(spec.expression, table), dtype=np.float64
+            )
+            reduced[key] = _reduce_column(values, inverse, num_groups, spec.function)
+        columns[spec.alias] = reduced[key]
+    return columns
 
 
 def partial_aggregate(
@@ -135,21 +192,11 @@ def partial_aggregate(
     alias.  An empty input yields an empty result table with the right
     columns.
     """
-    num_rows = table_num_rows(table)
-    aliases = [spec.alias for spec in aggregates]
-    if num_rows == 0:
-        empty = {name: np.zeros(0, dtype=np.float64) for name in list(group_by) + aliases}
-        return empty
+    if table_num_rows(table) == 0:
+        return empty_table_like(list(group_by) + [spec.alias for spec in aggregates])
 
     key_table, inverse, num_groups = _group_indices(table, group_by)
-    result: Table = dict(key_table)
-    for spec in aggregates:
-        if spec.function == "count" and spec.expression is None:
-            values = np.ones(num_rows, dtype=np.float64)
-        else:
-            values = np.asarray(evaluate(spec.expression, table), dtype=np.float64)
-        result[spec.alias] = _aggregate_column(values, inverse, num_groups, spec.function)
-    return result
+    return {**key_table, **_aggregate_groups(table, aggregates, inverse, num_groups)}
 
 
 class _FusedEvalTable(dict):
@@ -166,63 +213,30 @@ class _FusedEvalTable(dict):
         self.update(batch.key_values)
         self._batch = batch
 
+    def __contains__(self, name):
+        return super().__contains__(name) or name in self._batch.key_codes
+
     def __missing__(self, name):
         values = self._batch.materialize_key(name)
         self[name] = values
         return values
 
 
-def fused_group_indices(batch, group_by: Sequence[str]) -> Tuple[Table, np.ndarray, int]:
-    """:func:`_group_indices` over a fused batch, reusing encoding-level codes.
+def _batch_key_codes(batch: FusedBatch, name: str) -> Tuple[np.ndarray, np.ndarray]:
+    """One group key of a fused batch as ``(ascending uniques, per-row codes)``.
 
-    Keys delivered in code space by the scan skip the ``np.unique`` pass
-    entirely: their codes index the chunk's sorted unique list, so combining
-    them is rank-preserving exactly like ``_column_codes`` output.  Codes from
-    the encoding range over the chunk's *dictionary* (a superset of the values
-    actually present after filtering); the dense factorisation drops absent
-    entries, which is precisely what ``np.unique`` on the materialised values
-    would have produced — the result is bit-identical to the classic path.
+    Keys the scan delivered in code space skip the ``np.unique`` pass: their
+    codes index the chunk's sorted dictionary (a superset of the values that
+    survived the filter), which is rank-preserving exactly like
+    :func:`_column_codes` output.
     """
-    num_rows = batch.num_rows
-    if not group_by:
-        return {}, np.zeros(num_rows, dtype=np.int64), 1
-
-    per_key: List[Tuple[np.ndarray, np.ndarray]] = []
-    cardinality = 1
-    for name in group_by:
-        if name in batch.key_codes:
-            uniques, codes = batch.key_codes[name]
-        else:
-            uniques, codes = _column_codes(batch.key_values[name])
-        per_key.append((uniques, codes))
-        cardinality *= max(len(uniques), 1)
-
-    if cardinality > DENSE_FACTORIZE_MAX_CARDINALITY:
-        # Superset code space too large for the dense kernel: materialise the
-        # keys and take the general (present-values) path.
-        table = {name: batch.materialize_key(name) for name in group_by}
-        return _group_indices(table, group_by)
-
-    combined: Optional[np.ndarray] = None
-    for uniques, codes in per_key:
-        combined = (
-            codes.astype(np.int64, copy=False)
-            if combined is None
-            else combined * len(uniques) + codes
-        )
-    unique_codes, inverse = _dense_factorize(combined, cardinality)
-    key_table: Table = {}
-    remaining = unique_codes
-    for name, (uniques, _) in zip(reversed(group_by), reversed(per_key)):
-        width = max(len(uniques), 1)
-        key_table[name] = uniques[remaining % width]
-        remaining = remaining // width
-    key_table = {name: key_table[name] for name in group_by}
-    return key_table, inverse, len(unique_codes)
+    if name in batch.key_codes:
+        return batch.key_codes[name]
+    return _column_codes(batch.key_values[name])
 
 
 def partial_aggregate_fused(
-    batch,
+    batch: FusedBatch,
     group_by: Sequence[str],
     aggregates: Sequence[AggregateSpec],
 ) -> Table:
@@ -231,23 +245,120 @@ def partial_aggregate_fused(
     Selection vectors feed the aggregate kernels directly — the batch's keys
     stay in code space and no intermediate filtered table is materialised.
     The output is bit-identical to running :func:`partial_aggregate` on the
-    equivalent materialised chunk (same bincount accumulation order).
+    equivalent materialised chunk: the factorisation drops dictionary entries
+    no surviving row uses, which is what ``np.unique`` on the materialised
+    values produces, and the bincount accumulation order is the same.
     """
     num_rows = batch.num_rows
-    aliases = [spec.alias for spec in aggregates]
     if num_rows == 0:
-        return {name: np.zeros(0, dtype=np.float64) for name in list(group_by) + aliases}
+        return empty_table_like(list(group_by) + [spec.alias for spec in aggregates])
 
-    key_table, inverse, num_groups = fused_group_indices(batch, group_by)
-    eval_table = _FusedEvalTable(batch)
-    result: Table = dict(key_table)
-    for spec in aggregates:
-        if spec.function == "count" and spec.expression is None:
-            values = np.ones(num_rows, dtype=np.float64)
-        else:
-            values = np.asarray(evaluate(spec.expression, eval_table), dtype=np.float64)
-        result[spec.alias] = _aggregate_column(values, inverse, num_groups, spec.function)
-    return result
+    per_key = [_batch_key_codes(batch, name) for name in group_by]
+    key_table, inverse, num_groups = _factorize(group_by, per_key, num_rows)
+    columns = _aggregate_groups(_FusedEvalTable(batch), aggregates, inverse, num_groups)
+    return {**key_table, **columns}
+
+
+def _unify_codes(
+    pairs: Sequence[Tuple[np.ndarray, np.ndarray]],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Re-express one key's per-batch ``(uniques, codes)`` over one dictionary.
+
+    Returns the merged ascending dictionary and the concatenated codes into
+    it.  Equal dictionaries (the common case for low-cardinality columns) are
+    taken as they are; otherwise each small dictionary is located in the
+    merged one and its batch's codes are translated through that mapping.
+    """
+    first = pairs[0][0]
+    signature = (first.dtype, first.tobytes())
+    if all(
+        uniques is first or (uniques.dtype, uniques.tobytes()) == signature
+        for uniques, _ in pairs
+    ):
+        return first, np.concatenate([codes for _, codes in pairs])
+    merged, _ = _column_codes(np.concatenate([uniques for uniques, _ in pairs]))
+    return merged, np.concatenate(
+        [np.searchsorted(merged, uniques)[codes] for uniques, codes in pairs]
+    )
+
+
+class FusedBatchAccumulator:
+    """Runs the fused group-by kernel once per pass of row groups, not per group.
+
+    A scan worker feeds its :class:`~repro.engine.scan.FusedBatch` es to
+    :meth:`add`; every :data:`FUSED_PASS_ROWS` rows the pending batches are
+    aggregated in one call of :func:`partial_aggregate_fused` whose leading
+    group key is the batch's ordinal.  Groups come out ordered by (batch,
+    keys) and every group's rows keep their order, so the pass produces
+    exactly the concatenation of the per-batch partial tables — same rows,
+    same order, same float accumulation order, same bits — which is what
+    :func:`merge_partials` consumes either way.
+
+    The segmented code space is batches × merged groups.  When it does not
+    fit the rows in hand (:func:`_fits_dense`), or a key arrived as values —
+    near-unique keys, for which the writer keeps no chunk dictionary and a
+    batch's sort already dominates its call — the batches are aggregated one
+    by one.
+    """
+
+    def __init__(self, group_by: Sequence[str], aggregates: Sequence[AggregateSpec]):
+        self.group_by = list(group_by)
+        self.aggregates = list(aggregates)
+        self._pending: List[FusedBatch] = []
+        self._pending_rows = 0
+        self._partials: List[Table] = []
+
+    def add(self, batch: FusedBatch) -> None:
+        """Take one scanned batch."""
+        if batch.num_rows == 0:
+            return
+        self._pending.append(batch)
+        self._pending_rows += batch.num_rows
+        if self._pending_rows >= FUSED_PASS_ROWS:
+            self._flush()
+
+    def finish(self) -> List[Table]:
+        """The partial tables of everything added, for :func:`merge_partials`."""
+        self._flush()
+        return self._partials
+
+    def _flush(self) -> None:
+        batches, num_rows = self._pending, self._pending_rows
+        self._pending, self._pending_rows = [], 0
+        segmented = self._segmented(batches, num_rows) if len(batches) > 1 else None
+        if segmented is None:
+            self._partials.extend(
+                partial_aggregate_fused(batch, self.group_by, self.aggregates)
+                for batch in batches
+            )
+            return
+        table = partial_aggregate_fused(
+            segmented, [_SEGMENT_KEY] + self.group_by, self.aggregates
+        )
+        del table[_SEGMENT_KEY]
+        self._partials.append(table)
+
+    def _segmented(self, batches: Sequence[FusedBatch], num_rows: int) -> Optional[FusedBatch]:
+        """The batches as one batch keyed by (ordinal, keys), if that fits."""
+        if any(name not in batch.key_codes for batch in batches for name in self.group_by):
+            # A key the scan delivered as values has no chunk dictionary: the
+            # writer found too many distinct values to keep one.
+            return None
+        ordinals = np.arange(len(batches))
+        key_codes = {
+            _SEGMENT_KEY: (ordinals, np.repeat(ordinals, [batch.num_rows for batch in batches]))
+        }
+        cardinality = len(batches)
+        for name in self.group_by:
+            key_codes[name] = _unify_codes([batch.key_codes[name] for batch in batches])
+            cardinality *= len(key_codes[name][0])
+            if not _fits_dense(cardinality, num_rows):
+                return None
+        values = {
+            name: np.concatenate([batch.values[name] for batch in batches])
+            for name in batches[0].values
+        }
+        return FusedBatch(num_rows=num_rows, values=values, key_codes=key_codes, key_values={})
 
 
 def merge_partials(
@@ -263,19 +374,16 @@ def merge_partials(
     if not non_empty:
         return partial_aggregate({}, group_by, aggregates)
     combined = concat_tables(non_empty)
-    merge_specs = []
-    for spec in aggregates:
-        merge_function = "sum" if spec.function in ("sum", "count") else spec.function
-        merge_specs.append(
-            AggregateSpec(merge_function, _column_expr(spec.alias), spec.alias)
+    # Partial sums and counts add up; mins/maxes merge with themselves.
+    merge_specs = [
+        AggregateSpec(
+            "sum" if spec.function == "count" else spec.function,
+            col(spec.alias),
+            spec.alias,
         )
+        for spec in aggregates
+    ]
     return partial_aggregate(combined, group_by, merge_specs)
-
-
-def _column_expr(name: str):
-    from repro.plan.expressions import col
-
-    return col(name)
 
 
 def finalize_aggregates(

@@ -19,9 +19,9 @@ import numpy as np
 from repro.cloud.network import BandwidthModel
 from repro.cloud.s3 import ObjectStore
 from repro.engine.aggregates import (
+    FusedBatchAccumulator,
     merge_partials,
     partial_aggregate,
-    partial_aggregate_fused,
 )
 from repro.engine.payload import encode_table
 from repro.engine.scan import S3ScanOperator, ScanConfig
@@ -270,13 +270,12 @@ def execute_worker_plan_table(
         # Fused pipeline: the scan's selection vectors feed the aggregate
         # kernels directly, group keys stay in code space, and no filtered
         # chunk is ever materialised.
+        accumulator = FusedBatchAccumulator(plan.group_by, plan.aggregates)
         for batch in scan.scan_fused(plan.group_by):
             rows_after_filter += batch.num_rows
-            partials.append(
-                partial_aggregate_fused(batch, plan.group_by, plan.aggregates)
-            )
+            accumulator.add(batch)
         return _finish_worker_plan(
-            plan, scan, partials, collected, reduce_fn, reduce_values,
+            plan, scan, accumulator.finish(), collected, reduce_fn, reduce_values,
             rows_after_filter,
         )
 

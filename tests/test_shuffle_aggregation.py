@@ -249,3 +249,57 @@ def test_glob_inputs_supported(env, dataset, coordinator, lineitem_table):
         aggregates=[AggregateSpec("count", None, "n")],
     )
     assert result["n"].sum() == pytest.approx(len(lineitem_table["l_linestatus"]))
+
+
+# -- projection push-down of the facade ----------------------------------------------
+
+
+@pytest.fixture
+def chunk_reads(monkeypatch):
+    """``(file, row group, column)`` of every column chunk the scans open."""
+    from repro.formats.parquet import ColumnarFile
+
+    reads = []
+    read_encoded_chunk = ColumnarFile.read_encoded_chunk
+
+    def counted(self, group, column):
+        reads.append((self.name, group.index, column))
+        return read_encoded_chunk(self, group, column)
+
+    monkeypatch.setattr(ColumnarFile, "read_encoded_chunk", counted)
+    return reads
+
+
+def test_facade_scans_only_referenced_columns(env, dataset, coordinator, chunk_reads, lineitem_table):
+    """``columns=None`` derives the projection: the parent decoded all 15 columns."""
+    result, _ = coordinator.execute(
+        dataset.paths,
+        group_by=["l_suppkey"],
+        aggregates=[
+            AggregateSpec("sum", col("l_extendedprice") * (1 - col("l_discount")), "revenue"),
+            AggregateSpec("avg", col("l_discount"), "avg_disc"),
+            AggregateSpec("count", None, "n"),
+        ],
+        # Keeps some row of every row group; l_quantity appears nowhere else.
+        predicate=col("l_quantity") < 25,
+    )
+    mask = lineitem_table["l_quantity"] < 25
+    assert result["n"].sum() == pytest.approx(mask.sum())
+
+    referenced = {"l_suppkey", "l_extendedprice", "l_discount", "l_quantity"}
+    assert {column for _, _, column in chunk_reads} == referenced
+    row_groups = {(path, group) for path, group, _ in chunk_reads}
+    assert len(row_groups) == 4 * 3  # 4 files of 1500 rows in row groups of 512
+    assert len(chunk_reads) == len(row_groups) * len(referenced)
+
+
+def test_facade_honours_an_explicit_projection(env, dataset, coordinator, chunk_reads):
+    columns = ["l_linestatus", "l_quantity", "l_tax"]
+    coordinator.execute(
+        dataset.paths,
+        group_by=["l_linestatus"],
+        aggregates=[AggregateSpec("sum", col("l_quantity"), "q")],
+        columns=columns,
+    )
+    assert {column for _, _, column in chunk_reads} == set(columns)
+    assert len(chunk_reads) == 4 * 3 * len(columns)
