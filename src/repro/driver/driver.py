@@ -34,7 +34,12 @@ from repro.driver.admission import (
     CancellationToken,
 )
 from repro.driver.breakers import BreakerBoard, RetryBudget
-from repro.driver.integrity import IntegrityStats, fetch_spilled_result, message_intact
+from repro.driver.integrity import (
+    RESULT_BUCKET,
+    IntegrityStats,
+    fetch_spilled_result,
+    open_message,
+)
 from repro.driver.invocation import TreeInvocationModel, build_invocation_tree
 from repro.driver.resilience import (
     DEFAULT_RESILIENCE_POLICY,
@@ -59,7 +64,6 @@ from repro.driver.shuffle import (
 )
 from repro.driver.worker import (
     COLD_EXECUTION_PENALTY,
-    RESULT_BUCKET,
     WORKER_FUNCTION_NAME,
     make_worker_handler,
 )
@@ -67,6 +71,7 @@ from repro.engine.aggregates import finalize_aggregates, merge_partials
 from repro.engine.payload import decode_table
 from repro.engine.pipeline import WorkerResult
 from repro.exchange.basic import ExchangeStats
+from repro.exchange.codec import verify_frame
 from repro.engine.table import (
     Table,
     concat_tables,
@@ -734,11 +739,10 @@ class LambadaDriver:
 
         all_files = sorted({path for p in payloads for path in p["plan"]["files"]})
         export: Optional[SharedObjectExport] = None
-        attached: List[Any] = []
         by_worker: Dict[int, Dict] = {}
         try:
             export = SharedObjectExport.create(self.env.s3, all_files)
-            by_worker.update(self._run_pooled_round(pool, export, payloads, attached))
+            by_worker.update(self._run_pooled_round(pool, export, payloads))
             payload_by_worker = {p["worker_id"]: p for p in payloads}
             sleep = 0.0
             for _ in range(max_worker_retries):
@@ -750,8 +754,8 @@ class LambadaDriver:
                 if not failed:
                     break
                 if cancel is not None:
-                    # Mid-wave pump point: the finally block below unlinks
-                    # every attached segment on the way out.
+                    # Mid-wave pump point: result segments are already
+                    # unlinked, the finally block below releases the export.
                     cancel.check("pooled retry")
                 if "lambda" in self.breakers.open_services():
                     # Invocation-plane brownout: stop feeding the pool and
@@ -800,9 +804,7 @@ class LambadaDriver:
                     if self._active_budget is not None:
                         self._active_budget.charge("pool_retries")
                     resilience.wasted_cost_dollars += prices.lambda_invocation_cost(1)
-                by_worker.update(
-                    self._run_pooled_round(pool, export, retries, attached)
-                )
+                by_worker.update(self._run_pooled_round(pool, export, retries))
             resilience.pool_respawns = pool.stats().get("respawns", 0) - respawns_before
             worker_results = self._parse_results(
                 by_worker, expected=len(payloads), attempt_log=attempt_log
@@ -826,14 +828,6 @@ class LambadaDriver:
                 resilience=resilience, fault_snapshot=fault_snapshot,
             )
             statistics.overload = self._overload_block(self._active_budget)
-            # Detach the exposed partials from shared memory before the
-            # segments are unlinked: re-encode into the payload form the
-            # classic path ships (copies the column data out).
-            from repro.engine.payload import encode_table
-
-            for result in worker_results:
-                if result.partial:
-                    result.partial = encode_table(result.partial, force_binary=True)
             return QueryResult(
                 table=table,
                 reduce_value=reduce_value,
@@ -843,26 +837,6 @@ class LambadaDriver:
                 plan_explain=physical.explain(),
             )
         finally:
-            # Release the zero-copy views BEFORE unmapping the segments.  On
-            # the success path the exposed partials were already re-encoded;
-            # on the failure path the raised exception's traceback would keep
-            # this frame (and hence the views) alive, making SharedMemory's
-            # finalizer raise BufferError from the garbage collector.
-            for message in by_worker.values():
-                result_payload = message.get("result")
-                if isinstance(result_payload, dict):
-                    partial = result_payload.get("partial")
-                    if isinstance(partial, dict):
-                        partial.clear()
-            for segment in attached:
-                try:
-                    segment.close()
-                except BufferError:
-                    pass
-                try:
-                    segment.unlink()
-                except FileNotFoundError:
-                    pass
             if export is not None:
                 pool.forget_segments([export.name])
                 export.close()
@@ -872,7 +846,6 @@ class LambadaDriver:
         pool,
         export: SharedObjectExport,
         payloads: List[Dict],
-        attached: List[Any],
     ) -> Dict[int, Dict]:
         """Dispatch one wave of payloads to the pool and meter each attempt.
 
@@ -884,8 +857,8 @@ class LambadaDriver:
         An installed :class:`~repro.cloud.faults.FaultPlan` is consulted here,
         mirroring the SQS path: dropped/timed-out invocations are decided
         before dispatch (the fragment never runs), pool-crash injections lose
-        a completed result (its segment is still attached for cleanup), and
-        straggler slowdowns multiply the reported duration.
+        a completed result (its segment is still unlinked), and straggler
+        slowdowns multiply the reported duration.
         """
         plan = getattr(self.env, "fault_plan", None)
         faulted: Dict[int, str] = {}
@@ -936,30 +909,15 @@ class LambadaDriver:
             crashed = plan is not None and plan.pool_crash(
                 self.function_name, worker_id
             )
+            message = self._pooled_message(raw_result, worker_id)
             if crashed:
                 # The child did the work, but the injected crash loses its
-                # result.  Attach the orphaned result segment (if any) so the
-                # end-of-query cleanup unlinks it.
-                if (
-                    raw_result is not None
-                    and raw_result[0] == "ok"
-                    and raw_result[3] is not None
-                ):
-                    from multiprocessing import shared_memory
-
-                    try:
-                        attached.append(
-                            shared_memory.SharedMemory(name=raw_result[3])
-                        )
-                    except FileNotFoundError:
-                        pass
+                # result (the segment it wrote is already unlinked).
                 message = {
                     "worker_id": worker_id,
                     "status": "error",
                     "error": "WorkerCrashError: injected pool worker crash",
                 }
-            else:
-                message = self._pooled_message(raw_result, worker_id, attached)
             message.setdefault("attempt", payload.get("attempt", 0))
             duration = message.get("result", {}).get("duration_seconds", 0.0)
             if plan is not None and message.get("status") == "ok":
@@ -978,14 +936,13 @@ class LambadaDriver:
             by_worker[worker_id] = message
         return by_worker
 
-    def _pooled_message(
-        self, raw: Optional[tuple], worker_id: int, attached: List[Any]
-    ) -> Dict:
+    def _pooled_message(self, raw: Optional[tuple], worker_id: int) -> Dict:
         """Convert one pool child message into the classic result-message shape.
 
-        Result segments are attached here and decoded in place (raw columns
-        stay zero-copy views of the segment); the attached handles collect in ``attached`` so ``_execute_pooled`` can
-        unlink every segment when the query finishes.
+        The result frame is copied out of its shared-memory segment — the
+        same bytes a serial worker's message carries — checked, and the
+        segment unlinked at once, so no segment outlives the round that
+        produced it.
         """
         if raw is None:
             return {
@@ -996,17 +953,18 @@ class LambadaDriver:
         if raw[0] == "err":
             return {"worker_id": worker_id, "status": "error", "error": raw[2]}
         _, _, payload, result_segment, nbytes = raw
+        message = {"worker_id": worker_id, "status": "ok", "result": payload}
         if result_segment is not None:
             from multiprocessing import shared_memory
 
-            from repro.exchange.codec import decode_partition
-
             segment = shared_memory.SharedMemory(name=result_segment)
-            attached.append(segment)
-            payload["partial"] = decode_partition(segment.buf[:nbytes], copy=False)
-        else:
-            payload["partial"] = {}
-        return {"worker_id": worker_id, "status": "ok", "result": payload}
+            try:
+                message["frame"] = bytes(segment.buf[:nbytes])
+            finally:
+                segment.close()
+                segment.unlink()
+            verify_frame(message["frame"], key=result_segment)
+        return message
 
     # -- helpers --------------------------------------------------------------------
 
@@ -1127,11 +1085,10 @@ class LambadaDriver:
         ``raise_on_timeout=False`` — returns what arrived so the caller can
         retry the workers that never reported (dropped invocations, crashes).
 
-        Messages that fail to parse or whose content digest mismatches
-        (payload corrupted on the queue) are dropped and counted into
-        ``integrity``; the retry machinery then re-invokes the
-        silently-missing worker, so a corrupt message can never contribute
-        rows to the result.
+        Messages :func:`~repro.driver.integrity.open_message` finds corrupt
+        are dropped and counted into ``integrity``; the retry machinery then
+        re-invokes the silently-missing worker, so a corrupt message can
+        never contribute rows to the result.
         """
         verify = self.integrity.verify
         messages: List[Dict] = []
@@ -1146,24 +1103,9 @@ class LambadaDriver:
                 cancel.check("collect")
             batch = self.env.sqs.receive_messages(self.result_queue, max_messages=10)
             for message in batch:
-                try:
-                    payload = message.json()
-                    if not isinstance(payload, dict):
-                        raise ValueError("result message is not an object")
-                except ValueError:
-                    # Corrupted beyond JSON: the producing worker looks
-                    # missing and the retry loop re-invokes it.
-                    if integrity is not None:
-                        integrity.note_mismatch("sqs.parse")
-                        integrity.re_executions += 1
-                    continue
-                if verify and not message_intact(payload):
-                    if integrity is not None:
-                        integrity.note_mismatch("sqs.digest")
-                        integrity.re_executions += 1
-                    continue
-                if payload.get("query_id") != query_id:
-                    continue  # stale message from an earlier query
+                payload = open_message(message.body, verify, integrity)
+                if payload is None or payload.get("query_id") != query_id:
+                    continue  # corrupt, or stale from an earlier query
                 messages.append(payload)
                 worker_id = payload.get("worker_id")
                 if want is None or worker_id in want:
@@ -1185,24 +1127,22 @@ class LambadaDriver:
     ) -> Dict[int, Dict]:
         """Group result messages by worker id with ``(worker, attempt)`` dedup.
 
-        Spilled payloads are fetched from S3 with backoff — the pointed-to
+        Spilled frames are fetched from S3 with backoff — the pointed-to
         object may be transiently invisible under an injected read-after-write
-        lag — and, with verification on, must parse and match their content
-        digest; a corrupt first read (in-flight corruption) is cured by one
-        re-issued GET counted as a re-read.
+        lag — and, with verification on, must be the frame their message
+        describes; a corrupt first read (in-flight corruption) is cured by
+        one re-issued GET counted as a re-read.
         """
         if by_worker is None:
             by_worker = {}
         for message in messages:
             if "result_s3" in message:
-                spilled = fetch_spilled_result(
-                    self.env.s3, message["result_s3"], self.integrity.verify, integrity,
+                message["frame"] = fetch_spilled_result(
+                    self.env.s3, message, self.integrity.verify, integrity,
                     policy=self.resilience_policy, rng=self._jitter_rng,
                     stats=resilience, breakers=self.breakers,
                     budget=self._active_budget, now_fn=self._active_now,
                 )
-                spilled.setdefault("attempt", message.get("attempt", 0))
-                message = spilled
             merge_attempt_message(by_worker, message["worker_id"], message, resilience)
         return by_worker
 
@@ -1319,8 +1259,8 @@ class LambadaDriver:
                 f"got results from {len(by_worker)} distinct workers, expected {expected}"
             )
         return [
-            WorkerResult.from_payload(by_worker[worker_id]["result"])
-            for worker_id in sorted(by_worker)
+            WorkerResult.from_payload(message["result"], message.get("frame"))
+            for _, message in sorted(by_worker.items())
         ]
 
     def _hedge_stragglers(
@@ -1411,7 +1351,9 @@ class LambadaDriver:
                 resilience.hedges_lost += 1
                 resilience.wasted_cost_dollars += prices.lambda_invocation_cost(1)
                 continue
-            hedge_result = WorkerResult.from_payload(message["result"])
+            hedge_result = WorkerResult.from_payload(
+                message["result"], message.get("frame")
+            )
             effective = threshold + hedge_result.duration_seconds
             original = durations[worker_id]
             if effective < original:
@@ -1485,10 +1427,13 @@ class LambadaDriver:
             return {}, reduce_value
 
         # Views, not copies: the merge only concatenates the partials (one
-        # concatenate + one vectorised group-by pass), so decoded columns —
-        # including shared-memory views from the process pool — are never
-        # mutated in place.
-        partials = [decode_table(result.partial, copy=False) for result in worker_results]
+        # concatenate + one vectorised group-by pass), so decoded columns are
+        # never mutated in place.  Every frame was verified where it was
+        # accepted (message, spilled object, pool segment).
+        partials = [
+            decode_table(result.partial, copy=False, verify=False)
+            for result in worker_results
+        ]
         if driver_plan.collect_rows:
             table = concat_tables(partials)
         else:

@@ -1,4 +1,4 @@
-"""Driver-side data-integrity primitives.
+"""The result plane and the driver-side data-integrity primitives.
 
 Everything the verify-and-recover read path shares lives here:
 
@@ -7,15 +7,27 @@ Everything the verify-and-recover read path shares lives here:
   checksums were verified on read, mismatches by verification site, and how
   the recovery escalation resolved them (re-issued GETs for in-flight
   corruption, re-executed producing attempts for at-rest corruption).
-* :func:`sign_message` / :func:`message_intact` — the crc32 digest every
-  result message (and spilled result object) carries so the driver detects a
-  payload corrupted on the queue before acting on it.  The digest covers the
-  canonical (sorted-keys) JSON form of the message minus the digest field
-  itself; JSON round-trips of ints, strings, and shortest-repr floats are
-  representation-stable, so the receiver recomputes the identical value from
-  the parsed dict.
-* :func:`fetch_spilled_result` — the one reader of spilled result objects:
-  GET with backoff, parse, verify the digest, re-read once on a mismatch.
+* :func:`post_result` / :func:`open_message` — the one sender and the one
+  opener of result messages.  A message is text::
+
+      [digest] header [LF base64(frame)]
+
+  ``header`` is one JSON object (ids, status, counters, announcements).
+  ``digest`` is the crc32 of the header text *as it travels*, eight hex
+  digits, computed once by the sender and checked by the receiver before it
+  parses anything; an unsigned message (``integrity.generate=False``) starts
+  with the header's ``{``.  A message that reports a result table describes
+  its frame (:mod:`repro.engine.payload`) in the header: ``"frame": [length,
+  crc32]``, and ``"result_s3"``, where the frame is when it is not in the
+  message.  The frame rides behind the header while the whole message fits
+  :data:`RESULT_SPILL_BYTES`; otherwise its raw bytes are PUT at
+  ``result_s3`` — no JSON, no base64 — and the message is the header alone.
+  Either way the receiver checks the frame the way a ranged GET checks a
+  slice — announced length, announced crc against the embedded one, one
+  hash pass (:func:`repro.exchange.codec.verify_frame`) — so each result
+  byte is hashed once per side.
+* :func:`fetch_spilled_result` — the one reader of spilled frames: GET with
+  backoff, verify, re-read once on a mismatch.
 
 A clean run with verification disabled (or unchecksummed inputs) reports
 all-zero mismatch counters; verified byte counts accumulate wherever a
@@ -24,38 +36,101 @@ checksum actually matched.
 
 from __future__ import annotations
 
+import base64
 import json
 import zlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 from repro.cloud.s3 import parse_s3_path
-from repro.config import DEFAULT_RESILIENCE
+from repro.config import DEFAULT_RESILIENCE, IntegrityConfig
 from repro.driver.resilience import call_with_backoff
-from repro.errors import IntegrityError
+from repro.errors import CorruptFileError
+from repro.exchange.codec import slice_crcs, verify_frame
 
-#: Key under which a result message carries its content digest.
-MESSAGE_DIGEST_KEY = "digest"
+#: A result whose message would exceed this many bytes is staged through S3
+#: instead (SQS messages are limited to 256 KiB).
+RESULT_SPILL_BYTES = 200 * 1024
 
-
-def message_digest(payload: Dict[str, Any]) -> int:
-    """crc32 over the canonical JSON form of ``payload`` minus its digest."""
-    body = {k: v for k, v in payload.items() if k != MESSAGE_DIGEST_KEY}
-    return zlib.crc32(json.dumps(body, sort_keys=True).encode("utf-8"))
-
-
-def sign_message(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Attach the content digest to a result message (mutates and returns)."""
-    payload[MESSAGE_DIGEST_KEY] = message_digest(payload)
-    return payload
+#: Bucket used for spilled worker results.
+RESULT_BUCKET = "lambada-results"
 
 
-def message_intact(payload: Dict[str, Any]) -> bool:
-    """Whether a parsed message matches its digest (unsigned messages pass)."""
-    expected = payload.get(MESSAGE_DIGEST_KEY)
-    if expected is None:
-        return True
-    return expected == message_digest(payload)
+def post_result(
+    env: Any,
+    queue: str,
+    integrity: IntegrityConfig,
+    header: Dict[str, Any],
+    frame: Optional[bytes] = None,
+    spill_key: Optional[str] = None,
+) -> None:
+    """Send one result message: ``header``, and ``frame`` inline or spilled.
+
+    ``spill_key`` is where in :data:`RESULT_BUCKET` the frame goes when the
+    message would not fit the queue; the caller suffixes it with the attempt,
+    so a retry never overwrites (or races with) an earlier attempt's object.
+    """
+    if frame is not None:
+        header = {
+            **header,
+            "frame": [len(frame), slice_crcs(frame, (0, len(frame)))[0]],
+            "result_s3": f"s3://{RESULT_BUCKET}/{spill_key}",
+        }
+    text = json.dumps(header)
+    if integrity.generate:
+        text = f"{zlib.crc32(text.encode()):08x}{text}"
+    if frame is not None:
+        if len(text) + 1 + 4 * ((len(frame) + 2) // 3) > RESULT_SPILL_BYTES:
+            env.s3.ensure_bucket(RESULT_BUCKET)
+            env.s3.put_object(RESULT_BUCKET, spill_key, frame)
+        else:
+            text = f"{text}\n{base64.b64encode(frame).decode('ascii')}"
+    env.sqs.send_message(queue, text)
+
+
+def open_message(
+    body: str, verify: bool = True, integrity: Optional[IntegrityStats] = None
+) -> Optional[Dict[str, Any]]:
+    """Parse one delivered result message; ``None`` when it is corrupt.
+
+    An inline frame comes back as its bytes under ``"frame"``, checked, with
+    ``"result_s3"`` removed (nothing was spilled); a spilled one keeps its
+    ``[length, crc32]`` description there for :func:`fetch_spilled_result`.
+    A message that does not parse (site ``sqs.parse``) or fails its digest or
+    its frame's checks (``sqs.digest``) is counted into ``integrity`` and
+    dropped: its producer looks missing and the retry machinery re-invokes
+    it, so a corrupt message can never contribute rows.  Unsigned messages
+    and unchecked frames pass a verifying receiver.
+    """
+    site = "sqs.parse"
+    try:
+        text, _, tail = body.partition("\n")
+        if not text.startswith("{"):
+            digest, text = text[:8], text[8:]
+            if verify and digest != f"{zlib.crc32(text.encode()):08x}":
+                site = "sqs.digest"
+                raise ValueError("message digest mismatch")
+        message = json.loads(text)
+        if not isinstance(message, dict):
+            raise ValueError("result message is not an object")
+        if tail:
+            frame = base64.b64decode(tail, validate=True)
+            # The last quantum's spare bits decode to nothing: a rewrite
+            # there must not pass for the text the sender wrote.
+            spare = len(frame) % 3
+            if spare and base64.b64encode(frame[-spare:]).decode("ascii") != tail[-4:]:
+                raise ValueError("non-canonical base64")
+            path = message.pop("result_s3")
+            if verify:
+                site = "sqs.digest"
+                verify_frame(frame, *message["frame"], key=path)
+            message["frame"] = frame
+    except (ValueError, KeyError, TypeError, CorruptFileError):
+        if integrity is not None:
+            integrity.note_mismatch(site)
+            integrity.re_executions += 1
+        return None
+    return message
 
 
 @dataclass
@@ -124,48 +199,42 @@ class IntegrityStats:
 
 def fetch_spilled_result(
     s3: Any,
-    path: str,
+    message: Dict[str, Any],
     verify: bool,
     integrity: Optional[IntegrityStats] = None,
     **backoff: Any,
-) -> Dict[str, Any]:
-    """Fetch and decode a spilled result message, retrying transients.
+) -> bytes:
+    """Fetch the frame a pointer ``message`` spilled, retrying transients.
 
     The pointed-to object may be transiently invisible under an injected
     read-after-write lag, so the GET goes through
     :func:`~repro.driver.resilience.call_with_backoff` with the caller's
     ``backoff`` context (``policy``/``rng``/``stats`` and the overload
     plane's ``breakers``/``budget``/``now_fn``).  With ``verify`` on, the
-    spilled JSON must parse and match its content digest; a corrupt first
-    read (in-flight corruption) is cured by one re-issued GET counted into
-    ``integrity.re_reads``.  Unverified mode still needs parseable JSON, for
-    which a blind re-read is the best recovery available.
+    object must be the frame the message describes (length, crc, one hash
+    pass; site ``spill.digest``): a corrupt first read (in-flight
+    corruption) is cured by one re-issued GET counted into
+    ``integrity.re_reads``, and a stale or swapped object — self-consistent,
+    but not the one announced — fails on the crc.
     """
+    path = message["result_s3"]
     bucket, key = parse_s3_path(path)
-    last_error: Optional[IntegrityError] = None
-    for read_attempt in range(DEFAULT_RESILIENCE.spill_read_attempts):
-        raw = call_with_backoff(s3.get_object, bucket, key, **backoff).data
+    attempts = DEFAULT_RESILIENCE.spill_read_attempts
+    for read_attempt in range(attempts):
+        frame = call_with_backoff(s3.get_object, bucket, key, **backoff).data
+        if not verify:
+            break
         try:
-            spilled = json.loads(raw.decode("utf-8"))
-            if not isinstance(spilled, dict):
-                raise ValueError("spilled result is not an object")
-        except (ValueError, UnicodeDecodeError) as exc:
-            last_error = IntegrityError(
-                f"spilled result does not parse: {exc}",
-                key=path, layer="spill.digest",
-            )
+            verify_frame(frame, *message["frame"], key=path)
+        except CorruptFileError:
+            if integrity is not None:
+                integrity.note_mismatch("spill.digest")
+            if read_attempt + 1 == attempts:
+                raise
         else:
-            if not verify or message_intact(spilled):
-                if integrity is not None:
-                    if verify:
-                        integrity.verified_bytes += len(raw)
-                    if read_attempt:
-                        integrity.re_reads += 1
-                return spilled
-            last_error = IntegrityError(
-                "spilled result failed its content digest",
-                key=path, layer="spill.digest",
-            )
-        if integrity is not None:
-            integrity.note_mismatch("spill.digest")
-    raise last_error
+            if integrity is not None:
+                integrity.verified_bytes += len(frame)
+                if read_attempt:
+                    integrity.re_reads += 1
+            break
+    return frame

@@ -12,15 +12,16 @@ through shared memory instead of pickle:
   query and mounts it as a read-only
   :class:`~repro.cloud.s3.SharedSegmentStore`.  Only the segment *name* and
   the ``{path: (offset, length)}`` directory cross the pipe.
-* **Outputs** — each child writes its partial table as one typed partition
-  frame (:func:`repro.exchange.codec.encode_partition`) into a fresh
-  shared-memory segment and sends back the segment name; the driver decodes
-  it with ``decode_partition(..., copy=False)``, so raw columns are zero-copy
-  views of the segment.  Column arrays never pass through pickle in either
-  direction.
+* **Outputs** — each child writes its partial table as one typed frame
+  (:func:`repro.engine.payload.encode_table`) into a fresh
+  shared-memory segment and sends back the segment name; the driver copies
+  the frame out — the same bytes a serial worker's result message carries —
+  and unlinks the segment.  Column arrays never pass through pickle in
+  either direction.
 
-Segment lifecycle: the **driver** owns every segment and unlinks them all
-when the query finishes (success or failure).  Children merely attach.  With
+Segment lifecycle: the **driver** owns every segment: it unlinks a result
+segment as soon as it has copied the frame out, and the input export when the
+query finishes (success or failure).  Children merely attach.  With
 the spawn start method all children share the parent's ``resource_tracker``,
 which acts as a crash safety net — if the driver dies before unlinking, the
 tracker removes the segments at exit.
@@ -70,8 +71,8 @@ def _child_main(conn) -> None:
     from multiprocessing import shared_memory
 
     from repro.cloud.s3 import SharedSegmentStore
+    from repro.engine.payload import encode_table
     from repro.engine.pipeline import execute_worker_plan_table
-    from repro.exchange.codec import encode_partition
     from repro.plan.physical import WorkerPlan
 
     # Cache of attached input segments: name -> (SharedMemory, SharedSegmentStore)
@@ -110,11 +111,10 @@ def _child_main(conn) -> None:
                 plan, store, memory_mib=memory_mib, threads=threads
             )
             payload = result.to_payload()
-            payload.pop("partial", None)  # travels via shared memory instead
             result_segment: Optional[str] = None
             nbytes = 0
             if table is not None:
-                blob = encode_partition(table)
+                blob = encode_table(table)
                 out = shared_memory.SharedMemory(
                     name=assigned_name
                     or f"{RESULT_SEGMENT_PREFIX}{uuid.uuid4().hex[:12]}",
@@ -124,7 +124,7 @@ def _child_main(conn) -> None:
                 out.buf[: len(blob)] = blob
                 result_segment = out.name
                 nbytes = len(blob)
-                # The driver attaches, decodes, and unlinks; this mapping is
+                # The driver attaches, copies, and unlinks; this mapping is
                 # no longer needed (the /dev/shm entry survives the close).
                 out.close()
             conn.send(("ok", task_id, payload, result_segment, nbytes))

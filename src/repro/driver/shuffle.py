@@ -57,7 +57,6 @@ exchange and result prefixes for the objects of superseded attempts.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 import uuid
@@ -71,10 +70,11 @@ from repro.cloud.lambda_service import FunctionConfig, InvocationContext
 from repro.cloud.s3 import parse_s3_path
 from repro.config import DEFAULT_RESILIENCE, IntegrityConfig, MiB
 from repro.driver.integrity import (
+    RESULT_BUCKET,
     IntegrityStats,
     fetch_spilled_result,
-    message_intact,
-    sign_message,
+    open_message,
+    post_result,
 )
 from repro.driver.resilience import (
     DEFAULT_RESILIENCE_POLICY,
@@ -88,7 +88,6 @@ from repro.driver.resilience import (
     fault_snapshot,
     merge_attempt_message,
 )
-from repro.driver.worker import RESULT_BUCKET, RESULT_SPILL_BYTES
 from repro.engine.aggregates import (
     FusedBatchAccumulator,
     finalize_aggregates,
@@ -159,7 +158,7 @@ class WaveNames:
     map_label: str
     #: Stage label of the final wave (non-final waves are ``join stage k``).
     reduce_label: str
-    #: Final-wave results spill to ``{query_id}/{stem}-{partition}.a{attempt}.json``.
+    #: Final-wave results spill to ``{query_id}/{stem}-{partition}.a{attempt}``.
     spill_stem: str
 
 
@@ -302,10 +301,10 @@ def _collect_wave_messages(
     either gets the partial dict back (``raise_on_timeout=False``, the retry
     loops) or :class:`~repro.errors.QueryTimeoutError`.
 
-    Messages that fail to parse or whose content digest mismatches (payload
-    corrupted on the queue) are dropped and counted into ``integrity``; the
-    wave machinery then re-invokes the silently-missing worker, so a corrupt
-    message can never contribute rows to the result.
+    Messages :func:`~repro.driver.integrity.open_message` finds corrupt are
+    dropped and counted into ``integrity``; the wave machinery then
+    re-invokes the silently-missing worker, so a corrupt message can never
+    contribute rows to the result.
     """
     by_key = {} if by_key is None else by_key
     min_attempt = min_attempt or {}
@@ -328,23 +327,8 @@ def _collect_wave_messages(
     )
     for _ in range(max_polls):
         for message in sqs.receive_messages(queue, max_messages=10):
-            try:
-                payload = message.json()
-                if not isinstance(payload, dict):
-                    raise ValueError("result message is not an object")
-            except ValueError:
-                # Corrupted beyond JSON: the producing worker looks missing
-                # and the wave machinery re-invokes it.
-                if integrity is not None:
-                    integrity.note_mismatch("sqs.parse")
-                    integrity.re_executions += 1
-                continue
-            if verify and not message_intact(payload):
-                if integrity is not None:
-                    integrity.note_mismatch("sqs.digest")
-                    integrity.re_executions += 1
-                continue
-            if payload.get("query_id") != query_id:
+            payload = open_message(message.body, verify, integrity)
+            if payload is None or payload.get("query_id") != query_id:
                 continue
             key = _message_key(payload)
             if want is not None and key not in want:
@@ -633,9 +617,10 @@ def _guarded(env: CloudEnvironment, run):
             }
             if event.get("side") is not None:
                 message["side"] = event["side"]
-            if IntegrityConfig.from_dict(event.get("integrity")).generate:
-                sign_message(message)
-            env.sqs.send_json(event["result_queue"], message)
+            post_result(
+                env, event["result_queue"],
+                IntegrityConfig.from_dict(event.get("integrity")), message,
+            )
             return message
 
     return handler
@@ -763,7 +748,6 @@ def _make_map_handler(env: CloudEnvironment):
         modelled_seconds = _charge_worker(env, context, scan.modelled_seconds(), stats)
 
         result = WorkerResult(
-            partial={},
             rows_scanned=scan.counters.rows_scanned,
             rows_after_filter=table_num_rows(rows),
             get_requests=scan.statistics.get_requests,
@@ -781,9 +765,7 @@ def _make_map_handler(env: CloudEnvironment):
             "worker_result": result.to_payload(),
             **announcement,
         }
-        if integrity.generate:
-            sign_message(message)
-        env.sqs.send_json(event["result_queue"], message)
+        post_result(env, event["result_queue"], integrity, message)
         return message
 
     return _guarded(env, handler)
@@ -973,9 +955,10 @@ def _make_reduce_handler(env: CloudEnvironment):
         }
         if event.get("side") is not None:
             message["side"] = event["side"]
+        frame = None
         if event.get("emit") is not None:
             rows_output = table_num_rows(joined)
-            body = _emit_intermediate(env, event, joined, stats, integrity)
+            message.update(_emit_intermediate(env, event, joined, stats, integrity))
         else:
             # With no joined rows the partial aggregate still emits the right
             # (empty) columns.
@@ -985,12 +968,11 @@ def _make_reduce_handler(env: CloudEnvironment):
                 [AggregateSpec.from_dict(item) for item in event["aggregates"]],
             )
             rows_output = table_num_rows(partial_table)
-            body = {"result": encode_table(partial_table, checksum=integrity.generate)}
+            frame = encode_table(partial_table, checksum=integrity.generate)
         modelled_seconds = _charge_worker(
             env, context, _reduce_compute_seconds(slices_read), stats, fetch_seconds
         )
         message["worker_result"] = WorkerResult(
-            partial={},
             rows_output=rows_output,
             join_probe_rows=probe_rows,
             join_build_rows=build_rows,
@@ -1000,25 +982,14 @@ def _make_reduce_handler(env: CloudEnvironment):
             integrity_stats=istats.to_dict(),
         ).to_payload()
 
-        payload = {**message, **body}
-        if integrity.generate:
-            sign_message(payload)
-        encoded = json.dumps(payload).encode("utf-8")
-        # Only result rows spill: an emit announcement must reach the driver
-        # in the message itself (it holds the path the next wave reads).
-        if "result" in body and len(encoded) > RESULT_SPILL_BYTES:
-            env.s3.ensure_bucket(RESULT_BUCKET)
-            # The attempt suffix keeps a retried worker from overwriting an
-            # earlier attempt's spill mid-read.
-            spill_key = f"{query_id}/{event['spill_stem']}-{partition}.a{attempt}.json"
-            env.s3.put_object(RESULT_BUCKET, spill_key, encoded)
-            pointer = {**message, "result_s3": f"s3://{RESULT_BUCKET}/{spill_key}"}
-            if integrity.generate:
-                sign_message(pointer)
-            env.sqs.send_json(event["result_queue"], pointer)
-        else:
-            env.sqs.send_message(event["result_queue"], encoded.decode("utf-8"))
-        return payload
+        # Only result rows can spill: an emit announcement is header fields,
+        # which reach the driver in the message itself (they hold the path
+        # the next wave reads).
+        post_result(
+            env, event["result_queue"], integrity, message, frame,
+            f"{query_id}/{event['spill_stem']}-{partition}.a{attempt}",
+        )
+        return message
 
     return _guarded(env, handler)
 
@@ -1619,19 +1590,16 @@ class ShuffleJoinCoordinator:
         partials: List[Table] = []
         for message in reduce_waves[-1]:
             if "result_s3" in message:
-                message = fetch_spilled_result(
-                    self.env.s3, message["result_s3"], self.config.integrity.verify,
+                frame = fetch_spilled_result(
+                    self.env.s3, message, self.config.integrity.verify,
                     integrity_stats, policy=self.resilience_policy,
                     rng=self._jitter_rng, stats=resilience, breakers=self._breakers,
                     budget=self._budget, now_fn=self._now_fn,
                 )
-            partials.append(
-                decode_table(
-                    message["result"],
-                    verify=self.config.integrity.verify,
-                    key=f"{self.names.spill_stem}-{message.get('worker_id')}",
-                )
-            )
+            else:
+                frame = message["frame"]
+            # Verified where it was accepted; the merge only concatenates.
+            partials.append(decode_table(frame, copy=False, verify=False))
 
         # The final wave is folded: its spilled results have no reader left.
         gc_deleted += _delete_consumed_outputs(self.env, reduce_waves[-1], num_partitions)

@@ -10,13 +10,12 @@ starting their own fragment.
 
 from __future__ import annotations
 
-import json
 from typing import Any, Callable, Dict, Optional
 
 from repro.cloud.environment import CloudEnvironment
 from repro.cloud.lambda_service import InvocationContext
 from repro.config import INVOCATION_RATE_INTRA_REGION, IntegrityConfig
-from repro.driver.integrity import sign_message
+from repro.driver.integrity import post_result
 from repro.engine.pipeline import execute_worker_plan
 from repro.errors import WorkerCrashError
 from repro.plan.physical import WorkerPlan
@@ -27,16 +26,6 @@ WORKER_FUNCTION_NAME = "lambada-worker"
 #: Cold runs are about 20 % slower end to end (paper §5.2), partly because of
 #: loading code from the dependency layer; we model it as slower execution.
 COLD_EXECUTION_PENALTY = 1.15
-
-#: Results larger than this are staged through S3 instead of the SQS message
-#: (SQS messages are limited to 256 KiB); the message then carries a pointer.
-#: Result tables travel in the binary columnar payload form (see
-#: :mod:`repro.engine.payload`), so far fewer results hit this limit than with
-#: the seed's JSON ``.tolist()`` encoding.
-RESULT_SPILL_BYTES = 200 * 1024
-
-#: Bucket used for spilled worker results.
-RESULT_BUCKET = "lambada-results"
 
 
 def apply_cold_penalty(duration_seconds: float, cold_start: bool) -> float:
@@ -80,6 +69,8 @@ def make_worker_handler(env: CloudEnvironment) -> Callable[[Dict[str, Any], Invo
             context.charge(len(children) / rate)
 
         # 2. Execute the query fragment and report the outcome.
+        message = {"query_id": query_id, "worker_id": worker_id, "attempt": attempt}
+        frame = None
         try:
             plan = WorkerPlan.from_dict(event["plan"])
             result = execute_worker_plan(
@@ -94,52 +85,19 @@ def make_worker_handler(env: CloudEnvironment) -> Callable[[Dict[str, Any], Invo
             result.duration_seconds = duration
             result.attempt = attempt
             context.charge(duration)
-            message = {
-                "query_id": query_id,
-                "worker_id": worker_id,
-                "attempt": attempt,
-                "status": "ok",
-                "result": result.to_payload(),
-            }
+            message.update(status="ok", result=result.to_payload())
+            frame = result.partial
         except WorkerCrashError:
             # The instance died — no result message reaches the driver.
             raise
         except Exception as exc:  # noqa: BLE001 - report, never die silently
-            message = {
-                "query_id": query_id,
-                "worker_id": worker_id,
-                "attempt": attempt,
-                "status": "error",
-                "error": f"{type(exc).__name__}: {exc}",
-            }
+            message.update(status="error", error=f"{type(exc).__name__}: {exc}")
 
         if result_queue:
-            if integrity.generate:
-                # The content digest lets the driver detect a payload that
-                # was corrupted on the queue (or in the spilled object)
-                # before acting on it.
-                sign_message(message)
-            encoded = json.dumps(message).encode("utf-8")
-            if len(encoded) > RESULT_SPILL_BYTES:
-                # Stage large results through S3 and send only a pointer.
-                env.s3.ensure_bucket(RESULT_BUCKET)
-                # Attempt-suffixed so a retry never overwrites (or races with)
-                # an earlier attempt's spilled result object.
-                key = f"{query_id}/worker-{worker_id}.a{attempt}.json"
-                env.s3.put_object(RESULT_BUCKET, key, encoded)
-                pointer = {
-                    "query_id": query_id,
-                    "worker_id": worker_id,
-                    "attempt": attempt,
-                    "status": message["status"],
-                    "result_s3": f"s3://{RESULT_BUCKET}/{key}",
-                }
-                if integrity.generate:
-                    sign_message(pointer)
-                env.sqs.send_json(result_queue, pointer)
-            else:
-                # Reuse the bytes already serialised for the spill-size check.
-                env.sqs.send_message(result_queue, encoded.decode("utf-8"))
+            post_result(
+                env, result_queue, integrity, message, frame,
+                f"{query_id}/worker-{worker_id}.a{attempt}",
+            )
         return message
 
     return handler

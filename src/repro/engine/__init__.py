@@ -15,11 +15,9 @@ from repro.engine.table import (
     concat_tables,
     filter_table,
     select_columns,
-    table_to_payload,
-    table_from_payload,
     empty_table_like,
 )
-from repro.engine.payload import decode_table, encode_table, is_binary_payload
+from repro.engine.payload import decode_table, encode_table
 from repro.engine.s3io import S3ObjectSource, ScanStatistics
 from repro.engine.scan import S3ScanOperator, ScanConfig
 from repro.engine.aggregates import (
@@ -36,12 +34,9 @@ __all__ = [
     "concat_tables",
     "filter_table",
     "select_columns",
-    "table_to_payload",
-    "table_from_payload",
     "empty_table_like",
     "encode_table",
     "decode_table",
-    "is_binary_payload",
     "S3ObjectSource",
     "ScanStatistics",
     "S3ScanOperator",

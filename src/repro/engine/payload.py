@@ -1,194 +1,52 @@
-"""Binary columnar result payloads.
+"""Result tables on the wire: one typed exchange frame.
 
-Worker results cross the wire (SQS message or S3 spill object) inside a JSON
-envelope.  The seed implementation serialised every table as
-``{name: column.tolist()}``, which pays per-element Python cost on both ends
-and inflates floats to ~18 characters each.  This module provides a compact
-binary columnar codec instead: each column is shipped as its raw little-endian
-buffer, base64-framed so it still travels inside the JSON envelope, tagged
-with its dtype so the receiver can reconstruct the array with a single
-``np.frombuffer`` — no per-row Python work on either side.
+A worker's result table — a scan worker's partial aggregates or collected
+rows, a final join wave's partials — travels as **one** frame of
+:mod:`repro.exchange.codec`, the format of the shuffle exchange's partitions
+and of the process pool's shared-memory plane: columns keep their dtypes bit
+for bit, each is stored raw or in the cheapest light-weight encoding, and one
+crc32 covers the frame.  The frame rides behind a result message's JSON
+header or, when the message would outgrow the queue, as a raw S3 object (see
+:func:`repro.driver.integrity.post_result`);
+:attr:`~repro.engine.pipeline.WorkerResult.partial` holds it in every
+execution mode.
 
-Format (a JSON-compatible dict)::
-
-    {
-        "__columnar__": 1,            # marker + version
-        "num_rows": 1234,
-        "columns": [
-            {"name": "k", "dtype": "<i8", "data": "<base64>"},
-            {"name": "tag", "dtype": "object", "values": [...]},   # fallback
-        ],
-    }
-
-Columns whose dtype holds Python objects cannot be shipped as raw buffers and
-fall back to JSON lists.  Tiny tables (fewer than :data:`SMALL_TABLE_ROWS`
-rows, e.g. a handful of aggregate groups) also stay in the legacy
-``{name: list}`` form: base64 framing would not pay for itself there, and the
-legacy form keeps small payloads human-readable in logs and tests.
-
-:func:`decode_table` accepts *both* forms, so old spilled results and payloads
-produced by earlier versions keep replaying correctly.
+The codec imports :mod:`repro.engine.table` and the engine package imports
+this module, so the codec is imported where it is called.
 """
 
 from __future__ import annotations
 
-import base64
-import json
-import zlib
-from typing import Dict, List, Optional, Union
+from typing import Optional
 
-import numpy as np
-
-from repro.engine.table import Table, table_num_rows
-from repro.errors import ExecutionError, IntegrityError
-
-#: Marker key identifying (and versioning) the binary columnar payload form.
-PAYLOAD_MARKER = "__columnar__"
-
-#: Current payload format version.
-PAYLOAD_VERSION = 1
-
-#: Tables below this row count are encoded in the legacy ``{name: list}``
-#: JSON form; above it, the binary columnar form wins on both size and CPU.
-SMALL_TABLE_ROWS = 64
-
-#: A payload in either the legacy or the binary columnar form.
-Payload = Dict[str, Union[int, List, Dict]]
+from repro.engine.table import Table
 
 
-def is_binary_payload(payload: Payload) -> bool:
-    """Whether ``payload`` is in the binary columnar form."""
-    return isinstance(payload, dict) and PAYLOAD_MARKER in payload
+def encode_table(table: Table, checksum: bool = True) -> bytes:
+    """Serialise a result table into one frame.
 
-
-def _object_column_crc(values: List) -> int:
-    """crc32 of an object column's JSON-canonical serialisation.
-
-    JSON round-trips of strings/ints/floats are representation-stable, so the
-    receiver recomputes the identical digest from the parsed values.
+    ``checksum`` (default on, per :class:`~repro.config.IntegrityConfig`)
+    embeds the frame crc32; ``False`` writes the unchecked tag and no digest.
     """
-    return zlib.crc32(json.dumps(values).encode("utf-8"))
+    from repro.exchange.codec import encode_frame
 
-
-def _payload_digest(num_rows: int, entries: List[List]) -> int:
-    """Structural digest over ``(num_rows, [[name, dtype, crc], ...])``.
-
-    Covers what the per-column crcs cannot: the column *names*, their dtype
-    tags (a flipped dtype reinterprets an intact buffer), and the row count.
-    """
-    return zlib.crc32(json.dumps([int(num_rows), entries]).encode("utf-8"))
-
-
-def encode_table(
-    table: Table,
-    small_table_rows: int = SMALL_TABLE_ROWS,
-    force_binary: bool = False,
-    checksum: bool = True,
-) -> Payload:
-    """Serialise a table into a JSON-compatible payload.
-
-    Tables with fewer than ``small_table_rows`` rows use the legacy
-    ``{name: list}`` form unless ``force_binary`` is set.  ``checksum``
-    (default on) embeds a crc32 per column plus a structural ``digest`` in
-    binary payloads; the legacy list form has no room for checksums and is
-    covered by the message-level digest instead.
-    """
-    num_rows = table_num_rows(table)
-    if not force_binary and num_rows < small_table_rows:
-        return {name: np.asarray(column).tolist() for name, column in table.items()}
-
-    columns: List[Dict] = []
-    entries: List[List] = []
-    for name, column in table.items():
-        array = np.ascontiguousarray(column)
-        if array.dtype.hasobject:
-            values = array.tolist()
-            entry = {"name": name, "dtype": "object", "values": values}
-            if checksum:
-                entry["crc"] = _object_column_crc(values)
-        else:
-            raw = array.tobytes()
-            entry = {
-                "name": name,
-                "dtype": array.dtype.str,
-                "data": base64.b64encode(raw).decode("ascii"),
-            }
-            if checksum:
-                entry["crc"] = zlib.crc32(raw)
-        columns.append(entry)
-        if checksum:
-            entries.append([name, entry["dtype"], entry["crc"]])
-    payload: Payload = {
-        PAYLOAD_MARKER: PAYLOAD_VERSION, "num_rows": int(num_rows), "columns": columns
-    }
-    if checksum:
-        payload["digest"] = _payload_digest(num_rows, entries)
-    return payload
+    return encode_frame(table, checksum=checksum)
 
 
 def decode_table(
-    payload: Payload,
+    frame: bytes,
     copy: bool = True,
     verify: bool = True,
     key: Optional[str] = None,
 ) -> Table:
-    """Inverse of :func:`encode_table`; accepts legacy and binary payloads.
+    """Inverse of :func:`encode_table`.
 
-    ``copy=False`` keeps binary columns as read-only ``frombuffer`` views of
-    the base64-decoded bytes — enough for merge paths that only concatenate,
-    and one copy less per worker partial on the driver's hot path.  (Legacy
-    payloads that already hold ndarrays — e.g. shared-memory partials decoded
-    in-place — pass through untouched in either mode.)
-
-    Payloads carrying checksums are verified on decode unless
-    ``verify=False``; a mismatch raises :class:`~repro.errors.IntegrityError`
-    with ``key`` naming the payload's origin.  Pre-integrity payloads (no
-    ``crc``/``digest`` keys) always decode without verification.
+    ``copy=False`` leaves raw columns as read-only views of ``frame`` —
+    enough for merge paths that only concatenate.  A checked frame is
+    verified unless ``verify=False`` (the collectors verify a frame where
+    they accept it, so the merge does not hash it again); a mismatch raises
+    :class:`~repro.errors.IntegrityError` with ``key`` naming the origin.
     """
-    if not is_binary_payload(payload):
-        return {name: np.asarray(values) for name, values in payload.items()}
+    from repro.exchange.codec import decode_frame
 
-    version = payload[PAYLOAD_MARKER]
-    if version != PAYLOAD_VERSION:
-        raise ExecutionError(f"unsupported payload version {version!r}")
-    table: Table = {}
-    entries: List[List] = []
-    verify_digest = verify and payload.get("digest") is not None
-    for column in payload["columns"]:
-        name = column["name"]
-        expected_crc = column.get("crc")
-        if column["dtype"] == "object":
-            if verify and expected_crc is not None:
-                actual = _object_column_crc(column["values"])
-                if actual != expected_crc:
-                    raise IntegrityError(
-                        f"object column {name!r} checksum mismatch",
-                        key=key, layer="payload.column",
-                        expected=expected_crc, actual=actual,
-                    )
-            table[name] = np.asarray(column["values"], dtype=object)
-        else:
-            buffer = base64.b64decode(column["data"])
-            if verify and expected_crc is not None:
-                actual = zlib.crc32(buffer)
-                if actual != expected_crc:
-                    raise IntegrityError(
-                        f"column {name!r} buffer checksum mismatch",
-                        key=key, layer="payload.column",
-                        expected=expected_crc, actual=actual,
-                    )
-            # frombuffer yields a read-only view of the decoded bytes; copy
-            # (by default) so callers can sort/mutate the columns.
-            view = np.frombuffer(buffer, dtype=np.dtype(column["dtype"]))
-            table[name] = view.copy() if copy else view
-        if verify_digest:
-            entries.append([name, column["dtype"], expected_crc])
-    if verify_digest:
-        actual = _payload_digest(payload.get("num_rows", 0), entries)
-        if actual != payload["digest"]:
-            raise IntegrityError(
-                "payload structural digest mismatch",
-                key=key, layer="payload.digest",
-                expected=payload["digest"], actual=actual,
-            )
-    return table
+    return decode_frame(frame, copy=copy, verify=verify, key=key)

@@ -45,10 +45,10 @@ _BUILTIN_REDUCE_UFUNCS = {
 class WorkerResult:
     """Result and statistics of executing one worker plan fragment."""
 
-    #: Partial aggregate table (or collected rows) as a JSON-compatible payload
-    #: (binary columnar for large tables, legacy ``{name: list}`` for tiny ones;
-    #: see :mod:`repro.engine.payload`).
-    partial: Dict[str, Any]
+    #: Partial aggregate table (or collected rows) as one typed frame
+    #: (:func:`~repro.engine.payload.encode_table`); ``None`` when the worker
+    #: produced no table (reduce plans, shuffle mappers).
+    partial: Optional[bytes] = None
     #: Result of a UDF reduce, if the plan used one.
     reduce_value: Optional[Any] = None
     #: Rows decoded from the scanned row groups.
@@ -91,12 +91,12 @@ class WorkerResult:
     attempt: int = 0
 
     def to_payload(self) -> Dict:
-        """Serialise for the SQS result message / invocation response."""
+        """The JSON header of the result message: everything but
+        :attr:`partial`, which travels as a frame beside it."""
         return {
             "attempt": self.attempt,
             "exchange_stats": self.exchange_stats,
             "integrity_stats": self.integrity_stats,
-            "partial": self.partial,
             "reduce_value": self.reduce_value,
             "rows_scanned": self.rows_scanned,
             "rows_after_filter": self.rows_after_filter,
@@ -118,14 +118,17 @@ class WorkerResult:
         }
 
     @classmethod
-    def from_payload(cls, payload: Dict) -> "WorkerResult":
-        """Inverse of :meth:`to_payload`.
+    def from_payload(cls, payload: Dict, partial: Optional[bytes] = None) -> "WorkerResult":
+        """Inverse of :meth:`to_payload`, given the frame that came with it.
 
         Unknown keys are ignored so that results recorded by a newer payload
         format (which may carry extra fields) still replay on this version.
         """
-        known = {f.name for f in dataclass_fields(cls)}
-        return cls(**{key: value for key, value in payload.items() if key in known})
+        known = {f.name for f in dataclass_fields(cls)} - {"partial"}
+        return cls(
+            partial=partial,
+            **{key: value for key, value in payload.items() if key in known},
+        )
 
 
 def _rows_as_tuples(table: Table, column_order: Sequence[str]) -> List[tuple]:
@@ -209,18 +212,16 @@ def execute_worker_plan(
 ) -> WorkerResult:
     """Execute a worker plan fragment and return its partial result.
 
-    The partial table travels in the result as a JSON-compatible payload (see
-    :mod:`repro.engine.payload`); :func:`execute_worker_plan_table` returns
-    the raw table instead, for callers with a binary result plane.
+    The partial table comes back encoded as one frame in ``result.partial``
+    (see :mod:`repro.engine.payload`); :func:`execute_worker_plan_table`
+    returns the raw table instead, for callers that encode it themselves.
     """
     result, table = execute_worker_plan_table(
         plan, store, memory_mib=memory_mib, threads=threads, bandwidth=bandwidth,
         fused=fused,
     )
-    # Always the binary columnar form: the legacy ``{name: list}`` encoding
-    # widens integer dtypes through JSON, which would make serial results
-    # differ bitwise from the shared-memory (dtype-preserving) result plane.
-    result.partial = encode_table(table, force_binary=True) if table is not None else {}
+    if table is not None:
+        result.partial = encode_table(table)
     return result
 
 
@@ -234,11 +235,11 @@ def execute_worker_plan_table(
 ) -> tuple:
     """Execute a worker plan fragment; return ``(result, table)``.
 
-    ``result.partial`` is left empty — the partial aggregate (or collected
+    ``result.partial`` is left ``None`` — the partial aggregate (or collected
     rows) comes back as the raw ``table`` (``None`` for reduce plans), so
-    process-pool workers can ship it through shared memory without a
-    serialisation round-trip.  ``fused=False`` forces the classic
-    chunk-materialising pipeline (used by parity tests and benchmarks).
+    process-pool workers can encode it straight into shared memory.
+    ``fused=False`` forces the classic chunk-materialising pipeline (used by
+    parity tests and benchmarks).
     """
     config = ScanConfig(
         chunk_bytes=plan.scan_chunk_bytes,
@@ -344,7 +345,6 @@ def _finish_worker_plan(
     counters = scan.counters
     duration = scan.modelled_seconds()
     result = WorkerResult(
-        partial={},
         reduce_value=reduce_value,
         rows_scanned=counters.rows_scanned,
         rows_after_filter=rows_after_filter,

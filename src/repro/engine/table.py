@@ -71,29 +71,6 @@ def take_rows(table: Table, indices: np.ndarray) -> Table:
     return {name: np.asarray(column)[indices] for name, column in table.items()}
 
 
-def table_to_payload(table: Table) -> Dict[str, List]:
-    """Serialise a (small) table into JSON-compatible lists.
-
-    Used for shipping partial aggregate results through SQS / invocation
-    responses; the tables at that point are tiny (a handful of groups).
-    """
-    return {name: np.asarray(column).tolist() for name, column in table.items()}
-
-
-def table_from_payload(payload: Dict[str, List]) -> Table:
-    """Inverse of :func:`table_to_payload`.
-
-    Also accepts the binary columnar payload form of
-    :mod:`repro.engine.payload`, so callers can decode a result payload
-    without caring which format the producer chose.
-    """
-    from repro.engine.payload import decode_table, is_binary_payload
-
-    if is_binary_payload(payload):
-        return decode_table(payload)
-    return {name: np.asarray(values) for name, values in payload.items()}
-
-
 def tables_allclose(
     left: Table,
     right: Table,

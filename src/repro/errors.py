@@ -309,15 +309,16 @@ class IntegrityError(ExecutionError, CorruptFileError):
 
     Raised by every integrity-checking consumer — the LPQ scan, the exchange
     slice decode, the reduce wave's ranged-GET length validation, and the
-    driver's message-digest check.  Carries full provenance so the recovery
+    driver's check of a spilled result frame.  Carries full provenance so the recovery
     escalation (re-GET, then re-execute the producing attempt, then fail)
     can report exactly what was corrupt and where:
 
     ``key``
         The object key / path / queue the corrupt bytes were served from.
     ``layer``
-        The verification site, e.g. ``"codec.body"``, ``"lpq.chunk"``,
-        ``"slice.length"``, ``"sqs.digest"``.
+        The verification site, e.g. ``"lpq.chunk"``, ``"slice.length"``,
+        ``"slice.crc"``, ``"codec.crc"`` (exchange slices and result frames
+        share the ``slice.*`` / ``codec.*`` layers: they are one format).
     ``offset``
         Byte offset of the corrupt region within the object, when known.
     ``expected`` / ``actual``

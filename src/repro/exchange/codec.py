@@ -58,8 +58,10 @@ combined object's key directory publishes that same number per slice
 (:func:`slice_crcs` reads it back, it does not re-hash).  The reader hashes a
 slice once, against the embedded digest (layer ``codec.crc``), and compares
 the embedded digest with the directory's (layer ``slice.crc``, which is what
-catches a stale but self-consistent body) — :func:`decode_ranged_slices`.
-The two tags differ in three bits, so no single flipped bit turns a checked
+catches a stale but self-consistent body) — :func:`decode_ranged_slices`;
+:func:`verify_frame` is the same checks without the decode, for a frame that
+is accepted in one place and decoded in another (a worker's result table,
+:mod:`repro.engine.payload`).  The two tags differ in three bits, so no single flipped bit turns a checked
 frame into an unchecked one.
 
 **Multi-partition framing.**  :func:`encode_partition_set` serialises all
@@ -237,12 +239,12 @@ def _encode_frames(
     return parts, lengths
 
 
-def encode_partition(
+def encode_frame(
     table: Table,
     compression: Compression = Compression.NONE,
     checksum: bool = True,
 ) -> bytes:
-    """Serialise a partition table into one frame.
+    """Serialise a table into one frame.
 
     ``checksum`` (default on, per :class:`~repro.config.IntegrityConfig`)
     embeds the frame crc32; ``False`` writes the unchecked tag and no digest.
@@ -261,6 +263,20 @@ def encode_partition(
         return b"".join(_seal(head, (), checksum))
     parts, _ = _encode_frames(names, arrays, [0, num_rows], compression, checksum)
     return b"".join(parts)
+
+
+def encode_partition(
+    table: Table,
+    compression: Compression = Compression.NONE,
+    checksum: bool = True,
+) -> bytes:
+    """:func:`encode_frame` of one exchange partition.
+
+    The exchange plane's own entry point: result tables
+    (:mod:`repro.engine.payload`) go through :func:`encode_frame` directly,
+    so a trace that wraps functions from outside tells the two planes apart.
+    """
+    return encode_frame(table, compression, checksum)
 
 
 def encode_partition_set(
@@ -401,13 +417,59 @@ def _decode_column(
     return widen(stored, num_rows, dtype, encoding, exponent, base), num_rows * width
 
 
-def decode_partition(
+def verify_frame(
+    data: Buffer,
+    length: Optional[int] = None,
+    crc: Optional[int] = None,
+    hashed: bool = True,
+    key: Optional[str] = None,
+    offset: int = 0,
+) -> None:
+    """Check a frame without decoding it.
+
+    ``length`` and ``crc`` are what the frame's announcement — a key
+    directory, a result header — published about it: the byte count (layer
+    ``slice.length``) and the embedded digest (``slice.crc``, which is what
+    catches a stale or swapped but self-consistent frame).  ``hashed`` adds
+    the one crc32 pass of a checked frame against its embedded digest
+    (``codec.crc``).  Raises :class:`~repro.errors.IntegrityError`, or
+    :class:`~repro.errors.CorruptFileError` for bytes that are no frame, with
+    ``key`` and ``offset`` (where the frame starts in its object) as the
+    provenance.
+    """
+    if length is not None and len(data) != length:
+        raise IntegrityError(
+            "frame is not the announced length",
+            key=key, layer="slice.length", offset=offset,
+            expected=length, actual=len(data),
+        )
+    if not is_fast_partition(data):
+        raise CorruptFileError(
+            "not a partition frame", key=key, layer="codec.prefix"
+        )
+    tag, embedded = _PREFIX.unpack_from(data)
+    if crc is not None and embedded != crc:
+        raise IntegrityError(
+            "frame does not carry the crc its announcement publishes",
+            key=key, layer="slice.crc", offset=offset, expected=crc, actual=embedded,
+        )
+    if hashed and tag == CHECKED_PARTITION_TAG:
+        actual = zlib.crc32(memoryview(data)[_PREFIX.size:])
+        if actual != embedded:
+            raise IntegrityError(
+                "partition frame checksum mismatch",
+                key=key, layer="codec.crc", offset=offset + _PREFIX.size,
+                expected=embedded, actual=actual,
+            )
+
+
+def decode_frame(
     data: Buffer,
     copy: bool = True,
     verify: bool = True,
     key: Optional[str] = None,
 ) -> Table:
-    """Inverse of :func:`encode_partition`.
+    """Inverse of :func:`encode_frame`.
 
     A checked frame's crc32 is verified in one pass unless ``verify=False``;
     a mismatch raises :class:`~repro.errors.IntegrityError`, a frame that does
@@ -416,20 +478,8 @@ def decode_partition(
     read-only zero-copy views of ``data`` (a shared-memory segment decodes
     into views of the segment itself); narrowed columns are always fresh.
     """
-    if not is_fast_partition(data):
-        raise CorruptFileError(
-            "not a partition frame", key=key, layer="codec.prefix"
-        )
     view = memoryview(data).toreadonly()
-    tag, expected = _PREFIX.unpack_from(view)
-    if verify and tag == CHECKED_PARTITION_TAG:
-        actual = zlib.crc32(view[_PREFIX.size:])
-        if actual != expected:
-            raise IntegrityError(
-                "partition frame checksum mismatch",
-                key=key, layer="codec.crc", offset=_PREFIX.size,
-                expected=expected, actual=actual,
-            )
+    verify_frame(view, hashed=verify, key=key)
     try:
         compression, names, dtypes, num_rows, entries, body_start = _read_head(view)
     except (struct.error, ValueError, KeyError, TypeError, IndexError) as exc:
@@ -467,6 +517,17 @@ def decode_partition(
             key=key, layer="codec.column", offset=offset,
         )
     return table
+
+
+def decode_partition(
+    data: Buffer,
+    copy: bool = True,
+    verify: bool = True,
+    key: Optional[str] = None,
+) -> Table:
+    """:func:`decode_frame` of one exchange partition (the exchange plane's
+    entry point, as :func:`encode_partition` is)."""
+    return decode_frame(data, copy, verify, key)
 
 
 def decode_partition_slice(
@@ -521,12 +582,6 @@ def decode_ranged_slices(
     for low, high, crc in parts:
         piece = view[low - start:high - start]
         if verify and crc is not None and is_fast_partition(piece):
-            embedded = _PREFIX.unpack_from(piece)[1]
-            if embedded != crc:
-                raise IntegrityError(
-                    "slice does not carry the crc its directory publishes",
-                    key=key, layer="slice.crc", offset=low,
-                    expected=crc, actual=embedded,
-                )
+            verify_frame(piece, crc=crc, hashed=False, key=key, offset=low)
         tables.append(decode_partition_slice(piece, verify=verify, key=key))
     return tables

@@ -65,6 +65,14 @@ def test_baseline_sections_record_their_scale(baseline):
     assert results["exchange_route"]["num_targets"] >= 1_000_000
 
 
+def test_baseline_payload_roundtrip_ships_one_typed_frame(baseline):
+    """The shipped result message is a header plus base64 of one typed frame:
+    at most two thirds of the seed's ``tolist`` JSON on the hot table (raw
+    per-column base64 in JSON, the form before it, was 0.87 of it)."""
+    payload = baseline["results"]["payload_roundtrip"]
+    assert 3 * payload["binary_wire_bytes"] <= 2 * payload["legacy_wire_bytes"]
+
+
 def test_baseline_scan_filter_matches_acceptance_shape(baseline):
     """The scan-filter section must record a Q6-style selective scan."""
     scan_filter = baseline["results"]["scan_filter"]

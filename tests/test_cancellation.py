@@ -31,7 +31,7 @@ from repro.driver.shuffle import (
     _join_legacy_naming,
     _join_map_naming,
 )
-from repro.driver.worker import RESULT_BUCKET
+from repro.driver.integrity import RESULT_BUCKET
 from repro.errors import QueryCancelledError, RetryBudgetExhaustedError
 from repro.plan.expressions import col
 from repro.plan.logical import AggregateSpec
@@ -217,10 +217,8 @@ def test_scan_cancel_gcs_spilled_results(stack, driver, monkeypatch):
     """Cancelled at the first collect round after every worker spilled its
     result through S3: the spill objects and their pointer messages are both
     garbage-collected."""
-    import repro.driver.worker as worker_module
-
     env, dataset, _ = stack
-    monkeypatch.setattr(worker_module, "RESULT_SPILL_BYTES", 64)
+    monkeypatch.setattr("repro.driver.integrity.RESULT_SPILL_BYTES", 64)
     env.s3.ensure_bucket(RESULT_BUCKET)
     deleted = _gc_spy(monkeypatch, LambadaDriver, "_gc_cancelled_scan")
 

@@ -202,11 +202,9 @@ def test_crashed_reduce_spill_is_retried(stack, monkeypatch):
     """A reducer crashing after its spill PUT is re-run; the superseded spill
     object is never fetched (the driver reads only the path the accepted
     attempt announced)."""
-    import repro.driver.shuffle as shuffle_module
-
     env, dataset, _, _ = stack
     # Force every reducer to spill so the crash-after-PUT rule has a target.
-    monkeypatch.setattr(shuffle_module, "RESULT_SPILL_BYTES", 64)
+    monkeypatch.setattr("repro.driver.integrity.RESULT_SPILL_BYTES", 64)
     baseline, _ = _group_sum(
         ShuffleAggregateCoordinator(env, memory_mib=2048, num_buckets=4), dataset
     )
@@ -234,10 +232,8 @@ def test_crashed_join_spill_is_retried(stack, plans, drivers, monkeypatch):
     """The join twin: a Q3 join worker crashing after its spill PUT is
     re-run, the result stays bit-identical, and the post-fault sweep (LISTs
     the clean baseline never issues) removes the superseded spill."""
-    import repro.driver.shuffle as shuffle_module
-
     env = stack[0]
-    monkeypatch.setattr(shuffle_module, "RESULT_SPILL_BYTES", 64)
+    monkeypatch.setattr("repro.driver.integrity.RESULT_SPILL_BYTES", 64)
     baseline = drivers["serial"].execute(plans["q3"])
     assert baseline.statistics.gc_list_requests == 0
     objects_before = env.s3.object_count()

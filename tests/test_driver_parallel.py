@@ -45,8 +45,8 @@ def test_threaded_results_ordered_by_worker_id(stack):
 
 
 def test_worker_result_from_payload_ignores_unknown_keys():
-    payload = WorkerResult(partial={"x": [1.0]}).to_payload()
+    payload = WorkerResult(rows_output=1).to_payload()
     payload["some_future_field"] = {"nested": True}
-    restored = WorkerResult.from_payload(payload)
-    assert restored.partial == {"x": [1.0]}
+    restored = WorkerResult.from_payload(payload, b"frame")
+    assert (restored.partial, restored.rows_output) == (b"frame", 1)
     assert not hasattr(restored, "some_future_field")

@@ -68,8 +68,7 @@ def test_collect_messages_times_out_on_empty_queue(driver):
 
 def test_dropped_worker_message_times_out(driver, dataset, monkeypatch):
     """A worker whose result message is lost triggers the timeout path."""
-    import json
-
+    from repro.driver.integrity import open_message
     from repro.errors import QueryTimeoutError
     from repro.workload.queries import q6_plan
 
@@ -77,7 +76,7 @@ def test_dropped_worker_message_times_out(driver, dataset, monkeypatch):
     dropped = {"count": 0}
 
     def dropping_send_message(queue, body):
-        payload = json.loads(body)
+        payload = open_message(body)
         if (
             queue == driver.result_queue
             and payload.get("worker_id") == 0

@@ -268,7 +268,7 @@ def test_shuffle_aggregation_leaves_no_objects_behind(
     env, dataset, monkeypatch, spill, write_combining
 ):
     if spill:
-        monkeypatch.setattr(shuffle_module, "RESULT_SPILL_BYTES", 64)
+        monkeypatch.setattr("repro.driver.integrity.RESULT_SPILL_BYTES", 64)
     coordinator = ShuffleAggregateCoordinator(
         env, config=shuffle_module.ShuffleConfig(write_combining=write_combining)
     )

@@ -3,29 +3,24 @@
 The PR's acceptance criteria require the vectorized data plane to be
 *semantically byte-identical* to the seed implementation: the single-pass
 partition scatter must produce the same partitions as the mask-per-partition
-loop, and the binary payload codec must round-trip the same tables as the
-JSON ``.tolist()`` form — across empty, single-row, high-cardinality, and
-negative/NaN-containing tables.
+loop, and the result frame must round-trip the same tables as the seed's
+JSON ``.tolist()`` form (``benchmarks/_baselines.py``) — across empty,
+single-row, high-cardinality, and negative/NaN-containing tables.
 """
-
-import json
 
 import numpy as np
 import pytest
 
 from repro.engine.payload import decode_table, encode_table
-from repro.engine.table import (
-    table_from_payload,
-    table_num_rows,
-    table_to_payload,
-    tables_allclose,
-)
+from repro.engine.table import table_num_rows, tables_allclose
 from repro.exchange.partition import (
     hash_partition,
     hash_partition_masked,
     partition_scatter,
     slice_partition,
 )
+
+from benchmarks._baselines import seed_table_from_wire, seed_table_to_wire
 
 
 def _case_tables():
@@ -80,19 +75,13 @@ def test_scatter_slices_cover_table_in_partition_order():
 
 
 def test_payload_roundtrip_matches_json_roundtrip(case_table):
-    through_json = table_from_payload(
-        json.loads(json.dumps(table_to_payload(case_table)))
-    )
-    through_binary = decode_table(
-        json.loads(json.dumps(encode_table(case_table, force_binary=True)))
-    )
+    through_json = seed_table_from_wire(seed_table_to_wire(case_table))
+    through_binary = decode_table(encode_table(case_table))
     assert tables_allclose(through_json, through_binary)
 
 
 def test_payload_roundtrip_matches_original(case_table):
-    restored = decode_table(
-        json.loads(json.dumps(encode_table(case_table, force_binary=True)))
-    )
+    restored = decode_table(encode_table(case_table))
     assert tables_allclose(restored, case_table)
 
 

@@ -18,13 +18,9 @@ leading magic, pages, footer head, footer directory, tail — and every
 truncation, a typed error with key and layer each time.
 """
 
-import json
-
 import numpy as np
 import pytest
 
-from repro.driver.integrity import message_intact, sign_message
-from repro.engine.payload import decode_table, encode_table
 from repro.errors import CorruptFileError, IntegrityError
 from repro.formats.compression import Compression
 from repro.formats.encoding import Encoding
@@ -195,49 +191,3 @@ def test_unchecked_files_fail_typed_on_flips_and_truncations():
                 _read(bytes(flipped))
             except CorruptFileError as error:
                 assert error.key == "obj" and error.layer.startswith("lpq."), position
-
-
-# -- result payloads inside signed messages ---------------------------------------------
-
-
-def test_signed_message_flips_always_detected():
-    """Flips of the serialised result message never yield a different table.
-
-    The defence is layered the way the real consumer is: JSON parse, then
-    the message digest, then the payload's per-column crcs + structural
-    digest.  A flip may be caught at any layer; it must be caught somewhere.
-    """
-    table = _fuzz_table()
-    message = sign_message(
-        {"worker_id": 3, "status": "ok", "result": encode_table(table, checksum=True)}
-    )
-    data = json.dumps(message).encode("utf-8")
-
-    def decode(blob):
-        payload = json.loads(blob.decode("utf-8"))
-        if not message_intact(payload):
-            raise CorruptFileError("message digest mismatch", layer="sqs.digest")
-        return decode_table(payload["result"], verify=True, key="fuzz")
-
-    _assert_flips_detected(data, decode, table, "message")
-
-
-def test_payload_digest_covers_structure():
-    """Renames/dtype swaps of intact buffers are caught by the digest."""
-    table = _fuzz_table()
-    payload = encode_table(table, checksum=True)
-
-    renamed = json.loads(json.dumps(payload))
-    renamed["columns"][0]["name"] = "kk"
-    with pytest.raises(CorruptFileError):
-        decode_table(renamed, verify=True)
-
-    retyped = json.loads(json.dumps(payload))
-    retyped["columns"][0]["dtype"] = "<u8"
-    with pytest.raises(CorruptFileError):
-        decode_table(retyped, verify=True)
-
-    rerowed = json.loads(json.dumps(payload))
-    rerowed["num_rows"] = rerowed["num_rows"] + 1
-    with pytest.raises(CorruptFileError):
-        decode_table(rerowed, verify=True)

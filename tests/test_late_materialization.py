@@ -352,9 +352,9 @@ def test_pipeline_filter_consumes_scan_selection(mixed_encoding_store):
     assert result.rows_after_filter == int(mask.sum())
     assert result.rows_scanned == 6000
     assert result.rows_decode_saved > 0
-    from repro.engine.table import table_from_payload
+    from repro.engine.payload import decode_table
 
-    partial = table_from_payload(result.partial)
+    partial = decode_table(result.partial)
     assert partial["n"][0] == pytest.approx(mask.sum())
     assert partial["s"][0] == pytest.approx(table["price"][mask].sum())
     # The new counters survive the result payload round-trip.
@@ -381,9 +381,9 @@ def test_expression_and_udf_predicates_conjoin(mixed_encoding_store):
         aggregates=[AggregateSpec("count", None, "n")],
     )
     result = execute_worker_plan(plan, store)
-    from repro.engine.table import table_from_payload
+    from repro.engine.payload import decode_table
 
-    partial = table_from_payload(result.partial)
+    partial = decode_table(result.partial)
     expected = int(((table["qty"] < 10) & (table["date"] < 30)).sum())
     assert partial["n"][0] == pytest.approx(expected)
     assert result.rows_after_filter == expected

@@ -188,10 +188,8 @@ def test_slowdown_storm_walks_breaker_through_full_cycle(
     the one scan-path S3 read that flows through ``call_with_backoff``'s
     breaker-aware retry loop; worker-side throttles surface as missing
     result messages instead and only *count* failures, never probe."""
-    import repro.driver.worker as worker_module
-
     env, dataset, _ = stack
-    monkeypatch.setattr(worker_module, "RESULT_SPILL_BYTES", 64)
+    monkeypatch.setattr("repro.driver.integrity.RESULT_SPILL_BYTES", 64)
     board = BreakerBoard(failure_threshold=2, half_open_probes=1)
     driver = LambadaDriver(
         env,

@@ -1,38 +1,44 @@
-"""Tests for the binary columnar payload codec."""
+"""Tests for the result-table codec: one typed frame, whatever the table.
+
+The message around the frame (header, digest, spill rule) is covered by
+``tests/test_result_plane.py``.
+"""
 
 import json
 
 import numpy as np
 import pytest
 
-from repro.engine.payload import (
-    PAYLOAD_MARKER,
-    SMALL_TABLE_ROWS,
-    decode_table,
-    encode_table,
-    is_binary_payload,
-)
-from repro.engine.table import table_from_payload, table_to_payload, tables_allclose
-from repro.errors import ExecutionError
+from repro.cloud.environment import CloudEnvironment
+from repro.config import IntegrityConfig
+from repro.driver.integrity import open_message, post_result
+from repro.engine.payload import decode_table, encode_table
+from repro.errors import CorruptFileError
+from repro.exchange.codec import is_fast_partition
 
 
-def _round_trip(table, **kwargs):
-    return decode_table(json.loads(json.dumps(encode_table(table, **kwargs))))
+def _wire(table) -> str:
+    """The message text a worker posts for ``table``."""
+    env = CloudEnvironment.create()
+    env.sqs.create_queue("results")
+    post_result(
+        env, "results", IntegrityConfig(), {"worker_id": 0}, encode_table(table),
+        "q/worker-0.a0",
+    )
+    return env.sqs.receive_messages("results")[0].body
 
 
-def test_small_tables_stay_legacy_json():
-    table = {"k": np.arange(5, dtype=np.int64)}
-    payload = encode_table(table)
-    assert not is_binary_payload(payload)
-    assert payload == {"k": [0, 1, 2, 3, 4]}
+def _round_trip(table):
+    return decode_table(open_message(_wire(table))["frame"])
 
 
 def test_large_tables_go_binary():
-    table = {"k": np.arange(SMALL_TABLE_ROWS, dtype=np.int64)}
-    payload = encode_table(table)
-    assert is_binary_payload(payload)
-    assert payload[PAYLOAD_MARKER] == 1
-    assert payload["num_rows"] == SMALL_TABLE_ROWS
+    rng = np.random.default_rng(5)
+    table = {"k": rng.integers(-(2 ** 60), 2 ** 60, 4096, dtype=np.int64)}
+    frame = encode_table(table)
+    assert isinstance(frame, bytes) and is_fast_partition(frame)
+    # The column's own bytes plus a fixed head — no text form of the values.
+    assert 8 * 4096 < len(frame) < 8 * 4096 + 64
 
 
 def test_binary_roundtrip_preserves_dtypes_and_values():
@@ -44,77 +50,75 @@ def test_binary_roundtrip_preserves_dtypes_and_values():
         "f32": rng.random(1000).astype(np.float32),
         "b": rng.integers(0, 2, 1000).astype(bool),
     }
-    restored = _round_trip(table, force_binary=True)
+    restored = _round_trip(table)
     assert list(restored) == list(table)
     for name in table:
         assert restored[name].dtype == table[name].dtype
         np.testing.assert_array_equal(restored[name], table[name])
 
 
+def test_small_tables_keep_their_dtypes_too():
+    """The ``{name: list}`` form widened a 5-row int8 column to int64."""
+    table = {"k": np.arange(5, dtype=np.int8), "f": np.ones(5, dtype=np.float32)}
+    restored = _round_trip(table)
+    assert [restored[name].dtype for name in table] == [np.int8, np.float32]
+
+
 def test_binary_roundtrip_preserves_nan_and_inf():
     table = {"x": np.array([np.nan, np.inf, -np.inf, -0.0] * 100)}
-    restored = _round_trip(table, force_binary=True)
-    np.testing.assert_array_equal(
-        np.isnan(restored["x"]), np.isnan(table["x"])
-    )
-    finite = ~np.isnan(table["x"])
-    np.testing.assert_array_equal(restored["x"][finite], table["x"][finite])
+    restored = _round_trip(table)
+    assert restored["x"].tobytes() == table["x"].tobytes()
 
 
 def test_unicode_columns_roundtrip():
-    table = {"tag": np.array(["A", "N", "R"] * 50)}
-    restored = _round_trip(table, force_binary=True)
+    table = {"tag": np.array(["A", "N", "R", "żółć"] * 50)}
+    restored = _round_trip(table)
+    assert restored["tag"].dtype == table["tag"].dtype
     np.testing.assert_array_equal(restored["tag"], table["tag"])
 
 
 def test_object_columns_fall_back_to_lists():
     table = {"o": np.array([{"a": 1}, {"b": 2}] * 40, dtype=object)}
-    payload = encode_table(table, force_binary=True)
-    assert payload["columns"][0]["dtype"] == "object"
-    restored = decode_table(json.loads(json.dumps(payload)))
+    restored = _round_trip(table)
+    assert restored["o"].dtype == object
     assert restored["o"][1] == {"b": 2}
 
 
 def test_decoded_columns_are_writable():
-    table = {"x": np.arange(1000, dtype=np.float64)}
-    restored = _round_trip(table, force_binary=True)
+    table = {"x": np.arange(1000, dtype=np.float64) / 7}
+    restored = _round_trip(table)
     restored["x"][0] = 42.0  # must not raise (frombuffer views are read-only)
-
-
-def test_decode_accepts_legacy_payloads():
-    table = {"k": np.arange(10, dtype=np.int64), "v": np.linspace(0, 1, 10)}
-    legacy = table_to_payload(table)
-    assert tables_allclose(decode_table(legacy), table)
-
-
-def test_table_from_payload_accepts_binary_payloads():
-    table = {"k": np.arange(500, dtype=np.int64)}
-    payload = encode_table(table, force_binary=True)
-    np.testing.assert_array_equal(table_from_payload(payload)["k"], table["k"])
+    view = decode_table(encode_table(table), copy=False)
+    assert not view["x"].flags.writeable
 
 
 def test_empty_table_roundtrip():
     assert _round_trip({}) == {}
-    assert _round_trip({}, force_binary=True) == {}
 
 
 def test_zero_row_columns_roundtrip_binary():
-    table = {"x": np.zeros(0, dtype=np.float64)}
-    restored = _round_trip(table, force_binary=True)
-    assert restored["x"].dtype == np.float64
-    assert len(restored["x"]) == 0
+    table = {"x": np.zeros(0, dtype=np.float64), "s": np.zeros(0, dtype="<U3")}
+    restored = _round_trip(table)
+    assert [restored[name].dtype for name in table] == [np.float64, np.dtype("<U3")]
+    assert len(restored["x"]) == len(restored["s"]) == 0
 
 
 def test_unknown_version_rejected():
-    payload = encode_table({"x": np.arange(100.0)}, force_binary=True)
-    payload[PAYLOAD_MARKER] = 99
-    with pytest.raises(ExecutionError):
-        decode_table(payload)
+    """The frame's first byte is its format tag: anything but the two known
+    ones is refused, typed, before a byte of it is interpreted."""
+    frame = bytearray(encode_table({"x": np.arange(100.0)}))
+    frame[0] = 0x63
+    with pytest.raises(CorruptFileError) as refused:
+        decode_table(bytes(frame), key="worker-0")
+    assert (refused.value.layer, refused.value.key) == ("codec.prefix", "worker-0")
 
 
 def test_binary_wire_is_json_serialisable_and_smaller_for_floats():
+    """The frame travels as text a queue accepts, well under the size of
+    the seed's ``tolist`` JSON."""
     rng = np.random.default_rng(11)
     table = {"x": rng.random(10_000)}
-    legacy_wire = json.dumps(table_to_payload(table))
-    binary_wire = json.dumps(encode_table(table, force_binary=True))
-    assert len(binary_wire) < len(legacy_wire)
+    legacy_wire = json.dumps({name: column.tolist() for name, column in table.items()})
+    wire = _wire(table)
+    assert wire.isascii() and wire.count("\n") == 1  # header, LF, frame
+    assert len(wire) < 0.6 * len(legacy_wire)

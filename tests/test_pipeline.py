@@ -5,7 +5,7 @@ import pytest
 
 from repro.cloud.s3 import ObjectStore
 from repro.engine.pipeline import WorkerResult, execute_worker_plan
-from repro.engine.table import table_from_payload
+from repro.engine.payload import decode_table
 from repro.formats.parquet import write_table
 from repro.plan.expressions import col
 from repro.plan.logical import AggregateSpec
@@ -34,7 +34,7 @@ def test_aggregate_plan(store):
         aggregates=[AggregateSpec("sum", col("x"), "s"), AggregateSpec("count", None, "n")],
     )
     result = execute_worker_plan(plan, store)
-    partial = table_from_payload(result.partial)
+    partial = decode_table(result.partial)
     assert result.rows_scanned == 2000
     assert result.rows_output == 4
     assert partial["n"].sum() == pytest.approx(2000)
@@ -49,7 +49,7 @@ def test_filter_expression_plan(store):
         aggregates=[AggregateSpec("count", None, "n")],
     )
     result = execute_worker_plan(plan, store)
-    partial = table_from_payload(result.partial)
+    partial = decode_table(result.partial)
     assert partial["n"][0] == pytest.approx(100)
     assert result.rows_after_filter == 100
 
@@ -65,7 +65,7 @@ def test_prune_ranges_reduce_scanned_rows(store):
     result = execute_worker_plan(plan, store)
     assert result.row_groups_pruned == 3
     assert result.rows_scanned == 500
-    partial = table_from_payload(result.partial)
+    partial = decode_table(result.partial)
     assert partial["n"][0] == pytest.approx(100)
 
 
@@ -77,7 +77,7 @@ def test_map_expression_plan(store):
         aggregates=[AggregateSpec("sum", col("product"), "total")],
     )
     result = execute_worker_plan(plan, store)
-    partial = table_from_payload(result.partial)
+    partial = decode_table(result.partial)
     assert partial["total"][0] == pytest.approx(2 * np.arange(2000).sum())
 
 
@@ -88,7 +88,7 @@ def test_collect_rows_plan(store):
         predicate=col("x") < 5,
     )
     result = execute_worker_plan(plan, store)
-    rows = table_from_payload(result.partial)
+    rows = decode_table(result.partial)
     np.testing.assert_array_equal(np.sort(rows["x"]), [0, 1, 2, 3, 4])
     assert result.rows_output == 5
 
@@ -102,7 +102,7 @@ def test_filter_udf_plan(store):
         aggregates=[AggregateSpec("count", None, "n")],
     )
     result = execute_worker_plan(plan, store)
-    partial = table_from_payload(result.partial)
+    partial = decode_table(result.partial)
     assert partial["n"][0] == pytest.approx(10)
 
 
@@ -166,9 +166,10 @@ def test_worker_result_payload_roundtrip(store):
         aggregates=[AggregateSpec("sum", col("x"), "s")],
     )
     result = execute_worker_plan(plan, store)
-    restored = WorkerResult.from_payload(result.to_payload())
-    assert restored.rows_scanned == result.rows_scanned
-    assert restored.partial == result.partial
+    header = result.to_payload()
+    assert "partial" not in header  # the frame travels beside the header
+    restored = WorkerResult.from_payload(header, result.partial)
+    assert restored == result
 
 
 def test_more_memory_is_faster(store):

@@ -74,6 +74,15 @@ def test_message_too_large_rejected(queues):
         queues.send_message("results", "x" * (MAX_MESSAGE_BYTES + 1))
 
 
+def test_message_size_is_measured_and_reported_in_bytes(queues):
+    """The limit is on bytes: 100 000 three-byte characters do not fit, and
+    the error says how many bytes they are (it used to say 100 000)."""
+    with pytest.raises(PayloadTooLargeError, match="message of 300000 bytes"):
+        queues.send_message("results", "€" * 100_000)
+    queues.send_message("results", "€" * (MAX_MESSAGE_BYTES // 3))
+    queues.send_message("results", "x" * MAX_MESSAGE_BYTES)
+
+
 def test_message_ids_are_unique_and_increasing(queues):
     first = queues.send_message("results", "a")
     second = queues.send_message("results", "b")

@@ -3,15 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.engine.payload import decode_table, encode_table
 from repro.engine.table import (
     concat_tables,
     empty_table_like,
     filter_table,
     select_columns,
     sort_table,
-    table_from_payload,
     table_num_rows,
-    table_to_payload,
     tables_allclose,
     take_rows,
 )
@@ -81,16 +80,10 @@ def test_empty_table_like():
 
 
 def test_payload_roundtrip(small_table):
-    payload = table_to_payload(small_table)
-    restored = table_from_payload(payload)
+    restored = decode_table(encode_table(small_table))
     for name in small_table:
+        assert restored[name].dtype == small_table[name].dtype
         np.testing.assert_array_equal(restored[name], small_table[name])
-
-
-def test_payload_is_json_compatible(small_table):
-    import json
-
-    json.dumps(table_to_payload(small_table))
 
 
 def test_tables_allclose(small_table):

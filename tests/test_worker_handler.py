@@ -5,7 +5,8 @@ import pytest
 
 from repro.cloud.environment import CloudEnvironment
 from repro.cloud.lambda_service import FunctionConfig
-from repro.driver.worker import RESULT_BUCKET, WORKER_FUNCTION_NAME, make_worker_handler
+from repro.driver.integrity import RESULT_BUCKET, fetch_spilled_result, open_message
+from repro.driver.worker import WORKER_FUNCTION_NAME, make_worker_handler
 from repro.engine.payload import decode_table
 from repro.formats.parquet import write_table
 from repro.plan.expressions import col
@@ -50,10 +51,11 @@ def test_handler_executes_plan_and_posts_result(env_with_data):
     assert result.succeeded
     messages = env.sqs.receive_messages("results", max_messages=10)
     assert len(messages) == 1
-    payload = messages[0].json()
+    payload = open_message(messages[0].body)
     assert payload["status"] == "ok"
     assert payload["worker_id"] == 0
-    partial = decode_table(payload["result"]["partial"])
+    assert "partial" not in payload["result"] and "result_s3" not in payload
+    partial = decode_table(payload["frame"])
     assert partial["s"][0] == pytest.approx(np.arange(1000).sum())
 
 
@@ -65,7 +67,7 @@ def test_handler_invokes_children_first(env_with_data):
     result = env.lambda_service.invoke(WORKER_FUNCTION_NAME, _event(worker_id=0, children=children))
     assert result.succeeded
     messages = env.sqs.receive_messages("results", max_messages=10)
-    worker_ids = sorted(m.json()["worker_id"] for m in messages)
+    worker_ids = sorted(open_message(m.body)["worker_id"] for m in messages)
     assert worker_ids == [0, 1, 2]
     # Parent + 2 children = 3 invocations total.
     assert env.lambda_service.total_invocations() == 3
@@ -77,7 +79,7 @@ def test_handler_reports_errors_to_queue(env_with_data):
     event["plan"]["files"] = ["s3://data/missing.lpq"]
     result = env.lambda_service.invoke(WORKER_FUNCTION_NAME, event)
     assert result.succeeded  # the handler itself did not crash
-    message = env.sqs.receive_messages("results")[0].json()
+    message = open_message(env.sqs.receive_messages("results")[0].body)
     assert message["status"] == "error"
     assert "NoSuchKey" in message["error"]
 
@@ -101,7 +103,7 @@ def test_large_results_spill_to_s3(env_with_data, monkeypatch):
     env = env_with_data
     # Lower the spill threshold so the 1000-row collect result exceeds it and
     # the queue message carries an S3 pointer instead of the payload.
-    monkeypatch.setattr("repro.driver.worker.RESULT_SPILL_BYTES", 1024)
+    monkeypatch.setattr("repro.driver.integrity.RESULT_SPILL_BYTES", 1024)
     plan = WorkerPlan(files=["s3://data/f.lpq"], columns=["x", "g"])
     event = {
         "worker_id": 7,
@@ -112,10 +114,18 @@ def test_large_results_spill_to_s3(env_with_data, monkeypatch):
     }
     result = env.lambda_service.invoke(WORKER_FUNCTION_NAME, event)
     assert result.succeeded
-    message = env.sqs.receive_messages("results")[0].json()
-    assert message["status"] == "ok"
-    assert message["result_s3"].startswith(f"s3://{RESULT_BUCKET}/")
+    body = env.sqs.receive_messages("results")[0].body
+    message = open_message(body)
+    assert message["status"] == "ok" and "\n" not in body
+    assert message["result_s3"] == f"s3://{RESULT_BUCKET}/q-big/worker-7.a0"
+    assert message["result"]["rows_output"] == 1000  # the counters stay in the message
     assert env.s3.object_count(RESULT_BUCKET) == 1
+    # The object is the frame itself, and the frame the message describes.
+    frame = fetch_spilled_result(env.s3, message, verify=True)
+    assert env.s3.get_object(RESULT_BUCKET, "q-big/worker-7.a0").data == frame
+    assert message["frame"] == [len(frame), int.from_bytes(frame[1:5], "little")]
+    rows = decode_table(frame)
+    assert rows["x"].tolist() == list(range(1000)) and rows["g"].dtype == np.int64
 
 
 def test_handler_without_queue_returns_payload_only(env_with_data):

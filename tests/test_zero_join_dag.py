@@ -126,9 +126,12 @@ BENCH_AGGREGATES = [
 ]
 
 #: Recorded at e3f4404 (the parent of the unification; seed 7, SF 0.015,
-#: 8 files, ``num_buckets=8``) through the old aggregate-only wave loop.
-#: ``l_orderkey`` spills its eight reduce results (8 PUTs + 8 GETs on top of
-#: the exchange's); both queries scan with one GET per file.
+#: 8 files, ``num_buckets=8``) through the old aggregate-only wave loop; both
+#: queries scan with one GET per file.  Re-pinned once since: ``l_orderkey``'s
+#: S3 ledger deltas were 80 GETs / 16 PUTs while its eight reduce results
+#: (229 KB each as base64-in-JSON) spilled; as one typed frame each is a
+#: ≈ 105 KB message and stays on the queue, so the 8 spill PUTs and 8 spill
+#: GETs are gone.  Every other number is the one recorded then.
 GOLDEN = {
     "l_orderkey": {
         "sha256": "70e798cc8126d81125a3d9050c60b5f9e46af0d68613069bde1ac58d0fe61e21",
@@ -141,8 +144,8 @@ GOLDEN = {
         "ledger": {
             ("sqs", "requests"): 18,
             ("lambda", "invocations"): 16,
-            ("s3", "get_requests"): 80,
-            ("s3", "put_requests"): 16,
+            ("s3", "get_requests"): 72,
+            ("s3", "put_requests"): 8,
             ("s3", "list_requests"): 0,
         },
     },
