@@ -10,9 +10,12 @@ structured trajectory (``BENCH_hot_paths.json``):
 * **partition scatter** — single-pass argsort scatter
   (:func:`repro.exchange.partition.hash_partition`) versus the seed's
   mask-per-partition loop (:func:`hash_partition_masked`);
-* **join probe** — vectorized sort-based join kernel
+* **join probe** — the vectorized join kernel
   (:func:`repro.engine.join.hash_join`) versus the seed's dict build/probe
-  loop (:func:`hash_join_dict`);
+  loop (``hash_join_dict`` in ``benchmarks/_baselines.py``), on two shapes:
+  duplicate build keys over a dense range (the count-table probe) and the
+  foreign key -> primary key join of a hash partition, unique build keys
+  spread over 12x their count (the position-table probe, ``join_probe_fk``);
 * **exchange route** — the multilevel exchange's table-lookup routing versus
   the seed's ``np.vectorize`` dict lookup;
 * **shuffle codec** — typed partition frames (:mod:`repro.exchange.codec`)
@@ -57,7 +60,7 @@ import numpy as np
 
 import repro.driver.integrity as result_plane
 from repro.config import IntegrityConfig
-from repro.engine.join import hash_join, hash_join_dict
+from repro.engine.join import hash_join
 from repro.engine.payload import decode_table, encode_table
 from repro.engine.table import tables_allclose
 from repro.exchange.basic import deserialize_partition, serialize_partition
@@ -69,7 +72,7 @@ from repro.exchange.partition import (
     slice_partition,
 )
 
-from _baselines import seed_table_from_wire, seed_table_to_wire
+from _baselines import hash_join_dict, seed_table_from_wire, seed_table_to_wire
 
 #: Row count of the micro-benchmarks (the acceptance bar is "at 1M rows").
 ROWS = 1_000_000
@@ -215,11 +218,42 @@ def _join_tables(num_rows: int, build_rows: int, seed: int = 11):
     return left, right
 
 
+#: Key domain of the foreign-key join benchmark, as a multiple of its build
+#: rows: hashing a dense primary key into 12 partitions leaves each of them
+#: every twelfth key or so of the whole range.
+JOIN_FK_KEY_SPREAD = 12
+
+
+def _fk_join_tables(num_rows: int, build_rows: int, seed: int = 12):
+    """One hash partition of a foreign key -> primary key join.
+
+    The build side holds ``build_rows`` distinct keys of a domain
+    ``JOIN_FK_KEY_SPREAD`` times as large; the probe rows reference twice as
+    many keys of that domain, so half of them find their build row (the
+    build relation was filtered) and half find none.
+    """
+    rng = np.random.default_rng(seed)
+    referenced = rng.permutation(build_rows * JOIN_FK_KEY_SPREAD)[: 2 * build_rows]
+    left = {
+        "key": referenced[rng.integers(0, len(referenced), num_rows)].astype(np.int64),
+        "lv": rng.random(num_rows),
+    }
+    right = {
+        "key": referenced[:build_rows].astype(np.int64),
+        "rv": rng.random(build_rows),
+        "tag": rng.integers(0, 5, build_rows, dtype=np.int32),
+    }
+    return left, right
+
+
 def measure_join_probe(
-    num_rows: int = ROWS, build_rows: int = JOIN_BUILD_ROWS, repeats: int = 3
+    num_rows: int = ROWS,
+    build_rows: int = JOIN_BUILD_ROWS,
+    repeats: int = 3,
+    tables: Callable = _join_tables,
 ) -> Dict:
-    """Vectorized sort-based join versus the seed's dict build/probe loop."""
-    left, right = _join_tables(num_rows, build_rows)
+    """Vectorized join kernel versus the seed's dict build/probe loop."""
+    left, right = tables(num_rows, build_rows)
     vectorized = hash_join(left, right, "key", "key")
     reference = hash_join_dict(left, right, "key", "key")
     for name in reference:
@@ -235,6 +269,16 @@ def measure_join_probe(
         "vectorized_seconds": vector_seconds,
         "speedup": dict_seconds / vector_seconds,
     }
+
+
+def measure_join_probe_fk(
+    num_rows: int = ROWS, build_rows: int = JOIN_BUILD_ROWS, repeats: int = 3
+) -> Dict:
+    """The same comparison on the shape production joins have: unique build
+    keys, spread over ``JOIN_FK_KEY_SPREAD`` times their count."""
+    measurement = measure_join_probe(num_rows, build_rows, repeats, _fk_join_tables)
+    measurement["key_domain"] = build_rows * JOIN_FK_KEY_SPREAD
+    return measurement
 
 
 # ---------------------------------------------------------------------------
@@ -1175,6 +1219,20 @@ def test_join_probe_speedup(bench_recorder, experiment_report):
     assert measurement["speedup"] >= 5.0
 
 
+def test_join_probe_fk_speedup(bench_recorder, experiment_report):
+    measurement = measure_join_probe_fk()
+    bench_recorder("join_probe_fk", **measurement)
+    experiment_report(
+        f"FK->PK join probe @ {measurement['num_rows']} rows vs "
+        f"{measurement['build_rows']} unique build keys of "
+        f"{measurement['key_domain']}: "
+        f"dict {measurement['dict_seconds']:.3f}s, "
+        f"vectorized {measurement['vectorized_seconds']:.3f}s "
+        f"({measurement['speedup']:.1f}x)"
+    )
+    assert measurement["speedup"] >= 25.0
+
+
 def test_exchange_route_speedup(bench_recorder, experiment_report):
     measurement = measure_exchange_route()
     bench_recorder("exchange_route", **measurement)
@@ -1345,6 +1403,7 @@ MEASUREMENTS: Dict[str, Callable[[], Dict]] = {
     "payload_roundtrip": measure_payload_roundtrip,
     "partition_scatter": measure_partition_scatter,
     "join_probe": measure_join_probe,
+    "join_probe_fk": measure_join_probe_fk,
     "exchange_route": measure_exchange_route,
     "shuffle_codec": measure_shuffle_codec,
     "encoded_eval": measure_encoded_eval,

@@ -67,6 +67,10 @@ ABSOLUTE_FLOORS = {
     ("partition_scatter", "speedup"): 5.0,
     ("payload_roundtrip", "speedup"): 3.0,
     ("join_probe", "speedup"): 5.0,
+    # PR 20: the foreign key -> primary key shape every production join has
+    # (unique build keys spread over 12x their count) measured 50-54x through
+    # the position table; the count table or sort + searchsorted reach ~9x.
+    ("join_probe_fk", "speedup"): 25.0,
     ("exchange_route", "speedup"): 5.0,
     ("shuffle_codec", "speedup"): 1.2,
     ("shuffle_codec", "framing_speedup"): 5.0,

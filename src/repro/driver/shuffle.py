@@ -865,23 +865,33 @@ def _join_step(probe: Table, build: Table, step: Dict) -> Table:
         # One side is empty: an inner join produces nothing.
         return {}
     left_key, right_key = step["left_key"], step["right_key"]
+    restore = bool(step.get("restore_right_key")) and right_key not in probe
+    residual = expression_from_dict(step.get("residual_predicate"))
+    columns = step.get("output_columns")
+    # The join gathers only what survives this step: the carried columns and
+    # whatever the residual reads on the way there.
+    gathered = None
+    if columns:
+        gathered = set(columns)
+        if residual is not None:
+            gathered |= referenced_columns(residual)
+        if restore:
+            # hash_join drops the build side's key column (it equals the
+            # probe key on every joined row); it is materialized back below.
+            gathered.discard(right_key)
+            gathered.add(left_key)
     joined = hash_join(
-        probe, build, left_key, right_key, suffix=step.get("suffix", "_right")
+        probe, build, left_key, right_key,
+        suffix=step.get("suffix", "_right"), columns=gathered,
     )
     if not table_num_rows(joined):
         return joined
-    if step.get("restore_right_key") and right_key not in joined:
-        # hash_join drops the build side's key column (it equals the probe
-        # key on every joined row); a later stage or residual that references
-        # it gets the column materialized back here.
-        joined = dict(joined)
+    if restore:
         joined[right_key] = joined[left_key]
-    residual = expression_from_dict(step.get("residual_predicate"))
     if residual is not None:
         joined = filter_table(
             joined, np.asarray(evaluate(residual, joined), dtype=bool)
         )
-    columns = step.get("output_columns")
     if columns and table_num_rows(joined):
         joined = select_columns(joined, columns)
     return joined

@@ -26,7 +26,7 @@ from repro.engine.aggregates import (
     finalize_aggregates,
 )
 from repro.engine.pipeline import execute_worker_plan, WorkerResult
-from repro.engine.join import hash_join, hash_join_dict
+from repro.engine.join import hash_join
 
 __all__ = [
     "Table",
@@ -47,5 +47,4 @@ __all__ = [
     "execute_worker_plan",
     "WorkerResult",
     "hash_join",
-    "hash_join_dict",
 ]

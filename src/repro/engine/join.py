@@ -6,26 +6,40 @@ module provides the in-memory probe/build kernel so that a repartitioned join
 can be expressed as ``exchange(left) + exchange(right) + hash_join`` on each
 worker (see :mod:`repro.exchange`).
 
-:func:`hash_join` is a fully vectorized sort-based kernel: the build side is
-stable-argsorted by key, every probe key locates its match run with two
-``searchsorted`` binary searches, and the match runs are expanded into output
-row indices with ``repeat`` plus vectorized offset arithmetic — no per-row
-Python anywhere on the critical path.  Multi-key joins encode each key column
-of both sides into a shared integer code space (the same column-code
-combination used by :mod:`repro.engine.aggregates`) and join on the combined
-codes.
+:func:`hash_join` is fully vectorized — no per-row Python on the critical
+path — and picks one of three probe strategies from what it observes in the
+build (right) side, never from a parameter:
 
-The seed's dict build/probe kernel is kept as :func:`hash_join_dict`; the
-parity tests pin the two kernels to identical output, including row order.
+* **position table** — integer keys, unique, spanning at most the dense
+  budget (the foreign key -> primary key join every TPC-H query here runs,
+  hash-partitioned or not): ``table[key - min]`` holds the build row of each
+  key, so one scatter builds it, a read-back proves the keys unique, and one
+  gather answers every probe row.  No sort, no binary search, no match runs.
+* **count table** — integer keys within the same budget that repeat: the
+  build side is stable-argsorted and two tables indexed by ``key - min``
+  (run start, run length) replace the binary search; match runs are expanded
+  into output row indices with ``repeat`` plus vectorized offset arithmetic.
+* **sort + binary search** — everything else with a total order (float keys,
+  spans over the budget): stable argsort, two ``searchsorted`` calls per
+  probe key, the same run expansion.
+
+Object-dtype keys, which have no total order, fall back to a dict
+build/probe.  All strategies emit the same pairs in the same order: by probe
+row, then by build row.  Multi-key joins encode each key column of both
+sides into a shared integer code space (the same column-code combination
+used by :mod:`repro.engine.aggregates`) and join on the combined codes.
+
+The seed's dict build/probe kernel lives on as the reference of the parity
+tests and the hot-path benchmark, in ``benchmarks/_baselines.py``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.engine.table import Table, table_num_rows, take_rows
+from repro.engine.table import Table, table_num_rows
 from repro.errors import ExecutionError, UnknownColumnError
 
 #: Join keys: one column name or a sequence of names (multi-key join).
@@ -42,21 +56,6 @@ def _normalize_keys(left_key: JoinKeys, right_key: JoinKeys) -> Tuple[List[str],
             f"join key count mismatch: {len(left_keys)} left vs {len(right_keys)} right"
         )
     return left_keys, right_keys
-
-
-def _empty_join_result(
-    left: Table, right: Table, right_keys: Sequence[str], suffix: str
-) -> Table:
-    """Zero-row result that preserves every source column's dtype."""
-    result: Table = {name: np.asarray(column)[:0] for name, column in left.items()}
-    for name, column in right.items():
-        if name in right_keys:
-            continue
-        out_name = name if name not in left else name + suffix
-        if out_name in result:
-            raise ExecutionError(f"column name collision on {out_name!r}")
-        result[out_name] = np.asarray(column)[:0]
-    return result
 
 
 def _valid_mask(array: np.ndarray) -> np.ndarray:
@@ -97,12 +96,13 @@ def _align_key_pair(
     """Common exact representation of one key-column pair, plus validity.
 
     Returns ``(left_keys, right_keys, left_valid, right_valid)`` with both
-    key arrays in one dtype under which ``==`` matches the dict kernel's
-    Python-level comparison.  Same-kind pairs just promote; mixed
-    integer/float pairs must NOT promote to float64 (which collapses
-    integers above 2^53 onto each other) — instead the float side converts
+    key arrays in one dtype under which ``==`` matches a Python-level
+    comparison of the values.  Same-kind pairs just promote; pairs NumPy
+    would promote to float64 must NOT (it collapses integers above 2^53 onto
+    each other).  Of a mixed integer/float pair the float side converts
     exactly into the integer side's domain, with non-integral or
-    out-of-range floats flagged unmatchable.
+    out-of-range floats flagged unmatchable; uint64 against a signed type
+    compares in uint64, with negative keys flagged unmatchable.
     """
     lvalid = _valid_mask(larr)
     rvalid = _valid_mask(rarr)
@@ -117,6 +117,12 @@ def _align_key_pair(
         rcodes, rvalid = _float_to_int_domain(rarr, rvalid, domain)
         return larr.astype(domain, copy=False), rcodes, lvalid, rvalid
     common = np.result_type(larr.dtype, rarr.dtype)
+    if common.kind == "f" and {larr.dtype.kind, rarr.dtype.kind} == {"u", "i"}:
+        common = np.dtype(np.uint64)
+        if larr.dtype.kind == "i":
+            lvalid = larr >= 0
+        else:
+            rvalid = rarr >= 0
     return (
         larr.astype(common, copy=False),
         rarr.astype(common, copy=False),
@@ -171,63 +177,132 @@ def _join_codes(
     return combined_left, combined_right, left_valid, right_valid
 
 
-#: Widest dense build-key table, as a multiple of the total input row count.
-#: Beyond this the per-key bincount would dominate, so the probe falls back
-#: to binary search.
-_DENSE_SPAN_FACTOR = 2
+#: Budget of the dense lookup tables (position table and count table alike):
+#: a build side whose integer keys span at most ``_DENSE_SPAN_PER_ROW`` table
+#: entries per input row (both sides counted), and never more than
+#: ``_DENSE_MAX_ENTRIES`` entries — 64 MiB of int32 per table — is indexed by
+#: ``key - min``; a wider one is sorted and binary-searched.  32 per row is
+#: the widest span at which neither table lost to sorting at any measured
+#: build size, 10^3 to 10^6 rows: the count table breaks even there at 10^3
+#: rows, the position table still wins 7-16x (table in CHANGES.md, PR 20).
+#: The cap bounds memory only; the tables kept winning far beyond it.
+_DENSE_SPAN_PER_ROW = 32
+_DENSE_MAX_ENTRIES = 1 << 24
+
+
+def _table_slots(codes: np.ndarray, key_min: int) -> np.ndarray:
+    """``codes - key_min`` modulo 2^64, as int64 table indices.
+
+    The subtraction wraps instead of widening, and stays exact where it
+    matters: a key lies in ``[key_min, key_min + span)`` iff its slot, read
+    as uint64, is below ``span``.  (The slot is the true difference ``d``
+    modulo 2^64, so the only other way below ``span`` is ``d < span - 2^64``,
+    which puts the key under ``key_max + 1 - 2^64`` — under its dtype's
+    minimum.)  int64 extremes and uint64 keys above 2^63 need no special case.
+    """
+    wide = np.uint64 if codes.dtype.kind == "u" else np.int64
+    return (codes.astype(wide, copy=False) - wide(key_min)).view(np.int64)
+
+
+def _probe_positions(
+    probe_slots: np.ndarray, build_slots: np.ndarray, span: int
+) -> Optional[Tuple[Optional[np.ndarray], np.ndarray]]:
+    """Probe a unique-key build side through a key -> row position table.
+
+    ``table[key - min]`` holds the build row of that key (-1: no such key);
+    one scatter fills it and one gather answers every probe row, with no
+    sort, binary search or run expansion.  Returns ``None`` when the build
+    keys are not unique — the read-back after the scatter shows a row whose
+    slot a later duplicate overwrote — else the match pairs, with the left
+    index ``None`` when every probe row matched (it would be ``arange``).
+    """
+    if len(build_slots) > span:
+        return None  # more rows than slots: some key repeats
+    # At most span <= _DENSE_MAX_ENTRIES < 2^31 rows, so int32 positions do.
+    rows = np.arange(len(build_slots), dtype=np.int32)
+    table = np.full(span, -1, dtype=np.int32)
+    table[build_slots] = rows
+    if not (table[build_slots] == rows).all():
+        return None
+    # Out-of-range probes are clipped onto an edge slot, then masked.
+    position = table.take(probe_slots, mode="clip")
+    hit = position >= 0
+    hit &= probe_slots.view(np.uint64) < span
+    left_idx = np.flatnonzero(hit)
+    # Widened once here: every column gather would otherwise cast the int32
+    # positions again.
+    if len(left_idx) == len(probe_slots):
+        return None, position.astype(np.intp)
+    return left_idx, position[left_idx].astype(np.intp)
 
 
 def _dense_probe_bounds(
-    left_codes: np.ndarray, sorted_codes: np.ndarray
+    probe_slots: np.ndarray, sorted_slots: np.ndarray, span: int
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Match-run starts/counts via a dense key -> position lookup table.
+    """Match-run starts/counts of duplicate build keys via a dense count table.
 
-    Integer build keys spanning a range comparable to the input size are
-    looked up O(1) through two arrays indexed by ``key - min_key`` — one
-    fancy-index per probe array instead of a binary search per probe row
-    (which is cache-hostile and ~3x slower at 1M rows).
+    Two arrays indexed by ``key - min`` — rows per key and where each key's
+    run starts in the sorted build side, both scattered from the run
+    boundaries of ``sorted_slots`` — are looked up with one gather per probe
+    array instead of a binary search per probe row (which is cache-hostile
+    and ~3x slower at 1M rows).
     """
-    base = int(sorted_codes[0])
-    span = int(sorted_codes[-1]) - base + 1
-    counts_per_key = np.bincount(sorted_codes.astype(np.int64) - base, minlength=span)
-    first_position = np.zeros(span, dtype=np.int64)
-    np.cumsum(counts_per_key[:-1], out=first_position[1:])
-    shifted = left_codes.astype(np.int64) - base
-    in_range = (shifted >= 0) & (shifted < span)
-    shifted = np.where(in_range, shifted, 0)
-    starts = first_position[shifted]
-    counts = np.where(in_range, counts_per_key[shifted], 0)
+    num_build = len(sorted_slots)
+    first_of_run = np.empty(num_build, dtype=bool)
+    first_of_run[0] = True
+    np.not_equal(sorted_slots[1:], sorted_slots[:-1], out=first_of_run[1:])
+    run_starts = np.flatnonzero(first_of_run)
+    run_slots = sorted_slots[run_starts]
+    width = np.int32 if num_build < 2 ** 31 else np.int64
+    start_of_key = np.zeros(span, dtype=width)
+    rows_per_key = np.zeros(span, dtype=width)
+    start_of_key[run_slots] = run_starts
+    rows_per_key[run_slots] = np.diff(run_starts, append=num_build)
+    in_table = probe_slots.view(np.uint64) < span
+    starts = start_of_key.take(probe_slots, mode="clip")
+    counts = rows_per_key.take(probe_slots, mode="clip") * in_table
     return starts, counts
 
 
-def _probe_sorted(
+def _probe(
     left_codes: np.ndarray, right_codes: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Vectorized probe: row-index pairs of every match, dict-kernel order.
+) -> Tuple[Optional[np.ndarray], np.ndarray]:
+    """Row-index pairs of every match, ordered by probe row, then build row.
 
-    The build side is stable-argsorted, so equal keys keep ascending row
-    order; each probe key finds its match run either through the dense key
-    table (:func:`_dense_probe_bounds`) or with two binary searches, and the
-    runs are expanded with ``repeat`` + offset arithmetic.  Output pairs are
-    ordered by probe (left) row, then by build (right) row — exactly the
-    order the dict kernel produces.
+    Returns ``(left_idx, right_idx)``; ``left_idx`` is ``None`` when it would
+    be ``arange(len(left_codes))`` (every probe row matched exactly once).
+    The strategy follows from the build side alone: integer keys within the
+    dense budget are probed through the position table when they are unique
+    (:func:`_probe_positions`) and through the count table when they repeat
+    (:func:`_dense_probe_bounds`); everything else — float keys, spans over
+    budget — is stable-argsorted and binary-searched.  Repeating keys expand
+    their match runs with ``repeat`` + offset arithmetic.
     """
-    order = np.argsort(right_codes, kind="stable")
-    sorted_codes = right_codes[order]
-    dense = False
-    if sorted_codes.dtype.kind in "iu" and len(sorted_codes):
-        key_min, key_max = int(sorted_codes[0]), int(sorted_codes[-1])
+    num_left, num_right = len(left_codes), len(right_codes)
+    dense_span = 0
+    if right_codes.dtype.kind in "iu" and num_right:
+        key_min, key_max = int(right_codes.min()), int(right_codes.max())
         span = key_max - key_min + 1
-        budget = max(1024, _DENSE_SPAN_FACTOR * (len(left_codes) + len(right_codes)))
-        dense = span <= budget and abs(key_min) < 2 ** 62 and abs(key_max) < 2 ** 62
-    if dense:
-        starts, counts = _dense_probe_bounds(left_codes, sorted_codes)
+        if span <= min(
+            _DENSE_MAX_ENTRIES, _DENSE_SPAN_PER_ROW * (num_left + num_right)
+        ):
+            dense_span = span
+            probe_slots = _table_slots(left_codes, key_min)
+            build_slots = _table_slots(right_codes, key_min)
+            pairs = _probe_positions(probe_slots, build_slots, span)
+            if pairs is not None:
+                return pairs
+    order = np.argsort(right_codes, kind="stable")
+    if dense_span:
+        starts, counts = _dense_probe_bounds(
+            probe_slots, build_slots[order], dense_span
+        )
     else:
+        sorted_codes = right_codes[order]
         starts = np.searchsorted(sorted_codes, left_codes, side="left")
-        ends = np.searchsorted(sorted_codes, left_codes, side="right")
-        counts = ends - starts
+        counts = np.searchsorted(sorted_codes, left_codes, side="right") - starts
     total = int(counts.sum())
-    left_idx = np.repeat(np.arange(len(left_codes), dtype=np.int64), counts)
+    left_idx = np.repeat(np.arange(num_left, dtype=np.int64), counts)
     # Position of each output row within its match run, computed without a
     # per-run loop: subtract every run's cumulative start from a global arange.
     run_offsets = np.repeat(np.cumsum(counts) - counts, counts)
@@ -242,6 +317,7 @@ def hash_join(
     left_key: JoinKeys,
     right_key: JoinKeys,
     suffix: str = "_right",
+    columns: Optional[Iterable[str]] = None,
 ) -> Table:
     """Inner equi-join of two tables on one or more key columns.
 
@@ -249,7 +325,10 @@ def hash_join(
     whose names collide with left columns are renamed with ``suffix``; the
     right key columns are dropped (they equal the left keys in the output).
     ``left_key`` / ``right_key`` accept a single column name or equal-length
-    sequences of names for a multi-key join.
+    sequences of names for a multi-key join.  ``columns`` names the output
+    columns to materialize (default: all of them); the rest are never
+    gathered.  When every left row matches exactly once, the left columns of
+    the result are the input arrays themselves, not copies.
     """
     left_keys, right_keys = _normalize_keys(left_key, right_key)
     for name in left_keys:
@@ -259,69 +338,88 @@ def hash_join(
         if name not in right:
             raise UnknownColumnError(name)
 
-    left_rows = table_num_rows(left)
-    right_rows = table_num_rows(right)
-    if left_rows == 0 or right_rows == 0:
-        return _empty_join_result(left, right, right_keys, suffix)
-
-    if any(
+    if table_num_rows(left) == 0 or table_num_rows(right) == 0:
+        left_idx = right_idx = slice(0)
+    elif any(
         np.asarray(table[name]).dtype.hasobject
         for table, names in ((left, left_keys), (right, right_keys))
         for name in names
     ):
         # Object-dtype keys (e.g. columns degraded to Python objects with
-        # None entries) have no total order, so the sort-based kernel cannot
-        # apply; join them hash/eq-style like the seed kernel did.
-        return _hash_join_object_keys(left, right, left_keys, right_keys, suffix)
-
-    if len(left_keys) == 1:
-        # Single key: compare raw values directly in one aligned dtype, no
-        # code construction needed.
-        left_codes, right_codes, left_valid, right_valid = _align_key_pair(
-            np.asarray(left[left_keys[0]]), np.asarray(right[right_keys[0]])
-        )
+        # None entries) have no total order and no integer domain, so no
+        # vectorized strategy applies; join them hash/eq-style like the seed
+        # kernel did.
+        left_idx, right_idx = _probe_object_keys(left, right, left_keys, right_keys)
     else:
-        left_codes, right_codes, left_valid, right_valid = _join_codes(
-            left, right, left_keys, right_keys
-        )
+        if len(left_keys) == 1:
+            # Single key: compare raw values directly in one aligned dtype,
+            # no code construction needed.
+            left_codes, right_codes, left_valid, right_valid = _align_key_pair(
+                np.asarray(left[left_keys[0]]), np.asarray(right[right_keys[0]])
+            )
+        else:
+            left_codes, right_codes, left_valid, right_valid = _join_codes(
+                left, right, left_keys, right_keys
+            )
+        if left_valid.all() and right_valid.all():
+            left_idx, right_idx = _probe(left_codes, right_codes)
+        else:
+            # Unmatchable keys (NaN, say) never match: probe the valid
+            # subsets and map the pair indices back to original row numbers
+            # (both maps are ascending, so the output order is preserved).
+            left_map = np.flatnonzero(left_valid)
+            right_map = np.flatnonzero(right_valid)
+            sub_left, sub_right = _probe(left_codes[left_map], right_codes[right_map])
+            left_idx = left_map if sub_left is None else left_map[sub_left]
+            right_idx = right_map[sub_right]
+    return _output_table(left, right, right_keys, suffix, columns, left_idx, right_idx)
 
-    if left_valid.all() and right_valid.all():
-        left_idx, right_idx = _probe_sorted(left_codes, right_codes)
-    else:
-        # NaN keys never match: probe the valid subsets and map the pair
-        # indices back to original row numbers (both maps are ascending, so
-        # the dict-kernel output order is preserved).
-        left_map = np.flatnonzero(left_valid)
-        right_map = np.flatnonzero(right_valid)
-        sub_left, sub_right = _probe_sorted(
-            left_codes[left_map], right_codes[right_map]
-        )
-        left_idx = left_map[sub_left]
-        right_idx = right_map[sub_right]
 
-    # Output gather: exactly one fancy-index pass per column on each side.
-    result: Table = take_rows(left, left_idx)
+def _output_table(
+    left: Table,
+    right: Table,
+    right_keys: Sequence[str],
+    suffix: str,
+    columns: Optional[Iterable[str]],
+    left_idx: Union[np.ndarray, slice, None],
+    right_idx: Union[np.ndarray, slice],
+) -> Table:
+    """Gather the matched rows into the join result, one pass per column.
+
+    Left columns first, then the right side's non-key columns (renamed with
+    ``suffix`` where they collide with a left name), of which only those in
+    ``columns`` (default: all) are gathered.  A ``left_idx`` of ``None``
+    stands for every left row in order: the left columns pass through as
+    they are.
+    """
+    wanted = None if columns is None else set(columns)
+    names = set(left)
+    result: Table = {}
+    for name, column in left.items():
+        if wanted is None or name in wanted:
+            column = np.asarray(column)
+            result[name] = column if left_idx is None else column[left_idx]
     for name, column in right.items():
         if name in right_keys:
             continue
         out_name = name if name not in left else name + suffix
-        if out_name in result:
+        if out_name in names:
             raise ExecutionError(f"column name collision on {out_name!r}")
-        result[out_name] = np.asarray(column)[right_idx]
+        names.add(out_name)
+        if wanted is None or out_name in wanted:
+            result[out_name] = np.asarray(column)[right_idx]
+    if wanted is not None and not wanted <= names:
+        raise UnknownColumnError(", ".join(sorted(wanted - names)))
     return result
 
 
-def _hash_join_object_keys(
-    left: Table,
-    right: Table,
-    left_keys: Sequence[str],
-    right_keys: Sequence[str],
-    suffix: str,
-) -> Table:
+def _probe_object_keys(
+    left: Table, right: Table, left_keys: Sequence[str], right_keys: Sequence[str]
+) -> Tuple[np.ndarray, np.ndarray]:
     """Dict build/probe over (tuples of) object keys — the unsortable case.
 
     Object columns hold arbitrary Python values with hash/eq but no total
-    order, so the vectorized sort kernel cannot apply; this per-row fallback
+    order, so the vectorized kernels cannot apply; this per-row fallback
     keeps the seed kernel's semantics (and output order) for them.
     """
     build: Dict[tuple, list] = {}
@@ -336,69 +434,7 @@ def _hash_join_object_keys(
         for match in build.get(key, ()):
             left_indices.append(index)
             right_indices.append(match)
-
-    left_idx = np.asarray(left_indices, dtype=np.int64)
-    right_idx = np.asarray(right_indices, dtype=np.int64)
-    result: Table = take_rows(left, left_idx)
-    for name, column in right.items():
-        if name in right_keys:
-            continue
-        out_name = name if name not in left else name + suffix
-        if out_name in result:
-            raise ExecutionError(f"column name collision on {out_name!r}")
-        result[out_name] = np.asarray(column)[right_idx]
-    return result
-
-
-def hash_join_dict(
-    left: Table,
-    right: Table,
-    left_key: str,
-    right_key: str,
-    suffix: str = "_right",
-) -> Table:
-    """The seed's dict build/probe join kernel (single key only).
-
-    Kept as the reference implementation for the parity tests and the
-    ``join_probe`` hot-path benchmark; production code uses the vectorized
-    :func:`hash_join`.
-    """
-    if left_key not in left:
-        raise UnknownColumnError(left_key)
-    if right_key not in right:
-        raise UnknownColumnError(right_key)
-
-    left_rows = table_num_rows(left)
-    right_rows = table_num_rows(right)
-    if left_rows == 0 or right_rows == 0:
-        return _empty_join_result(left, right, [right_key], suffix)
-
-    # Build phase: key -> list of row indices on the right.
-    build: Dict[float, list] = {}
-    right_keys = np.asarray(right[right_key])
-    for index, key in enumerate(right_keys.tolist()):
-        build.setdefault(key, []).append(index)
-
-    # Probe phase.
-    left_keys = np.asarray(left[left_key])
-    left_indices = []
-    right_indices = []
-    for index, key in enumerate(left_keys.tolist()):
-        matches = build.get(key)
-        if not matches:
-            continue
-        left_indices.extend([index] * len(matches))
-        right_indices.extend(matches)
-
-    left_idx = np.asarray(left_indices, dtype=np.int64)
-    right_idx = np.asarray(right_indices, dtype=np.int64)
-
-    result: Table = take_rows(left, left_idx)
-    for name, column in right.items():
-        if name == right_key:
-            continue
-        out_name = name if name not in left else name + suffix
-        if out_name in result:
-            raise ExecutionError(f"column name collision on {out_name!r}")
-        result[out_name] = np.asarray(column)[right_idx]
-    return result
+    return (
+        np.asarray(left_indices, dtype=np.int64),
+        np.asarray(right_indices, dtype=np.int64),
+    )

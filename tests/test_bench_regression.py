@@ -57,6 +57,7 @@ def test_baseline_sections_record_their_scale(baseline):
         "payload_roundtrip",
         "partition_scatter",
         "join_probe",
+        "join_probe_fk",
         "shuffle_codec",
         "encoded_eval",
         "scan_filter",
