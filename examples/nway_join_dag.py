@@ -45,7 +45,7 @@ def main() -> None:
         session.register(generate(s3, scale_factor=0.002))
     print("tables:", ", ".join(session.tables()))
 
-    result = session.sql(q5_sql(), num_workers=4)
+    result = session.sql(q5_sql())
 
     print("\n-- schedule " + "-" * 50)
     print(result.explain())

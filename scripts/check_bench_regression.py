@@ -36,6 +36,11 @@ Seven kinds of checks:
 * **absolute wave ceilings** — at the committed scale factor every build
   side of the five DAG queries is broadcastable, so each must run as one
   join wave (a regression to a wave per join fails here);
+* **absolute fan-out ceilings** — at the committed scale factor every join
+  query's relations are far below one join worker's break-even share, so
+  each must start one join worker per wave and read each sender object once
+  (a fall-back to one join worker per file of the largest relation fails
+  here);
 * **relative regression** — each current speedup must stay within
   ``tolerance`` of the committed baseline (defaults to 60%, loose enough for
   machine-to-machine noise, tight enough to catch an accidental
@@ -175,6 +180,22 @@ ABSOLUTE_WAVE_CEILINGS = {
     ("dag_join", "max_join_waves"): 1,
 }
 
+#: Maximum workers and exchange GETs of each join query in BENCH_tpch.json,
+#: keyed ``(query, field)``.  The exchange fan-out is priced from the
+#: catalog's bytes (PR 21): at the committed scale factor all seven relations
+#: together are a fraction of one join worker's break-even share, so every
+#: join query runs ONE join worker — its mappers + 1 — which reads each
+#: mapper's object once, whole or as its one slice.  Counting join workers
+#: from files again (4 per wave here: 3 more workers, 4x the GETs), or a
+#: caller that stopped telling the planner the sizes, fails here.
+ABSOLUTE_FAN_OUT_CEILINGS = {
+    (query, field): ceiling
+    for query, mappers in {
+        "q3": 6, "q5": 12, "q7": 10, "q9": 11, "q10": 9, "q12": 6, "q14": 6, "q18": 8,
+    }.items()
+    for field, ceiling in (("workers", mappers + 1), ("exchange_get_requests", mappers))
+}
+
 #: Fields compared against the committed baseline for relative regressions.
 RELATIVE_FIELDS = (
     "speedup",
@@ -305,6 +326,11 @@ def check(
             ABSOLUTE_WAVE_CEILINGS,
             "wave count",
             "small build sides run a wave per join again?",
+        ),
+        (
+            ABSOLUTE_FAN_OUT_CEILINGS,
+            "count",
+            "join workers counted from files again, not priced from bytes?",
         ),
     ):
         for (name, field), ceiling in ceilings.items():

@@ -3,8 +3,8 @@
 
 Runs the supported TPC-H queries — the single-table aggregates (Q1, Q6), the
 two-table joins (Q3, Q12, Q14), and the N-way join DAGs (Q5, Q7, Q9, Q10,
-Q18) — end to end through :class:`~repro.driver.driver.LambadaDriver` on a
-generated dataset, and writes a structured trajectory::
+Q18) — end to end through ``repro.connect`` / ``Session.register`` /
+``Session.sql`` on a generated dataset, and writes a structured trajectory::
 
     PYTHONPATH=src python scripts/run_tpch_experiments.py \
         [--sf 0.002] [--runs 3] [--warmup 1] [--query q5 --query q9 ...] \
@@ -38,8 +38,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np  # noqa: E402
 
+import repro  # noqa: E402
 from repro.cloud.environment import CloudEnvironment  # noqa: E402
-from repro.driver.driver import LambadaDriver  # noqa: E402
 from repro.workload import queries as q  # noqa: E402
 from repro.workload.tpch import (  # noqa: E402
     CustomerGenerator,
@@ -93,52 +93,37 @@ def build_stack(store, scale_factor: float, files: int, seed: int):
     return datasets, tables
 
 
-def build_cases(datasets, tables):
-    """``name -> (logical plan, reference table)`` for every query."""
-    p = {name: dataset.paths for name, dataset in datasets.items()}
+def build_cases(tables):
+    """``name -> (SQL text, reference table)`` for every query."""
     t = tables
     return {
-        "q1": (q.q1_plan(p["lineitem"]), q.reference_q1(t["lineitem"])),
-        "q3": (
-            q.q3_plan(p["lineitem"], p["orders"]),
-            q.reference_q3(t["lineitem"], t["orders"]),
-        ),
+        "q1": (q.q1_sql(), q.reference_q1(t["lineitem"])),
+        "q3": (q.q3_sql(), q.reference_q3(t["lineitem"], t["orders"])),
         "q5": (
-            q.q5_plan(p["lineitem"], p["orders"], p["customer"], p["supplier"],
-                      p["nation"], p["region"]),
+            q.q5_sql(),
             q.reference_q5(t["lineitem"], t["orders"], t["customer"],
                            t["supplier"], t["nation"], t["region"]),
         ),
-        "q6": (
-            q.q6_plan(p["lineitem"]),
-            {"revenue": np.asarray([q.reference_q6(t["lineitem"])])},
-        ),
+        "q6": (q.q6_sql(), {"revenue": np.asarray([q.reference_q6(t["lineitem"])])}),
         "q7": (
-            q.q7_plan(p["lineitem"], p["orders"], p["customer"], p["supplier"]),
+            q.q7_sql(),
             q.reference_q7(t["lineitem"], t["orders"], t["customer"],
                            t["supplier"]),
         ),
         "q9": (
-            q.q9_plan(p["lineitem"], p["part"], p["supplier"], p["orders"],
-                      p["nation"]),
+            q.q9_sql(),
             q.reference_q9(t["lineitem"], t["part"], t["supplier"],
                            t["orders"], t["nation"]),
         ),
         "q10": (
-            q.q10_plan(p["lineitem"], p["orders"], p["customer"], p["nation"]),
+            q.q10_sql(),
             q.reference_q10(t["lineitem"], t["orders"], t["customer"],
                             t["nation"]),
         ),
-        "q12": (
-            q.q12_plan(p["lineitem"], p["orders"]),
-            q.reference_q12(t["lineitem"], t["orders"]),
-        ),
-        "q14": (
-            q.q14_plan(p["lineitem"], p["part"]),
-            q.reference_q14(t["lineitem"], t["part"]),
-        ),
+        "q12": (q.q12_sql(), q.reference_q12(t["lineitem"], t["orders"])),
+        "q14": (q.q14_sql(), q.reference_q14(t["lineitem"], t["part"])),
         "q18": (
-            q.q18_plan(p["lineitem"], p["orders"], p["customer"]),
+            q.q18_sql(),
             q.reference_q18(t["lineitem"], t["orders"], t["customer"]),
         ),
     }
@@ -173,8 +158,13 @@ def run(arguments: argparse.Namespace) -> dict:
     datasets, tables = build_stack(
         env.s3, arguments.sf, arguments.files, arguments.seed
     )
-    cases = build_cases(datasets, tables)
-    driver = LambadaDriver(env, memory_mib=arguments.memory_mib)
+    cases = build_cases(tables)
+    # Through the public surface, registered datasets and all: the catalog
+    # then knows every relation's stored size, which is what the shuffle
+    # coordinator prices its exchange fan-out from.
+    session = repro.connect(env, memory_mib=arguments.memory_mib)
+    for dataset in datasets.values():
+        session.register(dataset)
 
     names = arguments.query or list(ALL_QUERIES)
     unknown = sorted(set(names) - set(ALL_QUERIES))
@@ -183,15 +173,15 @@ def run(arguments: argparse.Namespace) -> dict:
 
     results = {}
     for name in names:
-        plan, reference = cases[name]
+        sql, reference = cases[name]
         exact = name in DAG_QUERIES
         for _ in range(arguments.warmup):
-            driver.execute(plan)
+            session.sql(sql)
 
         latencies, dollars, correct = [], [], True
         last = None
         for _ in range(arguments.runs):
-            last = driver.execute(plan)
+            last = session.sql(sql)
             latencies.append(last.statistics.latency_seconds)
             dollars.append(last.statistics.cost_total)
             correct = correct and tables_equal(reference, last.table, exact)

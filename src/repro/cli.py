@@ -56,7 +56,7 @@ from repro.driver.invocation import FlatInvocationModel, TreeInvocationModel
 from repro.exchange.cost_model import EXCHANGE_VARIANTS, ExchangeCostModel
 from repro.frontend.session import connect
 from repro.frontend.sql import SqlCatalog, parse_sql
-from repro.plan.physical import describe_executed_waves
+from repro.plan.physical import describe_exchange_fan_out, describe_executed_waves
 from repro.workload import queries as tpch_queries
 from repro.workload.queries import q6_sql
 from repro.workload.tpch import (
@@ -213,6 +213,10 @@ def _run_demo_query(args: argparse.Namespace, out) -> int:
         print(f"join DAG: {stats.dag_stages} stages in {stats.join_waves} wave(s)   "
               f"exchange discovery requests: {stats.exchange.list_requests + stats.exchange.head_requests}   "
               f"gc'd exchange objects: {stats.gc_objects_deleted}", file=out)
+        print(describe_exchange_fan_out(
+            stats.exchange_partitions, stats.estimated_exchange_bytes,
+            stats.exchange.bytes_written,
+        ), file=out)
         print(describe_executed_waves(stats.wave_stages), file=out)
     print("cost breakdown:", file=out)
     print(f"  lambda duration  ${stats.cost_lambda_duration:.6f}", file=out)

@@ -93,6 +93,7 @@ from repro.plan.physical import (
     DagPhysicalPlan,
     JoinPhysicalPlan,
     PhysicalPlan,
+    describe_exchange_fan_out,
     describe_executed_waves,
     resolve_udf,
 )
@@ -147,6 +148,11 @@ class QueryStatistics:
     #: its first stage repartitioned, the others fused in as broadcast joins
     #: (decided at run time from the build sides' sizes; empty for scans).
     wave_stages: List[List[int]] = field(default_factory=list)
+    #: Join workers started per wave (the exchange's hash partitions) and
+    #: the planner's byte estimate they were priced from (0 = unknown; both 0
+    #: for scans); ``exchange.bytes_written`` is what the run measured.
+    exchange_partitions: int = 0
+    estimated_exchange_bytes: int = 0
     #: Exchange objects the coordinator deleted: each wave's consumed inputs,
     #: spilled results, and whatever a post-fault sweep found (0 for scans).
     gc_objects_deleted: int = 0
@@ -233,6 +239,13 @@ class QueryResult:
         if self.plan_explain:
             parts.append(self.plan_explain)
         if self.statistics.wave_stages:
+            parts.append(
+                describe_exchange_fan_out(
+                    self.statistics.exchange_partitions,
+                    self.statistics.estimated_exchange_bytes,
+                    self.statistics.exchange.bytes_written,
+                )
+            )
             parts.append(describe_executed_waves(self.statistics.wave_stages))
         return "\n".join(parts) if parts else "(no plan recorded)"
 
@@ -374,8 +387,11 @@ class LambadaDriver:
         Failed workers are retried up to ``max_worker_retries`` times before
         the query is aborted with :class:`~repro.errors.WorkerFailedError`.
 
-        Join plans run through the multi-stage shuffle-join schedule, which
-        sizes both map waves and the join wave from ``num_workers`` alone:
+        Join plans run through the multi-stage shuffle-join schedule.  Left
+        to itself it starts one mapper per file and as many join workers per
+        wave as the relations' registered sizes keep streaming
+        (:func:`~repro.driver.shuffle.exchange_fan_out`); ``num_workers``
+        caps the map fleets and sets the join fan-out instead.
         ``files_per_worker`` is not consulted, a failed worker aborts the
         query without retries (the waves are barriered), and catalog-based
         file pruning is rejected explicitly (its single-dataset statistics
@@ -626,6 +642,8 @@ class LambadaDriver:
             join_output_rows=join_stats.join_output_rows,
             dag_stages=join_stats.dag_stages,
             wave_stages=join_stats.wave_stages,
+            exchange_partitions=join_stats.exchange_partitions,
+            estimated_exchange_bytes=join_stats.estimated_exchange_bytes,
             gc_objects_deleted=join_stats.gc_objects_deleted,
             gc_list_requests=join_stats.gc_list_requests,
             resilience=join_stats.resilience,

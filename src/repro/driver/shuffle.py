@@ -21,7 +21,10 @@ invocations with one wave body, one map handler and one reduce handler:
   one-object-per-receiver pattern, which survives behind
   ``ShuffleConfig(write_combining=False)`` as the parity baseline and as the
   degradation target of a mapper whose combined write keeps failing;
-* **0…k join waves** — one worker per hash partition builds one
+* **0…k join waves** — the exchange has as many hash partitions as its
+  bytes keep streaming (:func:`exchange_fan_out`: the catalog's stored size
+  of every relation against the fixed time a join worker costs, at most one
+  per file of the largest relation); one worker per hash partition builds one
   :class:`~repro.exchange.fetch.FetchPlan` from the manifests the barrier
   before it announced (the offset directory rides in the combined keys, so
   discovery costs **zero** requests; legacy per-receiver objects cost one
@@ -67,8 +70,9 @@ import numpy as np
 
 from repro.cloud.environment import CloudEnvironment
 from repro.cloud.lambda_service import FunctionConfig, InvocationContext
+from repro.cloud.network import BandwidthModel
 from repro.cloud.s3 import parse_s3_path
-from repro.config import DEFAULT_RESILIENCE, IntegrityConfig, MiB
+from repro.config import DEFAULT_RESILIENCE, DEFAULT_SCAN_CONNECTIONS, IntegrityConfig, MiB
 from repro.driver.integrity import (
     RESULT_BUCKET,
     IntegrityStats,
@@ -641,10 +645,12 @@ def _write_partitions(
     """Hash-partition ``rows`` by ``keys`` and ship them through the exchange.
 
     Partitions once into contiguous slices; both formats serialise straight
-    from the scattered columns without re-gathering rows.  With write
-    combining the sender issues one PUT for all receivers and the returned
-    announcement carries the offset-bearing path — shipped through the
-    driver's wave barrier, it lets the consuming wave skip discovery
+    from the scattered columns without re-gathering rows.  A one-partition
+    exchange neither hashes nor reorders: the rows are the single slice
+    (same object layout, naming and crcs as the scatter would produce).
+    With write combining the sender issues one PUT for all receivers and the
+    returned announcement carries the offset-bearing path — shipped through
+    the driver's wave barrier, it lets the consuming wave skip discovery
     entirely, and an orphaned duplicate from a crashed earlier attempt is
     never read.  Otherwise (``write_combining`` off, or an offset directory
     that overflows the S3 key limit on a very wide fleet) it writes one
@@ -652,8 +658,13 @@ def _write_partitions(
     Returns the announcement fields of the sender's result message.
     """
     compression = Compression(event.get("compression", Compression.NONE.value))
-    assignment = partition_assignments(rows, list(keys), num_partitions)
-    reordered, boundaries = scatter_by_assignment(rows, assignment, num_partitions)
+    if num_partitions == 1:
+        # Every row goes to the one receiver: the rows, in the order they
+        # arrived, are already the scattered table.
+        reordered, boundaries = rows, [0, table_num_rows(rows)]
+    else:
+        assignment = partition_assignments(rows, list(keys), num_partitions)
+        reordered, boundaries = scatter_by_assignment(rows, assignment, num_partitions)
     if bool(event.get("write_combining", True)):
         payload, offsets = encode_partition_set(
             reordered, boundaries, compression, checksum=integrity.generate
@@ -1045,6 +1056,11 @@ class JoinStatistics:
     #: Final-wave results too large for a queue message: each travelled
     #: through the result bucket instead (one PUT, one driver-side GET).
     results_spilled: int = 0
+    #: Hash partitions of the exchange = join workers per wave
+    #: (:func:`exchange_fan_out`), and the byte estimate it was priced from
+    #: (0 = unknown); ``exchange.bytes_written`` is the measured counterpart.
+    exchange_partitions: int = 0
+    estimated_exchange_bytes: int = 0
 
     @property
     def join_waves(self) -> int:
@@ -1199,6 +1215,42 @@ def _group_join_waves(
     return waves
 
 
+def exchange_fan_out(
+    bandwidth: BandwidthModel,
+    memory_mib: int,
+    estimated_bytes: int,
+    mappers: Sequence[int],
+    num_workers: Optional[int] = None,
+) -> int:
+    """Hash partitions of a shuffle DAG = join workers started per wave.
+
+    The smallest ``P`` at which one join worker's share of the exchange,
+    ``estimated_bytes / P``, streams in no more modelled time than the fixed
+    time the model charges that worker before its first byte — a reduce
+    worker's start-up share plus one request round trip.  Below that share a
+    further worker costs more than the streaming it takes over (and every
+    receiver reads from every sender, so requests grow with ``P`` while the
+    bytes do not): the break-even :func:`_group_join_waves` and
+    ``S3ObjectSource.coalesce_gap`` apply, priced with the same bandwidth
+    model, so there is nothing to configure.  Clamped to ``1 ≤ P ≤`` the
+    widest scan fleet (``mappers`` holds every fleet's size), which is also
+    the answer when the bytes are unknown (``estimated_bytes == 0``) —
+    one join worker per file of the largest relation.  An explicit
+    ``num_workers`` wins.  One number per query: step 0 of every wave is
+    co-partitioned with a scan fleet.
+    """
+    if num_workers:
+        return num_workers
+    widest = max(mappers)
+    if estimated_bytes <= 0:
+        return widest
+    fixed_seconds = _reduce_compute_seconds(0) + bandwidth.request_latency_seconds
+    break_even_bytes = int(
+        fixed_seconds * bandwidth.link_bandwidth(memory_mib, DEFAULT_SCAN_CONNECTIONS)
+    )
+    return min(widest, -(-estimated_bytes // max(1, break_even_bytes)))
+
+
 class ShuffleJoinCoordinator:
     """Schedules a shuffle DAG as a scan wave + as few join waves as its
     build sides allow.
@@ -1216,11 +1268,17 @@ class ShuffleJoinCoordinator:
        side's exact size and groups consecutive stages into waves
        (:func:`_group_join_waves`): a stage whose build side is cheaper to
        read whole than a wave is to run joins *in place*, inside the wave of
-       the stage before it.  One worker per hash partition of the wave's
-       probe input reads, in one fetch plan, its slice of the probe side and
-       of the first stage's build side plus the whole of every fused
-       (broadcast) build side (the combined paths ride through the driver
-       barrier, so discovery costs zero requests), runs the stages' joins
+       the stage before it.  The number of hash partitions — join workers
+       per wave — is one priced decision per query (:func:`exchange_fan_out`):
+       the smallest count whose share of the plan's
+       ``estimated_exchange_bytes`` streams within the fixed time the model
+       charges a join worker, never more than the widest scan fleet, which
+       is also what a plan of unknown size gets; ``num_workers`` overrides
+       it.  One worker per hash partition of the wave's probe input reads,
+       in one fetch plan, its slice of the probe side and of the first
+       stage's build side plus the whole of every fused (broadcast) build
+       side (the combined paths ride through the driver barrier, so
+       discovery costs zero requests), runs the stages' joins
        with :func:`~repro.engine.join.hash_join` — build key restored,
        residual applied, columns pruned per stage — then either *emits*,
        scattering by the next wave's probe key under the intermediate tag
@@ -1385,12 +1443,8 @@ class ShuffleJoinCoordinator:
         messages before propagating.
         """
         dag = physical.as_dag()
-        fleets: Dict[str, JoinSidePlan] = {"L": dag.base}
-        build_tags: List[str] = []
-        for index, stage in enumerate(dag.stages):
-            tag = "R" if index == 0 else f"R{index}"
-            build_tags.append(tag)
-            fleets[tag] = stage.right
+        fleets: Dict[str, JoinSidePlan] = dict(dag.sides())
+        build_tags = [tag for tag in fleets if tag != "L"]
         inter_tags = [f"J{k}" for k in range(len(dag.stages) - 1)]
 
         paths: Dict[str, List[str]] = {}
@@ -1405,7 +1459,10 @@ class ShuffleJoinCoordinator:
             tag: min(num_workers or len(paths[tag]), len(paths[tag]))
             for tag in fleets
         }
-        num_partitions = num_workers or max(mappers.values())
+        num_partitions = exchange_fan_out(
+            self.env.bandwidth, self.memory_mib, dag.estimated_exchange_bytes,
+            list(mappers.values()), num_workers,
+        )
 
         query_id = uuid.uuid4().hex[:12]
         for bucket in _exchange_buckets(self.num_buckets):
@@ -1668,6 +1725,8 @@ class ShuffleJoinCoordinator:
             gc_objects_deleted=gc_deleted,
             gc_list_requests=gc_lists,
             results_spilled=sum("result_s3" in message for message in reduce_waves[-1]),
+            exchange_partitions=num_partitions,
+            estimated_exchange_bytes=dag.estimated_exchange_bytes,
         )
         return result, statistics, worker_results
 

@@ -61,8 +61,6 @@ class Session:
         columns: Optional[Sequence[str]] = None,
     ) -> "Session":
         """Register a table by name and file paths (optionally with columns)."""
-        if isinstance(paths, str):
-            paths = (paths,)
         self.catalog.register(name, paths, columns=columns)
         return self
 

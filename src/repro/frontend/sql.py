@@ -25,7 +25,7 @@ from __future__ import annotations
 import datetime as _dt
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, NoReturn, Optional, Sequence, Tuple
+from typing import Dict, List, NoReturn, Optional, Sequence, Tuple, Union
 
 from repro.errors import SqlParseError, SqlSyntaxError
 from repro.plan.expressions import Column, Expression, col, lit
@@ -101,41 +101,70 @@ def date_to_days(year: int, month: int, day: int) -> int:
     return (_dt.date(year, month, day) - _dt.date(1970, 1, 1)).days
 
 
+def _path_list(paths: Union[str, Sequence[str]]) -> List[str]:
+    """A table's paths as a list; one bare path or glob is a list of one."""
+    return [paths] if isinstance(paths, str) else list(paths)
+
+
 @dataclass
 class SqlCatalog:
     """Maps table names to the object-store paths (or globs) of their files.
 
     Tables may optionally be registered with their column names; the schema
     hint lets the planner decide which side of a join owns an unqualified
-    column (per-side predicate and projection push-down).
+    column (per-side predicate and projection push-down).  A table's stored
+    size, when its registration knows it, lets the shuffle coordinator price
+    its exchange fan-out from bytes without spending a request.
     """
 
     tables: Dict[str, Sequence[str]] = field(default_factory=dict)
     columns: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
+    #: Stored bytes of a table's files (absent when unknown).
+    sizes: Dict[str, int] = field(default_factory=dict)
+
+    def __post_init__(self):
+        for name, paths in list(self.tables.items()):
+            self.tables[name] = _path_list(paths)
 
     def register(
-        self, name: str, paths: Sequence[str], columns: Optional[Sequence[str]] = None
+        self,
+        name: str,
+        paths: Union[str, Sequence[str]],
+        columns: Optional[Sequence[str]] = None,
+        size_bytes: int = 0,
     ) -> None:
-        """Register (or replace) a table, optionally with its column names."""
-        self.tables[name.lower()] = list(paths)
+        """Register (or replace) a table: one path or glob, or a sequence of
+        them, optionally with its column names and stored size.  Whatever a
+        re-registration leaves out is forgotten, not inherited."""
+        key = name.lower()
+        self.tables[key] = _path_list(paths)
         if columns is not None:
-            self.columns[name.lower()] = tuple(columns)
+            self.columns[key] = tuple(columns)
         else:
-            self.columns.pop(name.lower(), None)
+            self.columns.pop(key, None)
+        if size_bytes > 0:
+            self.sizes[key] = int(size_bytes)
+        else:
+            self.sizes.pop(key, None)
 
     def register_dataset(self, dataset) -> None:
-        """Register a generated dataset (anything with name/paths/schema)."""
-        self.register(dataset.name, dataset.paths, columns=dataset.schema.names)
+        """Register a generated dataset (anything with name/paths/schema; a
+        ``total_bytes`` attribute is kept as the table's size)."""
+        self.register(
+            dataset.name, dataset.paths, columns=dataset.schema.names,
+            size_bytes=getattr(dataset, "total_bytes", 0),
+        )
 
     def paths_of(self, name: str) -> Tuple[str, ...]:
         """Paths of a registered table."""
         key = name.lower()
         if key not in self.tables:
             raise SqlSyntaxError(f"unknown table {name!r}")
-        paths = self.tables[key]
-        if isinstance(paths, str):
-            return (paths,)
-        return tuple(paths)
+        return tuple(self.tables[key])
+
+    def size_of(self, name: str) -> int:
+        """Registered stored bytes of a table (0 when unknown)."""
+        return self.sizes.get(name.lower(), 0)
 
     def columns_of(self, name: str) -> Tuple[str, ...]:
         """Registered column names of a table (empty when unknown)."""
@@ -478,12 +507,15 @@ def parse_sql(statement: str, catalog: SqlCatalog) -> LogicalPlan:
 
     # -- build the logical plan -------------------------------------------------------
     plan: LogicalPlan = ScanNode(
-        paths=paths, schema_columns=catalog.columns_of(left_table)
+        paths=paths,
+        schema_columns=catalog.columns_of(left_table),
+        size_bytes=catalog.size_of(left_table),
     )
     for right_table, left_key, right_key in join_clauses:
         right_scan = ScanNode(
             paths=catalog.paths_of(right_table),
             schema_columns=catalog.columns_of(right_table),
+            size_bytes=catalog.size_of(right_table),
         )
         plan = JoinNode(
             child=plan, right=right_scan, left_key=left_key, right_key=right_key

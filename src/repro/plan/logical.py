@@ -93,13 +93,16 @@ class ScanNode(LogicalPlan):
     relation.  Single-table plans never need it; the join optimizer uses it
     to decide which side of a join owns a referenced column (per-side
     predicate push-down and projection push-down).  An empty tuple means the
-    schema is unknown.
+    schema is unknown.  ``size_bytes`` is the same kind of hint for the
+    relation's stored size (all files, all columns): the shuffle coordinator
+    prices its exchange fan-out from it.  ``0`` means the size is unknown.
     """
 
     paths: Tuple[str, ...]
     format: str = "lpq"
     child: Optional[LogicalPlan] = None
     schema_columns: Tuple[str, ...] = ()
+    size_bytes: int = 0
 
     def __post_init__(self):
         if not self.paths:

@@ -352,6 +352,7 @@ def _optimize_join(
             columns=left_columns,
             predicate=left_predicate,
             prune_ranges=left_ranges,
+            input_bytes=left_scan.size_bytes,
         ),
         right=JoinSidePlan(
             files=list(right_scan.paths),
@@ -359,6 +360,7 @@ def _optimize_join(
             columns=right_columns,
             predicate=right_predicate,
             prune_ranges=right_ranges,
+            input_bytes=right_scan.size_bytes,
         ),
         driver=driver,
         residual_predicate=residual,
@@ -659,6 +661,7 @@ def _optimize_dag(
             columns=columns,
             predicate=predicate,
             prune_ranges=_prune_ranges_of(predicate),
+            input_bytes=scan.size_bytes,
         )
 
     sides = {rel: side_plan(rel) for rel in order}

@@ -245,6 +245,10 @@ class JoinSidePlan:
     group_by: List[str] = field(default_factory=list)
     #: Partial aggregates computed per group (avg already decomposed).
     aggregates: List[AggregateSpec] = field(default_factory=list)
+    #: Stored bytes of this side's files, all columns (the catalog's size of
+    #: the relation; 0 = unknown).  An estimate from above of what the side
+    #: sends through the exchange: projection and predicate only shrink it.
+    input_bytes: int = 0
 
     @property
     def partition_keys(self) -> List[str]:
@@ -262,6 +266,7 @@ class JoinSidePlan:
             "prune_ranges": [item.to_dict() for item in self.prune_ranges],
             "group_by": list(self.group_by),
             "aggregates": [spec.to_dict() for spec in self.aggregates],
+            "input_bytes": self.input_bytes,
         }
 
     @classmethod
@@ -275,6 +280,7 @@ class JoinSidePlan:
             prune_ranges=[PruneRange.from_dict(item) for item in data.get("prune_ranges", [])],
             group_by=list(data.get("group_by", [])),
             aggregates=[AggregateSpec.from_dict(item) for item in data.get("aggregates", [])],
+            input_bytes=int(data.get("input_bytes", 0)),
         )
 
 
@@ -359,6 +365,42 @@ class DagPhysicalPlan:
     def as_dag(self) -> "DagPhysicalPlan":
         return self
 
+    def sides(self) -> List[Tuple[str, JoinSidePlan]]:
+        """Every scan fleet as ``(exchange tag, fragment)``: the base
+        (``"L"``), then each stage's build side (``"R"``, ``"R1"``, ...)."""
+        sides = [("L", self.base)]
+        sides.extend(
+            ("R" if index == 0 else f"R{index}", stage.right)
+            for index, stage in enumerate(self.stages)
+        )
+        return sides
+
+    @property
+    def estimated_exchange_bytes(self) -> int:
+        """Bytes the scan wave sends through the exchange, estimated from
+        above: the stored size of every side's files, projection and
+        predicates ignored.  ``0`` when any side's size is unknown — a sum
+        with a hole in it bounds nothing."""
+        sizes = [side.input_bytes for _, side in self.sides()]
+        return sum(sizes) if all(size > 0 for size in sizes) else 0
+
+    def exchange_partitions(self, num_workers: Optional[int] = None) -> int:
+        """Join workers per wave the coordinator starts for this plan, by its
+        own rule (:func:`~repro.driver.shuffle.exchange_fan_out`) under the
+        default bandwidth model and worker size; fleets are taken as one
+        mapper per listed file (a glob counts as one)."""
+        from repro.cloud.lambda_service import FunctionConfig
+        from repro.cloud.network import BandwidthModel
+        from repro.driver.shuffle import exchange_fan_out
+
+        return exchange_fan_out(
+            BandwidthModel(),
+            FunctionConfig.memory_mib,
+            self.estimated_exchange_bytes,
+            [max(1, len(side.files)) for _, side in self.sides()],
+            num_workers,
+        )
+
     def waves(self) -> List[Dict]:
         """Wave descriptors, in dispatch order (the unified plan protocol).
 
@@ -370,11 +412,6 @@ class DagPhysicalPlan:
         bounds each fleet's size (actual fleets shrink to the file count at
         execution time).
         """
-        sides = [("L", self.base)]
-        sides.extend(
-            ("R" if index == 0 else f"R{index}", stage.right)
-            for index, stage in enumerate(self.stages)
-        )
         fleets = [
             {
                 "role": "scan",
@@ -385,7 +422,7 @@ class DagPhysicalPlan:
                 "columns": list(side.columns),
                 "predicate": side.predicate is not None,
             }
-            for tag, side in sides
+            for tag, side in self.sides()
         ]
         waves: List[Dict] = [{"kind": "map", "fleets": fleets}]
         if not self.stages:
@@ -407,9 +444,15 @@ class DagPhysicalPlan:
             )
         return waves
 
-    def estimated_cost(self, num_workers: int = 8) -> float:
-        """Modelled request dollars of the exchange waves (admission estimate)."""
-        return _estimate_exchange_cost(self.waves(), num_workers)
+    def estimated_cost(self, num_workers: Optional[int] = None) -> float:
+        """Modelled request dollars of the exchange waves (admission estimate).
+
+        Priced at the fan-out the coordinator would choose
+        (:meth:`exchange_partitions`); ``num_workers`` overrides it the way
+        it overrides the coordinator's choice."""
+        return _estimate_exchange_cost(
+            self.waves(), num_workers, self.exchange_partitions(num_workers)
+        )
 
     def explain(self) -> str:
         """Human-readable description of the DAG: one line per fleet/stage."""
@@ -417,6 +460,15 @@ class DagPhysicalPlan:
             f"DagPhysicalPlan ({len(self.stages)} join stage(s), "
             "grouped into join waves at run time)"
         ]
+        estimated = self.estimated_exchange_bytes
+        lines.append(
+            f"exchange: {self.exchange_partitions()} join worker(s) per wave, "
+            + (
+                f"priced from <= {estimated} bytes through the exchange"
+                if estimated
+                else "one per file of the largest fleet (relation sizes unknown)"
+            )
+        )
         for wave_index, wave in enumerate(self.waves()):
             if wave["kind"] == "map":
                 lines.append(f"wave {wave_index}: map (scan + repartition)")
@@ -516,7 +568,7 @@ class JoinPhysicalPlan:
         """Wave descriptors of the equivalent one-stage DAG."""
         return self.as_dag().waves()
 
-    def estimated_cost(self, num_workers: int = 8) -> float:
+    def estimated_cost(self, num_workers: Optional[int] = None) -> float:
         """Modelled request dollars of the exchange waves (admission estimate)."""
         return self.as_dag().estimated_cost(num_workers)
 
@@ -547,10 +599,26 @@ def describe_executed_waves(wave_stages: Sequence[Sequence[int]]) -> str:
     return "executed: " + ", ".join(waves)
 
 
-def _estimate_exchange_cost(waves: Sequence[Dict], num_workers: int) -> float:
+def describe_exchange_fan_out(
+    partitions: int, estimated_bytes: int, written_bytes: int
+) -> str:
+    """One line putting a run's exchange next to the planner's estimate, e.g.
+    ``exchange: 1 join worker(s) per wave; 613903 bytes written (estimated <=
+    4821333)``."""
+    estimate = f"estimated <= {estimated_bytes}" if estimated_bytes else "not estimated"
+    return (
+        f"exchange: {partitions} join worker(s) per wave; "
+        f"{written_bytes} bytes written ({estimate})"
+    )
+
+
+def _estimate_exchange_cost(
+    waves: Sequence[Dict], num_workers: Optional[int], partitions: int
+) -> float:
     """Sum the write-combined exchange cost model over a plan's waves (one
-    exchange per scan fleet and per logical join stage: the upper bound,
-    before fusion; a merge wave only reads what its fleet wrote)."""
+    exchange per scan fleet — one mapper per file, at most ``num_workers`` —
+    and one of ``partitions`` workers per logical join stage: the upper
+    bound, before fusion; a merge wave only reads what its fleet wrote)."""
     from repro.exchange.cost_model import ExchangeCostModel
 
     model = ExchangeCostModel()
@@ -558,10 +626,11 @@ def _estimate_exchange_cost(waves: Sequence[Dict], num_workers: int) -> float:
     for wave in waves:
         if wave["kind"] == "map":
             for fleet in wave["fleets"]:
-                workers = max(1, min(num_workers, fleet["files"] or 1))
+                files = fleet["files"] or 1
+                workers = max(1, min(num_workers or files, files))
                 total += model.cost("1l-wc", workers)["total_cost"]
         elif wave["kind"] == "join":
-            total += model.cost("1l-wc", max(1, num_workers))["total_cost"]
+            total += model.cost("1l-wc", partitions)["total_cost"]
     return total
 
 

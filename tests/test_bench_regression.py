@@ -162,6 +162,34 @@ def test_checker_flags_wave_per_join_and_sweep_by_list(
 
 
 @pytest.mark.parametrize(
+    "query, field, regressed",
+    [
+        # One join worker per LINEITEM file again: 3 more workers than Q5 needs ...
+        ("q5", "workers", 16),
+        # ... each reading its slice of every sender object: 4x the GETs.
+        ("q5", "exchange_get_requests", 44),
+        ("q12", "exchange_get_requests", 12),
+    ],
+)
+def test_checker_flags_a_fan_out_counted_from_files(
+    checker, baseline, tmp_path, query, field, regressed
+):
+    results = baseline["results"]
+    assert len(checker.ABSOLUTE_FAN_OUT_CEILINGS) == 2 * 8  # the eight join queries
+    for (section, name), ceiling in checker.ABSOLUTE_FAN_OUT_CEILINGS.items():
+        assert results[section][name] <= ceiling
+        # One join worker: everything else is a mapper, and wrote one object.
+        assert results[section]["workers"] == results[section]["exchange_put_requests"] + 1
+    doctored = json.loads(json.dumps(baseline))
+    doctored["results"][query][field] = regressed
+    path = tmp_path / "file_count.json"
+    path.write_text(json.dumps(doctored), encoding="utf-8")
+    assert checker.check(path, None, tolerance=0.6) != 0
+    assert checker.check(path, None, tolerance=0.6, sections=["dag_join"]) == 0
+    assert checker.check(path, None, tolerance=0.6, sections=["dag_join", query]) != 0
+
+
+@pytest.mark.parametrize(
     "field, regressed",
     [
         # A general-purpose compressor (or per-slice Python) back on the path.

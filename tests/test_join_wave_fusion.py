@@ -245,19 +245,19 @@ def test_explain_reports_the_executed_grouping(fused, unfused):
 # -- (c) what a fused Q5 requests, on the join_dag benchmark shape ---------------------------
 
 
-def test_fused_q5_request_pins_on_the_join_dag_shape():
+def _assert_q5_request_pins(num_workers, partitions):
     env, datasets = _stack(scale_factor=0.01, lineitem_files=8, orders_files=4)
     session = _session(env, datasets)
-    session.sql(q.q5_sql())  # warm: buckets and queues exist
+    session.sql(q.q5_sql(), num_workers=num_workers)  # warm: buckets and queues exist
     objects_before = env.s3.object_count()
     before = {name: env.ledger.total("s3", name)
               for name in ("list_requests", "put_requests", "get_requests")}
-    result = session.sql(q.q5_sql())
+    result = session.sql(q.q5_sql(), num_workers=num_workers)
     stats = result.statistics
     delta = {name: env.ledger.total("s3", name) - count for name, count in before.items()}
 
     assert (stats.dag_stages, stats.join_waves, stats.broadcast_stages) == (5, 1, 4)
-    partitions = 8
+    assert stats.exchange_partitions == partitions
     mappers = stats.num_workers - partitions
     assert mappers == 18
     assert delta["list_requests"] == 0 and stats.gc_list_requests == 0
@@ -269,6 +269,17 @@ def test_fused_q5_request_pins_on_the_join_dag_shape():
     assert delta["get_requests"] == stats.get_requests + stats.exchange.get_requests
     assert stats.gc_objects_deleted == mappers
     assert env.s3.object_count() == objects_before
+
+
+def test_fused_q5_request_pins_on_the_join_dag_shape():
+    # All seven relations together store ~1 MB: the rule starts one join
+    # worker, 19 workers in all, and it reads each sender object once.
+    _assert_q5_request_pins(num_workers=None, partitions=1)
+
+
+def test_fused_q5_request_pins_at_the_file_count_fan_out():
+    # What ran before fan-out was priced: one join worker per LINEITEM file.
+    _assert_q5_request_pins(num_workers=8, partitions=8)
 
 
 # -- (d) whole-object reads are verified and recover alone ------------------------------------

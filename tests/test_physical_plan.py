@@ -1,5 +1,6 @@
 """Tests for physical plan fragments and their serialisation."""
 
+import dataclasses
 import math
 
 import pytest
@@ -176,6 +177,10 @@ def test_join_side_plan_roundtrips_its_partial_aggregate_fragment():
     plain = JoinSidePlan.from_dict({"files": ["s3://b/0.lpq"], "key": "k"})
     assert plain.group_by == [] and plain.aggregates == []
     assert plain.partition_keys == ["k"]
+    # Likewise the side's stored size: absent in an old payload means unknown.
+    assert (side.input_bytes, plain.input_bytes) == (0, 0)
+    sized = dataclasses.replace(side, input_bytes=12345)
+    assert JoinSidePlan.from_dict(sized.to_dict()).input_bytes == 12345
 
 
 def test_zero_stage_dag_describes_a_scan_wave_and_a_merge_wave():

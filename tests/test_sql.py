@@ -127,6 +127,26 @@ def test_catalog_register_and_lookup():
         catalog.paths_of("lineitem")
 
 
+def test_catalog_register_takes_one_bare_path_like_the_constructor():
+    """A string is one path or glob, not a sequence of characters."""
+    glob = "s3://bucket/t/*.lpq"
+    catalog = SqlCatalog(tables={"built": glob})
+    catalog.register("registered", glob)
+    assert catalog.paths_of("built") == catalog.paths_of("registered") == (glob,)
+    scan = parse_sql("SELECT sum(a) AS s FROM registered", catalog).scan()
+    assert scan.paths == (glob,)
+
+
+def test_catalog_reregistration_forgets_what_it_leaves_out():
+    catalog = SqlCatalog()
+    catalog.register("t", ["s3://b/t.lpq"], columns=("a", "b"), size_bytes=4096)
+    assert (catalog.columns_of("t"), catalog.size_of("T")) == (("a", "b"), 4096)
+    assert parse_sql("SELECT sum(a) AS s FROM t", catalog).scan().size_bytes == 4096
+    catalog.register("t", ["s3://b/other.lpq"])
+    assert (catalog.columns_of("t"), catalog.size_of("t")) == ((), 0)
+    assert parse_sql("SELECT sum(a) AS s FROM t", catalog).scan().size_bytes == 0
+
+
 def test_q1_sql_parses_and_matches_plan_builder(catalog):
     plan = parse_sql(q1_sql(), catalog)
     agg = next(node for node in plan.chain() if isinstance(node, AggregateNode))
