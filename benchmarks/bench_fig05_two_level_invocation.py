@@ -2,7 +2,8 @@
 
 Reproduces the invocation-timeline experiment: the driver invokes ~sqrt(P)
 first-generation workers which each invoke ~sqrt(P) second-generation workers.
-Includes the flat-invocation ablation the paper compares against (13-18 s).
+Includes the flat-invocation ablation the paper compares against (13-18 s)
+and the shape the driver prices from the two invocation rates.
 """
 
 import numpy as np
@@ -31,6 +32,11 @@ def test_fig5_two_level_invocation(benchmark, experiment_report):
         f"(paper: ~2.5 s); whole fleet running at {data['all_started_seconds']:.2f} s",
         f"  flat driver-only invocation would take {data['flat_invocation_seconds']:.1f} s "
         f"(paper: 13-18 s) -> speed-up {data['flat_invocation_seconds'] / data['all_started_seconds']:.1f}x",
+        f"  priced from Table 1 (what the driver does): {data['priced_first_generation']} "
+        f"first-generation workers, whole fleet running at "
+        f"{data['priced_all_started_seconds']:.2f} s",
     )
     assert completion.max() < 3.5
     assert data["flat_invocation_seconds"] > 13
+    assert data["first_generation"] == 64
+    assert data["priced_all_started_seconds"] <= data["all_started_seconds"] < 3.0

@@ -6,12 +6,13 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_hot_paths.py   # writes BENCH_hot_paths.json
     PYTHONPATH=src python scripts/run_tpch_experiments.py # writes BENCH_tpch.json
     python scripts/check_bench_regression.py [--baseline BENCH_hot_paths.json] \
-        [--baseline BENCH_tpch.json] [--current fresh.json] [--tolerance 0.6]
+        [--baseline BENCH_tpch.json] [--current fresh.json] [--tolerance 0.6] \
+        [--invocation-output invocation.txt]
 
 ``--baseline`` is repeatable; with none given, both committed trajectories
 (``BENCH_hot_paths.json`` and ``BENCH_tpch.json``) are loaded and merged.
 
-Seven kinds of checks:
+Eight kinds of checks:
 
 * **absolute floors** — the speedups the PR's acceptance criteria promise
   (partition scatter >= 5x, payload round-trip >= 3x, shuffle PUT collapse
@@ -44,7 +45,11 @@ Seven kinds of checks:
 * **relative regression** — each current speedup must stay within
   ``tolerance`` of the committed baseline (defaults to 60%, loose enough for
   machine-to-machine noise, tight enough to catch an accidental
-  de-vectorisation).
+  de-vectorisation);
+* **launch shape** — with ``--invocation-output`` (repeatable), the text
+  ``repro invocation --workers N`` printed: the shape the driver prices from
+  Table 1 must start the fleet no later than the flat launch and no later
+  than the paper's ⌈√P⌉ tree, at every fleet size given.
 
 With no ``--current`` file, the baseline itself is checked against the
 absolute floors — a cheap CI sanity check that the committed trajectory still
@@ -57,6 +62,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -205,6 +211,39 @@ RELATIVE_FIELDS = (
     "request_cost_collapse",
     "modelled_speedup",
 )
+
+
+#: One shape line of ``repro invocation``: label, seconds until the whole
+#: fleet runs, first-generation workers.
+INVOCATION_LINE = re.compile(
+    r"^\s*(flat|two-level tree|priced)[^:]*:\s*([0-9.]+) s\s+"
+    r"first generation:\s*(\d+) workers\s*$"
+)
+
+
+def check_invocation_output(text: str, source: str = "invocation") -> list[str]:
+    """Failures of one ``repro invocation`` output: priced <= flat, <= tree."""
+    seconds = {}
+    for line in text.splitlines():
+        match = INVOCATION_LINE.match(line)
+        if match:
+            seconds[match.group(1)] = float(match.group(2))
+    missing = {"flat", "two-level tree", "priced"} - set(seconds)
+    if missing:
+        return [f"{source}: no line for the {', '.join(sorted(missing))} shape"]
+    failures = []
+    for shape in ("flat", "two-level tree"):
+        if seconds["priced"] > seconds[shape]:
+            failures.append(
+                f"{source}: priced launch takes {seconds['priced']:.3f} s, "
+                f"longer than the {shape} launch ({seconds[shape]:.3f} s)"
+            )
+        else:
+            print(
+                f"ok: {source} priced {seconds['priced']:.3f} s <= "
+                f"{shape} {seconds[shape]:.3f} s"
+            )
+    return failures
 
 
 def load_results(path: Path) -> dict:
@@ -407,7 +446,27 @@ def main() -> int:
         metavar="SECTION",
         help="check only this section (repeatable); defaults to all sections",
     )
+    parser.add_argument(
+        "--invocation-output",
+        type=Path,
+        action="append",
+        default=None,
+        metavar="PATH",
+        help="text printed by `repro invocation --workers N` (repeatable); "
+        "checks only the launch shapes, no trajectory",
+    )
     arguments = parser.parse_args()
+    if arguments.invocation_output:
+        failures = [
+            failure
+            for path in arguments.invocation_output
+            for failure in check_invocation_output(
+                path.read_text(encoding="utf-8"), source=str(path)
+            )
+        ]
+        for failure in failures:
+            print(f"FAIL: {failure}", file=sys.stderr)
+        return 1 if failures else 0
     repo_root = Path(__file__).resolve().parent.parent
     baselines = arguments.baseline or [
         repo_root / "BENCH_hot_paths.json",

@@ -39,7 +39,7 @@ from repro.config import (
     VCPU_ROWS_PER_SECOND,
 )
 from repro.driver.driver import LambadaDriver, QueryResult
-from repro.driver.invocation import TreeInvocationModel
+from repro.driver.invocation import InvocationModel
 from repro.driver.worker import COLD_EXECUTION_PENALTY
 from repro.workload.queries import (
     Q1_SHIPDATE_CUTOFF_DAYS,
@@ -217,7 +217,7 @@ class PaperScaleModel:
 
     def latency_seconds(self) -> float:
         """Modelled end-to-end query latency."""
-        invocation = TreeInvocationModel(region=self.region)
+        invocation = InvocationModel(region=self.region)
         start_times = invocation.worker_start_times(self.num_workers, cold=self.cold)
         durations = self.worker_durations()
         # Workers that prune everything finish early regardless of start time;

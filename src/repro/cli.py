@@ -18,8 +18,8 @@ and the bill.  Subcommands:
     exchange variants for a given fleet size.
 
 ``invocation``
-    Print the flat vs two-level invocation times for a given fleet size
-    (Figure 5).
+    Print the time to start a fleet of a given size flat, through the paper's
+    ⌈√P⌉ tree, and in the shape the driver prices from Table 1 (Figure 5).
 
 ``qaas``
     Print the Figure 12 comparison (Lambada vs Athena vs BigQuery) for a
@@ -52,7 +52,11 @@ from repro.analysis.experiments import PaperScaleModel
 from repro.baselines.qaas import AthenaModel, BigQueryModel
 from repro.cloud.environment import CloudEnvironment
 from repro.driver.catalog import StatisticsCatalog
-from repro.driver.invocation import FlatInvocationModel, TreeInvocationModel
+from repro.driver.invocation import (
+    FlatInvocationModel,
+    InvocationModel,
+    TreeInvocationModel,
+)
 from repro.exchange.cost_model import EXCHANGE_VARIANTS, ExchangeCostModel
 from repro.frontend.session import connect
 from repro.frontend.sql import SqlCatalog, parse_sql
@@ -122,7 +126,7 @@ def _build_parser() -> argparse.ArgumentParser:
     exchange = subparsers.add_parser("exchange-cost", help="exchange request-cost model (Table 2 / Figure 9)")
     exchange.add_argument("--workers", type=int, default=1024, help="fleet size P")
 
-    invocation = subparsers.add_parser("invocation", help="flat vs two-level invocation times (Figure 5)")
+    invocation = subparsers.add_parser("invocation", help="flat vs two-level vs priced invocation times (Figure 5)")
     invocation.add_argument("--workers", type=int, default=4096, help="fleet size P")
     invocation.add_argument("--region", default="eu", choices=["eu", "us", "sa", "ap"])
 
@@ -242,12 +246,18 @@ def _run_exchange_cost(args: argparse.Namespace, out) -> int:
 
 
 def _run_invocation(args: argparse.Namespace, out) -> int:
-    flat = FlatInvocationModel(region=args.region)
-    tree = TreeInvocationModel(region=args.region)
     print(f"starting {args.workers} workers in region {args.region!r}", file=out)
-    print(f"  flat (driver only):   {flat.time_to_start_all(args.workers):8.2f} s", file=out)
-    print(f"  two-level tree:       {tree.time_to_start_all(args.workers):8.2f} s", file=out)
-    print(f"  first generation:     {tree.first_generation_count(args.workers)} workers", file=out)
+    for label, model in (
+        ("flat (driver only)", FlatInvocationModel(region=args.region)),
+        ("two-level tree (√P)", TreeInvocationModel(region=args.region)),
+        ("priced (driver's choice)", InvocationModel(region=args.region)),
+    ):
+        plan = model.plan(args.workers)
+        print(
+            f"  {label + ':':<26}{plan.time_to_start_all:8.3f} s"
+            f"   first generation: {plan.first_generation} workers",
+            file=out,
+        )
     return 0
 
 

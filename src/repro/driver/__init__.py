@@ -2,14 +2,17 @@
 
 The driver runs on the data scientist's machine: it compiles queries, deploys
 the worker function (at installation time), invokes the serverless workers —
-using the two-level tree invocation strategy of §4.2 — and collects their
-partial results from the SQS result queue.
+in one hop or through the two-level tree of §4.2, whichever the invocation
+rates price as faster — and collects their partial results from the SQS
+result queue.
 """
 
 from repro.driver.invocation import (
     FlatInvocationModel,
+    InvocationModel,
     TreeInvocationModel,
     InvocationTimeline,
+    LaunchPlan,
     build_invocation_tree,
 )
 from repro.driver.worker import make_worker_handler, WORKER_FUNCTION_NAME
@@ -26,8 +29,10 @@ __all__ = [
     "ShuffleConfig",
     "ShuffleStatistics",
     "FlatInvocationModel",
+    "InvocationModel",
     "TreeInvocationModel",
     "InvocationTimeline",
+    "LaunchPlan",
     "build_invocation_tree",
     "make_worker_handler",
     "WORKER_FUNCTION_NAME",

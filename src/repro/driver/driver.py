@@ -1,8 +1,9 @@
 """The Lambada driver: query coordinator.
 
 The driver deploys the worker function once ("installation"), then executes
-queries by compiling them, invoking the worker fleet through the two-level
-tree strategy, polling the SQS result queue, and merging the partial results
+queries by compiling them, invoking the worker fleet in the shape its launch
+plan prices (one hop, or the two-level tree of §4.2 for a large fleet),
+polling the SQS result queue, and merging the partial results
 locally (the driver scope of the physical plan).  It reports per-query
 statistics — modelled end-to-end latency and the full dollar-cost breakdown —
 which the evaluation benchmarks consume.
@@ -40,7 +41,7 @@ from repro.driver.integrity import (
     fetch_spilled_result,
     open_message,
 )
-from repro.driver.invocation import TreeInvocationModel, build_invocation_tree
+from repro.driver.invocation import InvocationModel, LaunchPlan, build_invocation_tree
 from repro.driver.resilience import (
     DEFAULT_RESILIENCE_POLICY,
     TRANSIENT_CLOUD_ERRORS,
@@ -316,6 +317,9 @@ class LambadaDriver:
         #: the write-combined default.
         self.shuffle_config = shuffle_config
         self._join_coordinator = None
+        #: Launch arithmetic of every fleet this driver starts: the shape and
+        #: start times priced from the region's Table 1 constants.
+        self._invocation = InvocationModel(region=env.region)
         #: Retry/backoff/hedging knobs (see :mod:`repro.driver.resilience`).
         self.resilience_policy = resilience_policy or DEFAULT_RESILIENCE_POLICY
         self._jitter_rng = random.Random(self.resilience_policy.jitter_seed)
@@ -478,6 +482,7 @@ class LambadaDriver:
             }
             for worker_id, worker_plan in enumerate(worker_plans)
         ]
+        launch = self._invocation.plan(len(payloads), cold=cold)
 
         resilience = ResilienceStats()
         integrity_stats = IntegrityStats()
@@ -501,7 +506,7 @@ class LambadaDriver:
         try:
             if self.execution_mode == "processes" and self._pool_supported(physical):
                 pooled = self._execute_pooled(
-                    physical, payloads, report, cold, max_worker_retries,
+                    physical, payloads, launch, report, cold, max_worker_retries,
                     resilience, faults_before,
                 )
                 if pooled is not None:
@@ -510,7 +515,7 @@ class LambadaDriver:
                 # storm / open invocation breaker): fall through to the
                 # classic serial dispatch below.
 
-            tree = build_invocation_tree(payloads)
+            tree = build_invocation_tree(payloads, launch)
 
             self.env.sqs.purge_queue(self.result_queue)
             self._invoke_tree(tree, resilience)
@@ -541,7 +546,7 @@ class LambadaDriver:
 
             table, reduce_value = self._merge(physical, worker_results)
             statistics = self._build_statistics(
-                physical, worker_results, num_workers=len(payloads), cold=cold,
+                physical, worker_results, launch=launch, cold=cold,
                 resilience=resilience, fault_snapshot=faults_before,
                 extra_billed_seconds=hedge_billed_seconds,
                 integrity=integrity_stats,
@@ -612,12 +617,12 @@ class LambadaDriver:
         )
 
         durations = [result.duration_seconds for result in worker_results]
-        invocation = TreeInvocationModel(region=self.env.region)
         num_total = join_stats.num_workers
+        invocation_seconds = self._invocation.time_to_start_all(num_total, cold=cold)
         result_poll_seconds = DEFAULT_RESILIENCE.result_poll_seconds
         # modelled_latency_seconds already includes the coordinator's backoff.
         latency = (
-            invocation.time_to_start_all(num_total, cold=cold)
+            invocation_seconds
             + join_stats.modelled_latency_seconds
             + result_poll_seconds
         )
@@ -625,7 +630,7 @@ class LambadaDriver:
             num_workers=num_total,
             memory_mib=self.memory_mib,
             cold=cold,
-            invocation_seconds=invocation.time_to_start_all(num_total, cold=cold),
+            invocation_seconds=invocation_seconds,
             max_worker_seconds=float(max(durations)) if durations else 0.0,
             median_worker_seconds=float(np.median(durations)) if durations else 0.0,
             latency_seconds=latency,
@@ -726,6 +731,7 @@ class LambadaDriver:
         self,
         physical: PhysicalPlan,
         payloads: List[Dict],
+        launch: LaunchPlan,
         report: Optional[OptimizerReport],
         cold: bool,
         max_worker_retries: int,
@@ -842,7 +848,7 @@ class LambadaDriver:
 
             table, reduce_value = self._merge(physical, worker_results)
             statistics = self._build_statistics(
-                physical, worker_results, num_workers=len(payloads), cold=cold,
+                physical, worker_results, launch=launch, cold=cold,
                 resilience=resilience, fault_snapshot=fault_snapshot,
             )
             statistics.overload = self._overload_block(self._active_budget)
@@ -1470,7 +1476,7 @@ class LambadaDriver:
         self,
         physical: PhysicalPlan,
         worker_results: List[WorkerResult],
-        num_workers: int,
+        launch: LaunchPlan,
         cold: bool,
         resilience: Optional[ResilienceStats] = None,
         fault_snapshot: Optional[Dict[str, int]] = None,
@@ -1489,8 +1495,8 @@ class LambadaDriver:
             resilience.faults_injected = fault_delta(self.env, fault_snapshot)
         prices = self.env.ledger.prices
         durations = [result.duration_seconds for result in worker_results]
-        invocation = TreeInvocationModel(region=self.env.region)
-        start_times = invocation.worker_start_times(num_workers, cold=cold)
+        num_workers = launch.num_workers
+        start_times = launch.worker_start_times()
         completion = start_times[: len(durations)] + np.asarray(durations)
         # Result collection: one additional round of SQS polling.
         result_poll_seconds = DEFAULT_RESILIENCE.result_poll_seconds
@@ -1528,7 +1534,7 @@ class LambadaDriver:
             num_workers=num_workers,
             memory_mib=self.memory_mib,
             cold=cold,
-            invocation_seconds=invocation.time_to_start_all(num_workers, cold=cold),
+            invocation_seconds=launch.time_to_start_all,
             max_worker_seconds=float(max(durations)) if durations else 0.0,
             median_worker_seconds=float(np.median(durations)) if durations else 0.0,
             latency_seconds=latency,

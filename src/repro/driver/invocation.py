@@ -1,4 +1,4 @@
-"""Worker invocation strategies and their timing models.
+"""Worker invocation: one launch arithmetic, three shapes.
 
 Starting thousands of workers from the driver alone takes 13–18 s at the
 measured invocation rates (Table 1), which would dominate an interactive
@@ -7,21 +7,27 @@ driver invokes ~√P first-generation workers, each of which invokes ~√P
 second-generation workers before starting on its own query fragment; 4096
 workers start in under 3 s.
 
-This module provides both the analytic timing models (for Figure 5 and the
-flat-vs-tree ablation) and the functional tree builder used by the driver to
-construct the invocation payloads.
+A small fleet is the opposite case: the second hop costs one more request
+latency and start-up than the driver needs to start every worker itself.
+The launch is therefore a *priced plan* (:class:`LaunchPlan`): the number of
+first-generation workers is the one that minimises the modelled time the
+last worker starts, from the region's Table 1 rates and the cold/warm
+start-up.  All of them is the flat launch; ⌈√P⌉ is the paper's tree; both
+stay available as fixed shapes of the same arithmetic
+(:class:`FlatInvocationModel`, :class:`TreeInvocationModel`) next to the
+priced :class:`InvocationModel` the driver uses, which shapes the payloads
+(:func:`build_invocation_tree`) and charges the start times of one plan.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.config import (
-    DRIVER_INVOKER_THREADS,
     INVOCATION_LATENCY_SECONDS,
     INVOCATION_RATE_DRIVER,
     INVOCATION_RATE_INTRA_REGION,
@@ -55,120 +61,194 @@ class InvocationTimeline:
         return float(self.completion_times.max())
 
 
-class FlatInvocationModel:
-    """Driver-only invocation with a pool of invoker threads (the baseline)."""
+@dataclass(frozen=True)
+class LaunchPlan:
+    """How one fleet is started, and when each of its workers runs.
 
-    def __init__(self, region: str = "eu", threads: int = DRIVER_INVOKER_THREADS):
+    The driver invokes workers ``0 … first_generation − 1`` one after the
+    other at ``driver_rate``; the remaining workers are dealt round-robin to
+    those parents, each of which invokes its children at ``worker_rate``
+    before starting on its own fragment.  ``first_generation ==
+    num_workers`` is the flat launch: nobody has children, nobody pays a
+    second hop.
+    """
+
+    num_workers: int
+    first_generation: int
+    driver_rate: float
+    worker_rate: float
+    #: One-way request latency of one invocation.
+    latency: float
+    #: Cold or warm start-up of one function instance.
+    startup: float
+
+    def timeline(self) -> InvocationTimeline:
+        """Per-first-generation-worker timing breakdown (Figure 5)."""
+        parents = self.first_generation
+        base, extra = divmod(self.num_workers - parents, parents)
+        children = np.full(parents, base, dtype=np.int64)
+        children[:extra] += 1
+        return InvocationTimeline(
+            before_own_invocation=np.arange(parents) / self.driver_rate,
+            own_invocation=np.full(parents, self.latency + self.startup),
+            invoking_workers=children / self.worker_rate,
+        )
+
+    def worker_start_times(self) -> np.ndarray:
+        """Modelled start time of every worker, by worker id.
+
+        A first-generation worker starts one request latency + start-up
+        after the driver initiated it; its n-th child one latency + start-up
+        after the parent got to the n-th of its invocations.
+        """
+        timeline = self.timeline()
+        parent_started = timeline.before_own_invocation + timeline.own_invocation
+        child = np.arange(self.num_workers - self.first_generation)
+        child_started = (
+            parent_started[child % self.first_generation]
+            + (child // self.first_generation + 1) / self.worker_rate
+            + self.latency
+            + self.startup
+        )
+        return np.concatenate([parent_started, child_started])
+
+    @property
+    def time_to_start_all(self) -> float:
+        """Time until every worker of the fleet is running."""
+        return float(self.worker_start_times().max())
+
+
+def _startup_seconds(cold: bool) -> float:
+    return LAMBDA_COLD_START_SECONDS if cold else LAMBDA_WARM_START_SECONDS
+
+
+def _last_start_seconds(
+    num_workers: int,
+    first_generation: np.ndarray,
+    driver_rate: float,
+    worker_rate: float,
+    hop: float,
+) -> np.ndarray:
+    """``LaunchPlan.time_to_start_all`` for an array of first-generation counts.
+
+    The closed form of the same arithmetic: children are dealt round-robin,
+    so the parents split into an early group with one child more and a late
+    group, and within a group the last parent finishes last.  The last worker
+    to start is that parent's last child — or, when the late group has no
+    children at all, possibly the last worker the driver invoked itself.
+    """
+    base, extra = np.divmod(num_workers - first_generation, first_generation)
+    last_root = (first_generation - 1) / driver_rate + hop
+    early_parent = np.where(
+        extra > 0, (extra - 1) / driver_rate + (base + 1) / worker_rate, -np.inf
+    )
+    late_parent = np.where(
+        base > 0, (first_generation - 1) / driver_rate + base / worker_rate, -np.inf
+    )
+    last_child = np.maximum(early_parent, late_parent) + 2 * hop
+    return np.maximum(last_root, last_child)
+
+
+class InvocationModel:
+    """The launch priced from Table 1: whichever shape starts the fleet first."""
+
+    def __init__(self, region: str = "eu"):
         if region not in INVOCATION_RATE_DRIVER:
             raise ValueError(f"unknown region {region!r}")
         self.region = region
-        self.threads = threads
-        self.rate = INVOCATION_RATE_DRIVER[region]
-        self.latency = INVOCATION_LATENCY_SECONDS[region]
-
-    def time_to_start_all(self, num_workers: int, cold: bool = True) -> float:
-        """Time until all ``num_workers`` are running."""
-        if num_workers <= 0:
-            raise ValueError("num_workers must be positive")
-        startup = LAMBDA_COLD_START_SECONDS if cold else LAMBDA_WARM_START_SECONDS
-        return num_workers / self.rate + self.latency + startup
-
-    def worker_start_times(self, num_workers: int, cold: bool = True) -> np.ndarray:
-        """Modelled start time of every worker (in invocation order)."""
-        startup = LAMBDA_COLD_START_SECONDS if cold else LAMBDA_WARM_START_SECONDS
-        initiated = np.arange(num_workers) / self.rate
-        return initiated + self.latency + startup
-
-
-class TreeInvocationModel:
-    """Two-level tree invocation (the paper's strategy)."""
-
-    def __init__(self, region: str = "eu", threads: int = DRIVER_INVOKER_THREADS):
-        if region not in INVOCATION_RATE_DRIVER:
-            raise ValueError(f"unknown region {region!r}")
-        self.region = region
-        self.threads = threads
         self.driver_rate = INVOCATION_RATE_DRIVER[region]
         self.worker_rate = INVOCATION_RATE_INTRA_REGION[region]
         self.latency = INVOCATION_LATENCY_SECONDS[region]
 
+    def first_generation_count(self, num_workers: int, cold: bool = True) -> int:
+        """Number of workers the driver invokes itself.
+
+        The count that minimises the time the last worker starts: all of
+        them while the driver's last invocation lands before a second hop
+        could (up to 29 warm / 250 cold workers in ``eu``), towards
+        √(P · driver_rate / worker_rate) ≈ 1.9 √P for a large fleet.
+        """
+        if num_workers <= 0:
+            raise ValueError("num_workers must be positive")
+        candidates = np.arange(1, num_workers + 1)
+        seconds = _last_start_seconds(
+            num_workers, candidates, self.driver_rate, self.worker_rate,
+            self.latency + _startup_seconds(cold),
+        )
+        return int(candidates[np.argmin(seconds)])
+
+    def plan(self, num_workers: int, cold: bool = True) -> LaunchPlan:
+        """The launch of a fleet of ``num_workers``."""
+        return LaunchPlan(
+            num_workers=num_workers,
+            first_generation=self.first_generation_count(num_workers, cold),
+            driver_rate=self.driver_rate,
+            worker_rate=self.worker_rate,
+            latency=self.latency,
+            startup=_startup_seconds(cold),
+        )
+
+    def timeline(self, num_workers: int, cold: bool = True) -> InvocationTimeline:
+        """Per-first-generation-worker timing breakdown (Figure 5)."""
+        return self.plan(num_workers, cold).timeline()
+
+    def time_to_start_all(self, num_workers: int, cold: bool = True) -> float:
+        """Time until all ``num_workers`` are running."""
+        return self.plan(num_workers, cold).time_to_start_all
+
+    def worker_start_times(self, num_workers: int, cold: bool = True) -> np.ndarray:
+        """Modelled start time of every worker, by worker id."""
+        return self.plan(num_workers, cold).worker_start_times()
+
+
+class FlatInvocationModel(InvocationModel):
+    """Driver-only invocation with a pool of invoker threads (the baseline)."""
+
+    @property
+    def rate(self) -> float:
+        """Invocations per second the driver sustains (Table 1)."""
+        return self.driver_rate
+
+    def first_generation_count(self, num_workers: int, cold: bool = True) -> int:
+        """Every worker is invoked by the driver."""
+        if num_workers <= 0:
+            raise ValueError("num_workers must be positive")
+        return num_workers
+
+
+class TreeInvocationModel(InvocationModel):
+    """Two-level tree invocation with ⌈√P⌉ parents (the paper's strategy)."""
+
     @staticmethod
-    def first_generation_count(num_workers: int) -> int:
+    def first_generation_count(num_workers: int, cold: bool = True) -> int:
         """Number of first-generation workers (~√P, §4.2)."""
         if num_workers <= 0:
             raise ValueError("num_workers must be positive")
         return int(math.ceil(math.sqrt(num_workers)))
 
-    def timeline(self, num_workers: int, cold: bool = True) -> InvocationTimeline:
-        """Per-first-generation-worker timing breakdown (Figure 5)."""
-        first_gen = self.first_generation_count(num_workers)
-        children_total = num_workers - first_gen
-        base_children = children_total // first_gen if first_gen else 0
-        remainder = children_total - base_children * first_gen
-        children = np.full(first_gen, base_children, dtype=np.int64)
-        children[:remainder] += 1
-
-        startup = LAMBDA_COLD_START_SECONDS if cold else LAMBDA_WARM_START_SECONDS
-        before = np.arange(first_gen) / self.driver_rate
-        own = np.full(first_gen, self.latency + startup)
-        invoking = children / self.worker_rate
-        return InvocationTimeline(
-            before_own_invocation=before,
-            own_invocation=own,
-            invoking_workers=invoking,
-        )
-
-    def time_to_start_all(self, num_workers: int, cold: bool = True) -> float:
-        """Time until every worker of the fleet is running."""
-        timeline = self.timeline(num_workers, cold)
-        startup = LAMBDA_COLD_START_SECONDS if cold else LAMBDA_WARM_START_SECONDS
-        # The last second-generation worker starts one invocation latency +
-        # start-up after its parent initiated its invocation.
-        return timeline.all_started_at + self.latency + startup
-
-    def worker_start_times(self, num_workers: int, cold: bool = True) -> np.ndarray:
-        """Modelled start time of every worker in the fleet.
-
-        First-generation workers start right after their own invocation;
-        second-generation workers start after their parent finished the
-        (uniformly spread) invocations that precede them.
-        """
-        timeline = self.timeline(num_workers, cold)
-        first_gen = len(timeline.before_own_invocation)
-        startup = LAMBDA_COLD_START_SECONDS if cold else LAMBDA_WARM_START_SECONDS
-        starts: List[float] = []
-        # First generation.
-        first_gen_start = timeline.before_own_invocation + timeline.own_invocation
-        starts.extend(first_gen_start.tolist())
-        # Second generation, parents assigned round-robin in order.
-        children_total = num_workers - first_gen
-        per_parent_counter = np.zeros(first_gen, dtype=np.int64)
-        for child in range(children_total):
-            parent = child % first_gen
-            per_parent_counter[parent] += 1
-            start = (
-                first_gen_start[parent]
-                + per_parent_counter[parent] / self.worker_rate
-                + self.latency
-                + startup
-            )
-            starts.append(float(start))
-        return np.asarray(starts[:num_workers])
-
 
 def build_invocation_tree(
     worker_payloads: Sequence[Dict[str, Any]],
+    plan: Optional[LaunchPlan] = None,
 ) -> List[Dict[str, Any]]:
-    """Arrange worker payloads into a two-level invocation tree.
+    """Arrange worker payloads into the invocation tree of a launch plan.
 
     Returns the payloads of the first-generation workers; each carries its
-    second-generation children under the ``"children"`` key.  The split is
-    balanced: ~√P first-generation workers with ~√P children each.
+    second-generation children under the ``"children"`` key — dealt
+    round-robin, as :meth:`LaunchPlan.worker_start_times` charges them, and
+    empty for every worker of a flat launch.  Without a plan the fleet is
+    priced as a cold launch in the default region.
     """
     total = len(worker_payloads)
     if total == 0:
         return []
-    first_gen = TreeInvocationModel.first_generation_count(total)
+    if plan is None:
+        plan = InvocationModel().plan(total)
+    elif plan.num_workers != total:
+        raise ValueError(
+            f"launch plan is for {plan.num_workers} workers, got {total} payloads"
+        )
+    first_gen = plan.first_generation
     parents = [dict(payload) for payload in worker_payloads[:first_gen]]
     for parent in parents:
         parent["children"] = []

@@ -3,9 +3,9 @@
 The handler mirrors the paper's description (§3.3): it extracts the worker id,
 the query plan fragment, and its input from the invocation parameters, runs
 the execution engine, and posts a success or error message to the SQS result
-queue from which the driver polls.  First-generation workers additionally
-invoke their second-generation children (the tree invocation of §4.2) before
-starting their own fragment.
+queue from which the driver polls.  First-generation workers of a fleet
+large enough to be launched as a tree (§4.2) additionally invoke their
+second-generation children before starting their own fragment.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Any, Callable, Dict, Optional
 
 from repro.cloud.environment import CloudEnvironment
 from repro.cloud.lambda_service import InvocationContext
-from repro.config import INVOCATION_RATE_INTRA_REGION, IntegrityConfig
+from repro.config import IntegrityConfig
 from repro.driver.integrity import post_result
 from repro.engine.pipeline import execute_worker_plan
 from repro.errors import WorkerCrashError
@@ -65,7 +65,8 @@ def make_worker_handler(env: CloudEnvironment) -> Callable[[Dict[str, Any], Invo
             child_event.pop("children", None)
             env.lambda_service.invoke(function_name, child_event, from_driver=False)
         if children:
-            rate = INVOCATION_RATE_INTRA_REGION.get(env.region, 80.0)
+            # The same rate the launch plan predicted this worker's children with.
+            rate = env.lambda_service.invocation_rate(from_driver=False)
             context.charge(len(children) / rate)
 
         # 2. Execute the query fragment and report the outcome.

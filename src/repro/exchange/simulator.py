@@ -216,8 +216,7 @@ class ExchangeSimulator:
 
     def table3_running_time(self, num_workers: int, data_bytes: float) -> float:
         """End-to-end exchange time including worker start-up (Table 3 rows)."""
-        from repro.driver.invocation import TreeInvocationModel
+        from repro.driver.invocation import InvocationModel
 
-        invocation = TreeInvocationModel(region="eu")
-        startup = invocation.time_to_start_all(num_workers)
+        startup = InvocationModel(region="eu").time_to_start_all(num_workers)
         return startup + self.simulate(num_workers, data_bytes).total_seconds

@@ -297,3 +297,24 @@ def test_sections_flag_scopes_the_checks(checker, baseline, tmp_path):
     path.write_text(json.dumps(doctored), encoding="utf-8")
     assert checker.check(path, None, tolerance=0.6, sections=["end_to_end_q1"]) == 0
     assert checker.check(path, None, tolerance=0.6, sections=["join_probe"]) != 0
+
+def test_checker_holds_the_priced_launch_under_both_fixed_shapes(checker):
+    """CI pipes ``repro invocation --workers N`` into the checker: what the
+    CLI prints today passes below and above the crossover, and an output whose
+    priced line is slower than either fixed shape — or missing — fails."""
+    import io
+
+    from repro.cli import main
+
+    for workers in ("8", "4096"):
+        out = io.StringIO()
+        assert main(["invocation", "--workers", workers], out=out) == 0
+        assert checker.check_invocation_output(out.getvalue()) == []
+    text = out.getvalue()
+    slower = text.replace("2.475 s", "2.700 s")
+    assert slower != text
+    failures = checker.check_invocation_output(slower)
+    assert len(failures) == 1 and "two-level tree" in failures[0]
+    assert len(checker.check_invocation_output(text.replace("2.475 s", "15.000 s"))) == 2
+    no_priced = "\n".join(line for line in text.splitlines() if "priced" not in line)
+    assert "priced" in checker.check_invocation_output(no_priced)[0]

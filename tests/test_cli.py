@@ -51,9 +51,15 @@ def test_exchange_cost_lists_all_variants():
 
 def test_invocation_compares_flat_and_tree():
     output = _run("invocation", "--workers", "4096")
-    assert "flat (driver only)" in output
-    assert "two-level tree" in output
-    assert "first generation:     64 workers" in output
+    lines = {line.split(":")[0].strip(): line for line in output.splitlines()[1:]}
+    assert "first generation: 4096 workers" in lines["flat (driver only)"]
+    assert "2.664 s" in lines["two-level tree (√P)"]
+    assert "first generation: 64 workers" in lines["two-level tree (√P)"]
+    assert "2.475 s" in lines["priced (driver's choice)"]
+    assert "first generation: 121 workers" in lines["priced (driver's choice)"]
+    # Below the crossover the priced launch is the flat one.
+    output = _run("invocation", "--workers", "8")
+    assert output.count("first generation: 8 workers") == 2
 
 
 def test_qaas_comparison_output():

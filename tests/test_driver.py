@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.driver.driver import LambadaDriver
+from repro.driver.invocation import InvocationModel
 from repro.errors import ExecutionError, WorkerFailedError
 from repro.plan.expressions import col
 from repro.plan.logical import (
@@ -16,6 +17,7 @@ from repro.plan.logical import (
     ScanNode,
 )
 from repro.workload.queries import reference_q1, reference_q6, q1_plan, q6_plan
+from repro.workload.tpch import LineitemGenerator, generate_lineitem_dataset
 
 
 def test_install_deploys_function_and_queue(env, driver):
@@ -196,6 +198,65 @@ def test_tree_invocation_used(driver, dataset, env):
     driver.execute(q6_plan(dataset.paths))
     after = env.lambda_service.total_invocations()
     assert after - before == dataset.num_files
+
+
+def _record_invocations(env, monkeypatch):
+    """Every ``LambdaService.invoke`` call as ``(event, from_driver)``."""
+    calls = []
+    invoke = env.lambda_service.invoke
+
+    def recording_invoke(name, event, from_driver=True):
+        calls.append((event, from_driver))
+        return invoke(name, event, from_driver=from_driver)
+
+    monkeypatch.setattr(env.lambda_service, "invoke", recording_invoke)
+    return calls
+
+
+def test_small_fleet_is_invoked_in_one_hop(driver, dataset, env, monkeypatch, lineitem_table):
+    """Four workers start sooner from the driver alone than through a second
+    hop: four root payloads, nobody invokes — or bills for invoking — anyone."""
+    calls = _record_invocations(env, monkeypatch)
+    log_before = len(env.lambda_service.invocation_log)
+    result = driver.execute(q6_plan(dataset.paths))
+    assert result.scalar() == pytest.approx(reference_q6(lineitem_table))
+    assert len(calls) == 4
+    assert all(from_driver for _, from_driver in calls)
+    assert not any(event.get("children") for event, _ in calls)
+    assert sorted(event["worker_id"] for event, _ in calls) == [0, 1, 2, 3]
+    stats = result.statistics
+    assert stats.invocation_seconds == pytest.approx(3 / 294.0 + 0.036 + 0.05)
+    billed = [r.duration_seconds for r in env.lambda_service.invocation_log[log_before:]]
+    assert sorted(billed) == pytest.approx(sorted(stats.worker_durations))
+
+
+def test_large_fleet_fans_out_through_children(env, monkeypatch):
+    """Forty warm workers are above the crossover: the driver invokes 34, the
+    first six of them one child each, and each parent bills exactly the
+    child-invocation time the plan charged."""
+    dataset = generate_lineitem_dataset(
+        env.s3, scale_factor=0.001, num_files=40, row_group_rows=512, seed=7
+    )
+    driver = LambadaDriver(env, memory_mib=2048)
+    calls = _record_invocations(env, monkeypatch)
+    log_before = len(env.lambda_service.invocation_log)
+    result = driver.execute(q6_plan(dataset.paths))
+    table = LineitemGenerator(scale_factor=0.001, seed=7).generate()
+    assert result.scalar() == pytest.approx(reference_q6(table))
+
+    roots = [event for event, from_driver in calls if from_driver]
+    nested = [event for event, from_driver in calls if not from_driver]
+    assert len(roots) == 34 and len(nested) == 6
+    assert [len(event["children"]) for event in roots] == [1] * 6 + [0] * 28
+    assert sorted(event["worker_id"] for event, _ in calls) == list(range(40))
+    assert env.lambda_service.total_invocations() == 40
+
+    stats = result.statistics
+    plan = InvocationModel(region="eu").plan(40, cold=False)
+    assert plan.first_generation == 34
+    assert stats.invocation_seconds == plan.time_to_start_all
+    billed = sum(r.duration_seconds for r in env.lambda_service.invocation_log[log_before:])
+    assert billed == pytest.approx(sum(stats.worker_durations) + 6 / plan.worker_rate)
 
 
 def test_scalar_on_multirow_result_raises(driver, dataset):

@@ -58,6 +58,16 @@ def test_figure5_two_level_vs_flat():
     # Timeline arrays have one entry per first-generation worker.
     assert len(data["before_own_invocation"]) == 64
     assert max(data["before_own_invocation"]) < 1.0
+    # The priced shape next to the published one: about twice the parents
+    # (the driver invokes 3.6x faster than a worker), a little sooner.
+    assert data["priced_first_generation"] == 121
+    assert data["priced_all_started_seconds"] < data["all_started_seconds"]
+    assert data["priced_all_started_seconds"] < 3.0
+    # A fleet below the crossover: priced is the flat launch, the tree is slower.
+    small = figures.figure5_invocation_timeline(16)
+    assert small["priced_first_generation"] == 16
+    assert small["priced_all_started_seconds"] == small["flat_invocation_seconds"]
+    assert small["all_started_seconds"] > small["flat_invocation_seconds"]
 
 
 def test_figure6_shape():

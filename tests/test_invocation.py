@@ -1,13 +1,28 @@
-"""Tests for the invocation strategies (flat vs two-level tree, Figure 5)."""
+"""Tests for the invocation strategies (flat, the paper's ⌈√P⌉ tree, and the
+priced launch the driver uses; Figure 5)."""
+
+import dataclasses
+import math
 
 import numpy as np
 import pytest
 
+from repro.config import (
+    INVOCATION_LATENCY_SECONDS,
+    INVOCATION_RATE_DRIVER,
+    INVOCATION_RATE_INTRA_REGION,
+    LAMBDA_COLD_START_SECONDS,
+    LAMBDA_WARM_START_SECONDS,
+)
 from repro.driver.invocation import (
     FlatInvocationModel,
+    InvocationModel,
     TreeInvocationModel,
     build_invocation_tree,
 )
+
+REGIONS = ("eu", "us", "sa", "ap")
+SHAPES = (FlatInvocationModel, TreeInvocationModel, InvocationModel)
 
 
 def test_flat_invocation_time_matches_rates():
@@ -26,9 +41,28 @@ def test_flat_invocation_scales_linearly():
 
 
 def test_tree_first_generation_is_sqrt():
+    """The paper's fixed shape keeps ⌈√P⌉ parents; the priced shape starts a
+    small fleet in one hop and a large one with ≈ 1.9 √P parents (the driver
+    invokes 294/s, a worker 81/s, so parents are cheaper than children)."""
     assert TreeInvocationModel.first_generation_count(4096) == 64
     assert TreeInvocationModel.first_generation_count(1000) == 32
     assert TreeInvocationModel.first_generation_count(1) == 1
+
+    priced = InvocationModel(region="eu")
+    for workers in (1, 4, 19, 29):
+        assert priced.first_generation_count(workers, cold=False) == workers
+    for workers in (1, 29, 250):
+        assert priced.first_generation_count(workers, cold=True) == workers
+    # The crossover: the driver's 30th (251st) invocation would land after the
+    # first worker could have started it, so that worker does.
+    assert priced.first_generation_count(30, cold=False) == 29
+    assert priced.first_generation_count(251, cold=True) == 250
+    assert priced.first_generation_count(100, cold=False) == 21
+    assert priced.first_generation_count(4096) == 121
+    assert priced.first_generation_count(4096) == pytest.approx(
+        math.sqrt(4096 * 294.0 / 81.0), rel=0.02
+    )
+    assert priced.time_to_start_all(4096) < 3.0
 
 
 def test_tree_starts_4k_workers_in_about_3_seconds():
@@ -94,14 +128,34 @@ def test_invalid_worker_counts_rejected():
 
 # -- functional tree builder ------------------------------------------------------------
 
-def test_build_tree_assigns_all_payloads_once():
-    payloads = [{"worker_id": i} for i in range(10)]
-    tree = build_invocation_tree(payloads)
-    assert len(tree) == 4  # ceil(sqrt(10))
+def _delivered(tree):
     seen = [parent["worker_id"] for parent in tree]
     for parent in tree:
         seen.extend(child["worker_id"] for child in parent["children"])
-    assert sorted(seen) == list(range(10))
+    return seen
+
+
+def test_build_tree_assigns_all_payloads_once():
+    payloads = [{"worker_id": i} for i in range(10)]
+    # Ten workers are below the crossover: ten roots, nobody has children.
+    tree = build_invocation_tree(payloads)
+    assert len(tree) == 10
+    assert not any(parent["children"] for parent in tree)
+    assert _delivered(tree) == list(range(10))
+    # The same payloads in the paper's fixed shape.
+    tree = build_invocation_tree(payloads, TreeInvocationModel().plan(10))
+    assert len(tree) == 4  # ceil(sqrt(10))
+    assert sorted(_delivered(tree)) == list(range(10))
+    # A priced fleet above the crossover nests, in the order the plan charges:
+    # child n of the fleet is dealt to parent n mod first_generation.
+    payloads = [{"worker_id": i} for i in range(400)]
+    plan = InvocationModel().plan(400)
+    tree = build_invocation_tree(payloads, plan)
+    assert len(tree) == plan.first_generation == 37
+    assert sorted(_delivered(tree)) == list(range(400))
+    assert [child["worker_id"] for child in tree[0]["children"]][:2] == [37, 74]
+    with pytest.raises(ValueError):
+        build_invocation_tree(payloads[:399], plan)
 
 
 def test_build_tree_balanced_children():
@@ -124,3 +178,124 @@ def test_build_tree_does_not_mutate_inputs():
     payloads = [{"worker_id": i} for i in range(5)]
     build_invocation_tree(payloads)
     assert all("children" not in payload for payload in payloads)
+
+
+# -- one launch arithmetic ------------------------------------------------------------------
+
+def _reference_start_times(num_workers, first_generation, region, cold):
+    """Per-worker start times, one worker at a time (the loop the vectorised
+    ``LaunchPlan.worker_start_times`` replaced)."""
+    driver_rate = INVOCATION_RATE_DRIVER[region]
+    worker_rate = INVOCATION_RATE_INTRA_REGION[region]
+    latency = INVOCATION_LATENCY_SECONDS[region]
+    startup = LAMBDA_COLD_START_SECONDS if cold else LAMBDA_WARM_START_SECONDS
+    starts = [
+        index / driver_rate + (latency + startup) for index in range(first_generation)
+    ]
+    invoked = [0] * first_generation
+    for child in range(num_workers - first_generation):
+        parent = child % first_generation
+        invoked[parent] += 1
+        starts.append(
+            starts[parent] + invoked[parent] / worker_rate + latency + startup
+        )
+    return starts
+
+
+@pytest.mark.parametrize("cold", [True, False])
+@pytest.mark.parametrize("region", REGIONS)
+def test_every_shape_goes_through_one_start_time_formula(region, cold):
+    models = [shape(region=region) for shape in SHAPES]
+    for workers in range(1, 301):
+        last = []
+        for model in models:
+            starts = model.worker_start_times(workers, cold=cold)
+            assert len(starts) == workers
+            assert model.time_to_start_all(workers, cold=cold) == starts.max()
+            reference = _reference_start_times(
+                workers, model.first_generation_count(workers, cold), region, cold
+            )
+            assert starts.tolist() == reference
+            last.append(starts.max())
+        flat, tree, priced = last
+        assert priced <= min(flat, tree)
+
+
+@pytest.mark.parametrize("cold", [True, False])
+@pytest.mark.parametrize("region", REGIONS)
+def test_a_fleet_of_one_costs_one_hop(region, cold):
+    hop = INVOCATION_LATENCY_SECONDS[region] + (
+        LAMBDA_COLD_START_SECONDS if cold else LAMBDA_WARM_START_SECONDS
+    )
+    for shape in SHAPES:
+        assert shape(region=region).time_to_start_all(1, cold=cold) == hop
+    # Two workers in the ⌈√P⌉ shape are two roots: no second hop either.
+    assert TreeInvocationModel(region=region).time_to_start_all(
+        2, cold=cold
+    ) == pytest.approx(1 / INVOCATION_RATE_DRIVER[region] + hop)
+
+
+def test_flat_launch_ends_when_its_last_worker_starts():
+    model = FlatInvocationModel()
+    assert model.time_to_start_all(100) == pytest.approx(
+        99 / model.rate + model.latency + LAMBDA_COLD_START_SECONDS
+    )
+
+
+def test_paper_tree_reproduces_figure5_to_the_last_digit():
+    tree = TreeInvocationModel(region="eu")
+    assert tree.time_to_start_all(4096, cold=True) == 2.664063492063492
+    assert tree.time_to_start_all(4096, cold=False) == 1.164063492063492
+    assert tree.time_to_start_all(1000, cold=True) == 2.147812547241119
+
+
+def _brute_force(model, workers, cold):
+    """First-generation count by trying every one through ``LaunchPlan``."""
+    plan = model.plan(workers, cold)
+    seconds = [
+        dataclasses.replace(plan, first_generation=count).time_to_start_all
+        for count in range(1, workers + 1)
+    ]
+    return plan, seconds
+
+
+@pytest.mark.parametrize("cold", [True, False])
+@pytest.mark.parametrize("region", REGIONS)
+def test_priced_first_generation_is_the_brute_force_argmin(region, cold):
+    model = InvocationModel(region=region)
+    sizes = list(range(1, 129)) if region == "eu" else list(range(1, 129, 7))
+    sizes += [251, 311, 500, 1000, 2048, 4096] if region == "eu" else [500, 4096]
+    for workers in sizes:
+        plan, seconds = _brute_force(model, workers, cold)
+        best = min(seconds)
+        assert plan.time_to_start_all == pytest.approx(best, abs=1e-12)
+        # The smallest count wins a tie.
+        assert plan.first_generation == 1 + next(
+            index for index, value in enumerate(seconds)
+            if value <= best + 1e-12
+        )
+
+
+@pytest.mark.parametrize("cold", [True, False])
+def test_priced_shape_beats_its_neighbours_for_every_fleet_up_to_4096(cold):
+    model = InvocationModel(region="eu")
+    flat = FlatInvocationModel(region="eu")
+    tree = TreeInvocationModel(region="eu")
+    nested = []
+    for workers in range(1, 4097):
+        plan = model.plan(workers, cold)
+        chosen = plan.time_to_start_all
+        for count in {
+            1, plan.first_generation - 1, plan.first_generation + 1,
+            round(1.9 * math.sqrt(workers)),
+        }:
+            if 1 <= count <= workers:
+                other = dataclasses.replace(plan, first_generation=count)
+                assert chosen <= other.time_to_start_all + 1e-12
+        assert chosen <= flat.time_to_start_all(workers, cold) + 1e-12
+        assert chosen <= tree.time_to_start_all(workers, cold) + 1e-12
+        nested.append(plan.first_generation < workers)
+    # One crossover: flat below it, nested from there on.
+    crossover = nested.index(True) + 1
+    assert crossover == (251 if cold else 30)
+    assert all(nested[crossover - 1:]) and not any(nested[: crossover - 1])

@@ -272,11 +272,13 @@ def test_capacity_brownout_is_retried_not_fatal():
     """A capacity-capped invocation raises TooManyRequestsError, which the
     driver's wrapped dispatch retries with backoff — the query completes.
 
-    Four files build a 2x2 invocation tree: each parent invokes its child
-    *while itself active*, so a ``capacity_limit=1`` cap trips on the nested
-    invocation deterministically even under serial dispatch.
+    Thirty-two warm workers are just above the launch crossover: the driver
+    invokes thirty and the first two invoke one child each *while themselves
+    active*, so a ``capacity_limit=1`` cap trips on the nested invocation
+    deterministically even under serial dispatch.  (A fleet the driver
+    starts in one hop never has two workers active under serial dispatch.)
     """
-    env, dataset, _ = setup_functional_environment(scale_factor=0.002, num_files=4)
+    env, dataset, _ = setup_functional_environment(scale_factor=0.002, num_files=32)
     driver = LambadaDriver(env)
     baseline = driver.execute(q6_plan(dataset.paths))
 
