@@ -12,7 +12,7 @@ Usage::
 ``--baseline`` is repeatable; with none given, both committed trajectories
 (``BENCH_hot_paths.json`` and ``BENCH_tpch.json``) are loaded and merged.
 
-Eight kinds of checks:
+Ten kinds of checks:
 
 * **absolute floors** — the speedups the PR's acceptance criteria promise
   (partition scatter >= 5x, payload round-trip >= 3x, shuffle PUT collapse
@@ -42,6 +42,10 @@ Eight kinds of checks:
   each must start one join worker per wave and read each sender object once
   (a fall-back to one join worker per file of the largest relation fails
   here);
+* **absolute collection ceiling** — the modelled latency of the scan queries
+  (Q1, Q6) beyond their slowest worker must stay under the launch plus two
+  round trips: result collection overlaps the fleet, and a flat poll round
+  added after the last worker fails here;
 * **relative regression** — each current speedup must stay within
   ``tolerance`` of the committed baseline (defaults to 60%, loose enough for
   machine-to-machine noise, tight enough to catch an accidental
@@ -49,7 +53,9 @@ Eight kinds of checks:
 * **launch shape** — with ``--invocation-output`` (repeatable), the text
   ``repro invocation --workers N`` printed: the shape the driver prices from
   Table 1 must start the fleet no later than the flat launch and no later
-  than the paper's ⌈√P⌉ tree, at every fleet size given.
+  than the paper's ⌈√P⌉ tree, and the priced number of result-queue pollers
+  must add no more after the last worker than one poller does, at every
+  fleet size given.
 
 With no ``--current`` file, the baseline itself is checked against the
 absolute floors — a cheap CI sanity check that the committed trajectory still
@@ -202,6 +208,18 @@ ABSOLUTE_FAN_OUT_CEILINGS = {
     for field, ceiling in (("workers", mappers + 1), ("exchange_get_requests", mappers))
 }
 
+#: Scan queries of BENCH_tpch.json whose modelled latency beyond their slowest
+#: worker must stay under the launch plus two round trips of result
+#: collection.  The result queue is long-polled while the fleet runs (PR 23),
+#: so a fleet of up to ten workers is drained by at most two receives; a flat
+#: poll round on top of the last worker (0.3 s until PR 23) cannot pass.  The
+#: launch is the flat warm launch these fleets are priced: Table 1's ``eu``
+#: driver rate and round trip, and the warm start-up, as in ``repro.config``.
+COLLECTION_CEILING_QUERIES = ("q1", "q6")
+DRIVER_INVOCATIONS_PER_SECOND = 294.0
+ROUND_TRIP_SECONDS = 0.036
+WARM_START_SECONDS = 0.05
+
 #: Fields compared against the committed baseline for relative regressions.
 RELATIVE_FIELDS = (
     "speedup",
@@ -221,17 +239,42 @@ INVOCATION_LINE = re.compile(
 )
 
 
+#: One collection line of ``repro invocation``: label, seconds the drain adds
+#: after the last worker.
+COLLECTION_LINE = re.compile(
+    r"^\s*collection, (one poller|priced):\s*([0-9.]+) s after the last worker\b"
+)
+
+
 def check_invocation_output(text: str, source: str = "invocation") -> list[str]:
-    """Failures of one ``repro invocation`` output: priced <= flat, <= tree."""
+    """Failures of one ``repro invocation`` output: the priced launch <= flat
+    and <= tree, the priced collection <= the one-poller collection."""
     seconds = {}
+    collection = {}
     for line in text.splitlines():
         match = INVOCATION_LINE.match(line)
         if match:
             seconds[match.group(1)] = float(match.group(2))
+        match = COLLECTION_LINE.match(line)
+        if match:
+            collection[match.group(1)] = float(match.group(2))
     missing = {"flat", "two-level tree", "priced"} - set(seconds)
     if missing:
         return [f"{source}: no line for the {', '.join(sorted(missing))} shape"]
+    missing = {"one poller", "priced"} - set(collection)
+    if missing:
+        return [f"{source}: no collection line for {', '.join(sorted(missing))}"]
     failures = []
+    if collection["priced"] > collection["one poller"]:
+        failures.append(
+            f"{source}: priced collection adds {collection['priced']:.3f} s, "
+            f"more than one poller does ({collection['one poller']:.3f} s)"
+        )
+    else:
+        print(
+            f"ok: {source} priced collection {collection['priced']:.3f} s <= "
+            f"one poller {collection['one poller']:.3f} s"
+        )
     for shape in ("flat", "two-level tree"):
         if seconds["priced"] > seconds[shape]:
             failures.append(
@@ -389,6 +432,39 @@ def check(
                 )
             else:
                 print(f"ok: {name} {field} {observed:.3f} (ceiling {ceiling:.2f})")
+
+    for name in COLLECTION_CEILING_QUERIES:
+        if not in_scope(name):
+            continue
+        measurement = current.get(name)
+        if measurement is None:
+            failures.append(f"{name}: missing from current results")
+            continue
+        try:
+            overhead = (
+                measurement["modelled_latency_median_seconds"]
+                - measurement["max_worker_seconds"]
+            )
+            launch = (
+                (measurement["workers"] - 1) / DRIVER_INVOCATIONS_PER_SECOND
+                + ROUND_TRIP_SECONDS
+                + WARM_START_SECONDS
+            )
+        except KeyError as missing:
+            failures.append(f"{name}: missing the {missing.args[0]!r} field")
+            continue
+        ceiling = launch + 2 * ROUND_TRIP_SECONDS
+        if overhead > ceiling:
+            failures.append(
+                f"{name}: modelled latency is {overhead:.3f} s beyond the slowest "
+                f"worker, above launch + two round trips = {ceiling:.3f} s "
+                f"(a flat result-poll round on top of the fleet again?)"
+            )
+        else:
+            print(
+                f"ok: {name} modelled latency {overhead:.3f} s beyond the slowest "
+                f"worker (ceiling {ceiling:.3f} s)"
+            )
 
     if current_path is not None:
         for name, measurement in baseline.items():

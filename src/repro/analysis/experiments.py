@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from repro.config import (
     VCPU_ROWS_PER_SECOND,
 )
 from repro.driver.driver import LambadaDriver, QueryResult
-from repro.driver.invocation import InvocationModel
+from repro.driver.invocation import CollectionPlan, InvocationModel
 from repro.driver.worker import COLD_EXECUTION_PENALTY
 from repro.workload.queries import (
     Q1_SHIPDATE_CUTOFF_DAYS,
@@ -211,24 +211,26 @@ class PaperScaleModel:
     #: Slow-down of the slowest worker relative to the typical one (stragglers,
     #: retried requests); the paper observes noticeable tails at fleet scale.
     straggler_multiplier: float = 1.3
-    #: Per-worker cost of collecting results from the SQS queue (the driver
-    #: receives messages in batches of ten).
-    result_collection_seconds_per_worker: float = 0.002
+    def collection(self, pollers: Optional[int] = None) -> CollectionPlan:
+        """How the fleet's results reach the driver: the launch, the workers'
+        completion times, and the result-queue drain behind them.
 
-    def latency_seconds(self) -> float:
-        """Modelled end-to-end query latency."""
-        invocation = InvocationModel(region=self.region)
-        start_times = invocation.worker_start_times(self.num_workers, cold=self.cold)
-        durations = self.worker_durations()
+        ``pollers`` fixes the number of polling driver threads (one is the
+        sequentially polling driver); by default it is priced.
+        """
+        launch = InvocationModel(region=self.region).plan(self.num_workers, cold=self.cold)
         # Workers that prune everything finish early regardless of start time;
         # pair the slowest starts with the longest durations for a conservative
         # (straggler-aware) estimate, and slow the very slowest worker down by
         # the straggler multiplier.
-        durations = np.sort(durations)
+        durations = np.sort(self.worker_durations())
         durations[-1] *= self.straggler_multiplier
-        completion = np.sort(start_times) + durations
-        result_poll_seconds = 0.3 + self.result_collection_seconds_per_worker * self.num_workers
-        return float(completion.max()) + result_poll_seconds
+        completion = np.sort(launch.worker_start_times()) + durations
+        return launch.collection(completion, pollers)
+
+    def latency_seconds(self) -> float:
+        """Modelled end-to-end query latency."""
+        return self.collection().finish
 
     def cost_dollars(self) -> Dict[str, float]:
         """Dollar cost breakdown of one query execution."""
@@ -249,7 +251,8 @@ class PaperScaleModel:
             + num_scanning * self.files_per_worker * data_requests_per_file
         )
         s3_cost = self.prices.s3_get_cost(int(get_requests))
-        sqs_cost = self.prices.sqs_cost(self.num_workers * 2)
+        # One send per worker and the receives that drain them.
+        sqs_cost = self.prices.sqs_cost(self.num_workers + self.collection().receives)
         total = duration_cost + invocation_cost + s3_cost + sqs_cost
         return {
             "lambda_duration": duration_cost,
@@ -268,45 +271,34 @@ def figure10_worker_configurations(
     memory_sizes: Sequence[int] = (512, 1024, 1792, 2048, 3008),
     files_per_worker: Sequence[int] = (1, 2, 4),
 ) -> Dict[str, List[Dict]]:
-    """Cost/latency of TPC-H Q1 under varying worker configurations (Figure 10)."""
-    result: Dict[str, List[Dict]] = {"varying_memory": [], "varying_files": [], "grid": []}
-    for memory in memory_sizes:
-        for cold in (False, True):
-            model = PaperScaleModel(query="q1", memory_mib=memory, files_per_worker=1, cold=cold)
-            result["varying_memory"].append(
-                {
-                    "memory_mib": memory,
-                    "files_per_worker": 1,
-                    "cold": cold,
-                    "latency_seconds": model.latency_seconds(),
-                    "cost_cents": model.cost_dollars()["total"] * 100,
-                }
-            )
-    for files in files_per_worker:
-        for cold in (False, True):
-            model = PaperScaleModel(query="q1", memory_mib=1792, files_per_worker=files, cold=cold)
-            result["varying_files"].append(
-                {
-                    "memory_mib": 1792,
-                    "files_per_worker": files,
-                    "cold": cold,
-                    "latency_seconds": model.latency_seconds(),
-                    "cost_cents": model.cost_dollars()["total"] * 100,
-                }
-            )
-    for memory in memory_sizes:
-        for files in files_per_worker:
-            model = PaperScaleModel(query="q1", memory_mib=memory, files_per_worker=files)
-            result["grid"].append(
-                {
-                    "memory_mib": memory,
-                    "files_per_worker": files,
-                    "cold": False,
-                    "latency_seconds": model.latency_seconds(),
-                    "cost_cents": model.cost_dollars()["total"] * 100,
-                }
-            )
-    return result
+    """Cost/latency of TPC-H Q1 under varying worker configurations (Figure 10).
+
+    ``latency_seconds`` is with the priced number of result-queue pollers,
+    ``latency_one_poller_seconds`` with a sequentially polling driver.
+    """
+
+    def row(memory: int, files: int, cold: bool = False) -> Dict:
+        model = PaperScaleModel(
+            query="q1", memory_mib=memory, files_per_worker=files, cold=cold
+        )
+        return {
+            "memory_mib": memory,
+            "files_per_worker": files,
+            "cold": cold,
+            "latency_seconds": model.latency_seconds(),
+            "latency_one_poller_seconds": model.collection(pollers=1).finish,
+            "cost_cents": model.cost_dollars()["total"] * 100,
+        }
+
+    return {
+        "varying_memory": [
+            row(memory, 1, cold) for memory in memory_sizes for cold in (False, True)
+        ],
+        "varying_files": [
+            row(1792, files, cold) for files in files_per_worker for cold in (False, True)
+        ],
+        "grid": [row(memory, files) for memory in memory_sizes for files in files_per_worker],
+    }
 
 
 def figure11_processing_time_distribution(num_workers: int = 320) -> Dict[str, List[float]]:
@@ -346,6 +338,7 @@ def figure12_qaas_comparison(
                             "memory_mib": memory,
                             "cold": cold,
                             "latency_seconds": model.latency_seconds(),
+                            "latency_one_poller_seconds": model.collection(pollers=1).finish,
                             "cost_dollars": model.cost_dollars()["total"],
                         }
                     )

@@ -19,7 +19,9 @@ and the bill.  Subcommands:
 
 ``invocation``
     Print the time to start a fleet of a given size flat, through the paper's
-    ⌈√P⌉ tree, and in the shape the driver prices from Table 1 (Figure 5).
+    ⌈√P⌉ tree, and in the shape the driver prices from Table 1 (Figure 5);
+    then what draining that fleet's result queue adds after the last worker,
+    with one polling thread and with the priced number of them.
 
 ``qaas``
     Print the Figure 12 comparison (Lambada vs Athena vs BigQuery) for a
@@ -227,6 +229,7 @@ def _run_demo_query(args: argparse.Namespace, out) -> int:
     print(f"  lambda requests  ${stats.cost_lambda_requests:.6f}", file=out)
     print(f"  s3 requests      ${stats.cost_s3_requests:.6f}", file=out)
     print(f"  sqs requests     ${stats.cost_sqs_requests:.6f}", file=out)
+    print(stats.describe_latency(), file=out)
     return 0
 
 
@@ -256,6 +259,17 @@ def _run_invocation(args: argparse.Namespace, out) -> int:
         print(
             f"  {label + ':':<26}{plan.time_to_start_all:8.3f} s"
             f"   first generation: {plan.first_generation} workers",
+            file=out,
+        )
+    # The priced fleet, every worker running 2.5 s, drained by a sequentially
+    # polling driver and by the priced number of pollers.
+    plan = InvocationModel(region=args.region).plan(args.workers)
+    completion = plan.worker_start_times() + 2.5
+    for label, pollers in (("collection, one poller", 1), ("collection, priced", None)):
+        collection = plan.collection(completion, pollers)
+        print(
+            f"  {label + ':':<26}{collection.seconds:8.3f} s after the last worker"
+            f"   pollers: {collection.pollers}   receives: {collection.receives}",
             file=out,
         )
     return 0

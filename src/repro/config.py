@@ -185,9 +185,6 @@ class ResilienceConfig:
     #: ``max(64, expected * 4)`` in driver.py and shuffle.py).
     min_poll_rounds: int = 64
     poll_rounds_per_worker: int = 4
-    #: Modelled cost of the final result-collection SQS polling round
-    #: (formerly a ``0.3`` literal in two places in driver.py).
-    result_poll_seconds: float = 0.3
     #: Reads attempted on a spilled result object before the corruption is
     #: declared uncurable (formerly ``range(2)`` in driver.py and shuffle.py).
     spill_read_attempts: int = 2

@@ -41,7 +41,12 @@ from repro.driver.integrity import (
     fetch_spilled_result,
     open_message,
 )
-from repro.driver.invocation import InvocationModel, LaunchPlan, build_invocation_tree
+from repro.driver.invocation import (
+    CollectionPlan,
+    InvocationModel,
+    LaunchPlan,
+    build_invocation_tree,
+)
 from repro.driver.resilience import (
     DEFAULT_RESILIENCE_POLICY,
     TRANSIENT_CLOUD_ERRORS,
@@ -124,6 +129,14 @@ class QueryStatistics:
     cost_sqs_requests: float
     #: Per-worker modelled execution durations, seconds.
     worker_durations: List[float] = field(default_factory=list)
+    #: Result collection (:class:`~repro.driver.invocation.CollectionPlan`):
+    #: what the queue drain adds after the last worker finished, and the
+    #: polling threads and receive requests it took.  ``latency_seconds`` is
+    #: the last completion + ``collection_seconds`` + the resilience block's
+    #: backoff.
+    collection_seconds: float = 0.0
+    collection_pollers: int = 0
+    collection_receives: int = 0
     #: Late-materialization scan counters, summed over the fleet: row groups
     #: whose selection vector short-circuited, rows never fully decoded, and
     #: column-chunk downloads avoided.
@@ -200,6 +213,53 @@ class QueryStatistics:
             + self.cost_sqs_requests
         )
 
+    def describe_latency(self) -> str:
+        """The critical path of the modelled latency, as one line.
+
+        The launch, then the workers — for a scan the stretch from the last
+        start to the last completion, for a DAG its barriered waves — then
+        what the result-queue drain adds, and any backoff the retry machinery
+        charged; the terms sum to ``latency_seconds``.
+        """
+        backoff = self.resilience.backoff_seconds
+        terms = [("launch", self.invocation_seconds)]
+        if self.wave_stages:
+            joiners = self.exchange_partitions * len(self.wave_stages)
+            scans = self.worker_durations[:-joiners]
+            joins = self.worker_durations[-joiners:]
+            waves = [
+                max(joins[start : start + self.exchange_partitions])
+                for start in range(0, joiners, self.exchange_partitions)
+            ]
+            plural = "" if len(waves) == 1 else "s"
+            terms.append(("scan wave", max(scans)))
+            terms.append((f"{len(waves)} join wave{plural}", sum(waves)))
+        else:
+            last_completion = self.latency_seconds - backoff - self.collection_seconds
+            terms.append(("last worker", last_completion - self.invocation_seconds))
+        terms.append(("collection", self.collection_seconds))
+        line = f"latency {self.latency_seconds:.3f} s = " + " + ".join(
+            f"{label} {seconds:.3f}" for label, seconds in terms
+        )
+        pollers = "poller" if self.collection_pollers == 1 else "pollers"
+        receives = "receive" if self.collection_receives == 1 else "receives"
+        line += (
+            f" ({self.collection_pollers} {pollers},"
+            f" {self.collection_receives} {receives})"
+        )
+        if backoff:
+            line += f" + backoff {backoff:.3f}"
+        return line
+
+
+def _collection_fields(collection: CollectionPlan) -> Dict[str, Any]:
+    """The :class:`QueryStatistics` fields a collection plan fills."""
+    return {
+        "collection_seconds": collection.seconds,
+        "collection_pollers": collection.pollers,
+        "collection_receives": collection.receives,
+    }
+
 
 @dataclass
 class QueryResult:
@@ -231,14 +291,17 @@ class QueryResult:
         """The executed schedule: join order, waves, and push-downs.
 
         Combines the optimizer's report (join order, pruned columns,
-        estimated costs) with the physical plan's rendering and, for join
-        plans, how the stages were grouped into waves at run time.
+        estimated costs) with the physical plan's rendering, the critical
+        path of the modelled latency and, for join plans, how the stages were
+        grouped into waves at run time.
         """
         parts = []
         if self.optimizer_report is not None:
             parts.append(self.optimizer_report.describe())
         if self.plan_explain:
             parts.append(self.plan_explain)
+        if self.statistics.collection_receives:
+            parts.append(self.statistics.describe_latency())
         if self.statistics.wave_stages:
             parts.append(
                 describe_exchange_fan_out(
@@ -618,13 +681,18 @@ class LambadaDriver:
 
         durations = [result.duration_seconds for result in worker_results]
         num_total = join_stats.num_workers
-        invocation_seconds = self._invocation.time_to_start_all(num_total, cold=cold)
-        result_poll_seconds = DEFAULT_RESILIENCE.result_poll_seconds
-        # modelled_latency_seconds already includes the coordinator's backoff.
-        latency = (
+        launch = self._invocation.plan(num_total, cold=cold)
+        invocation_seconds = launch.time_to_start_all
+        # Only the final wave's results travel to the driver: its workers
+        # start together behind the launch and every earlier wave (whose
+        # modelled_latency_seconds already includes the coordinator's
+        # backoff), and the queue is long-polled while they run.
+        final_wave = np.asarray(durations[-join_stats.exchange_partitions:])
+        collection = launch.collection(
             invocation_seconds
             + join_stats.modelled_latency_seconds
-            + result_poll_seconds
+            - final_wave.max()
+            + final_wave
         )
         statistics = QueryStatistics(
             num_workers=num_total,
@@ -633,14 +701,16 @@ class LambadaDriver:
             invocation_seconds=invocation_seconds,
             max_worker_seconds=float(max(durations)) if durations else 0.0,
             median_worker_seconds=float(np.median(durations)) if durations else 0.0,
-            latency_seconds=latency,
+            latency_seconds=collection.finish,
             rows_scanned=join_stats.rows_scanned,
             bytes_read=sum(result.bytes_read for result in worker_results),
             get_requests=sum(result.get_requests for result in worker_results),
             **join_costs(
-                self.env.ledger.prices, self.memory_mib, join_stats, worker_results
+                self.env.ledger.prices, self.memory_mib, join_stats, worker_results,
+                final_receives=collection.receives,
             ),
             worker_durations=durations,
+            **_collection_fields(collection),
             exchange=join_stats.exchange,
             join_probe_rows=join_stats.join_probe_rows,
             join_build_rows=join_stats.join_build_rows,
@@ -1498,11 +1568,11 @@ class LambadaDriver:
         num_workers = launch.num_workers
         start_times = launch.worker_start_times()
         completion = start_times[: len(durations)] + np.asarray(durations)
-        # Result collection: one additional round of SQS polling.
-        result_poll_seconds = DEFAULT_RESILIENCE.result_poll_seconds
-        latency = float(completion.max()) + result_poll_seconds if durations else 0.0
+        # Result collection overlaps the fleet: the queue is long-polled
+        # while the workers run.
+        collection = launch.collection(completion)
         # Backoff between retry rounds is charged to the modelled latency.
-        latency += resilience.backoff_seconds
+        latency = collection.finish + resilience.backoff_seconds
 
         rows_scanned = sum(result.rows_scanned for result in worker_results)
         bytes_read = sum(result.bytes_read for result in worker_results)
@@ -1526,9 +1596,8 @@ class LambadaDriver:
             num_workers + resilience.retries + resilience.hedges_launched
         )
         cost_s3 = prices.s3_get_cost(get_requests)
-        # Each worker sends one result message; the driver polls in batches.
-        sqs_requests = num_workers + math.ceil(num_workers / 10) + 1
-        cost_sqs = prices.sqs_cost(sqs_requests)
+        # Each worker sends one result message; the driver's receives drain them.
+        cost_sqs = prices.sqs_cost(num_workers + collection.receives)
 
         return QueryStatistics(
             num_workers=num_workers,
@@ -1546,6 +1615,7 @@ class LambadaDriver:
             cost_s3_requests=cost_s3,
             cost_sqs_requests=cost_sqs,
             worker_durations=durations,
+            **_collection_fields(collection),
             row_groups_shortcircuited=shortcircuited,
             rows_decode_saved=decode_saved,
             column_chunks_skipped=chunks_skipped,

@@ -17,17 +17,27 @@ stay available as fixed shapes of the same arithmetic
 (:class:`FlatInvocationModel`, :class:`TreeInvocationModel`) next to the
 priced :class:`InvocationModel` the driver uses, which shapes the payloads
 (:func:`build_invocation_tree`) and charges the start times of one plan.
+
+The other end of a fleet's lifetime is priced the same way
+(:class:`CollectionPlan`): the driver drains the SQS result queue (§3.3) with
+long-poll receives that are outstanding while the fleet runs, so the last
+result is in its hands one receive after the last worker finishes — from the
+same Table 1 round trip, SQS's 10 messages a receive, and as many of the
+driver's threads polling as get it there soonest.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.config import (
+    DRIVER_INVOKER_THREADS,
     INVOCATION_LATENCY_SECONDS,
     INVOCATION_RATE_DRIVER,
     INVOCATION_RATE_INTRA_REGION,
@@ -77,7 +87,8 @@ class LaunchPlan:
     first_generation: int
     driver_rate: float
     worker_rate: float
-    #: One-way request latency of one invocation.
+    #: Table 1's driver↔region request latency: what one invocation takes to
+    #: land, and the round trip of one result-queue receive.
     latency: float
     #: Cold or warm start-up of one function instance.
     startup: float
@@ -116,6 +127,117 @@ class LaunchPlan:
     def time_to_start_all(self) -> float:
         """Time until every worker of the fleet is running."""
         return float(self.worker_start_times().max())
+
+    def collection(
+        self, completion_times: Sequence[float], pollers: Optional[int] = None
+    ) -> "CollectionPlan":
+        """How the results of workers finishing at ``completion_times``
+        (seconds since the launch began) reach the driver."""
+        return plan_collection(completion_times, self.latency, pollers)
+
+
+#: Messages one SQS ``ReceiveMessage`` call returns at most (an API limit;
+#: the ``max_messages=10`` of the driver's collect loops).
+SQS_RECEIVE_BATCH = 10
+
+
+@dataclass(frozen=True)
+class CollectionPlan:
+    """How one fleet's result messages are drained from the result queue.
+
+    ``pollers`` driver threads each keep one long-poll receive outstanding
+    from the moment the launch begins.  A message is visible half a round
+    trip after its worker finishes; a receive reaches the queue half a round
+    trip after it is issued, is served as soon as one unclaimed message is
+    visible — it does not wait to fill its batch — carries every message
+    visible by then up to :data:`SQS_RECEIVE_BATCH`, and is back at the
+    driver half a round trip later, whereupon its poller issues the next.
+    """
+
+    pollers: int
+    #: Messages each served receive carried, in the order they were served.
+    batches: Tuple[int, ...]
+    #: When the last worker finished / when the last message reached the
+    #: driver, in seconds since the launch began.
+    last_completion: float
+    finish: float
+
+    @property
+    def receives(self) -> int:
+        """Receive requests that were served (and are billed)."""
+        return len(self.batches)
+
+    @property
+    def seconds(self) -> float:
+        """What collection adds after the last worker finished."""
+        return self.finish - self.last_completion
+
+
+def _drain(
+    visible: List[float], round_trip: float, pollers: int
+) -> Tuple[float, List[int]]:
+    """Run ``pollers`` long-polling threads over the messages (at least one)
+    visible at the ascending times ``visible``; returns the time the last
+    receive is back at the driver and the size of every served receive.
+
+    Receives are served in the order they reached the queue; the heap holds
+    the time each poller's outstanding receive got (or gets) there.
+    """
+    half = round_trip / 2
+    at_queue = [half] * pollers
+    batches: List[int] = []
+    claimed = 0
+    while claimed < len(visible):
+        served = max(at_queue[0], visible[claimed])
+        upto = min(bisect_right(visible, served, claimed), claimed + SQS_RECEIVE_BATCH)
+        batches.append(upto - claimed)
+        claimed = upto
+        heapq.heapreplace(at_queue, served + round_trip)
+    return served + half, batches
+
+
+def plan_collection(
+    completion_times: Sequence[float],
+    round_trip: float,
+    pollers: Optional[int] = None,
+) -> CollectionPlan:
+    """The drain of a fleet whose workers finish at ``completion_times``.
+
+    The number of pollers is priced like the launch's first generation: the
+    smallest count, up to the driver's :data:`DRIVER_INVOKER_THREADS` and one
+    per full batch, that puts the last message in the driver's hands soonest
+    (a tie goes to fewer pollers, which issue fewer billed receives).  An
+    explicit ``pollers`` fixes the count instead — the sequentially polling
+    driver the figures print next to the priced one.
+    """
+    completion = np.sort(np.asarray(completion_times, dtype=np.float64))
+    if completion.size == 0:
+        raise ValueError("a collection needs at least one completion time")
+    if pollers is None:
+        most = min(DRIVER_INVOKER_THREADS, math.ceil(completion.size / SQS_RECEIVE_BATCH))
+        candidates = range(1, most + 1)
+    elif pollers <= 0:
+        raise ValueError("pollers must be positive")
+    else:
+        candidates = (pollers,)
+    half = round_trip / 2
+    visible = (completion + half).tolist()
+    # No receive can return before the last message became visible.
+    soonest = visible[-1] + half
+    best: Optional[Tuple[float, int, List[int]]] = None
+    for count in candidates:
+        finish, batches = _drain(visible, round_trip, count)
+        if best is None or finish < best[0]:
+            best = (finish, count, batches)
+        if finish <= soonest:
+            break
+    finish, count, batches = best
+    return CollectionPlan(
+        pollers=count,
+        batches=tuple(batches),
+        last_completion=float(completion[-1]),
+        finish=finish,
+    )
 
 
 def _startup_seconds(cold: bool) -> float:

@@ -1093,6 +1093,7 @@ def join_costs(
     memory_mib: int,
     statistics: JoinStatistics,
     worker_results: Sequence[WorkerResult],
+    final_receives: int = 1,
 ) -> Dict[str, float]:
     """Modelled dollars of one coordinator run, keyed by the
     :class:`~repro.driver.driver.QueryStatistics` cost component.
@@ -1101,7 +1102,10 @@ def join_costs(
     attempts bill a further one each); S3 bills the scans' GETs, every
     exchange request — LISTs, including the post-fault sweep's, at the PUT
     rate — and a PUT + GET per spilled result; SQS bills one send per worker,
-    the batched receives and the queue's two control requests.
+    the batched receives the barriered waves are drained with, one control
+    request, and the ``final_receives`` that hand the last wave's results to
+    the driver (its :class:`~repro.driver.invocation.CollectionPlan`'s; one
+    for a caller that reports no collection term, as the aggregation facade).
     """
     num_total = statistics.num_workers
     exchange = statistics.exchange
@@ -1124,7 +1128,9 @@ def join_costs(
             + statistics.gc_list_requests
             + spilled
         ),
-        "cost_sqs_requests": prices.sqs_cost(num_total + math.ceil(num_total / 10) + 2),
+        "cost_sqs_requests": prices.sqs_cost(
+            num_total + math.ceil(num_total / 10) + 1 + final_receives
+        ),
     }
 
 

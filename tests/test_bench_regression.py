@@ -318,3 +318,49 @@ def test_checker_holds_the_priced_launch_under_both_fixed_shapes(checker):
     assert len(checker.check_invocation_output(text.replace("2.475 s", "15.000 s"))) == 2
     no_priced = "\n".join(line for line in text.splitlines() if "priced" not in line)
     assert "priced" in checker.check_invocation_output(no_priced)[0]
+
+
+def test_checker_rejects_a_flat_poll_round_on_top_of_the_fleet(checker, baseline, tmp_path, capsys):
+    """Result collection overlaps the fleet: what the scan queries' modelled
+    latency adds to their slowest worker is the launch plus at most two round
+    trips.  Doctor the flat 0.3 s poll round back in and the guard fails."""
+    assert checker.check([BASELINE_PATH, TPCH_BASELINE_PATH], None, 0.6, sections=["q1", "q6"]) == 0
+    for query in checker.COLLECTION_CEILING_QUERIES:
+        doctored = json.loads(json.dumps(baseline))
+        section = doctored["results"][query]
+        # launch + worker + 0.3 instead of launch + worker + collection
+        section["modelled_latency_median_seconds"] = (
+            (section["workers"] - 1) / 294.0 + 0.036 + 0.05
+            + section["max_worker_seconds"] + 0.3
+        )
+        path = tmp_path / f"flat_poll_{query}.json"
+        path.write_text(json.dumps(doctored), encoding="utf-8")
+        capsys.readouterr()
+        assert checker.check(path, None, tolerance=0.6, sections=[query]) != 0
+        assert "flat result-poll round" in capsys.readouterr().err
+    # The checker's launch constants are the configuration's.
+    from repro import config
+
+    assert checker.DRIVER_INVOCATIONS_PER_SECOND == config.INVOCATION_RATE_DRIVER["eu"]
+    assert checker.ROUND_TRIP_SECONDS == config.INVOCATION_LATENCY_SECONDS["eu"]
+    assert checker.WARM_START_SECONDS == config.LAMBDA_WARM_START_SECONDS
+
+
+def test_checker_holds_the_priced_collection_under_one_poller(checker):
+    """The same CI smoke: the priced number of pollers must add no more after
+    the last worker than a sequentially polling driver does."""
+    import io
+
+    from repro.cli import main
+
+    out = io.StringIO()
+    assert main(["invocation", "--workers", "4096"], out=out) == 0
+    text = out.getvalue()
+    assert checker.check_invocation_output(text) == []
+    priced = next(line for line in text.splitlines() if "collection, priced" in line)
+    slower = text.replace(priced, priced.replace("0.036 s", "14.000 s"))
+    assert slower != text
+    failures = checker.check_invocation_output(slower)
+    assert len(failures) == 1 and "priced collection" in failures[0]
+    dropped = "\n".join(line for line in text.splitlines() if "collection" not in line)
+    assert "no collection line" in checker.check_invocation_output(dropped)[0]

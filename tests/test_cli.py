@@ -19,6 +19,11 @@ def test_demo_query_default_q6():
     assert "revenue" in output
     assert "workers:" in output
     assert "cost breakdown:" in output
+    # The statistics block ends with the critical path of the modelled latency.
+    last = output.splitlines()[-1]
+    assert last.startswith("latency 0.") and " s = launch 0." in last
+    assert " + last worker 0." in last
+    assert last.endswith("(1 poller, 2 receives)")
 
 
 def test_demo_query_custom_sql():
@@ -57,9 +62,16 @@ def test_invocation_compares_flat_and_tree():
     assert "first generation: 64 workers" in lines["two-level tree (√P)"]
     assert "2.475 s" in lines["priced (driver's choice)"]
     assert "first generation: 121 workers" in lines["priced (driver's choice)"]
-    # Below the crossover the priced launch is the flat one.
+    # The same fleet, every worker running 2.5 s: a sequentially polling
+    # driver is still receiving long after the last worker; priced pollers
+    # hand over the last result one round trip after it was sent.
+    assert "13.573 s after the last worker   pollers: 1 " in lines["collection, one poller"]
+    assert " 0.036 s after the last worker" in lines["collection, priced"]
+    # Below the crossover the priced launch is the flat one, and one poller
+    # is the priced collection.
     output = _run("invocation", "--workers", "8")
     assert output.count("first generation: 8 workers") == 2
+    assert output.count("0.048 s after the last worker   pollers: 1   receives: 2") == 2
 
 
 def test_qaas_comparison_output():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.config import INVOCATION_LATENCY_SECONDS
 from repro.driver.driver import LambadaDriver
 from repro.driver.invocation import InvocationModel
 from repro.errors import ExecutionError, WorkerFailedError
@@ -257,6 +258,84 @@ def test_large_fleet_fans_out_through_children(env, monkeypatch):
     assert stats.invocation_seconds == plan.time_to_start_all
     billed = sum(r.duration_seconds for r in env.lambda_service.invocation_log[log_before:])
     assert billed == pytest.approx(sum(stats.worker_durations) + 6 / plan.worker_rate)
+
+
+@pytest.mark.parametrize("num_files", [4, 8])
+def test_latency_is_the_collection_plan_of_the_fleets_completions(env, num_files):
+    """The modelled latency is an identity, in every execution mode: the
+    priced launch's start times plus the workers' durations, drained by the
+    collection plan — to the last digit, with no flat poll round on top."""
+    dataset = generate_lineitem_dataset(
+        env.s3, scale_factor=0.001, num_files=num_files, row_group_rows=512, seed=7
+    )
+    drivers = {
+        "serial": LambadaDriver(env, memory_mib=2048, result_queue="q-serial"),
+        "threads": LambadaDriver(
+            env, memory_mib=2048, result_queue="q-threads", execution_mode="threads"
+        ),
+        "processes": LambadaDriver(
+            env, memory_mib=2048, result_queue="q-processes",
+            execution_mode="processes", max_parallel_invocations=2,
+        ),
+    }
+    round_trip = INVOCATION_LATENCY_SECONDS["eu"]
+    try:
+        # An environment's very first worker runs a little longer than any
+        # later one, whatever the mode; keep it out of the comparison.
+        drivers["serial"].execute(q6_plan(dataset.paths), cold=False)
+        for plan_of in (q1_plan, q6_plan):
+            latencies = {}
+            for mode, mode_driver in drivers.items():
+                stats = mode_driver.execute(plan_of(dataset.paths), cold=False).statistics
+                launch = InvocationModel(region="eu").plan(num_files, cold=False)
+                completion = launch.worker_start_times() + np.asarray(stats.worker_durations)
+                collection = launch.collection(completion)
+                assert stats.latency_seconds == collection.finish, mode
+                assert stats.resilience.backoff_seconds == 0.0
+                assert stats.latency_seconds == float(completion.max()) + stats.collection_seconds
+                assert stats.collection_seconds == collection.seconds
+                assert stats.collection_pollers == collection.pollers == 1
+                assert stats.collection_receives == collection.receives == 2
+                # One send per worker and the plan's receives: what
+                # n + ceil(n / 10) + 1 billed a fleet this small.
+                assert stats.cost_sqs_requests == env.ledger.prices.sqs_cost(num_files + 2)
+                # Collection overlaps the fleet: the first receive returns
+                # with the first result, the second carries the rest.
+                assert round_trip < stats.collection_seconds <= 2 * round_trip
+                assert (
+                    f"collection {stats.collection_seconds:.3f} (1 poller, 2 receives)"
+                    in stats.describe_latency()
+                )
+                latencies[mode] = stats.latency_seconds
+            assert latencies["serial"] == latencies["threads"] == latencies["processes"]
+    finally:
+        drivers["processes"].close()
+
+
+def test_a_lone_worker_is_collected_in_one_round_trip(driver, dataset):
+    stats = driver.execute(q6_plan(dataset.paths), num_workers=1, cold=False).statistics
+    assert stats.num_workers == 1
+    assert (stats.collection_pollers, stats.collection_receives) == (1, 1)
+    assert stats.collection_seconds == pytest.approx(INVOCATION_LATENCY_SECONDS["eu"])
+    # Four workers: the stagger of their starts (3 / 294 s) comes off the
+    # second receive's round trip.
+    four = driver.execute(q6_plan(dataset.paths), cold=False).statistics
+    assert four.collection_seconds / INVOCATION_LATENCY_SECONDS["eu"] == pytest.approx(
+        1.72, abs=0.02
+    )
+
+
+def test_explain_and_describe_latency_name_the_critical_path(driver, dataset):
+    result = driver.execute(q6_plan(dataset.paths), cold=False)
+    stats = result.statistics
+    line = stats.describe_latency()
+    assert result.explain().splitlines()[-1] == line
+    assert line.startswith(f"latency {stats.latency_seconds:.3f} s = launch ")
+    assert " + last worker " in line and " + collection " in line
+    assert "backoff" not in line
+    # The printed terms are the latency.
+    terms = [float(term.split()[-1]) for term in line.split(" = ")[1].split(" (")[0].split(" + ")]
+    assert sum(terms) == pytest.approx(stats.latency_seconds, abs=2e-3)
 
 
 def test_scalar_on_multirow_result_raises(driver, dataset):

@@ -374,3 +374,77 @@ def test_catalog_pruning_rejected_for_join_plans(driver, dataset, orders_dataset
             catalog=StatisticsCatalog(driver.env.dynamodb),
             dataset_name="lineitem",
         )
+
+
+# -- the modelled latency of a DAG is an identity --------------------------------------
+
+
+@pytest.mark.parametrize("slow", [False, True], ids=["fused", "wave-per-stage"])
+@pytest.mark.parametrize("num_workers", [None, 3])
+def test_dag_latency_is_the_collection_plan_of_the_final_wave(slow, num_workers):
+    """Launch, scan wave and barriered join waves add up; behind them only the
+    final wave's results travel to the driver, drained by the collection plan
+    of that wave's completions — exactly, with no flat poll round on top."""
+    import math
+
+    from repro.config import INVOCATION_LATENCY_SECONDS
+    from repro.driver.invocation import InvocationModel
+    from repro.workload import queries as q
+    from tests.test_join_wave_fusion import _session, _stack
+
+    env, datasets = _stack(slow=slow)
+    session = _session(env, datasets)
+    round_trip = INVOCATION_LATENCY_SECONDS["eu"]
+    for sql in (q.q3_sql(), q.q5_sql()):
+        kwargs = {} if num_workers is None else {"num_workers": num_workers}
+        result = session.sql(sql, **kwargs)
+        stats = result.statistics
+        partitions, waves = stats.exchange_partitions, len(stats.wave_stages)
+        if num_workers is not None or not slow:  # a slow link prices one worker per file
+            assert partitions == (num_workers or 1)
+        assert waves == (stats.dag_stages if slow else 1)
+        joiners = partitions * waves
+        durations = stats.worker_durations
+        assert len(durations) == stats.num_workers
+        scan_wave = max(durations[:-joiners])
+        join_waves = 0.0
+        for start in range(stats.num_workers - joiners, stats.num_workers, partitions):
+            join_waves += max(durations[start : start + partitions])
+        backoff = stats.resilience.backoff_seconds
+        assert backoff == 0.0
+
+        launch = InvocationModel(region="eu").plan(stats.num_workers, cold=stats.cold)
+        assert stats.invocation_seconds == launch.time_to_start_all
+        final_wave = np.asarray(durations[-partitions:])
+        collection = launch.collection(
+            stats.invocation_seconds + (scan_wave + join_waves + backoff)
+            - final_wave.max() + final_wave
+        )
+        assert stats.latency_seconds == collection.finish
+        assert stats.collection_seconds == collection.seconds
+        assert stats.collection_pollers == collection.pollers == 1
+        assert stats.collection_receives == collection.receives
+        assert 1 <= collection.receives <= partitions
+        assert (collection.receives == 1) == (partitions == 1)
+        assert stats.latency_seconds == pytest.approx(
+            stats.invocation_seconds + scan_wave + join_waves + stats.collection_seconds
+        )
+        assert round_trip * (1 - 1e-9) <= stats.collection_seconds <= 2 * round_trip
+        if partitions == 1:
+            assert stats.collection_seconds == pytest.approx(round_trip)
+        # One send per worker, the barriered waves' batched receives and
+        # control request as before, and the final wave's receives.
+        assert stats.cost_sqs_requests == env.ledger.prices.sqs_cost(
+            stats.num_workers + math.ceil(stats.num_workers / 10) + 1 + collection.receives
+        )
+
+        line = stats.describe_latency()
+        plural = "" if waves == 1 else "s"
+        assert line.startswith(f"latency {stats.latency_seconds:.3f} s = launch ")
+        assert f" + scan wave {scan_wave:.3f} + {waves} join wave{plural} {join_waves:.3f}" in line
+        assert line.endswith(
+            f"collection {stats.collection_seconds:.3f} "
+            f"(1 poller, {collection.receives} receive{'s' if collection.receives > 1 else ''})"
+        )
+        explained = result.explain().splitlines()
+        assert explained[-3] == line and explained[-1].startswith("executed: wave 1 = ")
