@@ -1,9 +1,10 @@
 """The Lambada driver: query coordinator.
 
 The driver deploys the worker function once ("installation"), then executes
-queries by compiling them, invoking the worker fleet in the shape its launch
-plan prices (one hop, or the two-level tree of §4.2 for a large fleet),
-polling the SQS result queue, and merging the partial results
+queries by compiling them, running the worker fleet through
+:func:`repro.driver.dispatch.run_fleet` — invoked in the shape its launch
+plan prices (one hop, or the two-level tree of §4.2 for a large fleet), or on
+the process pool; failed workers re-invoked — and merging the partial results
 locally (the driver scope of the physical plan).  It reports per-query
 statistics — modelled end-to-end latency and the full dollar-cost breakdown —
 which the evaluation benchmarks consume.
@@ -35,12 +36,13 @@ from repro.driver.admission import (
     CancellationToken,
 )
 from repro.driver.breakers import BreakerBoard, RetryBudget
-from repro.driver.integrity import (
-    RESULT_BUCKET,
-    IntegrityStats,
-    fetch_spilled_result,
-    open_message,
+from repro.driver.dispatch import (
+    FleetLabels,
+    collect_results,
+    current_attempts,
+    run_fleet,
 )
+from repro.driver.integrity import IntegrityStats, fetch_spilled_result
 from repro.driver.invocation import (
     CollectionPlan,
     InvocationModel,
@@ -54,10 +56,8 @@ from repro.driver.resilience import (
     ResiliencePolicy,
     ResilienceStats,
     call_with_backoff,
-    decorrelated_jitter,
     fault_delta,
     fault_snapshot,
-    merge_attempt_message,
     pick_stragglers,
 )
 from repro.driver.shuffle import (
@@ -65,28 +65,21 @@ from repro.driver.shuffle import (
     JOIN_REDUCE_FUNCTION_NAME,
     ShuffleConfig,
     ShuffleJoinCoordinator,
+    _gc_cancelled_query,
     expand_glob_paths,
     join_costs,
+    merge_driver_scope,
 )
 from repro.driver.worker import (
     COLD_EXECUTION_PENALTY,
     WORKER_FUNCTION_NAME,
     make_worker_handler,
 )
-from repro.engine.aggregates import finalize_aggregates, merge_partials
-from repro.engine.payload import decode_table
 from repro.engine.pipeline import WorkerResult
 from repro.exchange.basic import ExchangeStats
 from repro.exchange.codec import verify_frame
-from repro.engine.table import (
-    Table,
-    concat_tables,
-    sort_table,
-    table_num_rows,
-    take_rows,
-)
+from repro.engine.table import Table, table_num_rows
 from repro.errors import (
-    CloudError,
     ExecutionError,
     QueryCancelledError,
     QueryTimeoutError,
@@ -102,6 +95,14 @@ from repro.plan.physical import (
     describe_exchange_fan_out,
     describe_executed_waves,
     resolve_udf,
+)
+
+#: What the scan fleet's and the process pool's pump points and retry-budget
+#: accounts are called (a scan's first pump point is its first poll,
+#: ``"collect"``).
+SCAN_FLEET = FleetLabels(dispatch=None, retry="retry round", budget="driver_retries")
+POOL_FLEET = FleetLabels(
+    dispatch="pooled dispatch", retry="pooled retry", budget="pool_retries"
 )
 
 
@@ -459,8 +460,9 @@ class LambadaDriver:
         wave as the relations' registered sizes keep streaming
         (:func:`~repro.driver.shuffle.exchange_fan_out`); ``num_workers``
         caps the map fleets and sets the join fan-out instead.
-        ``files_per_worker`` is not consulted, a failed worker aborts the
-        query without retries (the waves are barriered), and catalog-based
+        ``files_per_worker`` is not consulted, a failed worker is retried
+        within its wave up to ``resilience_policy.max_attempts`` times
+        (``max_worker_retries`` is not consulted there), and catalog-based
         file pruning is rejected explicitly (its single-dataset statistics
         cannot describe two relations).
 
@@ -566,46 +568,61 @@ class LambadaDriver:
         self._active_cancel = cancel
         self._active_budget = budget
         self._active_now = now_fn
+        prices = self.env.ledger.prices
+
+        def on_retry(key: int, retry: Dict, error: str) -> None:
+            # Retries are flat whatever shape the launch had; the failure
+            # feeds the lambda breaker, and its request fee bought nothing.
+            retry.pop("children", None)
+            self._record_worker_failure(error)
+            resilience.wasted_cost_dollars += prices.lambda_invocation_cost(1)
+
         try:
-            if self.execution_mode == "processes" and self._pool_supported(physical):
-                pooled = self._execute_pooled(
-                    physical, payloads, launch, report, cold, max_worker_retries,
-                    resilience, faults_before,
-                )
-                if pooled is not None:
-                    return pooled
-                # Pool unavailable (single core / spawn failure / respawn
-                # storm / open invocation breaker): fall through to the
-                # classic serial dispatch below.
-
-            tree = build_invocation_tree(payloads, launch)
-
-            self.env.sqs.purge_queue(self.result_queue)
-            self._invoke_tree(tree, resilience)
-
             attempt_log = AttemptLog()
-            messages = self._collect_messages(
-                query_id,
-                expected=len(payloads),
-                want={payload["worker_id"] for payload in payloads},
-                raise_on_timeout=max_worker_retries <= 0,
-                integrity=integrity_stats,
-            )
-            by_worker = self._group_messages(
-                messages, resilience=resilience, integrity=integrity_stats
-            )
-            by_worker = self._retry_failures(
-                by_worker, payloads, query_id, max_worker_retries,
-                resilience=resilience, attempt_log=attempt_log,
-                integrity=integrity_stats,
-            )
+            by_worker = None
+            if self.execution_mode == "processes" and self._pool_supported(physical):
+                by_worker = self._run_pooled(
+                    payloads, max_worker_retries + 1, resilience, attempt_log, on_retry
+                )
+            pooled = by_worker is not None
+            if not pooled:
+                # The classic dispatch — and where a pool that is unavailable
+                # (single core / spawn failure) or gave up mid-query (respawn
+                # storm / open invocation breaker) falls back to, from scratch.
+                self.env.sqs.purge_queue(self.result_queue)
+                attempt_log = AttemptLog()
+                events = {payload["worker_id"]: payload for payload in payloads}
+                by_worker = run_fleet(
+                    events,
+                    self._scan_transport(
+                        events, query_id, launch, resilience, integrity_stats
+                    ),
+                    max_worker_retries + 1, self.resilience_policy, self._jitter_rng,
+                    resilience, SCAN_FLEET, attempt_log, integrity=integrity_stats,
+                    cancel=cancel, budget=budget, on_retry=on_retry,
+                )
+                self._fetch_spilled(by_worker.values(), resilience, integrity_stats)
             worker_results = self._parse_results(
                 by_worker, expected=len(payloads), attempt_log=attempt_log
             )
-            worker_results, hedge_billed_seconds = self._hedge_stragglers(
-                worker_results, by_worker, payloads, query_id, resilience,
-                integrity=integrity_stats,
-            )
+            hedge_billed_seconds = 0.0
+            if pooled:
+                # Fold the workers' simulated S3 traffic into the ledger (the
+                # classic path meters it inside ObjectStore per request).
+                now = self.env.clock.now
+                self.env.ledger.record(
+                    "s3", "get_requests",
+                    sum(r.get_requests for r in worker_results), now,
+                )
+                self.env.ledger.record(
+                    "s3", "bytes_read",
+                    sum(r.bytes_read for r in worker_results), now,
+                )
+            else:
+                worker_results, hedge_billed_seconds = self._hedge_stragglers(
+                    worker_results, by_worker, payloads, query_id, resilience,
+                    integrity=integrity_stats,
+                )
 
             table, reduce_value = self._merge(physical, worker_results)
             statistics = self._build_statistics(
@@ -797,143 +814,72 @@ class LambadaDriver:
             self._pool.close()
             self._pool = None
 
-    def _execute_pooled(
+    def _run_pooled(
         self,
-        physical: PhysicalPlan,
         payloads: List[Dict],
-        launch: LaunchPlan,
-        report: Optional[OptimizerReport],
-        cold: bool,
-        max_worker_retries: int,
-        resilience: Optional[ResilienceStats] = None,
-        fault_snapshot: Optional[Dict[str, int]] = None,
-    ) -> Optional[QueryResult]:
+        rounds: int,
+        resilience: ResilienceStats,
+        attempt_log: AttemptLog,
+        on_retry,
+    ) -> Optional[Dict[int, Dict]]:
         """Run the fleet on the process pool; ``None`` means "fall back".
 
         The SQS control plane is bypassed — worker results come back through
-        shared-memory segments — but the *modelled* statistics are built by
-        the exact same ``_parse_results``/``_merge``/``_build_statistics``
-        tail as the classic path, and every pool task is metered through
-        ``LambdaService.account_invocation``, so invocation cold/warm
+        shared-memory segments — but as classic-shaped messages, so
+        ``execute`` parses, merges and prices them with the same tail as the
+        classic path, and every pool task is metered through
+        ``LambdaService.account_invocation``: invocation cold/warm
         bookkeeping, the ledger, and the cost model stay identical.
         """
         pool = self._ensure_pool()
         if pool is None:
             return None
-        cancel = self._active_cancel
-        if cancel is not None:
-            # Pre-dispatch pump point: a cancelled query never touches the
-            # pool (no segments to clean up).
-            cancel.check("pooled dispatch")
-        resilience = resilience if resilience is not None else ResilienceStats()
-        policy = self.resilience_policy
         respawns_before = pool.stats().get("respawns", 0)
-        attempt_log = AttemptLog()
-        prices = self.env.ledger.prices
+
+        def give_up() -> bool:
+            if "lambda" in self.breakers.open_services():
+                # Invocation-plane brownout: stop feeding the pool and run
+                # this query serially.  Unlike the respawn-storm path the
+                # pool stays up — the breaker recovers on its own.
+                resilience.note_fallback("processes_to_serial")
+                return True
+            respawn_delta = pool.stats().get("respawns", 0) - respawns_before
+            if respawn_delta <= self.resilience_policy.pool_respawn_limit:
+                return False
+            # Respawn storm: the pool keeps losing children mid-query.
+            # Degrade to serial dispatch instead of thrashing further.
+            resilience.pool_respawns = respawn_delta
+            resilience.note_fallback("processes_to_serial")
+            warnings.warn(
+                f"processes execution mode: {respawn_delta} pool "
+                "respawns in one query, falling back to serial dispatch",
+                RuntimeWarning,
+                stacklevel=5,  # give_up < run_fleet < _run_pooled < execute < caller
+            )
+            self.close()
+            self._pool_unavailable = True
+            return True
 
         all_files = sorted({path for p in payloads for path in p["plan"]["files"]})
-        export: Optional[SharedObjectExport] = None
-        by_worker: Dict[int, Dict] = {}
+        export = SharedObjectExport.create(self.env.s3, all_files)
         try:
-            export = SharedObjectExport.create(self.env.s3, all_files)
-            by_worker.update(self._run_pooled_round(pool, export, payloads))
-            payload_by_worker = {p["worker_id"]: p for p in payloads}
-            sleep = 0.0
-            for _ in range(max_worker_retries):
-                failed = [
-                    payload_by_worker[wid]
-                    for wid, msg in sorted(by_worker.items())
-                    if msg.get("status") != "ok"
-                ]
-                if not failed:
-                    break
-                if cancel is not None:
-                    # Mid-wave pump point: result segments are already
-                    # unlinked, the finally block below releases the export.
-                    cancel.check("pooled retry")
-                if "lambda" in self.breakers.open_services():
-                    # Invocation-plane brownout: stop feeding the pool and
-                    # run this query serially.  Unlike the respawn-storm path
-                    # the pool stays up — the breaker recovers on its own.
-                    resilience.note_fallback("processes_to_serial")
-                    return None
-                respawn_delta = pool.stats().get("respawns", 0) - respawns_before
-                if respawn_delta > policy.pool_respawn_limit:
-                    # Respawn storm: the pool keeps losing children mid-query.
-                    # Degrade to serial dispatch instead of thrashing further.
-                    resilience.pool_respawns = respawn_delta
-                    resilience.note_fallback("processes_to_serial")
-                    warnings.warn(
-                        f"processes execution mode: {respawn_delta} pool "
-                        "respawns in one query, falling back to serial dispatch",
-                        RuntimeWarning,
-                        stacklevel=3,
-                    )
-                    self.close()
-                    self._pool_unavailable = True
-                    return None
-                sleep = decorrelated_jitter(
-                    sleep,
-                    self._jitter_rng,
-                    policy.backoff_base_seconds,
-                    policy.backoff_cap_seconds,
-                )
-                resilience.backoff_seconds += sleep
-                retries: List[Dict] = []
-                for payload in failed:
-                    worker_id = payload["worker_id"]
-                    error = by_worker[worker_id].get("error", "unknown error")
-                    attempt_log.record(
-                        worker_id,
-                        payload.get("attempt", 0),
-                        error,
-                        backoff_seconds=sleep,
-                    )
-                    self._record_worker_failure(error)
-                    retry_payload = dict(payload)
-                    retry_payload["attempt"] = payload.get("attempt", 0) + 1
-                    payload_by_worker[worker_id] = retry_payload
-                    retries.append(retry_payload)
-                    resilience.retries += 1
-                    if self._active_budget is not None:
-                        self._active_budget.charge("pool_retries")
-                    resilience.wasted_cost_dollars += prices.lambda_invocation_cost(1)
-                by_worker.update(self._run_pooled_round(pool, export, retries))
-            resilience.pool_respawns = pool.stats().get("respawns", 0) - respawns_before
-            worker_results = self._parse_results(
-                by_worker, expected=len(payloads), attempt_log=attempt_log
-            )
-
-            # Fold the workers' simulated S3 traffic into the ledger (the
-            # classic path meters it inside ObjectStore per request).
-            now = self.env.clock.now
-            self.env.ledger.record(
-                "s3", "get_requests",
-                sum(r.get_requests for r in worker_results), now,
-            )
-            self.env.ledger.record(
-                "s3", "bytes_read",
-                sum(r.bytes_read for r in worker_results), now,
-            )
-
-            table, reduce_value = self._merge(physical, worker_results)
-            statistics = self._build_statistics(
-                physical, worker_results, launch=launch, cold=cold,
-                resilience=resilience, fault_snapshot=fault_snapshot,
-            )
-            statistics.overload = self._overload_block(self._active_budget)
-            return QueryResult(
-                table=table,
-                reduce_value=reduce_value,
-                statistics=statistics,
-                worker_results=worker_results,
-                optimizer_report=report,
-                plan_explain=physical.explain(),
+            # A cancellation at either pump point unwinds through here:
+            # result segments are unlinked round by round, the export below.
+            by_worker = run_fleet(
+                {payload["worker_id"]: payload for payload in payloads},
+                lambda attempts, by_key: by_key.update(
+                    self._run_pooled_round(pool, export, attempts)
+                ),
+                rounds, self.resilience_policy, self._jitter_rng, resilience,
+                POOL_FLEET, attempt_log, cancel=self._active_cancel,
+                budget=self._active_budget, on_retry=on_retry, give_up=give_up,
             )
         finally:
-            if export is not None:
-                pool.forget_segments([export.name])
-                export.close()
+            pool.forget_segments([export.name])
+            export.close()
+        if by_worker is not None:
+            resilience.pool_respawns = pool.stats().get("respawns", 0) - respawns_before
+        return by_worker
 
     def _run_pooled_round(
         self,
@@ -1062,30 +1008,30 @@ class LambadaDriver:
 
     # -- helpers --------------------------------------------------------------------
 
-    def _invoke_tree(
-        self, tree: List[Dict], resilience: Optional[ResilienceStats] = None
-    ) -> None:
-        """Invoke the tree roots, serially or through the thread pool.
+    def _invoke(self, payload: Dict, resilience: ResilienceStats) -> None:
+        """Invoke one worker from the driver.
 
-        Invocations retry transient rejections (capacity brownouts throttle
-        the fleet with :class:`~repro.errors.TooManyRequestsError`) with
-        backoff through the driver's breaker board and the active query's
-        retry budget, instead of aborting the wave on the first rejection.
+        Transient rejections (capacity brownouts throttle the fleet with
+        :class:`~repro.errors.TooManyRequestsError`) are retried with backoff
+        through the driver's breaker board and the active query's retry
+        budget, instead of aborting the fleet on the first rejection.
         """
+        call_with_backoff(
+            self.env.lambda_service.invoke,
+            self.function_name,
+            payload,
+            from_driver=True,
+            policy=self.resilience_policy,
+            rng=self._jitter_rng,
+            stats=resilience,
+            breakers=self.breakers,
+            budget=self._active_budget,
+            now_fn=self._active_now,
+        )
 
-        def invoke(parent: Dict) -> None:
-            call_with_backoff(
-                self.env.lambda_service.invoke,
-                self.function_name,
-                parent,
-                from_driver=True,
-                policy=self.resilience_policy,
-                rng=self._jitter_rng,
-                stats=resilience,
-                breakers=self.breakers,
-                budget=self._active_budget,
-                now_fn=self._active_now,
-            )
+    def _invoke_tree(self, tree: List[Dict], resilience: ResilienceStats) -> None:
+        """Invoke the tree roots, serially or through the thread pool."""
+        invoke = functools.partial(self._invoke, resilience=resilience)
 
         # On a single-core host the pool cannot overlap the workers' numpy
         # sections and only adds dispatch overhead (~10% on TPC-H Q1 at 1M
@@ -1123,10 +1069,7 @@ class LambadaDriver:
         lambda breaker and drive degradation.
         """
         if error.startswith(self._LAMBDA_FAILURE_PREFIXES):
-            now = self._active_now
-            self.breakers.breakers["lambda"].record_failure(
-                now() if now is not None else self.env.clock.now
-            )
+            self.breakers.breakers["lambda"].record_failure(self._active_now())
 
     def _overload_block(self, budget: Optional[RetryBudget]) -> Dict[str, Any]:
         """The per-query overload-control statistics block."""
@@ -1137,98 +1080,56 @@ class LambadaDriver:
         }
 
     def _gc_cancelled_scan(self, query_id: str) -> int:
-        """Best-effort cleanup after a cancelled/budget-killed scan query.
+        """Best-effort cleanup after a cancelled/budget-killed scan query:
+        the shuffle plane's sweep over zero exchange buckets — spilled
+        results deleted, result queue purged; returns the objects deleted."""
+        return _gc_cancelled_query(self.env, query_id, 0, self.result_queue)
 
-        Purges the result queue (nobody will consume the remaining messages
-        — per-session drivers own their queue exclusively) and deletes every
-        spilled result object under this query's prefix, so a cancelled query
-        leaves no orphaned cloud state.  Returns the number of objects
-        deleted; cleanup never masks the typed error being raised.
-        """
-        deleted = 0
-        try:
-            self.env.sqs.purge_queue(self.result_queue)
-        except CloudError:
-            pass
-        try:
-            objects = self.env.s3.list_objects(RESULT_BUCKET, prefix=f"{query_id}/")
-        except CloudError:
-            return deleted
-        for meta in objects:
-            try:
-                self.env.s3.delete_object(RESULT_BUCKET, meta.key)
-                deleted += 1
-            except CloudError:
-                continue
-        return deleted
-
-    def _collect_messages(
+    def _scan_transport(
         self,
+        events: Dict[int, Dict],
         query_id: str,
-        expected: int,
-        want: Optional[set] = None,
-        raise_on_timeout: bool = True,
-        integrity: Optional[IntegrityStats] = None,
-    ) -> List[Dict]:
-        """Poll the result queue until ``expected`` distinct workers reported.
+        launch: LaunchPlan,
+        resilience: ResilienceStats,
+        integrity: IntegrityStats,
+    ):
+        """The scan fleet's transport: invoke over Lambda, report over SQS.
 
-        Progress is counted in *distinct* worker ids (restricted to ``want``
-        when given), so duplicated SQS deliveries can no longer satisfy
-        ``expected`` early.  The poll budget is the wave deadline; when it
-        runs out the driver either raises :class:`QueryTimeoutError` or — with
-        ``raise_on_timeout=False`` — returns what arrived so the caller can
-        retry the workers that never reported (dropped invocations, crashes).
-
-        Messages :func:`~repro.driver.integrity.open_message` finds corrupt
-        are dropped and counted into ``integrity``; the retry machinery then
-        re-invokes the silently-missing worker, so a corrupt message can
-        never contribute rows to the result.
+        The first call starts the fleet in the shape ``launch`` priced (one
+        hop, or the two-level tree); later calls are retries, invoked flat
+        from the driver.  Either way the result queue is then polled for the
+        whole fleet at its current attempts.
         """
-        verify = self.integrity.verify
-        messages: List[Dict] = []
-        seen: set = set()
-        cancel = self._active_cancel
-        max_polls = max(
-            DEFAULT_RESILIENCE.min_poll_rounds,
-            expected * DEFAULT_RESILIENCE.poll_rounds_per_worker,
-        )
-        for _ in range(max_polls):
-            if cancel is not None:
-                cancel.check("collect")
-            batch = self.env.sqs.receive_messages(self.result_queue, max_messages=10)
-            for message in batch:
-                payload = open_message(message.body, verify, integrity)
-                if payload is None or payload.get("query_id") != query_id:
-                    continue  # corrupt, or stale from an earlier query
-                messages.append(payload)
-                worker_id = payload.get("worker_id")
-                if want is None or worker_id in want:
-                    seen.add(worker_id)
-            if len(seen) >= expected:
-                return messages
-        if raise_on_timeout:
-            raise QueryTimeoutError(
-                f"received {len(seen)} of {expected} worker results before giving up"
+        launched = False
+
+        def transport(payloads: List[Dict], by_key: Dict[int, Dict]) -> None:
+            nonlocal launched
+            if launched:
+                for payload in payloads:
+                    self._invoke(payload, resilience)
+            else:
+                self._invoke_tree(build_invocation_tree(payloads, launch), resilience)
+            launched = True
+            collect_results(
+                self.env.sqs, self.result_queue, query_id, current_attempts(events),
+                by_key, "collect", resilience=resilience,
+                verify=self.integrity.verify, integrity=integrity,
+                cancel=self._active_cancel,
             )
-        return messages
 
-    def _group_messages(
-        self,
-        messages: List[Dict],
-        by_worker: Optional[Dict[int, Dict]] = None,
-        resilience: Optional[ResilienceStats] = None,
-        integrity: Optional[IntegrityStats] = None,
-    ) -> Dict[int, Dict]:
-        """Group result messages by worker id with ``(worker, attempt)`` dedup.
+        return transport
 
-        Spilled frames are fetched from S3 with backoff — the pointed-to
-        object may be transiently invisible under an injected read-after-write
-        lag — and, with verification on, must be the frame their message
-        describes; a corrupt first read (in-flight corruption) is cured by
-        one re-issued GET counted as a re-read.
+    def _fetch_spilled(
+        self, messages, resilience: ResilienceStats, integrity: IntegrityStats
+    ) -> None:
+        """Fetch the frames accepted ``messages`` spilled to S3, in place.
+
+        With backoff — the pointed-to object may be transiently invisible
+        under an injected read-after-write lag — and, with verification on,
+        it must be the frame its message describes; a corrupt first read
+        (in-flight corruption) is cured by one re-issued GET counted as a
+        re-read.
         """
-        if by_worker is None:
-            by_worker = {}
         for message in messages:
             if "result_s3" in message:
                 message["frame"] = fetch_spilled_result(
@@ -1237,103 +1138,12 @@ class LambadaDriver:
                     stats=resilience, breakers=self.breakers,
                     budget=self._active_budget, now_fn=self._active_now,
                 )
-            merge_attempt_message(by_worker, message["worker_id"], message, resilience)
-        return by_worker
-
-    def _retry_failures(
-        self,
-        by_worker: Dict[int, Dict],
-        payloads: List[Dict],
-        query_id: str,
-        max_worker_retries: int,
-        resilience: Optional[ResilienceStats] = None,
-        attempt_log: Optional[AttemptLog] = None,
-        integrity: Optional[IntegrityStats] = None,
-    ) -> Dict[int, Dict]:
-        """Re-invoke failed *or missing* workers with jittered backoff.
-
-        Replaces the seed's flat fixed-count loop: each retry round first
-        backs off (exponential with decorrelated jitter, charged to modelled
-        latency — never slept on the wall clock), tags every retry payload
-        with its attempt number, and polls for exactly the retried workers.
-        Workers that never reported at all (dropped invocations, crashed
-        instances) are retried just like reported failures.
-        """
-        resilience = resilience if resilience is not None else ResilienceStats()
-        attempt_log = attempt_log if attempt_log is not None else AttemptLog()
-        payload_by_worker = {payload["worker_id"]: payload for payload in payloads}
-        prices = self.env.ledger.prices
-        sleep = 0.0
-        for _ in range(max_worker_retries):
-            need = [
-                worker_id
-                for worker_id in sorted(payload_by_worker)
-                if by_worker.get(worker_id, {}).get("status") != "ok"
-            ]
-            if not need:
-                break
-            if self._active_cancel is not None:
-                self._active_cancel.check("retry round")
-            sleep = decorrelated_jitter(
-                sleep,
-                self._jitter_rng,
-                self.resilience_policy.backoff_base_seconds,
-                self.resilience_policy.backoff_cap_seconds,
-            )
-            resilience.backoff_seconds += sleep
-            for worker_id in need:
-                message = by_worker.get(worker_id)
-                error = (
-                    message.get("error", "unknown error")
-                    if message is not None
-                    else "no result message (lost invocation or worker crash)"
-                )
-                previous = payload_by_worker[worker_id]
-                failed_attempt = previous.get("attempt", 0)
-                attempt_log.record(
-                    worker_id, failed_attempt, error, backoff_seconds=sleep
-                )
-                if integrity is not None and error.startswith("IntegrityError"):
-                    # The worker detected at-rest corruption that re-GETs
-                    # could not cure; this retry re-executes the attempt.
-                    integrity.re_executions += 1
-                self._record_worker_failure(error)
-                retry_payload = dict(previous)
-                retry_payload.pop("children", None)
-                retry_payload["attempt"] = failed_attempt + 1
-                payload_by_worker[worker_id] = retry_payload
-                resilience.retries += 1
-                if self._active_budget is not None:
-                    self._active_budget.charge("driver_retries")
-                # The failed attempt's request fee bought nothing.
-                resilience.wasted_cost_dollars += prices.lambda_invocation_cost(1)
-                call_with_backoff(
-                    self.env.lambda_service.invoke,
-                    self.function_name,
-                    retry_payload,
-                    from_driver=True,
-                    policy=self.resilience_policy,
-                    rng=self._jitter_rng,
-                    stats=resilience,
-                    breakers=self.breakers,
-                    budget=self._active_budget,
-                    now_fn=self._active_now,
-                )
-            retry_messages = self._collect_messages(
-                query_id, expected=len(need), want=set(need),
-                raise_on_timeout=False, integrity=integrity,
-            )
-            self._group_messages(
-                retry_messages, by_worker=by_worker, resilience=resilience,
-                integrity=integrity,
-            )
-        return by_worker
 
     def _parse_results(
         self,
         by_worker: Dict[int, Dict],
         expected: int,
-        attempt_log: Optional[AttemptLog] = None,
+        attempt_log: AttemptLog,
     ) -> List[WorkerResult]:
         """Turn grouped messages into WorkerResults, surfacing remaining failures."""
         failures = sorted(
@@ -1343,9 +1153,7 @@ class LambadaDriver:
         if failures:
             first = failures[0]
             error = first.get("error", "unknown error")
-            attempts: List[Dict] = []
-            if attempt_log is not None:
-                attempts = list(attempt_log.for_worker(first["worker_id"]))
+            attempts = list(attempt_log.for_worker(first["worker_id"]))
             attempts.append({"attempt": first.get("attempt", 0), "error": error})
             raise WorkerFailedError(first["worker_id"], error, attempts=attempts)
         if len(by_worker) != expected:
@@ -1393,10 +1201,9 @@ class LambadaDriver:
         payload_by_worker = {payload["worker_id"]: payload for payload in payloads}
         prices = self.env.ledger.prices
         index_of = {worker_id: index for index, worker_id in enumerate(ordered_ids)}
-        budget = self._active_budget
-        launched: List[int] = []
+        launched: Dict[int, int] = {}  # straggler -> its hedge's attempt
         for worker_id in stragglers:
-            if budget is not None and not budget.try_charge("hedges"):
+            if not self._active_budget.try_charge("hedges"):
                 # Hedging is optional work: when the retry budget runs dry it
                 # is suppressed (and attributed), never fatal.
                 resilience.note_fallback("hedge_suppressed")
@@ -1411,34 +1218,25 @@ class LambadaDriver:
             except TRANSIENT_CLOUD_ERRORS as error:
                 # A brownout-rejected hedge simply never enters the race;
                 # the original attempt's result stands.
-                now = self._active_now
-                self.breakers.record_failure(
-                    error, now() if now is not None else self.env.clock.now
-                )
+                self.breakers.record_failure(error, self._active_now())
                 resilience.note_fallback("hedge_rejected")
                 continue
             resilience.hedges_launched += 1
-            launched.append(worker_id)
+            launched[worker_id] = hedge_payload["attempt"]
         if not launched:
             return worker_results, 0.0
-        stragglers = launched
-        hedge_messages = self._collect_messages(
-            query_id,
-            expected=len(stragglers),
-            want=set(stragglers),
-            raise_on_timeout=False,
-            integrity=integrity,
-        )
         hedged: Dict[int, Dict] = {}
-        self._group_messages(
-            hedge_messages, by_worker=hedged, resilience=resilience,
-            integrity=integrity,
+        collect_results(
+            self.env.sqs, self.result_queue, query_id, launched, hedged, "collect",
+            resilience=resilience, verify=self.integrity.verify,
+            integrity=integrity, cancel=self._active_cancel,
         )
+        self._fetch_spilled(hedged.values(), resilience, integrity)
         # Both racers run to completion and bill their full duration (a real
         # Lambda cannot be cancelled); the loser's extra seconds are billed on
         # top of the per-worker winner durations and attributed as waste.
         extra_billed_seconds = 0.0
-        for worker_id in stragglers:
+        for worker_id in launched:
             message = hedged.get(worker_id)
             if message is None or message.get("status") != "ok":
                 # The hedge itself failed or vanished — it simply loses.
@@ -1520,26 +1318,10 @@ class LambadaDriver:
             reduce_value = functools.reduce(reduce_fn, values) if values else None
             return {}, reduce_value
 
-        # Views, not copies: the merge only concatenates the partials (one
-        # concatenate + one vectorised group-by pass), so decoded columns are
-        # never mutated in place.  Every frame was verified where it was
-        # accepted (message, spilled object, pool segment).
-        partials = [
-            decode_table(result.partial, copy=False, verify=False)
-            for result in worker_results
-        ]
-        if driver_plan.collect_rows:
-            table = concat_tables(partials)
-        else:
-            merged = merge_partials(partials, driver_plan.group_by, template.aggregates)
-            table = finalize_aggregates(
-                merged, driver_plan.group_by, driver_plan.final_aggregates
-            )
-        if driver_plan.order_by:
-            table = sort_table(table, driver_plan.order_by, driver_plan.descending)
-        if driver_plan.limit is not None:
-            count = min(driver_plan.limit, table_num_rows(table))
-            table = take_rows(table, np.arange(count))
+        table = merge_driver_scope(
+            [result.partial for result in worker_results],
+            driver_plan, driver_plan.group_by, template.aggregates,
+        )
         return table, None
 
     def _build_statistics(
@@ -1548,10 +1330,10 @@ class LambadaDriver:
         worker_results: List[WorkerResult],
         launch: LaunchPlan,
         cold: bool,
-        resilience: Optional[ResilienceStats] = None,
-        fault_snapshot: Optional[Dict[str, int]] = None,
-        extra_billed_seconds: float = 0.0,
-        integrity: Optional[IntegrityStats] = None,
+        resilience: ResilienceStats,
+        fault_snapshot: Optional[Dict[str, int]],
+        extra_billed_seconds: float,
+        integrity: IntegrityStats,
     ) -> QueryStatistics:
         """Compute modelled latency and dollar cost of the query.
 
@@ -1559,10 +1341,7 @@ class LambadaDriver:
         result but was still charged (e.g. the losing side of a hedge race);
         it affects cost, never latency.
         """
-        resilience = resilience if resilience is not None else ResilienceStats()
-        integrity = integrity if integrity is not None else IntegrityStats()
-        if fault_snapshot is not None:
-            resilience.faults_injected = fault_delta(self.env, fault_snapshot)
+        resilience.faults_injected = fault_delta(self.env, fault_snapshot)
         prices = self.env.ledger.prices
         durations = [result.duration_seconds for result in worker_results]
         num_workers = launch.num_workers

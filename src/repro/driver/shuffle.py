@@ -6,7 +6,8 @@ high-cardinality group-bys have to repartition data among the serverless
 workers through S3 — the paper's exchange operator (§4.4) — and
 :class:`ShuffleJoinCoordinator` runs every such plan, lowered to a
 :class:`~repro.plan.physical.DagPhysicalPlan`, as barriered waves of function
-invocations with one wave body, one map handler and one reduce handler:
+invocations with one wave body (:func:`repro.driver.dispatch.run_fleet`, the
+loop every fleet runs through), one map handler and one reduce handler:
 
 * **scan wave** — every base relation's fleet at once.  A mapper scans its
   files with the fragment's pushed-down predicate and projection (a fragment
@@ -64,7 +65,7 @@ import math
 import random
 import uuid
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -72,12 +73,19 @@ from repro.cloud.environment import CloudEnvironment
 from repro.cloud.lambda_service import FunctionConfig, InvocationContext
 from repro.cloud.network import BandwidthModel
 from repro.cloud.s3 import parse_s3_path
-from repro.config import DEFAULT_RESILIENCE, DEFAULT_SCAN_CONNECTIONS, IntegrityConfig, MiB
+from repro.config import DEFAULT_SCAN_CONNECTIONS, IntegrityConfig, MiB
+from repro.driver.dispatch import (
+    NO_RESULT_ERROR,
+    FleetLabels,
+    collect_results,
+    current_attempts,
+    failed_keys,
+    run_fleet,
+)
 from repro.driver.integrity import (
     RESULT_BUCKET,
     IntegrityStats,
     fetch_spilled_result,
-    open_message,
     post_result,
 )
 from repro.driver.resilience import (
@@ -87,10 +95,8 @@ from repro.driver.resilience import (
     ResiliencePolicy,
     ResilienceStats,
     call_with_backoff,
-    decorrelated_jitter,
     fault_delta,
     fault_snapshot,
-    merge_attempt_message,
 )
 from repro.engine.aggregates import (
     FusedBatchAccumulator,
@@ -116,7 +122,6 @@ from repro.errors import (
     ExecutionError,
     NoSuchBucketError,
     QueryCancelledError,
-    QueryTimeoutError,
     WorkerCrashError,
     WorkerFailedError,
 )
@@ -268,209 +273,6 @@ def expand_glob_paths(s3, paths: Sequence[str]) -> List[str]:
     return expanded
 
 
-def _message_key(payload: Dict):
-    """Wave-local identity of a result message.
-
-    Join map waves run both sides concurrently with overlapping worker ids,
-    so their messages are keyed ``(side, worker_id)``; every other wave keys
-    by the bare worker id (the reduce waves report their partition there).
-    """
-    side = payload.get("side")
-    worker = payload.get("worker_id", -1)
-    return (side, worker) if side is not None else worker
-
-
-def _collect_wave_messages(
-    sqs,
-    queue: str,
-    query_id: str,
-    expected: int,
-    what: str,
-    want: Optional[Set] = None,
-    min_attempt: Optional[Dict] = None,
-    by_key: Optional[Dict] = None,
-    resilience: Optional[ResilienceStats] = None,
-    raise_on_timeout: bool = True,
-    verify: bool = True,
-    integrity: Optional[IntegrityStats] = None,
-) -> Dict:
-    """Poll ``queue`` until every wanted worker of ``query_id`` reported.
-
-    Returns ``{key: message}`` with (key, attempt) dedup applied — duplicate
-    and stale deliveries (injected or real) are counted into ``resilience``
-    and dropped.  A key is satisfied once it holds a message (ok *or* error)
-    of at least ``min_attempt[key]`` — older messages cannot end the poll,
-    so a wave retry is never confused with the attempt it superseded.  The
-    bounded poll budget models the wave deadline; on exhaustion the caller
-    either gets the partial dict back (``raise_on_timeout=False``, the retry
-    loops) or :class:`~repro.errors.QueryTimeoutError`.
-
-    Messages :func:`~repro.driver.integrity.open_message` finds corrupt are
-    dropped and counted into ``integrity``; the wave machinery then
-    re-invokes the silently-missing worker, so a corrupt message can never
-    contribute rows to the result.
-    """
-    by_key = {} if by_key is None else by_key
-    min_attempt = min_attempt or {}
-
-    def satisfied() -> int:
-        keys = want if want is not None else set(by_key)
-        count = 0
-        for key in keys:
-            message = by_key.get(key)
-            if message is None:
-                continue
-            if int(message.get("attempt", 0)) >= min_attempt.get(key, 0):
-                count += 1
-        return count
-
-    target = len(want) if want is not None else expected
-    max_polls = max(
-        DEFAULT_RESILIENCE.min_poll_rounds,
-        expected * DEFAULT_RESILIENCE.poll_rounds_per_worker,
-    )
-    for _ in range(max_polls):
-        for message in sqs.receive_messages(queue, max_messages=10):
-            payload = open_message(message.body, verify, integrity)
-            if payload is None or payload.get("query_id") != query_id:
-                continue
-            key = _message_key(payload)
-            if want is not None and key not in want:
-                continue
-            merge_attempt_message(by_key, key, payload, resilience)
-        if satisfied() >= target:
-            return by_key
-    if raise_on_timeout:
-        raise QueryTimeoutError(
-            f"received {satisfied()} of {target} {what} results before giving up"
-        )
-    return by_key
-
-
-def _run_wave(
-    env: CloudEnvironment,
-    function_name: str,
-    events: Dict,
-    queue: str,
-    query_id: str,
-    what: str,
-    policy: ResiliencePolicy,
-    rng: random.Random,
-    resilience: ResilienceStats,
-    on_retry: Optional[Callable[[object, Dict], None]] = None,
-    verify: bool = True,
-    integrity: Optional[IntegrityStats] = None,
-    cancel=None,
-    breakers=None,
-    budget=None,
-    now_fn: Optional[Callable[[], float]] = None,
-) -> Dict:
-    """Invoke one wave of workers and collect one ok-result per event.
-
-    ``events`` maps wave keys (worker id, or ``(side, worker_id)`` for the
-    join map wave) to invocation payloads carrying ``"attempt": 0``.  Workers
-    that failed or never reported (dropped invocation, timeout, crash) are
-    re-invoked with the next attempt number after a jittered backoff charged
-    to the modelled ledger, up to ``policy.max_attempts``; ``on_retry(key,
-    event)`` lets the coordinator degrade a retry (combined → legacy).  On
-    an exhausted budget the first failing worker raises
-    :class:`~repro.errors.WorkerFailedError` with its full attempt history.
-
-    The overload plane (PR 9) threads through here: ``cancel`` is checked at
-    wave dispatch and every retry round, ``breakers``/``budget``/``now_fn``
-    make the Invoke requests themselves breaker-aware (a brownout fleet cap
-    rejecting invocations is retried with backoff instead of aborting the
-    wave) and cap total retry spend.
-    """
-
-    def invoke(payload: Dict) -> None:
-        call_with_backoff(
-            env.lambda_service.invoke,
-            function_name,
-            payload,
-            policy=policy,
-            rng=rng,
-            stats=resilience,
-            retry_on=TRANSIENT_CLOUD_ERRORS,
-            breakers=breakers,
-            budget=budget,
-            now_fn=now_fn,
-        )
-
-    if cancel is not None:
-        cancel.check(f"{what} dispatch")
-    for key in sorted(events):
-        invoke(events[key])
-    by_key: Dict = {}
-    attempt_log = AttemptLog()
-    rounds = max(1, policy.max_attempts)
-    sleep = 0.0
-    failed: List = []
-    for round_index in range(rounds):
-        if cancel is not None:
-            # Mid-wave pump point: the wave is dispatched (workers may have
-            # written exchange state) but not yet collected.
-            cancel.check(what)
-        _collect_wave_messages(
-            env.sqs,
-            queue,
-            query_id,
-            len(events),
-            what,
-            want=set(events),
-            min_attempt={k: int(e.get("attempt", 0)) for k, e in events.items()},
-            by_key=by_key,
-            resilience=resilience,
-            raise_on_timeout=False,
-            verify=verify,
-            integrity=integrity,
-        )
-        failed = sorted(
-            key for key in events if by_key.get(key, {}).get("status") != "ok"
-        )
-        if not failed:
-            return by_key
-        if round_index == rounds - 1:
-            break
-        sleep = decorrelated_jitter(
-            sleep, rng, policy.backoff_base_seconds, policy.backoff_cap_seconds
-        )
-        resilience.backoff_seconds += sleep
-        resilience.wave_retries += 1
-        for key in failed:
-            message = by_key.get(key)
-            previous = int(events[key].get("attempt", 0))
-            error = (message or {}).get("error") or (
-                "no result message (lost invocation or worker crash)"
-            )
-            worker_id = key[1] if isinstance(key, tuple) else key
-            attempt_log.record(worker_id, previous, error=error, backoff_seconds=sleep)
-            if integrity is not None and error.startswith("IntegrityError"):
-                # The worker detected at-rest corruption that re-GETs could
-                # not cure; this retry re-executes the producing attempt
-                # under a fresh attempt-suffixed prefix.
-                integrity.re_executions += 1
-            retry = dict(events[key])
-            retry["attempt"] = previous + 1
-            if on_retry is not None:
-                on_retry(key, retry)
-            events[key] = retry
-            if budget is not None:
-                budget.charge("wave_retries")
-            resilience.retries += 1
-            invoke(retry)
-    key = failed[0]
-    worker_id = key[1] if isinstance(key, tuple) else key
-    message = by_key.get(key) or {}
-    error = message.get("error") or (
-        "no result message (lost invocation or worker crash)"
-    )
-    history = attempt_log.for_worker(worker_id) + [
-        {"attempt": int(events[key].get("attempt", 0)), "error": error}
-    ]
-    raise WorkerFailedError(worker_id, f"{what}: {error}", attempts=history)
-
-
 def _gc_query_objects(env: CloudEnvironment, query_id: str, num_buckets: int) -> tuple:
     """Sweep every object a query's attempts wrote.
 
@@ -533,11 +335,13 @@ def _delete_consumed_outputs(
 def _gc_cancelled_query(env: CloudEnvironment, query_id: str, num_buckets: int, queue: str) -> int:
     """Garbage-collect a cancelled query's cloud state; returns keys deleted.
 
-    Deletes every object the query's attempts wrote (:func:`_gc_query_objects`)
-    and purges the result queue so no orphaned message can leak into a later
-    query's poll.  Best-effort: an injected fault during cleanup (the
-    brownout that provoked the cancellation may still be raging) skips that
-    bucket rather than masking the cancellation itself.
+    Deletes every object the query's attempts wrote (:func:`_gc_query_objects`;
+    a scan query passes ``num_buckets=0`` and sweeps its spilled results only)
+    and purges the result queue — its owner polls it alone — so no orphaned
+    message can leak into a later query's poll.  Best-effort: an injected
+    fault during cleanup (the brownout that provoked the cancellation may
+    still be raging) skips that bucket rather than masking the typed error
+    being raised.
     """
     deleted, _ = _gc_query_objects(env, query_id, num_buckets)
     try:
@@ -587,7 +391,10 @@ def _join_legacy_naming(
 
 def _exchange_buckets(num_buckets: int) -> List[str]:
     """Buckets of both exchange planes; every query and every exchange tag
-    shares them (only the key prefix differs)."""
+    shares them (only the key prefix differs).  A scan query has no exchange:
+    zero buckets."""
+    if not num_buckets:
+        return []
     return list(
         dict.fromkeys(
             _join_map_naming("", "", num_buckets).buckets()
@@ -1088,6 +895,38 @@ class JoinStatistics:
         return self.left_map_workers + self.right_map_workers + self.reduce_workers
 
 
+def merge_driver_scope(
+    frames: Sequence[bytes],
+    driver_plan: DriverPlan,
+    group_by: Sequence[str],
+    aggregates: Sequence[AggregateSpec],
+    project: Optional[Sequence[str]] = None,
+) -> Table:
+    """Driver scope of a plan: merge the workers' partials, finalise derived
+    aggregates, order, limit.
+
+    ``frames`` are the workers' result frames, each verified where it was
+    accepted (message, spilled object, pool segment), so they decode as
+    views: the merge only concatenates them (one concatenate + one vectorised
+    group-by pass) and never mutates a decoded column in place.  ``project``
+    is a row-collecting join's explicit projection: it drops the join-key and
+    predicate columns the repartition needed but the user did not select.
+    """
+    partials = [decode_table(frame, copy=False, verify=False) for frame in frames]
+    if driver_plan.collect_rows:
+        table = concat_tables(partials)
+        if project and table:
+            table = select_columns(table, project)
+    else:
+        merged = merge_partials(partials, group_by, aggregates)
+        table = finalize_aggregates(merged, group_by, driver_plan.final_aggregates)
+    if driver_plan.order_by:
+        table = sort_table(table, driver_plan.order_by, driver_plan.descending)
+    if driver_plan.limit is not None:
+        table = {name: np.asarray(column)[: driver_plan.limit] for name, column in table.items()}
+    return table
+
+
 def join_costs(
     prices,
     memory_mib: int,
@@ -1305,8 +1144,8 @@ class ShuffleJoinCoordinator:
     The overload-control context (PR 9) is armed per query: the driver passes
     its cancellation token, breaker board, retry budget, and modelled
     now-function to :meth:`execute`, and every wave and spill read threads
-    them into :func:`_run_wave` / :func:`~repro.driver.resilience.
-    call_with_backoff`.
+    them into :func:`~repro.driver.dispatch.run_fleet` /
+    :func:`~repro.driver.resilience.call_with_backoff`.
     """
 
     #: What this coordinator's waves are called (see :class:`WaveNames`).
@@ -1380,25 +1219,57 @@ class ShuffleJoinCoordinator:
         on_retry=None,
         integrity: Optional[IntegrityStats] = None,
     ) -> List[Dict]:
-        """Run one wave with retries; messages in wave-key order."""
-        by_key = _run_wave(
-            self.env,
-            function_name,
-            events,
-            self.result_queue,
-            query_id,
-            what,
-            self.resilience_policy,
-            self._jitter_rng,
-            resilience,
-            on_retry=on_retry,
-            verify=self.config.integrity.verify,
-            integrity=integrity,
-            cancel=self._cancel,
-            breakers=self._breakers,
-            budget=self._budget,
-            now_fn=self._now_fn,
+        """Run one wave through :func:`~repro.driver.dispatch.run_fleet`;
+        one ok message per event, in wave-key order.
+
+        ``events`` maps wave keys ``(side, worker_id)`` to invocation payloads
+        carrying ``"attempt": 0``.  Workers that failed or never reported are
+        re-invoked up to ``policy.max_attempts`` times; ``on_retry`` lets the
+        coordinator degrade a retry (combined → legacy).  A worker still
+        failing then raises :class:`~repro.errors.WorkerFailedError` with its
+        full attempt history.  The armed overload context threads through:
+        the cancellation token is checked at dispatch and at every poll, and
+        the Invoke requests themselves are breaker-aware (a brownout fleet
+        cap rejecting invocations is retried with backoff, not fatal).
+        """
+        policy = self.resilience_policy
+        redispatch = False
+
+        def transport(payloads: List[Dict], by_key: Dict) -> None:
+            nonlocal redispatch
+            if redispatch:
+                resilience.wave_retries += 1
+            redispatch = True
+            for payload in payloads:
+                call_with_backoff(
+                    self.env.lambda_service.invoke, function_name, payload,
+                    policy=policy, rng=self._jitter_rng, stats=resilience,
+                    retry_on=TRANSIENT_CLOUD_ERRORS, breakers=self._breakers,
+                    budget=self._budget, now_fn=self._now_fn,
+                )
+            collect_results(
+                self.env.sqs, self.result_queue, query_id,
+                current_attempts(events), by_key, what, resilience=resilience,
+                verify=self.config.integrity.verify, integrity=integrity,
+                cancel=self._cancel,
+            )
+
+        attempt_log = AttemptLog()
+        by_key = run_fleet(
+            events, transport, max(1, policy.max_attempts), policy,
+            self._jitter_rng, resilience,
+            FleetLabels(dispatch=f"{what} dispatch", retry=what, budget="wave_retries"),
+            attempt_log, integrity=integrity, cancel=self._cancel,
+            budget=self._budget, on_retry=on_retry,
         )
+        failed = failed_keys(events, by_key)
+        if failed:
+            _, worker_id = failed[0]
+            error = by_key.get(failed[0], {}).get("error") or NO_RESULT_ERROR
+            history = attempt_log.for_worker(worker_id) + [
+                {"attempt": int(events[failed[0]].get("attempt", 0)), "error": error}
+            ]
+            raise WorkerFailedError(worker_id, f"{what}: {error}", attempts=history)
         return [by_key[key] for key in sorted(by_key)]
 
     def _degrade_map_retry(self, resilience: ResilienceStats):
@@ -1411,7 +1282,7 @@ class ShuffleJoinCoordinator:
         mixed formats within one query, so correctness is unaffected.
         """
 
-        def on_retry(key, retry: Dict) -> None:
+        def on_retry(key, retry: Dict, error: str) -> None:
             if not retry.get("write_combining"):
                 return
             threshold = self.resilience_policy.combined_fallback_attempt
@@ -1660,19 +1531,18 @@ class ShuffleJoinCoordinator:
                 wave_seconds["reduce"] += wave_max
 
         # -- driver scope ------------------------------------------------------------
-        partials: List[Table] = []
         for message in reduce_waves[-1]:
             if "result_s3" in message:
-                frame = fetch_spilled_result(
+                message["frame"] = fetch_spilled_result(
                     self.env.s3, message, self.config.integrity.verify,
                     integrity_stats, policy=self.resilience_policy,
                     rng=self._jitter_rng, stats=resilience, breakers=self._breakers,
                     budget=self._budget, now_fn=self._now_fn,
                 )
-            else:
-                frame = message["frame"]
-            # Verified where it was accepted; the merge only concatenates.
-            partials.append(decode_table(frame, copy=False, verify=False))
+        result = merge_driver_scope(
+            [message["frame"] for message in reduce_waves[-1]],
+            dag.driver, dag.group_by, dag.aggregates, dag.project,
+        )
 
         # The final wave is folded: its spilled results have no reader left.
         gc_deleted += _delete_consumed_outputs(self.env, reduce_waves[-1], num_partitions)
@@ -1688,25 +1558,6 @@ class ShuffleJoinCoordinator:
             # objects on either naming plane, or a spilled result.
             swept, gc_lists = _gc_query_objects(self.env, query_id, self.num_buckets)
             gc_deleted += swept
-
-        driver_plan = dag.driver
-        if driver_plan.collect_rows:
-            result = concat_tables([piece for piece in partials if table_num_rows(piece)])
-            if dag.project and result:
-                # Explicit projection above the join: drop the join key and
-                # predicate columns the repartition needed but the user did
-                # not select.
-                result = select_columns(result, dag.project)
-        else:
-            merged = merge_partials(partials, dag.group_by, dag.aggregates)
-            result = finalize_aggregates(
-                merged, dag.group_by, driver_plan.final_aggregates
-            )
-        if driver_plan.order_by:
-            result = sort_table(result, driver_plan.order_by, driver_plan.descending)
-        if driver_plan.limit is not None:
-            count = min(driver_plan.limit, table_num_rows(result))
-            result = {name: np.asarray(column)[:count] for name, column in result.items()}
 
         statistics = JoinStatistics(
             left_map_workers=len(assignments["L"]),

@@ -55,15 +55,24 @@ def test_retries_do_not_affect_healthy_queries(driver, dataset, lineitem_table):
 
 
 # ---------------------------------------------------------------------------
-# _collect_messages timeout paths
+# collect_results timeout paths
 # ---------------------------------------------------------------------------
 
 def test_collect_messages_times_out_on_empty_queue(driver):
-    """No worker ever reports: the poll loop gives up with QueryTimeoutError."""
-    from repro.errors import QueryTimeoutError
+    """No worker ever reports: the poll loop stops within its bounded budget
+    and reports 0 of 3, leaving nothing folded."""
+    from repro.config import DEFAULT_RESILIENCE
+    from repro.driver.dispatch import collect_results
 
-    with pytest.raises(QueryTimeoutError, match="0 of 3"):
-        driver._collect_messages("no-such-query", expected=3)
+    by_key = {}
+    requests_before = driver.env.ledger.total("sqs", "requests")
+    reported = collect_results(
+        driver.env.sqs, driver.result_queue, "no-such-query",
+        {0: 0, 1: 0, 2: 0}, by_key, "collect",
+    )
+    polls = driver.env.ledger.total("sqs", "requests") - requests_before
+    assert (reported, by_key) == (0, {})
+    assert polls == DEFAULT_RESILIENCE.min_poll_rounds
 
 
 def test_dropped_worker_message_times_out(driver, dataset, monkeypatch):
@@ -105,52 +114,94 @@ def test_stale_messages_from_other_queries_are_ignored(driver, dataset, lineitem
 
 
 # ---------------------------------------------------------------------------
-# _retry_failures merging
+# run_fleet over the scan transport
 # ---------------------------------------------------------------------------
 
 def test_retry_failures_reinvokes_only_failed_workers(driver, monkeypatch):
-    """_retry_failures re-invokes exactly the failed workers, flat (without
-    the tree children), and merges their fresh results over the failures."""
+    """The scan fleet re-invokes exactly the failed workers, flat (without
+    tree children) and as attempt 1, and merges their fresh results over the
+    failures; the healthy worker's message is left untouched."""
+    from repro.driver.dispatch import run_fleet
+    from repro.driver.driver import SCAN_FLEET
+    from repro.driver.integrity import IntegrityStats
+    from repro.driver.resilience import AttemptLog, ResilienceStats
+
     query_id = "unit-retry-query"
-    payloads = [
-        {
+    events = {
+        worker_id: {
             "worker_id": worker_id,
             "plan": {"files": [], "columns": []},
             "result_queue": driver.result_queue,
             "query_id": query_id,
-            "children": [{"worker_id": 99}] if worker_id == 0 else [],
+            "children": [{"worker_id": 99}] if worker_id == 1 else [],
         }
         for worker_id in range(3)
-    ]
-    by_worker = {
-        0: {"worker_id": 0, "status": "ok", "result": {"partial": {}}},
-        1: {"worker_id": 1, "status": "error", "error": "injected"},
-        2: {"worker_id": 2, "status": "error", "error": "injected"},
     }
     invoked = []
 
     def fake_invoke(name, payload, from_driver=False):
         invoked.append(dict(payload))
-        driver.env.sqs.send_json(
-            driver.result_queue,
-            {
-                "query_id": query_id,
-                "worker_id": payload["worker_id"],
-                "status": "ok",
-                "result": {"partial": {}, "rows_scanned": 7},
-            },
-        )
+        attempt = payload.get("attempt", 0)
+        message = {"query_id": query_id, "worker_id": payload["worker_id"], "attempt": attempt}
+        if payload["worker_id"] == 0:
+            message.update(status="ok", result={"partial": {}})
+        elif attempt == 0:
+            message.update(status="error", error="injected")
+        else:
+            message.update(status="ok", result={"partial": {}, "rows_scanned": 7})
+        driver.env.sqs.send_json(driver.result_queue, message)
 
     monkeypatch.setattr(driver.env.lambda_service, "invoke", fake_invoke)
-    merged = driver._retry_failures(by_worker, payloads, query_id, max_worker_retries=2)
+    resilience = ResilienceStats()
+    attempt_log = AttemptLog()
+    merged = run_fleet(
+        events,
+        driver._scan_transport(
+            events, query_id, driver._invocation.plan(3), resilience, IntegrityStats()
+        ),
+        rounds=3, policy=driver.resilience_policy, rng=driver._jitter_rng,
+        resilience=resilience, labels=SCAN_FLEET, attempt_log=attempt_log,
+        on_retry=lambda key, retry, error: retry.pop("children", None),
+    )
 
-    assert sorted(payload["worker_id"] for payload in invoked) == [1, 2]
-    assert all("children" not in payload for payload in invoked)
+    first, retries = invoked[:3], invoked[3:]
+    assert sorted(payload["worker_id"] for payload in first) == [0, 1, 2]
+    assert sorted(payload["worker_id"] for payload in retries) == [1, 2]
+    assert all("children" not in payload for payload in retries)
+    assert all(payload["attempt"] == 1 for payload in retries)
     assert all(message["status"] == "ok" for message in merged.values())
+    assert resilience.retries == 2 and resilience.wave_retries == 0
+    assert [entry["error"] for entry in attempt_log.for_worker(1)] == ["injected"]
     # The healthy worker's original result is untouched; retried workers
     # carry their fresh results.
     assert merged[1]["result"]["rows_scanned"] == 7
     assert merged[0]["result"] == {"partial": {}}
+    assert merged[0]["attempt"] == 0
+
+
+def test_stale_duplicates_cannot_end_a_retry_poll(env):
+    """Re-delivered attempt-0 messages — the failed worker's stale error
+    among them — must not satisfy the retry round's poll: it waits for the
+    attempt it dispatched, and the query returns the retry's result."""
+    from repro.cloud.faults import FaultPlan, FaultRule
+    from repro.driver.driver import LambadaDriver
+    from repro.workload.tpch import generate_lineitem_dataset
+
+    dataset = generate_lineitem_dataset(
+        env.s3, scale_factor=0.001, num_files=30, row_group_rows=512, seed=7
+    )
+    driver = LambadaDriver(env, memory_mib=2048)
+    env.install_fault_plan(
+        FaultPlan([FaultRule("sqs", "duplicate", 1.0, max_count=30)], seed=1)
+    )
+    result = driver.execute(_flaky_plan(dataset, failures=1), max_worker_retries=1)
+
+    resilience = result.statistics.resilience
+    assert result.column("n")[0] == 6001
+    assert resilience.retries == 1
+    assert resilience.duplicate_messages_ignored == 30
+    assert resilience.wave_retries == 0
+    assert env.sqs.approximate_message_count(driver.result_queue) == 0
 
 
 def test_retry_failures_merges_partials_without_double_count(driver, dataset,
