@@ -29,10 +29,13 @@ structured trajectory (``BENCH_hot_paths.json``):
   and gather over dictionary/RLE chunks) versus the full-decode baseline on a
   TPC-H Q6-style predicate at ~2 % selectivity;
 * **shuffle requests** — the write-combined shuffle I/O plane (one combined
-  PUT per mapper, batched-LIST discovery, one ranged GET per non-empty
-  slice) versus the legacy one-object-per-receiver plane, on a
-  high-cardinality shuffle aggregation at 32x32 workers: absolute request
-  counts, modelled S3 request cost, and wall time;
+  PUT per mapper, the offset directory announced through the barrier, one
+  ranged GET per non-empty slice) on a high-cardinality shuffle aggregation
+  at 32x32 workers: absolute request counts, modelled S3 request cost and
+  latency, and wall time (the P² vs P comparison itself is
+  ``bench_tab03_exchange_comparison.py`` / ``bench_fig09_exchange_cost.py``);
+* **join end-to-end** — the same counters for distributed TPC-H Q3 over the
+  exchange, 16 mappers per side into 16 join workers;
 * **end-to-end query** — wall-clock latency of TPC-H Q1 on the simulated
   serverless stack: serial versus thread-pool versus shared-memory
   process-pool fleet execution, median of three runs per mode.
@@ -635,24 +638,59 @@ SHUFFLE_WORKERS = 32
 SHUFFLE_SCALE_FACTOR = 0.17
 
 
+def _exchange_request_cost(stats) -> float:
+    """Modelled S3 request cost of the exchange (PUT/LIST billed alike, the
+    paper's Figure 9 pricing)."""
+    from repro.cloud.pricing import DEFAULT_PRICES
+
+    return DEFAULT_PRICES.s3_put_cost(
+        stats.put_requests + stats.list_requests
+    ) + DEFAULT_PRICES.s3_get_cost(stats.get_requests + stats.head_requests)
+
+
+def _combined_request_fields(exchange) -> Dict:
+    """The request-count fields both exchange sections record."""
+    return {
+        "combined_put_requests": exchange.put_requests,
+        "combined_get_requests": exchange.get_requests,
+        "combined_ranged_get_requests": exchange.ranged_get_requests,
+        "combined_list_requests": exchange.list_requests,
+        "combined_head_requests": exchange.head_requests,
+        "combined_total_requests": exchange.total_requests,
+        "empty_slices_elided": exchange.empty_parts_elided,
+        "combined_request_cost": _exchange_request_cost(exchange),
+    }
+
+
+def _best_run(run: Callable, repeats: int):
+    """One untimed warmup (imports, numpy warmup, page faults), then the
+    fastest of ``repeats`` timed runs: ``(result, seconds)``."""
+    run()
+    best, best_seconds = None, float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        result = run()
+        seconds = time.perf_counter() - start
+        if seconds < best_seconds:
+            best, best_seconds = result, seconds
+    return best, best_seconds
+
+
 def measure_shuffle_requests(
     scale_factor: float = SHUFFLE_SCALE_FACTOR,
     num_workers: int = SHUFFLE_WORKERS,
     repeats: int = 3,
 ) -> Dict:
-    """Write-combined shuffle I/O plane versus the legacy O(P²) object plane.
+    """Request counts of the write-combined shuffle I/O plane at 32x32.
 
-    Runs the same high-cardinality shuffle aggregation (group by
-    ``l_orderkey``) twice over one simulated environment: once with the
-    legacy one-object-per-receiver map wave, once with write combining (one
-    combined object per mapper, offsets in the key, one ranged GET per
-    non-empty slice).  Records the absolute request counts of both planes —
-    the quantity the paper's §4.4 cost analysis is about — plus the wall-time
-    effect of collapsing P² requests to O(P).
+    Runs a high-cardinality shuffle aggregation (group by ``l_orderkey``):
+    one combined object per mapper, its offset directory announced through
+    the map barrier, one ranged GET per non-empty slice.  Records the
+    absolute request counts — the quantity the paper's §4.4 cost analysis is
+    about — the modelled request cost and latency, and the wall time.
     """
     from repro.cloud.environment import CloudEnvironment
-    from repro.driver.shuffle import ShuffleAggregateCoordinator, ShuffleConfig
-    from repro.engine.table import tables_allclose
+    from repro.driver.shuffle import ShuffleAggregateCoordinator
     from repro.plan.expressions import col
     from repro.plan.logical import AggregateSpec
     from repro.workload.tpch import generate_lineitem_dataset
@@ -671,86 +709,29 @@ def measure_shuffle_requests(
         AggregateSpec("count", None, "n"),
     ]
 
-    def run(write_combining: bool):
-        coordinator = ShuffleAggregateCoordinator(
-            env, config=ShuffleConfig(write_combining=write_combining)
-        )
-        start = time.perf_counter()
-        result, statistics = coordinator.execute(
+    def run():
+        return ShuffleAggregateCoordinator(env).execute(
             dataset.paths,
             group_by=["l_orderkey"],
             aggregates=aggregates,
             order_by=["l_orderkey"],
-        )
-        return result, statistics, time.perf_counter() - start
+        )[1]
 
-    # Untimed warmup (imports, numpy warmup, page faults), then interleaved
-    # best-of-``repeats`` timed runs per plane over the same warmed
-    # environment, so ambient noise (GC, page cache) hits both planes alike.
-    run(True)
-    legacy_seconds = combined_seconds = float("inf")
-    legacy_result = legacy_stats = combined_result = combined_stats = None
-    for _ in range(repeats):
-        result, stats, seconds = run(False)
-        if seconds < legacy_seconds:
-            legacy_result, legacy_stats, legacy_seconds = result, stats, seconds
-        result, stats, seconds = run(True)
-        if seconds < combined_seconds:
-            combined_result, combined_stats, combined_seconds = result, stats, seconds
-    assert tables_allclose(legacy_result, combined_result)
-    legacy_exchange = legacy_stats.exchange
-    combined_exchange = combined_stats.exchange
-
-    # Modelled S3 request cost of the exchange (PUT/LIST billed alike, the
-    # paper's Figure 9 pricing): the quantity write combining collapses.
-    from repro.cloud.pricing import DEFAULT_PRICES
-
-    def request_cost(stats):
-        return DEFAULT_PRICES.s3_put_cost(
-            stats.put_requests + stats.list_requests
-        ) + DEFAULT_PRICES.s3_get_cost(stats.get_requests + stats.head_requests)
-
-    legacy_cost = request_cost(legacy_exchange)
-    combined_cost = request_cost(combined_exchange)
-
+    statistics, seconds = _best_run(run, repeats)
+    exchange = statistics.exchange
     return {
         "num_rows": dataset.total_rows,
-        "num_workers": combined_stats.map_workers,
-        "result_rows": combined_stats.result_rows,
+        "num_workers": statistics.map_workers,
+        "result_rows": statistics.result_rows,
         # The request-cost table of the README (paper Table 3 shape).
-        "legacy_put_requests": legacy_exchange.put_requests,
-        "legacy_get_requests": legacy_exchange.get_requests,
-        "legacy_list_requests": legacy_exchange.list_requests,
-        "legacy_total_requests": legacy_exchange.total_requests,
-        "combined_put_requests": combined_exchange.put_requests,
-        "combined_get_requests": combined_exchange.get_requests,
-        "combined_ranged_get_requests": combined_exchange.ranged_get_requests,
-        "combined_list_requests": combined_exchange.list_requests,
-        "combined_head_requests": combined_exchange.head_requests,
-        "combined_total_requests": combined_exchange.total_requests,
-        "empty_slices_elided": combined_exchange.empty_parts_elided,
-        "bytes_shipped": combined_exchange.bytes_read,
-        "bytes_touched": combined_exchange.bytes_touched,
-        "put_collapse": legacy_exchange.put_requests / combined_exchange.put_requests,
-        "data_request_collapse": (
-            (legacy_exchange.put_requests + legacy_exchange.get_requests)
-            / (combined_exchange.put_requests + combined_exchange.get_requests)
-        ),
-        "legacy_request_cost": legacy_cost,
-        "combined_request_cost": combined_cost,
-        "request_cost_collapse": legacy_cost / combined_cost,
+        **_combined_request_fields(exchange),
+        "bytes_shipped": exchange.bytes_read,
+        "bytes_touched": exchange.bytes_touched,
         # Modelled latency: each worker pays one S3 round-trip per request it
-        # issues, so collapsing the map wave's P PUTs to one is directly
-        # visible here (the in-process wall clock charges no network latency).
-        "legacy_modelled_seconds": legacy_stats.modelled_latency_seconds,
-        "combined_modelled_seconds": combined_stats.modelled_latency_seconds,
-        "modelled_speedup": (
-            legacy_stats.modelled_latency_seconds
-            / combined_stats.modelled_latency_seconds
-        ),
-        "legacy_seconds": legacy_seconds,
-        "combined_seconds": combined_seconds,
-        "speedup": legacy_seconds / combined_seconds,
+        # issues beyond its pipelined fetch (the in-process wall clock
+        # charges no network latency).
+        "combined_modelled_seconds": statistics.modelled_latency_seconds,
+        "combined_seconds": seconds,
     }
 
 
@@ -770,21 +751,16 @@ def measure_join_e2e(
     num_workers: int = JOIN_E2E_WORKERS,
     repeats: int = 3,
 ) -> Dict:
-    """Distributed TPC-H Q3 over the write-combined versus legacy exchange.
+    """Request counts of distributed TPC-H Q3 over the write-combined exchange.
 
-    Runs the full multi-stage join schedule (two map waves repartitioning
+    Runs the full multi-stage join schedule (the scan wave repartitioning
     LINEITEM and ORDERS by order key, a join wave probing the slices and
-    computing the partial aggregates above the join, driver merge) twice over
-    one simulated environment: once with the legacy one-object-per-receiver
-    repartition plane, once with write combining.  Records the absolute
-    request counts of both planes, the modelled request cost and latency, and
-    the wall-time effect — the join-path analogue of the §4.4 shuffle table.
+    computing the partial aggregates above the join, driver merge).  Records
+    the absolute request counts, the modelled request cost and latency, and
+    the wall time — the join-path analogue of the §4.4 shuffle table.
     """
     from repro.cloud.environment import CloudEnvironment
-    from repro.cloud.pricing import DEFAULT_PRICES
     from repro.driver.driver import LambadaDriver
-    from repro.driver.shuffle import ShuffleConfig
-    from repro.engine.table import tables_allclose
     from repro.formats.compression import Compression
     from repro.workload.queries import q3_plan
     from repro.workload.tpch import generate_lineitem_dataset, generate_orders_dataset
@@ -805,75 +781,23 @@ def measure_join_e2e(
         compression=Compression.FAST,
     )
     plan = q3_plan(lineitem.paths, orders.paths)
-    drivers = {
-        combining: LambadaDriver(
-            env, shuffle_config=ShuffleConfig(write_combining=combining)
-        )
-        for combining in (False, True)
-    }
-
-    def run(write_combining: bool):
-        start = time.perf_counter()
-        result = drivers[write_combining].execute(plan, num_workers=num_workers)
-        return result, time.perf_counter() - start
-
-    # Untimed warmup, then interleaved best-of-``repeats`` timed runs per
-    # plane over the same warmed environment.
-    run(True)
-    legacy_seconds = combined_seconds = float("inf")
-    legacy_result = combined_result = None
-    for _ in range(repeats):
-        result, seconds = run(False)
-        if seconds < legacy_seconds:
-            legacy_result, legacy_seconds = result, seconds
-        result, seconds = run(True)
-        if seconds < combined_seconds:
-            combined_result, combined_seconds = result, seconds
-    assert tables_allclose(legacy_result.table, combined_result.table)
-    legacy_exchange = legacy_result.statistics.exchange
-    combined_exchange = combined_result.statistics.exchange
-
-    def request_cost(stats):
-        return DEFAULT_PRICES.s3_put_cost(
-            stats.put_requests + stats.list_requests
-        ) + DEFAULT_PRICES.s3_get_cost(stats.get_requests + stats.head_requests)
-
-    legacy_cost = request_cost(legacy_exchange)
-    combined_cost = request_cost(combined_exchange)
-    combined_stats = combined_result.statistics
-
+    driver = LambadaDriver(env)
+    result, seconds = _best_run(
+        lambda: driver.execute(plan, num_workers=num_workers), repeats
+    )
+    statistics = result.statistics
     return {
         "num_rows": lineitem.total_rows + orders.total_rows,
         "lineitem_rows": lineitem.total_rows,
         "orders_rows": orders.total_rows,
         "num_workers": num_workers,
-        "result_rows": combined_result.num_rows,
-        "join_probe_rows": combined_stats.join_probe_rows,
-        "join_build_rows": combined_stats.join_build_rows,
-        "join_output_rows": combined_stats.join_output_rows,
-        "legacy_put_requests": legacy_exchange.put_requests,
-        "legacy_get_requests": legacy_exchange.get_requests,
-        "legacy_list_requests": legacy_exchange.list_requests,
-        "legacy_total_requests": legacy_exchange.total_requests,
-        "combined_put_requests": combined_exchange.put_requests,
-        "combined_get_requests": combined_exchange.get_requests,
-        "combined_ranged_get_requests": combined_exchange.ranged_get_requests,
-        "combined_list_requests": combined_exchange.list_requests,
-        "combined_head_requests": combined_exchange.head_requests,
-        "combined_total_requests": combined_exchange.total_requests,
-        "empty_slices_elided": combined_exchange.empty_parts_elided,
-        "put_collapse": legacy_exchange.put_requests / combined_exchange.put_requests,
-        "legacy_request_cost": legacy_cost,
-        "combined_request_cost": combined_cost,
-        "request_cost_collapse": legacy_cost / combined_cost,
-        "legacy_modelled_seconds": legacy_result.statistics.latency_seconds,
-        "combined_modelled_seconds": combined_stats.latency_seconds,
-        "modelled_speedup": (
-            legacy_result.statistics.latency_seconds / combined_stats.latency_seconds
-        ),
-        "legacy_seconds": legacy_seconds,
-        "combined_seconds": combined_seconds,
-        "speedup": legacy_seconds / combined_seconds,
+        "result_rows": result.num_rows,
+        "join_probe_rows": statistics.join_probe_rows,
+        "join_build_rows": statistics.join_build_rows,
+        "join_output_rows": statistics.join_output_rows,
+        **_combined_request_fields(statistics.exchange),
+        "combined_modelled_seconds": statistics.latency_seconds,
+        "combined_seconds": seconds,
     }
 
 
@@ -1298,63 +1222,56 @@ def test_scan_filter_speedup(bench_recorder, experiment_report):
     assert measurement["late_get_requests"] < measurement["baseline_get_requests"]
 
 
-def test_shuffle_requests_collapse(bench_recorder, experiment_report):
+def test_shuffle_requests(bench_recorder, experiment_report):
     measurement = measure_shuffle_requests()
     bench_recorder("shuffle_requests", **measurement)
     experiment_report(
         f"shuffle requests @ {measurement['num_rows']} rows, "
         f"{measurement['num_workers']}x{measurement['num_workers']} workers: "
-        f"PUTs {measurement['legacy_put_requests']}→"
-        f"{measurement['combined_put_requests']} "
-        f"({measurement['put_collapse']:.0f}x), "
-        f"request cost {measurement['request_cost_collapse']:.1f}x cheaper, "
-        f"modelled latency {measurement['modelled_speedup']:.2f}x, "
-        f"wall {measurement['legacy_seconds']:.2f}s→"
-        f"{measurement['combined_seconds']:.2f}s"
+        f"{measurement['combined_put_requests']} PUTs, "
+        f"{measurement['combined_get_requests']} GETs, "
+        f"{measurement['combined_list_requests']} LISTs, "
+        f"request cost ${measurement['combined_request_cost']:.5f}, "
+        f"modelled {measurement['combined_modelled_seconds']:.3f}s, "
+        f"wall {measurement['combined_seconds']:.2f}s"
     )
-    # The acceptance bar: 32 mappers issue <= 32 PUTs (was 1024), and the
-    # reduce wave never exceeds one ranged GET per non-empty slice.
-    assert measurement["combined_put_requests"] <= measurement["num_workers"]
-    assert measurement["put_collapse"] >= 16.0
+    # The acceptance bar: 32 mappers issue 32 PUTs (one object per receiver
+    # would be 1024), and the reduce wave never exceeds one ranged GET per
+    # non-empty slice.
+    assert measurement["combined_put_requests"] == measurement["num_workers"]
     assert (
         measurement["combined_ranged_get_requests"]
         == measurement["num_workers"] ** 2 - measurement["empty_slices_elided"]
     )
-    assert measurement["request_cost_collapse"] >= 1.5
-    assert measurement["modelled_speedup"] >= 1.2
+    assert measurement["combined_list_requests"] == 0
 
 
-def test_join_e2e_collapse(bench_recorder, experiment_report):
+def test_join_e2e(bench_recorder, experiment_report):
     measurement = measure_join_e2e()
     bench_recorder("join_e2e", **measurement)
     experiment_report(
         f"join e2e (Q3) @ {measurement['lineitem_rows']}+{measurement['orders_rows']} rows, "
         f"{measurement['num_workers']}x2 mappers: "
-        f"PUTs {measurement['legacy_put_requests']}→"
-        f"{measurement['combined_put_requests']} "
-        f"({measurement['put_collapse']:.0f}x), "
-        f"request cost {measurement['request_cost_collapse']:.1f}x cheaper, "
-        f"modelled latency {measurement['modelled_speedup']:.2f}x, "
-        f"wall {measurement['legacy_seconds']:.2f}s→"
-        f"{measurement['combined_seconds']:.2f}s"
+        f"{measurement['combined_put_requests']} PUTs, "
+        f"{measurement['combined_get_requests']} GETs, "
+        f"request cost ${measurement['combined_request_cost']:.5f}, "
+        f"modelled {measurement['combined_modelled_seconds']:.3f}s, "
+        f"wall {measurement['combined_seconds']:.2f}s"
     )
-    # Acceptance bars: both map waves write-combine (one PUT per mapper on
-    # each side) and the join wave never exceeds one ranged GET per non-empty
-    # (mapper, reducer, side) slice.
-    assert measurement["combined_put_requests"] <= 2 * measurement["num_workers"]
-    assert measurement["put_collapse"] >= 8.0
+    # Acceptance bars: the scan wave writes one combined object per mapper
+    # on each side, and the join wave never exceeds one ranged GET per
+    # non-empty (mapper, reducer, side) slice.
+    assert measurement["combined_put_requests"] == 2 * measurement["num_workers"]
     assert (
         measurement["combined_ranged_get_requests"]
         + measurement["empty_slices_elided"]
         == 2 * measurement["num_workers"] ** 2
     )
     assert measurement["join_output_rows"] > 0
-    # The join wave needs zero discovery requests for combined objects (the
-    # offset-bearing keys ride through the driver's map barrier).
+    # The join wave needs zero discovery requests (the offset directories
+    # ride through the driver's map barrier).
     assert measurement["combined_list_requests"] == 0
     assert measurement["combined_head_requests"] == 0
-    assert measurement["request_cost_collapse"] >= 4.0
-    assert measurement["modelled_speedup"] >= 1.2
 
 
 def test_end_to_end_query(bench_recorder, experiment_report):

@@ -15,15 +15,15 @@ Usage::
 Ten kinds of checks:
 
 * **absolute floors** — the speedups the PR's acceptance criteria promise
-  (partition scatter >= 5x, payload round-trip >= 3x, shuffle PUT collapse
-  >= 16x) must hold in the *current* run;
+  (partition scatter >= 5x, payload round-trip >= 3x) must hold in the
+  *current* run;
 * **hardware-conditional floors** — floors that only hold on suitable
   hardware (the process-pool wall speedup needs >= 4 cores); when the
   recorded hardware does not qualify they are skipped with a printed
   notice, never passed silently;
 * **absolute request ceilings** — the write-combined shuffle plane must stay
-  within its O(P) request budget at the benchmark's 32x32 shape (a silent
-  fallback to the O(P²) per-receiver path fails here);
+  within its O(P) request budget at the benchmark's 32x32 shape (one object
+  per mapper×receiver pair, 1024 PUTs, fails here);
 * **absolute ratio ceilings** — overhead ratios that must stay near 1.0 in
   the *current* run: the resilience plane's fault hooks must cost the
   fault-free TPC-H Q1 path less than 2% of wall time, the integrity
@@ -76,10 +76,10 @@ from pathlib import Path
 #: ``(section, field)``: the data-plane floors from PR 1, the operator floors
 #: from PR 2 (join probe, exchange routing, shuffle codec framing), the
 #: scan-plane floors from PR 3 (late-materialization scan filter,
-#: encoding-aware predicate evaluation), the shuffle I/O-plane floors
-#: from PR 4 (write-combined request collapse and its modelled cost), and
-#: the join-path floors from PR 5 (end-to-end TPC-H Q3 repartitioned over
-#: the write-combined exchange).
+#: encoding-aware predicate evaluation), and the N-way join DAG floors.  The
+#: shuffle and join exchange sections have no floor: they run the one
+#: write-combined plane, and their request counts are held by
+#: :data:`ABSOLUTE_REQUEST_CEILINGS`.
 ABSOLUTE_FLOORS = {
     ("partition_scatter", "speedup"): 5.0,
     ("payload_roundtrip", "speedup"): 3.0,
@@ -97,12 +97,6 @@ ABSOLUTE_FLOORS = {
     ("shuffle_codec", "typed_speedup"): 3.0,
     ("scan_filter", "speedup"): 3.0,
     ("encoded_eval", "speedup"): 1.5,
-    ("shuffle_requests", "put_collapse"): 16.0,
-    ("shuffle_requests", "request_cost_collapse"): 1.5,
-    ("shuffle_requests", "modelled_speedup"): 1.2,
-    ("join_e2e", "put_collapse"): 8.0,
-    ("join_e2e", "request_cost_collapse"): 4.0,
-    ("join_e2e", "modelled_speedup"): 1.2,
     # PR 10: the five N-way join DAGs (Q5/Q7/Q9/Q10/Q18) in BENCH_tpch.json
     # must all be bit-identical to their NumPy references, and each must
     # have lowered to a genuine multi-stage DAG (>= 2 *logical* join stages,
@@ -126,9 +120,9 @@ CONDITIONAL_FLOORS = {
 }
 
 #: Maximum *absolute* request counts of the write-combined shuffle plane at
-#: its 32x32-worker benchmark shape.  A silent fallback to the legacy
-#: O(P²)-request path (1024 PUTs) blows straight through these, so it fails
-#: tier-1 rather than shipping unnoticed.
+#: its 32x32-worker benchmark shape: one combined PUT per mapper.  A writer
+#: that went back to one object per mapper×receiver pair (1024 PUTs) blows
+#: straight through these, so it fails tier-1 rather than shipping unnoticed.
 ABSOLUTE_REQUEST_CEILINGS = {
     ("shuffle_requests", "combined_put_requests"): 32,
     ("shuffle_requests", "combined_get_requests"): 32 * 32,
@@ -137,7 +131,7 @@ ABSOLUTE_REQUEST_CEILINGS = {
     # The join benchmark runs 16 mappers per side into 16 join workers: one
     # combined PUT per mapper on both sides, at most one ranged GET per
     # (mapper, reducer, side) slice, and — because the mappers announce their
-    # offset-bearing keys through the driver's map barrier — zero LIST/HEAD
+    # offset directories through the driver's map barrier — zero LIST/HEAD
     # discovery requests.
     ("join_e2e", "combined_put_requests"): 2 * 16,
     ("join_e2e", "combined_get_requests"): 2 * 16 * 16,
@@ -225,9 +219,6 @@ RELATIVE_FIELDS = (
     "speedup",
     "framing_speedup",
     "typed_speedup",
-    "put_collapse",
-    "request_cost_collapse",
-    "modelled_speedup",
 )
 
 
@@ -388,7 +379,7 @@ def check(
         elif observed > ceiling:
             failures.append(
                 f"{name}: {field} = {observed} requests exceeds the "
-                f"ceiling of {ceiling} (O(P²) fallback?)"
+                f"ceiling of {ceiling} (more than one object per mapper?)"
             )
         else:
             print(f"ok: {name} {field} {observed} requests (ceiling {ceiling})")

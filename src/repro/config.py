@@ -196,8 +196,6 @@ class ResilienceConfig:
     hedge_max_fraction: float = 0.25
 
     # -- graceful degradation ------------------------------------------------
-    #: Shuffle mappers degrade combined -> legacy from this attempt on.
-    combined_fallback_attempt: int = 2
     #: Pool respawns tolerated per query before processes -> serial.
     pool_respawn_limit: int = 3
     #: Largest process pool the driver will spawn (formerly ``min(size, 16)``).

@@ -11,10 +11,11 @@ overload-control primitives on top:
   failures in a rolling modelled-time window.  Past the threshold the breaker
   *opens*; retry sites then charge the remaining cooldown to modelled latency
   (instead of issuing doomed requests) and proceed as *half-open* probes.
-  Enough probe successes close the breaker again.  An open breaker is also
-  the signal for graceful degradation: shuffle mappers drop combined writes
-  (combined→legacy) and the driver abandons its process pool
-  (processes→serial) when the relevant breaker is open.
+  Enough probe successes close the breaker again.  An open Lambda breaker
+  is also the signal for graceful degradation: the driver abandons its
+  process pool (processes→serial).  A shuffle mapper retried while the S3
+  breaker is open writes its one combined object again, under its fresh
+  attempt prefix — there is no cheaper write plane to fall back to.
 * :class:`RetryBudget` — a per-query cap on the *combined* spend of
   ``call_with_backoff`` retries, wave retries, driver re-invocations, and
   hedges.  Exhaustion raises

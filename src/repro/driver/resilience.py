@@ -63,9 +63,6 @@ class ResiliencePolicy:
     hedge_min_seconds: float = DEFAULT_RESILIENCE.hedge_min_seconds
     #: At most this fraction of the fleet is hedged per query.
     hedge_max_fraction: float = DEFAULT_RESILIENCE.hedge_max_fraction
-    #: Shuffle mappers whose combined write keeps failing fall back to the
-    #: legacy one-object-per-receiver plane from this attempt number on.
-    combined_fallback_attempt: int = DEFAULT_RESILIENCE.combined_fallback_attempt
     #: Process-pool respawns tolerated within one query before the driver
     #: degrades to serial dispatch.
     pool_respawn_limit: int = DEFAULT_RESILIENCE.pool_respawn_limit
@@ -186,8 +183,7 @@ class ResilienceStats:
     wave_retries: int = 0
     #: Process-pool children respawned during this query.
     pool_respawns: int = 0
-    #: Graceful-degradation events, e.g. {"combined_to_legacy": 1,
-    #: "processes_to_serial": 1}.
+    #: Graceful-degradation events, e.g. {"processes_to_serial": 1}.
     fallbacks: Dict[str, int] = field(default_factory=dict)
     #: Faults the installed FaultPlan injected during this query, by kind.
     faults_injected: Dict[str, int] = field(default_factory=dict)

@@ -14,30 +14,28 @@ loop every fleet runs through), one map handler and one reduce handler:
   that carries a group-by folds the map-side partial aggregation into the
   scan), hash-partitions the rows by the fragment's partition keys and ships
   them through the write-combined exchange: all partitions serialised into
-  **one** combined object via
-  :func:`~repro.exchange.codec.encode_partition_set`, the per-receiver byte
-  offsets riding in the object key
-  (:class:`~repro.exchange.naming.WriteCombiningNaming`), empty partitions
-  occupying zero bytes — O(P) PUTs per fleet instead of the legacy O(P²)
-  one-object-per-receiver pattern, which survives behind
-  ``ShuffleConfig(write_combining=False)`` as the parity baseline and as the
-  degradation target of a mapper whose combined write keeps failing;
+  **one** combined object at ``{attempt prefix}{tag}/sender-{n}``
+  (:class:`~repro.exchange.naming.WriteCombiningNaming`) via
+  :func:`~repro.exchange.codec.encode_partition_set`, empty partitions
+  occupying zero bytes — one PUT per mapper, O(P) per fleet however wide it
+  is.  The per-receiver byte offsets and slice crcs ride in the mapper's
+  result message (under its digest), not in the key, so no fleet width
+  reaches the S3 key limit;
 * **0…k join waves** — the exchange has as many hash partitions as its
   bytes keep streaming (:func:`exchange_fan_out`: the catalog's stored size
   of every relation against the fixed time a join worker costs, at most one
   per file of the largest relation); one worker per hash partition builds one
   :class:`~repro.exchange.fetch.FetchPlan` from the manifests the barrier
-  before it announced (the offset directory rides in the combined keys, so
-  discovery costs **zero** requests; legacy per-receiver objects cost one
-  LIST), issues it as one batch — one ranged GET per non-empty slice,
-  charged as a single pipelined transfer — and runs the wave's join steps
-  with :func:`~repro.engine.join.hash_join`.  A DAG's stages are grouped into
-  as few waves as its build sides allow: a stage whose build side is cheaper
-  to read whole than a wave is to run is fused into the wave before it as a
-  broadcast join (:func:`_group_join_waves`).  A non-final wave re-emits its
-  rows by the next wave's probe key; the final wave computes the plan's
-  partial aggregates and returns them to the driver through SQS (spilling to
-  S3 when large);
+  before it announced (the offset directories travel with them, so
+  discovery costs **zero** requests), issues it as one batch — one ranged
+  GET per non-empty slice, charged as a single pipelined transfer — and runs
+  the wave's join steps with :func:`~repro.engine.join.hash_join`.  A DAG's
+  stages are grouped into as few waves as its build sides allow: a stage
+  whose build side is cheaper to read whole than a wave is to run is fused
+  into the wave before it as a broadcast join (:func:`_group_join_waves`).
+  A non-final wave re-emits its rows by the next wave's probe key; the final
+  wave computes the plan's partial aggregates and returns them to the driver
+  through SQS (spilling to S3 when large);
 * **driver scope** — merge the partials, finalise derived aggregates
   (``avg``), order, limit.
 
@@ -55,8 +53,8 @@ Request/byte counters of every wave are accumulated into
 :class:`~repro.engine.pipeline.WorkerResult`, and folded into the returned
 statistics.  Every wave's inputs are deleted by their announced paths as soon
 as the wave has folded, so a clean query issues no LIST at all; only a query
-that saw a retry, fallback or injected fault ends with a LIST sweep of its
-exchange and result prefixes for the objects of superseded attempts.
+that saw a retry or injected fault ends with a LIST sweep of its exchange and
+result prefixes for the objects of superseded attempts.
 """
 
 from __future__ import annotations
@@ -118,18 +116,17 @@ from repro.engine.table import (
 )
 from repro.errors import (
     CloudError,
-    ExchangeError,
     ExecutionError,
     NoSuchBucketError,
     QueryCancelledError,
     WorkerCrashError,
     WorkerFailedError,
 )
-from repro.exchange.basic import ExchangeStats, serialize_partition
+from repro.exchange.basic import ExchangeStats
 from repro.exchange.codec import encode_partition_set, slice_crcs
 from repro.exchange.fetch import FetchPlan, SenderManifest
-from repro.exchange.naming import MultiBucketNaming, WriteCombiningNaming
-from repro.exchange.partition import partition_assignments, scatter_by_assignment, slice_partition
+from repro.exchange.naming import WriteCombiningNaming
+from repro.exchange.partition import partition_assignments, scatter_by_assignment
 from repro.formats.compression import Compression
 from repro.plan.expressions import (
     col,
@@ -194,25 +191,16 @@ SHUFFLE_BUCKET_PREFIX = "shuffle-b"
 class ShuffleConfig:
     """Configuration of the shuffle I/O plane.
 
-    ``write_combining=True`` (the default) makes every mapper write one
-    combined object — O(P) PUTs for the whole map wave — and every reducer
-    issue one ranged GET per non-empty slice.  ``write_combining=False``
-    restores the legacy one-object-per-receiver format as the parity
-    baseline; it still elides empty partitions before the PUT.
+    Every mapper writes one combined object — O(P) PUTs for the whole map
+    wave — and every reducer issues one ranged GET per non-empty slice.
     """
 
-    #: Combine all of a mapper's partitions into a single object.
-    write_combining: bool = True
-    #: Serialise legacy per-receiver objects as typed frames
-    #: (:mod:`repro.exchange.codec`); ``False`` writes full LPQ files.
-    #: Readers sniff the format per object/slice regardless.
-    fast_codec: bool = True
     #: Optional block-compression stage over the encoded partition frames
     #: (off: the typed column encodings do the size work, without the CPU).
     compression: Compression = Compression.NONE
     #: Content-checksum generation/verification knobs (both default on): one
-    #: crc32 per partition frame, published again in the combined-object
-    #: keys, and digests on every result message.
+    #: crc32 per partition frame, published again in the sender's
+    #: announcement, and digests on every result message.
     integrity: IntegrityConfig = field(default_factory=IntegrityConfig)
 
 
@@ -277,9 +265,8 @@ def _gc_query_objects(env: CloudEnvironment, query_id: str, num_buckets: int) ->
     """Sweep every object a query's attempts wrote.
 
     All attempt prefixes and all side/stage tags live under ``{query_id}/``
-    in the shuffle buckets (both naming planes — a degraded retry writes
-    one-object-per-receiver keys into the legacy buckets), and every spilled
-    result under the same prefix of the result bucket, so one LIST per
+    in the shuffle buckets, and every spilled result under the same prefix
+    of the result bucket, so one LIST per
     bucket sweeps the lot — including the orphans of superseded attempts,
     which no announced path names.  Best-effort: an injected fault during
     cleanup skips that bucket rather than masking the caller's own outcome,
@@ -302,33 +289,19 @@ def _gc_query_objects(env: CloudEnvironment, query_id: str, num_buckets: int) ->
     return deleted, lists
 
 
-def _delete_consumed_outputs(
-    env: CloudEnvironment,
-    messages: Sequence[Dict],
-    num_partitions: int,
-    legacy_naming=None,
-) -> int:
+def _delete_consumed_outputs(env: CloudEnvironment, messages: Sequence[Dict]) -> int:
     """Delete the objects the senders of fully-folded waves announced.
 
     By path, not by LIST: the driver holds every accepted ``combined_path``
-    and spilled ``result_s3``, and a legacy sender's per-receiver keys follow
-    from its id and the ``legacy_naming(attempt)`` of the attempt it announced
-    (a key elided as empty is a no-op; result messages need no naming).
-    DELETE is unmetered, so this costs no request.  Returns the number of
-    objects the senders reported writing.
+    and spilled ``result_s3``.  DELETE is unmetered, so this costs no
+    request.  Returns the number of objects deleted.
     """
     deleted = 0
     for message in messages:
-        paths = [message[name] for name in ("combined_path", "result_s3") if name in message]
-        if message.get("format") == "objects":
-            naming = legacy_naming(int(message.get("attempt", 0)))
-            paths.extend(
-                naming.path(message["worker_id"], receiver)
-                for receiver in range(num_partitions)
-            )
-        for path in paths:
-            env.s3.delete_object(*parse_s3_path(path))
-        deleted += int(message.get("partitions_written", 0)) + ("result_s3" in message)
+        for name in ("combined_path", "result_s3"):
+            if name in message:
+                env.s3.delete_object(*parse_s3_path(message[name]))
+                deleted += 1
     return deleted
 
 
@@ -378,29 +351,11 @@ def _join_map_naming(
     )
 
 
-def _join_legacy_naming(
-    query_id: str, side: str, num_buckets: int, attempt: int = 0
-) -> MultiBucketNaming:
-    """Naming of one side's legacy one-object-per-receiver map outputs."""
-    return MultiBucketNaming(
-        num_buckets=num_buckets,
-        bucket_prefix=SHUFFLE_BUCKET_PREFIX,
-        prefix=f"{_attempt_prefix(query_id, attempt)}{side}/",
-    )
-
-
 def _exchange_buckets(num_buckets: int) -> List[str]:
-    """Buckets of both exchange planes; every query and every exchange tag
-    shares them (only the key prefix differs).  A scan query has no exchange:
-    zero buckets."""
-    if not num_buckets:
-        return []
-    return list(
-        dict.fromkeys(
-            _join_map_naming("", "", num_buckets).buckets()
-            + _join_legacy_naming("", "", num_buckets).buckets()
-        )
-    )
+    """Buckets of the exchange; every query and every exchange tag shares
+    them (only the key prefix differs).  A scan query has no exchange: zero
+    buckets."""
+    return _join_map_naming("", "", num_buckets).buckets() if num_buckets else []
 
 
 def _guarded(env: CloudEnvironment, run):
@@ -444,24 +399,21 @@ def _write_partitions(
     rows: Table,
     keys: Sequence[str],
     num_partitions: int,
-    combined_naming: WriteCombiningNaming,
-    legacy_naming: MultiBucketNaming,
+    naming: WriteCombiningNaming,
     stats: ExchangeStats,
     integrity: IntegrityConfig,
 ) -> Dict:
     """Hash-partition ``rows`` by ``keys`` and ship them through the exchange.
 
-    Partitions once into contiguous slices; both formats serialise straight
-    from the scattered columns without re-gathering rows.  A one-partition
-    exchange neither hashes nor reorders: the rows are the single slice
-    (same object layout, naming and crcs as the scatter would produce).
-    With write combining the sender issues one PUT for all receivers and the
-    returned announcement carries the offset-bearing path — shipped through
-    the driver's wave barrier, it lets the consuming wave skip discovery
-    entirely, and an orphaned duplicate from a crashed earlier attempt is
-    never read.  Otherwise (``write_combining`` off, or an offset directory
-    that overflows the S3 key limit on a very wide fleet) it writes one
-    object per non-empty receiver; the consuming wave handles mixed formats.
+    Partitions once into contiguous slices and serialises them straight from
+    the scattered columns, without re-gathering rows, into one combined
+    object: one PUT for all receivers.  A one-partition exchange neither
+    hashes nor reorders: the rows are the single slice (same object layout
+    and crcs as the scatter would produce).  The returned announcement
+    carries the object's path, size, offset directory and slice crcs —
+    shipped through the driver's wave barrier, it lets the consuming wave
+    skip discovery entirely, and an orphaned duplicate from a crashed
+    earlier attempt (written under that attempt's prefix) is never read.
     Returns the announcement fields of the sender's result message.
     """
     compression = Compression(event.get("compression", Compression.NONE.value))
@@ -472,44 +424,21 @@ def _write_partitions(
     else:
         assignment = partition_assignments(rows, list(keys), num_partitions)
         reordered, boundaries = scatter_by_assignment(rows, assignment, num_partitions)
-    if bool(event.get("write_combining", True)):
-        payload, offsets = encode_partition_set(
-            reordered, boundaries, compression, checksum=integrity.generate
-        )
-        crcs = slice_crcs(payload, offsets) if integrity.generate else None
-        try:
-            path = combined_naming.combined_path(sender, offsets, crcs)
-        except ExchangeError:
-            pass
-        else:
-            env.s3.put_path(path, payload)
-            stats.put_requests += 1
-            stats.combined_put_requests += 1
-            stats.bytes_written += len(payload)
-            return {
-                "format": "combined",
-                "partitions_written": 1,
-                "combined_path": path,
-                "combined_size": len(payload),
-            }
-    written = 0
-    for receiver in range(num_partitions):
-        data = serialize_partition(
-            slice_partition(reordered, boundaries, receiver),
-            compression,
-            fast=bool(event.get("fast_codec", True)),
-            checksum=integrity.generate,
-        )
-        if not data:
-            # Empty partition: skip the PUT entirely (the consuming wave
-            # treats the missing object as an elided empty).
-            stats.empty_parts_elided += 1
-            continue
-        env.s3.put_path(legacy_naming.path(sender, receiver), data)
-        stats.put_requests += 1
-        stats.bytes_written += len(data)
-        written += 1
-    return {"format": "objects", "partitions_written": written}
+    payload, offsets = encode_partition_set(
+        reordered, boundaries, compression, checksum=integrity.generate
+    )
+    path = naming.path(sender, 0)
+    env.s3.put_path(path, payload)
+    stats.put_requests += 1
+    stats.combined_put_requests += 1
+    stats.bytes_written += len(payload)
+    return {
+        "format": "combined",
+        "combined_path": path,
+        "combined_size": len(payload),
+        "offsets": offsets,
+        "crcs": slice_crcs(payload, offsets) if integrity.generate else None,
+    }
 
 
 def _make_map_handler(env: CloudEnvironment):
@@ -518,8 +447,7 @@ def _make_map_handler(env: CloudEnvironment):
     One fleet's mapper scans its files with the fragment's pushed-down
     predicate and projection, hash-partitions what survives by the
     fragment's partition keys, and ships the partitions through the
-    write-combined exchange (one combined PUT per mapper; the legacy
-    one-object-per-receiver plane survives behind ``write_combining=False``).
+    write-combined exchange (one combined PUT per mapper).
     A fragment that carries a group-by ships one partial-aggregate row per
     group instead of the rows themselves.
     """
@@ -559,9 +487,7 @@ def _make_map_handler(env: CloudEnvironment):
         stats = ExchangeStats()
         announcement = _write_partitions(
             env, event, worker_id, rows, side_plan.partition_keys, event["num_partitions"],
-            _join_map_naming(query_id, side, num_buckets, attempt),
-            _join_legacy_naming(query_id, side, num_buckets, attempt),
-            stats, integrity,
+            _join_map_naming(query_id, side, num_buckets, attempt), stats, integrity,
         )
         modelled_seconds = _charge_worker(env, context, scan.modelled_seconds(), stats)
 
@@ -607,9 +533,9 @@ def _charge_worker(
     ``compute_seconds`` is the worker's own work (a mapper's scan, a
     reducer's merge).  The exchange GETs are already priced in
     ``fetch_seconds`` — the fetch plan's pipelined transfer plus any
-    re-reads — while every other exchange request (the emit PUTs, a legacy
-    discovery LIST) is issued on its own, as in Algorithm 1, and costs one
-    round trip: this is where write combining buys its latency.
+    re-reads — while every other exchange request (the emit PUT) is issued
+    on its own, as in Algorithm 1, and costs one round trip: this is where
+    write combining buys its latency.
     """
     round_trips = stats.total_requests - stats.get_requests
     seconds = (
@@ -635,7 +561,7 @@ def _fetch_partition(
 
     Returns ``(pieces per side, slices read, modelled fetch seconds)``.
     """
-    plan = FetchPlan.build(env.s3, manifests, partition, num_partitions, stats)
+    plan = FetchPlan.build(manifests, partition, num_partitions, stats)
     pieces, fetch_seconds = plan.fetch(
         env.s3, env.bandwidth, context.memory_mib, stats,
         verify=integrity.verify, integrity=istats,
@@ -659,20 +585,17 @@ def _emit_intermediate(
     the result queue.  Zero joined rows cost zero PUTs (format ``"empty"``).
     Returns the announcement fields of the worker's result message.
     """
+    if not table_num_rows(rows):
+        return {"format": "empty"}
     emit = event["emit"]
-    attempt = int(event.get("attempt", 0))
-    num_buckets = int(event.get("num_buckets", 10))
-    if table_num_rows(rows):
-        announcement = _write_partitions(
-            env, event, event["partition"], rows, [emit["key"]],
-            int(emit.get("num_partitions", event["num_partitions"])),
-            _join_map_naming(event["query_id"], emit["tag"], num_buckets, attempt),
-            _join_legacy_naming(event["query_id"], emit["tag"], num_buckets, attempt),
-            stats, integrity,
-        )
-        if announcement["partitions_written"]:
-            return announcement
-    return {"format": "empty", "partitions_written": 0}
+    naming = _join_map_naming(
+        event["query_id"], emit["tag"], int(event.get("num_buckets", 10)),
+        int(event.get("attempt", 0)),
+    )
+    return _write_partitions(
+        env, event, event["partition"], rows, [emit["key"]],
+        int(emit.get("num_partitions", event["num_partitions"])), naming, stats, integrity,
+    )
 
 
 def _join_step(probe: Table, build: Table, step: Dict) -> Table:
@@ -727,10 +650,10 @@ def _make_reduce_handler(env: CloudEnvironment):
     small — the worker reads that side whole (*broadcast*) and joins in
     place, instead of the fleet re-shuffling the probe rows through one more
     barriered wave.  All reads, partition slices and whole objects alike, are
-    one fetch plan issued as a single batch (write-combined objects are
-    announced with their offset-bearing keys through the driver barrier, so
-    discovery costs nothing).  After the last step the worker either
-    re-emits by the next wave's probe key, or computes the partial
+    one fetch plan issued as a single batch (every sender's offset directory
+    was announced through the driver barrier, so discovery costs nothing).
+    After the last step the worker either re-emits by the next wave's probe
+    key, or computes the partial
     aggregates placed above the join and returns them (or the joined rows
     for aggregate-free queries) to the driver.
     """
@@ -739,29 +662,15 @@ def _make_reduce_handler(env: CloudEnvironment):
         query_id = event["query_id"]
         partition = event["partition"]
         attempt = int(event.get("attempt", 0))
-        num_buckets = int(event.get("num_buckets", 10))
         integrity = IntegrityConfig.from_dict(event.get("integrity"))
         istats = IntegrityStats()
         stats = ExchangeStats()
         steps = event["steps"]
 
-        def manifest(spec: Dict, broadcast: bool = False) -> SenderManifest:
-            # Each input is addressed by its exchange tag: the probe side of a
-            # later wave is the previous wave's intermediate ("J{k}"), a
-            # build side a scan fleet ("R{k}").
-            return SenderManifest(
-                spec.get("combined", []),
-                spec.get("object_senders", []),
-                lambda map_attempt: _join_legacy_naming(
-                    query_id, spec["tag"], num_buckets, map_attempt
-                ),
-                broadcast,
-            )
-
         pieces, slices_read, fetch_seconds = _fetch_partition(
             env, context,
-            [manifest(event["probe"])]
-            + [manifest(step["build"], bool(step.get("broadcast"))) for step in steps],
+            [SenderManifest(event["probe"])]
+            + [SenderManifest(step["build"], bool(step.get("broadcast"))) for step in steps],
             partition, event["num_partitions"], stats, integrity, istats,
         )
         joined, *builds = (
@@ -973,29 +882,19 @@ def join_costs(
     }
 
 
-def _sender_spec(tag: str, messages: Sequence[Dict]) -> Dict:
+def _sender_spec(messages: Sequence[Dict]) -> List[List]:
     """What one input side's accepted senders announced, as shipped to the
-    join workers; ``tag`` names the exchange prefix they wrote under."""
-    return {
-        "tag": tag,
-        # Combined objects are announced with their offset-bearing paths: the
-        # join wave needs no discovery requests for them, and an orphaned
-        # earlier-attempt duplicate is never read.
-        "combined": sorted(
-            [m["worker_id"], m["combined_path"], m["combined_size"]]
-            for m in messages
-            if m.get("format") == "combined"
-        ),
-        # Legacy senders as (sender, attempt) pairs: retried writers wrote
-        # under attempt-suffixed prefixes.  ``"empty"`` senders (an emit wave
-        # that joined zero rows) wrote nothing and are announced in neither
-        # list.
-        "object_senders": sorted(
-            [m["worker_id"], int(m.get("attempt", 0))]
-            for m in messages
-            if m.get("format") == "objects"
-        ),
-    }
+    join workers: ``[sender, path, size, offsets, crcs]`` per combined object.
+
+    The join wave needs no discovery request, and an orphaned earlier-attempt
+    duplicate is never read.  ``"empty"`` senders (an emit wave that joined
+    zero rows) wrote nothing and are not listed.
+    """
+    return sorted(
+        [m["worker_id"], m["combined_path"], m["combined_size"], m["offsets"], m["crcs"]]
+        for m in messages
+        if m.get("format") == "combined"
+    )
 
 
 #: Share of a join worker's memory the broadcast build sides of one wave may
@@ -1007,7 +906,7 @@ BROADCAST_MEMORY_FRACTION = 0.125
 
 def _group_join_waves(
     env: CloudEnvironment,
-    build_sides: Sequence[Dict],
+    build_sides: Sequence[Sequence],
     num_partitions: int,
     memory_mib: int,
 ) -> List[List[int]]:
@@ -1017,11 +916,10 @@ def _group_join_waves(
     ``build_sides[k]`` is stage ``k``'s build-side sender spec (none at all
     for a repartitioned aggregation, which runs one wave that joins
     nothing).  A wave starts at a stage whose probe input is partitioned by
-    that stage's key (stage 0 always is) and absorbs the following stages for as long as
-    their build side can be *broadcast*: every sender announced a combined
-    object (a whole-object read needs the offset directory), reading and
-    decoding the whole side costs a worker less modelled time than the wave
-    the fusion removes — a reduce worker's fixed share, one emit PUT and one
+    that stage's key (stage 0 always is) and absorbs the following stages for
+    as long as their build side can be *broadcast*: reading and decoding the
+    whole side costs a worker less modelled time than the wave the fusion
+    removes — a reduce worker's fixed share, one emit PUT and one
     fetch round — and the wave's broadcast sides together stay within
     :data:`BROADCAST_MEMORY_FRACTION` of the worker's memory.  The side is
     priced as the very fetch plan a worker would issue for it, with the
@@ -1034,24 +932,20 @@ def _group_join_waves(
     waves = [[0] if build_sides else []]
     fused_bytes = 0
     for stage in range(1, len(build_sides)):
-        side = build_sides[stage]
-        fuse = False
-        if not side["object_senders"]:
-            plan = FetchPlan.build(
-                env.s3, [SenderManifest(side["combined"], broadcast=True)],
-                0, num_partitions, ExchangeStats(),
-            )
-            transfer = plan.transfer_plan(memory_mib)
-            broadcast_seconds = (
-                env.bandwidth.transfer_seconds(transfer)
-                + _reduce_compute_seconds(plan.slices)
-                - _reduce_compute_seconds(0)
-            )
-            fuse = (
-                fused_bytes + transfer.total_bytes <= budget
-                and broadcast_seconds < removed_wave_seconds
-            )
-        if fuse:
+        plan = FetchPlan.build(
+            [SenderManifest(build_sides[stage], broadcast=True)],
+            0, num_partitions, ExchangeStats(),
+        )
+        transfer = plan.transfer_plan(memory_mib)
+        broadcast_seconds = (
+            env.bandwidth.transfer_seconds(transfer)
+            + _reduce_compute_seconds(plan.slices)
+            - _reduce_compute_seconds(0)
+        )
+        if (
+            fused_bytes + transfer.total_bytes <= budget
+            and broadcast_seconds < removed_wave_seconds
+        ):
             waves[-1].append(stage)
             fused_bytes += transfer.total_bytes
         else:
@@ -1108,7 +1002,7 @@ class ShuffleJoinCoordinator:
        pushed-down filter, projection (and, for an aggregating fragment, the
        map-side partial aggregation), repartition by that fragment's
        partition keys through the write-combined exchange (one combined PUT
-       per mapper, offsets in the key);
+       per mapper, its offset directory announced in the result message);
     2. **join waves** — behind the scan barrier the driver knows every build
        side's exact size and groups consecutive stages into waves
        (:func:`_group_join_waves`): a stage whose build side is cheaper to
@@ -1122,7 +1016,7 @@ class ShuffleJoinCoordinator:
        it.  One worker per hash partition of the wave's probe input reads,
        in one fetch plan, its slice of the probe side and of the first
        stage's build side plus the whole of every fused (broadcast) build
-       side (the combined paths ride through the driver barrier, so
+       side (the announcements ride through the driver barrier, so
        discovery costs zero requests), runs the stages' joins
        with :func:`~repro.engine.join.hash_join` — build key restored,
        residual applied, columns pruned per stage — then either *emits*,
@@ -1137,9 +1031,9 @@ class ShuffleJoinCoordinator:
     Every wave's inputs are deleted by their announced paths as soon as the
     wave completes (DELETE is unmetered), so peak exchange storage is the
     live waves' inputs and a clean query issues no LIST at all.  Only a query
-    that saw a retry, hedge, fallback or injected fault ends with a LIST
-    sweep of its exchange and result prefixes: a superseded attempt may have
-    left objects no announcement names.
+    that saw a retry, hedge or injected fault ends with a LIST sweep of its
+    exchange and result prefixes: a superseded attempt may have left objects
+    no announcement names.
 
     The overload-control context (PR 9) is armed per query: the driver passes
     its cancellation token, breaker board, retry budget, and modelled
@@ -1187,21 +1081,6 @@ class ShuffleJoinCoordinator:
 
     # -- execution ------------------------------------------------------------------
 
-    def _map_mode(self, side: str, worker_id: int) -> bool:
-        """Whether mapper ``worker_id`` of ``side`` write-combines its
-        partitions.
-
-        The default applies the coordinator's configuration uniformly;
-        subclasses (and the mixed-format parity tests) may vary it per
-        mapper — the consuming wave handles both formats within one query.
-        """
-        return self.config.write_combining
-
-    def _writes_combined(self, side: str, worker_id: int) -> bool:
-        """What the scan wave asks per mapper; the aggregation facade answers
-        from its one-fleet :meth:`_map_mode` signature."""
-        return self._map_mode(side, worker_id)
-
     def _arm_overload(self, cancel=None, breakers=None, budget=None, now_fn=None):
         """Install the per-query overload context (cleared by the caller)."""
         self._cancel = cancel
@@ -1216,7 +1095,6 @@ class ShuffleJoinCoordinator:
         query_id: str,
         what: str,
         resilience: ResilienceStats,
-        on_retry=None,
         integrity: Optional[IntegrityStats] = None,
     ) -> List[Dict]:
         """Run one wave through :func:`~repro.driver.dispatch.run_fleet`;
@@ -1224,9 +1102,9 @@ class ShuffleJoinCoordinator:
 
         ``events`` maps wave keys ``(side, worker_id)`` to invocation payloads
         carrying ``"attempt": 0``.  Workers that failed or never reported are
-        re-invoked up to ``policy.max_attempts`` times; ``on_retry`` lets the
-        coordinator degrade a retry (combined → legacy).  A worker still
-        failing then raises :class:`~repro.errors.WorkerFailedError` with its
+        re-invoked up to ``policy.max_attempts`` times, each retry writing
+        under its own ``r{attempt}/`` prefix.  A worker still failing then
+        raises :class:`~repro.errors.WorkerFailedError` with its
         full attempt history.  The armed overload context threads through:
         the cancellation token is checked at dispatch and at every poll, and
         the Invoke requests themselves are breaker-aware (a brownout fleet
@@ -1260,7 +1138,7 @@ class ShuffleJoinCoordinator:
             self._jitter_rng, resilience,
             FleetLabels(dispatch=f"{what} dispatch", retry=what, budget="wave_retries"),
             attempt_log, integrity=integrity, cancel=self._cancel,
-            budget=self._budget, on_retry=on_retry,
+            budget=self._budget,
         )
         failed = failed_keys(events, by_key)
         if failed:
@@ -1271,31 +1149,6 @@ class ShuffleJoinCoordinator:
             ]
             raise WorkerFailedError(worker_id, f"{what}: {error}", attempts=history)
         return [by_key[key] for key in sorted(by_key)]
-
-    def _degrade_map_retry(self, resilience: ResilienceStats):
-        """Retry hook flipping a repeatedly-failing writer to the legacy plane.
-
-        A mapper whose combined write keeps failing (e.g. throttles or
-        crash-after-PUT aimed at its one big object) degrades to the legacy
-        one-object-per-receiver format from
-        ``policy.combined_fallback_attempt`` on — the consuming wave handles
-        mixed formats within one query, so correctness is unaffected.
-        """
-
-        def on_retry(key, retry: Dict, error: str) -> None:
-            if not retry.get("write_combining"):
-                return
-            threshold = self.resilience_policy.combined_fallback_attempt
-            if self._breakers is not None and "s3" in self._breakers.open_services():
-                # Brownout response: with the S3 breaker open the combined
-                # write plane (one big PUT per mapper) is the most exposed,
-                # so degrade to the legacy format on the first retry already.
-                threshold = 1
-            if retry["attempt"] >= threshold:
-                retry["write_combining"] = False
-                resilience.note_fallback("combined_to_legacy")
-
-        return on_retry
 
     def execute(
         self,
@@ -1398,31 +1251,28 @@ class ShuffleJoinCoordinator:
                     "attempt": 0,
                     "num_partitions": num_partitions,
                     "result_queue": self.result_queue,
-                    "write_combining": self._writes_combined(tag, worker_id),
-                    "fast_codec": self.config.fast_codec,
                     "compression": self.config.compression.value,
                     "num_buckets": self.num_buckets,
                     "integrity": self.config.integrity.to_dict(),
                 }
         map_messages = self._wave(
             self.names.map_function, map_events, query_id, self.names.map_label,
-            resilience, on_retry=self._degrade_map_retry(resilience),
-            integrity=integrity_stats,
+            resilience, integrity=integrity_stats,
         )
 
         rows_scanned = sum(message.get("rows_scanned", 0) for message in map_messages)
-        objects_written = sum(message.get("partitions_written", 0) for message in map_messages)
+        objects_written = sum("combined_path" in message for message in map_messages)
 
         # -- join waves (grouped from the announced sizes, chained through the
         # exchange) ------------------------------------------------------------------
         announced = {
             tag: [m for m in map_messages if m.get("side") == tag] for tag in fleets
         }
-        build_sides = [_sender_spec(tag, announced[tag]) for tag in build_tags]
+        build_sides = [_sender_spec(announced[tag]) for tag in build_tags]
         wave_stages = _group_join_waves(
             self.env, build_sides, num_partitions, self.memory_mib
         )
-        probe_tag, probe_messages = "L", announced["L"]
+        probe_messages = announced["L"]
         reduce_waves: List[List[Dict]] = []
         objects_read = 0
         gc_deleted = 0
@@ -1434,7 +1284,7 @@ class ShuffleJoinCoordinator:
                 "side": side,
                 "attempt": 0,
                 "num_partitions": num_partitions,
-                "probe": _sender_spec(probe_tag, probe_messages),
+                "probe": _sender_spec(probe_messages),
                 "steps": [
                     {
                         "left_key": dag.stages[k].left_key,
@@ -1464,8 +1314,6 @@ class ShuffleJoinCoordinator:
                 "result_queue": self.result_queue,
                 "num_buckets": self.num_buckets,
                 "integrity": self.config.integrity.to_dict(),
-                "write_combining": self.config.write_combining,
-                "fast_codec": self.config.fast_codec,
                 "compression": self.config.compression.value,
             }
             if final:
@@ -1480,27 +1328,16 @@ class ShuffleJoinCoordinator:
                     (side, partition): {**event, "partition": partition}
                     for partition in range(num_partitions)
                 },
-                query_id, what, resilience,
-                on_retry=None if final else self._degrade_map_retry(resilience),
-                integrity=integrity_stats,
+                query_id, what, resilience, integrity=integrity_stats,
             )
             reduce_waves.append(reduce_messages)
             objects_read += sum(m.get("objects_read", 0) for m in reduce_messages)
             # The wave has folded: nothing reads its inputs again.
-            consumed = [(probe_tag, probe_messages)]
-            consumed.extend((build_tags[k], announced[build_tags[k]]) for k in wave)
-            for tag, messages in consumed:
-                gc_deleted += _delete_consumed_outputs(
-                    self.env, messages, num_partitions,
-                    lambda attempt, tag=tag: _join_legacy_naming(
-                        query_id, tag, self.num_buckets, attempt
-                    ),
-                )
+            for messages in [probe_messages] + [announced[build_tags[k]] for k in wave]:
+                gc_deleted += _delete_consumed_outputs(self.env, messages)
             if not final:
-                objects_written += sum(
-                    m.get("partitions_written", 0) for m in reduce_messages
-                )
-                probe_tag, probe_messages = inter_tags[wave[-1]], reduce_messages
+                objects_written += sum("combined_path" in m for m in reduce_messages)
+                probe_messages = reduce_messages
 
         # -- fold statistics ---------------------------------------------------------
         exchange = ExchangeStats()
@@ -1545,7 +1382,7 @@ class ShuffleJoinCoordinator:
         )
 
         # The final wave is folded: its spilled results have no reader left.
-        gc_deleted += _delete_consumed_outputs(self.env, reduce_waves[-1], num_partitions)
+        gc_deleted += _delete_consumed_outputs(self.env, reduce_waves[-1])
         resilience.faults_injected = fault_delta(self.env, faults_before)
         # The request fee of every superseded attempt bought nothing.
         resilience.wasted_cost_dollars += self.env.ledger.prices.lambda_invocation_cost(
@@ -1553,9 +1390,9 @@ class ShuffleJoinCoordinator:
         )
         gc_lists = 0
         if not resilience.clean:
-            # A superseded attempt (crash after PUT, hedge loser, degraded
-            # retry) may have left objects no announcement names: exchange
-            # objects on either naming plane, or a spilled result.
+            # A superseded attempt (crash after PUT, hedge loser) may have
+            # left objects no announcement names: exchange objects or a
+            # spilled result.
             swept, gc_lists = _gc_query_objects(self.env, query_id, self.num_buckets)
             gc_deleted += swept
 
@@ -1614,14 +1451,6 @@ class ShuffleAggregateCoordinator(ShuffleJoinCoordinator):
         super().__init__(
             env, memory_mib, num_buckets, result_queue, config, resilience_policy
         )
-
-    def _map_mode(self, worker_id: int) -> bool:
-        """Whether mapper ``worker_id`` write-combines its partitions (see
-        :meth:`ShuffleJoinCoordinator._map_mode`; there is one fleet)."""
-        return self.config.write_combining
-
-    def _writes_combined(self, side: str, worker_id: int) -> bool:
-        return self._map_mode(worker_id)
 
     def execute(
         self,

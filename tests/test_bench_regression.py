@@ -83,11 +83,10 @@ def test_baseline_scan_filter_matches_acceptance_shape(baseline):
 
 
 def test_baseline_shuffle_requests_matches_acceptance_shape(baseline):
-    """The shuffle-request section must record the O(P²)→O(P) collapse."""
+    """The shuffle-request section must record one PUT per mapper at 32x32."""
     shuffle = baseline["results"]["shuffle_requests"]
     assert shuffle["num_rows"] >= 1_000_000
     assert shuffle["num_workers"] >= 32
-    assert shuffle["legacy_put_requests"] == shuffle["num_workers"] ** 2
     assert shuffle["combined_put_requests"] == shuffle["num_workers"]
     assert (
         shuffle["combined_ranged_get_requests"]
@@ -104,9 +103,8 @@ def test_baseline_passes_request_ceilings(checker, baseline):
 
 def test_checker_flags_request_ceiling_violation(checker, baseline, tmp_path):
     doctored = json.loads(json.dumps(baseline))
-    # A silent fallback to the O(P²) path: one PUT per mapper×reducer pair.
+    # One PUT per mapper×reducer pair instead of one per mapper.
     doctored["results"]["shuffle_requests"]["combined_put_requests"] = 1024
-    doctored["results"]["shuffle_requests"]["put_collapse"] = 32.0
     fallback = tmp_path / "fallback.json"
     fallback.write_text(json.dumps(doctored), encoding="utf-8")
     assert checker.check(fallback, None, tolerance=0.6) != 0

@@ -28,8 +28,7 @@ from repro.driver.resilience import ResiliencePolicy
 from repro.driver.shuffle import (
     SHUFFLE_RESULT_QUEUE,
     ShuffleAggregateCoordinator,
-    _join_legacy_naming,
-    _join_map_naming,
+    _exchange_buckets,
 )
 from repro.driver.integrity import RESULT_BUCKET
 from repro.errors import QueryCancelledError, RetryBudgetExhaustedError
@@ -66,20 +65,9 @@ def pooled_driver(stack):
     driver.close()
 
 
-def _shuffle_buckets():
-    """Bucket names of both exchange formats (query-independent)."""
-    names = []
-    for naming in (
-        _join_map_naming("x", "L", NUM_BUCKETS),
-        _join_legacy_naming("x", "L", NUM_BUCKETS),
-    ):
-        names.extend(naming.buckets())
-    return sorted(set(names))
-
-
 def _shuffle_object_count(env) -> int:
     total = 0
-    for bucket in _shuffle_buckets():
+    for bucket in _exchange_buckets(NUM_BUCKETS):
         env.s3.ensure_bucket(bucket)
         total += len(env.s3.list_objects(bucket))
     return total

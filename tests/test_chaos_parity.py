@@ -11,8 +11,8 @@ and delayed queue deliveries — across all three execution modes.  Acceptance:
   twice and no retry partial is double-counted;
 * the retry budget converges (``max_count`` caps every fatal fault kind);
 * no ``/dev/shm`` segments leak, even when pool children are crashed;
-* a mapper whose combined write keeps crashing degrades to the legacy
-  exchange format and still produces the exact result.
+* a mapper whose combined write keeps crashing is retried under a fresh
+  attempt prefix, writes combined again, and still produces the exact result.
 """
 
 from __future__ import annotations
@@ -148,7 +148,7 @@ def test_chaos_schedule_is_deterministic(stack, plans, drivers, baselines):
 
 
 # ---------------------------------------------------------------------------
-# Graceful degradation: combined exchange -> legacy per-receiver objects
+# Crash after PUT: retried writers never collide with their orphans
 # ---------------------------------------------------------------------------
 
 
@@ -161,10 +161,11 @@ def _group_sum(coordinator, dataset):
     )
 
 
-def test_repeated_crash_degrades_combined_write_to_legacy(stack):
+def test_repeated_crash_retries_combined_write_under_a_fresh_prefix(stack):
     """Mapper 0's combined PUT crashes twice (after landing!); attempt 2
-    falls back to the legacy format and the result stays bit-identical —
-    the orphaned combined objects of attempts 0 and 1 are never read."""
+    writes its combined object again under ``r2/`` and the result stays
+    bit-identical — the orphaned objects of attempts 0 and 1 (under the
+    query prefix and ``r1/``) are never read, only swept."""
     env, dataset, _, _ = stack
     baseline, _ = _group_sum(
         ShuffleAggregateCoordinator(env, memory_mib=2048, num_buckets=4), dataset
@@ -173,10 +174,9 @@ def test_repeated_crash_degrades_combined_write_to_legacy(stack):
 
     env.install_fault_plan(
         FaultPlan(
-            # "sender-0.off" only appears in worker 0's combined-object key
-            # (any attempt), never in legacy keys — so the fallback write
-            # itself cannot be crashed.
-            [FaultRule("s3", "crash_after_put", 1.0, match="sender-0.off", max_count=2)],
+            # "L/sender-0" is worker 0's combined-object key under every
+            # attempt prefix; the third attempt outlives the two crashes.
+            [FaultRule("s3", "crash_after_put", 1.0, match="L/sender-0", max_count=2)],
             seed=1,
         )
     )
@@ -187,11 +187,12 @@ def test_repeated_crash_degrades_combined_write_to_legacy(stack):
     finally:
         env.install_fault_plan(None)
 
-    assert_bit_identical(baseline, result, "crash-degrade")
+    assert_bit_identical(baseline, result, "crash-retry")
     resilience = statistics.resilience
     assert resilience.faults_injected == {"s3.crash_after_put": 2}
-    assert resilience.fallbacks.get("combined_to_legacy", 0) >= 1
+    assert resilience.fallbacks == {}
     assert resilience.retries >= 2
+    assert statistics.exchange.put_requests == statistics.exchange.combined_put_requests
     assert resilience.wave_retries >= 1
     assert resilience.backoff_seconds > 0.0
     # The two orphaned combined objects no announcement names were swept.

@@ -29,11 +29,7 @@ from repro.cloud.faults import chaos_plan
 from repro.driver.admission import CancellationToken
 from repro.driver.driver import LambadaDriver
 from repro.driver.resilience import ResiliencePolicy
-from repro.driver.shuffle import (
-    JOIN_RESULT_QUEUE,
-    _join_legacy_naming,
-    _join_map_naming,
-)
+from repro.driver.shuffle import JOIN_RESULT_QUEUE, _exchange_buckets
 from repro.errors import QueryCancelledError
 from repro.workload.queries import (
     q5_plan,
@@ -86,15 +82,9 @@ NUM_BUCKETS = 10  # the join coordinator's default exchange width
 
 
 def _exchange_object_count(env) -> int:
-    """Objects across both join-exchange bucket layouts (query-independent)."""
-    buckets = set()
-    for naming in (
-        _join_map_naming("x", "L", NUM_BUCKETS),
-        _join_legacy_naming("x", "L", NUM_BUCKETS),
-    ):
-        buckets.update(naming.buckets())
+    """Objects across the join exchange's buckets (query-independent)."""
     total = 0
-    for bucket in sorted(buckets):
+    for bucket in _exchange_buckets(NUM_BUCKETS):
         env.s3.ensure_bucket(bucket)
         total += len(env.s3.list_objects(bucket))
     return total

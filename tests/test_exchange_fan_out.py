@@ -23,7 +23,6 @@ from repro.cloud.environment import CloudEnvironment
 from repro.cloud.network import BandwidthModel
 from repro.config import DEFAULT_SCAN_CONNECTIONS, IntegrityConfig, MiB
 from repro.driver.shuffle import (
-    _join_legacy_naming,
     _join_map_naming,
     _reduce_compute_seconds,
     _write_partitions,
@@ -305,12 +304,11 @@ def _rows(num_rows=5000, seed=3):
 
 
 def _write(env, rows, num_partitions, attempt=0):
-    event = {"query_id": "q", "write_combining": True, "attempt": attempt}
+    event = {"query_id": "q", "attempt": attempt}
     stats = ExchangeStats()
     announcement = _write_partitions(
         env, event, 4, rows, ["k"], num_partitions,
-        _join_map_naming("q", "L", 2, attempt), _join_legacy_naming("q", "L", 2, attempt),
-        stats, IntegrityConfig(),
+        _join_map_naming("q", "L", 2, attempt), stats, IntegrityConfig(),
     )
     return announcement, stats
 
@@ -322,7 +320,7 @@ def test_one_partition_write_calls_no_partitioner_and_writes_the_same_bytes(monk
     assignment = partition_assignments(rows, ["k"], 1)
     reordered, boundaries = scatter_by_assignment(rows, assignment, 1)
     payload, offsets = encode_partition_set(reordered, boundaries)
-    path = _join_map_naming("q", "L", 2).combined_path(4, offsets, slice_crcs(payload, offsets))
+    path = _join_map_naming("q", "L", 2).path(4, 0)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the one-partition write path partitioned")
@@ -336,8 +334,8 @@ def test_one_partition_write_calls_no_partitioner_and_writes_the_same_bytes(monk
     announcement, stats = _write(env, rows, 1)
 
     assert announcement == {
-        "format": "combined", "partitions_written": 1,
-        "combined_path": path, "combined_size": len(payload),
+        "format": "combined", "combined_path": path, "combined_size": len(payload),
+        "offsets": offsets, "crcs": slice_crcs(payload, offsets),
     }
     assert env.s3.get_path(path).data == payload
     assert (stats.put_requests, stats.bytes_written) == (1, len(payload))
@@ -353,4 +351,5 @@ def test_one_partition_write_of_no_rows_is_an_empty_object_like_before():
     empty = {name: column[:0] for name, column in _rows().items()}
     announcement, stats = _write(env, empty, 1)
     assert (announcement["format"], announcement["combined_size"]) == ("combined", 0)
+    assert announcement["offsets"] == [0, 0] and announcement["crcs"] == [0]
     assert stats.bytes_written == 0

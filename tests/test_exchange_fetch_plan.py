@@ -9,18 +9,14 @@ import pytest
 import repro.driver.shuffle as shuffle_module
 from repro.cloud.faults import FaultPlan, FaultRule
 from repro.cloud.network import BandwidthModel, TransferPlan
-from repro.config import DEFAULT_SCAN_CHUNK_BYTES, DEFAULT_SCAN_CONNECTIONS
+from repro.config import DEFAULT_SCAN_CHUNK_BYTES, DEFAULT_SCAN_CONNECTIONS, IntegrityConfig
 from repro.driver.integrity import IntegrityStats
 from repro.driver.shuffle import ShuffleAggregateCoordinator
-from repro.exchange.basic import ExchangeStats, serialize_partition
+from repro.exchange.basic import ExchangeStats
 from repro.exchange.codec import encode_partition_set, slice_crcs
 from repro.exchange.fetch import FetchPlan, SenderManifest
-from repro.exchange.naming import MultiBucketNaming, WriteCombiningNaming
-from repro.exchange.partition import (
-    partition_assignments,
-    scatter_by_assignment,
-    slice_partition,
-)
+from repro.exchange.naming import WriteCombiningNaming
+from repro.exchange.partition import partition_assignments, scatter_by_assignment
 from repro.plan.expressions import col
 from repro.plan.logical import AggregateSpec
 from repro.workload.queries import q3_plan, reference_q3
@@ -35,36 +31,28 @@ def _table(sender: int, keys) -> dict:
     return {"k": keys, "v": keys * 10.0 + sender}
 
 
-def _write_side(store, tag: str, tables, legacy=()):
-    """Write one input side; senders in ``legacy`` use per-receiver objects.
+def _write_side(store, tag: str, tables, unchecked=()):
+    """Write one input side, one combined object per sender; senders in
+    ``unchecked`` write frames without checksums and announce no crcs.
 
     Returns the side's manifest and, per sender, the partitions it has rows
     for.
     """
-    combined_naming = WriteCombiningNaming(bucket="fx", prefix=f"q/{tag}/", num_buckets=3)
-    legacy_naming = MultiBucketNaming(num_buckets=3, bucket_prefix="fx-", prefix=f"q/{tag}/")
-    combined, object_senders, non_empty = [], [], {}
+    naming = WriteCombiningNaming(bucket="fx", prefix=f"q/{tag}/", num_buckets=3)
+    senders, non_empty = [], {}
     for sender, table in enumerate(tables):
         assignment = partition_assignments(table, ["k"], P)
         reordered, boundaries = scatter_by_assignment(table, assignment, P)
         non_empty[sender] = {
             p for p in range(P) if boundaries[p + 1] > boundaries[p]
         }
-        if sender in legacy:
-            for receiver in sorted(non_empty[sender]):
-                store.put_path(
-                    legacy_naming.path(sender, receiver),
-                    serialize_partition(slice_partition(reordered, boundaries, receiver)),
-                )
-            object_senders.append([sender, 0])
-        else:
-            payload, offsets = encode_partition_set(reordered, boundaries)
-            crcs = slice_crcs(payload, offsets)
-            path = combined_naming.combined_path(sender, offsets, crcs)
-            store.put_path(path, payload)
-            combined.append([sender, path, len(payload)])
-    manifest = SenderManifest(combined, object_senders, lambda attempt: legacy_naming)
-    return manifest, non_empty
+        checked = sender not in unchecked
+        payload, offsets = encode_partition_set(reordered, boundaries, checksum=checked)
+        path = naming.path(sender, 0)
+        store.put_path(path, payload)
+        crcs = slice_crcs(payload, offsets) if checked else None
+        senders.append([sender, path, len(payload), offsets, crcs])
+    return SenderManifest(senders), non_empty
 
 
 @pytest.fixture
@@ -73,8 +61,8 @@ def two_sides(env):
     left = [_table(s, rng.integers(0, 40, 30)) for s in range(5)]
     # Few distinct keys: most (sender, partition) pairs of this side are empty.
     right = [_table(s, rng.integers(0, 3, 8)) for s in range(4)]
-    left_manifest, left_pairs = _write_side(env.s3, "L", left, legacy={1, 3})
-    right_manifest, right_pairs = _write_side(env.s3, "R", right, legacy={2})
+    left_manifest, left_pairs = _write_side(env.s3, "L", left, unchecked={1, 3})
+    right_manifest, right_pairs = _write_side(env.s3, "R", right, unchecked={2})
     return [left_manifest, right_manifest], [left_pairs, right_pairs], [left, right]
 
 
@@ -85,7 +73,7 @@ def two_sides(env):
 def test_plan_has_one_range_per_non_empty_pair_in_sender_order(env, two_sides, partition):
     manifests, pairs, _ = two_sides
     stats = ExchangeStats()
-    plan = FetchPlan.build(env.s3, manifests, partition, P, stats)
+    plan = FetchPlan.build(manifests, partition, P, stats)
 
     expected = [
         (side, sender)
@@ -96,21 +84,19 @@ def test_plan_has_one_range_per_non_empty_pair_in_sender_order(env, two_sides, p
     assert [(item.side, item.sender) for item in plan.ranges] == expected
     total_pairs = sum(len(side_pairs) for side_pairs in pairs)
     assert stats.empty_parts_elided == total_pairs - len(expected)
-    # Planning costs one LIST per side with legacy senders and no GET at all.
-    assert (stats.list_requests, stats.get_requests, stats.head_requests) == (2, 0, 0)
+    # Planning reads the announced directories only: not a single request.
+    assert stats.total_requests == 0
     for item in plan.ranges:
-        legacy = item.sender in ({1, 3} if item.side == 0 else {2})
-        assert (item.end is None) == legacy
-        assert item.length > 0
-        if not legacy:
-            assert item.crc is not None and item.end - item.start == item.length
+        unchecked = item.sender in ({1, 3} if item.side == 0 else {2})
+        assert (item.crc is None) == unchecked
+        assert item.end - item.start == item.length > 0
 
 
 def test_fetch_returns_each_sides_rows_in_sender_order(env, two_sides):
     manifests, _, tables = two_sides
     for partition in range(P):
         stats = ExchangeStats()
-        plan = FetchPlan.build(env.s3, manifests, partition, P, stats)
+        plan = FetchPlan.build(manifests, partition, P, stats)
         pieces, _ = plan.fetch(env.s3, env.bandwidth, MEMORY_MIB, stats)
         assert stats.get_requests == len(plan.ranges)
         assert stats.bytes_read == sum(item.length for item in plan.ranges)
@@ -129,7 +115,7 @@ def test_fetch_returns_each_sides_rows_in_sender_order(env, two_sides):
 
 
 def _widest_plan(env, manifests):
-    plans = [FetchPlan.build(env.s3, manifests, p, P, ExchangeStats()) for p in range(P)]
+    plans = [FetchPlan.build(manifests, p, P, ExchangeStats()) for p in range(P)]
     return max(plans, key=lambda plan: len(plan.ranges))
 
 
@@ -166,7 +152,7 @@ def test_batch_is_charged_as_one_pipelined_transfer(env, two_sides):
 
 
 def test_empty_plan_costs_nothing(env):
-    plan = FetchPlan.build(env.s3, [SenderManifest()], 0, P, ExchangeStats())
+    plan = FetchPlan.build([SenderManifest()], 0, P, ExchangeStats())
     pieces, seconds = plan.fetch(env.s3, env.bandwidth, MEMORY_MIB, ExchangeStats())
     assert (plan.ranges, pieces, seconds) == ((), [[]], 0.0)
 
@@ -178,7 +164,7 @@ def test_empty_plan_costs_nothing(env):
 def test_corrupt_slice_is_refetched_alone(env, two_sides, fault):
     manifests, _, _ = two_sides
     plan = _widest_plan(env, manifests)
-    victim = next(item for item in plan.ranges if item.end is not None)
+    victim = next(item for item in plan.ranges if item.crc is not None)
     clean_stats = ExchangeStats()
     clean, clean_seconds = plan.fetch(env.s3, env.bandwidth, MEMORY_MIB, clean_stats)
 
@@ -263,14 +249,15 @@ def test_q3_leaves_no_objects_behind(env, driver, dataset, lineitem_table):
 
 
 @pytest.mark.parametrize("spill", [False, True])
-@pytest.mark.parametrize("write_combining", [True, False])
+@pytest.mark.parametrize("checksums", [True, False])
 def test_shuffle_aggregation_leaves_no_objects_behind(
-    env, dataset, monkeypatch, spill, write_combining
+    env, dataset, monkeypatch, spill, checksums
 ):
     if spill:
         monkeypatch.setattr("repro.driver.integrity.RESULT_SPILL_BYTES", 64)
+    integrity = IntegrityConfig(generate=checksums, verify=checksums)
     coordinator = ShuffleAggregateCoordinator(
-        env, config=shuffle_module.ShuffleConfig(write_combining=write_combining)
+        env, config=shuffle_module.ShuffleConfig(integrity=integrity)
     )
     before = env.s3.object_count()
     puts_before = env.ledger.total("s3", "put_requests")

@@ -1,18 +1,15 @@
 """End-to-end distributed join queries (TPC-H Q3/Q12/Q14) over the shuffle plane.
 
 Parity is fuzzed across scale factors and partition counts against the NumPy
-reference implementations, for the write-combined exchange (the default), the
-legacy one-object-per-receiver plane, and a mixed-format fleet.  The counter
-tests pin the acceptance criterion that the join path actually rides the
-write-combined I/O plane (combined PUTs / ranged GETs nonzero in
-``QueryStatistics.exchange``).
+reference implementations.  The counter tests pin the acceptance criterion
+that the join path rides the write-combined I/O plane (one combined PUT per
+mapper, ranged GETs only, in ``QueryStatistics.exchange``).
 """
 
 import numpy as np
 import pytest
 
 from repro.driver.driver import LambadaDriver
-from repro.driver.shuffle import ShuffleConfig, ShuffleJoinCoordinator
 from repro.errors import InvalidPlanError
 from repro.frontend.sql import SqlCatalog, parse_sql
 from repro.plan.logical import (
@@ -109,7 +106,7 @@ def test_q14_matches_reference(driver, dataset, part_dataset, lineitem_table, pa
 
 
 # ---------------------------------------------------------------------------
-# Parity fuzz: scale factors x partition counts x exchange formats
+# Parity fuzz: scale factors x partition counts
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("scale_factor", [0.0005, 0.002])
@@ -128,43 +125,6 @@ def test_q3_parity_across_scales_and_partitions(env, scale_factor, num_workers):
         OrdersGenerator(scale_factor, seed=11).generate(),
     )
     assert_tables_match(result.table, reference, f"q3@sf{scale_factor}/w{num_workers}")
-
-
-@pytest.mark.parametrize("write_combining", [True, False])
-def test_q12_parity_combined_vs_legacy(
-    env, dataset, orders_dataset, lineitem_table, orders_table, write_combining
-):
-    driver = LambadaDriver(
-        env, shuffle_config=ShuffleConfig(write_combining=write_combining)
-    )
-    result = driver.execute(q12_plan(dataset.paths, orders_dataset.paths))
-    assert_tables_match(result.table, reference_q12(lineitem_table, orders_table))
-    exchange = result.statistics.exchange
-    if write_combining:
-        assert exchange.combined_put_requests > 0
-        assert exchange.ranged_get_requests > 0
-    else:
-        assert exchange.combined_put_requests == 0
-        assert exchange.ranged_get_requests == 0
-        assert exchange.put_requests > 0
-
-
-def test_q14_parity_mixed_format_fleet(
-    env, dataset, part_dataset, lineitem_table, part_table
-):
-    """Combined and legacy mappers interoperate within one join query."""
-
-    class MixedJoinCoordinator(ShuffleJoinCoordinator):
-        def _map_mode(self, side, worker_id):
-            return worker_id % 2 == 0
-
-    driver = LambadaDriver(env)
-    driver._join_coordinator = MixedJoinCoordinator(env, memory_mib=driver.memory_mib)
-    result = driver.execute(q14_plan(dataset.paths, part_dataset.paths))
-    assert_tables_match(result.table, reference_q14(lineitem_table, part_table))
-    exchange = result.statistics.exchange
-    assert exchange.combined_put_requests > 0
-    assert exchange.put_requests > exchange.combined_put_requests
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +162,7 @@ def test_join_runs_over_write_combined_exchange(driver, dataset, orders_dataset)
     result = driver.execute(q3_plan(dataset.paths, orders_dataset.paths))
     statistics = result.statistics
     exchange = statistics.exchange
-    # Both map waves write-combine: one PUT per mapper, no legacy objects.
+    # Both map waves write-combine: one PUT per mapper.
     mappers = len(dataset.paths) + len(orders_dataset.paths)
     assert exchange.combined_put_requests == mappers
     assert exchange.put_requests == mappers

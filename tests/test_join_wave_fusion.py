@@ -111,15 +111,13 @@ P = 8
 SMALL, BIG = 64 * 1024, 64 * MiB
 
 
-def _build_side(*sizes, legacy=False):
+def _build_side(*sizes):
     """A build side's sender spec: one combined object per size, P equal slices."""
     naming = WriteCombiningNaming(bucket="shuffle-b", prefix="q/R1/", num_buckets=10)
-    combined = [
-        [sender, naming.combined_path(sender, [size * p // P for p in range(P + 1)]), size]
+    return [
+        [sender, naming.path(sender, 0), size, [size * p // P for p in range(P + 1)], None]
         for sender, size in enumerate(sizes)
     ]
-    return {"tag": "R1", "combined": combined,
-            "object_senders": [[len(sizes), 0]] if legacy else []}
 
 
 def _waves(sides, bandwidth=None, memory_mib=MEMORY_MIB):
@@ -137,11 +135,6 @@ def test_stage_zero_never_forces_a_boundary():
     # Stage 0's build side is read by partition whatever its size.
     assert _waves([_build_side(BIG), _build_side(SMALL, SMALL)]) == [[0, 1]]
     assert _waves([_build_side(BIG)]) == [[0]]
-
-
-def test_a_side_with_a_legacy_sender_is_never_fused():
-    sides = [_build_side(SMALL), _build_side(SMALL, legacy=True), _build_side(SMALL)]
-    assert _waves(sides) == [[0], [1, 2]]
 
 
 def test_fused_sides_stay_within_the_memory_share():
@@ -290,11 +283,10 @@ def _write_combined(store, sender, keys):
     assignment = partition_assignments(table, ["k"], P)
     reordered, boundaries = scatter_by_assignment(table, assignment, P)
     payload, offsets = encode_partition_set(reordered, boundaries)
-    crcs = slice_crcs(payload, offsets)
     naming = WriteCombiningNaming(bucket="fx", prefix="q/R1/", num_buckets=2)
-    path = naming.combined_path(sender, offsets, crcs)
+    path = naming.path(sender, 0)
     store.put_path(path, payload)
-    return [sender, path, len(payload)], table
+    return [sender, path, len(payload), offsets, slice_crcs(payload, offsets)], table
 
 
 def test_broadcast_manifest_plans_one_whole_object_read_per_sender(env):
@@ -305,7 +297,7 @@ def test_broadcast_manifest_plans_one_whole_object_read_per_sender(env):
     ))
     manifest = SenderManifest(list(entries), broadcast=True)
     stats = ExchangeStats()
-    plan = FetchPlan.build(env.s3, [manifest], 3, P, stats)
+    plan = FetchPlan.build([manifest], 3, P, stats)
 
     assert [(item.sender, item.start, item.end) for item in plan.ranges] == [
         (0, 0, entries[0][2]), (2, 0, entries[2][2]),  # the empty sender costs nothing
@@ -318,17 +310,14 @@ def test_broadcast_manifest_plans_one_whole_object_read_per_sender(env):
     got = np.sort(np.concatenate([piece["v"] for piece in pieces]))
     np.testing.assert_array_equal(got, np.sort(np.concatenate([t["v"] for t in senders])))
 
+    # A directory that does not describe P slices is refused, not misread.
     with pytest.raises(ExchangeError):
-        FetchPlan.build(
-            env.s3, [SenderManifest(list(entries), [[7, 0]], broadcast=True)], 0, P, stats
-        )
+        FetchPlan.build([SenderManifest(list(entries), broadcast=True)], 0, P + 1, stats)
 
 
 def test_bit_flipped_broadcast_object_is_refetched_alone(env):
     entry, _ = _write_combined(env.s3, 0, np.arange(64))
-    plan = FetchPlan.build(
-        env.s3, [SenderManifest([entry], broadcast=True)], 0, P, ExchangeStats()
-    )
+    plan = FetchPlan.build([SenderManifest([entry], broadcast=True)], 0, P, ExchangeStats())
     clean, clean_seconds = plan.fetch(env.s3, env.bandwidth, MEMORY_MIB, ExchangeStats())
     env.install_fault_plan(FaultPlan(
         [FaultRule("s3", "bitflip", rate=1.0, operation="get", max_count=1)], seed=3

@@ -148,26 +148,26 @@ def test_fresh_stats_are_clean():
 
 def test_note_fallback_counts_events():
     stats = ResilienceStats()
-    stats.note_fallback("combined_to_legacy")
-    stats.note_fallback("combined_to_legacy")
+    stats.note_fallback("hedge_rejected")
+    stats.note_fallback("hedge_rejected")
     stats.note_fallback("processes_to_serial")
-    assert stats.fallbacks == {"combined_to_legacy": 2, "processes_to_serial": 1}
+    assert stats.fallbacks == {"hedge_rejected": 2, "processes_to_serial": 1}
     assert not stats.clean
 
 
 def test_merge_folds_counters_and_dicts():
     a = ResilienceStats(retries=1, backoff_seconds=0.5, wave_retries=2)
-    a.fallbacks["combined_to_legacy"] = 1
+    a.fallbacks["hedge_rejected"] = 1
     a.faults_injected["s3.slowdown"] = 3
     b = ResilienceStats(retries=2, hedges_launched=1, hedges_won=1)
-    b.fallbacks["combined_to_legacy"] = 2
+    b.fallbacks["hedge_rejected"] = 2
     b.faults_injected["lambda.drop"] = 1
     a.merge(b)
     assert a.retries == 3
     assert a.hedges_launched == 1
     assert a.backoff_seconds == 0.5
     assert a.wave_retries == 2
-    assert a.fallbacks == {"combined_to_legacy": 3}
+    assert a.fallbacks == {"hedge_rejected": 3}
     assert a.faults_injected == {"s3.slowdown": 3, "lambda.drop": 1}
 
 

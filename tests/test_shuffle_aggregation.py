@@ -3,11 +3,19 @@
 import numpy as np
 import pytest
 
-from repro.driver.shuffle import ShuffleAggregateCoordinator, ShuffleConfig
-from repro.errors import ExecutionError
+from repro.cloud.environment import CloudEnvironment
+from repro.cloud.faults import FaultPlan, FaultRule
+from repro.driver.breakers import BreakerBoard
+from repro.driver.shuffle import ShuffleAggregateCoordinator
+from repro.errors import ExecutionError, SlowDownError
+from repro.formats.parquet import ColumnarFile
 from repro.plan.expressions import col, lit
 from repro.plan.logical import AggregateSpec
 from repro.workload.queries import q1_plan
+from repro.workload.tpch import generate_lineitem_dataset
+
+from tests.test_mode_parity import assert_bit_identical
+from tests.test_shuffle_parity import _assert_tables_identical, _driver_merge_reference
 
 
 @pytest.fixture
@@ -62,9 +70,9 @@ def test_partition_objects_follow_expected_counts(env, dataset, coordinator):
         group_by=["l_orderkey"],
         aggregates=[AggregateSpec("sum", col("l_quantity"), "s")],
     )
-    # Write combining (the default): each of the W map workers writes exactly
-    # one combined object and announces its offset-bearing path through the
-    # map barrier, so the reduce wave reads at most one non-empty slice per
+    # Each of the W map workers writes exactly one combined object and
+    # announces its path and offset directory through the map barrier, so
+    # the reduce wave reads at most one non-empty slice per
     # sender×receiver pair off the driver-built manifest with zero discovery
     # requests.
     W = statistics.map_workers
@@ -79,29 +87,6 @@ def test_partition_objects_follow_expected_counts(env, dataset, coordinator):
     assert statistics.exchange.list_requests == 0  # manifest replaces discovery
     assert statistics.exchange.bytes_touched >= statistics.exchange.bytes_read
     assert statistics.rows_scanned > 0
-
-
-def test_legacy_path_writes_one_object_per_pair(env, dataset, lineitem_table):
-    coordinator = ShuffleAggregateCoordinator(
-        env, memory_mib=2048, num_buckets=4, config=ShuffleConfig(write_combining=False)
-    )
-    result, statistics = coordinator.execute(
-        dataset.paths,
-        group_by=["l_orderkey"],
-        aggregates=[AggregateSpec("sum", col("l_quantity"), "s")],
-    )
-    # Legacy parity baseline: one object per non-empty mapper×reducer pair.
-    W = statistics.map_workers
-    assert statistics.exchange.combined_put_requests == 0
-    # Every empty pair is elided twice: the skipped PUT and the skipped GET.
-    assert (
-        statistics.partition_objects_written + statistics.exchange.empty_parts_elided // 2
-        == W * W
-    )
-    assert statistics.exchange.put_requests == statistics.partition_objects_written
-    assert statistics.partition_objects_read == statistics.partition_objects_written
-    reference = _reference_group_sum(lineitem_table, "l_orderkey", "l_quantity")
-    assert statistics.result_rows == len(reference)
 
 
 def test_partition_files_spread_over_buckets(env, dataset, coordinator):
@@ -133,8 +118,6 @@ def test_predicate_applied_before_partitioning(env, dataset, coordinator, lineit
 def test_combined_request_counts_at_32x32(env):
     """Acceptance bar: 32 mappers x 32 reducers issue <= 32 PUTs (was 1024)
     and at most 32*32 ranged GETs minus the elided empty slices."""
-    from repro.workload.tpch import generate_lineitem_dataset
-
     dataset = generate_lineitem_dataset(
         env.s3, scale_factor=0.002, num_files=32, row_group_rows=256, seed=11
     )
@@ -158,63 +141,30 @@ def test_combined_request_counts_at_32x32(env):
 
 def test_empty_partitions_elided_end_to_end(env, lineitem_table):
     """With fewer groups than reducers, empty slices cost zero requests."""
-    from repro.workload.tpch import generate_lineitem_dataset
-
     dataset = generate_lineitem_dataset(
         env.s3, scale_factor=0.001, num_files=8, row_group_rows=256, seed=3
     )
-    for write_combining in (True, False):
-        coordinator = ShuffleAggregateCoordinator(
-            env, config=ShuffleConfig(write_combining=write_combining)
-        )
-        result, statistics = coordinator.execute(
-            dataset.paths,
-            # Three distinct l_returnflag values over 8 reducers: most
-            # mapper×reducer pairs are empty.
-            group_by=["l_returnflag"],
-            aggregates=[AggregateSpec("count", None, "n")],
-            order_by=["l_returnflag"],
-        )
-        assert statistics.exchange.empty_parts_elided > 0
-        pairs = statistics.map_workers * statistics.reduce_workers
-        assert statistics.exchange.get_requests < pairs
-        if write_combining:
-            assert statistics.exchange.put_requests == statistics.map_workers
-        else:
-            assert statistics.exchange.put_requests < pairs
-        assert result["n"].sum() == len(lineitem_table["l_returnflag"])
-
-
-class _AlternatingCoordinator(ShuffleAggregateCoordinator):
-    """Half the mappers write combined objects, half legacy objects."""
-
-    def _map_mode(self, worker_id: int) -> bool:
-        return worker_id % 2 == 0
-
-
-def test_mixed_format_map_wave(env, dataset, lineitem_table):
-    """Combined and legacy senders interoperate inside one query."""
-    coordinator = _AlternatingCoordinator(env, num_buckets=4)
-    result, statistics = coordinator.execute(
+    result, statistics = ShuffleAggregateCoordinator(env).execute(
         dataset.paths,
-        group_by=["l_orderkey"],
-        aggregates=[AggregateSpec("sum", col("l_quantity"), "total_qty")],
-        order_by=["l_orderkey"],
+        # Three distinct l_returnflag values over 8 reducers: most
+        # mapper×reducer pairs are empty.
+        group_by=["l_returnflag"],
+        aggregates=[AggregateSpec("count", None, "n")],
+        order_by=["l_returnflag"],
     )
-    assert statistics.exchange.combined_put_requests == statistics.map_workers // 2
-    assert statistics.exchange.ranged_get_requests > 0
-    reference = _reference_group_sum(lineitem_table, "l_orderkey", "l_quantity")
-    assert statistics.result_rows == len(reference)
-    result_map = dict(zip(result["l_orderkey"].tolist(), result["total_qty"].tolist()))
-    for key, expected in list(reference.items())[::29]:
-        assert result_map[key] == pytest.approx(expected)
+    assert statistics.exchange.empty_parts_elided > 0
+    pairs = statistics.map_workers * statistics.reduce_workers
+    assert statistics.exchange.get_requests < pairs
+    assert statistics.exchange.put_requests == statistics.map_workers
+    assert result["n"].sum() == len(lineitem_table["l_returnflag"])
 
 
 def test_combined_falls_back_when_offsets_overflow_key(
     env, dataset, lineitem_table, monkeypatch
 ):
-    """A fleet too wide for the encoded-key offset directory degrades to the
-    legacy per-receiver format per mapper instead of failing the query."""
+    """The offset directory rides in the announcement, not in the key, so a
+    key limit no directory fits under changes nothing: still one combined
+    PUT per mapper."""
     import repro.exchange.naming as naming_module
 
     monkeypatch.setattr(naming_module, "S3_MAX_KEY_LENGTH", 40)
@@ -225,13 +175,103 @@ def test_combined_falls_back_when_offsets_overflow_key(
         aggregates=[AggregateSpec("sum", col("l_quantity"), "total_qty")],
         order_by=["l_orderkey"],
     )
-    assert statistics.exchange.combined_put_requests == 0
-    assert statistics.exchange.put_requests > statistics.map_workers
+    assert statistics.exchange.combined_put_requests == statistics.map_workers
+    assert statistics.exchange.put_requests == statistics.map_workers
+    assert statistics.exchange.list_requests == 0
     reference = _reference_group_sum(lineitem_table, "l_orderkey", "l_quantity")
     assert statistics.result_rows == len(reference)
     result_map = dict(zip(result["l_orderkey"].tolist(), result["total_qty"].tolist()))
     for key, expected in list(reference.items())[::41]:
         assert result_map[key] == pytest.approx(expected)
+
+
+# -- a wide fleet stays one object per mapper ------------------------------------------
+
+WIDE_FILES = 96
+WIDE_AGGREGATES = [
+    AggregateSpec("sum", col("l_quantity"), "total_qty"),
+    AggregateSpec("count", None, "n"),
+]
+
+
+@pytest.fixture(scope="module")
+def wide_fleet():
+    """LINEITEM SF 0.01 in 96 files, and each file's rows: an offset
+    directory of 97 entries plus 96 crcs, far more than an S3 key holds."""
+    env = CloudEnvironment.create(region="eu")
+    dataset = generate_lineitem_dataset(env.s3, scale_factor=0.01, num_files=WIDE_FILES)
+    files = [
+        ColumnarFile.from_bytes(env.s3.get_path(path).data).read_table(
+            ["l_orderkey", "l_quantity"]
+        )
+        for path in dataset.paths
+    ]
+    return env, dataset, files
+
+
+def _wide_group_by(env, dataset, **overload):
+    return ShuffleAggregateCoordinator(env).execute(
+        dataset.paths,
+        group_by=["l_orderkey"],
+        aggregates=WIDE_AGGREGATES,
+        order_by=["l_orderkey"],
+        **overload,
+    )
+
+
+def test_a_wide_fleet_writes_one_object_per_mapper(wide_fleet):
+    """96 receivers cost 96 PUTs and no LIST: the directory travels in the
+    announcement, so no fleet width pushes a mapper to one object per
+    receiver (when it travelled in the key, this run issued 9 202 PUTs and
+    96 LISTs, modelled 3.34 s and cost $0.061)."""
+    env, dataset, files = wide_fleet
+    result, statistics = _wide_group_by(env, dataset)
+    exchange = statistics.exchange
+    assert statistics.map_workers == statistics.reduce_workers == WIDE_FILES
+    assert exchange.put_requests == exchange.combined_put_requests == WIDE_FILES
+    assert exchange.list_requests == exchange.head_requests == 0
+    assert statistics.modelled_latency_seconds <= 0.5
+    # What is left is the exchange itself: 96 × 96 ranged GETs, less the
+    # empty slices, are $0.0037 of the $0.0058.
+    assert statistics.cost_total <= 0.006
+    reference = _driver_merge_reference(files, ["l_orderkey"], WIDE_AGGREGATES)
+    _assert_tables_identical(result, reference, "wide fleet", strict_dtypes=False)
+
+
+def test_a_mapper_retried_in_an_s3_brownout_still_writes_one_object(wide_fleet):
+    """With the S3 breaker open, a mapper whose first attempt crashed after
+    its PUT writes its one combined object again under its fresh attempt
+    prefix — not one object per receiver, which would multiply its PUTs by
+    P exactly while S3 throttles."""
+    env, dataset, _ = wide_fleet
+    clean, _ = _wide_group_by(env, dataset)
+    board = BreakerBoard(failure_threshold=1)
+    board.record_failure(SlowDownError("brownout"), 0.0)
+    assert board.open_services() == ["s3"]
+    objects_before = env.s3.object_count()
+    puts_before = env.ledger.total("s3", "put_requests")
+    env.install_fault_plan(
+        FaultPlan(
+            [FaultRule("s3", "crash_after_put", 1.0, match="L/sender-0", max_count=1)],
+            seed=1,
+        )
+    )
+    try:
+        result, statistics = _wide_group_by(env, dataset, breakers=board)
+    finally:
+        env.install_fault_plan(None)
+
+    assert_bit_identical(clean, result, "brownout retry")
+    resilience = statistics.resilience
+    assert resilience.faults_injected == {"s3.crash_after_put": 1}
+    assert resilience.retries >= 1
+    assert resilience.fallbacks == {}
+    exchange = statistics.exchange
+    assert exchange.put_requests == exchange.combined_put_requests == WIDE_FILES
+    # Every accepted attempt wrote one object; the crashed attempt one more.
+    assert env.ledger.total("s3", "put_requests") - puts_before == WIDE_FILES + 1
+    # ... which the post-fault sweep removed.
+    assert env.s3.object_count() == objects_before
 
 
 def test_requires_group_by_and_inputs(env, dataset, coordinator):

@@ -1,18 +1,16 @@
 """Parity fuzz tests for the shuffle I/O plane.
 
-The shuffle-aggregate result must be *bit-for-bit* identical whether the map
-wave writes write-combined objects (the O(P)-request default), legacy
-one-object-per-receiver objects (the parity baseline), or a mix of both —
-and identical to the driver-merge reference (per-mapper partial aggregates
-merged and finalised centrally).  The fuzz sweep covers random tables across
-dtypes, NaN group keys, string keys, and group counts small enough that most
-mapper×reducer partitions are empty.
+The shuffle-aggregate result must be *bit-for-bit* identical to the
+driver-merge reference (per-mapper partial aggregates merged and finalised
+centrally).  The fuzz sweep covers random tables across dtypes, NaN group
+keys, string keys, and group counts small enough that most mapper×reducer
+partitions are empty.
 """
 
 import numpy as np
 import pytest
 
-from repro.driver.shuffle import ShuffleAggregateCoordinator, ShuffleConfig
+from repro.driver.shuffle import ShuffleAggregateCoordinator
 from repro.engine.aggregates import finalize_aggregates, merge_partials, partial_aggregate
 from repro.engine.table import sort_table
 from repro.formats.compression import Compression
@@ -20,11 +18,6 @@ from repro.formats.parquet import write_table
 from repro.plan.expressions import col
 from repro.plan.logical import AggregateSpec
 from repro.plan.optimizer import _decompose_aggregates
-
-
-class _MixedCoordinator(ShuffleAggregateCoordinator):
-    def _map_mode(self, worker_id: int) -> bool:
-        return worker_id % 2 == 0
 
 
 def _random_table(rng: np.random.Generator, num_rows: int, num_groups: int, nan_keys: bool):
@@ -112,48 +105,10 @@ def test_shuffle_parity_fuzz(env, seed):
     ]
     reference = _driver_merge_reference(tables, group_by, aggregates)
 
-    coordinators = {
-        "combined": ShuffleAggregateCoordinator(env, num_buckets=4),
-        "legacy": ShuffleAggregateCoordinator(
-            env, num_buckets=4, config=ShuffleConfig(write_combining=False)
-        ),
-        "mixed": _MixedCoordinator(env, num_buckets=4),
-    }
-    results = {}
-    for mode, coordinator in coordinators.items():
-        result, statistics = coordinator.execute(
-            paths, group_by=group_by, aggregates=aggregates, order_by=group_by
-        )
-        results[mode] = result
-        _assert_tables_identical(
-            result, reference, f"seed {seed}, mode {mode}", strict_dtypes=False
-        )
-        assert statistics.map_workers == num_files
-        if mode == "combined":
-            assert statistics.exchange.put_requests == num_files
-            assert statistics.exchange.combined_put_requests == num_files
-    # The three formats must agree bit-for-bit including dtypes.
-    _assert_tables_identical(results["legacy"], results["combined"], f"seed {seed}")
-    _assert_tables_identical(results["mixed"], results["combined"], f"seed {seed}")
-
-
-def test_shuffle_parity_legacy_lpq_codec(env):
-    """The legacy baseline with the LPQ file codec still matches exactly."""
-    rng = np.random.default_rng(99)
-    paths, tables = _write_dataset(env, rng, 4, nan_keys=True)
-    group_by = ["key"]
-    aggregates = [
-        AggregateSpec("sum", col("value"), "total"),
-        AggregateSpec("count", None, "n"),
-    ]
-    reference = _driver_merge_reference(tables, group_by, aggregates)
-    coordinator = ShuffleAggregateCoordinator(
-        env,
-        num_buckets=4,
-        config=ShuffleConfig(write_combining=False, fast_codec=False),
-    )
-    result, statistics = coordinator.execute(
+    result, statistics = ShuffleAggregateCoordinator(env, num_buckets=4).execute(
         paths, group_by=group_by, aggregates=aggregates, order_by=group_by
     )
-    _assert_tables_identical(result, reference, "legacy LPQ codec", strict_dtypes=False)
-    assert statistics.exchange.combined_put_requests == 0
+    _assert_tables_identical(result, reference, f"seed {seed}", strict_dtypes=False)
+    assert statistics.map_workers == num_files
+    assert statistics.exchange.put_requests == num_files
+    assert statistics.exchange.combined_put_requests == num_files

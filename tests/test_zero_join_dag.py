@@ -6,8 +6,9 @@ a zero-stage :class:`~repro.plan.physical.DagPhysicalPlan` and runs it on
 Two things are pinned here:
 
 * the facade and a hand-built zero-stage plan run straight through the join
-  coordinator give bit-identical tables and equal exchange counters, on both
-  write planes and with/without frame compression;
+  coordinator give bit-identical tables and equal exchange counters, with
+  and without checksums (the announced directory then carries no crcs) and
+  frame compression;
 * the ``groupby_shuffle`` benchmark workload's two queries return exactly what
   they returned — and cost exactly the requests and modelled seconds they
   cost — on the commit before the two coordinators were unified.
@@ -21,6 +22,7 @@ import numpy as np
 import pytest
 
 from repro.cloud.environment import CloudEnvironment
+from repro.config import IntegrityConfig
 from repro.driver.shuffle import (
     ShuffleAggregateCoordinator,
     ShuffleConfig,
@@ -74,9 +76,12 @@ def _zero_stage_plan(paths) -> DagPhysicalPlan:
 
 
 @pytest.mark.parametrize("compression", [Compression.NONE, Compression.FAST])
-@pytest.mark.parametrize("write_combining", [True, False])
-def test_facade_equals_hand_built_zero_stage_dag(env, dataset, write_combining, compression):
-    config = ShuffleConfig(write_combining=write_combining, compression=compression)
+@pytest.mark.parametrize("checksums", [True, False])
+def test_facade_equals_hand_built_zero_stage_dag(env, dataset, checksums, compression):
+    config = ShuffleConfig(
+        compression=compression,
+        integrity=IntegrityConfig(generate=checksums, verify=checksums),
+    )
     facade_table, facade_statistics = ShuffleAggregateCoordinator(
         env, num_buckets=4, config=config
     ).execute(
@@ -88,8 +93,9 @@ def test_facade_equals_hand_built_zero_stage_dag(env, dataset, write_combining, 
 
     assert_bit_identical(dag_table, facade_table, "facade vs zero-stage dag")
     assert facade_statistics.exchange == dag_statistics.exchange
-    assert facade_statistics.exchange.put_requests > 0
-    assert (facade_statistics.exchange.combined_put_requests > 0) == write_combining
+    assert facade_statistics.exchange.put_requests == 4
+    assert facade_statistics.exchange.combined_put_requests == 4
+    assert (facade_statistics.integrity.verified_bytes > 0) == checksums
     assert facade_statistics.map_workers == dag_statistics.left_map_workers == 4
     assert facade_statistics.reduce_workers == dag_statistics.reduce_workers == 4
     assert facade_statistics.rows_scanned == dag_statistics.rows_scanned
