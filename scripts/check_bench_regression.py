@@ -12,7 +12,7 @@ Usage::
 ``--baseline`` is repeatable; with none given, both committed trajectories
 (``BENCH_hot_paths.json`` and ``BENCH_tpch.json``) are loaded and merged.
 
-Ten kinds of checks:
+Eleven kinds of checks:
 
 * **absolute floors** — the speedups the PR's acceptance criteria promise
   (partition scatter >= 5x, payload round-trip >= 3x) must hold in the
@@ -42,6 +42,11 @@ Ten kinds of checks:
   each must start one join worker per wave and read each sender object once
   (a fall-back to one join worker per file of the largest relation fails
   here);
+* **absolute scan fan-out ceilings** — every scan fleet of a join query may
+  start at most ⌈stored bytes / break-even⌉ mappers, the break-even being
+  what one mapper streams in the driver invocation interval it adds to the
+  launch (a fleet counted from files again, or a caller that stopped passing
+  sizes, fails here);
 * **absolute collection ceiling** — the modelled latency of the scan queries
   (Q1, Q6) beyond their slowest worker must stay under the launch plus two
   round trips: result collection overlaps the fleet, and a flat poll round
@@ -187,20 +192,33 @@ ABSOLUTE_WAVE_CEILINGS = {
 }
 
 #: Maximum workers and exchange GETs of each join query in BENCH_tpch.json,
-#: keyed ``(query, field)``.  The exchange fan-out is priced from the
-#: catalog's bytes (PR 21): at the committed scale factor all seven relations
-#: together are a fraction of one join worker's break-even share, so every
-#: join query runs ONE join worker — its mappers + 1 — which reads each
-#: mapper's object once, whole or as its one slice.  Counting join workers
-#: from files again (4 per wave here: 3 more workers, 4x the GETs), or a
-#: caller that stopped telling the planner the sizes, fails here.
+#: keyed ``(query, field)``.  Both fan-outs are priced from the catalog's
+#: bytes: at the committed scale factor every relation is below one mapper's
+#: break-even (:data:`SCAN_BREAK_EVEN_BYTES`), so each relation is scanned by
+#: ONE mapper, and all seven together are a fraction of one join worker's
+#: break-even share (PR 21), so every join query runs ONE join worker — its
+#: relations + 1 workers — which reads each mapper's object once, whole or as
+#: its one slice.  Counting join workers from files again (4 per wave here:
+#: 3 more workers, 4x the GETs), or a caller that stopped telling the planner
+#: the sizes, fails here.
 ABSOLUTE_FAN_OUT_CEILINGS = {
     (query, field): ceiling
-    for query, mappers in {
-        "q3": 6, "q5": 12, "q7": 10, "q9": 11, "q10": 9, "q12": 6, "q14": 6, "q18": 8,
+    for query, relations in {
+        "q3": 2, "q5": 6, "q7": 4, "q9": 5, "q10": 4, "q12": 2, "q14": 2, "q18": 3,
     }.items()
-    for field, ceiling in (("workers", mappers + 1), ("exchange_get_requests", mappers))
+    for field, ceiling in (("workers", relations + 1), ("exchange_get_requests", relations))
 }
+
+#: Join queries of BENCH_tpch.json whose scan fleets (``map_fleets``: files,
+#: stored bytes and mappers per exchange tag) must each start at most
+#: ⌈bytes / SCAN_BREAK_EVEN_BYTES⌉ mappers.  The break-even is what one
+#: mapper streams in the driver invocation interval it adds to the launch
+#: (``repro.driver.shuffle.scan_fan_out``): a 2 GiB worker's four-connection
+#: link (90 MiB/s steady + 210 MiB/s of burst x 2048/3008 ≈ 233 MiB/s) over
+#: Table 1's ``eu`` driver rate of 294 invocations a second.  Unknown bytes
+#: (0) bound nothing and fail too.
+SCAN_FAN_OUT_QUERIES = ("q3", "q5", "q7", "q9", "q10", "q12", "q14", "q18")
+SCAN_BREAK_EVEN_BYTES = 830_938
 
 #: Scan queries of BENCH_tpch.json whose modelled latency beyond their slowest
 #: worker must stay under the launch plus two round trips of result
@@ -423,6 +441,27 @@ def check(
                 )
             else:
                 print(f"ok: {name} {field} {observed:.3f} (ceiling {ceiling:.2f})")
+
+    for name in SCAN_FAN_OUT_QUERIES:
+        if not in_scope(name):
+            continue
+        fleets = current.get(name, {}).get("map_fleets")
+        if not fleets:
+            failures.append(f"{name}: missing the 'map_fleets' field")
+            continue
+        for tag, fleet in sorted(fleets.items()):
+            ceiling = -(-fleet["input_bytes"] // SCAN_BREAK_EVEN_BYTES)
+            if fleet["mappers"] > ceiling:
+                failures.append(
+                    f"{name}: fleet {tag} started {fleet['mappers']} mappers for "
+                    f"{fleet['input_bytes']} bytes, above ceil(bytes / break-even) = "
+                    f"{ceiling} (mappers counted from files again, or sizes not passed?)"
+                )
+            else:
+                print(
+                    f"ok: {name} fleet {tag} {fleet['mappers']} mapper(s) for "
+                    f"{fleet['input_bytes']} bytes (ceiling {ceiling})"
+                )
 
     for name in COLLECTION_CEILING_QUERIES:
         if not in_scope(name):

@@ -12,8 +12,10 @@ Q18) — end to end through ``repro.connect`` / ``Session.register`` /
 
 Reported per query: median/min modelled latency and modelled dollars over
 ``--runs`` measured executions (after ``--warmup`` unmeasured ones), worker
-and DAG-stage counts, the exchange request profile (combined PUTs, ranged
-GETs, and LIST/HEAD discovery requests), and a **correctness column** — every
+and DAG-stage counts, each join query's scan fleets (files, stored bytes and
+the mappers that ran, by exchange tag), the exchange request profile
+(combined PUTs, ranged GETs, and LIST/HEAD discovery requests), and a
+**correctness column** — every
 measured run is compared bit-identically against a single-pass NumPy
 reference over the raw generator tables.  The ``dag_join`` summary section
 aggregates the five DAG queries for the regression guard in
@@ -40,6 +42,8 @@ import numpy as np  # noqa: E402
 
 import repro  # noqa: E402
 from repro.cloud.environment import CloudEnvironment  # noqa: E402
+from repro.frontend.sql import parse_sql  # noqa: E402
+from repro.plan.optimizer import optimize  # noqa: E402
 from repro.workload import queries as q  # noqa: E402
 from repro.workload.tpch import (  # noqa: E402
     CustomerGenerator,
@@ -209,6 +213,17 @@ def run(arguments: argparse.Namespace) -> dict:
             "gc_list_requests": int(stats.gc_list_requests),
             "max_worker_seconds": float(stats.max_worker_seconds),
         }
+        if stats.map_fleets:
+            physical, _ = optimize(parse_sql(sql, session.catalog))
+            planned = {fleet["tag"]: fleet for fleet in physical.waves()[0]["fleets"]}
+            results[name]["map_fleets"] = {
+                tag: {
+                    "files": planned[tag]["files"],
+                    "input_bytes": planned[tag]["input_bytes"],
+                    "mappers": mappers,
+                }
+                for tag, mappers in stats.map_fleets.items()
+            }
         print(
             f"{name:<4} {'ok' if correct else 'WRONG':<5} "
             f"rows {results[name]['rows']:>5}  "

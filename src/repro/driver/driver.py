@@ -168,6 +168,9 @@ class QueryStatistics:
     #: for scans); ``exchange.bytes_written`` is what the run measured.
     exchange_partitions: int = 0
     estimated_exchange_bytes: int = 0
+    #: Mappers each scan fleet of a DAG started, by exchange tag (``"L"``,
+    #: ``"R"``, ``"R1"``, ...; empty for scans).
+    map_fleets: Dict[str, int] = field(default_factory=dict)
     #: Exchange objects the coordinator deleted: each wave's consumed inputs,
     #: spilled results, and whatever a post-fault sweep found (0 for scans).
     gc_objects_deleted: int = 0
@@ -456,10 +459,14 @@ class LambadaDriver:
         the query is aborted with :class:`~repro.errors.WorkerFailedError`.
 
         Join plans run through the multi-stage shuffle-join schedule.  Left
-        to itself it starts one mapper per file and as many join workers per
-        wave as the relations' registered sizes keep streaming
-        (:func:`~repro.driver.shuffle.exchange_fan_out`); ``num_workers``
-        caps the map fleets and sets the join fan-out instead.
+        to itself it prices both fleet widths from the relations' registered
+        sizes: as many mappers per relation as its bytes stream in the launch
+        time each mapper adds, at most one per file
+        (:func:`~repro.driver.shuffle.scan_fan_out`), and as many join
+        workers per wave as the exchange's bytes keep streaming
+        (:func:`~repro.driver.shuffle.exchange_fan_out`); a plan without
+        sizes gets one mapper per file.  ``num_workers`` caps the map fleets
+        and sets the join fan-out instead.
         ``files_per_worker`` is not consulted, a failed worker is retried
         within its wave up to ``resilience_policy.max_attempts`` times
         (``max_worker_retries`` is not consulted there), and catalog-based
@@ -736,6 +743,7 @@ class LambadaDriver:
             wave_stages=join_stats.wave_stages,
             exchange_partitions=join_stats.exchange_partitions,
             estimated_exchange_bytes=join_stats.estimated_exchange_bytes,
+            map_fleets=join_stats.map_fleets,
             gc_objects_deleted=join_stats.gc_objects_deleted,
             gc_list_requests=join_stats.gc_list_requests,
             resilience=join_stats.resilience,

@@ -9,18 +9,21 @@ workers through S3 — the paper's exchange operator (§4.4) — and
 invocations with one wave body (:func:`repro.driver.dispatch.run_fleet`, the
 loop every fleet runs through), one map handler and one reduce handler:
 
-* **scan wave** — every base relation's fleet at once.  A mapper scans its
-  files with the fragment's pushed-down predicate and projection (a fragment
-  that carries a group-by folds the map-side partial aggregation into the
-  scan), hash-partitions the rows by the fragment's partition keys and ships
-  them through the write-combined exchange: all partitions serialised into
-  **one** combined object at ``{attempt prefix}{tag}/sender-{n}``
+* **scan wave** — every base relation's fleet at once, each as many mappers
+  as its stored bytes are worth (:func:`scan_fan_out`: one per driver
+  invocation interval's worth of streaming, at most one per file).  A mapper
+  opens its files as one pipelined batch and scans them with the fragment's
+  pushed-down predicate and projection (a fragment that carries a group-by
+  folds the map-side partial aggregation into the scan), hash-partitions the
+  rows by the fragment's partition keys and ships them through the
+  write-combined exchange: all partitions serialised into **one** combined
+  object at ``{attempt prefix}{tag}/sender-{n}``
   (:class:`~repro.exchange.naming.WriteCombiningNaming`) via
   :func:`~repro.exchange.codec.encode_partition_set`, empty partitions
-  occupying zero bytes — one PUT per mapper, O(P) per fleet however wide it
-  is.  The per-receiver byte offsets and slice crcs ride in the mapper's
-  result message (under its digest), not in the key, so no fleet width
-  reaches the S3 key limit;
+  occupying zero bytes — at most one PUT per mapper (none when its predicate
+  kept no row), O(P) per fleet however wide it is.  The per-receiver byte
+  offsets and slice crcs ride in the mapper's result message (under its
+  digest), not in the key, so no fleet width reaches the S3 key limit;
 * **0…k join waves** — the exchange has as many hash partitions as its
   bytes keep streaming (:func:`exchange_fan_out`: the catalog's stored size
   of every relation against the fixed time a join worker costs, at most one
@@ -86,6 +89,7 @@ from repro.driver.integrity import (
     fetch_spilled_result,
     post_result,
 )
+from repro.driver.invocation import InvocationModel
 from repro.driver.resilience import (
     DEFAULT_RESILIENCE_POLICY,
     TRANSIENT_CLOUD_ERRORS,
@@ -444,10 +448,11 @@ def _write_partitions(
 def _make_map_handler(env: CloudEnvironment):
     """Handler of the scan-wave functions.
 
-    One fleet's mapper scans its files with the fragment's pushed-down
-    predicate and projection, hash-partitions what survives by the
-    fragment's partition keys, and ships the partitions through the
-    write-combined exchange (one combined PUT per mapper).
+    One fleet's mapper scans its files (opened as one batch) with the
+    fragment's pushed-down predicate and projection, hash-partitions what
+    survives by the fragment's partition keys, and ships the partitions
+    through the write-combined exchange (one combined PUT per mapper that
+    kept a row, none for one that kept nothing).
     A fragment that carries a group-by ships one partial-aggregate row per
     group instead of the rows themselves.
     """
@@ -458,7 +463,6 @@ def _make_map_handler(env: CloudEnvironment):
         side = event["side"]
         attempt = int(event.get("attempt", 0))
         side_plan = JoinSidePlan.from_dict(event)
-        num_buckets = int(event.get("num_buckets", 10))
         integrity = IntegrityConfig.from_dict(event.get("integrity"))
 
         # The pushed-down predicate rides inside the scan operator, so chunks
@@ -485,9 +489,9 @@ def _make_map_handler(env: CloudEnvironment):
             rows = concat_tables(list(scan.scan()))
 
         stats = ExchangeStats()
-        announcement = _write_partitions(
+        announcement = _emit(
             env, event, worker_id, rows, side_plan.partition_keys, event["num_partitions"],
-            _join_map_naming(query_id, side, num_buckets, attempt), stats, integrity,
+            side, stats, integrity,
         )
         modelled_seconds = _charge_worker(env, context, scan.modelled_seconds(), stats)
 
@@ -569,32 +573,35 @@ def _fetch_partition(
     return pieces, plan.slices, fetch_seconds
 
 
-def _emit_intermediate(
+def _emit(
     env: CloudEnvironment,
     event: Dict,
+    sender: int,
     rows: Table,
+    keys: Sequence[str],
+    num_partitions: int,
+    tag: str,
     stats: ExchangeStats,
     integrity: IntegrityConfig,
 ) -> Dict:
-    """Repartition a non-final join wave's output back into the exchange.
+    """Ship one worker's output rows into the exchange under ``tag``.
 
-    A non-final wave does not return rows to the driver: it scatters its
-    joined rows by the *next wave's* probe key under the intermediate tag
-    (``J{k}``, ``k`` the wave's last stage) — exactly like a scan-side mapper
-    with the join output as its "scan" — and announces what it wrote through
-    the result queue.  Zero joined rows cost zero PUTs (format ``"empty"``).
+    A mapper emits what its scan kept under its fleet's tag; a non-final
+    join wave, which does not return rows to the driver, emits its joined
+    rows by the *next wave's* probe key under the intermediate tag (``J{k}``,
+    ``k`` the wave's last stage).  Either way the worker announces what it
+    wrote through the result queue, and zero rows cost zero PUTs (format
+    ``"empty"``: the consuming wave does not list the sender at all).
     Returns the announcement fields of the worker's result message.
     """
     if not table_num_rows(rows):
         return {"format": "empty"}
-    emit = event["emit"]
     naming = _join_map_naming(
-        event["query_id"], emit["tag"], int(event.get("num_buckets", 10)),
+        event["query_id"], tag, int(event.get("num_buckets", 10)),
         int(event.get("attempt", 0)),
     )
     return _write_partitions(
-        env, event, event["partition"], rows, [emit["key"]],
-        int(emit.get("num_partitions", event["num_partitions"])), naming, stats, integrity,
+        env, event, sender, rows, keys, num_partitions, naming, stats, integrity
     )
 
 
@@ -695,7 +702,12 @@ def _make_reduce_handler(env: CloudEnvironment):
         frame = None
         if event.get("emit") is not None:
             rows_output = table_num_rows(joined)
-            message.update(_emit_intermediate(env, event, joined, stats, integrity))
+            emit = event["emit"]
+            message.update(_emit(
+                env, event, partition, joined, [emit["key"]],
+                int(emit.get("num_partitions", event["num_partitions"])), emit["tag"],
+                stats, integrity,
+            ))
         else:
             # With no joined rows the partial aggregate still emits the right
             # (empty) columns.
@@ -735,8 +747,9 @@ def _make_reduce_handler(env: CloudEnvironment):
 class JoinStatistics:
     """Statistics of one coordinator run (any shuffle DAG, joins or none)."""
 
-    left_map_workers: int
-    right_map_workers: int
+    #: Mappers each scan fleet started, by exchange tag — ``"L"`` the base
+    #: relation, ``"R"``, ``"R1"``, ... the build sides (:func:`scan_fan_out`).
+    map_fleets: Dict[str, int]
     reduce_workers: int
     rows_scanned: int
     #: Rows entering the join kernels across the fleet (after repartition).
@@ -777,6 +790,16 @@ class JoinStatistics:
     #: (0 = unknown); ``exchange.bytes_written`` is the measured counterpart.
     exchange_partitions: int = 0
     estimated_exchange_bytes: int = 0
+
+    @property
+    def left_map_workers(self) -> int:
+        """Mappers of the base relation's fleet."""
+        return self.map_fleets["L"]
+
+    @property
+    def right_map_workers(self) -> int:
+        """Mappers of every build side's fleet, summed."""
+        return sum(self.map_fleets.values()) - self.left_map_workers
 
     @property
     def join_waves(self) -> int:
@@ -887,8 +910,8 @@ def _sender_spec(messages: Sequence[Dict]) -> List[List]:
     join workers: ``[sender, path, size, offsets, crcs]`` per combined object.
 
     The join wave needs no discovery request, and an orphaned earlier-attempt
-    duplicate is never read.  ``"empty"`` senders (an emit wave that joined
-    zero rows) wrote nothing and are not listed.
+    duplicate is never read.  ``"empty"`` senders (a mapper or an emit wave
+    that kept zero rows) wrote nothing and are not listed.
     """
     return sorted(
         [m["worker_id"], m["combined_path"], m["combined_size"], m["offsets"], m["crcs"]]
@@ -958,7 +981,7 @@ def exchange_fan_out(
     bandwidth: BandwidthModel,
     memory_mib: int,
     estimated_bytes: int,
-    mappers: Sequence[int],
+    files: Sequence[int],
     num_workers: Optional[int] = None,
 ) -> int:
     """Hash partitions of a shuffle DAG = join workers started per wave.
@@ -972,15 +995,15 @@ def exchange_fan_out(
     bytes do not): the break-even :func:`_group_join_waves` and
     ``S3ObjectSource.coalesce_gap`` apply, priced with the same bandwidth
     model, so there is nothing to configure.  Clamped to ``1 ≤ P ≤`` the
-    widest scan fleet (``mappers`` holds every fleet's size), which is also
-    the answer when the bytes are unknown (``estimated_bytes == 0``) —
-    one join worker per file of the largest relation.  An explicit
-    ``num_workers`` wins.  One number per query: step 0 of every wave is
-    co-partitioned with a scan fleet.
+    file count of the largest relation (``files`` holds every fleet's),
+    which is also the answer when the bytes are unknown
+    (``estimated_bytes == 0``).  An explicit ``num_workers`` wins.  One
+    number per query: step 0 of every wave is co-partitioned with a scan
+    fleet.
     """
     if num_workers:
         return num_workers
-    widest = max(mappers)
+    widest = max(files)
     if estimated_bytes <= 0:
         return widest
     fixed_seconds = _reduce_compute_seconds(0) + bandwidth.request_latency_seconds
@@ -988,6 +1011,40 @@ def exchange_fan_out(
         fixed_seconds * bandwidth.link_bandwidth(memory_mib, DEFAULT_SCAN_CONNECTIONS)
     )
     return min(widest, -(-estimated_bytes // max(1, break_even_bytes)))
+
+
+def scan_fan_out(
+    bandwidth: BandwidthModel,
+    memory_mib: int,
+    input_bytes: int,
+    files: int,
+    num_workers: Optional[int] = None,
+    region: str = "eu",
+) -> int:
+    """Mappers one scan fleet of a shuffle DAG starts (the paper's W for F
+    files per worker, Fig. 10).
+
+    Every mapper adds one driver invocation interval to the launch (Table 1:
+    ``1 / driver_rate`` of the region the driver's
+    :class:`~repro.driver.invocation.InvocationModel` prices), so a mapper
+    pays off only for the bytes it streams in that interval:
+    ``break_even = link bandwidth / driver_rate`` — ≈ 0.83 MB for a 2 GiB
+    worker in ``eu``.  The fleet starts ``⌈input_bytes / break_even⌉``
+    mappers, at most one per file (as many as the paper's 500 MB files give);
+    a mapper dealt several files opens them as one pipelined batch
+    (:meth:`~repro.engine.scan.S3ScanOperator.scan`).  Unknown bytes
+    (``input_bytes == 0``: a hand-built plan) keep one mapper per file, and
+    an explicit ``num_workers`` caps the fleet at that many instead.
+    """
+    if num_workers:
+        return min(num_workers, files)
+    if input_bytes <= 0:
+        return files
+    break_even_bytes = int(
+        bandwidth.link_bandwidth(memory_mib, DEFAULT_SCAN_CONNECTIONS)
+        / InvocationModel(region).driver_rate
+    )
+    return min(files, -(-input_bytes // max(1, break_even_bytes)))
 
 
 class ShuffleJoinCoordinator:
@@ -998,11 +1055,14 @@ class ShuffleJoinCoordinator:
     normalised through ``as_dag()`` into a one-stage
     :class:`~repro.plan.physical.DagPhysicalPlan`):
 
-    1. **scan wave** — every relation's fleet in one wave: scan, per-side
-       pushed-down filter, projection (and, for an aggregating fragment, the
-       map-side partial aggregation), repartition by that fragment's
+    1. **scan wave** — every relation's fleet in one wave, sized from the
+       relation's stored bytes (:func:`scan_fan_out`; one mapper per file
+       when the plan does not know them, at most ``num_workers`` when given):
+       scan, per-side pushed-down filter, projection (and, for an aggregating
+       fragment, the map-side partial aggregation), repartition by that fragment's
        partition keys through the write-combined exchange (one combined PUT
-       per mapper, its offset directory announced in the result message);
+       per mapper that kept a row, its offset directory announced in the
+       result message);
     2. **join waves** — behind the scan barrier the driver knows every build
        side's exact size and groups consecutive stages into waves
        (:func:`_group_join_waves`): a stage whose build side is cheaper to
@@ -1011,9 +1071,9 @@ class ShuffleJoinCoordinator:
        per wave — is one priced decision per query (:func:`exchange_fan_out`):
        the smallest count whose share of the plan's
        ``estimated_exchange_bytes`` streams within the fixed time the model
-       charges a join worker, never more than the widest scan fleet, which
-       is also what a plan of unknown size gets; ``num_workers`` overrides
-       it.  One worker per hash partition of the wave's probe input reads,
+       charges a join worker, never more than the largest relation's file
+       count, which is also what a plan of unknown size gets;
+       ``num_workers`` overrides it.  One worker per hash partition of the wave's probe input reads,
        in one fetch plan, its slice of the probe side and of the first
        stage's build side plus the whole of every fused (broadcast) build
        side (the announcements ride through the driver barrier, so
@@ -1186,12 +1246,15 @@ class ShuffleJoinCoordinator:
             paths[tag] = expanded
 
         mappers = {
-            tag: min(num_workers or len(paths[tag]), len(paths[tag]))
-            for tag in fleets
+            tag: scan_fan_out(
+                self.env.bandwidth, self.memory_mib, plan.input_bytes,
+                len(paths[tag]), num_workers, self.env.region,
+            )
+            for tag, plan in fleets.items()
         }
         num_partitions = exchange_fan_out(
             self.env.bandwidth, self.memory_mib, dag.estimated_exchange_bytes,
-            list(mappers.values()), num_workers,
+            [len(files) for files in paths.values()], num_workers,
         )
 
         query_id = uuid.uuid4().hex[:12]
@@ -1232,13 +1295,12 @@ class ShuffleJoinCoordinator:
         faults_before = fault_snapshot(self.env)
 
         # -- scan wave (every relation's fleet dispatched together) ----------------
-        assignments: Dict[str, List[List[str]]] = {}
         map_events: Dict = {}
         for tag, plan in fleets.items():
-            tag_assignments = [paths[tag][i::mappers[tag]] for i in range(mappers[tag])]
-            tag_assignments = [files for files in tag_assignments if files]
-            assignments[tag] = tag_assignments
-            for worker_id, files in enumerate(tag_assignments):
+            # Files dealt round-robin; scan_fan_out never returns more
+            # mappers than files, so every mapper gets at least one.
+            for worker_id in range(mappers[tag]):
+                files = paths[tag][worker_id::mappers[tag]]
                 # The side fragment travels through its own serialisation
                 # (with the worker's file assignment substituted in).
                 fragment = plan.to_dict()
@@ -1397,10 +1459,7 @@ class ShuffleJoinCoordinator:
             gc_deleted += swept
 
         statistics = JoinStatistics(
-            left_map_workers=len(assignments["L"]),
-            right_map_workers=sum(
-                len(workers) for tag, workers in assignments.items() if tag != "L"
-            ),
+            map_fleets=dict(mappers),
             reduce_workers=num_partitions * len(wave_stages),
             rows_scanned=rows_scanned,
             join_probe_rows=counters["probe"],

@@ -13,9 +13,10 @@ round trip would take — gap < request latency x steady link bandwidth, both
 read from the :class:`~repro.cloud.network.BandwidthModel`, so a zero-latency
 model degenerates to exactly one GET per range — merged spans are
 split at ``chunk_bytes``, and the batch is charged as *one* transfer pipelined
-over the configured connections.  The open tail and the latest batch are kept
-so that the reader's per-chunk :meth:`~S3ObjectSource.read_at` calls are
-served from memory.
+over the configured connections.  Several objects opened together
+(:func:`open_sources`) are one such transfer of their suffix GETs.  The open
+tail and the latest batch are kept so that the reader's per-chunk
+:meth:`~S3ObjectSource.read_at` calls are served from memory.
 """
 
 from __future__ import annotations
@@ -108,14 +109,18 @@ class S3ObjectSource(RandomAccessSource):
         whole small file, arrives with the round trip that is paid anyway.
         """
         if self._size is None:
-            wanted = max(length, 1, min(self.coalesce_gap, self.chunk_bytes))
-            result = self.store.get_object(self.bucket, self.key, suffix_length=wanted)
-            size = result.metadata.size
-            self._check_length(result, min(wanted, size), "lpq.tail")
-            self._size = size
-            self._spans = [(size - len(result.data), result.data)]
-            self._charge(1, len(result.data))
+            self._charge(1, self._open(length))
         return super().read_suffix(length)
+
+    def _open(self, length: int) -> int:
+        """Issue the opening suffix GET (uncharged); returns the bytes it read."""
+        wanted = max(length, 1, min(self.coalesce_gap, self.chunk_bytes))
+        result = self.store.get_object(self.bucket, self.key, suffix_length=wanted)
+        size = result.metadata.size
+        self._check_length(result, min(wanted, size), "lpq.tail")
+        self._size = size
+        self._spans = [(size - len(result.data), result.data)]
+        return len(result.data)
 
     def peek(self, offset: int, length: int) -> Optional[bytes]:
         end = offset + length
@@ -186,15 +191,40 @@ class S3ObjectSource(RandomAccessSource):
                 expected=expected, actual=len(result.data),
             )
 
-    def _charge(self, requests: int, total_bytes: int) -> None:
-        """Account ``requests`` GETs as one transfer pipelined over the connections."""
-        plan = TransferPlan(
+    def _transfer_seconds(self, requests: int, total_bytes: int) -> float:
+        """Modelled time of ``requests`` GETs pipelined over the connections."""
+        return self.bandwidth.transfer_seconds(TransferPlan(
             total_bytes=total_bytes,
             chunk_bytes=self.chunk_bytes,
             connections=self.connections,
             memory_mib=self.memory_mib,
             requests=requests,
-        )
+        ))
+
+    def _charge(self, requests: int, total_bytes: int, seconds: Optional[float] = None) -> None:
+        """Account ``requests`` GETs as one transfer pipelined over the connections
+        (or as ``seconds``, this source's share of a batch priced elsewhere)."""
+        if seconds is None:
+            seconds = self._transfer_seconds(requests, total_bytes)
         self.statistics.get_requests += requests
         self.statistics.bytes_read += total_bytes
-        self.statistics.transfer_seconds += self.bandwidth.transfer_seconds(plan)
+        self.statistics.transfer_seconds += seconds
+
+
+def open_sources(sources: Sequence[S3ObjectSource], length: int) -> None:
+    """Open several objects as one batch of suffix GETs.
+
+    Each source issues exactly the GET its own first :meth:`~S3ObjectSource.read_suffix`
+    of ``length`` bytes would, but the k requests are charged as *one*
+    transfer pipelined over the first source's connections: ⌈k / connections⌉
+    round trips instead of k.  Each source bills its own request and bytes,
+    and the batch's seconds by its share of the bytes, so one source alone is
+    charged exactly what its own open would cost.
+    """
+    if not sources:
+        return
+    read = [source._open(length) for source in sources]
+    total = sum(read)
+    seconds = sources[0]._transfer_seconds(len(sources), total)
+    for source, nbytes in zip(sources, read):
+        source._charge(1, nbytes, seconds * (nbytes / total) if total else 0.0)

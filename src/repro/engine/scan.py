@@ -3,7 +3,11 @@
 Reproduces the design of the paper's Parquet scan operator (§4.3.2, Figure 8):
 
 * one suffix read opens the file and fetches its footer (metadata) — a
-  break-even's worth of bytes, so a small file arrives whole with it;
+  break-even's worth of bytes, so a small file arrives whole with it; a
+  worker's files are opened together, their suffix reads pipelined over the
+  connections as one modelled transfer
+  (:func:`~repro.engine.s3io.open_sources`), so k files cost
+  ⌈k / connections⌉ round trips rather than k;
 * row groups are pruned against the predicate using the footer's min/max
   statistics before any data is fetched;
 * only the projected columns' chunks are downloaded, as a **read plan** per
@@ -35,7 +39,7 @@ only if a row survives — the rest of the projection.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -47,7 +51,7 @@ from repro.config import (
     LAMBDA_MEMORY_PER_VCPU_MIB,
     VCPU_ROWS_PER_SECOND,
 )
-from repro.engine.s3io import S3ObjectSource, ScanStatistics
+from repro.engine.s3io import S3ObjectSource, ScanStatistics, open_sources
 from repro.engine.table import Table
 from repro.formats.encoding import (
     EncodedChunk,
@@ -55,7 +59,7 @@ from repro.formats.encoding import (
     encoded_key_codes,
     evaluate_comparison,
 )
-from repro.formats.parquet import ColumnarFile, RowGroupMeta
+from repro.formats.parquet import TAIL_BYTES, ColumnarFile, RowGroupMeta
 from repro.plan.expressions import CompiledPredicate, Expression, compile_predicate, evaluate
 from repro.plan.physical import PruneRange
 
@@ -202,8 +206,8 @@ class S3ScanOperator:
 
     def scan(self) -> Iterator[Table]:
         """Yield decoded table chunks (one per surviving row group)."""
-        for path in self.files:
-            yield from self._scan_file(path)
+        for source in self._open_files():
+            yield from self._scan_file(source)
 
     def scan_fused(self, group_keys: Sequence[str]) -> Iterator[FusedBatch]:
         """Yield filtered :class:`FusedBatch` batches (one per surviving group).
@@ -215,24 +219,38 @@ class S3ScanOperator:
         :meth:`scan` with the same predicate.
         """
         group_keys = frozenset(group_keys)
-        for path in self.files:
-            yield from self._scan_file(path, fused_keys=group_keys)
+        for source in self._open_files():
+            yield from self._scan_file(source, fused_keys=group_keys)
+
+    def _open_files(self) -> List[S3ObjectSource]:
+        """Open every file of the scan in one pipelined batch of suffix GETs.
+
+        Each file's open is the very request :class:`ColumnarFile` would
+        issue, so the readers built afterwards find their tails in hand; the
+        batch costs ⌈files / connections⌉ round trips instead of one per file.
+        """
+        sources = [
+            S3ObjectSource(
+                self.store,
+                path,
+                chunk_bytes=self.config.chunk_bytes,
+                connections=self.config.connections,
+                memory_mib=self.config.memory_mib,
+                bandwidth=self.bandwidth,
+                statistics=ScanStatistics(),
+            )
+            for path in self.files
+        ]
+        open_sources(sources, TAIL_BYTES)
+        return sources
 
     def _scan_file(
-        self, path: str, fused_keys: Optional[frozenset] = None
+        self, source: S3ObjectSource, fused_keys: Optional[frozenset] = None
     ) -> Iterator[Table]:
-        source = S3ObjectSource(
-            self.store,
-            path,
-            chunk_bytes=self.config.chunk_bytes,
-            connections=self.config.connections,
-            memory_mib=self.config.memory_mib,
-            bandwidth=self.bandwidth,
-            statistics=ScanStatistics(),
-        )
         reader = ColumnarFile(source)
         self.counters.files_scanned += 1
-        # Everything read so far (footer + tail) is metadata.
+        # Everything read so far (this file's share of the batched open, and
+        # a footer longer than its tail) is metadata.
         self.counters.metadata_seconds += source.statistics.transfer_seconds
         metadata_transfer = source.statistics.transfer_seconds
 

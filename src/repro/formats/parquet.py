@@ -90,6 +90,9 @@ MAGIC = b"LPQ3"
 CHECKED_MAGIC = b"LPQ4"
 
 _TAIL = struct.Struct("<IQ4s")  # footer crc + footer length + magic
+#: Bytes :class:`ColumnarFile` asks for from the end of a file to open it: a
+#: caller that opens sources ahead of their readers asks for the same.
+TAIL_BYTES = _TAIL.size
 _HEAD = struct.Struct("<QIH")  # rows + row groups + columns
 _FIELD = struct.Struct("<BH")  # type id + name length
 
@@ -461,7 +464,7 @@ class ColumnarFile:
 
     def _read_metadata(self) -> FileMetadata:
         # The tail read also opens the source, so the size is known afterwards.
-        tail = self.source.read_suffix(_TAIL.size)
+        tail = self.source.read_suffix(TAIL_BYTES)
         size = self.source.size()
         if size < len(MAGIC) + _TAIL.size:
             raise CorruptFileError(

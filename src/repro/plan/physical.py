@@ -387,8 +387,8 @@ class DagPhysicalPlan:
     def exchange_partitions(self, num_workers: Optional[int] = None) -> int:
         """Join workers per wave the coordinator starts for this plan, by its
         own rule (:func:`~repro.driver.shuffle.exchange_fan_out`) under the
-        default bandwidth model and worker size; fleets are taken as one
-        mapper per listed file (a glob counts as one)."""
+        default bandwidth model and worker size; each fleet's file count is
+        that of its listed files (a glob counts as one)."""
         from repro.cloud.lambda_service import FunctionConfig
         from repro.cloud.network import BandwidthModel
         from repro.driver.shuffle import exchange_fan_out
@@ -408,10 +408,18 @@ class DagPhysicalPlan:
         is one logical join stage — the upper bound on join waves, since the
         coordinator fuses stages with broadcastable build sides into the
         wave before them at run time — or, for a plan without stages, the
-        one wave that merges the repartitioned partial aggregates.  ``files``
-        bounds each fleet's size (actual fleets shrink to the file count at
-        execution time).
+        one wave that merges the repartitioned partial aggregates.  Each
+        fleet carries its ``files`` (listed; a glob counts as one), its
+        stored ``input_bytes`` (0 = unknown) and the ``mappers`` the
+        coordinator's rule (:func:`~repro.driver.shuffle.scan_fan_out`)
+        starts for them under the default bandwidth model, worker size and
+        region.
         """
+        from repro.cloud.lambda_service import FunctionConfig
+        from repro.cloud.network import BandwidthModel
+        from repro.driver.shuffle import scan_fan_out
+
+        bandwidth = BandwidthModel()
         fleets = [
             {
                 "role": "scan",
@@ -419,6 +427,11 @@ class DagPhysicalPlan:
                 "key": side.key,
                 "group_by": list(side.group_by),
                 "files": len(side.files),
+                "input_bytes": side.input_bytes,
+                "mappers": scan_fan_out(
+                    bandwidth, FunctionConfig.memory_mib, side.input_bytes,
+                    max(1, len(side.files)),
+                ),
                 "columns": list(side.columns),
                 "predicate": side.predicate is not None,
             }
@@ -479,8 +492,14 @@ class DagPhysicalPlan:
                     )
                     fold = "partial aggregate, " if fleet["group_by"] else ""
                     keys = ", ".join(fleet["group_by"] or [fleet["key"]])
+                    priced = (
+                        f" → {fleet['mappers']} mapper(s), priced from "
+                        f"{fleet['input_bytes']} bytes"
+                        if fleet["input_bytes"]
+                        else ""
+                    )
                     lines.append(
-                        f"  fleet {fleet['tag']}: {fleet['files']} file(s), "
+                        f"  fleet {fleet['tag']}: {fleet['files']} file(s){priced}, "
                         f"{fold}partition by {keys}{cols}{pred}"
                     )
             elif wave["kind"] == "merge":
@@ -616,9 +635,10 @@ def _estimate_exchange_cost(
     waves: Sequence[Dict], num_workers: Optional[int], partitions: int
 ) -> float:
     """Sum the write-combined exchange cost model over a plan's waves (one
-    exchange per scan fleet — one mapper per file, at most ``num_workers`` —
-    and one of ``partitions`` workers per logical join stage: the upper
-    bound, before fusion; a merge wave only reads what its fleet wrote)."""
+    exchange per scan fleet — the fleet's ``mappers``, or at most
+    ``num_workers`` of its files — and one of ``partitions`` workers per
+    logical join stage: the upper bound, before fusion; a merge wave only
+    reads what its fleet wrote)."""
     from repro.exchange.cost_model import ExchangeCostModel
 
     model = ExchangeCostModel()
@@ -626,8 +646,9 @@ def _estimate_exchange_cost(
     for wave in waves:
         if wave["kind"] == "map":
             for fleet in wave["fleets"]:
-                files = fleet["files"] or 1
-                workers = max(1, min(num_workers or files, files))
+                workers = (
+                    min(num_workers, fleet["files"] or 1) if num_workers else fleet["mappers"]
+                )
                 total += model.cost("1l-wc", workers)["total_cost"]
         elif wave["kind"] == "join":
             total += model.cost("1l-wc", partitions)["total_cost"]

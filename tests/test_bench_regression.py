@@ -188,6 +188,42 @@ def test_checker_flags_a_fan_out_counted_from_files(
 
 
 @pytest.mark.parametrize(
+    "doctor",
+    [
+        # One mapper per file again: LINEITEM's four files, ORDERS' two, ...
+        lambda fleet: fleet.update(mappers=fleet["files"]),
+        # A caller that stopped passing sizes: bytes unknown bound nothing.
+        lambda fleet: fleet.update(input_bytes=0),
+    ],
+    ids=["file-counts", "sizes-unknown"],
+)
+def test_checker_flags_scan_fleets_not_priced_from_bytes(checker, baseline, tmp_path, doctor):
+    from repro.cloud.network import BandwidthModel
+    from repro.config import DEFAULT_SCAN_CONNECTIONS, INVOCATION_RATE_DRIVER
+
+    # The checker's break-even is scan_fan_out's under the default model.
+    assert checker.SCAN_BREAK_EVEN_BYTES == int(
+        BandwidthModel().link_bandwidth(2048, DEFAULT_SCAN_CONNECTIONS)
+        / INVOCATION_RATE_DRIVER["eu"]
+    )
+    results = baseline["results"]
+    assert {query for query, _ in checker.ABSOLUTE_FAN_OUT_CEILINGS} == set(
+        checker.SCAN_FAN_OUT_QUERIES
+    )
+    for query in checker.SCAN_FAN_OUT_QUERIES:
+        for fleet in results[query]["map_fleets"].values():
+            assert 0 < fleet["input_bytes"] and 1 <= fleet["mappers"] <= fleet["files"]
+    doctored = json.loads(json.dumps(baseline))
+    for fleet in doctored["results"]["q5"]["map_fleets"].values():
+        doctor(fleet)
+    path = tmp_path / "scan_fleets.json"
+    path.write_text(json.dumps(doctored), encoding="utf-8")
+    assert checker.check(path, None, tolerance=0.6) != 0
+    assert checker.check(path, None, tolerance=0.6, sections=["q3"]) == 0
+    assert checker.check(path, None, tolerance=0.6, sections=["q5"]) != 0
+
+
+@pytest.mark.parametrize(
     "field, regressed",
     [
         # A general-purpose compressor (or per-slice Python) back on the path.

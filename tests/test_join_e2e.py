@@ -162,10 +162,15 @@ def test_join_runs_over_write_combined_exchange(driver, dataset, orders_dataset)
     result = driver.execute(q3_plan(dataset.paths, orders_dataset.paths))
     statistics = result.statistics
     exchange = statistics.exchange
-    # Both map waves write-combine: one PUT per mapper.
+    # A hand-built plan knows no sizes: one mapper per file.  Both map
+    # fleets write-combine: one PUT per mapper that kept a row, none for a
+    # mapper whose predicate pruned its file whole.
     mappers = len(dataset.paths) + len(orders_dataset.paths)
-    assert exchange.combined_put_requests == mappers
-    assert exchange.put_requests == mappers
+    assert sum(statistics.map_fleets.values()) == mappers
+    kept = _senders(result, mappers)
+    assert 0 < kept < mappers
+    assert exchange.combined_put_requests == kept
+    assert exchange.put_requests == kept
     assert exchange.ranged_get_requests > 0
     assert exchange.get_requests == exchange.ranged_get_requests
     assert exchange.head_requests == 0
@@ -181,10 +186,18 @@ def test_join_runs_over_write_combined_exchange(driver, dataset, orders_dataset)
 def test_join_ranged_gets_bounded_by_slices(driver, dataset, orders_dataset):
     result = driver.execute(q3_plan(dataset.paths, orders_dataset.paths), num_workers=4)
     exchange = result.statistics.exchange
-    # At most one ranged GET per (mapper, reducer, side) slice; empty slices
-    # are elided without any request.
+    # At most one ranged GET per (sender, reducer) slice; empty slices are
+    # elided without any request, and a mapper that kept no row is no sender.
     mappers = len(dataset.paths) + len(orders_dataset.paths)
-    assert exchange.ranged_get_requests + exchange.empty_parts_elided == mappers * 4
+    assert exchange.ranged_get_requests + exchange.empty_parts_elided == (
+        _senders(result, mappers) * 4
+    )
+
+
+def _senders(result, mappers):
+    """Mappers of a run that kept at least one row (the map wave's worker
+    results come first, one per mapper)."""
+    return sum(1 for worker in result.worker_results[:mappers] if worker.rows_after_filter)
 
 
 def test_join_per_side_pushdown_reported(driver, dataset, orders_dataset):

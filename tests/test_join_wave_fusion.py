@@ -10,6 +10,8 @@ stage, exactly as before fusion existed.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -238,8 +240,13 @@ def test_explain_reports_the_executed_grouping(fused, unfused):
 # -- (c) what a fused Q5 requests, on the join_dag benchmark shape ---------------------------
 
 
-def _assert_q5_request_pins(num_workers, partitions):
+def _assert_q5_request_pins(num_workers, partitions, mappers, puts, sizes_known=True):
     env, datasets = _stack(scale_factor=0.01, lineitem_files=8, orders_files=4)
+    if not sizes_known:
+        datasets = {
+            name: dataclasses.replace(dataset, total_bytes=0)
+            for name, dataset in datasets.items()
+        }
     session = _session(env, datasets)
     session.sql(q.q5_sql(), num_workers=num_workers)  # warm: buckets and queues exist
     objects_before = env.s3.object_count()
@@ -251,28 +258,39 @@ def _assert_q5_request_pins(num_workers, partitions):
 
     assert (stats.dag_stages, stats.join_waves, stats.broadcast_stages) == (5, 1, 4)
     assert stats.exchange_partitions == partitions
-    mappers = stats.num_workers - partitions
-    assert mappers == 18
+    assert stats.num_workers - partitions == sum(stats.map_fleets.values()) == mappers
     assert delta["list_requests"] == 0 and stats.gc_list_requests == 0
     assert stats.exchange.list_requests + stats.exchange.head_requests == 0
-    # One combined PUT per mapper and none by the join wave; no spill either.
-    assert stats.exchange.put_requests == delta["put_requests"] == mappers
+    # One combined PUT per mapper that kept a row, none by the join wave; no
+    # spill either.
+    assert stats.exchange.put_requests == delta["put_requests"] == puts
     # Every worker reads each sender object at most once, slice or whole.
-    assert stats.exchange.get_requests <= partitions * mappers
+    assert stats.exchange.get_requests <= partitions * puts
     assert delta["get_requests"] == stats.get_requests + stats.exchange.get_requests
-    assert stats.gc_objects_deleted == mappers
+    assert stats.gc_objects_deleted == puts
     assert env.s3.object_count() == objects_before
 
 
 def test_fused_q5_request_pins_on_the_join_dag_shape():
-    # All seven relations together store ~1 MB: the rule starts one join
-    # worker, 19 workers in all, and it reads each sender object once.
-    _assert_q5_request_pins(num_workers=None, partitions=1)
+    # All seven relations together store ~1 MB: every relation is worth less
+    # than one mapper's break-even, so each of Q5's six fleets is one mapper
+    # (8 LINEITEM files opened as one batch), one join worker reads each
+    # sender object once — 7 workers in all.
+    _assert_q5_request_pins(num_workers=None, partitions=1, mappers=6, puts=6)
+
+
+def test_fused_q5_request_pins_when_sizes_are_unknown():
+    # A plan that does not know the relations' sizes keeps one mapper per
+    # file (18) and one join worker per LINEITEM file.  The ORDERS date
+    # predicate prunes three of its four files whole: those mappers PUT nothing.
+    _assert_q5_request_pins(
+        num_workers=None, partitions=8, mappers=18, puts=15, sizes_known=False
+    )
 
 
 def test_fused_q5_request_pins_at_the_file_count_fan_out():
     # What ran before fan-out was priced: one join worker per LINEITEM file.
-    _assert_q5_request_pins(num_workers=8, partitions=8)
+    _assert_q5_request_pins(num_workers=8, partitions=8, mappers=18, puts=15)
 
 
 # -- (d) whole-object reads are verified and recover alone ------------------------------------
