@@ -90,7 +90,6 @@ from repro.plan.logical import LogicalPlan
 from repro.plan.optimizer import OptimizerReport, optimize
 from repro.plan.physical import (
     DagPhysicalPlan,
-    JoinPhysicalPlan,
     PhysicalPlan,
     describe_exchange_fan_out,
     describe_executed_waves,
@@ -432,7 +431,7 @@ class LambadaDriver:
 
     def execute(
         self,
-        plan: Union[LogicalPlan, PhysicalPlan, JoinPhysicalPlan, DagPhysicalPlan],
+        plan: Union[LogicalPlan, PhysicalPlan, DagPhysicalPlan],
         num_workers: Optional[int] = None,
         files_per_worker: Optional[int] = None,
         cold: bool = False,
@@ -458,7 +457,12 @@ class LambadaDriver:
         Failed workers are retried up to ``max_worker_retries`` times before
         the query is aborted with :class:`~repro.errors.WorkerFailedError`.
 
-        Join plans run through the multi-stage shuffle-join schedule.  Left
+        A plan is a logical plan, which :func:`~repro.plan.optimizer.optimize`
+        lowers first, or one of the two physical plans: a
+        :class:`~repro.plan.physical.PhysicalPlan` runs as one scan fleet, a
+        :class:`~repro.plan.physical.DagPhysicalPlan` — every plan with a
+        join, one stage per join — runs through the shuffle-join schedule
+        (:class:`~repro.driver.shuffle.ShuffleJoinCoordinator`).  Left
         to itself it prices both fleet widths from the relations' registered
         sizes: as many mappers per relation as its bytes stream in the launch
         time each mapper adds, at most one per file
@@ -659,7 +663,7 @@ class LambadaDriver:
 
     def _execute_join(
         self,
-        physical: Union[JoinPhysicalPlan, DagPhysicalPlan],
+        physical: DagPhysicalPlan,
         report: Optional[OptimizerReport],
         num_workers: Optional[int],
         cold: bool,
@@ -1487,7 +1491,7 @@ class QuerySession:
 
     def submit(
         self,
-        plan: Union[LogicalPlan, PhysicalPlan, JoinPhysicalPlan, DagPhysicalPlan],
+        plan: Union[LogicalPlan, PhysicalPlan, DagPhysicalPlan],
         tenant: str = "default",
         deadline_seconds: Optional[float] = None,
         cancel: Optional[CancellationToken] = None,

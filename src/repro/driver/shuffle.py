@@ -1051,9 +1051,9 @@ class ShuffleJoinCoordinator:
     """Schedules a shuffle DAG as a scan wave + as few join waves as its
     build sides allow.
 
-    Accepts any shuffle physical plan (:class:`JoinPhysicalPlan` is
-    normalised through ``as_dag()`` into a one-stage
-    :class:`~repro.plan.physical.DagPhysicalPlan`):
+    Runs a :class:`~repro.plan.physical.DagPhysicalPlan` as it is — a query
+    with one join is its one-stage case, a repartitioned aggregation its
+    zero-stage case:
 
     1. **scan wave** — every relation's fleet in one wave, sized from the
        relation's stored bytes (:func:`scan_fan_out`; one mapper per file
@@ -1212,19 +1212,19 @@ class ShuffleJoinCoordinator:
 
     def execute(
         self,
-        physical,
+        dag: DagPhysicalPlan,
         num_workers: Optional[int] = None,
         cancel=None,
         breakers=None,
         budget=None,
         now_fn=None,
     ):
-        """Run the join plan; returns ``(table, statistics, worker_results)``.
+        """Run the DAG plan; returns ``(table, statistics, worker_results)``.
 
-        ``physical`` is a :class:`JoinPhysicalPlan` or
-        :class:`DagPhysicalPlan`; binary plans are normalised through
-        ``as_dag()`` and run as a one-stage DAG with the historical
-        ``"L"``/``"R"`` exchange tags.
+        The base relation's fleet writes under the exchange tag ``"L"``, the
+        build sides under ``"R"``, ``"R1"``, ... (so a one-join plan reads
+        ``"L"``/``"R"``), and the intermediates of a multi-wave run under
+        ``"J0"``, ``"J1"``, ....
 
         ``cancel``/``breakers``/``budget``/``now_fn`` arm the overload plane
         for this query; a cancellation raised mid-wave garbage-collects every
@@ -1232,7 +1232,6 @@ class ShuffleJoinCoordinator:
         all live under the query prefix) and purges the query's result-queue
         messages before propagating.
         """
-        dag = physical.as_dag()
         fleets: Dict[str, JoinSidePlan] = dict(dag.sides())
         build_tags = [tag for tag in fleets if tag != "L"]
         inter_tags = [f"J{k}" for k in range(len(dag.stages) - 1)]

@@ -362,9 +362,6 @@ class DagPhysicalPlan:
                 "a DAG plan without join stages requires an aggregating base fragment"
             )
 
-    def as_dag(self) -> "DagPhysicalPlan":
-        return self
-
     def sides(self) -> List[Tuple[str, JoinSidePlan]]:
         """Every scan fleet as ``(exchange tag, fragment)``: the base
         (``"L"``), then each stage's build side (``"R"``, ``"R1"``, ...)."""
@@ -533,67 +530,6 @@ class DagPhysicalPlan:
                 f"desc={self.driver.descending} limit={self.driver.limit}"
             )
         return "\n".join(lines)
-
-
-@dataclass
-class JoinPhysicalPlan:
-    """Physical plan of a repartitioned (shuffle) equi-join query.
-
-    Three scopes: two map waves (one per side, described by the
-    :class:`JoinSidePlan` fragments), a join wave that probes the
-    repartitioned slices, applies the residual predicate, and computes the
-    partial aggregates placed *above* the join, and the driver scope that
-    merges the partials (``driver``).  Executed by lowering to a one-stage
-    :class:`DagPhysicalPlan` (see :meth:`as_dag`).
-    """
-
-    engine = "shuffle-dag"
-
-    left: JoinSidePlan
-    right: JoinSidePlan
-    driver: DriverPlan
-    #: Predicate that could not be pushed to either side (references columns
-    #: of both relations); evaluated on the joined rows.
-    residual_predicate: Optional[Expression] = None
-    #: Explicit projection above the join (row-collecting queries only): the
-    #: final result keeps exactly these columns, in this order.
-    project: Optional[List[str]] = None
-    #: Group-by keys of the partial aggregation above the join.
-    group_by: List[str] = field(default_factory=list)
-    #: Partial aggregates computed by the join wave (avg already decomposed).
-    aggregates: List[AggregateSpec] = field(default_factory=list)
-    #: Suffix applied to right-side columns whose names collide with the left.
-    suffix: str = "_right"
-
-    def as_dag(self) -> DagPhysicalPlan:
-        """Lower the binary join to an equivalent one-stage DAG plan."""
-        return DagPhysicalPlan(
-            base=self.left,
-            stages=[
-                DagJoinStage(
-                    left_key=self.left.key,
-                    right=self.right,
-                    residual_predicate=self.residual_predicate,
-                    suffix=self.suffix,
-                )
-            ],
-            driver=self.driver,
-            project=self.project,
-            group_by=list(self.group_by),
-            aggregates=list(self.aggregates),
-        )
-
-    def waves(self) -> List[Dict]:
-        """Wave descriptors of the equivalent one-stage DAG."""
-        return self.as_dag().waves()
-
-    def estimated_cost(self, num_workers: Optional[int] = None) -> float:
-        """Modelled request dollars of the exchange waves (admission estimate)."""
-        return self.as_dag().estimated_cost(num_workers)
-
-    def explain(self) -> str:
-        """Human-readable description of the join plan."""
-        return self.as_dag().explain()
 
 
 def describe_executed_waves(wave_stages: Sequence[Sequence[int]]) -> str:

@@ -137,8 +137,8 @@ def test_sizes_travel_from_the_catalog_to_the_physical_sides():
     catalog.register("customer", ["s3://t/c/0.lpq"], columns=("c_custkey", "c_name"))
     sql = "SELECT sum(l_quantity) AS n FROM lineitem JOIN orders ON l_orderkey = o_orderkey"
     binary, _ = optimize(parse_sql(sql, catalog))
-    assert (binary.left.input_bytes, binary.right.input_bytes) == (700, 300)
-    assert binary.as_dag().estimated_exchange_bytes == 1000
+    assert (binary.base.input_bytes, binary.stages[0].right.input_bytes) == (700, 300)
+    assert binary.estimated_exchange_bytes == 1000
 
     dag, _ = optimize(parse_sql(sql + " JOIN customer ON o_custkey = c_custkey", catalog))
     assert sorted(side.input_bytes for _, side in dag.sides()) == [0, 300, 700]
@@ -160,7 +160,7 @@ def test_estimated_cost_and_explain_price_the_fan_out_the_rule_returns():
             "SELECT sum(l_quantity) AS n FROM lineitem JOIN orders ON l_orderkey = o_orderkey",
             catalog,
         ))
-        assert plan.as_dag().exchange_partitions() == partitions
+        assert plan.exchange_partitions() == partitions
         assert f"exchange: {partitions} join worker(s) per wave" in plan.explain()
         # One mapper per file either way; only the join wave's width differs.
         at_file_count = plan.estimated_cost(num_workers=FILES)

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from repro.driver.driver import LambadaDriver
-from repro.errors import InvalidPlanError
 from repro.frontend.sql import SqlCatalog, parse_sql
 from repro.plan.logical import (
     AggregateNode,
@@ -21,7 +20,7 @@ from repro.plan.logical import (
 )
 from repro.plan.expressions import col, lit
 from repro.plan.optimizer import optimize
-from repro.plan.physical import JoinPhysicalPlan
+from repro.plan.physical import DagPhysicalPlan
 from repro.workload.queries import (
     q3_plan,
     q3_sql,
@@ -260,7 +259,9 @@ def test_residual_predicate_filters_joined_rows(driver, dataset, orders_dataset,
         aggregates=(AggregateSpec("count", None, "n"),),
     )
     physical, report = optimize(plan)
-    assert isinstance(physical, JoinPhysicalPlan)
+    assert isinstance(physical, DagPhysicalPlan)
+    (stage,) = physical.stages
+    assert stage.residual_predicate.equals(residual)
     assert report.residual_predicates == 1
     result = driver.execute(plan)
 
@@ -284,8 +285,6 @@ def test_residual_predicate_filters_joined_rows(driver, dataset, orders_dataset,
 
 def test_left_deep_join_tree_lowers_to_dag(dataset, orders_dataset, part_dataset):
     """A two-join left-deep tree lowers to a two-stage DAG physical plan."""
-    from repro.plan.physical import DagPhysicalPlan
-
     inner = JoinNode(
         child=ScanNode(paths=tuple(dataset.paths)),
         right=ScanNode(paths=tuple(orders_dataset.paths)),
@@ -308,20 +307,25 @@ def test_left_deep_join_tree_lowers_to_dag(dataset, orders_dataset, part_dataset
     assert "join stage" in physical.explain()
 
 
-def test_group_by_right_key_rejected(dataset, orders_dataset):
-    join = JoinNode(
-        child=ScanNode(paths=tuple(dataset.paths)),
-        right=ScanNode(paths=tuple(orders_dataset.paths)),
-        left_key="l_orderkey",
-        right_key="o_orderkey",
+def test_group_by_right_key_answers(driver, catalog, lineitem_table, orders_table):
+    """Grouping by the build side's key works for one join as for N: the
+    join stage restores the key the kernel drops from the equal probe key."""
+    plan = parse_sql(
+        "SELECT o_orderkey, count(*) AS n FROM lineitem JOIN orders "
+        "ON l_orderkey = o_orderkey GROUP BY o_orderkey ORDER BY o_orderkey",
+        catalog,
     )
-    plan = AggregateNode(
-        child=join,
-        group_by=("o_orderkey",),
-        aggregates=(AggregateSpec("count", None, "n"),),
+    physical, _ = optimize(plan)
+    assert physical.stages[0].restore_right_key
+    result = driver.execute(plan)
+
+    keys = lineitem_table["l_orderkey"]
+    expected, counts = np.unique(
+        keys[np.isin(keys, orders_table["o_orderkey"])], return_counts=True
     )
-    with pytest.raises(InvalidPlanError):
-        optimize(plan)
+    assert list(result.table) == ["o_orderkey", "n"]
+    np.testing.assert_array_equal(result.table["o_orderkey"], expected)
+    np.testing.assert_array_equal(result.table["n"], counts)
 
 
 def test_projection_above_join_keeps_only_selected_columns(driver, catalog):

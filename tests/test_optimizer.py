@@ -135,8 +135,8 @@ def test_plan_must_start_with_scan():
         optimize(FilterNode(child=None, predicate=col("x") > 1))  # type: ignore[arg-type]
 
 
-def test_join_nodes_lower_into_a_join_physical_plan():
-    from repro.plan.physical import JoinPhysicalPlan
+def test_join_nodes_lower_into_a_one_stage_dag_plan():
+    from repro.plan.physical import DagPhysicalPlan
 
     plan = JoinNode(
         child=ScanNode(paths=("s3://b/l.lpq",)),
@@ -145,9 +145,10 @@ def test_join_nodes_lower_into_a_join_physical_plan():
         right_key="rk",
     )
     physical, report = optimize(plan)
-    assert isinstance(physical, JoinPhysicalPlan)
-    assert physical.left.key == "k"
-    assert physical.right.key == "rk"
+    assert isinstance(physical, DagPhysicalPlan)
+    assert len(physical.stages) == 1
+    assert physical.base.key == "k"
+    assert physical.stages[0].right.key == "rk"
     assert physical.driver.collect_rows
     assert report.join_keys == ("k", "rk")
 
@@ -180,8 +181,3 @@ def test_q6_pushdowns():
         "l_shipdate",
     }
 
-
-def test_worker_plan_scan_knobs_forwarded():
-    physical, _ = optimize(q6_plan(["s3://x/y.lpq"]), scan_connections=2, scan_chunk_bytes=1024)
-    assert physical.worker_template.scan_connections == 2
-    assert physical.worker_template.scan_chunk_bytes == 1024

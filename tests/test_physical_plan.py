@@ -35,10 +35,13 @@ def _template() -> WorkerPlan:
 
 
 def test_worker_plan_dict_roundtrip():
-    plan = _template()
-    plan.files = ["s3://b/1.lpq"]
+    plan = dataclasses.replace(
+        _template(), files=["s3://b/1.lpq"], scan_connections=2, scan_chunk_bytes=1024
+    )
     restored = WorkerPlan.from_dict(plan.to_dict())
     assert restored.files == plan.files
+    assert (restored.scan_connections, restored.scan_chunk_bytes) == (2, 1024)
+    assert (_template().scan_connections, _template().scan_chunk_bytes) == (4, 16 << 20)
     assert restored.columns == plan.columns
     assert restored.predicate.equals(plan.predicate)
     assert restored.prune_ranges[0].column == "a"
@@ -185,7 +188,7 @@ def test_join_side_plan_roundtrips_its_partial_aggregate_fragment():
 
 def test_zero_stage_dag_describes_a_scan_wave_and_a_merge_wave():
     plan = _zero_stage_plan()
-    assert plan.as_dag() is plan
+    assert plan.engine == "shuffle-dag"
     waves = plan.waves()
     assert [wave["kind"] for wave in waves] == ["map", "merge"]
     (fleet,) = waves[0]["fleets"]

@@ -356,7 +356,7 @@ def _sized_plan(lineitem_bytes, orders_bytes):
         "SELECT sum(l_quantity) AS n FROM lineitem JOIN orders ON l_orderkey = o_orderkey",
         catalog,
     ))
-    return plan.as_dag()
+    return plan
 
 
 def test_plan_descriptors_estimate_and_explain_carry_the_rule():
