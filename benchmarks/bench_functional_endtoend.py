@@ -58,7 +58,7 @@ def test_endtoend_two_level_exchange(benchmark, experiment_report):
     ]
 
     def run_exchange():
-        exchange = MultiLevelExchange(ObjectStore(), P, keys=["key"], levels=2, write_combining=True)
+        exchange = MultiLevelExchange(ObjectStore(), P, keys=["key"], levels=2)
         return exchange, exchange.run(tables)
 
     exchange, result = benchmark.pedantic(run_exchange, rounds=3, iterations=1)

@@ -65,7 +65,7 @@ import repro.driver.integrity as result_plane
 from repro.config import IntegrityConfig
 from repro.engine.join import hash_join
 from repro.engine.payload import decode_table, encode_table
-from repro.engine.table import tables_allclose
+from repro.engine.table import table_num_rows, tables_allclose
 from repro.exchange.basic import deserialize_partition, serialize_partition
 from repro.exchange.codec import decode_partition_slice, encode_partition_set
 from repro.exchange.partition import (
@@ -74,6 +74,7 @@ from repro.exchange.partition import (
     partition_scatter,
     slice_partition,
 )
+from repro.formats.parquet import ColumnarFile, write_table
 
 from _baselines import hash_join_dict, seed_table_from_wire, seed_table_to_wire
 
@@ -384,10 +385,11 @@ def _lpq_set_roundtrip(reordered, boundaries, compression) -> int:
     """The same partitions through the full LPQ file writer and reader."""
     shipped = 0
     for partition in range(len(boundaries) - 1):
-        data = serialize_partition(
-            slice_partition(reordered, boundaries, partition), compression, fast=False
-        )
-        deserialize_partition(data)
+        part = slice_partition(reordered, boundaries, partition)
+        if not table_num_rows(part):
+            continue
+        data = write_table(part, compression=compression)
+        ColumnarFile.from_bytes(data).read_table()
         shipped += len(data)
     return shipped
 
@@ -421,8 +423,8 @@ def measure_shuffle_codec(
     for compression in (Compression.FAST, Compression.NONE):
         first = slice_partition(*hot, 0)
         assert tables_allclose(
-            deserialize_partition(serialize_partition(first, compression, fast=False)),
-            deserialize_partition(serialize_partition(first, compression, fast=True)),
+            ColumnarFile.from_bytes(write_table(first, compression=compression)).read_table(),
+            deserialize_partition(serialize_partition(first, compression)),
         )
 
     lpq_seconds = _best_of(lambda: _lpq_set_roundtrip(*hot, Compression.FAST), repeats)

@@ -1,17 +1,15 @@
 """Table 2 — cost models of the S3-based exchange algorithms.
 
-Reproduces the request-count formulas and additionally validates them against
-the *measured* request counts of the functional exchange implementation on a
-small worker fleet (an end-to-end check the paper's table cannot give).
+Reproduces the request-count formulas and additionally validates the
+write-combined rows against the *measured* request counts of the executed
+exchange on a small worker fleet (an end-to-end check the paper's table
+cannot give).
 """
-
-import math
 
 import numpy as np
 
 from repro.analysis.figures import table2_exchange_models
 from repro.cloud.s3 import ObjectStore
-from repro.exchange.basic import BasicExchange, ExchangeConfig
 from repro.exchange.multilevel import MultiLevelExchange
 
 
@@ -28,26 +26,29 @@ def test_tab2_exchange_models(benchmark, experiment_report):
             f"{row['lists']:>10,.0f} {row['scans']:>7.0f}"
         )
 
-    # Validate the formulas against the functional implementation at P = 16.
+    # Validate the write-combined rows against the executed exchange at
+    # P = 16: every sender PUTs one object per round, every receiver reads
+    # one slice of each group member's object (fetched, or elided when
+    # empty), and the offset directories travel with the announcements.
     P = 16
     rng = np.random.default_rng(0)
     tables = [
         {"key": rng.integers(0, 1000, 64).astype(np.int64), "v": rng.random(64)}
         for _ in range(P)
     ]
-    basic = BasicExchange(ObjectStore(), P, ExchangeConfig(keys=["key"]))
-    basic.run(tables)
-    two_level = MultiLevelExchange(ObjectStore(), P, keys=["key"], levels=2)
-    two_level.run(tables)
-    combined = MultiLevelExchange(ObjectStore(), P, keys=["key"], levels=2, write_combining=True)
-    combined.run(tables)
-    experiment_report(
-        "",
-        f"  measured on the functional implementation at P = {P}:",
-        f"    1l    writes {basic.total_stats().put_requests:>6}  (model: {P * P})",
-        f"    2l    writes {two_level.stats.put_requests:>6}  (model: {2 * P * int(math.sqrt(P))})",
-        f"    2l-wc writes {combined.stats.put_requests:>6}  (model: {2 * P})",
-    )
-    assert basic.total_stats().put_requests == P * P
-    assert two_level.stats.put_requests == 2 * P * int(math.sqrt(P))
-    assert combined.stats.put_requests == 2 * P
+    experiment_report("", f"  measured on the executed exchange at P = {P}:")
+    for levels in (1, 2):
+        exchange = MultiLevelExchange(ObjectStore(), P, keys=["key"], levels=levels)
+        exchange.run(tables)
+        stats = exchange.stats
+        reads = stats.get_requests + stats.empty_parts_elided
+        side = round(P ** (1 / levels))
+        experiment_report(
+            f"    {levels}l-wc  writes {stats.put_requests:>4} (model: {levels * P})"
+            f"  reads {reads:>4} (model: {levels * P * side};"
+            f" {stats.empty_parts_elided} empty, elided)"
+            f"  lists {stats.list_requests}  heads {stats.head_requests}"
+        )
+        assert stats.put_requests == levels * P
+        assert reads == levels * P * side
+        assert stats.list_requests == stats.head_requests == 0

@@ -1,18 +1,17 @@
-"""Purely serverless shuffle: the exchange operator family in action.
+"""Purely serverless shuffle: the exchange operator in action.
 
 The paper's key systems contribution is an exchange (shuffle) operator that
 works without any always-on infrastructure: workers communicate only through
-the object store, and a multi-level scheme with write combining reduces the
-number of (billable, rate-limited) requests from O(P²) to O(P·P^(1/k))
-(§4.4, Table 2, Figure 9).
+the object store.  Every sender writes one combined object per round, and a
+multi-level scheme cuts the number of (billable, rate-limited) slice reads
+from O(P²) to O(P·P^(1/k)) (§4.4, Table 2, Figure 9).
 
 This example:
 
-1. runs the one-level baseline and the two-level exchange on real data and
-   compares their request counts against the Table 2 formulas,
-2. shows the write-combining variant,
-3. uses the exchange to build a distributed hash join, and
-4. prints the analytic cost model at the paper's fleet sizes.
+1. runs the one-level and the two-level exchange on real data and compares
+   their request counts against Table 2's write-combined rows,
+2. uses the exchange to build a distributed hash join, and
+3. prints the analytic cost model at the paper's fleet sizes.
 
 Run with:  python examples/serverless_shuffle.py
 """
@@ -22,12 +21,7 @@ import numpy as np
 from repro.cloud import CloudEnvironment
 from repro.engine.join import hash_join
 from repro.engine.table import concat_tables, table_num_rows
-from repro.exchange import (
-    BasicExchange,
-    ExchangeConfig,
-    ExchangeCostModel,
-    MultiLevelExchange,
-)
+from repro.exchange import ExchangeCostModel, MultiLevelExchange
 from repro.exchange.partition import partition_assignments
 
 
@@ -58,31 +52,22 @@ def main() -> None:
     total_rows = sum(table_num_rows(t) for t in shards)
     print(f"shuffling {total_rows} rows across {num_workers} serverless workers\n")
 
-    # -- 1. one-level baseline vs two-level exchange ----------------------------------
-    basic = BasicExchange(env.s3, num_workers, ExchangeConfig(keys=["key"]), tag="basic")
-    basic_result = basic.run(shards)
-    print("one-level BasicExchange:")
-    print(f"  placement correct: {check_placement(basic_result, num_workers)}")
-    print(f"  PUT requests: {basic.total_stats().put_requests}  (P^2 = {num_workers ** 2})")
+    # -- 1. one-level vs two-level exchange -------------------------------------------
+    side = int(np.sqrt(num_workers))
+    for levels, model in ((1, num_workers ** 2), (2, 2 * num_workers * side)):
+        exchange = MultiLevelExchange(
+            env.s3, num_workers, keys=["key"], levels=levels, tag=f"l{levels}"
+        )
+        result = exchange.run(shards)
+        stats = exchange.stats
+        print(f"{levels}-level exchange:")
+        print(f"  placement correct: {check_placement(result, num_workers)}")
+        print(f"  PUT requests: {stats.put_requests}  ({levels}*P = {levels * num_workers})")
+        print(f"  slice reads: {stats.get_requests} GETs + {stats.empty_parts_elided} "
+              f"empty, elided  (model: {model}), LIST/HEAD: "
+              f"{stats.list_requests + stats.head_requests}")
 
-    two_level = MultiLevelExchange(env.s3, num_workers, keys=["key"], levels=2, tag="two")
-    two_result = two_level.run(shards)
-    expected_writes = 2 * num_workers * int(np.sqrt(num_workers))
-    print("two-level exchange:")
-    print(f"  placement correct: {check_placement(two_result, num_workers)}")
-    print(f"  PUT requests: {two_level.stats.put_requests}  (2*P*sqrt(P) = {expected_writes})")
-
-    # -- 2. write combining --------------------------------------------------------------
-    combined = MultiLevelExchange(
-        env.s3, num_workers, keys=["key"], levels=2, write_combining=True, tag="wc"
-    )
-    combined_result = combined.run(shards)
-    print("two-level exchange with write combining:")
-    print(f"  placement correct: {check_placement(combined_result, num_workers)}")
-    print(f"  PUT requests: {combined.stats.put_requests}  (2*P = {2 * num_workers}), "
-          f"LIST requests: {combined.stats.list_requests}")
-
-    # -- 3. a distributed join built on the exchange ---------------------------------------
+    # -- 2. a distributed join built on the exchange ---------------------------------------
     print("\ndistributed hash join via repartitioning:")
     rng = np.random.default_rng(7)
     orders = {"o_orderkey": np.arange(500, dtype=np.int64), "o_total": rng.random(500)}
@@ -102,7 +87,7 @@ def main() -> None:
     print(f"  joined rows: {table_num_rows(joined)} "
           f"(reference: {table_num_rows(reference)})")
 
-    # -- 4. the analytic cost model at paper scale ------------------------------------------
+    # -- 3. the analytic cost model at paper scale ------------------------------------------
     print("\nper-worker request cost at the paper's fleet sizes (Figure 9):")
     model = ExchangeCostModel()
     header = f"  {'P':>6} " + " ".join(f"{v:>10}" for v in ("1l", "1l-wc", "2l", "2l-wc", "3l", "3l-wc"))

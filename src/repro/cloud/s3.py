@@ -5,7 +5,8 @@ a directory on disk) and reproduces the aspects of S3 that Lambada's design
 depends on:
 
 * ranged ``GET`` requests (HTTP ``Range`` header semantics),
-* ``PUT``, ``LIST`` (with prefix), ``HEAD`` and ``DELETE``,
+* ``PUT`` (keys up to S3's 1024-byte limit), ``LIST`` (with prefix),
+  ``HEAD`` and ``DELETE``,
 * request accounting per bucket (reads vs writes vs lists),
 * optional per-bucket request-rate limiting that raises
   :class:`~repro.errors.SlowDownError` like the real service, and
@@ -23,10 +24,15 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.cloud.clock import VirtualClock
 from repro.cloud.metering import MeteringLedger
-from repro.config import S3_READ_RATE_LIMIT_PER_S, S3_WRITE_RATE_LIMIT_PER_S
+from repro.config import (
+    S3_MAX_KEY_LENGTH,
+    S3_READ_RATE_LIMIT_PER_S,
+    S3_WRITE_RATE_LIMIT_PER_S,
+)
 from repro.errors import (
     BucketAlreadyExistsError,
     InvalidRangeError,
+    KeyTooLongError,
     NoSuchBucketError,
     NoSuchKeyError,
     SlowDownError,
@@ -199,9 +205,19 @@ class ObjectStore:
     # -- object operations --------------------------------------------------
 
     def put_object(self, bucket: str, key: str, data: bytes) -> ObjectMetadata:
-        """Store an object, replacing any existing object under ``key``."""
+        """Store an object, replacing any existing object under ``key``.
+
+        A key longer than :data:`~repro.config.S3_MAX_KEY_LENGTH` UTF-8 bytes
+        raises :class:`~repro.errors.KeyTooLongError`, as S3 answers.
+        """
         if not isinstance(data, (bytes, bytearray, memoryview)):
             raise TypeError("object data must be bytes-like")
+        key_bytes = len(key.encode("utf-8"))
+        if key_bytes > S3_MAX_KEY_LENGTH:
+            raise KeyTooLongError(
+                f"key of {key_bytes} bytes in bucket {bucket!r} exceeds the "
+                f"{S3_MAX_KEY_LENGTH}-byte limit"
+            )
         payload = bytes(data)
         with self._lock:
             self._require_bucket(bucket)

@@ -103,8 +103,8 @@ S3_READ_RATE_LIMIT_PER_S = 5500
 S3_HISTORIC_WRITE_RATE_LIMIT_PER_S = 300
 S3_HISTORIC_READ_RATE_LIMIT_PER_S = 800
 
-#: Maximum S3 key length in bytes (relevant for the write-combining variant
-#: that encodes partition offsets in the file name).
+#: Maximum S3 key length in bytes (UTF-8); the object store refuses a PUT
+#: of a longer key.
 S3_MAX_KEY_LENGTH = 1024
 
 # ---------------------------------------------------------------------------

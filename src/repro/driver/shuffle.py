@@ -19,7 +19,7 @@ loop every fleet runs through), one map handler and one reduce handler:
   write-combined exchange: all partitions serialised into **one** combined
   object at ``{attempt prefix}{tag}/sender-{n}``
   (:class:`~repro.exchange.naming.WriteCombiningNaming`) via
-  :func:`~repro.exchange.codec.encode_partition_set`, empty partitions
+  :func:`~repro.exchange.fetch.write_combined`, empty partitions
   occupying zero bytes — at most one PUT per mapper (none when its predicate
   kept no row), O(P) per fleet however wide it is.  The per-receiver byte
   offsets and slice crcs ride in the mapper's result message (under its
@@ -127,8 +127,7 @@ from repro.errors import (
     WorkerFailedError,
 )
 from repro.exchange.basic import ExchangeStats
-from repro.exchange.codec import encode_partition_set, slice_crcs
-from repro.exchange.fetch import FetchPlan, SenderManifest
+from repro.exchange.fetch import FetchPlan, SenderManifest, sender_entries, write_combined
 from repro.exchange.naming import WriteCombiningNaming
 from repro.exchange.partition import partition_assignments, scatter_by_assignment
 from repro.formats.compression import Compression
@@ -428,21 +427,10 @@ def _write_partitions(
     else:
         assignment = partition_assignments(rows, list(keys), num_partitions)
         reordered, boundaries = scatter_by_assignment(rows, assignment, num_partitions)
-    payload, offsets = encode_partition_set(
-        reordered, boundaries, compression, checksum=integrity.generate
+    return write_combined(
+        env.s3, naming.path(sender, 0), reordered, boundaries, stats,
+        checksum=integrity.generate, compression=compression,
     )
-    path = naming.path(sender, 0)
-    env.s3.put_path(path, payload)
-    stats.put_requests += 1
-    stats.combined_put_requests += 1
-    stats.bytes_written += len(payload)
-    return {
-        "format": "combined",
-        "combined_path": path,
-        "combined_size": len(payload),
-        "offsets": offsets,
-        "crcs": slice_crcs(payload, offsets) if integrity.generate else None,
-    }
 
 
 def _make_map_handler(env: CloudEnvironment):
@@ -905,21 +893,6 @@ def join_costs(
     }
 
 
-def _sender_spec(messages: Sequence[Dict]) -> List[List]:
-    """What one input side's accepted senders announced, as shipped to the
-    join workers: ``[sender, path, size, offsets, crcs]`` per combined object.
-
-    The join wave needs no discovery request, and an orphaned earlier-attempt
-    duplicate is never read.  ``"empty"`` senders (a mapper or an emit wave
-    that kept zero rows) wrote nothing and are not listed.
-    """
-    return sorted(
-        [m["worker_id"], m["combined_path"], m["combined_size"], m["offsets"], m["crcs"]]
-        for m in messages
-        if m.get("format") == "combined"
-    )
-
-
 #: Share of a join worker's memory the broadcast build sides of one wave may
 #: fill, counted in announced (encoded) bytes: the decoded columns — narrowed
 #: keys and decimals widen back to 8 bytes a value — and the join's working
@@ -1329,7 +1302,7 @@ class ShuffleJoinCoordinator:
         announced = {
             tag: [m for m in map_messages if m.get("side") == tag] for tag in fleets
         }
-        build_sides = [_sender_spec(announced[tag]) for tag in build_tags]
+        build_sides = [sender_entries(announced[tag]) for tag in build_tags]
         wave_stages = _group_join_waves(
             self.env, build_sides, num_partitions, self.memory_mib
         )
@@ -1345,7 +1318,7 @@ class ShuffleJoinCoordinator:
                 "side": side,
                 "attempt": 0,
                 "num_partitions": num_partitions,
-                "probe": _sender_spec(probe_messages),
+                "probe": sender_entries(probe_messages),
                 "steps": [
                     {
                         "left_key": dag.stages[k].left_key,

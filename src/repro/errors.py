@@ -33,6 +33,10 @@ class BucketAlreadyExistsError(CloudError):
     """A bucket with the requested name already exists."""
 
 
+class KeyTooLongError(CloudError):
+    """A PUT named a key longer than S3 allows (``KeyTooLongError`` on AWS)."""
+
+
 class InvalidRangeError(CloudError):
     """A ranged GET requested bytes outside of the object."""
 

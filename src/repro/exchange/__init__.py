@@ -1,19 +1,22 @@
 """Purely serverless exchange (shuffle) operators.
 
 Serverless workers cannot accept incoming connections, so all data exchange
-goes through the object store (paper §4.4).  This package implements the full
-family of exchange algorithms the paper analyses:
+goes through the object store (paper §4.4).  There is one exchange plane:
+every sender writes **one** combined object per round and announces its
+offset directory and slice crcs; every receiver reads its slice of each
+announced object with ranged GETs, empty slices elided and no discovery
+request at all.
 
-* :class:`~repro.exchange.basic.BasicExchange` — the one-level baseline with
-  O(P²) requests;
-* :class:`~repro.exchange.multilevel.MultiLevelExchange` — the two- and
-  k-level variants with O(P·P^(1/k)) requests, built on
-  ``BasicGroupExchange``;
-* *write combining* — all partitions of one sender go into a single object,
-  with the part offsets either in a companion index object or encoded in the
-  object key (discovered via LIST);
+* :mod:`~repro.exchange.fetch` — both halves of that plane:
+  :func:`~repro.exchange.fetch.write_combined` and
+  :class:`~repro.exchange.fetch.FetchPlan`, which the shuffle's waves
+  (:mod:`repro.driver.shuffle`) run on;
+* :class:`~repro.exchange.multilevel.MultiLevelExchange` — the paper's
+  k-level exchange over a grid of workers on the same halves, with
+  k·P PUTs and k·P·P^(1/k) slice reads (``levels=1`` is the one-level
+  exchange);
 * :mod:`~repro.exchange.cost_model` — the request-count formulas of Table 2
-  and their dollar costs (Figure 9);
+  and their dollar costs (Figure 9), for all six variants;
 * :mod:`~repro.exchange.simulator` — the timing model with stragglers and
   wait propagation used for Table 3 and Figure 13.
 """
@@ -25,18 +28,8 @@ from repro.exchange.partition import (
     scatter_by_assignment,
     slice_partition,
 )
-from repro.exchange.naming import (
-    FileNaming,
-    SingleBucketNaming,
-    MultiBucketNaming,
-    WriteCombiningNaming,
-)
-from repro.exchange.basic import (
-    BasicExchange,
-    BasicGroupExchange,
-    ExchangeConfig,
-    ExchangeStats,
-)
+from repro.exchange.naming import WriteCombiningNaming
+from repro.exchange.basic import ExchangeStats
 from repro.exchange.codec import (
     decode_partition,
     decode_partition_slice,
@@ -59,13 +52,7 @@ __all__ = [
     "partition_scatter",
     "scatter_by_assignment",
     "slice_partition",
-    "FileNaming",
-    "SingleBucketNaming",
-    "MultiBucketNaming",
     "WriteCombiningNaming",
-    "BasicExchange",
-    "BasicGroupExchange",
-    "ExchangeConfig",
     "ExchangeStats",
     "decode_partition",
     "decode_partition_slice",

@@ -54,7 +54,7 @@ partition's rows alone.
 
 **Integrity.**  One crc32 pass per byte on each side.  The writer hashes the
 frame's bytes after the prefix once and stores the digest in the prefix; a
-combined object's key directory publishes that same number per slice
+combined object's announced directory publishes that same number per slice
 (:func:`slice_crcs` reads it back, it does not re-hash).  The reader hashes a
 slice once, against the embedded digest (layer ``codec.crc``), and compares
 the embedded digest with the directory's (layer ``slice.crc``, which is what
@@ -106,7 +106,7 @@ from repro.formats.encoding import (
     widen,
 )
 
-#: Format byte of a checksummed frame (LPQ files start with 0x4C).
+#: Format byte of a checksummed frame.
 CHECKED_PARTITION_TAG = 0x03
 
 #: Format byte of a frame written with ``checksum=False``: same layout, crc
@@ -311,10 +311,9 @@ def encode_partition_set(
 def slice_crcs(payload: Buffer, offsets: Sequence[int]) -> List[int]:
     """The crc32 each slice of a combined object carries in its prefix.
 
-    These are the numbers a combined object's key publishes next to the
-    offset directory (:meth:`~repro.exchange.naming.WriteCombiningNaming.
-    combined_key`): read back from the frames, not re-hashed.  Empty slices
-    publish 0.
+    These are the numbers a sender announces next to the offset directory
+    (:func:`repro.exchange.fetch.write_combined`): read back from the
+    frames, not re-hashed.  Empty slices publish 0.
     """
     return [
         _PREFIX.unpack_from(payload, start)[1] if end > start else 0
@@ -427,10 +426,10 @@ def verify_frame(
 ) -> None:
     """Check a frame without decoding it.
 
-    ``length`` and ``crc`` are what the frame's announcement — a key
-    directory, a result header — published about it: the byte count (layer
-    ``slice.length``) and the embedded digest (``slice.crc``, which is what
-    catches a stale or swapped but self-consistent frame).  ``hashed`` adds
+    ``length`` and ``crc`` are what the frame's announcement — a sender's
+    offset directory, a result header — published about it: the byte count
+    (layer ``slice.length``) and the embedded digest (``slice.crc``, which is
+    what catches a stale or swapped but self-consistent frame).  ``hashed`` adds
     the one crc32 pass of a checked frame against its embedded digest
     (``codec.crc``).  Raises :class:`~repro.errors.IntegrityError`, or
     :class:`~repro.errors.CorruptFileError` for bytes that are no frame, with
@@ -539,18 +538,14 @@ def decode_partition_slice(
     """Decode one receiver's slice of a combined partition object.
 
     Zero-length slices (empty partitions) decode to an empty table without
-    any parsing; a slice that is not a frame is read as a legacy LPQ file.
-    ``RAW`` columns are read-only zero-copy views of the slice by default
-    (the reduce side folds them straight into a merge); pass ``copy=True``
-    for mutable columns.  ``key`` names the object in corruption reports.
+    any parsing; anything else must be a frame.  ``RAW`` columns are
+    read-only zero-copy views of the slice by default (the reduce side folds
+    them straight into a merge); pass ``copy=True`` for mutable columns.
+    ``key`` names the object in corruption reports.
     """
     if not data:
         return {}
-    if is_fast_partition(data):
-        return decode_partition(data, copy=copy, verify=verify, key=key)
-    from repro.formats.parquet import ColumnarFile
-
-    return ColumnarFile.from_bytes(bytes(data), verify=verify, name=key).read_table()
+    return decode_partition(data, copy=copy, verify=verify, key=key)
 
 
 def decode_ranged_slices(
@@ -568,7 +563,9 @@ def decode_ranged_slices(
     ``verify`` on, the response must have the planned length (layer
     ``slice.length``), each frame must carry the digest its directory entry
     publishes (``slice.crc``) and must hash to it (``codec.crc``, one pass, in
-    :func:`decode_partition`).  The one place a directory slice is verified.
+    :func:`decode_partition`).  A slice that does not start like a frame is
+    rejected as one (``codec.prefix``), verified or not.  The one place a
+    directory slice is verified.
     """
     expected = parts[-1][1] - start
     if verify and len(data) != expected:
@@ -581,7 +578,7 @@ def decode_ranged_slices(
     tables: List[Table] = []
     for low, high, crc in parts:
         piece = view[low - start:high - start]
-        if verify and crc is not None and is_fast_partition(piece):
+        if verify and crc is not None:
             verify_frame(piece, crc=crc, hashed=False, key=key, offset=low)
         tables.append(decode_partition_slice(piece, verify=verify, key=key))
     return tables

@@ -1,14 +1,21 @@
-"""Receiver-side fetch plan of the shuffle exchange (paper §4.4, read side).
+"""Both halves of the exchange (paper §4.4): one combined object per sender,
+one fetch plan per receiver.
 
-A receiver knows everything it is going to read before it issues the first
-request: every accepted sender wrote one combined object and announced its
-path, size, offset directory and slice crcs in its result message, which the
-driver ships to the receivers through the wave barrier.
-:meth:`FetchPlan.build` turns the manifests of **all** input sides into the
-full list of ranges for one partition without a request of its own (empty
-slices elided: zero requests), and :meth:`FetchPlan.fetch` issues it as one
-batch, verifies and decodes every slice, and charges the batch as a single
-transfer pipelined over the scan's connection count — the same
+**Write side.**  :func:`write_combined` PUTs all of a sender's partitions as
+one object and returns its *announcement*: path, size, offset directory and
+slice crcs.  The shuffle's mappers ship it in their result message; the
+multi-level exchange (:mod:`repro.exchange.multilevel`) hands it to the
+round's receivers directly.  :func:`sender_entries` turns the announcements
+of one input side into a :class:`SenderManifest`.
+
+**Read side.**  A receiver knows everything it is going to read before it
+issues the first request: every accepted sender's announcement reached it
+(in the shuffle, through the driver's wave barrier).  :meth:`FetchPlan.build`
+turns the manifests of **all** input sides into the full list of ranges for
+one partition without a request of its own (empty slices elided: zero
+requests), and :meth:`FetchPlan.fetch` issues it as one batch, verifies and
+decodes every slice, and charges the batch as a single transfer pipelined
+over the scan's connection count — the same
 :class:`~repro.cloud.network.BandwidthModel` the scan operator is charged by,
 so S3's first-byte latency is paid once per round of connections instead of
 once per slice.
@@ -22,7 +29,7 @@ against its directory entry and decoded like any other slice.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cloud.network import BandwidthModel, TransferPlan
 from repro.cloud.s3 import ObjectStore
@@ -30,7 +37,58 @@ from repro.config import DEFAULT_SCAN_CHUNK_BYTES, DEFAULT_SCAN_CONNECTIONS
 from repro.engine.table import Table, table_num_rows
 from repro.errors import CorruptFileError, ExchangeError
 from repro.exchange.basic import ExchangeStats
-from repro.exchange.codec import decode_ranged_slices
+from repro.exchange.codec import decode_ranged_slices, encode_partition_set, slice_crcs
+from repro.formats.compression import Compression
+
+
+def write_combined(
+    store: ObjectStore,
+    path: str,
+    reordered: Table,
+    boundaries: Sequence[int],
+    stats: ExchangeStats,
+    checksum: bool = True,
+    compression: Compression = Compression.NONE,
+) -> Dict:
+    """PUT every partition of a scattered table as one combined object.
+
+    ``reordered``/``boundaries`` are :func:`~repro.exchange.partition.
+    scatter_by_assignment`'s output, one partition per receiver slot; empty
+    partitions occupy zero bytes, and an empty table is still one (empty)
+    PUT.  Returns the announcement: ``format``, ``combined_path``,
+    ``combined_size``, ``offsets`` (one per slot plus the end) and ``crcs``
+    (one per slot, ``None`` without ``checksum``).
+    """
+    payload, offsets = encode_partition_set(
+        reordered, boundaries, compression, checksum=checksum
+    )
+    store.put_path(path, payload)
+    stats.put_requests += 1
+    stats.combined_put_requests += 1
+    stats.bytes_written += len(payload)
+    return {
+        "format": "combined",
+        "combined_path": path,
+        "combined_size": len(payload),
+        "offsets": offsets,
+        "crcs": slice_crcs(payload, offsets) if checksum else None,
+    }
+
+
+def sender_entries(announcements: Sequence[Dict]) -> List[List]:
+    """What one input side's senders announced, as :attr:`SenderManifest.
+    senders` reads it: ``[sender, path, size, offsets, crcs]`` per combined
+    object, in sender order.
+
+    Each announcement carries its sender as ``worker_id``.  ``"empty"``
+    senders (a shuffle mapper that kept zero rows) wrote nothing and are not
+    listed.
+    """
+    return sorted(
+        [m["worker_id"], m["combined_path"], m["combined_size"], m["offsets"], m["crcs"]]
+        for m in announcements
+        if m.get("format") == "combined"
+    )
 
 
 @dataclass(frozen=True)

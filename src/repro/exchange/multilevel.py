@@ -7,6 +7,14 @@ coordinates.  For a k-dimensional grid with side length P^(1/k) this brings
 the request count down to k·P·P^(1/k) at the cost of reading and writing the
 data k times.
 
+Every round runs on the shuffle's own exchange halves
+(:mod:`repro.exchange.fetch`): per group, each sender writes **one** combined
+object for all group members (:func:`~repro.exchange.fetch.write_combined`,
+k·P PUTs in all) and announces its offset directory; each receiver reads its
+slice of every member's object with one :class:`~repro.exchange.fetch.
+FetchPlan` — k·P·P^(1/k) slices, the empty ones elided, and no LIST or HEAD.
+``levels=1`` is the one-level exchange (Table 2's write-combined ``1l`` row).
+
 The functional implementation requires the worker count to factor exactly
 into the grid dimensions (the analytic cost models in
 :mod:`repro.exchange.cost_model` handle arbitrary P).  The default
@@ -20,11 +28,18 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.cloud.network import BandwidthModel
 from repro.cloud.s3 import ObjectStore
-from repro.engine.table import Table
+from repro.config import LAMBDA_MAX_MEMORY_MIB
+from repro.engine.table import Table, concat_tables
 from repro.errors import ExchangeError
-from repro.exchange.basic import BasicGroupExchange, ExchangeConfig, ExchangeStats
-from repro.exchange.naming import MultiBucketNaming, WriteCombiningNaming
+from repro.exchange.basic import ExchangeStats
+from repro.exchange.fetch import FetchPlan, SenderManifest, sender_entries, write_combined
+from repro.exchange.naming import WriteCombiningNaming
+from repro.exchange.partition import partition_assignments, scatter_by_assignment
+
+#: Buckets a round's combined objects are spread over, by sender (§4.4.1).
+NUM_BUCKETS = 10
 
 
 def grid_side(num_workers: int, levels: int) -> List[int]:
@@ -104,15 +119,13 @@ class MultiLevelExchange:
         keys: Sequence[str],
         levels: int = 2,
         dims: Optional[Sequence[int]] = None,
-        write_combining: bool = False,
-        num_buckets: int = 10,
-        compression=None,
         tag: str = "mlx",
     ):
         if num_workers <= 0:
             raise ExchangeError("num_workers must be positive")
         self.store = store
         self.num_workers = num_workers
+        self.keys = list(keys)
         self.levels = levels
         self.dims = list(dims) if dims is not None else grid_side(num_workers, levels)
         if math.prod(self.dims) != num_workers:
@@ -121,11 +134,6 @@ class MultiLevelExchange:
             )
         if len(self.dims) != levels:
             raise ExchangeError(f"expected {levels} dimensions, got {self.dims}")
-        config_kwargs = {"keys": list(keys), "write_combining": write_combining,
-                         "num_buckets": num_buckets}
-        if compression is not None:
-            config_kwargs["compression"] = compression
-        self.config = ExchangeConfig(**config_kwargs)
         self.tag = tag
         self.stats = ExchangeStats()
         #: Per-round, per-worker statistics for detailed analysis.
@@ -190,20 +198,6 @@ class MultiLevelExchange:
 
         return route
 
-    def _naming_for_round(self, dimension: int, group_id: int):
-        prefix = f"r{dimension}/g{group_id}/"
-        if self.config.write_combining:
-            return WriteCombiningNaming(
-                bucket=f"{self.tag}-wc",
-                prefix=prefix,
-                num_buckets=self.config.num_buckets,
-            )
-        return MultiBucketNaming(
-            num_buckets=self.config.num_buckets,
-            bucket_prefix=f"{self.tag}-b",
-            prefix=prefix,
-        )
-
     # -- execution ------------------------------------------------------------------
 
     def run(self, tables: Sequence[Table]) -> List[Table]:
@@ -222,25 +216,39 @@ class MultiLevelExchange:
         return current
 
     def _run_round(self, dimension: int, tables: List[Table]) -> List[Table]:
-        groups = self._groups_for_round(dimension)
-        next_tables: List[Optional[Table]] = [None] * self.num_workers
-        round_stats: Dict[int, ExchangeStats] = {}
-        for group_id, group in enumerate(groups):
-            naming = self._naming_for_round(dimension, group_id)
-            exchange = BasicGroupExchange(
-                store=self.store,
-                group=group,
-                total_partitions=self.num_workers,
-                route=self._route_for_round(dimension, group),
-                naming=naming,
-                config=self.config,
+        """One round: per group, every member writes one combined object for
+        the group (empty or not), then every member fetches its slots."""
+        next_tables: List[Table] = [{} for _ in range(self.num_workers)]
+        round_stats = {worker: ExchangeStats() for worker in range(self.num_workers)}
+        for group_id, group in enumerate(self._groups_for_round(dimension)):
+            naming = WriteCombiningNaming(
+                f"{self.tag}-wc", f"r{dimension}/g{group_id}/", NUM_BUCKETS
             )
+            route = self._route_for_round(dimension, group)
+            members = np.asarray(group, dtype=np.int64)
+            announcements = []
             for worker in group:
-                exchange.write(worker, tables[worker])
-            for worker in group:
-                next_tables[worker] = exchange.read(worker)
-            for worker, stats in exchange.stats_per_worker.items():
-                round_stats.setdefault(worker, ExchangeStats()).merge(stats)
-                self.stats.merge(stats)
+                table = tables[worker]
+                targets = partition_assignments(table, self.keys, self.num_workers)
+                # Members are listed in ascending order, so a receiver's slot
+                # in the combined object is its position in the group.
+                slots = np.searchsorted(members, route(targets))
+                reordered, boundaries = scatter_by_assignment(table, slots, len(group))
+                announcements.append({"worker_id": worker, **write_combined(
+                    self.store, naming.path(worker, 0), reordered, boundaries,
+                    round_stats[worker],
+                )})
+            manifest = SenderManifest(sender_entries(announcements))
+            for slot, worker in enumerate(group):
+                stats = round_stats[worker]
+                plan = FetchPlan.build([manifest], slot, len(group), stats)
+                # The modelled fetch seconds are the shuffle's concern; a
+                # round here only counts requests and bytes.
+                (pieces,), _ = plan.fetch(
+                    self.store, BandwidthModel(), LAMBDA_MAX_MEMORY_MIB, stats
+                )
+                next_tables[worker] = concat_tables(pieces)
+        for stats in round_stats.values():
+            self.stats.merge(stats)
         self.round_stats.append(round_stats)
-        return [table if table is not None else {} for table in next_tables]
+        return next_tables

@@ -1,88 +1,22 @@
-"""File naming schemes for S3-based exchange.
+"""Where a sender's combined exchange object lives.
 
-The ``FormatFileName`` function of the paper's Algorithm 1 decides where a
-sender writes the partition destined for a receiver.  Three schemes are
-provided:
-
-* :class:`SingleBucketNaming` — everything in one bucket (the naive baseline,
-  subject to per-bucket rate limits);
-* :class:`MultiBucketNaming` — the receiver id selects one of B buckets,
-  multiplying the aggregate rate limit by B (the paper's
-  ``s3://bucket-{r%10}/...`` trick);
-* :class:`WriteCombiningNaming` — all partitions of a sender go into a single
-  object; the per-receiver offsets are encoded into the object key so that
-  receivers discover them with a LIST request instead of extra GETs.
+The ``FormatFileName`` function of the paper's Algorithm 1, for the one
+exchange plane there is: every sender writes **one** combined object per
+round, holding its partitions for all receivers in receiver order.  Its
+offset directory and slice crcs travel in the sender's announcement
+(:func:`repro.exchange.fetch.write_combined`), not in the key, so the key
+names only the sender; the S3 key-length limit is the store's to enforce.
+Senders spread over ``num_buckets`` buckets to multiply the per-bucket
+request-rate limit (the paper's ``s3://bucket-{r%10}/...`` trick, §4.4.1).
 """
 
 from __future__ import annotations
 
-import abc
-from typing import List, Optional, Sequence, Tuple
-
-from repro.config import S3_MAX_KEY_LENGTH
-from repro.errors import ExchangeError
+from typing import List
 
 
-class FileNaming(abc.ABC):
-    """Maps (sender, receiver) pairs to object-store paths."""
-
-    @abc.abstractmethod
-    def path(self, sender: int, receiver: int) -> str:
-        """Path of the object carrying data from ``sender`` to ``receiver``."""
-
-    @abc.abstractmethod
-    def buckets(self) -> List[str]:
-        """All bucket names this scheme can produce (created at install time)."""
-
-
-class SingleBucketNaming(FileNaming):
-    """All exchange files in one bucket."""
-
-    def __init__(self, bucket: str = "exchange", prefix: str = ""):
-        self.bucket = bucket
-        self.prefix = prefix
-
-    def path(self, sender: int, receiver: int) -> str:
-        return f"s3://{self.bucket}/{self.prefix}sender-{sender}/receiver-{receiver}"
-
-    def buckets(self) -> List[str]:
-        return [self.bucket]
-
-
-class MultiBucketNaming(FileNaming):
-    """Spread receivers over ``num_buckets`` buckets to multiply rate limits."""
-
-    def __init__(self, num_buckets: int = 10, bucket_prefix: str = "exchange-b", prefix: str = ""):
-        if num_buckets < 1:
-            raise ValueError("num_buckets must be at least 1")
-        self.num_buckets = num_buckets
-        self.bucket_prefix = bucket_prefix
-        self.prefix = prefix
-
-    def bucket_for(self, receiver: int) -> str:
-        """Bucket that holds all files destined for ``receiver``."""
-        return f"{self.bucket_prefix}{receiver % self.num_buckets}"
-
-    def path(self, sender: int, receiver: int) -> str:
-        return (
-            f"s3://{self.bucket_for(receiver)}/"
-            f"{self.prefix}sender-{sender}/receiver-{receiver}"
-        )
-
-    def buckets(self) -> List[str]:
-        return [f"{self.bucket_prefix}{index}" for index in range(self.num_buckets)]
-
-
-class WriteCombiningNaming(FileNaming):
-    """One combined object per sender, offsets encoded in the key.
-
-    The combined object concatenates the partitions for all receivers in
-    receiver order; the key ends with an encoded offset list, so receivers
-    obtain every sender's offsets from a single LIST request.  Keys are
-    limited to :data:`~repro.config.S3_MAX_KEY_LENGTH` bytes, which bounds the
-    number of receivers this scheme supports — enough for the group sizes of
-    the multi-level exchange (paper §4.4.3).
-    """
+class WriteCombiningNaming:
+    """One combined object per sender, at ``{bucket}[-{n}]/{prefix}sender-{n}``."""
 
     def __init__(self, bucket: str = "exchange", prefix: str = "", num_buckets: int = 1):
         if num_buckets < 1:
@@ -97,81 +31,12 @@ class WriteCombiningNaming(FileNaming):
             return self.bucket
         return f"{self.bucket}-{sender % self.num_buckets}"
 
-    # The combined key ignores the receiver (all receivers share the object).
     def path(self, sender: int, receiver: int) -> str:
+        """Path of ``sender``'s combined object (every receiver shares it)."""
         return f"s3://{self.bucket_for(sender)}/{self.prefix}sender-{sender}"
 
-    def combined_key(
-        self,
-        sender: int,
-        offsets: Sequence[int],
-        crcs: Optional[Sequence[int]] = None,
-    ) -> str:
-        """Key for the combined object, with ``offsets`` encoded at the end.
-
-        ``offsets`` has one entry per receiver slot plus a final total length,
-        i.e. ``offsets[r]`` is the first byte of receiver ``r``'s part and
-        ``offsets[r+1]`` its end.  ``crcs`` optionally appends a ``.crc-``
-        segment with one crc32 (hex, 8 chars) per receiver slice, so a
-        receiver can verify its ranged GET against the directory it already
-        holds — no extra request, and truncated or bit-flipped slices are
-        caught before decode.
-        """
-        encoded = "-".join(str(value) for value in offsets)
-        key = f"{self.prefix}sender-{sender}.off-{encoded}"
-        if crcs is not None:
-            key += ".crc-" + "-".join(f"{value:08x}" for value in crcs)
-        if len(key) > S3_MAX_KEY_LENGTH:
-            raise ExchangeError(
-                f"encoded offsets of {len(offsets)} receivers exceed the "
-                f"{S3_MAX_KEY_LENGTH}-byte key limit; use fewer receivers per group"
-            )
-        return key
-
-    def combined_path(
-        self,
-        sender: int,
-        offsets: Sequence[int],
-        crcs: Optional[Sequence[int]] = None,
-    ) -> str:
-        """Full path of the combined object."""
-        return (
-            f"s3://{self.bucket_for(sender)}/"
-            f"{self.combined_key(sender, offsets, crcs)}"
-        )
-
-    def list_prefix(self, sender: int) -> str:
-        """Prefix that matches the combined object of ``sender``."""
-        return f"{self.prefix}sender-{sender}.off-"
-
-    @staticmethod
-    def parse_directory(key: str) -> Tuple[int, List[int], Optional[List[int]]]:
-        """Extract ``(sender, offsets, slice crcs or None)`` from a key.
-
-        Keys written before the integrity plane carry no ``.crc-`` segment
-        and parse with ``crcs=None`` — verification is simply skipped.
-        """
-        try:
-            head, encoded = key.rsplit(".off-", 1)
-            sender = int(head.rsplit("sender-", 1)[1])
-            encoded, _, crc_part = encoded.partition(".crc-")
-            offsets = [int(value) for value in encoded.split("-")]
-            crcs = (
-                [int(value, 16) for value in crc_part.split("-")]
-                if crc_part
-                else None
-            )
-        except (ValueError, IndexError) as exc:
-            raise ExchangeError(f"cannot parse combined key {key!r}") from exc
-        return sender, offsets, crcs
-
-    @staticmethod
-    def parse_offsets(key: str) -> Tuple[int, List[int]]:
-        """Extract ``(sender, offsets)`` from a combined-object key."""
-        sender, offsets, _ = WriteCombiningNaming.parse_directory(key)
-        return sender, offsets
-
     def buckets(self) -> List[str]:
+        """All bucket names this scheme can produce (created at install time)."""
         if self.num_buckets == 1:
             return [self.bucket]
         return [f"{self.bucket}-{index}" for index in range(self.num_buckets)]

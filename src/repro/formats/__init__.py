@@ -29,7 +29,6 @@ from repro.formats.parquet import (
     FileMetadata,
     write_table,
 )
-from repro.formats.csvfmt import write_csv, read_csv
 from repro.formats.source import RandomAccessSource, BytesSource
 
 __all__ = [
@@ -48,8 +47,6 @@ __all__ = [
     "RowGroupMeta",
     "FileMetadata",
     "write_table",
-    "write_csv",
-    "read_csv",
     "RandomAccessSource",
     "BytesSource",
 ]

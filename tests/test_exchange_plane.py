@@ -1,10 +1,12 @@
-"""Structure guard: the shuffle has one exchange plane.
+"""Structure guard: ``src/`` has one exchange plane.
 
-Every mapper writes one combined object and announces its offset directory
-in its result message; there is no one-object-per-receiver plane beside it,
-no switch selecting one, and no retry hook degrading to one.  The guard reads
-the sources, so a second plane cannot come back under an old name — as an
-identifier, a keyword, an event field, or a docstring.
+Every sender — a shuffle mapper, a member of a multi-level exchange group —
+writes one combined object and announces its offset directory; every
+receiver reads the announced slices.  There is no one-object-per-receiver
+plane beside it, no switch selecting one, no retry hook degrading to one, no
+offset directory encoded in a key, and no LIST/HEAD discovery.  The guard
+reads the sources, so a second plane cannot come back under an old name — as
+an identifier, a keyword, an event field, or a docstring.
 """
 
 from __future__ import annotations
@@ -16,10 +18,8 @@ from pathlib import Path
 import pytest
 
 SOURCES = Path(__file__).resolve().parent.parent / "src" / "repro"
-GUARDED = sorted((SOURCES / "driver").glob("*.py")) + [
-    SOURCES / "exchange" / "fetch.py",
-    SOURCES / "config.py",
-]
+EXCHANGE = sorted((SOURCES / "exchange").glob("*.py"))
+GUARDED = sorted((SOURCES / "driver").glob("*.py")) + EXCHANGE + [SOURCES / "config.py"]
 FORBIDDEN = (
     "MultiBucketNaming",
     "object_senders",
@@ -27,6 +27,15 @@ FORBIDDEN = (
     "write_combining",
     "fast_codec",
     "combined_fallback_attempt",
+    "BasicGroupExchange",
+    "BasicExchange",
+    "ExchangeConfig",
+    "FileNaming",
+    "SingleBucketNaming",
+    "discover_combined_objects",
+    "combined_key",
+    "parse_directory",
+    "max_poll_attempts",
 )
 WORD = re.compile(r"\b(" + "|".join(FORBIDDEN) + r")\b")
 
@@ -56,3 +65,19 @@ def test_no_second_exchange_plane(path):
         {match for name in _names(ast.parse(path.read_text())) for match in WORD.findall(name)}
     )
     assert found == [], f"{path.name} names {found}"
+
+
+@pytest.mark.parametrize("path", EXCHANGE, ids=lambda path: str(path.relative_to(SOURCES)))
+def test_exchange_discovers_nothing_and_reads_no_lpq(path):
+    """Nothing under ``exchange/`` lists or heads an object, or reads a
+    partition as an LPQ file."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if node.func.attr in ("list_objects", "head_object"):
+                found.append(node.func.attr)
+        elif isinstance(node, ast.ImportFrom) and node.module == "repro.formats.parquet":
+            found.append(node.module)
+        elif isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name == "repro.formats.parquet"]
+    assert found == [], f"{path.name} uses {found}"

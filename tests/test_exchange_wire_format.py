@@ -334,7 +334,7 @@ def _small_frame(compression=Compression.NONE):
 
 def _assert_reported(error: CorruptFileError, key: str):
     assert error.key == key
-    assert error.layer and error.layer.split(".")[0] in ("codec", "slice", "lpq")
+    assert error.layer and error.layer.split(".")[0] in ("codec", "slice")
 
 
 @pytest.mark.parametrize("compression", [Compression.NONE, Compression.FAST])
@@ -357,9 +357,25 @@ def test_every_single_bit_flip_of_a_frame_raises(compression):
                 )
             _assert_reported(ranged.value, "obj")
             layers.add(ranged.value.layer)
-    # tag byte -> not a frame (read as LPQ); crc field -> directory disagrees;
-    # anything else -> the one hash pass.
-    assert layers == {"lpq.tail", "slice.crc", "codec.crc"}
+    # tag byte -> not a frame; crc field -> directory disagrees; anything
+    # else -> the one hash pass.
+    assert layers == {"codec.prefix", "slice.crc", "codec.crc"}
+
+
+@pytest.mark.parametrize("verify", [True, False])
+def test_a_corrupt_format_byte_is_rejected_as_a_frame(verify):
+    """A slice whose format byte is corrupt is not a frame — whether or not
+    it is verified, it is never parsed as anything else, and the announced
+    crc is not skipped for it."""
+    _, frame = _small_frame()
+    crc = slice_crcs(frame, [0, len(frame)])[0]
+    flipped = bytearray(frame)
+    flipped[0] ^= 0xFF
+    with pytest.raises(CorruptFileError) as error:
+        decode_ranged_slices(
+            bytes(flipped), 0, ((0, len(frame), crc),), verify=verify, key="obj"
+        )
+    assert (error.value.key, error.value.layer) == ("obj", "codec.prefix")
 
 
 def test_every_truncation_of_a_frame_raises():

@@ -111,7 +111,8 @@ def test_query_after_exchange_buckets_exist():
     """Creating exchange buckets at installation time does not interfere with queries."""
     env = CloudEnvironment.create()
     dataset = generate_lineitem_dataset(env.s3, scale_factor=0.0005, num_files=2)
-    MultiLevelExchange(env.s3, 4, keys=["l_orderkey"], levels=2)  # creates buckets
+    # An exchange run creates its buckets (and leaves its objects) in the store.
+    MultiLevelExchange(env.s3, 4, keys=["l_orderkey"], levels=2).run([{}] * 4)
     driver = LambadaDriver(env)
     result = driver.execute(q1_plan(dataset.paths))
     table = LineitemGenerator(scale_factor=0.0005).generate()

@@ -121,30 +121,42 @@ def test_two_level_request_complexity():
     P = 16
     exchange = MultiLevelExchange(store, P, keys=["key"], levels=2)
     exchange.run(_make_tables(P, rows_per_worker=20))
-    # Table 2: 2·P·sqrt(P) writes and at least as many reads.
-    assert exchange.stats.put_requests == 2 * P * int(math.sqrt(P))
-    assert exchange.stats.get_requests >= 2 * P * int(math.sqrt(P))
+    # Table 2, write-combined 2l: 2·P·sqrt(P) slice reads, fetched or elided.
+    stats = exchange.stats
+    assert stats.get_requests + stats.empty_parts_elided == 2 * P * int(math.sqrt(P))
 
 
 def test_two_level_write_combining_reduces_writes_to_2p():
     store = ObjectStore()
     P = 16
-    exchange = MultiLevelExchange(store, P, keys=["key"], levels=2, write_combining=True)
+    exchange = MultiLevelExchange(store, P, keys=["key"], levels=2)
     exchange.run(_make_tables(P, rows_per_worker=20))
     assert exchange.stats.put_requests == 2 * P
 
 
-def test_multilevel_fewer_writes_than_basic_for_large_p():
-    from repro.exchange.basic import BasicExchange, ExchangeConfig
+@pytest.mark.parametrize("num_workers,levels", [(16, 1), (16, 2), (27, 3)])
+def test_executed_exchange_matches_table2_write_combined_rows(num_workers, levels):
+    """Table 2's write-combined k-level rows, exactly: k·P PUTs, k·P·P^(1/k)
+    slice reads (a fetched slice or an elided empty one), no discovery."""
+    P, k = num_workers, levels
+    side = round(P ** (1 / k))
+    exchange = MultiLevelExchange(ObjectStore(), P, keys=["key"], levels=k)
+    exchange.run(_make_tables(P, rows_per_worker=20))
+    stats = exchange.stats
+    assert stats.put_requests == stats.combined_put_requests == k * P
+    assert stats.get_requests + stats.empty_parts_elided == k * P * side
+    assert stats.list_requests == stats.head_requests == 0
 
-    P = 25
-    store_a, store_b = ObjectStore(), ObjectStore()
-    tables = _make_tables(P, rows_per_worker=10)
-    basic = BasicExchange(store_a, P, ExchangeConfig(keys=["key"]))
-    basic.run(tables)
-    multi = MultiLevelExchange(store_b, P, keys=["key"], levels=2)
-    multi.run(tables)
-    assert multi.stats.put_requests < basic.total_stats().put_requests
+
+def test_one_level_reads_more_than_two_level():
+    """What the second level buys: P² slice reads shrink to 2P·sqrt(P)."""
+    P = 16
+    reads = {}
+    for levels in (1, 2):
+        exchange = MultiLevelExchange(ObjectStore(), P, keys=["key"], levels=levels)
+        exchange.run(_make_tables(P, rows_per_worker=20))
+        reads[levels] = exchange.stats.get_requests + exchange.stats.empty_parts_elided
+    assert reads == {1: P * P, 2: 2 * P * int(math.sqrt(P))}
 
 
 def test_round_stats_recorded_per_round():
@@ -241,16 +253,13 @@ def test_single_worker_exchange_is_identity_like():
 @given(
     num_workers=st.sampled_from([4, 6, 8, 9, 12, 16]),
     seed=st.integers(min_value=0, max_value=1000),
-    write_combining=st.booleans(),
 )
-def test_exchange_placement_property(num_workers, seed, write_combining):
+def test_exchange_placement_property(num_workers, seed):
     """Property: after the exchange, every row is on the worker its key hashes to,
-    and no row is lost or duplicated, regardless of P, seed, or write combining."""
+    and no row is lost or duplicated, regardless of P or seed."""
     store = ObjectStore()
     tables = _make_tables(num_workers, rows_per_worker=30, seed=seed)
-    exchange = MultiLevelExchange(
-        store, num_workers, keys=["key"], levels=2, write_combining=write_combining
-    )
+    exchange = MultiLevelExchange(store, num_workers, keys=["key"], levels=2)
     result = exchange.run(tables)
     all_in = np.sort(np.concatenate([t["key"] for t in tables]))
     all_out = np.sort(np.concatenate([t["key"] for t in result if t]))

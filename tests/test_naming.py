@@ -1,65 +1,23 @@
-"""Tests for exchange file-naming schemes."""
+"""Tests for the combined-object naming scheme."""
 
 import pytest
 
-from repro.errors import ExchangeError
-from repro.exchange.naming import (
-    MultiBucketNaming,
-    SingleBucketNaming,
-    WriteCombiningNaming,
-)
-
-
-def test_single_bucket_path_contains_sender_and_receiver():
-    naming = SingleBucketNaming(bucket="x")
-    path = naming.path(3, 7)
-    assert path.startswith("s3://x/")
-    assert "sender-3" in path
-    assert "receiver-7" in path
-    assert naming.buckets() == ["x"]
-
-
-def test_multi_bucket_spreads_by_receiver():
-    naming = MultiBucketNaming(num_buckets=10, bucket_prefix="b")
-    assert naming.bucket_for(7) == "b7"
-    assert naming.bucket_for(17) == "b7"
-    assert naming.bucket_for(23) == "b3"
-    assert len(naming.buckets()) == 10
-
-
-def test_multi_bucket_same_receiver_same_bucket_for_all_senders():
-    naming = MultiBucketNaming(num_buckets=4)
-    paths = {naming.path(sender, 5).split("/")[2] for sender in range(20)}
-    assert len(paths) == 1
-
-
-def test_multi_bucket_rejects_zero_buckets():
-    with pytest.raises(ValueError):
-        MultiBucketNaming(num_buckets=0)
-
-
-def test_write_combining_offsets_roundtrip():
-    naming = WriteCombiningNaming(bucket="wc", prefix="r0/g1/")
-    offsets = [0, 100, 250, 250, 400]
-    path = naming.combined_path(6, offsets)
-    key = path.split("/", 3)[3]
-    sender, parsed = WriteCombiningNaming.parse_offsets(key)
-    assert sender == 6
-    assert parsed == offsets
+from repro.cloud.s3 import ObjectStore
+from repro.errors import KeyTooLongError
+from repro.exchange.naming import WriteCombiningNaming
 
 
 def test_write_combining_key_length_limit():
-    naming = WriteCombiningNaming(bucket="wc")
-    # A few hundred receivers with large offsets overflow the 1 KiB key limit,
-    # which is why write combining is limited to multi-level group sizes.
-    offsets = list(range(0, 10 ** 9, 10 ** 9 // 200))
-    with pytest.raises(ExchangeError):
-        naming.combined_key(1, offsets)
-
-
-def test_write_combining_parse_rejects_garbage():
-    with pytest.raises(ExchangeError):
-        WriteCombiningNaming.parse_offsets("not-a-combined-key")
+    """The S3 key limit is the store's: a combined object whose key is over
+    1024 bytes is refused like S3's ``KeyTooLongError``, one at the limit is
+    stored."""
+    store = ObjectStore()
+    at_limit = WriteCombiningNaming(bucket="wc", prefix="p" * (1024 - len("sender-1")))
+    store.put_path(at_limit.path(1, 0), b"x")
+    over = WriteCombiningNaming(bucket="wc", prefix="p" * (1025 - len("sender-1")))
+    with pytest.raises(KeyTooLongError):
+        store.put_path(over.path(1, 0), b"x")
+    assert store.object_count("wc") == 1
 
 
 def test_write_combining_multi_bucket_by_sender():
@@ -69,7 +27,11 @@ def test_write_combining_multi_bucket_by_sender():
     assert len(naming.buckets()) == 3
 
 
-def test_write_combining_list_prefix_matches_combined_key():
-    naming = WriteCombiningNaming(bucket="wc", prefix="r1/g2/")
-    key = naming.combined_key(9, [0, 10])
-    assert key.startswith(naming.list_prefix(9))
+def test_multi_bucket_rejects_zero_buckets():
+    with pytest.raises(ValueError):
+        WriteCombiningNaming(num_buckets=0)
+
+
+def test_write_combining_path_ignores_the_receiver():
+    naming = WriteCombiningNaming(bucket="wc", prefix="r1/g2/", num_buckets=3)
+    assert {naming.path(4, receiver) for receiver in range(5)} == {"s3://wc-1/r1/g2/sender-4"}

@@ -6,6 +6,7 @@ from repro.cloud.s3 import ObjectStore, parse_s3_path
 from repro.errors import (
     BucketAlreadyExistsError,
     InvalidRangeError,
+    KeyTooLongError,
     NoSuchBucketError,
     NoSuchKeyError,
     SlowDownError,
@@ -196,3 +197,11 @@ def test_rate_limit_window_resets_with_clock():
 def test_put_rejects_non_bytes(store):
     with pytest.raises(TypeError):
         store.put_object("data", "a", "not bytes")  # type: ignore[arg-type]
+
+
+def test_put_rejects_keys_over_the_limit_in_utf8_bytes(store):
+    store.put_object("data", "é" * 512, b"x")  # 1024 bytes: the limit
+    with pytest.raises(KeyTooLongError):
+        store.put_object("data", "é" * 512 + "a", b"x")
+    assert store.object_count("data") == 1
+    assert store.ledger.total("s3", "put_requests") == 1

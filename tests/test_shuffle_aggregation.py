@@ -159,15 +159,15 @@ def test_empty_partitions_elided_end_to_end(env, lineitem_table):
     assert result["n"].sum() == len(lineitem_table["l_returnflag"])
 
 
-def test_combined_falls_back_when_offsets_overflow_key(
+def test_shuffle_runs_under_a_40_byte_key_limit(
     env, dataset, lineitem_table, monkeypatch
 ):
-    """The offset directory rides in the announcement, not in the key, so a
-    key limit no directory fits under changes nothing: still one combined
-    PUT per mapper."""
-    import repro.exchange.naming as naming_module
+    """The offset directory rides in the announcement, not in the key, so the
+    whole shuffle runs under a store whose key limit no directory would fit
+    under: still one combined PUT per mapper."""
+    import repro.cloud.s3 as s3_module
 
-    monkeypatch.setattr(naming_module, "S3_MAX_KEY_LENGTH", 40)
+    monkeypatch.setattr(s3_module, "S3_MAX_KEY_LENGTH", 40)
     coordinator = ShuffleAggregateCoordinator(env, num_buckets=4)
     result, statistics = coordinator.execute(
         dataset.paths,

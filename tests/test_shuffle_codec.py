@@ -1,4 +1,4 @@
-"""Round-trip and format-compatibility tests for the partition-frame codec.
+"""Round-trip tests for the partition-frame codec.
 
 The layout itself (encodings chosen, single crc, directory) is pinned in
 ``test_exchange_wire_format.py``.
@@ -7,7 +7,7 @@ The layout itself (encodings chosen, single crc, directory) is pinned in
 import numpy as np
 import pytest
 
-from repro.engine.table import table_num_rows, tables_allclose
+from repro.engine.table import table_num_rows
 from repro.errors import CorruptFileError
 from repro.exchange.basic import deserialize_partition, serialize_partition
 from repro.exchange.codec import (
@@ -21,7 +21,6 @@ from repro.exchange.codec import (
 )
 from repro.exchange.partition import partition_scatter
 from repro.formats.compression import Compression
-from repro.formats.parquet import MAGIC
 
 
 def _case_tables():
@@ -83,26 +82,11 @@ def test_serialize_partition_uses_fast_codec_by_default():
     assert unchecked[5:] == data[5:]
 
 
-def test_legacy_lpq_objects_still_decode():
-    table = {"k": np.arange(100, dtype=np.int64), "v": np.linspace(0, 1, 100)}
-    legacy = serialize_partition(table, fast=False)
-    assert not is_fast_partition(legacy)
-    assert legacy[:4] == MAGIC
-    assert tables_allclose(deserialize_partition(legacy), table)
-
-
 def test_empty_partition_roundtrip():
     assert serialize_partition({}) == b""
     assert deserialize_partition(b"") == {}
     empty = {"k": np.zeros(0, dtype=np.int64)}
     assert serialize_partition(empty) == b""
-
-
-def test_deserialize_sniffs_both_formats():
-    table = {"k": np.arange(50, dtype=np.int64), "v": np.arange(50, dtype=np.float64)}
-    for fast in (True, False):
-        restored = deserialize_partition(serialize_partition(table, fast=fast))
-        assert tables_allclose(restored, table)
 
 
 def test_decode_rejects_non_fast_bytes():
@@ -181,15 +165,8 @@ def test_partition_set_slices_are_independent_fast_blobs():
         blob = payload[offsets[partition]:offsets[partition + 1]]
         if blob:
             assert is_fast_partition(blob)
-            # The slice also round-trips through the generic sniffing decoder.
+            # The slice also round-trips through deserialize_partition.
             assert table_num_rows(deserialize_partition(blob)) > 0
-
-
-def test_decode_partition_slice_accepts_legacy_lpq_parts():
-    table = {"k": np.arange(20, dtype=np.int64), "v": np.linspace(0, 1, 20)}
-    legacy_blob = serialize_partition(table, fast=False)
-    restored = decode_partition_slice(legacy_blob)
-    assert tables_allclose(restored, table)
 
 
 def test_decode_partition_slice_views_and_copies():
@@ -202,28 +179,3 @@ def test_decode_partition_slice_views_and_copies():
     copied = decode_partition_slice(blob, copy=True)
     copied["v"][0] = -1
     assert copied["v"][0] == -1
-
-
-def test_exchange_roundtrip_with_legacy_sender():
-    """A fleet where one sender still writes LPQ interoperates seamlessly."""
-    from repro.cloud.s3 import ObjectStore
-    from repro.exchange.basic import BasicExchange, ExchangeConfig
-
-    rng = np.random.default_rng(3)
-    P = 4
-    tables = [
-        {"key": rng.integers(0, 100, 50).astype(np.int64), "v": rng.random(50)}
-        for _ in range(P)
-    ]
-    store = ObjectStore()
-    exchange = BasicExchange(store, P, ExchangeConfig(keys=["key"]))
-    for worker in range(P - 1):
-        exchange.write(worker, tables[worker])
-    # The last sender is an old worker: rewrite its objects in LPQ form.
-    legacy_config = ExchangeConfig(keys=["key"], fast_codec=False)
-    legacy = BasicExchange(store, P, legacy_config, naming=exchange._round.naming)
-    legacy.write(P - 1, tables[P - 1])
-    results = [exchange.read(worker) for worker in range(P)]
-    assert sum(table_num_rows(t) for t in results) == sum(
-        table_num_rows(t) for t in tables
-    )
