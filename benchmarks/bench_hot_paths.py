@@ -712,11 +712,15 @@ def measure_shuffle_requests(
     ]
 
     def run():
+        # One mapper and one reducer per file: the 32 x 32 exchange this
+        # section measures (priced from bytes, the facade would run far
+        # fewer workers on this input).
         return ShuffleAggregateCoordinator(env).execute(
             dataset.paths,
             group_by=["l_orderkey"],
             aggregates=aggregates,
             order_by=["l_orderkey"],
+            num_workers=num_workers,
         )[1]
 
     statistics, seconds = _best_run(run, repeats)

@@ -5,9 +5,10 @@ handful of groups, but a group-by on ``l_orderkey`` produces (almost) one group
 per order — far too many to merge on the laptop.  This example uses the
 two-wave shuffle aggregation built on the paper's exchange operator:
 
-* map workers scan their files, pre-aggregate, hash-partition the partial
-  aggregates by the group key, and write one partition object per receiver;
-* reduce workers read the objects addressed to them and merge their disjoint
+* map workers — as many as the input's listed bytes are worth — scan their
+  files, pre-aggregate, hash-partition the partial aggregates by the group
+  key, and write one combined object each;
+* reduce workers read the slices addressed to them and merge their disjoint
   share of the groups;
 * the driver only concatenates the reduce outputs.
 

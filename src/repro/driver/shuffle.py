@@ -66,7 +66,7 @@ import math
 import random
 import uuid
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -245,23 +245,65 @@ class ShuffleStatistics:
         )
 
 
-def expand_glob_paths(s3, paths: Sequence[str]) -> List[str]:
-    """Expand glob patterns against the object store.
+def _expand_globs(list_objects, paths: Sequence[str]) -> Tuple[List[str], Dict[str, int]]:
+    """Expand the glob patterns among ``paths``, one ``list_objects(bucket,
+    prefix)`` call each: the files in order, and the stored size of every
+    file a glob matched.
 
     Globs over missing buckets expand to nothing (the caller then reports
     "no input files"), mirroring how a CLI glob over a missing directory
     behaves.
     """
-    expanded: List[str] = []
+    files: List[str] = []
+    sizes: Dict[str, int] = {}
     for path in paths:
-        if "*" in path:
-            try:
-                expanded.extend(s3.glob(path))
-            except NoSuchBucketError:
-                continue
-        else:
-            expanded.append(path)
-    return expanded
+        if "*" not in path:
+            files.append(path)
+            continue
+        bucket, pattern = parse_s3_path(path)
+        prefix, _, suffix = pattern.partition("*")
+        try:
+            metas = list_objects(bucket, prefix)
+        except NoSuchBucketError:
+            continue
+        matches = [meta for meta in metas if meta.key.endswith(suffix)]
+        files.extend(meta.path for meta in matches)
+        sizes.update((meta.path, meta.size) for meta in matches)
+    return files, sizes
+
+
+def expand_glob_paths(s3, paths: Sequence[str]) -> List[str]:
+    """Expand glob patterns against the object store, one LIST each."""
+    return _expand_globs(s3.list_objects, paths)[0]
+
+
+def list_input_files(s3, paths: Sequence[str], **backoff) -> Tuple[List[str], int, int]:
+    """Expand ``paths`` like :func:`expand_glob_paths` and sum the stored
+    bytes of the files from listings: ``(files, stored bytes, LIST requests)``.
+
+    A glob's own LIST returns its matches' sizes; the explicit paths cost one
+    LIST per distinct directory, of whose objects only the ones they name
+    count.  Every LIST goes through
+    :func:`~repro.driver.resilience.call_with_backoff` with ``backoff`` (the
+    caller's policy, breakers, budget, stats).  A file in a missing bucket
+    sizes as 0 bytes.
+    """
+    lists = 0
+
+    def listing(bucket: str, prefix: str) -> list:
+        nonlocal lists
+        metas = call_with_backoff(s3.list_objects, bucket, prefix, **backoff)
+        lists += 1
+        return metas
+
+    files, sizes = _expand_globs(listing, paths)
+    for directory in sorted({path.rpartition("/")[0] for path in files if path not in sizes}):
+        bucket, prefix = parse_s3_path(directory + "/")
+        try:
+            sizes.update((meta.path, meta.size) for meta in listing(bucket, prefix))
+        except NoSuchBucketError:
+            pass
+    return files, sum(sizes.get(path, 0) for path in files), lists
 
 
 def _gc_query_objects(env: CloudEnvironment, query_id: str, num_buckets: int) -> tuple:
@@ -852,19 +894,22 @@ def join_costs(
     memory_mib: int,
     statistics: JoinStatistics,
     worker_results: Sequence[WorkerResult],
-    final_receives: int = 1,
+    final_receives: int = 0,
+    input_lists: int = 0,
 ) -> Dict[str, float]:
     """Modelled dollars of one coordinator run, keyed by the
     :class:`~repro.driver.driver.QueryStatistics` cost component.
 
     Every worker bills its modelled duration and one invocation (retried
     attempts bill a further one each); S3 bills the scans' GETs, every
-    exchange request — LISTs, including the post-fault sweep's, at the PUT
+    exchange request — LISTs, including the post-fault sweep's and the
+    ``input_lists`` a caller sized its input with, at the PUT
     rate — and a PUT + GET per spilled result; SQS bills one send per worker,
     the batched receives the barriered waves are drained with, one control
     request, and the ``final_receives`` that hand the last wave's results to
-    the driver (its :class:`~repro.driver.invocation.CollectionPlan`'s; one
-    for a caller that reports no collection term, as the aggregation facade).
+    the driver (its :class:`~repro.driver.invocation.CollectionPlan`'s; none
+    for a caller that drains its final wave like the others, as the
+    aggregation facade).
     """
     num_total = statistics.num_workers
     exchange = statistics.exchange
@@ -885,6 +930,7 @@ def join_costs(
             exchange.put_requests
             + exchange.list_requests
             + statistics.gc_list_requests
+            + input_lists
             + spilled
         ),
         "cost_sqs_requests": prices.sqs_cost(
@@ -1464,8 +1510,12 @@ class ShuffleAggregateCoordinator(ShuffleJoinCoordinator):
     :class:`~repro.plan.physical.DagPhysicalPlan` — the base fragment carries
     the map-side partial aggregation and partitions by all group keys, the
     plan's ``aggregates`` merge the partials — runs it on the inherited
-    waves, and repackages the run as :class:`ShuffleStatistics`.  Only the
-    names of its waves differ (:data:`AGGREGATE_WAVES`).
+    waves, and repackages the run as :class:`ShuffleStatistics`.  Its fleets
+    are sized by the inherited rules too: the base fragment carries the
+    input's stored bytes, learnt from a listing
+    (:func:`list_input_files`), so :func:`scan_fan_out` starts as many
+    mappers and :func:`exchange_fan_out` as many reducers as those bytes are
+    worth.  Only the names of its waves differ (:data:`AGGREGATE_WAVES`).
     """
 
     names = AGGREGATE_WAVES
@@ -1503,10 +1553,22 @@ class ShuffleAggregateCoordinator(ShuffleJoinCoordinator):
         plan :meth:`ShuffleJoinCoordinator.execute` takes.  ``columns`` is the
         scan projection; left ``None`` it is derived as the group keys plus
         every column an aggregate or the predicate references.
+
+        Both fleets are priced from the input's stored bytes: one LIST per
+        glob and per distinct directory of the explicit paths (billed in
+        ``cost_total``, not on the modelled clock; a retried LIST's backoff
+        is).  An explicit ``num_workers`` sets both fleets to
+        ``min(num_workers, files)`` instead.
         ``cancel``/``breakers``/``budget``/``now_fn`` arm the overload plane
         for this query, as there.
         """
-        paths = expand_glob_paths(self.env.s3, paths)
+        listing = ResilienceStats()
+        faults_before = fault_snapshot(self.env)
+        paths, input_bytes, input_lists = list_input_files(
+            self.env.s3, paths, policy=self.resilience_policy, stats=listing,
+            breakers=breakers, budget=budget, now_fn=now_fn,
+        )
+        listing.faults_injected = fault_delta(self.env, faults_before)
         if not paths:
             raise ExecutionError("shuffle aggregation has no input files")
         if not group_by:
@@ -1528,6 +1590,7 @@ class ShuffleAggregateCoordinator(ShuffleJoinCoordinator):
                 predicate=predicate,
                 group_by=group_by,
                 aggregates=partials,
+                input_bytes=input_bytes,
             ),
             stages=[],
             driver=DriverPlan(
@@ -1546,13 +1609,19 @@ class ShuffleAggregateCoordinator(ShuffleJoinCoordinator):
                 for spec in partials
             ],
         )
-        # One reducer per mapper, never more mappers than files.
         table, run, worker_results = super().execute(
             dag,
-            num_workers=min(num_workers or len(paths), len(paths)),
+            # Clamped here: exchange_fan_out takes an explicit count as it is.
+            num_workers=num_workers and min(num_workers, len(paths)),
             cancel=cancel, breakers=breakers, budget=budget, now_fn=now_fn,
         )
-        costs = join_costs(self.env.ledger.prices, self.memory_mib, run, worker_results)
+        costs = join_costs(
+            self.env.ledger.prices, self.memory_mib, run, worker_results,
+            input_lists=input_lists,
+        )
+        # After pricing: a retried LIST bills no invocation (a failed request
+        # is never metered), but its backoff and faults belong to the query.
+        run.resilience.merge(listing)
         return table, ShuffleStatistics(
             map_workers=run.left_map_workers,
             reduce_workers=run.reduce_workers,

@@ -6,7 +6,12 @@ import pytest
 from repro.cloud.environment import CloudEnvironment
 from repro.cloud.faults import FaultPlan, FaultRule
 from repro.driver.breakers import BreakerBoard
-from repro.driver.shuffle import ShuffleAggregateCoordinator
+from repro.driver.shuffle import (
+    ShuffleAggregateCoordinator,
+    exchange_fan_out,
+    list_input_files,
+    scan_fan_out,
+)
 from repro.errors import ExecutionError, SlowDownError
 from repro.formats.parquet import ColumnarFile
 from repro.plan.expressions import col, lit
@@ -94,6 +99,7 @@ def test_partition_files_spread_over_buckets(env, dataset, coordinator):
         dataset.paths,
         group_by=["l_orderkey"],
         aggregates=[AggregateSpec("sum", col("l_quantity"), "s")],
+        num_workers=len(dataset.paths),
     )
     shuffle_buckets = [b for b in env.s3.list_buckets() if b.startswith("shuffle-b")]
     # The exchange objects are deleted once consumed; the PUT counters remain.
@@ -126,6 +132,7 @@ def test_combined_request_counts_at_32x32(env):
         dataset.paths,
         group_by=["l_orderkey"],
         aggregates=[AggregateSpec("sum", col("l_quantity"), "s")],
+        num_workers=32,
     )
     assert statistics.map_workers == 32
     assert statistics.reduce_workers == 32
@@ -151,6 +158,7 @@ def test_empty_partitions_elided_end_to_end(env, lineitem_table):
         group_by=["l_returnflag"],
         aggregates=[AggregateSpec("count", None, "n")],
         order_by=["l_returnflag"],
+        num_workers=len(dataset.paths),
     )
     assert statistics.exchange.empty_parts_elided > 0
     pairs = statistics.map_workers * statistics.reduce_workers
@@ -215,6 +223,7 @@ def _wide_group_by(env, dataset, **overload):
         group_by=["l_orderkey"],
         aggregates=WIDE_AGGREGATES,
         order_by=["l_orderkey"],
+        num_workers=WIDE_FILES,
         **overload,
     )
 
@@ -343,3 +352,102 @@ def test_facade_honours_an_explicit_projection(env, dataset, coordinator, chunk_
     )
     assert {column for _, _, column in chunk_reads} == set(columns)
     assert len(chunk_reads) == 4 * 3 * len(columns)
+
+
+# -- fleets priced from the listed bytes ------------------------------------------------
+
+
+def _priced_fleets(env, stored_bytes, files):
+    """What the DAG's own rules start for ``stored_bytes`` in ``files`` files."""
+    return (
+        scan_fan_out(env.bandwidth, 2048, stored_bytes, files, region=env.region),
+        exchange_fan_out(env.bandwidth, 2048, stored_bytes, [files]),
+    )
+
+
+@pytest.mark.parametrize(
+    "scale_factor, num_files, fleets",
+    [
+        (0.001, 4, (1, 1)),  # 93 KB: below one mapper's break-even bytes
+        (0.015, 4, (2, 1)),  # 1.28 MB: two mappers' worth, far below a second reducer's
+        (0.02, 2, (2, 1)),  # 1.71 MB: three mappers' worth, capped at the two files
+    ],
+)
+def test_facade_fleets_are_priced_from_listed_bytes(env, scale_factor, num_files, fleets):
+    dataset = generate_lineitem_dataset(
+        env.s3, scale_factor=scale_factor, num_files=num_files, seed=7
+    )
+    lists_before = env.ledger.total("s3", "list_requests")
+    result, statistics = ShuffleAggregateCoordinator(env).execute(
+        dataset.paths,
+        group_by=["l_linestatus"],
+        aggregates=[AggregateSpec("count", None, "n")],
+    )
+    # One directory, one LIST.
+    assert env.ledger.total("s3", "list_requests") - lists_before == 1
+    assert (statistics.map_workers, statistics.reduce_workers) == fleets
+    assert fleets == _priced_fleets(env, dataset.total_bytes, num_files)
+    assert result["n"].sum() == dataset.total_rows
+
+
+def test_a_glob_input_is_sized_by_its_own_list(env):
+    dataset = generate_lineitem_dataset(env.s3, scale_factor=0.015, num_files=4, seed=7)
+    lists_before = env.ledger.total("s3", "list_requests")
+    _, statistics = ShuffleAggregateCoordinator(env).execute(
+        [dataset.glob],
+        group_by=["l_linestatus"],
+        aggregates=[AggregateSpec("count", None, "n")],
+    )
+    assert env.ledger.total("s3", "list_requests") - lists_before == 1
+    assert (statistics.map_workers, statistics.reduce_workers) == _priced_fleets(
+        env, dataset.total_bytes, 4
+    ) == (2, 1)
+
+
+def test_list_input_files_lists_each_directory_once(env):
+    dataset = generate_lineitem_dataset(env.s3, scale_factor=0.001, num_files=4, seed=7)
+    other = generate_lineitem_dataset(
+        env.s3, scale_factor=0.001, num_files=2, seed=8, prefix="copy"
+    )
+    files, stored, lists = list_input_files(
+        env.s3, [dataset.glob] + other.paths + ["s3://nowhere/x.lpq"]
+    )
+    assert files == dataset.paths + other.paths + ["s3://nowhere/x.lpq"]
+    # The glob's LIST sized its files; the copies' directory took one more,
+    # and a missing bucket lists nothing.
+    assert stored == dataset.total_bytes + other.total_bytes
+    assert lists == 2
+
+
+@pytest.mark.parametrize("num_workers, fleets", [(None, (2, 1)), (5, (5, 5)), (20, (8, 8))])
+def test_an_explicit_num_workers_sets_both_fleets(env, num_workers, fleets):
+    """Priced from bytes unless told: then ``min(num_workers, files)`` both."""
+    dataset = generate_lineitem_dataset(env.s3, scale_factor=0.015, num_files=8, seed=7)
+    _, statistics = ShuffleAggregateCoordinator(env).execute(
+        dataset.paths,
+        group_by=["l_linestatus"],
+        aggregates=[AggregateSpec("count", None, "n")],
+        num_workers=num_workers,
+    )
+    assert (statistics.map_workers, statistics.reduce_workers) == fleets
+
+
+def test_an_injected_list_fault_is_retried(env, dataset, coordinator):
+    aggregates = [AggregateSpec("sum", col("l_quantity"), "q")]
+    clean, _ = coordinator.execute(dataset.paths, group_by=["l_orderkey"], aggregates=aggregates)
+    lists_before = env.ledger.total("s3", "list_requests")
+    env.install_fault_plan(
+        FaultPlan([FaultRule("s3", "slowdown", 1.0, operation="list", max_count=1)], seed=1)
+    )
+    try:
+        result, statistics = coordinator.execute(
+            dataset.paths, group_by=["l_orderkey"], aggregates=aggregates
+        )
+    finally:
+        env.install_fault_plan(None)
+    assert_bit_identical(clean, result, "list fault")
+    assert statistics.resilience.faults_injected == {"s3.slowdown": 1}
+    assert statistics.resilience.retries == 1
+    assert statistics.resilience.backoff_seconds > 0.0
+    # The throttled LIST was never metered; its retry was.
+    assert env.ledger.total("s3", "list_requests") - lists_before == 1

@@ -105,8 +105,11 @@ def test_shuffle_parity_fuzz(env, seed):
     ]
     reference = _driver_merge_reference(tables, group_by, aggregates)
 
+    # One mapper per file, as the reference merges them: a few KB would
+    # otherwise be priced at one mapper and one reducer.
     result, statistics = ShuffleAggregateCoordinator(env, num_buckets=4).execute(
-        paths, group_by=group_by, aggregates=aggregates, order_by=group_by
+        paths, group_by=group_by, aggregates=aggregates, order_by=group_by,
+        num_workers=num_files,
     )
     _assert_tables_identical(result, reference, f"seed {seed}", strict_dtypes=False)
     assert statistics.map_workers == num_files
