@@ -1,4 +1,4 @@
-"""One way to run a fleet: dispatch, collect, retry.
+"""One way to run a fleet: dispatch, collect, retry — under one query context.
 
 The paper's driver does one thing per fleet, whatever it computes (§3.2–3.3):
 invoke the workers, learn of completion through the SQS result queue,
@@ -7,23 +7,36 @@ that queue's only poller; the scan fleet, the process pool and every shuffle
 wave run through them.  What differs per caller is data: a *transport* closure
 that starts attempts and folds their reports into ``by_key``, the
 :class:`FleetLabels` its pump points and budget charges carry, its rounds.
+
+What a query's fleets share — its id, jitter stream, counters, breaker board,
+retry budget and cancellation token — is one :class:`QueryContext`, opened
+once per query; every fleet, driver-side cloud request and spilled-result
+read of the query goes through it, and so does the cleanup of a typed abort.
 """
 
 from __future__ import annotations
 
 import random
+import uuid
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional
 
 from repro.config import DEFAULT_RESILIENCE
-from repro.driver.integrity import IntegrityStats, open_message
+from repro.driver.breakers import RetryBudget
+from repro.driver.integrity import IntegrityStats, fetch_spilled_result, open_message
 from repro.driver.resilience import (
+    DEFAULT_RESILIENCE_POLICY,
     AttemptLog,
     ResiliencePolicy,
     ResilienceStats,
+    call_with_backoff,
     decorrelated_jitter,
+    fault_delta,
+    fault_snapshot,
     merge_attempt_message,
 )
+from repro.errors import QueryCancelledError, RetryBudgetExhaustedError
 
 #: What a worker that never reported (dropped invocation, crash) failed with.
 NO_RESULT_ERROR = "no result message (lost invocation or worker crash)"
@@ -174,3 +187,106 @@ def run_fleet(
             resilience.retries += 1
         transport([events[key] for key in failed], by_key)
     return by_key
+
+
+class QueryContext:
+    """Everything one query's fleets share, opened once per query.
+
+    ``query_id``; the jitter stream, seeded from ``policy`` so backoff draws
+    are a function of this query alone; the ``resilience`` and ``integrity``
+    counters and the fault plan's counts when the query opened; the breaker
+    board; with ``budgeted``, a :class:`~repro.driver.breakers.RetryBudget`
+    of ``policy.retry_budget`` named after the query; and the cancellation
+    token, bound to :meth:`now`.  Without a board, a budget or a token the
+    context charges no breaker, caps no retry and never cancels.
+
+    :meth:`call` is :func:`~repro.driver.resilience.call_with_backoff`,
+    :meth:`collect` :func:`collect_results` and :meth:`run` :func:`run_fleet`
+    with all of the above; :meth:`fetch_spilled` reads spilled results;
+    :meth:`teardown` is the one cleanup of a typed abort.
+    """
+
+    def __init__(
+        self, env: Any, policy: ResiliencePolicy = DEFAULT_RESILIENCE_POLICY,
+        breakers: Optional[Any] = None, cancel: Optional[Any] = None,
+        budgeted: bool = False,
+    ):
+        self.env = env
+        self.policy = policy
+        self.query_id = uuid.uuid4().hex[:12]
+        self.rng = random.Random(policy.jitter_seed)
+        self.resilience = ResilienceStats()
+        self.integrity = IntegrityStats()
+        self.breakers = breakers
+        states = breakers.states if breakers is not None else None
+        self.budget = (
+            RetryBudget(policy.retry_budget, self.query_id, states) if budgeted else None
+        )
+        self.cancel = cancel
+        self._faults_before = fault_snapshot(env)
+        if cancel is not None:
+            cancel.bind(self.now, query_id=self.query_id)
+
+    def now(self) -> float:
+        """Modelled now of breaker windows and the deadline: the environment
+        clock plus the backoff this query has accrued."""
+        return self.env.clock.now + self.resilience.backoff_seconds
+
+    def call(self, fn: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
+        """``fn(*args, **kwargs)``, transient cloud errors retried with backoff
+        charged to this query, its board and its budget."""
+        return call_with_backoff(
+            fn, *args, policy=self.policy, rng=self.rng, stats=self.resilience,
+            breakers=self.breakers, budget=self.budget, now_fn=self.now, **kwargs,
+        )
+
+    def collect(
+        self, queue: str, want: Dict, by_key: Dict, label: str, verify: bool
+    ) -> int:
+        """:func:`collect_results` of this query's messages on ``queue``."""
+        return collect_results(
+            self.env.sqs, queue, self.query_id, want, by_key, label,
+            resilience=self.resilience, verify=verify, integrity=self.integrity,
+            cancel=self.cancel,
+        )
+
+    def run(
+        self, events: Dict, transport: Callable[[List[Dict], Dict], None],
+        rounds: int, labels: FleetLabels, attempt_log: AttemptLog,
+        on_retry: Optional[Callable[[Any, Dict, str], None]] = None,
+        give_up: Optional[Callable[[], bool]] = None,
+    ) -> Optional[Dict]:
+        """:func:`run_fleet` of one of this query's fleets."""
+        return run_fleet(
+            events, transport, rounds, self.policy, self.rng, self.resilience,
+            labels, attempt_log, integrity=self.integrity, cancel=self.cancel,
+            budget=self.budget, on_retry=on_retry, give_up=give_up,
+        )
+
+    def fetch_spilled(self, messages: Iterable[Dict], verify: bool) -> None:
+        """Fetch, in place, the frames accepted ``messages`` spilled to S3
+        (:func:`~repro.driver.integrity.fetch_spilled_result`, with backoff)."""
+        for message in messages:
+            if "result_s3" in message:
+                message["frame"] = fetch_spilled_result(
+                    self.env.s3, message, verify, self.integrity,
+                    policy=self.policy, rng=self.rng, stats=self.resilience,
+                    breakers=self.breakers, budget=self.budget, now_fn=self.now,
+                )
+
+    def note_faults(self) -> None:
+        """Record what the fault plan injected since the query opened."""
+        self.resilience.faults_injected = fault_delta(self.env, self._faults_before)
+
+    @contextmanager
+    def teardown(self, collect_garbage: Callable[[str], Any]) -> Iterator[None]:
+        """Run the body; on a typed abort — :class:`~repro.errors.QueryCancelledError`
+        or :class:`~repro.errors.RetryBudgetExhaustedError` — call
+        ``collect_garbage(query_id)`` (the query's exchange objects, spills and
+        queue) and re-raise: a query that will never consume its results must
+        leave nothing behind."""
+        try:
+            yield
+        except (QueryCancelledError, RetryBudgetExhaustedError):
+            collect_garbage(self.query_id)
+            raise

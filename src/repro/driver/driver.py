@@ -5,9 +5,12 @@ queries by compiling them, running the worker fleet through
 :func:`repro.driver.dispatch.run_fleet` — invoked in the shape its launch
 plan prices (one hop, or the two-level tree of §4.2 for a large fleet), or on
 the process pool; failed workers re-invoked — and merging the partial results
-locally (the driver scope of the physical plan).  It reports per-query
-statistics — modelled end-to-end latency and the full dollar-cost breakdown —
-which the evaluation benchmarks consume.
+locally (the driver scope of the physical plan).  Each query opens one
+:class:`~repro.driver.dispatch.QueryContext` (its id, jitter stream,
+counters, retry budget and cancellation token, with the driver's breaker
+board); the scan fleet, the pool, hedges and a join plan's every wave run
+under it.  It reports per-query statistics — modelled end-to-end latency and
+the full dollar-cost breakdown — which the evaluation benchmarks consume.
 """
 
 from __future__ import annotations
@@ -15,9 +18,7 @@ from __future__ import annotations
 import functools
 import math
 import os
-import random
 import threading
-import uuid
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -36,13 +37,8 @@ from repro.driver.admission import (
     CancellationToken,
 )
 from repro.driver.breakers import BreakerBoard, RetryBudget
-from repro.driver.dispatch import (
-    FleetLabels,
-    collect_results,
-    current_attempts,
-    run_fleet,
-)
-from repro.driver.integrity import IntegrityStats, fetch_spilled_result
+from repro.driver.dispatch import FleetLabels, QueryContext, current_attempts
+from repro.driver.integrity import IntegrityStats
 from repro.driver.invocation import (
     CollectionPlan,
     InvocationModel,
@@ -55,9 +51,6 @@ from repro.driver.resilience import (
     AttemptLog,
     ResiliencePolicy,
     ResilienceStats,
-    call_with_backoff,
-    fault_delta,
-    fault_snapshot,
     pick_stragglers,
 )
 from repro.driver.shuffle import (
@@ -83,7 +76,6 @@ from repro.errors import (
     ExecutionError,
     QueryCancelledError,
     QueryTimeoutError,
-    RetryBudgetExhaustedError,
     WorkerFailedError,
 )
 from repro.plan.logical import LogicalPlan
@@ -388,18 +380,10 @@ class LambadaDriver:
         self._invocation = InvocationModel(region=env.region)
         #: Retry/backoff/hedging knobs (see :mod:`repro.driver.resilience`).
         self.resilience_policy = resilience_policy or DEFAULT_RESILIENCE_POLICY
-        self._jitter_rng = random.Random(self.resilience_policy.jitter_seed)
         #: Per-service circuit breakers.  Breaker state is fleet health, not
         #: query state, so the board lives as long as the driver — and a
         #: :class:`QuerySession` shares one board across all its drivers.
         self.breakers = breakers or BreakerBoard()
-        # Per-query overload context, armed by execute() and read by the
-        # retry/hedge/collect helpers (avoids threading four extra arguments
-        # through every call chain).  A driver runs one query at a time;
-        # concurrency comes from one driver per session worker thread.
-        self._active_cancel: Optional[CancellationToken] = None
-        self._active_budget: Optional[RetryBudget] = None
-        self._active_now = None
         #: Content-checksum knobs: workers embed checksums in everything they
         #: write and every consumer verifies on read (both default on).
         self.integrity = integrity or IntegrityConfig()
@@ -477,22 +461,25 @@ class LambadaDriver:
         file pruning is rejected explicitly (its single-dataset statistics
         cannot describe two relations).
 
-        ``deadline_seconds``/``cancel`` arm cooperative cancellation: the
-        query unwinds with a typed
-        :class:`~repro.errors.QueryCancelledError` at its next pump point
-        (poll round, retry round, wave round), releasing shared-memory
-        segments and garbage-collecting its S3/SQS state on the way out.
-        Each query also draws from a retry budget
+        The query runs under one :class:`~repro.driver.dispatch.QueryContext`
+        with the driver's breaker board.  ``deadline_seconds``/``cancel`` arm
+        cooperative cancellation: the query — scan or join — unwinds with a
+        typed :class:`~repro.errors.QueryCancelledError` at its next pump
+        point (poll round, retry round, wave round) once cancelled or past a
+        deadline measured in modelled time (the clock plus accrued backoff),
+        releasing shared-memory segments and garbage-collecting its S3/SQS
+        state on the way out.  Each query also draws from a retry budget
         (``resilience_policy.retry_budget``) covering backoff retries, wave
         retries, and hedges combined; exhaustion raises
-        :class:`~repro.errors.RetryBudgetExhaustedError` instead of grinding
-        through a sustained brownout.
+        :class:`~repro.errors.RetryBudgetExhaustedError`, with the same
+        cleanup, instead of grinding through a sustained brownout.
         """
-        # Per-query jitter stream: reseeding here makes backoff draws a
-        # function of this query alone, not of how many ran before it.
-        self._jitter_rng = random.Random(self.resilience_policy.jitter_seed)
         if cancel is None and deadline_seconds is not None:
             cancel = CancellationToken(deadline_seconds=deadline_seconds)
+        context = QueryContext(
+            self.env, self.resilience_policy, breakers=self.breakers,
+            cancel=cancel, budgeted=True,
+        )
 
         report: Optional[OptimizerReport] = None
         if isinstance(plan, LogicalPlan):
@@ -508,10 +495,7 @@ class LambadaDriver:
                 raise ExecutionError(
                     "catalog-based file pruning is not supported for join plans"
                 )
-            return self._execute_join(
-                physical, report, num_workers=num_workers, cold=cold,
-                cancel=cancel,
-            )
+            return self._execute_join(physical, report, num_workers, cold, context)
 
         input_files = expand_glob_paths(self.env.s3, physical.input_files)
         if catalog is not None and dataset_name is not None:
@@ -540,7 +524,6 @@ class LambadaDriver:
         num_workers = min(num_workers, len(input_files))
 
         worker_plans = physical.worker_plans(num_workers)
-        query_id = uuid.uuid4().hex[:12]
 
         if cold:
             self.env.lambda_service.reset_warm_instances(self.function_name)
@@ -551,7 +534,7 @@ class LambadaDriver:
                 "attempt": 0,
                 "plan": worker_plan.to_dict(),
                 "result_queue": self.result_queue,
-                "query_id": query_id,
+                "query_id": context.query_id,
                 "function_name": self.function_name,
                 "threads": threads,
                 "integrity": self.integrity.to_dict(),
@@ -559,41 +542,21 @@ class LambadaDriver:
             for worker_id, worker_plan in enumerate(worker_plans)
         ]
         launch = self._invocation.plan(len(payloads), cold=cold)
-
-        resilience = ResilienceStats()
-        integrity_stats = IntegrityStats()
-        faults_before = fault_snapshot(self.env)
-
-        def now_fn() -> float:
-            # Modelled "now" for breaker windows and deadlines: environment
-            # clock plus the backoff this query has already accrued.
-            return self.env.clock.now + resilience.backoff_seconds
-
-        budget = RetryBudget(
-            self.resilience_policy.retry_budget,
-            query_id=query_id,
-            breaker_states=self.breakers.states,
-        )
-        if cancel is not None:
-            cancel.bind(now_fn, query_id=query_id)
-        self._active_cancel = cancel
-        self._active_budget = budget
-        self._active_now = now_fn
         prices = self.env.ledger.prices
 
         def on_retry(key: int, retry: Dict, error: str) -> None:
             # Retries are flat whatever shape the launch had; the failure
             # feeds the lambda breaker, and its request fee bought nothing.
             retry.pop("children", None)
-            self._record_worker_failure(error)
-            resilience.wasted_cost_dollars += prices.lambda_invocation_cost(1)
+            self._record_worker_failure(error, context.now())
+            context.resilience.wasted_cost_dollars += prices.lambda_invocation_cost(1)
 
-        try:
+        with context.teardown(self._gc_cancelled_scan):
             attempt_log = AttemptLog()
             by_worker = None
             if self.execution_mode == "processes" and self._pool_supported(physical):
                 by_worker = self._run_pooled(
-                    payloads, max_worker_retries + 1, resilience, attempt_log, on_retry
+                    payloads, max_worker_retries + 1, attempt_log, on_retry, context
                 )
             pooled = by_worker is not None
             if not pooled:
@@ -603,16 +566,11 @@ class LambadaDriver:
                 self.env.sqs.purge_queue(self.result_queue)
                 attempt_log = AttemptLog()
                 events = {payload["worker_id"]: payload for payload in payloads}
-                by_worker = run_fleet(
-                    events,
-                    self._scan_transport(
-                        events, query_id, launch, resilience, integrity_stats
-                    ),
-                    max_worker_retries + 1, self.resilience_policy, self._jitter_rng,
-                    resilience, SCAN_FLEET, attempt_log, integrity=integrity_stats,
-                    cancel=cancel, budget=budget, on_retry=on_retry,
+                by_worker = context.run(
+                    events, self._scan_transport(events, launch, context),
+                    max_worker_retries + 1, SCAN_FLEET, attempt_log, on_retry=on_retry,
                 )
-                self._fetch_spilled(by_worker.values(), resilience, integrity_stats)
+                context.fetch_spilled(by_worker.values(), self.integrity.verify)
             worker_results = self._parse_results(
                 by_worker, expected=len(payloads), attempt_log=attempt_log
             )
@@ -631,18 +589,15 @@ class LambadaDriver:
                 )
             else:
                 worker_results, hedge_billed_seconds = self._hedge_stragglers(
-                    worker_results, by_worker, payloads, query_id, resilience,
-                    integrity=integrity_stats,
+                    worker_results, by_worker, payloads, context
                 )
 
             table, reduce_value = self._merge(physical, worker_results)
             statistics = self._build_statistics(
                 physical, worker_results, launch=launch, cold=cold,
-                resilience=resilience, fault_snapshot=faults_before,
-                extra_billed_seconds=hedge_billed_seconds,
-                integrity=integrity_stats,
+                context=context, extra_billed_seconds=hedge_billed_seconds,
             )
-            statistics.overload = self._overload_block(budget)
+            statistics.overload = self._overload_block(context.budget)
             return QueryResult(
                 table=table,
                 reduce_value=reduce_value,
@@ -651,15 +606,6 @@ class LambadaDriver:
                 optimizer_report=report,
                 plan_explain=physical.explain(),
             )
-        except (QueryCancelledError, RetryBudgetExhaustedError):
-            # Typed teardown: a query that will never consume its results
-            # must not leave spilled objects or queued messages behind.
-            self._gc_cancelled_scan(query_id)
-            raise
-        finally:
-            self._active_cancel = None
-            self._active_budget = None
-            self._active_now = None
 
     def _execute_join(
         self,
@@ -667,7 +613,7 @@ class LambadaDriver:
         report: Optional[OptimizerReport],
         num_workers: Optional[int],
         cold: bool,
-        cancel: Optional[CancellationToken] = None,
+        context: QueryContext,
     ) -> QueryResult:
         """Execute a join plan through the shuffle-join coordinator.
 
@@ -679,7 +625,8 @@ class LambadaDriver:
         :class:`~repro.driver.shuffle.ShuffleJoinCoordinator`; this wrapper
         folds its worker results into the same :class:`QueryStatistics` shape
         scan queries report, with the exchange and join counters threaded
-        through.
+        through.  Every wave runs under the query's ``context``, whose
+        teardown the coordinator applies to its own exchange and queue.
         """
         if self._join_coordinator is None:
             # An explicit shuffle config wins; otherwise the driver's
@@ -694,17 +641,8 @@ class LambadaDriver:
         if cold:
             for name in (JOIN_MAP_FUNCTION_NAME, JOIN_REDUCE_FUNCTION_NAME):
                 self.env.lambda_service.reset_warm_instances(name)
-        budget = RetryBudget(
-            self.resilience_policy.retry_budget,
-            breaker_states=self.breakers.states,
-        )
         table, join_stats, worker_results = self._join_coordinator.execute(
-            physical,
-            num_workers=num_workers,
-            cancel=cancel,
-            breakers=self.breakers,
-            budget=budget,
-            now_fn=lambda: self.env.clock.now,
+            physical, num_workers=num_workers, context=context
         )
 
         durations = [result.duration_seconds for result in worker_results]
@@ -753,7 +691,7 @@ class LambadaDriver:
             resilience=join_stats.resilience,
             integrity=join_stats.integrity,
         )
-        statistics.overload = self._overload_block(budget)
+        statistics.overload = self._overload_block(context.budget)
         return QueryResult(
             table=table,
             reduce_value=None,
@@ -830,9 +768,9 @@ class LambadaDriver:
         self,
         payloads: List[Dict],
         rounds: int,
-        resilience: ResilienceStats,
         attempt_log: AttemptLog,
         on_retry,
+        context: QueryContext,
     ) -> Optional[Dict[int, Dict]]:
         """Run the fleet on the process pool; ``None`` means "fall back".
 
@@ -846,6 +784,7 @@ class LambadaDriver:
         pool = self._ensure_pool()
         if pool is None:
             return None
+        resilience = context.resilience
         respawns_before = pool.stats().get("respawns", 0)
 
         def give_up() -> bool:
@@ -866,7 +805,8 @@ class LambadaDriver:
                 f"processes execution mode: {respawn_delta} pool "
                 "respawns in one query, falling back to serial dispatch",
                 RuntimeWarning,
-                stacklevel=5,  # give_up < run_fleet < _run_pooled < execute < caller
+                # give_up < run_fleet < run < _run_pooled < execute < caller
+                stacklevel=6,
             )
             self.close()
             self._pool_unavailable = True
@@ -877,14 +817,12 @@ class LambadaDriver:
         try:
             # A cancellation at either pump point unwinds through here:
             # result segments are unlinked round by round, the export below.
-            by_worker = run_fleet(
+            by_worker = context.run(
                 {payload["worker_id"]: payload for payload in payloads},
                 lambda attempts, by_key: by_key.update(
                     self._run_pooled_round(pool, export, attempts)
                 ),
-                rounds, self.resilience_policy, self._jitter_rng, resilience,
-                POOL_FLEET, attempt_log, cancel=self._active_cancel,
-                budget=self._active_budget, on_retry=on_retry, give_up=give_up,
+                rounds, POOL_FLEET, attempt_log, on_retry=on_retry, give_up=give_up,
             )
         finally:
             pool.forget_segments([export.name])
@@ -1020,31 +958,9 @@ class LambadaDriver:
 
     # -- helpers --------------------------------------------------------------------
 
-    def _invoke(self, payload: Dict, resilience: ResilienceStats) -> None:
-        """Invoke one worker from the driver.
-
-        Transient rejections (capacity brownouts throttle the fleet with
-        :class:`~repro.errors.TooManyRequestsError`) are retried with backoff
-        through the driver's breaker board and the active query's retry
-        budget, instead of aborting the fleet on the first rejection.
-        """
-        call_with_backoff(
-            self.env.lambda_service.invoke,
-            self.function_name,
-            payload,
-            from_driver=True,
-            policy=self.resilience_policy,
-            rng=self._jitter_rng,
-            stats=resilience,
-            breakers=self.breakers,
-            budget=self._active_budget,
-            now_fn=self._active_now,
-        )
-
-    def _invoke_tree(self, tree: List[Dict], resilience: ResilienceStats) -> None:
-        """Invoke the tree roots, serially or through the thread pool."""
-        invoke = functools.partial(self._invoke, resilience=resilience)
-
+    def _invoke_tree(self, tree: List[Dict], invoke) -> None:
+        """Invoke the tree roots with ``invoke``, serially or through the
+        thread pool."""
         # On a single-core host the pool cannot overlap the workers' numpy
         # sections and only adds dispatch overhead (~10% on TPC-H Q1 at 1M
         # rows, see README "Performance notes"), so fall back to serial
@@ -1071,8 +987,9 @@ class LambadaDriver:
         "no result message",
     )
 
-    def _record_worker_failure(self, error: str) -> None:
-        """Charge an invocation-plane worker failure to the lambda breaker.
+    def _record_worker_failure(self, error: str, now: float) -> None:
+        """Charge an invocation-plane worker failure to the lambda breaker
+        at modelled ``now``.
 
         Worker failures arrive as strings in result messages (or as missing
         messages), never as raised exceptions, so
@@ -1081,7 +998,7 @@ class LambadaDriver:
         lambda breaker and drive degradation.
         """
         if error.startswith(self._LAMBDA_FAILURE_PREFIXES):
-            self.breakers.breakers["lambda"].record_failure(self._active_now())
+            self.breakers.breakers["lambda"].record_failure(now)
 
     def _overload_block(self, budget: Optional[RetryBudget]) -> Dict[str, Any]:
         """The per-query overload-control statistics block."""
@@ -1098,58 +1015,39 @@ class LambadaDriver:
         return _gc_cancelled_query(self.env, query_id, 0, self.result_queue)
 
     def _scan_transport(
-        self,
-        events: Dict[int, Dict],
-        query_id: str,
-        launch: LaunchPlan,
-        resilience: ResilienceStats,
-        integrity: IntegrityStats,
+        self, events: Dict[int, Dict], launch: LaunchPlan, context: QueryContext
     ):
         """The scan fleet's transport: invoke over Lambda, report over SQS.
 
         The first call starts the fleet in the shape ``launch`` priced (one
         hop, or the two-level tree); later calls are retries, invoked flat
-        from the driver.  Either way the result queue is then polled for the
-        whole fleet at its current attempts.
+        from the driver.  Every Invoke goes through ``context.call``, so a
+        transient rejection (a capacity brownout's
+        :class:`~repro.errors.TooManyRequestsError`) is retried with backoff
+        through the breaker board and the query's retry budget instead of
+        aborting the fleet.  Either way the result queue is then polled for
+        the whole fleet at its current attempts.
         """
+        invoke = functools.partial(
+            context.call, self.env.lambda_service.invoke, self.function_name,
+            from_driver=True,
+        )
         launched = False
 
         def transport(payloads: List[Dict], by_key: Dict[int, Dict]) -> None:
             nonlocal launched
             if launched:
                 for payload in payloads:
-                    self._invoke(payload, resilience)
+                    invoke(payload)
             else:
-                self._invoke_tree(build_invocation_tree(payloads, launch), resilience)
+                self._invoke_tree(build_invocation_tree(payloads, launch), invoke)
             launched = True
-            collect_results(
-                self.env.sqs, self.result_queue, query_id, current_attempts(events),
-                by_key, "collect", resilience=resilience,
-                verify=self.integrity.verify, integrity=integrity,
-                cancel=self._active_cancel,
+            context.collect(
+                self.result_queue, current_attempts(events), by_key, "collect",
+                verify=self.integrity.verify,
             )
 
         return transport
-
-    def _fetch_spilled(
-        self, messages, resilience: ResilienceStats, integrity: IntegrityStats
-    ) -> None:
-        """Fetch the frames accepted ``messages`` spilled to S3, in place.
-
-        With backoff — the pointed-to object may be transiently invisible
-        under an injected read-after-write lag — and, with verification on,
-        it must be the frame its message describes; a corrupt first read
-        (in-flight corruption) is cured by one re-issued GET counted as a
-        re-read.
-        """
-        for message in messages:
-            if "result_s3" in message:
-                message["frame"] = fetch_spilled_result(
-                    self.env.s3, message, self.integrity.verify, integrity,
-                    policy=self.resilience_policy, rng=self._jitter_rng,
-                    stats=resilience, breakers=self.breakers,
-                    budget=self._active_budget, now_fn=self._active_now,
-                )
 
     def _parse_results(
         self,
@@ -1182,9 +1080,7 @@ class LambadaDriver:
         worker_results: List[WorkerResult],
         by_worker: Dict[int, Dict],
         payloads: List[Dict],
-        query_id: str,
-        resilience: ResilienceStats,
-        integrity: Optional[IntegrityStats] = None,
+        context: QueryContext,
     ) -> Tuple[List[WorkerResult], float]:
         """Speculatively re-invoke straggler workers; first result wins.
 
@@ -1212,10 +1108,11 @@ class LambadaDriver:
         threshold = max(policy.hedge_min_seconds, policy.hedge_factor * fleet_median)
         payload_by_worker = {payload["worker_id"]: payload for payload in payloads}
         prices = self.env.ledger.prices
+        resilience = context.resilience
         index_of = {worker_id: index for index, worker_id in enumerate(ordered_ids)}
         launched: Dict[int, int] = {}  # straggler -> its hedge's attempt
         for worker_id in stragglers:
-            if not self._active_budget.try_charge("hedges"):
+            if not context.budget.try_charge("hedges"):
                 # Hedging is optional work: when the retry budget runs dry it
                 # is suppressed (and attributed), never fatal.
                 resilience.note_fallback("hedge_suppressed")
@@ -1230,7 +1127,7 @@ class LambadaDriver:
             except TRANSIENT_CLOUD_ERRORS as error:
                 # A brownout-rejected hedge simply never enters the race;
                 # the original attempt's result stands.
-                self.breakers.record_failure(error, self._active_now())
+                self.breakers.record_failure(error, context.now())
                 resilience.note_fallback("hedge_rejected")
                 continue
             resilience.hedges_launched += 1
@@ -1238,12 +1135,10 @@ class LambadaDriver:
         if not launched:
             return worker_results, 0.0
         hedged: Dict[int, Dict] = {}
-        collect_results(
-            self.env.sqs, self.result_queue, query_id, launched, hedged, "collect",
-            resilience=resilience, verify=self.integrity.verify,
-            integrity=integrity, cancel=self._active_cancel,
+        context.collect(
+            self.result_queue, launched, hedged, "collect", verify=self.integrity.verify
         )
-        self._fetch_spilled(hedged.values(), resilience, integrity)
+        context.fetch_spilled(hedged.values(), self.integrity.verify)
         # Both racers run to completion and bill their full duration (a real
         # Lambda cannot be cancelled); the loser's extra seconds are billed on
         # top of the per-worker winner durations and attributed as waste.
@@ -1342,10 +1237,8 @@ class LambadaDriver:
         worker_results: List[WorkerResult],
         launch: LaunchPlan,
         cold: bool,
-        resilience: ResilienceStats,
-        fault_snapshot: Optional[Dict[str, int]],
+        context: QueryContext,
         extra_billed_seconds: float,
-        integrity: IntegrityStats,
     ) -> QueryStatistics:
         """Compute modelled latency and dollar cost of the query.
 
@@ -1353,7 +1246,8 @@ class LambadaDriver:
         result but was still charged (e.g. the losing side of a hedge race);
         it affects cost, never latency.
         """
-        resilience.faults_injected = fault_delta(self.env, fault_snapshot)
+        context.note_faults()
+        resilience, integrity = context.resilience, context.integrity
         prices = self.env.ledger.prices
         durations = [result.duration_seconds for result in worker_results]
         num_workers = launch.num_workers

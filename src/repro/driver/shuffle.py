@@ -58,15 +58,18 @@ statistics.  Every wave's inputs are deleted by their announced paths as soon
 as the wave has folded, so a clean query issues no LIST at all; only a query
 that saw a retry or injected fault ends with a LIST sweep of its exchange and
 result prefixes for the objects of superseded attempts.
+
+A query runs under one :class:`~repro.driver.dispatch.QueryContext` — the
+driver's, or one the coordinator opens — so its waves, Invokes and spilled
+result reads share one jitter stream, one breaker board, one retry budget and
+one cancellation token, and a typed abort sweeps the query's exchange.
 """
 
 from __future__ import annotations
 
 import math
-import random
-import uuid
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -78,27 +81,17 @@ from repro.config import DEFAULT_SCAN_CONNECTIONS, IntegrityConfig, MiB
 from repro.driver.dispatch import (
     NO_RESULT_ERROR,
     FleetLabels,
-    collect_results,
+    QueryContext,
     current_attempts,
     failed_keys,
-    run_fleet,
 )
-from repro.driver.integrity import (
-    RESULT_BUCKET,
-    IntegrityStats,
-    fetch_spilled_result,
-    post_result,
-)
+from repro.driver.integrity import RESULT_BUCKET, IntegrityStats, post_result
 from repro.driver.invocation import InvocationModel
 from repro.driver.resilience import (
     DEFAULT_RESILIENCE_POLICY,
-    TRANSIENT_CLOUD_ERRORS,
     AttemptLog,
     ResiliencePolicy,
     ResilienceStats,
-    call_with_backoff,
-    fault_delta,
-    fault_snapshot,
 )
 from repro.engine.aggregates import (
     FusedBatchAccumulator,
@@ -122,7 +115,6 @@ from repro.errors import (
     CloudError,
     ExecutionError,
     NoSuchBucketError,
-    QueryCancelledError,
     WorkerCrashError,
     WorkerFailedError,
 )
@@ -277,22 +269,25 @@ def expand_glob_paths(s3, paths: Sequence[str]) -> List[str]:
     return _expand_globs(s3.list_objects, paths)[0]
 
 
-def list_input_files(s3, paths: Sequence[str], **backoff) -> Tuple[List[str], int, int]:
+def list_input_files(
+    s3, paths: Sequence[str], call: Optional[Callable] = None
+) -> Tuple[List[str], int, int]:
     """Expand ``paths`` like :func:`expand_glob_paths` and sum the stored
     bytes of the files from listings: ``(files, stored bytes, LIST requests)``.
 
     A glob's own LIST returns its matches' sizes; the explicit paths cost one
     LIST per distinct directory, of whose objects only the ones they name
-    count.  Every LIST goes through
-    :func:`~repro.driver.resilience.call_with_backoff` with ``backoff`` (the
-    caller's policy, breakers, budget, stats).  A file in a missing bucket
-    sizes as 0 bytes.
+    count.  Every LIST is issued as ``call(s3.list_objects, bucket, prefix)``
+    when given — a query's :meth:`~repro.driver.dispatch.QueryContext.call`,
+    retrying with backoff — and directly otherwise.  A file in a missing
+    bucket sizes as 0 bytes.
     """
     lists = 0
+    call = call or (lambda fn, *args: fn(*args))
 
     def listing(bucket: str, prefix: str) -> list:
         nonlocal lists
-        metas = call_with_backoff(s3.list_objects, bucket, prefix, **backoff)
+        metas = call(s3.list_objects, bucket, prefix)
         lists += 1
         return metas
 
@@ -797,6 +792,10 @@ class JoinStatistics:
     modelled_reduce_seconds: float = 0.0
     #: Retries, wave re-runs, fallbacks, and injected-fault counts survived.
     resilience: ResilienceStats = field(default_factory=ResilienceStats)
+    #: The retries this run made, each billed as one invocation: the query's
+    #: ``resilience.retries`` less those of requests its caller retried on
+    #: the same context before the run (the aggregation facade's LIST).
+    invocation_retries: int = 0
     #: Checksum verification and corruption-recovery counters.
     integrity: IntegrityStats = field(default_factory=IntegrityStats)
     #: Logical join stages of the plan (1 for a binary join, 0 for a
@@ -900,11 +899,11 @@ def join_costs(
     """Modelled dollars of one coordinator run, keyed by the
     :class:`~repro.driver.driver.QueryStatistics` cost component.
 
-    Every worker bills its modelled duration and one invocation (retried
-    attempts bill a further one each); S3 bills the scans' GETs, every
-    exchange request — LISTs, including the post-fault sweep's and the
-    ``input_lists`` a caller sized its input with, at the PUT
-    rate — and a PUT + GET per spilled result; SQS bills one send per worker,
+    Every worker bills its modelled duration and one invocation (each of the
+    run's ``invocation_retries`` bills a further one); S3 bills the scans'
+    GETs, every exchange request — LISTs, including the post-fault sweep's
+    and the ``input_lists`` a caller sized its input with, at the PUT rate —
+    and a PUT + GET per spilled result; SQS bills one send per worker,
     the batched receives the barriered waves are drained with, one control
     request, and the ``final_receives`` that hand the last wave's results to
     the driver (its :class:`~repro.driver.invocation.CollectionPlan`'s; none
@@ -921,7 +920,7 @@ def join_costs(
             for result in worker_results
         ),
         "cost_lambda_requests": prices.lambda_invocation_cost(
-            num_total + statistics.resilience.retries
+            num_total + statistics.invocation_retries
         ),
         "cost_s3_requests": prices.s3_get_cost(
             scan_gets + exchange.get_requests + exchange.head_requests + spilled
@@ -1114,21 +1113,14 @@ class ShuffleJoinCoordinator:
     exchange and result prefixes: a superseded attempt may have left objects
     no announcement names.
 
-    The overload-control context (PR 9) is armed per query: the driver passes
-    its cancellation token, breaker board, retry budget, and modelled
-    now-function to :meth:`execute`, and every wave and spill read threads
-    them into :func:`~repro.driver.dispatch.run_fleet` /
-    :func:`~repro.driver.resilience.call_with_backoff`.
+    A query runs under one :class:`~repro.driver.dispatch.QueryContext`: the
+    driver passes its own to :meth:`execute` (the token, breaker board and
+    retry budget it opened), and every wave, Invoke and spill read goes
+    through it.
     """
 
     #: What this coordinator's waves are called (see :class:`WaveNames`).
     names = JOIN_WAVES
-
-    #: Per-query overload context; ``None`` on plain (pre-PR-9) calls.
-    _cancel = None
-    _breakers = None
-    _budget = None
-    _now_fn = None
 
     def __init__(
         self,
@@ -1145,7 +1137,6 @@ class ShuffleJoinCoordinator:
         self.result_queue = result_queue
         self.config = config or ShuffleConfig()
         self.resilience_policy = resilience_policy or DEFAULT_RESILIENCE_POLICY
-        self._jitter_rng = random.Random(self.resilience_policy.jitter_seed)
         env.sqs.create_queue(result_queue)
         # The handlers are stateless (per-query naming is derived from the
         # event), so coordinators sharing an environment can interleave.
@@ -1160,64 +1151,41 @@ class ShuffleJoinCoordinator:
 
     # -- execution ------------------------------------------------------------------
 
-    def _arm_overload(self, cancel=None, breakers=None, budget=None, now_fn=None):
-        """Install the per-query overload context (cleared by the caller)."""
-        self._cancel = cancel
-        self._breakers = breakers
-        self._budget = budget
-        self._now_fn = now_fn
-
     def _wave(
-        self,
-        function_name: str,
-        events: Dict,
-        query_id: str,
-        what: str,
-        resilience: ResilienceStats,
-        integrity: Optional[IntegrityStats] = None,
+        self, context: QueryContext, function_name: str, events: Dict, what: str
     ) -> List[Dict]:
-        """Run one wave through :func:`~repro.driver.dispatch.run_fleet`;
-        one ok message per event, in wave-key order.
+        """Run one wave of the query through ``context.run``; one ok message
+        per event, in wave-key order.
 
         ``events`` maps wave keys ``(side, worker_id)`` to invocation payloads
         carrying ``"attempt": 0``.  Workers that failed or never reported are
         re-invoked up to ``policy.max_attempts`` times, each retry writing
         under its own ``r{attempt}/`` prefix.  A worker still failing then
         raises :class:`~repro.errors.WorkerFailedError` with its
-        full attempt history.  The armed overload context threads through:
-        the cancellation token is checked at dispatch and at every poll, and
-        the Invoke requests themselves are breaker-aware (a brownout fleet
-        cap rejecting invocations is retried with backoff, not fatal).
+        full attempt history.  The cancellation token is checked at dispatch
+        and at every poll, and the Invoke requests themselves are
+        breaker-aware (a brownout fleet cap rejecting invocations is retried
+        with backoff, not fatal).
         """
-        policy = self.resilience_policy
         redispatch = False
 
         def transport(payloads: List[Dict], by_key: Dict) -> None:
             nonlocal redispatch
             if redispatch:
-                resilience.wave_retries += 1
+                context.resilience.wave_retries += 1
             redispatch = True
             for payload in payloads:
-                call_with_backoff(
-                    self.env.lambda_service.invoke, function_name, payload,
-                    policy=policy, rng=self._jitter_rng, stats=resilience,
-                    retry_on=TRANSIENT_CLOUD_ERRORS, breakers=self._breakers,
-                    budget=self._budget, now_fn=self._now_fn,
-                )
-            collect_results(
-                self.env.sqs, self.result_queue, query_id,
-                current_attempts(events), by_key, what, resilience=resilience,
-                verify=self.config.integrity.verify, integrity=integrity,
-                cancel=self._cancel,
+                context.call(self.env.lambda_service.invoke, function_name, payload)
+            context.collect(
+                self.result_queue, current_attempts(events), by_key, what,
+                verify=self.config.integrity.verify,
             )
 
         attempt_log = AttemptLog()
-        by_key = run_fleet(
-            events, transport, max(1, policy.max_attempts), policy,
-            self._jitter_rng, resilience,
+        by_key = context.run(
+            events, transport, max(1, context.policy.max_attempts),
             FleetLabels(dispatch=f"{what} dispatch", retry=what, budget="wave_retries"),
-            attempt_log, integrity=integrity, cancel=self._cancel,
-            budget=self._budget,
+            attempt_log,
         )
         failed = failed_keys(events, by_key)
         if failed:
@@ -1233,10 +1201,7 @@ class ShuffleJoinCoordinator:
         self,
         dag: DagPhysicalPlan,
         num_workers: Optional[int] = None,
-        cancel=None,
-        breakers=None,
-        budget=None,
-        now_fn=None,
+        context: Optional[QueryContext] = None,
     ):
         """Run the DAG plan; returns ``(table, statistics, worker_results)``.
 
@@ -1245,12 +1210,14 @@ class ShuffleJoinCoordinator:
         ``"L"``/``"R"``), and the intermediates of a multi-wave run under
         ``"J0"``, ``"J1"``, ....
 
-        ``cancel``/``breakers``/``budget``/``now_fn`` arm the overload plane
-        for this query; a cancellation raised mid-wave garbage-collects every
-        tag's exchange objects (scan sides and intermediates alike — they
-        all live under the query prefix) and purges the query's result-queue
-        messages before propagating.
+        The query runs under ``context`` — without one, under a context of
+        its own with no breaker board, no retry budget and no token.  A
+        typed abort raised mid-wave (cancellation, deadline, retry-budget
+        exhaustion) garbage-collects every tag's exchange objects (scan sides
+        and intermediates alike — they all live under the query prefix) and
+        spilled results, and purges the result queue, before propagating.
         """
+        context = context or QueryContext(self.env, self.resilience_policy)
         fleets: Dict[str, JoinSidePlan] = dict(dag.sides())
         build_tags = [tag for tag in fleets if tag != "L"]
         inter_tags = [f"J{k}" for k in range(len(dag.stages) - 1)]
@@ -1275,26 +1242,18 @@ class ShuffleJoinCoordinator:
             [len(files) for files in paths.values()], num_workers,
         )
 
-        query_id = uuid.uuid4().hex[:12]
         for bucket in _exchange_buckets(self.num_buckets):
             self.env.s3.ensure_bucket(bucket)
 
-        # Per-query jitter reseed: backoff schedules must not depend on how
-        # many queries this coordinator ran before (order-independent chaos).
-        self._jitter_rng = random.Random(self.resilience_policy.jitter_seed)
-        self._arm_overload(cancel, breakers, budget, now_fn)
-        if cancel is not None and now_fn is not None:
-            cancel.bind(now_fn, query_id=query_id)
-        try:
+        with context.teardown(
+            lambda query_id: _gc_cancelled_query(
+                self.env, query_id, self.num_buckets, self.result_queue
+            )
+        ):
             return self._execute_waves(
                 dag, fleets, build_tags, inter_tags, paths, mappers,
-                num_partitions, query_id,
+                num_partitions, context,
             )
-        except QueryCancelledError:
-            _gc_cancelled_query(self.env, query_id, self.num_buckets, self.result_queue)
-            raise
-        finally:
-            self._arm_overload()
 
     def _execute_waves(
         self,
@@ -1305,12 +1264,15 @@ class ShuffleJoinCoordinator:
         paths: Dict[str, List[str]],
         mappers: Dict[str, int],
         num_partitions: int,
-        query_id: str,
+        context: QueryContext,
     ):
-        """The wave body of :meth:`execute` (split out for cancellation GC)."""
-        resilience = ResilienceStats()
-        integrity_stats = IntegrityStats()
-        faults_before = fault_snapshot(self.env)
+        """The wave body of :meth:`execute` (split out for the teardown)."""
+        query_id = context.query_id
+        resilience, integrity_stats = context.resilience, context.integrity
+        # What the caller already retried on this context (the facade's
+        # LIST) is not this run's: it bills no invocation and orphans nothing.
+        context.note_faults()
+        before = resilience.to_dict()
 
         # -- scan wave (every relation's fleet dispatched together) ----------------
         map_events: Dict = {}
@@ -1336,8 +1298,7 @@ class ShuffleJoinCoordinator:
                     "integrity": self.config.integrity.to_dict(),
                 }
         map_messages = self._wave(
-            self.names.map_function, map_events, query_id, self.names.map_label,
-            resilience, integrity=integrity_stats,
+            context, self.names.map_function, map_events, self.names.map_label
         )
 
         rows_scanned = sum(message.get("rows_scanned", 0) for message in map_messages)
@@ -1403,12 +1364,13 @@ class ShuffleJoinCoordinator:
             else:
                 what = f"join stages {wave[0]}-{wave[-1]}"
             reduce_messages = self._wave(
+                context,
                 self.names.reduce_function,
                 {
                     (side, partition): {**event, "partition": partition}
                     for partition in range(num_partitions)
                 },
-                query_id, what, resilience, integrity=integrity_stats,
+                what,
             )
             reduce_waves.append(reduce_messages)
             objects_read += sum(m.get("objects_read", 0) for m in reduce_messages)
@@ -1448,14 +1410,7 @@ class ShuffleJoinCoordinator:
                 wave_seconds["reduce"] += wave_max
 
         # -- driver scope ------------------------------------------------------------
-        for message in reduce_waves[-1]:
-            if "result_s3" in message:
-                message["frame"] = fetch_spilled_result(
-                    self.env.s3, message, self.config.integrity.verify,
-                    integrity_stats, policy=self.resilience_policy,
-                    rng=self._jitter_rng, stats=resilience, breakers=self._breakers,
-                    budget=self._budget, now_fn=self._now_fn,
-                )
+        context.fetch_spilled(reduce_waves[-1], self.config.integrity.verify)
         result = merge_driver_scope(
             [message["frame"] for message in reduce_waves[-1]],
             dag.driver, dag.group_by, dag.aggregates, dag.project,
@@ -1463,13 +1418,15 @@ class ShuffleJoinCoordinator:
 
         # The final wave is folded: its spilled results have no reader left.
         gc_deleted += _delete_consumed_outputs(self.env, reduce_waves[-1])
-        resilience.faults_injected = fault_delta(self.env, faults_before)
+        context.note_faults()
+        faulted = resilience.to_dict() != before
         # The request fee of every superseded attempt bought nothing.
+        invocation_retries = resilience.retries - before["retries"]
         resilience.wasted_cost_dollars += self.env.ledger.prices.lambda_invocation_cost(
-            resilience.retries
+            invocation_retries
         )
         gc_lists = 0
-        if not resilience.clean:
+        if faulted:
             # A superseded attempt (crash after PUT, hedge loser) may have
             # left objects no announcement names: exchange objects or a
             # spilled result.
@@ -1490,6 +1447,7 @@ class ShuffleJoinCoordinator:
             modelled_map_seconds=wave_seconds["map"],
             modelled_reduce_seconds=wave_seconds["reduce"],
             resilience=resilience,
+            invocation_retries=invocation_retries,
             integrity=integrity_stats,
             dag_stages=len(dag.stages),
             wave_stages=wave_stages,
@@ -1542,10 +1500,7 @@ class ShuffleAggregateCoordinator(ShuffleJoinCoordinator):
         columns: Optional[Sequence[str]] = None,
         num_workers: Optional[int] = None,
         order_by: Optional[Sequence[str]] = None,
-        cancel=None,
-        breakers=None,
-        budget=None,
-        now_fn=None,
+        context: Optional[QueryContext] = None,
     ):
         """Run a repartitioned group-by aggregation and return (table, statistics).
 
@@ -1557,18 +1512,16 @@ class ShuffleAggregateCoordinator(ShuffleJoinCoordinator):
         Both fleets are priced from the input's stored bytes: one LIST per
         glob and per distinct directory of the explicit paths (billed in
         ``cost_total``, not on the modelled clock; a retried LIST's backoff
-        is).  An explicit ``num_workers`` sets both fleets to
-        ``min(num_workers, files)`` instead.
-        ``cancel``/``breakers``/``budget``/``now_fn`` arm the overload plane
-        for this query, as there.
+        is, and its retry bills no invocation).  An explicit ``num_workers``
+        sets both fleets to ``min(num_workers, files)`` instead.
+        The LIST and the waves run under ``context``, as there — e.g.
+        ``QueryContext(env, cancel=token)`` or ``QueryContext(env,
+        breakers=board)``.
         """
-        listing = ResilienceStats()
-        faults_before = fault_snapshot(self.env)
+        context = context or QueryContext(self.env, self.resilience_policy)
         paths, input_bytes, input_lists = list_input_files(
-            self.env.s3, paths, policy=self.resilience_policy, stats=listing,
-            breakers=breakers, budget=budget, now_fn=now_fn,
+            self.env.s3, paths, context.call
         )
-        listing.faults_injected = fault_delta(self.env, faults_before)
         if not paths:
             raise ExecutionError("shuffle aggregation has no input files")
         if not group_by:
@@ -1613,15 +1566,12 @@ class ShuffleAggregateCoordinator(ShuffleJoinCoordinator):
             dag,
             # Clamped here: exchange_fan_out takes an explicit count as it is.
             num_workers=num_workers and min(num_workers, len(paths)),
-            cancel=cancel, breakers=breakers, budget=budget, now_fn=now_fn,
+            context=context,
         )
         costs = join_costs(
             self.env.ledger.prices, self.memory_mib, run, worker_results,
             input_lists=input_lists,
         )
-        # After pricing: a retried LIST bills no invocation (a failed request
-        # is never metered), but its backoff and faults belong to the query.
-        run.resilience.merge(listing)
         return table, ShuffleStatistics(
             map_workers=run.left_map_workers,
             reduce_workers=run.reduce_workers,

@@ -35,11 +35,11 @@ from repro.plan.optimizer import optimize
 from repro.plan.physical import PhysicalPlan, register_udf
 
 
-def from_files(paths: Union[str, Sequence[str]], format: str = "lpq") -> "DataFlow":
+def from_files(paths: Union[str, Sequence[str]]) -> "DataFlow":
     """Start a dataflow from columnar files (accepts a glob pattern)."""
     if isinstance(paths, str):
         paths = (paths,)
-    return DataFlow(plan=ScanNode(paths=tuple(paths), format=format))
+    return DataFlow(plan=ScanNode(paths=tuple(paths)))
 
 
 @dataclass(frozen=True)
@@ -200,11 +200,7 @@ class LambadaSession:
 
     def from_parquet(self, paths: Union[str, Sequence[str]]) -> DataFlow:
         """Start a dataflow over columnar files, bound to this session."""
-        return from_files(paths, format="lpq").bind(self)
-
-    def from_csv(self, paths: Union[str, Sequence[str]]) -> DataFlow:
-        """Start a dataflow over CSV files, bound to this session."""
-        return from_files(paths, format="csv").bind(self)
+        return from_files(paths).bind(self)
 
     def sql(self, statement: str, catalog: Optional[Dict[str, Sequence[str]]] = None) -> DataFlow:
         """Parse a SQL statement into a bound dataflow."""

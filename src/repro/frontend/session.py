@@ -92,11 +92,11 @@ class Session:
         parts.append(physical.explain())
         return "\n".join(parts)
 
-    def dataflow(self, paths: Union[str, Sequence[str]], format: str = "lpq") -> DataFlow:
+    def dataflow(self, paths: Union[str, Sequence[str]]) -> DataFlow:
         """Start a Listing-1 dataflow over files, bound to this session's driver."""
         from repro.frontend.dataframe import LambadaSession
 
-        return from_files(paths, format=format).bind(LambadaSession(self.driver))
+        return from_files(paths).bind(LambadaSession(self.driver))
 
     # -- lifecycle ---------------------------------------------------------------
 

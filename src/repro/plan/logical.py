@@ -99,7 +99,6 @@ class ScanNode(LogicalPlan):
     """
 
     paths: Tuple[str, ...]
-    format: str = "lpq"
     child: Optional[LogicalPlan] = None
     schema_columns: Tuple[str, ...] = ()
     size_bytes: int = 0
@@ -107,14 +106,12 @@ class ScanNode(LogicalPlan):
     def __post_init__(self):
         if not self.paths:
             raise InvalidPlanError("scan requires at least one path or glob pattern")
-        if self.format not in ("lpq", "csv"):
-            raise InvalidPlanError(f"unsupported scan format {self.format!r}")
         if self.child is not None:
             raise InvalidPlanError("scan is a leaf node and cannot have a child")
 
     def __repr__(self) -> str:
         shown = list(self.paths[:2]) + (["..."] if len(self.paths) > 2 else [])
-        return f"Scan({shown}, format={self.format})"
+        return f"Scan({shown})"
 
 
 @dataclass(repr=True)

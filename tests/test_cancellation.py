@@ -13,6 +13,10 @@ tokens hit exact mid-wave pump points deterministically (no thread races):
 * ``"collect"`` — scan path, after workers reported (spills forced);
 * ``"pooled dispatch"`` / ``"pooled retry"`` — the processes plane, before
   and after shared-memory segments were attached.
+
+A join runs under the same query context as a scan, so its deadline counts
+the backoff its waves accrue and a budget-killed join is swept like a
+cancelled one.
 """
 
 from __future__ import annotations
@@ -23,9 +27,11 @@ import repro.driver.shuffle as shuffle_module
 from repro.analysis.experiments import setup_functional_environment
 from repro.cloud.faults import FaultPlan, FaultRule
 from repro.driver.admission import CancellationToken
+from repro.driver.dispatch import QueryContext
 from repro.driver.driver import LambadaDriver
 from repro.driver.resilience import ResiliencePolicy
 from repro.driver.shuffle import (
+    JOIN_RESULT_QUEUE,
     SHUFFLE_RESULT_QUEUE,
     ShuffleAggregateCoordinator,
     _exchange_buckets,
@@ -74,14 +80,12 @@ def _shuffle_object_count(env) -> int:
 
 
 def _group_sum(coordinator, dataset, cancel=None):
-    env = coordinator.env
     return coordinator.execute(
         dataset.paths,
         group_by=["l_orderkey"],
         aggregates=[AggregateSpec("sum", col("l_quantity"), "total_qty")],
         order_by=["l_orderkey"],
-        cancel=cancel,
-        now_fn=(lambda: env.clock.now) if cancel is not None else None,
+        context=QueryContext(coordinator.env, cancel=cancel),
     )
 
 
@@ -282,6 +286,70 @@ def test_retry_budget_exhaustion_is_typed_and_gcs(stack):
     # The budget is per-query: the same driver recovers fully afterwards.
     result = strict.execute(q6_plan(dataset.paths))
     assert result.statistics.resilience.clean
+
+
+# ---------------------------------------------------------------------------
+# Join plane: one query context, so the scan path's deadline and teardown
+# ---------------------------------------------------------------------------
+
+
+def _query_leftovers(env, query_id):
+    """Keys a query left in the join exchange's buckets and the result bucket."""
+    keys = []
+    for bucket in _exchange_buckets(10) + [RESULT_BUCKET]:
+        env.s3.ensure_bucket(bucket)
+        keys += [meta.path for meta in env.s3.list_objects(bucket, prefix=f"{query_id}/")]
+    return keys
+
+
+def test_join_deadline_expiry_cancels_mid_retry_storm(stack, driver):
+    """The scan test's storm on Q3: the join's waves accrue modelled backoff
+    on the same clock the scan path's deadline reads, so the query unwinds
+    with ``deadline=True`` instead of finishing past its deadline."""
+    env, dataset, orders = stack
+    env.install_fault_plan(
+        FaultPlan(
+            [FaultRule("s3", "slowdown", 1.0, match="lineitem", max_count=8)],
+            seed=3,
+        )
+    )
+    try:
+        with pytest.raises(QueryCancelledError) as excinfo:
+            driver.execute(q3_plan(dataset.paths, orders.paths), deadline_seconds=0.01)
+    finally:
+        env.install_fault_plan(None)
+
+    assert excinfo.value.deadline is True
+    assert _query_leftovers(env, excinfo.value.query_id) == []
+    assert env.sqs.approximate_message_count(JOIN_RESULT_QUEUE) == 0
+
+
+def test_budget_exhausted_join_is_named_and_leaves_nothing(stack):
+    """A storm on ``orders`` against a two-unit budget: the typed error names
+    the query, and the teardown sweeps the exchange objects its mappers had
+    already written and the join result queue."""
+    env, dataset, orders = stack
+    strict = LambadaDriver(
+        env,
+        resilience_policy=ResiliencePolicy(retry_budget=2),
+        result_queue="lambada-result-queue-strict-join",
+    )
+    env.install_fault_plan(
+        FaultPlan(
+            [FaultRule("s3", "slowdown", 1.0, match="orders", max_count=16)],
+            seed=3,
+        )
+    )
+    try:
+        with pytest.raises(RetryBudgetExhaustedError) as excinfo:
+            strict.execute(q3_plan(dataset.paths, orders.paths))
+    finally:
+        env.install_fault_plan(None)
+
+    query_id = excinfo.value.query_id
+    assert query_id
+    assert _query_leftovers(env, query_id) == []
+    assert env.sqs.approximate_message_count(JOIN_RESULT_QUEUE) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -121,12 +121,12 @@ def test_retry_failures_reinvokes_only_failed_workers(driver, monkeypatch):
     """The scan fleet re-invokes exactly the failed workers, flat (without
     tree children) and as attempt 1, and merges their fresh results over the
     failures; the healthy worker's message is left untouched."""
-    from repro.driver.dispatch import run_fleet
+    from repro.driver.dispatch import QueryContext
     from repro.driver.driver import SCAN_FLEET
-    from repro.driver.integrity import IntegrityStats
-    from repro.driver.resilience import AttemptLog, ResilienceStats
+    from repro.driver.resilience import AttemptLog
 
-    query_id = "unit-retry-query"
+    context = QueryContext(driver.env, driver.resilience_policy)
+    query_id = context.query_id
     events = {
         worker_id: {
             "worker_id": worker_id,
@@ -152,15 +152,12 @@ def test_retry_failures_reinvokes_only_failed_workers(driver, monkeypatch):
         driver.env.sqs.send_json(driver.result_queue, message)
 
     monkeypatch.setattr(driver.env.lambda_service, "invoke", fake_invoke)
-    resilience = ResilienceStats()
+    resilience = context.resilience
     attempt_log = AttemptLog()
-    merged = run_fleet(
+    merged = context.run(
         events,
-        driver._scan_transport(
-            events, query_id, driver._invocation.plan(3), resilience, IntegrityStats()
-        ),
-        rounds=3, policy=driver.resilience_policy, rng=driver._jitter_rng,
-        resilience=resilience, labels=SCAN_FLEET, attempt_log=attempt_log,
+        driver._scan_transport(events, driver._invocation.plan(3), context),
+        rounds=3, labels=SCAN_FLEET, attempt_log=attempt_log,
         on_retry=lambda key, retry, error: retry.pop("children", None),
     )
 

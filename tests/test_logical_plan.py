@@ -26,11 +26,6 @@ def test_scan_requires_paths():
         ScanNode(paths=())
 
 
-def test_scan_rejects_unknown_format():
-    with pytest.raises(InvalidPlanError):
-        ScanNode(paths=("s3://b/x",), format="orc")
-
-
 def test_chain_is_in_leaf_to_root_order():
     plan = LimitNode(child=FilterNode(child=_scan(), predicate=col("x") > 1), count=5)
     chain = plan.chain()

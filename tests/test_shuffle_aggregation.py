@@ -6,6 +6,7 @@ import pytest
 from repro.cloud.environment import CloudEnvironment
 from repro.cloud.faults import FaultPlan, FaultRule
 from repro.driver.breakers import BreakerBoard
+from repro.driver.dispatch import QueryContext
 from repro.driver.shuffle import (
     ShuffleAggregateCoordinator,
     exchange_fan_out,
@@ -217,14 +218,14 @@ def wide_fleet():
     return env, dataset, files
 
 
-def _wide_group_by(env, dataset, **overload):
+def _wide_group_by(env, dataset, context=None):
     return ShuffleAggregateCoordinator(env).execute(
         dataset.paths,
         group_by=["l_orderkey"],
         aggregates=WIDE_AGGREGATES,
         order_by=["l_orderkey"],
         num_workers=WIDE_FILES,
-        **overload,
+        context=context,
     )
 
 
@@ -266,7 +267,9 @@ def test_a_mapper_retried_in_an_s3_brownout_still_writes_one_object(wide_fleet):
         )
     )
     try:
-        result, statistics = _wide_group_by(env, dataset, breakers=board)
+        result, statistics = _wide_group_by(
+            env, dataset, context=QueryContext(env, breakers=board)
+        )
     finally:
         env.install_fault_plan(None)
 
