@@ -792,11 +792,13 @@ def measure_join_e2e(
         lambda: driver.execute(plan, num_workers=num_workers), repeats
     )
     statistics = result.statistics
+    mappers = result.worker_results[: -statistics.exchange_partitions * statistics.join_waves]
     return {
         "num_rows": lineitem.total_rows + orders.total_rows,
         "lineitem_rows": lineitem.total_rows,
         "orders_rows": orders.total_rows,
         "num_workers": num_workers,
+        "senders_with_rows": sum(1 for mapper in mappers if mapper.rows_after_filter),
         "result_rows": result.num_rows,
         "join_probe_rows": statistics.join_probe_rows,
         "join_build_rows": statistics.join_build_rows,
@@ -1265,13 +1267,14 @@ def test_join_e2e(bench_recorder, experiment_report):
         f"wall {measurement['combined_seconds']:.2f}s"
     )
     # Acceptance bars: the scan wave writes one combined object per mapper
-    # on each side, and the join wave never exceeds one ranged GET per
-    # non-empty (mapper, reducer, side) slice.
-    assert measurement["combined_put_requests"] == 2 * measurement["num_workers"]
+    # that kept a row (a mapper whose filter kept nothing writes none), and
+    # the join wave reads every such object's slice for each of its workers
+    # with one ranged GET, or elides it when it is empty.
+    assert measurement["combined_put_requests"] == measurement["senders_with_rows"]
     assert (
         measurement["combined_ranged_get_requests"]
         + measurement["empty_slices_elided"]
-        == 2 * measurement["num_workers"] ** 2
+        == measurement["combined_put_requests"] * measurement["num_workers"]
     )
     assert measurement["join_output_rows"] > 0
     # The join wave needs zero discovery requests (the offset directories

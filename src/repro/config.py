@@ -190,14 +190,11 @@ class ResilienceConfig:
     spill_read_attempts: int = 2
 
     # -- hedging ------------------------------------------------------------
-    hedge_enabled: bool = True
     hedge_factor: float = 4.0
     hedge_min_seconds: float = 0.5
     hedge_max_fraction: float = 0.25
 
-    # -- graceful degradation ------------------------------------------------
-    #: Pool respawns tolerated per query before processes -> serial.
-    pool_respawn_limit: int = 3
+    # -- process pool ---------------------------------------------------------
     #: Largest process pool the driver will spawn (formerly ``min(size, 16)``).
     pool_max_children: int = 16
     #: Seconds to wait for a pool child to exit before terminating it.

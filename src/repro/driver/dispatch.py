@@ -3,10 +3,14 @@
 The paper's driver does one thing per fleet, whatever it computes (§3.2–3.3):
 invoke the workers, learn of completion through the SQS result queue,
 re-invoke what failed.  :func:`run_fleet` is that loop, :func:`collect_results`
-that queue's only poller; the scan fleet, the process pool and every shuffle
-wave run through them.  What differs per caller is data: a *transport* closure
-that starts attempts and folds their reports into ``by_key``, the
+that queue's only poller; the scan fleet and every shuffle wave run through
+them.  What differs per caller is data: a *transport* closure that starts
+attempts and folds the reports it is asked for into ``by_key``, the
 :class:`FleetLabels` its pump points and budget charges carry, its rounds.
+A scan fleet's transport is Lambda + SQS or the process pool — the loop
+cannot tell them apart — and its stragglers' hedges are one more call of the
+same transport.  A fleet that is still failing after its rounds is returned
+as it stands; nothing is abandoned and re-run another way.
 
 What a query's fleets share — its id, jitter stream, counters, breaker board,
 retry budget and cancellation token — is one :class:`QueryContext`, opened
@@ -126,7 +130,7 @@ def collect_results(
 
 def run_fleet(
     events: Dict,
-    transport: Callable[[List[Dict], Dict], None],
+    transport: Callable[[List[Dict], Dict, Dict], None],
     rounds: int,
     policy: ResiliencePolicy,
     rng: random.Random,
@@ -137,26 +141,25 @@ def run_fleet(
     cancel: Optional[Any] = None,
     budget: Optional[Any] = None,
     on_retry: Optional[Callable[[Any, Dict, str], None]] = None,
-    give_up: Optional[Callable[[], bool]] = None,
-) -> Optional[Dict]:
+) -> Dict:
     """Dispatch ``events`` and re-dispatch what failed; returns ``{key: message}``.
 
     ``events`` maps fleet keys to invocation payloads; ``transport(payloads,
-    by_key)`` starts the given payloads and folds their reports into
-    ``by_key``.  Up to ``rounds - 1`` times, the workers that failed or never
-    reported are re-dispatched in key order as their next attempt (``events``
-    is updated in place) after one jittered backoff, charged to the modelled
-    latency and never slept.  Each failed attempt lands in ``attempt_log``;
-    each re-dispatch is charged to ``budget`` and counted as a retry;
-    ``on_retry(key, retry, error)`` lets the caller edit the retry payload
-    and book the failure.  ``give_up()`` is asked before a retry round is
-    paid for: true abandons the fleet and returns ``None``.  An exhausted
+    by_key, want)`` starts the given payloads and folds their reports into
+    ``by_key`` until every key of ``want`` — here always the whole fleet at
+    its current attempts — reported.  Up to ``rounds - 1`` times, the
+    workers that failed or never reported are re-dispatched in key order as
+    their next attempt (``events`` is updated in place) after one jittered
+    backoff, charged to the modelled latency and never slept.  Each failed
+    attempt lands in ``attempt_log``; each re-dispatch is charged to
+    ``budget`` and counted as a retry; ``on_retry(key, retry, error)`` lets
+    the caller edit the retry payload and book the failure.  An exhausted
     fleet is returned as it stands — what that raises is the caller's.
     """
     if cancel is not None and labels.dispatch is not None:
         cancel.check(labels.dispatch)
     by_key: Dict = {}
-    transport([events[key] for key in sorted(events)], by_key)
+    transport([events[key] for key in sorted(events)], by_key, current_attempts(events))
     sleep = 0.0
     for _ in range(rounds - 1):
         failed = failed_keys(events, by_key)
@@ -164,8 +167,6 @@ def run_fleet(
             break
         if cancel is not None:
             cancel.check(labels.retry)
-        if give_up is not None and give_up():
-            return None
         sleep = decorrelated_jitter(
             sleep, rng, policy.backoff_base_seconds, policy.backoff_cap_seconds
         )
@@ -185,7 +186,7 @@ def run_fleet(
             if budget is not None:
                 budget.charge(labels.budget)
             resilience.retries += 1
-        transport([events[key] for key in failed], by_key)
+        transport([events[key] for key in failed], by_key, current_attempts(events))
     return by_key
 
 
@@ -251,16 +252,15 @@ class QueryContext:
         )
 
     def run(
-        self, events: Dict, transport: Callable[[List[Dict], Dict], None],
+        self, events: Dict, transport: Callable[[List[Dict], Dict, Dict], None],
         rounds: int, labels: FleetLabels, attempt_log: AttemptLog,
         on_retry: Optional[Callable[[Any, Dict, str], None]] = None,
-        give_up: Optional[Callable[[], bool]] = None,
-    ) -> Optional[Dict]:
+    ) -> Dict:
         """:func:`run_fleet` of one of this query's fleets."""
         return run_fleet(
             events, transport, rounds, self.policy, self.rng, self.resilience,
             labels, attempt_log, integrity=self.integrity, cancel=self.cancel,
-            budget=self.budget, on_retry=on_retry, give_up=give_up,
+            budget=self.budget, on_retry=on_retry,
         )
 
     def fetch_spilled(self, messages: Iterable[Dict], verify: bool) -> None:

@@ -1,16 +1,18 @@
 """The Lambada driver: query coordinator.
 
 The driver deploys the worker function once ("installation"), then executes
-queries by compiling them, running the worker fleet through
-:func:`repro.driver.dispatch.run_fleet` — invoked in the shape its launch
-plan prices (one hop, or the two-level tree of §4.2 for a large fleet), or on
-the process pool; failed workers re-invoked — and merging the partial results
-locally (the driver scope of the physical plan).  Each query opens one
-:class:`~repro.driver.dispatch.QueryContext` (its id, jitter stream,
-counters, retry budget and cancellation token, with the driver's breaker
-board); the scan fleet, the pool, hedges and a join plan's every wave run
-under it.  It reports per-query statistics — modelled end-to-end latency and
-the full dollar-cost breakdown — which the evaluation benchmarks consume.
+queries by compiling them, running the worker fleet through one
+:meth:`~repro.driver.dispatch.QueryContext.run` — failed workers re-invoked
+— over one transport picked per query: Lambda + SQS (invoked in the shape
+the launch plan prices, one hop or the two-level tree of §4.2) or the process
+pool.  Stragglers are hedged by one more call of the same transport, and the
+partial results are merged locally (the driver scope of the physical plan).
+Each query opens one :class:`~repro.driver.dispatch.QueryContext` (its id,
+jitter stream, counters, retry budget and cancellation token, with the
+driver's breaker board); the scan fleet, its hedges and a join plan's every
+wave run under it.  It reports per-query statistics — modelled end-to-end
+latency and the full dollar-cost breakdown — which the evaluation benchmarks
+consume.
 """
 
 from __future__ import annotations
@@ -21,8 +23,9 @@ import os
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -47,7 +50,6 @@ from repro.driver.invocation import (
 )
 from repro.driver.resilience import (
     DEFAULT_RESILIENCE_POLICY,
-    TRANSIENT_CLOUD_ERRORS,
     AttemptLog,
     ResiliencePolicy,
     ResilienceStats,
@@ -528,8 +530,8 @@ class LambadaDriver:
         if cold:
             self.env.lambda_service.reset_warm_instances(self.function_name)
 
-        payloads = [
-            {
+        events = {
+            worker_id: {
                 "worker_id": worker_id,
                 "attempt": 0,
                 "plan": worker_plan.to_dict(),
@@ -540,8 +542,8 @@ class LambadaDriver:
                 "integrity": self.integrity.to_dict(),
             }
             for worker_id, worker_plan in enumerate(worker_plans)
-        ]
-        launch = self._invocation.plan(len(payloads), cold=cold)
+        }
+        launch = self._invocation.plan(len(events), cold=cold)
         prices = self.env.ledger.prices
 
         def on_retry(key: int, retry: Dict, error: str) -> None:
@@ -553,49 +555,24 @@ class LambadaDriver:
 
         with context.teardown(self._gc_cancelled_scan):
             attempt_log = AttemptLog()
-            by_worker = None
-            if self.execution_mode == "processes" and self._pool_supported(physical):
-                by_worker = self._run_pooled(
-                    payloads, max_worker_retries + 1, attempt_log, on_retry, context
-                )
-            pooled = by_worker is not None
-            if not pooled:
-                # The classic dispatch — and where a pool that is unavailable
-                # (single core / spawn failure) or gave up mid-query (respawn
-                # storm / open invocation breaker) falls back to, from scratch.
-                self.env.sqs.purge_queue(self.result_queue)
-                attempt_log = AttemptLog()
-                events = {payload["worker_id"]: payload for payload in payloads}
+            with self._transport(physical, events, launch, context) as (transport, labels):
                 by_worker = context.run(
-                    events, self._scan_transport(events, launch, context),
-                    max_worker_retries + 1, SCAN_FLEET, attempt_log, on_retry=on_retry,
+                    events, transport, max_worker_retries + 1, labels, attempt_log,
+                    on_retry=on_retry,
                 )
-                context.fetch_spilled(by_worker.values(), self.integrity.verify)
-            worker_results = self._parse_results(
-                by_worker, expected=len(payloads), attempt_log=attempt_log
-            )
-            hedge_billed_seconds = 0.0
-            if pooled:
-                # Fold the workers' simulated S3 traffic into the ledger (the
-                # classic path meters it inside ObjectStore per request).
-                now = self.env.clock.now
-                self.env.ledger.record(
-                    "s3", "get_requests",
-                    sum(r.get_requests for r in worker_results), now,
+                self._raise_failures(by_worker, len(events), attempt_log)
+                hedge_waits, hedge_billed = self._hedge_stragglers(
+                    by_worker, events, transport, context
                 )
-                self.env.ledger.record(
-                    "s3", "bytes_read",
-                    sum(r.bytes_read for r in worker_results), now,
-                )
-            else:
-                worker_results, hedge_billed_seconds = self._hedge_stragglers(
-                    worker_results, by_worker, payloads, context
-                )
-
+            context.fetch_spilled(by_worker.values(), self.integrity.verify)
+            worker_results = [
+                WorkerResult.from_payload(message["result"], message.get("frame"))
+                for _, message in sorted(by_worker.items())
+            ]
             table, reduce_value = self._merge(physical, worker_results)
             statistics = self._build_statistics(
-                physical, worker_results, launch=launch, cold=cold,
-                context=context, extra_billed_seconds=hedge_billed_seconds,
+                worker_results, launch=launch, cold=cold, context=context,
+                hedge_waits=hedge_waits, hedge_billed=hedge_billed,
             )
             statistics.overload = self._overload_block(context.budget)
             return QueryResult(
@@ -764,167 +741,138 @@ class LambadaDriver:
             self._pool.close()
             self._pool = None
 
-    def _run_pooled(
+    @contextmanager
+    def _transport(
         self,
-        payloads: List[Dict],
-        rounds: int,
-        attempt_log: AttemptLog,
-        on_retry,
+        physical: PhysicalPlan,
+        events: Dict[int, Dict],
+        launch: LaunchPlan,
         context: QueryContext,
-    ) -> Optional[Dict[int, Dict]]:
-        """Run the fleet on the process pool; ``None`` means "fall back".
+    ) -> Iterator[Tuple[Callable, FleetLabels]]:
+        """The scan fleet's one transport and its labels, chosen once per query.
 
-        The SQS control plane is bypassed — worker results come back through
-        shared-memory segments — but as classic-shaped messages, so
-        ``execute`` parses, merges and prices them with the same tail as the
-        classic path, and every pool task is metered through
-        ``LambdaService.account_invocation``: invocation cold/warm
-        bookkeeping, the ledger, and the cost model stay identical.
+        The process pool when ``processes`` mode can run the plan and the pool
+        is available; otherwise Lambda + SQS (:meth:`_scan_transport`), which
+        is also where a single-core host or a pool that failed to spawn lands.
+        The fleet, its retry rounds and its hedges all go through what is
+        yielded; the pool's input export is released when the block exits,
+        normally or not.
         """
-        pool = self._ensure_pool()
+        pool = None
+        if self.execution_mode == "processes" and self._pool_supported(physical):
+            pool = self._ensure_pool()
         if pool is None:
-            return None
-        resilience = context.resilience
-        respawns_before = pool.stats().get("respawns", 0)
-
-        def give_up() -> bool:
-            if "lambda" in self.breakers.open_services():
-                # Invocation-plane brownout: stop feeding the pool and run
-                # this query serially.  Unlike the respawn-storm path the
-                # pool stays up — the breaker recovers on its own.
-                resilience.note_fallback("processes_to_serial")
-                return True
-            respawn_delta = pool.stats().get("respawns", 0) - respawns_before
-            if respawn_delta <= self.resilience_policy.pool_respawn_limit:
-                return False
-            # Respawn storm: the pool keeps losing children mid-query.
-            # Degrade to serial dispatch instead of thrashing further.
-            resilience.pool_respawns = respawn_delta
-            resilience.note_fallback("processes_to_serial")
-            warnings.warn(
-                f"processes execution mode: {respawn_delta} pool "
-                "respawns in one query, falling back to serial dispatch",
-                RuntimeWarning,
-                # give_up < run_fleet < run < _run_pooled < execute < caller
-                stacklevel=6,
-            )
-            self.close()
-            self._pool_unavailable = True
-            return True
-
-        all_files = sorted({path for p in payloads for path in p["plan"]["files"]})
-        export = SharedObjectExport.create(self.env.s3, all_files)
+            self.env.sqs.purge_queue(self.result_queue)
+            yield self._scan_transport(launch, context), SCAN_FLEET
+            return
+        files = sorted({path for event in events.values() for path in event["plan"]["files"]})
+        export = SharedObjectExport.create(self.env.s3, files)
+        respawns = pool.stats().get("respawns", 0)
         try:
-            # A cancellation at either pump point unwinds through here:
-            # result segments are unlinked round by round, the export below.
-            by_worker = context.run(
-                {payload["worker_id"]: payload for payload in payloads},
-                lambda attempts, by_key: by_key.update(
-                    self._run_pooled_round(pool, export, attempts)
-                ),
-                rounds, POOL_FLEET, attempt_log, on_retry=on_retry, give_up=give_up,
-            )
+            yield self._pool_transport(pool, export), POOL_FLEET
         finally:
+            context.resilience.pool_respawns = pool.stats().get("respawns", 0) - respawns
             pool.forget_segments([export.name])
             export.close()
-        if by_worker is not None:
-            resilience.pool_respawns = pool.stats().get("respawns", 0) - respawns_before
-        return by_worker
 
-    def _run_pooled_round(
-        self,
-        pool,
-        export: SharedObjectExport,
-        payloads: List[Dict],
-    ) -> Dict[int, Dict]:
-        """Dispatch one wave of payloads to the pool and meter each attempt.
+    def _pool_transport(self, pool, export: SharedObjectExport) -> Callable:
+        """The process pool's transport: run the payloads on the pool's
+        children over the shared-memory export and meter each attempt.
 
-        Returns classic-shaped result messages keyed by worker id, so the
-        downstream retry/parse machinery is shared with the SQS path.
-        Invocations are accounted in worker-id order (the dispatch order),
-        keeping cold/warm assignment deterministic like serial invocation.
+        The SQS control plane is bypassed, but every attempt comes back as a
+        classic-shaped result message keyed by worker id, so the retry loop,
+        the hedge race and the tail are shared with :meth:`_scan_transport`.
+        Each attempt is metered through ``LambdaService.account_invocation``
+        (cold/warm bookkeeping, the ledger, the cost model), in worker-id
+        order to keep cold/warm assignment deterministic, and the S3 GETs and
+        bytes the children read are written to the ledger (the SQS path
+        meters them inside ``ObjectStore``).  The poll set ``want`` has no
+        use here: a call returns with every payload's outcome.
 
-        An installed :class:`~repro.cloud.faults.FaultPlan` is consulted here,
-        mirroring the SQS path: dropped/timed-out invocations are decided
-        before dispatch (the fragment never runs), pool-crash injections lose
-        a completed result (its segment is still unlinked), and straggler
+        An installed :class:`~repro.cloud.faults.FaultPlan` is consulted as on
+        the SQS path: dropped/timed-out invocations are decided before
+        dispatch (the fragment never runs), pool-crash injections lose a
+        completed result (its segment is still unlinked), and straggler
         slowdowns multiply the reported duration.
         """
-        plan = getattr(self.env, "fault_plan", None)
-        faulted: Dict[int, str] = {}
-        if plan is not None:
-            for payload in payloads:
-                fault = plan.invocation_fault(self.function_name)
-                if fault is not None:
-                    faulted[payload["worker_id"]] = fault
-        tasks = [
-            (
-                "run",
-                payload["worker_id"],
-                payload["plan"],
-                export.name,
-                export.directory,
-                self.memory_mib,
-                payload.get("threads", 2),
-            )
-            for payload in payloads
-            if payload["worker_id"] not in faulted
-        ]
-        raw = pool.run_tasks(tasks)
-        by_worker: Dict[int, Dict] = {}
-        for payload in payloads:
-            worker_id = payload["worker_id"]
-            fault = faulted.get(worker_id)
-            if fault is not None:
-                if fault == "drop":
-                    error = "InvocationDropped: injected invocation drop"
-                    duration = 0.0
-                else:
-                    error = (
-                        "FunctionTimeout: injected hang killed at the "
-                        f"{self.worker_timeout_seconds:.1f}s timeout"
-                    )
-                    duration = self.worker_timeout_seconds
-                self.env.lambda_service.account_invocation(
-                    self.function_name, duration_seconds=duration, from_driver=True
+
+        def transport(payloads: List[Dict], by_key: Dict, want: Dict) -> None:
+            plan = getattr(self.env, "fault_plan", None)
+            faulted: Dict[int, str] = {}
+            if plan is not None:
+                for payload in payloads:
+                    fault = plan.invocation_fault(self.function_name)
+                    if fault is not None:
+                        faulted[payload["worker_id"]] = fault
+            raw = pool.run_tasks([
+                (
+                    "run", payload["worker_id"], payload["plan"], export.name,
+                    export.directory, self.memory_mib, payload.get("threads", 2),
                 )
-                by_worker[worker_id] = {
-                    "worker_id": worker_id,
-                    "attempt": payload.get("attempt", 0),
-                    "status": "error",
-                    "error": error,
-                }
-                continue
-            raw_result = raw.get(worker_id)
-            crashed = plan is not None and plan.pool_crash(
-                self.function_name, worker_id
-            )
-            message = self._pooled_message(raw_result, worker_id)
-            if crashed:
-                # The child did the work, but the injected crash loses its
-                # result (the segment it wrote is already unlinked).
-                message = {
-                    "worker_id": worker_id,
-                    "status": "error",
-                    "error": "WorkerCrashError: injected pool worker crash",
-                }
-            message.setdefault("attempt", payload.get("attempt", 0))
-            duration = message.get("result", {}).get("duration_seconds", 0.0)
-            if plan is not None and message.get("status") == "ok":
-                duration *= plan.straggler_factor(self.function_name)
-            # Meter the attempt exactly like an invocation of the in-process
-            # handler: cold/warm bookkeeping, ledger, invocation log, and the
-            # cold execution penalty on the modelled duration.
-            invocation = self.env.lambda_service.account_invocation(
-                self.function_name,
-                duration_seconds=duration,
-                from_driver=True,
-                cold_penalty=COLD_EXECUTION_PENALTY,
-            )
-            if message.get("status") == "ok":
-                message["result"]["duration_seconds"] = invocation.duration_seconds
-            by_worker[worker_id] = message
-        return by_worker
+                for payload in payloads
+                if payload["worker_id"] not in faulted
+            ])
+            get_requests = bytes_read = 0
+            for payload in payloads:
+                worker_id = payload["worker_id"]
+                fault = faulted.get(worker_id)
+                if fault is not None:
+                    if fault == "drop":
+                        error = "InvocationDropped: injected invocation drop"
+                        duration = 0.0
+                    else:
+                        error = (
+                            "FunctionTimeout: injected hang killed at the "
+                            f"{self.worker_timeout_seconds:.1f}s timeout"
+                        )
+                        duration = self.worker_timeout_seconds
+                    self.env.lambda_service.account_invocation(
+                        self.function_name, duration_seconds=duration, from_driver=True
+                    )
+                    by_key[worker_id] = {
+                        "worker_id": worker_id,
+                        "attempt": payload.get("attempt", 0),
+                        "status": "error",
+                        "error": error,
+                    }
+                    continue
+                crashed = plan is not None and plan.pool_crash(
+                    self.function_name, worker_id
+                )
+                message = self._pooled_message(raw.get(worker_id), worker_id)
+                if message["status"] == "ok":
+                    # The child read its inputs whether or not it survives.
+                    get_requests += message["result"]["get_requests"]
+                    bytes_read += message["result"]["bytes_read"]
+                if crashed:
+                    # The child did the work, but the injected crash loses its
+                    # result (the segment it wrote is already unlinked).
+                    message = {
+                        "worker_id": worker_id,
+                        "status": "error",
+                        "error": "WorkerCrashError: injected pool worker crash",
+                    }
+                message.setdefault("attempt", payload.get("attempt", 0))
+                duration = message.get("result", {}).get("duration_seconds", 0.0)
+                if plan is not None and message["status"] == "ok":
+                    duration *= plan.straggler_factor(self.function_name)
+                # Meter the attempt exactly like an invocation of the in-process
+                # handler: cold/warm bookkeeping, ledger, invocation log, and the
+                # cold execution penalty on the modelled duration.
+                invocation = self.env.lambda_service.account_invocation(
+                    self.function_name,
+                    duration_seconds=duration,
+                    from_driver=True,
+                    cold_penalty=COLD_EXECUTION_PENALTY,
+                )
+                if message["status"] == "ok":
+                    message["result"]["duration_seconds"] = invocation.duration_seconds
+                by_key[worker_id] = message
+            now = self.env.clock.now
+            self.env.ledger.record("s3", "get_requests", get_requests, now)
+            self.env.ledger.record("s3", "bytes_read", bytes_read, now)
+
+        return transport
 
     def _pooled_message(self, raw: Optional[tuple], worker_id: int) -> Dict:
         """Convert one pool child message into the classic result-message shape.
@@ -995,7 +943,7 @@ class LambadaDriver:
         messages), never as raised exceptions, so
         :meth:`~repro.driver.breakers.BreakerBoard.classify` cannot see them;
         a sustained invocation-side failure storm still needs to trip the
-        lambda breaker and drive degradation.
+        lambda breaker.
         """
         if error.startswith(self._LAMBDA_FAILURE_PREFIXES):
             self.breakers.breakers["lambda"].record_failure(now)
@@ -1014,19 +962,18 @@ class LambadaDriver:
         results deleted, result queue purged; returns the objects deleted."""
         return _gc_cancelled_query(self.env, query_id, 0, self.result_queue)
 
-    def _scan_transport(
-        self, events: Dict[int, Dict], launch: LaunchPlan, context: QueryContext
-    ):
-        """The scan fleet's transport: invoke over Lambda, report over SQS.
+    def _scan_transport(self, launch: LaunchPlan, context: QueryContext) -> Callable:
+        """The Lambda + SQS transport: invoke over Lambda, report over SQS.
 
         The first call starts the fleet in the shape ``launch`` priced (one
-        hop, or the two-level tree); later calls are retries, invoked flat
-        from the driver.  Every Invoke goes through ``context.call``, so a
-        transient rejection (a capacity brownout's
+        hop, or the two-level tree); later calls — retries and hedges — are
+        invoked flat from the driver.  Every Invoke goes through
+        ``context.call``, so a transient rejection (a capacity brownout's
         :class:`~repro.errors.TooManyRequestsError`) is retried with backoff
         through the breaker board and the query's retry budget instead of
-        aborting the fleet.  Either way the result queue is then polled for
-        the whole fleet at its current attempts.
+        aborting the fleet.  Either way the result queue is then polled until
+        every key of ``want`` reported at its attempt: the whole fleet for a
+        fleet round, only the hedged workers for a hedge.
         """
         invoke = functools.partial(
             context.call, self.env.lambda_service.invoke, self.function_name,
@@ -1034,7 +981,7 @@ class LambadaDriver:
         )
         launched = False
 
-        def transport(payloads: List[Dict], by_key: Dict[int, Dict]) -> None:
+        def transport(payloads: List[Dict], by_key: Dict, want: Dict) -> None:
             nonlocal launched
             if launched:
                 for payload in payloads:
@@ -1043,19 +990,15 @@ class LambadaDriver:
                 self._invoke_tree(build_invocation_tree(payloads, launch), invoke)
             launched = True
             context.collect(
-                self.result_queue, current_attempts(events), by_key, "collect",
-                verify=self.integrity.verify,
+                self.result_queue, want, by_key, "collect", verify=self.integrity.verify
             )
 
         return transport
 
-    def _parse_results(
-        self,
-        by_worker: Dict[int, Dict],
-        expected: int,
-        attempt_log: AttemptLog,
-    ) -> List[WorkerResult]:
-        """Turn grouped messages into WorkerResults, surfacing remaining failures."""
+    def _raise_failures(
+        self, by_worker: Dict[int, Dict], expected: int, attempt_log: AttemptLog
+    ) -> None:
+        """Surface what a finished fleet still lacks as a typed error."""
         failures = sorted(
             (m for m in by_worker.values() if m.get("status") != "ok"),
             key=lambda message: message["worker_id"],
@@ -1070,109 +1013,87 @@ class LambadaDriver:
             raise QueryTimeoutError(
                 f"got results from {len(by_worker)} distinct workers, expected {expected}"
             )
-        return [
-            WorkerResult.from_payload(message["result"], message.get("frame"))
-            for _, message in sorted(by_worker.items())
-        ]
 
     def _hedge_stragglers(
         self,
-        worker_results: List[WorkerResult],
         by_worker: Dict[int, Dict],
-        payloads: List[Dict],
+        events: Dict[int, Dict],
+        transport: Callable,
         context: QueryContext,
-    ) -> Tuple[List[WorkerResult], float]:
-        """Speculatively re-invoke straggler workers; first result wins.
+    ) -> Tuple[Dict[int, float], List[float]]:
+        """Race each straggler against a speculative re-run; first result wins.
 
-        Post-wave quantile detection: workers whose modelled duration exceeds
+        Post-fleet quantile detection: workers whose modelled duration exceeds
         both ``hedge_factor`` x the fleet median and the absolute
-        ``hedge_min_seconds`` floor are re-invoked once, flat.  The hedge can
-        only start once the straggler is *detected*, so its effective
-        completion is ``threshold + hedge duration``; if that beats the
-        original, the hedge's result replaces it (the recompute is
-        deterministic — data identical, only duration/counters differ) and
-        the original run's duration cost is attributed as wasted.  A
-        homogeneous clean fleet never crosses the threshold, so fault-free
-        runs take none of this path.
+        ``hedge_min_seconds`` floor are re-run once, flat, as their next
+        attempt — one more call of the fleet's own ``transport``, whose
+        reports land in a map of their own.  The hedge can only start once
+        the straggler is *detected*, so it completes at ``threshold + hedge
+        duration``; if that beats the original, the hedge's message replaces
+        it in ``by_worker`` (the recompute is deterministic — data identical,
+        only duration/counters differ) and the original run is attributed as
+        wasted.  A homogeneous clean fleet never crosses the threshold, so
+        fault-free runs take none of this path.
+
+        Returns the wait before each won hedge started (latency only) and the
+        seconds billed beyond the winners' own runs: a won hedge's original,
+        a lost hedge's run — both racers run to completion (a real Lambda
+        cannot be cancelled).
         """
         policy = self.resilience_policy
-        ordered_ids = sorted(by_worker)
         durations = {
-            worker_id: worker_results[index].duration_seconds
-            for index, worker_id in enumerate(ordered_ids)
+            worker_id: message["result"]["duration_seconds"]
+            for worker_id, message in by_worker.items()
         }
         stragglers = pick_stragglers(durations, policy)
         if not stragglers:
-            return worker_results, 0.0
+            return {}, []
         fleet_median = sorted(durations.values())[len(durations) // 2]
         threshold = max(policy.hedge_min_seconds, policy.hedge_factor * fleet_median)
-        payload_by_worker = {payload["worker_id"]: payload for payload in payloads}
-        prices = self.env.ledger.prices
         resilience = context.resilience
-        index_of = {worker_id: index for index, worker_id in enumerate(ordered_ids)}
-        launched: Dict[int, int] = {}  # straggler -> its hedge's attempt
+        hedges: Dict[int, Dict] = {}
         for worker_id in stragglers:
             if not context.budget.try_charge("hedges"):
                 # Hedging is optional work: when the retry budget runs dry it
                 # is suppressed (and attributed), never fatal.
                 resilience.note_fallback("hedge_suppressed")
                 continue
-            hedge_payload = dict(payload_by_worker[worker_id])
-            hedge_payload.pop("children", None)
-            hedge_payload["attempt"] = by_worker[worker_id].get("attempt", 0) + 1
-            try:
-                self.env.lambda_service.invoke(
-                    self.function_name, hedge_payload, from_driver=True
-                )
-            except TRANSIENT_CLOUD_ERRORS as error:
-                # A brownout-rejected hedge simply never enters the race;
-                # the original attempt's result stands.
-                self.breakers.record_failure(error, context.now())
-                resilience.note_fallback("hedge_rejected")
-                continue
-            resilience.hedges_launched += 1
-            launched[worker_id] = hedge_payload["attempt"]
-        if not launched:
-            return worker_results, 0.0
+            hedge = {**events[worker_id], "attempt": events[worker_id]["attempt"] + 1}
+            hedge.pop("children", None)
+            hedges[worker_id] = hedge
+        if not hedges:
+            return {}, []
+        resilience.hedges_launched += len(hedges)
         hedged: Dict[int, Dict] = {}
-        context.collect(
-            self.result_queue, launched, hedged, "collect", verify=self.integrity.verify
-        )
-        context.fetch_spilled(hedged.values(), self.integrity.verify)
-        # Both racers run to completion and bill their full duration (a real
-        # Lambda cannot be cancelled); the loser's extra seconds are billed on
-        # top of the per-worker winner durations and attributed as waste.
-        extra_billed_seconds = 0.0
-        for worker_id in launched:
-            message = hedged.get(worker_id)
-            if message is None or message.get("status") != "ok":
+        transport(list(hedges.values()), hedged, current_attempts(hedges))
+        prices = self.env.ledger.prices
+        waits: Dict[int, float] = {}
+        billed: List[float] = []
+        for worker_id, hedge in hedges.items():
+            message = hedged.get(worker_id, {})
+            if message.get("status") != "ok" or message["attempt"] < hedge["attempt"]:
                 # The hedge itself failed or vanished — it simply loses.
                 resilience.hedges_lost += 1
                 resilience.wasted_cost_dollars += prices.lambda_invocation_cost(1)
                 continue
-            hedge_result = WorkerResult.from_payload(
-                message["result"], message.get("frame")
-            )
-            effective = threshold + hedge_result.duration_seconds
+            own = message["result"]["duration_seconds"]
             original = durations[worker_id]
-            if effective < original:
-                hedge_result.duration_seconds = effective
-                worker_results[index_of[worker_id]] = hedge_result
+            if threshold + own < original:
+                by_worker[worker_id] = message
+                waits[worker_id] = threshold
+                billed.append(original)
                 resilience.hedges_won += 1
-                extra_billed_seconds += original
                 resilience.wasted_cost_dollars += prices.lambda_duration_cost(
                     self.memory_mib, original
                 )
             else:
+                billed.append(own)
                 resilience.hedges_lost += 1
-                extra_billed_seconds += hedge_result.duration_seconds
                 resilience.wasted_cost_dollars += (
                     prices.lambda_invocation_cost(1)
-                    + prices.lambda_duration_cost(
-                        self.memory_mib, hedge_result.duration_seconds
-                    )
+                    + prices.lambda_duration_cost(self.memory_mib, own)
                 )
-        return worker_results, extra_billed_seconds
+        return waits, billed
 
     def _empty_result(
         self,
@@ -1233,23 +1154,25 @@ class LambadaDriver:
 
     def _build_statistics(
         self,
-        physical: PhysicalPlan,
         worker_results: List[WorkerResult],
         launch: LaunchPlan,
         cold: bool,
         context: QueryContext,
-        extra_billed_seconds: float,
+        hedge_waits: Dict[int, float],
+        hedge_billed: List[float],
     ) -> QueryStatistics:
         """Compute modelled latency and dollar cost of the query.
 
-        ``extra_billed_seconds`` bills execution time that bought no used
-        result but was still charged (e.g. the losing side of a hedge race);
-        it affects cost, never latency.
+        A won hedge finishes ``hedge_waits[worker_id]`` (its detection
+        threshold) after its own run: latency, never cost.  ``hedge_billed``
+        is what ran but bought no used result: cost, never latency.
         """
         context.note_faults()
         resilience, integrity = context.resilience, context.integrity
         prices = self.env.ledger.prices
-        durations = [result.duration_seconds for result in worker_results]
+        billed = [result.duration_seconds for result in worker_results]
+        # Worker ids are positions in the fleet.
+        durations = [s + hedge_waits.get(wid, 0.0) for wid, s in enumerate(billed)]
         num_workers = launch.num_workers
         start_times = launch.worker_start_times()
         completion = start_times[: len(durations)] + np.asarray(durations)
@@ -1273,8 +1196,9 @@ class LambadaDriver:
                 integrity.merge(IntegrityStats.from_dict(result.integrity_stats))
 
         cost_lambda_duration = sum(
-            prices.lambda_duration_cost(self.memory_mib, duration) for duration in durations
-        ) + prices.lambda_duration_cost(self.memory_mib, extra_billed_seconds)
+            prices.lambda_duration_cost(self.memory_mib, seconds)
+            for seconds in billed + hedge_billed
+        )
         # Every actually-made invocation request is billed, including retries
         # and hedges (their wasted share is attributed in the resilience block).
         cost_lambda_requests = prices.lambda_invocation_cost(

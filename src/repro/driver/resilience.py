@@ -6,7 +6,7 @@ failures a real deployment would see) lives here:
 
 * :class:`ResiliencePolicy` — the retry/hedging knobs: attempt budget,
   exponential backoff with decorrelated jitter, per-wave deadlines, straggler
-  quantile thresholds, and degradation limits.
+  quantile thresholds, and the per-query retry budget.
 * :func:`decorrelated_jitter` — the AWS-recommended backoff schedule
   (``sleep = min(cap, uniform(base, prev * 3))``).  Backoff is charged to the
   *modelled* latency ledger, never slept on the wall clock.
@@ -54,8 +54,6 @@ class ResiliencePolicy:
     #: Modelled deadline for one wave of workers; workers still missing when
     #: the poll budget runs out are treated as failed and retried.
     wave_deadline_seconds: float = DEFAULT_RESILIENCE.wave_deadline_seconds
-    #: Hedged (speculative) re-invocation of stragglers.
-    hedge_enabled: bool = DEFAULT_RESILIENCE.hedge_enabled
     #: A worker is a straggler when its modelled duration exceeds
     #: ``hedge_factor`` x the fleet median ...
     hedge_factor: float = DEFAULT_RESILIENCE.hedge_factor
@@ -63,9 +61,6 @@ class ResiliencePolicy:
     hedge_min_seconds: float = DEFAULT_RESILIENCE.hedge_min_seconds
     #: At most this fraction of the fleet is hedged per query.
     hedge_max_fraction: float = DEFAULT_RESILIENCE.hedge_max_fraction
-    #: Process-pool respawns tolerated within one query before the driver
-    #: degrades to serial dispatch.
-    pool_respawn_limit: int = DEFAULT_RESILIENCE.pool_respawn_limit
     #: Seed for the backoff/jitter RNG (independent of any fault plan).
     jitter_seed: int = DEFAULT_RESILIENCE.jitter_seed
     #: Per-query cap on combined retry/hedge spend (see
@@ -183,7 +178,7 @@ class ResilienceStats:
     wave_retries: int = 0
     #: Process-pool children respawned during this query.
     pool_respawns: int = 0
-    #: Graceful-degradation events, e.g. {"processes_to_serial": 1}.
+    #: Graceful-degradation events, e.g. {"hedge_suppressed": 1}.
     fallbacks: Dict[str, int] = field(default_factory=dict)
     #: Faults the installed FaultPlan injected during this query, by kind.
     faults_injected: Dict[str, int] = field(default_factory=dict)
@@ -306,14 +301,11 @@ class AttemptLog:
         attempt: int,
         error: str = "",
         backoff_seconds: float = 0.0,
-        hedged: bool = False,
     ) -> None:
         """Append one attempt outcome for a worker."""
         entry: Dict[str, Any] = {"attempt": attempt, "error": error}
         if backoff_seconds:
             entry["backoff_seconds"] = backoff_seconds
-        if hedged:
-            entry["hedged"] = True
         self.history.setdefault(worker_id, []).append(entry)
 
     def for_worker(self, worker_id: int) -> List[Dict[str, Any]]:
@@ -333,7 +325,7 @@ def pick_stragglers(
     ``policy.hedge_max_fraction`` of the fleet is returned (slowest first).
     Fleets smaller than 4 never hedge — the median is too noisy.
     """
-    if not policy.hedge_enabled or len(durations) < 4:
+    if len(durations) < 4:
         return []
     ordered = sorted(durations.values())
     median = ordered[len(ordered) // 2]

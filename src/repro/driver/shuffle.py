@@ -82,7 +82,6 @@ from repro.driver.dispatch import (
     NO_RESULT_ERROR,
     FleetLabels,
     QueryContext,
-    current_attempts,
     failed_keys,
 )
 from repro.driver.integrity import RESULT_BUCKET, IntegrityStats, post_result
@@ -1169,7 +1168,7 @@ class ShuffleJoinCoordinator:
         """
         redispatch = False
 
-        def transport(payloads: List[Dict], by_key: Dict) -> None:
+        def transport(payloads: List[Dict], by_key: Dict, want: Dict) -> None:
             nonlocal redispatch
             if redispatch:
                 context.resilience.wave_retries += 1
@@ -1177,8 +1176,7 @@ class ShuffleJoinCoordinator:
             for payload in payloads:
                 context.call(self.env.lambda_service.invoke, function_name, payload)
             context.collect(
-                self.result_queue, current_attempts(events), by_key, what,
-                verify=self.config.integrity.verify,
+                self.result_queue, want, by_key, what, verify=self.config.integrity.verify
             )
 
         attempt_log = AttemptLog()

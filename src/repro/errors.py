@@ -290,8 +290,8 @@ class RetryBudgetExhaustedError(ExecutionError):
 class BreakerOpenError(ExecutionError):
     """A request was refused because its service's circuit breaker is open.
 
-    Raised by breaker-aware call sites that cannot degrade (what can
-    degrade — processes→serial — does so instead of raising).  ``service`` is ``"s3"``/``"lambda"``/``"sqs"``.
+    Raised by breaker-aware call sites.  ``service`` is
+    ``"s3"``/``"lambda"``/``"sqs"``.
     """
 
     def __init__(self, message: str, service: str = ""):

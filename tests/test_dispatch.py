@@ -67,7 +67,7 @@ def _failing(ok_from_attempt):
     """Transport whose workers 1 and 2 fail until the given attempt."""
     calls = []
 
-    def transport(payloads, by_key):
+    def transport(payloads, by_key, want):
         calls.append([(p["worker_id"], p["attempt"]) for p in payloads])
         for payload in payloads:
             healthy = payload["worker_id"] == 0 or payload["attempt"] >= ok_from_attempt
@@ -113,7 +113,7 @@ def test_an_exhausted_fleet_is_returned_after_at_most_rounds_calls(rounds):
 
 
 def test_a_silent_worker_is_retried_as_lost():
-    def transport(payloads, by_key):
+    def transport(payloads, by_key, want):
         for payload in payloads:
             if payload["attempt"]:
                 by_key[payload["worker_id"]] = {"status": "ok", "attempt": payload["attempt"]}
@@ -127,19 +127,19 @@ def test_a_silent_worker_is_retried_as_lost():
     assert sorted(by_key) == [0, 1, 2]
 
 
-def test_give_up_abandons_the_fleet_before_any_backoff_is_charged():
-    transport, calls = _failing(ok_from_attempt=1)
-    recorder = Recorder()
-    by_key, events, resilience, attempt_log, rng = _fleet(
-        transport, rounds=3, give_up=lambda: True, cancel=recorder, budget=recorder
-    )
-    assert by_key is None and len(calls) == 1
-    assert rng.draws == 0 and resilience.backoff_seconds == 0.0
-    assert resilience.retries == 0 and recorder.charges == []
-    assert attempt_log.history == {}
-    assert all(event["attempt"] == 0 for event in events.values())
-    # The retry pump point comes first: a cancelled query never degrades.
-    assert recorder.stages == ["test dispatch", "test retry"]
+def test_every_round_polls_for_the_whole_fleet_at_its_current_attempts():
+    inner, _ = _failing(ok_from_attempt=2)
+    wants = []
+
+    def transport(payloads, by_key, want):
+        wants.append(dict(want))
+        inner(payloads, by_key, want)
+
+    by_key, _, _, _, _ = _fleet(transport, rounds=4)
+    # Retries re-dispatch only the failed workers, but every round's poll
+    # covers the fleet, healthy worker 0 included.
+    assert wants == [{0: 0, 1: 0, 2: 0}, {0: 0, 1: 1, 2: 1}, {0: 0, 1: 2, 2: 2}]
+    assert all(message["status"] == "ok" for message in by_key.values())
 
 
 def test_labels_name_both_pump_points_and_the_budget_account():
@@ -153,7 +153,7 @@ def test_labels_name_both_pump_points_and_the_budget_account():
 
     silent = Recorder()
     run_fleet(
-        {0: {"attempt": 0}}, lambda payloads, by_key: None, 2, ResiliencePolicy(),
+        {0: {"attempt": 0}}, lambda payloads, by_key, want: None, 2, ResiliencePolicy(),
         random.Random(1), ResilienceStats(),
         FleetLabels(dispatch=None, retry="again", budget="x"), AttemptLog(),
         cancel=silent,
@@ -279,10 +279,10 @@ def _context_runs() -> dict:
 def test_the_retry_loop_and_the_poller_exist_once():
     assert set(_modules_calling("decorrelated_jitter")) == {"dispatch.py", "resilience.py"}
     assert set(_modules_calling("receive_messages")) == {"dispatch.py"}
-    # One loop, reached through the query context: the scan fleet, the
-    # process pool, the shuffle wave — and nothing else.
+    # One loop, reached through the query context: the scan fleet (over
+    # either transport) and the shuffle wave — and nothing else.
     assert _modules_calling("run_fleet") == {"dispatch.py": 1}
-    assert _context_runs() == {"driver.py": 2, "shuffle.py": 1}
+    assert _context_runs() == {"driver.py": 1, "shuffle.py": 1}
     importers = set()
     for path in DRIVER_SOURCES.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -291,3 +291,43 @@ def test_the_retry_loop_and_the_poller_exist_once():
             ):
                 importers.add(path.name)
     assert importers == {"dispatch.py"}
+
+
+def _methods_using(path: Path, matches) -> set:
+    """Names of the class methods of ``path`` whose body has a node ``matches``."""
+    found = set()
+    for cls in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for method in cls.body:
+            if isinstance(method, ast.FunctionDef) and any(
+                matches(node) for node in ast.walk(method)
+            ):
+                found.add(method.name)
+    return found
+
+
+def test_the_driver_reaches_workers_only_through_its_two_transports():
+    driver = DRIVER_SOURCES / "driver.py"
+
+    def lambda_invoke(node):
+        return (
+            isinstance(node, ast.Attribute)
+            and node.attr in ("invoke", "account_invocation")
+            and getattr(node.value, "attr", None) == "lambda_service"
+        )
+
+    def pool_run(node):
+        return isinstance(node, ast.Attribute) and node.attr == "run_tasks"
+
+    # Fleet rounds and hedges alike: Lambda + SQS, or the process pool.
+    assert _methods_using(driver, lambda_invoke) == {"_scan_transport", "_pool_transport"}
+    assert _methods_using(driver, pool_run) == {"_pool_transport"}
+
+
+def test_no_mid_query_fallback_or_dead_hedge_knob_is_left():
+    sources = DRIVER_SOURCES.parent
+    for path in sources.rglob("*.py"):
+        text = path.read_text()
+        for name in ("give_up", "pool_respawn_limit", "hedge_enabled", "processes_to_serial"):
+            assert name not in text, f"{name} in {path.relative_to(sources)}"

@@ -156,7 +156,7 @@ def test_retry_failures_reinvokes_only_failed_workers(driver, monkeypatch):
     attempt_log = AttemptLog()
     merged = context.run(
         events,
-        driver._scan_transport(events, driver._invocation.plan(3), context),
+        driver._scan_transport(driver._invocation.plan(3), context),
         rounds=3, labels=SCAN_FLEET, attempt_log=attempt_log,
         on_retry=lambda key, retry, error: retry.pop("children", None),
     )

@@ -13,6 +13,7 @@ import random
 import pytest
 
 from repro.cloud.faults import FaultPlan, FaultRule
+from repro.driver.driver import LambadaDriver
 from repro.driver.resilience import (
     DEFAULT_RESILIENCE_POLICY,
     AttemptLog,
@@ -105,11 +106,11 @@ def test_small_fleets_never_hedge():
     assert pick_stragglers(durations, DEFAULT_RESILIENCE_POLICY) == []
 
 
-def test_hedging_can_be_disabled():
-    durations = {i: 0.1 for i in range(8)}
-    durations[7] = 99.0
-    policy = ResiliencePolicy(hedge_enabled=False)
-    assert pick_stragglers(durations, policy) == []
+def test_policy_has_no_hedge_switch():
+    """A fleet under four never hedges; a policy cannot switch hedging off
+    (``test_small_fleets_never_hedge`` holds the first half)."""
+    assert "hedge_enabled" not in ResiliencePolicy.__dataclass_fields__
+    assert len(ResiliencePolicy.__dataclass_fields__) == 9
 
 
 def test_clear_straggler_is_picked():
@@ -148,26 +149,26 @@ def test_fresh_stats_are_clean():
 
 def test_note_fallback_counts_events():
     stats = ResilienceStats()
-    stats.note_fallback("hedge_rejected")
-    stats.note_fallback("hedge_rejected")
-    stats.note_fallback("processes_to_serial")
-    assert stats.fallbacks == {"hedge_rejected": 2, "processes_to_serial": 1}
+    stats.note_fallback("hedge_suppressed")
+    stats.note_fallback("hedge_suppressed")
+    stats.note_fallback("other")
+    assert stats.fallbacks == {"hedge_suppressed": 2, "other": 1}
     assert not stats.clean
 
 
 def test_merge_folds_counters_and_dicts():
     a = ResilienceStats(retries=1, backoff_seconds=0.5, wave_retries=2)
-    a.fallbacks["hedge_rejected"] = 1
+    a.fallbacks["hedge_suppressed"] = 1
     a.faults_injected["s3.slowdown"] = 3
     b = ResilienceStats(retries=2, hedges_launched=1, hedges_won=1)
-    b.fallbacks["hedge_rejected"] = 2
+    b.fallbacks["hedge_suppressed"] = 2
     b.faults_injected["lambda.drop"] = 1
     a.merge(b)
     assert a.retries == 3
     assert a.hedges_launched == 1
     assert a.backoff_seconds == 0.5
     assert a.wave_retries == 2
-    assert a.fallbacks == {"hedge_rejected": 3}
+    assert a.fallbacks == {"hedge_suppressed": 3}
     assert a.faults_injected == {"s3.slowdown": 3, "lambda.drop": 1}
 
 
@@ -254,6 +255,63 @@ def test_straggler_is_hedged(driver, dataset, lineitem_table):
     assert (
         resilience.hedges_won + resilience.hedges_lost == resilience.hedges_launched
     )
+
+
+def _hedged_q6(driver, dataset):
+    """Q6 after a warm-up query with one worker slowed 400x; returns the
+    result and the Lambda duration dollars the ledger billed for it."""
+    env = driver.env
+    driver.execute(q6_plan(dataset.paths))
+    before = env.ledger.cost_breakdown()["lambda.gib_seconds"]
+    env.install_fault_plan(
+        FaultPlan(
+            [FaultRule("lambda", "straggler", 1.0, max_count=1, factor=400.0)],
+            seed=5,
+        )
+    )
+    try:
+        result = driver.execute(q6_plan(dataset.paths))
+    finally:
+        env.install_fault_plan(None)
+    return result, env.ledger.cost_breakdown()["lambda.gib_seconds"] - before
+
+
+@pytest.fixture
+def pooled_driver(env):
+    pooled = LambadaDriver(
+        env, execution_mode="processes", max_parallel_invocations=2,
+        result_queue="q-processes",
+    )
+    yield pooled
+    pooled.close()
+
+
+@pytest.mark.parametrize("mode", ["serial", "processes"])
+def test_a_won_hedge_bills_what_ran(mode, driver, pooled_driver, dataset, lineitem_table):
+    """The straggler and its hedge both ran to completion and both are
+    billed — the original's seconds plus the hedge's own, not the
+    detection threshold the hedge waited for before it started."""
+    result, ledger_dollars = _hedged_q6(
+        driver if mode == "serial" else pooled_driver, dataset
+    )
+    assert result.scalar() == pytest.approx(reference_q6(lineitem_table), rel=1e-9)
+    resilience = result.statistics.resilience
+    assert resilience.hedges_launched == resilience.hedges_won == 1
+    assert result.statistics.cost_lambda_duration == pytest.approx(
+        ledger_dollars, rel=1e-12
+    )
+
+
+def test_the_pool_hedges_its_stragglers_like_serial(driver, pooled_driver, dataset):
+    """A hedge is one more call of the fleet's transport, so the process
+    pool races its straggler too and finishes when serial does."""
+    serial, _ = _hedged_q6(driver, dataset)
+    pooled, _ = _hedged_q6(pooled_driver, dataset)
+    assert pooled_driver._pool is not None
+    resilience = pooled.statistics.resilience
+    assert resilience.hedges_launched == resilience.hedges_won == 1
+    assert pooled.statistics.latency_seconds == serial.statistics.latency_seconds
+    assert pooled.statistics.latency_seconds == pytest.approx(0.652, abs=1e-3)
 
 
 def test_injected_faults_do_not_leak_across_queries(driver, dataset, lineitem_table):
