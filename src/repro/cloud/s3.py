@@ -18,9 +18,12 @@ object atomically.
 
 from __future__ import annotations
 
+import os
 import threading
+import uuid
+import weakref
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.cloud.clock import VirtualClock
 from repro.cloud.metering import MeteringLedger
@@ -423,95 +426,128 @@ class ObjectStore:
 SHM_SEGMENT_PREFIX = "lambada_"
 
 
-class SharedObjectExport:
-    """One query's input objects exported into a single shared-memory segment.
+class SharedObjectMirror:
+    """Input objects mirrored into shared memory, one segment per object version.
 
-    The driver copies the bytes of every input file into one
-    ``multiprocessing.shared_memory`` segment and hands pool workers the
-    segment name plus a ``{path: (offset, length)}`` directory.  Workers mount
-    it as a :class:`SharedSegmentStore` — the column data crosses the process
-    boundary through the page cache, never through pickle.
+    The process pool's children read their files from here.  The store keeps
+    each object as an immutable ``bytes`` that ``put_object`` replaces, so a
+    mirrored object is current exactly when it ``is`` the store's object, and
+    a query whose objects are all current creates no segment and copies no
+    byte.  Children get their task's ``{path: (segment name, length)}``
+    :attr:`directory` entries and keep their attachments across queries.
 
-    The export bypasses the store's GET metering on purpose: it models the
+    The mirror bypasses the store's GET metering on purpose: it models the
     *backing* data plane, while the simulated S3 requests are counted by each
-    worker's :class:`SharedSegmentStore` and folded into the ledger by the
-    driver.  The driver owns the segment's lifecycle and must call
-    :meth:`close` (which unlinks) when the query finishes.
+    child's :class:`SharedSegmentStore` and written to the ledger by the
+    driver.  The driver owns every segment; :meth:`close` unlinks them all.
     """
 
-    def __init__(self, shm, directory: Dict[str, Tuple[int, int]]):
-        self._shm = shm
-        self.directory = directory
+    #: Every mirror not yet collected (leak checks exclude its segments).
+    _live: "weakref.WeakSet[SharedObjectMirror]" = weakref.WeakSet()
+
+    def __init__(self) -> None:
+        #: ``{path: (mirrored object, its segment)}``.
+        self._mirrored: Dict[str, Tuple[bytes, object]] = {}
+        weakref.finalize(self, _unlink_segments, self._mirrored)
+        SharedObjectMirror._live.add(self)
 
     @property
-    def name(self) -> str:
-        """The shared-memory segment name workers attach to."""
-        return self._shm.name
+    def directory(self) -> Dict[str, Tuple[str, int]]:
+        """``{path: (segment name, length)}`` of every mirrored object."""
+        return {path: (shm.name, len(data)) for path, (data, shm) in self._mirrored.items()}
 
     @classmethod
-    def create(cls, store: ObjectStore, paths: Iterable[str]) -> "SharedObjectExport":
-        from multiprocessing import shared_memory
-        import uuid
+    def live_segment_names(cls) -> Set[str]:
+        return {shm.name for mirror in cls._live for _, shm in mirror._mirrored.values()}
 
-        blobs: List[Tuple[str, bytes]] = []
+    def sync(
+        self, store: ObjectStore, paths: Iterable[str], forget: Callable[[List[str]], None]
+    ) -> bool:
+        """Make ``paths`` current; ``False`` (nothing copied) if the new or
+        changed objects do not fit the free space of ``/dev/shm``, where a
+        write past capacity would kill the writer with SIGBUS.
+
+        Objects overwritten or deleted since are retired first — ``forget``
+        tells the children to drop them, then they are unlinked.  A missing
+        key raises :class:`~repro.errors.NoSuchKeyError`.
+        """
         with store._lock:
-            for path in paths:
-                bucket, key = parse_s3_path(path)
-                store._require_bucket(bucket)
-                if key not in store._buckets[bucket]:
-                    raise NoSuchKeyError(path)
-                blobs.append((path, store._buckets[bucket][key]))
-        total = sum(len(data) for _, data in blobs)
-        shm = shared_memory.SharedMemory(
-            name=f"{SHM_SEGMENT_PREFIX}q_{uuid.uuid4().hex[:12]}",
-            create=True,
-            size=max(total, 1),
-        )
-        directory: Dict[str, Tuple[int, int]] = {}
-        offset = 0
-        for path, data in blobs:
-            shm.buf[offset:offset + len(data)] = data
-            directory[path] = (offset, len(data))
-            offset += len(data)
-        return cls(shm, directory)
+            wanted = {path: _stored(store, path) for path in paths}
+            stale = {path: entry for path, entry in self._mirrored.items()
+                     if _stored(store, path) is not entry[0]}
+        if stale:
+            forget([shm.name for _, shm in stale.values()])
+            for path in stale:
+                del self._mirrored[path]
+            _unlink_segments(stale)
+        for path, data in wanted.items():
+            if data is None:
+                raise NoSuchKeyError(path)
+        copies = {path: data for path, data in wanted.items() if path not in self._mirrored}
+        if not copies:
+            return True
+        if not _shm_fits(sum(map(len, copies.values()))):
+            return False
+        from multiprocessing import shared_memory
 
-    def close(self, unlink: bool = True) -> None:
-        """Release the mapping and (by default) remove the segment."""
+        for path, data in copies.items():
+            shm = shared_memory.SharedMemory(
+                name=f"{SHM_SEGMENT_PREFIX}m_{uuid.uuid4().hex[:12]}",
+                create=True,
+                size=max(len(data), 1),
+            )
+            shm.buf[: len(data)] = data
+            self._mirrored[path] = (data, shm)
+        return True
+
+    def close(self) -> None:
+        """Unlink every segment; idempotent, and the mirror stays usable."""
+        _unlink_segments(self._mirrored)
+
+
+def _stored(store: ObjectStore, path: str) -> Optional[bytes]:
+    bucket, key = parse_s3_path(path)
+    return store._buckets.get(bucket, {}).get(key)
+
+
+def _unlink_segments(mirrored: Dict[str, Tuple[bytes, object]]) -> None:
+    for _, shm in mirrored.values():
         try:
-            self._shm.close()
+            shm.close()
         except BufferError:
             # Live views keep the mapping alive; unlink still removes the
             # /dev/shm entry and the memory goes away with the last view.
             pass
-        if unlink:
-            try:
-                self._shm.unlink()
-            except FileNotFoundError:
-                pass
+        try:
+            shm.unlink()
+        except FileNotFoundError:
+            pass
+    mirrored.clear()
+
+
+def _shm_fits(nbytes: int) -> bool:
+    try:
+        stats = os.statvfs("/dev/shm")
+    except OSError:  # no /dev/shm: not a tmpfs to overrun
+        return True
+    return nbytes <= stats.f_bavail * stats.f_frsize
 
 
 class SharedSegmentStore:
-    """Read-only object-store facade over a :class:`SharedObjectExport` segment.
+    """Read-only object-store facade over mirrored objects.
 
+    ``objects`` maps each ``s3://`` path to a buffer of exactly its bytes — in
+    a pool child, a view of the path's :class:`SharedObjectMirror` segment.
     Implements exactly the surface the scan stack touches
-    (:meth:`get_object`, suffix ranges included) against the exported
-    ``{path: (offset, length)}`` directory, with the same error and request-
-    accounting semantics as :class:`ObjectStore` — so per-worker scan
+    (:meth:`get_object`, suffix ranges included) with the same error and
+    request-accounting semantics as :class:`ObjectStore` — so per-worker scan
     statistics (and therefore modelled request costs) are identical to a scan
     against the real simulated store.
     """
 
-    def __init__(self, buffer, directory: Dict[str, Tuple[int, int]]):
-        self._buf = buffer
-        self._directory = dict(directory)
+    def __init__(self, objects: Dict[str, memoryview]):
+        self._objects = objects
         self.request_counts: Dict[str, int] = {"get": 0}
-
-    def _lookup(self, bucket: str, key: str) -> Tuple[int, int]:
-        path = f"s3://{bucket}/{key}"
-        try:
-            return self._directory[path]
-        except KeyError:
-            raise NoSuchKeyError(path) from None
 
     def get_object(
         self,
@@ -521,9 +557,14 @@ class SharedSegmentStore:
         range_end: Optional[int] = None,
         suffix_length: Optional[int] = None,
     ) -> GetResult:
-        offset, size = self._lookup(bucket, key)
+        path = f"s3://{bucket}/{key}"
+        try:
+            data = self._objects[path]
+        except KeyError:
+            raise NoSuchKeyError(path) from None
+        size = len(data)
         range_start, end = resolve_range(size, range_start, range_end, suffix_length)
-        chunk = bytes(self._buf[offset + range_start:offset + end])
+        chunk = bytes(data[range_start:end])
         self.request_counts["get"] += 1
         return GetResult(
             data=chunk,

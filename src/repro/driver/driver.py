@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.cloud.environment import CloudEnvironment
 from repro.cloud.lambda_service import FunctionConfig
-from repro.cloud.s3 import SharedObjectExport
+from repro.cloud.s3 import SharedObjectMirror
 from repro.config import DEFAULT_RESILIENCE, IntegrityConfig
 from repro.driver.admission import (
     AdmissionConfig,
@@ -352,7 +352,7 @@ class LambadaDriver:
         simulated services, so large-fleet runs stop paying serial Python
         overhead (but the GIL still serialises their NumPy-adjacent Python
         sections).  ``"processes"`` runs eligible fragments on a persistent
-        spawn-based process pool with shared-memory input/result planes
+        spawn-based process pool whose inputs are mirrored in shared memory
         (:mod:`repro.driver.procpool`), the only mode whose wall-clock time
         actually scales with cores; plans the pool cannot run (registry UDFs,
         join schedules) and single-core hosts fall back transparently.
@@ -372,6 +372,8 @@ class LambadaDriver:
         self.max_parallel_invocations = max_parallel_invocations
         self._pool = None
         self._pool_unavailable = False
+        #: The pool's inputs in shared memory, kept across queries.
+        self._mirror = SharedObjectMirror()
         #: Configuration of the shuffle I/O plane used by join queries
         #: (:class:`~repro.driver.shuffle.ShuffleConfig`); ``None`` selects
         #: the write-combined default.
@@ -736,10 +738,12 @@ class LambadaDriver:
         return self._pool
 
     def close(self) -> None:
-        """Shut down the process pool, if one was spawned; idempotent."""
+        """Shut down the process pool, if one was spawned, and unlink its
+        mirrored inputs; idempotent."""
         if self._pool is not None:
             self._pool.close()
             self._pool = None
+        self._mirror.close()
 
     @contextmanager
     def _transport(
@@ -751,33 +755,39 @@ class LambadaDriver:
     ) -> Iterator[Tuple[Callable, FleetLabels]]:
         """The scan fleet's one transport and its labels, chosen once per query.
 
-        The process pool when ``processes`` mode can run the plan and the pool
-        is available; otherwise Lambda + SQS (:meth:`_scan_transport`), which
-        is also where a single-core host or a pool that failed to spawn lands.
-        The fleet, its retry rounds and its hedges all go through what is
-        yielded; the pool's input export is released when the block exits,
-        normally or not.
+        The process pool when ``processes`` mode can run the plan, the pool is
+        available and the query's new or changed input objects fit the free
+        space of ``/dev/shm`` (a tmpfs written past capacity kills the writer
+        with SIGBUS); otherwise Lambda + SQS (:meth:`_scan_transport`).  The
+        fleet, its retry rounds and its hedges all go through what is
+        yielded.
         """
         pool = None
         if self.execution_mode == "processes" and self._pool_supported(physical):
             pool = self._ensure_pool()
+        if pool is not None:
+            files = {path for event in events.values() for path in event["plan"]["files"]}
+            if not self._mirror.sync(self.env.s3, sorted(files), pool.forget_segments):
+                pool = None
+                warnings.warn(
+                    "processes execution mode: the query's inputs do not fit "
+                    "/dev/shm, running it on Lambda + SQS",
+                    RuntimeWarning,
+                    stacklevel=3,
+                )
         if pool is None:
             self.env.sqs.purge_queue(self.result_queue)
             yield self._scan_transport(launch, context), SCAN_FLEET
             return
-        files = sorted({path for event in events.values() for path in event["plan"]["files"]})
-        export = SharedObjectExport.create(self.env.s3, files)
         respawns = pool.stats().get("respawns", 0)
         try:
-            yield self._pool_transport(pool, export), POOL_FLEET
+            yield self._pool_transport(pool), POOL_FLEET
         finally:
             context.resilience.pool_respawns = pool.stats().get("respawns", 0) - respawns
-            pool.forget_segments([export.name])
-            export.close()
 
-    def _pool_transport(self, pool, export: SharedObjectExport) -> Callable:
+    def _pool_transport(self, pool) -> Callable:
         """The process pool's transport: run the payloads on the pool's
-        children over the shared-memory export and meter each attempt.
+        children over the mirrored inputs and meter each attempt.
 
         The SQS control plane is bypassed, but every attempt comes back as a
         classic-shaped result message keyed by worker id, so the retry loop,
@@ -792,7 +802,7 @@ class LambadaDriver:
         An installed :class:`~repro.cloud.faults.FaultPlan` is consulted as on
         the SQS path: dropped/timed-out invocations are decided before
         dispatch (the fragment never runs), pool-crash injections lose a
-        completed result (its segment is still unlinked), and straggler
+        completed result (its frame is discarded), and straggler
         slowdowns multiply the reported duration.
         """
 
@@ -804,10 +814,12 @@ class LambadaDriver:
                     fault = plan.invocation_fault(self.function_name)
                     if fault is not None:
                         faulted[payload["worker_id"]] = fault
+            directory = self._mirror.directory
             raw = pool.run_tasks([
                 (
-                    "run", payload["worker_id"], payload["plan"], export.name,
-                    export.directory, self.memory_mib, payload.get("threads", 2),
+                    "run", payload["worker_id"], payload["plan"],
+                    {path: directory[path] for path in payload["plan"]["files"]},
+                    self.memory_mib, payload.get("threads", 2),
                 )
                 for payload in payloads
                 if payload["worker_id"] not in faulted
@@ -846,7 +858,7 @@ class LambadaDriver:
                     bytes_read += message["result"]["bytes_read"]
                 if crashed:
                     # The child did the work, but the injected crash loses its
-                    # result (the segment it wrote is already unlinked).
+                    # result.
                     message = {
                         "worker_id": worker_id,
                         "status": "error",
@@ -877,10 +889,8 @@ class LambadaDriver:
     def _pooled_message(self, raw: Optional[tuple], worker_id: int) -> Dict:
         """Convert one pool child message into the classic result-message shape.
 
-        The result frame is copied out of its shared-memory segment — the
-        same bytes a serial worker's message carries — checked, and the
-        segment unlinked at once, so no segment outlives the round that
-        produced it.
+        The result frame arrived over the child's pipe — the same bytes a
+        serial worker's message carries — and is checked here.
         """
         if raw is None:
             return {
@@ -890,18 +900,11 @@ class LambadaDriver:
             }
         if raw[0] == "err":
             return {"worker_id": worker_id, "status": "error", "error": raw[2]}
-        _, _, payload, result_segment, nbytes = raw
+        _, _, payload, frame = raw
         message = {"worker_id": worker_id, "status": "ok", "result": payload}
-        if result_segment is not None:
-            from multiprocessing import shared_memory
-
-            segment = shared_memory.SharedMemory(name=result_segment)
-            try:
-                message["frame"] = bytes(segment.buf[:nbytes])
-            finally:
-                segment.close()
-                segment.unlink()
-            verify_frame(message["frame"], key=result_segment)
+        if frame is not None:
+            verify_frame(frame, key=f"pool/worker-{worker_id}")
+            message["frame"] = frame
         return message
 
     # -- helpers --------------------------------------------------------------------

@@ -4,24 +4,24 @@ The ``processes`` execution mode gives the simulation *real* core-level
 parallelism: the driver spawns a pool of OS worker processes once per query
 driver (spawn context, so it behaves identically under any start method and
 never forks locks), keeps them warm across waves and queries, and ships work
-through shared memory instead of pickle:
+without pickling column data:
 
-* **Inputs** — the driver exports the query's input objects into one
-  ``multiprocessing.shared_memory`` segment
-  (:class:`~repro.cloud.s3.SharedObjectExport`); each child attaches once per
-  query and mounts it as a read-only
-  :class:`~repro.cloud.s3.SharedSegmentStore`.  Only the segment *name* and
-  the ``{path: (offset, length)}`` directory cross the pipe.
-* **Outputs** — each child writes its partial table as one typed frame
-  (:func:`repro.engine.payload.encode_table`) into a fresh
-  shared-memory segment and sends back the segment name; the driver copies
-  the frame out — the same bytes a serial worker's result message carries —
-  and unlinks the segment.  Column arrays never pass through pickle in
-  either direction.
+* **Inputs** — the driver mirrors every input object into its own
+  ``multiprocessing.shared_memory`` segment, once per object version
+  (:class:`~repro.cloud.s3.SharedObjectMirror`).  A task carries its files'
+  ``{path: (segment name, length)}`` directory entries; a child attaches to
+  a segment the first time a task names it, keeps the attachment across
+  queries, and mounts its task's files as a read-only
+  :class:`~repro.cloud.s3.SharedSegmentStore`.
+* **Outputs** — each child encodes its partial table as one typed frame
+  (:func:`repro.engine.payload.encode_table`) and sends it over its own pipe
+  as raw bytes (``Connection.send_bytes``) right after the result header —
+  the same bytes a serial worker's result message carries.
 
-Segment lifecycle: the **driver** owns every segment: it unlinks a result
-segment as soon as it has copied the frame out, and the input export when the
-query finishes (success or failure).  Children merely attach.  With
+Segment lifecycle: the **driver** owns every segment.  It retires a mirrored
+object that was overwritten or deleted at its next sync — children are told
+to ``forget`` it, then it is unlinked — and unlinks the rest when it closes.
+Children merely attach, and a respawned child attaches again lazily.  With
 the spawn start method all children share the parent's ``resource_tracker``,
 which acts as a crash safety net — if the driver dies before unlinking, the
 tracker removes the segments at exit.
@@ -35,35 +35,29 @@ before the next dispatch.
 from __future__ import annotations
 
 import multiprocessing as mp
-import uuid
 from collections import deque
 from multiprocessing import connection as mp_connection
-from typing import Any, Dict, List, Optional, Tuple
-
-#: Name prefix of result segments created by pool children.
-RESULT_SEGMENT_PREFIX = "lambada_r_"
+from typing import Any, Dict, List, Set, Tuple
 
 
 def _child_main(conn) -> None:
-    """Child process loop: execute plan fragments against shared segments.
+    """Child process loop: execute plan fragments against mirrored objects.
 
     Message protocol (parent → child)::
 
-        ("run", task_id, plan_dict, segment_name, directory, memory_mib, threads,
-         result_name)
-        ("forget", [segment_names...])     # drop cached attachments
+        ("run", task_id, plan_dict, directory, memory_mib, threads)
+        ("forget", [segment_names...])     # drop these attachments
         ("stop",)
 
-    ``result_name`` is the shared-memory segment name the child must use for
-    its result.  The *parent* assigns it (in :meth:`ProcessWorkerPool.
-    run_tasks`) so that when a child dies mid-task the parent can unlink the
-    segment the child may already have created — otherwise it would leak in
-    ``/dev/shm`` until reboot.
+    ``directory`` is ``{path: (segment_name, length)}`` for the task's files.
 
     and child → parent::
 
-        ("ok", task_id, counters_payload, result_segment_or_None, nbytes)
+        ("ok", task_id, counters_payload, nbytes)   # then nbytes of frame
         ("err", task_id, "ExcType: message")
+
+    An ``ok`` header with ``nbytes > 0`` is followed on the same pipe by the
+    result frame as one ``send_bytes`` message.
 
     Imports happen lazily inside the child so the parent's spawn cost stays
     low and the module can be imported without NumPy side effects.
@@ -75,13 +69,20 @@ def _child_main(conn) -> None:
     from repro.engine.pipeline import execute_worker_plan_table
     from repro.plan.physical import WorkerPlan
 
-    # Cache of attached input segments: name -> (SharedMemory, SharedSegmentStore)
-    segments: Dict[str, Tuple[Any, Any]] = {}
+    # Attached input segments: name -> (SharedMemory, view of the object).
+    attached: Dict[str, Tuple[Any, memoryview]] = {}
+
+    def view(name: str, length: int) -> memoryview:
+        if name not in attached:
+            shm = shared_memory.SharedMemory(name=name)
+            attached[name] = (shm, shm.buf[:length])
+        return attached[name][1]
 
     def release(name: str) -> None:
-        entry = segments.pop(name, None)
+        entry = attached.pop(name, None)
         if entry is not None:
             try:
+                entry[1].release()
                 entry[0].close()
             except BufferError:
                 pass
@@ -99,35 +100,19 @@ def _child_main(conn) -> None:
                 release(name)
             continue
 
-        _, task_id, plan_dict, segment_name, directory, memory_mib, threads = message[:7]
-        assigned_name = message[7] if len(message) > 7 else None
+        _, task_id, plan_dict, directory, memory_mib, threads = message
         try:
-            if segment_name not in segments:
-                shm = shared_memory.SharedMemory(name=segment_name)
-                segments[segment_name] = (shm, SharedSegmentStore(shm.buf, directory))
-            store = segments[segment_name][1]
+            store = SharedSegmentStore(
+                {path: view(*entry) for path, entry in directory.items()}
+            )
             plan = WorkerPlan.from_dict(plan_dict)
             result, table = execute_worker_plan_table(
                 plan, store, memory_mib=memory_mib, threads=threads
             )
-            payload = result.to_payload()
-            result_segment: Optional[str] = None
-            nbytes = 0
-            if table is not None:
-                blob = encode_table(table)
-                out = shared_memory.SharedMemory(
-                    name=assigned_name
-                    or f"{RESULT_SEGMENT_PREFIX}{uuid.uuid4().hex[:12]}",
-                    create=True,
-                    size=max(len(blob), 1),
-                )
-                out.buf[: len(blob)] = blob
-                result_segment = out.name
-                nbytes = len(blob)
-                # The driver attaches, copies, and unlinks; this mapping is
-                # no longer needed (the /dev/shm entry survives the close).
-                out.close()
-            conn.send(("ok", task_id, payload, result_segment, nbytes))
+            frame = encode_table(table) if table is not None else b""
+            conn.send(("ok", task_id, result.to_payload(), len(frame)))
+            if frame:
+                conn.send_bytes(frame)
         except Exception as exc:  # noqa: BLE001 - report, never die silently
             try:
                 conn.send(("err", task_id, f"{type(exc).__name__}: {exc}"))
@@ -141,9 +126,8 @@ class _Child:
     def __init__(self, process, conn):
         self.process = process
         self.conn = conn
-        #: In-flight task ids mapped to their parent-assigned result-segment
-        #: names (``None`` for tasks dispatched without one).
-        self.pending: Dict[Any, Optional[str]] = {}
+        #: In-flight task ids.
+        self.pending: Set[Any] = set()
 
     @property
     def alive(self) -> bool:
@@ -187,35 +171,9 @@ class ProcessWorkerPool:
                     child.conn.close()
                 except OSError:
                     pass
-                self._release_orphans(child)
                 self._children[index] = self._spawn()
                 self.respawns += 1
         return self._children
-
-    @staticmethod
-    def _release_orphans(child: _Child) -> None:
-        """Unlink result segments a dead child may have created but not reported.
-
-        The parent assigned every in-flight task's result-segment name, so a
-        child that died after creating its segment (but before sending the
-        result) cannot leak the ``/dev/shm`` entry.
-        """
-        if not child.pending:
-            return
-        from multiprocessing import shared_memory
-
-        for result_name in child.pending.values():
-            if result_name is None:
-                continue
-            try:
-                orphan = shared_memory.SharedMemory(name=result_name)
-            except FileNotFoundError:
-                continue
-            orphan.close()
-            try:
-                orphan.unlink()
-            except FileNotFoundError:
-                pass
 
     def stats(self) -> Dict[str, int]:
         """Pool health counters (size, live children, respawns so far)."""
@@ -235,9 +193,10 @@ class ProcessWorkerPool:
         runs on the host.  Which child ran a task never shows in its result.
 
         Returns ``{task_id: child_message}`` where each message is either
-        ``("ok", ...)`` or ``("err", task_id, reason)``.  Tasks stranded on a
-        child that dies mid-flight are synthesised as errors, which the
-        driver's retry loop then re-dispatches (onto a respawned child).
+        ``("ok", task_id, counters_payload, frame_or_None)`` or
+        ``("err", task_id, reason)``.  Tasks stranded on a child that dies
+        mid-flight are synthesised as errors, which the driver's retry loop
+        then re-dispatches (onto a respawned child).
         """
         results: Dict[Any, tuple] = {}
         if not tasks:
@@ -248,16 +207,7 @@ class ProcessWorkerPool:
 
         def feed(child: _Child) -> None:
             task = queue.popleft()
-            result_name: Optional[str] = None
-            if task[0] == "run":
-                if len(task) > 7:
-                    result_name = task[7]
-                else:
-                    # Assign the result-segment name here so a child death
-                    # mid-task cannot leak the segment it may have created.
-                    result_name = f"{RESULT_SEGMENT_PREFIX}{uuid.uuid4().hex[:12]}"
-                    task = task + (result_name,)
-            child.pending[task[1]] = result_name
+            child.pending.add(task[1])
             try:
                 child.conn.send(task)
             except OSError:
@@ -274,17 +224,19 @@ class ProcessWorkerPool:
                 child = by_conn[conn]
                 try:
                     message = conn.recv()
+                    if message[0] == "ok":
+                        frame = conn.recv_bytes() if message[3] else None
+                        message = message[:3] + (frame,)
                 except (EOFError, OSError):
                     for task_id in child.pending:
                         results[task_id] = (
                             "err", task_id, "worker process terminated unexpectedly",
                         )
-                    self._release_orphans(child)
-                    child.pending = {}
+                    child.pending = set()
                     live.remove(child)
                     continue
                 task_id = message[1]
-                child.pending.pop(task_id, None)
+                child.pending.discard(task_id)
                 results[task_id] = message
                 if queue:
                     feed(child)
@@ -295,7 +247,7 @@ class ProcessWorkerPool:
         return results
 
     def forget_segments(self, names: List[str]) -> None:
-        """Tell every live child to drop its cached input-segment mappings."""
+        """Tell every live child to drop its attachments to these segments."""
         for child in self._children:
             if child.alive:
                 try:

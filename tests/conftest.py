@@ -2,12 +2,32 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
 from repro.cloud.environment import CloudEnvironment
+from repro.cloud.s3 import SHM_SEGMENT_PREFIX, SharedObjectMirror
 from repro.driver.driver import LambadaDriver
 from repro.workload.tpch import LineitemGenerator, generate_lineitem_dataset
+
+
+def shm_segments():
+    """Names of every ``lambada_*`` shared-memory segment in ``/dev/shm``."""
+    try:
+        return sorted(
+            name for name in os.listdir("/dev/shm") if name.startswith(SHM_SEGMENT_PREFIX)
+        )
+    except FileNotFoundError:  # pragma: no cover - non-Linux hosts
+        return []
+
+
+def leaked_segments():
+    """``lambada_*`` segments that no live input mirror holds, such as the copy
+    of a retired object version or of a closed driver's inputs."""
+    live = SharedObjectMirror.live_segment_names()
+    return [name for name in shm_segments() if name not in live]
 
 
 @pytest.fixture

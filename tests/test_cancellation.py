@@ -43,7 +43,8 @@ from repro.plan.logical import AggregateSpec
 from repro.workload.queries import q3_plan, q6_plan
 from repro.workload.tpch import generate_orders_dataset
 
-from tests.test_mode_parity import assert_bit_identical, leaked_segments
+from tests.conftest import leaked_segments
+from tests.test_mode_parity import assert_bit_identical
 
 NUM_BUCKETS = 4
 

@@ -31,7 +31,8 @@ from repro.plan.logical import AggregateSpec
 from repro.workload.queries import q1_plan, q3_plan, q6_plan, q12_plan, q14_plan
 from repro.workload.tpch import generate_orders_dataset, generate_part_dataset
 
-from tests.test_mode_parity import assert_bit_identical, leaked_segments
+from tests.conftest import leaked_segments
+from tests.test_mode_parity import assert_bit_identical
 
 CHAOS_SEEDS = (11, 23)
 CHAOS_RATE = 0.2

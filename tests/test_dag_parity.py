@@ -65,7 +65,8 @@ from repro.workload.tpch import (
     generate_supplier_dataset,
 )
 
-from tests.test_mode_parity import assert_bit_identical, leaked_segments
+from tests.conftest import leaked_segments
+from tests.test_mode_parity import assert_bit_identical
 
 SF = 0.002
 DATA_SEEDS = (7, 11)

@@ -38,7 +38,8 @@ from repro.workload import queries as q
 from tests.test_dag_parity import _exchange_object_count
 from tests.test_join_e2e import assert_tables_match
 from tests.test_join_wave_fusion import MODES, RELATIONS, SEED, SF, SLOW_LINK, _session, _stack
-from tests.test_mode_parity import assert_bit_identical, leaked_segments
+from tests.conftest import leaked_segments
+from tests.test_mode_parity import assert_bit_identical
 
 MEMORY_MIB = 2048
 FILES = 8  # LINEITEM files = the widest fleet = the fan-out before the rule

@@ -39,7 +39,7 @@ from repro.plan.logical import AggregateSpec
 from repro.workload import queries as q
 
 from tests.test_join_wave_fusion import _session, _stack
-from tests.test_mode_parity import leaked_segments
+from tests.conftest import leaked_segments
 
 INT_DTYPES = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
 

@@ -39,7 +39,8 @@ from repro.workload import queries as q
 from repro.workload import tpch
 
 from tests.test_dag_parity import _exchange_object_count
-from tests.test_mode_parity import assert_bit_identical, leaked_segments
+from tests.conftest import leaked_segments
+from tests.test_mode_parity import assert_bit_identical
 
 SF = 0.002
 SEED = 7

@@ -13,31 +13,17 @@ suite exercises real multi-process execution even on single-core CI runners.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pytest
 
 from repro.analysis.experiments import run_tpch_query, setup_functional_environment
-from repro.cloud.s3 import SHM_SEGMENT_PREFIX
 from repro.driver.driver import LambadaDriver
 from repro.engine.payload import decode_table
 from repro.engine.pipeline import execute_worker_plan
 from repro.plan.optimizer import optimize
 from repro.workload.queries import q1_plan, q3_plan, q6_plan
 from repro.workload.tpch import generate_orders_dataset
-
-
-def leaked_segments():
-    """Names of shared-memory segments we created and failed to unlink."""
-    try:
-        return [
-            name
-            for name in os.listdir("/dev/shm")
-            if name.startswith(SHM_SEGMENT_PREFIX)
-        ]
-    except FileNotFoundError:  # pragma: no cover - non-Linux hosts
-        return []
+from tests.conftest import leaked_segments
 
 
 def assert_bit_identical(expected, actual, label=""):
@@ -97,8 +83,8 @@ def test_scan_query_parity_across_modes(
     assert_bit_identical(serial.table, pooled.table, f"{label}:processes")
     if query == "q6":
         assert pooled.scalar() == serial.scalar()
-    # Every input/result segment is unlinked by the time execute() returns,
-    # even while the pool itself stays warm.
+    # No segment but the live input mirrors' outlives execute(), even while
+    # the pool itself stays warm.
     assert leaked_segments() == []
 
 

@@ -34,7 +34,8 @@ from repro.errors import (
 from repro.workload.queries import q1_plan, q3_plan, q6_plan
 from repro.workload.tpch import generate_orders_dataset
 
-from tests.test_mode_parity import assert_bit_identical, leaked_segments
+from tests.conftest import leaked_segments
+from tests.test_mode_parity import assert_bit_identical
 
 TENANTS = ("acme", "globex", "initech")
 QUERIES = ("q1", "q6", "q3")

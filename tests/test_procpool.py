@@ -1,16 +1,15 @@
 """Process-pool lifecycle: shared-memory hygiene, fallbacks, warm reuse.
 
 Every test that runs the pool asserts that ``/dev/shm`` carries no
-``lambada_*`` segment afterwards — including the worker-exception and
-retry paths, where cleanup is easiest to get wrong.  The pool is forced to
-size 2 via ``max_parallel_invocations`` so the suite works on single-core
-CI runners.
+``lambada_*`` segment afterwards but the live input mirrors' — including the
+worker-exception and retry paths, where cleanup is easiest to get wrong.  The
+pool is forced to size 2 via ``max_parallel_invocations`` so the suite works
+on single-core CI runners.
 """
 
 from __future__ import annotations
 
 import os
-from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
@@ -19,17 +18,7 @@ from repro.analysis.experiments import run_tpch_query, setup_functional_environm
 from repro.cloud.s3 import SHM_SEGMENT_PREFIX
 from repro.driver.driver import LambadaDriver
 from repro.errors import WorkerFailedError
-
-
-def leaked_segments():
-    try:
-        return [
-            name
-            for name in os.listdir("/dev/shm")
-            if name.startswith(SHM_SEGMENT_PREFIX)
-        ]
-    except FileNotFoundError:  # pragma: no cover - non-Linux hosts
-        return []
+from tests.conftest import leaked_segments, shm_segments
 
 
 def assert_bit_identical(expected, actual):
@@ -61,7 +50,7 @@ def test_query_leaves_no_segments_while_pool_is_warm(stack, processes_driver):
     pooled = run_tpch_query(processes_driver, dataset, "q1")
     serial = run_tpch_query(serial_driver, dataset, "q1")
     assert_bit_identical(serial.table, pooled.table)
-    # The pool is still alive here; only the per-query segments must be gone.
+    # The pool is still alive here; only its mirrored inputs may remain.
     assert processes_driver._pool is not None
     assert leaked_segments() == []
 
@@ -92,13 +81,9 @@ def test_injected_failure_is_retried_and_cleaned(stack, processes_driver, monkey
     def flaky_run_tasks(tasks):
         results = real_run_tasks(tasks)
         if injected["count"] == 0:
-            # Lose one worker's result: drop its segment (as a crashed worker
-            # would never report it) and turn the message into an error.
-            task_id, message = sorted(results.items())[0]
-            if message[0] == "ok" and message[3] is not None:
-                segment = shared_memory.SharedMemory(name=message[3])
-                segment.unlink()
-                segment.close()
+            # Lose one worker's result, as a crashed worker would never
+            # report it: its frame is dropped and the message is an error.
+            task_id = sorted(results)[0]
             results[task_id] = ("err", task_id, "injected failure")
             injected["count"] += 1
         return results
@@ -158,8 +143,12 @@ def test_pool_stays_warm_across_queries(stack, processes_driver):
     assert sorted(child.process.pid for child in pool._children) == pids
     assert leaked_segments() == []
 
+    mirrored = {name for name, _ in processes_driver._mirror.directory.values()}
+    assert mirrored and mirrored <= set(shm_segments())
     processes_driver.close()
     assert processes_driver._pool is None
+    assert not mirrored & set(shm_segments())
+    assert leaked_segments() == []
     processes_driver.close()  # idempotent
     assert all(not child.process.is_alive() for child in pool._children) or not pool._children
 
@@ -203,13 +192,13 @@ def test_tasks_go_to_the_child_that_is_free(monkeypatch):
             self.inbox.append((clock[0] + self.delay, task[1]))
 
         def recv(self):
-            return ("ok", self.inbox.pop(0)[1], {}, None, 0)
+            return ("ok", self.inbox.pop(0)[1], {}, 0)
 
     class FakeChild:
         alive = True
 
         def __init__(self, delay):
-            self.conn, self.pending = FakeConn(delay), {}
+            self.conn, self.pending = FakeConn(delay), set()
 
     def fake_wait(conns):
         first = min(conns, key=lambda conn: conn.inbox[0][0])
@@ -239,6 +228,13 @@ def test_pool_rejects_zero_size():
         ProcessWorkerPool(size=0)
 
 
-def test_segment_prefix_is_scoped():
-    # The leak checks scan /dev/shm by this prefix; keep it distinctive.
+def test_segment_prefix_is_scoped(stack, processes_driver):
+    # The leak checks scan /dev/shm by this prefix; keep it distinctive, and
+    # every segment the pool's plane creates carries it.
     assert SHM_SEGMENT_PREFIX.startswith("lambada")
+    _, dataset, _ = stack
+    run_tpch_query(processes_driver, dataset, "q6")
+    names = {name for name, _ in processes_driver._mirror.directory.values()}
+    assert len(names) == len(dataset.paths)
+    assert all(name.startswith(SHM_SEGMENT_PREFIX) for name in names)
+    assert names <= set(shm_segments())

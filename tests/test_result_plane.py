@@ -41,7 +41,7 @@ from repro.workload import queries as q
 from tests.test_exchange_wire_format import PARENT_DIGESTS as JOIN_DIGESTS
 from tests.test_exchange_wire_format import _table_digest, assert_bit_identical
 from tests.test_join_wave_fusion import _session, _stack
-from tests.test_mode_parity import leaked_segments
+from tests.conftest import leaked_segments
 
 QUEUE = "results"
 SPILL_KEY = "q/worker-3.a0"

@@ -37,7 +37,8 @@ from repro.plan.optimizer import optimize
 from repro.workload import queries as q
 from repro.workload.tpch import generate_lineitem_dataset, generate_orders_dataset
 
-from tests.test_mode_parity import assert_bit_identical, leaked_segments
+from tests.conftest import leaked_segments
+from tests.test_mode_parity import assert_bit_identical
 
 PATH = "s3://data/object"
 
@@ -176,7 +177,7 @@ def _stores(data: bytes):
     plain = ObjectStore()
     plain.create_bucket("data")
     plain.put_object("data", "object", data)
-    shared = SharedSegmentStore(memoryview(data), {PATH: (0, len(data))})
+    shared = SharedSegmentStore({PATH: memoryview(data)})
     return [plain, shared]
 
 
@@ -252,7 +253,7 @@ def test_open_small_file_is_one_get_and_no_head(checksum):
     np.testing.assert_array_equal(result["id"], table["id"])
     assert len(store.gets) == 1 and source.statistics.get_requests == 1
 
-    shared = SharedSegmentStore(memoryview(data), {PATH: (0, len(data))})
+    shared = SharedSegmentStore({PATH: memoryview(data)})
     ColumnarFile(S3ObjectSource(shared, PATH))
     assert shared.request_counts == {"get": 1}
 
