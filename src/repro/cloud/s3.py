@@ -465,7 +465,8 @@ class SharedObjectMirror:
     ) -> bool:
         """Make ``paths`` current; ``False`` (nothing copied) if the new or
         changed objects do not fit the free space of ``/dev/shm``, where a
-        write past capacity would kill the writer with SIGBUS.
+        write past capacity would kill the writer with SIGBUS, even once
+        every mirrored object outside ``paths`` is retired.
 
         Objects overwritten or deleted since are retired first — ``forget``
         tells the children to drop them, then they are unlinked.  A missing
@@ -475,19 +476,21 @@ class SharedObjectMirror:
             wanted = {path: _stored(store, path) for path in paths}
             stale = {path: entry for path, entry in self._mirrored.items()
                      if _stored(store, path) is not entry[0]}
-        if stale:
-            forget([shm.name for _, shm in stale.values()])
-            for path in stale:
-                del self._mirrored[path]
-            _unlink_segments(stale)
+        self._retire(stale, forget)
         for path, data in wanted.items():
             if data is None:
                 raise NoSuchKeyError(path)
         copies = {path: data for path, data in wanted.items() if path not in self._mirrored}
         if not copies:
             return True
-        if not _shm_fits(sum(map(len, copies.values()))):
-            return False
+        nbytes = sum(map(len, copies.values()))
+        if not _shm_fits(nbytes):
+            self._retire(
+                {path: entry for path, entry in self._mirrored.items() if path not in wanted},
+                forget,
+            )
+            if not _shm_fits(nbytes):
+                return False
         from multiprocessing import shared_memory
 
         for path, data in copies.items():
@@ -499,6 +502,17 @@ class SharedObjectMirror:
             shm.buf[: len(data)] = data
             self._mirrored[path] = (data, shm)
         return True
+
+    def _retire(
+        self, retired: Dict[str, Tuple[bytes, object]], forget: Callable[[List[str]], None]
+    ) -> None:
+        """Drop these mirrored objects: the children forget them, then they are unlinked."""
+        if not retired:
+            return
+        forget([shm.name for _, shm in retired.values()])
+        for path in retired:
+            del self._mirrored[path]
+        _unlink_segments(retired)
 
     def close(self) -> None:
         """Unlink every segment; idempotent, and the mirror stays usable."""

@@ -757,8 +757,9 @@ class LambadaDriver:
 
         The process pool when ``processes`` mode can run the plan, the pool is
         available and the query's new or changed input objects fit the free
-        space of ``/dev/shm`` (a tmpfs written past capacity kills the writer
-        with SIGBUS); otherwise Lambda + SQS (:meth:`_scan_transport`).  The
+        space of ``/dev/shm`` once the copies the query does not read are
+        evicted (a tmpfs written past capacity kills the writer with SIGBUS);
+        otherwise Lambda + SQS (:meth:`_scan_transport`).  The
         fleet, its retry rounds and its hedges all go through what is
         yielded.
         """

@@ -19,8 +19,10 @@ without pickling column data:
   the same bytes a serial worker's result message carries.
 
 Segment lifecycle: the **driver** owns every segment.  It retires a mirrored
-object that was overwritten or deleted at its next sync — children are told
-to ``forget`` it, then it is unlinked — and unlinks the rest when it closes.
+object that was overwritten or deleted at its next sync, or that the query
+does not read when the query's copies would not fit otherwise — children are
+told to ``forget`` it, then it is unlinked — and unlinks the rest when it
+closes.
 Children merely attach, and a respawned child attaches again lazily.  With
 the spawn start method all children share the parent's ``resource_tracker``,
 which acts as a crash safety net — if the driver dies before unlinking, the

@@ -38,11 +38,7 @@ def _column_codes(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 #: 2^21 int64 counts is a 16 MiB scratch array.
 DENSE_FACTORIZE_MAX_CARDINALITY = 1 << 21
 
-#: Rows of fused batches a :class:`FusedBatchAccumulator` collects per kernel
-#: pass (32 row groups of 2048 rows).
-FUSED_PASS_ROWS = 1 << 16
-
-#: Leading group key of a segmented pass: the batch's ordinal in the pass.
+#: Leading group key of a segmented pass: the row group's ordinal in the run.
 _SEGMENT_KEY = "__segment__"
 
 
@@ -259,77 +255,45 @@ def partial_aggregate_fused(
     return {**key_table, **columns}
 
 
-def _unify_codes(
-    pairs: Sequence[Tuple[np.ndarray, np.ndarray]],
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Re-express one key's per-batch ``(uniques, codes)`` over one dictionary.
-
-    Returns the merged ascending dictionary and the concatenated codes into
-    it.  Equal dictionaries (the common case for low-cardinality columns) are
-    taken as they are; otherwise each small dictionary is located in the
-    merged one and its batch's codes are translated through that mapping.
-    """
-    first = pairs[0][0]
-    signature = (first.dtype, first.tobytes())
-    if all(
-        uniques is first or (uniques.dtype, uniques.tobytes()) == signature
-        for uniques, _ in pairs
-    ):
-        return first, np.concatenate([codes for _, codes in pairs])
-    merged, _ = _column_codes(np.concatenate([uniques for uniques, _ in pairs]))
-    return merged, np.concatenate(
-        [np.searchsorted(merged, uniques)[codes] for uniques, codes in pairs]
-    )
-
-
 class FusedBatchAccumulator:
-    """Runs the fused group-by kernel once per pass of row groups, not per group.
+    """Runs the fused group-by kernel once per run of row groups, not per group.
 
-    A scan worker feeds its :class:`~repro.engine.scan.FusedBatch` es to
-    :meth:`add`; every :data:`FUSED_PASS_ROWS` rows the pending batches are
-    aggregated in one call of :func:`partial_aggregate_fused` whose leading
-    group key is the batch's ordinal.  Groups come out ordered by (batch,
-    keys) and every group's rows keep their order, so the pass produces
-    exactly the concatenation of the per-batch partial tables — same rows,
-    same order, same float accumulation order, same bits — which is what
+    A scan worker feeds its :class:`~repro.engine.scan.FusedBatch` es — one
+    per run — to :meth:`add`, and each is aggregated in one call of
+    :func:`partial_aggregate_fused` whose leading group key is the row
+    group's ordinal in the run.  Groups come out ordered by (row group, keys)
+    and every group's rows keep their order, so the pass produces exactly the
+    concatenation of the per-row-group partial tables — same rows, same
+    order, same float accumulation order, same bits — which is what
     :func:`merge_partials` consumes either way.
 
-    The segmented code space is batches × merged groups.  When it does not
-    fit the rows in hand (:func:`_fits_dense`), or a key arrived as values —
-    near-unique keys, for which the writer keeps no chunk dictionary and a
-    batch's sort already dominates its call — the batches are aggregated one
-    by one.
+    The segmented code space is row groups × the run's key dictionaries.
+    When it does not fit the rows in hand (:func:`_fits_dense`), or a key
+    arrived as values — near-unique keys, for which the writer keeps no chunk
+    dictionary and a row group's sort already dominates its call — the row
+    groups are aggregated one by one, as zero-copy slices of the batch.
     """
 
     def __init__(self, group_by: Sequence[str], aggregates: Sequence[AggregateSpec]):
         self.group_by = list(group_by)
         self.aggregates = list(aggregates)
-        self._pending: List[FusedBatch] = []
-        self._pending_rows = 0
         self._partials: List[Table] = []
 
     def add(self, batch: FusedBatch) -> None:
-        """Take one scanned batch."""
+        """Aggregate one scanned batch."""
         if batch.num_rows == 0:
             return
-        self._pending.append(batch)
-        self._pending_rows += batch.num_rows
-        if self._pending_rows >= FUSED_PASS_ROWS:
-            self._flush()
-
-    def finish(self) -> List[Table]:
-        """The partial tables of everything added, for :func:`merge_partials`."""
-        self._flush()
-        return self._partials
-
-    def _flush(self) -> None:
-        batches, num_rows = self._pending, self._pending_rows
-        self._pending, self._pending_rows = [], 0
-        segmented = self._segmented(batches, num_rows) if len(batches) > 1 else None
+        counts = [count for count in batch.group_rows or (batch.num_rows,) if count]
+        if len(counts) == 1:
+            self._partials.append(
+                partial_aggregate_fused(batch, self.group_by, self.aggregates)
+            )
+            return
+        segmented = self._segmented(batch, counts)
         if segmented is None:
             self._partials.extend(
-                partial_aggregate_fused(batch, self.group_by, self.aggregates)
-                for batch in batches
+                partial_aggregate_fused(part, self.group_by, self.aggregates)
+                for part in _row_groups(batch, counts)
             )
             return
         table = partial_aggregate_fused(
@@ -338,27 +302,44 @@ class FusedBatchAccumulator:
         del table[_SEGMENT_KEY]
         self._partials.append(table)
 
-    def _segmented(self, batches: Sequence[FusedBatch], num_rows: int) -> Optional[FusedBatch]:
-        """The batches as one batch keyed by (ordinal, keys), if that fits."""
-        if any(name not in batch.key_codes for batch in batches for name in self.group_by):
+    def finish(self) -> List[Table]:
+        """The partial tables of everything added, for :func:`merge_partials`."""
+        return self._partials
+
+    def _segmented(self, batch: FusedBatch, counts: Sequence[int]) -> Optional[FusedBatch]:
+        """The batch keyed by (row-group ordinal, keys), if that fits."""
+        if any(name not in batch.key_codes for name in self.group_by):
             # A key the scan delivered as values has no chunk dictionary: the
             # writer found too many distinct values to keep one.
             return None
-        ordinals = np.arange(len(batches))
-        key_codes = {
-            _SEGMENT_KEY: (ordinals, np.repeat(ordinals, [batch.num_rows for batch in batches]))
-        }
-        cardinality = len(batches)
+        ordinals = np.arange(len(counts))
+        key_codes = {_SEGMENT_KEY: (ordinals, np.repeat(ordinals, counts))}
+        cardinality = len(counts)
         for name in self.group_by:
-            key_codes[name] = _unify_codes([batch.key_codes[name] for batch in batches])
+            key_codes[name] = batch.key_codes[name]
             cardinality *= len(key_codes[name][0])
-            if not _fits_dense(cardinality, num_rows):
+            if not _fits_dense(cardinality, batch.num_rows):
                 return None
-        values = {
-            name: np.concatenate([batch.values[name] for batch in batches])
-            for name in batches[0].values
-        }
-        return FusedBatch(num_rows=num_rows, values=values, key_codes=key_codes, key_values={})
+        return FusedBatch(
+            num_rows=batch.num_rows, values=batch.values, key_codes=key_codes, key_values={}
+        )
+
+
+def _row_groups(batch: FusedBatch, counts: Sequence[int]):
+    """The batch's row groups as batches of their own, sliced without copies."""
+    start = 0
+    for count in counts:
+        end = start + count
+        yield FusedBatch(
+            num_rows=count,
+            values={name: column[start:end] for name, column in batch.values.items()},
+            key_codes={
+                name: (uniques, codes[start:end])
+                for name, (uniques, codes) in batch.key_codes.items()
+            },
+            key_values={name: column[start:end] for name, column in batch.key_values.items()},
+        )
+        start = end
 
 
 def merge_partials(

@@ -18,8 +18,7 @@ Reproduces the design of the paper's Parquet scan operator (§4.3.2, Figure 8):
   (:meth:`~repro.engine.s3io.S3ObjectSource.read_ranges`);
 * the summed download time is modelled as overlapped with decompression of
   the previous row group ("level 3" concurrency) when
-  ``overlap_downloads`` is set; the code itself reads and decodes row groups
-  one after another.
+  ``overlap_downloads`` is set.
 
 The operator yields decoded table chunks and accumulates
 :class:`~repro.engine.s3io.ScanStatistics` plus scan-level counters used by
@@ -34,12 +33,22 @@ and surviving rows are gathered through
 :func:`~repro.formats.encoding.decode_gather` instead of decode-then-mask.
 Such a row group is therefore two batches: the predicate's columns, then —
 only if a row survives — the rest of the projection.
+
+The code reads row group after row group but decodes **runs** of them:
+consecutive surviving row groups of one file, up to :data:`RUN_ROWS` rows.
+Each row group's I/O, selection vector, short-circuit, decode charge and
+chunk parse (:meth:`~repro.formats.parquet.ColumnarFile.read_encoded_chunk`:
+crc, inflate, length check) happen in turn; at the end of the run each
+projected column is gathered once for the whole run
+(:func:`~repro.formats.encoding.gather_run`).  :meth:`S3ScanOperator.scan_fused`
+yields one batch per run; :meth:`S3ScanOperator.scan` hands its caller each
+row group as soon as it is read, so its runs are one row group long.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,14 +64,18 @@ from repro.engine.s3io import S3ObjectSource, ScanStatistics, open_sources
 from repro.engine.table import Table
 from repro.formats.encoding import (
     EncodedChunk,
-    decode_gather,
-    encoded_key_codes,
     evaluate_comparison,
+    gather_run,
+    gather_run_codes,
 )
 from repro.formats.parquet import TAIL_BYTES, ColumnarFile, RowGroupMeta
 from repro.plan.expressions import CompiledPredicate, Expression, compile_predicate, evaluate
 from repro.plan.physical import PruneRange
 
+
+#: Rows of one run: consecutive surviving row groups of one file whose columns
+#: are gathered once (32 row groups of 2048 rows).
+RUN_ROWS = 1 << 16
 
 @dataclass
 class ScanConfig:
@@ -125,21 +138,25 @@ class ScanCounters:
 
 @dataclass
 class FusedBatch:
-    """One row group's worth of filtered rows, keys kept in code space.
+    """One run's worth of filtered rows, keys kept in code space.
 
     Produced by :meth:`S3ScanOperator.scan_fused` for the fused
-    scan→filter→partial-agg pipeline: aggregate-input columns are gathered
-    into ``values`` exactly as the classic path would, but group-key columns
-    stay as ``(sorted uniques, per-row codes)`` pairs when their encoding
-    already provides codes (dictionary/RLE chunks), so the group-by kernel
-    never materialises the key arrays.  Keys whose codes could not be derived
-    (plain chunks) are materialised into ``key_values`` instead.
+    scan→filter→partial-agg pipeline, one batch per run of row groups:
+    aggregate-input columns are gathered into ``values`` exactly as the
+    classic path would, but group-key columns stay as ``(sorted uniques,
+    per-row codes)`` pairs when their encoding already provides codes
+    (dictionary/RLE chunks), so the group-by kernel never materialises the
+    key arrays.  Keys whose codes could not be derived (plain chunks) are
+    materialised into ``key_values`` instead.  ``group_rows`` holds how many
+    of the rows each row group of the run contributed, in order (``None``: all
+    rows are one row group's).
     """
 
     num_rows: int
     values: Table
     key_codes: Dict[str, tuple]
     key_values: Table
+    group_rows: Optional[Sequence[int]] = None
 
     def materialize_key(self, name: str) -> np.ndarray:
         """The key column as a value array (identical to the classic gather)."""
@@ -149,6 +166,21 @@ class FusedBatch:
         if len(uniques) == 0:
             return np.zeros(0, dtype=uniques.dtype)
         return uniques[codes]
+
+
+@dataclass
+class _StagedGroup:
+    """One row group of a run whose chunks are parsed but whose gather waits for the run."""
+
+    group: RowGroupMeta
+    #: Parsed chunks of every column not in ``decoded``.
+    encoded: Dict[str, EncodedChunk]
+    #: Residual columns, fully decoded.
+    decoded: Dict[str, np.ndarray]
+    #: Surviving row indices, ``None`` for "all rows".
+    selection: Optional[np.ndarray]
+    #: How many rows survive.
+    selected: int
 
 
 class S3ScanOperator:
@@ -188,7 +220,10 @@ class S3ScanOperator:
         """Modelled CPU seconds to decompress and decode ``rows`` rows.
 
         Heavy-weight compression (GZIP) is decompression-bound; a second
-        thread on large workers can halve it (paper §4.3.2).
+        thread on large workers can halve it (paper §4.3.2).  This is the
+        modelled worker's ``threads``: the executing process inflates on
+        one thread and gathers a run's row groups at once, and neither
+        changes this charge, which stays per row group.
         """
         cpu_share = self.config.memory_mib / LAMBDA_MEMORY_PER_VCPU_MIB
         single_thread = min(cpu_share, 1.0)
@@ -210,7 +245,7 @@ class S3ScanOperator:
             yield from self._scan_file(source)
 
     def scan_fused(self, group_keys: Sequence[str]) -> Iterator[FusedBatch]:
-        """Yield filtered :class:`FusedBatch` batches (one per surviving group).
+        """Yield filtered :class:`FusedBatch` batches (one per run of row groups).
 
         Single-pass scan→filter for the fused aggregation pipeline: the
         pushed-down predicate's selection vector feeds the column gathers
@@ -246,7 +281,9 @@ class S3ScanOperator:
 
     def _scan_file(
         self, source: S3ObjectSource, fused_keys: Optional[frozenset] = None
-    ) -> Iterator[Table]:
+    ) -> Iterator:
+        """Scan one file run by run: yields tables (:meth:`scan`) or batches
+        (:meth:`scan_fused` with ``fused_keys``)."""
         reader = ColumnarFile(source)
         self.counters.files_scanned += 1
         # Everything read so far (this file's share of the batched open, and
@@ -255,10 +292,20 @@ class S3ScanOperator:
         metadata_transfer = source.statistics.transfer_seconds
 
         columns = self.columns or reader.schema.names
+        baseline = (
+            fused_keys is None
+            and self._compiled is not None
+            and not self.config.late_materialization
+        )
         # Min/max pruning of every row group at once, before any data is fetched.
         survives = reader.metadata.surviving_groups(
             (prange.column, prange.lower, prange.upper) for prange in self.prune_ranges
         )
+        # scan() hands its caller each row group as soon as it is read, so
+        # its runs are one row group long.
+        run_limit = RUN_ROWS if fused_keys is not None else 0
+        run: List[_StagedGroup] = []
+        run_rows = 0
         for group, alive in zip(reader.row_groups, survives.tolist()):
             if group.num_rows == 0:
                 continue
@@ -267,94 +314,136 @@ class S3ScanOperator:
                 self.counters.row_groups_pruned += 1
                 continue
             self.counters.rows_scanned += group.num_rows
-            if fused_keys is not None:
-                batch = self._scan_group_fused(reader, group, columns, fused_keys)
-                if batch is not None:
-                    yield batch
-                continue
-            if self._compiled is not None:
-                chunk = self._scan_group_filtered(reader, group, columns)
+            if baseline:
+                chunk = self._scan_group_baseline(reader, group, columns)
                 if chunk is not None:
                     yield chunk
                 continue
-            chunk: Table = {}
-            heavyweight = False
-            reader.prefetch(group, columns)
-            for name in columns:
-                chunk[name] = reader.read_column_chunk(group, name)
-                heavyweight = heavyweight or group.column_meta(name).compression.is_heavyweight
-            self.counters.decode_seconds += self._decode_seconds(group.num_rows, heavyweight)
-            yield chunk
+            if run and run_rows + group.num_rows > run_limit:
+                yield self._decode_run(run, columns, fused_keys)
+                run, run_rows = [], 0
+            staged = self._stage_group(reader, group, columns)
+            if staged is not None:
+                run.append(staged)
+                run_rows += group.num_rows
+        if run:
+            yield self._decode_run(run, columns, fused_keys)
 
         # Attribute the remaining transfer time of this file to data download.
         self.counters.download_seconds += source.statistics.transfer_seconds - metadata_transfer
         self.statistics.merge(source.statistics)
 
-    # -- predicate push-down -------------------------------------------------------
+    # -- runs ----------------------------------------------------------------------
 
-    def _scan_group_filtered(
+    def _stage_group(
         self, reader: ColumnarFile, group: RowGroupMeta, columns: Sequence[str]
-    ) -> Optional[Table]:
-        """Execute one surviving row group with the pushed-down predicate.
+    ) -> Optional[_StagedGroup]:
+        """Do one row group's I/O, parse its chunks and charge its decode; its
+        gather waits for the run.
 
-        Returns the filtered, projected chunk, or ``None`` when no row
-        survives (in which case non-predicate column chunks were never
-        downloaded).
+        Batch 1 and the selection vector come from :meth:`_select_rows`; the
+        chunks of batch 2 are parsed before the next group's prefetch replaces
+        the source's spans.  ``None`` when no row survives.
         """
         num_rows = group.num_rows
-        if not self.config.late_materialization:
-            # Full-decode baseline: decode every needed column, evaluate the
-            # whole predicate on the decoded arrays, mask-copy the chunk.
-            compiled = self._compiled
-            needed = list(columns)
-            for name in compiled.comparison_columns | compiled.residual_columns:
-                if name not in needed:
-                    needed.append(name)
-            reader.prefetch(group, needed)
-            decoded = {
-                name: reader.read_encoded_chunk(group, name).decode() for name in needed
-            }
-            mask = np.asarray(evaluate(self.predicate, decoded), dtype=bool)
-            self._charge_decode(group, needed, (), 0)
-            if not mask.any():
-                return None
-            if mask.all():
-                return {name: decoded[name] for name in columns}
-            return {name: decoded[name][mask] for name in columns}
-
         selected_rows = self._select_rows(reader, group, columns)
         if selected_rows is None:
             return None
-        load, encoded, decoded, selection = selected_rows
+        encoded, decoded, selection = selected_rows
         selected = num_rows if selection is None else len(selection)
+        gathered = [name for name in columns if name not in encoded]
+        if selection is not None:
+            self.counters.rows_decode_saved += (num_rows - selected) * sum(
+                1 for name in columns if name not in decoded
+            )
+        self._charge_decode(group, list(encoded), gathered, selected)
+        for name in gathered:
+            encoded[name] = reader.read_encoded_chunk(group, name)
+        return _StagedGroup(group, encoded, decoded, selection, selected)
 
-        # Gather the projected columns for surviving rows only.
-        predicate_columns = list(encoded)
-        gathered_columns = [name for name in columns if name not in encoded]
-        chunk: Table = {}
+    def _decode_run(
+        self, run: Sequence[_StagedGroup], columns: Sequence[str], fused_keys: Optional[frozenset]
+    ):
+        """Gather each column of a run's parsed row groups once for the whole run.
+
+        Returns the run's :class:`FusedBatch` (``fused_keys`` given) or, for
+        :meth:`scan`, whose runs are one row group, that group's table.
+        """
+        selection = run[0].selection
+        if len(run) > 1 and any(item.selection is not None for item in run):
+            offsets = np.cumsum([0] + [item.group.num_rows for item in run]).tolist()
+            selection = np.concatenate([
+                np.arange(offset, offset + item.group.num_rows)
+                if item.selection is None else item.selection + offset
+                for item, offset in zip(run, offsets)
+            ])
+        values: Table = {}
+        key_codes: Dict[str, tuple] = {}
+        key_values: Table = {}
         for name in columns:
-            if name in decoded:
+            is_key = fused_keys is not None and name in fused_keys
+            if name in run[0].decoded:
                 # Already fully decoded for the residual — sliced, not saved.
-                values = decoded[name]
-                chunk[name] = values if selection is None else values[selection]
+                column = (
+                    run[0].decoded[name] if len(run) == 1
+                    else np.concatenate([item.decoded[name] for item in run])
+                )
+                column = column if selection is None else column[selection]
             else:
-                chunk[name] = decode_gather(load(name), selection)
-                if selection is not None:
-                    self.counters.rows_decode_saved += num_rows - selected
-        self._charge_decode(group, predicate_columns, gathered_columns, selected)
-        return chunk
+                chunks = [item.encoded[name] for item in run]
+                if is_key:
+                    derived = gather_run_codes(chunks, selection)
+                    if derived is not None:
+                        key_codes[name] = derived
+                        continue
+                column = gather_run(chunks, selection)
+            (key_values if is_key else values)[name] = column
+        if fused_keys is None:
+            return values
+        return FusedBatch(
+            num_rows=sum(item.selected for item in run), values=values,
+            key_codes=key_codes, key_values=key_values,
+            group_rows=[item.selected for item in run],
+        )
+
+    # -- predicate push-down -------------------------------------------------------
+
+    def _scan_group_baseline(
+        self, reader: ColumnarFile, group: RowGroupMeta, columns: Sequence[str]
+    ) -> Optional[Table]:
+        """One surviving row group through the full-decode baseline.
+
+        Without late materialization every needed column is decoded, the
+        whole predicate evaluated on the decoded arrays and the chunk
+        mask-copied.  Returns ``None`` when no row survives.
+        """
+        compiled = self._compiled
+        needed = list(columns)
+        for name in compiled.comparison_columns | compiled.residual_columns:
+            if name not in needed:
+                needed.append(name)
+        reader.prefetch(group, needed)
+        decoded = {
+            name: reader.read_encoded_chunk(group, name).decode() for name in needed
+        }
+        mask = np.asarray(evaluate(self.predicate, decoded), dtype=bool)
+        self._charge_decode(group, needed, (), 0)
+        if not mask.any():
+            return None
+        if mask.all():
+            return {name: decoded[name] for name in columns}
+        return {name: decoded[name][mask] for name in columns}
 
     def _select_rows(
         self, reader: ColumnarFile, group: RowGroupMeta, columns: Sequence[str]
-    ) -> Optional[Tuple[Callable[[str], EncodedChunk], Dict, Dict, Optional[np.ndarray]]]:
+    ) -> Optional[Tuple[Dict[str, EncodedChunk], Dict[str, np.ndarray], Optional[np.ndarray]]]:
         """Fetch one row group in (at most) two batches around its selection vector.
 
         Batch 1 is the pushed-down predicate's columns; the selection vector
         is evaluated on them, and a fully-rejected group returns ``None``
-        before batch 2 — the rest of ``columns`` — is ever requested.  The
-        I/O step shared by the filtered and fused scan paths: returns the
-        chunk loader, the chunks it has parsed and decoded so far, and the
-        surviving row indices (``None`` for "all rows").
+        before batch 2 — the rest of ``columns`` — is ever requested.
+        Returns the chunks parsed and decoded so far (the predicate's) and
+        the surviving row indices (``None`` for "all rows").
         """
         num_rows = group.num_rows
         encoded: Dict[str, EncodedChunk] = {}
@@ -386,7 +475,7 @@ class S3ScanOperator:
                 self.counters.row_groups_shortcircuit_full += 1
         selection = None if mask is None else np.flatnonzero(mask)
         reader.prefetch(group, [name for name in columns if name not in encoded])
-        return load, encoded, decoded, selection
+        return encoded, decoded, selection
 
     def _group_selection(self, load, decoded, num_rows: int) -> Optional[np.ndarray]:
         """Evaluate the compiled predicate on encoded chunks for one row group.
@@ -419,59 +508,6 @@ class S3ScanOperator:
                 )
                 mask = residual_mask if mask is None else mask & residual_mask
         return mask
-
-    # -- fused scan→filter→agg batches ---------------------------------------------
-
-    def _scan_group_fused(
-        self,
-        reader: ColumnarFile,
-        group: RowGroupMeta,
-        columns: Sequence[str],
-        group_keys: frozenset,
-    ) -> Optional[FusedBatch]:
-        """Execute one surviving row group for the fused aggregation pipeline.
-
-        The selection vector, short-circuit, and decode-charge accounting are
-        identical to :meth:`_scan_group_filtered`; the difference is the
-        output shape: instead of materialising a filtered chunk, surviving
-        rows are delivered as a :class:`FusedBatch` whose group-key columns
-        stay in code space whenever the encoding provides codes.
-        """
-        num_rows = group.num_rows
-        selected_rows = self._select_rows(reader, group, columns)
-        if selected_rows is None:
-            return None
-        load, encoded, decoded, selection = selected_rows
-        selected = num_rows if selection is None else len(selection)
-
-        predicate_columns = list(encoded)
-        gathered_columns = [name for name in columns if name not in encoded]
-        values: Table = {}
-        key_codes: Dict[str, tuple] = {}
-        key_values: Table = {}
-        for name in columns:
-            is_key = name in group_keys
-            if name in decoded:
-                # Already fully decoded for the residual — sliced, not saved.
-                column = decoded[name]
-                column = column if selection is None else column[selection]
-                (key_values if is_key else values)[name] = column
-                continue
-            chunk = load(name)
-            if is_key:
-                derived = encoded_key_codes(chunk, selection)
-                if derived is not None:
-                    key_codes[name] = derived
-                else:
-                    key_values[name] = decode_gather(chunk, selection)
-            else:
-                values[name] = decode_gather(chunk, selection)
-            if selection is not None:
-                self.counters.rows_decode_saved += num_rows - selected
-        self._charge_decode(group, predicate_columns, gathered_columns, selected)
-        return FusedBatch(
-            num_rows=selected, values=values, key_codes=key_codes, key_values=key_values
-        )
 
     def _charge_decode(
         self,

@@ -41,7 +41,8 @@ row-selection mask directly on the encoded form (dictionary chunks evaluate
 the comparison once against the dictionary and translate it to a code-set
 membership test; RLE chunks evaluate per-run and expand with ``np.repeat``),
 and :func:`decode_gather` materialises only the rows a selection vector asks
-for.
+for.  :func:`gather_run` and :func:`gather_run_codes` do the same for a run of
+chunks of one column — a scan's consecutive row groups — in one pass.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import dataclass, field
-from typing import List, NamedTuple, Optional, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -360,6 +361,11 @@ def widen(
     else:
         bits = np.cumsum(stored, dtype=unsigned)
         bits += unsigned.type(base)
+    return _from_bits(bits, dtype, exponent)
+
+
+def _from_bits(bits: np.ndarray, dtype: np.dtype, exponent: int) -> np.ndarray:
+    """Widened unsigned bit patterns as the column's values."""
     if dtype != _FLOAT64:
         return bits.view(dtype)
     column = bits.view(np.int64).astype(np.float64)
@@ -661,6 +667,177 @@ def encoded_key_codes(
         uniques = uniques.astype(chunk.column_type.numpy_dtype, copy=False)
         return uniques, codes.astype(np.int64, copy=False)
     return None
+
+
+# ---------------------------------------------------------------------------
+# Runs: one column of consecutive chunks, gathered at once
+# ---------------------------------------------------------------------------
+
+def _run_starts(chunks: Sequence[EncodedChunk]) -> np.ndarray:
+    """Offset of each chunk's first row in the run, then the run's length."""
+    starts = np.zeros(len(chunks) + 1, dtype=np.intp)
+    np.cumsum([chunk.num_values for chunk in chunks], out=starts[1:])
+    return starts
+
+
+def _chunk_selections(
+    starts: np.ndarray, selection: Optional[np.ndarray]
+) -> List[Optional[np.ndarray]]:
+    """A run's selection cut into each chunk's own row indices."""
+    if selection is None:
+        return [None] * (len(starts) - 1)
+    bounds = np.searchsorted(selection, starts).tolist()
+    return [
+        selection[low:high] - start
+        for low, high, start in zip(bounds[:-1], bounds[1:], starts.tolist())
+    ]
+
+
+def _same_arrays(arrays: Sequence[np.ndarray]) -> bool:
+    """Whether every array holds the first one's bytes."""
+    first = arrays[0]
+    reference = first.tobytes()
+    return all(
+        array is first or (len(array) == len(first) and array.tobytes() == reference)
+        for array in arrays
+    )
+
+
+def gather_run(chunks: Sequence[EncodedChunk], selection: Optional[np.ndarray]) -> np.ndarray:
+    """:func:`decode_gather` over a run of chunks of one column, as one array.
+
+    ``selection`` holds sorted row indices into the run — its chunks' rows end
+    to end — or is ``None`` for every row.  The result is, bit for bit, the
+    concatenation of each chunk's :func:`decode_gather` of its share of the
+    selection.  When the chunks share an encoding (and, for scaled decimals,
+    an exponent) the whole run is one concatenate, one gather and one widen,
+    dictionary ``take`` or run expansion; otherwise it goes chunk by chunk.
+    """
+    first = chunks[0]
+    if len(chunks) == 1:
+        return decode_gather(first, selection)
+    encoding, dtype = first.encoding, first.column_type.numpy_dtype
+    if any(chunk.encoding is not encoding or chunk.exponent != first.exponent
+           for chunk in chunks):
+        starts = _run_starts(chunks)
+        return np.concatenate([
+            decode_gather(chunk, part)
+            for chunk, part in zip(chunks, _chunk_selections(starts, selection))
+        ])
+    if encoding is Encoding.PLAIN:
+        values = np.concatenate([chunk.values for chunk in chunks])
+        return values if selection is None else values[selection]
+    if encoding is Encoding.RLE:
+        run_values = np.concatenate([chunk.run_values for chunk in chunks])
+        run_lengths = np.concatenate([chunk.run_lengths for chunk in chunks])
+        if selection is None:
+            gathered = np.repeat(run_values, run_lengths)
+        else:
+            run_ends = np.cumsum(run_lengths, dtype=np.int64)
+            gathered = run_values[np.searchsorted(run_ends, selection, side="right")]
+        return gathered.astype(dtype, copy=False)
+    if encoding is Encoding.DICTIONARY:
+        dictionaries = [chunk.dictionary for chunk in chunks]
+        codes = np.concatenate([chunk.codes for chunk in chunks])
+        if _same_arrays(dictionaries):
+            dictionary = first.dictionary
+        else:
+            # Each chunk's codes index its own slice of the dictionaries laid
+            # end to end.
+            sizes = [len(entries) for entries in dictionaries]
+            offsets = np.cumsum(sizes, dtype=np.intp) - sizes
+            dictionary = np.concatenate(dictionaries)
+            codes = codes + np.repeat(offsets, [chunk.num_values for chunk in chunks])
+        if len(dictionary) == 0:
+            return np.zeros(0, dtype=dtype)
+        return dictionary.take(codes if selection is None else codes[selection])
+
+    # FOR / DELTA: the unsigned bit patterns of the whole run, then one widen.
+    unsigned = UNSIGNED[dtype.itemsize]
+    stored = np.concatenate([
+        np.zeros(chunk.num_values, dtype=np.uint8) if chunk.stored is None else chunk.stored
+        for chunk in chunks
+    ])
+    bases = np.array([chunk.base for chunk in chunks], dtype=unsigned)
+    starts = _run_starts(chunks)
+    if encoding is Encoding.DELTA:
+        # One cumsum for the run; each chunk's sum restarts at its base.
+        bits = np.cumsum(stored, dtype=unsigned)
+        firsts = starts[:-1]
+        before = (
+            bits[np.maximum(firsts - 1, 0)] if len(bits) else np.zeros(len(chunks), unsigned)
+        )
+        before[firsts == 0] = 0
+        bits += np.repeat(np.subtract(bases, before, dtype=unsigned), np.diff(starts))
+        if selection is not None:
+            bits = bits[selection]
+    else:
+        if selection is not None:
+            stored = stored[selection]
+        if (bases == bases[0]).all():
+            bits = np.add(stored, bases[0], dtype=unsigned)
+        else:
+            selected = starts if selection is None else np.searchsorted(selection, starts)
+            bits = np.add(stored, np.repeat(bases, np.diff(selected)), dtype=unsigned)
+    return _from_bits(bits, dtype, first.exponent)
+
+
+def gather_run_codes(
+    chunks: Sequence[EncodedChunk], selection: Optional[np.ndarray]
+) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """:func:`encoded_key_codes` over a run of chunks of one group-key column.
+
+    Returns the run's ascending distinct values and per-row codes into them,
+    or ``None`` when some chunk has no codes or the chunks' values do not
+    merge into one dictionary exactly (a key the caller then gathers as
+    values).  Chunks that share one dictionary need one concatenate and one
+    gather of their codes.
+    """
+    if len(chunks) == 1:
+        return encoded_key_codes(chunks[0], selection)
+    if all(chunk.encoding is Encoding.DICTIONARY for chunk in chunks) and _same_arrays(
+        [chunk.dictionary for chunk in chunks]
+    ):
+        dictionary = chunks[0].dictionary
+        if len(dictionary) > 1 and not np.all(dictionary[1:] > dictionary[:-1]):
+            return None
+        codes = np.concatenate([chunk.codes for chunk in chunks])
+        if selection is not None:
+            codes = codes[selection]
+        return dictionary, codes.astype(np.int64, copy=False)
+    pairs = []
+    for chunk, part in zip(chunks, _chunk_selections(_run_starts(chunks), selection)):
+        pair = encoded_key_codes(chunk, part)
+        if pair is None:
+            return None
+        pairs.append(pair)
+    return unify_codes(pairs)
+
+
+def unify_codes(
+    pairs: Sequence[Tuple[np.ndarray, np.ndarray]],
+) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """Re-express several ``(ascending uniques, codes)`` pairs over one dictionary.
+
+    Returns the merged ascending dictionary and the concatenated codes into
+    it.  Equal dictionaries (the common case for low-cardinality columns) are
+    taken as they are; otherwise each is located in the merged one and its
+    codes translated through that mapping.  ``None`` when merging would change
+    a value's bits (``0.0`` and ``-0.0`` are one dictionary entry).
+    """
+    dictionaries = [uniques for uniques, _ in pairs]
+    if _same_arrays(dictionaries):
+        return dictionaries[0], np.concatenate([codes for _, codes in pairs])
+    merged = np.unique(np.concatenate(dictionaries))
+    mappings = [np.searchsorted(merged, uniques) for uniques in dictionaries]
+    if any(
+        merged[mapping].tobytes() != uniques.tobytes()
+        for mapping, uniques in zip(mappings, dictionaries)
+    ):
+        return None
+    return merged, np.concatenate(
+        [mapping[codes] for mapping, (_, codes) in zip(mappings, pairs)]
+    )
 
 
 _COMPARISON_UFUNCS = {

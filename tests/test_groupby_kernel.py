@@ -2,8 +2,8 @@
 
 Two properties hold the kernel in place: whichever strategy the factorizer
 picks it returns what a record-array ``np.unique`` returns, and the
-accumulator's one pass over many batches returns the per-batch partial tables
-to the last bit.
+accumulator's one pass over a run of row groups returns the per-row-group
+partial tables to the last bit.
 """
 
 import tracemalloc
@@ -23,6 +23,7 @@ from repro.engine.aggregates import (
 )
 from repro.engine.scan import FusedBatch
 from repro.engine.table import concat_tables
+from repro.formats.encoding import unify_codes
 from repro.plan.expressions import col
 from repro.plan.logical import AggregateSpec
 
@@ -177,10 +178,38 @@ def _flags(rng, full=False):
     }
 
 
-def _assert_pass_equals_per_batch(batches, group_by, monkeypatch, expected_calls=None):
+def _run_batch(batches):
+    """The batches as one run's batch, the way the scan delivers a run: one
+    dictionary per key (or the key as values), one count per row group."""
+    key_codes, key_values = {}, {}
+    for name in {**batches[0].key_codes, **batches[0].key_values}:
+        pairs = [batch.key_codes.get(name) for batch in batches]
+        unified = None if None in pairs else unify_codes(pairs)
+        if unified is None:
+            key_values[name] = np.concatenate([batch.materialize_key(name) for batch in batches])
+        else:
+            key_codes[name] = unified
+    return FusedBatch(
+        num_rows=sum(batch.num_rows for batch in batches),
+        values={
+            name: np.concatenate([batch.values[name] for batch in batches])
+            for name in batches[0].values
+        },
+        key_codes=key_codes,
+        key_values=key_values,
+        group_rows=[batch.num_rows for batch in batches],
+    )
+
+
+def _assert_pass_equals_per_batch(batches, group_by, monkeypatch, expected_calls=None, runs=None):
+    """Runs of ``batches`` (``runs``: how many batches each; default all in
+    one) through the accumulator equal the batches' own partial tables."""
     per_batch = concat_tables(
         [partial_aggregate_fused(batch, group_by, _SPECS) for batch in batches]
     )
+    one_by_one = FusedBatchAccumulator(group_by, _SPECS)
+    for batch in batches:
+        one_by_one.add(batch)
     # The accumulator reaches the kernel through the module global, the
     # binding the span tracer rebinds.
     calls = []
@@ -193,17 +222,22 @@ def _assert_pass_equals_per_batch(batches, group_by, monkeypatch, expected_calls
     with monkeypatch.context() as patch:
         patch.setattr(aggregates, "partial_aggregate_fused", counted)
         accumulator = FusedBatchAccumulator(group_by, _SPECS)
-        for batch in batches:
-            accumulator.add(batch)
-        combined = concat_tables(accumulator.finish())
+        start = 0
+        for length in runs or [len(batches)]:
+            accumulator.add(_run_batch(batches[start:start + length]))
+            start += length
+        partials = accumulator.finish()
+        combined = concat_tables(partials)
 
-    assert list(combined) == list(per_batch)
-    for name, column in per_batch.items():
-        assert np.array_equal(combined[name], column), name
-        assert combined[name].dtype == column.dtype
+    for expected in (per_batch, concat_tables(one_by_one.finish())):
+        assert list(combined) == list(expected)
+        for name, column in expected.items():
+            assert np.array_equal(combined[name], column), name
+            assert combined[name].dtype == column.dtype
     assert sum(calls) == sum(batch.num_rows for batch in batches)
     if expected_calls is not None:
         assert len(calls) == expected_calls
+    return partials
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -220,9 +254,10 @@ def test_segmented_pass_equals_per_batch_partials(seed, monkeypatch):
 def test_pass_skips_an_empty_batch_and_spans_several_flushes(monkeypatch):
     rng = np.random.default_rng(21)
     batches = [_batch(rng, rows, _flags(rng)) for rows in (300, 0, 280, 40, 0, 310, 190, 90)]
-    monkeypatch.setattr(aggregates, "FUSED_PASS_ROWS", 500)
-    # Passes of 580 and 540 rows, then a lone batch: three kernel calls.
-    _assert_pass_equals_per_batch(batches, ["flag", "status"], monkeypatch, expected_calls=3)
+    # Runs of 580 and 540 rows, then a lone row group: three kernel calls.
+    _assert_pass_equals_per_batch(
+        batches, ["flag", "status"], monkeypatch, expected_calls=3, runs=[3, 4, 1]
+    )
 
 
 def test_single_batch_and_no_batches(monkeypatch):
@@ -237,11 +272,7 @@ def test_pass_without_group_by_keeps_one_row_per_batch(monkeypatch):
     """Q6 shape: the batch ordinal is the only key of the pass."""
     rng = np.random.default_rng(23)
     batches = [_batch(rng, rows, {}) for rows in (120, 1, 0, 64, 300)]
-    _assert_pass_equals_per_batch(batches, [], monkeypatch, expected_calls=1)
-    accumulator = FusedBatchAccumulator([], _SPECS)
-    for batch in batches:
-        accumulator.add(batch)
-    (table,) = accumulator.finish()
+    (table,) = _assert_pass_equals_per_batch(batches, [], monkeypatch, expected_calls=1)
     assert list(table) == [spec.alias for spec in _SPECS]
     assert len(table["s"]) == 4
 

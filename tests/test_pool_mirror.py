@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import gc
 import os
+import warnings
 from multiprocessing import shared_memory
 
 import pytest
@@ -21,6 +22,7 @@ from repro.analysis.experiments import run_tpch_query, setup_functional_environm
 from repro.cloud.s3 import parse_s3_path
 from repro.driver.driver import LambadaDriver
 from repro.errors import NoSuchKeyError
+from repro.workload.tpch import generate_lineitem_dataset
 from tests.conftest import leaked_segments, shm_segments
 from tests.test_mode_parity import assert_bit_identical
 
@@ -152,4 +154,44 @@ def test_inputs_that_do_not_fit_dev_shm_run_on_lambda(stack, pooled, created, mo
     assert_bit_identical(run_tpch_query(serial, dataset, "q1").table, answer.table)
     assert created == []
     assert pooled._mirror.directory == {}
+    assert leaked_segments() == []
+
+
+def test_a_query_that_does_not_fit_evicts_inputs_it_does_not_read(stack, pooled, monkeypatch):
+    """Two datasets that fit ``/dev/shm`` one at a time both run pooled.
+
+    The parent fell back to Lambda + SQS (with a ``RuntimeWarning``) for the
+    second query while the first one's copies sat in ``/dev/shm``.
+    """
+    env, first, serial = stack
+    second = generate_lineitem_dataset(env.s3, prefix="other", scale_factor=0.001,
+                                       num_files=4, row_group_rows=1024, seed=11)
+    sizes = {
+        name: sum(len(env.s3.get_path(path).data) for path in dataset.paths)
+        for name, dataset in (("first", first), ("second", second))
+    }
+    # Room for either dataset, never for both.
+    budget = max(sizes.values()) + min(sizes.values()) // 2
+    real_statvfs = os.statvfs
+
+    def tight_tmpfs(path):
+        stats = real_statvfs(path)
+        if path != "/dev/shm":
+            return stats
+        used = sum(length for _, length in pooled._mirror.directory.values())
+        free = max(budget - used, 0) // stats.f_frsize
+        return os.statvfs_result(stats[:4] + (free,) + stats[5:])
+
+    monkeypatch.setattr(os, "statvfs", tight_tmpfs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        answers, evicted = {}, set()
+        for name, dataset in (("first", first), ("second", second), ("first again", first)):
+            answers[name] = run_tpch_query(pooled, dataset, "q1")
+            # Pooled over exactly this query's inputs; the others are unlinked.
+            assert set(pooled._mirror.directory) == set(dataset.paths), name
+            assert not evicted & set(shm_segments()), name
+            evicted = {segment for segment, _ in pooled._mirror.directory.values()}
+    for name, dataset in (("first", first), ("second", second), ("first again", first)):
+        assert_bit_identical(run_tpch_query(serial, dataset, "q1").table, answers[name].table)
     assert leaked_segments() == []
