@@ -27,7 +27,7 @@ from __future__ import annotations
 import threading
 import traceback
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.cloud.clock import VirtualClock
 from repro.cloud.metering import MeteringLedger
@@ -289,49 +289,87 @@ class LambdaService:
                     f"injected capacity brownout: fleet cap reached invoking {name}"
                 )
             self._active += 1
+            handler = self._handlers[name]
+
+        def run(context: InvocationContext) -> Tuple[Any, Optional[str], Optional[str]]:
+            plan = self.fault_plan
+            try:
+                # An injected fault skips the handler, so no result message is
+                # ever posted — the driver only notices at its wave deadline.
+                fault = plan.invocation_fault(name) if plan is not None else None
+                if fault is not None:
+                    return None, None, fault
+                if plan is not None:
+                    context.straggler_factor = plan.straggler_factor(name)
+                return handler(event, context), None, None
+            except Exception as exc:  # noqa: BLE001 - report any handler failure
+                return None, f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}", None
+            finally:
+                with self._lock:
+                    self._active -= 1
+
+        return self._metered(name, from_driver, run)
+
+    def account_invocation(
+        self,
+        name: str,
+        duration_seconds: float,
+        from_driver: bool = True,
+        cold_penalty: float = 1.0,
+        fault: Optional[str] = None,
+    ) -> InvocationResult:
+        """Meter one invocation whose handler executed *outside* the service
+        (the process pool's workers): :meth:`invoke`'s own metering step with
+        only the handler call skipped.
+
+        ``cold_penalty`` scales ``duration_seconds`` when this invocation
+        lands cold, mirroring the execution-slowdown factor the in-process
+        worker handler applies.  ``fault`` is the injected ``"drop"`` or
+        ``"timeout"`` the caller drew for it (the fragment never ran).
+        """
+
+        def run(context: InvocationContext) -> Tuple[Any, Optional[str], Optional[str]]:
+            context.charge(duration_seconds * (cold_penalty if context.cold_start else 1.0))
+            return None, None, fault
+
+        return self._metered(name, from_driver, run)
+
+    def _metered(
+        self,
+        name: str,
+        from_driver: bool,
+        run: Callable[[InvocationContext], Tuple[Any, Optional[str], Optional[str]]],
+    ) -> InvocationResult:
+        """The one metering step of every invocation.
+
+        Cold/warm instance bookkeeping, then ``run(context)`` — the handler,
+        or what stands in for it — which returns ``(payload, error, fault)``
+        with its modelled time charged to ``context``; then the injected
+        fault's error and duration (``"drop"``: the Invoke is accepted but the
+        function never runs; ``"timeout"``: it hangs and is killed at its
+        timeout), the timeout clamp, the ledger records, the billed cost and
+        the invocation log.
+        """
+        with self._lock:
+            self._require_function(name)
             invocation_id = self._next_invocation_id
             self._next_invocation_id += 1
             config = self._functions[name]
-            handler = self._handlers[name]
             cold = self._warm_instances[name] <= 0
             if cold:
                 # A cold start provisions a new instance that stays warm.
                 self._warm_instances[name] += 1
-            else:
-                self._warm_instances[name] -= 0  # instance reused, count unchanged
 
         startup = self.invocation_latency(from_driver) + (
             LAMBDA_COLD_START_SECONDS if cold else LAMBDA_WARM_START_SECONDS
         )
         context = InvocationContext(config, invocation_id, cold)
-        error: Optional[str] = None
-        payload: Any = None
-        injected: Optional[str] = None
-        if self.fault_plan is not None:
-            injected = self.fault_plan.invocation_fault(name)
-        if injected is not None:
-            # "drop": the Invoke call is accepted but the function never runs.
-            # "timeout": the function hangs and is killed at its timeout.
-            # Either way the handler is skipped, so no result message is ever
-            # posted — the driver only notices at its wave deadline.
-            with self._lock:
-                self._active -= 1
-        else:
-            if self.fault_plan is not None:
-                context.straggler_factor = self.fault_plan.straggler_factor(name)
-            try:
-                payload = handler(event, context)
-            except Exception as exc:  # noqa: BLE001 - report any handler failure
-                error = f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}"
-            finally:
-                with self._lock:
-                    self._active -= 1
-
+        payload, error, fault = run(context)
         duration = context.charged_seconds
-        if injected == "drop":
+        if fault == "drop":
             error = "InvocationDropped: injected invocation drop"
             duration = 0.0
-        elif injected == "timeout":
+        elif fault == "timeout":
             error = (
                 f"FunctionTimeout: injected hang killed at the "
                 f"{config.timeout_seconds:.1f}s timeout"
@@ -354,66 +392,6 @@ class LambdaService:
             function_name=name,
             invocation_id=invocation_id,
             payload=payload,
-            error=error,
-            cold_start=cold,
-            startup_seconds=startup,
-            duration_seconds=duration,
-            billed_cost=billed,
-        )
-        with self._lock:
-            self.invocation_log.append(result)
-        return result
-
-    def account_invocation(
-        self,
-        name: str,
-        duration_seconds: float,
-        from_driver: bool = True,
-        cold_penalty: float = 1.0,
-    ) -> InvocationResult:
-        """Meter one invocation whose handler executed *outside* the service.
-
-        The process-pool execution plane runs worker fragments in OS worker
-        processes for real parallelism, but the simulation's performance and
-        billing model must stay identical to :meth:`invoke`: cold/warm
-        instance bookkeeping, startup latency, timeout clamping, ledger
-        records, billed cost, and the invocation log are all applied here —
-        only the handler call itself is skipped.  ``cold_penalty`` scales
-        ``duration_seconds`` when this invocation lands cold, mirroring the
-        execution-slowdown factor the in-process worker handler applies.
-        """
-        with self._lock:
-            self._require_function(name)
-            invocation_id = self._next_invocation_id
-            self._next_invocation_id += 1
-            config = self._functions[name]
-            cold = self._warm_instances[name] <= 0
-            if cold:
-                # A cold start provisions a new instance that stays warm.
-                self._warm_instances[name] += 1
-
-        startup = self.invocation_latency(from_driver) + (
-            LAMBDA_COLD_START_SECONDS if cold else LAMBDA_WARM_START_SECONDS
-        )
-        error: Optional[str] = None
-        duration = duration_seconds * (cold_penalty if cold else 1.0)
-        if duration > config.timeout_seconds:
-            error = (
-                f"FunctionTimeout: modelled duration {duration:.1f}s exceeds "
-                f"timeout {config.timeout_seconds:.1f}s"
-            )
-            duration = config.timeout_seconds
-        gib_seconds = config.memory_mib * MiB / GiB * duration
-        self.ledger.record("lambda", "invocations", 1, self.clock.now)
-        self.ledger.record("lambda", "gib_seconds", gib_seconds, self.clock.now)
-        billed = (
-            self.ledger.prices.lambda_duration_cost(config.memory_mib, duration)
-            + self.ledger.prices.lambda_invocation_cost(1)
-        )
-        result = InvocationResult(
-            function_name=name,
-            invocation_id=invocation_id,
-            payload=None,
             error=error,
             cold_start=cold,
             startup_seconds=startup,

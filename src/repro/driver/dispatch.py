@@ -2,15 +2,14 @@
 
 The paper's driver does one thing per fleet, whatever it computes (§3.2–3.3):
 invoke the workers, learn of completion through the SQS result queue,
-re-invoke what failed.  :func:`run_fleet` is that loop, :func:`collect_results`
-that queue's only poller; the scan fleet and every shuffle wave run through
-them.  What differs per caller is data: a *transport* closure that starts
-attempts and folds the reports it is asked for into ``by_key``, the
-:class:`FleetLabels` its pump points and budget charges carry, its rounds.
-A scan fleet's transport is Lambda + SQS or the process pool — the loop
-cannot tell them apart — and its stragglers' hedges are one more call of the
-same transport.  A fleet that is still failing after its rounds is returned
-as it stands; nothing is abandoned and re-run another way.
+re-invoke what failed.  This module is that path, once, for the scan fleet
+and every shuffle wave: :meth:`QueryContext.lambda_transport` the one Lambda +
+SQS transport (a caller passes only data — function, queue, stage label and,
+for the scan, the launcher of its first round), :func:`run_fleet` the loop
+whose retry step is the one booking of a re-dispatch, :func:`raise_unfinished`
+the one typed failure, :func:`collect_results` the queue's only poller.  A
+scan fleet's other transport, the process pool, is a closure of the same
+shape; a hedge is one more call of either.
 
 What a query's fleets share — its id, jitter stream, counters, breaker board,
 retry budget and cancellation token — is one :class:`QueryContext`, opened
@@ -40,10 +39,20 @@ from repro.driver.resilience import (
     fault_snapshot,
     merge_attempt_message,
 )
-from repro.errors import QueryCancelledError, RetryBudgetExhaustedError
+from repro.errors import (
+    QueryCancelledError,
+    QueryTimeoutError,
+    RetryBudgetExhaustedError,
+    WorkerFailedError,
+)
 
 #: What a worker that never reported (dropped invocation, crash) failed with.
 NO_RESULT_ERROR = "no result message (lost invocation or worker crash)"
+
+#: Worker errors that mean the invocation plane itself failed, not a worker.
+LAMBDA_FAILURE_PREFIXES = (
+    "InvocationDropped", "FunctionTimeout", "WorkerCrashError", NO_RESULT_ERROR,
+)
 
 
 @dataclass(frozen=True)
@@ -60,6 +69,8 @@ class FleetLabels:
     retry: str
     #: Retry-budget account one re-dispatched worker is charged to.
     budget: str
+    #: Stage the fleet's typed failure names, if any.
+    stage: Optional[str] = None
 
 
 def current_attempts(events: Dict) -> Dict:
@@ -129,18 +140,12 @@ def collect_results(
 
 
 def run_fleet(
+    context: "QueryContext",
     events: Dict,
     transport: Callable[[List[Dict], Dict, Dict], None],
     rounds: int,
-    policy: ResiliencePolicy,
-    rng: random.Random,
-    resilience: ResilienceStats,
     labels: FleetLabels,
     attempt_log: AttemptLog,
-    integrity: Optional[IntegrityStats] = None,
-    cancel: Optional[Any] = None,
-    budget: Optional[Any] = None,
-    on_retry: Optional[Callable[[Any, Dict, str], None]] = None,
 ) -> Dict:
     """Dispatch ``events`` and re-dispatch what failed; returns ``{key: message}``.
 
@@ -150,16 +155,19 @@ def run_fleet(
     its current attempts — reported.  Up to ``rounds - 1`` times, the
     workers that failed or never reported are re-dispatched in key order as
     their next attempt (``events`` is updated in place) after one jittered
-    backoff, charged to the modelled latency and never slept.  Each failed
-    attempt lands in ``attempt_log``; each re-dispatch is charged to
-    ``budget`` and counted as a retry; ``on_retry(key, retry, error)`` lets
-    the caller edit the retry payload and book the failure.  An exhausted
-    fleet is returned as it stands — what that raises is the caller's.
+    backoff from the ``context``'s stream, charged to the modelled latency
+    and never slept.  Each re-dispatch is booked here, whatever the fleet:
+    its failed attempt lands in ``attempt_log`` (one entry is one more
+    billed invocation), an invocation-plane error is a failure of the Lambda
+    breaker, its request fee is wasted, the retry budget is charged.  An
+    exhausted fleet is returned as it stands.
     """
+    resilience, policy, cancel = context.resilience, context.policy, context.cancel
     if cancel is not None and labels.dispatch is not None:
         cancel.check(labels.dispatch)
     by_key: Dict = {}
     transport([events[key] for key in sorted(events)], by_key, current_attempts(events))
+    invocation_fee = context.env.ledger.prices.lambda_invocation_cost(1)
     sleep = 0.0
     for _ in range(rounds - 1):
         failed = failed_keys(events, by_key)
@@ -168,26 +176,54 @@ def run_fleet(
         if cancel is not None:
             cancel.check(labels.retry)
         sleep = decorrelated_jitter(
-            sleep, rng, policy.backoff_base_seconds, policy.backoff_cap_seconds
+            sleep, context.rng, policy.backoff_base_seconds, policy.backoff_cap_seconds
         )
         resilience.backoff_seconds += sleep
         for key in failed:
             error = by_key.get(key, {}).get("error") or NO_RESULT_ERROR
             previous = int(events[key].get("attempt", 0))
-            worker_id = key[1] if isinstance(key, tuple) else key
-            attempt_log.record(worker_id, previous, error, backoff_seconds=sleep)
-            if integrity is not None and error.startswith("IntegrityError"):
+            attempt_log.record(key, previous, error, backoff_seconds=sleep)
+            if error.startswith("IntegrityError"):
                 # At-rest corruption no re-GET cured: the retry re-executes.
-                integrity.re_executions += 1
+                context.integrity.re_executions += 1
+            if context.breakers is not None and error.startswith(LAMBDA_FAILURE_PREFIXES):
+                # A string, not an exception the board could classify.
+                context.breakers.breakers["lambda"].record_failure(context.now())
+            resilience.wasted_cost_dollars += invocation_fee
             retry = {**events[key], "attempt": previous + 1}
-            if on_retry is not None:
-                on_retry(key, retry, error)
+            retry.pop("children", None)  # a re-dispatch is flat
             events[key] = retry
-            if budget is not None:
-                budget.charge(labels.budget)
+            if context.budget is not None:
+                context.budget.charge(labels.budget)
             resilience.retries += 1
         transport([events[key] for key in failed], by_key, current_attempts(events))
     return by_key
+
+
+def raise_unfinished(
+    events: Dict, by_key: Dict, attempt_log: AttemptLog, stage: Optional[str] = None
+) -> None:
+    """Raise the typed failure of a fleet that still lacks an ok result:
+    :class:`~repro.errors.WorkerFailedError` with the attempt history of the
+    first worker whose last message is an error, else
+    :class:`~repro.errors.QueryTimeoutError`; ``stage`` prefixes either."""
+    failed = failed_keys(events, by_key)
+    if not failed:
+        return
+    prefix = f"{stage}: " if stage else ""
+    for key in failed:
+        message = by_key.get(key)
+        if message is not None:
+            error = message.get("error", "unknown error")
+            attempts = attempt_log.for_worker(key) + [
+                {"attempt": int(message.get("attempt", 0)), "error": error}
+            ]
+            worker_id = key[1] if isinstance(key, tuple) else key
+            raise WorkerFailedError(worker_id, prefix + error, attempts=attempts)
+    raise QueryTimeoutError(
+        f"{prefix}got results from {len(events) - len(failed)} distinct workers, "
+        f"expected {len(events)}"
+    )
 
 
 class QueryContext:
@@ -203,8 +239,9 @@ class QueryContext:
 
     :meth:`call` is :func:`~repro.driver.resilience.call_with_backoff`,
     :meth:`collect` :func:`collect_results` and :meth:`run` :func:`run_fleet`
-    with all of the above; :meth:`fetch_spilled` reads spilled results;
-    :meth:`teardown` is the one cleanup of a typed abort.
+    then :func:`raise_unfinished` with all of the above; :meth:`fetch_spilled`
+    reads spilled results; :meth:`teardown` is the one cleanup of a typed
+    abort.
     """
 
     def __init__(
@@ -251,17 +288,43 @@ class QueryContext:
             cancel=self.cancel,
         )
 
+    def lambda_transport(
+        self, function_name: str, queue: str, label: str, verify: bool,
+        launch: Optional[Callable[[List[Dict], Callable[[Dict], Any]], None]] = None,
+    ) -> Callable[[List[Dict], Dict, Dict], None]:
+        """The Lambda + SQS transport of one fleet.
+
+        Every payload is invoked through :meth:`call` (a capacity brownout's
+        rejection is retried with backoff, not fatal); the first call goes
+        through ``launch(payloads, invoke)`` when given, every later one —
+        retry rounds, hedges — flat.  Then ``queue`` is polled under the
+        stage ``label`` until every key of ``want`` reported at its attempt.
+        """
+
+        def invoke(payload: Dict) -> Any:
+            return self.call(self.env.lambda_service.invoke, function_name, payload)
+
+        def transport(payloads: List[Dict], by_key: Dict, want: Dict) -> None:
+            nonlocal launch
+            if launch is None:
+                for payload in payloads:
+                    invoke(payload)
+            else:
+                launch(payloads, invoke)
+                launch = None
+            self.collect(queue, want, by_key, label, verify)
+
+        return transport
+
     def run(
         self, events: Dict, transport: Callable[[List[Dict], Dict, Dict], None],
         rounds: int, labels: FleetLabels, attempt_log: AttemptLog,
-        on_retry: Optional[Callable[[Any, Dict, str], None]] = None,
     ) -> Dict:
-        """:func:`run_fleet` of one of this query's fleets."""
-        return run_fleet(
-            events, transport, rounds, self.policy, self.rng, self.resilience,
-            labels, attempt_log, integrity=self.integrity, cancel=self.cancel,
-            budget=self.budget, on_retry=on_retry,
-        )
+        """:func:`run_fleet` of one of this query's fleets; one ok message per
+        event, or its :func:`raise_unfinished` failure."""
+        by_key = run_fleet(self, events, transport, rounds, labels, attempt_log)
+        raise_unfinished(events, by_key, attempt_log, labels.stage)
+        return by_key
 
     def fetch_spilled(self, messages: Iterable[Dict], verify: bool) -> None:
         """Fetch, in place, the frames accepted ``messages`` spilled to S3

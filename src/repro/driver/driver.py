@@ -3,9 +3,10 @@
 The driver deploys the worker function once ("installation"), then executes
 queries by compiling them, running the worker fleet through one
 :meth:`~repro.driver.dispatch.QueryContext.run` — failed workers re-invoked
-— over one transport picked per query: Lambda + SQS (invoked in the shape
-the launch plan prices, one hop or the two-level tree of §4.2) or the process
-pool.  Stragglers are hedged by one more call of the same transport, and the
+— over one transport picked per query: Lambda + SQS, the transport every
+shuffle wave uses too (its first round in the shape the launch plan prices,
+one hop or the two-level tree of §4.2), or the process pool.  Stragglers are
+hedged by one more call of the same transport, and the
 partial results are merged locally (the driver scope of the physical plan).
 Each query opens one :class:`~repro.driver.dispatch.QueryContext` (its id,
 jitter stream, counters, retry budget and cancellation token, with the
@@ -74,12 +75,7 @@ from repro.engine.pipeline import WorkerResult
 from repro.exchange.basic import ExchangeStats
 from repro.exchange.codec import verify_frame
 from repro.engine.table import Table, table_num_rows
-from repro.errors import (
-    ExecutionError,
-    QueryCancelledError,
-    QueryTimeoutError,
-    WorkerFailedError,
-)
+from repro.errors import ExecutionError, QueryCancelledError
 from repro.plan.logical import LogicalPlan
 from repro.plan.optimizer import OptimizerReport, optimize
 from repro.plan.physical import (
@@ -443,7 +439,9 @@ class LambadaDriver:
         are never invoked (the §5.3 central-statistics optimisation).
 
         Failed workers are retried up to ``max_worker_retries`` times before
-        the query is aborted with :class:`~repro.errors.WorkerFailedError`.
+        the query is aborted with :class:`~repro.errors.WorkerFailedError`
+        (a worker's last message is an error) or
+        :class:`~repro.errors.QueryTimeoutError` (it never reported).
 
         A plan is a logical plan, which :func:`~repro.plan.optimizer.optimize`
         lowers first, or one of the two physical plans: a
@@ -461,9 +459,11 @@ class LambadaDriver:
         and sets the join fan-out instead.
         ``files_per_worker`` is not consulted, a failed worker is retried
         within its wave up to ``resilience_policy.max_attempts`` times
-        (``max_worker_retries`` is not consulted there), and catalog-based
-        file pruning is rejected explicitly (its single-dataset statistics
-        cannot describe two relations).
+        (``max_worker_retries`` is not consulted there; a wave's failure
+        names its stage), and catalog-based file pruning is rejected
+        explicitly (its single-dataset statistics cannot describe two
+        relations).  Either way every re-dispatch and hedge bills one more
+        invocation; a backoff retry of a cloud request bills none.
 
         The query runs under one :class:`~repro.driver.dispatch.QueryContext`
         with the driver's breaker board.  ``deadline_seconds``/``cancel`` arm
@@ -546,23 +546,13 @@ class LambadaDriver:
             for worker_id, worker_plan in enumerate(worker_plans)
         }
         launch = self._invocation.plan(len(events), cold=cold)
-        prices = self.env.ledger.prices
-
-        def on_retry(key: int, retry: Dict, error: str) -> None:
-            # Retries are flat whatever shape the launch had; the failure
-            # feeds the lambda breaker, and its request fee bought nothing.
-            retry.pop("children", None)
-            self._record_worker_failure(error, context.now())
-            context.resilience.wasted_cost_dollars += prices.lambda_invocation_cost(1)
 
         with context.teardown(self._gc_cancelled_scan):
             attempt_log = AttemptLog()
             with self._transport(physical, events, launch, context) as (transport, labels):
                 by_worker = context.run(
-                    events, transport, max_worker_retries + 1, labels, attempt_log,
-                    on_retry=on_retry,
+                    events, transport, max_worker_retries + 1, labels, attempt_log
                 )
-                self._raise_failures(by_worker, len(events), attempt_log)
                 hedge_waits, hedge_billed = self._hedge_stragglers(
                     by_worker, events, transport, context
                 )
@@ -574,6 +564,7 @@ class LambadaDriver:
             table, reduce_value = self._merge(physical, worker_results)
             statistics = self._build_statistics(
                 worker_results, launch=launch, cold=cold, context=context,
+                redispatches=len(attempt_log),
                 hedge_waits=hedge_waits, hedge_billed=hedge_billed,
             )
             statistics.overload = self._overload_block(context.budget)
@@ -625,7 +616,7 @@ class LambadaDriver:
         )
 
         durations = [result.duration_seconds for result in worker_results]
-        num_total = join_stats.num_workers
+        num_total = join_stats.map_workers + join_stats.reduce_workers
         launch = self._invocation.plan(num_total, cold=cold)
         invocation_seconds = launch.time_to_start_all
         # Only the final wave's results travel to the driver: its workers
@@ -703,8 +694,9 @@ class LambadaDriver:
 
         Mirrors the threads-mode single-core fallback: on a single-core host
         (unless a pool size was forced) or when spawning fails (e.g. a
-        sandboxed CI runner), ``processes`` mode degrades to serial dispatch
-        with a one-line warning instead of raising.
+        sandboxed CI runner), ``processes`` mode runs every later fleet on
+        Lambda + SQS, invoked as in ``serial`` mode, with a one-line warning
+        instead of raising.
         """
         if self._pool is not None:
             return self._pool
@@ -759,9 +751,10 @@ class LambadaDriver:
         available and the query's new or changed input objects fit the free
         space of ``/dev/shm`` once the copies the query does not read are
         evicted (a tmpfs written past capacity kills the writer with SIGBUS);
-        otherwise Lambda + SQS (:meth:`_scan_transport`).  The
-        fleet, its retry rounds and its hedges all go through what is
-        yielded.
+        otherwise Lambda + SQS
+        (:meth:`~repro.driver.dispatch.QueryContext.lambda_transport`), its
+        first round launched in the shape ``launch`` priced.  The fleet, its
+        retry rounds and its hedges all go through what is yielded.
         """
         pool = None
         if self.execution_mode == "processes" and self._pool_supported(physical):
@@ -778,7 +771,10 @@ class LambadaDriver:
                 )
         if pool is None:
             self.env.sqs.purge_queue(self.result_queue)
-            yield self._scan_transport(launch, context), SCAN_FLEET
+            yield context.lambda_transport(
+                self.function_name, self.result_queue, "collect", self.integrity.verify,
+                launch=functools.partial(self._launch_tree, launch),
+            ), SCAN_FLEET
             return
         respawns = pool.stats().get("respawns", 0)
         try:
@@ -790,20 +786,14 @@ class LambadaDriver:
         """The process pool's transport: run the payloads on the pool's
         children over the mirrored inputs and meter each attempt.
 
-        The SQS control plane is bypassed, but every attempt comes back as a
-        classic-shaped result message keyed by worker id, so the retry loop,
-        the hedge race and the tail are shared with :meth:`_scan_transport`.
-        Each attempt is metered through ``LambdaService.account_invocation``
-        (cold/warm bookkeeping, the ledger, the cost model), in worker-id
-        order to keep cold/warm assignment deterministic, and the S3 GETs and
-        bytes the children read are written to the ledger (the SQS path
-        meters them inside ``ObjectStore``).  The poll set ``want`` has no
-        use here: a call returns with every payload's outcome.
-
-        An installed :class:`~repro.cloud.faults.FaultPlan` is consulted as on
-        the SQS path: dropped/timed-out invocations are decided before
-        dispatch (the fragment never runs), pool-crash injections lose a
-        completed result (its frame is discarded), and straggler
+        Every attempt comes back as a classic-shaped result message keyed by
+        worker id (``want`` has no use: a call returns every outcome), metered
+        by ``LambdaService.account_invocation`` in worker-id order, so
+        cold/warm assignment is deterministic; the S3 GETs and bytes the
+        children read go to the ledger.  An installed
+        :class:`~repro.cloud.faults.FaultPlan` is consulted as on the SQS
+        path: drops and timeouts are drawn before dispatch (the fragment
+        never runs), a pool crash loses a completed result, and straggler
         slowdowns multiply the reported duration.
         """
 
@@ -830,55 +820,38 @@ class LambadaDriver:
                 worker_id = payload["worker_id"]
                 fault = faulted.get(worker_id)
                 if fault is not None:
-                    if fault == "drop":
-                        error = "InvocationDropped: injected invocation drop"
-                        duration = 0.0
-                    else:
-                        error = (
-                            "FunctionTimeout: injected hang killed at the "
-                            f"{self.worker_timeout_seconds:.1f}s timeout"
-                        )
-                        duration = self.worker_timeout_seconds
-                    self.env.lambda_service.account_invocation(
-                        self.function_name, duration_seconds=duration, from_driver=True
+                    message = {"worker_id": worker_id, "status": "error"}
+                else:
+                    crashed = plan is not None and plan.pool_crash(
+                        self.function_name, worker_id
                     )
-                    by_key[worker_id] = {
-                        "worker_id": worker_id,
-                        "attempt": payload.get("attempt", 0),
-                        "status": "error",
-                        "error": error,
-                    }
-                    continue
-                crashed = plan is not None and plan.pool_crash(
-                    self.function_name, worker_id
-                )
-                message = self._pooled_message(raw.get(worker_id), worker_id)
-                if message["status"] == "ok":
-                    # The child read its inputs whether or not it survives.
-                    get_requests += message["result"]["get_requests"]
-                    bytes_read += message["result"]["bytes_read"]
-                if crashed:
-                    # The child did the work, but the injected crash loses its
-                    # result.
-                    message = {
-                        "worker_id": worker_id,
-                        "status": "error",
-                        "error": "WorkerCrashError: injected pool worker crash",
-                    }
+                    message = self._pooled_message(raw.get(worker_id), worker_id)
+                    if message["status"] == "ok":
+                        # The child read its inputs whether or not it survives.
+                        get_requests += message["result"]["get_requests"]
+                        bytes_read += message["result"]["bytes_read"]
+                    if crashed:
+                        # The child did the work, but the injected crash loses
+                        # its result.
+                        message = {
+                            "worker_id": worker_id,
+                            "status": "error",
+                            "error": "WorkerCrashError: injected pool worker crash",
+                        }
                 message.setdefault("attempt", payload.get("attempt", 0))
                 duration = message.get("result", {}).get("duration_seconds", 0.0)
                 if plan is not None and message["status"] == "ok":
                     duration *= plan.straggler_factor(self.function_name)
-                # Meter the attempt exactly like an invocation of the in-process
-                # handler: cold/warm bookkeeping, ledger, invocation log, and the
-                # cold execution penalty on the modelled duration.
+                # Metered like an invocation of the in-process handler.
                 invocation = self.env.lambda_service.account_invocation(
                     self.function_name,
                     duration_seconds=duration,
-                    from_driver=True,
                     cold_penalty=COLD_EXECUTION_PENALTY,
+                    fault=fault,
                 )
-                if message["status"] == "ok":
+                if fault is not None:
+                    message["error"] = invocation.error
+                elif message["status"] == "ok":
                     message["result"]["duration_seconds"] = invocation.duration_seconds
                 by_key[worker_id] = message
             now = self.env.clock.now
@@ -910,9 +883,10 @@ class LambadaDriver:
 
     # -- helpers --------------------------------------------------------------------
 
-    def _invoke_tree(self, tree: List[Dict], invoke) -> None:
-        """Invoke the tree roots with ``invoke``, serially or through the
-        thread pool."""
+    def _launch_tree(self, launch: LaunchPlan, payloads: List[Dict], invoke) -> None:
+        """Invoke the roots of the tree ``launch`` prices for ``payloads`` with
+        ``invoke``, serially or through the thread pool."""
+        tree = build_invocation_tree(payloads, launch)
         # On a single-core host the pool cannot overlap the workers' numpy
         # sections and only adds dispatch overhead (~10% on TPC-H Q1 at 1M
         # rows, see README "Performance notes"), so fall back to serial
@@ -930,28 +904,6 @@ class LambadaDriver:
             for future in futures:
                 future.result()
 
-    #: Worker-reported error prefixes that mean the invocation plane itself
-    #: failed (vs. a data error inside a healthy worker).
-    _LAMBDA_FAILURE_PREFIXES = (
-        "InvocationDropped",
-        "FunctionTimeout",
-        "WorkerCrashError",
-        "no result message",
-    )
-
-    def _record_worker_failure(self, error: str, now: float) -> None:
-        """Charge an invocation-plane worker failure to the lambda breaker
-        at modelled ``now``.
-
-        Worker failures arrive as strings in result messages (or as missing
-        messages), never as raised exceptions, so
-        :meth:`~repro.driver.breakers.BreakerBoard.classify` cannot see them;
-        a sustained invocation-side failure storm still needs to trip the
-        lambda breaker.
-        """
-        if error.startswith(self._LAMBDA_FAILURE_PREFIXES):
-            self.breakers.breakers["lambda"].record_failure(now)
-
     def _overload_block(self, budget: Optional[RetryBudget]) -> Dict[str, Any]:
         """The per-query overload-control statistics block."""
         return {
@@ -965,58 +917,6 @@ class LambadaDriver:
         the shuffle plane's sweep over zero exchange buckets — spilled
         results deleted, result queue purged; returns the objects deleted."""
         return _gc_cancelled_query(self.env, query_id, 0, self.result_queue)
-
-    def _scan_transport(self, launch: LaunchPlan, context: QueryContext) -> Callable:
-        """The Lambda + SQS transport: invoke over Lambda, report over SQS.
-
-        The first call starts the fleet in the shape ``launch`` priced (one
-        hop, or the two-level tree); later calls — retries and hedges — are
-        invoked flat from the driver.  Every Invoke goes through
-        ``context.call``, so a transient rejection (a capacity brownout's
-        :class:`~repro.errors.TooManyRequestsError`) is retried with backoff
-        through the breaker board and the query's retry budget instead of
-        aborting the fleet.  Either way the result queue is then polled until
-        every key of ``want`` reported at its attempt: the whole fleet for a
-        fleet round, only the hedged workers for a hedge.
-        """
-        invoke = functools.partial(
-            context.call, self.env.lambda_service.invoke, self.function_name,
-            from_driver=True,
-        )
-        launched = False
-
-        def transport(payloads: List[Dict], by_key: Dict, want: Dict) -> None:
-            nonlocal launched
-            if launched:
-                for payload in payloads:
-                    invoke(payload)
-            else:
-                self._invoke_tree(build_invocation_tree(payloads, launch), invoke)
-            launched = True
-            context.collect(
-                self.result_queue, want, by_key, "collect", verify=self.integrity.verify
-            )
-
-        return transport
-
-    def _raise_failures(
-        self, by_worker: Dict[int, Dict], expected: int, attempt_log: AttemptLog
-    ) -> None:
-        """Surface what a finished fleet still lacks as a typed error."""
-        failures = sorted(
-            (m for m in by_worker.values() if m.get("status") != "ok"),
-            key=lambda message: message["worker_id"],
-        )
-        if failures:
-            first = failures[0]
-            error = first.get("error", "unknown error")
-            attempts = list(attempt_log.for_worker(first["worker_id"]))
-            attempts.append({"attempt": first.get("attempt", 0), "error": error})
-            raise WorkerFailedError(first["worker_id"], error, attempts=attempts)
-        if len(by_worker) != expected:
-            raise QueryTimeoutError(
-                f"got results from {len(by_worker)} distinct workers, expected {expected}"
-            )
 
     def _hedge_stragglers(
         self,
@@ -1162,14 +1062,16 @@ class LambadaDriver:
         launch: LaunchPlan,
         cold: bool,
         context: QueryContext,
+        redispatches: int,
         hedge_waits: Dict[int, float],
         hedge_billed: List[float],
     ) -> QueryStatistics:
         """Compute modelled latency and dollar cost of the query.
 
-        A won hedge finishes ``hedge_waits[worker_id]`` (its detection
-        threshold) after its own run: latency, never cost.  ``hedge_billed``
-        is what ran but bought no used result: cost, never latency.
+        ``redispatches`` counts the workers re-invoked.  A won hedge finishes
+        ``hedge_waits[worker_id]`` (its detection threshold) after its own
+        run: latency, never cost.  ``hedge_billed`` is what ran but bought no
+        used result: cost, never latency.
         """
         context.note_faults()
         resilience, integrity = context.resilience, context.integrity
@@ -1178,8 +1080,7 @@ class LambadaDriver:
         # Worker ids are positions in the fleet.
         durations = [s + hedge_waits.get(wid, 0.0) for wid, s in enumerate(billed)]
         num_workers = launch.num_workers
-        start_times = launch.worker_start_times()
-        completion = start_times[: len(durations)] + np.asarray(durations)
+        completion = launch.worker_start_times()[: len(durations)] + np.asarray(durations)
         # Result collection overlaps the fleet: the queue is long-polled
         # while the workers run.
         collection = launch.collection(completion)
@@ -1203,10 +1104,9 @@ class LambadaDriver:
             prices.lambda_duration_cost(self.memory_mib, seconds)
             for seconds in billed + hedge_billed
         )
-        # Every actually-made invocation request is billed, including retries
-        # and hedges (their wasted share is attributed in the resilience block).
+        # Every invocation made is billed (wasted ones attributed in resilience).
         cost_lambda_requests = prices.lambda_invocation_cost(
-            num_workers + resilience.retries + resilience.hedges_launched
+            num_workers + redispatches + resilience.hedges_launched
         )
         cost_s3 = prices.s3_get_cost(get_requests)
         # Each worker sends one result message; the driver's receives drain them.

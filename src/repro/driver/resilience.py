@@ -287,17 +287,20 @@ def merge_attempt_message(
 
 @dataclass
 class AttemptLog:
-    """Per-worker attempt history for one wave of invocations.
+    """Per-worker attempt history of the fleets of one query.
 
-    Feeds the full history into :class:`~repro.errors.WorkerFailedError` when
-    a worker exhausts its budget, instead of only the first failure string.
+    Keyed by fleet key — the worker id, or ``(side, worker_id)`` for a
+    shuffle wave — with one entry per failed attempt that was re-dispatched,
+    so its length is the re-invocations to bill.  Feeds the full history into
+    :class:`~repro.errors.WorkerFailedError` when a worker exhausts its
+    budget, instead of only the first failure string.
     """
 
-    history: Dict[int, List[Dict[str, Any]]] = field(default_factory=dict)
+    history: Dict[Any, List[Dict[str, Any]]] = field(default_factory=dict)
 
     def record(
         self,
-        worker_id: int,
+        worker_id: Any,
         attempt: int,
         error: str = "",
         backoff_seconds: float = 0.0,
@@ -308,9 +311,13 @@ class AttemptLog:
             entry["backoff_seconds"] = backoff_seconds
         self.history.setdefault(worker_id, []).append(entry)
 
-    def for_worker(self, worker_id: int) -> List[Dict[str, Any]]:
+    def for_worker(self, worker_id: Any) -> List[Dict[str, Any]]:
         """Attempt history of one worker (possibly empty)."""
         return self.history.get(worker_id, [])
+
+    def __len__(self) -> int:
+        """Attempts recorded, across every worker."""
+        return sum(len(entries) for entries in self.history.values())
 
 
 def pick_stragglers(

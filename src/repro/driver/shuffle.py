@@ -6,8 +6,9 @@ high-cardinality group-bys have to repartition data among the serverless
 workers through S3 — the paper's exchange operator (§4.4) — and
 :class:`ShuffleJoinCoordinator` runs every such plan, lowered to a
 :class:`~repro.plan.physical.DagPhysicalPlan`, as barriered waves of function
-invocations with one wave body (:func:`repro.driver.dispatch.run_fleet`, the
-loop every fleet runs through), one map handler and one reduce handler:
+invocations with one wave body — the query context's Lambda + SQS transport
+and :func:`repro.driver.dispatch.run_fleet`, the transport and loop every
+fleet runs through — one map handler and one reduce handler:
 
 * **scan wave** — every base relation's fleet at once, each as many mappers
   as its stored bytes are worth (:func:`scan_fan_out`: one per driver
@@ -47,9 +48,9 @@ aggregates, the final wave has no join step, and its ``aggregates`` are the
 merge functions (sum of sums, min of mins) — so the reduce side is the join
 wave's own partial aggregation over the fetched slices.
 :class:`ShuffleAggregateCoordinator` is the facade that lowers a group-by to
-that plan and repackages the run as :class:`ShuffleStatistics`; what its waves
-are *called* (functions, stage labels, spill-key stem) is data
-(:class:`WaveNames`), not a second code path.
+that plan and returns the run's one :class:`ShuffleStatistics` record with its
+dollars filled in; what its waves are *called* (functions, stage labels,
+spill-key stem) is data (:class:`WaveNames`), not a second code path.
 
 Request/byte counters of every wave are accumulated into
 :class:`~repro.exchange.basic.ExchangeStats`, shipped inside each worker's
@@ -78,12 +79,7 @@ from repro.cloud.lambda_service import FunctionConfig, InvocationContext
 from repro.cloud.network import BandwidthModel
 from repro.cloud.s3 import parse_s3_path
 from repro.config import DEFAULT_SCAN_CONNECTIONS, IntegrityConfig, MiB
-from repro.driver.dispatch import (
-    NO_RESULT_ERROR,
-    FleetLabels,
-    QueryContext,
-    failed_keys,
-)
+from repro.driver.dispatch import FleetLabels, QueryContext
 from repro.driver.integrity import RESULT_BUCKET, IntegrityStats, post_result
 from repro.driver.invocation import InvocationModel
 from repro.driver.resilience import (
@@ -110,13 +106,7 @@ from repro.engine.table import (
     sort_table,
     table_num_rows,
 )
-from repro.errors import (
-    CloudError,
-    ExecutionError,
-    NoSuchBucketError,
-    WorkerCrashError,
-    WorkerFailedError,
-)
+from repro.errors import CloudError, ExecutionError, NoSuchBucketError, WorkerCrashError
 from repro.exchange.basic import ExchangeStats
 from repro.exchange.fetch import FetchPlan, SenderManifest, sender_entries, write_combined
 from repro.exchange.naming import WriteCombiningNaming
@@ -200,35 +190,87 @@ class ShuffleConfig:
 
 @dataclass
 class ShuffleStatistics:
-    """Statistics of one shuffle-aggregation execution."""
+    """Statistics of one coordinator run (any shuffle DAG, joins or none).
 
-    map_workers: int
+    What :meth:`ShuffleJoinCoordinator.execute` returns, and — with
+    ``cost_total`` filled in — what the aggregation facade returns.
+    """
+
+    #: Mappers each scan fleet started, by exchange tag — ``"L"`` the base
+    #: relation, ``"R"``, ``"R1"``, ... the build sides (:func:`scan_fan_out`).
+    map_fleets: Dict[str, int]
+    #: Workers of every join wave, summed (hash partitions × waves).
     reduce_workers: int
     rows_scanned: int
-    #: Partition objects written by the map wave (combined objects count 1).
-    partition_objects_written: int
-    #: Objects / non-empty slices read by the reduce wave.
-    partition_objects_read: int
+    #: Rows entering the join kernels across the fleet (after repartition).
+    join_probe_rows: int
+    join_build_rows: int
+    #: Rows produced by the join kernels (before the residual predicate).
+    join_output_rows: int
     result_rows: int
-    #: Request and byte counters of both waves (PUT/GET/LIST/HEAD, combined
+    #: Partition objects written (combined objects count 1) / non-empty
+    #: slices read, every wave summed.
+    partition_objects_written: int
+    partition_objects_read: int
+    #: Request and byte counters of every wave (PUT/GET/LIST/HEAD, combined
     #: PUTs, ranged GETs, empty partitions elided, bytes shipped vs touched).
     exchange: ExchangeStats = field(default_factory=ExchangeStats)
-    #: Modelled duration of the slowest worker per wave (scan/merge time, the
-    #: fetch plan's pipelined transfer, and one round trip per PUT/LIST).
+    #: Modelled duration of the slowest scan-wave worker, and of the join
+    #: waves' slowest workers summed (the waves are barriered).
     modelled_map_seconds: float = 0.0
     modelled_reduce_seconds: float = 0.0
     #: Retries, wave re-runs, fallbacks, and injected-fault counts survived.
     resilience: ResilienceStats = field(default_factory=ResilienceStats)
+    #: Workers the waves re-dispatched (their attempt log), each billed as
+    #: one more invocation.
+    redispatches: int = 0
     #: Checksum verification and corruption-recovery counters.
     integrity: IntegrityStats = field(default_factory=IntegrityStats)
+    #: Logical join stages of the plan (1 for a binary join, 0 for a
+    #: repartitioned aggregation).
+    dag_stages: int = 1
+    #: The join waves that ran, each the DAG stages it executed: its first
+    #: stage repartitioned, every further one fused in as a broadcast join
+    #: (``[[]]`` for a repartitioned aggregation: one wave, nothing joined).
+    wave_stages: List[List[int]] = field(default_factory=lambda: [[0]])
+    #: Exchange objects deleted during and after the query: the inputs each
+    #: wave consumed, spilled results, and whatever a post-fault sweep found.
+    gc_objects_deleted: int = 0
+    #: LIST requests of the end-of-query orphan sweep (0 on a clean run,
+    #: which deletes by announced path alone).
+    gc_list_requests: int = 0
+    #: Final-wave results too large for a queue message: each travelled
+    #: through the result bucket instead (one PUT, one driver-side GET).
+    results_spilled: int = 0
+    #: Hash partitions of the exchange = join workers per wave
+    #: (:func:`exchange_fan_out`), and the byte estimate it was priced from
+    #: (0 = unknown); ``exchange.bytes_written`` is the measured counterpart.
+    exchange_partitions: int = 0
+    estimated_exchange_bytes: int = 0
     #: Modelled dollars of the run (Lambda duration and requests, S3 and SQS
-    #: requests), priced by :func:`join_costs`.
+    #: requests), priced by :func:`join_costs`; filled in by the aggregation
+    #: facade (the driver reports a join's dollars in its own statistics).
     cost_total: float = 0.0
 
     @property
+    def map_workers(self) -> int:
+        """Mappers of every scan fleet, summed."""
+        return sum(self.map_fleets.values())
+
+    @property
+    def join_waves(self) -> int:
+        """Join waves executed (at most ``dag_stages``)."""
+        return len(self.wave_stages)
+
+    @property
+    def broadcast_stages(self) -> int:
+        """Stages that ran as a broadcast join inside another stage's wave."""
+        return sum(len(wave) - 1 for wave in self.wave_stages if wave)
+
+    @property
     def modelled_latency_seconds(self) -> float:
-        """Modelled end-to-end shuffle latency (the waves are barriered),
-        including any backoff the retry machinery charged."""
+        """Modelled end-to-end latency (the waves are barriered), including
+        any backoff the retry machinery charged."""
         return (
             self.modelled_map_seconds
             + self.modelled_reduce_seconds
@@ -767,94 +809,6 @@ def _make_reduce_handler(env: CloudEnvironment):
     return _guarded(env, handler)
 
 
-@dataclass
-class JoinStatistics:
-    """Statistics of one coordinator run (any shuffle DAG, joins or none)."""
-
-    #: Mappers each scan fleet started, by exchange tag — ``"L"`` the base
-    #: relation, ``"R"``, ``"R1"``, ... the build sides (:func:`scan_fan_out`).
-    map_fleets: Dict[str, int]
-    reduce_workers: int
-    rows_scanned: int
-    #: Rows entering the join kernels across the fleet (after repartition).
-    join_probe_rows: int
-    join_build_rows: int
-    #: Rows produced by the join kernels (before the residual predicate).
-    join_output_rows: int
-    result_rows: int
-    #: Partition objects written / non-empty slices read, both sides summed.
-    partition_objects_written: int
-    partition_objects_read: int
-    #: Request and byte counters of all three waves.
-    exchange: ExchangeStats = field(default_factory=ExchangeStats)
-    modelled_map_seconds: float = 0.0
-    modelled_reduce_seconds: float = 0.0
-    #: Retries, wave re-runs, fallbacks, and injected-fault counts survived.
-    resilience: ResilienceStats = field(default_factory=ResilienceStats)
-    #: The retries this run made, each billed as one invocation: the query's
-    #: ``resilience.retries`` less those of requests its caller retried on
-    #: the same context before the run (the aggregation facade's LIST).
-    invocation_retries: int = 0
-    #: Checksum verification and corruption-recovery counters.
-    integrity: IntegrityStats = field(default_factory=IntegrityStats)
-    #: Logical join stages of the plan (1 for a binary join, 0 for a
-    #: repartitioned aggregation).
-    dag_stages: int = 1
-    #: The join waves that ran, each the DAG stages it executed: its first
-    #: stage repartitioned, every further one fused in as a broadcast join
-    #: (``[[]]`` for a repartitioned aggregation: one wave, nothing joined).
-    wave_stages: List[List[int]] = field(default_factory=lambda: [[0]])
-    #: Exchange objects deleted during and after the query: the inputs each
-    #: wave consumed, spilled results, and whatever a post-fault sweep found.
-    gc_objects_deleted: int = 0
-    #: LIST requests of the end-of-query orphan sweep (0 on a clean run,
-    #: which deletes by announced path alone).
-    gc_list_requests: int = 0
-    #: Final-wave results too large for a queue message: each travelled
-    #: through the result bucket instead (one PUT, one driver-side GET).
-    results_spilled: int = 0
-    #: Hash partitions of the exchange = join workers per wave
-    #: (:func:`exchange_fan_out`), and the byte estimate it was priced from
-    #: (0 = unknown); ``exchange.bytes_written`` is the measured counterpart.
-    exchange_partitions: int = 0
-    estimated_exchange_bytes: int = 0
-
-    @property
-    def left_map_workers(self) -> int:
-        """Mappers of the base relation's fleet."""
-        return self.map_fleets["L"]
-
-    @property
-    def right_map_workers(self) -> int:
-        """Mappers of every build side's fleet, summed."""
-        return sum(self.map_fleets.values()) - self.left_map_workers
-
-    @property
-    def join_waves(self) -> int:
-        """Join waves executed (at most ``dag_stages``)."""
-        return len(self.wave_stages)
-
-    @property
-    def broadcast_stages(self) -> int:
-        """Stages that ran as a broadcast join inside another stage's wave."""
-        return sum(len(wave) - 1 for wave in self.wave_stages if wave)
-
-    @property
-    def modelled_latency_seconds(self) -> float:
-        """Modelled end-to-end join latency (map and join waves are
-        barriered), including any backoff the retry machinery charged."""
-        return (
-            self.modelled_map_seconds
-            + self.modelled_reduce_seconds
-            + self.resilience.backoff_seconds
-        )
-
-    @property
-    def num_workers(self) -> int:
-        """Total serverless workers across all waves."""
-        return self.left_map_workers + self.right_map_workers + self.reduce_workers
-
-
 def merge_driver_scope(
     frames: Sequence[bytes],
     driver_plan: DriverPlan,
@@ -890,7 +844,7 @@ def merge_driver_scope(
 def join_costs(
     prices,
     memory_mib: int,
-    statistics: JoinStatistics,
+    statistics: ShuffleStatistics,
     worker_results: Sequence[WorkerResult],
     final_receives: int = 0,
     input_lists: int = 0,
@@ -899,7 +853,7 @@ def join_costs(
     :class:`~repro.driver.driver.QueryStatistics` cost component.
 
     Every worker bills its modelled duration and one invocation (each of the
-    run's ``invocation_retries`` bills a further one); S3 bills the scans'
+    run's ``redispatches`` bills a further one); S3 bills the scans'
     GETs, every exchange request — LISTs, including the post-fault sweep's
     and the ``input_lists`` a caller sized its input with, at the PUT rate —
     and a PUT + GET per spilled result; SQS bills one send per worker,
@@ -909,7 +863,7 @@ def join_costs(
     for a caller that drains its final wave like the others, as the
     aggregation facade).
     """
-    num_total = statistics.num_workers
+    num_total = statistics.map_workers + statistics.reduce_workers
     exchange = statistics.exchange
     spilled = statistics.results_spilled
     scan_gets = sum(result.get_requests for result in worker_results)
@@ -919,7 +873,7 @@ def join_costs(
             for result in worker_results
         ),
         "cost_lambda_requests": prices.lambda_invocation_cost(
-            num_total + statistics.invocation_retries
+            num_total + statistics.redispatches
         ),
         "cost_s3_requests": prices.s3_get_cost(
             scan_gets + exchange.get_requests + exchange.head_requests + spilled
@@ -1151,48 +1105,32 @@ class ShuffleJoinCoordinator:
     # -- execution ------------------------------------------------------------------
 
     def _wave(
-        self, context: QueryContext, function_name: str, events: Dict, what: str
+        self, context: QueryContext, function_name: str, events: Dict, what: str,
+        attempt_log: AttemptLog,
     ) -> List[Dict]:
         """Run one wave of the query through ``context.run``; one ok message
         per event, in wave-key order.
 
         ``events`` maps wave keys ``(side, worker_id)`` to invocation payloads
-        carrying ``"attempt": 0``.  Workers that failed or never reported are
-        re-invoked up to ``policy.max_attempts`` times, each retry writing
-        under its own ``r{attempt}/`` prefix.  A worker still failing then
-        raises :class:`~repro.errors.WorkerFailedError` with its
-        full attempt history.  The cancellation token is checked at dispatch
-        and at every poll, and the Invoke requests themselves are
-        breaker-aware (a brownout fleet cap rejecting invocations is retried
-        with backoff, not fatal).
+        carrying ``"attempt": 0``; the wave runs flat on the context's Lambda
+        + SQS transport, its retries (each writing under its own
+        ``r{attempt}/`` prefix) booked in ``attempt_log`` and its failure
+        named after the stage ``what``.  The rounds it re-dispatched are
+        counted as ``resilience.wave_retries``.
         """
-        redispatch = False
-
-        def transport(payloads: List[Dict], by_key: Dict, want: Dict) -> None:
-            nonlocal redispatch
-            if redispatch:
-                context.resilience.wave_retries += 1
-            redispatch = True
-            for payload in payloads:
-                context.call(self.env.lambda_service.invoke, function_name, payload)
-            context.collect(
-                self.result_queue, want, by_key, what, verify=self.config.integrity.verify
-            )
-
-        attempt_log = AttemptLog()
+        transport = context.lambda_transport(
+            function_name, self.result_queue, what, self.config.integrity.verify
+        )
         by_key = context.run(
             events, transport, max(1, context.policy.max_attempts),
-            FleetLabels(dispatch=f"{what} dispatch", retry=what, budget="wave_retries"),
+            FleetLabels(f"{what} dispatch", what, "wave_retries", stage=what),
             attempt_log,
         )
-        failed = failed_keys(events, by_key)
-        if failed:
-            _, worker_id = failed[0]
-            error = by_key.get(failed[0], {}).get("error") or NO_RESULT_ERROR
-            history = attempt_log.for_worker(worker_id) + [
-                {"attempt": int(events[failed[0]].get("attempt", 0)), "error": error}
-            ]
-            raise WorkerFailedError(worker_id, f"{what}: {error}", attempts=history)
+        # Every round re-dispatches the workers the one before it left
+        # failing, so the highest attempt is the rounds re-dispatched.
+        context.resilience.wave_retries += max(
+            int(event["attempt"]) for event in events.values()
+        )
         return [by_key[key] for key in sorted(by_key)]
 
     def execute(
@@ -1268,9 +1206,10 @@ class ShuffleJoinCoordinator:
         query_id = context.query_id
         resilience, integrity_stats = context.resilience, context.integrity
         # What the caller already retried on this context (the facade's
-        # LIST) is not this run's: it bills no invocation and orphans nothing.
+        # LIST) is not this run's: it orphans nothing.
         context.note_faults()
         before = resilience.to_dict()
+        attempt_log = AttemptLog()
 
         # -- scan wave (every relation's fleet dispatched together) ----------------
         map_events: Dict = {}
@@ -1296,7 +1235,8 @@ class ShuffleJoinCoordinator:
                     "integrity": self.config.integrity.to_dict(),
                 }
         map_messages = self._wave(
-            context, self.names.map_function, map_events, self.names.map_label
+            context, self.names.map_function, map_events, self.names.map_label,
+            attempt_log,
         )
 
         rows_scanned = sum(message.get("rows_scanned", 0) for message in map_messages)
@@ -1369,6 +1309,7 @@ class ShuffleJoinCoordinator:
                     for partition in range(num_partitions)
                 },
                 what,
+                attempt_log,
             )
             reduce_waves.append(reduce_messages)
             objects_read += sum(m.get("objects_read", 0) for m in reduce_messages)
@@ -1418,11 +1359,6 @@ class ShuffleJoinCoordinator:
         gc_deleted += _delete_consumed_outputs(self.env, reduce_waves[-1])
         context.note_faults()
         faulted = resilience.to_dict() != before
-        # The request fee of every superseded attempt bought nothing.
-        invocation_retries = resilience.retries - before["retries"]
-        resilience.wasted_cost_dollars += self.env.ledger.prices.lambda_invocation_cost(
-            invocation_retries
-        )
         gc_lists = 0
         if faulted:
             # A superseded attempt (crash after PUT, hedge loser) may have
@@ -1431,7 +1367,7 @@ class ShuffleJoinCoordinator:
             swept, gc_lists = _gc_query_objects(self.env, query_id, self.num_buckets)
             gc_deleted += swept
 
-        statistics = JoinStatistics(
+        statistics = ShuffleStatistics(
             map_fleets=dict(mappers),
             reduce_workers=num_partitions * len(wave_stages),
             rows_scanned=rows_scanned,
@@ -1445,7 +1381,7 @@ class ShuffleJoinCoordinator:
             modelled_map_seconds=wave_seconds["map"],
             modelled_reduce_seconds=wave_seconds["reduce"],
             resilience=resilience,
-            invocation_retries=invocation_retries,
+            redispatches=len(attempt_log),
             integrity=integrity_stats,
             dag_stages=len(dag.stages),
             wave_stages=wave_stages,
@@ -1466,7 +1402,8 @@ class ShuffleAggregateCoordinator(ShuffleJoinCoordinator):
     :class:`~repro.plan.physical.DagPhysicalPlan` — the base fragment carries
     the map-side partial aggregation and partitions by all group keys, the
     plan's ``aggregates`` merge the partials — runs it on the inherited
-    waves, and repackages the run as :class:`ShuffleStatistics`.  Its fleets
+    waves, and returns the run's :class:`ShuffleStatistics` with its dollars
+    (``cost_total``) filled in.  Its fleets
     are sized by the inherited rules too: the base fragment carries the
     input's stored bytes, learnt from a listing
     (:func:`list_input_files`), so :func:`scan_fan_out` starts as many
@@ -1566,21 +1503,10 @@ class ShuffleAggregateCoordinator(ShuffleJoinCoordinator):
             num_workers=num_workers and min(num_workers, len(paths)),
             context=context,
         )
-        costs = join_costs(
-            self.env.ledger.prices, self.memory_mib, run, worker_results,
-            input_lists=input_lists,
+        run.cost_total = sum(
+            join_costs(
+                self.env.ledger.prices, self.memory_mib, run, worker_results,
+                input_lists=input_lists,
+            ).values()
         )
-        return table, ShuffleStatistics(
-            map_workers=run.left_map_workers,
-            reduce_workers=run.reduce_workers,
-            rows_scanned=run.rows_scanned,
-            partition_objects_written=run.partition_objects_written,
-            partition_objects_read=run.partition_objects_read,
-            result_rows=run.result_rows,
-            exchange=run.exchange,
-            modelled_map_seconds=run.modelled_map_seconds,
-            modelled_reduce_seconds=run.modelled_reduce_seconds,
-            resilience=run.resilience,
-            integrity=run.integrity,
-            cost_total=sum(costs.values()),
-        )
+        return table, run

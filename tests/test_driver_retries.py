@@ -118,8 +118,8 @@ def test_stale_messages_from_other_queries_are_ignored(driver, dataset, lineitem
 # ---------------------------------------------------------------------------
 
 def test_retry_failures_reinvokes_only_failed_workers(driver, monkeypatch):
-    """The scan fleet re-invokes exactly the failed workers, flat (without
-    tree children) and as attempt 1, and merges their fresh results over the
+    """The scan fleet's transport re-invokes exactly the failed workers, flat
+    (without tree children) and as attempt 1, and merges their fresh results over the
     failures; the healthy worker's message is left untouched."""
     from repro.driver.dispatch import QueryContext
     from repro.driver.driver import SCAN_FLEET
@@ -154,11 +154,11 @@ def test_retry_failures_reinvokes_only_failed_workers(driver, monkeypatch):
     monkeypatch.setattr(driver.env.lambda_service, "invoke", fake_invoke)
     resilience = context.resilience
     attempt_log = AttemptLog()
+    transport = context.lambda_transport(
+        driver.function_name, driver.result_queue, "collect", verify=True,
+    )
     merged = context.run(
-        events,
-        driver._scan_transport(driver._invocation.plan(3), context),
-        rounds=3, labels=SCAN_FLEET, attempt_log=attempt_log,
-        on_retry=lambda key, retry, error: retry.pop("children", None),
+        events, transport, rounds=3, labels=SCAN_FLEET, attempt_log=attempt_log
     )
 
     first, retries = invoked[:3], invoked[3:]

@@ -13,6 +13,7 @@ import random
 import pytest
 
 from repro.cloud.faults import FaultPlan, FaultRule
+from repro.driver import integrity
 from repro.driver.driver import LambadaDriver
 from repro.driver.resilience import (
     DEFAULT_RESILIENCE_POLICY,
@@ -24,7 +25,8 @@ from repro.driver.resilience import (
     pick_stragglers,
 )
 from repro.errors import SlowDownError, WorkerFailedError
-from repro.workload.queries import q1_plan, q6_plan, reference_q6
+from repro.workload.queries import q1_plan, q3_plan, q6_plan, reference_q6
+from repro.workload.tpch import generate_orders_dataset
 
 
 # -- decorrelated jitter -----------------------------------------------------
@@ -327,3 +329,58 @@ def test_injected_faults_do_not_leak_across_queries(driver, dataset, lineitem_ta
     assert faulted.statistics.resilience.faults_injected == {"lambda.drop": 1}
     assert clean.statistics.resilience.faults_injected == {}
     assert clean.scalar() == pytest.approx(reference_q6(lineitem_table), rel=1e-9)
+
+
+# -- one retry booking: what a retry bills, and what it tells the breaker ----
+
+
+def _q1_or_q3(query, env, dataset):
+    if query == "q1":
+        return q1_plan(dataset.paths)
+    orders = generate_orders_dataset(env.s3, scale_factor=0.001, num_files=2, seed=7)
+    return q3_plan(dataset.paths, orders.paths)
+
+
+@pytest.mark.parametrize("query", ["q1", "q3"])
+def test_a_backoff_retry_bills_no_lambda_invocation(query, driver, dataset, monkeypatch):
+    """A throttled GET of a spilled result is retried with backoff: a retry
+    of a cloud request, not a re-invocation.  The Lambda requests billed are
+    the ones the ledger metered, and none of them is wasted."""
+    env = driver.env
+    plan = _q1_or_q3(query, env, dataset)
+    monkeypatch.setattr(integrity, "RESULT_SPILL_BYTES", 0)  # every frame spills
+    env.install_fault_plan(
+        FaultPlan(
+            [FaultRule("s3", "slowdown", 1.0, operation="get",
+                       match=integrity.RESULT_BUCKET, max_count=1)],
+            seed=1,
+        )
+    )
+    invocations = env.ledger.total("lambda", "invocations")
+    try:
+        result = driver.execute(plan)
+    finally:
+        env.install_fault_plan(None)
+    statistics = result.statistics
+    invoked = env.ledger.total("lambda", "invocations") - invocations
+    assert statistics.resilience.faults_injected == {"s3.slowdown": 1}
+    assert statistics.resilience.retries == 1
+    assert statistics.cost_lambda_requests == pytest.approx(
+        invoked * env.ledger.prices.lambda_invocation_cost(1), rel=1e-12
+    )
+    assert statistics.resilience.wasted_cost_dollars == 0.0
+
+
+@pytest.mark.parametrize("query", ["q1", "q3"])
+def test_dropped_invocations_feed_the_lambda_breaker(query, driver, dataset):
+    """Every re-dispatch of a dropped worker is a failure of the driver
+    board's Lambda breaker — in a scan fleet and in a shuffle wave alike."""
+    env = driver.env
+    plan = _q1_or_q3(query, env, dataset)
+    env.install_fault_plan(FaultPlan([FaultRule("lambda", "drop", 1.0, max_count=3)], seed=1))
+    try:
+        result = driver.execute(plan, max_worker_retries=3)
+    finally:
+        env.install_fault_plan(None)
+    assert result.statistics.resilience.faults_injected == {"lambda.drop": 3}
+    assert driver.breakers.to_dict()["lambda"]["window_failures"] == 3

@@ -102,12 +102,12 @@ def test_facade_equals_hand_built_zero_stage_dag(env, dataset, checksums, compre
     assert facade_statistics.exchange.put_requests == 1
     assert facade_statistics.exchange.combined_put_requests == 1
     assert (facade_statistics.integrity.verified_bytes > 0) == checksums
-    assert facade_statistics.map_workers == dag_statistics.left_map_workers == 1
+    assert facade_statistics.map_fleets == dag_statistics.map_fleets == {"L": 1}
+    assert facade_statistics.map_workers == 1
     assert facade_statistics.reduce_workers == dag_statistics.reduce_workers == 1
     assert facade_statistics.rows_scanned == dag_statistics.rows_scanned
     # One wave that joins nothing, and nothing but the scan fleet before it.
     assert dag_statistics.dag_stages == 0 and dag_statistics.wave_stages == [[]]
-    assert dag_statistics.right_map_workers == 0
     assert dag_statistics.broadcast_stages == 0
     assert len(worker_results) == 2
     assert facade_statistics.cost_total > 0.0
