@@ -60,8 +60,8 @@ def test_fig11_functional_pruning_ablation(benchmark, experiment_report, functio
         return with_pruning, without_pruning
 
     with_pruning, without_pruning = benchmark.pedantic(run_both, rounds=1, iterations=1)
-    pruned = sum(r.row_groups_pruned for r in with_pruning.worker_results)
-    total = sum(r.row_groups_total for r in with_pruning.worker_results)
+    pruned = sum(r.counters["scan", "row_groups_pruned"] for r in with_pruning.worker_results)
+    total = sum(r.counters["scan", "row_groups_total"] for r in with_pruning.worker_results)
     experiment_report(
         "",
         "Figure 11 (functional ablation) — Q6 row-group pruning on generated data",

@@ -39,8 +39,8 @@ def test_endtoend_q6(benchmark, experiment_report, functional_stack):
     )
     reference = reference_q6(LineitemGenerator(scale_factor=0.002).generate())
     assert result.scalar() == pytest.approx(reference, rel=1e-9)
-    pruned = sum(r.row_groups_pruned for r in result.worker_results)
-    total = sum(r.row_groups_total for r in result.worker_results)
+    pruned = sum(r.counters["scan", "row_groups_pruned"] for r in result.worker_results)
+    total = sum(r.counters["scan", "row_groups_total"] for r in result.worker_results)
     experiment_report(
         "",
         "Functional end-to-end — TPC-H Q6 on generated data",

@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
 from types import SimpleNamespace
 from typing import Callable, Dict, List
@@ -621,8 +622,8 @@ def measure_scan_filter(num_rows: int = ROWS, repeats: int = 3) -> Dict:
         "row_groups_shortcircuited": late_scan.counters.row_groups_shortcircuited,
         "rows_decode_saved": late_scan.counters.rows_decode_saved,
         "column_chunks_skipped": late_scan.counters.column_chunks_skipped,
-        "baseline_get_requests": baseline_scan.statistics.get_requests,
-        "late_get_requests": late_scan.statistics.get_requests,
+        "baseline_get_requests": baseline_scan.counts["scan", "get_requests"],
+        "late_get_requests": late_scan.counts["scan", "get_requests"],
         "baseline_seconds": baseline_seconds,
         "late_seconds": late_seconds,
         "speedup": baseline_seconds / late_seconds,
@@ -798,7 +799,9 @@ def measure_join_e2e(
         "lineitem_rows": lineitem.total_rows,
         "orders_rows": orders.total_rows,
         "num_workers": num_workers,
-        "senders_with_rows": sum(1 for mapper in mappers if mapper.rows_after_filter),
+        "senders_with_rows": sum(
+            1 for mapper in mappers if mapper.counters["scan", "rows_after_filter"]
+        ),
         "result_rows": result.num_rows,
         "join_probe_rows": statistics.join_probe_rows,
         "join_build_rows": statistics.join_build_rows,
@@ -1342,7 +1345,11 @@ MEASUREMENTS: Dict[str, Callable[[], Dict]] = {
 
 
 def main(output_path: str = "BENCH_hot_paths.json", only: List[str] | None = None) -> Dict:
-    """Run the selected measurements (all by default) and write the trajectory."""
+    """Run the selected measurements (all by default) and write the trajectory.
+
+    With ``only``, the selected sections replace theirs in an existing
+    ``output_path`` and every other section of it is kept.
+    """
     selected = list(MEASUREMENTS) if not only else list(only)
     unknown = [name for name in selected if name not in MEASUREMENTS]
     if unknown:
@@ -1350,8 +1357,12 @@ def main(output_path: str = "BENCH_hot_paths.json", only: List[str] | None = Non
             f"unknown section(s) {unknown}; choose from {sorted(MEASUREMENTS)}"
         )
     results = {name: MEASUREMENTS[name]() for name in selected}
+    trajectory = dict(results)
+    if only and os.path.exists(output_path):
+        with open(output_path, encoding="utf-8") as handle:
+            trajectory = {**json.load(handle)["results"], **results}
     with open(output_path, "w", encoding="utf-8") as handle:
-        json.dump({"results": results}, handle, indent=2, sort_keys=True)
+        json.dump({"results": trajectory}, handle, indent=2, sort_keys=True)
         handle.write("\n")
     for name, measurement in results.items():
         print(name, json.dumps(measurement))

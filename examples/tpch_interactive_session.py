@@ -24,8 +24,8 @@ from repro.workload import generate_lineitem_dataset, q1_sql, q6_sql
 
 def describe(result, label: str) -> None:
     stats = result.statistics
-    pruned = sum(r.row_groups_pruned for r in result.worker_results)
-    total = sum(r.row_groups_total for r in result.worker_results)
+    pruned = sum(r.counters["scan", "row_groups_pruned"] for r in result.worker_results)
+    total = sum(r.counters["scan", "row_groups_total"] for r in result.worker_results)
     print(f"  {label:<28} latency {stats.latency_seconds:6.2f} s   "
           f"cost {stats.cost_total * 100:7.4f} ¢   "
           f"workers {stats.num_workers:3d}   "

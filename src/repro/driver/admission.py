@@ -27,7 +27,7 @@ overload spike) degrade everyone:
   suite provokes exact mid-map-wave / mid-reduce-wave cancellations without
   races.
 * :class:`AdmissionStats` — the per-session counters block surfaced next to
-  :class:`~repro.driver.resilience.ResilienceStats` in query statistics.
+  the ``resilience`` block in query statistics.
 
 Everything here is modelled-time based (no wall-clock sleeping) and
 thread-safe; the controller is shared by the session's worker threads.

@@ -11,10 +11,11 @@ the one typed failure, :func:`collect_results` the queue's only poller.  A
 scan fleet's other transport, the process pool, is a closure of the same
 shape; a hedge is one more call of either.
 
-What a query's fleets share — its id, jitter stream, counters, breaker board,
-retry budget and cancellation token — is one :class:`QueryContext`, opened
-once per query; every fleet, driver-side cloud request and spilled-result
-read of the query goes through it, and so does the cleanup of a typed abort.
+What a query's fleets share — its id, jitter stream, counter record, breaker
+board, retry budget and cancellation token — is one :class:`QueryContext`,
+opened once per query; every fleet, driver-side cloud request and
+spilled-result read of the query goes through it, and so does the cleanup of
+a typed abort.
 """
 
 from __future__ import annotations
@@ -26,13 +27,12 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional
 
 from repro.config import DEFAULT_RESILIENCE
+from repro.counters import Counts
 from repro.driver.breakers import RetryBudget
-from repro.driver.integrity import IntegrityStats, fetch_spilled_result, open_message
+from repro.driver.integrity import fetch_spilled_result, open_message
 from repro.driver.resilience import (
     DEFAULT_RESILIENCE_POLICY,
-    AttemptLog,
     ResiliencePolicy,
-    ResilienceStats,
     call_with_backoff,
     decorrelated_jitter,
     fault_delta,
@@ -90,9 +90,8 @@ def collect_results(
     want: Dict,
     by_key: Dict,
     label: str,
-    resilience: Optional[ResilienceStats] = None,
+    counts: Optional[Counts] = None,
     verify: bool = True,
-    integrity: Optional[IntegrityStats] = None,
     cancel: Optional[Any] = None,
 ) -> int:
     """Poll ``queue`` until every key of ``want`` reported; returns how many did.
@@ -100,11 +99,11 @@ def collect_results(
     ``want`` maps fleet keys — the worker id, or ``(side, worker_id)`` for
     messages that name a side — to the attempt dispatched for them.  Messages
     of ``query_id`` are folded into ``by_key`` under (key, attempt) dedup:
-    duplicate and stale deliveries are counted into ``resilience`` and
-    dropped, keys outside ``want`` are dropped uncounted.  A key is satisfied
+    duplicate and stale deliveries are noted into ``counts`` and dropped,
+    keys outside ``want`` are dropped uncounted.  A key is satisfied
     by a message (ok *or* error) of at least its wanted attempt — an older
     one cannot end the poll, so a retry is never confused with the attempt it
-    superseded.  A corrupt message is counted into ``integrity`` and dropped:
+    superseded.  A corrupt message is noted into ``counts`` and dropped:
     its worker looks missing and is re-invoked, so it never contributes rows.
     ``cancel`` is checked before every receive under the stage ``label``; the
     poll budget is bounded (the wave deadline), and what it leaves missing is
@@ -123,7 +122,7 @@ def collect_results(
         if cancel is not None:
             cancel.check(label)
         for message in sqs.receive_messages(queue, max_messages=10):
-            payload = open_message(message.body, verify, integrity)
+            payload = open_message(message.body, verify, counts)
             if payload is None or payload.get("query_id") != query_id:
                 continue  # corrupt, or stale from an earlier query
             side, key = payload.get("side"), payload.get("worker_id", -1)
@@ -131,7 +130,7 @@ def collect_results(
                 key = (side, key)
             if key not in want:
                 continue
-            merge_attempt_message(by_key, key, payload, resilience)
+            merge_attempt_message(by_key, key, payload, counts)
             if int(payload.get("attempt", 0)) >= want[key]:
                 missing.discard(key)
         if not missing:
@@ -145,7 +144,6 @@ def run_fleet(
     transport: Callable[[List[Dict], Dict, Dict], None],
     rounds: int,
     labels: FleetLabels,
-    attempt_log: AttemptLog,
 ) -> Dict:
     """Dispatch ``events`` and re-dispatch what failed; returns ``{key: message}``.
 
@@ -157,12 +155,12 @@ def run_fleet(
     their next attempt (``events`` is updated in place) after one jittered
     backoff from the ``context``'s stream, charged to the modelled latency
     and never slept.  Each re-dispatch is booked here, whatever the fleet:
-    its failed attempt lands in ``attempt_log`` (one entry is one more
-    billed invocation), an invocation-plane error is a failure of the Lambda
-    breaker, its request fee is wasted, the retry budget is charged.  An
-    exhausted fleet is returned as it stands.
+    it is one event of ``context.events`` — key, failed attempt, error,
+    backoff — and one more billed invocation; an invocation-plane error is a
+    failure of the Lambda breaker, its request fee is wasted, the retry
+    budget is charged.  An exhausted fleet is returned as it stands.
     """
-    resilience, policy, cancel = context.resilience, context.policy, context.cancel
+    policy, cancel = context.policy, context.cancel
     if cancel is not None and labels.dispatch is not None:
         cancel.check(labels.dispatch)
     by_key: Dict = {}
@@ -178,34 +176,37 @@ def run_fleet(
         sleep = decorrelated_jitter(
             sleep, context.rng, policy.backoff_base_seconds, policy.backoff_cap_seconds
         )
-        resilience.backoff_seconds += sleep
+        context.counters.note("resilience", "backoff_seconds", sleep)
         for key in failed:
             error = by_key.get(key, {}).get("error") or NO_RESULT_ERROR
             previous = int(events[key].get("attempt", 0))
-            attempt_log.record(key, previous, error, backoff_seconds=sleep)
+            context.events.append(
+                {"key": key, "attempt": previous, "error": error, "backoff_seconds": sleep}
+            )
             if error.startswith("IntegrityError"):
                 # At-rest corruption no re-GET cured: the retry re-executes.
-                context.integrity.re_executions += 1
+                context.counters.note("integrity", "re_executions")
             if context.breakers is not None and error.startswith(LAMBDA_FAILURE_PREFIXES):
                 # A string, not an exception the board could classify.
                 context.breakers.breakers["lambda"].record_failure(context.now())
-            resilience.wasted_cost_dollars += invocation_fee
+            context.counters.note("resilience", "wasted_cost_dollars", invocation_fee)
             retry = {**events[key], "attempt": previous + 1}
             retry.pop("children", None)  # a re-dispatch is flat
             events[key] = retry
             if context.budget is not None:
                 context.budget.charge(labels.budget)
-            resilience.retries += 1
+            context.counters.note("resilience", "retries")
         transport([events[key] for key in failed], by_key, current_attempts(events))
     return by_key
 
 
 def raise_unfinished(
-    events: Dict, by_key: Dict, attempt_log: AttemptLog, stage: Optional[str] = None
+    events: Dict, by_key: Dict, history: List[Dict], stage: Optional[str] = None
 ) -> None:
     """Raise the typed failure of a fleet that still lacks an ok result:
     :class:`~repro.errors.WorkerFailedError` with the attempt history of the
-    first worker whose last message is an error, else
+    first worker whose last message is an error — its re-dispatch events in
+    ``history``, then that message — else
     :class:`~repro.errors.QueryTimeoutError`; ``stage`` prefixes either."""
     failed = failed_keys(events, by_key)
     if not failed:
@@ -215,7 +216,7 @@ def raise_unfinished(
         message = by_key.get(key)
         if message is not None:
             error = message.get("error", "unknown error")
-            attempts = attempt_log.for_worker(key) + [
+            attempts = [event for event in history if event["key"] == key] + [
                 {"attempt": int(message.get("attempt", 0)), "error": error}
             ]
             worker_id = key[1] if isinstance(key, tuple) else key
@@ -230,18 +231,21 @@ class QueryContext:
     """Everything one query's fleets share, opened once per query.
 
     ``query_id``; the jitter stream, seeded from ``policy`` so backoff draws
-    are a function of this query alone; the ``resilience`` and ``integrity``
-    counters and the fault plan's counts when the query opened; the breaker
-    board; with ``budgeted``, a :class:`~repro.driver.breakers.RetryBudget`
-    of ``policy.retry_budget`` named after the query; and the cancellation
-    token, bound to :meth:`now`.  Without a board, a budget or a token the
-    context charges no breaker, caps no retry and never cancels.
+    are a function of this query alone; the query's one record — ``counters``,
+    every count keyed by ``(layer, name)`` (:mod:`repro.counters`), which the
+    statistics only read, and ``events``, the append-only list of its
+    re-dispatches — and the fault plan's counts when the query opened; the
+    breaker board; with ``budgeted``, a
+    :class:`~repro.driver.breakers.RetryBudget` of ``policy.retry_budget``
+    named after the query; and the cancellation token, bound to :meth:`now`.
+    Without a board, a budget or a token the context charges no breaker, caps
+    no retry and never cancels.
 
     :meth:`call` is :func:`~repro.driver.resilience.call_with_backoff`,
     :meth:`collect` :func:`collect_results` and :meth:`run` :func:`run_fleet`
-    then :func:`raise_unfinished` with all of the above; :meth:`fetch_spilled`
-    reads spilled results; :meth:`teardown` is the one cleanup of a typed
-    abort.
+    then :func:`raise_unfinished` with all of the above; :meth:`fold` adds
+    accepted worker results to the record; :meth:`fetch_spilled` reads
+    spilled results; :meth:`teardown` is the one cleanup of a typed abort.
     """
 
     def __init__(
@@ -253,8 +257,10 @@ class QueryContext:
         self.policy = policy
         self.query_id = uuid.uuid4().hex[:12]
         self.rng = random.Random(policy.jitter_seed)
-        self.resilience = ResilienceStats()
-        self.integrity = IntegrityStats()
+        self.counters = Counts()
+        #: One ``{"key", "attempt", "error", "backoff_seconds"}`` per
+        #: re-dispatched worker, in order: each is one more billed invocation.
+        self.events: List[Dict] = []
         self.breakers = breakers
         states = breakers.states if breakers is not None else None
         self.budget = (
@@ -268,13 +274,19 @@ class QueryContext:
     def now(self) -> float:
         """Modelled now of breaker windows and the deadline: the environment
         clock plus the backoff this query has accrued."""
-        return self.env.clock.now + self.resilience.backoff_seconds
+        return self.env.clock.now + self.counters["resilience", "backoff_seconds"]
+
+    def fold(self, results: Iterable[Any]) -> None:
+        """Add the counters of accepted, deduplicated worker results
+        (:class:`~repro.engine.pipeline.WorkerResult`) to the record."""
+        for result in results:
+            self.counters.update(result.counters)
 
     def call(self, fn: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
         """``fn(*args, **kwargs)``, transient cloud errors retried with backoff
         charged to this query, its board and its budget."""
         return call_with_backoff(
-            fn, *args, policy=self.policy, rng=self.rng, stats=self.resilience,
+            fn, *args, policy=self.policy, rng=self.rng, counts=self.counters,
             breakers=self.breakers, budget=self.budget, now_fn=self.now, **kwargs,
         )
 
@@ -284,8 +296,7 @@ class QueryContext:
         """:func:`collect_results` of this query's messages on ``queue``."""
         return collect_results(
             self.env.sqs, queue, self.query_id, want, by_key, label,
-            resilience=self.resilience, verify=verify, integrity=self.integrity,
-            cancel=self.cancel,
+            counts=self.counters, verify=verify, cancel=self.cancel,
         )
 
     def lambda_transport(
@@ -318,12 +329,12 @@ class QueryContext:
 
     def run(
         self, events: Dict, transport: Callable[[List[Dict], Dict, Dict], None],
-        rounds: int, labels: FleetLabels, attempt_log: AttemptLog,
+        rounds: int, labels: FleetLabels,
     ) -> Dict:
         """:func:`run_fleet` of one of this query's fleets; one ok message per
         event, or its :func:`raise_unfinished` failure."""
-        by_key = run_fleet(self, events, transport, rounds, labels, attempt_log)
-        raise_unfinished(events, by_key, attempt_log, labels.stage)
+        by_key = run_fleet(self, events, transport, rounds, labels)
+        raise_unfinished(events, by_key, self.events, labels.stage)
         return by_key
 
     def fetch_spilled(self, messages: Iterable[Dict], verify: bool) -> None:
@@ -332,14 +343,17 @@ class QueryContext:
         for message in messages:
             if "result_s3" in message:
                 message["frame"] = fetch_spilled_result(
-                    self.env.s3, message, verify, self.integrity,
-                    policy=self.policy, rng=self.rng, stats=self.resilience,
+                    self.env.s3, message, verify, self.counters,
+                    policy=self.policy, rng=self.rng,
                     breakers=self.breakers, budget=self.budget, now_fn=self.now,
                 )
 
     def note_faults(self) -> None:
-        """Record what the fault plan injected since the query opened."""
-        self.resilience.faults_injected = fault_delta(self.env, self._faults_before)
+        """Note what the fault plan injected since the last call (since the
+        query opened, at first) as ``("resilience", "fault.<kind>")``."""
+        for kind, count in fault_delta(self.env, self._faults_before).items():
+            self.counters.note("resilience", f"fault.{kind}", count)
+        self._faults_before = fault_snapshot(self.env)
 
     @contextmanager
     def teardown(self, collect_garbage: Callable[[str], Any]) -> Iterator[None]:

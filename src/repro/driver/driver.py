@@ -34,6 +34,7 @@ from repro.cloud.environment import CloudEnvironment
 from repro.cloud.lambda_service import FunctionConfig
 from repro.cloud.s3 import SharedObjectMirror
 from repro.config import DEFAULT_RESILIENCE, IntegrityConfig
+from repro.counters import CounterViews, Counts, LayerView, counted, viewed
 from repro.driver.admission import (
     AdmissionConfig,
     AdmissionController,
@@ -42,7 +43,6 @@ from repro.driver.admission import (
 )
 from repro.driver.breakers import BreakerBoard, RetryBudget
 from repro.driver.dispatch import FleetLabels, QueryContext, current_attempts
-from repro.driver.integrity import IntegrityStats
 from repro.driver.invocation import (
     CollectionPlan,
     InvocationModel,
@@ -51,9 +51,7 @@ from repro.driver.invocation import (
 )
 from repro.driver.resilience import (
     DEFAULT_RESILIENCE_POLICY,
-    AttemptLog,
     ResiliencePolicy,
-    ResilienceStats,
     pick_stragglers,
 )
 from repro.driver.shuffle import (
@@ -72,7 +70,6 @@ from repro.driver.worker import (
     make_worker_handler,
 )
 from repro.engine.pipeline import WorkerResult
-from repro.exchange.basic import ExchangeStats
 from repro.exchange.codec import verify_frame
 from repro.engine.table import Table, table_num_rows
 from repro.errors import ExecutionError, QueryCancelledError
@@ -95,9 +92,26 @@ POOL_FLEET = FleetLabels(
 )
 
 
+class _QueryViews(CounterViews):
+    """The counts only a query's statistics show."""
+
+    bytes_read = counted("scan", "bytes_read")
+    get_requests = counted("scan", "get_requests")
+    row_groups_shortcircuited = counted("scan", "row_groups_shortcircuited")
+    rows_decode_saved = counted("scan", "rows_decode_saved")
+    column_chunks_skipped = counted("scan", "column_chunks_skipped")
+
+
 @dataclass
-class QueryStatistics:
-    """Performance and cost statistics of one query execution."""
+class QueryStatistics(_QueryViews):
+    """Performance and cost statistics of one query execution.
+
+    The counts — rows, bytes and GETs of the scans, the late-materialization
+    and join counters, each summed over the fleet, and the ``exchange``,
+    ``resilience`` and ``integrity`` blocks — are read-only views over the
+    query's counter record (:attr:`~repro.driver.dispatch.QueryContext.counters`);
+    the other fields are what the driver priced and planned.
+    """
 
     num_workers: int
     memory_mib: int
@@ -109,14 +123,36 @@ class QueryStatistics:
     median_worker_seconds: float
     #: Modelled end-to-end query latency seen by the user.
     latency_seconds: float
-    rows_scanned: int
-    bytes_read: int
-    get_requests: int
+    rows_scanned: int = viewed()
+    bytes_read: int = viewed()
+    get_requests: int = viewed()
     #: Dollar cost breakdown.
     cost_lambda_duration: float
     cost_lambda_requests: float
     cost_s3_requests: float
     cost_sqs_requests: float
+    #: Late-materialization scan counters: row groups whose selection vector
+    #: short-circuited, rows never fully decoded, column-chunk downloads
+    #: avoided.
+    row_groups_shortcircuited: int = viewed()
+    rows_decode_saved: int = viewed()
+    column_chunks_skipped: int = viewed()
+    #: Exchange-plane requests and bytes (non-zero only for plans with an
+    #: exchange hop).
+    exchange: LayerView = viewed()
+    #: Join counters (non-zero only for join plans): rows entering the
+    #: probe/build sides of the join kernels after repartitioning, and rows
+    #: the kernels produced.
+    join_probe_rows: int = viewed()
+    join_build_rows: int = viewed()
+    join_output_rows: int = viewed()
+    #: Fault-tolerance counters: retries, hedges won/lost, injected faults
+    #: survived, degradation fallbacks, wasted modelled cost.  All-zero on a
+    #: clean run.
+    resilience: LayerView = viewed()
+    #: Data-integrity counters: bytes whose checksums were verified on read,
+    #: mismatches by site, re-reads vs re-executions.
+    integrity: LayerView = viewed()
     #: Per-worker modelled execution durations, seconds.
     worker_durations: List[float] = field(default_factory=list)
     #: Result collection (:class:`~repro.driver.invocation.CollectionPlan`):
@@ -127,22 +163,6 @@ class QueryStatistics:
     collection_seconds: float = 0.0
     collection_pollers: int = 0
     collection_receives: int = 0
-    #: Late-materialization scan counters, summed over the fleet: row groups
-    #: whose selection vector short-circuited, rows never fully decoded, and
-    #: column-chunk downloads avoided.
-    row_groups_shortcircuited: int = 0
-    rows_decode_saved: int = 0
-    column_chunks_skipped: int = 0
-    #: Exchange-plane request/byte counters, summed over the fleet (non-zero
-    #: only for plans with an exchange hop, e.g. the shuffle-aggregate and
-    #: shuffle-join paths).
-    exchange: ExchangeStats = field(default_factory=ExchangeStats)
-    #: Join-wave counters, summed over the fleet (non-zero only for join
-    #: plans): rows entering the probe/build sides of the join kernels after
-    #: repartitioning, and rows the kernels produced.
-    join_probe_rows: int = 0
-    join_build_rows: int = 0
-    join_output_rows: int = 0
     #: Logical join stages of the plan (1 for a binary join,
     #: ``len(dag.stages)`` for an N-way join DAG, 0 for a repartitioned
     #: aggregation; 1 for scan queries too, where no join exists but the
@@ -166,19 +186,14 @@ class QueryStatistics:
     #: LIST requests of the coordinator's end-of-query orphan sweep, which
     #: only runs after a fault (0 on a clean run).
     gc_list_requests: int = 0
-    #: Fault-tolerance counters for this query: retries, hedges won/lost,
-    #: injected faults survived, degradation fallbacks, wasted modelled cost.
-    #: All-zero on a clean run.
-    resilience: ResilienceStats = field(default_factory=ResilienceStats)
-    #: Data-integrity counters: bytes whose checksums were verified on read,
-    #: detected mismatches by site, and how recovery resolved them (re-reads
-    #: vs re-executions).  All-zero mismatches on a corruption-free run.
-    integrity: IntegrityStats = field(default_factory=IntegrityStats)
     #: Overload-control block: this query's retry-budget spend plus the
     #: owning driver's circuit-breaker states and transition log at query
     #: end.  ``None`` only for catalog-pruned empty results, which never
     #: touch the fleet.
     overload: Optional[Dict[str, Any]] = None
+    #: The query's counter record and re-dispatch events (its context's).
+    _counters: Counts = field(default_factory=Counts, repr=False)
+    _events: List[Dict] = field(default_factory=list, repr=False)
 
     @property
     def join_waves(self) -> int:
@@ -243,6 +258,13 @@ class QueryStatistics:
         if backoff:
             line += f" + backoff {backoff:.3f}"
         return line
+
+
+#: What a join's :class:`QueryStatistics` takes from its coordinator run as is.
+_RUN_FIELDS = (
+    "dag_stages", "wave_stages", "exchange_partitions", "estimated_exchange_bytes",
+    "map_fleets", "gc_objects_deleted", "gc_list_requests",
+)
 
 
 def _collection_fields(collection: CollectionPlan) -> Dict[str, Any]:
@@ -548,11 +570,8 @@ class LambadaDriver:
         launch = self._invocation.plan(len(events), cold=cold)
 
         with context.teardown(self._gc_cancelled_scan):
-            attempt_log = AttemptLog()
             with self._transport(physical, events, launch, context) as (transport, labels):
-                by_worker = context.run(
-                    events, transport, max_worker_retries + 1, labels, attempt_log
-                )
+                by_worker = context.run(events, transport, max_worker_retries + 1, labels)
                 hedge_waits, hedge_billed = self._hedge_stragglers(
                     by_worker, events, transport, context
                 )
@@ -561,10 +580,10 @@ class LambadaDriver:
                 WorkerResult.from_payload(message["result"], message.get("frame"))
                 for _, message in sorted(by_worker.items())
             ]
+            context.fold(worker_results)
             table, reduce_value = self._merge(physical, worker_results)
             statistics = self._build_statistics(
                 worker_results, launch=launch, cold=cold, context=context,
-                redispatches=len(attempt_log),
                 hedge_waits=hedge_waits, hedge_billed=hedge_billed,
             )
             statistics.overload = self._overload_block(context.budget)
@@ -592,11 +611,11 @@ class LambadaDriver:
         stages with small build sides join in place inside the wave before
         them, non-final waves re-emit into the exchange, the final one
         computes the partial aggregates placed above the join) runs in
-        :class:`~repro.driver.shuffle.ShuffleJoinCoordinator`; this wrapper
-        folds its worker results into the same :class:`QueryStatistics` shape
-        scan queries report, with the exchange and join counters threaded
-        through.  Every wave runs under the query's ``context``, whose
-        teardown the coordinator applies to its own exchange and queue.
+        :class:`~repro.driver.shuffle.ShuffleJoinCoordinator` under the
+        query's ``context``, whose teardown the coordinator applies to its own
+        exchange and queue.  This prices the run's launch, result collection
+        and dollars into the :class:`QueryStatistics` scan queries report; the
+        counts need no copying, as both statistics read the context's record.
         """
         if self._join_coordinator is None:
             # An explicit shuffle config wins; otherwise the driver's
@@ -611,57 +630,40 @@ class LambadaDriver:
         if cold:
             for name in (JOIN_MAP_FUNCTION_NAME, JOIN_REDUCE_FUNCTION_NAME):
                 self.env.lambda_service.reset_warm_instances(name)
-        table, join_stats, worker_results = self._join_coordinator.execute(
+        table, run, worker_results = self._join_coordinator.execute(
             physical, num_workers=num_workers, context=context
         )
 
         durations = [result.duration_seconds for result in worker_results]
-        num_total = join_stats.map_workers + join_stats.reduce_workers
+        num_total = run.map_workers + run.reduce_workers
         launch = self._invocation.plan(num_total, cold=cold)
-        invocation_seconds = launch.time_to_start_all
         # Only the final wave's results travel to the driver: its workers
         # start together behind the launch and every earlier wave (whose
         # modelled_latency_seconds already includes the coordinator's
         # backoff), and the queue is long-polled while they run.
-        final_wave = np.asarray(durations[-join_stats.exchange_partitions:])
+        final_wave = np.asarray(durations[-run.exchange_partitions:])
         collection = launch.collection(
-            invocation_seconds
-            + join_stats.modelled_latency_seconds
-            - final_wave.max()
-            + final_wave
+            launch.time_to_start_all + run.modelled_latency_seconds - final_wave.max() + final_wave
         )
         statistics = QueryStatistics(
             num_workers=num_total,
             memory_mib=self.memory_mib,
             cold=cold,
-            invocation_seconds=invocation_seconds,
-            max_worker_seconds=float(max(durations)) if durations else 0.0,
-            median_worker_seconds=float(np.median(durations)) if durations else 0.0,
+            invocation_seconds=launch.time_to_start_all,
+            max_worker_seconds=float(max(durations)),
+            median_worker_seconds=float(np.median(durations)),
             latency_seconds=collection.finish,
-            rows_scanned=join_stats.rows_scanned,
-            bytes_read=sum(result.bytes_read for result in worker_results),
-            get_requests=sum(result.get_requests for result in worker_results),
             **join_costs(
-                self.env.ledger.prices, self.memory_mib, join_stats, worker_results,
+                self.env.ledger.prices, self.memory_mib, run, worker_results,
                 final_receives=collection.receives,
             ),
             worker_durations=durations,
             **_collection_fields(collection),
-            exchange=join_stats.exchange,
-            join_probe_rows=join_stats.join_probe_rows,
-            join_build_rows=join_stats.join_build_rows,
-            join_output_rows=join_stats.join_output_rows,
-            dag_stages=join_stats.dag_stages,
-            wave_stages=join_stats.wave_stages,
-            exchange_partitions=join_stats.exchange_partitions,
-            estimated_exchange_bytes=join_stats.estimated_exchange_bytes,
-            map_fleets=join_stats.map_fleets,
-            gc_objects_deleted=join_stats.gc_objects_deleted,
-            gc_list_requests=join_stats.gc_list_requests,
-            resilience=join_stats.resilience,
-            integrity=join_stats.integrity,
+            **{name: getattr(run, name) for name in _RUN_FIELDS},
+            _counters=context.counters,
+            _events=context.events,
+            overload=self._overload_block(context.budget),
         )
-        statistics.overload = self._overload_block(context.budget)
         return QueryResult(
             table=table,
             reduce_value=None,
@@ -780,7 +782,9 @@ class LambadaDriver:
         try:
             yield self._pool_transport(pool), POOL_FLEET
         finally:
-            context.resilience.pool_respawns = pool.stats().get("respawns", 0) - respawns
+            context.counters.note(
+                "resilience", "pool_respawns", pool.stats().get("respawns", 0) - respawns
+            )
 
     def _pool_transport(self, pool) -> Callable:
         """The process pool's transport: run the payloads on the pool's
@@ -828,8 +832,9 @@ class LambadaDriver:
                     message = self._pooled_message(raw.get(worker_id), worker_id)
                     if message["status"] == "ok":
                         # The child read its inputs whether or not it survives.
-                        get_requests += message["result"]["get_requests"]
-                        bytes_read += message["result"]["bytes_read"]
+                        counts = message["result"]["counters"]
+                        get_requests += counts.get("scan.get_requests", 0)
+                        bytes_read += counts.get("scan.bytes_read", 0)
                     if crashed:
                         # The child did the work, but the injected crash loses
                         # its result.
@@ -954,20 +959,19 @@ class LambadaDriver:
             return {}, []
         fleet_median = sorted(durations.values())[len(durations) // 2]
         threshold = max(policy.hedge_min_seconds, policy.hedge_factor * fleet_median)
-        resilience = context.resilience
         hedges: Dict[int, Dict] = {}
         for worker_id in stragglers:
             if not context.budget.try_charge("hedges"):
                 # Hedging is optional work: when the retry budget runs dry it
                 # is suppressed (and attributed), never fatal.
-                resilience.note_fallback("hedge_suppressed")
+                context.counters.note("resilience", "fallback.hedge_suppressed")
                 continue
             hedge = {**events[worker_id], "attempt": events[worker_id]["attempt"] + 1}
             hedge.pop("children", None)
             hedges[worker_id] = hedge
         if not hedges:
             return {}, []
-        resilience.hedges_launched += len(hedges)
+        context.counters.note("resilience", "hedges_launched", len(hedges))
         hedged: Dict[int, Dict] = {}
         transport(list(hedges.values()), hedged, current_attempts(hedges))
         prices = self.env.ledger.prices
@@ -977,26 +981,23 @@ class LambadaDriver:
             message = hedged.get(worker_id, {})
             if message.get("status") != "ok" or message["attempt"] < hedge["attempt"]:
                 # The hedge itself failed or vanished — it simply loses.
-                resilience.hedges_lost += 1
-                resilience.wasted_cost_dollars += prices.lambda_invocation_cost(1)
-                continue
-            own = message["result"]["duration_seconds"]
-            original = durations[worker_id]
-            if threshold + own < original:
+                outcome, wasted = "hedges_lost", prices.lambda_invocation_cost(1)
+            elif threshold + message["result"]["duration_seconds"] < durations[worker_id]:
                 by_worker[worker_id] = message
                 waits[worker_id] = threshold
-                billed.append(original)
-                resilience.hedges_won += 1
-                resilience.wasted_cost_dollars += prices.lambda_duration_cost(
-                    self.memory_mib, original
-                )
+                billed.append(durations[worker_id])
+                outcome = "hedges_won"
+                wasted = prices.lambda_duration_cost(self.memory_mib, durations[worker_id])
             else:
+                own = message["result"]["duration_seconds"]
                 billed.append(own)
-                resilience.hedges_lost += 1
-                resilience.wasted_cost_dollars += (
+                outcome = "hedges_lost"
+                wasted = (
                     prices.lambda_invocation_cost(1)
                     + prices.lambda_duration_cost(self.memory_mib, own)
                 )
+            context.counters.note("resilience", outcome)
+            context.counters.note("resilience", "wasted_cost_dollars", wasted)
         return waits, billed
 
     def _empty_result(
@@ -1015,9 +1016,6 @@ class LambadaDriver:
             max_worker_seconds=0.0,
             median_worker_seconds=0.0,
             latency_seconds=0.0,
-            rows_scanned=0,
-            bytes_read=0,
-            get_requests=0,
             cost_lambda_duration=0.0,
             cost_lambda_requests=0.0,
             cost_s3_requests=0.0,
@@ -1062,19 +1060,18 @@ class LambadaDriver:
         launch: LaunchPlan,
         cold: bool,
         context: QueryContext,
-        redispatches: int,
         hedge_waits: Dict[int, float],
         hedge_billed: List[float],
     ) -> QueryStatistics:
         """Compute modelled latency and dollar cost of the query.
 
-        ``redispatches`` counts the workers re-invoked.  A won hedge finishes
-        ``hedge_waits[worker_id]`` (its detection threshold) after its own
-        run: latency, never cost.  ``hedge_billed`` is what ran but bought no
-        used result: cost, never latency.
+        Every re-dispatch event of the ``context`` bills one more invocation.
+        A won hedge finishes ``hedge_waits[worker_id]`` (its detection
+        threshold) after its own run: latency, never cost.  ``hedge_billed``
+        is what ran but bought no used result: cost, never latency.
         """
         context.note_faults()
-        resilience, integrity = context.resilience, context.integrity
+        counters = context.counters
         prices = self.env.ledger.prices
         billed = [result.duration_seconds for result in worker_results]
         # Worker ids are positions in the fleet.
@@ -1085,30 +1082,16 @@ class LambadaDriver:
         # while the workers run.
         collection = launch.collection(completion)
         # Backoff between retry rounds is charged to the modelled latency.
-        latency = collection.finish + resilience.backoff_seconds
-
-        rows_scanned = sum(result.rows_scanned for result in worker_results)
-        bytes_read = sum(result.bytes_read for result in worker_results)
-        get_requests = sum(result.get_requests for result in worker_results)
-        shortcircuited = sum(result.row_groups_shortcircuited for result in worker_results)
-        decode_saved = sum(result.rows_decode_saved for result in worker_results)
-        chunks_skipped = sum(result.column_chunks_skipped for result in worker_results)
-        exchange = ExchangeStats()
-        for result in worker_results:
-            if result.exchange_stats:
-                exchange.merge(ExchangeStats.from_dict(result.exchange_stats))
-            if result.integrity_stats:
-                integrity.merge(IntegrityStats.from_dict(result.integrity_stats))
-
+        latency = collection.finish + counters["resilience", "backoff_seconds"]
         cost_lambda_duration = sum(
             prices.lambda_duration_cost(self.memory_mib, seconds)
             for seconds in billed + hedge_billed
         )
         # Every invocation made is billed (wasted ones attributed in resilience).
         cost_lambda_requests = prices.lambda_invocation_cost(
-            num_workers + redispatches + resilience.hedges_launched
+            num_workers + len(context.events) + counters["resilience", "hedges_launched"]
         )
-        cost_s3 = prices.s3_get_cost(get_requests)
+        cost_s3 = prices.s3_get_cost(counters["scan", "get_requests"])
         # Each worker sends one result message; the driver's receives drain them.
         cost_sqs = prices.sqs_cost(num_workers + collection.receives)
 
@@ -1120,21 +1103,14 @@ class LambadaDriver:
             max_worker_seconds=float(max(durations)) if durations else 0.0,
             median_worker_seconds=float(np.median(durations)) if durations else 0.0,
             latency_seconds=latency,
-            rows_scanned=rows_scanned,
-            bytes_read=bytes_read,
-            get_requests=get_requests,
             cost_lambda_duration=cost_lambda_duration,
             cost_lambda_requests=cost_lambda_requests,
             cost_s3_requests=cost_s3,
             cost_sqs_requests=cost_sqs,
             worker_durations=durations,
             **_collection_fields(collection),
-            row_groups_shortcircuited=shortcircuited,
-            rows_decode_saved=decode_saved,
-            column_chunks_skipped=chunks_skipped,
-            exchange=exchange,
-            resilience=resilience,
-            integrity=integrity,
+            _counters=counters,
+            _events=context.events,
         )
 
 
@@ -1248,9 +1224,11 @@ class QuerySession:
                 result = driver.execute(plan, cancel=token, **execute_kwargs)
                 stats = result.statistics
                 outcome = "completed"
+                # The Lambda requests the statistics bill: a backoff retry
+                # of a cloud request (also a resilience retry) invokes nothing.
                 actual_invocations = float(
                     stats.num_workers
-                    + stats.resilience.retries
+                    + len(stats._events)
                     + stats.resilience.hedges_launched
                 )
                 actual_dollars = stats.cost_total

@@ -2,11 +2,6 @@
 
 Everything the verify-and-recover read path shares lives here:
 
-* :class:`IntegrityStats` — the ``integrity`` block of
-  :class:`~repro.driver.driver.QueryStatistics`: bytes whose content
-  checksums were verified on read, mismatches by verification site, and how
-  the recovery escalation resolved them (re-issued GETs for in-flight
-  corruption, re-executed producing attempts for at-rest corruption).
 * :func:`post_result` / :func:`open_message` — the one sender and the one
   opener of result messages.  A message is text::
 
@@ -29,9 +24,11 @@ Everything the verify-and-recover read path shares lives here:
 * :func:`fetch_spilled_result` — the one reader of spilled frames: GET with
   backoff, verify, re-read once on a mismatch.
 
-A clean run with verification disabled (or unchecksummed inputs) reports
-all-zero mismatch counters; verified byte counts accumulate wherever a
-checksum actually matched.
+What the checks find is noted as ``("integrity", ...)`` counts of the
+query's record (:mod:`repro.counters`): bytes whose checksum matched,
+mismatches by verification site (``mismatch.<site>``), and how recovery
+resolved them — re-issued GETs for in-flight corruption, re-executed
+producing attempts for at-rest corruption.  A clean run notes no mismatch.
 """
 
 from __future__ import annotations
@@ -39,11 +36,11 @@ from __future__ import annotations
 import base64
 import json
 import zlib
-from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 from repro.cloud.s3 import parse_s3_path
 from repro.config import DEFAULT_RESILIENCE, IntegrityConfig
+from repro.counters import Counts
 from repro.driver.resilience import call_with_backoff
 from repro.errors import CorruptFileError
 from repro.exchange.codec import slice_crcs, verify_frame
@@ -89,7 +86,7 @@ def post_result(
 
 
 def open_message(
-    body: str, verify: bool = True, integrity: Optional[IntegrityStats] = None
+    body: str, verify: bool = True, counts: Optional[Counts] = None
 ) -> Optional[Dict[str, Any]]:
     """Parse one delivered result message; ``None`` when it is corrupt.
 
@@ -97,7 +94,7 @@ def open_message(
     ``"result_s3"`` removed (nothing was spilled); a spilled one keeps its
     ``[length, crc32]`` description there for :func:`fetch_spilled_result`.
     A message that does not parse (site ``sqs.parse``) or fails its digest or
-    its frame's checks (``sqs.digest``) is counted into ``integrity`` and
+    its frame's checks (``sqs.digest``) is noted into ``counts`` and
     dropped: its producer looks missing and the retry machinery re-invokes
     it, so a corrupt message can never contribute rows.  Unsigned messages
     and unchecked frames pass a verifying receiver.
@@ -126,82 +123,18 @@ def open_message(
                 verify_frame(frame, *message["frame"], key=path)
             message["frame"] = frame
     except (ValueError, KeyError, TypeError, CorruptFileError):
-        if integrity is not None:
-            integrity.note_mismatch(site)
-            integrity.re_executions += 1
+        if counts is not None:
+            counts.note("integrity", f"mismatch.{site}")
+            counts.note("integrity", "re_executions")
         return None
     return message
-
-
-@dataclass
-class IntegrityStats:
-    """The ``integrity`` block of :class:`QueryStatistics`.
-
-    Cheap counters only; all-zero mismatches on a corruption-free run.
-    """
-
-    #: Bytes that passed content-checksum verification on read (exchange
-    #: slices, spilled results, decoded payload buffers).
-    verified_bytes: int = 0
-    #: Checksum mismatches detected, by verification site (e.g.
-    #: ``{"slice.crc": 2, "sqs.digest": 1}``).
-    mismatches: Dict[str, int] = field(default_factory=dict)
-    #: GETs re-issued because the first response failed verification
-    #: (in-flight corruption: the object at rest was fine).
-    re_reads: int = 0
-    #: Producing attempts re-executed because their output failed
-    #: verification persistently or their result message was corrupt
-    #: (at-rest / on-queue corruption).
-    re_executions: int = 0
-
-    def note_mismatch(self, site: Optional[str]) -> None:
-        """Count one detected mismatch at ``site``."""
-        site = site or "unknown"
-        self.mismatches[site] = self.mismatches.get(site, 0) + 1
-
-    def merge(self, other: "IntegrityStats") -> None:
-        """Fold another stats block (e.g. a worker's) into this one."""
-        self.verified_bytes += other.verified_bytes
-        for site, count in other.mismatches.items():
-            self.mismatches[site] = self.mismatches.get(site, 0) + count
-        self.re_reads += other.re_reads
-        self.re_executions += other.re_executions
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-dict form for reports, worker payloads, and tests."""
-        return {
-            "verified_bytes": self.verified_bytes,
-            "mismatches": dict(self.mismatches),
-            "re_reads": self.re_reads,
-            "re_executions": self.re_executions,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Optional[Dict[str, Any]]) -> "IntegrityStats":
-        """Inverse of :meth:`to_dict`; missing keys default to zero."""
-        if not payload:
-            return cls()
-        return cls(
-            verified_bytes=int(payload.get("verified_bytes", 0)),
-            mismatches={
-                str(site): int(count)
-                for site, count in (payload.get("mismatches") or {}).items()
-            },
-            re_reads=int(payload.get("re_reads", 0)),
-            re_executions=int(payload.get("re_executions", 0)),
-        )
-
-    @property
-    def clean(self) -> bool:
-        """True when no corruption was detected (recovery never ran)."""
-        return not self.mismatches and self.re_reads == 0 and self.re_executions == 0
 
 
 def fetch_spilled_result(
     s3: Any,
     message: Dict[str, Any],
     verify: bool,
-    integrity: Optional[IntegrityStats] = None,
+    counts: Optional[Counts] = None,
     **backoff: Any,
 ) -> bytes:
     """Fetch the frame a pointer ``message`` spilled, retrying transients.
@@ -209,32 +142,32 @@ def fetch_spilled_result(
     The pointed-to object may be transiently invisible under an injected
     read-after-write lag, so the GET goes through
     :func:`~repro.driver.resilience.call_with_backoff` with the caller's
-    ``backoff`` context (``policy``/``rng``/``stats`` and the overload
-    plane's ``breakers``/``budget``/``now_fn``).  With ``verify`` on, the
-    object must be the frame the message describes (length, crc, one hash
-    pass; site ``spill.digest``): a corrupt first read (in-flight
-    corruption) is cured by one re-issued GET counted into
-    ``integrity.re_reads``, and a stale or swapped object — self-consistent,
-    but not the one announced — fails on the crc.
+    ``backoff`` context (``policy``/``rng`` and the overload plane's
+    ``breakers``/``budget``/``now_fn``), its retries noted into ``counts``.
+    With ``verify`` on, the object must be the frame the message describes
+    (length, crc, one hash pass; site ``spill.digest``): a corrupt first read
+    (in-flight corruption) is cured by one re-issued GET, noted as
+    ``("integrity", "re_reads")``, and a stale or swapped object —
+    self-consistent, but not the one announced — fails on the crc.
     """
     path = message["result_s3"]
     bucket, key = parse_s3_path(path)
     attempts = DEFAULT_RESILIENCE.spill_read_attempts
     for read_attempt in range(attempts):
-        frame = call_with_backoff(s3.get_object, bucket, key, **backoff).data
+        frame = call_with_backoff(s3.get_object, bucket, key, counts=counts, **backoff).data
         if not verify:
             break
         try:
             verify_frame(frame, *message["frame"], key=path)
         except CorruptFileError:
-            if integrity is not None:
-                integrity.note_mismatch("spill.digest")
+            if counts is not None:
+                counts.note("integrity", "mismatch.spill.digest")
             if read_attempt + 1 == attempts:
                 raise
         else:
-            if integrity is not None:
-                integrity.verified_bytes += len(frame)
+            if counts is not None:
+                counts.note("integrity", "verified_bytes", len(frame))
                 if read_attempt:
-                    integrity.re_reads += 1
+                    counts.note("integrity", "re_reads")
             break
     return frame

@@ -13,25 +13,24 @@ failures a real deployment would see) lives here:
 * :func:`call_with_backoff` — retry wrapper for driver-side cloud requests
   (e.g. fetching a spilled result object that a fault plan made transiently
   invisible).
-* :class:`ResilienceStats` — the ``resilience`` block of
-  :class:`~repro.driver.driver.QueryStatistics`: retries, hedges won/lost,
-  stale/duplicate messages ignored, injected faults survived, degradation
-  fallbacks, and the wasted modelled dollars the failures cost.
 * :func:`merge_attempt_message` — the (worker, attempt) dedup every result
   collector applies; :func:`fault_snapshot` / :func:`fault_delta` — what the
   installed fault plan injected during one query.
 
-A clean run (no fault plan, homogeneous fleet) reports all-zero stats and
-takes none of these code paths beyond a handful of comparisons.
+What they count — retries, backoff, messages ignored — is noted as
+``("resilience", ...)`` counts of the query's record (:mod:`repro.counters`).
+A clean run (no fault plan, homogeneous fleet) notes none and takes none of
+these code paths beyond a handful of comparisons.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.config import DEFAULT_RESILIENCE
+from repro.counters import Counts
 from repro.errors import NoSuchKeyError, SlowDownError, TooManyRequestsError
 
 
@@ -95,7 +94,7 @@ def call_with_backoff(
     *args: Any,
     policy: ResiliencePolicy = DEFAULT_RESILIENCE_POLICY,
     rng: Optional[random.Random] = None,
-    stats: Optional["ResilienceStats"] = None,
+    counts: Optional[Counts] = None,
     retry_on: tuple = TRANSIENT_CLOUD_ERRORS,
     breakers: Optional[Any] = None,
     budget: Optional[Any] = None,
@@ -104,7 +103,8 @@ def call_with_backoff(
 ) -> Any:
     """Call ``fn`` retrying transient cloud errors with jittered backoff.
 
-    The backoff is accounted to ``stats.backoff_seconds`` (modelled time, no
+    Each retry and its backoff are noted into ``counts`` as ``("resilience",
+    "retries")`` / ``("resilience", "backoff_seconds")`` (modelled time, no
     wall-clock sleeping).  After ``policy.max_attempts`` attempts the last
     error propagates.
 
@@ -137,106 +137,20 @@ def call_with_backoff(
             sleep = decorrelated_jitter(
                 sleep, rng, policy.backoff_base_seconds, policy.backoff_cap_seconds
             )
-            if stats is not None:
-                stats.retries += 1
-                stats.backoff_seconds += sleep
+            if counts is not None:
+                counts.note("resilience", "retries")
+                counts.note("resilience", "backoff_seconds", sleep)
             if breakers is not None and service is not None:
                 # An open breaker converts doomed hammering into a modelled
                 # wait: charge the cooldown to latency and probe half-open.
                 cooldown = breakers.wait_seconds(service, now_fn())
-                if cooldown > 0.0 and stats is not None:
-                    stats.backoff_seconds += cooldown
+                if cooldown > 0.0 and counts is not None:
+                    counts.note("resilience", "backoff_seconds", cooldown)
                     breakers.wait_seconds(service, now_fn())
         else:
             if breakers is not None and failed_service is not None:
                 breakers.record_success(failed_service, now_fn())
             return result
-
-
-@dataclass
-class ResilienceStats:
-    """The ``resilience`` block of :class:`QueryStatistics`.
-
-    All-zero on a clean run; every field is cheap counters only.
-    """
-
-    #: Re-invocations of failed or missing workers (all planes).
-    retries: int = 0
-    #: Speculative duplicate invocations launched for stragglers.
-    hedges_launched: int = 0
-    #: Hedges whose result beat the original worker's.
-    hedges_won: int = 0
-    #: Hedges that lost the race (their cost is wasted).
-    hedges_lost: int = 0
-    #: Late/duplicate result messages discarded by (worker, attempt) dedup.
-    duplicate_messages_ignored: int = 0
-    #: Messages from a superseded attempt discarded in favour of a newer one.
-    stale_messages_ignored: int = 0
-    #: Total modelled backoff time charged to query latency.
-    backoff_seconds: float = 0.0
-    #: Shuffle wave re-runs (map or reduce wave level).
-    wave_retries: int = 0
-    #: Process-pool children respawned during this query.
-    pool_respawns: int = 0
-    #: Graceful-degradation events, e.g. {"hedge_suppressed": 1}.
-    fallbacks: Dict[str, int] = field(default_factory=dict)
-    #: Faults the installed FaultPlan injected during this query, by kind.
-    faults_injected: Dict[str, int] = field(default_factory=dict)
-    #: Modelled dollars spent on attempts that produced no used result
-    #: (failed attempts, lost hedges).
-    wasted_cost_dollars: float = 0.0
-
-    def note_fallback(self, kind: str) -> None:
-        """Count one graceful-degradation event."""
-        self.fallbacks[kind] = self.fallbacks.get(kind, 0) + 1
-
-    def merge(self, other: "ResilienceStats") -> None:
-        """Fold another stats block (e.g. a shuffle wave's) into this one."""
-        self.retries += other.retries
-        self.hedges_launched += other.hedges_launched
-        self.hedges_won += other.hedges_won
-        self.hedges_lost += other.hedges_lost
-        self.duplicate_messages_ignored += other.duplicate_messages_ignored
-        self.stale_messages_ignored += other.stale_messages_ignored
-        self.backoff_seconds += other.backoff_seconds
-        self.wave_retries += other.wave_retries
-        self.pool_respawns += other.pool_respawns
-        for kind, count in other.fallbacks.items():
-            self.fallbacks[kind] = self.fallbacks.get(kind, 0) + count
-        for kind, count in other.faults_injected.items():
-            self.faults_injected[kind] = self.faults_injected.get(kind, 0) + count
-        self.wasted_cost_dollars += other.wasted_cost_dollars
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-dict form for reports and tests."""
-        return {
-            "retries": self.retries,
-            "hedges_launched": self.hedges_launched,
-            "hedges_won": self.hedges_won,
-            "hedges_lost": self.hedges_lost,
-            "duplicate_messages_ignored": self.duplicate_messages_ignored,
-            "stale_messages_ignored": self.stale_messages_ignored,
-            "backoff_seconds": self.backoff_seconds,
-            "wave_retries": self.wave_retries,
-            "pool_respawns": self.pool_respawns,
-            "fallbacks": dict(self.fallbacks),
-            "faults_injected": dict(self.faults_injected),
-            "wasted_cost_dollars": self.wasted_cost_dollars,
-        }
-
-    @property
-    def clean(self) -> bool:
-        """True when nothing resilience-related happened (fault-free run)."""
-        return (
-            self.retries == 0
-            and self.hedges_launched == 0
-            and self.duplicate_messages_ignored == 0
-            and self.stale_messages_ignored == 0
-            and self.wave_retries == 0
-            and self.pool_respawns == 0
-            and not self.fallbacks
-            and not self.faults_injected
-        )
 
 
 def fault_snapshot(env: Any) -> Optional[Dict[str, int]]:
@@ -258,7 +172,7 @@ def fault_delta(env: Any, snapshot: Optional[Dict[str, int]]) -> Dict[str, int]:
 
 
 def merge_attempt_message(
-    by_key: Dict, key: Any, message: Dict, stats: Optional[ResilienceStats] = None
+    by_key: Dict, key: Any, message: Dict, counts: Optional[Counts] = None
 ) -> None:
     """Fold one result message into ``by_key`` under (key, attempt) dedup.
 
@@ -266,7 +180,7 @@ def merge_attempt_message(
     result beats an error (an injected SQS duplicate of either is dropped).
     A late or re-delivered message from an earlier attempt can therefore
     never clobber a successful retry; superseded and duplicate deliveries
-    are counted, never double-applied.
+    are noted into ``counts``, never double-applied.
     """
     current = by_key.get(key)
     if current is None:
@@ -277,47 +191,12 @@ def merge_attempt_message(
     if attempt > current_attempt:
         by_key[key] = message
     elif attempt < current_attempt:
-        if stats is not None:
-            stats.stale_messages_ignored += 1
+        if counts is not None:
+            counts.note("resilience", "stale_messages_ignored")
     elif current.get("status") != "ok" and message.get("status") == "ok":
         by_key[key] = message
-    elif stats is not None:
-        stats.duplicate_messages_ignored += 1
-
-
-@dataclass
-class AttemptLog:
-    """Per-worker attempt history of the fleets of one query.
-
-    Keyed by fleet key — the worker id, or ``(side, worker_id)`` for a
-    shuffle wave — with one entry per failed attempt that was re-dispatched,
-    so its length is the re-invocations to bill.  Feeds the full history into
-    :class:`~repro.errors.WorkerFailedError` when a worker exhausts its
-    budget, instead of only the first failure string.
-    """
-
-    history: Dict[Any, List[Dict[str, Any]]] = field(default_factory=dict)
-
-    def record(
-        self,
-        worker_id: Any,
-        attempt: int,
-        error: str = "",
-        backoff_seconds: float = 0.0,
-    ) -> None:
-        """Append one attempt outcome for a worker."""
-        entry: Dict[str, Any] = {"attempt": attempt, "error": error}
-        if backoff_seconds:
-            entry["backoff_seconds"] = backoff_seconds
-        self.history.setdefault(worker_id, []).append(entry)
-
-    def for_worker(self, worker_id: Any) -> List[Dict[str, Any]]:
-        """Attempt history of one worker (possibly empty)."""
-        return self.history.get(worker_id, [])
-
-    def __len__(self) -> int:
-        """Attempts recorded, across every worker."""
-        return sum(len(entries) for entries in self.history.values())
+    elif counts is not None:
+        counts.note("resilience", "duplicate_messages_ignored")
 
 
 def pick_stragglers(

@@ -52,10 +52,11 @@ that plan and returns the run's one :class:`ShuffleStatistics` record with its
 dollars filled in; what its waves are *called* (functions, stage labels,
 spill-key stem) is data (:class:`WaveNames`), not a second code path.
 
-Request/byte counters of every wave are accumulated into
-:class:`~repro.exchange.basic.ExchangeStats`, shipped inside each worker's
-:class:`~repro.engine.pipeline.WorkerResult`, and folded into the returned
-statistics.  Every wave's inputs are deleted by their announced paths as soon
+Every worker notes its rows, requests and bytes into a counter record of
+its own (:mod:`repro.counters`), shipped inside its
+:class:`~repro.engine.pipeline.WorkerResult`; each wave's accepted results
+are added to the query's record, which the returned statistics read.  Every
+wave's inputs are deleted by their announced paths as soon
 as the wave has folded, so a clean query issues no LIST at all; only a query
 that saw a retry or injected fault ends with a LIST sweep of its exchange and
 result prefixes for the objects of superseded attempts.
@@ -79,15 +80,11 @@ from repro.cloud.lambda_service import FunctionConfig, InvocationContext
 from repro.cloud.network import BandwidthModel
 from repro.cloud.s3 import parse_s3_path
 from repro.config import DEFAULT_SCAN_CONNECTIONS, IntegrityConfig, MiB
+from repro.counters import CounterViews, Counts, LayerView, viewed
 from repro.driver.dispatch import FleetLabels, QueryContext
-from repro.driver.integrity import RESULT_BUCKET, IntegrityStats, post_result
+from repro.driver.integrity import RESULT_BUCKET, post_result
 from repro.driver.invocation import InvocationModel
-from repro.driver.resilience import (
-    DEFAULT_RESILIENCE_POLICY,
-    AttemptLog,
-    ResiliencePolicy,
-    ResilienceStats,
-)
+from repro.driver.resilience import DEFAULT_RESILIENCE_POLICY, ResiliencePolicy
 from repro.engine.aggregates import (
     FusedBatchAccumulator,
     finalize_aggregates,
@@ -107,7 +104,6 @@ from repro.engine.table import (
     table_num_rows,
 )
 from repro.errors import CloudError, ExecutionError, NoSuchBucketError, WorkerCrashError
-from repro.exchange.basic import ExchangeStats
 from repro.exchange.fetch import FetchPlan, SenderManifest, sender_entries, write_combined
 from repro.exchange.naming import WriteCombiningNaming
 from repro.exchange.partition import partition_assignments, scatter_by_assignment
@@ -188,12 +184,27 @@ class ShuffleConfig:
     integrity: IntegrityConfig = field(default_factory=IntegrityConfig)
 
 
+class _RunViews(CounterViews):
+    """The counts only a coordinator run's statistics show."""
+
+    _events: List[Dict]
+
+    @property
+    def redispatches(self) -> int:
+        """Workers the waves re-dispatched, each billed as one more invocation."""
+        return len(self._events)
+
+
 @dataclass
-class ShuffleStatistics:
+class ShuffleStatistics(_RunViews):
     """Statistics of one coordinator run (any shuffle DAG, joins or none).
 
     What :meth:`ShuffleJoinCoordinator.execute` returns, and — with
-    ``cost_total`` filled in — what the aggregation facade returns.
+    ``cost_total`` filled in — what the aggregation facade returns.  The
+    counts (rows scanned, join rows, the ``exchange``, ``resilience`` and
+    ``integrity`` blocks, the re-dispatches) are read-only views over the
+    query's counter record; the fields are what the coordinator planned and
+    measured.
     """
 
     #: Mappers each scan fleet started, by exchange tag — ``"L"`` the base
@@ -201,12 +212,12 @@ class ShuffleStatistics:
     map_fleets: Dict[str, int]
     #: Workers of every join wave, summed (hash partitions × waves).
     reduce_workers: int
-    rows_scanned: int
-    #: Rows entering the join kernels across the fleet (after repartition).
-    join_probe_rows: int
-    join_build_rows: int
-    #: Rows produced by the join kernels (before the residual predicate).
-    join_output_rows: int
+    rows_scanned: int = viewed()
+    #: Rows entering the join kernels across the fleet (after repartition),
+    #: and rows the kernels produced (before the residual predicate).
+    join_probe_rows: int = viewed()
+    join_build_rows: int = viewed()
+    join_output_rows: int = viewed()
     result_rows: int
     #: Partition objects written (combined objects count 1) / non-empty
     #: slices read, every wave summed.
@@ -214,18 +225,18 @@ class ShuffleStatistics:
     partition_objects_read: int
     #: Request and byte counters of every wave (PUT/GET/LIST/HEAD, combined
     #: PUTs, ranged GETs, empty partitions elided, bytes shipped vs touched).
-    exchange: ExchangeStats = field(default_factory=ExchangeStats)
+    exchange: LayerView = viewed()
     #: Modelled duration of the slowest scan-wave worker, and of the join
     #: waves' slowest workers summed (the waves are barriered).
     modelled_map_seconds: float = 0.0
     modelled_reduce_seconds: float = 0.0
     #: Retries, wave re-runs, fallbacks, and injected-fault counts survived.
-    resilience: ResilienceStats = field(default_factory=ResilienceStats)
-    #: Workers the waves re-dispatched (their attempt log), each billed as
-    #: one more invocation.
-    redispatches: int = 0
+    resilience: LayerView = viewed()
+    #: Workers the waves re-dispatched (their events), each billed as one
+    #: more invocation.
+    redispatches: int = viewed()
     #: Checksum verification and corruption-recovery counters.
-    integrity: IntegrityStats = field(default_factory=IntegrityStats)
+    integrity: LayerView = viewed()
     #: Logical join stages of the plan (1 for a binary join, 0 for a
     #: repartitioned aggregation).
     dag_stages: int = 1
@@ -251,6 +262,9 @@ class ShuffleStatistics:
     #: requests), priced by :func:`join_costs`; filled in by the aggregation
     #: facade (the driver reports a join's dollars in its own statistics).
     cost_total: float = 0.0
+    #: The query's counter record and re-dispatch events (its context's).
+    _counters: Counts = field(default_factory=Counts, repr=False)
+    _events: List[Dict] = field(default_factory=list, repr=False)
 
     @property
     def map_workers(self) -> int:
@@ -481,7 +495,7 @@ def _write_partitions(
     keys: Sequence[str],
     num_partitions: int,
     naming: WriteCombiningNaming,
-    stats: ExchangeStats,
+    counts: Counts,
     integrity: IntegrityConfig,
 ) -> Dict:
     """Hash-partition ``rows`` by ``keys`` and ship them through the exchange.
@@ -506,7 +520,7 @@ def _write_partitions(
         assignment = partition_assignments(rows, list(keys), num_partitions)
         reordered, boundaries = scatter_by_assignment(rows, assignment, num_partitions)
     return write_combined(
-        env.s3, naming.path(sender, 0), reordered, boundaries, stats,
+        env.s3, naming.path(sender, 0), reordered, boundaries, counts,
         checksum=integrity.generate, compression=compression,
     )
 
@@ -554,29 +568,23 @@ def _make_map_handler(env: CloudEnvironment):
         else:
             rows = concat_tables(list(scan.scan()))
 
-        stats = ExchangeStats()
+        counts = Counts(scan.counts)  # the GETs and bytes
+        counts.note("scan", "rows_scanned", scan.counters.rows_scanned)
+        counts.note("scan", "rows_after_filter", table_num_rows(rows))
         announcement = _emit(
             env, event, worker_id, rows, side_plan.partition_keys, event["num_partitions"],
-            side, stats, integrity,
+            side, counts, integrity,
         )
-        modelled_seconds = _charge_worker(env, context, scan.modelled_seconds(), stats)
-
-        result = WorkerResult(
-            rows_scanned=scan.counters.rows_scanned,
-            rows_after_filter=table_num_rows(rows),
-            get_requests=scan.statistics.get_requests,
-            bytes_read=scan.statistics.bytes_read,
-            duration_seconds=modelled_seconds,
-            exchange_stats=stats.to_dict(),
-        )
+        modelled_seconds = _charge_worker(env, context, scan.modelled_seconds(), counts)
         message = {
             "query_id": query_id,
             "worker_id": worker_id,
             "side": side,
             "status": "ok",
             "attempt": attempt,
-            "rows_scanned": scan.counters.rows_scanned,
-            "worker_result": result.to_payload(),
+            "worker_result": WorkerResult(
+                counters=counts, duration_seconds=modelled_seconds
+            ).to_payload(),
             **announcement,
         }
         post_result(env, event["result_queue"], integrity, message)
@@ -595,7 +603,7 @@ def _charge_worker(
     env: CloudEnvironment,
     context: InvocationContext,
     compute_seconds: float,
-    stats: ExchangeStats,
+    counts: Counts,
     fetch_seconds: float = 0.0,
 ) -> float:
     """Charge one wave worker's modelled duration to its invocation.
@@ -607,7 +615,8 @@ def _charge_worker(
     on its own, as in Algorithm 1, and costs one round trip: this is where
     write combining buys its latency.
     """
-    round_trips = stats.total_requests - stats.get_requests
+    exchange = LayerView(counts, "exchange")
+    round_trips = exchange.total_requests - exchange.get_requests
     seconds = (
         compute_seconds
         + fetch_seconds
@@ -623,18 +632,16 @@ def _fetch_partition(
     manifests: Sequence[SenderManifest],
     partition: int,
     num_partitions: int,
-    stats: ExchangeStats,
+    counts: Counts,
     integrity: IntegrityConfig,
-    istats: IntegrityStats,
 ) -> tuple:
     """Plan and fetch ``partition``'s slices of every input side.
 
     Returns ``(pieces per side, slices read, modelled fetch seconds)``.
     """
-    plan = FetchPlan.build(manifests, partition, num_partitions, stats)
+    plan = FetchPlan.build(manifests, partition, num_partitions, counts)
     pieces, fetch_seconds = plan.fetch(
-        env.s3, env.bandwidth, context.memory_mib, stats,
-        verify=integrity.verify, integrity=istats,
+        env.s3, env.bandwidth, context.memory_mib, counts, verify=integrity.verify
     )
     return pieces, plan.slices, fetch_seconds
 
@@ -647,7 +654,7 @@ def _emit(
     keys: Sequence[str],
     num_partitions: int,
     tag: str,
-    stats: ExchangeStats,
+    counts: Counts,
     integrity: IntegrityConfig,
 ) -> Dict:
     """Ship one worker's output rows into the exchange under ``tag``.
@@ -667,7 +674,7 @@ def _emit(
         int(event.get("attempt", 0)),
     )
     return _write_partitions(
-        env, event, sender, rows, keys, num_partitions, naming, stats, integrity
+        env, event, sender, rows, keys, num_partitions, naming, counts, integrity
     )
 
 
@@ -736,25 +743,23 @@ def _make_reduce_handler(env: CloudEnvironment):
         partition = event["partition"]
         attempt = int(event.get("attempt", 0))
         integrity = IntegrityConfig.from_dict(event.get("integrity"))
-        istats = IntegrityStats()
-        stats = ExchangeStats()
+        counts = Counts()
         steps = event["steps"]
 
         pieces, slices_read, fetch_seconds = _fetch_partition(
             env, context,
             [SenderManifest(event["probe"])]
             + [SenderManifest(step["build"], bool(step.get("broadcast"))) for step in steps],
-            partition, event["num_partitions"], stats, integrity, istats,
+            partition, event["num_partitions"], counts, integrity,
         )
         joined, *builds = (
             concat_tables(side_pieces) if side_pieces else {} for side_pieces in pieces
         )
-        probe_rows = build_rows = output_rows = 0
         for step, build in zip(steps, builds):
-            probe_rows += table_num_rows(joined)
-            build_rows += table_num_rows(build)
+            counts.note("join", "probe_rows", table_num_rows(joined))
+            counts.note("join", "build_rows", table_num_rows(build))
             joined = _join_step(joined, build, step)
-            output_rows += table_num_rows(joined)
+            counts.note("join", "output_rows", table_num_rows(joined))
 
         message = {
             "query_id": query_id,
@@ -767,12 +772,11 @@ def _make_reduce_handler(env: CloudEnvironment):
             message["side"] = event["side"]
         frame = None
         if event.get("emit") is not None:
-            rows_output = table_num_rows(joined)
             emit = event["emit"]
             message.update(_emit(
                 env, event, partition, joined, [emit["key"]],
                 int(emit.get("num_partitions", event["num_partitions"])), emit["tag"],
-                stats, integrity,
+                counts, integrity,
             ))
         else:
             # With no joined rows the partial aggregate still emits the right
@@ -782,19 +786,12 @@ def _make_reduce_handler(env: CloudEnvironment):
                 list(event["group_by"]),
                 [AggregateSpec.from_dict(item) for item in event["aggregates"]],
             )
-            rows_output = table_num_rows(partial_table)
             frame = encode_table(partial_table, checksum=integrity.generate)
         modelled_seconds = _charge_worker(
-            env, context, _reduce_compute_seconds(slices_read), stats, fetch_seconds
+            env, context, _reduce_compute_seconds(slices_read), counts, fetch_seconds
         )
         message["worker_result"] = WorkerResult(
-            rows_output=rows_output,
-            join_probe_rows=probe_rows,
-            join_build_rows=build_rows,
-            join_output_rows=output_rows,
-            duration_seconds=modelled_seconds,
-            exchange_stats=stats.to_dict(),
-            integrity_stats=istats.to_dict(),
+            counters=counts, duration_seconds=modelled_seconds
         ).to_payload()
 
         # Only result rows can spill: an emit announcement is header fields,
@@ -866,7 +863,7 @@ def join_costs(
     num_total = statistics.map_workers + statistics.reduce_workers
     exchange = statistics.exchange
     spilled = statistics.results_spilled
-    scan_gets = sum(result.get_requests for result in worker_results)
+    scan_gets = sum(result.counters["scan", "get_requests"] for result in worker_results)
     return {
         "cost_lambda_duration": sum(
             prices.lambda_duration_cost(memory_mib, result.duration_seconds)
@@ -928,7 +925,7 @@ def _group_join_waves(
     for stage in range(1, len(build_sides)):
         plan = FetchPlan.build(
             [SenderManifest(build_sides[stage], broadcast=True)],
-            0, num_partitions, ExchangeStats(),
+            0, num_partitions, Counts(),
         )
         transfer = plan.transfer_plan(memory_mib)
         broadcast_seconds = (
@@ -1105,18 +1102,18 @@ class ShuffleJoinCoordinator:
     # -- execution ------------------------------------------------------------------
 
     def _wave(
-        self, context: QueryContext, function_name: str, events: Dict, what: str,
-        attempt_log: AttemptLog,
-    ) -> List[Dict]:
+        self, context: QueryContext, function_name: str, events: Dict, what: str
+    ) -> Tuple[List[Dict], List[WorkerResult]]:
         """Run one wave of the query through ``context.run``; one ok message
-        per event, in wave-key order.
+        per event, in wave-key order, and the worker results they carry.
 
         ``events`` maps wave keys ``(side, worker_id)`` to invocation payloads
         carrying ``"attempt": 0``; the wave runs flat on the context's Lambda
         + SQS transport, its retries (each writing under its own
-        ``r{attempt}/`` prefix) booked in ``attempt_log`` and its failure
-        named after the stage ``what``.  The rounds it re-dispatched are
-        counted as ``resilience.wave_retries``.
+        ``r{attempt}/`` prefix) booked as the context's re-dispatch events and
+        its failure named after the stage ``what``.  The rounds it
+        re-dispatched are noted as ``("resilience", "wave_retries")``, and the
+        accepted results are added to the query's record.
         """
         transport = context.lambda_transport(
             function_name, self.result_queue, what, self.config.integrity.verify
@@ -1124,14 +1121,16 @@ class ShuffleJoinCoordinator:
         by_key = context.run(
             events, transport, max(1, context.policy.max_attempts),
             FleetLabels(f"{what} dispatch", what, "wave_retries", stage=what),
-            attempt_log,
         )
         # Every round re-dispatches the workers the one before it left
         # failing, so the highest attempt is the rounds re-dispatched.
-        context.resilience.wave_retries += max(
-            int(event["attempt"]) for event in events.values()
+        context.counters.note(
+            "resilience", "wave_retries", max(int(event["attempt"]) for event in events.values())
         )
-        return [by_key[key] for key in sorted(by_key)]
+        messages = [by_key[key] for key in sorted(by_key)]
+        results = [WorkerResult.from_payload(message["worker_result"]) for message in messages]
+        context.fold(results)
+        return messages, results
 
     def execute(
         self,
@@ -1204,12 +1203,11 @@ class ShuffleJoinCoordinator:
     ):
         """The wave body of :meth:`execute` (split out for the teardown)."""
         query_id = context.query_id
-        resilience, integrity_stats = context.resilience, context.integrity
+        resilience = LayerView(context.counters, "resilience")
         # What the caller already retried on this context (the facade's
         # LIST) is not this run's: it orphans nothing.
         context.note_faults()
         before = resilience.to_dict()
-        attempt_log = AttemptLog()
 
         # -- scan wave (every relation's fleet dispatched together) ----------------
         map_events: Dict = {}
@@ -1234,12 +1232,10 @@ class ShuffleJoinCoordinator:
                     "num_buckets": self.num_buckets,
                     "integrity": self.config.integrity.to_dict(),
                 }
-        map_messages = self._wave(
-            context, self.names.map_function, map_events, self.names.map_label,
-            attempt_log,
+        map_messages, worker_results = self._wave(
+            context, self.names.map_function, map_events, self.names.map_label
         )
-
-        rows_scanned = sum(message.get("rows_scanned", 0) for message in map_messages)
+        map_seconds = max(result.duration_seconds for result in worker_results)
         objects_written = sum("combined_path" in message for message in map_messages)
 
         # -- join waves (grouped from the announced sizes, chained through the
@@ -1255,6 +1251,7 @@ class ShuffleJoinCoordinator:
         reduce_waves: List[List[Dict]] = []
         objects_read = 0
         gc_deleted = 0
+        reduce_seconds = 0.0
         for wave in wave_stages:
             final = wave is wave_stages[-1]
             side = f"S{len(reduce_waves)}"
@@ -1301,7 +1298,7 @@ class ShuffleJoinCoordinator:
                 what = f"join stage {wave[0]}"
             else:
                 what = f"join stages {wave[0]}-{wave[-1]}"
-            reduce_messages = self._wave(
+            reduce_messages, results = self._wave(
                 context,
                 self.names.reduce_function,
                 {
@@ -1309,9 +1306,12 @@ class ShuffleJoinCoordinator:
                     for partition in range(num_partitions)
                 },
                 what,
-                attempt_log,
             )
             reduce_waves.append(reduce_messages)
+            worker_results += results
+            # Join waves are barriered on each other: their modelled
+            # latencies add, while workers within one wave run abreast.
+            reduce_seconds += max(result.duration_seconds for result in results)
             objects_read += sum(m.get("objects_read", 0) for m in reduce_messages)
             # The wave has folded: nothing reads its inputs again.
             for messages in [probe_messages] + [announced[build_tags[k]] for k in wave]:
@@ -1319,34 +1319,6 @@ class ShuffleJoinCoordinator:
             if not final:
                 objects_written += sum("combined_path" in m for m in reduce_messages)
                 probe_messages = reduce_messages
-
-        # -- fold statistics ---------------------------------------------------------
-        exchange = ExchangeStats()
-        wave_seconds = {"map": 0.0, "reduce": 0.0}
-        worker_results: List[WorkerResult] = []
-        counters = {"probe": 0, "build": 0, "output": 0}
-        folds = [("map", map_messages)]
-        folds.extend(("reduce", messages) for messages in reduce_waves)
-        for wave, messages in folds:
-            wave_max = 0.0
-            for message in messages:
-                payload = message.get("worker_result")
-                if not payload:
-                    continue
-                parsed = WorkerResult.from_payload(payload)
-                worker_results.append(parsed)
-                exchange.merge(ExchangeStats.from_dict(parsed.exchange_stats))
-                integrity_stats.merge(IntegrityStats.from_dict(parsed.integrity_stats))
-                wave_max = max(wave_max, parsed.duration_seconds)
-                counters["probe"] += parsed.join_probe_rows
-                counters["build"] += parsed.join_build_rows
-                counters["output"] += parsed.join_output_rows
-            if wave == "map":
-                wave_seconds["map"] = max(wave_seconds["map"], wave_max)
-            else:
-                # Join waves are barriered on each other: their modelled
-                # latencies add, while workers within one wave run abreast.
-                wave_seconds["reduce"] += wave_max
 
         # -- driver scope ------------------------------------------------------------
         context.fetch_spilled(reduce_waves[-1], self.config.integrity.verify)
@@ -1370,19 +1342,11 @@ class ShuffleJoinCoordinator:
         statistics = ShuffleStatistics(
             map_fleets=dict(mappers),
             reduce_workers=num_partitions * len(wave_stages),
-            rows_scanned=rows_scanned,
-            join_probe_rows=counters["probe"],
-            join_build_rows=counters["build"],
-            join_output_rows=counters["output"],
             result_rows=table_num_rows(result),
             partition_objects_written=objects_written,
             partition_objects_read=objects_read,
-            exchange=exchange,
-            modelled_map_seconds=wave_seconds["map"],
-            modelled_reduce_seconds=wave_seconds["reduce"],
-            resilience=resilience,
-            redispatches=len(attempt_log),
-            integrity=integrity_stats,
+            modelled_map_seconds=map_seconds,
+            modelled_reduce_seconds=reduce_seconds,
             dag_stages=len(dag.stages),
             wave_stages=wave_stages,
             gc_objects_deleted=gc_deleted,
@@ -1390,6 +1354,8 @@ class ShuffleJoinCoordinator:
             results_spilled=sum("result_s3" in message for message in reduce_waves[-1]),
             exchange_partitions=num_partitions,
             estimated_exchange_bytes=dag.estimated_exchange_bytes,
+            _counters=context.counters,
+            _events=context.events,
         )
         return result, statistics, worker_results
 

@@ -18,7 +18,7 @@ from repro.engine.table import (
     empty_table_like,
 )
 from repro.engine.payload import decode_table, encode_table
-from repro.engine.s3io import S3ObjectSource, ScanStatistics
+from repro.engine.s3io import S3ObjectSource
 from repro.engine.scan import S3ScanOperator, ScanConfig
 from repro.engine.aggregates import (
     partial_aggregate,
@@ -38,7 +38,6 @@ __all__ = [
     "encode_table",
     "decode_table",
     "S3ObjectSource",
-    "ScanStatistics",
     "S3ScanOperator",
     "ScanConfig",
     "partial_aggregate",

@@ -11,13 +11,14 @@ and the benchmarks consume.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, fields as dataclass_fields
+from dataclasses import dataclass, field, fields as dataclass_fields
 from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.cloud.network import BandwidthModel
 from repro.cloud.s3 import ObjectStore
+from repro.counters import Counts
 from repro.engine.aggregates import (
     FusedBatchAccumulator,
     merge_partials,
@@ -51,71 +52,31 @@ class WorkerResult:
     partial: Optional[bytes] = None
     #: Result of a UDF reduce, if the plan used one.
     reduce_value: Optional[Any] = None
-    #: Rows decoded from the scanned row groups.
-    rows_scanned: int = 0
-    #: Rows remaining after the filter.
-    rows_after_filter: int = 0
-    #: Rows in the partial result.
-    rows_output: int = 0
-    row_groups_total: int = 0
-    row_groups_pruned: int = 0
-    #: Row groups short-circuited by the late-materialization scan (selection
-    #: vector came out empty or full before any gather work).
-    row_groups_shortcircuited: int = 0
-    #: Rows whose full decode the selection-vector gather avoided.
-    rows_decode_saved: int = 0
-    #: Column-chunk downloads skipped because no row of the chunk survived.
-    column_chunks_skipped: int = 0
-    get_requests: int = 0
-    bytes_read: int = 0
-    #: Join-wave counters (non-zero only for shuffle-join workers): probe-side
-    #: and build-side input rows and rows produced by the join kernel.
-    join_probe_rows: int = 0
-    join_build_rows: int = 0
-    join_output_rows: int = 0
+    #: Everything the worker counted, keyed by ``(layer, name)``: a scan's
+    #: ``("scan", ...)`` rows (scanned, after the filter, output), row groups
+    #: (total, pruned, short-circuited), rows whose full decode was saved,
+    #: column chunks skipped, GETs and bytes; a join worker's ``("join",
+    #: ...)`` probe, build and output rows; the ``exchange`` and
+    #: ``integrity`` counts of its reads and writes.
+    counters: Counts = field(default_factory=Counts)
     #: Modelled time breakdown, seconds.
     metadata_seconds: float = 0.0
     download_seconds: float = 0.0
     compute_seconds: float = 0.0
     duration_seconds: float = 0.0
-    #: Exchange request/byte counters of shuffle workers, as the dict form of
-    #: :class:`repro.exchange.basic.ExchangeStats` (``None`` for scan-only
-    #: workers, which never touch the exchange plane).
-    exchange_stats: Optional[Dict[str, int]] = None
-    #: Integrity counters of this worker's reads, as the dict form of
-    #: :class:`repro.driver.integrity.IntegrityStats` (``None`` when the
-    #: worker verified nothing).
-    integrity_stats: Optional[Dict[str, Any]] = None
     #: Which attempt produced this result (0 = first invocation); set by the
     #: worker from its payload so the driver can dedup late re-deliveries.
     attempt: int = 0
 
     def to_payload(self) -> Dict:
         """The JSON header of the result message: everything but
-        :attr:`partial`, which travels as a frame beside it."""
-        return {
-            "attempt": self.attempt,
-            "exchange_stats": self.exchange_stats,
-            "integrity_stats": self.integrity_stats,
-            "reduce_value": self.reduce_value,
-            "rows_scanned": self.rows_scanned,
-            "rows_after_filter": self.rows_after_filter,
-            "rows_output": self.rows_output,
-            "row_groups_total": self.row_groups_total,
-            "row_groups_pruned": self.row_groups_pruned,
-            "row_groups_shortcircuited": self.row_groups_shortcircuited,
-            "rows_decode_saved": self.rows_decode_saved,
-            "column_chunks_skipped": self.column_chunks_skipped,
-            "get_requests": self.get_requests,
-            "bytes_read": self.bytes_read,
-            "join_probe_rows": self.join_probe_rows,
-            "join_build_rows": self.join_build_rows,
-            "join_output_rows": self.join_output_rows,
-            "metadata_seconds": self.metadata_seconds,
-            "download_seconds": self.download_seconds,
-            "compute_seconds": self.compute_seconds,
-            "duration_seconds": self.duration_seconds,
+        :attr:`partial`, which travels as a frame beside it; the counters as
+        ``{"layer.name": n}``."""
+        payload = {
+            f.name: getattr(self, f.name) for f in dataclass_fields(self) if f.name != "partial"
         }
+        payload["counters"] = {f"{layer}.{name}": n for (layer, name), n in self.counters.items()}
+        return payload
 
     @classmethod
     def from_payload(cls, payload: Dict, partial: Optional[bytes] = None) -> "WorkerResult":
@@ -125,10 +86,11 @@ class WorkerResult:
         format (which may carry extra fields) still replay on this version.
         """
         known = {f.name for f in dataclass_fields(cls)} - {"partial"}
-        return cls(
-            partial=partial,
-            **{key: value for key, value in payload.items() if key in known},
-        )
+        fields = {key: value for key, value in payload.items() if key in known}
+        fields["counters"] = Counts({
+            tuple(key.split(".", 1)): n for key, n in (payload.get("counters") or {}).items()
+        })
+        return cls(partial=partial, **fields)
 
 
 def _rows_as_tuples(table: Table, column_order: Sequence[str]) -> List[tuple]:
@@ -343,22 +305,20 @@ def _finish_worker_plan(
         reduce_value = None
 
     counters = scan.counters
-    duration = scan.modelled_seconds()
+    counts = Counts(scan.counts)  # the GETs and bytes
+    for name in (
+        "rows_scanned", "row_groups_total", "row_groups_pruned",
+        "row_groups_shortcircuited", "rows_decode_saved", "column_chunks_skipped",
+    ):
+        counts.note("scan", name, getattr(counters, name))
+    counts.note("scan", "rows_after_filter", rows_after_filter)
+    counts.note("scan", "rows_output", rows_output)
     result = WorkerResult(
         reduce_value=reduce_value,
-        rows_scanned=counters.rows_scanned,
-        rows_after_filter=rows_after_filter,
-        rows_output=rows_output,
-        row_groups_total=counters.row_groups_total,
-        row_groups_pruned=counters.row_groups_pruned,
-        row_groups_shortcircuited=counters.row_groups_shortcircuited,
-        rows_decode_saved=counters.rows_decode_saved,
-        column_chunks_skipped=counters.column_chunks_skipped,
-        get_requests=scan.statistics.get_requests,
-        bytes_read=scan.statistics.bytes_read,
+        counters=counts,
         metadata_seconds=counters.metadata_seconds,
         download_seconds=counters.download_seconds,
         compute_seconds=counters.decode_seconds,
-        duration_seconds=duration,
+        duration_seconds=scan.modelled_seconds(),
     )
     return result, table

@@ -21,41 +21,23 @@ tail and the latest batch are kept so that the reader's per-chunk
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.cloud.network import BandwidthModel, TransferPlan
 from repro.cloud.s3 import GetResult, ObjectStore, parse_s3_path
 from repro.config import DEFAULT_SCAN_CHUNK_BYTES, DEFAULT_SCAN_CONNECTIONS
+from repro.counters import Counts
 from repro.errors import CorruptFileError
 from repro.formats.source import RandomAccessSource
 
 
-@dataclass
-class ScanStatistics:
-    """Accumulated I/O statistics of one worker's scan activity."""
-
-    get_requests: int = 0
-    bytes_read: int = 0
-    #: Modelled wall-clock seconds spent transferring data (latency + stream).
-    transfer_seconds: float = 0.0
-
-    def merge(self, other: "ScanStatistics") -> None:
-        """Fold another statistics object into this one."""
-        self.get_requests += other.get_requests
-        self.bytes_read += other.bytes_read
-        self.transfer_seconds += other.transfer_seconds
-
-    @property
-    def effective_bandwidth(self) -> float:
-        """Average achieved bandwidth in bytes/second (0 if nothing was read)."""
-        if self.transfer_seconds <= 0:
-            return 0.0
-        return self.bytes_read / self.transfer_seconds
-
-
 class S3ObjectSource(RandomAccessSource):
-    """Random-access reads of one object, planned into coalesced ranged GETs."""
+    """Random-access reads of one object, planned into coalesced ranged GETs.
+
+    Its GETs and bytes are noted into ``counts`` as ``("scan",
+    "get_requests")`` / ``("scan", "bytes_read")`` (several sources of one
+    scan share one), the modelled time they took in :attr:`transfer_seconds`.
+    """
 
     def __init__(
         self,
@@ -65,7 +47,7 @@ class S3ObjectSource(RandomAccessSource):
         connections: int = DEFAULT_SCAN_CONNECTIONS,
         memory_mib: int = 2048,
         bandwidth: Optional[BandwidthModel] = None,
-        statistics: Optional[ScanStatistics] = None,
+        counts: Optional[Counts] = None,
     ):
         if chunk_bytes <= 0:
             raise ValueError("chunk_bytes must be positive")
@@ -78,7 +60,9 @@ class S3ObjectSource(RandomAccessSource):
         self.connections = connections
         self.memory_mib = memory_mib
         self.bandwidth = bandwidth or BandwidthModel()
-        self.statistics = statistics if statistics is not None else ScanStatistics()
+        self.counts = counts if counts is not None else Counts()
+        #: Modelled seconds this object's transfers took (latency + stream).
+        self.transfer_seconds = 0.0
         self._size: Optional[int] = None
         #: Retained ``(offset, bytes)`` spans: the open tail first, then the
         #: latest :meth:`read_ranges` batch.
@@ -206,9 +190,9 @@ class S3ObjectSource(RandomAccessSource):
         (or as ``seconds``, this source's share of a batch priced elsewhere)."""
         if seconds is None:
             seconds = self._transfer_seconds(requests, total_bytes)
-        self.statistics.get_requests += requests
-        self.statistics.bytes_read += total_bytes
-        self.statistics.transfer_seconds += seconds
+        self.counts.note("scan", "get_requests", requests)
+        self.counts.note("scan", "bytes_read", total_bytes)
+        self.transfer_seconds += seconds
 
 
 def open_sources(sources: Sequence[S3ObjectSource], length: int) -> None:

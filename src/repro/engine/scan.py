@@ -20,9 +20,10 @@ Reproduces the design of the paper's Parquet scan operator (§4.3.2, Figure 8):
   the previous row group ("level 3" concurrency) when
   ``overlap_downloads`` is set.
 
-The operator yields decoded table chunks and accumulates
-:class:`~repro.engine.s3io.ScanStatistics` plus scan-level counters used by
-the benchmarks (pruned vs scanned row groups, modelled scan time).
+The operator yields decoded table chunks; its sources note their GETs and
+bytes into the operator's :attr:`~S3ScanOperator.counts`, and it keeps the
+scan-level counters the benchmarks read (pruned vs scanned row groups,
+modelled scan time) in :class:`ScanCounters`.
 
 When a predicate is pushed into the scan, row groups that survive min/max
 pruning are executed with **late materialization**: predicate columns are
@@ -60,7 +61,8 @@ from repro.config import (
     LAMBDA_MEMORY_PER_VCPU_MIB,
     VCPU_ROWS_PER_SECOND,
 )
-from repro.engine.s3io import S3ObjectSource, ScanStatistics, open_sources
+from repro.counters import Counts
+from repro.engine.s3io import S3ObjectSource, open_sources
 from repro.engine.table import Table
 from repro.formats.encoding import (
     EncodedChunk,
@@ -202,7 +204,8 @@ class S3ScanOperator:
         self.prune_ranges = list(prune_ranges)
         self.config = config or ScanConfig()
         self.bandwidth = bandwidth or BandwidthModel()
-        self.statistics = ScanStatistics()
+        #: GETs and bytes of every file, as ``("scan", ...)`` counts.
+        self.counts = Counts()
         self.counters = ScanCounters()
         self.predicate = predicate
         self._compiled: Optional[CompiledPredicate] = (
@@ -272,7 +275,7 @@ class S3ScanOperator:
                 connections=self.config.connections,
                 memory_mib=self.config.memory_mib,
                 bandwidth=self.bandwidth,
-                statistics=ScanStatistics(),
+                counts=self.counts,
             )
             for path in self.files
         ]
@@ -288,8 +291,8 @@ class S3ScanOperator:
         self.counters.files_scanned += 1
         # Everything read so far (this file's share of the batched open, and
         # a footer longer than its tail) is metadata.
-        self.counters.metadata_seconds += source.statistics.transfer_seconds
-        metadata_transfer = source.statistics.transfer_seconds
+        self.counters.metadata_seconds += source.transfer_seconds
+        metadata_transfer = source.transfer_seconds
 
         columns = self.columns or reader.schema.names
         baseline = (
@@ -330,8 +333,7 @@ class S3ScanOperator:
             yield self._decode_run(run, columns, fused_keys)
 
         # Attribute the remaining transfer time of this file to data download.
-        self.counters.download_seconds += source.statistics.transfer_seconds - metadata_transfer
-        self.statistics.merge(source.statistics)
+        self.counters.download_seconds += source.transfer_seconds - metadata_transfer
 
     # -- runs ----------------------------------------------------------------------
 

@@ -29,7 +29,6 @@ from repro.exchange.partition import (
     slice_partition,
 )
 from repro.exchange.naming import WriteCombiningNaming
-from repro.exchange.basic import ExchangeStats
 from repro.exchange.codec import (
     decode_partition,
     decode_partition_slice,
@@ -53,7 +52,6 @@ __all__ = [
     "scatter_by_assignment",
     "slice_partition",
     "WriteCombiningNaming",
-    "ExchangeStats",
     "decode_partition",
     "decode_partition_slice",
     "encode_partition",

@@ -34,9 +34,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.cloud.network import BandwidthModel, TransferPlan
 from repro.cloud.s3 import ObjectStore
 from repro.config import DEFAULT_SCAN_CHUNK_BYTES, DEFAULT_SCAN_CONNECTIONS
+from repro.counters import Counts
 from repro.engine.table import Table, table_num_rows
 from repro.errors import CorruptFileError, ExchangeError
-from repro.exchange.basic import ExchangeStats
 from repro.exchange.codec import decode_ranged_slices, encode_partition_set, slice_crcs
 from repro.formats.compression import Compression
 
@@ -46,7 +46,7 @@ def write_combined(
     path: str,
     reordered: Table,
     boundaries: Sequence[int],
-    stats: ExchangeStats,
+    counts: Counts,
     checksum: bool = True,
     compression: Compression = Compression.NONE,
 ) -> Dict:
@@ -57,15 +57,16 @@ def write_combined(
     partitions occupy zero bytes, and an empty table is still one (empty)
     PUT.  Returns the announcement: ``format``, ``combined_path``,
     ``combined_size``, ``offsets`` (one per slot plus the end) and ``crcs``
-    (one per slot, ``None`` without ``checksum``).
+    (one per slot, ``None`` without ``checksum``).  The PUT and its bytes
+    are noted into ``counts``.
     """
     payload, offsets = encode_partition_set(
         reordered, boundaries, compression, checksum=checksum
     )
     store.put_path(path, payload)
-    stats.put_requests += 1
-    stats.combined_put_requests += 1
-    stats.bytes_written += len(payload)
+    counts.note("exchange", "put_requests")
+    counts.note("exchange", "combined_put_requests")
+    counts.note("exchange", "bytes_written", len(payload))
     return {
         "format": "combined",
         "combined_path": path,
@@ -159,13 +160,13 @@ class FetchPlan:
         manifests: Sequence[SenderManifest],
         partition: int,
         num_partitions: int,
-        stats: ExchangeStats,
+        counts: Counts,
     ) -> "FetchPlan":
         """Plan the reads of ``partition`` across every input side.
 
         Planning reads only the announced directories.  Empty slices are
-        counted into ``stats.empty_parts_elided`` and planned as zero
-        requests.  A broadcast side plans one whole-object range per
+        noted into ``counts`` as ``("exchange", "empty_parts_elided")`` and
+        planned as zero requests.  A broadcast side plans one whole-object range per
         non-empty sender.
         """
         ranges: List[SliceRange] = []
@@ -184,7 +185,7 @@ class FetchPlan:
                     if offsets[p + 1] > offsets[p]
                 )
                 if not parts:
-                    stats.empty_parts_elided += 1
+                    counts.note("exchange", "empty_parts_elided")
                     continue
                 if manifest.broadcast:
                     # Empty slices occupy no bytes, so the non-empty ones tile
@@ -210,9 +211,8 @@ class FetchPlan:
         store: ObjectStore,
         bandwidth: BandwidthModel,
         memory_mib: int,
-        stats: ExchangeStats,
+        counts: Counts,
         verify: bool = True,
-        integrity=None,
     ) -> Tuple[List[List[Table]], float]:
         """Issue the plan; returns ``(pieces per side, modelled seconds)``.
 
@@ -223,45 +223,46 @@ class FetchPlan:
         embedded crc against the directory's, and the frame's bytes against
         that crc in one pass (:func:`~repro.exchange.codec.
         decode_ranged_slices`).  A failed check re-fetches that range alone (in-flight
-        corruption is cured by a clean second read, counted into
-        ``integrity.re_reads`` and charged as its own one-request transfer);
-        a second failure propagates with full provenance and the driver's
-        wave retry re-executes the consuming attempt.
+        corruption is cured by a clean second read, noted as ``("integrity",
+        "re_reads")`` and charged as its own one-request transfer); a second
+        failure propagates with full provenance and the driver's wave retry
+        re-executes the consuming attempt.  Requests and bytes are noted into
+        ``counts`` under ``exchange``, mismatches and verified bytes under
+        ``integrity``.
         """
         pieces: List[List[Table]] = [[] for _ in range(self.num_sides)]
         seconds = bandwidth.transfer_seconds(self.transfer_plan(memory_mib))
         for item in self.ranges:
             try:
-                tables, nbytes = self._read(store, item, stats, verify)
+                tables, nbytes = self._read(store, item, counts, verify)
             except CorruptFileError as exc:
-                _note_mismatch(integrity, exc)
+                _note_mismatch(counts, exc)
                 seconds += bandwidth.transfer_seconds(
                     _transfer((item,), memory_mib, DEFAULT_SCAN_CONNECTIONS)
                 )
                 try:
-                    tables, nbytes = self._read(store, item, stats, verify)
+                    tables, nbytes = self._read(store, item, counts, verify)
                 except CorruptFileError as again:
-                    _note_mismatch(integrity, again)
+                    _note_mismatch(counts, again)
                     raise
-                if integrity is not None:
-                    integrity.re_reads += 1
-            if integrity is not None and verify:
-                integrity.verified_bytes += nbytes
+                counts.note("integrity", "re_reads")
+            if verify:
+                counts.note("integrity", "verified_bytes", nbytes)
             pieces[item.side].extend(
                 table for table in tables if table_num_rows(table)
             )
         return pieces, seconds
 
     def _read(
-        self, store: ObjectStore, item: SliceRange, stats: ExchangeStats, verify: bool
+        self, store: ObjectStore, item: SliceRange, counts: Counts, verify: bool
     ) -> Tuple[List[Table], int]:
         """One ranged GET of ``item``, verified against its directory entries
         and decoded."""
         data = store.get_path(item.path, item.start, item.end).data
-        stats.get_requests += 1
-        stats.ranged_get_requests += 1
-        stats.bytes_read += len(data)
-        stats.bytes_touched += item.object_size
+        counts.note("exchange", "get_requests")
+        counts.note("exchange", "ranged_get_requests")
+        counts.note("exchange", "bytes_read", len(data))
+        counts.note("exchange", "bytes_touched", item.object_size)
         parts = item.parts or ((item.start, item.end, item.crc),)
         tables = decode_ranged_slices(data, item.start, parts, verify=verify, key=item.path)
         return tables, len(data)
@@ -279,6 +280,6 @@ def _transfer(
     )
 
 
-def _note_mismatch(integrity, exc: CorruptFileError) -> None:
-    if integrity is not None:
-        integrity.note_mismatch(getattr(exc, "layer", None) or "slice.decode")
+def _note_mismatch(counts: Counts, exc: CorruptFileError) -> None:
+    site = getattr(exc, "layer", None) or "slice.decode"
+    counts.note("integrity", f"mismatch.{site}")

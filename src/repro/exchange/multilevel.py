@@ -31,9 +31,9 @@ import numpy as np
 from repro.cloud.network import BandwidthModel
 from repro.cloud.s3 import ObjectStore
 from repro.config import LAMBDA_MAX_MEMORY_MIB
+from repro.counters import Counts, LayerView
 from repro.engine.table import Table, concat_tables
 from repro.errors import ExchangeError
-from repro.exchange.basic import ExchangeStats
 from repro.exchange.fetch import FetchPlan, SenderManifest, sender_entries, write_combined
 from repro.exchange.naming import WriteCombiningNaming
 from repro.exchange.partition import partition_assignments, scatter_by_assignment
@@ -135,9 +135,10 @@ class MultiLevelExchange:
         if len(self.dims) != levels:
             raise ExchangeError(f"expected {levels} dimensions, got {self.dims}")
         self.tag = tag
-        self.stats = ExchangeStats()
-        #: Per-round, per-worker statistics for detailed analysis.
-        self.round_stats: List[Dict[int, ExchangeStats]] = []
+        #: Every round's counts, summed.
+        self.counts = Counts()
+        #: Per-round, per-worker counts (Table 2 per round).
+        self.round_stats: List[Dict[int, Counts]] = []
         #: Mixed-radix stride of each dimension (coordinate d of worker w is
         #: ``(w // stride[d]) % dims[d]``).
         self._strides: List[int] = [
@@ -149,6 +150,11 @@ class MultiLevelExchange:
         self._groups_by_round: List[List[List[int]]] = [
             self._build_groups(dimension) for dimension in range(self.levels)
         ]
+
+    @property
+    def stats(self) -> LayerView:
+        """The exchange's requests and bytes, every round summed."""
+        return LayerView(self.counts, "exchange")
 
     # -- group construction ------------------------------------------------------
 
@@ -219,7 +225,7 @@ class MultiLevelExchange:
         """One round: per group, every member writes one combined object for
         the group (empty or not), then every member fetches its slots."""
         next_tables: List[Table] = [{} for _ in range(self.num_workers)]
-        round_stats = {worker: ExchangeStats() for worker in range(self.num_workers)}
+        round_stats = {worker: Counts() for worker in range(self.num_workers)}
         for group_id, group in enumerate(self._groups_for_round(dimension)):
             naming = WriteCombiningNaming(
                 f"{self.tag}-wc", f"r{dimension}/g{group_id}/", NUM_BUCKETS
@@ -240,15 +246,15 @@ class MultiLevelExchange:
                 )})
             manifest = SenderManifest(sender_entries(announcements))
             for slot, worker in enumerate(group):
-                stats = round_stats[worker]
-                plan = FetchPlan.build([manifest], slot, len(group), stats)
+                counts = round_stats[worker]
+                plan = FetchPlan.build([manifest], slot, len(group), counts)
                 # The modelled fetch seconds are the shuffle's concern; a
                 # round here only counts requests and bytes.
                 (pieces,), _ = plan.fetch(
-                    self.store, BandwidthModel(), LAMBDA_MAX_MEMORY_MIB, stats
+                    self.store, BandwidthModel(), LAMBDA_MAX_MEMORY_MIB, counts
                 )
                 next_tables[worker] = concat_tables(pieces)
-        for stats in round_stats.values():
-            self.stats.merge(stats)
+        for counts in round_stats.values():
+            self.counts.update(counts)
         self.round_stats.append(round_stats)
         return next_tables

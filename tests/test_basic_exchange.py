@@ -170,7 +170,8 @@ def test_per_worker_stats_available(store):
     exchange.run(_make_tables(P, rows_per_worker=30))
     per_worker, = exchange.round_stats
     assert set(per_worker.keys()) == {0, 1, 2}
-    assert all(stats.put_requests == 1 for stats in per_worker.values())
+    assert all(counts["exchange", "put_requests"] == 1 for counts in per_worker.values())
     assert all(
-        stats.get_requests + stats.empty_parts_elided == P for stats in per_worker.values()
+        counts["exchange", "get_requests"] + counts["exchange", "empty_parts_elided"] == P
+        for counts in per_worker.values()
     )

@@ -23,6 +23,7 @@ import pytest
 from repro.cloud.clock import VirtualClock
 from repro.cloud.faults import FaultPlan, FaultRule
 from repro.cloud.metering import MeteringLedger
+from repro.counters import Counts, LayerView
 from repro.driver.breakers import BreakerBoard
 from repro.driver.dispatch import (
     NO_RESULT_ERROR,
@@ -32,7 +33,6 @@ from repro.driver.dispatch import (
     raise_unfinished,
     run_fleet,
 )
-from repro.driver.resilience import AttemptLog, ResilienceStats
 from repro.driver.shuffle import JOIN_REDUCE_FUNCTION_NAME, ShuffleConfig, ShuffleJoinCoordinator
 from repro.errors import ExecutionError, QueryTimeoutError, WorkerFailedError
 from repro.workload.queries import q3_plan
@@ -112,12 +112,17 @@ def _context(outcome=lambda payload: None, queue="fake-queue"):
 
 
 def _fleet(transport, rounds, events=None, context=None):
-    """Run a three-worker fleet; returns (by_key, events, resilience, log, rng)."""
+    """Run a three-worker fleet; returns (by_key, events, resilience block,
+    re-dispatch events, rng)."""
     context = context or _context()
     events = events or {key: {"worker_id": key, "attempt": 0} for key in (2, 0, 1)}
-    attempt_log = AttemptLog()
-    by_key = run_fleet(context, events, transport, rounds, LABELS, attempt_log)
-    return by_key, events, context.resilience, attempt_log, context.rng
+    by_key = run_fleet(context, events, transport, rounds, LABELS)
+    return by_key, events, LayerView(context.counters, "resilience"), context.events, context.rng
+
+
+def _for_worker(history, key):
+    """The re-dispatch events of one worker."""
+    return [event for event in history if event["key"] == key]
 
 
 def _failing(ok_from_attempt, error="boom"):
@@ -156,8 +161,8 @@ def test_only_failed_workers_are_redispatched_with_one_draw_per_round():
     assert resilience.retries == 4 and resilience.wave_retries == 0
     assert resilience.backoff_seconds > 0.0
     assert [event["attempt"] for _, event in sorted(events.items())] == [0, 2, 2]
-    assert [entry["attempt"] for entry in attempt_log.for_worker(1)] == [0, 1]
-    assert attempt_log.for_worker(0) == []
+    assert [entry["attempt"] for entry in _for_worker(attempt_log, 1)] == [0, 1]
+    assert _for_worker(attempt_log, 0) == []
     # One log entry — one billed invocation — per re-dispatch.
     assert len(attempt_log) == resilience.retries == 4
 
@@ -181,7 +186,7 @@ def test_a_silent_worker_is_retried_as_lost():
     context = _context()
     context.breakers = BreakerBoard()
     by_key, _, resilience, attempt_log, _ = _fleet(transport, rounds=2, context=context)
-    assert [attempt_log.for_worker(key)[0]["error"] for key in (0, 1, 2)] == [
+    assert [_for_worker(attempt_log, key)[0]["error"] for key in (0, 1, 2)] == [
         NO_RESULT_ERROR
     ] * 3
     assert sorted(by_key) == [0, 1, 2]
@@ -213,14 +218,14 @@ def test_labels_name_both_pump_points_and_the_budget_account():
     _fleet(transport, rounds=3, context=context)
     assert recorder.stages == ["test dispatch", "test retry", "test retry"]
     assert recorder.charges == ["test_retries"] * 4
-    assert context.integrity.re_executions == 0  # "boom" is no IntegrityError
+    assert context.counters["integrity", "re_executions"] == 0  # "boom" is no IntegrityError
 
     silent = Recorder()
     context = _context()
     context.cancel = silent
     run_fleet(
         context, {0: {"attempt": 0}}, lambda payloads, by_key, want: None, 2,
-        FleetLabels(dispatch=None, retry="again", budget="x"), AttemptLog(),
+        FleetLabels(dispatch=None, retry="again", budget="x"),
     )
     assert silent.stages == ["again"]  # no dispatch pump point without a label
 
@@ -232,7 +237,7 @@ def test_a_retry_payload_never_carries_children():
     }
     _, events, _, attempt_log, _ = _fleet(transport, rounds=2, events=events)
     assert "children" in events[0] and "children" not in events[1]
-    assert [entry["error"] for entry in attempt_log.for_worker(1)] == ["boom"]
+    assert [entry["error"] for entry in _for_worker(attempt_log, 1)] == ["boom"]
     assert calls[1] == [(1, 1), (2, 1)]
 
 
@@ -276,7 +281,8 @@ def _worker(fail_until):
             return None
         if payload["attempt"] < until:
             return {**message, "status": "error", "error": f"RuntimeError: {key}"}
-        return {**message, "status": "ok"}
+        # An ok message carries the worker's (here empty) result header.
+        return {**message, "status": "ok", "worker_result": {}}
 
     return outcome
 
@@ -295,7 +301,7 @@ def test_the_first_round_goes_through_the_launcher_and_later_rounds_are_flat():
             invoke({**payload, "children": []})
 
     transport = context.lambda_transport("fn", "fake-queue", "collect", False, launch=launch)
-    by_key = context.run(events, transport, 2, LABELS, AttemptLog())
+    by_key = context.run(events, transport, 2, LABELS)
     assert launched == [[0, 1, 2]]
     assert context.env.lambda_service.invoked == [
         ("fn", 0, 0, True), ("fn", 1, 0, True), ("fn", 2, 0, True), ("fn", 1, 1, False),
@@ -311,7 +317,7 @@ def test_the_first_round_goes_through_the_launcher_and_later_rounds_are_flat():
 def _wave(context, events, what="join stage 0"):
     """``ShuffleJoinCoordinator._wave`` over the fake service and queue."""
     coordinator = SimpleNamespace(result_queue="fake-queue", config=ShuffleConfig())
-    return ShuffleJoinCoordinator._wave(coordinator, context, "fn", events, what, AttemptLog())
+    return ShuffleJoinCoordinator._wave(coordinator, context, "fn", events, what)[0]
 
 
 def _wave_events(context, keys):
@@ -330,16 +336,15 @@ def test_wave_retries_count_the_rounds_re_dispatched(fail_until, rounds, retries
     events = _wave_events(context, [("S0", 0), ("S0", 1), ("S0", 2)])
     messages = _wave(context, events)
     assert [message["status"] for message in messages] == ["ok"] * 3
-    assert context.resilience.wave_retries == rounds
-    assert context.resilience.retries == retries
+    assert context.counters["resilience", "wave_retries"] == rounds
+    assert context.counters["resilience", "retries"] == retries
     # Waves are flat and serial: every invocation carries no children.
     assert not any(children for *_, children in context.env.lambda_service.invoked)
 
 
 def test_an_error_message_takes_precedence_over_silence():
     events = {key: {"attempt": 1} for key in range(3)}
-    log = AttemptLog()
-    log.record(2, 0, "RuntimeError: first")
+    log = [{"key": 2, "attempt": 0, "error": "RuntimeError: first"}]
     by_key = {
         0: {"status": "ok", "attempt": 0},
         2: {"status": "error", "error": "RuntimeError: second", "attempt": 1},
@@ -405,10 +410,11 @@ def queue_env(env):
 
 def test_a_stale_lower_attempt_never_satisfies_want(queue_env):
     _send(queue_env, worker_id=0, attempt=0, status="error", error="old")
-    resilience = ResilienceStats()
+    counts = Counts()
+    resilience = LayerView(counts, "resilience")
     by_key = {}
     reported = collect_results(
-        queue_env.sqs, QUEUE, "q", {0: 1}, by_key, "collect", resilience=resilience
+        queue_env.sqs, QUEUE, "q", {0: 1}, by_key, "collect", counts=counts
     )
     # Folded (the caller sees the error), but the poll ran its whole budget.
     assert reported == 0 and by_key[0]["error"] == "old"
@@ -416,7 +422,7 @@ def test_a_stale_lower_attempt_never_satisfies_want(queue_env):
     _send(queue_env, worker_id=0, attempt=1)
     _send(queue_env, worker_id=0, attempt=0, status="error", error="old")
     reported = collect_results(
-        queue_env.sqs, QUEUE, "q", {0: 1}, by_key, "collect", resilience=resilience
+        queue_env.sqs, QUEUE, "q", {0: 1}, by_key, "collect", counts=counts
     )
     assert reported == 1 and by_key[0]["attempt"] == 1
     assert resilience.stale_messages_ignored == 1
@@ -428,10 +434,11 @@ def test_messages_outside_want_and_of_other_queries_are_dropped(queue_env):
     _send(queue_env, worker_id=0, attempt=0, side="L")
     _send(queue_env, worker_id=0, attempt=0)
     _send(queue_env, worker_id=0, attempt=0)
-    resilience = ResilienceStats()
+    counts = Counts()
+    resilience = LayerView(counts, "resilience")
     by_key = {}
     reported = collect_results(
-        queue_env.sqs, QUEUE, "q", {0: 0}, by_key, "collect", resilience=resilience
+        queue_env.sqs, QUEUE, "q", {0: 0}, by_key, "collect", counts=counts
     )
     assert reported == 1 and list(by_key) == [0]
     assert resilience.duplicate_messages_ignored == 1

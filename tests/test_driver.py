@@ -141,16 +141,16 @@ def test_q6_matches_reference(driver, dataset, lineitem_table):
 
 def test_q6_prunes_most_row_groups(driver, dataset):
     result = driver.execute(q6_plan(dataset.paths))
-    total_groups = sum(r.row_groups_total for r in result.worker_results)
-    pruned = sum(r.row_groups_pruned for r in result.worker_results)
+    total_groups = sum(r.counters["scan", "row_groups_total"] for r in result.worker_results)
+    pruned = sum(r.counters["scan", "row_groups_pruned"] for r in result.worker_results)
     # Q6 touches one year out of seven; most row groups are pruned (§5.3).
     assert pruned > 0.5 * total_groups
 
 
 def test_q1_prunes_little(driver, dataset):
     result = driver.execute(q1_plan(dataset.paths))
-    total_groups = sum(r.row_groups_total for r in result.worker_results)
-    pruned = sum(r.row_groups_pruned for r in result.worker_results)
+    total_groups = sum(r.counters["scan", "row_groups_total"] for r in result.worker_results)
+    pruned = sum(r.counters["scan", "row_groups_pruned"] for r in result.worker_results)
     assert pruned < 0.2 * total_groups
 
 

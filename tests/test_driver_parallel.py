@@ -3,6 +3,7 @@
 import pytest
 
 from repro.analysis.experiments import run_tpch_query, setup_functional_environment
+from repro.counters import Counts
 from repro.driver.driver import LambadaDriver
 from repro.engine.pipeline import WorkerResult
 from repro.engine.table import tables_allclose
@@ -45,8 +46,8 @@ def test_threaded_results_ordered_by_worker_id(stack):
 
 
 def test_worker_result_from_payload_ignores_unknown_keys():
-    payload = WorkerResult(rows_output=1).to_payload()
+    payload = WorkerResult(counters=Counts({("scan", "rows_output"): 1})).to_payload()
     payload["some_future_field"] = {"nested": True}
     restored = WorkerResult.from_payload(payload, b"frame")
-    assert (restored.partial, restored.rows_output) == (b"frame", 1)
+    assert (restored.partial, restored.counters["scan", "rows_output"]) == (b"frame", 1)
     assert not hasattr(restored, "some_future_field")

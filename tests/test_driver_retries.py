@@ -123,7 +123,6 @@ def test_retry_failures_reinvokes_only_failed_workers(driver, monkeypatch):
     failures; the healthy worker's message is left untouched."""
     from repro.driver.dispatch import QueryContext
     from repro.driver.driver import SCAN_FLEET
-    from repro.driver.resilience import AttemptLog
 
     context = QueryContext(driver.env, driver.resilience_policy)
     query_id = context.query_id
@@ -152,14 +151,10 @@ def test_retry_failures_reinvokes_only_failed_workers(driver, monkeypatch):
         driver.env.sqs.send_json(driver.result_queue, message)
 
     monkeypatch.setattr(driver.env.lambda_service, "invoke", fake_invoke)
-    resilience = context.resilience
-    attempt_log = AttemptLog()
     transport = context.lambda_transport(
         driver.function_name, driver.result_queue, "collect", verify=True,
     )
-    merged = context.run(
-        events, transport, rounds=3, labels=SCAN_FLEET, attempt_log=attempt_log
-    )
+    merged = context.run(events, transport, rounds=3, labels=SCAN_FLEET)
 
     first, retries = invoked[:3], invoked[3:]
     assert sorted(payload["worker_id"] for payload in first) == [0, 1, 2]
@@ -167,8 +162,10 @@ def test_retry_failures_reinvokes_only_failed_workers(driver, monkeypatch):
     assert all("children" not in payload for payload in retries)
     assert all(payload["attempt"] == 1 for payload in retries)
     assert all(message["status"] == "ok" for message in merged.values())
-    assert resilience.retries == 2 and resilience.wave_retries == 0
-    assert [entry["error"] for entry in attempt_log.for_worker(1)] == ["injected"]
+    resilience = context.counters
+    assert resilience["resilience", "retries"] == 2
+    assert resilience["resilience", "wave_retries"] == 0
+    assert [event["error"] for event in context.events if event["key"] == 1] == ["injected"]
     # The healthy worker's original result is untouched; retried workers
     # carry their fresh results.
     assert merged[1]["result"]["rows_scanned"] == 7

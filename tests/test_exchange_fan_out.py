@@ -22,13 +22,13 @@ import repro.driver.shuffle as shuffle_module
 from repro.cloud.environment import CloudEnvironment
 from repro.cloud.network import BandwidthModel
 from repro.config import DEFAULT_SCAN_CONNECTIONS, IntegrityConfig, MiB
+from repro.counters import Counts, LayerView
 from repro.driver.shuffle import (
     _join_map_naming,
     _reduce_compute_seconds,
     _write_partitions,
     exchange_fan_out,
 )
-from repro.exchange.basic import ExchangeStats
 from repro.exchange.codec import encode_partition_set, slice_crcs
 from repro.exchange.partition import partition_assignments, scatter_by_assignment
 from repro.frontend.sql import SqlCatalog, parse_sql
@@ -306,12 +306,12 @@ def _rows(num_rows=5000, seed=3):
 
 def _write(env, rows, num_partitions, attempt=0):
     event = {"query_id": "q", "attempt": attempt}
-    stats = ExchangeStats()
+    counts = Counts()
     announcement = _write_partitions(
         env, event, 4, rows, ["k"], num_partitions,
-        _join_map_naming("q", "L", 2, attempt), stats, IntegrityConfig(),
+        _join_map_naming("q", "L", 2, attempt), counts, IntegrityConfig(),
     )
-    return announcement, stats
+    return announcement, LayerView(counts, "exchange")
 
 
 def test_one_partition_write_calls_no_partitioner_and_writes_the_same_bytes(monkeypatch):

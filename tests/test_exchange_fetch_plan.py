@@ -10,9 +10,8 @@ import repro.driver.shuffle as shuffle_module
 from repro.cloud.faults import FaultPlan, FaultRule
 from repro.cloud.network import BandwidthModel, TransferPlan
 from repro.config import DEFAULT_SCAN_CHUNK_BYTES, DEFAULT_SCAN_CONNECTIONS, IntegrityConfig
-from repro.driver.integrity import IntegrityStats
+from repro.counters import Counts, LayerView
 from repro.driver.shuffle import ShuffleAggregateCoordinator
-from repro.exchange.basic import ExchangeStats
 from repro.exchange.codec import encode_partition_set, slice_crcs
 from repro.exchange.fetch import FetchPlan, SenderManifest
 from repro.exchange.naming import WriteCombiningNaming
@@ -72,8 +71,9 @@ def two_sides(env):
 @pytest.mark.parametrize("partition", range(P))
 def test_plan_has_one_range_per_non_empty_pair_in_sender_order(env, two_sides, partition):
     manifests, pairs, _ = two_sides
-    stats = ExchangeStats()
-    plan = FetchPlan.build(manifests, partition, P, stats)
+    counts = Counts()
+    stats = LayerView(counts, "exchange")
+    plan = FetchPlan.build(manifests, partition, P, counts)
 
     expected = [
         (side, sender)
@@ -95,9 +95,10 @@ def test_plan_has_one_range_per_non_empty_pair_in_sender_order(env, two_sides, p
 def test_fetch_returns_each_sides_rows_in_sender_order(env, two_sides):
     manifests, _, tables = two_sides
     for partition in range(P):
-        stats = ExchangeStats()
-        plan = FetchPlan.build(manifests, partition, P, stats)
-        pieces, _ = plan.fetch(env.s3, env.bandwidth, MEMORY_MIB, stats)
+        counts = Counts()
+        stats = LayerView(counts, "exchange")
+        plan = FetchPlan.build(manifests, partition, P, counts)
+        pieces, _ = plan.fetch(env.s3, env.bandwidth, MEMORY_MIB, counts)
         assert stats.get_requests == len(plan.ranges)
         assert stats.bytes_read == sum(item.length for item in plan.ranges)
         for side, side_tables in enumerate(tables):
@@ -115,7 +116,7 @@ def test_fetch_returns_each_sides_rows_in_sender_order(env, two_sides):
 
 
 def _widest_plan(env, manifests):
-    plans = [FetchPlan.build(manifests, p, P, ExchangeStats()) for p in range(P)]
+    plans = [FetchPlan.build(manifests, p, P, Counts()) for p in range(P)]
     return max(plans, key=lambda plan: len(plan.ranges))
 
 
@@ -127,7 +128,7 @@ def test_batch_is_charged_as_one_pipelined_transfer(env, two_sides):
     assert n > DEFAULT_SCAN_CONNECTIONS
     model = BandwidthModel()
 
-    _, seconds = plan.fetch(env.s3, model, MEMORY_MIB, ExchangeStats())
+    _, seconds = plan.fetch(env.s3, model, MEMORY_MIB, Counts())
     assert seconds == model.transfer_seconds(
         TransferPlan(
             total_bytes=total_bytes,
@@ -147,13 +148,13 @@ def test_batch_is_charged_as_one_pipelined_transfer(env, two_sides):
 
     # Without latency only the bytes are left.
     free = BandwidthModel(request_latency_seconds=0.0)
-    _, seconds = plan.fetch(env.s3, free, MEMORY_MIB, ExchangeStats())
+    _, seconds = plan.fetch(env.s3, free, MEMORY_MIB, Counts())
     assert seconds == total_bytes / free.link_bandwidth(MEMORY_MIB, DEFAULT_SCAN_CONNECTIONS)
 
 
 def test_empty_plan_costs_nothing(env):
-    plan = FetchPlan.build([SenderManifest()], 0, P, ExchangeStats())
-    pieces, seconds = plan.fetch(env.s3, env.bandwidth, MEMORY_MIB, ExchangeStats())
+    plan = FetchPlan.build([SenderManifest()], 0, P, Counts())
+    pieces, seconds = plan.fetch(env.s3, env.bandwidth, MEMORY_MIB, Counts())
     assert (plan.ranges, pieces, seconds) == ((), [[]], 0.0)
 
 
@@ -165,8 +166,9 @@ def test_corrupt_slice_is_refetched_alone(env, two_sides, fault):
     manifests, _, _ = two_sides
     plan = _widest_plan(env, manifests)
     victim = next(item for item in plan.ranges if item.crc is not None)
-    clean_stats = ExchangeStats()
-    clean, clean_seconds = plan.fetch(env.s3, env.bandwidth, MEMORY_MIB, clean_stats)
+    clean_counts = Counts()
+    clean_stats = LayerView(clean_counts, "exchange")
+    clean, clean_seconds = plan.fetch(env.s3, env.bandwidth, MEMORY_MIB, clean_counts)
 
     env.install_fault_plan(
         FaultPlan(
@@ -175,10 +177,9 @@ def test_corrupt_slice_is_refetched_alone(env, two_sides, fault):
             seed=5,
         )
     )
-    stats, istats = ExchangeStats(), IntegrityStats()
-    pieces, seconds = plan.fetch(
-        env.s3, env.bandwidth, MEMORY_MIB, stats, integrity=istats
-    )
+    counts = Counts()
+    stats, istats = LayerView(counts, "exchange"), LayerView(counts, "integrity")
+    pieces, seconds = plan.fetch(env.s3, env.bandwidth, MEMORY_MIB, counts)
 
     assert stats.get_requests == clean_stats.get_requests + 1
     assert istats.re_reads == 1

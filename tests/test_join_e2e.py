@@ -196,7 +196,10 @@ def test_join_ranged_gets_bounded_by_slices(driver, dataset, orders_dataset):
 def _senders(result, mappers):
     """Mappers of a run that kept at least one row (the map wave's worker
     results come first, one per mapper)."""
-    return sum(1 for worker in result.worker_results[:mappers] if worker.rows_after_filter)
+    return sum(
+        1 for worker in result.worker_results[:mappers]
+        if worker.counters["scan", "rows_after_filter"]
+    )
 
 
 def test_join_per_side_pushdown_reported(driver, dataset, orders_dataset):

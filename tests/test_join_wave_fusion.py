@@ -21,8 +21,8 @@ from repro.cloud.environment import CloudEnvironment
 from repro.cloud.faults import FaultPlan, FaultRule, chaos_plan
 from repro.cloud.network import BandwidthModel
 from repro.config import MiB
+from repro.counters import Counts, LayerView
 from repro.driver.admission import CancellationToken
-from repro.driver.integrity import IntegrityStats
 from repro.driver.resilience import ResiliencePolicy
 from repro.driver.shuffle import (
     BROADCAST_MEMORY_FRACTION,
@@ -30,7 +30,6 @@ from repro.driver.shuffle import (
     _group_join_waves,
 )
 from repro.errors import ExchangeError, QueryCancelledError
-from repro.exchange.basic import ExchangeStats
 from repro.exchange.codec import encode_partition_set, slice_crcs
 from repro.exchange.fetch import FetchPlan, SenderManifest
 from repro.exchange.naming import WriteCombiningNaming
@@ -315,14 +314,15 @@ def test_broadcast_manifest_plans_one_whole_object_read_per_sender(env):
         for sender, keys in enumerate([rng.integers(0, 50, 40), [], rng.integers(0, 3, 6)])
     ))
     manifest = SenderManifest(list(entries), broadcast=True)
-    stats = ExchangeStats()
-    plan = FetchPlan.build([manifest], 3, P, stats)
+    counts = Counts()
+    stats = LayerView(counts, "exchange")
+    plan = FetchPlan.build([manifest], 3, P, counts)
 
     assert [(item.sender, item.start, item.end) for item in plan.ranges] == [
         (0, 0, entries[0][2]), (2, 0, entries[2][2]),  # the empty sender costs nothing
     ]
     assert plan.slices == sum(len(item.parts) for item in plan.ranges) > len(plan.ranges)
-    (pieces,), _ = plan.fetch(env.s3, env.bandwidth, MEMORY_MIB, stats)
+    (pieces,), _ = plan.fetch(env.s3, env.bandwidth, MEMORY_MIB, counts)
     assert (stats.get_requests, stats.list_requests) == (2, 0)
     assert stats.bytes_read == entries[0][2] + entries[2][2]
     assert len(pieces) == plan.slices
@@ -331,18 +331,19 @@ def test_broadcast_manifest_plans_one_whole_object_read_per_sender(env):
 
     # A directory that does not describe P slices is refused, not misread.
     with pytest.raises(ExchangeError):
-        FetchPlan.build([SenderManifest(list(entries), broadcast=True)], 0, P + 1, stats)
+        FetchPlan.build([SenderManifest(list(entries), broadcast=True)], 0, P + 1, counts)
 
 
 def test_bit_flipped_broadcast_object_is_refetched_alone(env):
     entry, _ = _write_combined(env.s3, 0, np.arange(64))
-    plan = FetchPlan.build([SenderManifest([entry], broadcast=True)], 0, P, ExchangeStats())
-    clean, clean_seconds = plan.fetch(env.s3, env.bandwidth, MEMORY_MIB, ExchangeStats())
+    plan = FetchPlan.build([SenderManifest([entry], broadcast=True)], 0, P, Counts())
+    clean, clean_seconds = plan.fetch(env.s3, env.bandwidth, MEMORY_MIB, Counts())
     env.install_fault_plan(FaultPlan(
         [FaultRule("s3", "bitflip", rate=1.0, operation="get", max_count=1)], seed=3
     ))
-    stats, istats = ExchangeStats(), IntegrityStats()
-    pieces, seconds = plan.fetch(env.s3, env.bandwidth, MEMORY_MIB, stats, integrity=istats)
+    counts = Counts()
+    stats, istats = LayerView(counts, "exchange"), LayerView(counts, "integrity")
+    pieces, seconds = plan.fetch(env.s3, env.bandwidth, MEMORY_MIB, counts)
     assert (stats.get_requests, istats.re_reads, sum(istats.mismatches.values())) == (2, 1, 1)
     assert seconds > clean_seconds
     for piece, reference in zip(pieces[0], clean[0]):

@@ -315,10 +315,10 @@ def test_empty_selection_downloads_fewer_bytes(mixed_encoding_store):
     )
     list(full.scan())
     # Open (tail + footer) = 2 GETs; then one batch per row group, or two.
-    assert selective.statistics.get_requests == 2 + 6
-    assert full.statistics.get_requests == 2 + 2 * 6
-    assert selective.statistics.bytes_read < full.statistics.bytes_read
-    assert selective.statistics.get_requests < full.statistics.get_requests
+    assert selective.counts["scan", "get_requests"] == 2 + 6
+    assert full.counts["scan", "get_requests"] == 2 + 2 * 6
+    assert selective.counts["scan", "bytes_read"] < full.counts["scan", "bytes_read"]
+    assert selective.counts["scan", "get_requests"] < full.counts["scan", "get_requests"]
 
 
 def test_scan_reads_predicate_columns_not_in_projection(mixed_encoding_store):
@@ -349,9 +349,9 @@ def test_pipeline_filter_consumes_scan_selection(mixed_encoding_store):
     )
     result = execute_worker_plan(plan, store)
     mask = (table["date"] >= 10) & (table["date"] < 40) & (table["qty"] < 10)
-    assert result.rows_after_filter == int(mask.sum())
-    assert result.rows_scanned == 6000
-    assert result.rows_decode_saved > 0
+    assert result.counters["scan", "rows_after_filter"] == int(mask.sum())
+    assert result.counters["scan", "rows_scanned"] == 6000
+    assert result.counters["scan", "rows_decode_saved"] > 0
     from repro.engine.payload import decode_table
 
     partial = decode_table(result.partial)
@@ -360,10 +360,14 @@ def test_pipeline_filter_consumes_scan_selection(mixed_encoding_store):
     # The new counters survive the result payload round-trip.
     from repro.engine.pipeline import WorkerResult
 
-    restored = WorkerResult.from_payload(result.to_payload())
-    assert restored.rows_decode_saved == result.rows_decode_saved
-    assert restored.row_groups_shortcircuited == result.row_groups_shortcircuited
-    assert restored.column_chunks_skipped == result.column_chunks_skipped
+    restored = WorkerResult.from_payload(result.to_payload()).counters
+    counters = result.counters
+    assert restored["scan", "rows_decode_saved"] == counters["scan", "rows_decode_saved"]
+    assert (
+        restored["scan", "row_groups_shortcircuited"]
+        == counters["scan", "row_groups_shortcircuited"]
+    )
+    assert restored["scan", "column_chunks_skipped"] == counters["scan", "column_chunks_skipped"]
 
 
 def test_expression_and_udf_predicates_conjoin(mixed_encoding_store):
@@ -386,7 +390,7 @@ def test_expression_and_udf_predicates_conjoin(mixed_encoding_store):
     partial = decode_table(result.partial)
     expected = int(((table["qty"] < 10) & (table["date"] < 30)).sum())
     assert partial["n"][0] == pytest.approx(expected)
-    assert result.rows_after_filter == expected
+    assert result.counters["scan", "rows_after_filter"] == expected
 
 
 def test_integer_builtin_reduce_keeps_arbitrary_precision():

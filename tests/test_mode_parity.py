@@ -68,6 +68,13 @@ def processes_driver(stack):
     driver.close()
 
 
+#: Scan counters every worker reports, summed over the fleet.
+SUMMED_COUNTERS = (
+    "rows_scanned", "bytes_read", "get_requests",
+    "row_groups_shortcircuited", "rows_decode_saved", "column_chunks_skipped",
+)
+
+
 @pytest.mark.parametrize("num_workers", [1, 3, 8])
 @pytest.mark.parametrize("query", ["q1", "q6"])
 def test_scan_query_parity_across_modes(
@@ -83,6 +90,15 @@ def test_scan_query_parity_across_modes(
     assert_bit_identical(serial.table, pooled.table, f"{label}:processes")
     if query == "q6":
         assert pooled.scalar() == serial.scalar()
+    # The worker-summed counters are the same whichever way the results came
+    # back (a pooled result's travel in the header on the child's pipe).
+    counted = {
+        mode: {name: getattr(result.statistics, name) for name in SUMMED_COUNTERS}
+        for mode, result in (("serial", serial), ("threads", threaded), ("processes", pooled))
+    }
+    assert counted["threads"] == counted["serial"], label
+    assert counted["processes"] == counted["serial"], label
+    assert counted["serial"]["rows_scanned"] > 0
     # No segment but the live input mirrors' outlives execute(), even while
     # the pool itself stays warm.
     assert leaked_segments() == []
@@ -118,5 +134,5 @@ def test_fused_kernel_matches_classic_per_worker(stack, builder, num_workers):
             decode_table(fused.partial),
             f"worker{index}/w{num_workers}",
         )
-        assert fused.rows_scanned == classic.rows_scanned
-        assert fused.rows_after_filter == classic.rows_after_filter
+        for name in ("rows_scanned", "rows_after_filter"):
+            assert fused.counters["scan", name] == classic.counters["scan", name]

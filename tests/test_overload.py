@@ -27,7 +27,8 @@ from repro.driver.breakers import (
     CircuitBreaker,
     RetryBudget,
 )
-from repro.driver.driver import LambadaDriver
+from repro.driver.driver import LambadaDriver, QuerySession
+from repro.driver.integrity import RESULT_BUCKET
 from repro.errors import (
     QueryCancelledError,
     QueryRejectedError,
@@ -35,7 +36,7 @@ from repro.errors import (
     SlowDownError,
     TooManyRequestsError,
 )
-from repro.workload.queries import q6_plan
+from repro.workload.queries import q1_plan, q6_plan
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +324,27 @@ def test_fault_plan_reset_restores_deterministic_schedule():
         plan.reset()
     assert outcomes[0] == outcomes[1]
     assert plan.injected == {}  # reset cleared the counters
+
+
+def test_tenant_is_charged_the_invocations_the_ledger_metered(monkeypatch):
+    """A backoff retry of a spilled-result GET invokes nothing, so the
+    tenant's reconciled invocations are the workers plus re-dispatches plus
+    hedges — exactly the Lambda requests the ledger metered."""
+    monkeypatch.setattr("repro.driver.integrity.RESULT_SPILL_BYTES", 0)
+    env, dataset, _ = setup_functional_environment(scale_factor=0.002, num_files=4)
+    env.install_fault_plan(FaultPlan(
+        [FaultRule("s3", "slowdown", 1.0, operation="get", match=RESULT_BUCKET, max_count=2)],
+        seed=5,
+    ))
+    before = env.ledger.total("lambda", "invocations")
+    try:
+        with QuerySession(env) as session:
+            result = session.submit(q1_plan(dataset.paths), tenant="t").result()
+    finally:
+        env.install_fault_plan(None)
+    assert result.statistics.resilience.retries == 2  # the two GETs, retried
+    spent = session.stats.tenants["t"]["invocations_spent"]
+    assert spent == env.ledger.total("lambda", "invocations") - before == 4
 
 
 def test_uninstall_and_reinstall_fully_resets_per_query_delta():

@@ -35,8 +35,8 @@ def test_aggregate_plan(store):
     )
     result = execute_worker_plan(plan, store)
     partial = decode_table(result.partial)
-    assert result.rows_scanned == 2000
-    assert result.rows_output == 4
+    assert result.counters["scan", "rows_scanned"] == 2000
+    assert result.counters["scan", "rows_output"] == 4
     assert partial["n"].sum() == pytest.approx(2000)
     assert partial["s"].sum() == pytest.approx(np.arange(2000).sum())
 
@@ -51,7 +51,7 @@ def test_filter_expression_plan(store):
     result = execute_worker_plan(plan, store)
     partial = decode_table(result.partial)
     assert partial["n"][0] == pytest.approx(100)
-    assert result.rows_after_filter == 100
+    assert result.counters["scan", "rows_after_filter"] == 100
 
 
 def test_prune_ranges_reduce_scanned_rows(store):
@@ -63,8 +63,8 @@ def test_prune_ranges_reduce_scanned_rows(store):
         aggregates=[AggregateSpec("count", None, "n")],
     )
     result = execute_worker_plan(plan, store)
-    assert result.row_groups_pruned == 3
-    assert result.rows_scanned == 500
+    assert result.counters["scan", "row_groups_pruned"] == 3
+    assert result.counters["scan", "rows_scanned"] == 500
     partial = decode_table(result.partial)
     assert partial["n"][0] == pytest.approx(100)
 
@@ -90,7 +90,7 @@ def test_collect_rows_plan(store):
     result = execute_worker_plan(plan, store)
     rows = decode_table(result.partial)
     np.testing.assert_array_equal(np.sort(rows["x"]), [0, 1, 2, 3, 4])
-    assert result.rows_output == 5
+    assert result.counters["scan", "rows_output"] == 5
 
 
 def test_filter_udf_plan(store):
@@ -117,7 +117,7 @@ def test_map_udf_and_reduce(store):
     )
     result = execute_worker_plan(plan, store)
     assert result.reduce_value == pytest.approx(2 * np.arange(2000).sum())
-    assert result.rows_output == 1
+    assert result.counters["scan", "rows_output"] == 1
 
 
 def test_reduce_over_expression_map(store):
@@ -140,8 +140,8 @@ def test_empty_result_when_everything_pruned(store):
         aggregates=[AggregateSpec("sum", col("x"), "s")],
     )
     result = execute_worker_plan(plan, store)
-    assert result.rows_scanned == 0
-    assert result.rows_output == 0
+    assert result.counters["scan", "rows_scanned"] == 0
+    assert result.counters["scan", "rows_output"] == 0
     assert result.duration_seconds > 0  # metadata still read
 
 
@@ -152,8 +152,8 @@ def test_statistics_populated(store):
         aggregates=[AggregateSpec("sum", col("x"), "s")],
     )
     result = execute_worker_plan(plan, store)
-    assert result.get_requests > 0
-    assert result.bytes_read > 0
+    assert result.counters["scan", "get_requests"] > 0
+    assert result.counters["scan", "bytes_read"] > 0
     assert result.duration_seconds > 0
     assert result.metadata_seconds > 0
     assert result.compute_seconds > 0

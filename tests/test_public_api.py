@@ -173,3 +173,81 @@ def test_facade_register_table_and_dataflow(facade_session):
         facade_session.dataflow(list(paths)).count(alias="n").collect().rows[0]["n"]
     )
     assert count == flow_count
+
+
+# -- the statistics' public names -------------------------------------------
+#
+# ``benchmarks/e2e/run.py`` reads the statistics with ``getattr(…, 0)``: a
+# dropped name would silently read 0 and an added alias could silently double
+# count (``plan.workers`` sums ``num_workers``, ``map_workers`` and
+# ``reduce_workers`` over whatever object a query returned).  These are the
+# names the statistics objects and their blocks had while each block was a
+# class of its own, less the mutators and (de)serialisers the one counter
+# record replaced (``merge``, ``from_dict``, ``note_fallback``,
+# ``note_mismatch``).
+
+QUERY_STATISTICS_NAMES = {
+    "broadcast_stages", "bytes_read", "cold", "collection_pollers", "collection_receives",
+    "collection_seconds", "column_chunks_skipped", "cost_lambda_duration",
+    "cost_lambda_requests", "cost_s3_requests", "cost_sqs_requests", "cost_total",
+    "dag_stages", "describe_latency", "estimated_exchange_bytes", "exchange",
+    "exchange_partitions", "gc_list_requests", "gc_objects_deleted", "get_requests",
+    "integrity", "invocation_seconds", "join_build_rows", "join_output_rows",
+    "join_probe_rows", "join_waves", "latency_seconds", "map_fleets", "max_worker_seconds",
+    "median_worker_seconds", "memory_mib", "num_workers", "overload", "resilience",
+    "row_groups_shortcircuited", "rows_decode_saved", "rows_scanned", "wave_stages",
+    "worker_durations",
+}
+SHUFFLE_STATISTICS_NAMES = {
+    "broadcast_stages", "cost_total", "dag_stages", "estimated_exchange_bytes", "exchange",
+    "exchange_partitions", "gc_list_requests", "gc_objects_deleted", "integrity",
+    "join_build_rows", "join_output_rows", "join_probe_rows", "join_waves", "map_fleets",
+    "map_workers", "modelled_latency_seconds", "modelled_map_seconds",
+    "modelled_reduce_seconds", "partition_objects_read", "partition_objects_written",
+    "redispatches", "reduce_workers", "resilience", "result_rows", "results_spilled",
+    "rows_scanned", "wave_stages",
+}
+BLOCK_NAMES = {
+    "exchange": {
+        "bytes_read", "bytes_touched", "bytes_written", "combined_put_requests",
+        "empty_parts_elided", "get_requests", "head_requests", "list_requests",
+        "put_requests", "ranged_get_requests", "to_dict", "total_requests",
+    },
+    "resilience": {
+        "backoff_seconds", "clean", "duplicate_messages_ignored", "fallbacks",
+        "faults_injected", "hedges_launched", "hedges_lost", "hedges_won", "pool_respawns",
+        "retries", "stale_messages_ignored", "to_dict", "wasted_cost_dollars", "wave_retries",
+    },
+    "integrity": {
+        "clean", "mismatches", "re_executions", "re_reads", "to_dict", "verified_bytes",
+    },
+}
+
+
+def _public(value) -> set:
+    return {name for name in dir(value) if not name.startswith("_")}
+
+
+def test_statistics_expose_exactly_their_public_names():
+    from repro.driver.driver import QueryStatistics
+    from repro.driver.shuffle import ShuffleStatistics
+
+    query = QueryStatistics(
+        num_workers=0, memory_mib=2048, cold=False, invocation_seconds=0.0,
+        max_worker_seconds=0.0, median_worker_seconds=0.0, latency_seconds=0.0,
+        cost_lambda_duration=0.0, cost_lambda_requests=0.0, cost_s3_requests=0.0,
+        cost_sqs_requests=0.0,
+    )
+    run = ShuffleStatistics(
+        map_fleets={}, reduce_workers=0, result_rows=0, partition_objects_written=0,
+        partition_objects_read=0,
+    )
+    assert _public(query) == QUERY_STATISTICS_NAMES
+    assert _public(run) == SHUFFLE_STATISTICS_NAMES
+    for statistics in (query, run):
+        for block, names in BLOCK_NAMES.items():
+            view = getattr(statistics, block)
+            assert _public(view) == names, block
+            # Every listed name reads (nothing answers only through dir()).
+            assert all(getattr(view, name) is not None for name in names), block
+            assert set(view.to_dict()) == names - {"clean", "to_dict", "total_requests"}

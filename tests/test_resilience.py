@@ -1,7 +1,8 @@
 """Tests of the driver-side resilience primitives and their e2e wiring.
 
 Unit-level: decorrelated jitter, `call_with_backoff`, straggler picking,
-`ResilienceStats` accounting, `AttemptLog` → `WorkerFailedError` history.
+the ``resilience`` block read off a counter record, the attempt history in a
+`WorkerFailedError`.
 End-to-end: clean runs report all-zero resilience stats; injected drops are
 retried to a correct result; injected stragglers are hedged.
 """
@@ -13,13 +14,12 @@ import random
 import pytest
 
 from repro.cloud.faults import FaultPlan, FaultRule
+from repro.counters import Counts, LayerView
 from repro.driver import integrity
 from repro.driver.driver import LambadaDriver
 from repro.driver.resilience import (
     DEFAULT_RESILIENCE_POLICY,
-    AttemptLog,
     ResiliencePolicy,
-    ResilienceStats,
     call_with_backoff,
     decorrelated_jitter,
     pick_stragglers,
@@ -79,9 +79,15 @@ def _fail_n_times(n, exc=SlowDownError):
     return fn
 
 
+def _resilience():
+    """A fresh counter record and its resilience block."""
+    counts = Counts()
+    return counts, LayerView(counts, "resilience")
+
+
 def test_backoff_retries_transient_errors():
-    stats = ResilienceStats()
-    result = call_with_backoff(_fail_n_times(2), stats=stats)
+    counts, stats = _resilience()
+    result = call_with_backoff(_fail_n_times(2), counts=counts)
     assert result == "done"
     assert stats.retries == 2
     assert stats.backoff_seconds > 0.0
@@ -94,9 +100,9 @@ def test_backoff_exhausts_attempt_budget():
 
 
 def test_backoff_does_not_catch_fatal_errors():
-    stats = ResilienceStats()
+    counts, stats = _resilience()
     with pytest.raises(ValueError):
-        call_with_backoff(_fail_n_times(1, exc=ValueError), stats=stats)
+        call_with_backoff(_fail_n_times(1, exc=ValueError), counts=counts)
     assert stats.retries == 0
 
 
@@ -139,33 +145,36 @@ def test_hedge_budget_caps_fraction_of_fleet():
     assert picked == [7, 5]
 
 
-# -- ResilienceStats ---------------------------------------------------------
+# -- the resilience block ----------------------------------------------------
 
 
 def test_fresh_stats_are_clean():
-    stats = ResilienceStats()
+    counts, stats = _resilience()
     assert stats.clean
-    stats.retries += 1
+    counts.note("resilience", "retries")
     assert not stats.clean
 
 
 def test_note_fallback_counts_events():
-    stats = ResilienceStats()
-    stats.note_fallback("hedge_suppressed")
-    stats.note_fallback("hedge_suppressed")
-    stats.note_fallback("other")
+    counts, stats = _resilience()
+    counts.note("resilience", "fallback.hedge_suppressed")
+    counts.note("resilience", "fallback.hedge_suppressed")
+    counts.note("resilience", "fallback.other")
     assert stats.fallbacks == {"hedge_suppressed": 2, "other": 1}
     assert not stats.clean
 
 
 def test_merge_folds_counters_and_dicts():
-    a = ResilienceStats(retries=1, backoff_seconds=0.5, wave_retries=2)
-    a.fallbacks["hedge_suppressed"] = 1
-    a.faults_injected["s3.slowdown"] = 3
-    b = ResilienceStats(retries=2, hedges_launched=1, hedges_won=1)
-    b.fallbacks["hedge_suppressed"] = 2
-    b.faults_injected["lambda.drop"] = 1
-    a.merge(b)
+    """A worker's record folds into the query's with one ``Counter.update``."""
+    record, a = _resilience()
+    for name, n in [("retries", 1), ("backoff_seconds", 0.5), ("wave_retries", 2),
+                    ("fallback.hedge_suppressed", 1), ("fault.s3.slowdown", 3)]:
+        record.note("resilience", name, n)
+    b = Counts()
+    for name, n in [("retries", 2), ("hedges_launched", 1), ("hedges_won", 1),
+                    ("fallback.hedge_suppressed", 2), ("fault.lambda.drop", 1)]:
+        b.note("resilience", name, n)
+    record.update(b)
     assert a.retries == 3
     assert a.hedges_launched == 1
     assert a.backoff_seconds == 0.5
@@ -175,7 +184,9 @@ def test_merge_folds_counters_and_dicts():
 
 
 def test_to_dict_is_a_full_snapshot():
-    stats = ResilienceStats(retries=2, stale_messages_ignored=1)
+    counts, stats = _resilience()
+    counts.note("resilience", "retries", 2)
+    counts.note("resilience", "stale_messages_ignored")
     snapshot = stats.to_dict()
     assert snapshot["retries"] == 2
     assert snapshot["stale_messages_ignored"] == 1
@@ -183,25 +194,15 @@ def test_to_dict_is_a_full_snapshot():
     assert stats.fallbacks == {}  # dicts are copies
 
 
-# -- AttemptLog and WorkerFailedError ----------------------------------------
-
-
-def test_attempt_log_records_per_worker_history():
-    log = AttemptLog()
-    log.record(3, attempt=0, error="SlowDownError: throttled")
-    log.record(3, attempt=1, error="", backoff_seconds=0.25)
-    assert log.for_worker(3) == [
-        {"attempt": 0, "error": "SlowDownError: throttled"},
-        {"attempt": 1, "error": "", "backoff_seconds": 0.25},
-    ]
-    assert log.for_worker(99) == []
+# -- WorkerFailedError ---------------------------------------------------------
 
 
 def test_worker_failed_error_shows_full_history():
-    log = AttemptLog()
-    log.record(5, attempt=0, error="InvocationDropped")
-    log.record(5, attempt=1, error="SlowDownError: throttle", backoff_seconds=0.1)
-    error = WorkerFailedError(5, "gave up", attempts=log.for_worker(5))
+    attempts = [
+        {"key": 5, "attempt": 0, "error": "InvocationDropped"},
+        {"key": 5, "attempt": 1, "error": "SlowDownError: throttle", "backoff_seconds": 0.1},
+    ]
+    error = WorkerFailedError(5, "gave up", attempts=attempts)
     text = str(error)
     assert "worker 5 failed" in text
     assert "attempt 0: InvocationDropped" in text

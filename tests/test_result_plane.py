@@ -28,11 +28,11 @@ from repro.cloud.faults import FaultPlan
 from repro.config import IntegrityConfig
 from repro.driver.integrity import (
     RESULT_BUCKET,
-    IntegrityStats,
     fetch_spilled_result,
     open_message,
     post_result,
 )
+from repro.counters import Counts, LayerView
 from repro.engine.payload import decode_table, encode_table
 from repro.errors import CorruptFileError, IntegrityError
 from repro.exchange import codec
@@ -46,6 +46,12 @@ from tests.conftest import leaked_segments
 QUEUE = "results"
 SPILL_KEY = "q/worker-3.a0"
 HEADER = {"query_id": "q", "worker_id": 3, "attempt": 0, "status": "ok"}
+
+
+def _integrity():
+    """A fresh counter record and its integrity block."""
+    counts = Counts()
+    return counts, LayerView(counts, "integrity")
 
 
 @pytest.fixture(scope="module")
@@ -127,12 +133,12 @@ def tables(draw):
 def test_round_trip_is_bit_identical_inline_and_spilled(env, table, spill, generate):
     """Values *and* dtypes, through everything a result passes on its way."""
     body = _post(env, table, spill=spill, generate=generate)
-    stats = IntegrityStats()
-    message = open_message(body, True, stats)
+    counts, stats = _integrity()
+    message = open_message(body, True, counts)
     assert {name: message[name] for name in HEADER} == HEADER
     assert ("\n" in body) != spill and ("result_s3" in message) == spill
     assert body.startswith("{") != generate
-    frame = fetch_spilled_result(env.s3, message, True, stats) if spill else message["frame"]
+    frame = fetch_spilled_result(env.s3, message, True, counts) if spill else message["frame"]
     assert isinstance(frame, bytes) and stats.clean
     assert frame[0] == (codec.CHECKED_PARTITION_TAG if generate else codec.UNCHECKED_PARTITION_TAG)
     assert_bit_identical(table, decode_table(frame, verify=False))
@@ -190,8 +196,8 @@ PRINTABLE = [chr(code) for code in range(33, 127)]
 
 
 def _assert_dropped(corrupted: str, count: int = 1):
-    stats = IntegrityStats()
-    assert open_message(corrupted, True, stats) is None
+    counts, stats = _integrity()
+    assert open_message(corrupted, True, counts) is None
     assert set(stats.mismatches) <= {"sqs.parse", "sqs.digest"}
     assert sum(stats.mismatches.values()) == stats.re_executions == count
 
@@ -213,8 +219,8 @@ def test_corrupt_text_rewrites_of_a_large_message_are_caught(env):
     plan = FaultPlan([], seed=5)
     sites = set()
     for _ in range(3000):
-        stats = IntegrityStats()
-        assert open_message(plan.corrupt_text(body), True, stats) is None
+        counts, stats = _integrity()
+        assert open_message(plan.corrupt_text(body), True, counts) is None
         sites |= set(stats.mismatches)
     assert sites == {"sqs.parse", "sqs.digest"}
 
@@ -248,8 +254,8 @@ def test_unsigned_message_and_unchecked_frame_pass_a_verifying_receiver(env):
     table = _small_table()
     body = _post(env, table, generate=False)
     assert body.startswith("{")
-    stats = IntegrityStats()
-    message = open_message(body, True, stats)
+    counts, stats = _integrity()
+    message = open_message(body, True, counts)
     assert stats.clean and message["frame"][0] == codec.UNCHECKED_PARTITION_TAG
     assert_bit_identical(table, decode_table(message["frame"]))
     # So does any plain JSON object a test or an older sender puts on the queue.
@@ -289,8 +295,8 @@ def test_payload_digest_covers_structure(env):
     }
     for label, other in replaced.items():
         swapped = f"{text}\n{base64.b64encode(encode_table(other)).decode('ascii')}"
-        stats = IntegrityStats()
-        assert open_message(swapped, True, stats) is None, label
+        counts, stats = _integrity()
+        assert open_message(swapped, True, counts) is None, label
         assert stats.mismatches == {"sqs.digest": 1}, label
 
 
@@ -309,15 +315,15 @@ class _Served:
 
 def _assert_caught_and_cured(pointer, frame: bytes, corrupted: bytes):
     path = pointer["result_s3"]
-    stats = IntegrityStats()
+    counts, stats = _integrity()
     with pytest.raises(CorruptFileError) as caught:
-        fetch_spilled_result(_Served(corrupted, corrupted), pointer, True, stats)
+        fetch_spilled_result(_Served(corrupted, corrupted), pointer, True, counts)
     assert caught.value.key == path
     assert caught.value.layer in {"slice.length", "slice.crc", "codec.crc", "codec.prefix"}
     assert stats.mismatches == {"spill.digest": 2} and stats.re_reads == 0
     # In-flight corruption: the one re-read serves the object as it is stored.
-    stats = IntegrityStats()
-    assert fetch_spilled_result(_Served(corrupted, frame), pointer, True, stats) == frame
+    counts, stats = _integrity()
+    assert fetch_spilled_result(_Served(corrupted, frame), pointer, True, counts) == frame
     assert (stats.mismatches, stats.re_reads) == ({"spill.digest": 1}, 1)
     assert stats.verified_bytes == len(frame)
     return caught.value.layer

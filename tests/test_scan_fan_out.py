@@ -24,7 +24,7 @@ from repro.cloud.network import BandwidthModel, TransferPlan
 from repro.cloud.s3 import ObjectStore
 from repro.config import DEFAULT_SCAN_CONNECTIONS, INVOCATION_RATE_DRIVER
 from repro.driver.shuffle import scan_fan_out
-from repro.engine.s3io import S3ObjectSource, ScanStatistics
+from repro.engine.s3io import S3ObjectSource
 from repro.engine.scan import S3ScanOperator
 from repro.exchange.cost_model import ExchangeCostModel
 from repro.formats.compression import Compression
@@ -152,7 +152,7 @@ class SerialOpens(S3ScanOperator):
             S3ObjectSource(
                 self.store, path, chunk_bytes=self.config.chunk_bytes,
                 connections=self.config.connections, memory_mib=self.config.memory_mib,
-                bandwidth=self.bandwidth, statistics=ScanStatistics(),
+                bandwidth=self.bandwidth, counts=self.counts,
             )
             for path in self.files
         ]
@@ -207,7 +207,7 @@ def test_a_one_file_worker_is_bit_identical(fused, kwargs):
     _same_chunks(batched_out, serial_out)
     assert batched_gets == serial_gets
     assert dataclasses.asdict(batched.counters) == dataclasses.asdict(serial.counters)
-    assert dataclasses.asdict(batched.statistics) == dataclasses.asdict(serial.statistics)
+    assert batched.counts == serial.counts
     assert batched.modelled_seconds() == serial.modelled_seconds()
 
 
@@ -220,12 +220,12 @@ def test_k_files_open_in_ceil_k_over_connections_rounds(count):
     _same_chunks(batched_out, serial_out)
     # The same GETs, file by file — same bytes, same count, no probe read ...
     assert Counter(batched_gets) == Counter(serial_gets)
-    assert batched.statistics.get_requests == serial.statistics.get_requests
-    assert batched.statistics.bytes_read == serial.statistics.bytes_read
+    assert batched.counts["scan", "get_requests"] == serial.counts["scan", "get_requests"]
+    assert batched.counts["scan", "bytes_read"] == serial.counts["scan", "bytes_read"]
     # ... each file small enough to arrive whole with its open ...
     assert all(suffix for *_, suffix in batched_gets) and len(batched_gets) == count
     # ... charged as one transfer pipelined over the connections.
-    opened = batched.statistics.bytes_read
+    opened = batched.counts["scan", "bytes_read"]
     expected = model.transfer_seconds(TransferPlan(
         total_bytes=opened, chunk_bytes=batched.config.chunk_bytes,
         connections=DEFAULT_SCAN_CONNECTIONS, memory_mib=MEMORY_MIB, requests=count,
@@ -335,7 +335,9 @@ def test_empty_map_outputs_put_nothing(stack, tables):
     result = session.sql(q.q12_sql(), num_workers=4)
     stats = result.statistics
     assert stats.map_fleets == {"L": 4, "R": 2}
-    kept = [worker.rows_after_filter > 0 for worker in result.worker_results[:6]]
+    kept = [
+        worker.counters["scan", "rows_after_filter"] > 0 for worker in result.worker_results[:6]
+    ]
     assert kept.count(False) == 3
     assert stats.exchange.put_requests == env.ledger.total("s3", "put_requests") - before == 3
     assert stats.exchange.list_requests + stats.exchange.head_requests == 0

@@ -106,8 +106,8 @@ def test_read_ranges_matches_read_at_with_fewer_requests(data, ranges, chunk_byt
     # No more requests than one read_at per range would have issued.
     clamped = [(o, min(o + n, size)) for o, n in ranges if min(o + n, size) > o]
     assert len(fetched) <= sum(-(-(end - start) // chunk_bytes) for start, end in clamped)
-    assert source.statistics.get_requests == len(store.gets)
-    assert source.statistics.bytes_read == sum(end - start for start, end, _ in store.gets)
+    assert source.counts["scan", "get_requests"] == len(store.gets)
+    assert source.counts["scan", "bytes_read"] == sum(end - start for start, end, _ in store.gets)
 
     # Pieces respect chunk_bytes and never overlap.
     assert all(0 < end - start <= chunk_bytes for start, end in fetched)
@@ -146,16 +146,16 @@ def test_batch_is_charged_as_one_pipelined_transfer():
     model = BandwidthModel()
     batched = S3ObjectSource(recording_store(data), PATH, bandwidth=model)
     batched.size()
-    opened = batched.statistics.transfer_seconds
+    opened = batched.transfer_seconds
     batched.read_ranges(ranges)
     serial = S3ObjectSource(recording_store(data), PATH, bandwidth=model)
     serial.size()
     for offset, length in ranges:
         serial.read_at(offset, length)
-    assert batched.statistics.get_requests == serial.statistics.get_requests == 5
+    assert batched.counts["scan", "get_requests"] == serial.counts["scan", "get_requests"] == 5
     # Four requests over four connections expose one round trip, not four.
-    assert batched.statistics.transfer_seconds - opened < 1.5 * model.request_latency_seconds
-    assert serial.statistics.transfer_seconds - opened > 4 * model.request_latency_seconds
+    assert batched.transfer_seconds - opened < 1.5 * model.request_latency_seconds
+    assert serial.transfer_seconds - opened > 4 * model.request_latency_seconds
 
 
 def test_read_ranges_default_and_validation():
@@ -251,7 +251,7 @@ def test_open_small_file_is_one_get_and_no_head(checksum):
     # The file arrived whole: reading it issues nothing further.
     result = reader.read_table()
     np.testing.assert_array_equal(result["id"], table["id"])
-    assert len(store.gets) == 1 and source.statistics.get_requests == 1
+    assert len(store.gets) == 1 and source.counts["scan", "get_requests"] == 1
 
     shared = SharedSegmentStore({PATH: memoryview(data)})
     ColumnarFile(S3ObjectSource(shared, PATH))
@@ -430,8 +430,8 @@ def test_q1_worker_at_scan_agg_shape_pays_a_handful_of_round_trips():
     worker_plans = physical.worker_plans(8)
     assert all(len(plan.files) == 1 for plan in worker_plans)
     result = execute_worker_plan(worker_plans[0], env.s3)
-    assert result.rows_scanned > 30_000
-    assert result.get_requests <= 3
+    assert result.counters["scan", "rows_scanned"] > 30_000
+    assert result.counters["scan", "get_requests"] <= 3
     assert result.download_seconds + result.metadata_seconds < 0.1
     # With a predicate the group is two batches, and an empty selection
     # skips the second one; with the exact model that is visible per group.
@@ -444,4 +444,4 @@ def test_q1_worker_at_scan_agg_shape_pays_a_handful_of_round_trips():
     groups = never.counters.row_groups_total
     assert never.counters.row_groups_shortcircuit_empty == groups
     assert never.counters.column_chunks_skipped == groups
-    assert never.statistics.get_requests == 2 + groups
+    assert never.counts["scan", "get_requests"] == 2 + groups

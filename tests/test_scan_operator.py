@@ -5,7 +5,8 @@ import pytest
 
 from repro.cloud.network import BandwidthModel
 from repro.cloud.s3 import ObjectStore
-from repro.engine.s3io import S3ObjectSource, ScanStatistics
+from repro.counters import Counts
+from repro.engine.s3io import S3ObjectSource
 from repro.engine.scan import S3ScanOperator, ScanConfig
 from repro.engine.table import concat_tables, table_num_rows
 from repro.formats.compression import Compression
@@ -39,17 +40,17 @@ def test_source_size_and_read(store_with_file):
 
 def test_source_chunked_reads_issue_multiple_requests(store_with_file):
     store, _ = store_with_file
-    stats = ScanStatistics()
+    stats = Counts()
     source = S3ObjectSource(
-        store, "s3://data/t/part-0.lpq", chunk_bytes=1024, statistics=stats
+        store, "s3://data/t/part-0.lpq", chunk_bytes=1024, counts=stats
     )
     source.size()  # the open: one suffix GET of chunk_bytes, no HEAD
-    assert (stats.get_requests, stats.bytes_read) == (1, 1024)
+    assert (stats["scan", "get_requests"], stats["scan", "bytes_read"]) == (1, 1024)
     source.read_at(0, 5000)
     # ceil(5000 / 1024) = 5 data requests.
-    assert stats.get_requests - 1 == 5
-    assert stats.bytes_read - 1024 == 5000
-    assert stats.transfer_seconds > 0
+    assert stats["scan", "get_requests"] - 1 == 5
+    assert stats["scan", "bytes_read"] - 1024 == 5000
+    assert source.transfer_seconds > 0
 
 
 def test_source_read_past_end_is_clamped(store_with_file):
@@ -69,15 +70,6 @@ def test_source_rejects_bad_arguments(store_with_file):
     source = S3ObjectSource(store, "s3://data/t/part-0.lpq")
     with pytest.raises(ValueError):
         source.read_at(-1, 10)
-
-
-def test_statistics_merge():
-    first = ScanStatistics(get_requests=2, bytes_read=100, transfer_seconds=1.0)
-    second = ScanStatistics(get_requests=3, bytes_read=200, transfer_seconds=0.5)
-    first.merge(second)
-    assert first.get_requests == 5
-    assert first.bytes_read == 300
-    assert first.effective_bandwidth == pytest.approx(300 / 1.5)
 
 
 # -- scan operator ----------------------------------------------------------------------
@@ -110,7 +102,7 @@ def test_scan_projection_reads_fewer_bytes(store_with_file):
         store, ["s3://data/t/part-0.lpq"], columns=["v"], bandwidth=exact
     )
     list(projected.scan())
-    assert projected.statistics.bytes_read < full.statistics.bytes_read
+    assert projected.counts["scan", "bytes_read"] < full.counts["scan", "bytes_read"]
 
 
 def test_scan_pruning_skips_row_groups(store_with_file):

@@ -118,7 +118,8 @@ def test_large_results_spill_to_s3(env_with_data, monkeypatch):
     message = open_message(body)
     assert message["status"] == "ok" and "\n" not in body
     assert message["result_s3"] == f"s3://{RESULT_BUCKET}/q-big/worker-7.a0"
-    assert message["result"]["rows_output"] == 1000  # the counters stay in the message
+    # The counters stay in the message.
+    assert message["result"]["counters"]["scan.rows_output"] == 1000
     assert env.s3.object_count(RESULT_BUCKET) == 1
     # The object is the frame itself, and the frame the message describes.
     frame = fetch_spilled_result(env.s3, message, verify=True)
