@@ -566,7 +566,9 @@ def _make_map_handler(env: CloudEnvironment):
                 accumulator.finish(), side_plan.group_by, side_plan.aggregates
             )
         else:
-            rows = concat_tables(list(scan.scan()))
+            # One gather per run of row groups, bit-identical to concatenating
+            # the row groups' tables.
+            rows = concat_tables(batch.values for batch in scan.scan_fused(()))
 
         counts = Counts(scan.counts)  # the GETs and bytes
         counts.note("scan", "rows_scanned", scan.counters.rows_scanned)

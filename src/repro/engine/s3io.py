@@ -7,7 +7,7 @@ model scan bandwidth and request cost (Figures 6 and 7).
 
 Requests are planned, not issued one per call.  Opening costs one suffix GET
 (its response carries the object size, so there is no HEAD), and
-:meth:`S3ObjectSource.read_ranges` turns a batch of ranges into few GETs:
+:meth:`S3ObjectSource.prefetch` turns a batch of ranges into few GETs:
 neighbours are merged when the hole between them streams faster than another
 round trip would take — gap < request latency x steady link bandwidth, both
 read from the :class:`~repro.cloud.network.BandwidthModel`, so a zero-latency
@@ -65,7 +65,7 @@ class S3ObjectSource(RandomAccessSource):
         self.transfer_seconds = 0.0
         self._size: Optional[int] = None
         #: Retained ``(offset, bytes)`` spans: the open tail first, then the
-        #: latest :meth:`read_ranges` batch.
+        #: latest :meth:`prefetch` batch.
         self._spans: List[Tuple[int, bytes]] = []
 
     @property
@@ -125,29 +125,33 @@ class S3ObjectSource(RandomAccessSource):
             ((_, data),) = self._fetch([(offset, end)])
         return data
 
-    def read_ranges(self, ranges: Sequence[Tuple[int, int]]) -> List[bytes]:
-        """Read a batch of ranges with coalesced, ``chunk_bytes``-split GETs.
+    def prefetch(self, ranges: Sequence[Tuple[int, int]]) -> None:
+        """Fetch a batch of ranges with coalesced, ``chunk_bytes``-split GETs.
 
-        Ranges inside the open tail cost nothing; the spans fetched for the
-        rest replace the previous batch's, so retention stays bounded.
+        Ranges starting inside the open tail cost nothing (a batch of only
+        those returns at once); the spans fetched for the rest replace the
+        previous batch's, so retention stays bounded.
         """
-        if any(offset < 0 or length < 0 for offset, length in ranges):
-            raise ValueError("offset and length must be non-negative")
+        for offset, length in ranges:
+            if offset < 0 or length < 0:
+                raise ValueError("offset and length must be non-negative")
         size = self.size()
         del self._spans[1:]
         tail_start = self._spans[0][0]
+        outside = [pair for pair in ranges if pair[0] < tail_start]
+        if not outside:
+            return
         gap = self.coalesce_gap
         merged: List[List[int]] = []
-        for offset, length in sorted(ranges):
+        for offset, length in sorted(outside):
             end = min(offset + length, size)
-            if end <= offset or offset >= tail_start:
+            if end <= offset:
                 continue
             if merged and offset - merged[-1][1] < gap:
                 merged[-1][1] = max(merged[-1][1], end)
             else:
                 merged.append([offset, end])
         self._spans += self._fetch(merged)
-        return [self.read_at(offset, length) for offset, length in ranges]
 
     def _fetch(self, spans: Sequence[Sequence[int]]) -> List[Tuple[int, bytes]]:
         """GET each ``[start, end)`` span in ``chunk_bytes`` pieces, as one transfer."""

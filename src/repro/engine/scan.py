@@ -15,7 +15,8 @@ Reproduces the design of the paper's Parquet scan operator (§4.3.2, Figure 8):
   neighbours whose gap streams in less than a round trip, splits at the
   chunk size, and pipelines the resulting GETs over the concurrent
   connections ("level 2" concurrency) as one modelled transfer
-  (:meth:`~repro.engine.s3io.S3ObjectSource.read_ranges`);
+  (:meth:`~repro.engine.s3io.S3ObjectSource.prefetch`, which copies nothing
+  and returns at once when the open tail already holds every chunk);
 * the summed download time is modelled as overlapped with decompression of
   the previous row group ("level 3" concurrency) when
   ``overlap_downloads`` is set.
@@ -49,7 +50,7 @@ row group as soon as it is read, so its runs are one row group long.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -208,9 +209,16 @@ class S3ScanOperator:
         self.counts = Counts()
         self.counters = ScanCounters()
         self.predicate = predicate
-        self._compiled: Optional[CompiledPredicate] = (
-            compile_predicate(predicate) if predicate is not None else None
-        )
+        self._compiled: Optional[CompiledPredicate] = None
+        #: Batch 1 of a row group: the predicate's and its residual's columns.
+        self._predicate_columns: Set[str] = set()
+        #: The residual's columns, decoded in name order.
+        self._residual_columns: List[str] = []
+        if predicate is not None:
+            compiled = self._compiled = compile_predicate(predicate)
+            self._predicate_columns = compiled.comparison_columns | compiled.residual_columns
+            self._residual_columns = sorted(compiled.residual_columns)
+        self._rows_per_second = self._decode_rows_per_second()
 
     @property
     def applies_predicate(self) -> bool:
@@ -219,14 +227,15 @@ class S3ScanOperator:
 
     # -- decoding cost model --------------------------------------------------------
 
-    def _decode_seconds(self, rows: int, heavyweight: bool) -> float:
-        """Modelled CPU seconds to decompress and decode ``rows`` rows.
+    def _decode_rows_per_second(self) -> float:
+        """Rows per modelled second the worker decompresses and decodes.
 
         Heavy-weight compression (GZIP) is decompression-bound; a second
         thread on large workers can halve it (paper §4.3.2).  This is the
         modelled worker's ``threads``: the executing process inflates on
         one thread and gathers a run's row groups at once, and neither
-        changes this charge, which stays per row group.
+        changes the charge (:meth:`_decode_seconds`), which stays per row
+        group.
         """
         cpu_share = self.config.memory_mib / LAMBDA_MEMORY_PER_VCPU_MIB
         single_thread = min(cpu_share, 1.0)
@@ -234,8 +243,12 @@ class S3ScanOperator:
             usable = min(cpu_share, float(self.config.threads))
         else:
             usable = single_thread
-        base = rows / (VCPU_ROWS_PER_SECOND * max(usable, 1e-9))
-        return base * (1.0 if heavyweight else 0.4)
+        return VCPU_ROWS_PER_SECOND * max(usable, 1e-9)
+
+    def _decode_seconds(self, rows: float, heavyweight: bool) -> float:
+        """Modelled CPU seconds to decompress and decode ``rows`` rows (a
+        light-weight codec decodes in 0.4 of the heavy-weight time)."""
+        return rows / self._rows_per_second * (1.0 if heavyweight else 0.4)
 
     # -- iteration --------------------------------------------------------------------
 
@@ -358,7 +371,7 @@ class S3ScanOperator:
             self.counters.rows_decode_saved += (num_rows - selected) * sum(
                 1 for name in columns if name not in decoded
             )
-        self._charge_decode(group, list(encoded), gathered, selected)
+        self._charge_decode(group, columns, list(encoded), gathered, selected)
         for name in gathered:
             encoded[name] = reader.read_encoded_chunk(group, name)
         return _StagedGroup(group, encoded, decoded, selection, selected)
@@ -419,9 +432,8 @@ class S3ScanOperator:
         whole predicate evaluated on the decoded arrays and the chunk
         mask-copied.  Returns ``None`` when no row survives.
         """
-        compiled = self._compiled
         needed = list(columns)
-        for name in compiled.comparison_columns | compiled.residual_columns:
+        for name in self._predicate_columns:
             if name not in needed:
                 needed.append(name)
         reader.prefetch(group, needed)
@@ -429,7 +441,7 @@ class S3ScanOperator:
             name: reader.read_encoded_chunk(group, name).decode() for name in needed
         }
         mask = np.asarray(evaluate(self.predicate, decoded), dtype=bool)
-        self._charge_decode(group, needed, (), 0)
+        self._charge_decode(group, columns, needed, (), 0)
         if not mask.any():
             return None
         if mask.all():
@@ -458,9 +470,7 @@ class S3ScanOperator:
 
         mask: Optional[np.ndarray] = None
         if self._compiled is not None:
-            reader.prefetch(
-                group, self._compiled.comparison_columns | self._compiled.residual_columns
-            )
+            reader.prefetch(group, self._predicate_columns)
             mask = self._group_selection(load, decoded, num_rows)
             if mask is not None and not mask.any():
                 self.counters.column_chunks_skipped += sum(
@@ -470,7 +480,7 @@ class S3ScanOperator:
                     1 for name in columns if name not in decoded
                 )
                 self.counters.row_groups_shortcircuit_empty += 1
-                self._charge_decode(group, list(encoded), (), 0)
+                self._charge_decode(group, columns, list(encoded), (), 0)
                 return None
             if mask is None or mask.all():
                 mask = None
@@ -500,7 +510,7 @@ class S3ScanOperator:
 
         if mask is None or mask.any():
             if compiled.residual is not None:
-                for name in sorted(compiled.residual_columns):
+                for name in self._residual_columns:
                     decoded[name] = load(name).decode()
                 # A residual with no column references (literal-only) still
                 # needs a row count to broadcast over.
@@ -514,6 +524,7 @@ class S3ScanOperator:
     def _charge_decode(
         self,
         group: RowGroupMeta,
+        projected: Sequence[str],
         full_columns: Sequence[str],
         gathered_columns: Sequence[str],
         gathered_rows: int,
@@ -522,17 +533,17 @@ class S3ScanOperator:
 
         Predicate columns and decoded residual columns pay full-chunk decode;
         gathered columns pay only for the surviving rows.  The charge is
-        normalised by the projected column count, so an unfiltered scan of the
-        same columns costs exactly the legacy ``_decode_seconds(num_rows)``.
+        normalised by the ``projected`` column count, so an unfiltered scan of
+        the same columns costs exactly the legacy ``_decode_seconds(num_rows)``.
         """
-        projected = self.columns or group.schema.names
-        width = max(len(projected), 1)
-        touched = list(full_columns) + list(gathered_columns)
         heavyweight = any(
-            group.column_meta(name).compression.is_heavyweight for name in touched
+            group.column_meta(name).compression.is_heavyweight
+            for names in (full_columns, gathered_columns) for name in names
         )
         charged = group.num_rows * len(full_columns) + gathered_rows * len(gathered_columns)
-        self.counters.decode_seconds += self._decode_seconds(charged / width, heavyweight)
+        self.counters.decode_seconds += self._decode_seconds(
+            charged / max(len(projected), 1), heavyweight
+        )
 
     # -- summary ------------------------------------------------------------------------
 

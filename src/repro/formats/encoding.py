@@ -89,6 +89,9 @@ _WIDTHS = np.array([0, 1, 2, 4, 8], dtype=np.uint8)
 
 _FLOAT64 = np.dtype(np.float64)
 
+#: The u32 count that heads an RLE or dictionary page.
+_PAGE_COUNT = struct.Struct("<I")
+
 Buffer = Union[bytes, bytearray, memoryview, np.ndarray]
 
 
@@ -139,7 +142,7 @@ def _parse_rle(
     """Validate an RLE chunk and return (run values, run lengths) views."""
     if len(data) < 4:
         raise CorruptFileError("RLE chunk too short for header")
-    (num_runs,) = struct.unpack_from("<I", data, 0)
+    (num_runs,) = _PAGE_COUNT.unpack_from(data)
     values_size = num_runs * column_type.item_size
     lengths_offset = 4 + values_size
     expected = lengths_offset + num_runs * 4
@@ -147,8 +150,9 @@ def _parse_rle(
         raise CorruptFileError(
             f"RLE chunk has {len(data)} bytes, expected {expected}"
         )
-    run_values = np.frombuffer(data, dtype=column_type.numpy_dtype, count=num_runs, offset=4)
-    run_lengths = np.frombuffer(data, dtype="<u4", count=num_runs, offset=lengths_offset)
+    # frombuffer(data, dtype, count, offset), positionally: this runs per page.
+    run_values = np.frombuffer(data, column_type.numpy_dtype, num_runs, 4)
+    run_lengths = np.frombuffer(data, UNSIGNED[4], num_runs, lengths_offset)
     total = int(run_lengths.sum()) if num_runs else 0
     if total != count:
         raise CorruptFileError(
@@ -184,7 +188,7 @@ def _parse_dictionary(
     """Validate a dictionary chunk and return (dictionary, codes) views."""
     if len(data) < 4:
         raise CorruptFileError("dictionary chunk too short for header")
-    (dict_size,) = struct.unpack_from("<I", data, 0)
+    (dict_size,) = _PAGE_COUNT.unpack_from(data)
     width = _code_width(dict_size)
     codes_offset = 4 + dict_size * column_type.item_size
     expected = codes_offset + count * width
@@ -194,11 +198,13 @@ def _parse_dictionary(
         )
     if dict_size == 0 and count != 0:
         raise CorruptFileError("empty dictionary with non-zero value count")
-    dictionary = np.frombuffer(data, dtype=column_type.numpy_dtype, count=dict_size, offset=4)
+    # frombuffer(data, dtype, count, offset), positionally: this runs per page.
+    dictionary = np.frombuffer(data, column_type.numpy_dtype, dict_size, 4)
     if not width:
         return dictionary, np.zeros(count, dtype=np.uint8)
-    codes = np.frombuffer(data, dtype=UNSIGNED[width], count=count, offset=codes_offset)
-    if codes.size and codes.max() >= dict_size:
+    codes = np.frombuffer(data, UNSIGNED[width], count, codes_offset)
+    # The largest code, found with argmax: cheaper than a max reduction.
+    if codes.size and codes[codes.argmax()] >= dict_size:
         raise CorruptFileError("dictionary code out of range")
     return dictionary, codes
 
@@ -522,7 +528,7 @@ def decode_column(
 # Encoded-chunk views (late materialization)
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class EncodedChunk:
     """A validated, still-encoded column chunk.
 

@@ -41,11 +41,12 @@ File layout (all integers little endian)::
 
 A reader locates the footer with a single read from the end of the file —
 exactly the access pattern the paper's scan operator exploits — and opens the
-directory with one ``np.frombuffer``: no per-chunk parsing happens until a
-chunk is asked for, and row-group pruning reads the min/max columns as
-arrays.  The source decides how much that one read fetches: the S3 source
-asks for a break-even's worth, so the footer (and a small file's data)
-arrives with the tail.
+directory with one ``np.frombuffer``: nothing is parsed per chunk until a
+column is asked for — then that column's page directory, one
+:class:`ColumnChunkMeta` per row group, is built in one pass — and row-group
+pruning reads the min/max columns as arrays.  The source decides how much
+that one read fetches: the S3 source asks for a break-even's worth, so the
+footer (and a small file's data) arrives with the tail.
 
 Readers work against a :class:`~repro.formats.source.RandomAccessSource`, so
 the same code path serves local bytes and the S3-backed source.
@@ -98,6 +99,8 @@ _FIELD = struct.Struct("<BH")  # type id + name length
 
 _TYPE_IDS = {ColumnType.INT32: 0, ColumnType.INT64: 1, ColumnType.FLOAT64: 2}
 _TYPES = {value: column_type for column_type, value in _TYPE_IDS.items()}
+#: Encoding id -> member; ``_directory_problem`` rejects unknown ids at open.
+_ENCODINGS = {member.value: member for member in Encoding}
 
 #: One column chunk's directory entry (packed, 52 bytes).
 _CHUNK = np.dtype(
@@ -147,36 +150,11 @@ class RowGroupMeta:
         self.index = index
         self.num_rows = num_rows
         self._metadata = metadata
-        self._built: Dict[str, ColumnChunkMeta] = {}
 
     def column_meta(self, name: str) -> ColumnChunkMeta:
-        """Metadata of one column chunk, built from its directory entry on
-        first use: a scan pays for the chunks it projects."""
-        meta = self._built.get(name)
-        if meta is None:
-            metadata = self._metadata
-            position = metadata.schema.index_of(name)
-            (
-                offset, compressed_size, uncompressed_size, num_values, encoding,
-                width, exponent, compression, base, min_value, max_value, crc,
-            ) = metadata.chunks[self.index, position].item()
-            meta = self._built[name] = ColumnChunkMeta(
-                name,
-                metadata.schema.field(name).type,
-                Encoding(encoding),
-                COMPRESSION_BY_ID[compression],
-                offset,
-                compressed_size,
-                uncompressed_size,
-                num_values,
-                min_value,
-                max_value,
-                crc if metadata.checked else None,
-                width,
-                exponent,
-                base,
-            )
-        return meta
+        """Metadata of one column chunk: this group's entry of the column's
+        page directory (:meth:`FileMetadata.column_metas`)."""
+        return self._metadata.column_metas(name)[self.index]
 
     @property
     def schema(self) -> Schema:
@@ -204,6 +182,29 @@ class FileMetadata:
         self.row_groups = [
             RowGroupMeta(index, count, self) for index, count in enumerate(rows.tolist())
         ]
+        self._directory: Dict[str, List[ColumnChunkMeta]] = {}
+
+    def column_metas(self, name: str) -> List[ColumnChunkMeta]:
+        """One column's page directory: its :class:`ColumnChunkMeta` per row
+        group, built from the column's directory entries on first use — a
+        scan pays for the columns it projects, once per file."""
+        metas = self._directory.get(name)
+        if metas is None:
+            position = self.schema.index_of(name)
+            column_type = self.schema.field(name).type
+            checked = self.checked
+            metas = self._directory[name] = [
+                ColumnChunkMeta(
+                    name, column_type, _ENCODINGS[encoding], COMPRESSION_BY_ID[compression],
+                    offset, compressed_size, uncompressed_size, num_values,
+                    min_value, max_value, crc if checked else None, width, exponent, base,
+                )
+                for (
+                    offset, compressed_size, uncompressed_size, num_values, encoding,
+                    width, exponent, compression, base, min_value, max_value, crc,
+                ) in self.chunks[:, position].tolist()
+            ]
+        return metas
 
     def pack(self) -> bytes:
         """Serialise the footer."""
@@ -532,13 +533,16 @@ class ColumnarFile:
     # -- data access -------------------------------------------------------------
 
     def prefetch(self, group: RowGroupMeta, columns: Iterable[str]) -> None:
-        """Fetch the chunks of ``columns`` of one row group in one vectored read.
+        """Announce the chunks of ``columns`` of one row group as one vectored
+        read (:meth:`RandomAccessSource.prefetch`).
 
         A source that pays per request keeps what it fetched, so the
-        :meth:`read_encoded_chunk` calls that follow issue no request.
+        :meth:`read_encoded_chunk` calls that follow issue no request; nothing
+        is copied here.
         """
-        metas = [group.column_meta(name) for name in columns]
-        ranges = [(meta.offset, meta.compressed_size) for meta in metas]
+        ranges = [
+            (meta.offset, meta.compressed_size) for meta in map(group.column_meta, columns)
+        ]
         if not self._magic_checked:
             # The file's first chunk starts right behind the leading magic:
             # fetch the two as one piece instead of never seeing the magic.
@@ -546,7 +550,7 @@ class ColumnarFile:
                 (0, offset + length) if offset == len(MAGIC) else (offset, length)
                 for offset, length in ranges
             ]
-        self.source.read_ranges(ranges)
+        self.source.prefetch(ranges)
         self._check_magic()
 
     def read_encoded_chunk(self, group: RowGroupMeta, column: str) -> EncodedChunk:

@@ -5,13 +5,14 @@ user-level filesystem interface on top of S3, exposing a random-access
 ``ReadAt`` method so that several column chunks can be fetched concurrently.
 The reader in this package consumes the same abstraction:
 :class:`RandomAccessSource` with :meth:`size`, :meth:`read_at` for one range
-and :meth:`read_ranges` for a batch of ranges — the call through which a
-source with a per-request cost can fetch several column chunks at once.
+and :meth:`prefetch` for a batch of ranges about to be read — the call
+through which a source with a per-request cost can fetch several column
+chunks at once (:meth:`read_ranges` is the two together).
 
 The two implementations here (in-memory bytes and a local file) have no such
-cost and simply loop; the S3-backed source that coalesces a batch into few
-ranged GETs and accounts for them lives in :mod:`repro.engine.s3io` because
-it depends on the cloud substrate.
+cost: their :meth:`prefetch` does nothing.  The S3-backed source that
+coalesces a batch into few ranged GETs and accounts for them lives in
+:mod:`repro.engine.s3io` because it depends on the cloud substrate.
 """
 
 from __future__ import annotations
@@ -36,12 +37,18 @@ class RandomAccessSource(abc.ABC):
         GET clamped to the object size).
         """
 
-    def read_ranges(self, ranges: Sequence[Tuple[int, int]]) -> List[bytes]:
-        """Read several ``(offset, length)`` ranges; one result per range, in order.
+    def prefetch(self, ranges: Sequence[Tuple[int, int]]) -> None:
+        """Announce that ``(offset, length)`` ranges are about to be read.
 
-        Equivalent to calling :meth:`read_at` per range; sources that pay per
-        request override it to fetch the batch in as few requests as pay off.
+        A no-op here; a source that pays per request overrides it to fetch
+        the batch in as few requests as pay off, so the :meth:`read_at` calls
+        that follow are served from memory.
         """
+
+    def read_ranges(self, ranges: Sequence[Tuple[int, int]]) -> List[bytes]:
+        """Read several ``(offset, length)`` ranges; one result per range, in
+        order: :meth:`prefetch` of the batch, then one :meth:`read_at` per range."""
+        self.prefetch(ranges)
         return [self.read_at(offset, length) for offset, length in ranges]
 
     def read_suffix(self, length: int) -> bytes:

@@ -307,15 +307,18 @@ def test_lazy_footer_builds_only_projected_chunk_metas():
     data = write_table(_table(), row_group_rows=500)
     reader = ColumnarFile.from_bytes(data)
     group = reader.row_groups[0]
+    metadata = reader.metadata
     # Opening parsed no chunk: the directory is one array over the footer bytes.
-    assert all(other._built == {} for other in reader.row_groups)
-    assert reader.metadata.chunks.shape == (6, 3) and reader.metadata.chunks.base is not None
+    assert metadata._directory == {}
+    assert metadata.chunks.shape == (6, 3) and metadata.chunks.base is not None
     assert group.schema.names == ["id", "v", "k"]
     with pytest.raises(UnknownColumnError):
         group.column_meta("nope")
-    assert group._built == {}
+    assert metadata._directory == {}
+    # One column's first use builds that column's list, for every row group.
     meta = group.column_meta("v")
-    assert group.column_meta("v") is meta and list(group._built) == ["v"]
+    assert list(metadata._directory) == ["v"] and len(metadata._directory["v"]) == 6
+    assert group.column_meta("v") is meta is metadata.column_metas("v")[0]
     assert (meta.column, meta.num_values, meta.crc is not None) == ("v", 500, True)
     # Serialising the parsed footer reproduces the stored one byte for byte.
     footer = reader.metadata.pack()
