@@ -833,8 +833,14 @@ def merge_driver_scope(
     else:
         merged = merge_partials(partials, group_by, aggregates)
         table = finalize_aggregates(merged, group_by, driver_plan.final_aggregates)
-    if driver_plan.order_by:
-        table = sort_table(table, driver_plan.order_by, driver_plan.descending)
+    order_by = list(driver_plan.order_by)
+    # The merge emits its groups in ascending key order: an ascending prefix
+    # of the group keys is already sorted, and a stable sort would not move.
+    if order_by and (
+        driver_plan.collect_rows or driver_plan.descending
+        or order_by != list(group_by[: len(order_by)])
+    ):
+        table = sort_table(table, order_by, driver_plan.descending)
     if driver_plan.limit is not None:
         table = {name: np.asarray(column)[: driver_plan.limit] for name, column in table.items()}
     return table

@@ -16,26 +16,56 @@ from repro.errors import ExecutionError
 from repro.plan.expressions import col, evaluate
 from repro.plan.logical import AggregateSpec
 from repro.engine.scan import FusedBatch
-from repro.engine.table import Table, concat_tables, empty_table_like, table_num_rows
+from repro.engine.table import Table, concat_tables, empty_table_like, key_slots, table_num_rows
 
 
 def _column_codes(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Distinct values (ascending) and the per-row code of one key column.
+    """``np.unique(values, return_inverse=True)`` of one key column.
 
-    Single-character string columns (e.g. TPC-H flag columns) are compared as
-    their UCS-4 code points, which turns the string sort inside ``np.unique``
-    into an integer sort at identical ordering.
+    An integer key whose value range fits its rows (:func:`_key_range`) is
+    grouped by one scatter of its ``key - min`` offsets, anything else sorted.
+    Single-character strings (TPC-H flag columns) go as their UCS-4 code points.
     """
     array = np.asarray(values)
     if array.dtype.kind == "U" and array.dtype.itemsize == 4:
-        unique_ints, inverse = np.unique(array.view(np.uint32), return_inverse=True)
+        unique_ints, inverse = _column_codes(array.view(np.uint32))
         return unique_ints.view(array.dtype), inverse
-    unique, inverse = np.unique(array, return_inverse=True)
-    return unique, inverse
+    key_range = _key_range(array)
+    if key_range is None:
+        return np.unique(array, return_inverse=True)
+    key_min, cardinality = key_range
+    offsets, inverse = _dense_factorize(key_slots(array, key_min), cardinality)
+    return _offset_keys(offsets, key_min, array.dtype), inverse
+
+
+def _key_range(array: np.ndarray) -> Optional[Tuple[int, int]]:
+    """``(min, C)`` of an integer key whose C values fit its rows, else ``None``
+    (Python ints; the offsets come from :func:`key_slots`, so nothing wraps)."""
+    if array.dtype.kind not in "iu" or not len(array):
+        return None
+    key_min = int(array.min())
+    cardinality = int(array.max()) - key_min + 1
+    return (key_min, cardinality) if _fits_dense(cardinality, len(array)) else None
+
+
+def _offset_keys(offsets: np.ndarray, key_min: int, dtype: np.dtype) -> np.ndarray:
+    """The keys ``key_min + offsets`` in the key's own ``dtype``."""
+    wide = np.uint64 if dtype.kind == "u" else np.int64
+    return (offsets.astype(wide, copy=False) + wide(key_min)).astype(dtype, copy=False)
+
+
+def _range_dictionary(values: np.ndarray) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """``(min + arange(C), key - min)``: a key's range as its chunk dictionary."""
+    key_range = _key_range(values)
+    if key_range is None:
+        return None
+    key_min, cardinality = key_range
+    dictionary = _offset_keys(np.arange(cardinality), key_min, values.dtype)
+    return dictionary, key_slots(values, key_min)
 
 
 #: Hard cap on the dense factorisation's code space, whatever the row count:
-#: 2^21 int64 counts is a 16 MiB scratch array.
+#: 2^21 int64 ranks is a 16 MiB scratch array.
 DENSE_FACTORIZE_MAX_CARDINALITY = 1 << 21
 
 #: Leading group key of a segmented pass: the row group's ordinal in the run.
@@ -44,7 +74,7 @@ _SEGMENT_KEY = "__segment__"
 
 def _fits_dense(cardinality: int, num_rows: int) -> bool:
     """Whether a code space of ``cardinality`` is worth a dense pass over
-    ``num_rows`` rows: the ``bincount`` remap costs O(N + C), so it wins only
+    ``num_rows`` rows: the scatter remap costs O(N + C), so it wins only
     while C stays a small multiple of N; beyond that sorting the N codes
     (O(N log N), independent of C) is cheaper and allocates nothing C-sized.
     """
@@ -54,14 +84,16 @@ def _fits_dense(cardinality: int, num_rows: int) -> bool:
 def _dense_factorize(combined: np.ndarray, cardinality: int) -> Tuple[np.ndarray, np.ndarray]:
     """``np.unique(combined, return_inverse=True)`` for small dense code spaces.
 
-    ``combined`` holds non-negative codes below ``cardinality``.  Presence is
-    established with one bincount; the sorted unique codes and the per-row
-    inverse fall out of a cumulative-sum remap without sorting the rows.
+    ``combined`` holds non-negative codes below ``cardinality``.  A scatter
+    marks the codes present, ``flatnonzero`` sorts them, and a scatter of
+    their ranks remaps every row: no sort and no cumulative sum.
     """
-    counts = np.bincount(combined, minlength=cardinality)
-    present = counts > 0
-    remap = np.cumsum(present) - 1
-    return np.flatnonzero(present), remap[combined]
+    present = np.zeros(cardinality, dtype=bool)
+    present[combined] = True
+    unique_codes = np.flatnonzero(present)
+    remap = np.empty(cardinality, dtype=np.intp)
+    remap[unique_codes] = np.arange(len(unique_codes))
+    return unique_codes, remap[combined]
 
 
 def _factorize(
@@ -218,19 +250,6 @@ class _FusedEvalTable(dict):
         return values
 
 
-def _batch_key_codes(batch: FusedBatch, name: str) -> Tuple[np.ndarray, np.ndarray]:
-    """One group key of a fused batch as ``(ascending uniques, per-row codes)``.
-
-    Keys the scan delivered in code space skip the ``np.unique`` pass: their
-    codes index the chunk's sorted dictionary (a superset of the values that
-    survived the filter), which is rank-preserving exactly like
-    :func:`_column_codes` output.
-    """
-    if name in batch.key_codes:
-        return batch.key_codes[name]
-    return _column_codes(batch.key_values[name])
-
-
 def partial_aggregate_fused(
     batch: FusedBatch,
     group_by: Sequence[str],
@@ -239,7 +258,9 @@ def partial_aggregate_fused(
     """:func:`partial_aggregate` over a :class:`~repro.engine.scan.FusedBatch`.
 
     Selection vectors feed the aggregate kernels directly — the batch's keys
-    stay in code space and no intermediate filtered table is materialised.
+    stay in code space (their codes index the chunk's sorted dictionary,
+    rank-preserving like :func:`_column_codes`, which codes a key delivered
+    as values) and no intermediate filtered table is materialised.
     The output is bit-identical to running :func:`partial_aggregate` on the
     equivalent materialised chunk: the factorisation drops dictionary entries
     no surviving row uses, which is what ``np.unique`` on the materialised
@@ -249,8 +270,15 @@ def partial_aggregate_fused(
     if num_rows == 0:
         return empty_table_like(list(group_by) + [spec.alias for spec in aggregates])
 
-    per_key = [_batch_key_codes(batch, name) for name in group_by]
-    key_table, inverse, num_groups = _factorize(group_by, per_key, num_rows)
+    per_key = [
+        batch.key_codes.get(name) or _column_codes(batch.key_values[name]) for name in group_by
+    ]
+    if len(group_by) == 1 and group_by[0] not in batch.key_codes:
+        # A key's own :func:`_column_codes` already are the factorisation.
+        (uniques, inverse), = per_key
+        key_table, num_groups = {group_by[0]: uniques}, len(uniques)
+    else:
+        key_table, inverse, num_groups = _factorize(group_by, per_key, num_rows)
     columns = _aggregate_groups(_FusedEvalTable(batch), aggregates, inverse, num_groups)
     return {**key_table, **columns}
 
@@ -267,10 +295,11 @@ class FusedBatchAccumulator:
     order, same float accumulation order, same bits — which is what
     :func:`merge_partials` consumes either way.
 
-    The segmented code space is row groups × the run's key dictionaries.
-    When it does not fit the rows in hand (:func:`_fits_dense`), or a key
-    arrived as values — near-unique keys, for which the writer keeps no chunk
-    dictionary and a row group's sort already dominates its call — the row
+    The segmented code space is row groups × the run's key dictionaries; a
+    key that arrived as values (the writer kept no chunk dictionary) takes
+    its value range as its dictionary (:func:`_range_dictionary`).  When the
+    space does not fit the rows in hand (:func:`_fits_dense`) — near-unique keys
+    such as ``l_orderkey``, whose per-row-group sort then dominates — the row
     groups are aggregated one by one, as zero-copy slices of the batch.
     """
 
@@ -308,15 +337,15 @@ class FusedBatchAccumulator:
 
     def _segmented(self, batch: FusedBatch, counts: Sequence[int]) -> Optional[FusedBatch]:
         """The batch keyed by (row-group ordinal, keys), if that fits."""
-        if any(name not in batch.key_codes for name in self.group_by):
-            # A key the scan delivered as values has no chunk dictionary: the
-            # writer found too many distinct values to keep one.
-            return None
         ordinals = np.arange(len(counts))
         key_codes = {_SEGMENT_KEY: (ordinals, np.repeat(ordinals, counts))}
         cardinality = len(counts)
         for name in self.group_by:
-            key_codes[name] = batch.key_codes[name]
+            key_codes[name] = batch.key_codes.get(name) or _range_dictionary(
+                batch.key_values[name]
+            )
+            if key_codes[name] is None:
+                return None
             cardinality *= len(key_codes[name][0])
             if not _fits_dense(cardinality, batch.num_rows):
                 return None

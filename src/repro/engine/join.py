@@ -39,7 +39,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.engine.table import Table, table_num_rows
+from repro.engine.table import Table, key_slots, table_num_rows
 from repro.errors import ExecutionError, UnknownColumnError
 
 #: Join keys: one column name or a sequence of names (multi-key join).
@@ -190,20 +190,6 @@ _DENSE_SPAN_PER_ROW = 32
 _DENSE_MAX_ENTRIES = 1 << 24
 
 
-def _table_slots(codes: np.ndarray, key_min: int) -> np.ndarray:
-    """``codes - key_min`` modulo 2^64, as int64 table indices.
-
-    The subtraction wraps instead of widening, and stays exact where it
-    matters: a key lies in ``[key_min, key_min + span)`` iff its slot, read
-    as uint64, is below ``span``.  (The slot is the true difference ``d``
-    modulo 2^64, so the only other way below ``span`` is ``d < span - 2^64``,
-    which puts the key under ``key_max + 1 - 2^64`` — under its dtype's
-    minimum.)  int64 extremes and uint64 keys above 2^63 need no special case.
-    """
-    wide = np.uint64 if codes.dtype.kind == "u" else np.int64
-    return (codes.astype(wide, copy=False) - wide(key_min)).view(np.int64)
-
-
 def _probe_positions(
     probe_slots: np.ndarray, build_slots: np.ndarray, span: int
 ) -> Optional[Tuple[Optional[np.ndarray], np.ndarray]]:
@@ -287,8 +273,8 @@ def _probe(
             _DENSE_MAX_ENTRIES, _DENSE_SPAN_PER_ROW * (num_left + num_right)
         ):
             dense_span = span
-            probe_slots = _table_slots(left_codes, key_min)
-            build_slots = _table_slots(right_codes, key_min)
+            probe_slots = key_slots(left_codes, key_min)
+            build_slots = key_slots(right_codes, key_min)
             pairs = _probe_positions(probe_slots, build_slots, span)
             if pairs is not None:
                 return pairs

@@ -28,6 +28,22 @@ def table_num_rows(table: Table) -> int:
     return lengths.pop()
 
 
+def key_slots(keys: np.ndarray, key_min: int) -> np.ndarray:
+    """``keys - key_min`` modulo 2^64, as int64 table indices.
+
+    The keys are widened to int64 (uint64 if unsigned) before the subtraction,
+    so a narrow key cannot wrap in its own dtype, and the difference stays
+    exact where it matters: a key lies in ``[key_min, key_min + span)`` iff
+    its slot, read as uint64, is below ``span``.  (The slot is the true
+    difference ``d`` modulo 2^64, so the only other way below ``span`` is
+    ``d < span - 2^64``, which puts the key under ``key_max + 1 - 2^64`` —
+    under its dtype's minimum.)  int64 extremes and uint64 keys above 2^63
+    need no special case.
+    """
+    wide = np.uint64 if keys.dtype.kind == "u" else np.int64
+    return (keys.astype(wide, copy=False) - wide(key_min)).view(np.int64)
+
+
 def select_columns(table: Table, columns: Sequence[str]) -> Table:
     """Keep only ``columns`` (in the given order)."""
     missing = [name for name in columns if name not in table]

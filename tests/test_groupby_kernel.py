@@ -1,11 +1,14 @@
 """The shape-adaptive group-by factorizer and the segmented batch pass.
 
-Two properties hold the kernel in place: whichever strategy the factorizer
-picks it returns what a record-array ``np.unique`` returns, and the
-accumulator's one pass over a run of row groups returns the per-row-group
-partial tables to the last bit.
+Three properties hold the kernel in place: whichever strategy the factorizer
+picks it returns what a record-array ``np.unique`` returns, a key column's
+range codes return what ``np.unique`` returns, and the accumulator's one pass
+over a run of row groups returns the per-row-group partial tables to the
+last bit.
 """
 
+import hashlib
+import sys
 import tracemalloc
 
 import numpy as np
@@ -13,19 +16,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cloud.environment import CloudEnvironment
+from repro.driver import shuffle
+from repro.driver.shuffle import ShuffleAggregateCoordinator, merge_driver_scope
 from repro.engine import aggregates
 from repro.engine.aggregates import (
     FusedBatchAccumulator,
+    _column_codes,
     _factorize,
     _fits_dense,
     _group_indices,
     partial_aggregate_fused,
 )
+from repro.engine.payload import encode_table
 from repro.engine.scan import FusedBatch
-from repro.engine.table import concat_tables
+from repro.engine.table import concat_tables, sort_table
 from repro.formats.encoding import unify_codes
 from repro.plan.expressions import col
 from repro.plan.logical import AggregateSpec
+from repro.plan.physical import DriverPlan
+from repro.workload.tpch import generate_lineitem_dataset
 
 # -- (a) factorizer == record-array reference ---------------------------------------
 
@@ -111,6 +121,63 @@ def test_factorizer_takes_both_strategies(monkeypatch):
         _factorize(["a", "b"], per_key, num_rows)
     assert seen == [(5000, 81), (0, 1), (300, 900)]
     assert all(_fits_dense(cardinality, rows) for rows, cardinality in seen)
+
+
+# -- (a') a key column's range codes == np.unique -----------------------------------
+
+_INT_DTYPES = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint64]
+
+
+def _assert_same_as_unique(values):
+    uniques, inverse = _column_codes(values)
+    expected, expected_inverse = np.unique(values, return_inverse=True)
+    assert uniques.dtype == expected.dtype
+    np.testing.assert_array_equal(uniques, expected)
+    assert inverse.dtype == expected_inverse.dtype
+    assert inverse.shape == expected_inverse.shape
+    np.testing.assert_array_equal(inverse, expected_inverse)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2 ** 32 - 1),
+    dtype=st.sampled_from(_INT_DTYPES),
+    num_rows=st.one_of(st.sampled_from([0, 1, 2]), st.integers(3, 300)),
+    # Value range per row, 0.01 .. 100: both sides of the dense rule's 4 N + 64.
+    log_ratio=st.floats(-2.0, 2.0),
+    anchor=st.sampled_from(["min", "max", "middle", "extremes"]),
+)
+def test_range_codes_equal_np_unique(seed, dtype, num_rows, log_ratio, anchor):
+    info = np.iinfo(dtype)
+    rng = np.random.default_rng(seed)
+    span = min(max(1, int(10.0 ** log_ratio * max(num_rows, 1))), info.max - info.min + 1)
+    low = {
+        "min": info.min,
+        "max": info.max - span + 1,
+        "middle": min(max(info.min, -(span // 2)), info.max - span + 1),
+        "extremes": info.min,
+    }[anchor]
+    # Python ints throughout: the keys themselves must not wrap either.
+    keys = [low + int(offset) for offset in rng.integers(0, span, num_rows)]
+    if anchor == "extremes" and keys:
+        keys[0], keys[-1] = info.min, info.max
+    _assert_same_as_unique(np.array(keys, dtype=dtype))
+
+
+def test_narrow_keys_are_widened_before_their_offset():
+    """An int16 key over +-30 000 offset in int16 wraps into wrong groups."""
+    rng = np.random.default_rng(31)
+    for dtype, low, high, rows in (
+        (np.int16, -30_000, 30_001, 17_000),
+        (np.int8, -128, 128, 64),
+        (np.uint8, 0, 256, 64),
+        (np.int64, 2 ** 63 - 200, 2 ** 63, 100),
+        (np.uint64, 2 ** 64 - 200, 2 ** 64, 100),
+    ):
+        values = rng.integers(low, high, rows, dtype=dtype)
+        assert _fits_dense(int(values.max()) - int(values.min()) + 1, rows)
+        _assert_same_as_unique(values)
+    _assert_same_as_unique(np.array(list("NRAFNA")))
 
 
 # -- (b) a sparse code space allocates nothing its size -----------------------------
@@ -287,6 +354,37 @@ def test_key_delivered_as_values_in_one_batch_and_codes_in_another(monkeypatch):
     _assert_pass_equals_per_batch(batches, ["flag", "status"], monkeypatch)
 
 
+@pytest.mark.parametrize(
+    "dtype, low, span, distinct, passes",
+    [
+        # A narrow range fits the run: one pass, like a chunk dictionary.
+        (np.int64, 1, 150, 150, 1),
+        (np.int16, -32_768, 150, 100, 1),
+        (np.uint64, 2 ** 63 + 5, 150, 100, 1),
+        # A range over the rows in hand: one call per row group.
+        (np.int64, 1, 90_000, 400, None),
+        (np.int16, -30_000, 60_001, 400, None),
+    ],
+)
+def test_integer_keys_delivered_as_values_take_their_range(
+    dtype, low, span, distinct, passes, monkeypatch
+):
+    rng = np.random.default_rng(span + distinct)
+    offsets = np.sort(rng.choice(span, size=distinct, replace=False))
+    keys = {
+        "supp": np.array([low + int(offset) for offset in offsets], dtype=dtype),
+        **_flags(rng, full=True),
+    }
+    batches = [
+        _batch(rng, int(rng.integers(200, 400)), keys, as_values=("supp",))
+        for _ in range(int(rng.integers(2, 9)))
+    ]
+    for group_by in (["supp"], ["flag", "supp"]):
+        _assert_pass_equals_per_batch(
+            batches, group_by, monkeypatch, expected_calls=passes or len(batches)
+        )
+
+
 def test_high_cardinality_keys_are_aggregated_batch_by_batch(monkeypatch):
     """8 batches x 200 x 200 codes over 512 rows does not fit: no segmented pass."""
     rng = np.random.default_rng(25)
@@ -314,6 +412,125 @@ def test_aggregate_may_reference_a_code_space_group_key():
     combined = concat_tables(accumulator.finish())
     for name, column in per_batch.items():
         assert np.array_equal(combined[name], column), name
+
+
+# -- (d) the kernel's call budget on a repartitioned group-by -----------------------
+
+#: sha256 prefixes (dtype + bytes) of every result column at SF 0.002, seed 7,
+#: two files of 512-row groups, recorded when every key was sorted.
+SORTED_KEY_DIGESTS = {
+    "l_orderkey": {
+        "l_orderkey": "626776cc41fb4b3b", "revenue": "549ae8db8f712225",
+        "items": "20605a63735bd906",
+    },
+    "l_suppkey": {
+        "l_suppkey": "17d45754d1ec1776", "revenue": "ee7df6fd34ddcf88",
+        "items": "aeb3f28da3ad63ce",
+    },
+}
+
+
+def _column_digest(column) -> str:
+    column = np.ascontiguousarray(column)
+    return hashlib.sha256(column.dtype.str.encode() + column.tobytes()).hexdigest()[:16]
+
+
+def test_a_shuffle_group_by_stays_inside_its_kernel_call_budget(monkeypatch):
+    """One kernel call per run for ``l_suppkey``, not one per row group, and no
+    merge of either key sorts: the mapper merge, the reducer and the driver
+    merge all take the range codes."""
+    env = CloudEnvironment.create(region="eu")
+    # 512-row groups hold more suppliers than a chunk dictionary may: the
+    # scan delivers l_suppkey as values, like the benchmark's 2048-row groups
+    # at SF 0.015.
+    dataset = generate_lineitem_dataset(
+        env.s3, scale_factor=0.002, num_files=2, row_group_rows=512, seed=7
+    )
+    coordinator = ShuffleAggregateCoordinator(env, memory_mib=2048, num_buckets=4)
+    specs = [
+        AggregateSpec("sum", col("l_extendedprice") * (1 - col("l_discount")), "revenue"),
+        AggregateSpec("count", None, "items"),
+    ]
+    runs, kernel_calls, merge_sorts = [], [], []
+    add, kernel, unique = FusedBatchAccumulator.add, aggregates.partial_aggregate_fused, np.unique
+
+    def counted_add(self, batch):
+        runs.append(batch)
+        add(self, batch)
+
+    def counted_kernel(batch, group_by, specs):
+        kernel_calls.append(batch.num_rows)
+        return kernel(batch, group_by, specs)
+
+    def watched_unique(values, *args, **kwargs):
+        frame = sys._getframe(1)
+        if frame.f_globals.get("__name__") == aggregates.__name__:
+            callers = set()
+            while frame is not None:
+                callers.add(frame.f_code.co_name)
+                frame = frame.f_back
+            if "partial_aggregate_fused" not in callers:
+                merge_sorts.append(len(values))
+        return unique(values, *args, **kwargs)
+
+    monkeypatch.setattr(FusedBatchAccumulator, "add", counted_add)
+    monkeypatch.setattr(aggregates, "partial_aggregate_fused", counted_kernel)
+    monkeypatch.setattr(np, "unique", watched_unique)
+    for key in ("l_orderkey", "l_suppkey"):
+        del runs[:], kernel_calls[:], merge_sorts[:]
+        table, _ = coordinator.execute(
+            dataset.paths, group_by=[key], aggregates=specs, order_by=[key]
+        )
+        assert merge_sorts == [], key
+        digests = {name: _column_digest(column) for name, column in table.items()}
+        assert digests == SORTED_KEY_DIGESTS[key]
+        assert runs and all(key in batch.key_values for batch in runs)
+        if key == "l_suppkey":
+            assert all(len(batch.group_rows) > 1 for batch in runs)
+            assert len(kernel_calls) == len(runs)
+
+
+# -- (e) the driver merge is already in ascending key order --------------------------
+
+_MERGE_KEYS = {
+    "i": lambda rng, n: rng.integers(-5, 5, n),
+    "f": lambda rng, n: np.where(rng.random(n) < 0.2, np.nan, rng.integers(-2, 3, n) * 0.5),
+    "s": lambda rng, n: rng.choice(np.array(list("AFNR")), n),
+}
+
+
+@pytest.mark.parametrize("group_by", [["i"], ["f"], ["s"], ["s", "f", "i"], ["f", "i"]])
+def test_driver_sorts_only_what_the_merge_did_not_order(group_by, monkeypatch):
+    rng = np.random.default_rng(len(group_by))
+    specs = [AggregateSpec("sum", col("v"), "v")]
+    frames = [
+        encode_table({**{key: _MERGE_KEYS[key](rng, 60) for key in group_by}, "v": rng.random(60)})
+        for _ in range(3)
+    ]
+    sorts = []
+
+    def counted_sort(table, keys, descending=False):
+        sorts.append(list(keys))
+        return sort_table(table, keys, descending)
+
+    monkeypatch.setattr(shuffle, "sort_table", counted_sort)
+    unordered = merge_driver_scope(frames, DriverPlan(final_aggregates=specs), group_by, specs)
+    for order_by, descending, driver_sorts in (
+        (group_by[:1], False, False),
+        (group_by, False, False),
+        (group_by, True, True),
+        (["v"], False, True),
+        (group_by[::-1], False, len(group_by) > 1),
+    ):
+        del sorts[:]
+        plan = DriverPlan(final_aggregates=specs, order_by=order_by, descending=descending)
+        table = merge_driver_scope(frames, plan, group_by, specs)
+        expected = sort_table(unordered, order_by, descending)
+        assert sorts == ([order_by] if driver_sorts else [])
+        assert list(table) == list(expected)
+        for name, column in expected.items():
+            assert table[name].dtype == column.dtype
+            assert table[name].tobytes() == column.tobytes(), (order_by, descending, name)
 
 
 # -- shared partials ----------------------------------------------------------------
