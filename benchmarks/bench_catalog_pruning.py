@@ -11,7 +11,8 @@ import numpy as np
 
 from repro.analysis.experiments import PaperScaleModel, shipdate_prune_fraction
 from repro.driver.catalog import StatisticsCatalog
-from repro.workload.queries import q6_plan
+from repro.frontend.sql import parse_sql
+from repro.workload.queries import q6_sql, tpch_catalog
 
 
 def test_catalog_pruning_ablation(benchmark, experiment_report, functional_stack):
@@ -19,11 +20,11 @@ def test_catalog_pruning_ablation(benchmark, experiment_report, functional_stack
     catalog = StatisticsCatalog(env.dynamodb)
     catalog.register_dataset(env.s3, "lineitem", dataset.paths)
 
+    q6 = parse_sql(q6_sql(), tpch_catalog(lineitem=dataset.paths))
+
     def run_both():
-        without = driver.execute(q6_plan(dataset.paths))
-        with_catalog = driver.execute(
-            q6_plan(dataset.paths), catalog=catalog, dataset_name="lineitem"
-        )
+        without = driver.execute(q6)
+        with_catalog = driver.execute(q6, catalog=catalog, dataset_name="lineitem")
         return without, with_catalog
 
     without, with_catalog = benchmark.pedantic(run_both, rounds=1, iterations=1)

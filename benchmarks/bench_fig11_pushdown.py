@@ -12,7 +12,8 @@ import numpy as np
 from repro.analysis.experiments import figure11_processing_time_distribution, run_tpch_query
 from repro.cloud.network import BandwidthModel
 from repro.plan.optimizer import optimize
-from repro.workload.queries import q6_plan
+from repro.frontend.sql import parse_sql
+from repro.workload.queries import q6_sql, tpch_catalog
 
 
 def test_fig11_processing_time_distribution(benchmark, experiment_report):
@@ -52,7 +53,7 @@ def test_fig11_functional_pruning_ablation(benchmark, experiment_report, functio
         default_model, env.bandwidth = env.bandwidth, BandwidthModel(request_latency_seconds=0.0)
         try:
             with_pruning = run_tpch_query(driver, dataset, "q6")
-            physical, _ = optimize(q6_plan(dataset.paths))
+            physical, _ = optimize(parse_sql(q6_sql(), tpch_catalog(lineitem=dataset.paths)))
             physical.worker_template.prune_ranges = []
             without_pruning = driver.execute(physical)
         finally:

@@ -769,7 +769,8 @@ def measure_join_e2e(
     from repro.cloud.environment import CloudEnvironment
     from repro.driver.driver import LambadaDriver
     from repro.formats.compression import Compression
-    from repro.workload.queries import q3_plan
+    from repro.frontend.sql import parse_sql
+    from repro.workload.queries import q3_sql, tpch_catalog
     from repro.workload.tpch import generate_lineitem_dataset, generate_orders_dataset
 
     env = CloudEnvironment.create()
@@ -787,7 +788,7 @@ def measure_join_e2e(
         row_group_rows=32_768,
         compression=Compression.FAST,
     )
-    plan = q3_plan(lineitem.paths, orders.paths)
+    plan = parse_sql(q3_sql(), tpch_catalog(lineitem=lineitem.paths, orders=orders.paths))
     driver = LambadaDriver(env)
     result, seconds = _best_run(
         lambda: driver.execute(plan, num_workers=num_workers), repeats
@@ -997,9 +998,10 @@ def measure_end_to_end(
     # session's worker-thread execution is fully charged to its half of the
     # pair; per-pair ratio medians cancel ambient slowdowns, as above.
     from repro.driver.driver import QuerySession
-    from repro.workload.queries import q1_plan
+    from repro.frontend.sql import parse_sql
+    from repro.workload.queries import q1_sql, tpch_catalog
 
-    q1 = q1_plan(dataset.paths)
+    q1 = parse_sql(q1_sql(), tpch_catalog(lineitem=dataset.paths))
     bare_best = armed_best = float("inf")
     bare_result = armed_result = None
     admission_pair_ratios = []

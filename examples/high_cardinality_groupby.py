@@ -20,11 +20,11 @@ Run with:  python examples/high_cardinality_groupby.py
 
 import numpy as np
 
-from repro import CloudEnvironment, LambadaDriver, col
+from repro import CloudEnvironment, LambadaDriver, col, parse_sql
 from repro.driver.catalog import StatisticsCatalog
 from repro.driver.shuffle import ShuffleAggregateCoordinator
 from repro.plan.logical import AggregateSpec
-from repro.workload import generate_lineitem_dataset, q6_plan
+from repro.workload import generate_lineitem_dataset, q6_sql, tpch_catalog
 from repro.workload.tpch import LineitemGenerator
 
 
@@ -64,8 +64,9 @@ def main() -> None:
     driver = LambadaDriver(env, memory_mib=1792)
     catalog = StatisticsCatalog(env.dynamodb)
     catalog.register_dataset(env.s3, "lineitem", dataset.paths)
-    without = driver.execute(q6_plan(dataset.paths))
-    with_catalog = driver.execute(q6_plan(dataset.paths), catalog=catalog, dataset_name="lineitem")
+    q6 = parse_sql(q6_sql(), tpch_catalog(lineitem=dataset.paths))
+    without = driver.execute(q6)
+    with_catalog = driver.execute(q6, catalog=catalog, dataset_name="lineitem")
     print("central statistics catalog on TPC-H Q6:")
     print(f"  workers invoked without catalog: {without.statistics.num_workers}")
     print(f"  workers invoked with catalog:    {with_catalog.statistics.num_workers}")

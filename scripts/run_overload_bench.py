@@ -38,7 +38,8 @@ from repro.errors import (  # noqa: E402
     QueryRejectedError,
     RetryBudgetExhaustedError,
 )
-from repro.workload.queries import q1_plan, q3_plan, q6_plan  # noqa: E402
+from repro.frontend.sql import parse_sql  # noqa: E402
+from repro.workload.queries import q1_sql, q3_sql, q6_sql, tpch_catalog  # noqa: E402
 from repro.workload.tpch import (  # noqa: E402
     generate_lineitem_dataset,
     generate_orders_dataset,
@@ -69,10 +70,10 @@ def run(arguments: argparse.Namespace) -> dict:
         row_group_rows=4096,
         seed=7,
     )
+    catalog = tpch_catalog(lineitem=lineitem.paths, orders=orders.paths)
     plans = {
-        "q1": q1_plan(lineitem.paths),
-        "q6": q6_plan(lineitem.paths),
-        "q3": q3_plan(lineitem.paths, orders.paths),
+        name: parse_sql(sql(), catalog)
+        for name, sql in (("q1", q1_sql), ("q6", q6_sql), ("q3", q3_sql))
     }
     tenants = [f"tenant-{index}" for index in range(arguments.tenants)]
 

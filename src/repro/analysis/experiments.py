@@ -41,12 +41,14 @@ from repro.config import (
 from repro.driver.driver import LambadaDriver, QueryResult
 from repro.driver.invocation import CollectionPlan, InvocationModel
 from repro.driver.worker import COLD_EXECUTION_PENALTY
+from repro.frontend.sql import parse_sql
 from repro.workload.queries import (
     Q1_SHIPDATE_CUTOFF_DAYS,
     Q6_SHIPDATE_LOWER_DAYS,
     Q6_SHIPDATE_UPPER_DAYS,
-    q1_plan,
-    q6_plan,
+    q1_sql,
+    q6_sql,
+    tpch_catalog,
 )
 from repro.workload.tpch import (
     LINEITEM_SCHEMA,
@@ -125,12 +127,10 @@ def run_tpch_query(
     **execute_kwargs,
 ) -> QueryResult:
     """Run TPC-H Q1 or Q6 end to end on the serverless stack."""
-    if query == "q1":
-        plan = q1_plan(dataset.paths)
-    elif query == "q6":
-        plan = q6_plan(dataset.paths)
-    else:
+    sql = {"q1": q1_sql, "q6": q6_sql}.get(query)
+    if sql is None:
         raise ValueError(f"unknown query {query!r}")
+    plan = parse_sql(sql(), tpch_catalog(lineitem=dataset.paths))
     return driver.execute(plan, **execute_kwargs)
 
 

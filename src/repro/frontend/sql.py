@@ -6,7 +6,7 @@ Supports the analytical subset needed for the paper's evaluation queries
     SELECT <exprs and aggregates> FROM <table>
     [JOIN <table> ON <col> = <col>]...
     [WHERE <conjunctions/disjunctions of comparisons, BETWEEN>]
-    [GROUP BY <columns>] [ORDER BY <columns> [DESC]] [LIMIT <n>]
+    [GROUP BY <columns>] [ORDER BY <columns> [ASC|DESC]] [LIMIT <n>]
 
 Any number of ``JOIN ... ON a = b`` clauses chain into a left-deep join
 tree; the optimizer reorders and lowers the tree onto shuffle waves.
@@ -15,9 +15,18 @@ Aggregates: ``SUM``, ``COUNT(*)``, ``AVG``, ``MIN``, ``MAX``.  ``DATE
 encoding used by the numeric TPC-H generator.  Table names resolve to object
 store paths through a :class:`SqlCatalog`.
 
-Parse failures raise :class:`~repro.errors.SqlParseError` carrying the
-0-based character ``position`` (plus derived 1-based ``line``/``column``)
-of the offending token.
+One dialect rule differs from standard SQL: a trailing ``DESC`` (or ``ASC``)
+applies to *every* ``ORDER BY`` key, so ``ORDER BY revenue, l_orderkey DESC``
+sorts both keys descending (standard SQL would write ``revenue DESC,
+l_orderkey DESC``).  In an aggregate query every ``ORDER BY`` key must be a
+``GROUP BY`` column or an aggregate's alias.
+
+Every rejection, syntactic or semantic (an unknown table, a join condition
+that does not span both sides, a select item that is neither grouped nor
+aggregated, an ``ORDER BY`` key the result does not have), raises
+:class:`~repro.errors.SqlParseError` carrying the 0-based character
+``position`` (plus derived 1-based ``line``/``column``) of the offending
+token.
 """
 
 from __future__ import annotations
@@ -84,8 +93,12 @@ def _tokenize(statement: str) -> List[_Token]:
         if match.lastgroup == "date":
             date_match = re.search(r"(\d{4})-(\d{2})-(\d{2})", match.group("date"))
             assert date_match is not None
-            year, month, day = date_match.groups()
-            days = (_dt.date(int(year), int(month), int(day)) - _dt.date(1970, 1, 1)).days
+            try:
+                days = date_to_days(*(int(part) for part in date_match.groups()))
+            except ValueError as exc:
+                raise SqlParseError(
+                    f"invalid date literal: {exc}", statement=statement, position=start
+                ) from None
             tokens.append(_Token("number", str(days), start))
         elif match.lastgroup == "number":
             tokens.append(_Token("number", match.group("number"), start))
@@ -176,6 +189,8 @@ class _SelectItem:
     expression: Optional[Expression]
     aggregate: Optional[AggregateSpec]
     alias: str
+    #: The item's first token: where a rejection of the item points.
+    token: _Token
 
 
 class _Parser:
@@ -293,8 +308,9 @@ class _Parser:
             return col(name)
         self._error(f"unexpected token {token}", token=token)
 
-    def parse_column_ref(self) -> Tuple[Optional[str], str]:
-        """A possibly qualified column reference: ``(qualifier, column)``."""
+    def parse_column_ref(self) -> Tuple[Optional[str], str, _Token]:
+        """A possibly qualified column reference: ``(qualifier, column,
+        first token)``."""
         token = self._next()
         if token.kind != "ident":
             self._error(f"expected a column name, found {token}", token=token)
@@ -306,8 +322,8 @@ class _Parser:
                     f"expected a column name after '.', found {column_token}",
                     token=column_token,
                 )
-            return first, column_token.value.lower()
-        return None, first
+            return first, column_token.value.lower(), token
+        return None, first, token
 
     def parse_predicate(self) -> Expression:
         """or_expr := and_expr (OR and_expr)*"""
@@ -359,12 +375,13 @@ class _Parser:
 
     def parse_select_item(self, index: int) -> _SelectItem:
         token = self._peek()
+        if token is None:
+            self._error("unexpected end of statement")
         aggregate: Optional[AggregateSpec] = None
         expression: Optional[Expression] = None
         default_alias = f"col{index}"
         if (
-            token is not None
-            and token.kind == "ident"
+            token.kind == "ident"
             and token.value.lower() in _AGGREGATE_NAMES
             and self.position + 1 < len(self.tokens)
             and self.tokens[self.position + 1].value == "("
@@ -389,7 +406,7 @@ class _Parser:
             alias = alias_token.value.lower()
         if aggregate is not None:
             aggregate = AggregateSpec(aggregate.function, aggregate.expression, alias)
-        return _SelectItem(expression=expression, aggregate=aggregate, alias=alias)
+        return _SelectItem(expression, aggregate, alias, token)
 
 
 #: Join syntax the mini-SQL frontend deliberately does not support; naming
@@ -407,11 +424,7 @@ def parse_sql(statement: str, catalog: SqlCatalog) -> LogicalPlan:
         items.append(parser.parse_select_item(len(items)))
 
     parser._expect_keyword("from")
-    table_token = parser._next()
-    if table_token.kind != "ident":
-        parser._error(f"expected a table name, found {table_token}", token=table_token)
-    left_table = table_token.value.lower()
-    paths = catalog.paths_of(left_table)
+    left_table = _expect_table(parser, catalog, "FROM")
 
     # Any number of INNER JOIN clauses chain into a left-deep join tree; the
     # n-th ON clause must connect the new table to one already in scope.
@@ -433,22 +446,15 @@ def parse_sql(statement: str, catalog: SqlCatalog) -> LogicalPlan:
             parser._expect_keyword("join")
         elif not parser._accept_keyword("join"):
             break
-        right_token = parser._next()
-        if right_token.kind != "ident":
-            parser._error(
-                f"expected a table name after JOIN, found {right_token}",
-                token=right_token,
-            )
-        right_table = right_token.value.lower()
+        right_token = parser._peek()
+        right_table = _expect_table(parser, catalog, "JOIN")
         if right_table in joined_tables:
             parser._error(
                 f"table {right_table!r} already joined (self-joins are not "
                 f"supported)",
                 token=right_token,
             )
-        catalog.paths_of(right_table)  # validate early
         parser._expect_keyword("on")
-        condition_token = parser._peek()
         first_ref = parser.parse_column_ref()
         if not parser._accept_op("="):
             found = parser._peek()
@@ -458,14 +464,9 @@ def parse_sql(statement: str, catalog: SqlCatalog) -> LogicalPlan:
                 f"{found if found is not None else 'end of statement'}"
             )
         second_ref = parser.parse_column_ref()
-        try:
-            left_key, right_key = _resolve_join_keys(
-                catalog, joined_tables, right_table, first_ref, second_ref
-            )
-        except SqlParseError:
-            raise
-        except SqlSyntaxError as exc:
-            parser._error(str(exc), token=condition_token)
+        left_key, right_key = _resolve_join_keys(
+            parser, catalog, joined_tables, right_table, first_ref, second_ref
+        )
         join_clauses.append((right_table, left_key, right_key))
         joined_tables.append(right_table)
 
@@ -473,20 +474,21 @@ def parse_sql(statement: str, catalog: SqlCatalog) -> LogicalPlan:
     if parser._accept_keyword("where"):
         predicate = parser.parse_predicate()
 
+    group_token = parser._peek()
     group_by: List[str] = []
     if parser._accept_keyword("group"):
         parser._expect_keyword("by")
-        group_by.append(_expect_column(parser))
+        group_by.append(parser.parse_column_ref()[1])
         while parser._accept_op(","):
-            group_by.append(_expect_column(parser))
+            group_by.append(parser.parse_column_ref()[1])
 
-    order_by: List[str] = []
+    order_by: List[Tuple[Optional[str], str, _Token]] = []
     descending = False
     if parser._accept_keyword("order"):
         parser._expect_keyword("by")
-        order_by.append(_expect_column(parser))
+        order_by.append(parser.parse_column_ref())
         while parser._accept_op(","):
-            order_by.append(_expect_column(parser))
+            order_by.append(parser.parse_column_ref())
         if parser._accept_keyword("desc"):
             descending = True
         else:
@@ -507,7 +509,7 @@ def parse_sql(statement: str, catalog: SqlCatalog) -> LogicalPlan:
 
     # -- build the logical plan -------------------------------------------------------
     plan: LogicalPlan = ScanNode(
-        paths=paths,
+        paths=catalog.paths_of(left_table),
         schema_columns=catalog.columns_of(left_table),
         size_bytes=catalog.size_of(left_table),
     )
@@ -530,37 +532,65 @@ def parse_sql(statement: str, catalog: SqlCatalog) -> LogicalPlan:
     if aggregates:
         for item in plain:
             if not isinstance(item.expression, Column) or item.expression.name not in group_by:
-                raise SqlSyntaxError(
-                    f"non-aggregated select item {item.alias!r} must be a GROUP BY column"
+                parser._error(
+                    f"non-aggregated select item {item.alias!r} must be a GROUP BY column",
+                    token=item.token,
+                )
+        aliases: List[str] = []
+        for item in items:
+            if item.aggregate is not None:
+                if item.alias in aliases:
+                    parser._error(f"duplicate aggregate alias {item.alias!r}", token=item.token)
+                aliases.append(item.alias)
+        # The driver sorts the merged result, which has only these columns.
+        for _, key, key_token in order_by:
+            if key not in group_by and key not in aliases:
+                parser._error(
+                    f"ORDER BY key {key!r} is neither a GROUP BY column nor an "
+                    f"aggregate alias",
+                    token=key_token,
                 )
         plan = AggregateNode(child=plan, group_by=tuple(group_by), aggregates=tuple(aggregates))
     else:
         if group_by:
-            raise SqlSyntaxError("GROUP BY without aggregates is not supported")
+            parser._error("GROUP BY without aggregates is not supported", token=group_token)
         columns = []
         for item in plain:
             if not isinstance(item.expression, Column):
-                raise SqlSyntaxError("computed select items require an aggregate or a plain column")
+                parser._error(
+                    "computed select items require an aggregate or a plain column",
+                    token=item.token,
+                )
             columns.append(item.expression.name)
         plan = ProjectNode(child=plan, columns=tuple(columns))
 
     if order_by:
-        plan = OrderByNode(child=plan, keys=tuple(order_by), descending=descending)
+        plan = OrderByNode(
+            child=plan, keys=tuple(key for _, key, _ in order_by), descending=descending
+        )
     if limit is not None:
         plan = LimitNode(child=plan, count=limit)
     return plan
 
 
-def _expect_column(parser: _Parser) -> str:
-    return parser.parse_column_ref()[1]
+def _expect_table(parser: _Parser, catalog: SqlCatalog, clause: str) -> str:
+    """The next token as the name of a table the catalog knows."""
+    token = parser._next()
+    if token.kind != "ident":
+        parser._error(f"expected a table name after {clause}, found {token}", token=token)
+    name = token.value.lower()
+    if name not in catalog.tables:
+        parser._error(f"unknown table {name!r}", token=token)
+    return name
 
 
 def _resolve_join_keys(
+    parser: _Parser,
     catalog: SqlCatalog,
     left_tables: Sequence[str],
     right_table: str,
-    first_ref: Tuple[Optional[str], str],
-    second_ref: Tuple[Optional[str], str],
+    first_ref: Tuple[Optional[str], str, _Token],
+    second_ref: Tuple[Optional[str], str, _Token],
 ) -> Tuple[str, str]:
     """Assign the two ON-clause columns to the join sides.
 
@@ -571,15 +601,16 @@ def _resolve_join_keys(
     first) is assumed.
     """
 
-    def side_of(qualifier: Optional[str], column: str) -> Optional[str]:
+    def side_of(qualifier: Optional[str], column: str, token: _Token) -> Optional[str]:
         if qualifier is not None:
             if qualifier in left_tables:
                 return "left"
             if qualifier == right_table:
                 return "right"
-            raise SqlSyntaxError(
+            parser._error(
                 f"unknown table {qualifier!r} in join condition "
-                f"(expected one of {sorted(left_tables)} or {right_table!r})"
+                f"(expected one of {sorted(left_tables)} or {right_table!r})",
+                token=token,
             )
         if any(column in catalog.columns_of(table) for table in left_tables):
             return "left"
@@ -596,8 +627,9 @@ def _resolve_join_keys(
     elif second_side is None:
         second_side = "left" if first_side == "right" else "right"
     if first_side == second_side:
-        raise SqlSyntaxError(
-            "join condition must reference one column of each table"
+        parser._error(
+            "join condition must reference one column of each table",
+            token=first_ref[2],
         )
     left_key = first_ref[1] if first_side == "left" else second_ref[1]
     right_key = second_ref[1] if second_side == "right" else first_ref[1]

@@ -4,7 +4,8 @@ The paper evaluates on the TPC-H ``LINEITEM`` relation generated at scale
 factor 1000, modified to contain only numbers (no strings) and sorted by
 ``l_shipdate``.  This package reproduces that generator at arbitrary (small)
 scale factors, writes datasets into the simulated object store, and provides
-the logical plans and NumPy reference implementations of TPC-H Q1 and Q6.
+the evaluation queries as SQL text (``q*_sql``, lowered by the SQL frontend
+over :func:`tpch_catalog`) with NumPy reference implementations.
 """
 
 from repro.workload.tpch import (
@@ -22,17 +23,13 @@ from repro.workload.tpch import (
     write_dataset,
 )
 from repro.workload.queries import (
-    q1_plan,
-    q3_plan,
-    q6_plan,
-    q12_plan,
-    q14_plan,
     q1_sql,
     q3_sql,
     q6_sql,
     q12_sql,
     q14_sql,
     q14_promo_revenue,
+    tpch_catalog,
     reference_q1,
     reference_q3,
     reference_q6,
@@ -57,17 +54,13 @@ __all__ = [
     "generate_part_dataset",
     "replicate_dataset",
     "write_dataset",
-    "q1_plan",
-    "q3_plan",
-    "q6_plan",
-    "q12_plan",
-    "q14_plan",
     "q1_sql",
     "q3_sql",
     "q6_sql",
     "q12_sql",
     "q14_sql",
     "q14_promo_revenue",
+    "tpch_catalog",
     "reference_q1",
     "reference_q3",
     "reference_q6",

@@ -1,4 +1,4 @@
-"""TPC-H queries over the numeric schema: plans, SQL, and NumPy references.
+"""TPC-H queries over the numeric schema: SQL text and NumPy references.
 
 The paper evaluates the two most scan-bound TPC-H queries:
 
@@ -29,9 +29,11 @@ per-level push-down, multi-wave scheduling with intermediate re-exchange):
 * **Q10-style** (4 relations) — returned-item revenue per customer, top-20;
 * **Q18-style** (3 relations) — large orders per customer segment, top-100.
 
-All are provided as logical plans for the Lambada frontend, as SQL strings
-for the mini-SQL frontend, and as NumPy reference implementations used by the
-tests to verify that the distributed execution returns the correct answer.
+Each query is defined once, as SQL text in the mini-SQL dialect (``q*_sql``):
+``parse_sql(q3_sql(), tpch_catalog(lineitem=..., orders=...))`` or
+``Session.sql(q3_sql())`` lowers it to the logical plan the optimizer turns
+into waves.  The NumPy ``reference_q*`` implementations check that the
+distributed execution returns the correct answer.
 """
 
 from __future__ import annotations
@@ -41,17 +43,7 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from repro.plan.expressions import col, lit
-from repro.plan.logical import (
-    AggregateNode,
-    AggregateSpec,
-    FilterNode,
-    JoinNode,
-    LimitNode,
-    LogicalPlan,
-    OrderByNode,
-    ScanNode,
-)
+from repro.frontend.sql import SqlCatalog
 from repro.workload.tpch import (
     CUSTOMER_SCHEMA,
     LINEITEM_SCHEMA,
@@ -61,6 +53,18 @@ from repro.workload.tpch import (
     REGION_SCHEMA,
     SUPPLIER_SCHEMA,
 )
+
+
+def tpch_catalog(**tables: Sequence[str]) -> SqlCatalog:
+    """A catalog of TPC-H tables passed as ``name=paths`` (``lineitem=...``),
+    each with its schema's columns and no stored size, for ``q*_sql``."""
+    schemas = {"customer": CUSTOMER_SCHEMA, "lineitem": LINEITEM_SCHEMA,
+               "nation": NATION_SCHEMA, "orders": ORDERS_SCHEMA, "part": PART_SCHEMA,
+               "region": REGION_SCHEMA, "supplier": SUPPLIER_SCHEMA}
+    catalog = SqlCatalog()
+    for name, paths in tables.items():
+        catalog.register(name, paths, columns=schemas[name].names)
+    return catalog
 
 
 def _days(year: int, month: int, day: int) -> int:
@@ -78,31 +82,6 @@ Q6_SHIPDATE_UPPER_DAYS = _days(1995, 1, 1)
 # ---------------------------------------------------------------------------
 # Query 1
 # ---------------------------------------------------------------------------
-
-def q1_plan(paths: Sequence[str]) -> LogicalPlan:
-    """TPC-H Query 1 as a logical plan over ``paths``."""
-    scan = ScanNode(paths=tuple(paths))
-    filtered = FilterNode(
-        child=scan, predicate=col("l_shipdate") <= lit(Q1_SHIPDATE_CUTOFF_DAYS)
-    )
-    disc_price = col("l_extendedprice") * (lit(1) - col("l_discount"))
-    charge = disc_price * (lit(1) + col("l_tax"))
-    aggregate = AggregateNode(
-        child=filtered,
-        group_by=("l_returnflag", "l_linestatus"),
-        aggregates=(
-            AggregateSpec("sum", col("l_quantity"), "sum_qty"),
-            AggregateSpec("sum", col("l_extendedprice"), "sum_base_price"),
-            AggregateSpec("sum", disc_price, "sum_disc_price"),
-            AggregateSpec("sum", charge, "sum_charge"),
-            AggregateSpec("avg", col("l_quantity"), "avg_qty"),
-            AggregateSpec("avg", col("l_extendedprice"), "avg_price"),
-            AggregateSpec("avg", col("l_discount"), "avg_disc"),
-            AggregateSpec("count", None, "count_order"),
-        ),
-    )
-    return OrderByNode(child=aggregate, keys=("l_returnflag", "l_linestatus"))
-
 
 def q1_sql(table_name: str = "lineitem") -> str:
     """TPC-H Query 1 in the mini-SQL dialect."""
@@ -161,26 +140,6 @@ def reference_q1(table: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
 # Query 6
 # ---------------------------------------------------------------------------
 
-def q6_plan(paths: Sequence[str]) -> LogicalPlan:
-    """TPC-H Query 6 as a logical plan over ``paths``."""
-    scan = ScanNode(paths=tuple(paths))
-    predicate = (
-        (col("l_shipdate") >= lit(Q6_SHIPDATE_LOWER_DAYS))
-        & (col("l_shipdate") < lit(Q6_SHIPDATE_UPPER_DAYS))
-        & (col("l_discount") >= lit(0.05))
-        & (col("l_discount") <= lit(0.07))
-        & (col("l_quantity") < lit(24))
-    )
-    filtered = FilterNode(child=scan, predicate=predicate)
-    return AggregateNode(
-        child=filtered,
-        group_by=(),
-        aggregates=(
-            AggregateSpec("sum", col("l_extendedprice") * col("l_discount"), "revenue"),
-        ),
-    )
-
-
 def q6_sql(table_name: str = "lineitem") -> str:
     """TPC-H Query 6 in the mini-SQL dialect."""
     return (
@@ -226,55 +185,12 @@ def _inner_join_indices(
     return left_idx, right_idx
 
 
-def _scan(paths: Sequence[str], schema) -> ScanNode:
-    """Scan node with the relation's schema hint (enables per-side push-down)."""
-    return ScanNode(paths=tuple(paths), schema_columns=tuple(schema.names))
-
-
 # ---------------------------------------------------------------------------
 # Query 3 (two-table variant: LINEITEM ⋈ ORDERS)
 # ---------------------------------------------------------------------------
 
 #: Q3 cutoff: orders placed before, lineitems shipped after 1995-03-15.
 Q3_CUTOFF_DAYS = _days(1995, 3, 15)
-
-
-def q3_plan(
-    lineitem_paths: Sequence[str],
-    orders_paths: Sequence[str],
-    limit: int = 10,
-) -> LogicalPlan:
-    """TPC-H Query 3 (two-table form) as a logical plan.
-
-    LINEITEM is the probe side, ORDERS the build side; the date predicates
-    sit above the join and are pushed down per side by the optimizer.
-    """
-    join = JoinNode(
-        child=_scan(lineitem_paths, LINEITEM_SCHEMA),
-        right=_scan(orders_paths, ORDERS_SCHEMA),
-        left_key="l_orderkey",
-        right_key="o_orderkey",
-    )
-    filtered = FilterNode(
-        child=join,
-        predicate=(
-            (col("l_shipdate") > lit(Q3_CUTOFF_DAYS))
-            & (col("o_orderdate") < lit(Q3_CUTOFF_DAYS))
-        ),
-    )
-    aggregate = AggregateNode(
-        child=filtered,
-        group_by=("l_orderkey", "o_orderdate", "o_shippriority"),
-        aggregates=(
-            AggregateSpec(
-                "sum", col("l_extendedprice") * (lit(1) - col("l_discount")), "revenue"
-            ),
-        ),
-    )
-    ordered = OrderByNode(
-        child=aggregate, keys=("revenue", "l_orderkey"), descending=True
-    )
-    return LimitNode(child=ordered, count=limit)
 
 
 def q3_sql(
@@ -338,41 +254,6 @@ Q12_RECEIPT_UPPER_DAYS = _days(1995, 1, 1)
 Q12_SHIPMODES = (3, 4)
 
 
-def _q12_lineitem_predicate():
-    """The Q12 probe-side predicate (shipmode set + date ordering window)."""
-    return (
-        ((col("l_shipmode") == lit(Q12_SHIPMODES[0]))
-         | (col("l_shipmode") == lit(Q12_SHIPMODES[1])))
-        & (col("l_commitdate") < col("l_receiptdate"))
-        & (col("l_shipdate") < col("l_commitdate"))
-        & (col("l_receiptdate") >= lit(Q12_RECEIPT_LOWER_DAYS))
-        & (col("l_receiptdate") < lit(Q12_RECEIPT_UPPER_DAYS))
-    )
-
-
-def q12_plan(
-    lineitem_paths: Sequence[str], orders_paths: Sequence[str]
-) -> LogicalPlan:
-    """TPC-H Query 12 (grouped form) as a logical plan.
-
-    The high/low-priority split of the original query is recovered from the
-    ``o_orderpriority`` groups (codes 0 and 1 are 1-URGENT and 2-HIGH).
-    """
-    join = JoinNode(
-        child=_scan(lineitem_paths, LINEITEM_SCHEMA),
-        right=_scan(orders_paths, ORDERS_SCHEMA),
-        left_key="l_orderkey",
-        right_key="o_orderkey",
-    )
-    filtered = FilterNode(child=join, predicate=_q12_lineitem_predicate())
-    aggregate = AggregateNode(
-        child=filtered,
-        group_by=("l_shipmode", "o_orderpriority"),
-        aggregates=(AggregateSpec("count", None, "line_count"),),
-    )
-    return OrderByNode(child=aggregate, keys=("l_shipmode", "o_orderpriority"))
-
-
 def q12_sql(
     lineitem_table: str = "lineitem", orders_table: str = "orders"
 ) -> str:
@@ -427,39 +308,6 @@ def reference_q12(
 #: Q14 shipdate month [1995-09-01, 1995-10-01).
 Q14_SHIPDATE_LOWER_DAYS = _days(1995, 9, 1)
 Q14_SHIPDATE_UPPER_DAYS = _days(1995, 10, 1)
-
-
-def q14_plan(
-    lineitem_paths: Sequence[str], part_paths: Sequence[str]
-) -> LogicalPlan:
-    """TPC-H Query 14 (grouped form) as a logical plan.
-
-    Revenue is grouped by the ``p_promo`` flag; the promo revenue percentage
-    of the original query is derived with :func:`q14_promo_revenue`.
-    """
-    join = JoinNode(
-        child=_scan(lineitem_paths, LINEITEM_SCHEMA),
-        right=_scan(part_paths, PART_SCHEMA),
-        left_key="l_partkey",
-        right_key="p_partkey",
-    )
-    filtered = FilterNode(
-        child=join,
-        predicate=(
-            (col("l_shipdate") >= lit(Q14_SHIPDATE_LOWER_DAYS))
-            & (col("l_shipdate") < lit(Q14_SHIPDATE_UPPER_DAYS))
-        ),
-    )
-    aggregate = AggregateNode(
-        child=filtered,
-        group_by=("p_promo",),
-        aggregates=(
-            AggregateSpec(
-                "sum", col("l_extendedprice") * (lit(1) - col("l_discount")), "revenue"
-            ),
-        ),
-    )
-    return OrderByNode(child=aggregate, keys=("p_promo",))
 
 
 def q14_sql(lineitem_table: str = "lineitem", part_table: str = "part") -> str:
@@ -554,70 +402,6 @@ Q18_MKTSEGMENT = 0
 
 # -- Query 5 (6 relations: local supplier volume) ----------------------------
 
-def q5_plan(
-    lineitem_paths: Sequence[str],
-    orders_paths: Sequence[str],
-    customer_paths: Sequence[str],
-    supplier_paths: Sequence[str],
-    nation_paths: Sequence[str],
-    region_paths: Sequence[str],
-) -> LogicalPlan:
-    """TPC-H Query 5 as a logical plan (6-relation join DAG).
-
-    The ``c_nationkey = s_nationkey`` conjunct spans two relations and stays
-    a residual; everything else is pushed to its owning scan.
-    """
-    join = JoinNode(
-        child=JoinNode(
-            child=JoinNode(
-                child=JoinNode(
-                    child=JoinNode(
-                        child=_scan(lineitem_paths, LINEITEM_SCHEMA),
-                        right=_scan(orders_paths, ORDERS_SCHEMA),
-                        left_key="l_orderkey",
-                        right_key="o_orderkey",
-                    ),
-                    right=_scan(customer_paths, CUSTOMER_SCHEMA),
-                    left_key="o_custkey",
-                    right_key="c_custkey",
-                ),
-                right=_scan(supplier_paths, SUPPLIER_SCHEMA),
-                left_key="l_suppkey",
-                right_key="s_suppkey",
-            ),
-            right=_scan(nation_paths, NATION_SCHEMA),
-            left_key="s_nationkey",
-            right_key="n_nationkey",
-        ),
-        right=_scan(region_paths, REGION_SCHEMA),
-        left_key="n_regionkey",
-        right_key="r_regionkey",
-    )
-    filtered = FilterNode(
-        child=join,
-        predicate=(
-            (col("o_orderdate") >= lit(Q5_ORDERDATE_LOWER_DAYS))
-            & (col("o_orderdate") < lit(Q5_ORDERDATE_UPPER_DAYS))
-            & (col("r_name") == lit(Q5_REGION_CODE))
-            & (col("c_nationkey") == col("s_nationkey"))
-        ),
-    )
-    aggregate = AggregateNode(
-        child=filtered,
-        group_by=("n_nationkey",),
-        aggregates=(
-            AggregateSpec(
-                "sum",
-                col("l_quantity") * (lit(100) - col("l_discount") * lit(100)),
-                "volume",
-            ),
-        ),
-    )
-    return OrderByNode(
-        child=aggregate, keys=("volume", "n_nationkey"), descending=True
-    )
-
-
 def q5_sql(
     lineitem_table: str = "lineitem",
     orders_table: str = "orders",
@@ -679,62 +463,6 @@ def reference_q5(
 
 # -- Query 7 (4 relations: volume shipping between two nations) --------------
 
-def q7_plan(
-    lineitem_paths: Sequence[str],
-    orders_paths: Sequence[str],
-    customer_paths: Sequence[str],
-    supplier_paths: Sequence[str],
-) -> LogicalPlan:
-    """TPC-H Query 7 as a logical plan (4-relation join DAG).
-
-    The nation-pair OR predicate references both the supplier and the
-    customer relation, so it survives push-down as a residual evaluated in
-    the join wave where both sides are in scope.
-    """
-    join = JoinNode(
-        child=JoinNode(
-            child=JoinNode(
-                child=_scan(lineitem_paths, LINEITEM_SCHEMA),
-                right=_scan(orders_paths, ORDERS_SCHEMA),
-                left_key="l_orderkey",
-                right_key="o_orderkey",
-            ),
-            right=_scan(customer_paths, CUSTOMER_SCHEMA),
-            left_key="o_custkey",
-            right_key="c_custkey",
-        ),
-        right=_scan(supplier_paths, SUPPLIER_SCHEMA),
-        left_key="l_suppkey",
-        right_key="s_suppkey",
-    )
-    pair = (
-        ((col("s_nationkey") == lit(Q7_NATION_A))
-         & (col("c_nationkey") == lit(Q7_NATION_B)))
-        | ((col("s_nationkey") == lit(Q7_NATION_B))
-           & (col("c_nationkey") == lit(Q7_NATION_A)))
-    )
-    filtered = FilterNode(
-        child=join,
-        predicate=(
-            (col("l_shipdate") >= lit(Q7_SHIPDATE_LOWER_DAYS))
-            & (col("l_shipdate") < lit(Q7_SHIPDATE_UPPER_DAYS))
-            & pair
-        ),
-    )
-    aggregate = AggregateNode(
-        child=filtered,
-        group_by=("s_nationkey", "c_nationkey"),
-        aggregates=(
-            AggregateSpec(
-                "sum",
-                col("l_quantity") * (lit(100) - col("l_discount") * lit(100)),
-                "volume",
-            ),
-        ),
-    )
-    return OrderByNode(child=aggregate, keys=("s_nationkey", "c_nationkey"))
-
-
 def q7_sql(
     lineitem_table: str = "lineitem",
     orders_table: str = "orders",
@@ -795,50 +523,6 @@ def reference_q7(
 
 # -- Query 9 (5 relations: product-type profit by supplier nation) -----------
 
-def q9_plan(
-    lineitem_paths: Sequence[str],
-    part_paths: Sequence[str],
-    supplier_paths: Sequence[str],
-    orders_paths: Sequence[str],
-    nation_paths: Sequence[str],
-) -> LogicalPlan:
-    """TPC-H Query 9 as a logical plan (5-relation join DAG)."""
-    join = JoinNode(
-        child=JoinNode(
-            child=JoinNode(
-                child=JoinNode(
-                    child=_scan(lineitem_paths, LINEITEM_SCHEMA),
-                    right=_scan(part_paths, PART_SCHEMA),
-                    left_key="l_partkey",
-                    right_key="p_partkey",
-                ),
-                right=_scan(supplier_paths, SUPPLIER_SCHEMA),
-                left_key="l_suppkey",
-                right_key="s_suppkey",
-            ),
-            right=_scan(orders_paths, ORDERS_SCHEMA),
-            left_key="l_orderkey",
-            right_key="o_orderkey",
-        ),
-        right=_scan(nation_paths, NATION_SCHEMA),
-        left_key="s_nationkey",
-        right_key="n_nationkey",
-    )
-    filtered = FilterNode(child=join, predicate=col("p_type") < lit(Q9_TYPE_CUTOFF))
-    aggregate = AggregateNode(
-        child=filtered,
-        group_by=("n_nationkey",),
-        aggregates=(
-            AggregateSpec(
-                "sum",
-                col("l_quantity") * (lit(100) - col("l_discount") * lit(100)),
-                "profit",
-            ),
-        ),
-    )
-    return OrderByNode(child=aggregate, keys=("n_nationkey",))
-
-
 def q9_sql(
     lineitem_table: str = "lineitem",
     part_table: str = "part",
@@ -888,55 +572,6 @@ def reference_q9(
 
 
 # -- Query 10 (4 relations: returned-item revenue per customer) --------------
-
-def q10_plan(
-    lineitem_paths: Sequence[str],
-    orders_paths: Sequence[str],
-    customer_paths: Sequence[str],
-    nation_paths: Sequence[str],
-    limit: int = 20,
-) -> LogicalPlan:
-    """TPC-H Query 10 as a logical plan (4-relation join DAG)."""
-    join = JoinNode(
-        child=JoinNode(
-            child=JoinNode(
-                child=_scan(lineitem_paths, LINEITEM_SCHEMA),
-                right=_scan(orders_paths, ORDERS_SCHEMA),
-                left_key="l_orderkey",
-                right_key="o_orderkey",
-            ),
-            right=_scan(customer_paths, CUSTOMER_SCHEMA),
-            left_key="o_custkey",
-            right_key="c_custkey",
-        ),
-        right=_scan(nation_paths, NATION_SCHEMA),
-        left_key="c_nationkey",
-        right_key="n_nationkey",
-    )
-    filtered = FilterNode(
-        child=join,
-        predicate=(
-            (col("o_orderdate") >= lit(Q10_ORDERDATE_LOWER_DAYS))
-            & (col("o_orderdate") < lit(Q10_ORDERDATE_UPPER_DAYS))
-            & (col("l_returnflag") == lit(Q10_RETURNFLAG))
-        ),
-    )
-    aggregate = AggregateNode(
-        child=filtered,
-        group_by=("c_custkey", "n_nationkey"),
-        aggregates=(
-            AggregateSpec(
-                "sum",
-                col("l_quantity") * (lit(100) - col("l_discount") * lit(100)),
-                "revenue",
-            ),
-        ),
-    )
-    ordered = OrderByNode(
-        child=aggregate, keys=("revenue", "c_custkey"), descending=True
-    )
-    return LimitNode(child=ordered, count=limit)
-
 
 def q10_sql(
     lineitem_table: str = "lineitem",
@@ -997,47 +632,6 @@ def reference_q10(
 
 
 # -- Query 18 (3 relations: large orders in one market segment) --------------
-
-def q18_plan(
-    lineitem_paths: Sequence[str],
-    orders_paths: Sequence[str],
-    customer_paths: Sequence[str],
-    limit: int = 100,
-) -> LogicalPlan:
-    """TPC-H Query 18 as a logical plan (3-relation join DAG).
-
-    The original HAVING clause is replaced by the ``o_totalprice`` threshold
-    (the column it correlates with), keeping the plan within the engine's
-    aggregate model.
-    """
-    join = JoinNode(
-        child=JoinNode(
-            child=_scan(lineitem_paths, LINEITEM_SCHEMA),
-            right=_scan(orders_paths, ORDERS_SCHEMA),
-            left_key="l_orderkey",
-            right_key="o_orderkey",
-        ),
-        right=_scan(customer_paths, CUSTOMER_SCHEMA),
-        left_key="o_custkey",
-        right_key="c_custkey",
-    )
-    filtered = FilterNode(
-        child=join,
-        predicate=(
-            (col("o_totalprice") > lit(Q18_TOTALPRICE_MIN))
-            & (col("c_mktsegment") == lit(Q18_MKTSEGMENT))
-        ),
-    )
-    aggregate = AggregateNode(
-        child=filtered,
-        group_by=("c_custkey", "o_orderkey", "o_totalprice"),
-        aggregates=(AggregateSpec("sum", col("l_quantity"), "sum_qty"),),
-    )
-    ordered = OrderByNode(
-        child=aggregate, keys=("o_totalprice", "o_orderkey"), descending=True
-    )
-    return LimitNode(child=ordered, count=limit)
-
 
 def q18_sql(
     lineitem_table: str = "lineitem",

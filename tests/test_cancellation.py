@@ -38,9 +38,10 @@ from repro.driver.shuffle import (
 )
 from repro.driver.integrity import RESULT_BUCKET
 from repro.errors import QueryCancelledError, RetryBudgetExhaustedError
+from repro.frontend.sql import parse_sql
 from repro.plan.expressions import col
 from repro.plan.logical import AggregateSpec
-from repro.workload.queries import q3_plan, q6_plan
+from repro.workload.queries import q3_sql, q6_sql, tpch_catalog
 from repro.workload.tpch import generate_orders_dataset
 
 from tests.conftest import leaked_segments
@@ -187,7 +188,7 @@ def test_join_cancel_mid_map_wave_via_driver(stack, driver, monkeypatch):
     waves; the join exchange state is garbage-collected and a rerun matches
     the baseline."""
     env, dataset, orders = stack
-    plan = q3_plan(dataset.paths, orders.paths)
+    plan = parse_sql(q3_sql(), tpch_catalog(lineitem=dataset.paths, orders=orders.paths))
     baseline = driver.execute(plan)
     deleted = _gc_spy(monkeypatch, shuffle_module, "_gc_cancelled_query")
 
@@ -216,8 +217,9 @@ def test_scan_cancel_gcs_spilled_results(stack, driver, monkeypatch):
     deleted = _gc_spy(monkeypatch, LambadaDriver, "_gc_cancelled_scan")
 
     token = CancellationToken(cancel_at_stage="collect")
+    tables = tpch_catalog(lineitem=dataset.paths)
     with pytest.raises(QueryCancelledError) as excinfo:
-        driver.execute(q6_plan(dataset.paths), cancel=token)
+        driver.execute(parse_sql(q6_sql(), tables), cancel=token)
 
     assert excinfo.value.stage == "collect"
     # Every worker had reported via a spill by the time the driver polled.
@@ -225,7 +227,7 @@ def test_scan_cancel_gcs_spilled_results(stack, driver, monkeypatch):
     assert env.s3.list_objects(RESULT_BUCKET) == []
     assert env.sqs.approximate_message_count(driver.result_queue) == 0
 
-    rerun = driver.execute(q6_plan(dataset.paths))
+    rerun = driver.execute(parse_sql(q6_sql(), tables))
     assert rerun.statistics.resilience.clean
     assert rerun.statistics.overload["retry_budget"]["spent_total"] == 0
 
@@ -244,7 +246,7 @@ def test_deadline_expiry_cancels_mid_retry_storm(stack, driver):
     try:
         with pytest.raises(QueryCancelledError) as excinfo:
             driver.execute(
-                q6_plan(dataset.paths),
+                parse_sql(q6_sql(), tpch_catalog(lineitem=dataset.paths)),
                 max_worker_retries=8,
                 deadline_seconds=0.01,
             )
@@ -272,9 +274,10 @@ def test_retry_budget_exhaustion_is_typed_and_gcs(stack):
             seed=3,
         )
     )
+    tables = tpch_catalog(lineitem=dataset.paths)
     try:
         with pytest.raises(RetryBudgetExhaustedError) as excinfo:
-            strict.execute(q6_plan(dataset.paths), max_worker_retries=8)
+            strict.execute(parse_sql(q6_sql(), tables), max_worker_retries=8)
     finally:
         env.install_fault_plan(None)
 
@@ -285,7 +288,7 @@ def test_retry_budget_exhaustion_is_typed_and_gcs(stack):
     assert env.sqs.approximate_message_count(strict.result_queue) == 0
 
     # The budget is per-query: the same driver recovers fully afterwards.
-    result = strict.execute(q6_plan(dataset.paths))
+    result = strict.execute(parse_sql(q6_sql(), tables))
     assert result.statistics.resilience.clean
 
 
@@ -314,9 +317,10 @@ def test_join_deadline_expiry_cancels_mid_retry_storm(stack, driver):
             seed=3,
         )
     )
+    tables = tpch_catalog(lineitem=dataset.paths, orders=orders.paths)
     try:
         with pytest.raises(QueryCancelledError) as excinfo:
-            driver.execute(q3_plan(dataset.paths, orders.paths), deadline_seconds=0.01)
+            driver.execute(parse_sql(q3_sql(), tables), deadline_seconds=0.01)
     finally:
         env.install_fault_plan(None)
 
@@ -341,9 +345,10 @@ def test_budget_exhausted_join_is_named_and_leaves_nothing(stack):
             seed=3,
         )
     )
+    tables = tpch_catalog(lineitem=dataset.paths, orders=orders.paths)
     try:
         with pytest.raises(RetryBudgetExhaustedError) as excinfo:
-            strict.execute(q3_plan(dataset.paths, orders.paths))
+            strict.execute(parse_sql(q3_sql(), tables))
     finally:
         env.install_fault_plan(None)
 
@@ -361,8 +366,9 @@ def test_budget_exhausted_join_is_named_and_leaves_nothing(stack):
 def test_pooled_cancel_before_dispatch_touches_no_segments(stack, pooled_driver):
     env, dataset, _ = stack
     token = CancellationToken(cancel_at_stage="pooled dispatch")
+    tables = tpch_catalog(lineitem=dataset.paths)
     with pytest.raises(QueryCancelledError) as excinfo:
-        pooled_driver.execute(q6_plan(dataset.paths), cancel=token)
+        pooled_driver.execute(parse_sql(q6_sql(), tables), cancel=token)
     assert excinfo.value.stage == "pooled dispatch"
     assert leaked_segments() == []
 
@@ -372,7 +378,8 @@ def test_pooled_cancel_mid_retry_releases_segments(stack, pooled_driver):
     through the segment-cleanup path — nothing leaks in ``/dev/shm`` and the
     pool survives for the next query."""
     env, dataset, _ = stack
-    baseline = pooled_driver.execute(q6_plan(dataset.paths))
+    tables = tpch_catalog(lineitem=dataset.paths)
+    baseline = pooled_driver.execute(parse_sql(q6_sql(), tables))
     env.install_fault_plan(
         FaultPlan([FaultRule("pool", "crash", 1.0, max_count=2)], seed=5)
     )
@@ -380,7 +387,7 @@ def test_pooled_cancel_mid_retry_releases_segments(stack, pooled_driver):
     try:
         with pytest.raises(QueryCancelledError) as excinfo:
             pooled_driver.execute(
-                q6_plan(dataset.paths), max_worker_retries=4, cancel=token
+                parse_sql(q6_sql(), tables), max_worker_retries=4, cancel=token
             )
     finally:
         env.install_fault_plan(None)
@@ -388,5 +395,5 @@ def test_pooled_cancel_mid_retry_releases_segments(stack, pooled_driver):
     assert excinfo.value.stage == "pooled retry"
     assert leaked_segments() == []
 
-    rerun = pooled_driver.execute(q6_plan(dataset.paths))
+    rerun = pooled_driver.execute(parse_sql(q6_sql(), tables))
     assert_bit_identical(baseline.table, rerun.table, "post-cancel pooled rerun")

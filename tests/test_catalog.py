@@ -6,13 +6,15 @@ import pytest
 
 from repro.driver.catalog import FileStatistics, StatisticsCatalog
 from repro.errors import PlanError
+from repro.frontend.sql import parse_sql
 from repro.plan.physical import PruneRange
 from repro.workload.queries import (
     Q6_SHIPDATE_LOWER_DAYS,
     Q6_SHIPDATE_UPPER_DAYS,
-    q1_plan,
-    q6_plan,
+    q1_sql,
+    q6_sql,
     reference_q6,
+    tpch_catalog,
 )
 from repro.workload.tpch import SHIPDATE_MAX_DAYS
 
@@ -94,9 +96,10 @@ def test_prune_paths_no_ranges_is_identity(env, dataset, catalog):
 # -- driver integration -----------------------------------------------------------------
 
 def test_driver_skips_pruned_workers_for_q6(env, dataset, driver, catalog, lineitem_table):
-    without_catalog = driver.execute(q6_plan(dataset.paths))
+    tables = tpch_catalog(lineitem=dataset.paths)
+    without_catalog = driver.execute(parse_sql(q6_sql(), tables))
     with_catalog = driver.execute(
-        q6_plan(dataset.paths), catalog=catalog, dataset_name="lineitem"
+        parse_sql(q6_sql(), tables), catalog=catalog, dataset_name="lineitem"
     )
     # Same answer, fewer workers started.
     assert with_catalog.scalar() == pytest.approx(reference_q6(lineitem_table), rel=1e-9)
@@ -105,7 +108,8 @@ def test_driver_skips_pruned_workers_for_q6(env, dataset, driver, catalog, linei
 
 
 def test_driver_with_catalog_unselective_query_unchanged(env, dataset, driver, catalog):
-    result = driver.execute(q1_plan(dataset.paths), catalog=catalog, dataset_name="lineitem")
+    tables = tpch_catalog(lineitem=dataset.paths)
+    result = driver.execute(parse_sql(q1_sql(), tables), catalog=catalog, dataset_name="lineitem")
     assert result.statistics.num_workers == dataset.num_files
 
 

@@ -24,9 +24,10 @@ from repro.cloud.faults import FaultPlan, FaultRule, chaos_plan
 from repro.driver.driver import LambadaDriver
 from repro.driver.resilience import ResiliencePolicy
 from repro.driver.shuffle import ShuffleAggregateCoordinator
+from repro.frontend.sql import parse_sql
 from repro.plan.expressions import col
 from repro.plan.logical import AggregateSpec
-from repro.workload.queries import q1_plan, q3_plan, q6_plan, q12_plan, q14_plan
+from repro.workload.queries import q1_sql, q3_sql, q6_sql, q12_sql, q14_sql, tpch_catalog
 from repro.workload.tpch import generate_orders_dataset, generate_part_dataset
 
 from tests.conftest import leaked_segments
@@ -61,13 +62,9 @@ def stack():
 @pytest.fixture(scope="module")
 def plans(stack):
     _, dataset, orders, part = stack
-    return {
-        "q1": q1_plan(dataset.paths),
-        "q6": q6_plan(dataset.paths),
-        "q3": q3_plan(dataset.paths, orders.paths),
-        "q12": q12_plan(dataset.paths, orders.paths),
-        "q14": q14_plan(dataset.paths, part.paths),
-    }
+    catalog = tpch_catalog(lineitem=dataset.paths, orders=orders.paths, part=part.paths)
+    queries = {"q1": q1_sql, "q6": q6_sql, "q3": q3_sql, "q12": q12_sql, "q14": q14_sql}
+    return {name: parse_sql(sql(), catalog) for name, sql in queries.items()}
 
 
 @pytest.fixture(scope="module")

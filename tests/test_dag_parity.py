@@ -31,22 +31,19 @@ from repro.driver.driver import LambadaDriver
 from repro.driver.resilience import ResiliencePolicy
 from repro.driver.shuffle import JOIN_RESULT_QUEUE, _exchange_buckets
 from repro.errors import QueryCancelledError
+from repro.frontend.sql import parse_sql
 from repro.workload.queries import (
-    q5_plan,
     q5_sql,
-    q7_plan,
     q7_sql,
-    q9_plan,
     q9_sql,
-    q10_plan,
     q10_sql,
-    q18_plan,
     q18_sql,
     reference_q5,
     reference_q7,
     reference_q9,
     reference_q10,
     reference_q18,
+    tpch_catalog,
 )
 from repro.workload.tpch import (
     CustomerGenerator,
@@ -70,7 +67,8 @@ from tests.test_mode_parity import assert_bit_identical
 
 SF = 0.002
 DATA_SEEDS = (7, 11)
-QUERIES = ["q5", "q7", "q9", "q10", "q18"]
+SQL = {"q5": q5_sql, "q7": q7_sql, "q9": q9_sql, "q10": q10_sql, "q18": q18_sql}
+QUERIES = list(SQL)
 MODES = ["serial", "threads", "processes"]
 
 CHAOS_SEEDS = (11, 23)
@@ -124,18 +122,8 @@ def stack(request):
 @pytest.fixture(scope="module")
 def plans(stack):
     _, d, _ = stack
-    paths = {name: dataset.paths for name, dataset in d.items()}
-    return {
-        "q5": q5_plan(paths["lineitem"], paths["orders"], paths["customer"],
-                      paths["supplier"], paths["nation"], paths["region"]),
-        "q7": q7_plan(paths["lineitem"], paths["orders"], paths["customer"],
-                      paths["supplier"]),
-        "q9": q9_plan(paths["lineitem"], paths["part"], paths["supplier"],
-                      paths["orders"], paths["nation"]),
-        "q10": q10_plan(paths["lineitem"], paths["orders"], paths["customer"],
-                        paths["nation"]),
-        "q18": q18_plan(paths["lineitem"], paths["orders"], paths["customer"]),
-    }
+    catalog = tpch_catalog(**{name: dataset.paths for name, dataset in d.items()})
+    return {query: parse_sql(sql(), catalog) for query, sql in SQL.items()}
 
 
 @pytest.fixture(scope="module")
@@ -217,14 +205,7 @@ def facade(stack):
 
 @pytest.mark.parametrize("query", QUERIES)
 def test_dag_parity_via_session_sql(references, facade, query):
-    sql = {
-        "q5": q5_sql,
-        "q7": q7_sql,
-        "q9": q9_sql,
-        "q10": q10_sql,
-        "q18": q18_sql,
-    }[query]()
-    result = facade.sql(sql)
+    result = facade.sql(SQL[query]())
     assert_bit_identical(references[query], result.table, f"{query}/session.sql")
     assert result.statistics.dag_stages >= 2
     assert "join order" in result.explain()

@@ -35,7 +35,8 @@ from repro.driver.dispatch import (
 )
 from repro.driver.shuffle import JOIN_REDUCE_FUNCTION_NAME, ShuffleConfig, ShuffleJoinCoordinator
 from repro.errors import ExecutionError, QueryTimeoutError, WorkerFailedError
-from repro.workload.queries import q3_plan
+from repro.frontend.sql import parse_sql
+from repro.workload.queries import q3_sql, tpch_catalog
 from repro.workload.tpch import generate_orders_dataset
 
 LABELS = FleetLabels(dispatch="test dispatch", retry="test retry", budget="test_retries")
@@ -381,9 +382,10 @@ def test_a_join_wave_that_loses_its_worker_raises_a_timeout_naming_it(driver, da
     env.install_fault_plan(
         FaultPlan([FaultRule("lambda", "drop", 1.0, match=JOIN_REDUCE_FUNCTION_NAME)], seed=1)
     )
+    tables = tpch_catalog(lineitem=dataset.paths, orders=orders.paths)
     try:
         with pytest.raises(QueryTimeoutError, match="^join: got results from 0") as excinfo:
-            driver.execute(q3_plan(dataset.paths, orders.paths))
+            driver.execute(parse_sql(q3_sql(), tables))
     finally:
         env.install_fault_plan(None)
     assert isinstance(excinfo.value, ExecutionError)

@@ -7,6 +7,7 @@ from repro.config import INVOCATION_LATENCY_SECONDS
 from repro.driver.driver import LambadaDriver
 from repro.driver.invocation import InvocationModel
 from repro.errors import ExecutionError, WorkerFailedError
+from repro.frontend.sql import parse_sql
 from repro.plan.expressions import col
 from repro.plan.logical import (
     AggregateNode,
@@ -17,7 +18,7 @@ from repro.plan.logical import (
     ProjectNode,
     ScanNode,
 )
-from repro.workload.queries import reference_q1, reference_q6, q1_plan, q6_plan
+from repro.workload.queries import reference_q1, reference_q6, q1_sql, q6_sql, tpch_catalog
 from repro.workload.tpch import LineitemGenerator, generate_lineitem_dataset
 
 
@@ -126,7 +127,7 @@ def test_order_by_and_limit(driver, dataset):
 
 
 def test_q1_matches_reference(driver, dataset, lineitem_table):
-    result = driver.execute(q1_plan(dataset.paths))
+    result = driver.execute(parse_sql(q1_sql(), tpch_catalog(lineitem=dataset.paths)))
     expected = reference_q1(lineitem_table)
     assert result.num_rows == len(expected["sum_qty"])
     for alias in ("sum_qty", "sum_base_price", "sum_disc_price", "sum_charge",
@@ -135,12 +136,12 @@ def test_q1_matches_reference(driver, dataset, lineitem_table):
 
 
 def test_q6_matches_reference(driver, dataset, lineitem_table):
-    result = driver.execute(q6_plan(dataset.paths))
+    result = driver.execute(parse_sql(q6_sql(), tpch_catalog(lineitem=dataset.paths)))
     assert result.scalar() == pytest.approx(reference_q6(lineitem_table), rel=1e-9)
 
 
 def test_q6_prunes_most_row_groups(driver, dataset):
-    result = driver.execute(q6_plan(dataset.paths))
+    result = driver.execute(parse_sql(q6_sql(), tpch_catalog(lineitem=dataset.paths)))
     total_groups = sum(r.counters["scan", "row_groups_total"] for r in result.worker_results)
     pruned = sum(r.counters["scan", "row_groups_pruned"] for r in result.worker_results)
     # Q6 touches one year out of seven; most row groups are pruned (§5.3).
@@ -148,14 +149,14 @@ def test_q6_prunes_most_row_groups(driver, dataset):
 
 
 def test_q1_prunes_little(driver, dataset):
-    result = driver.execute(q1_plan(dataset.paths))
+    result = driver.execute(parse_sql(q1_sql(), tpch_catalog(lineitem=dataset.paths)))
     total_groups = sum(r.counters["scan", "row_groups_total"] for r in result.worker_results)
     pruned = sum(r.counters["scan", "row_groups_pruned"] for r in result.worker_results)
     assert pruned < 0.2 * total_groups
 
 
 def test_statistics_populated(driver, dataset):
-    result = driver.execute(q6_plan(dataset.paths))
+    result = driver.execute(parse_sql(q6_sql(), tpch_catalog(lineitem=dataset.paths)))
     stats = result.statistics
     assert stats.latency_seconds > 0
     assert stats.invocation_seconds > 0
@@ -173,8 +174,9 @@ def test_statistics_populated(driver, dataset):
 
 
 def test_cold_execution_slower_and_pricier(driver, dataset):
-    hot = driver.execute(q1_plan(dataset.paths), cold=False)
-    cold = driver.execute(q1_plan(dataset.paths), cold=True)
+    tables = tpch_catalog(lineitem=dataset.paths)
+    hot = driver.execute(parse_sql(q1_sql(), tables), cold=False)
+    cold = driver.execute(parse_sql(q1_sql(), tables), cold=True)
     assert cold.statistics.latency_seconds > hot.statistics.latency_seconds
     assert cold.statistics.cost_lambda_duration >= hot.statistics.cost_lambda_duration
     # Results are identical regardless of cold/hot.
@@ -184,8 +186,9 @@ def test_cold_execution_slower_and_pricier(driver, dataset):
 def test_more_memory_lowers_latency_raises_cost(env, dataset):
     small = LambadaDriver(env, memory_mib=512, result_queue="q-small")
     large = LambadaDriver(env, memory_mib=1792, result_queue="q-large")
-    small_result = small.execute(q1_plan(dataset.paths))
-    large_result = large.execute(q1_plan(dataset.paths))
+    tables = tpch_catalog(lineitem=dataset.paths)
+    small_result = small.execute(parse_sql(q1_sql(), tables))
+    large_result = large.execute(parse_sql(q1_sql(), tables))
     assert large_result.statistics.max_worker_seconds < small_result.statistics.max_worker_seconds
 
 
@@ -196,7 +199,7 @@ def test_set_memory_redeploys(driver, env):
 
 def test_tree_invocation_used(driver, dataset, env):
     before = env.lambda_service.total_invocations()
-    driver.execute(q6_plan(dataset.paths))
+    driver.execute(parse_sql(q6_sql(), tpch_catalog(lineitem=dataset.paths)))
     after = env.lambda_service.total_invocations()
     assert after - before == dataset.num_files
 
@@ -219,7 +222,7 @@ def test_small_fleet_is_invoked_in_one_hop(driver, dataset, env, monkeypatch, li
     hop: four root payloads, nobody invokes — or bills for invoking — anyone."""
     calls = _record_invocations(env, monkeypatch)
     log_before = len(env.lambda_service.invocation_log)
-    result = driver.execute(q6_plan(dataset.paths))
+    result = driver.execute(parse_sql(q6_sql(), tpch_catalog(lineitem=dataset.paths)))
     assert result.scalar() == pytest.approx(reference_q6(lineitem_table))
     assert len(calls) == 4
     assert all(from_driver for _, from_driver in calls)
@@ -241,7 +244,7 @@ def test_large_fleet_fans_out_through_children(env, monkeypatch):
     driver = LambadaDriver(env, memory_mib=2048)
     calls = _record_invocations(env, monkeypatch)
     log_before = len(env.lambda_service.invocation_log)
-    result = driver.execute(q6_plan(dataset.paths))
+    result = driver.execute(parse_sql(q6_sql(), tpch_catalog(lineitem=dataset.paths)))
     table = LineitemGenerator(scale_factor=0.001, seed=7).generate()
     assert result.scalar() == pytest.approx(reference_q6(table))
 
@@ -279,14 +282,16 @@ def test_latency_is_the_collection_plan_of_the_fleets_completions(env, num_files
         ),
     }
     round_trip = INVOCATION_LATENCY_SECONDS["eu"]
+    tables = tpch_catalog(lineitem=dataset.paths)
     try:
         # An environment's very first worker runs a little longer than any
         # later one, whatever the mode; keep it out of the comparison.
-        drivers["serial"].execute(q6_plan(dataset.paths), cold=False)
-        for plan_of in (q1_plan, q6_plan):
+        drivers["serial"].execute(parse_sql(q6_sql(), tables), cold=False)
+        for sql in (q1_sql, q6_sql):
             latencies = {}
             for mode, mode_driver in drivers.items():
-                stats = mode_driver.execute(plan_of(dataset.paths), cold=False).statistics
+                plan = parse_sql(sql(), tables)
+                stats = mode_driver.execute(plan, cold=False).statistics
                 launch = InvocationModel(region="eu").plan(num_files, cold=False)
                 completion = launch.worker_start_times() + np.asarray(stats.worker_durations)
                 collection = launch.collection(completion)
@@ -313,20 +318,21 @@ def test_latency_is_the_collection_plan_of_the_fleets_completions(env, num_files
 
 
 def test_a_lone_worker_is_collected_in_one_round_trip(driver, dataset):
-    stats = driver.execute(q6_plan(dataset.paths), num_workers=1, cold=False).statistics
+    tables = tpch_catalog(lineitem=dataset.paths)
+    stats = driver.execute(parse_sql(q6_sql(), tables), num_workers=1, cold=False).statistics
     assert stats.num_workers == 1
     assert (stats.collection_pollers, stats.collection_receives) == (1, 1)
     assert stats.collection_seconds == pytest.approx(INVOCATION_LATENCY_SECONDS["eu"])
     # Four workers: the stagger of their starts (3 / 294 s) comes off the
     # second receive's round trip.
-    four = driver.execute(q6_plan(dataset.paths), cold=False).statistics
+    four = driver.execute(parse_sql(q6_sql(), tables), cold=False).statistics
     assert four.collection_seconds / INVOCATION_LATENCY_SECONDS["eu"] == pytest.approx(
         1.72, abs=0.02
     )
 
 
 def test_explain_and_describe_latency_name_the_critical_path(driver, dataset):
-    result = driver.execute(q6_plan(dataset.paths), cold=False)
+    result = driver.execute(parse_sql(q6_sql(), tpch_catalog(lineitem=dataset.paths)), cold=False)
     stats = result.statistics
     line = stats.describe_latency()
     assert result.explain().splitlines()[-1] == line
@@ -339,6 +345,6 @@ def test_explain_and_describe_latency_name_the_critical_path(driver, dataset):
 
 
 def test_scalar_on_multirow_result_raises(driver, dataset):
-    result = driver.execute(q1_plan(dataset.paths))
+    result = driver.execute(parse_sql(q1_sql(), tpch_catalog(lineitem=dataset.paths)))
     with pytest.raises(ExecutionError):
         result.scalar()

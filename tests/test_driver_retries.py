@@ -3,8 +3,9 @@
 import pytest
 
 from repro.errors import WorkerFailedError
+from repro.frontend.sql import parse_sql
 from repro.plan.logical import AggregateNode, AggregateSpec, FilterNode, ScanNode
-from repro.workload.queries import reference_q6, q6_plan
+from repro.workload.queries import reference_q6, q6_sql, tpch_catalog
 
 
 class FlakyPredicate:
@@ -50,7 +51,8 @@ def test_retry_does_not_duplicate_results(driver, dataset, lineitem_table):
 
 
 def test_retries_do_not_affect_healthy_queries(driver, dataset, lineitem_table):
-    result = driver.execute(q6_plan(dataset.paths), max_worker_retries=3)
+    tables = tpch_catalog(lineitem=dataset.paths)
+    result = driver.execute(parse_sql(q6_sql(), tables), max_worker_retries=3)
     assert result.scalar() == pytest.approx(reference_q6(lineitem_table), rel=1e-9)
 
 
@@ -79,7 +81,7 @@ def test_dropped_worker_message_times_out(driver, dataset, monkeypatch):
     """A worker whose result message is lost triggers the timeout path."""
     from repro.driver.integrity import open_message
     from repro.errors import QueryTimeoutError
-    from repro.workload.queries import q6_plan
+    from repro.workload.queries import q6_sql, tpch_catalog
 
     original = driver.env.sqs.send_message
     dropped = {"count": 0}
@@ -96,20 +98,21 @@ def test_dropped_worker_message_times_out(driver, dataset, monkeypatch):
         return original(queue, body)
 
     monkeypatch.setattr(driver.env.sqs, "send_message", dropping_send_message)
+    tables = tpch_catalog(lineitem=dataset.paths)
     with pytest.raises(QueryTimeoutError):
-        driver.execute(q6_plan(dataset.paths), max_worker_retries=0)
+        driver.execute(parse_sql(q6_sql(), tables), max_worker_retries=0)
     assert dropped["count"] == 1
 
 
 def test_stale_messages_from_other_queries_are_ignored(driver, dataset, lineitem_table):
     """Results of an earlier query id do not satisfy the current collection."""
-    from repro.workload.queries import q6_plan, reference_q6
+    from repro.workload.queries import q6_sql, reference_q6, tpch_catalog
 
     driver.env.sqs.send_json(
         driver.result_queue,
         {"query_id": "stale-query", "worker_id": 0, "status": "ok", "result": {}},
     )
-    result = driver.execute(q6_plan(dataset.paths))
+    result = driver.execute(parse_sql(q6_sql(), tpch_catalog(lineitem=dataset.paths)))
     assert result.scalar() == pytest.approx(reference_q6(lineitem_table), rel=1e-9)
 
 

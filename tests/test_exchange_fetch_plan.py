@@ -16,9 +16,10 @@ from repro.exchange.codec import encode_partition_set, slice_crcs
 from repro.exchange.fetch import FetchPlan, SenderManifest
 from repro.exchange.naming import WriteCombiningNaming
 from repro.exchange.partition import partition_assignments, scatter_by_assignment
+from repro.frontend.sql import parse_sql
 from repro.plan.expressions import col
 from repro.plan.logical import AggregateSpec
-from repro.workload.queries import q3_plan, reference_q3
+from repro.workload.queries import q3_sql, reference_q3, tpch_catalog
 from repro.workload.tpch import OrdersGenerator, generate_orders_dataset
 
 P = 6
@@ -234,7 +235,8 @@ def test_q3_leaves_no_objects_behind(env, driver, dataset, lineitem_table):
     )
     before = env.s3.object_count()
     requests_before = env.ledger.total("s3", "list_requests")
-    result = driver.execute(q3_plan(dataset.paths, orders.paths))
+    tables = tpch_catalog(lineitem=dataset.paths, orders=orders.paths)
+    result = driver.execute(parse_sql(q3_sql(), tables))
     assert env.s3.object_count() == before
     assert env.ledger.total("s3", "list_requests") == requests_before
     assert result.statistics.gc_objects_deleted > 0

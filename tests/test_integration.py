@@ -15,7 +15,8 @@ from repro.engine.table import concat_tables, table_num_rows
 from repro.exchange.multilevel import MultiLevelExchange
 from repro.frontend.dataframe import LambadaSession
 from repro.frontend.sql import SqlCatalog, parse_sql
-from repro.workload.queries import q1_plan, q1_sql, reference_q1
+from repro.plan.expressions import col
+from repro.workload.queries import Q1_SHIPDATE_CUTOFF_DAYS, q1_sql, reference_q1, tpch_catalog
 from repro.workload.tpch import LineitemGenerator, generate_lineitem_dataset, replicate_dataset
 
 
@@ -27,8 +28,8 @@ def test_full_stack_q1_over_replicated_dataset():
     replicated = replicate_dataset(env.s3, dataset, factor=3)
     driver = LambadaDriver(env, memory_mib=2048)
 
-    base = driver.execute(q1_plan(dataset.paths))
-    scaled = driver.execute(q1_plan(replicated.paths))
+    base = driver.execute(parse_sql(q1_sql(), tpch_catalog(lineitem=dataset.paths)))
+    scaled = driver.execute(parse_sql(q1_sql(), tpch_catalog(lineitem=replicated.paths)))
     np.testing.assert_allclose(scaled.column("count_order"), 3 * base.column("count_order"))
     np.testing.assert_allclose(scaled.column("sum_qty"), 3 * base.column("sum_qty"))
     np.testing.assert_allclose(scaled.column("avg_qty"), base.column("avg_qty"), rtol=1e-9)
@@ -42,7 +43,18 @@ def test_sql_and_dataflow_agree():
     session = LambadaSession(driver)
 
     sql_result = driver.execute(parse_sql(q1_sql(), SqlCatalog({"lineitem": dataset.paths})))
-    flow_result = driver.execute(q1_plan(dataset.paths))
+    flow_result = (
+        session.from_parquet(dataset.paths)
+        .filter(col("l_shipdate") <= Q1_SHIPDATE_CUTOFF_DAYS)
+        .group_by("l_returnflag", "l_linestatus")
+        .agg(
+            ("sum", col("l_quantity"), "sum_qty"),
+            ("sum", col("l_extendedprice") * (1 - col("l_discount")) * (1 + col("l_tax")),
+             "sum_charge"),
+        )
+        .order_by("l_returnflag", "l_linestatus")
+        .collect()
+    )
     np.testing.assert_allclose(sql_result.column("sum_qty"), flow_result.column("sum_qty"))
     np.testing.assert_allclose(sql_result.column("sum_charge"), flow_result.column("sum_charge"))
 
@@ -53,7 +65,7 @@ def test_cost_accounting_consistency():
     dataset = generate_lineitem_dataset(env.s3, scale_factor=0.0005, num_files=2)
     driver = LambadaDriver(env)
     env.ledger.reset()
-    result = driver.execute(q1_plan(dataset.paths))
+    result = driver.execute(parse_sql(q1_sql(), tpch_catalog(lineitem=dataset.paths)))
     # The ledger has metered lambda GiB-seconds for exactly the workers' durations.
     gib_seconds = env.ledger.total("lambda", "gib_seconds")
     expected = sum(result.statistics.worker_durations) * 2048 / 1024
@@ -114,7 +126,7 @@ def test_query_after_exchange_buckets_exist():
     # An exchange run creates its buckets (and leaves its objects) in the store.
     MultiLevelExchange(env.s3, 4, keys=["l_orderkey"], levels=2).run([{}] * 4)
     driver = LambadaDriver(env)
-    result = driver.execute(q1_plan(dataset.paths))
+    result = driver.execute(parse_sql(q1_sql(), tpch_catalog(lineitem=dataset.paths)))
     table = LineitemGenerator(scale_factor=0.0005).generate()
     np.testing.assert_allclose(result.column("sum_qty"), reference_q1(table)["sum_qty"])
 
@@ -123,7 +135,8 @@ def test_multiple_queries_reuse_warm_instances():
     env = CloudEnvironment.create()
     dataset = generate_lineitem_dataset(env.s3, scale_factor=0.0005, num_files=2)
     driver = LambadaDriver(env)
-    first = driver.execute(q1_plan(dataset.paths))
-    second = driver.execute(q1_plan(dataset.paths))
+    tables = tpch_catalog(lineitem=dataset.paths)
+    first = driver.execute(parse_sql(q1_sql(), tables))
+    second = driver.execute(parse_sql(q1_sql(), tables))
     # The second (hot) run is at least as fast as the first.
     assert second.statistics.max_worker_seconds <= first.statistics.max_worker_seconds + 1e-9

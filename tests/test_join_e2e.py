@@ -22,16 +22,14 @@ from repro.plan.expressions import col, lit
 from repro.plan.optimizer import optimize
 from repro.plan.physical import DagPhysicalPlan
 from repro.workload.queries import (
-    q3_plan,
     q3_sql,
-    q12_plan,
     q12_sql,
-    q14_plan,
-    q14_promo_revenue,
     q14_sql,
+    q14_promo_revenue,
     reference_q3,
     reference_q12,
     reference_q14,
+    tpch_catalog,
 )
 from repro.workload.tpch import (
     LINEITEM_SCHEMA,
@@ -85,17 +83,20 @@ def assert_tables_match(table, reference, label=""):
 # ---------------------------------------------------------------------------
 
 def test_q3_matches_reference(driver, dataset, orders_dataset, lineitem_table, orders_table):
-    result = driver.execute(q3_plan(dataset.paths, orders_dataset.paths))
+    tables = tpch_catalog(lineitem=dataset.paths, orders=orders_dataset.paths)
+    result = driver.execute(parse_sql(q3_sql(), tables))
     assert_tables_match(result.table, reference_q3(lineitem_table, orders_table), "q3")
 
 
 def test_q12_matches_reference(driver, dataset, orders_dataset, lineitem_table, orders_table):
-    result = driver.execute(q12_plan(dataset.paths, orders_dataset.paths))
+    tables = tpch_catalog(lineitem=dataset.paths, orders=orders_dataset.paths)
+    result = driver.execute(parse_sql(q12_sql(), tables))
     assert_tables_match(result.table, reference_q12(lineitem_table, orders_table), "q12")
 
 
 def test_q14_matches_reference(driver, dataset, part_dataset, lineitem_table, part_table):
-    result = driver.execute(q14_plan(dataset.paths, part_dataset.paths))
+    tables = tpch_catalog(lineitem=dataset.paths, part=part_dataset.paths)
+    result = driver.execute(parse_sql(q14_sql(), tables))
     reference = reference_q14(lineitem_table, part_table)
     assert_tables_match(result.table, reference, "q14")
     assert 0.0 < q14_promo_revenue(result.table) < 100.0
@@ -118,7 +119,8 @@ def test_q3_parity_across_scales_and_partitions(env, scale_factor, num_workers):
         env.s3, scale_factor=scale_factor, num_files=3, row_group_rows=512, seed=11
     )
     driver = LambadaDriver(env)
-    result = driver.execute(q3_plan(lineitem.paths, orders.paths), num_workers=num_workers)
+    tables = tpch_catalog(lineitem=lineitem.paths, orders=orders.paths)
+    result = driver.execute(parse_sql(q3_sql(), tables), num_workers=num_workers)
     reference = reference_q3(
         LineitemGenerator(scale_factor, seed=11).generate(),
         OrdersGenerator(scale_factor, seed=11).generate(),
@@ -158,7 +160,8 @@ def test_sql_q14_executes_end_to_end(driver, catalog, lineitem_table, part_table
 # ---------------------------------------------------------------------------
 
 def test_join_runs_over_write_combined_exchange(driver, dataset, orders_dataset):
-    result = driver.execute(q3_plan(dataset.paths, orders_dataset.paths))
+    tables = tpch_catalog(lineitem=dataset.paths, orders=orders_dataset.paths)
+    result = driver.execute(parse_sql(q3_sql(), tables))
     statistics = result.statistics
     exchange = statistics.exchange
     # A hand-built plan knows no sizes: one mapper per file.  Both map
@@ -183,7 +186,8 @@ def test_join_runs_over_write_combined_exchange(driver, dataset, orders_dataset)
 
 
 def test_join_ranged_gets_bounded_by_slices(driver, dataset, orders_dataset):
-    result = driver.execute(q3_plan(dataset.paths, orders_dataset.paths), num_workers=4)
+    tables = tpch_catalog(lineitem=dataset.paths, orders=orders_dataset.paths)
+    result = driver.execute(parse_sql(q3_sql(), tables), num_workers=4)
     exchange = result.statistics.exchange
     # At most one ranged GET per (sender, reducer) slice; empty slices are
     # elided without any request, and a mapper that kept no row is no sender.
@@ -203,7 +207,8 @@ def _senders(result, mappers):
 
 
 def test_join_per_side_pushdown_reported(driver, dataset, orders_dataset):
-    result = driver.execute(q3_plan(dataset.paths, orders_dataset.paths))
+    tables = tpch_catalog(lineitem=dataset.paths, orders=orders_dataset.paths)
+    result = driver.execute(parse_sql(q3_sql(), tables))
     report = result.optimizer_report
     assert report.join_keys == ("l_orderkey", "o_orderkey")
     assert report.left_pushed_predicates == 1  # l_shipdate > cutoff
@@ -350,7 +355,7 @@ def test_catalog_pruning_rejected_for_join_plans(driver, dataset, orders_dataset
 
     with pytest.raises(ExecutionError, match="catalog"):
         driver.execute(
-            q3_plan(dataset.paths, orders_dataset.paths),
+            parse_sql(q3_sql(), tpch_catalog(lineitem=dataset.paths, orders=orders_dataset.paths)),
             catalog=StatisticsCatalog(driver.env.dynamodb),
             dataset_name="lineitem",
         )

@@ -26,13 +26,11 @@ from repro.plan.logical import JoinNode, ScanNode
 from repro.plan.optimizer import optimize
 from repro.plan.physical import DagPhysicalPlan
 from repro.workload.queries import (
-    q3_plan,
     q3_sql,
-    q12_plan,
     q12_sql,
-    q14_plan,
     q14_sql,
     reference_q12,
+    tpch_catalog,
 )
 from repro.workload.tpch import (
     LINEITEM_SCHEMA,
@@ -69,9 +67,15 @@ CASES = {
     "q3_sql": lambda: parse_sql(q3_sql(), _catalog()),
     "q12_sql": lambda: parse_sql(q12_sql(), _catalog()),
     "q14_sql": lambda: parse_sql(q14_sql(), _catalog()),
-    "q3_plan": lambda: q3_plan(LINEITEM, ORDERS),
-    "q12_plan": lambda: q12_plan(LINEITEM, ORDERS),
-    "q14_plan": lambda: q14_plan(LINEITEM, PART),
+    # Schema columns but no sizes: the fan-out falls back to one join
+    # worker per file of the largest fleet.
+    "q3_sql_unsized": lambda: parse_sql(
+        q3_sql(), tpch_catalog(lineitem=LINEITEM, orders=ORDERS)
+    ),
+    "q12_sql_unsized": lambda: parse_sql(
+        q12_sql(), tpch_catalog(lineitem=LINEITEM, orders=ORDERS)
+    ),
+    "q14_sql_unsized": lambda: parse_sql(q14_sql(), tpch_catalog(lineitem=LINEITEM, part=PART)),
     "q3_sql_file_count_tie": lambda: parse_sql(
         q3_sql(), _catalog([path.replace("lineitem", "orders") for path in LINEITEM])
     ),

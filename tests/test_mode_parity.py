@@ -20,8 +20,9 @@ from repro.analysis.experiments import run_tpch_query, setup_functional_environm
 from repro.driver.driver import LambadaDriver
 from repro.engine.payload import decode_table
 from repro.engine.pipeline import execute_worker_plan
+from repro.frontend.sql import parse_sql
 from repro.plan.optimizer import optimize
-from repro.workload.queries import q1_plan, q3_plan, q6_plan
+from repro.workload.queries import q1_sql, q3_sql, q6_sql, tpch_catalog
 from repro.workload.tpch import generate_orders_dataset
 from tests.conftest import leaked_segments
 
@@ -109,7 +110,7 @@ def test_q3_join_parity_across_modes(
     stack, orders, threads_driver, processes_driver, num_workers
 ):
     _, dataset, serial_driver = stack
-    plan = q3_plan(dataset.paths, orders.paths)
+    plan = parse_sql(q3_sql(), tpch_catalog(lineitem=dataset.paths, orders=orders.paths))
     serial = serial_driver.execute(plan, num_workers=num_workers)
     threaded = threads_driver.execute(plan, num_workers=num_workers)
     pooled = processes_driver.execute(plan, num_workers=num_workers)
@@ -121,11 +122,11 @@ def test_q3_join_parity_across_modes(
 
 
 @pytest.mark.parametrize("num_workers", [1, 3])
-@pytest.mark.parametrize("builder", [q1_plan, q6_plan], ids=["q1", "q6"])
-def test_fused_kernel_matches_classic_per_worker(stack, builder, num_workers):
+@pytest.mark.parametrize("sql", [q1_sql, q6_sql], ids=["q1", "q6"])
+def test_fused_kernel_matches_classic_per_worker(stack, sql, num_workers):
     """The fused single-pass kernel is bit-identical to scan+filter+aggregate."""
     env, dataset, _ = stack
-    physical, _ = optimize(builder(dataset.paths))
+    physical, _ = optimize(parse_sql(sql(), tpch_catalog(lineitem=dataset.paths)))
     for index, worker_plan in enumerate(physical.worker_plans(num_workers)):
         classic = execute_worker_plan(worker_plan, env.s3, fused=False)
         fused = execute_worker_plan(worker_plan, env.s3, fused=True)

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from repro.errors import InvalidPlanError
+from repro.frontend.sql import parse_sql
 from repro.plan.expressions import col
 from repro.plan.logical import (
     AggregateNode,
@@ -18,7 +19,7 @@ from repro.plan.logical import (
     ScanNode,
 )
 from repro.plan.optimizer import optimize
-from repro.workload.queries import q1_plan, q6_plan
+from repro.workload.queries import q1_sql, q6_sql, tpch_catalog
 
 
 def test_projection_pushdown_collects_referenced_columns():
@@ -154,7 +155,8 @@ def test_join_nodes_lower_into_a_one_stage_dag_plan():
 
 
 def test_q1_pushdowns():
-    physical, report = optimize(q1_plan(["s3://tpch/lineitem/part-0.lpq"]))
+    catalog = tpch_catalog(lineitem=["s3://tpch/lineitem/part-0.lpq"])
+    physical, report = optimize(parse_sql(q1_sql(), catalog))
     assert set(physical.worker_template.columns) == {
         "l_returnflag",
         "l_linestatus",
@@ -169,7 +171,8 @@ def test_q1_pushdowns():
 
 
 def test_q6_pushdowns():
-    physical, report = optimize(q6_plan(["s3://tpch/lineitem/part-0.lpq"]))
+    catalog = tpch_catalog(lineitem=["s3://tpch/lineitem/part-0.lpq"])
+    physical, report = optimize(parse_sql(q6_sql(), catalog))
     ranges = {r.column: (r.lower, r.upper) for r in physical.worker_template.prune_ranges}
     assert "l_shipdate" in ranges
     assert "l_discount" in ranges

@@ -36,7 +36,8 @@ from repro.errors import (
     SlowDownError,
     TooManyRequestsError,
 )
-from repro.workload.queries import q1_plan, q6_plan
+from repro.frontend.sql import parse_sql
+from repro.workload.queries import q1_sql, q6_sql, tpch_catalog
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +282,8 @@ def test_capacity_brownout_is_retried_not_fatal():
     """
     env, dataset, _ = setup_functional_environment(scale_factor=0.002, num_files=32)
     driver = LambadaDriver(env)
-    baseline = driver.execute(q6_plan(dataset.paths))
+    tables = tpch_catalog(lineitem=dataset.paths)
+    baseline = driver.execute(parse_sql(q6_sql(), tables))
 
     env.install_fault_plan(
         FaultPlan(
@@ -291,7 +293,7 @@ def test_capacity_brownout_is_retried_not_fatal():
         )
     )
     try:
-        result = driver.execute(q6_plan(dataset.paths))
+        result = driver.execute(parse_sql(q6_sql(), tables))
     finally:
         env.install_fault_plan(None)
     assert result.scalar() == baseline.scalar()
@@ -337,9 +339,10 @@ def test_tenant_is_charged_the_invocations_the_ledger_metered(monkeypatch):
         seed=5,
     ))
     before = env.ledger.total("lambda", "invocations")
+    tables = tpch_catalog(lineitem=dataset.paths)
     try:
         with QuerySession(env) as session:
-            result = session.submit(q1_plan(dataset.paths), tenant="t").result()
+            result = session.submit(parse_sql(q1_sql(), tables), tenant="t").result()
     finally:
         env.install_fault_plan(None)
     assert result.statistics.resilience.retries == 2  # the two GETs, retried
@@ -356,14 +359,15 @@ def test_uninstall_and_reinstall_fully_resets_per_query_delta():
         [FaultRule("s3", "slowdown", 1.0, max_count=2, match="lineitem")], seed=9
     )
     env.install_fault_plan(plan_a)
+    tables = tpch_catalog(lineitem=dataset.paths)
     try:
-        first = driver.execute(q6_plan(dataset.paths), max_worker_retries=4)
+        first = driver.execute(parse_sql(q6_sql(), tables), max_worker_retries=4)
     finally:
         env.install_fault_plan(None)
     assert first.statistics.resilience.faults_injected == {"s3.slowdown": 2}
 
     # No plan installed: the next query sees a clean delta.
-    second = driver.execute(q6_plan(dataset.paths))
+    second = driver.execute(parse_sql(q6_sql(), tables))
     assert second.statistics.resilience.faults_injected == {}
     assert second.statistics.resilience.clean
 
@@ -372,7 +376,7 @@ def test_uninstall_and_reinstall_fully_resets_per_query_delta():
     plan_a.reset()
     env.install_fault_plan(plan_a)
     try:
-        third = driver.execute(q6_plan(dataset.paths), max_worker_retries=4)
+        third = driver.execute(parse_sql(q6_sql(), tables), max_worker_retries=4)
     finally:
         env.install_fault_plan(None)
     assert third.statistics.resilience.faults_injected == {"s3.slowdown": 2}
@@ -382,7 +386,7 @@ def test_uninstall_and_reinstall_fully_resets_per_query_delta():
 def test_clean_query_reports_closed_breakers_and_zero_budget():
     env, dataset, _ = setup_functional_environment(scale_factor=0.002, num_files=2)
     driver = LambadaDriver(env)
-    result = driver.execute(q6_plan(dataset.paths))
+    result = driver.execute(parse_sql(q6_sql(), tpch_catalog(lineitem=dataset.paths)))
     overload = result.statistics.overload
     assert overload is not None
     assert overload["retry_budget"]["spent_total"] == 0

@@ -31,7 +31,8 @@ from repro.errors import (
     QueryRejectedError,
     RetryBudgetExhaustedError,
 )
-from repro.workload.queries import q1_plan, q3_plan, q6_plan
+from repro.frontend.sql import parse_sql
+from repro.workload.queries import q1_sql, q3_sql, q6_sql, tpch_catalog
 from repro.workload.tpch import generate_orders_dataset
 
 from tests.conftest import leaked_segments
@@ -59,11 +60,9 @@ def stack():
 @pytest.fixture(scope="module")
 def plans(stack):
     _, dataset, orders = stack
-    return {
-        "q1": q1_plan(dataset.paths),
-        "q6": q6_plan(dataset.paths),
-        "q3": q3_plan(dataset.paths, orders.paths),
-    }
+    catalog = tpch_catalog(lineitem=dataset.paths, orders=orders.paths)
+    queries = {"q1": q1_sql, "q6": q6_sql, "q3": q3_sql}
+    return {name: parse_sql(sql(), catalog) for name, sql in queries.items()}
 
 
 @pytest.fixture(scope="module")

@@ -43,6 +43,7 @@ from repro.formats.compression import COMPRESSION_BY_ID, Compression, decompress
 from repro.formats.encoding import EncodedChunk, Encoding, parse_encoded_chunk
 from repro.formats.parquet import ColumnarFile, ColumnChunkMeta, write_table
 from repro.formats.schema import ColumnType, Field, Schema
+from repro.frontend.sql import parse_sql
 from repro.plan.expressions import col
 from repro.plan.optimizer import optimize
 from repro.plan.physical import JoinSidePlan
@@ -376,7 +377,7 @@ def _count_repro_calls(run) -> Counter:
 def test_a_q1_scan_stays_inside_its_page_budget():
     env = repro.CloudEnvironment.create()
     dataset = tpch.generate_lineitem_dataset(env.s3, scale_factor=0.05, num_files=8, seed=7)
-    physical, _ = optimize(q.q1_plan(dataset.paths))
+    physical, _ = optimize(parse_sql(q.q1_sql(), q.tpch_catalog(lineitem=dataset.paths)))
     plan = physical.worker_plans(8)[0]
     assert len(plan.files) == 1
 

@@ -2,17 +2,17 @@
 
 import numpy as np
 
+from repro.frontend.sql import parse_sql
 from repro.plan.optimizer import optimize
 from repro.workload.queries import (
     Q1_SHIPDATE_CUTOFF_DAYS,
     Q6_SHIPDATE_LOWER_DAYS,
     Q6_SHIPDATE_UPPER_DAYS,
-    q1_plan,
     q1_sql,
-    q6_plan,
     q6_sql,
     reference_q1,
     reference_q6,
+    tpch_catalog,
 )
 
 
@@ -61,15 +61,15 @@ def test_reference_q6_nonzero(lineitem_table):
     assert reference_q6(lineitem_table) > 0
 
 
-def test_q1_plan_structure():
-    physical, _ = optimize(q1_plan(["s3://b/f.lpq"]))
+def test_q1_sql_lowers_to_a_grouped_driver_merge():
+    physical, _ = optimize(parse_sql(q1_sql(), tpch_catalog(lineitem=["s3://b/f.lpq"])))
     assert physical.driver.group_by == ["l_returnflag", "l_linestatus"]
     assert len(physical.driver.final_aggregates) == 8
     assert physical.driver.order_by == ["l_returnflag", "l_linestatus"]
 
 
-def test_q6_plan_structure():
-    physical, _ = optimize(q6_plan(["s3://b/f.lpq"]))
+def test_q6_sql_lowers_to_a_scalar_driver_merge():
+    physical, _ = optimize(parse_sql(q6_sql(), tpch_catalog(lineitem=["s3://b/f.lpq"])))
     assert physical.driver.group_by == []
     assert [spec.alias for spec in physical.driver.final_aggregates] == ["revenue"]
 

@@ -25,7 +25,8 @@ from repro.driver.resilience import (
     pick_stragglers,
 )
 from repro.errors import SlowDownError, WorkerFailedError
-from repro.workload.queries import q1_plan, q3_plan, q6_plan, reference_q6
+from repro.frontend.sql import parse_sql
+from repro.workload.queries import q1_sql, q3_sql, q6_sql, reference_q6, tpch_catalog
 from repro.workload.tpch import generate_orders_dataset
 
 
@@ -213,7 +214,7 @@ def test_worker_failed_error_shows_full_history():
 
 
 def test_clean_run_reports_zero_resilience_stats(driver, dataset, lineitem_table):
-    result = driver.execute(q1_plan(dataset.paths))
+    result = driver.execute(parse_sql(q1_sql(), tpch_catalog(lineitem=dataset.paths)))
     resilience = result.statistics.resilience
     assert resilience.clean
     assert resilience.to_dict()["retries"] == 0
@@ -227,8 +228,9 @@ def test_dropped_invocation_is_retried_to_correct_result(driver, dataset, lineit
     driver.env.install_fault_plan(
         FaultPlan([FaultRule("lambda", "drop", 1.0, max_count=1)], seed=5)
     )
+    tables = tpch_catalog(lineitem=dataset.paths)
     try:
-        result = driver.execute(q6_plan(dataset.paths), max_worker_retries=2)
+        result = driver.execute(parse_sql(q6_sql(), tables), max_worker_retries=2)
     finally:
         driver.env.install_fault_plan(None)
     assert result.scalar() == pytest.approx(reference_q6(lineitem_table), rel=1e-9)
@@ -248,7 +250,7 @@ def test_straggler_is_hedged(driver, dataset, lineitem_table):
         )
     )
     try:
-        result = driver.execute(q6_plan(dataset.paths))
+        result = driver.execute(parse_sql(q6_sql(), tpch_catalog(lineitem=dataset.paths)))
     finally:
         driver.env.install_fault_plan(None)
     assert result.scalar() == pytest.approx(reference_q6(lineitem_table), rel=1e-9)
@@ -264,7 +266,8 @@ def _hedged_q6(driver, dataset):
     """Q6 after a warm-up query with one worker slowed 400x; returns the
     result and the Lambda duration dollars the ledger billed for it."""
     env = driver.env
-    driver.execute(q6_plan(dataset.paths))
+    tables = tpch_catalog(lineitem=dataset.paths)
+    driver.execute(parse_sql(q6_sql(), tables))
     before = env.ledger.cost_breakdown()["lambda.gib_seconds"]
     env.install_fault_plan(
         FaultPlan(
@@ -273,7 +276,7 @@ def _hedged_q6(driver, dataset):
         )
     )
     try:
-        result = driver.execute(q6_plan(dataset.paths))
+        result = driver.execute(parse_sql(q6_sql(), tables))
     finally:
         env.install_fault_plan(None)
     return result, env.ledger.cost_breakdown()["lambda.gib_seconds"] - before
@@ -322,9 +325,10 @@ def test_injected_faults_do_not_leak_across_queries(driver, dataset, lineitem_ta
     driver.env.install_fault_plan(
         FaultPlan([FaultRule("lambda", "drop", 1.0, max_count=1)], seed=5)
     )
+    tables = tpch_catalog(lineitem=dataset.paths)
     try:
-        faulted = driver.execute(q6_plan(dataset.paths), max_worker_retries=2)
-        clean = driver.execute(q6_plan(dataset.paths), max_worker_retries=2)
+        faulted = driver.execute(parse_sql(q6_sql(), tables), max_worker_retries=2)
+        clean = driver.execute(parse_sql(q6_sql(), tables), max_worker_retries=2)
     finally:
         driver.env.install_fault_plan(None)
     assert faulted.statistics.resilience.faults_injected == {"lambda.drop": 1}
@@ -337,9 +341,9 @@ def test_injected_faults_do_not_leak_across_queries(driver, dataset, lineitem_ta
 
 def _q1_or_q3(query, env, dataset):
     if query == "q1":
-        return q1_plan(dataset.paths)
+        return parse_sql(q1_sql(), tpch_catalog(lineitem=dataset.paths))
     orders = generate_orders_dataset(env.s3, scale_factor=0.001, num_files=2, seed=7)
-    return q3_plan(dataset.paths, orders.paths)
+    return parse_sql(q3_sql(), tpch_catalog(lineitem=dataset.paths, orders=orders.paths))
 
 
 @pytest.mark.parametrize("query", ["q1", "q3"])

@@ -32,6 +32,7 @@ from repro.errors import (
 )
 from repro.formats.compression import Compression
 from repro.formats.parquet import ColumnarFile, write_table
+from repro.frontend.sql import parse_sql
 from repro.plan.expressions import col
 from repro.plan.optimizer import optimize
 from repro.workload import queries as q
@@ -429,7 +430,7 @@ def test_truncated_open_response_raises_typed_tail_error():
 def test_q1_worker_at_scan_agg_shape_pays_a_handful_of_round_trips():
     env = repro.CloudEnvironment.create()
     dataset = generate_lineitem_dataset(env.s3, scale_factor=0.05, num_files=8, seed=7)
-    physical, _ = optimize(q.q1_plan(dataset.paths))
+    physical, _ = optimize(parse_sql(q.q1_sql(), q.tpch_catalog(lineitem=dataset.paths)))
     worker_plans = physical.worker_plans(8)
     assert all(len(plan.files) == 1 for plan in worker_plans)
     result = execute_worker_plan(worker_plans[0], env.s3)

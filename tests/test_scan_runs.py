@@ -32,6 +32,7 @@ from repro.formats.encoding import (
 )
 from repro.formats.parquet import _CHUNK, MAGIC, ColumnarFile, write_table
 from repro.formats.schema import ColumnType
+from repro.frontend.sql import parse_sql
 from repro.plan.expressions import col
 from repro.plan.optimizer import optimize
 from repro.workload import queries as q
@@ -174,8 +175,8 @@ def lineitem():
 def _worker_outputs(env, dataset):
     """Every Q1 and Q6 worker's result payload and table."""
     outputs = []
-    for plan_of in (q.q1_plan, q.q6_plan):
-        physical, _ = optimize(plan_of(dataset.paths))
+    for sql in (q.q1_sql, q.q6_sql):
+        physical, _ = optimize(parse_sql(sql(), q.tpch_catalog(lineitem=dataset.paths)))
         for plan in physical.worker_plans(2):
             result, table = execute_worker_plan_table(plan, env.s3)
             outputs.append((result.to_payload(), table))

@@ -15,9 +15,10 @@ from repro.driver.shuffle import (
 )
 from repro.errors import ExecutionError, SlowDownError
 from repro.formats.parquet import ColumnarFile
+from repro.frontend.sql import parse_sql
 from repro.plan.expressions import col, lit
 from repro.plan.logical import AggregateSpec
-from repro.workload.queries import q1_plan
+from repro.workload.queries import q1_sql, tpch_catalog
 from repro.workload.tpch import generate_lineitem_dataset
 
 from tests.test_mode_parity import assert_bit_identical
@@ -65,7 +66,7 @@ def test_group_count_matches_driver_merge_path(env, dataset, driver, coordinator
         predicate=col("l_shipdate") <= lit(10_471),
         order_by=["l_returnflag", "l_linestatus"],
     )
-    driver_result = driver.execute(q1_plan(dataset.paths))
+    driver_result = driver.execute(parse_sql(q1_sql(), tpch_catalog(lineitem=dataset.paths)))
     np.testing.assert_allclose(shuffle_result["sum_qty"], driver_result.column("sum_qty"), rtol=1e-9)
     np.testing.assert_allclose(shuffle_result["avg_disc"], driver_result.column("avg_disc"), rtol=1e-9)
 

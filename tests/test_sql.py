@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.errors import SqlSyntaxError
+import repro
+from repro.errors import SqlParseError, SqlSyntaxError
 from repro.frontend.sql import SqlCatalog, date_to_days, parse_sql
 from repro.plan.expressions import evaluate
 from repro.plan.logical import (
@@ -15,7 +18,21 @@ from repro.plan.logical import (
     ProjectNode,
     ScanNode,
 )
-from repro.workload.queries import q1_sql, q6_sql, reference_q1, reference_q6
+from repro.workload.queries import (
+    q1_sql,
+    q3_sql,
+    q5_sql,
+    q6_sql,
+    q7_sql,
+    q9_sql,
+    q10_sql,
+    q12_sql,
+    q14_sql,
+    q18_sql,
+    reference_q1,
+    reference_q6,
+    tpch_catalog,
+)
 
 
 @pytest.fixture
@@ -287,3 +304,97 @@ def test_qualified_columns_in_select_and_where(join_catalog):
     while not isinstance(node, AggregateNode):
         node = node.child
     assert node.group_by == ("l_orderkey",)
+
+
+# ---------------------------------------------------------------------------
+# Every rejection is located
+# ---------------------------------------------------------------------------
+
+TPCH_SQL = (q1_sql, q3_sql, q5_sql, q6_sql, q7_sql, q9_sql, q10_sql, q12_sql, q14_sql, q18_sql)
+
+
+@pytest.fixture(scope="module")
+def tpch():
+    return tpch_catalog(**{
+        name: [f"s3://tpch/{name}/part-00000.lpq"]
+        for name in ("lineitem", "orders", "customer", "supplier", "part", "nation", "region")
+    })
+
+
+@pytest.mark.parametrize("statement, offending", [
+    ("SELECT l_orderkey FROM missing", "missing"),
+    ("SELECT count(*) AS n FROM lineitem JOIN nosuch ON a = b", "nosuch"),
+    ("SELECT count(*) AS n FROM lineitem JOIN ON l_orderkey = o_orderkey", "ON"),
+    ("SELECT count(*) AS n FROM lineitem JOIN orders ON customer.c_custkey = o_orderkey",
+     "customer"),
+    ("SELECT count(*) AS n FROM lineitem JOIN orders ON l_orderkey = l_partkey",
+     "l_orderkey ="),
+    ("SELECT l_tax, sum(l_quantity) AS q FROM lineitem GROUP BY l_returnflag", "l_tax"),
+    ("SELECT l_tax FROM lineitem GROUP BY l_tax", "GROUP"),
+    ("SELECT l_tax * 2 FROM lineitem", "l_tax * 2"),
+    ("SELECT sum(l_tax) AS s, sum(l_quantity) AS s FROM lineitem", "sum(l_quantity)"),
+    ("SELECT l_returnflag, sum(l_quantity) AS q FROM lineitem GROUP BY l_returnflag "
+     "ORDER BY l_quantity", "l_quantity"),
+    ("SELECT l_returnflag, sum(l_quantity) AS q FROM lineitem GROUP BY l_returnflag "
+     "ORDER BY q, nosuch DESC", "nosuch"),
+    ("SELECT count(*) AS n FROM lineitem WHERE l_shipdate < date '1995-02-30'", "date"),
+])
+def test_rejections_point_at_the_offending_token(tpch, statement, offending):
+    with pytest.raises(SqlParseError) as excinfo:
+        parse_sql(statement, tpch)
+    assert excinfo.value.position == statement.rindex(offending), str(excinfo.value)
+
+
+def test_every_tpch_query_parses(tpch):
+    for sql in TPCH_SQL:
+        assert isinstance(parse_sql(sql(), tpch), (OrderByNode, LimitNode, AggregateNode))
+
+
+_WORDS = sorted({word for sql in TPCH_SQL for word in sql().split()})
+
+
+@st.composite
+def _mutated_tpch_query(draw):
+    """A ``q*_sql`` text with one to three words deleted, duplicated,
+    replaced by another word of the ten queries, or swapped."""
+    words = draw(st.sampled_from(TPCH_SQL))().split()
+    for _ in range(draw(st.integers(1, 3))):
+        index = draw(st.integers(0, len(words) - 1))
+        edit = draw(st.sampled_from(["delete", "duplicate", "replace", "swap"]))
+        if edit == "delete" and len(words) > 1:
+            del words[index]
+        elif edit == "duplicate":
+            words.insert(index, words[index])
+        elif edit == "replace":
+            words[index] = draw(st.sampled_from(_WORDS))
+        elif edit == "swap":
+            other = draw(st.integers(0, len(words) - 1))
+            words[index], words[other] = words[other], words[index]
+    return " ".join(words)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(statement=_mutated_tpch_query())
+def test_a_mutated_query_parses_or_is_rejected_with_a_position(tpch, statement):
+    """Any other exception type escaping ``parse_sql`` fails the test."""
+    try:
+        parse_sql(statement, tpch)
+    except SqlParseError as error:
+        assert error.position is not None, str(error)
+        assert 0 <= error.position <= len(statement)
+
+
+@pytest.mark.parametrize("key", ["l_quantity", "nosuch"])
+def test_bad_order_by_is_rejected_before_anything_is_billed(env, dataset, key):
+    session = repro.connect(env).register(dataset)
+    statement = (
+        "SELECT l_returnflag, sum(l_quantity) AS q FROM lineitem "
+        f"GROUP BY l_returnflag ORDER BY {key}"
+    )
+    records, cost = len(env.ledger), env.ledger.total_cost()
+    with pytest.raises(SqlParseError) as excinfo:
+        session.sql(statement)
+    assert excinfo.value.position == statement.rindex(key)
+    assert (len(env.ledger), env.ledger.total_cost()) == (records, cost)
+    # The same query ordered by a grouped column or an alias runs.
+    assert session.sql(statement.replace(f"BY {key}", "BY q")).num_rows > 0
