@@ -229,6 +229,7 @@ def _run_demo_query(args: argparse.Namespace, out) -> int:
     print(f"  lambda requests  ${stats.cost_lambda_requests:.6f}", file=out)
     print(f"  s3 requests      ${stats.cost_s3_requests:.6f}", file=out)
     print(f"  sqs requests     ${stats.cost_sqs_requests:.6f}", file=out)
+    print(f"  dynamodb reads   ${stats.cost_dynamodb_requests:.6f}", file=out)
     print(stats.describe_latency(), file=out)
     return 0
 

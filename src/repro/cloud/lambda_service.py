@@ -157,8 +157,6 @@ class InvocationResult:
     startup_seconds: float
     #: Modelled execution duration of the handler, seconds.
     duration_seconds: float
-    #: Dollar cost billed for this invocation (duration + request).
-    billed_cost: float
 
     @property
     def succeeded(self) -> bool:
@@ -347,8 +345,8 @@ class LambdaService:
         with its modelled time charged to ``context``; then the injected
         fault's error and duration (``"drop"``: the Invoke is accepted but the
         function never runs; ``"timeout"``: it hangs and is killed at its
-        timeout), the timeout clamp, the ledger records, the billed cost and
-        the invocation log.
+        timeout), the timeout clamp, the ledger records — the invocation's
+        only bill — and the invocation log.
         """
         with self._lock:
             self._require_function(name)
@@ -384,10 +382,6 @@ class LambdaService:
         gib_seconds = config.memory_mib * MiB / GiB * duration
         self.ledger.record("lambda", "invocations", 1, self.clock.now)
         self.ledger.record("lambda", "gib_seconds", gib_seconds, self.clock.now)
-        billed = (
-            self.ledger.prices.lambda_duration_cost(config.memory_mib, duration)
-            + self.ledger.prices.lambda_invocation_cost(1)
-        )
         result = InvocationResult(
             function_name=name,
             invocation_id=invocation_id,
@@ -396,7 +390,6 @@ class LambdaService:
             cold_start=cold,
             startup_seconds=startup,
             duration_seconds=duration,
-            billed_cost=billed,
         )
         with self._lock:
             self.invocation_log.append(result)
@@ -413,8 +406,3 @@ class LambdaService:
         """Number of invocations performed since creation."""
         with self._lock:
             return len(self.invocation_log)
-
-    def total_billed_cost(self) -> float:
-        """Sum of per-invocation billed costs."""
-        with self._lock:
-            return sum(result.billed_cost for result in self.invocation_log)

@@ -4,12 +4,17 @@ Every simulated cloud service records billable events (requests, bytes,
 durations) into a :class:`MeteringLedger`.  The ledger converts usage into
 dollar cost using a :class:`~repro.cloud.pricing.PriceList` and produces the
 per-service breakdowns that the paper's cost analyses report.
+
+Each record is tagged with the query that was running when it was made
+(:data:`QUERY_TAG`, set by :meth:`repro.driver.dispatch.QueryContext.scope`),
+so one query's bill is the ledger's price of its own slice of records.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import defaultdict
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional
 
@@ -32,6 +37,10 @@ class UsageRecord:
     tag: Optional[str] = None
 
 
+#: The query a record made in this context belongs to (``None``: no query).
+QUERY_TAG: ContextVar[Optional[str]] = ContextVar("query_tag", default=None)
+
+
 class MeteringLedger:
     """Accumulates :class:`UsageRecord` entries and computes costs."""
 
@@ -39,6 +48,8 @@ class MeteringLedger:
         self.prices = prices
         self._records: List[UsageRecord] = []
         self._totals: Dict[str, float] = defaultdict(float)
+        #: ``_totals`` of each query's records alone, by tag.
+        self._tagged: Dict[str, Dict[str, float]] = defaultdict(lambda: defaultdict(float))
         # Services record concurrently when the driver runs the fleet through
         # its thread pool; the read-modify-write on the totals needs a lock.
         self._lock = threading.Lock()
@@ -53,13 +64,21 @@ class MeteringLedger:
         timestamp: float = 0.0,
         tag: Optional[str] = None,
     ) -> None:
-        """Append a usage record and update the running totals."""
+        """Append a usage record and update the running totals.
+
+        Left ``None``, ``tag`` is the query running in the calling context.
+        """
         if amount < 0:
             raise ValueError(f"usage amount must be non-negative, got {amount}")
+        if tag is None:
+            tag = QUERY_TAG.get()
         record = UsageRecord(service, dimension, amount, timestamp, tag)
+        key = f"{service}.{dimension}"
         with self._lock:
             self._records.append(record)
-            self._totals[f"{service}.{dimension}"] += amount
+            self._totals[key] += amount
+            if tag is not None:
+                self._tagged[tag][key] += amount
 
     # -- introspection ------------------------------------------------------
 
@@ -86,11 +105,13 @@ class MeteringLedger:
         with self._lock:
             self._records.clear()
             self._totals.clear()
+            self._tagged.clear()
 
     # -- billing ------------------------------------------------------------
 
-    def cost_breakdown(self) -> Dict[str, float]:
-        """Dollar cost per billing dimension.
+    def cost_breakdown(self, tag: Optional[str] = None) -> Dict[str, float]:
+        """Dollar cost per billing dimension, of the whole ledger or, given a
+        ``tag``, of that query's records alone: the one pricing of usage.
 
         Only the dimensions that have a price attached contribute; unknown
         dimensions (e.g. ``s3.bytes_read``, which AWS does not bill for
@@ -99,7 +120,7 @@ class MeteringLedger:
         """
         prices = self.prices
         with self._lock:
-            totals = dict(self._totals)
+            totals = dict(self._totals if tag is None else self._tagged.get(tag, {}))
         breakdown: Dict[str, float] = {}
         for key, amount in sorted(totals.items()):
             if key == "s3.get_requests":
@@ -120,9 +141,9 @@ class MeteringLedger:
                 breakdown[key] = 0.0
         return breakdown
 
-    def total_cost(self) -> float:
-        """Total dollar cost of all recorded usage."""
-        return sum(self.cost_breakdown().values())
+    def total_cost(self, tag: Optional[str] = None) -> float:
+        """Total dollar cost of all recorded usage, or of query ``tag``'s."""
+        return sum(self.cost_breakdown(tag).values())
 
     def cost_of_service(self, service: str) -> float:
         """Total dollar cost attributed to one service (prefix match)."""

@@ -18,13 +18,18 @@ layer as the block the statistics have always had (``statistics.exchange``,
 ``clean`` / ``total_requests``.  :class:`CounterViews` is the attributes both
 statistics classes read off the record; each class lists them as
 :func:`viewed` fields, so its field list still names every statistic.
+
+A query's dollars are read the same way, off its bill — the metering
+ledger's price of the query's own records
+(:meth:`repro.driver.dispatch.QueryContext.bill`): :func:`billed` views one
+service's share, ``cost_total`` the whole.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import field
-from typing import Any, Dict, List
+from typing import Any, Callable, Dict, List
 
 
 class Counts(Counter):
@@ -157,6 +162,15 @@ def block(layer: str) -> property:
     return property(lambda self: LayerView(self._counters, layer), doc=f"The {layer} block.")
 
 
+def billed(prefix: str) -> property:
+    """A read-only attribute: the dollars of ``self._bill()`` whose billing
+    dimension starts with ``prefix`` (``"sqs."``, ``"lambda.gib_seconds"``)."""
+    return property(
+        lambda self: sum(cost for key, cost in self._bill().items() if key.startswith(prefix)),
+        doc=f"Dollars of ``{prefix}*`` on the query's bill.",
+    )
+
+
 def viewed() -> Any:
     """A dataclass field that names a view a base class defines.
 
@@ -168,9 +182,11 @@ def viewed() -> Any:
 
 class CounterViews:
     """The attributes both statistics classes read off their ``_counters``:
-    the fleet's summed scan and join counters and the three blocks."""
+    the fleet's summed scan and join counters and the three blocks; and the
+    query's total dollars, off its ``_bill``."""
 
     _counters: Counts
+    _bill: Callable[[], Dict[str, float]]
 
     rows_scanned = counted("scan", "rows_scanned")
     #: Rows entering the probe / build sides of the join kernels (after
@@ -181,3 +197,14 @@ class CounterViews:
     exchange = block("exchange")
     resilience = block("resilience")
     integrity = block("integrity")
+
+    @property
+    def cost_total(self) -> float:
+        """Total dollar cost of the query: the ledger's price of its records,
+        exactly (``MeteringLedger.total_cost(query_id)``).
+
+        Retried and hedged invocations are billed like any other request;
+        ``resilience.wasted_cost_dollars`` reports which part of this total
+        bought nothing (it is an attribution, not an extra charge).
+        """
+        return sum(self._bill().values())

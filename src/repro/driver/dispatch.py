@@ -15,7 +15,9 @@ What a query's fleets share — its id, jitter stream, counter record, breaker
 board, retry budget and cancellation token — is one :class:`QueryContext`,
 opened once per query; every fleet, driver-side cloud request and
 spilled-result read of the query goes through it, and so does the cleanup of
-a typed abort.
+a typed abort.  Inside its :meth:`~QueryContext.scope` every ledger record is
+tagged with the query, and the query's dollars are the price of those
+records (:meth:`~QueryContext.bill`).
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional
 
+from repro.cloud.metering import QUERY_TAG
 from repro.config import DEFAULT_RESILIENCE
 from repro.counters import Counts
 from repro.driver.breakers import RetryBudget
@@ -241,6 +244,8 @@ class QueryContext:
     Without a board, a budget or a token the context charges no breaker, caps
     no retry and never cancels.
 
+    :meth:`scope` is the stretch of the query — planning to teardown — whose
+    ledger records are its own, and :meth:`bill` their price.
     :meth:`call` is :func:`~repro.driver.resilience.call_with_backoff`,
     :meth:`collect` :func:`collect_results` and :meth:`run` :func:`run_fleet`
     then :func:`raise_unfinished` with all of the above; :meth:`fold` adds
@@ -270,6 +275,22 @@ class QueryContext:
         self._faults_before = fault_snapshot(env)
         if cancel is not None:
             cancel.bind(self.now, query_id=self.query_id)
+
+    @contextmanager
+    def scope(self) -> Iterator["QueryContext"]:
+        """Tag every ledger record made in this context — and in the thread
+        hops that carry it (``contextvars.copy_context().run``) — with the
+        query's id, until the block exits, however it exits."""
+        token = QUERY_TAG.set(self.query_id)
+        try:
+            yield self
+        finally:
+            QUERY_TAG.reset(token)
+
+    def bill(self) -> Dict[str, float]:
+        """The query's dollars per billing dimension: the ledger's price of
+        the records made in its :meth:`scope`."""
+        return self.env.ledger.cost_breakdown(self.query_id)
 
     def now(self) -> float:
         """Modelled now of breaker windows and the deadline: the environment

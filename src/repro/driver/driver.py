@@ -18,6 +18,7 @@ consume.
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import math
 import os
@@ -34,7 +35,7 @@ from repro.cloud.environment import CloudEnvironment
 from repro.cloud.lambda_service import FunctionConfig
 from repro.cloud.s3 import SharedObjectMirror
 from repro.config import DEFAULT_RESILIENCE, IntegrityConfig
-from repro.counters import CounterViews, Counts, LayerView, counted, viewed
+from repro.counters import CounterViews, Counts, LayerView, billed, counted, viewed
 from repro.driver.admission import (
     AdmissionConfig,
     AdmissionController,
@@ -61,7 +62,6 @@ from repro.driver.shuffle import (
     ShuffleJoinCoordinator,
     _gc_cancelled_query,
     expand_glob_paths,
-    join_costs,
     merge_driver_scope,
 )
 from repro.driver.worker import (
@@ -93,13 +93,18 @@ POOL_FLEET = FleetLabels(
 
 
 class _QueryViews(CounterViews):
-    """The counts only a query's statistics show."""
+    """The counts and dollars only a query's statistics show."""
 
     bytes_read = counted("scan", "bytes_read")
     get_requests = counted("scan", "get_requests")
     row_groups_shortcircuited = counted("scan", "row_groups_shortcircuited")
     rows_decode_saved = counted("scan", "rows_decode_saved")
     column_chunks_skipped = counted("scan", "column_chunks_skipped")
+    cost_lambda_duration = billed("lambda.gib_seconds")
+    cost_lambda_requests = billed("lambda.invocations")
+    cost_s3_requests = billed("s3.")
+    cost_sqs_requests = billed("sqs.")
+    cost_dynamodb_requests = billed("dynamodb.")
 
 
 @dataclass
@@ -110,7 +115,11 @@ class QueryStatistics(_QueryViews):
     and join counters, each summed over the fleet, and the ``exchange``,
     ``resilience`` and ``integrity`` blocks — are read-only views over the
     query's counter record (:attr:`~repro.driver.dispatch.QueryContext.counters`);
-    the other fields are what the driver priced and planned.
+    the dollars are read-only views over the query's bill, the metering
+    ledger's price of the records made while the query ran
+    (:meth:`~repro.driver.dispatch.QueryContext.bill`), so ``cost_total`` is
+    exactly what the simulated cloud billed the query.  The other fields are
+    what the driver priced and planned.
     """
 
     num_workers: int
@@ -126,11 +135,15 @@ class QueryStatistics(_QueryViews):
     rows_scanned: int = viewed()
     bytes_read: int = viewed()
     get_requests: int = viewed()
-    #: Dollar cost breakdown.
-    cost_lambda_duration: float
-    cost_lambda_requests: float
-    cost_s3_requests: float
-    cost_sqs_requests: float
+    #: Dollar cost breakdown, by service: Lambda GiB-seconds and requests,
+    #: S3 requests (scans, exchange, LISTs of globs and sweeps, spills), SQS
+    #: requests (result sends and the receives the driver issued) and the
+    #: §5.3 catalog's DynamoDB reads; they sum to ``cost_total``.
+    cost_lambda_duration: float = viewed()
+    cost_lambda_requests: float = viewed()
+    cost_s3_requests: float = viewed()
+    cost_sqs_requests: float = viewed()
+    cost_dynamodb_requests: float = viewed()
     #: Late-materialization scan counters: row groups whose selection vector
     #: short-circuited, rows never fully decoded, column-chunk downloads
     #: avoided.
@@ -156,10 +169,11 @@ class QueryStatistics(_QueryViews):
     #: Per-worker modelled execution durations, seconds.
     worker_durations: List[float] = field(default_factory=list)
     #: Result collection (:class:`~repro.driver.invocation.CollectionPlan`):
-    #: what the queue drain adds after the last worker finished, and the
-    #: polling threads and receive requests it took.  ``latency_seconds`` is
+    #: what the modelled queue drain adds after the last worker finished, and
+    #: its polling threads and receive requests.  ``latency_seconds`` is
     #: the last completion + ``collection_seconds`` + the resilience block's
-    #: backoff.
+    #: backoff.  ``collection_receives`` is the modelled drain's count; the
+    #: bill (``cost_sqs_requests``) counts the receives the driver issued.
     collection_seconds: float = 0.0
     collection_pollers: int = 0
     collection_receives: int = 0
@@ -191,9 +205,10 @@ class QueryStatistics(_QueryViews):
     #: end.  ``None`` only for catalog-pruned empty results, which never
     #: touch the fleet.
     overload: Optional[Dict[str, Any]] = None
-    #: The query's counter record and re-dispatch events (its context's).
+    #: The query's counter record, re-dispatch events and bill (its context's).
     _counters: Counts = field(default_factory=Counts, repr=False)
     _events: List[Dict] = field(default_factory=list, repr=False)
+    _bill: Callable[[], Dict[str, float]] = field(default=dict, repr=False)
 
     @property
     def join_waves(self) -> int:
@@ -204,22 +219,6 @@ class QueryStatistics(_QueryViews):
     def broadcast_stages(self) -> int:
         """Join stages that ran as a broadcast join inside an earlier wave."""
         return sum(len(wave) - 1 for wave in self.wave_stages if wave)
-
-    @property
-    def cost_total(self) -> float:
-        """Total dollar cost of the query.
-
-        Retried and hedged invocations are billed inside the components like
-        any other request; ``resilience.wasted_cost_dollars`` reports which
-        part of this total bought nothing (it is an attribution, not an
-        extra charge).
-        """
-        return (
-            self.cost_lambda_duration
-            + self.cost_lambda_requests
-            + self.cost_s3_requests
-            + self.cost_sqs_requests
-        )
 
     def describe_latency(self) -> str:
         """The critical path of the modelled latency, as one line.
@@ -506,95 +505,93 @@ class LambadaDriver:
             self.env, self.resilience_policy, breakers=self.breakers,
             cancel=cancel, budgeted=True,
         )
-
-        report: Optional[OptimizerReport] = None
-        if isinstance(plan, LogicalPlan):
-            physical, report = optimize(plan)
-        else:
-            physical = plan
-
-        # Dispatch on the unified plan protocol: every physical plan carries
-        # an ``engine`` tag ("scan" or "shuffle-dag"), so the driver never
-        # needs to know the concrete plan class.
-        if getattr(physical, "engine", "scan") == "shuffle-dag":
-            if catalog is not None or dataset_name is not None:
-                raise ExecutionError(
-                    "catalog-based file pruning is not supported for join plans"
-                )
-            return self._execute_join(physical, report, num_workers, cold, context)
-
-        input_files = expand_glob_paths(self.env.s3, physical.input_files)
-        if catalog is not None and dataset_name is not None:
-            input_files = catalog.prune_paths(
-                input_files, dataset_name, physical.worker_template.prune_ranges
-            )
-            if not input_files:
-                # Every file is pruned by the central statistics: the query
-                # result is empty and no worker needs to be started.
-                return self._empty_result(physical, report, cold)
-        if not input_files:
-            raise ExecutionError("query has no input files")
-        physical = PhysicalPlan(
-            worker_template=physical.worker_template,
-            driver=physical.driver,
-            input_files=input_files,
-        )
-
-        if num_workers is None:
-            if files_per_worker is not None:
-                if files_per_worker <= 0:
-                    raise ValueError("files_per_worker must be positive")
-                num_workers = math.ceil(len(input_files) / files_per_worker)
+        with context.scope():
+            report: Optional[OptimizerReport] = None
+            if isinstance(plan, LogicalPlan):
+                physical, report = optimize(plan)
             else:
-                num_workers = len(input_files)
-        num_workers = min(num_workers, len(input_files))
+                physical = plan
 
-        worker_plans = physical.worker_plans(num_workers)
+            # Dispatch on the unified plan protocol: every physical plan carries
+            # an ``engine`` tag ("scan" or "shuffle-dag"), so the driver never
+            # needs to know the concrete plan class.
+            if getattr(physical, "engine", "scan") == "shuffle-dag":
+                if catalog is not None or dataset_name is not None:
+                    raise ExecutionError(
+                        "catalog-based file pruning is not supported for join plans"
+                    )
+                return self._execute_join(physical, report, num_workers, cold, context)
 
-        if cold:
-            self.env.lambda_service.reset_warm_instances(self.function_name)
-
-        events = {
-            worker_id: {
-                "worker_id": worker_id,
-                "attempt": 0,
-                "plan": worker_plan.to_dict(),
-                "result_queue": self.result_queue,
-                "query_id": context.query_id,
-                "function_name": self.function_name,
-                "threads": threads,
-                "integrity": self.integrity.to_dict(),
-            }
-            for worker_id, worker_plan in enumerate(worker_plans)
-        }
-        launch = self._invocation.plan(len(events), cold=cold)
-
-        with context.teardown(self._gc_cancelled_scan):
-            with self._transport(physical, events, launch, context) as (transport, labels):
-                by_worker = context.run(events, transport, max_worker_retries + 1, labels)
-                hedge_waits, hedge_billed = self._hedge_stragglers(
-                    by_worker, events, transport, context
+            input_files = expand_glob_paths(self.env.s3, physical.input_files)
+            if catalog is not None and dataset_name is not None:
+                input_files = catalog.prune_paths(
+                    input_files, dataset_name, physical.worker_template.prune_ranges
                 )
-            context.fetch_spilled(by_worker.values(), self.integrity.verify)
-            worker_results = [
-                WorkerResult.from_payload(message["result"], message.get("frame"))
-                for _, message in sorted(by_worker.items())
-            ]
-            context.fold(worker_results)
-            table, reduce_value = self._merge(physical, worker_results)
-            statistics = self._build_statistics(
-                worker_results, launch=launch, cold=cold, context=context,
-                hedge_waits=hedge_waits, hedge_billed=hedge_billed,
+                if not input_files:
+                    # Every file is pruned by the central statistics: the query
+                    # result is empty and no worker needs to be started.
+                    return self._empty_result(physical, report, cold, context)
+            if not input_files:
+                raise ExecutionError("query has no input files")
+            physical = PhysicalPlan(
+                worker_template=physical.worker_template,
+                driver=physical.driver,
+                input_files=input_files,
             )
-            statistics.overload = self._overload_block(context.budget)
-            return QueryResult(
-                table=table,
-                reduce_value=reduce_value,
-                statistics=statistics,
-                worker_results=worker_results,
-                optimizer_report=report,
-                plan_explain=physical.explain(),
-            )
+
+            if num_workers is None:
+                if files_per_worker is not None:
+                    if files_per_worker <= 0:
+                        raise ValueError("files_per_worker must be positive")
+                    num_workers = math.ceil(len(input_files) / files_per_worker)
+                else:
+                    num_workers = len(input_files)
+            num_workers = min(num_workers, len(input_files))
+
+            worker_plans = physical.worker_plans(num_workers)
+
+            if cold:
+                self.env.lambda_service.reset_warm_instances(self.function_name)
+
+            events = {
+                worker_id: {
+                    "worker_id": worker_id,
+                    "attempt": 0,
+                    "plan": worker_plan.to_dict(),
+                    "result_queue": self.result_queue,
+                    "query_id": context.query_id,
+                    "function_name": self.function_name,
+                    "threads": threads,
+                    "integrity": self.integrity.to_dict(),
+                }
+                for worker_id, worker_plan in enumerate(worker_plans)
+            }
+            launch = self._invocation.plan(len(events), cold=cold)
+
+            with context.teardown(self._gc_cancelled_scan):
+                with self._transport(physical, events, launch, context) as (transport, labels):
+                    by_worker = context.run(events, transport, max_worker_retries + 1, labels)
+                    hedge_waits = self._hedge_stragglers(by_worker, events, transport, context)
+                context.fetch_spilled(by_worker.values(), self.integrity.verify)
+                worker_results = [
+                    WorkerResult.from_payload(message["result"], message.get("frame"))
+                    for _, message in sorted(by_worker.items())
+                ]
+                context.fold(worker_results)
+                table, reduce_value = self._merge(physical, worker_results)
+                statistics = self._build_statistics(
+                    worker_results, launch=launch, cold=cold, context=context,
+                    hedge_waits=hedge_waits,
+                )
+                statistics.overload = self._overload_block(context.budget)
+                return QueryResult(
+                    table=table,
+                    reduce_value=reduce_value,
+                    statistics=statistics,
+                    worker_results=worker_results,
+                    optimizer_report=report,
+                    plan_explain=physical.explain(),
+                )
 
     def _execute_join(
         self,
@@ -613,9 +610,10 @@ class LambadaDriver:
         computes the partial aggregates placed above the join) runs in
         :class:`~repro.driver.shuffle.ShuffleJoinCoordinator` under the
         query's ``context``, whose teardown the coordinator applies to its own
-        exchange and queue.  This prices the run's launch, result collection
-        and dollars into the :class:`QueryStatistics` scan queries report; the
-        counts need no copying, as both statistics read the context's record.
+        exchange and queue.  This prices the run's launch and result
+        collection into the :class:`QueryStatistics` scan queries report; the
+        counts and dollars need no copying, as both statistics read the
+        context's record and bill.
         """
         if self._join_coordinator is None:
             # An explicit shuffle config wins; otherwise the driver's
@@ -653,15 +651,12 @@ class LambadaDriver:
             max_worker_seconds=float(max(durations)),
             median_worker_seconds=float(np.median(durations)),
             latency_seconds=collection.finish,
-            **join_costs(
-                self.env.ledger.prices, self.memory_mib, run, worker_results,
-                final_receives=collection.receives,
-            ),
             worker_durations=durations,
             **_collection_fields(collection),
             **{name: getattr(run, name) for name in _RUN_FIELDS},
             _counters=context.counters,
             _events=context.events,
+            _bill=context.bill,
             overload=self._overload_block(context.budget),
         )
         return QueryResult(
@@ -890,7 +885,8 @@ class LambadaDriver:
 
     def _launch_tree(self, launch: LaunchPlan, payloads: List[Dict], invoke) -> None:
         """Invoke the roots of the tree ``launch`` prices for ``payloads`` with
-        ``invoke``, serially or through the thread pool."""
+        ``invoke``, serially or through the thread pool — each pooled root in
+        a copy of the calling context, so its ledger records carry the query."""
         tree = build_invocation_tree(payloads, launch)
         # On a single-core host the pool cannot overlap the workers' numpy
         # sections and only adds dispatch overhead (~10% on TPC-H Q1 at 1M
@@ -905,7 +901,9 @@ class LambadaDriver:
             32, 4 * (os.cpu_count() or 4), len(tree)
         )
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            futures = [pool.submit(invoke, parent) for parent in tree]
+            futures = [
+                pool.submit(contextvars.copy_context().run, invoke, parent) for parent in tree
+            ]
             for future in futures:
                 future.result()
 
@@ -929,7 +927,7 @@ class LambadaDriver:
         events: Dict[int, Dict],
         transport: Callable,
         context: QueryContext,
-    ) -> Tuple[Dict[int, float], List[float]]:
+    ) -> Dict[int, float]:
         """Race each straggler against a speculative re-run; first result wins.
 
         Post-fleet quantile detection: workers whose modelled duration exceeds
@@ -944,10 +942,10 @@ class LambadaDriver:
         wasted.  A homogeneous clean fleet never crosses the threshold, so
         fault-free runs take none of this path.
 
-        Returns the wait before each won hedge started (latency only) and the
-        seconds billed beyond the winners' own runs: a won hedge's original,
-        a lost hedge's run — both racers run to completion (a real Lambda
-        cannot be cancelled).
+        Returns the wait before each won hedge started (latency only).  Both
+        racers run to completion (a real Lambda cannot be cancelled) and the
+        ledger bills both; what bought no used result — a won hedge's
+        original, a lost hedge's run — is attributed as wasted.
         """
         policy = self.resilience_policy
         durations = {
@@ -956,7 +954,7 @@ class LambadaDriver:
         }
         stragglers = pick_stragglers(durations, policy)
         if not stragglers:
-            return {}, []
+            return {}
         fleet_median = sorted(durations.values())[len(durations) // 2]
         threshold = max(policy.hedge_min_seconds, policy.hedge_factor * fleet_median)
         hedges: Dict[int, Dict] = {}
@@ -970,13 +968,12 @@ class LambadaDriver:
             hedge.pop("children", None)
             hedges[worker_id] = hedge
         if not hedges:
-            return {}, []
+            return {}
         context.counters.note("resilience", "hedges_launched", len(hedges))
         hedged: Dict[int, Dict] = {}
         transport(list(hedges.values()), hedged, current_attempts(hedges))
         prices = self.env.ledger.prices
         waits: Dict[int, float] = {}
-        billed: List[float] = []
         for worker_id, hedge in hedges.items():
             message = hedged.get(worker_id, {})
             if message.get("status") != "ok" or message["attempt"] < hedge["attempt"]:
@@ -985,12 +982,10 @@ class LambadaDriver:
             elif threshold + message["result"]["duration_seconds"] < durations[worker_id]:
                 by_worker[worker_id] = message
                 waits[worker_id] = threshold
-                billed.append(durations[worker_id])
                 outcome = "hedges_won"
                 wasted = prices.lambda_duration_cost(self.memory_mib, durations[worker_id])
             else:
                 own = message["result"]["duration_seconds"]
-                billed.append(own)
                 outcome = "hedges_lost"
                 wasted = (
                     prices.lambda_invocation_cost(1)
@@ -998,15 +993,17 @@ class LambadaDriver:
                 )
             context.counters.note("resilience", outcome)
             context.counters.note("resilience", "wasted_cost_dollars", wasted)
-        return waits, billed
+        return waits
 
     def _empty_result(
         self,
         physical: PhysicalPlan,
         report: Optional[OptimizerReport],
         cold: bool,
+        context: QueryContext,
     ) -> QueryResult:
-        """Result of a query whose files were all pruned by the catalog."""
+        """Result of a query whose files were all pruned by the catalog: its
+        bill is the catalog's lookups."""
         table, reduce_value = self._merge(physical, [])
         statistics = QueryStatistics(
             num_workers=0,
@@ -1016,11 +1013,8 @@ class LambadaDriver:
             max_worker_seconds=0.0,
             median_worker_seconds=0.0,
             latency_seconds=0.0,
-            cost_lambda_duration=0.0,
-            cost_lambda_requests=0.0,
-            cost_s3_requests=0.0,
-            cost_sqs_requests=0.0,
             worker_durations=[],
+            _bill=context.bill,
         )
         return QueryResult(
             table=table,
@@ -1061,21 +1055,20 @@ class LambadaDriver:
         cold: bool,
         context: QueryContext,
         hedge_waits: Dict[int, float],
-        hedge_billed: List[float],
     ) -> QueryStatistics:
-        """Compute modelled latency and dollar cost of the query.
+        """Compute the modelled latency of the query; its dollars are the
+        ``context``'s bill.
 
-        Every re-dispatch event of the ``context`` bills one more invocation.
         A won hedge finishes ``hedge_waits[worker_id]`` (its detection
-        threshold) after its own run: latency, never cost.  ``hedge_billed``
-        is what ran but bought no used result: cost, never latency.
+        threshold) after its own run: latency, never cost.
         """
         context.note_faults()
         counters = context.counters
-        prices = self.env.ledger.prices
-        billed = [result.duration_seconds for result in worker_results]
         # Worker ids are positions in the fleet.
-        durations = [s + hedge_waits.get(wid, 0.0) for wid, s in enumerate(billed)]
+        durations = [
+            result.duration_seconds + hedge_waits.get(wid, 0.0)
+            for wid, result in enumerate(worker_results)
+        ]
         num_workers = launch.num_workers
         completion = launch.worker_start_times()[: len(durations)] + np.asarray(durations)
         # Result collection overlaps the fleet: the queue is long-polled
@@ -1083,18 +1076,6 @@ class LambadaDriver:
         collection = launch.collection(completion)
         # Backoff between retry rounds is charged to the modelled latency.
         latency = collection.finish + counters["resilience", "backoff_seconds"]
-        cost_lambda_duration = sum(
-            prices.lambda_duration_cost(self.memory_mib, seconds)
-            for seconds in billed + hedge_billed
-        )
-        # Every invocation made is billed (wasted ones attributed in resilience).
-        cost_lambda_requests = prices.lambda_invocation_cost(
-            num_workers + len(context.events) + counters["resilience", "hedges_launched"]
-        )
-        cost_s3 = prices.s3_get_cost(counters["scan", "get_requests"])
-        # Each worker sends one result message; the driver's receives drain them.
-        cost_sqs = prices.sqs_cost(num_workers + collection.receives)
-
         return QueryStatistics(
             num_workers=num_workers,
             memory_mib=self.memory_mib,
@@ -1103,14 +1084,11 @@ class LambadaDriver:
             max_worker_seconds=float(max(durations)) if durations else 0.0,
             median_worker_seconds=float(np.median(durations)) if durations else 0.0,
             latency_seconds=latency,
-            cost_lambda_duration=cost_lambda_duration,
-            cost_lambda_requests=cost_lambda_requests,
-            cost_s3_requests=cost_s3,
-            cost_sqs_requests=cost_sqs,
             worker_durations=durations,
             **_collection_fields(collection),
             _counters=counters,
             _events=context.events,
+            _bill=context.bill,
         )
 
 

@@ -69,7 +69,7 @@ one cancellation token, and a typed abort sweeps the query's exchange.
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -199,12 +199,11 @@ class _RunViews(CounterViews):
 class ShuffleStatistics(_RunViews):
     """Statistics of one coordinator run (any shuffle DAG, joins or none).
 
-    What :meth:`ShuffleJoinCoordinator.execute` returns, and — with
-    ``cost_total`` filled in — what the aggregation facade returns.  The
-    counts (rows scanned, join rows, the ``exchange``, ``resilience`` and
-    ``integrity`` blocks, the re-dispatches) are read-only views over the
-    query's counter record; the fields are what the coordinator planned and
-    measured.
+    What :meth:`ShuffleJoinCoordinator.execute` and the aggregation facade
+    return.  The counts (rows scanned, join rows, the ``exchange``,
+    ``resilience`` and ``integrity`` blocks, the re-dispatches) are read-only
+    views over the query's counter record, and ``cost_total`` one over its
+    bill; the fields are what the coordinator planned and measured.
     """
 
     #: Mappers each scan fleet started, by exchange tag — ``"L"`` the base
@@ -258,13 +257,13 @@ class ShuffleStatistics(_RunViews):
     #: (0 = unknown); ``exchange.bytes_written`` is the measured counterpart.
     exchange_partitions: int = 0
     estimated_exchange_bytes: int = 0
-    #: Modelled dollars of the run (Lambda duration and requests, S3 and SQS
-    #: requests), priced by :func:`join_costs`; filled in by the aggregation
-    #: facade (the driver reports a join's dollars in its own statistics).
-    cost_total: float = 0.0
-    #: The query's counter record and re-dispatch events (its context's).
+    #: Dollars of the query so far: the ledger's price of its records (every
+    #: request of the run, and of the facade's input LISTs).
+    cost_total: float = viewed()
+    #: The query's counter record, re-dispatch events and bill (its context's).
     _counters: Counts = field(default_factory=Counts, repr=False)
     _events: List[Dict] = field(default_factory=list, repr=False)
+    _bill: Callable[[], Dict[str, float]] = field(default=dict, repr=False)
 
     @property
     def map_workers(self) -> int:
@@ -326,9 +325,9 @@ def expand_glob_paths(s3, paths: Sequence[str]) -> List[str]:
 
 def list_input_files(
     s3, paths: Sequence[str], call: Optional[Callable] = None
-) -> Tuple[List[str], int, int]:
+) -> Tuple[List[str], int]:
     """Expand ``paths`` like :func:`expand_glob_paths` and sum the stored
-    bytes of the files from listings: ``(files, stored bytes, LIST requests)``.
+    bytes of the files from listings: ``(files, stored bytes)``.
 
     A glob's own LIST returns its matches' sizes; the explicit paths cost one
     LIST per distinct directory, of whose objects only the ones they name
@@ -337,15 +336,9 @@ def list_input_files(
     retrying with backoff — and directly otherwise.  A file in a missing
     bucket sizes as 0 bytes.
     """
-    lists = 0
-    call = call or (lambda fn, *args: fn(*args))
-
-    def listing(bucket: str, prefix: str) -> list:
-        nonlocal lists
-        metas = call(s3.list_objects, bucket, prefix)
-        lists += 1
-        return metas
-
+    listing = s3.list_objects
+    if call is not None:
+        listing = functools.partial(call, s3.list_objects)
     files, sizes = _expand_globs(listing, paths)
     for directory in sorted({path.rpartition("/")[0] for path in files if path not in sizes}):
         bucket, prefix = parse_s3_path(directory + "/")
@@ -353,7 +346,7 @@ def list_input_files(
             sizes.update((meta.path, meta.size) for meta in listing(bucket, prefix))
         except NoSuchBucketError:
             pass
-    return files, sum(sizes.get(path, 0) for path in files), lists
+    return files, sum(sizes.get(path, 0) for path in files)
 
 
 def _gc_query_objects(env: CloudEnvironment, query_id: str, num_buckets: int) -> tuple:
@@ -846,56 +839,6 @@ def merge_driver_scope(
     return table
 
 
-def join_costs(
-    prices,
-    memory_mib: int,
-    statistics: ShuffleStatistics,
-    worker_results: Sequence[WorkerResult],
-    final_receives: int = 0,
-    input_lists: int = 0,
-) -> Dict[str, float]:
-    """Modelled dollars of one coordinator run, keyed by the
-    :class:`~repro.driver.driver.QueryStatistics` cost component.
-
-    Every worker bills its modelled duration and one invocation (each of the
-    run's ``redispatches`` bills a further one); S3 bills the scans'
-    GETs, every exchange request — LISTs, including the post-fault sweep's
-    and the ``input_lists`` a caller sized its input with, at the PUT rate —
-    and a PUT + GET per spilled result; SQS bills one send per worker,
-    the batched receives the barriered waves are drained with, one control
-    request, and the ``final_receives`` that hand the last wave's results to
-    the driver (its :class:`~repro.driver.invocation.CollectionPlan`'s; none
-    for a caller that drains its final wave like the others, as the
-    aggregation facade).
-    """
-    num_total = statistics.map_workers + statistics.reduce_workers
-    exchange = statistics.exchange
-    spilled = statistics.results_spilled
-    scan_gets = sum(result.counters["scan", "get_requests"] for result in worker_results)
-    return {
-        "cost_lambda_duration": sum(
-            prices.lambda_duration_cost(memory_mib, result.duration_seconds)
-            for result in worker_results
-        ),
-        "cost_lambda_requests": prices.lambda_invocation_cost(
-            num_total + statistics.redispatches
-        ),
-        "cost_s3_requests": prices.s3_get_cost(
-            scan_gets + exchange.get_requests + exchange.head_requests + spilled
-        )
-        + prices.s3_put_cost(
-            exchange.put_requests
-            + exchange.list_requests
-            + statistics.gc_list_requests
-            + input_lists
-            + spilled
-        ),
-        "cost_sqs_requests": prices.sqs_cost(
-            num_total + math.ceil(num_total / 10) + 1 + final_receives
-        ),
-    }
-
-
 #: Share of a join worker's memory the broadcast build sides of one wave may
 #: fill, counted in announced (encoded) bytes: the decoded columns — narrowed
 #: keys and decimals widen back to 8 bytes a value — and the join's working
@@ -1161,42 +1104,43 @@ class ShuffleJoinCoordinator:
         spilled results, and purges the result queue, before propagating.
         """
         context = context or QueryContext(self.env, self.resilience_policy)
-        fleets: Dict[str, JoinSidePlan] = dict(dag.sides())
-        build_tags = [tag for tag in fleets if tag != "L"]
-        inter_tags = [f"J{k}" for k in range(len(dag.stages) - 1)]
+        with context.scope():
+            fleets: Dict[str, JoinSidePlan] = dict(dag.sides())
+            build_tags = [tag for tag in fleets if tag != "L"]
+            inter_tags = [f"J{k}" for k in range(len(dag.stages) - 1)]
 
-        paths: Dict[str, List[str]] = {}
-        for tag, plan in fleets.items():
-            expanded = expand_glob_paths(self.env.s3, plan.files)
-            if not expanded:
-                label = "left" if tag == "L" else "right"
-                raise ExecutionError(f"join {label} side has no input files")
-            paths[tag] = expanded
+            paths: Dict[str, List[str]] = {}
+            for tag, plan in fleets.items():
+                expanded = expand_glob_paths(self.env.s3, plan.files)
+                if not expanded:
+                    label = "left" if tag == "L" else "right"
+                    raise ExecutionError(f"join {label} side has no input files")
+                paths[tag] = expanded
 
-        mappers = {
-            tag: scan_fan_out(
-                self.env.bandwidth, self.memory_mib, plan.input_bytes,
-                len(paths[tag]), num_workers, self.env.region,
+            mappers = {
+                tag: scan_fan_out(
+                    self.env.bandwidth, self.memory_mib, plan.input_bytes,
+                    len(paths[tag]), num_workers, self.env.region,
+                )
+                for tag, plan in fleets.items()
+            }
+            num_partitions = exchange_fan_out(
+                self.env.bandwidth, self.memory_mib, dag.estimated_exchange_bytes,
+                [len(files) for files in paths.values()], num_workers,
             )
-            for tag, plan in fleets.items()
-        }
-        num_partitions = exchange_fan_out(
-            self.env.bandwidth, self.memory_mib, dag.estimated_exchange_bytes,
-            [len(files) for files in paths.values()], num_workers,
-        )
 
-        for bucket in _exchange_buckets(self.num_buckets):
-            self.env.s3.ensure_bucket(bucket)
+            for bucket in _exchange_buckets(self.num_buckets):
+                self.env.s3.ensure_bucket(bucket)
 
-        with context.teardown(
-            lambda query_id: _gc_cancelled_query(
-                self.env, query_id, self.num_buckets, self.result_queue
-            )
-        ):
-            return self._execute_waves(
-                dag, fleets, build_tags, inter_tags, paths, mappers,
-                num_partitions, context,
-            )
+            with context.teardown(
+                lambda query_id: _gc_cancelled_query(
+                    self.env, query_id, self.num_buckets, self.result_queue
+                )
+            ):
+                return self._execute_waves(
+                    dag, fleets, build_tags, inter_tags, paths, mappers,
+                    num_partitions, context,
+                )
 
     def _execute_waves(
         self,
@@ -1362,8 +1306,7 @@ class ShuffleJoinCoordinator:
             results_spilled=sum("result_s3" in message for message in reduce_waves[-1]),
             exchange_partitions=num_partitions,
             estimated_exchange_bytes=dag.estimated_exchange_bytes,
-            _counters=context.counters,
-            _events=context.events,
+            _counters=context.counters, _events=context.events, _bill=context.bill,
         )
         return result, statistics, worker_results
 
@@ -1376,8 +1319,8 @@ class ShuffleAggregateCoordinator(ShuffleJoinCoordinator):
     :class:`~repro.plan.physical.DagPhysicalPlan` — the base fragment carries
     the map-side partial aggregation and partitions by all group keys, the
     plan's ``aggregates`` merge the partials — runs it on the inherited
-    waves, and returns the run's :class:`ShuffleStatistics` with its dollars
-    (``cost_total``) filled in.  Its fleets
+    waves, and returns the run's :class:`ShuffleStatistics`, whose dollars
+    (``cost_total``) include the listing's.  Its fleets
     are sized by the inherited rules too: the base fragment carries the
     input's stored bytes, learnt from a listing
     (:func:`list_input_files`), so :func:`scan_fan_out` starts as many
@@ -1419,68 +1362,61 @@ class ShuffleAggregateCoordinator(ShuffleJoinCoordinator):
         every column an aggregate or the predicate references.
 
         Both fleets are priced from the input's stored bytes: one LIST per
-        glob and per distinct directory of the explicit paths (billed in
-        ``cost_total``, not on the modelled clock; a retried LIST's backoff
-        is, and its retry bills no invocation).  An explicit ``num_workers``
+        glob and per distinct directory of the explicit paths (billed with the
+        query, not on the modelled clock; a retried LIST's backoff is, and its
+        retry bills no invocation).  An explicit ``num_workers``
         sets both fleets to ``min(num_workers, files)`` instead.
         The LIST and the waves run under ``context``, as there — e.g.
         ``QueryContext(env, cancel=token)`` or ``QueryContext(env,
         breakers=board)``.
         """
         context = context or QueryContext(self.env, self.resilience_policy)
-        paths, input_bytes, input_lists = list_input_files(
-            self.env.s3, paths, context.call
-        )
-        if not paths:
-            raise ExecutionError("shuffle aggregation has no input files")
-        if not group_by:
-            raise ExecutionError("shuffle aggregation requires group-by keys")
-        group_by = list(group_by)
-        partials, finals = _decompose_aggregates(list(aggregates))
-        if columns is None:
-            # Projection push-down: scan only what the query references.
-            needed = set(group_by)
-            for expression in [predicate] + [spec.expression for spec in partials]:
-                if expression is not None:
-                    needed |= referenced_columns(expression)
-            columns = sorted(needed)
-        dag = DagPhysicalPlan(
-            base=JoinSidePlan(
-                files=paths,
-                key=group_by[0],
-                columns=list(columns),
-                predicate=predicate,
+        with context.scope():
+            paths, input_bytes = list_input_files(self.env.s3, paths, context.call)
+            if not paths:
+                raise ExecutionError("shuffle aggregation has no input files")
+            if not group_by:
+                raise ExecutionError("shuffle aggregation requires group-by keys")
+            group_by = list(group_by)
+            partials, finals = _decompose_aggregates(list(aggregates))
+            if columns is None:
+                # Projection push-down: scan only what the query references.
+                needed = set(group_by)
+                for expression in [predicate] + [spec.expression for spec in partials]:
+                    if expression is not None:
+                        needed |= referenced_columns(expression)
+                columns = sorted(needed)
+            dag = DagPhysicalPlan(
+                base=JoinSidePlan(
+                    files=paths,
+                    key=group_by[0],
+                    columns=list(columns),
+                    predicate=predicate,
+                    group_by=group_by,
+                    aggregates=partials,
+                    input_bytes=input_bytes,
+                ),
+                stages=[],
+                driver=DriverPlan(
+                    group_by=group_by,
+                    final_aggregates=finals,
+                    order_by=list(order_by or []),
+                ),
                 group_by=group_by,
-                aggregates=partials,
-                input_bytes=input_bytes,
-            ),
-            stages=[],
-            driver=DriverPlan(
-                group_by=group_by,
-                final_aggregates=finals,
-                order_by=list(order_by or []),
-            ),
-            group_by=group_by,
-            # Partial sums and counts add up; mins/maxes merge with themselves.
-            aggregates=[
-                AggregateSpec(
-                    "sum" if spec.function == "count" else spec.function,
-                    col(spec.alias),
-                    spec.alias,
-                )
-                for spec in partials
-            ],
-        )
-        table, run, worker_results = super().execute(
-            dag,
-            # Clamped here: exchange_fan_out takes an explicit count as it is.
-            num_workers=num_workers and min(num_workers, len(paths)),
-            context=context,
-        )
-        run.cost_total = sum(
-            join_costs(
-                self.env.ledger.prices, self.memory_mib, run, worker_results,
-                input_lists=input_lists,
-            ).values()
-        )
-        return table, run
+                # Partial sums and counts add up; mins/maxes merge with themselves.
+                aggregates=[
+                    AggregateSpec(
+                        "sum" if spec.function == "count" else spec.function,
+                        col(spec.alias),
+                        spec.alias,
+                    )
+                    for spec in partials
+                ],
+            )
+            table, run, _ = super().execute(
+                dag,
+                # Clamped here: exchange_fan_out takes an explicit count as it is.
+                num_workers=num_workers and min(num_workers, len(paths)),
+                context=context,
+            )
+            return table, run

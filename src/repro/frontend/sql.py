@@ -19,7 +19,8 @@ One dialect rule differs from standard SQL: a trailing ``DESC`` (or ``ASC``)
 applies to *every* ``ORDER BY`` key, so ``ORDER BY revenue, l_orderkey DESC``
 sorts both keys descending (standard SQL would write ``revenue DESC,
 l_orderkey DESC``).  In an aggregate query every ``ORDER BY`` key must be a
-``GROUP BY`` column or an aggregate's alias.
+``GROUP BY`` column or an aggregate's alias; in a projection, a column of a
+``FROM`` or ``JOIN`` table (checked when the catalog knows all their columns).
 
 Every rejection, syntactic or semantic (an unknown table, a join condition
 that does not span both sides, a select item that is neither grouped nor
@@ -562,6 +563,16 @@ def parse_sql(statement: str, catalog: SqlCatalog) -> LogicalPlan:
                     token=item.token,
                 )
             columns.append(item.expression.name)
+        # The driver sorts by any column of the scanned tables; when all of
+        # their columns are known, a key none of them has cannot run.
+        known = [catalog.columns_of(table) for table in joined_tables]
+        if all(known):
+            for _, key, key_token in order_by:
+                if not any(key in columns for columns in known):
+                    parser._error(
+                        f"ORDER BY key {key!r} is not a column of {', '.join(joined_tables)}",
+                        token=key_token,
+                    )
         plan = ProjectNode(child=plan, columns=tuple(columns))
 
     if order_by:

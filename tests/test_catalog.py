@@ -124,10 +124,21 @@ def test_driver_returns_empty_result_when_all_files_pruned(env, dataset, driver,
         ),
         aggregates=(AggregateSpec("count", None, "n"),),
     )
+    reads = env.ledger.total("dynamodb", "read_units")
     result = driver.execute(plan, catalog=catalog, dataset_name="lineitem")
-    assert result.statistics.num_workers == 0
-    assert result.statistics.cost_total == 0.0
+    statistics = result.statistics
+    assert statistics.num_workers == 0
     assert result.num_rows == 0
+    # No worker ran, but the catalog lookups that pruned every file did:
+    # they are the query's whole bill.
+    read_units = env.ledger.total("dynamodb", "read_units") - reads
+    assert read_units >= dataset.num_files
+    assert statistics.cost_total == statistics.cost_dynamodb_requests == (
+        env.ledger.prices.dynamodb_cost(int(read_units), 0)
+    )
+    assert statistics.cost_total > 0.0
+    for component in ("lambda_duration", "lambda_requests", "s3_requests", "sqs_requests"):
+        assert getattr(statistics, f"cost_{component}") == 0.0, component
 
 
 def test_registration_cost_is_one_metadata_read_per_file(env, dataset):

@@ -291,7 +291,9 @@ def test_latency_is_the_collection_plan_of_the_fleets_completions(env, num_files
             latencies = {}
             for mode, mode_driver in drivers.items():
                 plan = parse_sql(sql(), tables)
+                requests = env.ledger.total("sqs", "requests")
                 stats = mode_driver.execute(plan, cold=False).statistics
+                sqs = env.ledger.total("sqs", "requests") - requests
                 launch = InvocationModel(region="eu").plan(num_files, cold=False)
                 completion = launch.worker_start_times() + np.asarray(stats.worker_durations)
                 collection = launch.collection(completion)
@@ -301,9 +303,12 @@ def test_latency_is_the_collection_plan_of_the_fleets_completions(env, num_files
                 assert stats.collection_seconds == collection.seconds
                 assert stats.collection_pollers == collection.pollers == 1
                 assert stats.collection_receives == collection.receives == 2
-                # One send per worker and the plan's receives: what
-                # n + ceil(n / 10) + 1 billed a fleet this small.
-                assert stats.cost_sqs_requests == env.ledger.prices.sqs_cost(num_files + 2)
+                # The bill is the SQS requests the query made: one send per
+                # worker and the one receive that found them all (the pool
+                # returns results over its pipes and sends none).  The
+                # modelled drain above prices two receives.
+                assert sqs == (0 if mode == "processes" else num_files + 1), mode
+                assert stats.cost_sqs_requests == env.ledger.prices.sqs_cost(int(sqs))
                 # Collection overlaps the fleet: the first receive returns
                 # with the first result, the second carries the rest.
                 assert round_trip < stats.collection_seconds <= 2 * round_trip

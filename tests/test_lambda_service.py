@@ -112,9 +112,14 @@ def test_handler_exception_is_reported_not_raised(service):
 def test_duration_is_billed(service):
     result = service.invoke("echo", {})
     assert result.duration_seconds == pytest.approx(1.0)
-    assert result.billed_cost > 0
     assert service.ledger.total("lambda", "invocations") == 1
     assert service.ledger.total("lambda", "gib_seconds") == pytest.approx(2.0)
+    # The ledger is the invocation's only bill: its duration and its request.
+    prices = service.ledger.prices
+    assert service.ledger.total_cost() == pytest.approx(
+        prices.lambda_duration_cost(2048, 1.0) + prices.lambda_invocation_cost(1),
+        rel=1e-12,
+    )
 
 
 def test_timeout_truncates_and_reports_error():
@@ -178,8 +183,16 @@ def test_invocation_log_and_total_cost(service):
     service.invoke("echo", {})
     service.invoke("echo", {})
     assert service.total_invocations() == 2
-    assert service.total_billed_cost() == pytest.approx(
-        sum(result.billed_cost for result in service.invocation_log)
+    # The log's invocations are what the ledger bills: each its duration and
+    # its request.
+    prices = service.ledger.prices
+    assert service.ledger.total_cost() == pytest.approx(
+        sum(
+            prices.lambda_duration_cost(2048, result.duration_seconds)
+            for result in service.invocation_log
+        )
+        + prices.lambda_invocation_cost(2),
+        rel=1e-12,
     )
 
 

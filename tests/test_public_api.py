@@ -194,8 +194,9 @@ def test_facade_register_table_and_dataflow(facade_session):
 
 QUERY_STATISTICS_NAMES = {
     "broadcast_stages", "bytes_read", "cold", "collection_pollers", "collection_receives",
-    "collection_seconds", "column_chunks_skipped", "cost_lambda_duration",
-    "cost_lambda_requests", "cost_s3_requests", "cost_sqs_requests", "cost_total",
+    "collection_seconds", "column_chunks_skipped", "cost_dynamodb_requests",
+    "cost_lambda_duration", "cost_lambda_requests", "cost_s3_requests", "cost_sqs_requests",
+    "cost_total",
     "dag_stages", "describe_latency", "estimated_exchange_bytes", "exchange",
     "exchange_partitions", "gc_list_requests", "gc_objects_deleted", "get_requests",
     "integrity", "invocation_seconds", "join_build_rows", "join_output_rows",
@@ -241,8 +242,6 @@ def test_statistics_expose_exactly_their_public_names():
     query = QueryStatistics(
         num_workers=0, memory_mib=2048, cold=False, invocation_seconds=0.0,
         max_worker_seconds=0.0, median_worker_seconds=0.0, latency_seconds=0.0,
-        cost_lambda_duration=0.0, cost_lambda_requests=0.0, cost_s3_requests=0.0,
-        cost_sqs_requests=0.0,
     )
     run = ShuffleStatistics(
         map_fleets={}, reduce_workers=0, result_rows=0, partition_objects_written=0,
@@ -250,6 +249,8 @@ def test_statistics_expose_exactly_their_public_names():
     )
     assert _public(query) == QUERY_STATISTICS_NAMES
     assert _public(run) == SHUFFLE_STATISTICS_NAMES
+    # Dollars are views over a bill; statistics built without one bill nothing.
+    assert query.cost_total == query.cost_dynamodb_requests == run.cost_total == 0.0
     for statistics in (query, run):
         for block, names in BLOCK_NAMES.items():
             view = getattr(statistics, block)

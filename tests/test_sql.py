@@ -338,6 +338,8 @@ def tpch():
     ("SELECT l_returnflag, sum(l_quantity) AS q FROM lineitem GROUP BY l_returnflag "
      "ORDER BY q, nosuch DESC", "nosuch"),
     ("SELECT count(*) AS n FROM lineitem WHERE l_shipdate < date '1995-02-30'", "date"),
+    ("SELECT l_orderkey FROM lineitem JOIN orders ON l_orderkey = o_orderkey "
+     "ORDER BY o_orderdate, nosuch", "nosuch"),
 ])
 def test_rejections_point_at_the_offending_token(tpch, statement, offending):
     with pytest.raises(SqlParseError) as excinfo:
@@ -398,3 +400,27 @@ def test_bad_order_by_is_rejected_before_anything_is_billed(env, dataset, key):
     assert (len(env.ledger), env.ledger.total_cost()) == (records, cost)
     # The same query ordered by a grouped column or an alias runs.
     assert session.sql(statement.replace(f"BY {key}", "BY q")).num_rows > 0
+
+
+def test_an_unknown_projection_order_by_is_rejected_before_anything_is_billed(env, dataset):
+    """Every table's columns are registered, so a key none of them has is
+    located at parse time instead of failing the driver merge after the
+    fleet ran; a key that is only scanned, not selected, still runs."""
+    session = repro.connect(env).register(dataset)
+    statement = (
+        "SELECT l_orderkey, l_quantity FROM lineitem WHERE l_quantity > 49 "
+        "ORDER BY nosuch"
+    )
+    records = len(env.ledger)
+    with pytest.raises(SqlParseError) as excinfo:
+        session.sql(statement)
+    assert excinfo.value.position == statement.rindex("nosuch")
+    assert len(env.ledger) == records
+    result = session.sql(
+        "SELECT l_orderkey FROM lineitem WHERE l_quantity > 49 ORDER BY l_quantity"
+    )
+    assert result.num_rows > 0
+    assert np.all(np.diff(result.column("l_quantity")) >= 0)
+    # Without registered columns the key cannot be checked, and is not.
+    catalog = SqlCatalog({"lineitem": dataset.paths})
+    assert isinstance(parse_sql(statement, catalog), OrderByNode)
