@@ -1380,11 +1380,12 @@ class ShuffleAggregateCoordinator(ShuffleJoinCoordinator):
             group_by = list(group_by)
             partials, finals = _decompose_aggregates(list(aggregates))
             if columns is None:
-                # Projection push-down: scan only what the query references.
+                # Projection push-down: the scan outputs what the aggregates
+                # read (its predicate's columns it reads itself).
                 needed = set(group_by)
-                for expression in [predicate] + [spec.expression for spec in partials]:
-                    if expression is not None:
-                        needed |= referenced_columns(expression)
+                for spec in partials:
+                    if spec.expression is not None:
+                        needed |= referenced_columns(spec.expression)
                 columns = sorted(needed)
             dag = DagPhysicalPlan(
                 base=JoinSidePlan(

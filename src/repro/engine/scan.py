@@ -10,7 +10,14 @@ Reproduces the design of the paper's Parquet scan operator (§4.3.2, Figure 8):
   ⌈k / connections⌉ round trips rather than k;
 * row groups are pruned against the predicate using the footer's min/max
   statistics before any data is fetched;
-* only the projected columns' chunks are downloaded, as a **read plan** per
+* the same statistics decide pages away inside a surviving row group (one
+  vectorised pass per file, :meth:`S3ScanOperator._page_plans`): a
+  comparison they prove for every row of the group is not evaluated and its
+  column not read, and an output column whose group holds one value comes
+  out as that constant (a group key as one-entry codes) without a read;
+* only the output columns' chunks are downloaded — a scan's ``columns`` are
+  its outputs, it reads its predicate's columns itself and neither gathers
+  nor yields them — as a **read plan** per
   row group: the chunks' ranges go to the source in one batch, which merges
   neighbours whose gap streams in less than a round trip, splits at the
   chunk size, and pipelines the resulting GETs over the concurrent
@@ -50,7 +57,7 @@ row group as soon as it is read, so its runs are one row group long.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -67,12 +74,19 @@ from repro.engine.s3io import S3ObjectSource, open_sources
 from repro.engine.table import Table
 from repro.formats.encoding import (
     EncodedChunk,
+    constant_chunk,
     evaluate_comparison,
     gather_run,
     gather_run_codes,
 )
-from repro.formats.parquet import TAIL_BYTES, ColumnarFile, RowGroupMeta
-from repro.plan.expressions import CompiledPredicate, Expression, compile_predicate, evaluate
+from repro.formats.parquet import TAIL_BYTES, ColumnarFile, FileMetadata, RowGroupMeta
+from repro.plan.expressions import (
+    ColumnComparison,
+    CompiledPredicate,
+    Expression,
+    compile_predicate,
+    evaluate,
+)
 from repro.plan.physical import PruneRange
 
 
@@ -171,6 +185,18 @@ class FusedBatch:
         return uniques[codes]
 
 
+class _PagePlan(NamedTuple):
+    """Which pages of a row group the scan reads, as the file's min/max
+    statistics decide it (:meth:`S3ScanOperator._page_plans`)."""
+
+    #: The comparisons the statistics do not prove for every row.
+    comparisons: Tuple[ColumnComparison, ...]
+    #: Batch 1 of the row group: their columns and the residual's.
+    predicate_columns: Tuple[str, ...]
+    #: Output columns whose every row is the group's minimum: never read.
+    constants: FrozenSet[str]
+
+
 @dataclass
 class _StagedGroup:
     """One row group of a run whose chunks are parsed but whose gather waits for the run."""
@@ -219,6 +245,12 @@ class S3ScanOperator:
             self._predicate_columns = compiled.comparison_columns | compiled.residual_columns
             self._residual_columns = sorted(compiled.residual_columns)
         self._rows_per_second = self._decode_rows_per_second()
+        #: The plan of a row group the statistics decide nothing about.
+        self._every_page = _PagePlan(
+            self._compiled.comparisons if self._compiled is not None else (),
+            tuple(sorted(self._predicate_columns)),
+            frozenset(),
+        )
 
     @property
     def applies_predicate(self) -> bool:
@@ -308,6 +340,8 @@ class S3ScanOperator:
         metadata_transfer = source.transfer_seconds
 
         columns = self.columns or reader.schema.names
+        # The decode charge is normalised by every column a row group reads.
+        read_count = len(set(columns) | self._predicate_columns)
         baseline = (
             fused_keys is None
             and self._compiled is not None
@@ -320,9 +354,10 @@ class S3ScanOperator:
         # scan() hands its caller each row group as soon as it is read, so
         # its runs are one row group long.
         run_limit = RUN_ROWS if fused_keys is not None else 0
+        plans = self._page_plans(reader.metadata, columns)
         run: List[_StagedGroup] = []
         run_rows = 0
-        for group, alive in zip(reader.row_groups, survives.tolist()):
+        for group, alive, plan in zip(reader.row_groups, survives.tolist(), plans):
             if group.num_rows == 0:
                 continue
             self.counters.row_groups_total += 1
@@ -331,14 +366,14 @@ class S3ScanOperator:
                 continue
             self.counters.rows_scanned += group.num_rows
             if baseline:
-                chunk = self._scan_group_baseline(reader, group, columns)
+                chunk = self._scan_group_baseline(reader, group, columns, read_count)
                 if chunk is not None:
                     yield chunk
                 continue
             if run and run_rows + group.num_rows > run_limit:
                 yield self._decode_run(run, columns, fused_keys)
                 run, run_rows = [], 0
-            staged = self._stage_group(reader, group, columns)
+            staged = self._stage_group(reader, group, columns, plan, read_count)
             if staged is not None:
                 run.append(staged)
                 run_rows += group.num_rows
@@ -350,30 +385,68 @@ class S3ScanOperator:
 
     # -- runs ----------------------------------------------------------------------
 
+    def _page_plans(self, metadata: FileMetadata, columns: Sequence[str]) -> List[_PagePlan]:
+        """Each row group's :class:`_PagePlan`, from one vectorised pass over
+        the file's min/max statistics; groups the statistics decide alike
+        share one plan."""
+        comparisons = self._every_page.comparisons
+        proven = metadata.proven_comparisons(comparisons)
+        constant = metadata.constant_groups(columns)
+        if not (proven.any() or constant.any()):
+            return [self._every_page] * len(metadata.row_groups)
+        patterns = list(map(tuple, np.concatenate([proven, constant], axis=1).tolist()))
+        plans = {}
+        for pattern in set(patterns):
+            pending = tuple(
+                comparison for comparison, decided in zip(comparisons, pattern) if not decided
+            )
+            plans[pattern] = _PagePlan(
+                pending,
+                tuple(sorted({comparison.column for comparison in pending}
+                             | set(self._residual_columns))),
+                frozenset(
+                    name for name, decided in zip(columns, pattern[len(comparisons):])
+                    if decided
+                ),
+            )
+        return [plans[pattern] for pattern in patterns]
+
     def _stage_group(
-        self, reader: ColumnarFile, group: RowGroupMeta, columns: Sequence[str]
+        self,
+        reader: ColumnarFile,
+        group: RowGroupMeta,
+        columns: Sequence[str],
+        plan: _PagePlan,
+        read_count: int,
     ) -> Optional[_StagedGroup]:
         """Do one row group's I/O, parse its chunks and charge its decode; its
         gather waits for the run.
 
         Batch 1 and the selection vector come from :meth:`_select_rows`; the
         chunks of batch 2 are parsed before the next group's prefetch replaces
-        the source's spans.  ``None`` when no row survives.
+        the source's spans, and the plan's constants are built from the
+        statistics.  ``None`` when no row survives.
         """
         num_rows = group.num_rows
-        selected_rows = self._select_rows(reader, group, columns)
+        selected_rows = self._select_rows(reader, group, columns, plan, read_count)
         if selected_rows is None:
             return None
         encoded, decoded, selection = selected_rows
         selected = num_rows if selection is None else len(selection)
-        gathered = [name for name in columns if name not in encoded]
+        gathered = [
+            name for name in columns if name not in encoded and name not in plan.constants
+        ]
         if selection is not None:
             self.counters.rows_decode_saved += (num_rows - selected) * sum(
                 1 for name in columns if name not in decoded
             )
-        self._charge_decode(group, columns, list(encoded), gathered, selected)
+        self._charge_decode(group, read_count, list(encoded), gathered, selected)
         for name in gathered:
             encoded[name] = reader.read_encoded_chunk(group, name)
+        for name in plan.constants:
+            if name not in encoded:
+                meta = group.column_meta(name)
+                encoded[name] = constant_chunk(meta.type, meta.min_value, meta.num_values)
         return _StagedGroup(group, encoded, decoded, selection, selected)
 
     def _decode_run(
@@ -424,7 +497,8 @@ class S3ScanOperator:
     # -- predicate push-down -------------------------------------------------------
 
     def _scan_group_baseline(
-        self, reader: ColumnarFile, group: RowGroupMeta, columns: Sequence[str]
+        self, reader: ColumnarFile, group: RowGroupMeta, columns: Sequence[str],
+        read_count: int,
     ) -> Optional[Table]:
         """One surviving row group through the full-decode baseline.
 
@@ -441,7 +515,7 @@ class S3ScanOperator:
             name: reader.read_encoded_chunk(group, name).decode() for name in needed
         }
         mask = np.asarray(evaluate(self.predicate, decoded), dtype=bool)
-        self._charge_decode(group, columns, needed, (), 0)
+        self._charge_decode(group, read_count, needed, (), 0)
         if not mask.any():
             return None
         if mask.all():
@@ -449,15 +523,22 @@ class S3ScanOperator:
         return {name: decoded[name][mask] for name in columns}
 
     def _select_rows(
-        self, reader: ColumnarFile, group: RowGroupMeta, columns: Sequence[str]
+        self,
+        reader: ColumnarFile,
+        group: RowGroupMeta,
+        columns: Sequence[str],
+        plan: _PagePlan,
+        read_count: int,
     ) -> Optional[Tuple[Dict[str, EncodedChunk], Dict[str, np.ndarray], Optional[np.ndarray]]]:
         """Fetch one row group in (at most) two batches around its selection vector.
 
-        Batch 1 is the pushed-down predicate's columns; the selection vector
-        is evaluated on them, and a fully-rejected group returns ``None``
-        before batch 2 — the rest of ``columns`` — is ever requested.
-        Returns the chunks parsed and decoded so far (the predicate's) and
-        the surviving row indices (``None`` for "all rows").
+        Batch 1 is the columns of the plan's unproven comparisons and of the
+        residual; the selection vector is evaluated on them, and a
+        fully-rejected group returns ``None`` before batch 2 — the rest of
+        ``columns`` but the plan's constants — is ever requested.  Either
+        batch is skipped when it has no column.  Returns the chunks parsed
+        and decoded so far (the predicate's) and the surviving row indices
+        (``None`` for "all rows").
         """
         num_rows = group.num_rows
         encoded: Dict[str, EncodedChunk] = {}
@@ -470,8 +551,9 @@ class S3ScanOperator:
 
         mask: Optional[np.ndarray] = None
         if self._compiled is not None:
-            reader.prefetch(group, self._predicate_columns)
-            mask = self._group_selection(load, decoded, num_rows)
+            if plan.predicate_columns:
+                reader.prefetch(group, plan.predicate_columns)
+            mask = self._group_selection(load, decoded, num_rows, plan.comparisons)
             if mask is not None and not mask.any():
                 self.counters.column_chunks_skipped += sum(
                     1 for name in columns if name not in encoded
@@ -480,27 +562,32 @@ class S3ScanOperator:
                     1 for name in columns if name not in decoded
                 )
                 self.counters.row_groups_shortcircuit_empty += 1
-                self._charge_decode(group, columns, list(encoded), (), 0)
+                self._charge_decode(group, read_count, list(encoded), (), 0)
                 return None
             if mask is None or mask.all():
                 mask = None
                 self.counters.row_groups_shortcircuit_full += 1
         selection = None if mask is None else np.flatnonzero(mask)
-        reader.prefetch(group, [name for name in columns if name not in encoded])
+        rest = [name for name in columns if name not in encoded and name not in plan.constants]
+        if rest:
+            reader.prefetch(group, rest)
         return encoded, decoded, selection
 
-    def _group_selection(self, load, decoded, num_rows: int) -> Optional[np.ndarray]:
+    def _group_selection(
+        self, load, decoded, num_rows: int, comparisons: Sequence[ColumnComparison]
+    ) -> Optional[np.ndarray]:
         """Evaluate the compiled predicate on encoded chunks for one row group.
 
         Selection vector step shared by the filtered and fused scan paths:
-        encoding-aware comparisons first (cheapest-to-reject ordering is the
-        plan's conjunct order, short-circuiting as soon as the mask empties),
-        then the decoded residual.  Returns the boolean row mask, or ``None``
-        when the predicate constrains nothing.
+        the encoding-aware ``comparisons`` the statistics left open first
+        (cheapest-to-reject ordering is the plan's conjunct order,
+        short-circuiting as soon as the mask empties), then the decoded
+        residual.  Returns the boolean row mask, or ``None`` when nothing
+        constrains the group's rows.
         """
         compiled = self._compiled
         mask: Optional[np.ndarray] = None
-        for comparison in compiled.comparisons:
+        for comparison in comparisons:
             comparison_mask = evaluate_comparison(
                 load(comparison.column), comparison.op, comparison.value
             )
@@ -524,7 +611,7 @@ class S3ScanOperator:
     def _charge_decode(
         self,
         group: RowGroupMeta,
-        projected: Sequence[str],
+        read_count: int,
         full_columns: Sequence[str],
         gathered_columns: Sequence[str],
         gathered_rows: int,
@@ -532,9 +619,11 @@ class S3ScanOperator:
         """Charge modelled decode time for the columns actually touched.
 
         Predicate columns and decoded residual columns pay full-chunk decode;
-        gathered columns pay only for the surviving rows.  The charge is
-        normalised by the ``projected`` column count, so an unfiltered scan of
-        the same columns costs exactly the legacy ``_decode_seconds(num_rows)``.
+        gathered columns pay only for the surviving rows; a page the
+        statistics decided away is never touched and pays nothing.  The
+        charge is normalised by ``read_count`` — the outputs and predicate
+        columns a row group reads — so an unfiltered scan of the same columns
+        costs exactly the legacy ``_decode_seconds(num_rows)``.
         """
         heavyweight = any(
             group.column_meta(name).compression.is_heavyweight
@@ -542,7 +631,7 @@ class S3ScanOperator:
         )
         charged = group.num_rows * len(full_columns) + gathered_rows * len(gathered_columns)
         self.counters.decode_seconds += self._decode_seconds(
-            charged / max(len(projected), 1), heavyweight
+            charged / max(read_count, 1), heavyweight
         )
 
     # -- summary ------------------------------------------------------------------------

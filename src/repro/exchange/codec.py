@@ -27,7 +27,8 @@ Frame layout (all integers little endian)::
                          u8 dtype length, ascii ``dtype.str`` or ``object``
 
     entry    u8  encoding   see below
-             u8  width      bytes per stored value of FOR/DELTA: 0, 1, 2 or 4
+             u8  width      bytes per stored value of FOR/DELTA: 0, 1, 2, 3
+                            or 4 (3: packed 3-byte rows)
              u8  exponent   float64 columns stored as integers of
                             ``value * 10**exponent`` (0 or 2); else 0
              u64 base       FOR: minimum; DELTA: first value (both as the
@@ -42,8 +43,8 @@ see :mod:`repro.formats.encoding`):
     does not narrow: floats with real fractions, hashed keys, strings.
 ``FOR`` (1), ``DELTA`` (2)
     Offsets from the partition's minimum / steps from the previous value,
-    narrowed to u8/u16/u32; ``float64`` columns go through them as exact
-    scaled decimals.
+    narrowed to 1, 2, 3 or 4 bytes a value; ``float64`` columns go through
+    them as exact scaled decimals.
 ``JSON`` (3)
     Object columns only: the utf-8 JSON list of the values (tuples come back
     as lists).  The only use of ``json`` in this module.
@@ -100,9 +101,10 @@ from repro.formats.encoding import (
     FOR,
     RAW,
     SCALES,
-    UNSIGNED,
+    WIDTHS,
     Tiling,
     narrow_tiles,
+    stored_values,
     widen,
 )
 
@@ -398,7 +400,7 @@ def _decode_column(
     decimal = dtype == _FLOAT64
     narrowable = decimal or (dtype.kind in "iub" and dtype.isnative)
     known = (encoding == FOR and width == 0) or (
-        encoding in (FOR, DELTA) and width in UNSIGNED
+        encoding in (FOR, DELTA) and width in WIDTHS[1:]
     )
     if not (
         narrowable
@@ -408,11 +410,7 @@ def _decode_column(
         and (decimal or not exponent)
     ):
         raise ValueError("invalid directory entry")
-    stored = (
-        np.frombuffer(body, dtype=UNSIGNED[width], count=num_rows, offset=offset)
-        if width
-        else None
-    )
+    stored = stored_values(body, width, num_rows, offset)
     return widen(stored, num_rows, dtype, encoding, exponent, base), num_rows * width
 
 

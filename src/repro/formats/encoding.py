@@ -6,8 +6,9 @@ frame (:mod:`repro.exchange.codec`) are stored in the cheapest of the same few
 footer directory and in the frame's directory:
 
 * ``PLAIN`` (0, the frames' ``RAW``) — the column's own little-endian bytes;
-* ``FOR`` (1) — frame of reference: ``value - min`` narrowed to u8/u16/u32;
-  width 0 is a constant and stores nothing;
+* ``FOR`` (1) — frame of reference: ``value - min`` narrowed to 1, 2, 3 or 4
+  bytes a value (width 3 is packed 3-byte rows, widened to ``<u4`` as the
+  page is parsed); width 0 is a constant and stores nothing;
 * ``DELTA`` (2) — ``value[i] - value[i-1]`` (first delta 0) narrowed the same
   way, chosen when it is narrower than ``FOR`` (sorted keys); decode is a
   ``cumsum``;
@@ -19,8 +20,9 @@ footer directory and in the frame's directory:
 
 (Id 3 is the frames' JSON block of object columns.)  ``FOR`` and ``DELTA``
 describe a block by ``(width, exponent, base)``, kept in the directory next to
-the encoding id: bytes per stored value, the decimal exponent of a scaled
-``float64`` column, and the minimum / first value as an unsigned bit pattern.
+the encoding id: bytes per stored value (0, 1, 2, 3 or 4 — :data:`WIDTHS`),
+the decimal exponent of a scaled ``float64`` column, and the minimum / first
+value as an unsigned bit pattern.
 All integer arithmetic is modulo 2**(8·itemsize) on the unsigned view of the
 column, so a span that overflows simply fails to narrow and every narrowed
 column round-trips exactly.  A ``float64`` column is narrowed as the int64
@@ -83,11 +85,17 @@ UNSIGNED = {1: np.dtype("u1"), 2: np.dtype("<u2"), 4: np.dtype("<u4"), 8: np.dty
 #: Decimal exponents tried for float64 columns, with their scale factors.
 SCALES = {0: None, 2: 100.0}
 
+#: Bytes per stored ``FOR`` / ``DELTA`` value a directory may name (0: constant).
+WIDTHS = (0, 1, 2, 3, 4)
+
 #: ``span <= _LIMITS[i]`` needs ``_WIDTHS[i]`` bytes; beyond the last, 8.
-_LIMITS = np.array([0, 0xFF, 0xFFFF, 0xFFFFFFFF], dtype=np.uint64)
-_WIDTHS = np.array([0, 1, 2, 4, 8], dtype=np.uint8)
+_LIMITS = np.array([0, 0xFF, 0xFFFF, 0xFFFFFF, 0xFFFFFFFF], dtype=np.uint64)
+_WIDTHS = np.array([0, 1, 2, 3, 4, 8], dtype=np.uint8)
 
 _FLOAT64 = np.dtype(np.float64)
+
+#: The bits of a 3-byte stored value.
+_LOW_24 = np.uint32(0xFFFFFF)
 
 #: The u32 count that heads an RLE or dictionary page.
 _PAGE_COUNT = struct.Struct("<I")
@@ -283,9 +291,36 @@ def _narrow(
                 if code == FOR and offsets is None:
                     offsets = bits - np.repeat(base, tiling.counts)
                 source = steps if code == DELTA else offsets
-                column = narrowed[code, size] = source.astype(UNSIGNED[size])
+                column = narrowed[code, size] = _to_width(source, size)
             blocks.append(column[start:end])
     return encoding, width, base, blocks
+
+
+def _to_width(values: np.ndarray, width: int) -> np.ndarray:
+    """Unsigned ``values`` below ``256**width`` stored at ``width`` bytes each:
+    a ``u1`` / ``<u2`` / ``<u4`` array, or for width 3 one packed 3-byte row
+    per value (the low bytes of its ``<u4``)."""
+    if width != 3:
+        return values.astype(UNSIGNED[width])
+    return values.astype(UNSIGNED[4]).view(np.uint8).reshape(-1, 4)[:, :3].copy()
+
+
+def stored_values(data: Buffer, width: int, count: int, offset: int = 0) -> Optional[np.ndarray]:
+    """The ``count`` stored values of ``width`` bytes at ``offset`` of ``data``.
+
+    A zero-copy view for widths 1, 2 and 4; packed 3-byte rows come back
+    widened to a fresh ``<u4`` array, so every reader of stored values sees
+    the widths it always did.  ``None`` for width 0.
+    """
+    if not width:
+        return None
+    if width != 3:
+        return np.frombuffer(data, UNSIGNED[width], count, offset)
+    # Each row read as the <u4 starting at it (one spare byte behind the
+    # last), masked to its three bytes.
+    padded = np.empty(3 * count + 1, dtype=np.uint8)
+    padded[:-1] = np.frombuffer(data, np.uint8, 3 * count, offset)
+    return np.ndarray((count,), UNSIGNED[4], padded, 0, (3,)) & _LOW_24
 
 
 def _scaled_exactly(
@@ -385,7 +420,7 @@ def _parse_narrowed(
 ) -> Optional[np.ndarray]:
     """Validate a FOR/DELTA chunk and return its stored values (``None``: width 0)."""
     itemsize = column_type.item_size
-    if (width and width not in UNSIGNED) or width >= itemsize:
+    if width not in WIDTHS or width >= itemsize:
         raise CorruptFileError(f"narrowed chunk of width {width} in a {itemsize}-byte column")
     if exponent not in SCALES or (exponent and column_type is not ColumnType.FLOAT64):
         raise CorruptFileError(f"narrowed chunk with decimal exponent {exponent}")
@@ -395,7 +430,7 @@ def _parse_narrowed(
         raise CorruptFileError(
             f"narrowed chunk has {len(data)} bytes, expected {count * width}"
         )
-    return np.frombuffer(data, dtype=UNSIGNED[width]) if width else None
+    return stored_values(data, width, count)
 
 
 # ---------------------------------------------------------------------------
@@ -612,6 +647,16 @@ def parse_encoded_chunk(
     stored = _parse_narrowed(data, column_type, count, width, exponent, base)
     return EncodedChunk(
         column_type, encoding, count, stored=stored, exponent=exponent, base=base
+    )
+
+
+def constant_chunk(column_type: ColumnType, value: float, count: int) -> EncodedChunk:
+    """``count`` rows of ``value``: the one-entry dictionary chunk a writer
+    stores for a constant page, built without its bytes."""
+    return EncodedChunk(
+        column_type, Encoding.DICTIONARY, count,
+        dictionary=np.array([value], dtype=column_type.numpy_dtype),
+        codes=np.zeros(count, dtype=np.uint8),
     )
 
 

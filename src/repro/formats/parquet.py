@@ -12,7 +12,9 @@ File layout (all integers little endian)::
                :mod:`repro.formats.encoding` (PLAIN / FOR / DELTA / RLE /
                DICTIONARY — the table shared with the exchange frames), then
                block-compressed (none / zlib-1 / zlib-6; GZIP by default, as
-               the paper's dataset)
+               the paper's dataset).  Each page is stored in its smaller
+               form: compressed only when that is strictly smaller than the
+               encoded page, else as the encoded page under compression 0
 
     footer     head       u64 rows, u32 row groups, u16 columns
                schema     per column: u8 type (0 int32, 1 int64, 2 float64),
@@ -26,10 +28,12 @@ File layout (all integers little endian)::
                             u8  encoding          0 PLAIN 1 FOR 2 DELTA 4 RLE
                                                   5 DICTIONARY
                             u8  width             bytes per stored FOR/DELTA
-                                                  value: 0, 1, 2 or 4
+                                                  value: 0, 1, 2, 3 or 4
                             u8  exponent          float64 stored as integers
                                                   of value * 10**exponent
-                            u8  compression       0 none, 1 fast, 2 gzip
+                            u8  compression       0 none, 1 fast, 2 gzip (the
+                                                  writer's codec, or 0 where
+                                                  it would not shrink the page)
                             u64 base              FOR minimum / DELTA first
                                                   value (unsigned bit pattern)
                             f64 min, f64 max      statistics of the chunk
@@ -44,9 +48,13 @@ exactly the access pattern the paper's scan operator exploits — and opens the
 directory with one ``np.frombuffer``: nothing is parsed per chunk until a
 column is asked for — then that column's page directory, one
 :class:`ColumnChunkMeta` per row group, is built in one pass — and row-group
-pruning reads the min/max columns as arrays.  The source decides how much
-that one read fetches: the S3 source asks for a break-even's worth, so the
-footer (and a small file's data) arrives with the tail.
+pruning reads the min/max columns as arrays, as do the scan's two other
+statistics decisions: a comparison every row of a group satisfies
+(:meth:`FileMetadata.proven_comparisons`) and a column that is one value
+throughout a group (:meth:`FileMetadata.constant_groups`) need no page
+read.  The source decides how much that one read fetches: the S3 source
+asks for a break-even's worth, so the footer (and a small file's data)
+arrives with the tail.
 
 Readers work against a :class:`~repro.formats.source.RandomAccessSource`, so
 the same code path serves local bytes and the S3-backed source.
@@ -73,6 +81,7 @@ from repro.formats.compression import (
 )
 from repro.formats.encoding import (
     SCALES,
+    WIDTHS,
     EncodedChunk,
     Encoding,
     encode_tiles,
@@ -101,6 +110,21 @@ _TYPE_IDS = {ColumnType.INT32: 0, ColumnType.INT64: 1, ColumnType.FLOAT64: 2}
 _TYPES = {value: column_type for column_type, value in _TYPE_IDS.items()}
 #: Encoding id -> member; ``_directory_problem`` rejects unknown ids at open.
 _ENCODINGS = {member.value: member for member in Encoding}
+
+#: From this magnitude on a float64 no longer names one integer: 2**53 + 1
+#: rounds to 2**53, so an INT64 statistic of 2**53 may stand for either.
+_EXACT_INTEGER = 2.0 ** 53
+
+#: ``op -> (min, max, value) ->`` whether every value in ``[min, max]``
+#: satisfies ``value_in_group <op> value`` (element-wise over row groups).
+_PROVEN = {
+    "<": lambda low, high, value: high < value,
+    "<=": lambda low, high, value: high <= value,
+    ">": lambda low, high, value: low > value,
+    ">=": lambda low, high, value: low >= value,
+    "==": lambda low, high, value: (low == value) & (high == value),
+    "!=": lambda low, high, value: (high < value) | (low > value),
+}
 
 #: One column chunk's directory entry (packed, 52 bytes).
 _CHUNK = np.dtype(
@@ -280,6 +304,59 @@ class FileMetadata:
                 alive &= ~((statistics["max"] < lower) | (statistics["min"] > upper))
         return alive
 
+    def proven_comparisons(self, comparisons: Sequence) -> np.ndarray:
+        """``(row groups, comparisons)``: where a group's min/max prove
+        ``column <op> value`` for every row of the group.
+
+        ``comparisons`` have a ``column``, an ``op`` and a ``value`` (the
+        scan's :class:`~repro.plan.expressions.ColumnComparison`).  A proven
+        comparison need not be evaluated there, nor its column read.
+        Nothing is proven for a column the file lacks, for a value float64
+        does not hold exactly (NaN, an integer of magnitude 2**53 or more) or
+        from ``INT64`` statistics that large, which a float64 rounds.  A NaN
+        in a group makes its min/max NaN, and a comparison with NaN is false:
+        NaN proves nothing either.
+        """
+        proven = np.zeros((len(self.row_groups), len(comparisons)), dtype=bool)
+        lows, highs = self.chunks["min"], self.chunks["max"]
+        for index, comparison in enumerate(comparisons):
+            column, value = comparison.column, comparison.value
+            if column not in self.schema or not _exact_number(value):
+                continue
+            position = self.schema.index_of(column)
+            low, high = lows[:, position], highs[:, position]
+            holds = _PROVEN[comparison.op](low, high, value)
+            if self.schema.field(column).type is ColumnType.INT64 and holds.any():
+                holds &= (np.abs(low) < _EXACT_INTEGER) & (np.abs(high) < _EXACT_INTEGER)
+            proven[:, index] = holds
+        return proven
+
+    def constant_groups(self, columns: Sequence[str]) -> np.ndarray:
+        """``(row groups, columns)``: where every row of a group holds the
+        column's ``min`` bit for bit, so its page need not be read.
+
+        Needs ``min == max`` (never true for NaN), the column in the file,
+        an ``INT64`` value of magnitude below 2**53 and a non-zero
+        ``FLOAT64`` one: the statistics of a group of 0.0 and -0.0 compare
+        equal but do not say which bits each row holds.
+        """
+        constant = np.zeros((len(self.row_groups), len(columns)), dtype=bool)
+        lows = self.chunks["min"]
+        same = lows == self.chunks["max"]
+        somewhere = same.any(axis=0).tolist()
+        for index, column in enumerate(columns):
+            if column not in self.schema or not somewhere[self.schema.index_of(column)]:
+                continue
+            position = self.schema.index_of(column)
+            hits, low = same[:, position], lows[:, position]
+            kind = self.schema.field(column).type
+            if kind is ColumnType.INT64:
+                hits = hits & (np.abs(low) < _EXACT_INTEGER)
+            elif kind is ColumnType.FLOAT64:
+                hits = hits & (low != 0)
+            constant[:, index] = hits
+        return constant
+
     def encoding_counts(self) -> Dict[Encoding, int]:
         """How many column chunks the writer stored in each encoding."""
         counts = np.bincount(self.chunks["encoding"].ravel(), minlength=256)
@@ -295,6 +372,13 @@ class FileMetadata:
         return dict(zip(self.schema.names, zip(lows, highs)))
 
 
+def _exact_number(value: object) -> bool:
+    """Whether a comparison literal is a number that float64 holds exactly."""
+    if isinstance(value, (float, np.floating)):
+        return not math.isnan(value)
+    return isinstance(value, (int, np.integer)) and abs(value) < _EXACT_INTEGER
+
+
 def _known(ids: Iterable[int]) -> np.ndarray:
     """Membership table of a set of one-byte ids."""
     table = np.zeros(256, dtype=bool)
@@ -305,7 +389,7 @@ def _known(ids: Iterable[int]) -> np.ndarray:
 _KNOWN_ENCODINGS = _known(member.value for member in Encoding)
 _NARROWED = _known((Encoding.FOR.value, Encoding.DELTA.value))
 _KNOWN_COMPRESSIONS = _known(COMPRESSION_BY_ID)
-_KNOWN_WIDTHS = _known((0, 1, 2, 4))
+_KNOWN_WIDTHS = _known(WIDTHS)
 _KNOWN_EXPONENTS = _known(SCALES)
 
 
@@ -377,7 +461,6 @@ class ColumnarWriter:
         groups = len(tiling.slices) if tiling else 1
         chunks = np.zeros((groups, len(self.schema)), dtype=_CHUNK)
         chunks["min"], chunks["max"] = math.inf, -math.inf
-        chunks["compression"] = COMPRESSION_IDS[self.compression]
         columns: List[List] = []
         for position, field_ in enumerate(self.schema):
             entries = chunks[:, position]
@@ -393,8 +476,21 @@ class ColumnarWriter:
                 entries["min"] = np.minimum.reduceat(values, tiling.starts)
                 entries["max"] = np.maximum.reduceat(values, tiling.starts)
             entries["uncompressed_size"] = [memoryview(page).nbytes for page in pages]
-            pages = [compress(page, self.compression) for page in pages]
-            entries["compressed_size"] = [memoryview(page).nbytes for page in pages]
+            # Each page is stored in its smaller form: compressed only where
+            # that is strictly smaller, so no page costs an inflate for nothing.
+            deflated = [compress(page, self.compression) for page in pages]
+            entries["compressed_size"] = [memoryview(page).nbytes for page in deflated]
+            smaller = entries["compressed_size"] < entries["uncompressed_size"]
+            entries["compression"] = np.where(
+                smaller, COMPRESSION_IDS[self.compression], COMPRESSION_IDS[Compression.NONE]
+            )
+            entries["compressed_size"] = np.where(
+                smaller, entries["compressed_size"], entries["uncompressed_size"]
+            )
+            pages = [
+                stored if keep else page
+                for stored, page, keep in zip(deflated, pages, smaller.tolist())
+            ]
             if self.checksum:
                 entries["crc"] = [zlib.crc32(page) for page in pages]
             columns.append(pages)

@@ -9,9 +9,11 @@ single-stage :class:`~repro.plan.physical.PhysicalPlan`
    conjunctive single-column comparisons additionally yield
    :class:`~repro.plan.physical.PruneRange` entries for min/max row-group
    pruning.
-2. **Projection push-down** — the scan only reads the base columns referenced
-   anywhere downstream (predicates, maps, aggregates, group-by keys).  Plans
-   that use opaque Python UDFs fall back to reading all columns.
+2. **Projection push-down** — the scan's columns are the base columns its
+   output needs downstream (maps, aggregates, group-by keys); it reads its
+   predicate's columns for the selection vector itself and does not output
+   them.  Plans that use opaque Python UDFs, and plans that collect whole
+   rows, fall back to reading all columns.
 3. **Two-phase aggregation** — every aggregate is decomposed into a partial
    aggregate computed by the workers and a final merge computed on the driver
    (``avg`` becomes a partial ``sum`` + ``count`` pair).
@@ -244,8 +246,11 @@ class _Tail:
         return self.aggregate is None and self.project is None
 
     def downstream_columns(self) -> set:
-        """Columns the aggregation (keys and arguments) or projection reads."""
+        """Columns the aggregation (keys and arguments) or projection reads,
+        and the ordering keys of projected rows."""
         needed = set(self.project or ())
+        if self.project is not None and self.aggregate is None:
+            needed |= set(self.order_by)
         if self.aggregate is not None:
             needed |= set(self.aggregate.group_by)
             needed |= _columns_of(
@@ -336,8 +341,6 @@ def _lower_scan(chain: List[LogicalPlan]) -> Tuple[PhysicalPlan, OptimizerReport
 
     # -- projection push-down ----------------------------------------------------
     needed = tail.downstream_columns() | _columns_of(expr for _, expr in map_outputs)
-    if predicate is not None:
-        needed |= referenced_columns(predicate)
     needed -= {alias for alias, _ in map_outputs}
     columns: List[str] = []
     if report.has_udf or (not needed and tail.aggregate is None):
@@ -345,6 +348,10 @@ def _lower_scan(chain: List[LogicalPlan]) -> Tuple[PhysicalPlan, OptimizerReport
         # also need every column.
         report.read_all_columns = True
     else:
+        if not needed and predicate is not None:
+            # An aggregate of no column (``count(*)``): no columns would mean
+            # every column, so the scan names its predicate's.
+            needed = referenced_columns(predicate)
         columns = report.pushed_columns = sorted(needed)
 
     partials, driver = _driver_plan(tail, report)
@@ -585,9 +592,9 @@ def _project_sides(
     needed: set, keep_every_column: bool,
 ) -> Dict[int, JoinSidePlan]:
     """Per-relation projection push-down: each relation's scan fragment
-    reads its join keys, its predicate's columns, and the columns it owns
-    that a residual or the tail reads (every column when its schema is
-    unknown or the query collects whole rows)."""
+    outputs its join keys and the columns it owns that a residual or the
+    tail reads (every column when its schema is unknown or the query
+    collects whole rows); the scan reads its predicate's columns itself."""
     keys: List[set] = [set() for _ in relations]
     keys[order[0]].add(stages[0][1])
     for rel, scope_key, rel_key in stages:
@@ -605,10 +612,7 @@ def _project_sides(
         elif not schemas[rel] or keep_every_column:
             columns = []
         else:
-            columns = keys[rel] | (needed & schemas[rel])
-            if predicate is not None:
-                columns |= referenced_columns(predicate)
-            columns = sorted(columns)
+            columns = sorted(keys[rel] | (needed & schemas[rel]))
         sides[rel] = JoinSidePlan(
             files=list(scan.paths),
             key=side_key[rel],

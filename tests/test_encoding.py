@@ -91,10 +91,14 @@ def test_dictionary_codes_take_the_minimal_width(distinct, code_width):
 
 def test_narrowed_pages_hold_width_bytes_per_value():
     keys = np.cumsum(np.arange(1, 1001, dtype=np.int64))  # steps 2..1000, span 500k
-    for encoding, width in ((Encoding.FOR, 4), (Encoding.DELTA, 2)):
-        page, decoded = _roundtrip(keys, ColumnType.INT64, encoding)
+    wide = keys * 100  # steps 200..100k, span 50M: beyond 24 bits
+    for values, encoding, width in (
+        (keys, Encoding.FOR, 3), (keys, Encoding.DELTA, 2),
+        (wide, Encoding.FOR, 4), (wide, Encoding.DELTA, 3),
+    ):
+        page, decoded = _roundtrip(values, ColumnType.INT64, encoding)
         assert (page.encoding, page.width, _size(page)) == (encoding, width, width * 1000)
-        _assert_bit_identical(decoded, keys, ColumnType.INT64)
+        _assert_bit_identical(decoded, values, ColumnType.INT64)
     constant, decoded = _roundtrip(np.full(50, -7, dtype=np.int32), ColumnType.INT32, Encoding.FOR)
     assert (constant.width, _size(constant)) == (0, 0)
     assert constant.base == struct.unpack("<I", struct.pack("<i", -7))[0]
@@ -148,7 +152,7 @@ def test_too_short_headers_raise():
     "ctype, data, count, width, exponent, base",
     [
         (ColumnType.INT64, b"\x00" * 7, 4, 2, 0, 0),  # not count * width bytes
-        (ColumnType.INT64, b"\x00" * 12, 4, 3, 0, 0),  # no such width
+        (ColumnType.INT64, b"\x00" * 20, 4, 5, 0, 0),  # no such width
         (ColumnType.INT32, b"\x00" * 16, 4, 4, 0, 0),  # as wide as the column
         (ColumnType.INT64, b"\x00" * 32, 4, 8, 0, 0),
         (ColumnType.INT64, b"\x00" * 4, 4, 1, 2, 0),  # decimal exponent on integers
@@ -191,7 +195,7 @@ def test_choice_narrows_what_a_dictionary_would_not_help():
     rng = np.random.default_rng(1)
     n = 2048  # more than 32 distinct values: too many for a dictionary
     prices = np.round(rng.uniform(900.0, 105_000.0, n), 2)
-    assert _chosen(prices, ColumnType.FLOAT64) == (Encoding.FOR, 4, 2)
+    assert _chosen(prices, ColumnType.FLOAT64) == (Encoding.FOR, 3, 2)
     quantities = rng.integers(1, 51, n).astype(np.float64)
     assert _chosen(quantities, ColumnType.FLOAT64) == (Encoding.FOR, 1, 0)
     dates = rng.integers(8000, 8200, n).astype(np.int32)

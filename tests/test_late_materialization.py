@@ -310,15 +310,23 @@ def test_empty_selection_downloads_fewer_bytes(mixed_encoding_store):
     )
     list(selective.scan())
     full = S3ScanOperator(
-        store, ["s3://data/mixed.lpq"], columns=["disc"], predicate=col("price") >= 0,
+        store, ["s3://data/mixed.lpq"], columns=["disc"], predicate=col("price") >= 5000,
         bandwidth=exact,
     )
     list(full.scan())
+    # Every row group's min/max prove price >= 0: no price page is read.
+    proven = S3ScanOperator(
+        store, ["s3://data/mixed.lpq"], columns=["disc"], predicate=col("price") >= 0,
+        bandwidth=exact,
+    )
+    list(proven.scan())
     # Open (tail + footer) = 2 GETs; then one batch per row group, or two.
     assert selective.counts["scan", "get_requests"] == 2 + 6
     assert full.counts["scan", "get_requests"] == 2 + 2 * 6
+    assert proven.counts["scan", "get_requests"] == 2 + 6
     assert selective.counts["scan", "bytes_read"] < full.counts["scan", "bytes_read"]
     assert selective.counts["scan", "get_requests"] < full.counts["scan", "get_requests"]
+    assert proven.counts["scan", "bytes_read"] < full.counts["scan", "bytes_read"]
 
 
 def test_scan_reads_predicate_columns_not_in_projection(mixed_encoding_store):

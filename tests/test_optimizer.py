@@ -32,8 +32,10 @@ def test_projection_pushdown_collects_referenced_columns():
         aggregates=(AggregateSpec("sum", col("b") * col("c"), "s"),),
     )
     physical, report = optimize(plan)
-    assert physical.worker_template.columns == ["a", "b", "c", "g"]
-    assert report.pushed_columns == ["a", "b", "c", "g"]
+    # The scan outputs what the aggregate reads; it reads "a" for its
+    # selection vector itself.
+    assert physical.worker_template.columns == ["b", "c", "g"]
+    assert report.pushed_columns == ["b", "c", "g"]
     assert not report.read_all_columns
 
 
@@ -164,7 +166,6 @@ def test_q1_pushdowns():
         "l_extendedprice",
         "l_discount",
         "l_tax",
-        "l_shipdate",
     }
     assert any(r.column == "l_shipdate" for r in physical.worker_template.prune_ranges)
     assert physical.driver.group_by == ["l_returnflag", "l_linestatus"]
@@ -177,10 +178,5 @@ def test_q6_pushdowns():
     assert "l_shipdate" in ranges
     assert "l_discount" in ranges
     assert "l_quantity" in ranges
-    assert set(physical.worker_template.columns) == {
-        "l_extendedprice",
-        "l_discount",
-        "l_quantity",
-        "l_shipdate",
-    }
+    assert set(physical.worker_template.columns) == {"l_extendedprice", "l_discount"}
 

@@ -351,11 +351,14 @@ def test_a_predicate_that_empties_a_whole_run(stack, monkeypatch):
 
 # -- (d) the page budget ---------------------------------------------------------------
 
-#: ``repro`` Python calls per page of the Q1-shaped scan below: every call
-#: event whose code lives under ``repro/`` (functions, methods, generator
-#: resumptions).  It reads 18.56 on CPython 3.11; a page that costs more
-#: Python than its directory entry, span lookup and parse shows here first.
-CALLS_PER_PAGE_CEILING = 18.6
+#: ``repro`` Python calls of the Q1-shaped scan below: every call event whose
+#: code lives under ``repro/`` (functions, methods, generator resumptions).
+#: It read 2 468 on CPython 3.11 while the scan read all 133 of its pages
+#: (budgeted then at 18.6 calls a page); with the pages its row groups'
+#: statistics answer left unread it reads 1 949 for 95 pages.  A page or row
+#: group that costs more Python than its directory entry, span lookup and
+#: parse shows here first.
+CALLS_CEILING = 1960
 
 
 def _count_repro_calls(run) -> Counter:
@@ -392,6 +395,5 @@ def test_a_q1_scan_stays_inside_its_page_budget():
     scan_once()  # imports and first-use caches
     calls = _count_repro_calls(scan_once)
     pages = calls["read_encoded_chunk"]
-    assert pages == calls["parse_encoded_chunk"] > 100
-    per_page = sum(calls.values()) / pages
-    assert per_page <= CALLS_PER_PAGE_CEILING, calls.most_common(12)
+    assert pages == calls["parse_encoded_chunk"] > 80
+    assert sum(calls.values()) <= CALLS_CEILING, calls.most_common(12)

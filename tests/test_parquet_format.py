@@ -263,14 +263,14 @@ def test_writer_chooses_an_encoding_per_chunk_and_narrow_pages_shrink_the_file()
         "key": {(Encoding.DELTA, 1, 0)},
         "flag": {(Encoding.DICTIONARY, 0, 0)},
         "date": {(Encoding.DICTIONARY, 0, 0)},
-        "price": {(Encoding.FOR, 4, 2)},
+        "price": {(Encoding.FOR, 3, 2)},
         "qty": {(Encoding.FOR, 1, 0)},
         "noise": {(Encoding.PLAIN, 0, 0)},
     }
     group = reader.row_groups[1]
     assert group.column_meta("key").uncompressed_size == 1000
     assert group.column_meta("key").base == int(table["key"][1000])
-    assert group.column_meta("price").uncompressed_size == 4000
+    assert group.column_meta("price").uncompressed_size == 3000  # 3-byte rows
     assert group.column_meta("flag").uncompressed_size == 4 + 3 * 4 + 1000  # u8 codes
     assert group.column_meta("noise").uncompressed_size == 8000
     result = reader.read_table()
@@ -392,7 +392,7 @@ MALFORMED_FOOTERS = {
     "encoding-3": _set("encoding", 3),
     "encoding-255": _set("encoding", 255),
     "compression-id": _set("compression", 7),
-    "width-3": _set("width", 3),
+    "width-5": _set("width", 5),
     "width-is-itemsize": _set("width", 8),
     "width-int32": _set("width", 4, column=1),
     "exponent-1": _set("exponent", 1, column=3),

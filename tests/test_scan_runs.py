@@ -30,6 +30,7 @@ from repro.formats.encoding import (
     gather_run_codes,
     parse_encoded_chunk,
 )
+from repro.formats.compression import Compression
 from repro.formats.parquet import _CHUNK, MAGIC, ColumnarFile, write_table
 from repro.formats.schema import ColumnType
 from repro.frontend.sql import parse_sql
@@ -278,7 +279,10 @@ def test_a_page_that_does_not_inflate_fails_typed_at_its_row_group(monkeypatch):
     clean = recording_store(data)
     list(_fused(clean))
     reader = ColumnarFile.from_bytes(data)
-    meta = reader.row_groups[2].column_meta("w")
+    # "w" (random 30-bit integers) does not deflate and is stored as encoded;
+    # "v" (two-decimal prices at two bytes a value) still inflates.
+    meta = reader.row_groups[2].column_meta("v")
+    assert meta.compression is Compression.GZIP
     broken = bytearray(data)
     broken[meta.offset:meta.offset + 2] = b"\xff\xff"  # no zlib header
     store = recording_store(bytes(broken))
@@ -287,7 +291,7 @@ def test_a_page_that_does_not_inflate_fails_typed_at_its_row_group(monkeypatch):
     error = caught.value
     assert not isinstance(error, IntegrityError)
     assert (error.layer, error.key, error.offset) == ("lpq.chunk", PATH, meta.offset)
-    assert "'w' of row group 2" in str(error)
+    assert "'v' of row group 2" in str(error)
     # Row groups 2 and 3 are one run, but the page is inflated as its row
     # group is read: nothing of row group 3 was requested.
     assert store.gets == _gets_through(clean.gets, reader, 2)
