@@ -17,7 +17,8 @@ opened once per query; every fleet, driver-side cloud request and
 spilled-result read of the query goes through it, and so does the cleanup of
 a typed abort.  Inside its :meth:`~QueryContext.scope` every ledger record is
 tagged with the query, and the query's dollars are the price of those
-records (:meth:`~QueryContext.bill`).
+records (:meth:`~QueryContext.bill`); its time is one span tree
+(:mod:`repro.driver.spans`).
 """
 
 from __future__ import annotations
@@ -26,11 +27,13 @@ import random
 import uuid
 from contextlib import contextmanager
 from dataclasses import dataclass
+from time import perf_counter
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional
 
 from repro.cloud.metering import QUERY_TAG
 from repro.config import DEFAULT_RESILIENCE
 from repro.counters import Counts
+from repro.driver import spans
 from repro.driver.breakers import RetryBudget
 from repro.driver.integrity import fetch_spilled_result, open_message
 from repro.driver.resilience import (
@@ -157,17 +160,27 @@ def run_fleet(
     workers that failed or never reported are re-dispatched in key order as
     their next attempt (``events`` is updated in place) after one jittered
     backoff from the ``context``'s stream, charged to the modelled latency
-    and never slept.  Each re-dispatch is booked here, whatever the fleet:
-    it is one event of ``context.events`` — key, failed attempt, error,
-    backoff — and one more billed invocation; an invocation-plane error is a
-    failure of the Lambda breaker, its request fee is wasted, the retry
-    budget is charged.  An exhausted fleet is returned as it stands.
+    and never slept.  The fleet is one wave span of the context's trace, each
+    payload a round dispatched one attempt span, recorded after the round.
+    Each re-dispatch is booked here, whatever the fleet: it is one
+    ``redispatch`` event — key, failed attempt, error, backoff — on the
+    failed attempt, and one more billed invocation; an invocation-plane
+    error is a failure of the Lambda breaker, its request fee is wasted, the
+    retry budget is charged.  An exhausted fleet is returned as it stands.
     """
     policy, cancel = context.policy, context.cancel
     if cancel is not None and labels.dispatch is not None:
         cancel.check(labels.dispatch)
     by_key: Dict = {}
-    transport([events[key] for key in sorted(events)], by_key, current_attempts(events))
+    wave = spans.Span("wave", context.trace, label=labels.stage or "scan")
+    attempts: Dict = {}
+
+    def dispatch(keys: List) -> None:
+        started = perf_counter()
+        transport([events[key] for key in keys], by_key, current_attempts(events))
+        attempts.update(spans.record_round(wave, keys, events, by_key, started))
+
+    dispatch(sorted(events))
     invocation_fee = context.env.ledger.prices.lambda_invocation_cost(1)
     sleep = 0.0
     for _ in range(rounds - 1):
@@ -183,8 +196,8 @@ def run_fleet(
         for key in failed:
             error = by_key.get(key, {}).get("error") or NO_RESULT_ERROR
             previous = int(events[key].get("attempt", 0))
-            context.events.append(
-                {"key": key, "attempt": previous, "error": error, "backoff_seconds": sleep}
+            attempts[key, previous].event(
+                "redispatch", key=key, attempt=previous, error=error, backoff_seconds=sleep
             )
             if error.startswith("IntegrityError"):
                 # At-rest corruption no re-GET cured: the retry re-executes.
@@ -199,7 +212,9 @@ def run_fleet(
             if context.budget is not None:
                 context.budget.charge(labels.budget)
             context.counters.note("resilience", "retries")
-        transport([events[key] for key in failed], by_key, current_attempts(events))
+        dispatch(failed)
+    spans.accept(attempts, by_key)
+    wave.wall_end = perf_counter()
     return by_key
 
 
@@ -234,18 +249,20 @@ class QueryContext:
     """Everything one query's fleets share, opened once per query.
 
     ``query_id``; the jitter stream, seeded from ``policy`` so backoff draws
-    are a function of this query alone; the query's one record — ``counters``,
-    every count keyed by ``(layer, name)`` (:mod:`repro.counters`), which the
-    statistics only read, and ``events``, the append-only list of its
-    re-dispatches — and the fault plan's counts when the query opened; the
-    breaker board; with ``budgeted``, a
+    are a function of this query alone; the query's two records, which the
+    statistics only read — ``counters``, every count keyed by ``(layer,
+    name)`` (:mod:`repro.counters`), and ``trace``, the query span of its
+    span tree (:mod:`repro.driver.spans`), whose ``redispatch`` events
+    :attr:`events` lists — and the fault plan's counts when the query opened;
+    the breaker board; with ``budgeted``, a
     :class:`~repro.driver.breakers.RetryBudget` of ``policy.retry_budget``
     named after the query; and the cancellation token, bound to :meth:`now`.
     Without a board, a budget or a token the context charges no breaker, caps
     no retry and never cancels.
 
     :meth:`scope` is the stretch of the query — planning to teardown — whose
-    ledger records are its own, and :meth:`bill` their price.
+    ledger records are its own, and :meth:`bill` their price; the query
+    span's wall clock ends when the outermost one exits.
     :meth:`call` is :func:`~repro.driver.resilience.call_with_backoff`,
     :meth:`collect` :func:`collect_results` and :meth:`run` :func:`run_fleet`
     then :func:`raise_unfinished` with all of the above; :meth:`fold` adds
@@ -263,9 +280,7 @@ class QueryContext:
         self.query_id = uuid.uuid4().hex[:12]
         self.rng = random.Random(policy.jitter_seed)
         self.counters = Counts()
-        #: One ``{"key", "attempt", "error", "backoff_seconds"}`` per
-        #: re-dispatched worker, in order: each is one more billed invocation.
-        self.events: List[Dict] = []
+        self.trace = spans.Span("query", query_id=self.query_id)
         self.breakers = breakers
         states = breakers.states if breakers is not None else None
         self.budget = (
@@ -286,6 +301,14 @@ class QueryContext:
             yield self
         finally:
             QUERY_TAG.reset(token)
+            self.trace.wall_end = perf_counter()  # the outermost scope's exit is last
+
+    @property
+    def events(self) -> List[Dict]:
+        """One ``{"key", "attempt", "error", "backoff_seconds"}`` per
+        re-dispatched worker, in order — the ``redispatch`` events of the
+        trace: each is one more billed invocation."""
+        return spans.redispatches(self.trace)
 
     def bill(self) -> Dict[str, float]:
         """The query's dollars per billing dimension: the ledger's price of
@@ -352,8 +375,9 @@ class QueryContext:
         self, events: Dict, transport: Callable[[List[Dict], Dict, Dict], None],
         rounds: int, labels: FleetLabels,
     ) -> Dict:
-        """:func:`run_fleet` of one of this query's fleets; one ok message per
-        event, or its :func:`raise_unfinished` failure."""
+        """:func:`run_fleet` of one of this query's fleets — one wave span of
+        its trace; one ok message per event, or its :func:`raise_unfinished`
+        failure."""
         by_key = run_fleet(self, events, transport, rounds, labels)
         raise_unfinished(events, by_key, self.events, labels.stage)
         return by_key

@@ -9,11 +9,11 @@ one hop or the two-level tree of §4.2), or the process pool.  Stragglers are
 hedged by one more call of the same transport, and the
 partial results are merged locally (the driver scope of the physical plan).
 Each query opens one :class:`~repro.driver.dispatch.QueryContext` (its id,
-jitter stream, counters, retry budget and cancellation token, with the
-driver's breaker board); the scan fleet, its hedges and a join plan's every
-wave run under it.  It reports per-query statistics — modelled end-to-end
-latency and the full dollar-cost breakdown — which the evaluation benchmarks
-consume.
+jitter stream, counters, span tree, retry budget and cancellation token, with
+the driver's breaker board); the scan fleet, its hedges and a join plan's
+every wave run under it.  It reports per-query statistics — modelled
+end-to-end latency, placed on the span tree (:mod:`repro.driver.spans`), and
+the full dollar-cost breakdown — which the evaluation benchmarks consume.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from time import perf_counter
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
@@ -36,6 +37,7 @@ from repro.cloud.lambda_service import FunctionConfig
 from repro.cloud.s3 import SharedObjectMirror
 from repro.config import DEFAULT_RESILIENCE, IntegrityConfig
 from repro.counters import CounterViews, Counts, LayerView, billed, counted, viewed
+from repro.driver import spans
 from repro.driver.admission import (
     AdmissionConfig,
     AdmissionController,
@@ -44,12 +46,7 @@ from repro.driver.admission import (
 )
 from repro.driver.breakers import BreakerBoard, RetryBudget
 from repro.driver.dispatch import FleetLabels, QueryContext, current_attempts
-from repro.driver.invocation import (
-    CollectionPlan,
-    InvocationModel,
-    LaunchPlan,
-    build_invocation_tree,
-)
+from repro.driver.invocation import InvocationModel, LaunchPlan, build_invocation_tree
 from repro.driver.resilience import (
     DEFAULT_RESILIENCE_POLICY,
     ResiliencePolicy,
@@ -108,7 +105,7 @@ class _QueryViews(CounterViews):
 
 
 @dataclass
-class QueryStatistics(_QueryViews):
+class QueryStatistics(_QueryViews, spans.QueryClock):
     """Performance and cost statistics of one query execution.
 
     The counts — rows, bytes and GETs of the scans, the late-materialization
@@ -118,20 +115,25 @@ class QueryStatistics(_QueryViews):
     the dollars are read-only views over the query's bill, the metering
     ledger's price of the records made while the query ran
     (:meth:`~repro.driver.dispatch.QueryContext.bill`), so ``cost_total`` is
-    exactly what the simulated cloud billed the query.  The other fields are
-    what the driver priced and planned.
+    exactly what the simulated cloud billed the query; the timings are
+    read-only views over the query's span tree
+    (:attr:`~repro.driver.dispatch.QueryContext.trace`, placed on the modelled
+    clock by :mod:`repro.driver.spans`), which :meth:`trace` renders.  The
+    other fields are what the driver priced and planned.
     """
 
     num_workers: int
     memory_mib: int
     cold: bool
-    #: Modelled time until every worker of the fleet was running.
-    invocation_seconds: float
+    #: Modelled time until every worker of the fleet was running: the
+    #: launch span's end.
+    invocation_seconds: float = viewed()
     #: Modelled execution time of the slowest / median worker.
-    max_worker_seconds: float
-    median_worker_seconds: float
-    #: Modelled end-to-end query latency seen by the user.
-    latency_seconds: float
+    max_worker_seconds: float = viewed()
+    median_worker_seconds: float = viewed()
+    #: Modelled end-to-end query latency seen by the user: the query span's
+    #: end.
+    latency_seconds: float = viewed()
     rows_scanned: int = viewed()
     bytes_read: int = viewed()
     get_requests: int = viewed()
@@ -166,17 +168,19 @@ class QueryStatistics(_QueryViews):
     #: Data-integrity counters: bytes whose checksums were verified on read,
     #: mismatches by site, re-reads vs re-executions.
     integrity: LayerView = viewed()
-    #: Per-worker modelled execution durations, seconds.
-    worker_durations: List[float] = field(default_factory=list)
-    #: Result collection (:class:`~repro.driver.invocation.CollectionPlan`):
-    #: what the modelled queue drain adds after the last worker finished, and
-    #: its polling threads and receive requests.  ``latency_seconds`` is
-    #: the last completion + ``collection_seconds`` + the resilience block's
+    #: Per-worker modelled execution durations (every wave's accepted
+    #: attempts), seconds.
+    worker_durations: List[float] = viewed()
+    #: Result collection (the collection span, priced by
+    #: :class:`~repro.driver.invocation.CollectionPlan`): what the modelled
+    #: queue drain adds after the last worker finished, and its polling
+    #: threads and receive requests.  A scan's ``latency_seconds`` is the
+    #: last completion + ``collection_seconds`` + the resilience block's
     #: backoff.  ``collection_receives`` is the modelled drain's count; the
     #: bill (``cost_sqs_requests``) counts the receives the driver issued.
-    collection_seconds: float = 0.0
-    collection_pollers: int = 0
-    collection_receives: int = 0
+    collection_seconds: float = viewed()
+    collection_pollers: int = viewed()
+    collection_receives: int = viewed()
     #: Logical join stages of the plan (1 for a binary join,
     #: ``len(dag.stages)`` for an N-way join DAG, 0 for a repartitioned
     #: aggregation; 1 for scan queries too, where no join exists but the
@@ -205,9 +209,9 @@ class QueryStatistics(_QueryViews):
     #: end.  ``None`` only for catalog-pruned empty results, which never
     #: touch the fleet.
     overload: Optional[Dict[str, Any]] = None
-    #: The query's counter record, re-dispatch events and bill (its context's).
+    #: The query's counter record, span tree and bill (its context's).
     _counters: Counts = field(default_factory=Counts, repr=False)
-    _events: List[Dict] = field(default_factory=list, repr=False)
+    _trace: spans.Span = field(default_factory=lambda: spans.Span("query"), repr=False)
     _bill: Callable[[], Dict[str, float]] = field(default=dict, repr=False)
 
     @property
@@ -221,42 +225,14 @@ class QueryStatistics(_QueryViews):
         return sum(len(wave) - 1 for wave in self.wave_stages if wave)
 
     def describe_latency(self) -> str:
-        """The critical path of the modelled latency, as one line.
-
-        The launch, then the workers — for a scan the stretch from the last
-        start to the last completion, for a DAG its barriered waves — then
-        what the result-queue drain adds, and any backoff the retry machinery
-        charged; the terms sum to ``latency_seconds``.
+        """The critical path of the modelled latency, as one line
+        (:func:`repro.driver.spans.describe_latency`): the launch, then the
+        workers — for a scan the stretch from the last start to the last
+        completion, for a DAG its barriered waves — then what the
+        result-queue drain adds, and any backoff the retry machinery charged;
+        the terms sum to ``latency_seconds``.
         """
-        backoff = self.resilience.backoff_seconds
-        terms = [("launch", self.invocation_seconds)]
-        if self.wave_stages:
-            joiners = self.exchange_partitions * len(self.wave_stages)
-            scans = self.worker_durations[:-joiners]
-            joins = self.worker_durations[-joiners:]
-            waves = [
-                max(joins[start : start + self.exchange_partitions])
-                for start in range(0, joiners, self.exchange_partitions)
-            ]
-            plural = "" if len(waves) == 1 else "s"
-            terms.append(("scan wave", max(scans)))
-            terms.append((f"{len(waves)} join wave{plural}", sum(waves)))
-        else:
-            last_completion = self.latency_seconds - backoff - self.collection_seconds
-            terms.append(("last worker", last_completion - self.invocation_seconds))
-        terms.append(("collection", self.collection_seconds))
-        line = f"latency {self.latency_seconds:.3f} s = " + " + ".join(
-            f"{label} {seconds:.3f}" for label, seconds in terms
-        )
-        pollers = "poller" if self.collection_pollers == 1 else "pollers"
-        receives = "receive" if self.collection_receives == 1 else "receives"
-        line += (
-            f" ({self.collection_pollers} {pollers},"
-            f" {self.collection_receives} {receives})"
-        )
-        if backoff:
-            line += f" + backoff {backoff:.3f}"
-        return line
+        return spans.describe_latency(self._trace, self.resilience.backoff_seconds)
 
 
 #: What a join's :class:`QueryStatistics` takes from its coordinator run as is.
@@ -264,15 +240,6 @@ _RUN_FIELDS = (
     "dag_stages", "wave_stages", "exchange_partitions", "estimated_exchange_bytes",
     "map_fleets", "gc_objects_deleted", "gc_list_requests",
 )
-
-
-def _collection_fields(collection: CollectionPlan) -> Dict[str, Any]:
-    """The :class:`QueryStatistics` fields a collection plan fills."""
-    return {
-        "collection_seconds": collection.seconds,
-        "collection_pollers": collection.pollers,
-        "collection_receives": collection.receives,
-    }
 
 
 @dataclass
@@ -571,7 +538,7 @@ class LambadaDriver:
             with context.teardown(self._gc_cancelled_scan):
                 with self._transport(physical, events, launch, context) as (transport, labels):
                     by_worker = context.run(events, transport, max_worker_retries + 1, labels)
-                    hedge_waits = self._hedge_stragglers(by_worker, events, transport, context)
+                    self._hedge_stragglers(by_worker, events, transport, context)
                 context.fetch_spilled(by_worker.values(), self.integrity.verify)
                 worker_results = [
                     WorkerResult.from_payload(message["result"], message.get("frame"))
@@ -579,15 +546,14 @@ class LambadaDriver:
                 ]
                 context.fold(worker_results)
                 table, reduce_value = self._merge(physical, worker_results)
-                statistics = self._build_statistics(
-                    worker_results, launch=launch, cold=cold, context=context,
-                    hedge_waits=hedge_waits,
+                context.note_faults()
+                spans.place_scan(
+                    context.trace, launch, context.counters["resilience", "backoff_seconds"]
                 )
-                statistics.overload = self._overload_block(context.budget)
                 return QueryResult(
                     table=table,
                     reduce_value=reduce_value,
-                    statistics=statistics,
+                    statistics=self._statistics(context, launch.num_workers, cold),
                     worker_results=worker_results,
                     optimizer_report=report,
                     plan_explain=physical.explain(),
@@ -610,10 +576,11 @@ class LambadaDriver:
         computes the partial aggregates placed above the join) runs in
         :class:`~repro.driver.shuffle.ShuffleJoinCoordinator` under the
         query's ``context``, whose teardown the coordinator applies to its own
-        exchange and queue.  This prices the run's launch and result
-        collection into the :class:`QueryStatistics` scan queries report; the
-        counts and dollars need no copying, as both statistics read the
-        context's record and bill.
+        exchange and queue.  This places the run behind one launch of every
+        worker, and the final wave's result collection, on the query's span
+        tree (:func:`repro.driver.spans.place_dag`); the timings, counts and
+        dollars need no copying, as both statistics read the context's tree,
+        record and bill.
         """
         if self._join_coordinator is None:
             # An explicit shuffle config wins; otherwise the driver's
@@ -632,37 +599,15 @@ class LambadaDriver:
             physical, num_workers=num_workers, context=context
         )
 
-        durations = [result.duration_seconds for result in worker_results]
         num_total = run.map_workers + run.reduce_workers
         launch = self._invocation.plan(num_total, cold=cold)
-        # Only the final wave's results travel to the driver: its workers
-        # start together behind the launch and every earlier wave (whose
-        # modelled_latency_seconds already includes the coordinator's
-        # backoff), and the queue is long-polled while they run.
-        final_wave = np.asarray(durations[-run.exchange_partitions:])
-        collection = launch.collection(
-            launch.time_to_start_all + run.modelled_latency_seconds - final_wave.max() + final_wave
-        )
-        statistics = QueryStatistics(
-            num_workers=num_total,
-            memory_mib=self.memory_mib,
-            cold=cold,
-            invocation_seconds=launch.time_to_start_all,
-            max_worker_seconds=float(max(durations)),
-            median_worker_seconds=float(np.median(durations)),
-            latency_seconds=collection.finish,
-            worker_durations=durations,
-            **_collection_fields(collection),
-            **{name: getattr(run, name) for name in _RUN_FIELDS},
-            _counters=context.counters,
-            _events=context.events,
-            _bill=context.bill,
-            overload=self._overload_block(context.budget),
-        )
+        spans.place_dag(context.trace, launch, run.resilience.backoff_seconds)
         return QueryResult(
             table=table,
             reduce_value=None,
-            statistics=statistics,
+            statistics=self._statistics(
+                context, num_total, cold, **{name: getattr(run, name) for name in _RUN_FIELDS}
+            ),
             worker_results=worker_results,
             optimizer_report=report,
             plan_explain=physical.explain(),
@@ -907,6 +852,18 @@ class LambadaDriver:
             for future in futures:
                 future.result()
 
+    def _statistics(
+        self, context: QueryContext, num_workers: int, cold: bool, **planned: Any
+    ) -> QueryStatistics:
+        """The statistics of a query that ran its fleets under ``context``:
+        views over its span tree, counter record and bill, beside what the
+        driver planned."""
+        return QueryStatistics(
+            num_workers=num_workers, memory_mib=self.memory_mib, cold=cold, **planned,
+            _counters=context.counters, _trace=context.trace, _bill=context.bill,
+            overload=self._overload_block(context.budget),
+        )
+
     def _overload_block(self, budget: Optional[RetryBudget]) -> Dict[str, Any]:
         """The per-query overload-control statistics block."""
         return {
@@ -927,7 +884,7 @@ class LambadaDriver:
         events: Dict[int, Dict],
         transport: Callable,
         context: QueryContext,
-    ) -> Dict[int, float]:
+    ) -> None:
         """Race each straggler against a speculative re-run; first result wins.
 
         Post-fleet quantile detection: workers whose modelled duration exceeds
@@ -942,10 +899,12 @@ class LambadaDriver:
         wasted.  A homogeneous clean fleet never crosses the threshold, so
         fault-free runs take none of this path.
 
-        Returns the wait before each won hedge started (latency only).  Both
-        racers run to completion (a real Lambda cannot be cancelled) and the
-        ledger bills both; what bought no used result — a won hedge's
-        original, a lost hedge's run — is attributed as wasted.
+        Each hedge is one more attempt span of the fleet's wave with a
+        ``hedge_won`` or ``hedge_lost`` event; a won hedge is the accepted
+        attempt, finishing its detection threshold after its own run (latency
+        only).  Both racers run to completion (a real Lambda cannot be
+        cancelled) and the ledger bills both; what bought no used result — a
+        won hedge's original, a lost hedge's run — is attributed as wasted.
         """
         policy = self.resilience_policy
         durations = {
@@ -954,7 +913,7 @@ class LambadaDriver:
         }
         stragglers = pick_stragglers(durations, policy)
         if not stragglers:
-            return {}
+            return
         fleet_median = sorted(durations.values())[len(durations) // 2]
         threshold = max(policy.hedge_min_seconds, policy.hedge_factor * fleet_median)
         hedges: Dict[int, Dict] = {}
@@ -968,20 +927,23 @@ class LambadaDriver:
             hedge.pop("children", None)
             hedges[worker_id] = hedge
         if not hedges:
-            return {}
+            return
         context.counters.note("resilience", "hedges_launched", len(hedges))
         hedged: Dict[int, Dict] = {}
+        started = perf_counter()
         transport(list(hedges.values()), hedged, current_attempts(hedges))
+        wave = context.trace.last("wave")
+        raced = spans.record_round(wave, list(hedges), hedges, hedged, started, hedge=True)
         prices = self.env.ledger.prices
-        waits: Dict[int, float] = {}
         for worker_id, hedge in hedges.items():
             message = hedged.get(worker_id, {})
+            span = raced[worker_id, hedge["attempt"]]
             if message.get("status") != "ok" or message["attempt"] < hedge["attempt"]:
                 # The hedge itself failed or vanished — it simply loses.
                 outcome, wasted = "hedges_lost", prices.lambda_invocation_cost(1)
             elif threshold + message["result"]["duration_seconds"] < durations[worker_id]:
                 by_worker[worker_id] = message
-                waits[worker_id] = threshold
+                spans.supersede(wave, worker_id, span, threshold)
                 outcome = "hedges_won"
                 wasted = prices.lambda_duration_cost(self.memory_mib, durations[worker_id])
             else:
@@ -991,9 +953,9 @@ class LambadaDriver:
                     prices.lambda_invocation_cost(1)
                     + prices.lambda_duration_cost(self.memory_mib, own)
                 )
+            span.event(outcome.replace("hedges", "hedge"))
             context.counters.note("resilience", outcome)
             context.counters.note("resilience", "wasted_cost_dollars", wasted)
-        return waits
 
     def _empty_result(
         self,
@@ -1006,15 +968,8 @@ class LambadaDriver:
         bill is the catalog's lookups."""
         table, reduce_value = self._merge(physical, [])
         statistics = QueryStatistics(
-            num_workers=0,
-            memory_mib=self.memory_mib,
-            cold=cold,
-            invocation_seconds=0.0,
-            max_worker_seconds=0.0,
-            median_worker_seconds=0.0,
-            latency_seconds=0.0,
-            worker_durations=[],
-            _bill=context.bill,
+            num_workers=0, memory_mib=self.memory_mib, cold=cold,
+            _trace=context.trace, _bill=context.bill,
         )
         return QueryResult(
             table=table,
@@ -1047,49 +1002,6 @@ class LambadaDriver:
             driver_plan, driver_plan.group_by, template.aggregates,
         )
         return table, None
-
-    def _build_statistics(
-        self,
-        worker_results: List[WorkerResult],
-        launch: LaunchPlan,
-        cold: bool,
-        context: QueryContext,
-        hedge_waits: Dict[int, float],
-    ) -> QueryStatistics:
-        """Compute the modelled latency of the query; its dollars are the
-        ``context``'s bill.
-
-        A won hedge finishes ``hedge_waits[worker_id]`` (its detection
-        threshold) after its own run: latency, never cost.
-        """
-        context.note_faults()
-        counters = context.counters
-        # Worker ids are positions in the fleet.
-        durations = [
-            result.duration_seconds + hedge_waits.get(wid, 0.0)
-            for wid, result in enumerate(worker_results)
-        ]
-        num_workers = launch.num_workers
-        completion = launch.worker_start_times()[: len(durations)] + np.asarray(durations)
-        # Result collection overlaps the fleet: the queue is long-polled
-        # while the workers run.
-        collection = launch.collection(completion)
-        # Backoff between retry rounds is charged to the modelled latency.
-        latency = collection.finish + counters["resilience", "backoff_seconds"]
-        return QueryStatistics(
-            num_workers=num_workers,
-            memory_mib=self.memory_mib,
-            cold=cold,
-            invocation_seconds=launch.time_to_start_all,
-            max_worker_seconds=float(max(durations)) if durations else 0.0,
-            median_worker_seconds=float(np.median(durations)) if durations else 0.0,
-            latency_seconds=latency,
-            worker_durations=durations,
-            **_collection_fields(collection),
-            _counters=counters,
-            _events=context.events,
-            _bill=context.bill,
-        )
 
 
 class QueryHandle:
@@ -1202,13 +1114,10 @@ class QuerySession:
                 result = driver.execute(plan, cancel=token, **execute_kwargs)
                 stats = result.statistics
                 outcome = "completed"
-                # The Lambda requests the statistics bill: a backoff retry
-                # of a cloud request (also a resilience retry) invokes nothing.
-                actual_invocations = float(
-                    stats.num_workers
-                    + len(stats._events)
-                    + stats.resilience.hedges_launched
-                )
+                # The Lambda requests the statistics bill — one per attempt
+                # span: a backoff retry of a cloud request (also a resilience
+                # retry) invokes nothing.
+                actual_invocations = float(len(spans.attempts(stats._trace)))
                 actual_dollars = stats.cost_total
                 return result
             except QueryCancelledError:

@@ -81,6 +81,7 @@ from repro.cloud.network import BandwidthModel
 from repro.cloud.s3 import parse_s3_path
 from repro.config import DEFAULT_SCAN_CONNECTIONS, IntegrityConfig, MiB
 from repro.counters import CounterViews, Counts, LayerView, viewed
+from repro.driver import spans
 from repro.driver.dispatch import FleetLabels, QueryContext
 from repro.driver.integrity import RESULT_BUCKET, post_result
 from repro.driver.invocation import InvocationModel
@@ -184,26 +185,17 @@ class ShuffleConfig:
     integrity: IntegrityConfig = field(default_factory=IntegrityConfig)
 
 
-class _RunViews(CounterViews):
-    """The counts only a coordinator run's statistics show."""
-
-    _events: List[Dict]
-
-    @property
-    def redispatches(self) -> int:
-        """Workers the waves re-dispatched, each billed as one more invocation."""
-        return len(self._events)
-
-
 @dataclass
-class ShuffleStatistics(_RunViews):
+class ShuffleStatistics(CounterViews, spans.RunClock):
     """Statistics of one coordinator run (any shuffle DAG, joins or none).
 
     What :meth:`ShuffleJoinCoordinator.execute` and the aggregation facade
     return.  The counts (rows scanned, join rows, the ``exchange``,
-    ``resilience`` and ``integrity`` blocks, the re-dispatches) are read-only
-    views over the query's counter record, and ``cost_total`` one over its
-    bill; the fields are what the coordinator planned and measured.
+    ``resilience`` and ``integrity`` blocks) are read-only views over the
+    query's counter record, ``cost_total`` one over its bill, and the
+    timings and re-dispatches views over its span tree (the waves' accepted
+    attempts and ``redispatch`` events), which :meth:`trace` renders; the
+    fields are what the coordinator planned and measured.
     """
 
     #: Mappers each scan fleet started, by exchange tag — ``"L"`` the base
@@ -227,8 +219,8 @@ class ShuffleStatistics(_RunViews):
     exchange: LayerView = viewed()
     #: Modelled duration of the slowest scan-wave worker, and of the join
     #: waves' slowest workers summed (the waves are barriered).
-    modelled_map_seconds: float = 0.0
-    modelled_reduce_seconds: float = 0.0
+    modelled_map_seconds: float = viewed()
+    modelled_reduce_seconds: float = viewed()
     #: Retries, wave re-runs, fallbacks, and injected-fault counts survived.
     resilience: LayerView = viewed()
     #: Workers the waves re-dispatched (their events), each billed as one
@@ -260,9 +252,9 @@ class ShuffleStatistics(_RunViews):
     #: Dollars of the query so far: the ledger's price of its records (every
     #: request of the run, and of the facade's input LISTs).
     cost_total: float = viewed()
-    #: The query's counter record, re-dispatch events and bill (its context's).
+    #: The query's counter record, span tree and bill (its context's).
     _counters: Counts = field(default_factory=Counts, repr=False)
-    _events: List[Dict] = field(default_factory=list, repr=False)
+    _trace: spans.Span = field(default_factory=lambda: spans.Span("query"), repr=False)
     _bill: Callable[[], Dict[str, float]] = field(default=dict, repr=False)
 
     @property
@@ -279,16 +271,6 @@ class ShuffleStatistics(_RunViews):
     def broadcast_stages(self) -> int:
         """Stages that ran as a broadcast join inside another stage's wave."""
         return sum(len(wave) - 1 for wave in self.wave_stages if wave)
-
-    @property
-    def modelled_latency_seconds(self) -> float:
-        """Modelled end-to-end latency (the waves are barriered), including
-        any backoff the retry machinery charged."""
-        return (
-            self.modelled_map_seconds
-            + self.modelled_reduce_seconds
-            + self.resilience.backoff_seconds
-        )
 
 
 def _expand_globs(list_objects, paths: Sequence[str]) -> Tuple[List[str], Dict[str, int]]:
@@ -1187,7 +1169,6 @@ class ShuffleJoinCoordinator:
         map_messages, worker_results = self._wave(
             context, self.names.map_function, map_events, self.names.map_label
         )
-        map_seconds = max(result.duration_seconds for result in worker_results)
         objects_written = sum("combined_path" in message for message in map_messages)
 
         # -- join waves (grouped from the announced sizes, chained through the
@@ -1203,7 +1184,6 @@ class ShuffleJoinCoordinator:
         reduce_waves: List[List[Dict]] = []
         objects_read = 0
         gc_deleted = 0
-        reduce_seconds = 0.0
         for wave in wave_stages:
             final = wave is wave_stages[-1]
             side = f"S{len(reduce_waves)}"
@@ -1261,9 +1241,6 @@ class ShuffleJoinCoordinator:
             )
             reduce_waves.append(reduce_messages)
             worker_results += results
-            # Join waves are barriered on each other: their modelled
-            # latencies add, while workers within one wave run abreast.
-            reduce_seconds += max(result.duration_seconds for result in results)
             objects_read += sum(m.get("objects_read", 0) for m in reduce_messages)
             # The wave has folded: nothing reads its inputs again.
             for messages in [probe_messages] + [announced[build_tags[k]] for k in wave]:
@@ -1291,14 +1268,13 @@ class ShuffleJoinCoordinator:
             swept, gc_lists = _gc_query_objects(self.env, query_id, self.num_buckets)
             gc_deleted += swept
 
+        spans.place_run(context.trace, resilience.backoff_seconds)
         statistics = ShuffleStatistics(
             map_fleets=dict(mappers),
             reduce_workers=num_partitions * len(wave_stages),
             result_rows=table_num_rows(result),
             partition_objects_written=objects_written,
             partition_objects_read=objects_read,
-            modelled_map_seconds=map_seconds,
-            modelled_reduce_seconds=reduce_seconds,
             dag_stages=len(dag.stages),
             wave_stages=wave_stages,
             gc_objects_deleted=gc_deleted,
@@ -1306,7 +1282,7 @@ class ShuffleJoinCoordinator:
             results_spilled=sum("result_s3" in message for message in reduce_waves[-1]),
             exchange_partitions=num_partitions,
             estimated_exchange_bytes=dag.estimated_exchange_bytes,
-            _counters=context.counters, _events=context.events, _bill=context.bill,
+            _counters=context.counters, _trace=context.trace, _bill=context.bill,
         )
         return result, statistics, worker_results
 

@@ -348,10 +348,14 @@ def _lower_scan(chain: List[LogicalPlan]) -> Tuple[PhysicalPlan, OptimizerReport
         # also need every column.
         report.read_all_columns = True
     else:
-        if not needed and predicate is not None:
+        if not needed:
             # An aggregate of no column (``count(*)``): no columns would mean
-            # every column, so the scan names its predicate's.
-            needed = referenced_columns(predicate)
+            # every column, so the scan names its predicate's, else the
+            # relation's first (every column only when its schema is unknown).
+            needed = (
+                referenced_columns(predicate) if predicate is not None
+                else set(chain[0].schema_columns[:1])
+            )
         columns = report.pushed_columns = sorted(needed)
 
     partials, driver = _driver_plan(tail, report)

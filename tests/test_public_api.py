@@ -190,7 +190,9 @@ def test_facade_register_table_and_dataflow(facade_session):
 # names the statistics objects and their blocks had while each block was a
 # class of its own, less the mutators and (de)serialisers the one counter
 # record replaced (``merge``, ``from_dict``, ``note_fallback``,
-# ``note_mismatch``).
+# ``note_mismatch``), plus ``trace``, the query's span tree as Chrome
+# trace-event JSON.  The timings are views over that tree, so a statistics
+# object is built from its planned fields alone.
 
 QUERY_STATISTICS_NAMES = {
     "broadcast_stages", "bytes_read", "cold", "collection_pollers", "collection_receives",
@@ -202,7 +204,7 @@ QUERY_STATISTICS_NAMES = {
     "integrity", "invocation_seconds", "join_build_rows", "join_output_rows",
     "join_probe_rows", "join_waves", "latency_seconds", "map_fleets", "max_worker_seconds",
     "median_worker_seconds", "memory_mib", "num_workers", "overload", "resilience",
-    "row_groups_shortcircuited", "rows_decode_saved", "rows_scanned", "wave_stages",
+    "row_groups_shortcircuited", "rows_decode_saved", "rows_scanned", "trace", "wave_stages",
     "worker_durations",
 }
 SHUFFLE_STATISTICS_NAMES = {
@@ -212,7 +214,7 @@ SHUFFLE_STATISTICS_NAMES = {
     "map_workers", "modelled_latency_seconds", "modelled_map_seconds",
     "modelled_reduce_seconds", "partition_objects_read", "partition_objects_written",
     "redispatches", "reduce_workers", "resilience", "result_rows", "results_spilled",
-    "rows_scanned", "wave_stages",
+    "rows_scanned", "trace", "wave_stages",
 }
 BLOCK_NAMES = {
     "exchange": {
@@ -239,10 +241,7 @@ def test_statistics_expose_exactly_their_public_names():
     from repro.driver.driver import QueryStatistics
     from repro.driver.shuffle import ShuffleStatistics
 
-    query = QueryStatistics(
-        num_workers=0, memory_mib=2048, cold=False, invocation_seconds=0.0,
-        max_worker_seconds=0.0, median_worker_seconds=0.0, latency_seconds=0.0,
-    )
+    query = QueryStatistics(num_workers=0, memory_mib=2048, cold=False)
     run = ShuffleStatistics(
         map_fleets={}, reduce_workers=0, result_rows=0, partition_objects_written=0,
         partition_objects_read=0,

@@ -113,3 +113,32 @@ def test_date_literal_becomes_its_day_number():
     assert "date '" not in rewritten
     assert f">= {q.Q14_SHIPDATE_LOWER_DAYS} " in rewritten
     assert f"< {q.Q14_SHIPDATE_UPPER_DAYS} " in rewritten
+
+
+def test_count_star_reads_one_column_of_the_relation(monkeypatch):
+    """``count(*)`` reads no column's values, but a scan of no columns would
+    read every column: it names the relation's first one instead."""
+    from repro.formats.parquet import ColumnarFile
+
+    env = repro.CloudEnvironment.create()
+    session = repro.connect(env)
+    session.register(
+        tpch.generate_lineitem_dataset(env.s3, scale_factor=0.002, num_files=2, seed=SEED)
+    )
+    read = ColumnarFile.read_encoded_chunk
+    columns = []
+
+    def counting(self, group, column):
+        columns.append(column)
+        return read(self, group, column)
+
+    monkeypatch.setattr(ColumnarFile, "read_encoded_chunk", counting)
+    text = "SELECT count(*) AS n FROM lineitem"
+    result = session.sql(text)
+    session.close()
+    assert set(columns) == {"l_orderkey"}
+    # One page per row group of the two files, not one per column (82).
+    assert len(columns) == 6
+    np.testing.assert_array_equal(
+        np.asarray(result.table["n"], dtype=np.float64), oracle.run(text, 0.002, SEED)["n"]
+    )
