@@ -728,7 +728,7 @@ def measure_shuffle_requests(
     exchange = statistics.exchange
     return {
         "num_rows": dataset.total_rows,
-        "num_workers": statistics.map_workers,
+        "num_workers": statistics.map_fleets["L"],
         "result_rows": statistics.result_rows,
         # The request-cost table of the README (paper Table 3 shape).
         **_combined_request_fields(exchange),
@@ -737,7 +737,7 @@ def measure_shuffle_requests(
         # Modelled latency: each worker pays one S3 round-trip per request it
         # issues beyond its pipelined fetch (the in-process wall clock
         # charges no network latency).
-        "combined_modelled_seconds": statistics.modelled_latency_seconds,
+        "combined_modelled_seconds": statistics.latency_seconds,
         "combined_seconds": seconds,
     }
 

@@ -44,9 +44,14 @@ def main() -> None:
         ],
         order_by=["l_orderkey"],
     )
+    # ``stats`` is a QueryStatistics, the record every query reports.
+    mappers = sum(stats.map_fleets.values())
     print("shuffle-based group-by on l_orderkey:")
-    print(f"  map workers {stats.map_workers}, reduce workers {stats.reduce_workers}, "
-          f"rows scanned {stats.rows_scanned:,}")
+    print(f"  workers {stats.num_workers} ({mappers} map, "
+          f"{stats.num_workers - mappers} reduce), rows scanned {stats.rows_scanned:,}")
+    print(f"  modelled latency {stats.latency_seconds:.3f} s "
+          f"(slowest worker {stats.max_worker_seconds:.3f} s), "
+          f"cost {stats.cost_total * 100:.4f} ¢")
     print(f"  partition objects written/read: {stats.partition_objects_written} / "
           f"{stats.partition_objects_read}")
     print(f"  result groups: {stats.result_rows:,}")

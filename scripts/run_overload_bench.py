@@ -108,9 +108,7 @@ def run(arguments: argparse.Namespace) -> dict:
                 query = QUERY_MIX[index % len(QUERY_MIX)]
                 tenant = tenants[index % len(tenants)]
                 try:
-                    handle = session.submit(
-                        plans[query], tenant=tenant, max_worker_retries=13
-                    )
+                    handle = session.submit(plans[query], tenant=tenant)
                 except QueryRejectedError as error:
                     rejected[error.reason] = rejected.get(error.reason, 0) + 1
                     per_query.append(

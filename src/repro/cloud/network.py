@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.config import (
-    LAMBDA_MEMORY_PER_VCPU_MIB,
     MiB,
     S3_BURST_BANDWIDTH_BYTES_PER_S,
     S3_BURST_WINDOW_SECONDS,
@@ -176,24 +175,3 @@ class BandwidthModel:
             memory_mib=memory_mib,
         )
         return self.effective_bandwidth(plan)
-
-
-def compute_seconds_for_rows(rows: int, memory_mib: int, threads: int = 1) -> float:
-    """Modelled CPU time to process ``rows`` rows on a worker.
-
-    CPU capacity is proportional to the configured memory
-    (:data:`~repro.config.LAMBDA_MEMORY_PER_VCPU_MIB` MiB per vCPU, §4.1).
-    A second thread only helps when the worker owns more than one vCPU.
-    """
-    from repro.cloud.lambda_service import cpu_share_for_memory
-    from repro.config import VCPU_ROWS_PER_SECOND
-
-    share = cpu_share_for_memory(memory_mib)
-    usable = min(float(threads), share) if threads >= 1 else share
-    usable = max(usable, min(share, 1.0)) if threads == 1 else usable
-    # A single thread can use at most one vCPU even on large workers.
-    if threads == 1:
-        usable = min(share, 1.0)
-    if usable <= 0:
-        raise ValueError("worker has no CPU share")
-    return rows / (VCPU_ROWS_PER_SECOND * usable)

@@ -366,16 +366,6 @@ class ObjectStore:
         bucket, key = parse_s3_path(path)
         return self.get_object(bucket, key, range_start, range_end)
 
-    def head_path(self, path: str) -> ObjectMetadata:
-        """HEAD using an ``s3://bucket/key`` path."""
-        bucket, key = parse_s3_path(path)
-        return self.head_object(bucket, key)
-
-    def list_paths(self, path_prefix: str) -> List[str]:
-        """List full paths under an ``s3://bucket/prefix`` prefix."""
-        bucket, prefix = parse_s3_path(path_prefix)
-        return [meta.path for meta in self.list_objects(bucket, prefix)]
-
     def glob(self, pattern: str) -> List[str]:
         """Expand a trailing-``*`` glob such as ``s3://bucket/dir/*.parquet``.
 

@@ -15,9 +15,9 @@ layer as the block the statistics have always had (``statistics.exchange``,
 ``.resilience``, ``.integrity``): one attribute per name of
 :data:`LAYERS`, a ``name.key`` family as one dict (``mismatches``,
 ``fallbacks``, ``faults_injected``), ``to_dict()``, and the layer's derived
-``clean`` / ``total_requests``.  :class:`CounterViews` is the attributes both
-statistics classes read off the record; each class lists them as
-:func:`viewed` fields, so its field list still names every statistic.
+``clean`` / ``total_requests``.  :class:`CounterViews` is the attributes the
+statistics read off the record; the statistics list them as :func:`viewed`
+fields, so its field list still names every statistic.
 
 A query's dollars are read the same way, off its bill — the metering
 ledger's price of the query's own records
@@ -69,7 +69,7 @@ LAYERS: Dict[str, Dict[str, Any]] = {
         "stale_messages_ignored": 0,
         # Modelled backoff charged to the query's latency.
         "backoff_seconds": 0.0,
-        # Retry rounds of the shuffle waves, and pool children respawned.
+        # Retry rounds of every fleet, and pool children respawned.
         "wave_retries": 0,
         "pool_respawns": 0,
         "fallbacks": "fallback",
@@ -181,14 +181,19 @@ def viewed() -> Any:
 
 
 class CounterViews:
-    """The attributes both statistics classes read off their ``_counters``:
-    the fleet's summed scan and join counters and the three blocks; and the
-    query's total dollars, off its ``_bill``."""
+    """The attributes the statistics read off their ``_counters``: the
+    fleets' summed scan and join counters and the three blocks; and the
+    query's dollars, off its ``_bill``."""
 
     _counters: Counts
     _bill: Callable[[], Dict[str, float]]
 
     rows_scanned = counted("scan", "rows_scanned")
+    bytes_read = counted("scan", "bytes_read")
+    get_requests = counted("scan", "get_requests")
+    row_groups_shortcircuited = counted("scan", "row_groups_shortcircuited")
+    rows_decode_saved = counted("scan", "rows_decode_saved")
+    column_chunks_skipped = counted("scan", "column_chunks_skipped")
     #: Rows entering the probe / build sides of the join kernels (after
     #: repartitioning), and rows the kernels produced.
     join_probe_rows = counted("join", "probe_rows")
@@ -197,6 +202,11 @@ class CounterViews:
     exchange = block("exchange")
     resilience = block("resilience")
     integrity = block("integrity")
+    cost_lambda_duration = billed("lambda.gib_seconds")
+    cost_lambda_requests = billed("lambda.invocations")
+    cost_s3_requests = billed("s3.")
+    cost_sqs_requests = billed("sqs.")
+    cost_dynamodb_requests = billed("dynamodb.")
 
     @property
     def cost_total(self) -> float:

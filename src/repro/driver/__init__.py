@@ -21,13 +21,11 @@ from repro.driver.catalog import StatisticsCatalog, FileStatistics
 from repro.driver.shuffle import (
     ShuffleAggregateCoordinator,
     ShuffleConfig,
-    ShuffleStatistics,
 )
 
 __all__ = [
     "ShuffleAggregateCoordinator",
     "ShuffleConfig",
-    "ShuffleStatistics",
     "FlatInvocationModel",
     "InvocationModel",
     "TreeInvocationModel",

@@ -382,11 +382,6 @@ class CancellationToken:
     def cancelled(self) -> bool:
         return self._cancelled.is_set()
 
-    def elapsed_seconds(self) -> float:
-        if self._now_fn is None:
-            return 0.0
-        return self._now_fn() - self._started_at
-
     def check(self, stage: str) -> None:
         """Raise :class:`QueryCancelledError` if cancelled or past deadline."""
         if self.cancel_at_stage is not None and stage == self.cancel_at_stage:

@@ -3,7 +3,9 @@
 The paper's driver does one thing per fleet, whatever it computes (§3.2–3.3):
 invoke the workers, learn of completion through the SQS result queue,
 re-invoke what failed.  This module is that path, once, for the scan fleet
-and every shuffle wave: :meth:`QueryContext.lambda_transport` the one Lambda +
+and every shuffle wave: :meth:`QueryContext.wave` the one way a fleet runs —
+one retry limit (``policy.max_attempts`` rounds), one hedge race, one fold of
+the accepted results — :meth:`QueryContext.lambda_transport` the one Lambda +
 SQS transport (a caller passes only data — function, queue, stage label and,
 for the scan, the launcher of its first round), :func:`run_fleet` the loop
 whose retry step is the one booking of a re-dispatch, :func:`raise_unfinished`
@@ -28,7 +30,7 @@ import uuid
 from contextlib import contextmanager
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.cloud.metering import QUERY_TAG
 from repro.config import DEFAULT_RESILIENCE
@@ -44,7 +46,9 @@ from repro.driver.resilience import (
     fault_delta,
     fault_snapshot,
     merge_attempt_message,
+    pick_stragglers,
 )
+from repro.engine.pipeline import WorkerResult
 from repro.errors import (
     QueryCancelledError,
     QueryTimeoutError,
@@ -264,10 +268,11 @@ class QueryContext:
     ledger records are its own, and :meth:`bill` their price; the query
     span's wall clock ends when the outermost one exits.
     :meth:`call` is :func:`~repro.driver.resilience.call_with_backoff`,
-    :meth:`collect` :func:`collect_results` and :meth:`run` :func:`run_fleet`
-    then :func:`raise_unfinished` with all of the above; :meth:`fold` adds
-    accepted worker results to the record; :meth:`fetch_spilled` reads
-    spilled results; :meth:`teardown` is the one cleanup of a typed abort.
+    :meth:`collect` :func:`collect_results` and :meth:`wave` runs a fleet
+    with all of the above — :func:`run_fleet`, :func:`raise_unfinished`, the
+    hedge race — and adds its accepted results to the record;
+    :meth:`fetch_spilled` reads spilled results; :meth:`teardown` is the one
+    cleanup of a typed abort.
     """
 
     def __init__(
@@ -320,12 +325,6 @@ class QueryContext:
         clock plus the backoff this query has accrued."""
         return self.env.clock.now + self.counters["resilience", "backoff_seconds"]
 
-    def fold(self, results: Iterable[Any]) -> None:
-        """Add the counters of accepted, deduplicated worker results
-        (:class:`~repro.engine.pipeline.WorkerResult`) to the record."""
-        for result in results:
-            self.counters.update(result.counters)
-
     def call(self, fn: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
         """``fn(*args, **kwargs)``, transient cloud errors retried with backoff
         charged to this query, its board and its budget."""
@@ -371,16 +370,102 @@ class QueryContext:
 
         return transport
 
-    def run(
+    def wave(
         self, events: Dict, transport: Callable[[List[Dict], Dict, Dict], None],
-        rounds: int, labels: FleetLabels,
-    ) -> Dict:
-        """:func:`run_fleet` of one of this query's fleets — one wave span of
-        its trace; one ok message per event, or its :func:`raise_unfinished`
-        failure."""
-        by_key = run_fleet(self, events, transport, rounds, labels)
+        labels: FleetLabels, memory_mib: int,
+    ) -> Tuple[List[Dict], List[WorkerResult]]:
+        """Run one of this query's fleets — the scan fleet on either transport,
+        a shuffle map or join wave — and fold its accepted results: their
+        messages and worker results, in key order.
+
+        :func:`run_fleet` for ``policy.max_attempts`` rounds, one wave span of
+        the trace; a fleet still lacking an ok result raises its
+        :func:`raise_unfinished` failure.  Then the stragglers of the finished
+        fleet are raced against hedges (:meth:`_hedge`), the rounds it
+        re-dispatched are noted as ``("resilience", "wave_retries")`` — every
+        round re-dispatches the workers the one before it left failing, so the
+        highest attempt is their number — and the accepted results' counters
+        are added to the record.  ``memory_mib`` is the fleet's function size,
+        which prices a hedge's wasted seconds.
+        """
+        by_key = run_fleet(self, events, transport, max(1, self.policy.max_attempts), labels)
         raise_unfinished(events, by_key, self.events, labels.stage)
-        return by_key
+        self._hedge(by_key, events, transport, memory_mib)
+        rounds = max(int(event.get("attempt", 0)) for event in events.values())
+        self.counters.note("resilience", "wave_retries", rounds)
+        messages = [by_key[key] for key in sorted(by_key)]
+        results = [
+            WorkerResult.from_payload(message.get("result") or message["worker_result"])
+            for message in messages
+        ]
+        for result in results:
+            self.counters.update(result.counters)
+        return messages, results
+
+    def _hedge(
+        self, by_key: Dict, events: Dict, transport: Callable[[List[Dict], Dict, Dict], None],
+        memory_mib: int,
+    ) -> None:
+        """Race each straggler of a finished fleet against a speculative
+        re-run; first result wins.
+
+        Post-fleet quantile detection (:func:`pick_stragglers`): a worker whose
+        modelled duration exceeds the detection threshold is re-run once,
+        flat, as its next attempt — one more call of the fleet's own
+        ``transport``, whose reports land in a map of their own.  The hedge
+        can only start once the straggler is *detected*, so it completes at
+        ``threshold + hedge duration``; if that beats the original, the
+        hedge's message replaces it in ``by_key`` (the recompute is
+        deterministic — data identical, only duration/counters differ).  A
+        homogeneous clean fleet never crosses the threshold, so fault-free
+        runs take none of this path.  Hedging is optional work: when the
+        retry budget runs dry a hedge is suppressed (and attributed), never
+        fatal.
+
+        Each hedge is one more attempt span of the fleet's wave with a
+        ``hedge_won`` or ``hedge_lost`` event; a won hedge is the accepted
+        attempt, finishing its detection threshold after its own run (latency
+        only).  Both racers run to completion (a real Lambda cannot be
+        cancelled) and the ledger bills both; what bought no used result — a
+        won hedge's original, a lost hedge's run — is attributed as wasted.
+        """
+        durations = {key: spans.duration(message) for key, message in by_key.items()}
+        stragglers, threshold = pick_stragglers(durations, self.policy)
+        hedges: Dict = {}
+        for key in stragglers:
+            if self.budget is not None and not self.budget.try_charge("hedges"):
+                self.counters.note("resilience", "fallback.hedge_suppressed")
+                continue
+            hedges[key] = {**events[key], "attempt": int(events[key].get("attempt", 0)) + 1}
+            hedges[key].pop("children", None)
+        if not hedges:
+            return
+        self.counters.note("resilience", "hedges_launched", len(hedges))
+        hedged: Dict = {}
+        started = perf_counter()
+        transport(list(hedges.values()), hedged, current_attempts(hedges))
+        wave = self.trace.last("wave")
+        raced = spans.record_round(wave, list(hedges), hedges, hedged, started, hedge=True)
+        prices = self.env.ledger.prices
+        for key, hedge in hedges.items():
+            message = hedged.get(key, {})
+            span = raced[key, hedge["attempt"]]
+            if message.get("status") != "ok" or message["attempt"] < hedge["attempt"]:
+                # The hedge itself failed or vanished — it simply loses.
+                outcome, wasted = "hedges_lost", prices.lambda_invocation_cost(1)
+            elif threshold + spans.duration(message) < durations[key]:
+                by_key[key] = message
+                spans.supersede(wave, key, span, threshold)
+                outcome = "hedges_won"
+                wasted = prices.lambda_duration_cost(memory_mib, durations[key])
+            else:
+                outcome = "hedges_lost"
+                wasted = prices.lambda_invocation_cost(1) + prices.lambda_duration_cost(
+                    memory_mib, spans.duration(message)
+                )
+            span.event(outcome.replace("hedges", "hedge"))
+            self.counters.note("resilience", outcome)
+            self.counters.note("resilience", "wasted_cost_dollars", wasted)
 
     def fetch_spilled(self, messages: Iterable[Dict], verify: bool) -> None:
         """Fetch, in place, the frames accepted ``messages`` spilled to S3

@@ -2,16 +2,16 @@
 
 The driver deploys the worker function once ("installation"), then executes
 queries by compiling them, running the worker fleet through one
-:meth:`~repro.driver.dispatch.QueryContext.run` — failed workers re-invoked
-— over one transport picked per query: Lambda + SQS, the transport every
-shuffle wave uses too (its first round in the shape the launch plan prices,
-one hop or the two-level tree of §4.2), or the process pool.  Stragglers are
-hedged by one more call of the same transport, and the
-partial results are merged locally (the driver scope of the physical plan).
-Each query opens one :class:`~repro.driver.dispatch.QueryContext` (its id,
-jitter stream, counters, span tree, retry budget and cancellation token, with
-the driver's breaker board); the scan fleet, its hedges and a join plan's
-every wave run under it.  It reports per-query statistics — modelled
+:meth:`~repro.driver.dispatch.QueryContext.wave` — failed workers re-invoked,
+stragglers hedged, as in every shuffle wave — over one transport picked per
+query: Lambda + SQS, the transport every shuffle wave uses too (its first
+round in the shape the launch plan prices, one hop or the two-level tree of
+§4.2), or the process pool; the partial results are merged locally (the
+driver scope of the physical plan).  Each query opens one
+:class:`~repro.driver.dispatch.QueryContext` (its id, jitter stream,
+counters, span tree, retry budget and cancellation token, with the driver's
+breaker board); the scan fleet and a join plan's every wave run under it.  It
+reports one :class:`~repro.driver.spans.QueryStatistics` — modelled
 end-to-end latency, placed on the span tree (:mod:`repro.driver.spans`), and
 the full dollar-cost breakdown — which the evaluation benchmarks consume.
 """
@@ -26,8 +26,7 @@ import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from time import perf_counter
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
@@ -36,7 +35,6 @@ from repro.cloud.environment import CloudEnvironment
 from repro.cloud.lambda_service import FunctionConfig
 from repro.cloud.s3 import SharedObjectMirror
 from repro.config import DEFAULT_RESILIENCE, IntegrityConfig
-from repro.counters import CounterViews, Counts, LayerView, billed, counted, viewed
 from repro.driver import spans
 from repro.driver.admission import (
     AdmissionConfig,
@@ -45,13 +43,9 @@ from repro.driver.admission import (
     CancellationToken,
 )
 from repro.driver.breakers import BreakerBoard, RetryBudget
-from repro.driver.dispatch import FleetLabels, QueryContext, current_attempts
+from repro.driver.dispatch import FleetLabels, QueryContext
 from repro.driver.invocation import InvocationModel, LaunchPlan, build_invocation_tree
-from repro.driver.resilience import (
-    DEFAULT_RESILIENCE_POLICY,
-    ResiliencePolicy,
-    pick_stragglers,
-)
+from repro.driver.resilience import DEFAULT_RESILIENCE_POLICY, ResiliencePolicy
 from repro.driver.shuffle import (
     JOIN_MAP_FUNCTION_NAME,
     JOIN_REDUCE_FUNCTION_NAME,
@@ -61,6 +55,7 @@ from repro.driver.shuffle import (
     expand_glob_paths,
     merge_driver_scope,
 )
+from repro.driver.spans import QueryStatistics
 from repro.driver.worker import (
     COLD_EXECUTION_PENALTY,
     WORKER_FUNCTION_NAME,
@@ -86,159 +81,6 @@ from repro.plan.physical import (
 SCAN_FLEET = FleetLabels(dispatch=None, retry="retry round", budget="driver_retries")
 POOL_FLEET = FleetLabels(
     dispatch="pooled dispatch", retry="pooled retry", budget="pool_retries"
-)
-
-
-class _QueryViews(CounterViews):
-    """The counts and dollars only a query's statistics show."""
-
-    bytes_read = counted("scan", "bytes_read")
-    get_requests = counted("scan", "get_requests")
-    row_groups_shortcircuited = counted("scan", "row_groups_shortcircuited")
-    rows_decode_saved = counted("scan", "rows_decode_saved")
-    column_chunks_skipped = counted("scan", "column_chunks_skipped")
-    cost_lambda_duration = billed("lambda.gib_seconds")
-    cost_lambda_requests = billed("lambda.invocations")
-    cost_s3_requests = billed("s3.")
-    cost_sqs_requests = billed("sqs.")
-    cost_dynamodb_requests = billed("dynamodb.")
-
-
-@dataclass
-class QueryStatistics(_QueryViews, spans.QueryClock):
-    """Performance and cost statistics of one query execution.
-
-    The counts — rows, bytes and GETs of the scans, the late-materialization
-    and join counters, each summed over the fleet, and the ``exchange``,
-    ``resilience`` and ``integrity`` blocks — are read-only views over the
-    query's counter record (:attr:`~repro.driver.dispatch.QueryContext.counters`);
-    the dollars are read-only views over the query's bill, the metering
-    ledger's price of the records made while the query ran
-    (:meth:`~repro.driver.dispatch.QueryContext.bill`), so ``cost_total`` is
-    exactly what the simulated cloud billed the query; the timings are
-    read-only views over the query's span tree
-    (:attr:`~repro.driver.dispatch.QueryContext.trace`, placed on the modelled
-    clock by :mod:`repro.driver.spans`), which :meth:`trace` renders.  The
-    other fields are what the driver priced and planned.
-    """
-
-    num_workers: int
-    memory_mib: int
-    cold: bool
-    #: Modelled time until every worker of the fleet was running: the
-    #: launch span's end.
-    invocation_seconds: float = viewed()
-    #: Modelled execution time of the slowest / median worker.
-    max_worker_seconds: float = viewed()
-    median_worker_seconds: float = viewed()
-    #: Modelled end-to-end query latency seen by the user: the query span's
-    #: end.
-    latency_seconds: float = viewed()
-    rows_scanned: int = viewed()
-    bytes_read: int = viewed()
-    get_requests: int = viewed()
-    #: Dollar cost breakdown, by service: Lambda GiB-seconds and requests,
-    #: S3 requests (scans, exchange, LISTs of globs and sweeps, spills), SQS
-    #: requests (result sends and the receives the driver issued) and the
-    #: §5.3 catalog's DynamoDB reads; they sum to ``cost_total``.
-    cost_lambda_duration: float = viewed()
-    cost_lambda_requests: float = viewed()
-    cost_s3_requests: float = viewed()
-    cost_sqs_requests: float = viewed()
-    cost_dynamodb_requests: float = viewed()
-    #: Late-materialization scan counters: row groups whose selection vector
-    #: short-circuited, rows never fully decoded, column-chunk downloads
-    #: avoided.
-    row_groups_shortcircuited: int = viewed()
-    rows_decode_saved: int = viewed()
-    column_chunks_skipped: int = viewed()
-    #: Exchange-plane requests and bytes (non-zero only for plans with an
-    #: exchange hop).
-    exchange: LayerView = viewed()
-    #: Join counters (non-zero only for join plans): rows entering the
-    #: probe/build sides of the join kernels after repartitioning, and rows
-    #: the kernels produced.
-    join_probe_rows: int = viewed()
-    join_build_rows: int = viewed()
-    join_output_rows: int = viewed()
-    #: Fault-tolerance counters: retries, hedges won/lost, injected faults
-    #: survived, degradation fallbacks, wasted modelled cost.  All-zero on a
-    #: clean run.
-    resilience: LayerView = viewed()
-    #: Data-integrity counters: bytes whose checksums were verified on read,
-    #: mismatches by site, re-reads vs re-executions.
-    integrity: LayerView = viewed()
-    #: Per-worker modelled execution durations (every wave's accepted
-    #: attempts), seconds.
-    worker_durations: List[float] = viewed()
-    #: Result collection (the collection span, priced by
-    #: :class:`~repro.driver.invocation.CollectionPlan`): what the modelled
-    #: queue drain adds after the last worker finished, and its polling
-    #: threads and receive requests.  A scan's ``latency_seconds`` is the
-    #: last completion + ``collection_seconds`` + the resilience block's
-    #: backoff.  ``collection_receives`` is the modelled drain's count; the
-    #: bill (``cost_sqs_requests``) counts the receives the driver issued.
-    collection_seconds: float = viewed()
-    collection_pollers: int = viewed()
-    collection_receives: int = viewed()
-    #: Logical join stages of the plan (1 for a binary join,
-    #: ``len(dag.stages)`` for an N-way join DAG, 0 for a repartitioned
-    #: aggregation; 1 for scan queries too, where no join exists but the
-    #: field keeps a uniform meaning).
-    dag_stages: int = 1
-    #: The join waves that actually ran, each the DAG stages it executed —
-    #: its first stage repartitioned, the others fused in as broadcast joins
-    #: (decided at run time from the build sides' sizes; empty for scans).
-    wave_stages: List[List[int]] = field(default_factory=list)
-    #: Join workers started per wave (the exchange's hash partitions) and
-    #: the planner's byte estimate they were priced from (0 = unknown; both 0
-    #: for scans); ``exchange.bytes_written`` is what the run measured.
-    exchange_partitions: int = 0
-    estimated_exchange_bytes: int = 0
-    #: Mappers each scan fleet of a DAG started, by exchange tag (``"L"``,
-    #: ``"R"``, ``"R1"``, ...; empty for scans).
-    map_fleets: Dict[str, int] = field(default_factory=dict)
-    #: Exchange objects the coordinator deleted: each wave's consumed inputs,
-    #: spilled results, and whatever a post-fault sweep found (0 for scans).
-    gc_objects_deleted: int = 0
-    #: LIST requests of the coordinator's end-of-query orphan sweep, which
-    #: only runs after a fault (0 on a clean run).
-    gc_list_requests: int = 0
-    #: Overload-control block: this query's retry-budget spend plus the
-    #: owning driver's circuit-breaker states and transition log at query
-    #: end.  ``None`` only for catalog-pruned empty results, which never
-    #: touch the fleet.
-    overload: Optional[Dict[str, Any]] = None
-    #: The query's counter record, span tree and bill (its context's).
-    _counters: Counts = field(default_factory=Counts, repr=False)
-    _trace: spans.Span = field(default_factory=lambda: spans.Span("query"), repr=False)
-    _bill: Callable[[], Dict[str, float]] = field(default=dict, repr=False)
-
-    @property
-    def join_waves(self) -> int:
-        """Join waves executed (0 for scans, at most ``dag_stages``)."""
-        return len(self.wave_stages)
-
-    @property
-    def broadcast_stages(self) -> int:
-        """Join stages that ran as a broadcast join inside an earlier wave."""
-        return sum(len(wave) - 1 for wave in self.wave_stages if wave)
-
-    def describe_latency(self) -> str:
-        """The critical path of the modelled latency, as one line
-        (:func:`repro.driver.spans.describe_latency`): the launch, then the
-        workers — for a scan the stretch from the last start to the last
-        completion, for a DAG its barriered waves — then what the
-        result-queue drain adds, and any backoff the retry machinery charged;
-        the terms sum to ``latency_seconds``.
-        """
-        return spans.describe_latency(self._trace, self.resilience.backoff_seconds)
-
-
-#: What a join's :class:`QueryStatistics` takes from its coordinator run as is.
-_RUN_FIELDS = (
-    "dag_stages", "wave_stages", "exchange_partitions", "estimated_exchange_bytes",
-    "map_fleets", "gc_objects_deleted", "gc_list_requests",
 )
 
 
@@ -410,7 +252,6 @@ class LambadaDriver:
         threads: int = 2,
         catalog: Optional["StatisticsCatalog"] = None,
         dataset_name: Optional[str] = None,
-        max_worker_retries: int = 1,
         deadline_seconds: Optional[float] = None,
         cancel: Optional[CancellationToken] = None,
     ) -> QueryResult:
@@ -426,10 +267,15 @@ class LambadaDriver:
         match the query's prune ranges are skipped entirely, so their workers
         are never invoked (the §5.3 central-statistics optimisation).
 
-        Failed workers are retried up to ``max_worker_retries`` times before
+        Every fleet runs through one
+        :meth:`~repro.driver.dispatch.QueryContext.wave`: a failed worker is
+        re-invoked within ``resilience_policy.max_attempts`` attempts before
         the query is aborted with :class:`~repro.errors.WorkerFailedError`
         (a worker's last message is an error) or
-        :class:`~repro.errors.QueryTimeoutError` (it never reported).
+        :class:`~repro.errors.QueryTimeoutError` (it never reported; a shuffle
+        wave's failure names its stage), and its stragglers are hedged.  Every
+        re-dispatch and hedge bills one more invocation; a backoff retry of a
+        cloud request bills none.
 
         A plan is a logical plan, which :func:`~repro.plan.optimizer.optimize`
         lowers first, or one of the two physical plans: a
@@ -445,13 +291,9 @@ class LambadaDriver:
         (:func:`~repro.driver.shuffle.exchange_fan_out`); a plan without
         sizes gets one mapper per file.  ``num_workers`` caps the map fleets
         and sets the join fan-out instead.
-        ``files_per_worker`` is not consulted, a failed worker is retried
-        within its wave up to ``resilience_policy.max_attempts`` times
-        (``max_worker_retries`` is not consulted there; a wave's failure
-        names its stage), and catalog-based file pruning is rejected
-        explicitly (its single-dataset statistics cannot describe two
-        relations).  Either way every re-dispatch and hedge bills one more
-        invocation; a backoff retry of a cloud request bills none.
+        ``files_per_worker`` is not consulted, and catalog-based file pruning
+        is rejected explicitly (its single-dataset statistics cannot describe
+        two relations).
 
         The query runs under one :class:`~repro.driver.dispatch.QueryContext`
         with the driver's breaker board.  ``deadline_seconds``/``cancel`` arm
@@ -537,14 +379,12 @@ class LambadaDriver:
 
             with context.teardown(self._gc_cancelled_scan):
                 with self._transport(physical, events, launch, context) as (transport, labels):
-                    by_worker = context.run(events, transport, max_worker_retries + 1, labels)
-                    self._hedge_stragglers(by_worker, events, transport, context)
-                context.fetch_spilled(by_worker.values(), self.integrity.verify)
-                worker_results = [
-                    WorkerResult.from_payload(message["result"], message.get("frame"))
-                    for _, message in sorted(by_worker.items())
-                ]
-                context.fold(worker_results)
+                    messages, worker_results = context.wave(
+                        events, transport, labels, self.memory_mib
+                    )
+                context.fetch_spilled(messages, self.integrity.verify)
+                for result, message in zip(worker_results, messages):
+                    result.partial = message.get("frame")
                 table, reduce_value = self._merge(physical, worker_results)
                 context.note_faults()
                 spans.place_scan(
@@ -578,9 +418,10 @@ class LambadaDriver:
         query's ``context``, whose teardown the coordinator applies to its own
         exchange and queue.  This places the run behind one launch of every
         worker, and the final wave's result collection, on the query's span
-        tree (:func:`repro.driver.spans.place_dag`); the timings, counts and
-        dollars need no copying, as both statistics read the context's tree,
-        record and bill.
+        tree (:func:`repro.driver.spans.place_dag`) and reports the run's own
+        statistics — the one record, whose timings, counts and dollars read
+        the context's tree, counters and bill — with the driver's ``cold``
+        flag and overload block.
         """
         if self._join_coordinator is None:
             # An explicit shuffle config wins; otherwise the driver's
@@ -595,19 +436,17 @@ class LambadaDriver:
         if cold:
             for name in (JOIN_MAP_FUNCTION_NAME, JOIN_REDUCE_FUNCTION_NAME):
                 self.env.lambda_service.reset_warm_instances(name)
-        table, run, worker_results = self._join_coordinator.execute(
+        table, statistics, worker_results = self._join_coordinator.execute(
             physical, num_workers=num_workers, context=context
         )
-
-        num_total = run.map_workers + run.reduce_workers
-        launch = self._invocation.plan(num_total, cold=cold)
-        spans.place_dag(context.trace, launch, run.resilience.backoff_seconds)
+        launch = self._invocation.plan(statistics.num_workers, cold=cold)
+        spans.place_dag(context.trace, launch, statistics.resilience.backoff_seconds)
+        statistics.cold = cold
+        statistics.overload = self._overload_block(context.budget)
         return QueryResult(
             table=table,
             reduce_value=None,
-            statistics=self._statistics(
-                context, num_total, cold, **{name: getattr(run, name) for name in _RUN_FIELDS}
-            ),
+            statistics=statistics,
             worker_results=worker_results,
             optimizer_report=report,
             plan_explain=physical.explain(),
@@ -852,14 +691,12 @@ class LambadaDriver:
             for future in futures:
                 future.result()
 
-    def _statistics(
-        self, context: QueryContext, num_workers: int, cold: bool, **planned: Any
-    ) -> QueryStatistics:
-        """The statistics of a query that ran its fleets under ``context``:
+    def _statistics(self, context: QueryContext, num_workers: int, cold: bool) -> QueryStatistics:
+        """The statistics of a scan that ran its fleet under ``context``:
         views over its span tree, counter record and bill, beside what the
         driver planned."""
         return QueryStatistics(
-            num_workers=num_workers, memory_mib=self.memory_mib, cold=cold, **planned,
+            num_workers=num_workers, memory_mib=self.memory_mib, cold=cold,
             _counters=context.counters, _trace=context.trace, _bill=context.bill,
             overload=self._overload_block(context.budget),
         )
@@ -877,85 +714,6 @@ class LambadaDriver:
         the shuffle plane's sweep over zero exchange buckets — spilled
         results deleted, result queue purged; returns the objects deleted."""
         return _gc_cancelled_query(self.env, query_id, 0, self.result_queue)
-
-    def _hedge_stragglers(
-        self,
-        by_worker: Dict[int, Dict],
-        events: Dict[int, Dict],
-        transport: Callable,
-        context: QueryContext,
-    ) -> None:
-        """Race each straggler against a speculative re-run; first result wins.
-
-        Post-fleet quantile detection: workers whose modelled duration exceeds
-        both ``hedge_factor`` x the fleet median and the absolute
-        ``hedge_min_seconds`` floor are re-run once, flat, as their next
-        attempt — one more call of the fleet's own ``transport``, whose
-        reports land in a map of their own.  The hedge can only start once
-        the straggler is *detected*, so it completes at ``threshold + hedge
-        duration``; if that beats the original, the hedge's message replaces
-        it in ``by_worker`` (the recompute is deterministic — data identical,
-        only duration/counters differ) and the original run is attributed as
-        wasted.  A homogeneous clean fleet never crosses the threshold, so
-        fault-free runs take none of this path.
-
-        Each hedge is one more attempt span of the fleet's wave with a
-        ``hedge_won`` or ``hedge_lost`` event; a won hedge is the accepted
-        attempt, finishing its detection threshold after its own run (latency
-        only).  Both racers run to completion (a real Lambda cannot be
-        cancelled) and the ledger bills both; what bought no used result — a
-        won hedge's original, a lost hedge's run — is attributed as wasted.
-        """
-        policy = self.resilience_policy
-        durations = {
-            worker_id: message["result"]["duration_seconds"]
-            for worker_id, message in by_worker.items()
-        }
-        stragglers = pick_stragglers(durations, policy)
-        if not stragglers:
-            return
-        fleet_median = sorted(durations.values())[len(durations) // 2]
-        threshold = max(policy.hedge_min_seconds, policy.hedge_factor * fleet_median)
-        hedges: Dict[int, Dict] = {}
-        for worker_id in stragglers:
-            if not context.budget.try_charge("hedges"):
-                # Hedging is optional work: when the retry budget runs dry it
-                # is suppressed (and attributed), never fatal.
-                context.counters.note("resilience", "fallback.hedge_suppressed")
-                continue
-            hedge = {**events[worker_id], "attempt": events[worker_id]["attempt"] + 1}
-            hedge.pop("children", None)
-            hedges[worker_id] = hedge
-        if not hedges:
-            return
-        context.counters.note("resilience", "hedges_launched", len(hedges))
-        hedged: Dict[int, Dict] = {}
-        started = perf_counter()
-        transport(list(hedges.values()), hedged, current_attempts(hedges))
-        wave = context.trace.last("wave")
-        raced = spans.record_round(wave, list(hedges), hedges, hedged, started, hedge=True)
-        prices = self.env.ledger.prices
-        for worker_id, hedge in hedges.items():
-            message = hedged.get(worker_id, {})
-            span = raced[worker_id, hedge["attempt"]]
-            if message.get("status") != "ok" or message["attempt"] < hedge["attempt"]:
-                # The hedge itself failed or vanished — it simply loses.
-                outcome, wasted = "hedges_lost", prices.lambda_invocation_cost(1)
-            elif threshold + message["result"]["duration_seconds"] < durations[worker_id]:
-                by_worker[worker_id] = message
-                spans.supersede(wave, worker_id, span, threshold)
-                outcome = "hedges_won"
-                wasted = prices.lambda_duration_cost(self.memory_mib, durations[worker_id])
-            else:
-                own = message["result"]["duration_seconds"]
-                outcome = "hedges_lost"
-                wasted = (
-                    prices.lambda_invocation_cost(1)
-                    + prices.lambda_duration_cost(self.memory_mib, own)
-                )
-            span.event(outcome.replace("hedges", "hedge"))
-            context.counters.note("resilience", outcome)
-            context.counters.note("resilience", "wasted_cost_dollars", wasted)
 
     def _empty_result(
         self,

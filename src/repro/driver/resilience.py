@@ -25,9 +25,10 @@ these code paths beyond a handful of comparisons.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.config import DEFAULT_RESILIENCE
 from repro.counters import Counts
@@ -200,29 +201,25 @@ def merge_attempt_message(
 
 
 def pick_stragglers(
-    durations: Dict[int, float],
+    durations: Dict[Any, float],
     policy: ResiliencePolicy,
-) -> List[int]:
-    """Worker ids whose modelled duration marks them as stragglers.
+) -> Tuple[List[Any], float]:
+    """The fleet keys whose modelled duration marks them as stragglers, and
+    the detection threshold they crossed.
 
-    A worker is hedge-eligible when its duration exceeds both
-    ``policy.hedge_factor`` x the fleet median and the absolute
-    ``policy.hedge_min_seconds`` floor; at most
-    ``policy.hedge_max_fraction`` of the fleet is returned (slowest first).
-    Fleets smaller than 4 never hedge — the median is too noisy.
+    A worker is hedge-eligible when its duration exceeds the threshold: both
+    ``policy.hedge_factor`` x the fleet median (the upper median of an
+    even-sized fleet) and the absolute ``policy.hedge_min_seconds`` floor; at
+    most ``policy.hedge_max_fraction`` of the fleet is returned (slowest
+    first).  Fleets smaller than 4 never hedge — the median is too noisy —
+    and their threshold is infinite.
     """
     if len(durations) < 4:
-        return []
+        return [], math.inf
     ordered = sorted(durations.values())
     median = ordered[len(ordered) // 2]
     threshold = max(policy.hedge_min_seconds, policy.hedge_factor * median)
-    stragglers = [
-        worker_id
-        for worker_id, duration in durations.items()
-        if duration > threshold
-    ]
-    if not stragglers:
-        return []
+    stragglers = [key for key, duration in durations.items() if duration > threshold]
     budget = max(1, int(len(durations) * policy.hedge_max_fraction))
-    stragglers.sort(key=lambda worker_id: -durations[worker_id])
-    return stragglers[:budget]
+    stragglers.sort(key=lambda key: -durations[key])
+    return stragglers[:budget], threshold

@@ -7,8 +7,9 @@ workers through S3 — the paper's exchange operator (§4.4) — and
 :class:`ShuffleJoinCoordinator` runs every such plan, lowered to a
 :class:`~repro.plan.physical.DagPhysicalPlan`, as barriered waves of function
 invocations with one wave body — the query context's Lambda + SQS transport
-and :func:`repro.driver.dispatch.run_fleet`, the transport and loop every
-fleet runs through — one map handler and one reduce handler:
+and :meth:`repro.driver.dispatch.QueryContext.wave`, the transport and the
+one way every fleet runs (retries, hedges, fold) — one map handler and one
+reduce handler:
 
 * **scan wave** — every base relation's fleet at once, each as many mappers
   as its stored bytes are worth (:func:`scan_fan_out`: one per driver
@@ -48,9 +49,10 @@ aggregates, the final wave has no join step, and its ``aggregates`` are the
 merge functions (sum of sums, min of mins) — so the reduce side is the join
 wave's own partial aggregation over the fetched slices.
 :class:`ShuffleAggregateCoordinator` is the facade that lowers a group-by to
-that plan and returns the run's one :class:`ShuffleStatistics` record with its
-dollars filled in; what its waves are *called* (functions, stage labels,
-spill-key stem) is data (:class:`WaveNames`), not a second code path.
+that plan and returns the run's :class:`~repro.driver.spans.QueryStatistics` —
+the one run record every query reports; what its waves are *called*
+(functions, stage labels, spill-key stem) is data (:class:`WaveNames`), not a
+second code path.
 
 Every worker notes its rows, requests and bytes into a counter record of
 its own (:mod:`repro.counters`), shipped inside its
@@ -80,12 +82,13 @@ from repro.cloud.lambda_service import FunctionConfig, InvocationContext
 from repro.cloud.network import BandwidthModel
 from repro.cloud.s3 import parse_s3_path
 from repro.config import DEFAULT_SCAN_CONNECTIONS, IntegrityConfig, MiB
-from repro.counters import CounterViews, Counts, LayerView, viewed
+from repro.counters import Counts, LayerView
 from repro.driver import spans
 from repro.driver.dispatch import FleetLabels, QueryContext
 from repro.driver.integrity import RESULT_BUCKET, post_result
 from repro.driver.invocation import InvocationModel
 from repro.driver.resilience import DEFAULT_RESILIENCE_POLICY, ResiliencePolicy
+from repro.driver.spans import QueryStatistics
 from repro.engine.aggregates import (
     FusedBatchAccumulator,
     finalize_aggregates,
@@ -183,94 +186,6 @@ class ShuffleConfig:
     #: crc32 per partition frame, published again in the sender's
     #: announcement, and digests on every result message.
     integrity: IntegrityConfig = field(default_factory=IntegrityConfig)
-
-
-@dataclass
-class ShuffleStatistics(CounterViews, spans.RunClock):
-    """Statistics of one coordinator run (any shuffle DAG, joins or none).
-
-    What :meth:`ShuffleJoinCoordinator.execute` and the aggregation facade
-    return.  The counts (rows scanned, join rows, the ``exchange``,
-    ``resilience`` and ``integrity`` blocks) are read-only views over the
-    query's counter record, ``cost_total`` one over its bill, and the
-    timings and re-dispatches views over its span tree (the waves' accepted
-    attempts and ``redispatch`` events), which :meth:`trace` renders; the
-    fields are what the coordinator planned and measured.
-    """
-
-    #: Mappers each scan fleet started, by exchange tag — ``"L"`` the base
-    #: relation, ``"R"``, ``"R1"``, ... the build sides (:func:`scan_fan_out`).
-    map_fleets: Dict[str, int]
-    #: Workers of every join wave, summed (hash partitions × waves).
-    reduce_workers: int
-    rows_scanned: int = viewed()
-    #: Rows entering the join kernels across the fleet (after repartition),
-    #: and rows the kernels produced (before the residual predicate).
-    join_probe_rows: int = viewed()
-    join_build_rows: int = viewed()
-    join_output_rows: int = viewed()
-    result_rows: int
-    #: Partition objects written (combined objects count 1) / non-empty
-    #: slices read, every wave summed.
-    partition_objects_written: int
-    partition_objects_read: int
-    #: Request and byte counters of every wave (PUT/GET/LIST/HEAD, combined
-    #: PUTs, ranged GETs, empty partitions elided, bytes shipped vs touched).
-    exchange: LayerView = viewed()
-    #: Modelled duration of the slowest scan-wave worker, and of the join
-    #: waves' slowest workers summed (the waves are barriered).
-    modelled_map_seconds: float = viewed()
-    modelled_reduce_seconds: float = viewed()
-    #: Retries, wave re-runs, fallbacks, and injected-fault counts survived.
-    resilience: LayerView = viewed()
-    #: Workers the waves re-dispatched (their events), each billed as one
-    #: more invocation.
-    redispatches: int = viewed()
-    #: Checksum verification and corruption-recovery counters.
-    integrity: LayerView = viewed()
-    #: Logical join stages of the plan (1 for a binary join, 0 for a
-    #: repartitioned aggregation).
-    dag_stages: int = 1
-    #: The join waves that ran, each the DAG stages it executed: its first
-    #: stage repartitioned, every further one fused in as a broadcast join
-    #: (``[[]]`` for a repartitioned aggregation: one wave, nothing joined).
-    wave_stages: List[List[int]] = field(default_factory=lambda: [[0]])
-    #: Exchange objects deleted during and after the query: the inputs each
-    #: wave consumed, spilled results, and whatever a post-fault sweep found.
-    gc_objects_deleted: int = 0
-    #: LIST requests of the end-of-query orphan sweep (0 on a clean run,
-    #: which deletes by announced path alone).
-    gc_list_requests: int = 0
-    #: Final-wave results too large for a queue message: each travelled
-    #: through the result bucket instead (one PUT, one driver-side GET).
-    results_spilled: int = 0
-    #: Hash partitions of the exchange = join workers per wave
-    #: (:func:`exchange_fan_out`), and the byte estimate it was priced from
-    #: (0 = unknown); ``exchange.bytes_written`` is the measured counterpart.
-    exchange_partitions: int = 0
-    estimated_exchange_bytes: int = 0
-    #: Dollars of the query so far: the ledger's price of its records (every
-    #: request of the run, and of the facade's input LISTs).
-    cost_total: float = viewed()
-    #: The query's counter record, span tree and bill (its context's).
-    _counters: Counts = field(default_factory=Counts, repr=False)
-    _trace: spans.Span = field(default_factory=lambda: spans.Span("query"), repr=False)
-    _bill: Callable[[], Dict[str, float]] = field(default=dict, repr=False)
-
-    @property
-    def map_workers(self) -> int:
-        """Mappers of every scan fleet, summed."""
-        return sum(self.map_fleets.values())
-
-    @property
-    def join_waves(self) -> int:
-        """Join waves executed (at most ``dag_stages``)."""
-        return len(self.wave_stages)
-
-    @property
-    def broadcast_stages(self) -> int:
-        """Stages that ran as a broadcast join inside another stage's wave."""
-        return sum(len(wave) - 1 for wave in self.wave_stages if wave)
 
 
 def _expand_globs(list_objects, paths: Sequence[str]) -> Tuple[List[str], Dict[str, int]]:
@@ -1034,36 +949,18 @@ class ShuffleJoinCoordinator:
 
     # -- execution ------------------------------------------------------------------
 
-    def _wave(
-        self, context: QueryContext, function_name: str, events: Dict, what: str
-    ) -> Tuple[List[Dict], List[WorkerResult]]:
-        """Run one wave of the query through ``context.run``; one ok message
-        per event, in wave-key order, and the worker results they carry.
-
-        ``events`` maps wave keys ``(side, worker_id)`` to invocation payloads
-        carrying ``"attempt": 0``; the wave runs flat on the context's Lambda
-        + SQS transport, its retries (each writing under its own
-        ``r{attempt}/`` prefix) booked as the context's re-dispatch events and
-        its failure named after the stage ``what``.  The rounds it
-        re-dispatched are noted as ``("resilience", "wave_retries")``, and the
-        accepted results are added to the query's record.
-        """
+    def _stage(
+        self, context: QueryContext, function_name: str, what: str
+    ) -> Tuple[Callable, FleetLabels]:
+        """The transport and labels of one wave of the query, run by
+        ``context.wave``: flat on the context's Lambda + SQS transport, its
+        retries (each writing under its own ``r{attempt}/`` prefix) charged to
+        the ``wave_retries`` budget account, its failure named after the stage
+        ``what``."""
         transport = context.lambda_transport(
             function_name, self.result_queue, what, self.config.integrity.verify
         )
-        by_key = context.run(
-            events, transport, max(1, context.policy.max_attempts),
-            FleetLabels(f"{what} dispatch", what, "wave_retries", stage=what),
-        )
-        # Every round re-dispatches the workers the one before it left
-        # failing, so the highest attempt is the rounds re-dispatched.
-        context.counters.note(
-            "resilience", "wave_retries", max(int(event["attempt"]) for event in events.values())
-        )
-        messages = [by_key[key] for key in sorted(by_key)]
-        results = [WorkerResult.from_payload(message["worker_result"]) for message in messages]
-        context.fold(results)
-        return messages, results
+        return transport, FleetLabels(f"{what} dispatch", what, "wave_retries", stage=what)
 
     def execute(
         self,
@@ -1166,8 +1063,9 @@ class ShuffleJoinCoordinator:
                     "num_buckets": self.num_buckets,
                     "integrity": self.config.integrity.to_dict(),
                 }
-        map_messages, worker_results = self._wave(
-            context, self.names.map_function, map_events, self.names.map_label
+        map_messages, worker_results = context.wave(
+            map_events, *self._stage(context, self.names.map_function, self.names.map_label),
+            self.memory_mib,
         )
         objects_written = sum("combined_path" in message for message in map_messages)
 
@@ -1230,14 +1128,12 @@ class ShuffleJoinCoordinator:
                 what = f"join stage {wave[0]}"
             else:
                 what = f"join stages {wave[0]}-{wave[-1]}"
-            reduce_messages, results = self._wave(
-                context,
-                self.names.reduce_function,
+            reduce_messages, results = context.wave(
                 {
                     (side, partition): {**event, "partition": partition}
                     for partition in range(num_partitions)
                 },
-                what,
+                *self._stage(context, self.names.reduce_function, what), self.memory_mib,
             )
             reduce_waves.append(reduce_messages)
             worker_results += results
@@ -1269,9 +1165,11 @@ class ShuffleJoinCoordinator:
             gc_deleted += swept
 
         spans.place_run(context.trace, resilience.backoff_seconds)
-        statistics = ShuffleStatistics(
+        statistics = QueryStatistics(
+            num_workers=sum(mappers.values()) + num_partitions * len(wave_stages),
+            memory_mib=self.memory_mib,
+            cold=False,
             map_fleets=dict(mappers),
-            reduce_workers=num_partitions * len(wave_stages),
             result_rows=table_num_rows(result),
             partition_objects_written=objects_written,
             partition_objects_read=objects_read,
@@ -1295,8 +1193,10 @@ class ShuffleAggregateCoordinator(ShuffleJoinCoordinator):
     :class:`~repro.plan.physical.DagPhysicalPlan` — the base fragment carries
     the map-side partial aggregation and partitions by all group keys, the
     plan's ``aggregates`` merge the partials — runs it on the inherited
-    waves, and returns the run's :class:`ShuffleStatistics`, whose dollars
-    (``cost_total``) include the listing's.  Its fleets
+    waves, and returns the run's
+    :class:`~repro.driver.spans.QueryStatistics`, whose dollars
+    (``cost_total``) include the listing's and whose ``latency_seconds`` is
+    the run's length.  Its fleets
     are sized by the inherited rules too: the base fragment carries the
     input's stored bytes, learnt from a listing
     (:func:`list_input_files`), so :func:`scan_fan_out` starts as many

@@ -12,16 +12,19 @@ is a ``redispatch`` event on the failed attempt, a hedge an attempt with a
 (``perf_counter``) and a modelled one, in seconds since the launch began,
 placed here alone (:func:`place_scan`, :func:`place_run`, :func:`place_dag`)
 from the accepted attempts; any other attempt is an instant at its slot.  The
-statistics' timings are views over the tree (:class:`QueryClock`,
-:class:`RunClock`).
+timings of :class:`QueryStatistics`, every query's one run record, are views
+over the tree.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
+
+from repro.counters import CounterViews, Counts, LayerView, viewed
 
 
 class Span:
@@ -61,7 +64,7 @@ class Span:
         return found[-1] if found else None
 
 
-def _duration(message: Dict) -> float:
+def duration(message: Dict) -> float:
     """The modelled duration in a scan's or a wave worker's result message."""
     result = message.get("result") or message.get("worker_result") or {}
     return result.get("duration_seconds", 0.0)
@@ -81,7 +84,7 @@ def record_round(
             message = {"status": "missing"}
         spans[key, attempt] = span = Span(
             "attempt", wave, wall_start, key=key, attempt=attempt,
-            status=message.get("status", "error"), duration=_duration(message), wait=0.0,
+            status=message.get("status", "error"), duration=duration(message), wait=0.0,
             hedge=hedge, accepted=False,
         )
         span.wall_end = wall_end
@@ -93,7 +96,7 @@ def accept(attempts: Dict[Tuple[Any, int], Span], by_key: Dict) -> None:
     for key, message in by_key.items():
         span = attempts.get((key, int(message.get("attempt", 0))))
         if span is not None and message.get("status") == "ok":
-            span.attrs.update(status="ok", duration=_duration(message), accepted=True)
+            span.attrs.update(status="ok", duration=duration(message), accepted=True)
 
 
 def supersede(wave: Span, key: Any, hedge: Span, wait: float) -> None:
@@ -305,22 +308,14 @@ def _median(query: Span) -> float:
     return float(np.median(durations)) if durations else 0.0
 
 
-class Traced:
-    """What both statistics classes read off their query's span tree."""
+class QueryClock:
+    """The timings of a query: views over its placed tree."""
 
     _trace: Span
 
-    def trace(self) -> Dict[str, Any]:
-        """The query's span tree as Chrome trace-event JSON (load it in
-        ``chrome://tracing`` or Perfetto)."""
-        return chrome_trace(self._trace)
-
-
-class QueryClock(Traced):
-    """A driver query's timings: views over its placed tree."""
-
     latency_seconds = clocked(
-        lambda query: query.end, "Modelled end-to-end latency: the query span's end."
+        lambda query: query.end,
+        "Modelled end-to-end latency: the query span's end (the facade's: its run).",
     )
     invocation_seconds = clocked(
         _launch_end, "Modelled time until every worker ran: the launch span's end."
@@ -336,18 +331,162 @@ class QueryClock(Traced):
     )
     collection_pollers = clocked(_collection("pollers", 0), "Threads polling the results.")
     collection_receives = clocked(_collection("receives", 0), "Receives the drain modelled.")
-
-
-class RunClock(Traced):
-    """A coordinator run's timings: views over its waves."""
-
-    modelled_map_seconds = clocked(map_seconds, map_seconds.__doc__)
-    modelled_reduce_seconds = clocked(reduce_seconds, reduce_seconds.__doc__)
     redispatches = clocked(
         lambda query: len(redispatches(query)), "Re-dispatched workers: one invocation each."
     )
 
+    def trace(self) -> Dict[str, Any]:
+        """The query's span tree as Chrome trace-event JSON (load it in
+        ``chrome://tracing`` or Perfetto)."""
+        return chrome_trace(self._trace)
+
+
+@dataclass
+class QueryStatistics(CounterViews, QueryClock):
+    """Performance and cost statistics of one query: the one run record.
+
+    What :meth:`~repro.driver.driver.LambadaDriver.execute` reports for a
+    scan or a shuffle DAG, and what
+    :meth:`~repro.driver.shuffle.ShuffleJoinCoordinator.execute` and the
+    aggregation facade return for a coordinator run.  The counts — rows,
+    bytes and GETs of the scans, the late-materialization and join counters,
+    each summed over the fleets, and the ``exchange``, ``resilience`` and
+    ``integrity`` blocks — are read-only views over the query's counter
+    record (:attr:`~repro.driver.dispatch.QueryContext.counters`); the dollars
+    are read-only views over the query's bill, the metering ledger's price of
+    the records made while the query ran
+    (:meth:`~repro.driver.dispatch.QueryContext.bill`), so ``cost_total`` is
+    exactly what the simulated cloud billed the query; the timings are
+    read-only views over the query's span tree
+    (:attr:`~repro.driver.dispatch.QueryContext.trace`, placed on the modelled
+    clock by this module), which :meth:`trace` renders.  The other fields are
+    what the driver or the coordinator planned and measured.
+    """
+
+    #: Workers the query started: a scan's fleet, or a coordinator run's
+    #: mappers plus its join workers (hash partitions × join waves).
+    num_workers: int
+    memory_mib: int
+    cold: bool
+    #: Modelled time until every worker of the fleet was running: the
+    #: launch span's end (0 for a coordinator run on its own).
+    invocation_seconds: float = viewed()
+    #: Modelled execution time of the slowest / median worker.
+    max_worker_seconds: float = viewed()
+    median_worker_seconds: float = viewed()
+    #: Modelled end-to-end query latency seen by the user: the query span's
+    #: end — for the aggregation facade, the run's barriered waves plus any
+    #: backoff.
+    latency_seconds: float = viewed()
+    rows_scanned: int = viewed()
+    bytes_read: int = viewed()
+    get_requests: int = viewed()
+    #: Dollar cost breakdown, by service: Lambda GiB-seconds and requests,
+    #: S3 requests (scans, exchange, LISTs of globs and sweeps, spills), SQS
+    #: requests (result sends and the receives the driver issued) and the
+    #: §5.3 catalog's DynamoDB reads; they sum to ``cost_total``.
+    cost_lambda_duration: float = viewed()
+    cost_lambda_requests: float = viewed()
+    cost_s3_requests: float = viewed()
+    cost_sqs_requests: float = viewed()
+    cost_dynamodb_requests: float = viewed()
+    #: Late-materialization scan counters: row groups whose selection vector
+    #: short-circuited, rows never fully decoded, column-chunk downloads
+    #: avoided.
+    row_groups_shortcircuited: int = viewed()
+    rows_decode_saved: int = viewed()
+    column_chunks_skipped: int = viewed()
+    #: Exchange-plane requests and bytes (non-zero only for plans with an
+    #: exchange hop).
+    exchange: LayerView = viewed()
+    #: Join counters (non-zero only for join plans): rows entering the
+    #: probe/build sides of the join kernels after repartitioning, and rows
+    #: the kernels produced.
+    join_probe_rows: int = viewed()
+    join_build_rows: int = viewed()
+    join_output_rows: int = viewed()
+    #: Fault-tolerance counters: retries, hedges won/lost, injected faults
+    #: survived, degradation fallbacks, wasted modelled cost.  All-zero on a
+    #: clean run.
+    resilience: LayerView = viewed()
+    #: Workers the fleets re-dispatched (their ``redispatch`` events), each
+    #: billed as one more invocation.
+    redispatches: int = viewed()
+    #: Data-integrity counters: bytes whose checksums were verified on read,
+    #: mismatches by site, re-reads vs re-executions.
+    integrity: LayerView = viewed()
+    #: Per-worker modelled execution durations (every wave's accepted
+    #: attempts), seconds.
+    worker_durations: List[float] = viewed()
+    #: Result collection (the collection span, priced by
+    #: :class:`~repro.driver.invocation.CollectionPlan`): what the modelled
+    #: queue drain adds after the last worker finished, and its polling
+    #: threads and receive requests.  A scan's ``latency_seconds`` is the
+    #: last completion + ``collection_seconds`` + the resilience block's
+    #: backoff.  ``collection_receives`` is the modelled drain's count; the
+    #: bill (``cost_sqs_requests``) counts the receives the driver issued.
+    collection_seconds: float = viewed()
+    collection_pollers: int = viewed()
+    collection_receives: int = viewed()
+    #: Logical join stages of the plan (1 for a binary join,
+    #: ``len(dag.stages)`` for an N-way join DAG, 0 for a repartitioned
+    #: aggregation; 1 for scan queries too, where no join exists but the
+    #: field keeps a uniform meaning).
+    dag_stages: int = 1
+    #: The join waves that actually ran, each the DAG stages it executed —
+    #: its first stage repartitioned, the others fused in as broadcast joins
+    #: (decided at run time from the build sides' sizes; ``[[]]`` for a
+    #: repartitioned aggregation, one wave joining nothing; empty for scans).
+    wave_stages: List[List[int]] = field(default_factory=list)
+    #: Join workers started per wave (the exchange's hash partitions) and
+    #: the planner's byte estimate they were priced from (0 = unknown; both 0
+    #: for scans); ``exchange.bytes_written`` is what the run measured.
+    exchange_partitions: int = 0
+    estimated_exchange_bytes: int = 0
+    #: Mappers each scan fleet of a DAG started, by exchange tag (``"L"``,
+    #: ``"R"``, ``"R1"``, ...; empty for scans).
+    map_fleets: Dict[str, int] = field(default_factory=dict)
+    #: Partition objects written (combined objects count 1) / non-empty
+    #: slices read, every wave summed (0 for scans).
+    partition_objects_written: int = 0
+    partition_objects_read: int = 0
+    #: Rows of a coordinator run's result (0 for the driver's scans).
+    result_rows: int = 0
+    #: Final-wave results too large for a queue message: each travelled
+    #: through the result bucket instead (one PUT, one driver-side GET).
+    results_spilled: int = 0
+    #: Exchange objects the coordinator deleted: each wave's consumed inputs,
+    #: spilled results, and whatever a post-fault sweep found (0 for scans).
+    gc_objects_deleted: int = 0
+    #: LIST requests of the coordinator's end-of-query orphan sweep, which
+    #: only runs after a fault (0 on a clean run).
+    gc_list_requests: int = 0
+    #: Overload-control block: this query's retry-budget spend plus the
+    #: owning driver's circuit-breaker states and transition log at query
+    #: end.  ``None`` for a coordinator run on its own and for
+    #: catalog-pruned empty results, which never touch the fleet.
+    overload: Optional[Dict[str, Any]] = None
+    #: The query's counter record, span tree and bill (its context's).
+    _counters: Counts = field(default_factory=Counts, repr=False)
+    _trace: Span = field(default_factory=lambda: Span("query"), repr=False)
+    _bill: Callable[[], Dict[str, float]] = field(default=dict, repr=False)
+
     @property
-    def modelled_latency_seconds(self) -> float:
-        """The run's length, including any backoff the retries charged."""
-        return run_seconds(self._trace, self.resilience.backoff_seconds)
+    def join_waves(self) -> int:
+        """Join waves executed (0 for scans, at most ``dag_stages``)."""
+        return len(self.wave_stages)
+
+    @property
+    def broadcast_stages(self) -> int:
+        """Join stages that ran as a broadcast join inside an earlier wave."""
+        return sum(len(wave) - 1 for wave in self.wave_stages if wave)
+
+    def describe_latency(self) -> str:
+        """The critical path of the modelled latency, as one line
+        (:func:`describe_latency`): the launch, then the workers — for a scan
+        the stretch from the last start to the last completion, for a DAG its
+        barriered waves — then what the result-queue drain adds, and any
+        backoff the retry machinery charged; the terms sum to
+        ``latency_seconds``.
+        """
+        return describe_latency(self._trace, self.resilience.backoff_seconds)

@@ -10,6 +10,7 @@ import pytest
 from repro.cloud.environment import CloudEnvironment
 from repro.cloud.s3 import SHM_SEGMENT_PREFIX, SharedObjectMirror
 from repro.driver.driver import LambadaDriver
+from repro.driver.spans import QueryStatistics
 from repro.workload.tpch import LineitemGenerator, generate_lineitem_dataset
 
 
@@ -28,6 +29,27 @@ def leaked_segments():
     of a retired object version or of a closed driver's inputs."""
     live = SharedObjectMirror.live_segment_names()
     return [name for name in shm_segments() if name not in live]
+
+
+@pytest.fixture(autouse=True)
+def invariants(monkeypatch):
+    """After every test: no ``lambada_*`` segment outlives the mirror that
+    held it, and no query attributes more waste than the cloud billed it.
+
+    Every query reports one :class:`QueryStatistics`, so one hook on its
+    constructor sees every query the test ran, whatever ran it."""
+    built = []
+    init = QueryStatistics.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(QueryStatistics, "__init__", recording)
+    yield
+    assert leaked_segments() == []
+    for statistics in built:
+        assert statistics.resilience.wasted_cost_dollars <= statistics.cost_total
 
 
 @pytest.fixture

@@ -247,7 +247,6 @@ def test_deadline_expiry_cancels_mid_retry_storm(stack, driver):
         with pytest.raises(QueryCancelledError) as excinfo:
             driver.execute(
                 parse_sql(q6_sql(), tpch_catalog(lineitem=dataset.paths)),
-                max_worker_retries=8,
                 deadline_seconds=0.01,
             )
     finally:
@@ -277,7 +276,7 @@ def test_retry_budget_exhaustion_is_typed_and_gcs(stack):
     tables = tpch_catalog(lineitem=dataset.paths)
     try:
         with pytest.raises(RetryBudgetExhaustedError) as excinfo:
-            strict.execute(parse_sql(q6_sql(), tables), max_worker_retries=8)
+            strict.execute(parse_sql(q6_sql(), tables))
     finally:
         env.install_fault_plan(None)
 
@@ -387,7 +386,7 @@ def test_pooled_cancel_mid_retry_releases_segments(stack, pooled_driver):
     try:
         with pytest.raises(QueryCancelledError) as excinfo:
             pooled_driver.execute(
-                parse_sql(q6_sql(), tables), max_worker_retries=4, cancel=token
+                parse_sql(q6_sql(), tables), cancel=token
             )
     finally:
         env.install_fault_plan(None)

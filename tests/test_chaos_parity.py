@@ -41,7 +41,6 @@ CHAOS_RATE = 0.2
 # same worker.
 MAX_FAULTS = 2
 CHAOS_POLICY = ResiliencePolicy(max_attempts=14)
-MAX_WORKER_RETRIES = 13
 
 QUERIES = ["q1", "q6", "q3", "q12", "q14"]
 MODES = ["serial", "threads", "processes"]
@@ -104,9 +103,7 @@ def test_chaos_parity(stack, plans, drivers, baselines, query, mode, seed):
         chaos_plan(seed=seed, rate=CHAOS_RATE, max_count=MAX_FAULTS)
     )
     try:
-        result = drivers[mode].execute(
-            plans[query], max_worker_retries=MAX_WORKER_RETRIES
-        )
+        result = drivers[mode].execute(plans[query])
     finally:
         env.install_fault_plan(None)
 
@@ -135,9 +132,7 @@ def test_chaos_schedule_is_deterministic(stack, plans, drivers, baselines):
             chaos_plan(seed=CHAOS_SEEDS[0], rate=CHAOS_RATE, max_count=MAX_FAULTS)
         )
         try:
-            result = drivers["serial"].execute(
-                plans["q3"], max_worker_retries=MAX_WORKER_RETRIES
-            )
+            result = drivers["serial"].execute(plans["q3"])
         finally:
             env.install_fault_plan(None)
         outcomes.append(result.statistics.resilience.faults_injected)

@@ -43,7 +43,6 @@ CHAOS_RATE = 0.2
 # the same worker's reads.
 MAX_FAULTS = 2
 CHAOS_POLICY = ResiliencePolicy(max_attempts=14)
-MAX_WORKER_RETRIES = 13
 #: Rules in corruption_chaos_plan (bitflip, truncate, stale_body, corrupt_payload).
 NUM_RULES = 4
 
@@ -111,9 +110,7 @@ def test_corruption_parity(stack, plans, drivers, baselines, query, mode, seed):
         corruption_chaos_plan(seed=seed, rate=CHAOS_RATE, max_count=MAX_FAULTS)
     )
     try:
-        result = drivers[mode].execute(
-            plans[query], max_worker_retries=MAX_WORKER_RETRIES
-        )
+        result = drivers[mode].execute(plans[query])
     finally:
         env.install_fault_plan(None)
 
@@ -147,9 +144,7 @@ def test_corruption_schedule_is_deterministic(stack, plans, drivers, baselines):
             )
         )
         try:
-            result = drivers["serial"].execute(
-                plans["q3"], max_worker_retries=MAX_WORKER_RETRIES
-            )
+            result = drivers["serial"].execute(plans["q3"])
         finally:
             env.install_fault_plan(None)
         outcomes.append(result.statistics.resilience.faults_injected)
@@ -214,9 +209,7 @@ def test_corrupt_result_message_is_dropped_and_reexecuted(stack, plans, drivers)
         )
     )
     try:
-        result = drivers["serial"].execute(
-            plans["q6"], max_worker_retries=MAX_WORKER_RETRIES
-        )
+        result = drivers["serial"].execute(plans["q6"])
     finally:
         env.install_fault_plan(None)
 
@@ -240,9 +233,7 @@ def test_scan_truncation_fails_loudly_and_is_retried(stack, plans, drivers):
         )
     )
     try:
-        result = drivers["serial"].execute(
-            plans["q1"], max_worker_retries=MAX_WORKER_RETRIES
-        )
+        result = drivers["serial"].execute(plans["q1"])
     finally:
         env.install_fault_plan(None)
 

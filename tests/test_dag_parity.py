@@ -75,7 +75,6 @@ CHAOS_SEEDS = (11, 23)
 CHAOS_RATE = 0.2
 MAX_FAULTS = 2
 CHAOS_POLICY = ResiliencePolicy(max_attempts=14)
-MAX_WORKER_RETRIES = 13
 
 NUM_BUCKETS = 10  # the join coordinator's default exchange width
 
@@ -230,9 +229,7 @@ def test_q5_chaos_parity(stack, plans, drivers, q5_baseline, seed):
         chaos_plan(seed=seed, rate=CHAOS_RATE, max_count=MAX_FAULTS)
     )
     try:
-        result = drivers["serial"].execute(
-            plans["q5"], max_worker_retries=MAX_WORKER_RETRIES
-        )
+        result = drivers["serial"].execute(plans["q5"])
     finally:
         env.install_fault_plan(None)
 

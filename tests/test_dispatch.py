@@ -302,12 +302,12 @@ def test_the_first_round_goes_through_the_launcher_and_later_rounds_are_flat():
             invoke({**payload, "children": []})
 
     transport = context.lambda_transport("fn", "fake-queue", "collect", False, launch=launch)
-    by_key = context.run(events, transport, 2, LABELS)
+    messages, _ = context.wave(events, transport, LABELS, 2048)
     assert launched == [[0, 1, 2]]
     assert context.env.lambda_service.invoked == [
         ("fn", 0, 0, True), ("fn", 1, 0, True), ("fn", 2, 0, True), ("fn", 1, 1, False),
     ]
-    assert [by_key[key]["status"] for key in range(3)] == ["ok"] * 3
+    assert [message["status"] for message in messages] == ["ok"] * 3
     # A hedge is one more call of the same transport: flat, never launched.
     hedged = {}
     transport([{**events[2], "attempt": 1}], hedged, {2: 1})
@@ -316,9 +316,11 @@ def test_the_first_round_goes_through_the_launcher_and_later_rounds_are_flat():
 
 
 def _wave(context, events, what="join stage 0"):
-    """``ShuffleJoinCoordinator._wave`` over the fake service and queue."""
+    """A shuffle wave — ``context.wave`` over the stage's transport and
+    labels — on the fake service and queue; its messages."""
     coordinator = SimpleNamespace(result_queue="fake-queue", config=ShuffleConfig())
-    return ShuffleJoinCoordinator._wave(coordinator, context, "fn", events, what)[0]
+    transport, labels = ShuffleJoinCoordinator._stage(coordinator, context, "fn", what)
+    return context.wave(events, transport, labels, 2048)[0]
 
 
 def _wave_events(context, keys):
@@ -479,8 +481,8 @@ def _modules_calling(name: str) -> dict:
     return {module: count for module, count in counts.items() if count}
 
 
-def _context_runs() -> dict:
-    """``context.run(...)`` calls per module under ``driver/``."""
+def _context_waves() -> dict:
+    """``context.wave(...)`` calls per module under ``driver/``."""
     counts = {}
     for path in DRIVER_SOURCES.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -488,7 +490,7 @@ def _context_runs() -> dict:
             if (
                 isinstance(node, ast.Call)
                 and isinstance(callee, ast.Attribute)
-                and callee.attr == "run"
+                and callee.attr == "wave"
                 and getattr(callee.value, "id", None) == "context"
             ):
                 counts[path.name] = counts.get(path.name, 0) + 1
@@ -498,10 +500,18 @@ def _context_runs() -> dict:
 def test_the_retry_loop_and_the_poller_exist_once():
     assert set(_modules_calling("decorrelated_jitter")) == {"dispatch.py", "resilience.py"}
     assert set(_modules_calling("receive_messages")) == {"dispatch.py"}
-    # One loop, reached through the query context: the scan fleet (over
-    # either transport) and the shuffle wave — and nothing else.
-    assert _modules_calling("run_fleet") == {"dispatch.py": 1}
-    assert _context_runs() == {"driver.py": 1, "shuffle.py": 1}
+    # One loop with one caller in all of src/, QueryContext.wave, which
+    # every fleet goes through: the scan fleet (over either transport) and
+    # the shuffle map and join waves (the facade's are the same call sites).
+    callers = {
+        str(path.relative_to(SOURCES)): count
+        for path in sorted(SOURCES.rglob("*.py"))
+        if (count := _calls(path, "run_fleet"))
+    }
+    assert callers == {"driver/dispatch.py": 1}
+    assert _context_waves() == {"driver.py": 1, "shuffle.py": 2}
+    # One hedge race, inside that method.
+    assert _modules_calling("pick_stragglers") == {"dispatch.py": 1}
     # One Lambda + SQS transport, which both of them build.
     assert _modules_calling("lambda_transport") == {"driver.py": 1, "shuffle.py": 1}
     importers = set()

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.driver.driver import LambadaDriver
+from repro.driver.resilience import ResiliencePolicy
 from repro.errors import WorkerFailedError
 from repro.frontend.sql import parse_sql
 from repro.plan.logical import AggregateNode, AggregateSpec, FilterNode, ScanNode
@@ -21,6 +23,15 @@ class FlakyPredicate:
         return True
 
 
+def _retrying(driver, retries: int) -> LambadaDriver:
+    """A driver on ``driver``'s environment whose every fleet re-dispatches a
+    failed worker at most ``retries`` times (``retries + 1`` attempts)."""
+    return LambadaDriver(
+        driver.env, memory_mib=2048,
+        resilience_policy=ResiliencePolicy(max_attempts=retries + 1),
+    )
+
+
 def _flaky_plan(dataset, failures: int):
     return AggregateNode(
         child=FilterNode(child=ScanNode(paths=tuple(dataset.paths)), udf=FlakyPredicate(failures)),
@@ -29,30 +40,30 @@ def _flaky_plan(dataset, failures: int):
 
 
 def test_transient_worker_failure_is_retried(driver, dataset, lineitem_table):
-    result = driver.execute(_flaky_plan(dataset, failures=1), max_worker_retries=1)
+    result = _retrying(driver, 1).execute(_flaky_plan(dataset, failures=1))
     assert result.column("n")[0] == pytest.approx(len(lineitem_table["l_quantity"]))
 
 
 def test_persistent_failure_raises_after_retries(driver, dataset):
     with pytest.raises(WorkerFailedError):
-        driver.execute(_flaky_plan(dataset, failures=10_000), max_worker_retries=1)
+        _retrying(driver, 1).execute(_flaky_plan(dataset, failures=10_000))
 
 
 def test_no_retries_surfaces_first_failure(driver, dataset):
     with pytest.raises(WorkerFailedError):
-        driver.execute(_flaky_plan(dataset, failures=1), max_worker_retries=0)
+        _retrying(driver, 0).execute(_flaky_plan(dataset, failures=1))
 
 
 def test_retry_does_not_duplicate_results(driver, dataset, lineitem_table):
     """Retried workers replace their failed attempt; partials are not double-counted."""
-    result = driver.execute(_flaky_plan(dataset, failures=2), max_worker_retries=2)
+    result = _retrying(driver, 2).execute(_flaky_plan(dataset, failures=2))
     assert result.column("n")[0] == pytest.approx(len(lineitem_table["l_quantity"]))
     assert len(result.worker_results) == result.statistics.num_workers
 
 
 def test_retries_do_not_affect_healthy_queries(driver, dataset, lineitem_table):
     tables = tpch_catalog(lineitem=dataset.paths)
-    result = driver.execute(parse_sql(q6_sql(), tables), max_worker_retries=3)
+    result = _retrying(driver, 3).execute(parse_sql(q6_sql(), tables))
     assert result.scalar() == pytest.approx(reference_q6(lineitem_table), rel=1e-9)
 
 
@@ -100,7 +111,7 @@ def test_dropped_worker_message_times_out(driver, dataset, monkeypatch):
     monkeypatch.setattr(driver.env.sqs, "send_message", dropping_send_message)
     tables = tpch_catalog(lineitem=dataset.paths)
     with pytest.raises(QueryTimeoutError):
-        driver.execute(parse_sql(q6_sql(), tables), max_worker_retries=0)
+        _retrying(driver, 0).execute(parse_sql(q6_sql(), tables))
     assert dropped["count"] == 1
 
 
@@ -157,7 +168,8 @@ def test_retry_failures_reinvokes_only_failed_workers(driver, monkeypatch):
     transport = context.lambda_transport(
         driver.function_name, driver.result_queue, "collect", verify=True,
     )
-    merged = context.run(events, transport, rounds=3, labels=SCAN_FLEET)
+    messages, _ = context.wave(events, transport, SCAN_FLEET, driver.memory_mib)
+    merged = dict(enumerate(messages))
 
     first, retries = invoked[:3], invoked[3:]
     assert sorted(payload["worker_id"] for payload in first) == [0, 1, 2]
@@ -167,7 +179,7 @@ def test_retry_failures_reinvokes_only_failed_workers(driver, monkeypatch):
     assert all(message["status"] == "ok" for message in merged.values())
     resilience = context.counters
     assert resilience["resilience", "retries"] == 2
-    assert resilience["resilience", "wave_retries"] == 0
+    assert resilience["resilience", "wave_retries"] == 1
     assert [event["error"] for event in context.events if event["key"] == 1] == ["injected"]
     # The healthy worker's original result is untouched; retried workers
     # carry their fresh results.
@@ -191,29 +203,29 @@ def test_stale_duplicates_cannot_end_a_retry_poll(env):
     env.install_fault_plan(
         FaultPlan([FaultRule("sqs", "duplicate", 1.0, max_count=30)], seed=1)
     )
-    result = driver.execute(_flaky_plan(dataset, failures=1), max_worker_retries=1)
+    result = _retrying(driver, 1).execute(_flaky_plan(dataset, failures=1))
 
     resilience = result.statistics.resilience
     assert result.column("n")[0] == 6001
     assert resilience.retries == 1
     assert resilience.duplicate_messages_ignored == 30
-    assert resilience.wave_retries == 0
+    # The scan fleet is a wave like any other: one round re-dispatched.
+    assert resilience.wave_retries == 1
     assert env.sqs.approximate_message_count(driver.result_queue) == 0
 
 
 def test_retry_failures_merges_partials_without_double_count(driver, dataset,
                                                              lineitem_table):
     """Retried workers' partials merge with the healthy ones exactly once."""
-    result = driver.execute(_flaky_plan(dataset, failures=3), max_worker_retries=3)
+    result = _retrying(driver, 3).execute(_flaky_plan(dataset, failures=3))
     assert result.column("n")[0] == pytest.approx(len(lineitem_table["l_quantity"]))
 
 
 def test_recovery_on_the_last_retry_round(driver, dataset, lineitem_table):
     """With W workers failing twice each, two retry rounds recover exactly."""
     workers = len(dataset.paths)
-    result = driver.execute(
-        _flaky_plan(dataset, failures=2 * workers), max_worker_retries=2
-    )
+    result = _retrying(driver, 2).execute(
+        _flaky_plan(dataset, failures=2 * workers))
     assert result.column("n")[0] == pytest.approx(len(lineitem_table["l_quantity"]))
 
 
@@ -221,6 +233,5 @@ def test_retry_budget_exhausted_mid_recovery(driver, dataset):
     """One failure more than the retry budget covers still aborts the query."""
     workers = len(dataset.paths)
     with pytest.raises(WorkerFailedError):
-        driver.execute(
-            _flaky_plan(dataset, failures=2 * workers + 1), max_worker_retries=2
-        )
+        _retrying(driver, 2).execute(
+            _flaky_plan(dataset, failures=2 * workers + 1))

@@ -221,7 +221,7 @@ def test_corrupt_slice_in_a_wave_costs_one_get_and_keeps_the_result(env, dataset
     result, stats = run()
     assert stats.integrity.re_reads == 1
     assert stats.exchange.get_requests == clean_stats.exchange.get_requests + 1
-    assert stats.modelled_reduce_seconds > clean_stats.modelled_reduce_seconds
+    assert stats.latency_seconds > clean_stats.latency_seconds
     for name in clean:
         assert result[name].tobytes() == clean[name].tobytes()
 
@@ -271,4 +271,4 @@ def test_shuffle_aggregation_leaves_no_objects_behind(
     )
     assert env.s3.object_count() == before
     spilled = env.ledger.total("s3", "put_requests") - puts_before - stats.exchange.put_requests
-    assert spilled == (stats.reduce_workers if spill else 0)
+    assert spilled == (stats.exchange_partitions * stats.join_waves if spill else 0)

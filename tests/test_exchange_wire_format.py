@@ -527,4 +527,4 @@ def test_group_bys_return_the_parents_tables(stack, wire):
             num_workers=len(paths),
         )
         assert _table_digest(table) == PARENT_DIGESTS[key], f"{key}/{wire}"
-        assert statistics.exchange.combined_put_requests == statistics.map_workers
+        assert statistics.exchange.combined_put_requests == sum(statistics.map_fleets.values())

@@ -389,7 +389,7 @@ def test_list_sweep_runs_after_chaos_and_not_after_a_clean_run(fused, seed):
 
     env.install_fault_plan(chaos_plan(seed=seed, rate=0.2, max_count=2))
     try:
-        stormy, stormy_lists = run(max_worker_retries=13)
+        stormy, stormy_lists = run()
     finally:
         env.install_fault_plan(None)
     assert stormy.statistics.resilience.faults_injected

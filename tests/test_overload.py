@@ -361,7 +361,7 @@ def test_uninstall_and_reinstall_fully_resets_per_query_delta():
     env.install_fault_plan(plan_a)
     tables = tpch_catalog(lineitem=dataset.paths)
     try:
-        first = driver.execute(parse_sql(q6_sql(), tables), max_worker_retries=4)
+        first = driver.execute(parse_sql(q6_sql(), tables))
     finally:
         env.install_fault_plan(None)
     assert first.statistics.resilience.faults_injected == {"s3.slowdown": 2}
@@ -376,7 +376,7 @@ def test_uninstall_and_reinstall_fully_resets_per_query_delta():
     plan_a.reset()
     env.install_fault_plan(plan_a)
     try:
-        third = driver.execute(parse_sql(q6_sql(), tables), max_worker_retries=4)
+        third = driver.execute(parse_sql(q6_sql(), tables))
     finally:
         env.install_fault_plan(None)
     assert third.statistics.resilience.faults_injected == {"s3.slowdown": 2}

@@ -44,7 +44,6 @@ QUERIES = ("q1", "q6", "q3")
 #: retry budget, so every storm provably converges (see module docstring).
 STORM_MAX_FAULTS = 12
 CHAOS_POLICY = ResiliencePolicy(max_attempts=14)
-MAX_WORKER_RETRIES = 13
 RESULT_TIMEOUT_SECONDS = 120.0
 
 
@@ -104,7 +103,6 @@ def test_concurrent_tenants_survive_brownout(stack, plans, baselines):
                         session.submit(
                             plans[query],
                             tenant=TENANTS[index % len(TENANTS)],
-                            max_worker_retries=MAX_WORKER_RETRIES,
                         ),
                     )
                 )
@@ -209,7 +207,7 @@ def test_slowdown_storm_walks_breaker_through_full_cycle(
         )
     )
     try:
-        result = driver.execute(plans["q6"], max_worker_retries=MAX_WORKER_RETRIES)
+        result = driver.execute(plans["q6"])
     finally:
         env.install_fault_plan(None)
 

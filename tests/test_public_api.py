@@ -186,13 +186,17 @@ def test_facade_register_table_and_dataflow(facade_session):
 # ``benchmarks/e2e/run.py`` reads the statistics with ``getattr(…, 0)``: a
 # dropped name would silently read 0 and an added alias could silently double
 # count (``plan.workers`` sums ``num_workers``, ``map_workers`` and
-# ``reduce_workers`` over whatever object a query returned).  These are the
-# names the statistics objects and their blocks had while each block was a
-# class of its own, less the mutators and (de)serialisers the one counter
-# record replaced (``merge``, ``from_dict``, ``note_fallback``,
-# ``note_mismatch``), plus ``trace``, the query's span tree as Chrome
-# trace-event JSON.  The timings are views over that tree, so a statistics
-# object is built from its planned fields alone.
+# ``reduce_workers`` over whatever object a query returned, and
+# ``modelled_latency_s`` sums ``latency_seconds`` and
+# ``modelled_latency_seconds``).  Every query — a scan, a DAG, the
+# aggregation facade's run — reports one record, so each quantity has one
+# name: the names the statistics objects and their blocks had while each
+# block was a class of its own, less the mutators and (de)serialisers the one
+# counter record replaced (``merge``, ``from_dict``, ``note_fallback``,
+# ``note_mismatch``) and the coordinator run's second names for a latency, a
+# fleet size and a worker time, plus ``trace``, the query's span tree as
+# Chrome trace-event JSON.  The timings are views over that tree, so a
+# statistics object is built from its planned fields alone.
 
 QUERY_STATISTICS_NAMES = {
     "broadcast_stages", "bytes_read", "cold", "collection_pollers", "collection_receives",
@@ -203,18 +207,10 @@ QUERY_STATISTICS_NAMES = {
     "exchange_partitions", "gc_list_requests", "gc_objects_deleted", "get_requests",
     "integrity", "invocation_seconds", "join_build_rows", "join_output_rows",
     "join_probe_rows", "join_waves", "latency_seconds", "map_fleets", "max_worker_seconds",
-    "median_worker_seconds", "memory_mib", "num_workers", "overload", "resilience",
-    "row_groups_shortcircuited", "rows_decode_saved", "rows_scanned", "trace", "wave_stages",
-    "worker_durations",
-}
-SHUFFLE_STATISTICS_NAMES = {
-    "broadcast_stages", "cost_total", "dag_stages", "estimated_exchange_bytes", "exchange",
-    "exchange_partitions", "gc_list_requests", "gc_objects_deleted", "integrity",
-    "join_build_rows", "join_output_rows", "join_probe_rows", "join_waves", "map_fleets",
-    "map_workers", "modelled_latency_seconds", "modelled_map_seconds",
-    "modelled_reduce_seconds", "partition_objects_read", "partition_objects_written",
-    "redispatches", "reduce_workers", "resilience", "result_rows", "results_spilled",
-    "rows_scanned", "trace", "wave_stages",
+    "median_worker_seconds", "memory_mib", "num_workers", "overload",
+    "partition_objects_read", "partition_objects_written", "redispatches", "resilience",
+    "result_rows", "results_spilled", "row_groups_shortcircuited", "rows_decode_saved",
+    "rows_scanned", "trace", "wave_stages", "worker_durations",
 }
 BLOCK_NAMES = {
     "exchange": {
@@ -239,21 +235,14 @@ def _public(value) -> set:
 
 def test_statistics_expose_exactly_their_public_names():
     from repro.driver.driver import QueryStatistics
-    from repro.driver.shuffle import ShuffleStatistics
 
     query = QueryStatistics(num_workers=0, memory_mib=2048, cold=False)
-    run = ShuffleStatistics(
-        map_fleets={}, reduce_workers=0, result_rows=0, partition_objects_written=0,
-        partition_objects_read=0,
-    )
     assert _public(query) == QUERY_STATISTICS_NAMES
-    assert _public(run) == SHUFFLE_STATISTICS_NAMES
     # Dollars are views over a bill; statistics built without one bill nothing.
-    assert query.cost_total == query.cost_dynamodb_requests == run.cost_total == 0.0
-    for statistics in (query, run):
-        for block, names in BLOCK_NAMES.items():
-            view = getattr(statistics, block)
-            assert _public(view) == names, block
-            # Every listed name reads (nothing answers only through dir()).
-            assert all(getattr(view, name) is not None for name in names), block
-            assert set(view.to_dict()) == names - {"clean", "to_dict", "total_requests"}
+    assert query.cost_total == query.cost_dynamodb_requests == 0.0
+    for block, names in BLOCK_NAMES.items():
+        view = getattr(query, block)
+        assert _public(view) == names, block
+        # Every listed name reads (nothing answers only through dir()).
+        assert all(getattr(view, name) is not None for name in names), block
+        assert set(view.to_dict()) == names - {"clean", "to_dict", "total_requests"}

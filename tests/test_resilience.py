@@ -9,6 +9,7 @@ retried to a correct result; injected stragglers are hedged.
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -112,7 +113,7 @@ def test_backoff_does_not_catch_fatal_errors():
 
 def test_small_fleets_never_hedge():
     durations = {0: 0.1, 1: 0.1, 2: 99.0}
-    assert pick_stragglers(durations, DEFAULT_RESILIENCE_POLICY) == []
+    assert pick_stragglers(durations, DEFAULT_RESILIENCE_POLICY) == ([], math.inf)
 
 
 def test_policy_has_no_hedge_switch():
@@ -124,26 +125,50 @@ def test_policy_has_no_hedge_switch():
 
 def test_clear_straggler_is_picked():
     durations = {0: 0.1, 1: 0.1, 2: 0.1, 3: 10.0}
-    assert pick_stragglers(durations, DEFAULT_RESILIENCE_POLICY) == [3]
+    assert pick_stragglers(durations, DEFAULT_RESILIENCE_POLICY)[0] == [3]
 
 
 def test_uniform_fleet_has_no_stragglers():
     durations = {i: 0.1 for i in range(8)}
-    assert pick_stragglers(durations, DEFAULT_RESILIENCE_POLICY) == []
+    assert pick_stragglers(durations, DEFAULT_RESILIENCE_POLICY)[0] == []
 
 
 def test_absolute_floor_suppresses_tiny_hedges():
     """4x the median but under hedge_min_seconds: not worth a hedge."""
     durations = {0: 0.01, 1: 0.01, 2: 0.01, 3: 0.3}
-    assert pick_stragglers(durations, DEFAULT_RESILIENCE_POLICY) == []
+    assert pick_stragglers(durations, DEFAULT_RESILIENCE_POLICY) == ([], 0.5)
 
 
 def test_hedge_budget_caps_fraction_of_fleet():
     durations = {i: 0.1 for i in range(8)}
     durations.update({5: 30.0, 6: 20.0, 7: 40.0})
-    picked = pick_stragglers(durations, DEFAULT_RESILIENCE_POLICY)
+    picked, _ = pick_stragglers(durations, DEFAULT_RESILIENCE_POLICY)
     # 25% of 8 = 2 hedges, slowest first.
     assert picked == [7, 5]
+
+
+@pytest.mark.parametrize(
+    "durations, median",
+    [
+        # Odd-sized fleet: the middle duration.
+        ({0: 0.3, 1: 0.2, 2: 0.1, 3: 0.5, 4: 9.0}, 0.3),
+        # Even-sized fleet: the upper of the two middle durations.
+        ({0: 0.2, 1: 0.4, 2: 0.1, 3: 9.0}, 0.4),
+        ({key: 0.1 * key for key in range(1, 7)}, 0.4),
+        # A shuffle wave keys its workers by (side, id): same median.
+        ({("L", 0): 0.3, ("L", 1): 0.2, ("R", 0): 0.1, ("R", 1): 0.5, ("L", 2): 9.0}, 0.3),
+    ],
+)
+def test_the_threshold_is_the_factor_times_the_fleet_median(durations, median):
+    """The threshold the hedge race waits for is the one the stragglers were
+    picked by: ``hedge_factor`` x the fleet median, floored at
+    ``hedge_min_seconds`` — so the fleet is sorted once."""
+    policy = ResiliencePolicy(hedge_min_seconds=0.0)
+    stragglers, threshold = pick_stragglers(durations, policy)
+    assert threshold == policy.hedge_factor * median
+    assert stragglers == [key for key, seconds in durations.items() if seconds > threshold]
+    floored = ResiliencePolicy(hedge_min_seconds=10.0)
+    assert pick_stragglers(durations, floored) == ([], 10.0)
 
 
 # -- the resilience block ----------------------------------------------------
@@ -230,7 +255,7 @@ def test_dropped_invocation_is_retried_to_correct_result(driver, dataset, lineit
     )
     tables = tpch_catalog(lineitem=dataset.paths)
     try:
-        result = driver.execute(parse_sql(q6_sql(), tables), max_worker_retries=2)
+        result = driver.execute(parse_sql(q6_sql(), tables))
     finally:
         driver.env.install_fault_plan(None)
     assert result.scalar() == pytest.approx(reference_q6(lineitem_table), rel=1e-9)
@@ -327,8 +352,8 @@ def test_injected_faults_do_not_leak_across_queries(driver, dataset, lineitem_ta
     )
     tables = tpch_catalog(lineitem=dataset.paths)
     try:
-        faulted = driver.execute(parse_sql(q6_sql(), tables), max_worker_retries=2)
-        clean = driver.execute(parse_sql(q6_sql(), tables), max_worker_retries=2)
+        faulted = driver.execute(parse_sql(q6_sql(), tables))
+        clean = driver.execute(parse_sql(q6_sql(), tables))
     finally:
         driver.env.install_fault_plan(None)
     assert faulted.statistics.resilience.faults_injected == {"lambda.drop": 1}
@@ -384,7 +409,7 @@ def test_dropped_invocations_feed_the_lambda_breaker(query, driver, dataset):
     plan = _q1_or_q3(query, env, dataset)
     env.install_fault_plan(FaultPlan([FaultRule("lambda", "drop", 1.0, max_count=3)], seed=1))
     try:
-        result = driver.execute(plan, max_worker_retries=3)
+        result = driver.execute(plan)
     finally:
         env.install_fault_plan(None)
     assert result.statistics.resilience.faults_injected == {"lambda.drop": 3}

@@ -83,7 +83,7 @@ def test_partition_objects_follow_expected_counts(env, dataset, coordinator):
     # the reduce wave reads at most one non-empty slice per
     # sender×receiver pair off the driver-built manifest with zero discovery
     # requests.
-    W = statistics.map_workers
+    W = statistics.map_fleets["L"]
     assert statistics.partition_objects_written == W
     assert statistics.exchange.put_requests == W
     assert statistics.exchange.combined_put_requests == W
@@ -137,8 +137,8 @@ def test_combined_request_counts_at_32x32(env):
         aggregates=[AggregateSpec("sum", col("l_quantity"), "s")],
         num_workers=32,
     )
-    assert statistics.map_workers == 32
-    assert statistics.reduce_workers == 32
+    assert statistics.map_fleets["L"] == 32
+    assert statistics.exchange_partitions == 32
     assert statistics.exchange.put_requests <= 32
     assert statistics.exchange.combined_put_requests == statistics.exchange.put_requests
     assert statistics.exchange.get_requests == statistics.exchange.ranged_get_requests
@@ -164,9 +164,9 @@ def test_empty_partitions_elided_end_to_end(env, lineitem_table):
         num_workers=len(dataset.paths),
     )
     assert statistics.exchange.empty_parts_elided > 0
-    pairs = statistics.map_workers * statistics.reduce_workers
+    pairs = statistics.map_fleets["L"] * statistics.exchange_partitions
     assert statistics.exchange.get_requests < pairs
-    assert statistics.exchange.put_requests == statistics.map_workers
+    assert statistics.exchange.put_requests == statistics.map_fleets["L"]
     assert result["n"].sum() == len(lineitem_table["l_returnflag"])
 
 
@@ -186,8 +186,8 @@ def test_shuffle_runs_under_a_40_byte_key_limit(
         aggregates=[AggregateSpec("sum", col("l_quantity"), "total_qty")],
         order_by=["l_orderkey"],
     )
-    assert statistics.exchange.combined_put_requests == statistics.map_workers
-    assert statistics.exchange.put_requests == statistics.map_workers
+    assert statistics.exchange.combined_put_requests == statistics.map_fleets["L"]
+    assert statistics.exchange.put_requests == statistics.map_fleets["L"]
     assert statistics.exchange.list_requests == 0
     reference = _reference_group_sum(lineitem_table, "l_orderkey", "l_quantity")
     assert statistics.result_rows == len(reference)
@@ -239,10 +239,10 @@ def test_a_wide_fleet_writes_one_object_per_mapper(wide_fleet):
     env, dataset, files = wide_fleet
     result, statistics = _wide_group_by(env, dataset)
     exchange = statistics.exchange
-    assert statistics.map_workers == statistics.reduce_workers == WIDE_FILES
+    assert statistics.map_fleets["L"] == statistics.exchange_partitions == WIDE_FILES
     assert exchange.put_requests == exchange.combined_put_requests == WIDE_FILES
     assert exchange.list_requests == exchange.head_requests == 0
-    assert statistics.modelled_latency_seconds <= 0.5
+    assert statistics.latency_seconds <= 0.5
     # What is left is the exchange itself: 96 × 96 ranged GETs, less the
     # empty slices, are $0.0037 of the $0.0058.
     assert statistics.cost_total <= 0.006
@@ -396,7 +396,7 @@ def test_facade_fleets_are_priced_from_listed_bytes(env, scale_factor, num_files
     )
     # One directory, one LIST.
     assert env.ledger.total("s3", "list_requests") - lists_before == 1
-    assert (statistics.map_workers, statistics.reduce_workers) == fleets
+    assert (statistics.map_fleets["L"], statistics.exchange_partitions) == fleets
     assert fleets == _priced_fleets(env, dataset.total_bytes, num_files)
     assert result["n"].sum() == dataset.total_rows
 
@@ -410,7 +410,7 @@ def test_a_glob_input_is_sized_by_its_own_list(env):
         aggregates=[AggregateSpec("count", None, "n")],
     )
     assert env.ledger.total("s3", "list_requests") - lists_before == 1
-    assert (statistics.map_workers, statistics.reduce_workers) == _priced_fleets(
+    assert (statistics.map_fleets["L"], statistics.exchange_partitions) == _priced_fleets(
         env, dataset.total_bytes, 4
     ) == (2, 1)
 
@@ -441,7 +441,7 @@ def test_an_explicit_num_workers_sets_both_fleets(env, num_workers, fleets):
         aggregates=[AggregateSpec("count", None, "n")],
         num_workers=num_workers,
     )
-    assert (statistics.map_workers, statistics.reduce_workers) == fleets
+    assert (statistics.map_fleets["L"], statistics.exchange_partitions) == fleets
 
 
 def test_an_injected_list_fault_is_retried(env, dataset, coordinator):

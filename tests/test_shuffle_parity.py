@@ -112,6 +112,6 @@ def test_shuffle_parity_fuzz(env, seed):
         num_workers=num_files,
     )
     _assert_tables_identical(result, reference, f"seed {seed}", strict_dtypes=False)
-    assert statistics.map_workers == num_files
+    assert statistics.map_fleets == {"L": num_files}
     assert statistics.exchange.put_requests == num_files
     assert statistics.exchange.combined_put_requests == num_files

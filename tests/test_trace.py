@@ -105,8 +105,7 @@ def _assert_attempts_are_invocations(statistics, query, workers, billed):
 def test_a_query_is_one_span_tree(stack, query, chaos):
     env, _, sessions = stack
     statistics, billed = _run(
-        env, chaos, lambda: sessions["serial"].sql(QUERIES[query](), max_worker_retries=13)
-        .statistics,
+        env, chaos, lambda: sessions["serial"].sql(QUERIES[query]()).statistics,
     )
     tree = statistics._trace
     if chaos is None:
@@ -141,11 +140,10 @@ def test_the_aggregation_facade_is_one_span_tree(stack, chaos):
     )
     tree = statistics._trace
     _assert_nested(tree)
-    workers = statistics.map_workers + statistics.reduce_workers
-    _assert_attempts_are_invocations(statistics, tree, workers, billed)
+    _assert_attempts_are_invocations(statistics, tree, statistics.num_workers, billed)
     assert statistics.redispatches == len(spans.redispatches(tree))
     # The facade prices no launch and no collection: the run is the query.
-    assert statistics.modelled_latency_seconds == tree.end
+    assert statistics.latency_seconds == tree.end
     assert [span.name for span in tree.children] == ["wave", "wave"]
     _assert_renders_every_span_on_both_clocks(statistics, tree)
     assert leaked_segments() == []
