@@ -237,9 +237,25 @@ class LambadaDriver:
         self.env.sqs.create_queue(self.result_queue)
 
     def set_memory(self, memory_mib: int) -> None:
-        """Reconfigure the worker memory size (redeploys the function)."""
+        """Reconfigure the worker memory size: redeploys the scan function,
+        and the join functions too once a join query has deployed them."""
         self.memory_mib = memory_mib
         self.install()
+        if self._join_coordinator is not None:
+            self._join_coordinator = self._make_join_coordinator()
+
+    def _make_join_coordinator(self) -> ShuffleJoinCoordinator:
+        """A join coordinator at the driver's memory size; building it
+        deploys the join functions at that size."""
+        # An explicit shuffle config wins; otherwise the driver's integrity
+        # knobs carry over to the join exchange plane.
+        config = self.shuffle_config or ShuffleConfig(integrity=self.integrity)
+        return ShuffleJoinCoordinator(
+            self.env,
+            memory_mib=self.memory_mib,
+            config=config,
+            resilience_policy=self.resilience_policy,
+        )
 
     # -- query execution -----------------------------------------------------------
 
@@ -424,15 +440,7 @@ class LambadaDriver:
         flag and overload block.
         """
         if self._join_coordinator is None:
-            # An explicit shuffle config wins; otherwise the driver's
-            # integrity knobs carry over to the join exchange plane.
-            config = self.shuffle_config or ShuffleConfig(integrity=self.integrity)
-            self._join_coordinator = ShuffleJoinCoordinator(
-                self.env,
-                memory_mib=self.memory_mib,
-                config=config,
-                resilience_policy=self.resilience_policy,
-            )
+            self._join_coordinator = self._make_join_coordinator()
         if cold:
             for name in (JOIN_MAP_FUNCTION_NAME, JOIN_REDUCE_FUNCTION_NAME):
                 self.env.lambda_service.reset_warm_instances(name)

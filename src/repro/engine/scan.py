@@ -11,7 +11,8 @@ Reproduces the design of the paper's Parquet scan operator (§4.3.2, Figure 8):
 * row groups are pruned against the predicate using the footer's min/max
   statistics before any data is fetched;
 * the same statistics decide pages away inside a surviving row group (one
-  vectorised pass per file, :meth:`S3ScanOperator._page_plans`): a
+  vectorised pass per file, :meth:`S3ScanOperator._page_plans`, kept with the
+  file's shared footer for the next scan of that predicate): a
   comparison they prove for every row of the group is not evaluated and its
   column not read, and an output column whose group holds one value comes
   out as that constant (a group key as one-entry codes) without a read;
@@ -251,6 +252,21 @@ class S3ScanOperator:
             tuple(sorted(self._predicate_columns)),
             frozenset(),
         )
+        #: Everything but the file and the outputs that :meth:`_decide`
+        #: depends on.  A literal's type is part of it: ``2**53 == 2.0**53``,
+        #: yet only the float decides anything (``_exact_number``).
+        self._decision_key = (
+            tuple(
+                (prange.column, type(prange.lower), prange.lower,
+                 type(prange.upper), prange.upper)
+                for prange in self.prune_ranges
+            ),
+            tuple(
+                (comparison.column, comparison.op, type(comparison.value), comparison.value)
+                for comparison in self._every_page.comparisons
+            ),
+            tuple(self._residual_columns),
+        )
 
     @property
     def applies_predicate(self) -> bool:
@@ -347,17 +363,18 @@ class S3ScanOperator:
             and self._compiled is not None
             and not self.config.late_materialization
         )
-        # Min/max pruning of every row group at once, before any data is fetched.
-        survives = reader.metadata.surviving_groups(
-            (prange.column, prange.lower, prange.upper) for prange in self.prune_ranges
+        # Min/max pruning of every row group and the page plans, before any
+        # data is fetched: decided once per footer, predicate and outputs.
+        survives, plans = reader.metadata.decision(
+            (self._decision_key, tuple(columns)),
+            lambda metadata: self._decide(metadata, columns),
         )
         # scan() hands its caller each row group as soon as it is read, so
         # its runs are one row group long.
         run_limit = RUN_ROWS if fused_keys is not None else 0
-        plans = self._page_plans(reader.metadata, columns)
         run: List[_StagedGroup] = []
         run_rows = 0
-        for group, alive, plan in zip(reader.row_groups, survives.tolist(), plans):
+        for group, alive, plan in zip(reader.row_groups, survives, plans):
             if group.num_rows == 0:
                 continue
             self.counters.row_groups_total += 1
@@ -384,6 +401,20 @@ class S3ScanOperator:
         self.counters.download_seconds += source.transfer_seconds - metadata_transfer
 
     # -- runs ----------------------------------------------------------------------
+
+    def _decide(
+        self, metadata: FileMetadata, columns: Sequence[str]
+    ) -> Tuple[Tuple[bool, ...], Tuple[_PagePlan, ...]]:
+        """What a file's min/max statistics decide for this scan: whether
+        each row group survives the prune ranges, and its :class:`_PagePlan`.
+
+        Depends on the footer and on :attr:`_decision_key` and ``columns``
+        alone, so :meth:`FileMetadata.decision` keeps it for the next scan.
+        """
+        survives = metadata.surviving_groups(
+            (prange.column, prange.lower, prange.upper) for prange in self.prune_ranges
+        )
+        return tuple(survives.tolist()), tuple(self._page_plans(metadata, columns))
 
     def _page_plans(self, metadata: FileMetadata, columns: Sequence[str]) -> List[_PagePlan]:
         """Each row group's :class:`_PagePlan`, from one vectorised pass over

@@ -54,7 +54,9 @@ statistics decisions: a comparison every row of a group satisfies
 throughout a group (:meth:`FileMetadata.constant_groups`) need no page
 read.  The source decides how much that one read fetches: the S3 source
 asks for a break-even's worth, so the footer (and a small file's data)
-arrives with the tail.
+arrives with the tail.  The read, the size and magic checks and the footer
+crc happen on every open; the parse and its checks once per distinct footer
+(:meth:`FileMetadata.parse`).
 
 Readers work against a :class:`~repro.formats.source.RandomAccessSource`, so
 the same code path serves local bytes and the S3-backed source.
@@ -66,7 +68,9 @@ import functools
 import math
 import struct
 import zlib
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, Hashable, Iterable, List, NamedTuple, Optional, Sequence, Tuple, TypeVar,
+)
 
 import numpy as np
 
@@ -98,6 +102,14 @@ MAGIC = b"LPQ3"
 #: Three bits away from :data:`MAGIC`: no single flipped bit turns a checked
 #: file into an unchecked one.
 CHECKED_MAGIC = b"LPQ4"
+
+#: Distinct footers whose parse is kept (:meth:`FileMetadata.parse`).
+FOOTERS_KEPT = 256
+
+#: Statistics decisions kept per footer (:meth:`FileMetadata.decision`).
+DECISIONS_KEPT = 16
+
+_T = TypeVar("_T")
 
 _TAIL = struct.Struct("<IQ4s")  # footer crc + footer length + magic
 #: Bytes :class:`ColumnarFile` asks for from the end of a file to open it: a
@@ -207,6 +219,8 @@ class FileMetadata:
             RowGroupMeta(index, count, self) for index, count in enumerate(rows.tolist())
         ]
         self._directory: Dict[str, List[ColumnChunkMeta]] = {}
+        #: ``key -> decision`` of :meth:`decision`.
+        self._decisions: Dict[Hashable, object] = {}
 
     def column_metas(self, name: str) -> List[ColumnChunkMeta]:
         """One column's page directory: its :class:`ColumnChunkMeta` per row
@@ -239,9 +253,9 @@ class FileMetadata:
         parts.append(self.chunks.tobytes())
         return b"".join(parts)
 
-    @classmethod
+    @staticmethod
     def parse(
-        cls, footer: bytes, data_end: int, checked: bool, key: Optional[str] = None
+        footer: bytes, data_end: int, checked: bool, key: Optional[str] = None
     ) -> "FileMetadata":
         """Parse a footer produced by :meth:`pack`.
 
@@ -250,39 +264,37 @@ class FileMetadata:
         — too short, a directory that is not row groups x columns, an entry
         no writer produces — raises :class:`~repro.errors.CorruptFileError`
         with layer ``lpq.footer``.
+
+        A footer is parsed and checked once per distinct ``(footer,
+        data_end, checked)`` (the last :data:`FOOTERS_KEPT`): every reader of
+        those bytes shares one :class:`FileMetadata`, and with it the
+        column directories and statistics decisions already built.  A footer
+        that fails is not kept.
         """
-
-        def corrupt(problem: object) -> CorruptFileError:
-            return CorruptFileError(f"invalid footer: {problem}", key=key, layer="lpq.footer")
-
         try:
-            num_rows, groups, columns = _HEAD.unpack_from(footer)
-            offset = _HEAD.size
-            fields = []
-            for _ in range(columns):
-                type_id, length = _FIELD.unpack_from(footer, offset)
-                offset += _FIELD.size
-                if offset + length > len(footer):
-                    raise ValueError("truncated column name")
-                name = footer[offset:offset + length].decode("utf-8")
-                fields.append(Field(name, _TYPES[type_id]))
-                offset += length
-            schema = Schema(fields)
-        except (struct.error, UnicodeDecodeError, KeyError, ValueError,
-                SchemaMismatchError) as exc:
-            raise corrupt(f"{type(exc).__name__}: {exc}") from exc
-        if len(footer) - offset != groups * columns * _CHUNK.itemsize:
-            raise corrupt(
-                f"directory of {len(footer) - offset} bytes is not "
-                f"{groups} row groups x {columns} columns"
-            )
-        chunks = np.frombuffer(
-            footer, dtype=_CHUNK, count=groups * columns, offset=offset
-        ).reshape(groups, columns)
-        problem = _directory_problem(schema, num_rows, chunks, data_end)
-        if problem is not None:
-            raise corrupt(problem)
-        return cls(schema, num_rows, chunks, checked)
+            return _parse_footer(bytes(footer), data_end, checked)
+        except _FooterProblem as exc:
+            raise CorruptFileError(
+                f"invalid footer: {exc}", key=key, layer="lpq.footer"
+            ) from exc.__cause__
+
+    def decision(self, key: Hashable, decide: Callable[["FileMetadata"], _T]) -> _T:
+        """``decide(self)``, computed once per ``key`` for this footer.
+
+        The scan keeps its statistics decisions here, keyed by its predicate
+        and outputs, so a predicate is decided once per file however many
+        readers open it.  At most :data:`DECISIONS_KEPT` are kept (the memo
+        starts over when full): a key with a NaN literal matches only its own
+        NaN object, so fresh ones would otherwise grow it without end.
+        """
+        decisions = self._decisions
+        found = decisions.get(key)
+        if found is None:
+            found = decide(self)
+            if len(decisions) >= DECISIONS_KEPT:
+                decisions = self._decisions = {}
+            decisions[key] = found
+        return found
 
     # -- min/max statistics ---------------------------------------------------------
 
@@ -370,6 +382,45 @@ class FileMetadata:
         lows = live["min"].min(axis=0).tolist()
         highs = live["max"].max(axis=0).tolist()
         return dict(zip(self.schema.names, zip(lows, highs)))
+
+
+class _FooterProblem(Exception):
+    """What makes a footer unusable; :meth:`FileMetadata.parse` raises it as a
+    :class:`~repro.errors.CorruptFileError` naming the file."""
+
+
+@functools.lru_cache(maxsize=FOOTERS_KEPT)
+def _parse_footer(footer: bytes, data_end: int, checked: bool) -> FileMetadata:
+    """The :class:`FileMetadata` of a footer, cached on the whole input (a
+    raise is not cached); see :meth:`FileMetadata.parse`."""
+    try:
+        num_rows, groups, columns = _HEAD.unpack_from(footer)
+        offset = _HEAD.size
+        fields = []
+        for _ in range(columns):
+            type_id, length = _FIELD.unpack_from(footer, offset)
+            offset += _FIELD.size
+            if offset + length > len(footer):
+                raise ValueError("truncated column name")
+            name = footer[offset:offset + length].decode("utf-8")
+            fields.append(Field(name, _TYPES[type_id]))
+            offset += length
+        schema = Schema(fields)
+    except (struct.error, UnicodeDecodeError, KeyError, ValueError,
+            SchemaMismatchError) as exc:
+        raise _FooterProblem(f"{type(exc).__name__}: {exc}") from exc
+    if len(footer) - offset != groups * columns * _CHUNK.itemsize:
+        raise _FooterProblem(
+            f"directory of {len(footer) - offset} bytes is not "
+            f"{groups} row groups x {columns} columns"
+        )
+    chunks = np.frombuffer(
+        footer, dtype=_CHUNK, count=groups * columns, offset=offset
+    ).reshape(groups, columns)
+    problem = _directory_problem(schema, num_rows, chunks, data_end)
+    if problem is not None:
+        raise _FooterProblem(problem)
+    return FileMetadata(schema, num_rows, chunks, checked)
 
 
 def _exact_number(value: object) -> bool:

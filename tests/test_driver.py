@@ -5,6 +5,7 @@ import pytest
 
 from repro.config import INVOCATION_LATENCY_SECONDS
 from repro.driver.driver import LambadaDriver
+from repro.driver.shuffle import JOIN_MAP_FUNCTION_NAME, JOIN_REDUCE_FUNCTION_NAME
 from repro.driver.invocation import InvocationModel
 from repro.errors import ExecutionError, WorkerFailedError
 from repro.frontend.sql import parse_sql
@@ -18,8 +19,19 @@ from repro.plan.logical import (
     ProjectNode,
     ScanNode,
 )
-from repro.workload.queries import reference_q1, reference_q6, q1_sql, q6_sql, tpch_catalog
-from repro.workload.tpch import LineitemGenerator, generate_lineitem_dataset
+from repro.workload.queries import (
+    q1_sql,
+    q3_sql,
+    q6_sql,
+    reference_q1,
+    reference_q6,
+    tpch_catalog,
+)
+from repro.workload.tpch import (
+    LineitemGenerator,
+    generate_lineitem_dataset,
+    generate_orders_dataset,
+)
 
 
 def test_install_deploys_function_and_queue(env, driver):
@@ -195,6 +207,28 @@ def test_more_memory_lowers_latency_raises_cost(env, dataset):
 def test_set_memory_redeploys(driver, env):
     driver.set_memory(3008)
     assert env.lambda_service.get_config(driver.function_name).memory_mib == 3008
+
+
+def test_set_memory_resizes_a_join_query(driver, dataset, env):
+    orders = generate_orders_dataset(
+        env.s3, scale_factor=0.001, num_files=2, row_group_rows=512, seed=7
+    )
+    plan = parse_sql(q3_sql(), tpch_catalog(lineitem=dataset.paths, orders=orders.paths))
+    first = driver.execute(plan)  # deploys the join functions at 2048 MiB
+    join_functions = (JOIN_MAP_FUNCTION_NAME, JOIN_REDUCE_FUNCTION_NAME)
+    assert {env.lambda_service.get_config(name).memory_mib for name in join_functions} == {2048}
+    driver.set_memory(1024)
+    for name in join_functions:
+        assert env.lambda_service.get_config(name).memory_mib == 1024
+    logged = len(env.lambda_service.invocation_log)
+    gib_seconds = env.ledger.total("lambda", "gib_seconds")
+    second = driver.execute(plan)
+    invocations = env.lambda_service.invocation_log[logged:]
+    assert {result.function_name for result in invocations} >= set(join_functions)
+    # Every invocation of the query, join waves included, billed at 1 GiB.
+    billed = env.ledger.total("lambda", "gib_seconds") - gib_seconds
+    assert billed == pytest.approx(sum(result.duration_seconds for result in invocations))
+    np.testing.assert_array_equal(second.column("revenue"), first.column("revenue"))
 
 
 def test_tree_invocation_used(driver, dataset, env):

@@ -15,6 +15,7 @@ and no read for a page the footer's statistics already answer.
 
 from __future__ import annotations
 
+import functools
 import zlib
 
 import numpy as np
@@ -27,6 +28,7 @@ from repro.engine.scan import S3ScanOperator
 from repro.errors import IntegrityError
 from repro.exchange.codec import decode_partition, encode_partition
 from repro.formats import encoding as encoding_module
+from repro.formats import parquet
 from repro.formats.compression import Compression, compress, decompress
 from repro.formats.encoding import (
     Encoding,
@@ -298,7 +300,15 @@ def _fused_answer(store, columns, predicate, group_by, aggregates):
 
 
 def _undecided(monkeypatch):
-    """Statistics decide nothing: every comparison evaluated, every page read."""
+    """Statistics decide nothing: every comparison evaluated, every page read.
+
+    Footers parse into a memo of their own, so no file's kept decisions
+    stand in for the patched ones and none of these is kept afterwards.
+    """
+    monkeypatch.setattr(
+        parquet, "_parse_footer",
+        functools.lru_cache(maxsize=None)(parquet._parse_footer.__wrapped__),
+    )
     monkeypatch.setattr(
         FileMetadata, "proven_comparisons",
         lambda self, comparisons: np.zeros((len(self.row_groups), len(comparisons)), bool),
