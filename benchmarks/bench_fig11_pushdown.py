@@ -54,7 +54,7 @@ def test_fig11_functional_pruning_ablation(benchmark, experiment_report, functio
         try:
             with_pruning = run_tpch_query(driver, dataset, "q6")
             physical, _ = optimize(parse_sql(q6_sql(), tpch_catalog(lineitem=dataset.paths)))
-            physical.worker_template.prune_ranges = []
+            physical.base.prune_ranges = []
             without_pruning = driver.execute(physical)
         finally:
             env.bandwidth = default_model

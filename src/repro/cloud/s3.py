@@ -432,7 +432,8 @@ class SharedObjectMirror:
     driver.  The driver owns every segment; :meth:`close` unlinks them all.
     """
 
-    #: Every mirror not yet collected (leak checks exclude its segments).
+    #: Every mirror neither closed nor collected (leak checks exclude its
+    #: segments).
     _live: "weakref.WeakSet[SharedObjectMirror]" = weakref.WeakSet()
 
     def __init__(self) -> None:
@@ -462,6 +463,7 @@ class SharedObjectMirror:
         tells the children to drop them, then they are unlinked.  A missing
         key raises :class:`~repro.errors.NoSuchKeyError`.
         """
+        SharedObjectMirror._live.add(self)
         with store._lock:
             wanted = {path: _stored(store, path) for path in paths}
             stale = {path: entry for path, entry in self._mirrored.items()
@@ -505,8 +507,10 @@ class SharedObjectMirror:
         _unlink_segments(retired)
 
     def close(self) -> None:
-        """Unlink every segment; idempotent, and the mirror stays usable."""
+        """Unlink every segment and leave the live set; idempotent, and the
+        mirror stays usable (its next :meth:`sync` makes it live again)."""
         _unlink_segments(self._mirrored)
+        SharedObjectMirror._live.discard(self)
 
 
 def _stored(store: ObjectStore, path: str) -> Optional[bytes]:

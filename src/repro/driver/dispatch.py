@@ -395,7 +395,7 @@ class QueryContext:
         self.counters.note("resilience", "wave_retries", rounds)
         messages = [by_key[key] for key in sorted(by_key)]
         results = [
-            WorkerResult.from_payload(message.get("result") or message["worker_result"])
+            WorkerResult.from_payload(message["result"])
             for message in messages
         ]
         for result in results:

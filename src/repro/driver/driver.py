@@ -1,24 +1,27 @@
 """The Lambada driver: query coordinator.
 
 The driver deploys the worker function once ("installation"), then executes
-queries by compiling them, running the worker fleet through one
-:meth:`~repro.driver.dispatch.QueryContext.wave` — failed workers re-invoked,
-stragglers hedged, as in every shuffle wave — over one transport picked per
-query: Lambda + SQS, the transport every shuffle wave uses too (its first
-round in the shape the launch plan prices, one hop or the two-level tree of
-§4.2), or the process pool; the partial results are merged locally (the
-driver scope of the physical plan).  Each query opens one
+queries by compiling them into a
+:class:`~repro.plan.physical.DagPhysicalPlan` and running it through the one
+wave body of :class:`~repro.driver.shuffle.ShuffleJoinCoordinator`, every
+fleet through one :meth:`~repro.driver.dispatch.QueryContext.wave` — failed
+workers re-invoked, stragglers hedged.  A scan's one wave runs on the
+driver's own function and result queue, over one transport picked per query:
+Lambda + SQS, its first round in the shape the launch plan prices (one hop
+or the two-level tree of §4.2), or the process pool; the partial results are
+merged locally (the driver scope of the physical plan).  Each query opens one
 :class:`~repro.driver.dispatch.QueryContext` (its id, jitter stream,
 counters, span tree, retry budget and cancellation token, with the driver's
-breaker board); the scan fleet and a join plan's every wave run under it.  It
-reports one :class:`~repro.driver.spans.QueryStatistics` — modelled
-end-to-end latency, placed on the span tree (:mod:`repro.driver.spans`), and
-the full dollar-cost breakdown — which the evaluation benchmarks consume.
+breaker board); every wave runs under it.  It reports one
+:class:`~repro.driver.spans.QueryStatistics` — modelled end-to-end latency,
+placed on the span tree (:mod:`repro.driver.spans`), and the full
+dollar-cost breakdown — which the evaluation benchmarks consume.
 """
 
 from __future__ import annotations
 
 import contextvars
+import dataclasses
 import functools
 import math
 import os
@@ -49,10 +52,11 @@ from repro.driver.resilience import DEFAULT_RESILIENCE_POLICY, ResiliencePolicy
 from repro.driver.shuffle import (
     JOIN_MAP_FUNCTION_NAME,
     JOIN_REDUCE_FUNCTION_NAME,
+    ScanWave,
     ShuffleConfig,
     ShuffleJoinCoordinator,
-    _gc_cancelled_query,
     expand_glob_paths,
+    fold_reduce_values,
     merge_driver_scope,
 )
 from repro.driver.spans import QueryStatistics
@@ -68,11 +72,11 @@ from repro.errors import ExecutionError, QueryCancelledError
 from repro.plan.logical import LogicalPlan
 from repro.plan.optimizer import OptimizerReport, optimize
 from repro.plan.physical import (
+    BUILTIN_REDUCE_UDFS,
     DagPhysicalPlan,
-    PhysicalPlan,
+    WorkerPlan,
     describe_exchange_fan_out,
     describe_executed_waves,
-    resolve_udf,
 )
 
 #: What the scan fleet's and the process pool's pump points and retry-budget
@@ -261,7 +265,7 @@ class LambadaDriver:
 
     def execute(
         self,
-        plan: Union[LogicalPlan, PhysicalPlan, DagPhysicalPlan],
+        plan: Union[LogicalPlan, DagPhysicalPlan],
         num_workers: Optional[int] = None,
         files_per_worker: Optional[int] = None,
         cold: bool = False,
@@ -273,56 +277,36 @@ class LambadaDriver:
     ) -> QueryResult:
         """Execute a query and return its result and statistics.
 
-        ``num_workers`` and ``files_per_worker`` control the fleet size (the
-        paper's ``W`` and ``F`` parameters); by default one worker per input
-        file is used.  ``cold=True`` forces cold starts (fresh function
-        instances), reproducing the paper's cold-run measurements.
+        A logical plan is lowered by :func:`~repro.plan.optimizer.optimize`
+        first; every :class:`~repro.plan.physical.DagPhysicalPlan` then runs
+        through the one wave body of
+        :class:`~repro.driver.shuffle.ShuffleJoinCoordinator`.  A scan (a plan
+        without exchange) is its scan wave alone, run on this driver's
+        function, result queue and transport (:meth:`_transport`), one worker
+        per input file (the paper's ``W``), at most ``num_workers`` or one per
+        ``files_per_worker`` files (``F``).  A plan with an exchange prices
+        its fleets from the relations' registered sizes; ``num_workers`` caps
+        its map fleets and sets its join fan-out.  ``cold=True`` forces cold
+        starts (fresh function instances), as in the paper's cold runs.
 
-        When a :class:`~repro.driver.catalog.StatisticsCatalog` and the
-        dataset's catalog name are given, files whose min/max statistics cannot
-        match the query's prune ranges are skipped entirely, so their workers
-        are never invoked (the §5.3 central-statistics optimisation).
+        With a :class:`~repro.driver.catalog.StatisticsCatalog` and the
+        dataset's catalog name, a scan skips the files whose min/max
+        statistics cannot match its prune ranges (§5.3); a plan with an
+        exchange rejects them (one dataset's statistics cannot describe two
+        relations).
 
         Every fleet runs through one
-        :meth:`~repro.driver.dispatch.QueryContext.wave`: a failed worker is
-        re-invoked within ``resilience_policy.max_attempts`` attempts before
-        the query is aborted with :class:`~repro.errors.WorkerFailedError`
-        (a worker's last message is an error) or
-        :class:`~repro.errors.QueryTimeoutError` (it never reported; a shuffle
-        wave's failure names its stage), and its stragglers are hedged.  Every
-        re-dispatch and hedge bills one more invocation; a backoff retry of a
-        cloud request bills none.
-
-        A plan is a logical plan, which :func:`~repro.plan.optimizer.optimize`
-        lowers first, or one of the two physical plans: a
-        :class:`~repro.plan.physical.PhysicalPlan` runs as one scan fleet, a
-        :class:`~repro.plan.physical.DagPhysicalPlan` — every plan with a
-        join, one stage per join — runs through the shuffle-join schedule
-        (:class:`~repro.driver.shuffle.ShuffleJoinCoordinator`).  Left
-        to itself it prices both fleet widths from the relations' registered
-        sizes: as many mappers per relation as its bytes stream in the launch
-        time each mapper adds, at most one per file
-        (:func:`~repro.driver.shuffle.scan_fan_out`), and as many join
-        workers per wave as the exchange's bytes keep streaming
-        (:func:`~repro.driver.shuffle.exchange_fan_out`); a plan without
-        sizes gets one mapper per file.  ``num_workers`` caps the map fleets
-        and sets the join fan-out instead.
-        ``files_per_worker`` is not consulted, and catalog-based file pruning
-        is rejected explicitly (its single-dataset statistics cannot describe
-        two relations).
-
-        The query runs under one :class:`~repro.driver.dispatch.QueryContext`
-        with the driver's breaker board.  ``deadline_seconds``/``cancel`` arm
-        cooperative cancellation: the query — scan or join — unwinds with a
-        typed :class:`~repro.errors.QueryCancelledError` at its next pump
-        point (poll round, retry round, wave round) once cancelled or past a
-        deadline measured in modelled time (the clock plus accrued backoff),
-        releasing shared-memory segments and garbage-collecting its S3/SQS
-        state on the way out.  Each query also draws from a retry budget
-        (``resilience_policy.retry_budget``) covering backoff retries, wave
-        retries, and hedges combined; exhaustion raises
-        :class:`~repro.errors.RetryBudgetExhaustedError`, with the same
-        cleanup, instead of grinding through a sustained brownout.
+        :meth:`~repro.driver.dispatch.QueryContext.wave` under one
+        :class:`~repro.driver.dispatch.QueryContext` with the driver's breaker
+        board: failed workers are re-invoked within
+        ``resilience_policy.max_attempts`` attempts (then
+        :class:`~repro.errors.WorkerFailedError` or
+        :class:`~repro.errors.QueryTimeoutError`), stragglers are hedged.
+        ``deadline_seconds``/``cancel`` arm cooperative cancellation: a typed
+        :class:`~repro.errors.QueryCancelledError` at the next pump point,
+        like an exhausted retry budget's
+        :class:`~repro.errors.RetryBudgetExhaustedError`, releases the
+        query's S3/SQS state on the way out.
         """
         if cancel is None and deadline_seconds is not None:
             cancel = CancellationToken(deadline_seconds=deadline_seconds)
@@ -332,151 +316,91 @@ class LambadaDriver:
         )
         with context.scope():
             report: Optional[OptimizerReport] = None
+            physical = plan
             if isinstance(plan, LogicalPlan):
                 physical, report = optimize(plan)
-            else:
-                physical = plan
-
-            # Dispatch on the unified plan protocol: every physical plan carries
-            # an ``engine`` tag ("scan" or "shuffle-dag"), so the driver never
-            # needs to know the concrete plan class.
-            if getattr(physical, "engine", "scan") == "shuffle-dag":
+            if physical.has_exchange:
                 if catalog is not None or dataset_name is not None:
                     raise ExecutionError(
                         "catalog-based file pruning is not supported for join plans"
                     )
-                return self._execute_join(physical, report, num_workers, cold, context)
-
-            input_files = expand_glob_paths(self.env.s3, physical.input_files)
-            if catalog is not None and dataset_name is not None:
-                input_files = catalog.prune_paths(
-                    input_files, dataset_name, physical.worker_template.prune_ranges
+                functions = (JOIN_MAP_FUNCTION_NAME, JOIN_REDUCE_FUNCTION_NAME)
+            else:
+                physical, num_workers = self._scan_files(
+                    physical, num_workers, files_per_worker, catalog, dataset_name
                 )
-                if not input_files:
-                    # Every file is pruned by the central statistics: the query
+                if not physical.base.files:
+                    # Every file is pruned by the central statistics: the
                     # result is empty and no worker needs to be started.
                     return self._empty_result(physical, report, cold, context)
-            if not input_files:
-                raise ExecutionError("query has no input files")
-            physical = PhysicalPlan(
-                worker_template=physical.worker_template,
-                driver=physical.driver,
-                input_files=input_files,
+                functions = (self.function_name,)
+            if self._join_coordinator is None:
+                self._join_coordinator = self._make_join_coordinator()
+            if cold:
+                for name in functions:
+                    self.env.lambda_service.reset_warm_instances(name)
+            scan = ScanWave(
+                self.function_name, self.result_queue,
+                lambda events: self._transport(
+                    physical.base, events, self._invocation.plan(len(events), cold=cold), context
+                ),
+                {"function_name": self.function_name, "threads": threads,
+                 "integrity": self.integrity.to_dict()},
+            )
+            table, statistics, worker_results = self._join_coordinator.execute(
+                physical, num_workers=num_workers, context=context, final_scan=scan
+            )
+            launch = self._invocation.plan(statistics.num_workers, cold=cold)
+            place = spans.place_dag if physical.has_exchange else spans.place_scan
+            place(context.trace, launch, statistics.resilience.backoff_seconds)
+            statistics.cold = cold
+            statistics.overload = self._overload_block(context.budget)
+            reduce_udf = physical.base.reduce_udf
+            return QueryResult(
+                table=table,
+                reduce_value=(
+                    fold_reduce_values(reduce_udf, worker_results) if reduce_udf else None
+                ),
+                statistics=statistics,
+                worker_results=worker_results,
+                optimizer_report=report,
+                plan_explain=physical.explain(),
             )
 
-            if num_workers is None:
-                if files_per_worker is not None:
-                    if files_per_worker <= 0:
-                        raise ValueError("files_per_worker must be positive")
-                    num_workers = math.ceil(len(input_files) / files_per_worker)
-                else:
-                    num_workers = len(input_files)
-            num_workers = min(num_workers, len(input_files))
-
-            worker_plans = physical.worker_plans(num_workers)
-
-            if cold:
-                self.env.lambda_service.reset_warm_instances(self.function_name)
-
-            events = {
-                worker_id: {
-                    "worker_id": worker_id,
-                    "attempt": 0,
-                    "plan": worker_plan.to_dict(),
-                    "result_queue": self.result_queue,
-                    "query_id": context.query_id,
-                    "function_name": self.function_name,
-                    "threads": threads,
-                    "integrity": self.integrity.to_dict(),
-                }
-                for worker_id, worker_plan in enumerate(worker_plans)
-            }
-            launch = self._invocation.plan(len(events), cold=cold)
-
-            with context.teardown(self._gc_cancelled_scan):
-                with self._transport(physical, events, launch, context) as (transport, labels):
-                    messages, worker_results = context.wave(
-                        events, transport, labels, self.memory_mib
-                    )
-                context.fetch_spilled(messages, self.integrity.verify)
-                for result, message in zip(worker_results, messages):
-                    result.partial = message.get("frame")
-                table, reduce_value = self._merge(physical, worker_results)
-                context.note_faults()
-                spans.place_scan(
-                    context.trace, launch, context.counters["resilience", "backoff_seconds"]
-                )
-                return QueryResult(
-                    table=table,
-                    reduce_value=reduce_value,
-                    statistics=self._statistics(context, launch.num_workers, cold),
-                    worker_results=worker_results,
-                    optimizer_report=report,
-                    plan_explain=physical.explain(),
-                )
-
-    def _execute_join(
+    def _scan_files(
         self,
         physical: DagPhysicalPlan,
-        report: Optional[OptimizerReport],
         num_workers: Optional[int],
-        cold: bool,
-        context: QueryContext,
-    ) -> QueryResult:
-        """Execute a join plan through the shuffle-join coordinator.
-
-        The DAG schedule (one scan wave repartitioning every relation by its
-        join key through the write-combined exchange, then the join waves —
-        stages with small build sides join in place inside the wave before
-        them, non-final waves re-emit into the exchange, the final one
-        computes the partial aggregates placed above the join) runs in
-        :class:`~repro.driver.shuffle.ShuffleJoinCoordinator` under the
-        query's ``context``, whose teardown the coordinator applies to its own
-        exchange and queue.  This places the run behind one launch of every
-        worker, and the final wave's result collection, on the query's span
-        tree (:func:`repro.driver.spans.place_dag`) and reports the run's own
-        statistics — the one record, whose timings, counts and dollars read
-        the context's tree, counters and bill — with the driver's ``cold``
-        flag and overload block.
-        """
-        if self._join_coordinator is None:
-            self._join_coordinator = self._make_join_coordinator()
-        if cold:
-            for name in (JOIN_MAP_FUNCTION_NAME, JOIN_REDUCE_FUNCTION_NAME):
-                self.env.lambda_service.reset_warm_instances(name)
-        table, statistics, worker_results = self._join_coordinator.execute(
-            physical, num_workers=num_workers, context=context
-        )
-        launch = self._invocation.plan(statistics.num_workers, cold=cold)
-        spans.place_dag(context.trace, launch, statistics.resilience.backoff_seconds)
-        statistics.cold = cold
-        statistics.overload = self._overload_block(context.budget)
-        return QueryResult(
-            table=table,
-            reduce_value=None,
-            statistics=statistics,
-            worker_results=worker_results,
-            optimizer_report=report,
-            plan_explain=physical.explain(),
-        )
+        files_per_worker: Optional[int],
+        catalog: Optional["StatisticsCatalog"],
+        dataset_name: Optional[str],
+    ) -> Tuple[DagPhysicalPlan, Optional[int]]:
+        """A scan's input files — its globs expanded, one LIST each, and the
+        files the catalog rules out dropped — and its fleet cap, ``num_workers``
+        or one worker per ``files_per_worker`` files."""
+        files = expand_glob_paths(self.env.s3, physical.base.files)
+        if catalog is not None and dataset_name is not None:
+            files = catalog.prune_paths(files, dataset_name, physical.base.prune_ranges)
+        elif not files:
+            raise ExecutionError("query has no input files")
+        if num_workers is None and files_per_worker is not None:
+            if files_per_worker <= 0:
+                raise ValueError("files_per_worker must be positive")
+            num_workers = math.ceil(len(files) / files_per_worker)
+        return dataclasses.replace(physical, base=physical.base.with_files(files)), num_workers
 
     # -- process-pool execution plane ------------------------------------------------
 
-    def _pool_supported(self, physical: PhysicalPlan) -> bool:
-        """Whether the process pool can run this plan's fragments.
+    def _pool_supported(self, fragment: WorkerPlan) -> bool:
+        """Whether the process pool can run this scan fragment.
 
         Registry UDFs live in the driver process only (the registry is
         per-process state) and cannot be resolved inside spawned children;
         the built-in reduce UDFs are module-level and travel by name.
         """
-        from repro.plan.physical import BUILTIN_REDUCE_UDFS
-
-        template = physical.worker_template
-        if template.predicate_udf is not None or template.map_udf is not None:
+        if fragment.predicate_udf is not None or fragment.map_udf is not None:
             return False
-        if template.reduce_udf and template.reduce_udf not in BUILTIN_REDUCE_UDFS:
-            return False
-        return True
+        return not fragment.reduce_udf or fragment.reduce_udf in BUILTIN_REDUCE_UDFS
 
     def _ensure_pool(self):
         """The warm process pool, spawning it on first use; ``None`` on fallback.
@@ -529,14 +453,14 @@ class LambadaDriver:
     @contextmanager
     def _transport(
         self,
-        physical: PhysicalPlan,
+        fragment: WorkerPlan,
         events: Dict[int, Dict],
         launch: LaunchPlan,
         context: QueryContext,
     ) -> Iterator[Tuple[Callable, FleetLabels]]:
-        """The scan fleet's one transport and its labels, chosen once per query.
+        """A scan's one transport and its labels, chosen once per query.
 
-        The process pool when ``processes`` mode can run the plan, the pool is
+        The process pool when ``processes`` mode can run ``fragment``, the pool is
         available and the query's new or changed input objects fit the free
         space of ``/dev/shm`` once the copies the query does not read are
         evicted (a tmpfs written past capacity kills the writer with SIGBUS);
@@ -546,7 +470,7 @@ class LambadaDriver:
         retry rounds and its hedges all go through what is yielded.
         """
         pool = None
-        if self.execution_mode == "processes" and self._pool_supported(physical):
+        if self.execution_mode == "processes" and self._pool_supported(fragment):
             pool = self._ensure_pool()
         if pool is not None:
             files = {path for event in events.values() for path in event["plan"]["files"]}
@@ -699,16 +623,6 @@ class LambadaDriver:
             for future in futures:
                 future.result()
 
-    def _statistics(self, context: QueryContext, num_workers: int, cold: bool) -> QueryStatistics:
-        """The statistics of a scan that ran its fleet under ``context``:
-        views over its span tree, counter record and bill, beside what the
-        driver planned."""
-        return QueryStatistics(
-            num_workers=num_workers, memory_mib=self.memory_mib, cold=cold,
-            _counters=context.counters, _trace=context.trace, _bill=context.bill,
-            overload=self._overload_block(context.budget),
-        )
-
     def _overload_block(self, budget: Optional[RetryBudget]) -> Dict[str, Any]:
         """The per-query overload-control statistics block."""
         return {
@@ -717,57 +631,29 @@ class LambadaDriver:
             "breaker_transitions": self.breakers.transition_count(),
         }
 
-    def _gc_cancelled_scan(self, query_id: str) -> int:
-        """Best-effort cleanup after a cancelled/budget-killed scan query:
-        the shuffle plane's sweep over zero exchange buckets — spilled
-        results deleted, result queue purged; returns the objects deleted."""
-        return _gc_cancelled_query(self.env, query_id, 0, self.result_queue)
-
     def _empty_result(
         self,
-        physical: PhysicalPlan,
+        physical: DagPhysicalPlan,
         report: Optional[OptimizerReport],
         cold: bool,
         context: QueryContext,
     ) -> QueryResult:
-        """Result of a query whose files were all pruned by the catalog: its
+        """Result of a scan whose files were all pruned by the catalog: its
         bill is the catalog's lookups."""
-        table, reduce_value = self._merge(physical, [])
         statistics = QueryStatistics(
             num_workers=0, memory_mib=self.memory_mib, cold=cold,
             _trace=context.trace, _bill=context.bill,
         )
         return QueryResult(
-            table=table,
-            reduce_value=reduce_value,
+            table={} if physical.base.reduce_udf else merge_driver_scope(
+                [], physical.driver, physical.group_by, physical.aggregates
+            ),
+            reduce_value=None,
             statistics=statistics,
             worker_results=[],
             optimizer_report=report,
             plan_explain=physical.explain(),
         )
-
-    def _merge(
-        self, physical: PhysicalPlan, worker_results: List[WorkerResult]
-    ) -> Tuple[Table, Optional[Any]]:
-        """Driver-scope final phase: merge partials, finalise, sort, limit."""
-        driver_plan = physical.driver
-        template = physical.worker_template
-
-        if template.reduce_udf:
-            reduce_fn = resolve_udf(template.reduce_udf)
-            values = [
-                result.reduce_value
-                for result in worker_results
-                if result.reduce_value is not None
-            ]
-            reduce_value = functools.reduce(reduce_fn, values) if values else None
-            return {}, reduce_value
-
-        table = merge_driver_scope(
-            [result.partial for result in worker_results],
-            driver_plan, driver_plan.group_by, template.aggregates,
-        )
-        return table, None
 
 
 class QueryHandle:
@@ -845,7 +731,7 @@ class QuerySession:
 
     def submit(
         self,
-        plan: Union[LogicalPlan, PhysicalPlan, DagPhysicalPlan],
+        plan: Union[LogicalPlan, DagPhysicalPlan],
         tenant: str = "default",
         deadline_seconds: Optional[float] = None,
         cancel: Optional[CancellationToken] = None,

@@ -1,19 +1,22 @@
-"""The shuffle coordinator: every repartitioning plan as waves over one exchange.
+"""The query coordinator: every plan as waves over one exchange.
 
-The driver-merge path (``LambadaDriver.execute``) suits queries whose results
-have a handful of groups and whose inputs need not meet.  Joins and
-high-cardinality group-bys have to repartition data among the serverless
-workers through S3 — the paper's exchange operator (§4.4) — and
-:class:`ShuffleJoinCoordinator` runs every such plan, lowered to a
-:class:`~repro.plan.physical.DagPhysicalPlan`, as barriered waves of function
-invocations with one wave body — the query context's Lambda + SQS transport
-and :meth:`repro.driver.dispatch.QueryContext.wave`, the transport and the
-one way every fleet runs (retries, hedges, fold) — one map handler and one
-reduce handler:
+Every query, lowered to a :class:`~repro.plan.physical.DagPhysicalPlan`, runs
+through :class:`ShuffleJoinCoordinator` as barriered waves of function
+invocations with one wave body — :meth:`repro.driver.dispatch.QueryContext.wave`,
+the one way every fleet runs (retries, hedges, fold), over the query
+context's Lambda + SQS transport — one scan handler
+(:func:`~repro.driver.worker.make_worker_handler`) and one reduce handler.
+A scan (a plan without joins) has no exchange: its scan wave is the final
+wave, its workers return their partials to the driver, and the driver runs
+that wave on its own transport (the process pool, or Lambda + SQS launched
+in the priced shape).  Joins and high-cardinality group-bys repartition data
+among the serverless workers through S3 — the paper's exchange operator
+(§4.4):
 
 * **scan wave** — every base relation's fleet at once, each as many mappers
   as its stored bytes are worth (:func:`scan_fan_out`: one per driver
-  invocation interval's worth of streaming, at most one per file).  A mapper
+  invocation interval's worth of streaming, at most one per file; a scan's
+  one fleet keeps a worker per file).  A mapper
   opens its files as one pipelined batch and scans them with the fragment's
   pushed-down predicate and projection (a fragment that carries a group-by
   folds the map-side partial aggregation into the scan), hash-partitions the
@@ -41,8 +44,8 @@ reduce handler:
   A non-final wave re-emits its rows by the next wave's probe key; the final
   wave computes the plan's partial aggregates and returns them to the driver
   through SQS (spilling to S3 when large);
-* **driver scope** — merge the partials, finalise derived aggregates
-  (``avg``), order, limit.
+* **driver scope** — merge the partials (or fold a ``reduce(fn)`` plan's
+  values), finalise derived aggregates (``avg``), order, limit.
 
 A repartitioned aggregation is the **k = 0** case: the base fragment
 aggregates, the final wave has no join step, and its ``aggregates`` are the
@@ -58,8 +61,9 @@ Every worker notes its rows, requests and bytes into a counter record of
 its own (:mod:`repro.counters`), shipped inside its
 :class:`~repro.engine.pipeline.WorkerResult`; each wave's accepted results
 are added to the query's record, which the returned statistics read.  Every
-wave's inputs are deleted by their announced paths as soon
-as the wave has folded, so a clean query issues no LIST at all; only a query
+wave's inputs, and the final wave's spilled results, are deleted by their
+announced paths as soon as the wave has folded, so a clean query issues no
+LIST at all; only a query
 that saw a retry or injected fault ends with a LIST sweep of its exchange and
 result prefixes for the objects of superseded attempts.
 
@@ -71,9 +75,11 @@ one cancellation token, and a typed abort sweeps the query's exchange.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, ContextManager, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -89,16 +95,11 @@ from repro.driver.integrity import RESULT_BUCKET, post_result
 from repro.driver.invocation import InvocationModel
 from repro.driver.resilience import DEFAULT_RESILIENCE_POLICY, ResiliencePolicy
 from repro.driver.spans import QueryStatistics
-from repro.engine.aggregates import (
-    FusedBatchAccumulator,
-    finalize_aggregates,
-    merge_partials,
-    partial_aggregate,
-)
+from repro.driver.worker import _charge_worker, _emit, _join_map_naming, make_worker_handler
+from repro.engine.aggregates import finalize_aggregates, merge_partials, partial_aggregate
 from repro.engine.join import hash_join
 from repro.engine.payload import decode_table, encode_table
 from repro.engine.pipeline import WorkerResult
-from repro.engine.scan import S3ScanOperator, ScanConfig
 from repro.engine.table import (
     Table,
     concat_tables,
@@ -108,9 +109,7 @@ from repro.engine.table import (
     table_num_rows,
 )
 from repro.errors import CloudError, ExecutionError, NoSuchBucketError, WorkerCrashError
-from repro.exchange.fetch import FetchPlan, SenderManifest, sender_entries, write_combined
-from repro.exchange.naming import WriteCombiningNaming
-from repro.exchange.partition import partition_assignments, scatter_by_assignment
+from repro.exchange.fetch import FetchPlan, SenderManifest, sender_entries
 from repro.formats.compression import Compression
 from repro.plan.expressions import (
     col,
@@ -121,7 +120,7 @@ from repro.plan.expressions import (
 )
 from repro.plan.logical import AggregateSpec
 from repro.plan.optimizer import _decompose_aggregates
-from repro.plan.physical import DagPhysicalPlan, DriverPlan, JoinSidePlan
+from repro.plan.physical import DagPhysicalPlan, DriverPlan, WorkerPlan, resolve_udf
 
 MAP_FUNCTION_NAME = "lambada-shuffle-map"
 REDUCE_FUNCTION_NAME = "lambada-shuffle-reduce"
@@ -167,8 +166,22 @@ JOIN_WAVES = WaveNames(
     spill_stem="join",
 )
 
-#: Bucket family of the shuffle exchange objects (spread per §4.4.1).
-SHUFFLE_BUCKET_PREFIX = "shuffle-b"
+@dataclass(frozen=True)
+class ScanWave:
+    """Where a plan's scan wave runs.
+
+    The deployed scan function and the result queue its workers report to,
+    the event fields they need beside their fragment, and ``fleet(events)``,
+    a context manager yielding the fleet's transport and labels for
+    :meth:`~repro.driver.dispatch.QueryContext.wave`.  A coordinator runs a
+    DAG's scan wave flat on its own map function; the driver runs a scan's —
+    the plan's final wave — on its own transport.
+    """
+
+    function: str
+    queue: str
+    fleet: Callable[[Dict], ContextManager[Tuple[Callable, FleetLabels]]]
+    fields: Dict[str, Any] = field(default_factory=dict)
 
 
 @dataclass
@@ -309,33 +322,6 @@ def _gc_cancelled_query(env: CloudEnvironment, query_id: str, num_buckets: int, 
     return deleted
 
 
-def _attempt_prefix(query_id: str, attempt: int) -> str:
-    """Key prefix of one attempt's map outputs.
-
-    Retries write under a fresh ``r{attempt}`` prefix, so a mapper that
-    crashed *after* its PUT (duplicate-object hazard) can never have its
-    orphaned first-attempt object confused with the retry's: the consuming
-    wave reads only the keys announced by the attempt the driver accepted.
-    """
-    return f"{query_id}/" if attempt <= 0 else f"{query_id}/r{attempt}/"
-
-
-def _join_map_naming(
-    query_id: str, side: str, num_buckets: int, attempt: int = 0
-) -> WriteCombiningNaming:
-    """Naming of one side's combined (write-combined) map outputs.
-
-    ``side`` is the exchange tag of the stream — ``"L"`` the base fleet,
-    ``"R{k}"`` stage ``k``'s build fleet, ``"J{k}"`` the intermediate a wave
-    re-emits — so the repartition streams of one query never collide.
-    """
-    return WriteCombiningNaming(
-        bucket=SHUFFLE_BUCKET_PREFIX,
-        prefix=f"{_attempt_prefix(query_id, attempt)}{side}/",
-        num_buckets=num_buckets,
-    )
-
-
 def _exchange_buckets(num_buckets: int) -> List[str]:
     """Buckets of the exchange; every query and every exchange tag shares
     them (only the key prefix differs).  A scan query has no exchange: zero
@@ -377,145 +363,10 @@ def _guarded(env: CloudEnvironment, run):
     return handler
 
 
-def _write_partitions(
-    env: CloudEnvironment,
-    event: Dict,
-    sender: int,
-    rows: Table,
-    keys: Sequence[str],
-    num_partitions: int,
-    naming: WriteCombiningNaming,
-    counts: Counts,
-    integrity: IntegrityConfig,
-) -> Dict:
-    """Hash-partition ``rows`` by ``keys`` and ship them through the exchange.
-
-    Partitions once into contiguous slices and serialises them straight from
-    the scattered columns, without re-gathering rows, into one combined
-    object: one PUT for all receivers.  A one-partition exchange neither
-    hashes nor reorders: the rows are the single slice (same object layout
-    and crcs as the scatter would produce).  The returned announcement
-    carries the object's path, size, offset directory and slice crcs —
-    shipped through the driver's wave barrier, it lets the consuming wave
-    skip discovery entirely, and an orphaned duplicate from a crashed
-    earlier attempt (written under that attempt's prefix) is never read.
-    Returns the announcement fields of the sender's result message.
-    """
-    compression = Compression(event.get("compression", Compression.NONE.value))
-    if num_partitions == 1:
-        # Every row goes to the one receiver: the rows, in the order they
-        # arrived, are already the scattered table.
-        reordered, boundaries = rows, [0, table_num_rows(rows)]
-    else:
-        assignment = partition_assignments(rows, list(keys), num_partitions)
-        reordered, boundaries = scatter_by_assignment(rows, assignment, num_partitions)
-    return write_combined(
-        env.s3, naming.path(sender, 0), reordered, boundaries, counts,
-        checksum=integrity.generate, compression=compression,
-    )
-
-
-def _make_map_handler(env: CloudEnvironment):
-    """Handler of the scan-wave functions.
-
-    One fleet's mapper scans its files (opened as one batch) with the
-    fragment's pushed-down predicate and projection, hash-partitions what
-    survives by the fragment's partition keys, and ships the partitions
-    through the write-combined exchange (one combined PUT per mapper that
-    kept a row, none for one that kept nothing).
-    A fragment that carries a group-by ships one partial-aggregate row per
-    group instead of the rows themselves.
-    """
-
-    def handler(event: Dict, context: InvocationContext) -> Dict:
-        query_id = event["query_id"]
-        worker_id = event["worker_id"]
-        side = event["side"]
-        attempt = int(event.get("attempt", 0))
-        side_plan = JoinSidePlan.from_dict(event)
-        integrity = IntegrityConfig.from_dict(event.get("integrity"))
-
-        # The pushed-down predicate rides inside the scan operator, so chunks
-        # arrive already filtered through the late-materialization path.
-        scan = S3ScanOperator(
-            env.s3,
-            files=side_plan.files,
-            columns=side_plan.columns or None,
-            prune_ranges=side_plan.prune_ranges,
-            config=ScanConfig(memory_mib=context.memory_mib),
-            bandwidth=env.bandwidth,
-            predicate=side_plan.predicate,
-        )
-        if side_plan.group_by:
-            # The fused kernel folds surviving rows straight into the partial
-            # aggregates — same single-pass pipeline as scan workers.
-            accumulator = FusedBatchAccumulator(side_plan.group_by, side_plan.aggregates)
-            for batch in scan.scan_fused(side_plan.group_by):
-                accumulator.add(batch)
-            rows = merge_partials(
-                accumulator.finish(), side_plan.group_by, side_plan.aggregates
-            )
-        else:
-            # One gather per run of row groups, bit-identical to concatenating
-            # the row groups' tables.
-            rows = concat_tables(batch.values for batch in scan.scan_fused(()))
-
-        counts = Counts(scan.counts)  # the GETs and bytes
-        counts.note("scan", "rows_scanned", scan.counters.rows_scanned)
-        counts.note("scan", "rows_after_filter", table_num_rows(rows))
-        announcement = _emit(
-            env, event, worker_id, rows, side_plan.partition_keys, event["num_partitions"],
-            side, counts, integrity,
-        )
-        modelled_seconds = _charge_worker(env, context, scan.modelled_seconds(), counts)
-        message = {
-            "query_id": query_id,
-            "worker_id": worker_id,
-            "side": side,
-            "status": "ok",
-            "attempt": attempt,
-            "worker_result": WorkerResult(
-                counters=counts, duration_seconds=modelled_seconds
-            ).to_payload(),
-            **announcement,
-        }
-        post_result(env, event["result_queue"], integrity, message)
-        return message
-
-    return _guarded(env, handler)
-
-
 def _reduce_compute_seconds(objects_read: int) -> float:
     """Modelled merge/probe time of a reduce-side worker: a fixed start-up
     share plus a per-slice decode cost."""
     return 0.1 + 0.001 * objects_read
-
-
-def _charge_worker(
-    env: CloudEnvironment,
-    context: InvocationContext,
-    compute_seconds: float,
-    counts: Counts,
-    fetch_seconds: float = 0.0,
-) -> float:
-    """Charge one wave worker's modelled duration to its invocation.
-
-    ``compute_seconds`` is the worker's own work (a mapper's scan, a
-    reducer's merge).  The exchange GETs are already priced in
-    ``fetch_seconds`` — the fetch plan's pipelined transfer plus any
-    re-reads — while every other exchange request (the emit PUT) is issued
-    on its own, as in Algorithm 1, and costs one round trip: this is where
-    write combining buys its latency.
-    """
-    exchange = LayerView(counts, "exchange")
-    round_trips = exchange.total_requests - exchange.get_requests
-    seconds = (
-        compute_seconds
-        + fetch_seconds
-        + round_trips * env.bandwidth.request_latency_seconds
-    ) * getattr(context, "straggler_factor", 1.0)
-    context.charge(seconds)
-    return seconds
 
 
 def _fetch_partition(
@@ -536,38 +387,6 @@ def _fetch_partition(
         env.s3, env.bandwidth, context.memory_mib, counts, verify=integrity.verify
     )
     return pieces, plan.slices, fetch_seconds
-
-
-def _emit(
-    env: CloudEnvironment,
-    event: Dict,
-    sender: int,
-    rows: Table,
-    keys: Sequence[str],
-    num_partitions: int,
-    tag: str,
-    counts: Counts,
-    integrity: IntegrityConfig,
-) -> Dict:
-    """Ship one worker's output rows into the exchange under ``tag``.
-
-    A mapper emits what its scan kept under its fleet's tag; a non-final
-    join wave, which does not return rows to the driver, emits its joined
-    rows by the *next wave's* probe key under the intermediate tag (``J{k}``,
-    ``k`` the wave's last stage).  Either way the worker announces what it
-    wrote through the result queue, and zero rows cost zero PUTs (format
-    ``"empty"``: the consuming wave does not list the sender at all).
-    Returns the announcement fields of the worker's result message.
-    """
-    if not table_num_rows(rows):
-        return {"format": "empty"}
-    naming = _join_map_naming(
-        event["query_id"], tag, int(event.get("num_buckets", 10)),
-        int(event.get("attempt", 0)),
-    )
-    return _write_partitions(
-        env, event, sender, rows, keys, num_partitions, naming, counts, integrity
-    )
 
 
 def _join_step(probe: Table, build: Table, step: Dict) -> Table:
@@ -682,7 +501,7 @@ def _make_reduce_handler(env: CloudEnvironment):
         modelled_seconds = _charge_worker(
             env, context, _reduce_compute_seconds(slices_read), counts, fetch_seconds
         )
-        message["worker_result"] = WorkerResult(
+        message["result"] = WorkerResult(
             counters=counts, duration_seconds=modelled_seconds
         ).to_payload()
 
@@ -734,6 +553,13 @@ def merge_driver_scope(
     if driver_plan.limit is not None:
         table = {name: np.asarray(column)[: driver_plan.limit] for name, column in table.items()}
     return table
+
+
+def fold_reduce_values(ref: str, results: Sequence[WorkerResult]) -> Optional[Any]:
+    """Driver scope of a ``reduce(fn)`` plan: fold the workers' values with
+    the registered ``fn`` (``None`` when no worker had a value)."""
+    values = [result.reduce_value for result in results if result.reduce_value is not None]
+    return functools.reduce(resolve_udf(ref), values) if values else None
 
 
 #: Share of a join worker's memory the broadcast build sides of one wave may
@@ -864,12 +690,14 @@ def scan_fan_out(
 
 
 class ShuffleJoinCoordinator:
-    """Schedules a shuffle DAG as a scan wave + as few join waves as its
-    build sides allow.
+    """The one executor: schedules a plan as a scan wave + as few join waves
+    as its build sides allow.
 
     Runs a :class:`~repro.plan.physical.DagPhysicalPlan` as it is — a query
     with one join is its one-stage case, a repartitioned aggregation its
-    zero-stage case:
+    zero-stage case, and a scan its zero-stage case without exchange, whose
+    scan wave is the final wave (step 1 without the repartition, then
+    step 3):
 
     1. **scan wave** — every relation's fleet in one wave, sized from the
        relation's stored bytes (:func:`scan_fan_out`; one mapper per file
@@ -940,7 +768,7 @@ class ShuffleJoinCoordinator:
         # event), so coordinators sharing an environment can interleave.
         env.lambda_service.deploy(
             FunctionConfig(name=self.names.map_function, memory_mib=memory_mib),
-            _make_map_handler(env),
+            make_worker_handler(env),
         )
         env.lambda_service.deploy(
             FunctionConfig(name=self.names.reduce_function, memory_mib=memory_mib),
@@ -962,18 +790,33 @@ class ShuffleJoinCoordinator:
         )
         return transport, FleetLabels(f"{what} dispatch", what, "wave_retries", stage=what)
 
+    def _map_wave(self, context: QueryContext) -> "ScanWave":
+        """The scan wave run flat on this coordinator's own map function and
+        result queue."""
+        return ScanWave(
+            self.names.map_function, self.result_queue,
+            lambda events: nullcontext(
+                self._stage(context, self.names.map_function, self.names.map_label)
+            ),
+        )
+
     def execute(
         self,
         dag: DagPhysicalPlan,
         num_workers: Optional[int] = None,
         context: Optional[QueryContext] = None,
+        final_scan: Optional["ScanWave"] = None,
     ):
         """Run the DAG plan; returns ``(table, statistics, worker_results)``.
 
         The base relation's fleet writes under the exchange tag ``"L"``, the
         build sides under ``"R"``, ``"R1"``, ... (so a one-join plan reads
         ``"L"``/``"R"``), and the intermediates of a multi-wave run under
-        ``"J0"``, ``"J1"``, ....
+        ``"J0"``, ``"J1"``, ....  A plan without exchange (a scan) runs its
+        one wave through ``final_scan`` — the caller's function, queue and
+        transport — or, without one, flat on this coordinator's map
+        function; its fleet keeps one worker per file, at most
+        ``num_workers``.
 
         The query runs under ``context`` — without one, under a context of
         its own with no breaker board, no retry budget and no token.  A
@@ -984,12 +827,8 @@ class ShuffleJoinCoordinator:
         """
         context = context or QueryContext(self.env, self.resilience_policy)
         with context.scope():
-            fleets: Dict[str, JoinSidePlan] = dict(dag.sides())
-            build_tags = [tag for tag in fleets if tag != "L"]
-            inter_tags = [f"J{k}" for k in range(len(dag.stages) - 1)]
-
             paths: Dict[str, List[str]] = {}
-            for tag, plan in fleets.items():
+            for tag, plan in dag.sides():
                 expanded = expand_glob_paths(self.env.s3, plan.files)
                 if not expanded:
                     label = "left" if tag == "L" else "right"
@@ -998,38 +837,78 @@ class ShuffleJoinCoordinator:
 
             mappers = {
                 tag: scan_fan_out(
-                    self.env.bandwidth, self.memory_mib, plan.input_bytes,
+                    self.env.bandwidth, self.memory_mib, dag.priced_bytes(plan),
                     len(paths[tag]), num_workers, self.env.region,
                 )
-                for tag, plan in fleets.items()
+                for tag, plan in dag.sides()
             }
-            num_partitions = exchange_fan_out(
-                self.env.bandwidth, self.memory_mib, dag.estimated_exchange_bytes,
-                [len(files) for files in paths.values()], num_workers,
-            )
-
-            for bucket in _exchange_buckets(self.num_buckets):
+            scan = self._map_wave(context) if dag.has_exchange or not final_scan else final_scan
+            num_buckets = num_partitions = 0
+            if dag.has_exchange:
+                num_buckets = self.num_buckets
+                num_partitions = exchange_fan_out(
+                    self.env.bandwidth, self.memory_mib, dag.estimated_exchange_bytes,
+                    [len(files) for files in paths.values()], num_workers,
+                )
+            for bucket in _exchange_buckets(num_buckets):
                 self.env.s3.ensure_bucket(bucket)
 
             with context.teardown(
                 lambda query_id: _gc_cancelled_query(
-                    self.env, query_id, self.num_buckets, self.result_queue
+                    self.env, query_id, num_buckets, scan.queue
                 )
             ):
                 return self._execute_waves(
-                    dag, fleets, build_tags, inter_tags, paths, mappers,
-                    num_partitions, context,
+                    dag, paths, mappers, num_partitions, scan, context
                 )
+
+    def _scan_events(
+        self,
+        dag: DagPhysicalPlan,
+        paths: Dict[str, List[str]],
+        mappers: Dict[str, int],
+        num_partitions: int,
+        scan: "ScanWave",
+        query_id: str,
+    ) -> Dict:
+        """The scan wave's events: every fleet's files dealt round-robin to
+        its mappers (:meth:`~repro.plan.physical.WorkerPlan.partition_files`;
+        :func:`scan_fan_out` never returns more mappers than files), each
+        fragment travelling through its own serialisation.  A fleet that
+        feeds the exchange is keyed ``(tag, worker id)`` and names its side;
+        a scan's workers are keyed by their id alone."""
+        exchange = dag.has_exchange
+        shared = {
+            "query_id": query_id, "attempt": 0, "result_queue": scan.queue,
+            "integrity": self.config.integrity.to_dict(), **scan.fields,
+        }
+        events: Dict = {}
+        for tag, plan in dag.sides():
+            fragment = plan.to_dict()
+            assignments = dataclasses.replace(plan, files=paths[tag]).partition_files(
+                mappers[tag]
+            )
+            for worker_id, files in enumerate(assignments):
+                event = {**shared, "worker_id": worker_id, "plan": {**fragment, "files": files}}
+                if not exchange:
+                    events[worker_id] = event
+                    continue
+                event.update(
+                    side=tag,
+                    num_partitions=num_partitions,
+                    compression=self.config.compression.value,
+                    num_buckets=self.num_buckets,
+                )
+                events[tag, worker_id] = event
+        return events
 
     def _execute_waves(
         self,
         dag: DagPhysicalPlan,
-        fleets: Dict[str, JoinSidePlan],
-        build_tags: List[str],
-        inter_tags: List[str],
         paths: Dict[str, List[str]],
         mappers: Dict[str, int],
         num_partitions: int,
+        scan: "ScanWave",
         context: QueryContext,
     ):
         """The wave body of :meth:`execute` (split out for the teardown)."""
@@ -1041,50 +920,30 @@ class ShuffleJoinCoordinator:
         before = resilience.to_dict()
 
         # -- scan wave (every relation's fleet dispatched together) ----------------
-        map_events: Dict = {}
-        for tag, plan in fleets.items():
-            # Files dealt round-robin; scan_fan_out never returns more
-            # mappers than files, so every mapper gets at least one.
-            for worker_id in range(mappers[tag]):
-                files = paths[tag][worker_id::mappers[tag]]
-                # The side fragment travels through its own serialisation
-                # (with the worker's file assignment substituted in).
-                fragment = plan.to_dict()
-                fragment["files"] = files
-                map_events[(tag, worker_id)] = {
-                    **fragment,
-                    "query_id": query_id,
-                    "worker_id": worker_id,
-                    "side": tag,
-                    "attempt": 0,
-                    "num_partitions": num_partitions,
-                    "result_queue": self.result_queue,
-                    "compression": self.config.compression.value,
-                    "num_buckets": self.num_buckets,
-                    "integrity": self.config.integrity.to_dict(),
-                }
-        map_messages, worker_results = context.wave(
-            map_events, *self._stage(context, self.names.map_function, self.names.map_label),
-            self.memory_mib,
-        )
+        map_events = self._scan_events(dag, paths, mappers, num_partitions, scan, query_id)
+        with scan.fleet(map_events) as (transport, labels):
+            map_messages, worker_results = context.wave(
+                map_events, transport, labels, self.memory_mib
+            )
         objects_written = sum("combined_path" in message for message in map_messages)
 
         # -- join waves (grouped from the announced sizes, chained through the
-        # exchange) ------------------------------------------------------------------
+        # exchange); a scan's scan wave is its final wave -----------------------------
+        build_tags = [tag for tag, _ in dag.sides()[1:]]
         announced = {
-            tag: [m for m in map_messages if m.get("side") == tag] for tag in fleets
+            tag: [m for m in map_messages if m.get("side") == tag] for tag, _ in dag.sides()
         }
         build_sides = [sender_entries(announced[tag]) for tag in build_tags]
-        wave_stages = _group_join_waves(
-            self.env, build_sides, num_partitions, self.memory_mib
+        wave_stages = (
+            _group_join_waves(self.env, build_sides, num_partitions, self.memory_mib)
+            if dag.has_exchange else []
         )
-        probe_messages = announced["L"]
-        reduce_waves: List[List[Dict]] = []
+        probe_messages, final = announced["L"], map_messages
         objects_read = 0
         gc_deleted = 0
-        for wave in wave_stages:
-            final = wave is wave_stages[-1]
-            side = f"S{len(reduce_waves)}"
+        for index, wave in enumerate(wave_stages):
+            last = index == len(wave_stages) - 1
+            side = f"S{index}"
             event = {
                 "query_id": query_id,
                 "side": side,
@@ -1106,13 +965,13 @@ class ShuffleJoinCoordinator:
                     }
                     for k in wave
                 ],
-                "group_by": list(dag.group_by) if final else [],
+                "group_by": list(dag.group_by) if last else [],
                 "aggregates": (
-                    [spec.to_dict() for spec in dag.aggregates] if final else []
+                    [spec.to_dict() for spec in dag.aggregates] if last else []
                 ),
-                "collect_rows": dag.driver.collect_rows if final else False,
-                "emit": None if final else {
-                    "tag": inter_tags[wave[-1]],
+                "collect_rows": dag.driver.collect_rows if last else False,
+                "emit": None if last else {
+                    "tag": f"J{wave[-1]}",
                     "key": dag.stages[wave[-1] + 1].left_key,
                     "num_partitions": num_partitions,
                 },
@@ -1122,38 +981,39 @@ class ShuffleJoinCoordinator:
                 "integrity": self.config.integrity.to_dict(),
                 "compression": self.config.compression.value,
             }
-            if final:
+            if last:
                 what = self.names.reduce_label
             elif len(wave) == 1:
                 what = f"join stage {wave[0]}"
             else:
                 what = f"join stages {wave[0]}-{wave[-1]}"
-            reduce_messages, results = context.wave(
+            final, results = context.wave(
                 {
                     (side, partition): {**event, "partition": partition}
                     for partition in range(num_partitions)
                 },
                 *self._stage(context, self.names.reduce_function, what), self.memory_mib,
             )
-            reduce_waves.append(reduce_messages)
             worker_results += results
-            objects_read += sum(m.get("objects_read", 0) for m in reduce_messages)
+            objects_read += sum(m.get("objects_read", 0) for m in final)
             # The wave has folded: nothing reads its inputs again.
             for messages in [probe_messages] + [announced[build_tags[k]] for k in wave]:
                 gc_deleted += _delete_consumed_outputs(self.env, messages)
-            if not final:
-                objects_written += sum("combined_path" in m for m in reduce_messages)
-                probe_messages = reduce_messages
+            if not last:
+                objects_written += sum("combined_path" in m for m in final)
+                probe_messages = final
 
         # -- driver scope ------------------------------------------------------------
-        context.fetch_spilled(reduce_waves[-1], self.config.integrity.verify)
-        result = merge_driver_scope(
-            [message["frame"] for message in reduce_waves[-1]],
+        context.fetch_spilled(final, self.config.integrity.verify)
+        for result, message in zip(worker_results[-len(final):], final):
+            result.partial = message.get("frame")
+        result = {} if dag.base.reduce_udf else merge_driver_scope(
+            [message["frame"] for message in final],
             dag.driver, dag.group_by, dag.aggregates, dag.project,
         )
 
         # The final wave is folded: its spilled results have no reader left.
-        gc_deleted += _delete_consumed_outputs(self.env, reduce_waves[-1])
+        gc_deleted += _delete_consumed_outputs(self.env, final)
         context.note_faults()
         faulted = resilience.to_dict() != before
         gc_lists = 0
@@ -1161,7 +1021,9 @@ class ShuffleJoinCoordinator:
             # A superseded attempt (crash after PUT, hedge loser) may have
             # left objects no announcement names: exchange objects or a
             # spilled result.
-            swept, gc_lists = _gc_query_objects(self.env, query_id, self.num_buckets)
+            swept, gc_lists = _gc_query_objects(
+                self.env, query_id, self.num_buckets if dag.has_exchange else 0
+            )
             gc_deleted += swept
 
         spans.place_run(context.trace, resilience.backoff_seconds)
@@ -1177,7 +1039,7 @@ class ShuffleJoinCoordinator:
             wave_stages=wave_stages,
             gc_objects_deleted=gc_deleted,
             gc_list_requests=gc_lists,
-            results_spilled=sum("result_s3" in message for message in reduce_waves[-1]),
+            results_spilled=sum("result_s3" in message for message in final),
             exchange_partitions=num_partitions,
             estimated_exchange_bytes=dag.estimated_exchange_bytes,
             _counters=context.counters, _trace=context.trace, _bill=context.bill,
@@ -1264,7 +1126,7 @@ class ShuffleAggregateCoordinator(ShuffleJoinCoordinator):
                         needed |= referenced_columns(spec.expression)
                 columns = sorted(needed)
             dag = DagPhysicalPlan(
-                base=JoinSidePlan(
+                base=WorkerPlan(
                     files=paths,
                     key=group_by[0],
                     columns=list(columns),

@@ -65,9 +65,8 @@ class Span:
 
 
 def duration(message: Dict) -> float:
-    """The modelled duration in a scan's or a wave worker's result message."""
-    result = message.get("result") or message.get("worker_result") or {}
-    return result.get("duration_seconds", 0.0)
+    """The modelled duration in a worker's result message."""
+    return message.get("result", {}).get("duration_seconds", 0.0)
 
 
 def record_round(
@@ -430,9 +429,8 @@ class QueryStatistics(CounterViews, QueryClock):
     collection_receives: int = viewed()
     #: Logical join stages of the plan (1 for a binary join,
     #: ``len(dag.stages)`` for an N-way join DAG, 0 for a repartitioned
-    #: aggregation; 1 for scan queries too, where no join exists but the
-    #: field keeps a uniform meaning).
-    dag_stages: int = 1
+    #: aggregation and for a scan).
+    dag_stages: int = 0
     #: The join waves that actually ran, each the DAG stages it executed —
     #: its first stage repartitioned, the others fused in as broadcast joins
     #: (decided at run time from the build sides' sizes; ``[[]]`` for a
@@ -443,20 +441,21 @@ class QueryStatistics(CounterViews, QueryClock):
     #: for scans); ``exchange.bytes_written`` is what the run measured.
     exchange_partitions: int = 0
     estimated_exchange_bytes: int = 0
-    #: Mappers each scan fleet of a DAG started, by exchange tag (``"L"``,
-    #: ``"R"``, ``"R1"``, ...; empty for scans).
+    #: Workers each scan fleet started, by exchange tag (``"L"``, ``"R"``,
+    #: ``"R1"``, ...; a scan's one fleet is ``"L"``).
     map_fleets: Dict[str, int] = field(default_factory=dict)
     #: Partition objects written (combined objects count 1) / non-empty
     #: slices read, every wave summed (0 for scans).
     partition_objects_written: int = 0
     partition_objects_read: int = 0
-    #: Rows of a coordinator run's result (0 for the driver's scans).
+    #: Rows of the run's result table.
     result_rows: int = 0
     #: Final-wave results too large for a queue message: each travelled
     #: through the result bucket instead (one PUT, one driver-side GET).
     results_spilled: int = 0
-    #: Exchange objects the coordinator deleted: each wave's consumed inputs,
-    #: spilled results, and whatever a post-fault sweep found (0 for scans).
+    #: Objects the coordinator deleted: each wave's consumed exchange inputs,
+    #: the final wave's spilled results, and whatever a post-fault sweep
+    #: found.
     gc_objects_deleted: int = 0
     #: LIST requests of the coordinator's end-of-query orphan sweep, which
     #: only runs after a fault (0 on a clean run).

@@ -149,17 +149,15 @@ def _apply_map(plan: WorkerPlan, chunk: Table, column_order: Sequence[str]) -> T
 
 
 def _plan_supports_fused(plan: WorkerPlan, config: ScanConfig) -> bool:
-    """Whether the fused scan→filter→partial-agg kernel can run this plan.
-
-    The fused path covers expression-only aggregation plans; opaque UDFs and
-    computed map columns need materialised chunks, and without late
-    materialization there is no selection vector to fuse.
-    """
+    """Whether the fused scan path can run this plan: it covers
+    expression-only plans that aggregate or collect rows; opaque UDFs,
+    computed map columns and reduce folds need materialised chunks, and
+    without late materialization there is no selection vector to fuse."""
     return bool(
-        plan.aggregates
-        and plan.predicate_udf is None
+        plan.predicate_udf is None
         and plan.map_udf is None
         and not plan.map_outputs
+        and plan.reduce_udf is None
         and config.late_materialization
     )
 
@@ -230,6 +228,11 @@ def execute_worker_plan_table(
     rows_after_filter = 0
 
     if fused and _plan_supports_fused(plan, config):
+        if not plan.aggregates:
+            # Row collection: one gather per run of row groups, bit-identical
+            # to concatenating the row groups' tables.
+            table = concat_tables(batch.values for batch in scan.scan_fused(()))
+            return _finish_worker_plan(scan, table, None, table_num_rows(table))
         # Fused pipeline: the scan's selection vectors feed the aggregate
         # kernels directly, group keys stay in code space, and no filtered
         # chunk is ever materialised.
@@ -237,10 +240,8 @@ def execute_worker_plan_table(
         for batch in scan.scan_fused(plan.group_by):
             rows_after_filter += batch.num_rows
             accumulator.add(batch)
-        return _finish_worker_plan(
-            plan, scan, accumulator.finish(), collected, reduce_fn, reduce_values,
-            rows_after_filter,
-        )
+        table = merge_partials(accumulator.finish(), plan.group_by, plan.aggregates)
+        return _finish_worker_plan(scan, table, None, rows_after_filter)
 
     column_order: List[str] = list(plan.columns)
     for chunk in scan.scan():
@@ -274,36 +275,26 @@ def execute_worker_plan_table(
         else:
             collected.append(mapped)
 
-    return _finish_worker_plan(
-        plan, scan, partials, collected, reduce_fn, reduce_values, rows_after_filter
-    )
+    table: Optional[Table] = None
+    reduce_value = None
+    if plan.aggregates:
+        table = merge_partials(partials, plan.group_by, plan.aggregates)
+    elif reduce_fn is not None:
+        reduce_value = functools.reduce(reduce_fn, reduce_values) if reduce_values else None
+    else:
+        table = concat_tables(collected)
+    return _finish_worker_plan(scan, table, reduce_value, rows_after_filter)
 
 
 def _finish_worker_plan(
-    plan: WorkerPlan,
     scan: S3ScanOperator,
-    partials: List[Table],
-    collected: List[Table],
-    reduce_fn,
-    reduce_values: List[Any],
+    table: Optional[Table],
+    reduce_value: Any,
     rows_after_filter: int,
 ) -> tuple:
-    """Merge per-chunk outputs and assemble the (result, table) pair."""
-    if plan.aggregates:
-        table: Optional[Table] = merge_partials(partials, plan.group_by, plan.aggregates)
-        rows_output = table_num_rows(table)
-        reduce_value = None
-    elif reduce_fn is not None:
-        reduce_value = (
-            functools.reduce(reduce_fn, reduce_values) if reduce_values else None
-        )
-        table = None
-        rows_output = 0 if reduce_value is None else 1
-    else:
-        table = concat_tables(collected)
-        rows_output = table_num_rows(table)
-        reduce_value = None
-
+    """Assemble the (result, table) pair: the scan's counters and modelled
+    timings around the output table or reduce value."""
+    rows_output = table_num_rows(table) if table is not None else int(reduce_value is not None)
     counters = scan.counters
     counts = Counts(scan.counts)  # the GETs and bytes
     for name in (

@@ -32,7 +32,7 @@ from repro.plan.logical import (
     ScanNode,
 )
 from repro.plan.optimizer import optimize
-from repro.plan.physical import PhysicalPlan, register_udf
+from repro.plan.physical import DagPhysicalPlan, register_udf
 
 
 def from_files(paths: Union[str, Sequence[str]]) -> "DataFlow":
@@ -146,13 +146,11 @@ class DataFlow:
         """The logical plan built so far."""
         return self.plan
 
-    def physical_plan(self) -> PhysicalPlan:
+    def physical_plan(self) -> DagPhysicalPlan:
         """Optimize into a physical plan (including a pending UDF reduce)."""
         physical, _ = optimize(self.plan)
         if self._reduce_udf is not None:
-            ref = register_udf(self._reduce_udf)
-            physical.worker_template.reduce_udf = ref
-            physical.driver.reduce_udf = ref
+            physical.base.reduce_udf = register_udf(self._reduce_udf)
             physical.driver.collect_rows = False
         return physical
 

@@ -5,10 +5,11 @@ The frontend (Python dataflow API or mini-SQL) produces a
 described in the paper (§3.2): selection and projection push-down into the
 scan, predicate-derived min/max pruning ranges, and splitting aggregations
 into a data-parallel partial phase and a driver-side final phase.  The result
-is a :class:`~repro.plan.physical.PhysicalPlan` with two *scopes* — a
-serverless scope executed by the workers and a driver scope executed locally —
-plus a serialisable :class:`~repro.plan.physical.WorkerPlan` fragment shipped
-to each worker in its invocation payload.
+is a :class:`~repro.plan.physical.DagPhysicalPlan` with two *scopes* — a
+serverless scope executed by the workers (a scan wave, then one wave per group
+of join stages) and a driver scope executed locally — whose serialisable
+:class:`~repro.plan.physical.WorkerPlan` fragments are shipped to each scan
+worker in its invocation payload.
 """
 
 from repro.plan.expressions import (
@@ -39,7 +40,7 @@ from repro.plan.logical import (
     JoinNode,
 )
 from repro.plan.optimizer import optimize, OptimizerReport
-from repro.plan.physical import PhysicalPlan, WorkerPlan, DriverPlan, PruneRange
+from repro.plan.physical import DagPhysicalPlan, WorkerPlan, DriverPlan, PruneRange
 
 __all__ = [
     "Expression",
@@ -67,7 +68,7 @@ __all__ = [
     "JoinNode",
     "optimize",
     "OptimizerReport",
-    "PhysicalPlan",
+    "DagPhysicalPlan",
     "WorkerPlan",
     "DriverPlan",
     "PruneRange",

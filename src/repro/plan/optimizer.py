@@ -1,9 +1,9 @@
 """Logical-to-physical optimizer.
 
 Applies the rewrites described in the paper (§3.2) and lowers a logical plan
-into one of two physical plans.  A plan without joins lowers into the
-single-stage :class:`~repro.plan.physical.PhysicalPlan`
-(:func:`_lower_scan`):
+into its :class:`~repro.plan.physical.DagPhysicalPlan`.  A plan without joins
+lowers into the plan with no stages and no exchange, whose scan wave is its
+final wave (:func:`_lower_scan`):
 
 1. **Selection push-down** — filter predicates move into the scan fragment;
    conjunctive single-column comparisons additionally yield
@@ -21,8 +21,7 @@ single-stage :class:`~repro.plan.physical.PhysicalPlan`
    serverless scope; final merge, ordering, and limits run in the driver
    scope.
 
-A plan with inner equi-joins lowers into a
-:class:`~repro.plan.physical.DagPhysicalPlan` with one stage per join — a
+A plan with inner equi-joins lowers into the plan with one stage per join — a
 single join is simply the one-stage case — through one pipeline of plain
 functions (:func:`_lower_joins`), each pass handing plain values to the next:
 
@@ -53,7 +52,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import InvalidPlanError
 from repro.plan.expressions import (
@@ -78,8 +77,6 @@ from repro.plan.physical import (
     DagJoinStage,
     DagPhysicalPlan,
     DriverPlan,
-    JoinSidePlan,
-    PhysicalPlan,
     PruneRange,
     WorkerPlan,
     register_udf,
@@ -301,7 +298,6 @@ def _driver_plan(
     driver = DriverPlan(
         group_by=group_by,
         final_aggregates=finals,
-        partial_aliases=[spec.alias for spec in partials],
         order_by=list(tail.order_by),
         descending=tail.descending,
         limit=tail.limit,
@@ -315,8 +311,9 @@ def _driver_plan(
 # ---------------------------------------------------------------------------
 
 
-def _lower_scan(chain: List[LogicalPlan]) -> Tuple[PhysicalPlan, OptimizerReport]:
-    """Lower a join-free chain into the single-stage :class:`PhysicalPlan`."""
+def _lower_scan(chain: List[LogicalPlan]) -> Tuple[DagPhysicalPlan, OptimizerReport]:
+    """Lower a join-free chain into the plan without stages or exchange: its
+    base fragment (no join key) is the whole serverless scope."""
     report = OptimizerReport()
     if not chain or not isinstance(chain[0], ScanNode):
         raise InvalidPlanError("plan must start with a scan")
@@ -359,8 +356,8 @@ def _lower_scan(chain: List[LogicalPlan]) -> Tuple[PhysicalPlan, OptimizerReport
         columns = report.pushed_columns = sorted(needed)
 
     partials, driver = _driver_plan(tail, report)
-    worker = WorkerPlan(
-        files=[],
+    base = WorkerPlan(
+        files=list(chain[0].paths),
         columns=columns,
         predicate=predicate,
         predicate_udf=predicate_udf,
@@ -370,9 +367,11 @@ def _lower_scan(chain: List[LogicalPlan]) -> Tuple[PhysicalPlan, OptimizerReport
         map_replace=map_replace,
         group_by=list(driver.group_by),
         aggregates=partials,
+        input_bytes=chain[0].size_bytes,
     )
-    physical = PhysicalPlan(
-        worker_template=worker, driver=driver, input_files=list(chain[0].paths)
+    physical = DagPhysicalPlan(
+        base=base, stages=[], driver=driver,
+        group_by=list(driver.group_by), aggregates=partials,
     )
     return physical, report
 
@@ -594,7 +593,7 @@ def _project_sides(
     relations: List[_Relation], predicates: List[List[Expression]],
     schemas: List[set], order: List[int], stages: List[_Stage],
     needed: set, keep_every_column: bool,
-) -> Dict[int, JoinSidePlan]:
+) -> Dict[int, WorkerPlan]:
     """Per-relation projection push-down: each relation's scan fragment
     outputs its join keys and the columns it owns that a residual or the
     tail reads (every column when its schema is unknown or the query
@@ -607,7 +606,7 @@ def _project_sides(
         if owner is not None:
             keys[owner].add(scope_key)
     side_key = {order[0]: stages[0][1], **{rel: key for rel, _, key in stages}}
-    sides: Dict[int, JoinSidePlan] = {}
+    sides: Dict[int, WorkerPlan] = {}
     for rel in order:
         scan, _, project = relations[rel]
         predicate = _combine_predicates(predicates[rel])
@@ -617,7 +616,7 @@ def _project_sides(
             columns = []
         else:
             columns = sorted(keys[rel] | (needed & schemas[rel]))
-        sides[rel] = JoinSidePlan(
+        sides[rel] = WorkerPlan(
             files=list(scan.paths),
             key=side_key[rel],
             columns=columns,
@@ -630,7 +629,7 @@ def _project_sides(
 
 def _assemble_dag(
     relations: List[_Relation], order: List[int], stages: List[_Stage],
-    sides: Dict[int, JoinSidePlan], residuals: List[List[Expression]],
+    sides: Dict[int, WorkerPlan], residuals: List[List[Expression]],
     restore: List[bool], carried: List[List[str]], tail: _Tail,
     report: OptimizerReport,
 ) -> DagPhysicalPlan:
@@ -697,17 +696,15 @@ def _lower_joins(
     return plan, report
 
 
-def optimize(
-    plan: LogicalPlan,
-) -> Tuple[Union[PhysicalPlan, DagPhysicalPlan], OptimizerReport]:
-    """Lower a logical plan into a physical plan, applying all rewrites.
+def optimize(plan: LogicalPlan) -> Tuple[DagPhysicalPlan, OptimizerReport]:
+    """Lower a logical plan into its physical plan, applying all rewrites.
 
     A plan with one or more :class:`~repro.plan.logical.JoinNode` s lowers
     into a :class:`~repro.plan.physical.DagPhysicalPlan` with one stage per
     join (a scan wave, join waves, a driver merge); everything else lowers
-    into the single-stage :class:`~repro.plan.physical.PhysicalPlan`.  Both
-    implement the unified plan protocol (``engine`` / ``waves()`` /
-    ``estimated_cost()`` / ``explain()``).
+    into the one without stages, whose scan wave returns its partials to the
+    driver (``waves()`` / ``estimated_cost()`` / ``explain()`` describe
+    either).
     """
     chain = plan.chain()
     joins = [index for index, node in enumerate(chain) if isinstance(node, JoinNode)]

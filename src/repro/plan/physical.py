@@ -1,9 +1,11 @@
 """Physical plan: driver scope + serverless worker fragments.
 
-The physical plan separates the query into the two scopes described in the
-paper (§3.2): a **serverless scope** executed data-parallel by the workers and
-a **driver scope** that merges the partial results locally.  The per-worker
-fragment (:class:`WorkerPlan`) is fully serialisable so it can travel inside
+The physical plan of every query, :class:`DagPhysicalPlan`, separates it into
+the two scopes described in the paper (§3.2): a **serverless scope** executed
+data-parallel by the workers — a scan wave, then the join waves, if any — and
+a **driver scope** that merges the partial results locally.  A query without
+joins is the plan with no stages and no exchange.  The per-worker fragment
+(:class:`WorkerPlan`) is fully serialisable so it can travel inside
 an invocation payload, with the exception of Python UDFs, which are shipped by
 reference through a registry (standing in for the paper's dependency layer,
 which contains the compiled UDF code).
@@ -115,12 +117,24 @@ class PruneRange:
 
 @dataclass
 class WorkerPlan:
-    """Serialisable plan fragment executed by one serverless worker."""
+    """Serialisable plan fragment executed by one serverless worker.
 
-    #: Object-store paths of the files this worker scans.
+    Every scan fleet runs one: it scans its files with the pushed-down
+    predicate and projection, then maps, aggregates, folds or collects
+    what survives.  A fragment with a ``key`` ends in an exchange (§4.4): it
+    repartitions its output by the hash of :attr:`partition_keys` so that
+    matching keys meet on the same worker of the consuming wave; one without
+    returns its output to the driver.
+    """
+
+    #: Object-store paths (or globs) of the files this worker scans.
     files: List[str]
-    #: Columns to read from the files (projection push-down result).
-    columns: List[str]
+    #: Columns to read from the files (projection push-down result; [] reads
+    #: all columns).
+    columns: List[str] = field(default_factory=list)
+    #: Join key column of a fragment that feeds an exchange (``None``: the
+    #: fragment returns its output to the driver, no exchange).
+    key: Optional[str] = None
     #: Residual filter predicate applied after the scan (may be None).
     predicate: Optional[Expression] = None
     #: Predicate UDF reference (mutually exclusive with ``predicate``).
@@ -143,14 +157,26 @@ class WorkerPlan:
     #: Scan configuration knobs.
     scan_connections: int = 4
     scan_chunk_bytes: int = 16 * 1024 * 1024
-    #: Optional exchange specification (set for repartitioning queries).
-    exchange: Optional[Dict] = None
+    #: Stored bytes of the fragment's files, all columns (the catalog's size
+    #: of the relation; 0 = unknown).  An estimate from above of what the
+    #: fleet sends through the exchange: projection and predicate only shrink it.
+    input_bytes: int = 0
+
+    @property
+    def partition_keys(self) -> List[str]:
+        """Columns whose hash routes a row through the exchange: every group
+        key of an aggregating fragment, the join key otherwise; none for a
+        fragment without a ``key``."""
+        if self.key is None:
+            return []
+        return list(self.group_by) or [self.key]
 
     def to_dict(self) -> Dict:
         """Serialise to a JSON-compatible dict for the invocation payload."""
         return {
             "files": list(self.files),
             "columns": list(self.columns),
+            "key": self.key,
             "predicate": expression_to_dict(self.predicate),
             "predicate_udf": self.predicate_udf,
             "prune_ranges": [item.to_dict() for item in self.prune_ranges],
@@ -165,7 +191,7 @@ class WorkerPlan:
             "reduce_udf": self.reduce_udf,
             "scan_connections": self.scan_connections,
             "scan_chunk_bytes": self.scan_chunk_bytes,
-            "exchange": self.exchange,
+            "input_bytes": self.input_bytes,
         }
 
     @classmethod
@@ -173,7 +199,8 @@ class WorkerPlan:
         """Inverse of :meth:`to_dict`."""
         return cls(
             files=list(data["files"]),
-            columns=list(data["columns"]),
+            columns=list(data.get("columns", [])),
+            key=data.get("key"),
             predicate=expression_from_dict(data.get("predicate")),
             predicate_udf=data.get("predicate_udf"),
             prune_ranges=[PruneRange.from_dict(item) for item in data.get("prune_ranges", [])],
@@ -188,7 +215,7 @@ class WorkerPlan:
             reduce_udf=data.get("reduce_udf"),
             scan_connections=data.get("scan_connections", 4),
             scan_chunk_bytes=data.get("scan_chunk_bytes", 16 * 1024 * 1024),
-            exchange=data.get("exchange"),
+            input_bytes=int(data.get("input_bytes", 0)),
         )
 
     def with_files(self, files: Sequence[str]) -> "WorkerPlan":
@@ -196,6 +223,22 @@ class WorkerPlan:
         clone = WorkerPlan.from_dict(self.to_dict())
         clone.files = list(files)
         return clone
+
+    def partition_files(self, num_workers: int) -> List[List[str]]:
+        """Split the files into ``num_workers`` balanced assignments.
+
+        Files are dealt round-robin, matching the paper's one-or-more files
+        per worker model (``F = files per worker``, ``W = 320 / F``).
+        Workers that would receive no files are dropped.
+        """
+        if num_workers <= 0:
+            raise InvalidPlanError("num_workers must be positive")
+        assignments = (self.files[worker::num_workers] for worker in range(num_workers))
+        return [files for files in assignments if files]
+
+    def worker_plans(self, num_workers: int) -> List["WorkerPlan"]:
+        """Per-worker fragments for ``num_workers`` workers."""
+        return [self.with_files(files) for files in self.partition_files(num_workers)]
 
 
 @dataclass
@@ -205,83 +248,11 @@ class DriverPlan:
     group_by: List[str] = field(default_factory=list)
     #: The original (user-facing) aggregates, used to finalise avg etc.
     final_aggregates: List[AggregateSpec] = field(default_factory=list)
-    #: The partial aggregate aliases produced by the workers, in order.
-    partial_aliases: List[str] = field(default_factory=list)
     order_by: List[str] = field(default_factory=list)
     descending: bool = False
     limit: Optional[int] = None
     #: True when the query has no aggregation and the workers return raw rows.
     collect_rows: bool = False
-    #: Reference to a binary reduce UDF used to fold the worker partials.
-    reduce_udf: Optional[str] = None
-
-
-@dataclass
-class JoinSidePlan:
-    """Serialisable scan fragment of one fleet of a shuffle DAG.
-
-    Each side's map wave scans its files, applies the pushed-down predicate,
-    projects the pushed-down columns, and repartitions the surviving rows by
-    the hash of ``key`` through the write-combined exchange so matching keys
-    meet on the same join worker.  A fragment that carries ``group_by``
-    folds the map-side partial aggregation into the scan — the way a
-    Select/Project folds into the step that produces its input — and ships
-    one row per group, partitioned by *all* group keys, so every group meets
-    on one worker of the consuming wave.
-    """
-
-    #: Object-store paths (or globs) of this side's files.
-    files: List[str]
-    #: Join key column of this side.
-    key: str
-    #: Columns to read (projection push-down result; [] reads all columns).
-    columns: List[str] = field(default_factory=list)
-    #: Pushed-down filter predicate of this side (may be None).
-    predicate: Optional[Expression] = None
-    #: Min/max prune ranges derived from this side's predicate.
-    prune_ranges: List[PruneRange] = field(default_factory=list)
-    #: Group keys of the partial aggregation folded into the scan ([] ships
-    #: the filtered rows).
-    group_by: List[str] = field(default_factory=list)
-    #: Partial aggregates computed per group (avg already decomposed).
-    aggregates: List[AggregateSpec] = field(default_factory=list)
-    #: Stored bytes of this side's files, all columns (the catalog's size of
-    #: the relation; 0 = unknown).  An estimate from above of what the side
-    #: sends through the exchange: projection and predicate only shrink it.
-    input_bytes: int = 0
-
-    @property
-    def partition_keys(self) -> List[str]:
-        """Columns whose hash routes a row: every group key of an
-        aggregating fragment, the join key otherwise."""
-        return list(self.group_by) or [self.key]
-
-    def to_dict(self) -> Dict:
-        """Serialise to a JSON-compatible dict for the invocation payload."""
-        return {
-            "files": list(self.files),
-            "key": self.key,
-            "columns": list(self.columns),
-            "predicate": expression_to_dict(self.predicate),
-            "prune_ranges": [item.to_dict() for item in self.prune_ranges],
-            "group_by": list(self.group_by),
-            "aggregates": [spec.to_dict() for spec in self.aggregates],
-            "input_bytes": self.input_bytes,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "JoinSidePlan":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            files=list(data["files"]),
-            key=data["key"],
-            columns=list(data.get("columns", [])),
-            predicate=expression_from_dict(data.get("predicate")),
-            prune_ranges=[PruneRange.from_dict(item) for item in data.get("prune_ranges", [])],
-            group_by=list(data.get("group_by", [])),
-            aggregates=[AggregateSpec.from_dict(item) for item in data.get("aggregates", [])],
-            input_bytes=int(data.get("input_bytes", 0)),
-        )
 
 
 @dataclass
@@ -302,7 +273,7 @@ class DagJoinStage:
     #: Join key column on the accumulated (probe) side.
     left_key: str
     #: Scan fragment of the newly joined relation (build side).
-    right: JoinSidePlan
+    right: WorkerPlan
     #: Conjuncts that first become evaluable at this stage (reference columns
     #: of more than one relation already in scope); applied to the joined rows.
     residual_predicate: Optional[Expression] = None
@@ -320,7 +291,7 @@ class DagJoinStage:
 
 @dataclass
 class DagPhysicalPlan:
-    """Physical plan of an N-way join executed as a DAG of shuffle waves.
+    """Physical plan of every query: a DAG of waves over the exchange.
 
     One map *wave* scans every base relation concurrently (one fleet per
     relation, each repartitioning by the key of the stage that consumes it),
@@ -334,35 +305,44 @@ class DagPhysicalPlan:
     Because every combined-object path is announced through the wave
     barrier, no wave issues a single discovery request.
 
-    A plan with **no** stages is a repartitioned aggregation: the base
-    fragment carries the map-side partial aggregation, and the one final
-    wave joins nothing — it folds its hash partition of the partials with
-    the plan's ``aggregates`` (the merge functions: sum of sums, min of
-    mins).
+    A plan with **no** stages is one of two things.  With a keyed base
+    fragment it is a repartitioned aggregation: the base fragment carries the
+    map-side partial aggregation, and the one final wave joins nothing — it
+    folds its hash partition of the partials with the plan's ``aggregates``
+    (the merge functions: sum of sums, min of mins).  With a base fragment
+    without a key it is a scan (a plan without joins): there is no exchange,
+    the scan wave is the final wave, and ``group_by`` / ``aggregates`` are
+    the partials its workers return for the driver to merge.
     """
 
-    engine = "shuffle-dag"
-
     #: Scan fragment of the first (probe-side) base relation.
-    base: JoinSidePlan
+    base: WorkerPlan
     #: The join levels, in execution order ([] for a repartitioned
-    #: aggregation, whose base fragment aggregates).
+    #: aggregation, whose base fragment aggregates, and for a scan).
     stages: List[DagJoinStage]
     driver: DriverPlan
     #: Explicit projection above the final join (row-collecting queries only).
     project: Optional[List[str]] = None
-    #: Group-by keys of the partial aggregation above the final join.
+    #: Group-by keys of the partial aggregation of the final wave.
     group_by: List[str] = field(default_factory=list)
-    #: Partial aggregates computed by the final join wave (avg decomposed).
+    #: Partial aggregates computed by the final wave (avg decomposed).
     aggregates: List[AggregateSpec] = field(default_factory=list)
 
     def __post_init__(self):
-        if not self.stages and not self.base.group_by:
+        if self.stages and self.base.key is None:
+            raise InvalidPlanError("a join stage needs a base fragment with a join key")
+        if not self.stages and self.base.key is not None and not self.base.group_by:
             raise InvalidPlanError(
                 "a DAG plan without join stages requires an aggregating base fragment"
             )
 
-    def sides(self) -> List[Tuple[str, JoinSidePlan]]:
+    @property
+    def has_exchange(self) -> bool:
+        """Whether the scan wave repartitions (a join or a repartitioned
+        aggregation); ``False`` for a scan, whose scan wave is the final wave."""
+        return bool(self.base.partition_keys)
+
+    def sides(self) -> List[Tuple[str, WorkerPlan]]:
         """Every scan fleet as ``(exchange tag, fragment)``: the base
         (``"L"``), then each stage's build side (``"R"``, ``"R1"``, ...)."""
         sides = [("L", self.base)]
@@ -377,9 +357,10 @@ class DagPhysicalPlan:
         """Bytes the scan wave sends through the exchange, estimated from
         above: the stored size of every side's files, projection and
         predicates ignored.  ``0`` when any side's size is unknown — a sum
-        with a hole in it bounds nothing."""
+        with a hole in it bounds nothing — and for a scan, which sends
+        nothing."""
         sizes = [side.input_bytes for _, side in self.sides()]
-        return sum(sizes) if all(size > 0 for size in sizes) else 0
+        return sum(sizes) if self.has_exchange and all(size > 0 for size in sizes) else 0
 
     def exchange_partitions(self, num_workers: Optional[int] = None) -> int:
         """Join workers per wave the coordinator starts for this plan, by its
@@ -405,12 +386,13 @@ class DagPhysicalPlan:
         is one logical join stage — the upper bound on join waves, since the
         coordinator fuses stages with broadcastable build sides into the
         wave before them at run time — or, for a plan without stages, the
-        one wave that merges the repartitioned partial aggregates.  Each
-        fleet carries its ``files`` (listed; a glob counts as one), its
-        stored ``input_bytes`` (0 = unknown) and the ``mappers`` the
-        coordinator's rule (:func:`~repro.driver.shuffle.scan_fan_out`)
-        starts for them under the default bandwidth model, worker size and
-        region.
+        one wave that merges the repartitioned partial aggregates; a scan is
+        its one ``"scan"`` wave.  Each fleet carries its ``files`` (listed; a
+        glob counts as one), its stored ``input_bytes`` (0 = unknown) and the
+        ``mappers`` the coordinator's rule
+        (:func:`~repro.driver.shuffle.scan_fan_out`) starts for them under
+        the default bandwidth model, worker size and region — one per file
+        for a scan, whose fleet is not priced from its bytes.
         """
         from repro.cloud.lambda_service import FunctionConfig
         from repro.cloud.network import BandwidthModel
@@ -426,14 +408,16 @@ class DagPhysicalPlan:
                 "files": len(side.files),
                 "input_bytes": side.input_bytes,
                 "mappers": scan_fan_out(
-                    bandwidth, FunctionConfig.memory_mib, side.input_bytes,
+                    bandwidth, FunctionConfig.memory_mib, self.priced_bytes(side),
                     max(1, len(side.files)),
                 ),
                 "columns": list(side.columns),
-                "predicate": side.predicate is not None,
+                "predicate": side.predicate is not None or side.predicate_udf is not None,
             }
             for tag, side in self.sides()
         ]
+        if not self.has_exchange:
+            return [{"kind": "scan", "fleets": fleets}]
         waves: List[Dict] = [{"kind": "map", "fleets": fleets}]
         if not self.stages:
             waves.append({"kind": "merge", "group_by": list(self.base.group_by)})
@@ -454,18 +438,33 @@ class DagPhysicalPlan:
             )
         return waves
 
-    def estimated_cost(self, num_workers: Optional[int] = None) -> float:
-        """Modelled request dollars of the exchange waves (admission estimate).
+    def priced_bytes(self, side: WorkerPlan) -> int:
+        """The bytes a scan fleet is sized from (:func:`~repro.driver.shuffle.scan_fan_out`):
+        the side's stored size when the plan has an exchange; none for a
+        scan, which keeps one worker per file (at most ``num_workers``)."""
+        return side.input_bytes if self.has_exchange else 0
 
-        Priced at the fan-out the coordinator would choose
-        (:meth:`exchange_partitions`); ``num_workers`` overrides it the way
-        it overrides the coordinator's choice."""
+    def estimated_cost(self, num_workers: Optional[int] = None) -> float:
+        """Modelled request dollars of the plan (admission estimate).
+
+        A scan never touches the exchange, so its request cost is dominated
+        by the input GETs: one per file, plus one result message each.  A
+        plan with an exchange is priced at the fan-out the coordinator would
+        choose (:meth:`exchange_partitions`); ``num_workers`` overrides it
+        the way it overrides the coordinator's choice."""
+        if not self.has_exchange:
+            from repro.cloud.pricing import DEFAULT_PRICES
+
+            reads = max(1, len(self.base.files))
+            return DEFAULT_PRICES.s3_get_cost(reads) + DEFAULT_PRICES.sqs_cost(reads)
         return _estimate_exchange_cost(
             self.waves(), num_workers, self.exchange_partitions(num_workers)
         )
 
     def explain(self) -> str:
         """Human-readable description of the DAG: one line per fleet/stage."""
+        if not self.has_exchange:
+            return self._explain_scan()
         lines = [
             f"DagPhysicalPlan ({len(self.stages)} join stage(s), "
             "grouped into join waves at run time)"
@@ -524,12 +523,37 @@ class DagPhysicalPlan:
             lines.append(f"final: project {self.project}")
         else:
             lines.append("final: collect rows")
-        if self.driver.order_by:
-            lines.append(
-                f"driver: order_by={self.driver.order_by} "
-                f"desc={self.driver.descending} limit={self.driver.limit}"
-            )
-        return "\n".join(lines)
+        return "\n".join(lines + self._explain_driver())
+
+    def _explain_scan(self) -> str:
+        """A scan's one wave: its files, columns and what its workers do."""
+        base = self.base
+        cols = list(base.columns) or ["*"]
+        lines = [
+            "DagPhysicalPlan (scan, no exchange)",
+            f"wave 0: scan {len(base.files)} file(s), cols={cols}",
+        ]
+        if base.predicate is not None:
+            lines.append(f"  filter: {base.predicate!r}")
+        if base.predicate_udf is not None:
+            lines.append(f"  filter: udf {base.predicate_udf}")
+        if base.map_outputs:
+            names = [alias for alias, _ in base.map_outputs]
+            lines.append(f"  map: {names} (replace={base.map_replace})")
+        if base.aggregates:
+            aggs = [f"{a.function}(...) as {a.alias}" for a in base.aggregates]
+            lines.append(f"  partial agg: group_by={base.group_by} aggs={aggs}")
+        if base.reduce_udf is not None:
+            lines.append(f"  reduce: udf {base.reduce_udf}")
+        return "\n".join(lines + self._explain_driver())
+
+    def _explain_driver(self) -> List[str]:
+        if not self.driver.order_by:
+            return []
+        return [
+            f"driver: order_by={self.driver.order_by} "
+            f"desc={self.driver.descending} limit={self.driver.limit}"
+        ]
 
 
 def describe_executed_waves(wave_stages: Sequence[Sequence[int]]) -> str:
@@ -589,92 +613,3 @@ def _estimate_exchange_cost(
         elif wave["kind"] == "join":
             total += model.cost("1l-wc", partitions)["total_cost"]
     return total
-
-
-@dataclass
-class PhysicalPlan:
-    """Complete physical plan: one worker fragment template + the driver plan."""
-
-    engine = "scan"
-
-    worker_template: WorkerPlan
-    driver: DriverPlan
-    #: All input files of the query, before assignment to workers.
-    input_files: List[str] = field(default_factory=list)
-
-    def partition_files(self, num_workers: int) -> List[List[str]]:
-        """Split the input files into ``num_workers`` balanced assignments.
-
-        Files are dealt round-robin, matching the paper's one-or-more files
-        per worker model (``F = files per worker``, ``W = 320 / F``).
-        Workers that would receive no files are dropped.
-        """
-        if num_workers <= 0:
-            raise InvalidPlanError("num_workers must be positive")
-        assignments: List[List[str]] = [[] for _ in range(num_workers)]
-        for index, path in enumerate(self.input_files):
-            assignments[index % num_workers].append(path)
-        return [files for files in assignments if files]
-
-    def worker_plans(self, num_workers: int) -> List[WorkerPlan]:
-        """Materialise per-worker fragments for ``num_workers`` workers."""
-        return [
-            self.worker_template.with_files(files)
-            for files in self.partition_files(num_workers)
-        ]
-
-    def waves(self) -> List[Dict]:
-        """Wave descriptors (the unified plan protocol): one scan wave."""
-        template = self.worker_template
-        return [
-            {
-                "kind": "scan",
-                "fleets": [
-                    {
-                        "role": "scan",
-                        "tag": "S",
-                        "files": len(self.input_files),
-                        "columns": list(template.columns),
-                        "predicate": template.predicate is not None
-                        or template.predicate_udf is not None,
-                    }
-                ],
-            }
-        ]
-
-    def estimated_cost(self, num_workers: int = 8) -> float:
-        """Modelled request dollars: one GET per file plus result messages.
-
-        A scan-aggregate query never touches the exchange, so its request
-        cost is dominated by the input GETs; this mirrors the admission
-        controller's per-query dollar estimate.
-        """
-        from repro.cloud.pricing import DEFAULT_PRICES
-
-        reads = max(1, len(self.input_files))
-        return DEFAULT_PRICES.s3_get_cost(reads) + DEFAULT_PRICES.sqs_cost(reads)
-
-    def explain(self) -> str:
-        """Human-readable description of the scan-aggregate plan."""
-        template = self.worker_template
-        cols = list(template.columns) or ["*"]
-        lines = [
-            "PhysicalPlan (scan + partial aggregation)",
-            f"wave 0: scan {len(self.input_files)} file(s), cols={cols}",
-        ]
-        if template.predicate is not None:
-            lines.append(f"  filter: {template.predicate!r}")
-        if template.predicate_udf is not None:
-            lines.append(f"  filter: udf {template.predicate_udf}")
-        if template.map_outputs:
-            names = [alias for alias, _ in template.map_outputs]
-            lines.append(f"  map: {names} (replace={template.map_replace})")
-        if template.aggregates:
-            aggs = [f"{a.function}(...) as {a.alias}" for a in template.aggregates]
-            lines.append(f"  partial agg: group_by={template.group_by} aggs={aggs}")
-        if self.driver.order_by:
-            lines.append(
-                f"driver: order_by={self.driver.order_by} "
-                f"desc={self.driver.descending} limit={self.driver.limit}"
-            )
-        return "\n".join(lines)

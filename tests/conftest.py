@@ -9,8 +9,11 @@ import pytest
 
 from repro.cloud.environment import CloudEnvironment
 from repro.cloud.s3 import SHM_SEGMENT_PREFIX, SharedObjectMirror
+from repro.driver.dispatch import QueryContext
 from repro.driver.driver import LambadaDriver
+from repro.driver.integrity import RESULT_BUCKET
 from repro.driver.spans import QueryStatistics
+from repro.driver.worker import SHUFFLE_BUCKET_PREFIX
 from repro.workload.tpch import LineitemGenerator, generate_lineitem_dataset
 
 
@@ -31,25 +34,62 @@ def leaked_segments():
     return [name for name in shm_segments() if name not in live]
 
 
+def query_leftovers(env, query_id: str):
+    """Objects under ``{query_id}/`` in the result bucket and the shuffle
+    buckets, read from the store itself: no metered request, no fault hook."""
+    s3 = getattr(env, "s3", None)
+    buckets = getattr(s3, "_buckets", None)
+    if buckets is None:  # a stand-in environment without an object store
+        return []
+    prefix = f"{query_id}/"
+    with s3._lock:
+        return sorted(
+            f"{bucket}/{key}"
+            for bucket, objects in buckets.items()
+            if bucket == RESULT_BUCKET or bucket.startswith(SHUFFLE_BUCKET_PREFIX)
+            for key in objects
+            if key.startswith(prefix)
+        )
+
+
+def _record_calls(monkeypatch, cls, name):
+    """Wrap ``cls.name`` so that every call records its ``self``; returns
+    the list it records into."""
+    calls = []
+    method = getattr(cls, name)
+
+    def recording(self, *args, **kwargs):
+        result = method(self, *args, **kwargs)
+        calls.append(self)
+        return result
+
+    monkeypatch.setattr(cls, name, recording)
+    return calls
+
+
 @pytest.fixture(autouse=True)
 def invariants(monkeypatch):
     """After every test: no ``lambada_*`` segment outlives the mirror that
-    held it, and no query attributes more waste than the cloud billed it.
+    held it, a closed driver's mirror is no longer live, no query attributes
+    more waste than the cloud billed it, and no query that returned a result
+    left an object under its prefix in the result or shuffle buckets.
 
     Every query reports one :class:`QueryStatistics`, so one hook on its
-    constructor sees every query the test ran, whatever ran it."""
-    built = []
-    init = QueryStatistics.__init__
-
-    def recording(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        built.append(self)
-
-    monkeypatch.setattr(QueryStatistics, "__init__", recording)
+    constructor sees every query the test ran, whatever ran it; one on
+    :class:`QueryContext` knows which environment each query ran in."""
+    built = _record_calls(monkeypatch, QueryStatistics, "__init__")
+    contexts = _record_calls(monkeypatch, QueryContext, "__init__")
+    closed = _record_calls(monkeypatch, LambadaDriver, "close")
     yield
     assert leaked_segments() == []
+    live = set(SharedObjectMirror._live)
+    assert [driver for driver in closed if driver._mirror in live] == []
+    envs = {context.query_id: context.env for context in contexts}
     for statistics in built:
         assert statistics.resilience.wasted_cost_dollars <= statistics.cost_total
+        query_id = statistics._trace.attrs.get("query_id")
+        if query_id in envs:
+            assert query_leftovers(envs[query_id], query_id) == []
 
 
 @pytest.fixture

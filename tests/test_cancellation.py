@@ -214,7 +214,7 @@ def test_scan_cancel_gcs_spilled_results(stack, driver, monkeypatch):
     env, dataset, _ = stack
     monkeypatch.setattr("repro.driver.integrity.RESULT_SPILL_BYTES", 64)
     env.s3.ensure_bucket(RESULT_BUCKET)
-    deleted = _gc_spy(monkeypatch, LambadaDriver, "_gc_cancelled_scan")
+    deleted = _gc_spy(monkeypatch, shuffle_module, "_gc_cancelled_query")
 
     token = CancellationToken(cancel_at_stage="collect")
     tables = tpch_catalog(lineitem=dataset.paths)

@@ -89,8 +89,7 @@ def test_explain_lists_operators():
 def test_physical_plan_includes_pending_reduce():
     flow = from_files("s3://b/*.lpq").map(lambda row: row[0]).reduce(lambda a, b: a + b)
     physical = flow.physical_plan()
-    assert physical.worker_template.reduce_udf is not None
-    assert physical.driver.reduce_udf == physical.worker_template.reduce_udf
+    assert physical.base.reduce_udf is not None
     assert not physical.driver.collect_rows
 
 

@@ -283,7 +283,7 @@ def _worker(fail_until):
         if payload["attempt"] < until:
             return {**message, "status": "error", "error": f"RuntimeError: {key}"}
         # An ok message carries the worker's (here empty) result header.
-        return {**message, "status": "ok", "worker_result": {}}
+        return {**message, "status": "ok", "result": {}}
 
     return outcome
 
@@ -501,15 +501,16 @@ def test_the_retry_loop_and_the_poller_exist_once():
     assert set(_modules_calling("decorrelated_jitter")) == {"dispatch.py", "resilience.py"}
     assert set(_modules_calling("receive_messages")) == {"dispatch.py"}
     # One loop with one caller in all of src/, QueryContext.wave, which
-    # every fleet goes through: the scan fleet (over either transport) and
-    # the shuffle map and join waves (the facade's are the same call sites).
+    # every fleet goes through, all in the coordinator's one wave body: the
+    # scan wave (a scan's on the driver's transport, either one) and the
+    # join waves (the facade's are the same call sites).
     callers = {
         str(path.relative_to(SOURCES)): count
         for path in sorted(SOURCES.rglob("*.py"))
         if (count := _calls(path, "run_fleet"))
     }
     assert callers == {"driver/dispatch.py": 1}
-    assert _context_waves() == {"driver.py": 1, "shuffle.py": 2}
+    assert _context_waves() == {"shuffle.py": 2}
     # One hedge race, inside that method.
     assert _modules_calling("pick_stragglers") == {"dispatch.py": 1}
     # One Lambda + SQS transport, which both of them build.

@@ -18,17 +18,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.driver.shuffle as shuffle_module
+import repro.driver.worker as worker_module
 from repro.cloud.environment import CloudEnvironment
 from repro.cloud.network import BandwidthModel
 from repro.config import DEFAULT_SCAN_CONNECTIONS, IntegrityConfig, MiB
 from repro.counters import Counts, LayerView
-from repro.driver.shuffle import (
-    _join_map_naming,
-    _reduce_compute_seconds,
-    _write_partitions,
-    exchange_fan_out,
-)
+from repro.driver.shuffle import _reduce_compute_seconds, exchange_fan_out
+from repro.driver.worker import _join_map_naming, _write_partitions
 from repro.exchange.codec import encode_partition_set, slice_crcs
 from repro.exchange.partition import partition_assignments, scatter_by_assignment
 from repro.frontend.sql import SqlCatalog, parse_sql
@@ -326,8 +322,8 @@ def test_one_partition_write_calls_no_partitioner_and_writes_the_same_bytes(monk
     def forbidden(*args, **kwargs):
         raise AssertionError("the one-partition write path partitioned")
 
-    monkeypatch.setattr(shuffle_module, "partition_assignments", forbidden)
-    monkeypatch.setattr(shuffle_module, "scatter_by_assignment", forbidden)
+    monkeypatch.setattr(worker_module, "partition_assignments", forbidden)
+    monkeypatch.setattr(worker_module, "scatter_by_assignment", forbidden)
     monkeypatch.setattr(np, "argsort", forbidden)
     env = CloudEnvironment.create()
     for bucket in _join_map_naming("q", "L", 2).buckets():

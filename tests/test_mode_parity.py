@@ -127,7 +127,7 @@ def test_fused_kernel_matches_classic_per_worker(stack, sql, num_workers):
     """The fused single-pass kernel is bit-identical to scan+filter+aggregate."""
     env, dataset, _ = stack
     physical, _ = optimize(parse_sql(sql(), tpch_catalog(lineitem=dataset.paths)))
-    for index, worker_plan in enumerate(physical.worker_plans(num_workers)):
+    for index, worker_plan in enumerate(physical.base.worker_plans(num_workers)):
         classic = execute_worker_plan(worker_plan, env.s3, fused=False)
         fused = execute_worker_plan(worker_plan, env.s3, fused=True)
         assert_bit_identical(

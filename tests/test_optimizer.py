@@ -34,7 +34,7 @@ def test_projection_pushdown_collects_referenced_columns():
     physical, report = optimize(plan)
     # The scan outputs what the aggregate reads; it reads "a" for its
     # selection vector itself.
-    assert physical.worker_template.columns == ["b", "c", "g"]
+    assert physical.base.columns == ["b", "c", "g"]
     assert report.pushed_columns == ["b", "c", "g"]
     assert not report.read_all_columns
 
@@ -42,7 +42,7 @@ def test_projection_pushdown_collects_referenced_columns():
 def test_udf_plans_read_all_columns():
     plan = FilterNode(child=ScanNode(paths=("s3://b/x.lpq",)), udf=lambda row: True)
     physical, report = optimize(plan)
-    assert physical.worker_template.columns == []
+    assert physical.base.columns == []
     assert report.read_all_columns
 
 
@@ -52,10 +52,10 @@ def test_selection_pushdown_generates_prune_ranges():
         predicate=(col("d") >= 10) & (col("d") < 20) & (col("q") < 5),
     )
     physical, report = optimize(plan)
-    ranges = {r.column: (r.lower, r.upper) for r in physical.worker_template.prune_ranges}
+    ranges = {r.column: (r.lower, r.upper) for r in physical.base.prune_ranges}
     assert ranges["d"] == (10, 20)
     assert ranges["q"] == (-math.inf, 5)
-    assert physical.worker_template.predicate is not None
+    assert physical.base.predicate is not None
 
 
 def test_multiple_filters_are_conjoined():
@@ -64,7 +64,7 @@ def test_multiple_filters_are_conjoined():
         predicate=col("b") < 5,
     )
     physical, _ = optimize(plan)
-    ranges = {r.column for r in physical.worker_template.prune_ranges}
+    ranges = {r.column for r in physical.base.prune_ranges}
     assert ranges == {"a", "b"}
 
 
@@ -74,7 +74,7 @@ def test_avg_decomposed_into_sum_and_count():
         aggregates=(AggregateSpec("avg", col("v"), "mean_v"),),
     )
     physical, report = optimize(plan)
-    partial_aliases = [spec.alias for spec in physical.worker_template.aggregates]
+    partial_aliases = [spec.alias for spec in physical.base.aggregates]
     assert "__mean_v_sum" in partial_aliases
     assert "__mean_v_count" in partial_aliases
     finals = [spec.alias for spec in physical.driver.final_aggregates]
@@ -92,7 +92,7 @@ def test_simple_aggregates_pass_through():
         ),
     )
     physical, _ = optimize(plan)
-    assert [spec.alias for spec in physical.worker_template.aggregates] == ["s", "lo", "n"]
+    assert [spec.alias for spec in physical.base.aggregates] == ["s", "lo", "n"]
     assert physical.driver.group_by == ["g"]
     assert not physical.driver.collect_rows
 
@@ -101,7 +101,7 @@ def test_no_aggregation_means_collect_rows():
     plan = ProjectNode(child=ScanNode(paths=("s3://b/x.lpq",)), columns=("a", "b"))
     physical, _ = optimize(plan)
     assert physical.driver.collect_rows
-    assert physical.worker_template.columns == ["a", "b"]
+    assert physical.base.columns == ["a", "b"]
 
 
 def test_order_by_and_limit_land_in_driver_plan():
@@ -129,8 +129,8 @@ def test_map_outputs_are_forwarded():
         outputs=(("v", col("a") * col("b")),),
     )
     physical, _ = optimize(plan)
-    assert physical.worker_template.map_outputs[0][0] == "v"
-    assert physical.worker_template.columns == ["a", "b"]
+    assert physical.base.map_outputs[0][0] == "v"
+    assert physical.base.columns == ["a", "b"]
 
 
 def test_plan_must_start_with_scan():
@@ -159,7 +159,7 @@ def test_join_nodes_lower_into_a_one_stage_dag_plan():
 def test_q1_pushdowns():
     catalog = tpch_catalog(lineitem=["s3://tpch/lineitem/part-0.lpq"])
     physical, report = optimize(parse_sql(q1_sql(), catalog))
-    assert set(physical.worker_template.columns) == {
+    assert set(physical.base.columns) == {
         "l_returnflag",
         "l_linestatus",
         "l_quantity",
@@ -167,16 +167,16 @@ def test_q1_pushdowns():
         "l_discount",
         "l_tax",
     }
-    assert any(r.column == "l_shipdate" for r in physical.worker_template.prune_ranges)
+    assert any(r.column == "l_shipdate" for r in physical.base.prune_ranges)
     assert physical.driver.group_by == ["l_returnflag", "l_linestatus"]
 
 
 def test_q6_pushdowns():
     catalog = tpch_catalog(lineitem=["s3://tpch/lineitem/part-0.lpq"])
     physical, report = optimize(parse_sql(q6_sql(), catalog))
-    ranges = {r.column: (r.lower, r.upper) for r in physical.worker_template.prune_ranges}
+    ranges = {r.column: (r.lower, r.upper) for r in physical.base.prune_ranges}
     assert "l_shipdate" in ranges
     assert "l_discount" in ranges
     assert "l_quantity" in ranges
-    assert set(physical.worker_template.columns) == {"l_extendedprice", "l_discount"}
+    assert set(physical.base.columns) == {"l_extendedprice", "l_discount"}
 

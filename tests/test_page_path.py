@@ -35,7 +35,7 @@ from hypothesis import strategies as st
 import repro
 from repro.cloud.lambda_service import FunctionConfig, InvocationContext
 from repro.counters import Counts
-from repro.driver import shuffle
+from repro.driver import worker
 from repro.engine.s3io import S3ObjectSource
 from repro.engine.scan import S3ScanOperator, ScanConfig
 from repro.engine.table import concat_tables, table_num_rows
@@ -46,7 +46,7 @@ from repro.formats.schema import ColumnType, Field, Schema
 from repro.frontend.sql import parse_sql
 from repro.plan.expressions import col
 from repro.plan.optimizer import optimize
-from repro.plan.physical import JoinSidePlan
+from repro.plan.physical import WorkerPlan
 from repro.workload import queries as q
 from repro.workload import tpch
 
@@ -268,7 +268,7 @@ def stack():
     return env, datasets
 
 
-def _reference(env, side_plan: JoinSidePlan, memory_mib: int) -> Tuple[Dict, S3ScanOperator]:
+def _reference(env, side_plan: WorkerPlan, memory_mib: int) -> Tuple[Dict, S3ScanOperator]:
     """The pre-run mapper: one table per row group, concatenated."""
     scan = S3ScanOperator(
         env.s3, files=side_plan.files, columns=side_plan.columns or None,
@@ -286,14 +286,14 @@ def _assert_bits(actual: Dict, expected: Dict) -> None:
 
 def _capture_emits(monkeypatch) -> List[Tuple[Dict, Dict, Counts]]:
     emitted: List[Tuple[Dict, Dict, Counts]] = []
-    original = shuffle._emit
+    original = worker._emit
 
     def recording(env, event, sender, rows, keys, num_partitions, tag, counts, integrity):
-        if "files" in event:  # a scan-wave mapper
+        if "plan" in event:  # a scan-wave mapper
             emitted.append((event, rows, Counts(counts)))
         return original(env, event, sender, rows, keys, num_partitions, tag, counts, integrity)
 
-    monkeypatch.setattr(shuffle, "_emit", recording)
+    monkeypatch.setattr(worker, "_emit", recording)
     return emitted
 
 
@@ -305,11 +305,12 @@ def test_join_mappers_emit_the_row_group_scans_rows(stack, monkeypatch):
             session.register(dataset)
         for sql in (q.q3_sql(), q.q5_sql()):
             session.sql(sql)
-    row_mappers = [item for item in emitted if not JoinSidePlan.from_dict(item[0]).group_by]
+    fragment = lambda event: WorkerPlan.from_dict(event["plan"])  # noqa: E731
+    row_mappers = [item for item in emitted if not fragment(item[0]).group_by]
     assert len(row_mappers) >= 8
-    assert any(len(JoinSidePlan.from_dict(event).files) > 1 for event, _, _ in row_mappers)
+    assert any(len(fragment(event).files) > 1 for event, _, _ in row_mappers)
     for event, rows, counts in row_mappers:
-        expected, scan = _reference(env, JoinSidePlan.from_dict(event), 2048)
+        expected, scan = _reference(env, fragment(event), 2048)
         _assert_bits(rows, expected)
         assert counts["scan", "rows_scanned"] == scan.counters.rows_scanned
         assert counts["scan", "rows_after_filter"] == table_num_rows(expected)
@@ -324,20 +325,20 @@ def test_a_predicate_that_empties_a_whole_run(stack, monkeypatch):
     # one run is empty; the other two are filtered row by row.
     first = ColumnarFile(S3ObjectSource(env.s3, paths[0]))
     last_day = first.metadata.column_ranges()["l_shipdate"][1]
-    side_plan = JoinSidePlan(
+    side_plan = WorkerPlan(
         files=paths[:3], key="l_orderkey",
         columns=["l_orderkey", "l_extendedprice", "l_shipdate"],
         predicate=(col("l_shipdate") > last_day) & (col("l_orderkey") > 30000),
     )
     event = {
-        **side_plan.to_dict(), "query_id": "runs", "worker_id": 0, "side": "L",
+        "plan": side_plan.to_dict(), "query_id": "runs", "worker_id": 0, "side": "L",
         "attempt": 0, "num_partitions": 2, "result_queue": "unused",
     }
     emitted: List[Tuple[Dict, Counts]] = []
-    monkeypatch.setattr(shuffle, "_emit", lambda env, event, sender, rows, keys, parts, tag,
+    monkeypatch.setattr(worker, "_emit", lambda env, event, sender, rows, keys, parts, tag,
                         counts, integrity: emitted.append((rows, Counts(counts))) or {})
-    monkeypatch.setattr(shuffle, "post_result", lambda *args, **kwargs: None)
-    handler = shuffle._make_map_handler(env)
+    monkeypatch.setattr(worker, "post_result", lambda *args, **kwargs: None)
+    handler = worker.make_worker_handler(env)
     handler(event, InvocationContext(FunctionConfig(name="map", memory_mib=2048), 0, False))
     ((rows, counts),) = emitted
 
@@ -381,7 +382,7 @@ def test_a_q1_scan_stays_inside_its_page_budget():
     env = repro.CloudEnvironment.create()
     dataset = tpch.generate_lineitem_dataset(env.s3, scale_factor=0.05, num_files=8, seed=7)
     physical, _ = optimize(parse_sql(q.q1_sql(), q.tpch_catalog(lineitem=dataset.paths)))
-    plan = physical.worker_plans(8)[0]
+    plan = physical.base.worker_plans(8)[0]
     assert len(plan.files) == 1
 
     def scan_once():

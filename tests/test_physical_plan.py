@@ -12,8 +12,6 @@ from repro.plan.physical import (
     DagJoinStage,
     DagPhysicalPlan,
     DriverPlan,
-    JoinSidePlan,
-    PhysicalPlan,
     PruneRange,
     WorkerPlan,
     clear_udf_registry,
@@ -78,11 +76,7 @@ def test_with_files_copies_without_aliasing():
 
 
 def test_partition_files_balanced():
-    plan = PhysicalPlan(
-        worker_template=_template(),
-        driver=DriverPlan(),
-        input_files=[f"s3://b/{i}.lpq" for i in range(10)],
-    )
+    plan = _template().with_files([f"s3://b/{i}.lpq" for i in range(10)])
     assignments = plan.partition_files(4)
     assert sum(len(files) for files in assignments) == 10
     sizes = sorted(len(files) for files in assignments)
@@ -90,30 +84,24 @@ def test_partition_files_balanced():
 
 
 def test_partition_files_more_workers_than_files():
-    plan = PhysicalPlan(
-        worker_template=_template(),
-        driver=DriverPlan(),
-        input_files=["s3://b/0.lpq", "s3://b/1.lpq"],
-    )
+    plan = _template().with_files(["s3://b/0.lpq", "s3://b/1.lpq"])
     assignments = plan.partition_files(8)
     assert len(assignments) == 2  # empty workers are dropped
 
 
 def test_partition_files_rejects_nonpositive():
-    plan = PhysicalPlan(worker_template=_template(), driver=DriverPlan(), input_files=["s3://b/0"])
+    plan = _template().with_files(["s3://b/0"])
     with pytest.raises(InvalidPlanError):
         plan.partition_files(0)
 
 
 def test_worker_plans_have_distinct_files():
-    plan = PhysicalPlan(
-        worker_template=_template(),
-        driver=DriverPlan(),
-        input_files=[f"s3://b/{i}.lpq" for i in range(6)],
-    )
+    plan = _template().with_files([f"s3://b/{i}.lpq" for i in range(6)])
     worker_plans = plan.worker_plans(3)
     seen = [path for wp in worker_plans for path in wp.files]
-    assert sorted(seen) == sorted(plan.input_files)
+    assert sorted(seen) == sorted(plan.files)
+    # Dealt round-robin: worker w reads files w, w + 3, ...
+    assert [wp.files for wp in worker_plans][0] == ["s3://b/0.lpq", "s3://b/3.lpq"]
 
 
 def test_udf_registry_roundtrip():
@@ -141,8 +129,8 @@ def test_udf_references_are_unique():
 # ---------------------------------------------------------------------------
 
 
-def _aggregating_side() -> JoinSidePlan:
-    return JoinSidePlan(
+def _aggregating_side() -> WorkerPlan:
+    return WorkerPlan(
         files=["s3://b/0.lpq", "s3://b/1.lpq", "s3://b/2.lpq"],
         key="g",
         columns=["g", "h", "v"],
@@ -165,7 +153,7 @@ def _zero_stage_plan() -> DagPhysicalPlan:
 
 def test_join_side_plan_roundtrips_its_partial_aggregate_fragment():
     side = _aggregating_side()
-    restored = JoinSidePlan.from_dict(side.to_dict())
+    restored = WorkerPlan.from_dict(side.to_dict())
     assert restored.files == side.files and restored.key == "g"
     assert restored.columns == side.columns
     assert restored.predicate.equals(side.predicate)
@@ -177,18 +165,20 @@ def test_join_side_plan_roundtrips_its_partial_aggregate_fragment():
     # An aggregating fragment partitions by every group key, a plain one by
     # its join key; fragments serialised before the extension still load.
     assert restored.partition_keys == ["g", "h"]
-    plain = JoinSidePlan.from_dict({"files": ["s3://b/0.lpq"], "key": "k"})
+    plain = WorkerPlan.from_dict({"files": ["s3://b/0.lpq"], "key": "k"})
     assert plain.group_by == [] and plain.aggregates == []
     assert plain.partition_keys == ["k"]
     # Likewise the side's stored size: absent in an old payload means unknown.
     assert (side.input_bytes, plain.input_bytes) == (0, 0)
     sized = dataclasses.replace(side, input_bytes=12345)
-    assert JoinSidePlan.from_dict(sized.to_dict()).input_bytes == 12345
+    assert WorkerPlan.from_dict(sized.to_dict()).input_bytes == 12345
+    # A fragment without a join key feeds no exchange: nothing routes its rows.
+    assert dataclasses.replace(side, key=None).partition_keys == []
 
 
 def test_zero_stage_dag_describes_a_scan_wave_and_a_merge_wave():
     plan = _zero_stage_plan()
-    assert plan.engine == "shuffle-dag"
+    assert plan.has_exchange
     waves = plan.waves()
     assert [wave["kind"] for wave in waves] == ["map", "merge"]
     (fleet,) = waves[0]["fleets"]
@@ -211,7 +201,7 @@ def test_zero_stage_dag_costs_one_exchange():
     assert cost == plan.estimated_cost(num_workers=3)  # fleets shrink to their files
     joined = DagPhysicalPlan(
         base=plan.base,
-        stages=[DagJoinStage(left_key="g", right=JoinSidePlan(files=["s3://b/r.lpq"], key="k"))],
+        stages=[DagJoinStage(left_key="g", right=WorkerPlan(files=["s3://b/r.lpq"], key="k"))],
         driver=DriverPlan(),
     )
     assert joined.estimated_cost(num_workers=8) > cost
@@ -220,5 +210,5 @@ def test_zero_stage_dag_costs_one_exchange():
 def test_dag_without_stages_requires_an_aggregating_base():
     with pytest.raises(InvalidPlanError):
         DagPhysicalPlan(
-            base=JoinSidePlan(files=["s3://b/0.lpq"], key="k"), stages=[], driver=DriverPlan()
+            base=WorkerPlan(files=["s3://b/0.lpq"], key="k"), stages=[], driver=DriverPlan()
         )

@@ -1,11 +1,14 @@
-"""Structure guards for the planner: one join lowering, made of short passes.
+"""Structure guards for the planner: one plan class, one join lowering,
+made of short passes.
 
 A query with one join lowers through the same pipeline as a query with
-many (a one-stage :class:`~repro.plan.physical.DagPhysicalPlan`), so the
-physical plans are ``PhysicalPlan`` and ``DagPhysicalPlan`` and nothing
-else.  These guards fail if the second lowering, its plan class or the
-protocol method that converted between them comes back anywhere under
-``src/``, or if a pass of the optimizer outgrows 80 lines.  The driver's
+many (a one-stage :class:`~repro.plan.physical.DagPhysicalPlan`), and a
+query without joins is the plan with no stages and no exchange, so the one
+physical plan class is ``DagPhysicalPlan``.  These guards fail if a second
+lowering, a second plan or fragment class, the protocol method that
+converted between them, or the scan-only handler and driver paths they fed
+come back anywhere under ``src/``, or if a pass of the optimizer outgrows
+80 lines.  The driver's
 functions are held to the same measure by a ratchet: the long ones that
 exist are listed with their length, and may only shrink.
 """
@@ -16,7 +19,10 @@ from pathlib import Path
 
 SOURCES = Path(__file__).resolve().parent.parent / "src" / "repro"
 OPTIMIZER = SOURCES / "plan" / "optimizer.py"
-RETIRED = re.compile(r"\b(JoinPhysicalPlan|_optimize_join|as_dag)\b")
+RETIRED = re.compile(
+    r"\b(JoinPhysicalPlan|_optimize_join|as_dag|PhysicalPlan|JoinSidePlan|worker_template"
+    r"|_make_map_handler|_gc_cancelled_scan|_execute_join)\b"
+)
 MAX_FUNCTION_LINES = 80
 MAX_OPTIMIZER_LINES = 720
 DRIVER = SOURCES / "driver"
@@ -24,9 +30,9 @@ DRIVER = SOURCES / "driver"
 #: with its length.  A function may shrink (then lower or drop its entry);
 #: it may not grow, and no other function may join the list.
 LONG_DRIVER_FUNCTIONS = {
-    "driver.py::LambadaDriver.execute": 155,
+    "driver.py::LambadaDriver.execute": 103,
     "shuffle.py::_make_reduce_handler": 86,
-    "shuffle.py::ShuffleJoinCoordinator._execute_waves": 162,
+    "shuffle.py::ShuffleJoinCoordinator._execute_waves": 143,
 }
 
 
@@ -82,12 +88,14 @@ def test_long_driver_functions_only_shrink():
     assert set(LONG_DRIVER_FUNCTIONS) <= set(long)
 
 
-def test_physical_plans_are_two_classes():
+def test_physical_plans_are_one_class():
     from repro.plan import physical
 
-    engines = {
-        name: cls.engine
+    plans = {
+        name
         for name, cls in vars(physical).items()
-        if isinstance(cls, type) and isinstance(getattr(cls, "engine", None), str)
+        if isinstance(cls, type) and cls.__module__ == physical.__name__
+        and callable(getattr(cls, "waves", None))
     }
-    assert engines == {"PhysicalPlan": "scan", "DagPhysicalPlan": "shuffle-dag"}
+    assert plans == {"DagPhysicalPlan"}
+    assert not hasattr(physical.DagPhysicalPlan, "engine")

@@ -439,7 +439,7 @@ def test_q1_worker_at_scan_agg_shape_pays_a_handful_of_round_trips():
     env = repro.CloudEnvironment.create()
     dataset = generate_lineitem_dataset(env.s3, scale_factor=0.05, num_files=8, seed=7)
     physical, _ = optimize(parse_sql(q.q1_sql(), q.tpch_catalog(lineitem=dataset.paths)))
-    worker_plans = physical.worker_plans(8)
+    worker_plans = physical.base.worker_plans(8)
     assert all(len(plan.files) == 1 for plan in worker_plans)
     result = execute_worker_plan(worker_plans[0], env.s3)
     assert result.counters["scan", "rows_scanned"] > 30_000

@@ -178,7 +178,7 @@ def _worker_outputs(env, dataset):
     outputs = []
     for sql in (q.q1_sql, q.q6_sql):
         physical, _ = optimize(parse_sql(sql(), q.tpch_catalog(lineitem=dataset.paths)))
-        for plan in physical.worker_plans(2):
+        for plan in physical.base.worker_plans(2):
             result, table = execute_worker_plan_table(plan, env.s3)
             outputs.append((result.to_payload(), table))
     return outputs

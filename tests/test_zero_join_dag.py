@@ -36,7 +36,7 @@ from repro.formats.compression import Compression
 from repro.plan.expressions import col, lit
 from repro.plan.logical import AggregateSpec
 from repro.plan.optimizer import _decompose_aggregates
-from repro.plan.physical import DagPhysicalPlan, DriverPlan, JoinSidePlan
+from repro.plan.physical import DagPhysicalPlan, DriverPlan, WorkerPlan
 from repro.workload.tpch import LineitemGenerator, generate_lineitem_dataset
 
 from tests.test_mode_parity import assert_bit_identical
@@ -57,7 +57,7 @@ def _zero_stage_plan(dataset) -> DagPhysicalPlan:
     start the same fleets."""
     partials, finals = _decompose_aggregates(list(AGGREGATES))
     return DagPhysicalPlan(
-        base=JoinSidePlan(
+        base=WorkerPlan(
             files=list(dataset.paths),
             key=GROUP_BY[0],
             predicate=PREDICATE,
