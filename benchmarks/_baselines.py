@@ -7,7 +7,7 @@ package only while a production path reaches it (ROADMAP item 4).
 from __future__ import annotations
 
 import json
-from typing import Dict
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -60,3 +60,64 @@ def hash_join_dict(
             raise ValueError(f"column name collision on {out_name!r}")
         result[out_name] = np.asarray(column)[right_idx]
     return result
+
+
+def tables_allclose(
+    left: Dict[str, np.ndarray],
+    right: Dict[str, np.ndarray],
+    rtol: float = 1e-9,
+    atol: float = 1e-9,
+    equal_nan: bool = True,
+) -> bool:
+    """Whether two tables have the same columns and numerically equal content.
+
+    NaNs compare equal by default (``equal_nan``): two pipelines that both
+    produce a NaN for the same row agree semantically.
+    """
+    if set(left.keys()) != set(right.keys()):
+        return False
+    for name in left:
+        if len(left[name]) != len(right[name]):
+            return False
+        if not np.allclose(
+            np.asarray(left[name], dtype=np.float64),
+            np.asarray(right[name], dtype=np.float64),
+            rtol=rtol,
+            atol=atol,
+            equal_nan=equal_nan,
+        ):
+            return False
+    return True
+
+
+def scan_baseline(store, files: Sequence[str], columns: Sequence[str], predicate,
+                  bandwidth=None) -> Tuple[List[Dict[str, np.ndarray]], object]:
+    """The full-decode scan that late materialization replaced.
+
+    Opens the files as :class:`~repro.engine.scan.S3ScanOperator` does (one
+    batch of suffix reads), then, for every row group, decodes every column
+    the outputs and the predicate need, evaluates the whole predicate on the
+    decoded arrays and mask-copies the outputs.  Returns the non-empty chunks
+    and the GET/byte counts of the reads.
+    """
+    from repro.counters import Counts
+    from repro.engine.s3io import S3ObjectSource, open_sources
+    from repro.formats.parquet import TAIL_BYTES, ColumnarFile
+    from repro.plan.expressions import evaluate, referenced_columns
+
+    counts = Counts()
+    sources = [S3ObjectSource(store, path, bandwidth=bandwidth, counts=counts) for path in files]
+    open_sources(sources, TAIL_BYTES)
+    needed = list(dict.fromkeys([*columns, *sorted(referenced_columns(predicate))]))
+    chunks = []
+    for source in sources:
+        reader = ColumnarFile(source)
+        for group in reader.row_groups:
+            if not group.num_rows:
+                continue
+            reader.prefetch(group, needed)
+            decoded = {name: reader.read_encoded_chunk(group, name).decode() for name in needed}
+            mask = np.asarray(evaluate(predicate, decoded), dtype=bool)
+            if mask.any():
+                chunks.append({name: decoded[name][mask] for name in columns})
+    return chunks, counts

@@ -66,7 +66,7 @@ import repro.driver.integrity as result_plane
 from repro.config import IntegrityConfig
 from repro.engine.join import hash_join
 from repro.engine.payload import decode_table, encode_table
-from repro.engine.table import table_num_rows, tables_allclose
+from repro.engine.table import table_num_rows
 from repro.exchange.basic import deserialize_partition, serialize_partition
 from repro.exchange.codec import decode_partition_slice, encode_partition_set
 from repro.exchange.partition import (
@@ -77,7 +77,13 @@ from repro.exchange.partition import (
 )
 from repro.formats.parquet import ColumnarFile, write_table
 
-from _baselines import hash_join_dict, seed_table_from_wire, seed_table_to_wire
+from _baselines import (
+    hash_join_dict,
+    scan_baseline,
+    seed_table_from_wire,
+    seed_table_to_wire,
+    tables_allclose,
+)
 
 #: Row count of the micro-benchmarks (the acceptance bar is "at 1M rows").
 ROWS = 1_000_000
@@ -416,7 +422,6 @@ def measure_shuffle_codec(
       low-cardinality discount, int32 date), where the typed encodings must
       also ship no more bytes than zlib did.
     """
-    from repro.driver.shuffle import ShuffleConfig
     from repro.formats.compression import Compression
 
     hot = partition_scatter(_hot_table(num_rows), ["key"], num_partitions)
@@ -441,7 +446,8 @@ def measure_shuffle_codec(
         "lpq_bytes": _lpq_set_roundtrip(*hot, Compression.FAST),
         "fast_bytes": _typed_set_roundtrip(*hot, Compression.FAST),
     }
-    default = ShuffleConfig().compression
+    # The exchange's wire format: typed frames, no block compression.
+    default = Compression.NONE
     for prefix, scattered in (("", hot), ("tpch_", tpch)):
         typed_seconds = _best_of(
             lambda: _typed_set_roundtrip(*scattered, default), repeats
@@ -577,14 +583,16 @@ def measure_scan_filter(num_rows: int = ROWS, repeats: int = 3) -> Dict:
     column plus discount/quantity bands over dictionary columns — at ~2 %
     selectivity; the projection (price, discount) includes one column the
     predicate never touches.  Both paths run the same scan operator with the
-    predicate pushed down; only ``ScanConfig.late_materialization`` differs.
+    predicate pushed down into the scan operator for the late path; the
+    baseline (:func:`_baselines.scan_baseline`) reads and decodes every needed
+    column of every row group, then masks.
     The zero-latency bandwidth model makes the read plan exact (one GET per
     chunk, no hole read-through), so the request counts show which chunks
     each path asked for rather than how well they coalesced.
     """
     from repro.cloud.network import BandwidthModel
-    from repro.engine.scan import S3ScanOperator, ScanConfig
-    from repro.engine.table import concat_tables, table_num_rows, tables_allclose
+    from repro.engine.scan import S3ScanOperator
+    from repro.engine.table import concat_tables
     from repro.plan.expressions import col
 
     store, table = _q6_store(num_rows)
@@ -595,25 +603,31 @@ def measure_scan_filter(num_rows: int = ROWS, repeats: int = 3) -> Dict:
     )
     columns = ["l_extendedprice", "l_discount"]
 
-    def run(late: bool) -> S3ScanOperator:
+    def late() -> S3ScanOperator:
         scan = S3ScanOperator(
             store,
             ["s3://bench/q6.lpq"],
             columns=columns,
-            config=ScanConfig(late_materialization=late),
             bandwidth=BandwidthModel(request_latency_seconds=0.0),
             predicate=predicate,
         )
         scan.result = concat_tables(list(scan.scan()))
         return scan
 
-    late_scan = run(True)
-    baseline_scan = run(False)
-    assert tables_allclose(late_scan.result, baseline_scan.result)
+    def baseline():
+        chunks, counts = scan_baseline(
+            store, ["s3://bench/q6.lpq"], columns, predicate,
+            bandwidth=BandwidthModel(request_latency_seconds=0.0),
+        )
+        return concat_tables(chunks), counts
+
+    late_scan = late()
+    baseline_result, baseline_counts = baseline()
+    assert tables_allclose(late_scan.result, baseline_result)
     selected = table_num_rows(late_scan.result)
 
-    baseline_seconds = _best_of(lambda: run(False), repeats)
-    late_seconds = _best_of(lambda: run(True), repeats)
+    baseline_seconds = _best_of(baseline, repeats)
+    late_seconds = _best_of(late, repeats)
     return {
         "num_rows": num_rows,
         "selected_rows": selected,
@@ -622,7 +636,7 @@ def measure_scan_filter(num_rows: int = ROWS, repeats: int = 3) -> Dict:
         "row_groups_shortcircuited": late_scan.counters.row_groups_shortcircuited,
         "rows_decode_saved": late_scan.counters.rows_decode_saved,
         "column_chunks_skipped": late_scan.counters.column_chunks_skipped,
-        "baseline_get_requests": baseline_scan.counts["scan", "get_requests"],
+        "baseline_get_requests": baseline_counts["scan", "get_requests"],
         "late_get_requests": late_scan.counts["scan", "get_requests"],
         "baseline_seconds": baseline_seconds,
         "late_seconds": late_seconds,

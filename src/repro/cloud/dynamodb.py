@@ -3,8 +3,8 @@
 Lambada uses a serverless key-value store for small amounts of shared state —
 for example worker heart-beats, exchange-phase bookkeeping, or small
 broadcast values.  The simulated service supports named tables with
-string-keyed items (JSON-serialisable dictionaries), conditional puts,
-and atomic counters, and meters read/write request units.
+string-keyed items (JSON-serialisable dictionaries) and conditional puts,
+and meters read/write request units.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import copy
 import json
 import threading
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from repro.cloud.clock import VirtualClock
 from repro.cloud.metering import MeteringLedger
@@ -41,17 +41,6 @@ class KeyValueStore:
         """Create a table; creating an existing table is a no-op."""
         with self._lock:
             self._tables.setdefault(name, {})
-
-    def delete_table(self, name: str) -> None:
-        """Delete a table and all items."""
-        with self._lock:
-            self._require_table(name)
-            del self._tables[name]
-
-    def list_tables(self) -> List[str]:
-        """Names of all tables."""
-        with self._lock:
-            return sorted(self._tables)
 
     def _require_table(self, name: str) -> None:
         if name not in self._tables:
@@ -89,35 +78,3 @@ class KeyValueStore:
             self.ledger.record("dynamodb", "read_units", 1, self.clock.now)
             item = self._tables[table].get(key)
             return copy.deepcopy(item) if item is not None else None
-
-    def delete_item(self, table: str, key: str) -> None:
-        """Delete an item; deleting a missing key is a no-op."""
-        with self._lock:
-            self._require_table(table)
-            self._tables[table].pop(key, None)
-            self.ledger.record("dynamodb", "write_units", 1, self.clock.now)
-
-    def scan(self, table: str) -> Dict[str, Dict[str, Any]]:
-        """Return a copy of all items in the table keyed by their key."""
-        with self._lock:
-            self._require_table(table)
-            self.ledger.record("dynamodb", "read_units", max(1, len(self._tables[table])), self.clock.now)
-            return copy.deepcopy(self._tables[table])
-
-    def increment(self, table: str, key: str, field: str, amount: int = 1) -> int:
-        """Atomically add ``amount`` to ``item[field]`` and return the new value.
-
-        The item is created with ``{field: amount}`` if it does not exist.
-        """
-        with self._lock:
-            self._require_table(table)
-            item = self._tables[table].setdefault(key, {})
-            item[field] = int(item.get(field, 0)) + amount
-            self.ledger.record("dynamodb", "write_units", 1, self.clock.now)
-            return item[field]
-
-    def item_count(self, table: str) -> int:
-        """Number of items in a table."""
-        with self._lock:
-            self._require_table(table)
-            return len(self._tables[table])

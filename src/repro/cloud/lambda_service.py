@@ -93,11 +93,6 @@ class FunctionConfig:
         if self.region not in INVOCATION_LATENCY_SECONDS:
             raise ValueError(f"unknown region {self.region!r}")
 
-    @property
-    def cpu_share(self) -> float:
-        """Fraction of vCPUs allocated to this function."""
-        return cpu_share_for_memory(self.memory_mib)
-
 
 class InvocationContext:
     """Runtime context handed to each handler invocation."""
@@ -117,11 +112,6 @@ class InvocationContext:
     def memory_mib(self) -> int:
         """Configured memory of the function."""
         return self.config.memory_mib
-
-    @property
-    def cpu_share(self) -> float:
-        """Fraction of vCPUs allocated to the function."""
-        return self.config.cpu_share
 
     @property
     def charged_seconds(self) -> float:
@@ -396,11 +386,6 @@ class LambdaService:
         return result
 
     # -- statistics -----------------------------------------------------------
-
-    @property
-    def active_invocations(self) -> int:
-        """Number of invocations currently executing."""
-        return self._active
 
     def total_invocations(self) -> int:
         """Number of invocations performed since creation."""

@@ -144,22 +144,3 @@ class MeteringLedger:
     def total_cost(self, tag: Optional[str] = None) -> float:
         """Total dollar cost of all recorded usage, or of query ``tag``'s."""
         return sum(self.cost_breakdown(tag).values())
-
-    def cost_of_service(self, service: str) -> float:
-        """Total dollar cost attributed to one service (prefix match)."""
-        return sum(
-            cost
-            for key, cost in self.cost_breakdown().items()
-            if key.startswith(service + ".")
-        )
-
-    def merge(self, other: "MeteringLedger") -> None:
-        """Fold another ledger's records into this one."""
-        for record in other.records():
-            self.record(
-                record.service,
-                record.dimension,
-                record.amount,
-                record.timestamp,
-                record.tag,
-            )

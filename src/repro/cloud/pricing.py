@@ -90,13 +90,6 @@ class PriceList:
         """Cost of ``requests`` SQS send/receive/delete requests."""
         return requests / 1_000_000 * self.sqs_per_million_requests
 
-    def dynamodb_cost(self, reads: int, writes: int) -> float:
-        """Cost of on-demand DynamoDB read and write request units."""
-        return (
-            reads / 1_000_000 * self.dynamodb_read_per_million
-            + writes / 1_000_000 * self.dynamodb_write_per_million
-        )
-
     def qaas_scan_cost(self, bytes_scanned: float) -> float:
         """Cost of a QaaS query that scans ``bytes_scanned`` bytes."""
         return bytes_scanned / TiB * self.qaas_per_tib_scanned

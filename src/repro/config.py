@@ -221,18 +221,6 @@ class ResilienceConfig:
     #: Probe successes required to close a half-open breaker.
     breaker_half_open_probes: int = 2
 
-    def to_dict(self) -> dict:
-        return {
-            "max_attempts": self.max_attempts,
-            "backoff_base_seconds": self.backoff_base_seconds,
-            "backoff_cap_seconds": self.backoff_cap_seconds,
-            "retry_budget": self.retry_budget,
-            "breaker_failure_threshold": self.breaker_failure_threshold,
-            "breaker_window_seconds": self.breaker_window_seconds,
-            "breaker_cooldown_seconds": self.breaker_cooldown_seconds,
-            "breaker_half_open_probes": self.breaker_half_open_probes,
-        }
-
 
 #: The single source of the resilience plane's numeric defaults.
 DEFAULT_RESILIENCE = ResilienceConfig()

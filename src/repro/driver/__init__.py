@@ -18,14 +18,10 @@ from repro.driver.invocation import (
 from repro.driver.worker import make_worker_handler, WORKER_FUNCTION_NAME
 from repro.driver.driver import LambadaDriver, QueryResult, QueryStatistics
 from repro.driver.catalog import StatisticsCatalog, FileStatistics
-from repro.driver.shuffle import (
-    ShuffleAggregateCoordinator,
-    ShuffleConfig,
-)
+from repro.driver.shuffle import ShuffleAggregateCoordinator
 
 __all__ = [
     "ShuffleAggregateCoordinator",
-    "ShuffleConfig",
     "FlatInvocationModel",
     "InvocationModel",
     "TreeInvocationModel",

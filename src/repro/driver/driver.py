@@ -53,7 +53,6 @@ from repro.driver.shuffle import (
     JOIN_MAP_FUNCTION_NAME,
     JOIN_REDUCE_FUNCTION_NAME,
     ScanWave,
-    ShuffleConfig,
     ShuffleJoinCoordinator,
     expand_glob_paths,
     fold_reduce_values,
@@ -169,7 +168,6 @@ class LambadaDriver:
         worker_timeout_seconds: float = 900.0,
         execution_mode: str = "serial",
         max_parallel_invocations: Optional[int] = None,
-        shuffle_config: Optional[ShuffleConfig] = None,
         resilience_policy: Optional[ResiliencePolicy] = None,
         integrity: Optional[IntegrityConfig] = None,
         breakers: Optional[BreakerBoard] = None,
@@ -204,10 +202,6 @@ class LambadaDriver:
         self._pool_unavailable = False
         #: The pool's inputs in shared memory, kept across queries.
         self._mirror = SharedObjectMirror()
-        #: Configuration of the shuffle I/O plane used by join queries
-        #: (:class:`~repro.driver.shuffle.ShuffleConfig`); ``None`` selects
-        #: the write-combined default.
-        self.shuffle_config = shuffle_config
         self._join_coordinator = None
         #: Launch arithmetic of every fleet this driver starts: the shape and
         #: start times priced from the region's Table 1 constants.
@@ -250,14 +244,14 @@ class LambadaDriver:
 
     def _make_join_coordinator(self) -> ShuffleJoinCoordinator:
         """A join coordinator at the driver's memory size; building it
-        deploys the join functions at that size."""
-        # An explicit shuffle config wins; otherwise the driver's integrity
-        # knobs carry over to the join exchange plane.
-        config = self.shuffle_config or ShuffleConfig(integrity=self.integrity)
+        deploys the join functions at that size.  Its waves report to the
+        driver's own result queue, so concurrent drivers of one environment
+        never receive each other's results."""
         return ShuffleJoinCoordinator(
             self.env,
             memory_mib=self.memory_mib,
-            config=config,
+            result_queue=self.result_queue,
+            integrity=self.integrity,
             resilience_policy=self.resilience_policy,
         )
 

@@ -110,7 +110,6 @@ from repro.engine.table import (
 )
 from repro.errors import CloudError, ExecutionError, NoSuchBucketError, WorkerCrashError
 from repro.exchange.fetch import FetchPlan, SenderManifest, sender_entries
-from repro.formats.compression import Compression
 from repro.plan.expressions import (
     col,
     evaluate,
@@ -182,23 +181,6 @@ class ScanWave:
     queue: str
     fleet: Callable[[Dict], ContextManager[Tuple[Callable, FleetLabels]]]
     fields: Dict[str, Any] = field(default_factory=dict)
-
-
-@dataclass
-class ShuffleConfig:
-    """Configuration of the shuffle I/O plane.
-
-    Every mapper writes one combined object — O(P) PUTs for the whole map
-    wave — and every reducer issues one ranged GET per non-empty slice.
-    """
-
-    #: Optional block-compression stage over the encoded partition frames
-    #: (off: the typed column encodings do the size work, without the CPU).
-    compression: Compression = Compression.NONE
-    #: Content-checksum generation/verification knobs (both default on): one
-    #: crc32 per partition frame, published again in the sender's
-    #: announcement, and digests on every result message.
-    integrity: IntegrityConfig = field(default_factory=IntegrityConfig)
 
 
 def _expand_globs(list_objects, paths: Sequence[str]) -> Tuple[List[str], Dict[str, int]]:
@@ -754,14 +736,17 @@ class ShuffleJoinCoordinator:
         memory_mib: int = 2048,
         num_buckets: int = 10,
         result_queue: str = JOIN_RESULT_QUEUE,
-        config: Optional[ShuffleConfig] = None,
+        integrity: Optional[IntegrityConfig] = None,
         resilience_policy: Optional[ResiliencePolicy] = None,
     ):
         self.env = env
         self.memory_mib = memory_mib
         self.num_buckets = num_buckets
         self.result_queue = result_queue
-        self.config = config or ShuffleConfig()
+        #: Content-checksum generation/verification: one crc32 per partition
+        #: frame, published again in the sender's announcement, and digests
+        #: on every result message.
+        self.integrity = integrity or IntegrityConfig()
         self.resilience_policy = resilience_policy or DEFAULT_RESILIENCE_POLICY
         env.sqs.create_queue(result_queue)
         # The handlers are stateless (per-query naming is derived from the
@@ -786,7 +771,7 @@ class ShuffleJoinCoordinator:
         the ``wave_retries`` budget account, its failure named after the stage
         ``what``."""
         transport = context.lambda_transport(
-            function_name, self.result_queue, what, self.config.integrity.verify
+            function_name, self.result_queue, what, self.integrity.verify
         )
         return transport, FleetLabels(f"{what} dispatch", what, "wave_retries", stage=what)
 
@@ -880,7 +865,7 @@ class ShuffleJoinCoordinator:
         exchange = dag.has_exchange
         shared = {
             "query_id": query_id, "attempt": 0, "result_queue": scan.queue,
-            "integrity": self.config.integrity.to_dict(), **scan.fields,
+            "integrity": self.integrity.to_dict(), **scan.fields,
         }
         events: Dict = {}
         for tag, plan in dag.sides():
@@ -896,7 +881,6 @@ class ShuffleJoinCoordinator:
                 event.update(
                     side=tag,
                     num_partitions=num_partitions,
-                    compression=self.config.compression.value,
                     num_buckets=self.num_buckets,
                 )
                 events[tag, worker_id] = event
@@ -978,8 +962,7 @@ class ShuffleJoinCoordinator:
                 "spill_stem": self.names.spill_stem,
                 "result_queue": self.result_queue,
                 "num_buckets": self.num_buckets,
-                "integrity": self.config.integrity.to_dict(),
-                "compression": self.config.compression.value,
+                "integrity": self.integrity.to_dict(),
             }
             if last:
                 what = self.names.reduce_label
@@ -1004,7 +987,7 @@ class ShuffleJoinCoordinator:
                 probe_messages = final
 
         # -- driver scope ------------------------------------------------------------
-        context.fetch_spilled(final, self.config.integrity.verify)
+        context.fetch_spilled(final, self.integrity.verify)
         for result, message in zip(worker_results[-len(final):], final):
             result.partial = message.get("frame")
         result = {} if dag.base.reduce_udf else merge_driver_scope(
@@ -1074,11 +1057,11 @@ class ShuffleAggregateCoordinator(ShuffleJoinCoordinator):
         memory_mib: int = 2048,
         num_buckets: int = 10,
         result_queue: str = SHUFFLE_RESULT_QUEUE,
-        config: Optional[ShuffleConfig] = None,
+        integrity: Optional[IntegrityConfig] = None,
         resilience_policy: Optional[ResiliencePolicy] = None,
     ):
         super().__init__(
-            env, memory_mib, num_buckets, result_queue, config, resilience_policy
+            env, memory_mib, num_buckets, result_queue, integrity, resilience_policy
         )
 
     def execute(

@@ -32,7 +32,6 @@ from repro.errors import WorkerCrashError
 from repro.exchange.fetch import write_combined
 from repro.exchange.naming import WriteCombiningNaming
 from repro.exchange.partition import partition_assignments, scatter_by_assignment
-from repro.formats.compression import Compression
 from repro.plan.physical import WorkerPlan
 
 #: Name under which the worker function is deployed at installation time.
@@ -107,7 +106,6 @@ def _write_partitions(
     earlier attempt (written under that attempt's prefix) is never read.
     Returns the announcement fields of the sender's result message.
     """
-    compression = Compression(event.get("compression", Compression.NONE.value))
     if num_partitions == 1:
         # Every row goes to the one receiver: the rows, in the order they
         # arrived, are already the scattered table.
@@ -117,7 +115,7 @@ def _write_partitions(
         reordered, boundaries = scatter_by_assignment(rows, assignment, num_partitions)
     return write_combined(
         env.s3, naming.path(sender, 0), reordered, boundaries, counts,
-        checksum=integrity.generate, compression=compression,
+        checksum=integrity.generate,
     )
 
 

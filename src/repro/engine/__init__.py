@@ -6,7 +6,7 @@ row-group pruning, and a modelled multi-connection download strategy), applies
 filters and computed columns, and produces partial aggregates.  The same
 operators also run on the driver for small local scopes.
 
-The public entry point is :func:`~repro.engine.pipeline.execute_worker_plan`.
+The public entry point is :func:`~repro.engine.pipeline.execute_worker_plan_table`.
 """
 
 from repro.engine.table import (
@@ -25,7 +25,7 @@ from repro.engine.aggregates import (
     merge_partials,
     finalize_aggregates,
 )
-from repro.engine.pipeline import execute_worker_plan, WorkerResult
+from repro.engine.pipeline import execute_worker_plan_table, WorkerResult
 from repro.engine.join import hash_join
 
 __all__ = [
@@ -43,7 +43,7 @@ __all__ = [
     "partial_aggregate",
     "merge_partials",
     "finalize_aggregates",
-    "execute_worker_plan",
+    "execute_worker_plan_table",
     "WorkerResult",
     "hash_join",
 ]

@@ -23,11 +23,10 @@ build (right) side, never from a parameter:
   spans over the budget): stable argsort, two ``searchsorted`` calls per
   probe key, the same run expansion.
 
-Object-dtype keys, which have no total order, fall back to a dict
-build/probe.  All strategies emit the same pairs in the same order: by probe
-row, then by build row.  Multi-key joins encode each key column of both
-sides into a shared integer code space (the same column-code combination
-used by :mod:`repro.engine.aggregates`) and join on the combined codes.
+All strategies emit the same pairs in the same order: by probe row, then by
+build row.  A join has one key column a side (a DAG joins on one key per
+stage), and LPQ columns are INT32, INT64 or FLOAT64, so every key has a
+numeric dtype.
 
 The seed's dict build/probe kernel lives on as the reference of the parity
 tests and the hot-path benchmark, in ``benchmarks/_baselines.py``.
@@ -35,28 +34,12 @@ tests and the hot-path benchmark, in ``benchmarks/_baselines.py``.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.engine.table import Table, key_slots, table_num_rows
 from repro.errors import ExecutionError, UnknownColumnError
-
-#: Join keys: one column name or a sequence of names (multi-key join).
-JoinKeys = Union[str, Sequence[str]]
-
-
-def _normalize_keys(left_key: JoinKeys, right_key: JoinKeys) -> Tuple[List[str], List[str]]:
-    left_keys = [left_key] if isinstance(left_key, str) else list(left_key)
-    right_keys = [right_key] if isinstance(right_key, str) else list(right_key)
-    if not left_keys or not right_keys:
-        raise ExecutionError("join requires at least one key column")
-    if len(left_keys) != len(right_keys):
-        raise ExecutionError(
-            f"join key count mismatch: {len(left_keys)} left vs {len(right_keys)} right"
-        )
-    return left_keys, right_keys
-
 
 def _valid_mask(array: np.ndarray) -> np.ndarray:
     """True where the key is joinable (NaN keys never match, as in SQL)."""
@@ -129,52 +112,6 @@ def _align_key_pair(
         lvalid,
         rvalid,
     )
-
-
-def _join_codes(
-    left: Table, right: Table, left_keys: Sequence[str], right_keys: Sequence[str]
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Shared-code-space encoding of the key columns of both sides.
-
-    Returns ``(left_codes, right_codes, left_valid, right_valid)``: two int64
-    arrays in which equal keys (across all key columns) have equal codes, and
-    two boolean masks flagging the rows whose keys can match at all (rows with
-    a NaN in any key column cannot).
-
-    The single-key case skips the encoding entirely and compares raw values;
-    multi-key combines per-column codes positionally and re-compacts after
-    every column with ``np.unique`` so the combined code never overflows.
-    """
-    num_left = table_num_rows(left)
-    num_right = table_num_rows(right)
-    left_valid = np.ones(num_left, dtype=bool)
-    right_valid = np.ones(num_right, dtype=bool)
-    combined_left: np.ndarray = np.zeros(num_left, dtype=np.int64)
-    combined_right: np.ndarray = np.zeros(num_right, dtype=np.int64)
-
-    for lname, rname in zip(left_keys, right_keys):
-        larr, rarr, lval, rval = _align_key_pair(
-            np.asarray(left[lname]), np.asarray(right[rname])
-        )
-        left_valid &= lval
-        right_valid &= rval
-        # One unique pass over both (aligned-dtype) sides yields codes that
-        # agree across sides exactly when the values compare equal.
-        both = np.concatenate([larr, rarr])
-        _, codes = np.unique(both, return_inverse=True)
-        codes = codes.astype(np.int64, copy=False)
-        width = int(codes.max()) + 1 if len(codes) else 1
-        combined_left = combined_left * width + codes[:num_left]
-        combined_right = combined_right * width + codes[num_left:]
-        # Re-compact so the running code stays < num_left + num_right and the
-        # next ``* width`` cannot overflow int64.
-        _, recompacted = np.unique(
-            np.concatenate([combined_left, combined_right]), return_inverse=True
-        )
-        recompacted = recompacted.astype(np.int64, copy=False)
-        combined_left = recompacted[:num_left]
-        combined_right = recompacted[num_left:]
-    return combined_left, combined_right, left_valid, right_valid
 
 
 #: Budget of the dense lookup tables (position table and count table alike):
@@ -300,53 +237,33 @@ def _probe(
 def hash_join(
     left: Table,
     right: Table,
-    left_key: JoinKeys,
-    right_key: JoinKeys,
+    left_key: str,
+    right_key: str,
     suffix: str = "_right",
     columns: Optional[Iterable[str]] = None,
 ) -> Table:
-    """Inner equi-join of two tables on one or more key columns.
+    """Inner equi-join of two tables on one key column a side.
 
     The right side is used as the build side.  Columns of the right table
     whose names collide with left columns are renamed with ``suffix``; the
-    right key columns are dropped (they equal the left keys in the output).
-    ``left_key`` / ``right_key`` accept a single column name or equal-length
-    sequences of names for a multi-key join.  ``columns`` names the output
-    columns to materialize (default: all of them); the rest are never
-    gathered.  When every left row matches exactly once, the left columns of
-    the result are the input arrays themselves, not copies.
+    right key column is dropped (it equals the left key in the output).
+    ``columns`` names the output columns to materialize (default: all of
+    them); the rest are never gathered.  When every left row matches exactly
+    once, the left columns of the result are the input arrays themselves,
+    not copies.
     """
-    left_keys, right_keys = _normalize_keys(left_key, right_key)
-    for name in left_keys:
-        if name not in left:
-            raise UnknownColumnError(name)
-    for name in right_keys:
-        if name not in right:
-            raise UnknownColumnError(name)
+    if left_key not in left:
+        raise UnknownColumnError(left_key)
+    if right_key not in right:
+        raise UnknownColumnError(right_key)
 
     if table_num_rows(left) == 0 or table_num_rows(right) == 0:
         left_idx = right_idx = slice(0)
-    elif any(
-        np.asarray(table[name]).dtype.hasobject
-        for table, names in ((left, left_keys), (right, right_keys))
-        for name in names
-    ):
-        # Object-dtype keys (e.g. columns degraded to Python objects with
-        # None entries) have no total order and no integer domain, so no
-        # vectorized strategy applies; join them hash/eq-style like the seed
-        # kernel did.
-        left_idx, right_idx = _probe_object_keys(left, right, left_keys, right_keys)
     else:
-        if len(left_keys) == 1:
-            # Single key: compare raw values directly in one aligned dtype,
-            # no code construction needed.
-            left_codes, right_codes, left_valid, right_valid = _align_key_pair(
-                np.asarray(left[left_keys[0]]), np.asarray(right[right_keys[0]])
-            )
-        else:
-            left_codes, right_codes, left_valid, right_valid = _join_codes(
-                left, right, left_keys, right_keys
-            )
+        # Compare raw values in one aligned dtype, no code construction.
+        left_codes, right_codes, left_valid, right_valid = _align_key_pair(
+            np.asarray(left[left_key]), np.asarray(right[right_key])
+        )
         if left_valid.all() and right_valid.all():
             left_idx, right_idx = _probe(left_codes, right_codes)
         else:
@@ -358,13 +275,13 @@ def hash_join(
             sub_left, sub_right = _probe(left_codes[left_map], right_codes[right_map])
             left_idx = left_map if sub_left is None else left_map[sub_left]
             right_idx = right_map[sub_right]
-    return _output_table(left, right, right_keys, suffix, columns, left_idx, right_idx)
+    return _output_table(left, right, right_key, suffix, columns, left_idx, right_idx)
 
 
 def _output_table(
     left: Table,
     right: Table,
-    right_keys: Sequence[str],
+    right_key: str,
     suffix: str,
     columns: Optional[Iterable[str]],
     left_idx: Union[np.ndarray, slice, None],
@@ -386,7 +303,7 @@ def _output_table(
             column = np.asarray(column)
             result[name] = column if left_idx is None else column[left_idx]
     for name, column in right.items():
-        if name in right_keys:
+        if name == right_key:
             continue
         out_name = name if name not in left else name + suffix
         if out_name in names:
@@ -398,29 +315,3 @@ def _output_table(
         raise UnknownColumnError(", ".join(sorted(wanted - names)))
     return result
 
-
-def _probe_object_keys(
-    left: Table, right: Table, left_keys: Sequence[str], right_keys: Sequence[str]
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Dict build/probe over (tuples of) object keys — the unsortable case.
-
-    Object columns hold arbitrary Python values with hash/eq but no total
-    order, so the vectorized kernels cannot apply; this per-row fallback
-    keeps the seed kernel's semantics (and output order) for them.
-    """
-    build: Dict[tuple, list] = {}
-    right_columns = [np.asarray(right[name]).tolist() for name in right_keys]
-    for index, key in enumerate(zip(*right_columns)):
-        build.setdefault(key, []).append(index)
-
-    left_columns = [np.asarray(left[name]).tolist() for name in left_keys]
-    left_indices: List[int] = []
-    right_indices: List[int] = []
-    for index, key in enumerate(zip(*left_columns)):
-        for match in build.get(key, ()):
-            left_indices.append(index)
-            right_indices.append(match)
-    return (
-        np.asarray(left_indices, dtype=np.int64),
-        np.asarray(right_indices, dtype=np.int64),
-    )

@@ -1,11 +1,11 @@
 """Worker pipeline execution.
 
-:func:`execute_worker_plan` is what the serverless worker's event handler
-calls: it executes one :class:`~repro.plan.physical.WorkerPlan` against the
-object store — scan (with pruning and push-downs), filter, map, partial
-aggregation or row collection — and returns a :class:`WorkerResult` holding
-the partial result plus the statistics and modelled timings that the driver
-and the benchmarks consume.
+:func:`execute_worker_plan_table` is what the serverless worker's event
+handler calls: it executes one :class:`~repro.plan.physical.WorkerPlan`
+against the object store — scan (with pruning and push-downs), filter, map,
+partial aggregation or row collection — and returns a :class:`WorkerResult`
+holding the statistics and modelled timings that the driver and the
+benchmarks consume, beside the partial table itself.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from repro.engine.aggregates import (
     merge_partials,
     partial_aggregate,
 )
-from repro.engine.payload import encode_table
 from repro.engine.scan import S3ScanOperator, ScanConfig
 from repro.engine.table import Table, concat_tables, filter_table, table_num_rows
 from repro.errors import ExecutionError
@@ -148,41 +147,16 @@ def _apply_map(plan: WorkerPlan, chunk: Table, column_order: Sequence[str]) -> T
     return chunk
 
 
-def _plan_supports_fused(plan: WorkerPlan, config: ScanConfig) -> bool:
+def _plan_supports_fused(plan: WorkerPlan) -> bool:
     """Whether the fused scan path can run this plan: it covers
     expression-only plans that aggregate or collect rows; opaque UDFs,
-    computed map columns and reduce folds need materialised chunks, and
-    without late materialization there is no selection vector to fuse."""
+    computed map columns and reduce folds need materialised chunks."""
     return bool(
         plan.predicate_udf is None
         and plan.map_udf is None
         and not plan.map_outputs
         and plan.reduce_udf is None
-        and config.late_materialization
     )
-
-
-def execute_worker_plan(
-    plan: WorkerPlan,
-    store: ObjectStore,
-    memory_mib: int = 2048,
-    threads: int = 2,
-    bandwidth: Optional[BandwidthModel] = None,
-    fused: bool = True,
-) -> WorkerResult:
-    """Execute a worker plan fragment and return its partial result.
-
-    The partial table comes back encoded as one frame in ``result.partial``
-    (see :mod:`repro.engine.payload`); :func:`execute_worker_plan_table`
-    returns the raw table instead, for callers that encode it themselves.
-    """
-    result, table = execute_worker_plan_table(
-        plan, store, memory_mib=memory_mib, threads=threads, bandwidth=bandwidth,
-        fused=fused,
-    )
-    if table is not None:
-        result.partial = encode_table(table)
-    return result
 
 
 def execute_worker_plan_table(
@@ -227,7 +201,7 @@ def execute_worker_plan_table(
     reduce_ufunc = _BUILTIN_REDUCE_UFUNCS.get(plan.reduce_udf) if plan.reduce_udf else None
     rows_after_filter = 0
 
-    if fused and _plan_supports_fused(plan, config):
+    if fused and _plan_supports_fused(plan):
         if not plan.aggregates:
             # Row collection: one gather per run of row groups, bit-identical
             # to concatenating the row groups' tables.

@@ -26,8 +26,7 @@ Reproduces the design of the paper's Parquet scan operator (§4.3.2, Figure 8):
   (:meth:`~repro.engine.s3io.S3ObjectSource.prefetch`, which copies nothing
   and returns at once when the open tail already holds every chunk);
 * the summed download time is modelled as overlapped with decompression of
-  the previous row group ("level 3" concurrency) when
-  ``overlap_downloads`` is set.
+  the previous row group ("level 3" concurrency).
 
 The operator yields decoded table chunks; its sources note their GETs and
 bytes into the operator's :attr:`~S3ScanOperator.counts`, and it keeps the
@@ -103,12 +102,6 @@ class ScanConfig:
     connections: int = DEFAULT_SCAN_CONNECTIONS
     memory_mib: int = 2048
     threads: int = 2
-    #: Overlap row-group downloads with decompression (concurrency level 3).
-    overlap_downloads: bool = True
-    #: Evaluate pushed-down predicates on encoded chunks and gather only
-    #: surviving rows.  Off, the scan still applies the predicate but through
-    #: the full-decode-then-mask baseline path.
-    late_materialization: bool = True
 
 
 @dataclass
@@ -144,14 +137,9 @@ class ScanCounters:
         """Row groups that never reached the gather step."""
         return self.row_groups_shortcircuit_empty + self.row_groups_shortcircuit_full
 
-    def modelled_scan_seconds(self, overlap: bool) -> float:
-        """Total modelled scan time, overlapping download and decode if requested."""
-        body = (
-            max(self.download_seconds, self.decode_seconds)
-            if overlap
-            else self.download_seconds + self.decode_seconds
-        )
-        return self.metadata_seconds + body
+    def modelled_scan_seconds(self) -> float:
+        """Total modelled scan time, download overlapped with decode."""
+        return self.metadata_seconds + max(self.download_seconds, self.decode_seconds)
 
 
 @dataclass
@@ -358,11 +346,6 @@ class S3ScanOperator:
         columns = self.columns or reader.schema.names
         # The decode charge is normalised by every column a row group reads.
         read_count = len(set(columns) | self._predicate_columns)
-        baseline = (
-            fused_keys is None
-            and self._compiled is not None
-            and not self.config.late_materialization
-        )
         # Min/max pruning of every row group and the page plans, before any
         # data is fetched: decided once per footer, predicate and outputs.
         survives, plans = reader.metadata.decision(
@@ -382,11 +365,6 @@ class S3ScanOperator:
                 self.counters.row_groups_pruned += 1
                 continue
             self.counters.rows_scanned += group.num_rows
-            if baseline:
-                chunk = self._scan_group_baseline(reader, group, columns, read_count)
-                if chunk is not None:
-                    yield chunk
-                continue
             if run and run_rows + group.num_rows > run_limit:
                 yield self._decode_run(run, columns, fused_keys)
                 run, run_rows = [], 0
@@ -527,32 +505,6 @@ class S3ScanOperator:
 
     # -- predicate push-down -------------------------------------------------------
 
-    def _scan_group_baseline(
-        self, reader: ColumnarFile, group: RowGroupMeta, columns: Sequence[str],
-        read_count: int,
-    ) -> Optional[Table]:
-        """One surviving row group through the full-decode baseline.
-
-        Without late materialization every needed column is decoded, the
-        whole predicate evaluated on the decoded arrays and the chunk
-        mask-copied.  Returns ``None`` when no row survives.
-        """
-        needed = list(columns)
-        for name in self._predicate_columns:
-            if name not in needed:
-                needed.append(name)
-        reader.prefetch(group, needed)
-        decoded = {
-            name: reader.read_encoded_chunk(group, name).decode() for name in needed
-        }
-        mask = np.asarray(evaluate(self.predicate, decoded), dtype=bool)
-        self._charge_decode(group, read_count, needed, (), 0)
-        if not mask.any():
-            return None
-        if mask.all():
-            return {name: decoded[name] for name in columns}
-        return {name: decoded[name][mask] for name in columns}
-
     def _select_rows(
         self,
         reader: ColumnarFile,
@@ -669,4 +621,4 @@ class S3ScanOperator:
 
     def modelled_seconds(self) -> float:
         """Total modelled scan time for this worker."""
-        return self.counters.modelled_scan_seconds(self.config.overlap_downloads)
+        return self.counters.modelled_scan_seconds()

@@ -87,34 +87,6 @@ def take_rows(table: Table, indices: np.ndarray) -> Table:
     return {name: np.asarray(column)[indices] for name, column in table.items()}
 
 
-def tables_allclose(
-    left: Table,
-    right: Table,
-    rtol: float = 1e-9,
-    atol: float = 1e-9,
-    equal_nan: bool = True,
-) -> bool:
-    """Whether two tables have the same columns and numerically equal content.
-
-    NaNs compare equal by default (``equal_nan``): two pipelines that both
-    produce a NaN for the same row agree semantically.
-    """
-    if set(left.keys()) != set(right.keys()):
-        return False
-    for name in left:
-        if len(left[name]) != len(right[name]):
-            return False
-        if not np.allclose(
-            np.asarray(left[name], dtype=np.float64),
-            np.asarray(right[name], dtype=np.float64),
-            rtol=rtol,
-            atol=atol,
-            equal_nan=equal_nan,
-        ):
-            return False
-    return True
-
-
 def sort_table(table: Table, keys: Sequence[str], descending: bool = False) -> Table:
     """Sort a table by one or more key columns (lexicographic, stable)."""
     if not keys:

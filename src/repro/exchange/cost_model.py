@@ -131,16 +131,3 @@ class ExchangeCostModel:
             }
             for variant in EXCHANGE_VARIANTS
         }
-
-    def requests_per_bucket_per_round(
-        self, num_workers: int, num_buckets: int, levels: int = 2
-    ) -> float:
-        """Requests per bucket per exchange round (the rate-limit metric, §4.4.2).
-
-        ``P`` workers each issue ``P^(1/k)`` requests spread over ``B``
-        buckets, i.e. ``P·P^(1/k)/B`` per round.
-        """
-        if num_buckets <= 0:
-            raise ValueError("num_buckets must be positive")
-        side = num_workers ** (1.0 / levels)
-        return num_workers * side / num_buckets

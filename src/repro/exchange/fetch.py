@@ -38,7 +38,6 @@ from repro.counters import Counts
 from repro.engine.table import Table, table_num_rows
 from repro.errors import CorruptFileError, ExchangeError
 from repro.exchange.codec import decode_ranged_slices, encode_partition_set, slice_crcs
-from repro.formats.compression import Compression
 
 
 def write_combined(
@@ -48,7 +47,6 @@ def write_combined(
     boundaries: Sequence[int],
     counts: Counts,
     checksum: bool = True,
-    compression: Compression = Compression.NONE,
 ) -> Dict:
     """PUT every partition of a scattered table as one combined object.
 
@@ -60,9 +58,7 @@ def write_combined(
     (one per slot, ``None`` without ``checksum``).  The PUT and its bytes
     are noted into ``counts``.
     """
-    payload, offsets = encode_partition_set(
-        reordered, boundaries, compression, checksum=checksum
-    )
+    payload, offsets = encode_partition_set(reordered, boundaries, checksum=checksum)
     store.put_path(path, payload)
     counts.note("exchange", "put_requests")
     counts.note("exchange", "combined_put_requests")

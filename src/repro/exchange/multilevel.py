@@ -99,16 +99,6 @@ def grid_coordinates(worker: int, dims: Sequence[int]) -> Tuple[int, ...]:
     return tuple(coords)
 
 
-def worker_from_coordinates(coords: Sequence[int], dims: Sequence[int]) -> int:
-    """Inverse of :func:`grid_coordinates`."""
-    worker = 0
-    stride = 1
-    for coord, dim in zip(coords, dims):
-        worker += coord * stride
-        stride *= dim
-    return worker
-
-
 class MultiLevelExchange:
     """k-level exchange over a grid of workers."""
 

@@ -764,21 +764,3 @@ class ColumnarFile:
                 for name in names
             }
         return {name: np.concatenate([part[name] for part in parts]) for name in names}
-
-    # -- pruning --------------------------------------------------------------------
-
-    def prune_row_groups(
-        self, column: str, lower: Optional[float] = None, upper: Optional[float] = None
-    ) -> List[RowGroupMeta]:
-        """Row groups whose ``column`` min/max range intersects ``[lower, upper]``.
-
-        ``None`` bounds are unconstrained
-        (:meth:`FileMetadata.surviving_groups` of one range).
-        """
-        self.schema.index_of(column)
-        alive = self.metadata.surviving_groups([(
-            column,
-            -math.inf if lower is None else lower,
-            math.inf if upper is None else upper,
-        )])
-        return [group for group, kept in zip(self.row_groups, alive.tolist()) if kept]

@@ -9,8 +9,8 @@ and :meth:`prefetch` for a batch of ranges about to be read — the call
 through which a source with a per-request cost can fetch several column
 chunks at once (:meth:`read_ranges` is the two together).
 
-The two implementations here (in-memory bytes and a local file) have no such
-cost: their :meth:`prefetch` does nothing.  The S3-backed source that
+The implementation here (in-memory bytes) has no such cost: its
+:meth:`prefetch` does nothing.  The S3-backed source that
 coalesces a batch into few ranged GETs and accounts for them lives in
 :mod:`repro.engine.s3io` because it depends on the cloud substrate.
 """
@@ -18,7 +18,6 @@ coalesces a batch into few ranged GETs and accounts for them lives in
 from __future__ import annotations
 
 import abc
-import os
 from typing import List, Optional, Sequence, Tuple
 
 
@@ -80,20 +79,3 @@ class BytesSource(RandomAccessSource):
             raise ValueError("offset and length must be non-negative")
         return self._data[offset:offset + length]
 
-
-class LocalFileSource(RandomAccessSource):
-    """A source over a file on the local filesystem."""
-
-    def __init__(self, path: str):
-        self._path = path
-        self._size = os.path.getsize(path)
-
-    def size(self) -> int:
-        return self._size
-
-    def read_at(self, offset: int, length: int) -> bytes:
-        if offset < 0 or length < 0:
-            raise ValueError("offset and length must be non-negative")
-        with open(self._path, "rb") as handle:
-            handle.seek(offset)
-            return handle.read(length)

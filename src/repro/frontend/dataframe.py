@@ -142,10 +142,6 @@ class DataFlow:
 
     # -- planning and execution ------------------------------------------------------------
 
-    def logical_plan(self) -> LogicalPlan:
-        """The logical plan built so far."""
-        return self.plan
-
     def physical_plan(self) -> DagPhysicalPlan:
         """Optimize into a physical plan (including a pending UDF reduce)."""
         physical, _ = optimize(self.plan)

@@ -19,7 +19,6 @@ from repro.workload.tpch import (
     generate_lineitem_dataset,
     generate_orders_dataset,
     generate_part_dataset,
-    replicate_dataset,
     write_dataset,
 )
 from repro.workload.queries import (
@@ -52,7 +51,6 @@ __all__ = [
     "generate_lineitem_dataset",
     "generate_orders_dataset",
     "generate_part_dataset",
-    "replicate_dataset",
     "write_dataset",
     "q1_sql",
     "q3_sql",

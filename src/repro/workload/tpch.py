@@ -654,38 +654,3 @@ def generate_region_dataset(
         row_group_rows=row_group_rows, compression=compression,
     )
 
-
-def replicate_dataset(
-    store: ObjectStore,
-    dataset: DatasetInfo,
-    factor: int,
-    prefix: Optional[str] = None,
-) -> DatasetInfo:
-    """Replicate a dataset's files ``factor`` times (the paper's SF-10k trick).
-
-    Each original file is copied ``factor - 1`` additional times under new
-    keys; query properties are preserved while the data volume scales.
-    """
-    if factor < 1:
-        raise ValueError("factor must be at least 1")
-    if factor == 1:
-        return dataset
-    prefix = prefix or f"{dataset.name}-x{factor}"
-    new_paths: List[str] = []
-    total_bytes = 0
-    for copy in range(factor):
-        for index, path in enumerate(dataset.paths):
-            bucket = path[len("s3://"):].split("/", 1)[0]
-            key = path[len("s3://") + len(bucket) + 1:]
-            data = store.get_object(bucket, key).data
-            new_key = f"{prefix}/copy-{copy:03d}-part-{index:05d}.lpq"
-            store.put_object(bucket, new_key, data)
-            new_paths.append(f"s3://{bucket}/{new_key}")
-            total_bytes += len(data)
-    return DatasetInfo(
-        name=prefix,
-        paths=new_paths,
-        total_rows=dataset.total_rows * factor,
-        total_bytes=total_bytes,
-        scale_factor=dataset.scale_factor * factor,
-    )

@@ -52,6 +52,22 @@ def query_leftovers(env, query_id: str):
         )
 
 
+def queue_leftovers(env, query_id: str):
+    """Messages whose body carries ``query_id``, left in any queue of the
+    environment, read from the queue service itself: no metered request."""
+    sqs = getattr(env, "sqs", None)
+    queues = getattr(sqs, "_queues", None)
+    if queues is None:  # a stand-in environment without a queue service
+        return []
+    with sqs._lock:
+        return [
+            f"{name}: {message.body[:80]}"
+            for name, messages in queues.items()
+            for message in messages
+            if query_id in message.body
+        ]
+
+
 def _record_calls(monkeypatch, cls, name):
     """Wrap ``cls.name`` so that every call records its ``self``; returns
     the list it records into."""
@@ -72,7 +88,10 @@ def invariants(monkeypatch):
     """After every test: no ``lambada_*`` segment outlives the mirror that
     held it, a closed driver's mirror is no longer live, no query attributes
     more waste than the cloud billed it, and no query that returned a result
-    left an object under its prefix in the result or shuffle buckets.
+    left an object under its prefix in the result or shuffle buckets — nor,
+    when no fault was injected into it, a message in any queue.  (A faulted
+    query may leave one on purpose: a delayed duplicate arrives after the
+    query has moved on, and the (query, attempt) dedup ignores it.)
 
     Every query reports one :class:`QueryStatistics`, so one hook on its
     constructor sees every query the test ran, whatever ran it; one on
@@ -90,6 +109,8 @@ def invariants(monkeypatch):
         query_id = statistics._trace.attrs.get("query_id")
         if query_id in envs:
             assert query_leftovers(envs[query_id], query_id) == []
+            if not statistics.resilience.faults_injected:
+                assert queue_leftovers(envs[query_id], query_id) == []
 
 
 @pytest.fixture

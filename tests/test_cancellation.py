@@ -31,7 +31,6 @@ from repro.driver.dispatch import QueryContext
 from repro.driver.driver import LambadaDriver
 from repro.driver.resilience import ResiliencePolicy
 from repro.driver.shuffle import (
-    JOIN_RESULT_QUEUE,
     SHUFFLE_RESULT_QUEUE,
     ShuffleAggregateCoordinator,
     _exchange_buckets,
@@ -325,7 +324,7 @@ def test_join_deadline_expiry_cancels_mid_retry_storm(stack, driver):
 
     assert excinfo.value.deadline is True
     assert _query_leftovers(env, excinfo.value.query_id) == []
-    assert env.sqs.approximate_message_count(JOIN_RESULT_QUEUE) == 0
+    assert env.sqs.approximate_message_count(driver.result_queue) == 0
 
 
 def test_budget_exhausted_join_is_named_and_leaves_nothing(stack):
@@ -354,7 +353,7 @@ def test_budget_exhausted_join_is_named_and_leaves_nothing(stack):
     query_id = excinfo.value.query_id
     assert query_id
     assert _query_leftovers(env, query_id) == []
-    assert env.sqs.approximate_message_count(JOIN_RESULT_QUEUE) == 0
+    assert env.sqs.approximate_message_count(strict.result_queue) == 0
 
 
 # ---------------------------------------------------------------------------

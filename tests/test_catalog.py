@@ -134,7 +134,7 @@ def test_driver_returns_empty_result_when_all_files_pruned(env, dataset, driver,
     read_units = env.ledger.total("dynamodb", "read_units") - reads
     assert read_units >= dataset.num_files
     assert statistics.cost_total == statistics.cost_dynamodb_requests == (
-        env.ledger.prices.dynamodb_cost(int(read_units), 0)
+        int(read_units) / 1e6 * env.ledger.prices.dynamodb_read_per_million
     )
     assert statistics.cost_total > 0.0
     for component in ("lambda_duration", "lambda_requests", "s3_requests", "sqs_requests"):

@@ -29,7 +29,7 @@ from repro.cloud.faults import chaos_plan
 from repro.driver.admission import CancellationToken
 from repro.driver.driver import LambadaDriver
 from repro.driver.resilience import ResiliencePolicy
-from repro.driver.shuffle import JOIN_RESULT_QUEUE, _exchange_buckets
+from repro.driver.shuffle import _exchange_buckets
 from repro.errors import QueryCancelledError
 from repro.frontend.sql import parse_sql
 from repro.workload.queries import (
@@ -280,7 +280,7 @@ def test_q5_cancel_mid_dag_gcs_exchange_state(
     # The cancelled waves had already written exchange objects; GC had work.
     assert deleted and deleted[0] >= 1, f"{stage}: cancellation gc'd nothing"
     assert _exchange_object_count(env) == before
-    assert env.sqs.approximate_message_count(JOIN_RESULT_QUEUE) == 0
+    assert env.sqs.approximate_message_count(drivers["serial"].result_queue) == 0
     assert leaked_segments() == []
 
     rerun = drivers["serial"].execute(plans["q5"])

@@ -23,6 +23,7 @@ import pytest
 from repro.cloud.clock import VirtualClock
 from repro.cloud.faults import FaultPlan, FaultRule
 from repro.cloud.metering import MeteringLedger
+from repro.config import IntegrityConfig
 from repro.counters import Counts, LayerView
 from repro.driver.breakers import BreakerBoard
 from repro.driver.dispatch import (
@@ -33,7 +34,7 @@ from repro.driver.dispatch import (
     raise_unfinished,
     run_fleet,
 )
-from repro.driver.shuffle import JOIN_REDUCE_FUNCTION_NAME, ShuffleConfig, ShuffleJoinCoordinator
+from repro.driver.shuffle import JOIN_REDUCE_FUNCTION_NAME, ShuffleJoinCoordinator
 from repro.errors import ExecutionError, QueryTimeoutError, WorkerFailedError
 from repro.frontend.sql import parse_sql
 from repro.workload.queries import q3_sql, tpch_catalog
@@ -318,7 +319,7 @@ def test_the_first_round_goes_through_the_launcher_and_later_rounds_are_flat():
 def _wave(context, events, what="join stage 0"):
     """A shuffle wave — ``context.wave`` over the stage's transport and
     labels — on the fake service and queue; its messages."""
-    coordinator = SimpleNamespace(result_queue="fake-queue", config=ShuffleConfig())
+    coordinator = SimpleNamespace(result_queue="fake-queue", integrity=IntegrityConfig())
     transport, labels = ShuffleJoinCoordinator._stage(coordinator, context, "fn", what)
     return context.wave(events, transport, labels, 2048)[0]
 

@@ -6,7 +6,8 @@ from repro.analysis.experiments import run_tpch_query, setup_functional_environm
 from repro.counters import Counts
 from repro.driver.driver import LambadaDriver
 from repro.engine.pipeline import WorkerResult
-from repro.engine.table import tables_allclose
+
+from benchmarks._baselines import tables_allclose
 
 
 @pytest.fixture(scope="module")

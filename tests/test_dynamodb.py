@@ -40,36 +40,11 @@ def test_conditional_put_fails_if_exists(kv):
     assert kv.get_item("state", "leader") == {"id": 1}
 
 
-def test_delete_item_and_missing_delete_is_noop(kv):
-    kv.put_item("state", "k", {"v": 1})
-    kv.delete_item("state", "k")
-    kv.delete_item("state", "k")
-    assert kv.get_item("state", "k") is None
-
-
-def test_scan_returns_copy(kv):
-    kv.put_item("state", "a", {"v": 1})
-    items = kv.scan("state")
-    items["a"]["v"] = 99
-    assert kv.get_item("state", "a") == {"v": 1}
-
-
 def test_get_returns_copy(kv):
     kv.put_item("state", "a", {"v": [1, 2]})
     item = kv.get_item("state", "a")
     item["v"].append(3)
     assert kv.get_item("state", "a") == {"v": [1, 2]}
-
-
-def test_increment_creates_and_adds(kv):
-    assert kv.increment("state", "counter", "n") == 1
-    assert kv.increment("state", "counter", "n", 4) == 5
-
-
-def test_item_count(kv):
-    kv.put_item("state", "a", {})
-    kv.put_item("state", "b", {})
-    assert kv.item_count("state") == 2
 
 
 def test_item_too_large_rejected(kv):
@@ -81,11 +56,6 @@ def test_create_table_idempotent(kv):
     kv.put_item("state", "a", {"v": 1})
     kv.create_table("state")
     assert kv.get_item("state", "a") == {"v": 1}
-
-
-def test_delete_table(kv):
-    kv.delete_table("state")
-    assert "state" not in kv.list_tables()
 
 
 def test_requests_are_metered(kv):

@@ -106,15 +106,6 @@ def test_cost_model_wrapper_and_series():
     assert set(series["1l"].keys()) == {64, 256}
 
 
-def test_requests_per_bucket_per_round():
-    model = ExchangeCostModel()
-    # §4.4.2: 10k workers over 300 buckets -> P*sqrt(P)/B = 10000*100/300 requests
-    rate = model.requests_per_bucket_per_round(10_000, 300, levels=2)
-    assert rate == pytest.approx(10_000 * 100 / 300)
-    with pytest.raises(ValueError):
-        model.requests_per_bucket_per_round(100, 0)
-
-
 def test_write_costs_dominated_by_reads_only_with_wc():
     plain = exchange_cost("2l", 1024)
     combined = exchange_cost("2l-wc", 1024)

@@ -6,7 +6,6 @@ behind in the object store."""
 import numpy as np
 import pytest
 
-import repro.driver.shuffle as shuffle_module
 from repro.cloud.faults import FaultPlan, FaultRule
 from repro.cloud.network import BandwidthModel, TransferPlan
 from repro.config import DEFAULT_SCAN_CHUNK_BYTES, DEFAULT_SCAN_CONNECTIONS, IntegrityConfig
@@ -259,9 +258,7 @@ def test_shuffle_aggregation_leaves_no_objects_behind(
     if spill:
         monkeypatch.setattr("repro.driver.integrity.RESULT_SPILL_BYTES", 64)
     integrity = IntegrityConfig(generate=checksums, verify=checksums)
-    coordinator = ShuffleAggregateCoordinator(
-        env, config=shuffle_module.ShuffleConfig(integrity=integrity)
-    )
+    coordinator = ShuffleAggregateCoordinator(env, integrity=integrity)
     before = env.s3.object_count()
     puts_before = env.ledger.total("s3", "put_requests")
     _, stats = coordinator.execute(

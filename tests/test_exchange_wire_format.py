@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.config import IntegrityConfig
-from repro.driver.shuffle import ShuffleAggregateCoordinator, ShuffleConfig
+from repro.driver.shuffle import ShuffleAggregateCoordinator
 from repro.errors import CorruptFileError, IntegrityError
 from repro.exchange import codec
 from repro.exchange.basic import deserialize_partition, serialize_partition
@@ -244,7 +244,6 @@ def test_no_general_purpose_compressor_by_default(monkeypatch):
     monkeypatch.setattr(zlib, "compress", forbidden)
     monkeypatch.setattr(zlib, "decompress", forbidden)
     table = {"k": np.arange(100, dtype=np.int64), "v": np.random.default_rng(0).random(100)}
-    assert ShuffleConfig().compression is Compression.NONE
     assert_bit_identical(table, deserialize_partition(serialize_partition(table)))
     payload, offsets = encode_partition_set(table, [0, 40, 100])
     assert_bit_identical(
@@ -470,9 +469,8 @@ PARENT_DIGESTS = {
 }
 
 WIRE_CONFIGS = {
-    "default": ShuffleConfig(),
-    "unchecked": ShuffleConfig(integrity=IntegrityConfig(generate=False)),
-    "fast-block-stage": ShuffleConfig(compression=Compression.FAST),
+    "default": IntegrityConfig(),
+    "unchecked": IntegrityConfig(generate=False),
 }
 
 
@@ -494,8 +492,7 @@ def stack():
 @pytest.mark.parametrize("wire", list(WIRE_CONFIGS))
 @pytest.mark.parametrize("mode", ["serial", "threads", "processes"])
 def test_join_queries_return_the_parents_tables(stack, mode, wire):
-    config = WIRE_CONFIGS[wire]
-    kwargs = {"execution_mode": mode, "shuffle_config": config, "integrity": config.integrity}
+    kwargs = {"execution_mode": mode, "integrity": WIRE_CONFIGS[wire]}
     if mode == "processes":
         kwargs["max_parallel_invocations"] = 2
     session = _session(*stack, **kwargs)
@@ -513,7 +510,7 @@ def test_join_queries_return_the_parents_tables(stack, mode, wire):
 def test_group_bys_return_the_parents_tables(stack, wire):
     env, datasets = stack
     coordinator = ShuffleAggregateCoordinator(
-        env, memory_mib=2048, num_buckets=4, config=WIRE_CONFIGS[wire]
+        env, memory_mib=2048, num_buckets=4, integrity=WIRE_CONFIGS[wire]
     )
     aggregates = [
         AggregateSpec("sum", col("l_extendedprice") * (1 - col("l_discount")), "revenue"),

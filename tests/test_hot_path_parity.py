@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.engine.payload import decode_table, encode_table
-from repro.engine.table import table_num_rows, tables_allclose
+from repro.engine.table import table_num_rows
 from repro.exchange.partition import (
     hash_partition,
     hash_partition_masked,
@@ -20,7 +20,7 @@ from repro.exchange.partition import (
     slice_partition,
 )
 
-from benchmarks._baselines import seed_table_from_wire, seed_table_to_wire
+from benchmarks._baselines import seed_table_from_wire, seed_table_to_wire, tables_allclose
 
 
 def _case_tables():

@@ -17,7 +17,7 @@ from repro.frontend.dataframe import LambadaSession
 from repro.frontend.sql import SqlCatalog, parse_sql
 from repro.plan.expressions import col
 from repro.workload.queries import Q1_SHIPDATE_CUTOFF_DAYS, q1_sql, reference_q1, tpch_catalog
-from repro.workload.tpch import LineitemGenerator, generate_lineitem_dataset, replicate_dataset
+from repro.workload.tpch import LineitemGenerator, generate_lineitem_dataset
 
 
 def test_full_stack_q1_over_replicated_dataset():
@@ -25,11 +25,16 @@ def test_full_stack_q1_over_replicated_dataset():
     while leaving averages unchanged."""
     env = CloudEnvironment.create()
     dataset = generate_lineitem_dataset(env.s3, scale_factor=0.0005, num_files=2)
-    replicated = replicate_dataset(env.s3, dataset, factor=3)
+    replicated = []
+    for copy in range(3):
+        for index, path in enumerate(dataset.paths):
+            data = env.s3.get_object("tpch", path.split("/", 3)[3]).data
+            env.s3.put_object("tpch", f"lineitem-x3/copy-{copy}-part-{index}.lpq", data)
+            replicated.append(f"s3://tpch/lineitem-x3/copy-{copy}-part-{index}.lpq")
     driver = LambadaDriver(env, memory_mib=2048)
 
     base = driver.execute(parse_sql(q1_sql(), tpch_catalog(lineitem=dataset.paths)))
-    scaled = driver.execute(parse_sql(q1_sql(), tpch_catalog(lineitem=replicated.paths)))
+    scaled = driver.execute(parse_sql(q1_sql(), tpch_catalog(lineitem=replicated)))
     np.testing.assert_allclose(scaled.column("count_order"), 3 * base.column("count_order"))
     np.testing.assert_allclose(scaled.column("sum_qty"), 3 * base.column("sum_qty"))
     np.testing.assert_allclose(scaled.column("avg_qty"), base.column("avg_qty"), rtol=1e-9)

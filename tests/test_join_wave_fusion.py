@@ -26,7 +26,6 @@ from repro.driver.admission import CancellationToken
 from repro.driver.resilience import ResiliencePolicy
 from repro.driver.shuffle import (
     BROADCAST_MEMORY_FRACTION,
-    JOIN_RESULT_QUEUE,
     _group_join_waves,
 )
 from repro.errors import ExchangeError, QueryCancelledError
@@ -438,5 +437,5 @@ def test_q5_cancel_between_join_waves_gcs_exchange_state(unfused, monkeypatch):
     assert excinfo.value.stage == token.observed_stage == "join stage 1"
     assert deleted and deleted[0] >= 1
     assert _exchange_object_count(env) == before
-    assert env.sqs.approximate_message_count(JOIN_RESULT_QUEUE) == 0
+    assert env.sqs.approximate_message_count(session.driver.result_queue) == 0
     assert_bit_identical(baseline.table, session.sql(q.q5_sql()).table)

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 from repro.cloud.network import BandwidthModel
 from repro.cloud.s3 import ObjectStore
-from repro.engine.pipeline import execute_worker_plan
-from repro.engine.scan import S3ScanOperator, ScanConfig
+from repro.engine.pipeline import execute_worker_plan_table
+from repro.engine.scan import S3ScanOperator
 from repro.engine.table import concat_tables, table_num_rows
 from repro.formats.compression import Compression
 from repro.formats.encoding import (
@@ -251,22 +251,17 @@ def test_scan_predicate_parity_across_paths(mixed_encoding_store, index):
     columns = ["price", "disc"]
     expected, _ = _reference_scan(store, predicate, columns)
 
-    for late in (True, False):
-        scan = S3ScanOperator(
-            store,
-            ["s3://data/mixed.lpq"],
-            columns=columns,
-            config=ScanConfig(late_materialization=late),
-            predicate=predicate,
-        )
-        observed = concat_tables(list(scan.scan()))
-        if table_num_rows(expected) == 0:
-            assert table_num_rows(observed) == 0
-            continue
-        assert list(observed.keys()) == columns
-        for name in columns:
-            np.testing.assert_array_equal(observed[name], expected[name])
-            assert observed[name].dtype == expected[name].dtype
+    scan = S3ScanOperator(
+        store, ["s3://data/mixed.lpq"], columns=columns, predicate=predicate
+    )
+    observed = concat_tables(list(scan.scan()))
+    if table_num_rows(expected) == 0:
+        assert table_num_rows(observed) == 0
+        return
+    assert list(observed.keys()) == columns
+    for name in columns:
+        np.testing.assert_array_equal(observed[name], expected[name])
+        assert observed[name].dtype == expected[name].dtype
 
 
 def test_scan_shortcircuit_counters(mixed_encoding_store):
@@ -355,14 +350,11 @@ def test_pipeline_filter_consumes_scan_selection(mixed_encoding_store):
         predicate=predicate,
         aggregates=[AggregateSpec("sum", col("price"), "s"), AggregateSpec("count", None, "n")],
     )
-    result = execute_worker_plan(plan, store)
+    result, partial = execute_worker_plan_table(plan, store)
     mask = (table["date"] >= 10) & (table["date"] < 40) & (table["qty"] < 10)
     assert result.counters["scan", "rows_after_filter"] == int(mask.sum())
     assert result.counters["scan", "rows_scanned"] == 6000
     assert result.counters["scan", "rows_decode_saved"] > 0
-    from repro.engine.payload import decode_table
-
-    partial = decode_table(result.partial)
     assert partial["n"][0] == pytest.approx(mask.sum())
     assert partial["s"][0] == pytest.approx(table["price"][mask].sum())
     # The new counters survive the result payload round-trip.
@@ -392,10 +384,7 @@ def test_expression_and_udf_predicates_conjoin(mixed_encoding_store):
         predicate_udf=udf_ref,
         aggregates=[AggregateSpec("count", None, "n")],
     )
-    result = execute_worker_plan(plan, store)
-    from repro.engine.payload import decode_table
-
-    partial = decode_table(result.partial)
+    result, partial = execute_worker_plan_table(plan, store)
     expected = int(((table["qty"] < 10) & (table["date"] < 30)).sum())
     assert partial["n"][0] == pytest.approx(expected)
     assert result.counters["scan", "rows_after_filter"] == expected
@@ -418,7 +407,7 @@ def test_integer_builtin_reduce_keeps_arbitrary_precision():
         columns=["v"],
         reduce_udf=register_udf(operator.mul),
     )
-    result = execute_worker_plan(plan, store)
+    result, _ = execute_worker_plan_table(plan, store)
     assert result.reduce_value == 2 ** 64  # wraps to 0 under int64
 
 
@@ -436,7 +425,7 @@ def test_builtin_reduce_is_vectorized_and_exact(mixed_encoding_store):
         map_outputs=[("value", col("qty") * 1)],
         reduce_udf=ref,
     )
-    result = execute_worker_plan(plan, store)
+    result, _ = execute_worker_plan_table(plan, store)
     assert result.reduce_value == pytest.approx(float(table["qty"].sum()))
     assert not isinstance(result.reduce_value, np.generic)  # JSON-safe scalar
 
@@ -446,7 +435,7 @@ def test_builtin_reduce_is_vectorized_and_exact(mixed_encoding_store):
         map_outputs=[("value", col("price") * 1)],
         reduce_udf=register_udf(max),
     )
-    max_result = execute_worker_plan(max_plan, store)
+    max_result, _ = execute_worker_plan_table(max_plan, store)
     assert max_result.reduce_value == pytest.approx(float(table["price"].max()))
 
 

@@ -18,8 +18,7 @@ import pytest
 
 from repro.analysis.experiments import run_tpch_query, setup_functional_environment
 from repro.driver.driver import LambadaDriver
-from repro.engine.payload import decode_table
-from repro.engine.pipeline import execute_worker_plan
+from repro.engine.pipeline import execute_worker_plan_table
 from repro.frontend.sql import parse_sql
 from repro.plan.optimizer import optimize
 from repro.workload.queries import q1_sql, q3_sql, q6_sql, tpch_catalog
@@ -128,11 +127,11 @@ def test_fused_kernel_matches_classic_per_worker(stack, sql, num_workers):
     env, dataset, _ = stack
     physical, _ = optimize(parse_sql(sql(), tpch_catalog(lineitem=dataset.paths)))
     for index, worker_plan in enumerate(physical.base.worker_plans(num_workers)):
-        classic = execute_worker_plan(worker_plan, env.s3, fused=False)
-        fused = execute_worker_plan(worker_plan, env.s3, fused=True)
+        classic, classic_table = execute_worker_plan_table(worker_plan, env.s3, fused=False)
+        fused, fused_table = execute_worker_plan_table(worker_plan, env.s3, fused=True)
         assert_bit_identical(
-            decode_table(classic.partial),
-            decode_table(fused.partial),
+            classic_table,
+            fused_table,
             f"worker{index}/w{num_workers}",
         )
         for name in ("rows_scanned", "rows_after_filter"):

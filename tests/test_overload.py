@@ -8,10 +8,12 @@ reset/rebind bookkeeping that keeps counters from leaking across queries.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.analysis.experiments import setup_functional_environment
 from repro.cloud.clock import VirtualClock
+from repro.cloud.environment import CloudEnvironment
 from repro.cloud.faults import FaultPlan, FaultRule, brownout_plan
 from repro.driver.admission import (
     AdmissionConfig,
@@ -37,7 +39,8 @@ from repro.errors import (
     TooManyRequestsError,
 )
 from repro.frontend.sql import parse_sql
-from repro.workload.queries import q1_sql, q6_sql, tpch_catalog
+from repro.workload.queries import q1_sql, q3_sql, q6_sql, tpch_catalog
+from repro.workload.tpch import generate_lineitem_dataset, generate_orders_dataset
 
 
 # ---------------------------------------------------------------------------
@@ -392,3 +395,23 @@ def test_clean_query_reports_closed_breakers_and_zero_budget():
     assert overload["retry_budget"]["spent_total"] == 0
     assert overload["breaker_transitions"] == 0
     assert all(b["state"] == CLOSED for b in overload["breakers"].values())
+
+
+def test_concurrent_join_queries_never_take_each_others_results():
+    """Every driver of a session reports to its own result queue, join waves
+    included: eight fault-free Q3s at once re-dispatch no worker.  On one
+    shared join queue each query received and dropped the others' results
+    and re-ran the workers it lost."""
+    env = CloudEnvironment.create()
+    lineitem = generate_lineitem_dataset(env.s3, scale_factor=0.002, num_files=4)
+    orders = generate_orders_dataset(env.s3, scale_factor=0.002, num_files=2)
+    plan = parse_sql(q3_sql(), tpch_catalog(lineitem=lineitem.paths, orders=orders.paths))
+    with QuerySession(env, execution_mode="threads") as session:
+        results = [handle.result() for handle in [session.submit(plan) for _ in range(8)]]
+        queues = [driver.result_queue for driver in session._drivers]
+    assert len(set(queues)) == len(queues) > 1
+    assert [result.statistics.redispatches for result in results] == [0] * 8
+    for result in results[1:]:
+        assert result.table.keys() == results[0].table.keys()
+        for name, column in results[0].table.items():
+            np.testing.assert_array_equal(result.table[name], column)

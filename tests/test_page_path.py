@@ -370,11 +370,14 @@ def _count_repro_calls(run) -> Counter:
         if event == "call" and marker in frame.f_code.co_filename:
             calls[frame.f_code.co_name] += 1
 
+    # Put back whatever hook was armed before (an outer recorder, say), not
+    # None: switching it off would blind it for every later test.
+    previous = sys.getprofile()
     sys.setprofile(profile)
     try:
         run()
     finally:
-        sys.setprofile(None)
+        sys.setprofile(previous)
     return calls
 
 

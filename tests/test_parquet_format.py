@@ -81,17 +81,21 @@ def test_min_max_statistics_are_correct(sample_table):
 def test_prune_row_groups_on_sorted_column(sample_table):
     data = write_table(sample_table, row_group_rows=1000)
     reader = ColumnarFile.from_bytes(data)
-    surviving = reader.prune_row_groups("id", lower=2500, upper=3200)
-    assert [group.index for group in surviving] == [2, 3]
+    alive = reader.metadata.surviving_groups([("id", 2500, 3200)])
+    assert np.flatnonzero(alive).tolist() == [2, 3]
 
 
 def test_prune_with_open_bounds(sample_table):
     data = write_table(sample_table, row_group_rows=1000)
     reader = ColumnarFile.from_bytes(data)
-    assert len(reader.prune_row_groups("id", lower=None, upper=None)) == 5
-    assert len(reader.prune_row_groups("id", lower=4500)) == 1
-    assert len(reader.prune_row_groups("id", upper=-1)) == 0
-    assert len(reader.prune_row_groups("id", lower=5000)) == 0
+
+    def survivors(lower=-np.inf, upper=np.inf):
+        return int(reader.metadata.surviving_groups([("id", lower, upper)]).sum())
+
+    assert survivors() == 5
+    assert survivors(lower=4500) == 1
+    assert survivors(upper=-1) == 0
+    assert survivors(lower=5000) == 0
 
 
 def test_unknown_column_raises(sample_table):
@@ -222,7 +226,8 @@ def test_pruning_never_drops_matching_rows(values, lower, upper):
     table = {"v": np.array(sorted(values), dtype=np.int64)}
     data = write_table(table, row_group_rows=32, compression=Compression.NONE)
     reader = ColumnarFile.from_bytes(data)
-    surviving = reader.prune_row_groups("v", lower=lower, upper=upper)
+    alive = reader.metadata.surviving_groups([("v", lower, upper)])
+    surviving = [group for group, kept in zip(reader.row_groups, alive) if kept]
     kept = (
         np.concatenate([reader.read_column_chunk(group, "v") for group in surviving])
         if surviving

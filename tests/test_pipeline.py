@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.cloud.s3 import ObjectStore
-from repro.engine.pipeline import WorkerResult, execute_worker_plan
-from repro.engine.payload import decode_table
+from repro.engine.payload import encode_table
+from repro.engine.pipeline import WorkerResult, execute_worker_plan_table
 from repro.formats.parquet import write_table
 from repro.plan.expressions import col
 from repro.plan.logical import AggregateSpec
@@ -33,8 +33,7 @@ def test_aggregate_plan(store):
         group_by=["k"],
         aggregates=[AggregateSpec("sum", col("x"), "s"), AggregateSpec("count", None, "n")],
     )
-    result = execute_worker_plan(plan, store)
-    partial = decode_table(result.partial)
+    result, partial = execute_worker_plan_table(plan, store)
     assert result.counters["scan", "rows_scanned"] == 2000
     assert result.counters["scan", "rows_output"] == 4
     assert partial["n"].sum() == pytest.approx(2000)
@@ -48,8 +47,7 @@ def test_filter_expression_plan(store):
         predicate=col("x") < 100,
         aggregates=[AggregateSpec("count", None, "n")],
     )
-    result = execute_worker_plan(plan, store)
-    partial = decode_table(result.partial)
+    result, partial = execute_worker_plan_table(plan, store)
     assert partial["n"][0] == pytest.approx(100)
     assert result.counters["scan", "rows_after_filter"] == 100
 
@@ -62,10 +60,9 @@ def test_prune_ranges_reduce_scanned_rows(store):
         prune_ranges=[PruneRange("x", -1e18, 100)],
         aggregates=[AggregateSpec("count", None, "n")],
     )
-    result = execute_worker_plan(plan, store)
+    result, partial = execute_worker_plan_table(plan, store)
     assert result.counters["scan", "row_groups_pruned"] == 3
     assert result.counters["scan", "rows_scanned"] == 500
-    partial = decode_table(result.partial)
     assert partial["n"][0] == pytest.approx(100)
 
 
@@ -76,8 +73,7 @@ def test_map_expression_plan(store):
         map_outputs=[("product", col("x") * col("y"))],
         aggregates=[AggregateSpec("sum", col("product"), "total")],
     )
-    result = execute_worker_plan(plan, store)
-    partial = decode_table(result.partial)
+    result, partial = execute_worker_plan_table(plan, store)
     assert partial["total"][0] == pytest.approx(2 * np.arange(2000).sum())
 
 
@@ -87,8 +83,7 @@ def test_collect_rows_plan(store):
         columns=["x"],
         predicate=col("x") < 5,
     )
-    result = execute_worker_plan(plan, store)
-    rows = decode_table(result.partial)
+    result, rows = execute_worker_plan_table(plan, store)
     np.testing.assert_array_equal(np.sort(rows["x"]), [0, 1, 2, 3, 4])
     assert result.counters["scan", "rows_output"] == 5
 
@@ -101,8 +96,7 @@ def test_filter_udf_plan(store):
         predicate_udf=ref,
         aggregates=[AggregateSpec("count", None, "n")],
     )
-    result = execute_worker_plan(plan, store)
-    partial = decode_table(result.partial)
+    result, partial = execute_worker_plan_table(plan, store)
     assert partial["n"][0] == pytest.approx(10)
 
 
@@ -115,7 +109,7 @@ def test_map_udf_and_reduce(store):
         map_udf=map_ref,
         reduce_udf=reduce_ref,
     )
-    result = execute_worker_plan(plan, store)
+    result, _ = execute_worker_plan_table(plan, store)
     assert result.reduce_value == pytest.approx(2 * np.arange(2000).sum())
     assert result.counters["scan", "rows_output"] == 1
 
@@ -128,7 +122,7 @@ def test_reduce_over_expression_map(store):
         map_outputs=[("value", col("x") * 1)],
         reduce_udf=reduce_ref,
     )
-    result = execute_worker_plan(plan, store)
+    result, _ = execute_worker_plan_table(plan, store)
     assert result.reduce_value == pytest.approx(1999.0)
 
 
@@ -139,7 +133,7 @@ def test_empty_result_when_everything_pruned(store):
         prune_ranges=[PruneRange("x", 1e9, 2e9)],
         aggregates=[AggregateSpec("sum", col("x"), "s")],
     )
-    result = execute_worker_plan(plan, store)
+    result, _ = execute_worker_plan_table(plan, store)
     assert result.counters["scan", "rows_scanned"] == 0
     assert result.counters["scan", "rows_output"] == 0
     assert result.duration_seconds > 0  # metadata still read
@@ -151,7 +145,7 @@ def test_statistics_populated(store):
         columns=["x"],
         aggregates=[AggregateSpec("sum", col("x"), "s")],
     )
-    result = execute_worker_plan(plan, store)
+    result, _ = execute_worker_plan_table(plan, store)
     assert result.counters["scan", "get_requests"] > 0
     assert result.counters["scan", "bytes_read"] > 0
     assert result.duration_seconds > 0
@@ -165,7 +159,8 @@ def test_worker_result_payload_roundtrip(store):
         columns=["x"],
         aggregates=[AggregateSpec("sum", col("x"), "s")],
     )
-    result = execute_worker_plan(plan, store)
+    result, table = execute_worker_plan_table(plan, store)
+    result.partial = encode_table(table)
     header = result.to_payload()
     assert "partial" not in header  # the frame travels beside the header
     restored = WorkerResult.from_payload(header, result.partial)
@@ -178,6 +173,6 @@ def test_more_memory_is_faster(store):
         columns=["x"],
         aggregates=[AggregateSpec("sum", col("x"), "s")],
     )
-    slow = execute_worker_plan(plan, store, memory_mib=512)
-    fast = execute_worker_plan(plan, store, memory_mib=1792)
+    slow, _ = execute_worker_plan_table(plan, store, memory_mib=512)
+    fast, _ = execute_worker_plan_table(plan, store, memory_mib=1792)
     assert fast.compute_seconds < slow.compute_seconds

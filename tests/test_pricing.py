@@ -43,9 +43,7 @@ def test_sqs_cost():
 
 
 def test_dynamodb_cost_reads_cheaper_than_writes():
-    reads = DEFAULT_PRICES.dynamodb_cost(1_000_000, 0)
-    writes = DEFAULT_PRICES.dynamodb_cost(0, 1_000_000)
-    assert reads < writes
+    assert DEFAULT_PRICES.dynamodb_read_per_million < DEFAULT_PRICES.dynamodb_write_per_million
 
 
 def test_vm_cost_scales_with_count_and_hours():

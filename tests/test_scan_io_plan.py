@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 import repro
 from repro.cloud.network import BandwidthModel
 from repro.cloud.s3 import ObjectStore, SharedSegmentStore
-from repro.engine.pipeline import execute_worker_plan
+from repro.engine.pipeline import execute_worker_plan_table
 from repro.engine.s3io import S3ObjectSource
 from repro.engine.scan import S3ScanOperator
 from repro.errors import (
@@ -441,7 +441,7 @@ def test_q1_worker_at_scan_agg_shape_pays_a_handful_of_round_trips():
     physical, _ = optimize(parse_sql(q.q1_sql(), q.tpch_catalog(lineitem=dataset.paths)))
     worker_plans = physical.base.worker_plans(8)
     assert all(len(plan.files) == 1 for plan in worker_plans)
-    result = execute_worker_plan(worker_plans[0], env.s3)
+    result, _ = execute_worker_plan_table(worker_plans[0], env.s3)
     assert result.counters["scan", "rows_scanned"] > 30_000
     assert result.counters["scan", "get_requests"] <= 3
     assert result.download_seconds + result.metadata_seconds < 0.1

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.formats.source import BytesSource, LocalFileSource
+from repro.formats.source import BytesSource
 
 
 def test_bytes_source_size_and_read():
@@ -27,20 +27,3 @@ def test_bytes_source_rejects_negative():
         source.read_at(-1, 2)
     with pytest.raises(ValueError):
         source.read_at(0, -2)
-
-
-def test_local_file_source(tmp_path):
-    path = tmp_path / "data.bin"
-    path.write_bytes(b"hello world")
-    source = LocalFileSource(str(path))
-    assert source.size() == 11
-    assert source.read_at(6, 5) == b"world"
-    assert source.read_all() == b"hello world"
-
-
-def test_local_file_source_rejects_negative(tmp_path):
-    path = tmp_path / "data.bin"
-    path.write_bytes(b"abc")
-    source = LocalFileSource(str(path))
-    with pytest.raises(ValueError):
-        source.read_at(-1, 1)

@@ -11,10 +11,11 @@ from repro.engine.table import (
     select_columns,
     sort_table,
     table_num_rows,
-    tables_allclose,
     take_rows,
 )
 from repro.errors import ExecutionError, UnknownColumnError
+
+from benchmarks._baselines import tables_allclose
 
 
 def test_num_rows(small_table):

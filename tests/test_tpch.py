@@ -20,7 +20,6 @@ from repro.workload.tpch import (
     generate_orders_dataset,
     generate_part_dataset,
     lineitem_orderkey_domain,
-    replicate_dataset,
 )
 
 
@@ -120,25 +119,6 @@ def test_dataset_info_bytes_match_store(env, dataset):
 def test_generate_rejects_bad_file_count(env):
     with pytest.raises(ValueError):
         generate_lineitem_dataset(env.s3, scale_factor=0.001, num_files=0)
-
-
-def test_replicate_dataset(env, dataset):
-    replicated = replicate_dataset(env.s3, dataset, factor=3)
-    assert replicated.num_files == 3 * dataset.num_files
-    assert replicated.total_rows == 3 * dataset.total_rows
-    # All copies really exist in the store.
-    for path in replicated.paths:
-        bucket, key = path[len("s3://"):].split("/", 1)
-        assert env.s3.object_exists(bucket, key)
-
-
-def test_replicate_factor_one_is_identity(env, dataset):
-    assert replicate_dataset(env.s3, dataset, factor=1) is dataset
-
-
-def test_replicate_rejects_bad_factor(env, dataset):
-    with pytest.raises(ValueError):
-        replicate_dataset(env.s3, dataset, factor=0)
 
 
 # ---------------------------------------------------------------------------

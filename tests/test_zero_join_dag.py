@@ -27,12 +27,7 @@ import pytest
 from repro.cloud.environment import CloudEnvironment
 from repro.config import IntegrityConfig
 from repro.driver import spans
-from repro.driver.shuffle import (
-    ShuffleAggregateCoordinator,
-    ShuffleConfig,
-    ShuffleJoinCoordinator,
-)
-from repro.formats.compression import Compression
+from repro.driver.shuffle import ShuffleAggregateCoordinator, ShuffleJoinCoordinator
 from repro.plan.expressions import col, lit
 from repro.plan.logical import AggregateSpec
 from repro.plan.optimizer import _decompose_aggregates
@@ -81,20 +76,16 @@ def _zero_stage_plan(dataset) -> DagPhysicalPlan:
     )
 
 
-@pytest.mark.parametrize("compression", [Compression.NONE, Compression.FAST])
 @pytest.mark.parametrize("checksums", [True, False])
-def test_facade_equals_hand_built_zero_stage_dag(env, dataset, checksums, compression):
-    config = ShuffleConfig(
-        compression=compression,
-        integrity=IntegrityConfig(generate=checksums, verify=checksums),
-    )
+def test_facade_equals_hand_built_zero_stage_dag(env, dataset, checksums):
+    integrity = IntegrityConfig(generate=checksums, verify=checksums)
     facade_table, facade_statistics = ShuffleAggregateCoordinator(
-        env, num_buckets=4, config=config
+        env, num_buckets=4, integrity=integrity
     ).execute(
         dataset.paths, GROUP_BY, AGGREGATES, predicate=PREDICATE, order_by=GROUP_BY
     )
     dag_table, dag_statistics, worker_results = ShuffleJoinCoordinator(
-        env, num_buckets=4, config=config
+        env, num_buckets=4, integrity=integrity
     ).execute(_zero_stage_plan(dataset))
 
     assert_bit_identical(dag_table, facade_table, "facade vs zero-stage dag")
