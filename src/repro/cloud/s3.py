@@ -416,6 +416,13 @@ class ObjectStore:
 SHM_SEGMENT_PREFIX = "lambada_"
 
 
+def segment_prefix() -> str:
+    """Name prefix of the segments this process creates, ``lambada_<pid>_``:
+    a leak check reads its own process's segments, not those of another
+    process using ``/dev/shm`` at the same time."""
+    return f"{SHM_SEGMENT_PREFIX}{os.getpid()}_"
+
+
 class SharedObjectMirror:
     """Input objects mirrored into shared memory, one segment per object version.
 
@@ -487,7 +494,7 @@ class SharedObjectMirror:
 
         for path, data in copies.items():
             shm = shared_memory.SharedMemory(
-                name=f"{SHM_SEGMENT_PREFIX}m_{uuid.uuid4().hex[:12]}",
+                name=f"{segment_prefix()}{uuid.uuid4().hex[:12]}",
                 create=True,
                 size=max(len(data), 1),
             )

@@ -5,8 +5,14 @@ milliseconds later, and the exchange is bound by *requests*, not bytes
 (paper §4.4) — so the format spends no CPU on a general-purpose compressor.
 Each column is instead stored in the cheapest of the *light-weight*
 encodings LPQ files use too (paper §4.3.2; one table and one set of kernels,
-:mod:`repro.formats.encoding`), chosen from the data in a handful of
-vectorised NumPy passes per column for **all** partitions of a sender at once.
+:mod:`repro.formats.encoding`), chosen from the data.  How the choice is made
+follows the number of live partitions: a frame that is the only one —
+every result table, and the one slice of a small sender — is planned column
+by column in Python scalars (min, max and widths as ints, steps only when
+``FOR`` needs more than a byte, a ``float64`` exponent's full exactness pass
+only when the first value passes it, one ``struct`` per directory entry);
+several are planned in a handful of vectorised NumPy passes per column for
+all of them at once.  Both choose the same bytes for the same rows.
 
 Frame layout (all integers little endian)::
 
@@ -103,6 +109,7 @@ from repro.formats.encoding import (
     SCALES,
     WIDTHS,
     Tiling,
+    narrow_tile,
     narrow_tiles,
     stored_values,
     widen,
@@ -124,13 +131,16 @@ _SCHEMA_LENGTH = struct.Struct("<H")
 _SCHEMA_HEAD = struct.Struct("<BH")
 _NAME_LENGTH = struct.Struct("<H")
 _NUM_ROWS = struct.Struct("<I")
+#: One directory entry, packed: the layout of :data:`ENTRY`.
+_ENTRY = struct.Struct("<BBBQ")
 
-#: Partitions shorter than this ship RAW without being looked at.  Choosing an
-#: encoding costs a fixed couple of dozen NumPy calls per column however few
-#: rows there are; below this length that is more time than the at most
-#: ``8 * rows`` bytes it could save take to transfer, and the objects that
-#: short — a worker's partial aggregates, a dimension table's partitions —
-#: are where the fixed cost is all there is.
+#: Partitions shorter than this ship RAW without being looked at: they save at
+#: most ``8 * rows`` bytes a column, and the objects that short — a worker's
+#: partial aggregates, a dimension table's partitions — are where the fixed
+#: cost of looking is all there is (a few NumPy calls on a one-partition
+#: frame, about 25 on the all-partitions path).  The threshold stays where it
+#: is because moving it moves exchange bytes, and with them every modelled
+#: number and golden counter.
 _MIN_NARROW_ROWS = 16
 
 _FLOAT64 = np.dtype(np.float64)
@@ -153,17 +163,38 @@ def is_fast_partition(data: Buffer) -> bool:
 # -- write side --------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=256)
 def _pack_schema(
-    names: Sequence[str], arrays: Sequence[np.ndarray], compression: Compression
+    names: Tuple[str, ...], dtypes: Tuple[np.dtype, ...], compression: Compression
 ) -> bytes:
-    """The schema section, prefixed with its length: once per sender."""
+    """The schema section, prefixed with its length.
+
+    Cached on ``(names, dtypes, compression)``: one sender's slices, and
+    every frame of one operator's output, repeat the same section.
+    """
     parts = [_SCHEMA_HEAD.pack(COMPRESSION_IDS[compression], len(names))]
-    for name, array in zip(names, arrays):
+    for name, dtype in zip(names, dtypes):
         encoded = name.encode("utf-8")
-        dtype = b"object" if array.dtype.hasobject else array.dtype.str.encode("ascii")
-        parts += [_NAME_LENGTH.pack(len(encoded)), encoded, bytes([len(dtype)]), dtype]
+        text = b"object" if dtype.hasobject else dtype.str.encode("ascii")
+        parts += [_NAME_LENGTH.pack(len(encoded)), encoded, bytes([len(text)]), text]
     schema = b"".join(parts)
     return _SCHEMA_LENGTH.pack(len(schema)) + schema
+
+
+def _schema(names: Sequence[str], arrays: Sequence[np.ndarray], compression: Compression) -> bytes:
+    return _pack_schema(tuple(names), tuple(array.dtype for array in arrays), compression)
+
+
+def _plan_tile(array: np.ndarray) -> Tuple[Tuple[int, int, int, int], object]:
+    """One column of a partition that is the frame's only one: its directory
+    entry and its block, chosen in scalars (:func:`narrow_tile`)."""
+    if array.dtype.hasobject:
+        block = json.dumps(array.tolist()).encode("utf-8")
+        return (JSON, 0, 0, len(block)), block
+    if len(array) < _MIN_NARROW_ROWS:
+        return (RAW, 0, 0, 0), array
+    entry, block = narrow_tile(array)
+    return entry, array if block is None else block
 
 
 def _plan_column(array: np.ndarray, tiling: Tiling, entries: np.ndarray) -> List:
@@ -194,6 +225,43 @@ def _seal(head: bytes, blocks: Sequence, checksum: bool) -> List:
     return [_PREFIX.pack(CHECKED_PARTITION_TAG, crc), head, *blocks]
 
 
+def _plan_frames(
+    arrays: Sequence[np.ndarray], bounds: Sequence[int], live: Sequence[int]
+) -> List[Tuple[bytes, List]]:
+    """Every live partition's packed directory and column blocks.
+
+    One live partition — a result table, a partial aggregate, a small
+    sender's only slice — is planned in scalars, column by column; several
+    in vectorised passes over all of them at once.  Both choose the same
+    bytes for the same rows.
+    """
+    if len(live) == 1:
+        start, end = bounds[live[0]], bounds[live[0] + 1]
+        planned = [_plan_tile(array[start:end]) for array in arrays]
+        return [(
+            b"".join(_ENTRY.pack(*entry) for entry, _ in planned),
+            [block for _, block in planned],
+        )]
+    low, high = bounds[live[0]], bounds[live[-1] + 1]
+    slices = [(bounds[p] - low, bounds[p + 1] - low) for p in live]
+    counts = np.array([end - start for start, end in slices], dtype=np.intp)
+    tiling = Tiling(
+        np.array([start for start, _ in slices], dtype=np.intp),
+        counts,
+        slices,
+        counts >= _MIN_NARROW_ROWS,
+    )
+    directory = np.zeros((len(live), len(arrays)), dtype=ENTRY)
+    columns = [
+        _plan_column(array[low:high], tiling, directory[:, index])
+        for index, array in enumerate(arrays)
+    ]
+    return [
+        (directory[index].tobytes(), [column[index] for column in columns])
+        for index in range(len(live))
+    ]
+
+
 def _encode_frames(
     names: Sequence[str],
     arrays: Sequence[np.ndarray],
@@ -210,29 +278,12 @@ def _encode_frames(
     live = [p for p in range(len(lengths)) if bounds[p + 1] > bounds[p]]
     if not live:
         return [], lengths
-    schema = _pack_schema(names, arrays, compression)
-    low, high = bounds[live[0]], bounds[live[-1] + 1]
-    slices = [(bounds[p] - low, bounds[p + 1] - low) for p in live]
-    counts = np.array([end - start for start, end in slices], dtype=np.intp)
-    tiling = Tiling(
-        np.array([start for start, _ in slices], dtype=np.intp),
-        counts,
-        slices,
-        counts >= _MIN_NARROW_ROWS,
-    )
-    directory = np.zeros((len(live), len(arrays)), dtype=ENTRY)
-    columns = [
-        _plan_column(array[low:high], tiling, directory[:, index])
-        for index, array in enumerate(arrays)
-    ]
+    schema = _schema(names, arrays, compression)
     parts: List = []
-    for index, partition in enumerate(live):
+    for partition, (directory, blocks) in zip(live, _plan_frames(arrays, bounds, live)):
         head = b"".join((
-            schema,
-            _NUM_ROWS.pack(bounds[partition + 1] - bounds[partition]),
-            directory[index].tobytes(),
+            schema, _NUM_ROWS.pack(bounds[partition + 1] - bounds[partition]), directory
         ))
-        blocks = [column[index] for column in columns]
         if compression is not Compression.NONE:
             blocks = [compress(b"".join(blocks), compression)]
         frame = _seal(head, blocks, checksum)
@@ -258,7 +309,7 @@ def encode_frame(
     if num_rows == 0:
         # Nothing to choose an encoding from: every column is an empty RAW.
         head = (
-            _pack_schema(names, arrays, Compression.NONE)
+            _schema(names, arrays, Compression.NONE)
             + _NUM_ROWS.pack(0)
             + np.zeros(len(arrays), dtype=ENTRY).tobytes()
         )

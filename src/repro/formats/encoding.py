@@ -33,7 +33,9 @@ two-decimal prices — so NaN, ±inf and −0.0 stay ``PLAIN``.
 The narrowing kernels work on a :class:`Tiling` — the row groups of a file,
 the partitions of a sender — in a handful of vectorised NumPy passes for all
 tiles of a column at once (:func:`narrow_tiles`, :func:`encode_tiles`);
-:func:`widen` is their inverse.
+:func:`widen` is their inverse.  A partition frame's only live partition is
+planned in Python scalars instead (:func:`narrow_tile`: the same choice, bit
+for bit, without the per-tile arrays).
 
 Besides full decode, chunks can be opened as an :class:`EncodedChunk` *view*
 over the raw buffers (run values/lengths, dictionary + codes, narrowed
@@ -296,6 +298,37 @@ def _narrow(
     return encoding, width, base, blocks
 
 
+def _width(span: int) -> int:
+    """:func:`_widths` of one span, a Python int."""
+    return 8 if span > 0xFFFFFFFF else (span.bit_length() + 7) // 8
+
+
+def _narrow_one(values: np.ndarray) -> Tuple[int, int, int, object]:
+    """:func:`_narrow` of a column that is one tile, with Python-int extremes
+    and widths: ``(encoding, width, base, block)``.  The steps of ``DELTA``
+    are computed only when ``FOR`` needs more than one byte a value."""
+    itemsize = values.dtype.itemsize
+    unsigned = UNSIGNED[itemsize].newbyteorder("=")
+    bits = values.view(unsigned)
+    ordered = bits if values.dtype.kind == "b" else values
+    low = int(ordered.min())
+    width = _width(int(ordered.max()) - low)
+    encoding, base, steps = FOR, low % (1 << 8 * itemsize), None
+    if width > 1:
+        steps = np.empty_like(bits)
+        np.subtract(bits[1:], bits[:-1], out=steps[1:])
+        steps[0] = 0
+        step_width = _width(int(steps.max()))
+        if step_width < width:
+            encoding, base, width = DELTA, int(bits[0]), step_width
+    if width >= itemsize:
+        return RAW, 0, 0, None
+    if width == 0:
+        return encoding, 0, base, b""
+    source = steps if encoding == DELTA else bits - unsigned.type(base)
+    return encoding, width, base, _to_width(source, width)
+
+
 def _to_width(values: np.ndarray, width: int) -> np.ndarray:
     """Unsigned ``values`` below ``256**width`` stored at ``width`` bytes each:
     a ``u1`` / ``<u2`` / ``<u4`` array, or for width 3 one packed 3-byte row
@@ -324,21 +357,49 @@ def stored_values(data: Buffer, width: int, count: int, offset: int = 0) -> Opti
 
 
 def _scaled_exactly(
-    values: np.ndarray, scale: Optional[float], starts: np.ndarray
+    values: np.ndarray, scale: Optional[float]
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """``rint(values * scale)`` as int64, and which tiles it is exact for.
+    """``rint(values * scale)`` as int64, and which values it is exact for.
 
-    Exact means decoding the integers reproduces every value of the tile bit
-    for bit — never true with a NaN, ±inf, −0.0 or a value beyond int64 in it
-    (the invalid cast yields some integer; it cannot decode to those bits).
+    Exact means decoding the integer reproduces the value bit for bit — never
+    true for a NaN, ±inf, −0.0 or a value beyond int64 (the invalid cast
+    yields some integer; it cannot decode to those bits).  A tile is exact
+    when all its values are, so its first value being exact (this test on the
+    tiles' first values) is a necessary condition that costs little next to
+    the full pass.
     """
     with np.errstate(invalid="ignore", over="ignore"):
         scaled = np.rint(values if scale is None else values * scale).astype(np.int64)
     restored = scaled.astype(np.float64)
     if scale is not None:
         restored /= scale
-    same = restored.view(np.int64) == values.view(np.int64)
-    return scaled, np.logical_and.reduceat(same, starts)
+    return scaled, restored.view(np.int64) == values.view(np.int64)
+
+
+def narrow_tile(array: np.ndarray) -> Tuple[Tuple[int, int, int, int], Optional[np.ndarray]]:
+    """:func:`narrow_tiles` of a column that is one tile, planned in scalars.
+
+    Returns the tile's ``(encoding, width, exponent, base)`` and its block
+    (``None``: ``RAW``), bit for bit what the all-tiles kernel chooses for a
+    tile holding these rows.  A ``float64`` column's exponent is tried with
+    one full exactness pass only when the head value passes it.
+    """
+    dtype = array.dtype
+    if dtype.isnative and dtype.kind in "iub":
+        encoding, width, base, block = _narrow_one(array)
+        return (encoding, width, 0, base), block
+    if dtype == _FLOAT64:
+        for exponent, scale in SCALES.items():
+            if not _scaled_exactly(array[:1], scale)[1][0]:
+                continue
+            scaled, same = _scaled_exactly(array, scale)
+            if same.all():
+                # The first exact exponent decides: narrowed, or RAW.
+                encoding, width, base, block = _narrow_one(scaled)
+                if encoding != RAW:
+                    return (encoding, width, exponent, base), block
+                break
+    return (RAW, 0, 0, 0), None
 
 
 def narrow_tiles(
@@ -361,11 +422,16 @@ def narrow_tiles(
         )
     elif dtype == _FLOAT64:
         # Per tile, the first exponent that is exact decides: narrowed if its
-        # integers narrow, RAW if they do not.
+        # integers narrow, RAW if they do not.  An exponent's full pass runs
+        # only when some pending tile's head value is exact at it.
+        starts = tiling.starts
+        heads = array[starts]
         pending = tiling.long.copy()
         for exponent, scale in SCALES.items():
-            scaled, exact = _scaled_exactly(array, scale, tiling.starts)
-            exact &= pending
+            exact = pending & _scaled_exactly(heads, scale)[1]
+            if exact.any():
+                scaled, same = _scaled_exactly(array, scale)
+                exact &= np.logical_and.reduceat(same, starts)
             if exact.any():
                 encoding, width, base, narrowed = _narrow(scaled, tiling, only)
                 chosen = exact & (encoding != RAW)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.cloud.environment import CloudEnvironment
-from repro.cloud.s3 import SHM_SEGMENT_PREFIX, SharedObjectMirror
+from repro.cloud.s3 import SharedObjectMirror, segment_prefix
 from repro.driver.dispatch import QueryContext
 from repro.driver.driver import LambadaDriver
 from repro.driver.integrity import RESULT_BUCKET
@@ -18,18 +18,20 @@ from repro.workload.tpch import LineitemGenerator, generate_lineitem_dataset
 
 
 def shm_segments():
-    """Names of every ``lambada_*`` shared-memory segment in ``/dev/shm``."""
+    """Names of the shared-memory segments in ``/dev/shm`` that this process
+    created.  Another process's ``lambada_*`` segments (a second test run, an
+    e2e ``scan_agg_procs`` run) are its own business: each name carries its
+    creator's pid (:func:`~repro.cloud.s3.segment_prefix`)."""
+    own = segment_prefix()
     try:
-        return sorted(
-            name for name in os.listdir("/dev/shm") if name.startswith(SHM_SEGMENT_PREFIX)
-        )
+        return sorted(name for name in os.listdir("/dev/shm") if name.startswith(own))
     except FileNotFoundError:  # pragma: no cover - non-Linux hosts
         return []
 
 
 def leaked_segments():
-    """``lambada_*`` segments that no live input mirror holds, such as the copy
-    of a retired object version or of a closed driver's inputs."""
+    """Segments this process created that no live input mirror holds, such as
+    the copy of a retired object version or of a closed driver's inputs."""
     live = SharedObjectMirror.live_segment_names()
     return [name for name in shm_segments() if name not in live]
 
@@ -85,8 +87,8 @@ def _record_calls(monkeypatch, cls, name):
 
 @pytest.fixture(autouse=True)
 def invariants(monkeypatch):
-    """After every test: no ``lambada_*`` segment outlives the mirror that
-    held it, a closed driver's mirror is no longer live, no query attributes
+    """After every test: no segment this process created outlives the mirror
+    that held it, a closed driver's mirror is no longer live, no query attributes
     more waste than the cloud billed it, and no query that returned a result
     left an object under its prefix in the result or shuffle buckets — nor,
     when no fault was injected into it, a message in any queue.  (A faulted

@@ -10,12 +10,13 @@ on single-core CI runners.
 from __future__ import annotations
 
 import os
+import uuid
 
 import numpy as np
 import pytest
 
 from repro.analysis.experiments import run_tpch_query, setup_functional_environment
-from repro.cloud.s3 import SHM_SEGMENT_PREFIX
+from repro.cloud.s3 import SHM_SEGMENT_PREFIX, segment_prefix
 from repro.driver.driver import LambadaDriver
 from repro.errors import WorkerFailedError
 from tests.conftest import leaked_segments, shm_segments
@@ -236,5 +237,34 @@ def test_segment_prefix_is_scoped(stack, processes_driver):
     run_tpch_query(processes_driver, dataset, "q6")
     names = {name for name, _ in processes_driver._mirror.directory.values()}
     assert len(names) == len(dataset.paths)
-    assert all(name.startswith(SHM_SEGMENT_PREFIX) for name in names)
+    assert all(name.startswith(segment_prefix()) for name in names)
     assert names <= set(shm_segments())
+
+
+def _segment(name):
+    from multiprocessing import shared_memory
+
+    return shared_memory.SharedMemory(name=name, create=True, size=1)
+
+
+def test_another_process_segment_is_not_a_leak():
+    # What a concurrent test run or e2e `scan_agg_procs` run holds: one
+    # lambada_* segment under another pid's prefix.
+    foreign = _segment(f"{SHM_SEGMENT_PREFIX}{os.getppid()}_{uuid.uuid4().hex[:12]}")
+    try:
+        assert os.path.exists(f"/dev/shm/{foreign.name}")
+        assert foreign.name not in shm_segments()
+        assert leaked_segments() == []
+    finally:
+        foreign.close()
+        foreign.unlink()
+
+
+def test_a_segment_this_process_leaves_is_a_leak():
+    leaked = _segment(f"{segment_prefix()}{uuid.uuid4().hex[:12]}")
+    try:
+        assert leaked_segments() == [leaked.name]
+    finally:
+        leaked.close()
+        leaked.unlink()
+    assert leaked_segments() == []
