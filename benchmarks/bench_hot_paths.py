@@ -63,7 +63,6 @@ from unittest import mock
 import numpy as np
 
 import repro.driver.integrity as result_plane
-from repro.config import IntegrityConfig
 from repro.engine.join import hash_join
 from repro.engine.payload import decode_table, encode_table
 from repro.engine.table import table_num_rows
@@ -154,7 +153,7 @@ def measure_payload_roundtrip(num_rows: int = ROWS, repeats: int = 3) -> Dict:
 
     def binary_roundtrip():
         result_plane.post_result(
-            wire, "results", IntegrityConfig(), {"worker_id": 0}, encode_table(table),
+            wire, "results", {"worker_id": 0}, encode_table(table),
             "bench/worker-0.a0",
         )
         message = result_plane.open_message(wire.sqs.body)
@@ -402,7 +401,7 @@ def _lpq_set_roundtrip(reordered, boundaries, compression) -> int:
 
 
 def measure_shuffle_codec(
-    num_rows: int = ROWS, num_partitions: int = PARTITIONS, repeats: int = 3
+    num_rows: int = ROWS, num_partitions: int = PARTITIONS, repeats: int = 9
 ) -> Dict:
     """The partition-frame codec on a shuffle write, against what it replaced.
 
@@ -421,6 +420,10 @@ def measure_shuffle_codec(
       (``tpch_*``) on a TPC-H-shaped one (sorted int64 key, 2-decimal price,
       low-cardinality discount, int32 date), where the typed encodings must
       also ship no more bytes than zlib did.
+
+    Each side is the best of ``repeats`` (nine): at three, host noise on a
+    2-vCPU machine is wider than the regression gate's margin, and one run
+    in three fails ``framing_speedup`` / ``typed_speedup`` on unchanged code.
     """
     from repro.formats.compression import Compression
 
@@ -852,13 +855,6 @@ def measure_end_to_end(
     versus the plain ``is None`` fast path, interleaved best-of-``repeats``
     pairs.  The regression guard caps the ratio at 1.02.
 
-    ``integrity_overhead_ratio`` guards the integrity plane the same way:
-    serial Q1 at the checksummed default (crc-bearing dataset files, LPQ
-    chunk verification on scan, payload crcs and message digests generated
-    and verified) versus the same query with ``IntegrityConfig`` fully off
-    over a crc-free copy of the dataset.  The regression guard caps the
-    ratio at 1.03.
-
     ``admission_overhead_ratio`` guards the overload control plane (PR 9):
     the same serial Q1 submitted through a :class:`QuerySession` — admission
     gate, tenant token buckets, shared breaker board, per-query retry budget
@@ -951,61 +947,6 @@ def measure_end_to_end(
     assert tables_allclose(results["serial"].table, guarded_result.table)
     assert guarded_result.statistics.resilience.clean
 
-    # Integrity overhead: the checksummed default versus integrity fully off
-    # over a crc-free copy of the dataset (same rows, no crcs to generate on
-    # the write side or verify on the read side).  Interleaved best-of pairs,
-    # as above.
-    from repro.config import IntegrityConfig
-
-    nocrc_dataset = generate_lineitem_dataset(
-        env.s3,
-        prefix="lineitem-nocrc",
-        scale_factor=scale_factor,
-        num_files=num_files,
-        row_group_rows=32_768,
-        compression=Compression.FAST,
-        checksum=False,
-    )
-    unchecked_driver = LambadaDriver(
-        env, integrity=IntegrityConfig(generate=False, verify=False)
-    )
-    run_tpch_query(unchecked_driver, nocrc_dataset, "q1")  # untimed warmup
-    unchecked_best = checked_best = float("inf")
-    checked_result = unchecked_result = None
-    # The true crc cost is ~2% of a ~0.2s query — smaller than run-to-run
-    # scheduler drift — so this needs the most noise-immune estimator in the
-    # file: serial Q1 is a pure in-process CPU workload, so each half is
-    # timed with ``time.process_time`` (preemption by other processes does
-    # not count against either half), and the ratio is the *median of
-    # per-pair ratios* over many back-to-back pairs (ambient slowdowns hit
-    # both halves of a pair alike and cancel, where a ratio of independent
-    # minima would not converge).  32 pairs brings the median's spread under
-    # half a percent on a busy single-core host.
-    pair_ratios = []
-    for index in range(max(10 * repeats, 32)):
-        # Alternate which half of the pair runs first, so cache position
-        # inside the pair cannot systematically favour either side.
-        halves = ["unchecked", "checked"]
-        if index % 2:
-            halves.reverse()
-        seconds = {}
-        for half in halves:
-            start = time.process_time()
-            if half == "unchecked":
-                unchecked_result = run_tpch_query(
-                    unchecked_driver, nocrc_dataset, "q1"
-                )
-            else:
-                checked_result = run_tpch_query(drivers["serial"], dataset, "q1")
-            seconds[half] = time.process_time() - start
-        unchecked_best = min(unchecked_best, seconds["unchecked"])
-        checked_best = min(checked_best, seconds["checked"])
-        pair_ratios.append(seconds["checked"] / seconds["unchecked"])
-    integrity_ratio = sorted(pair_ratios)[len(pair_ratios) // 2]
-    assert tables_allclose(checked_result.table, unchecked_result.table)
-    assert checked_result.statistics.integrity.clean
-    assert unchecked_result.statistics.integrity.clean
-
     # Overload-plane overhead: the same serial Q1 through a QuerySession
     # (admission + budgets + breakers + cancellation armed) versus a bare
     # execute.  ``process_time`` covers all threads of the process, so the
@@ -1064,9 +1005,6 @@ def measure_end_to_end(
         "faultfree_plain_wall_seconds": plain_best,
         "faultfree_guarded_wall_seconds": guarded_best,
         "faultfree_overhead_ratio": guarded_best / plain_best,
-        "integrity_unchecked_cpu_seconds": unchecked_best,
-        "integrity_checked_cpu_seconds": checked_best,
-        "integrity_overhead_ratio": integrity_ratio,
         "admission_bare_cpu_seconds": bare_best,
         "admission_armed_cpu_seconds": armed_best,
         "admission_overhead_ratio": admission_ratio,
@@ -1313,15 +1251,12 @@ def test_end_to_end_query(bench_recorder, experiment_report):
         f"processes {measurement['processes_wall_seconds']:.2f}s wall "
         f"({measurement['wall_speedup']:.2f}x), "
         f"fault-hook overhead {measurement['faultfree_overhead_ratio']:.3f}x, "
-        f"integrity overhead {measurement['integrity_overhead_ratio']:.3f}x, "
         f"admission overhead {measurement['admission_overhead_ratio']:.3f}x"
     )
     # The resilience plane must be free when no faults fire (PR 7's bar:
-    # fault-free Q1 regresses by less than 2%), the integrity plane's
-    # checksums must cost less than 3% of wall time, and the armed overload
+    # fault-free Q1 regresses by less than 2%), and the armed overload
     # plane (PR 9: admission, budgets, breakers, cancellation) less than 2%.
     assert measurement["faultfree_overhead_ratio"] < 1.02
-    assert measurement["integrity_overhead_ratio"] < 1.03
     assert measurement["admission_overhead_ratio"] < 1.02
     assert measurement["result_rows"] > 0
     assert measurement["median_of"] == 3

@@ -323,7 +323,7 @@ def _run_verify_dataset(args: argparse.Namespace, out) -> int:
         bucket, key = parse_s3_path(path)
         data = env.s3.get_object(bucket, key).data
         try:
-            file = ColumnarFile.from_bytes(data, verify=True, name=path)
+            file = ColumnarFile.from_bytes(data, name=path)
             rows = table_num_rows(file.read_table())
             chunks = " ".join(
                 f"{encoding.name}={count}"

@@ -160,26 +160,18 @@ VCPU_ROWS_PER_SECOND = 7_500_000.0
 
 @dataclass(frozen=True)
 class ResilienceConfig:
-    """Retry, backoff, hedging, breaker, and budget knobs in one place.
+    """The resilience plane's constants that no per-driver policy carries.
 
-    Every retry/backoff magic number that used to be scattered across
-    :mod:`repro.driver.resilience`, :mod:`repro.driver.shuffle`, and
-    :mod:`repro.driver.procpool` is defined here exactly once;
-    :class:`repro.driver.resilience.ResiliencePolicy` takes its defaults from
-    :data:`DEFAULT_RESILIENCE`, so tuning a number here retunes every plane.
-    The circuit breakers and the per-query retry budget (PR 9) configure
-    through the same object.
+    Every poll, spill-read, pool and breaker magic number that used to be
+    scattered across :mod:`repro.driver.dispatch`,
+    :mod:`repro.driver.integrity`, :mod:`repro.driver.procpool` and
+    :mod:`repro.driver.breakers` is defined here exactly once.  The knobs a
+    driver may override — attempts, backoff, deadline, hedging, jitter seed,
+    retry budget — are declared once, on
+    :class:`repro.driver.resilience.ResiliencePolicy`.
     """
 
-    # -- retry / backoff (formerly ResiliencePolicy literals) ---------------
-    #: Total attempts per worker including the first (>= 1).
-    max_attempts: int = 4
-    #: First backoff sleep (modelled seconds).
-    backoff_base_seconds: float = 0.05
-    #: Backoff ceiling (modelled seconds).
-    backoff_cap_seconds: float = 2.0
-    #: Modelled deadline for one wave of workers.
-    wave_deadline_seconds: float = 60.0
+    # -- result collection ----------------------------------------------------
     #: Result-queue poll budget: ``max(min_poll_rounds, expected *
     #: poll_rounds_per_worker)`` rounds (formerly duplicated as
     #: ``max(64, expected * 4)`` in driver.py and shuffle.py).
@@ -189,27 +181,13 @@ class ResilienceConfig:
     #: declared uncurable (formerly ``range(2)`` in driver.py and shuffle.py).
     spill_read_attempts: int = 2
 
-    # -- hedging ------------------------------------------------------------
-    hedge_factor: float = 4.0
-    hedge_min_seconds: float = 0.5
-    hedge_max_fraction: float = 0.25
-
     # -- process pool ---------------------------------------------------------
     #: Largest process pool the driver will spawn (formerly ``min(size, 16)``).
     pool_max_children: int = 16
     #: Seconds to wait for a pool child to exit before terminating it.
     pool_join_timeout_seconds: float = 5.0
-    #: Seed of the backoff/jitter RNG (independent of any fault plan).
-    jitter_seed: int = 20260808
 
-    # -- per-query retry budget (PR 9) ---------------------------------------
-    #: Combined cap on what ``call_with_backoff`` retries, wave retries,
-    #: driver re-invocations, and hedges may spend in one query.  Exhausting
-    #: it raises :class:`~repro.errors.RetryBudgetExhaustedError` instead of
-    #: burning backoff and dollars forever under a sustained brownout.
-    retry_budget: int = 256
-
-    # -- per-service circuit breakers (PR 9) ---------------------------------
+    # -- per-service circuit breakers ----------------------------------------
     #: Failures within the rolling window that trip a breaker open.
     breaker_failure_threshold: int = 16
     #: Rolling failure-count window (modelled seconds).
@@ -222,48 +200,9 @@ class ResilienceConfig:
     breaker_half_open_probes: int = 2
 
 
-#: The single source of the resilience plane's numeric defaults.
+#: The resilience plane's constants (its per-driver knobs are
+#: :data:`repro.driver.resilience.DEFAULT_RESILIENCE_POLICY`).
 DEFAULT_RESILIENCE = ResilienceConfig()
-
-
-# ---------------------------------------------------------------------------
-# Data-integrity plane
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class IntegrityConfig:
-    """End-to-end content-checksum knobs.
-
-    ``generate`` embeds crc32 checksums in everything the engine writes (LPQ
-    chunks and footers, exchange partition frames, binary worker payloads,
-    combined-object slice directories, SQS result messages).  ``verify``
-    makes every consumer check them on read and raise
-    :class:`~repro.errors.IntegrityError` on mismatch.  Both default on;
-    objects written without checksums (pre-integrity format, no flag bit)
-    always still decode, so readers never require the writer to have
-    generated them.
-    """
-
-    generate: bool = True
-    verify: bool = True
-
-    def to_dict(self) -> dict:
-        return {"generate": self.generate, "verify": self.verify}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "IntegrityConfig":
-        if not data:
-            # Events from pre-integrity callers carry no block: defaults apply.
-            return cls()
-        return cls(
-            generate=bool(data.get("generate", True)),
-            verify=bool(data.get("verify", True)),
-        )
-
-
-#: Checksums on, verification on: the production default.
-DEFAULT_INTEGRITY = IntegrityConfig()
 
 #: Number of LINEITEM rows per scale factor (about 6M rows per SF).
 LINEITEM_ROWS_PER_SF = 6_001_215

@@ -35,6 +35,7 @@ from collections import deque
 from typing import Callable, Dict, List, Optional
 
 from repro.config import DEFAULT_RESILIENCE
+from repro.driver.resilience import DEFAULT_RESILIENCE_POLICY
 from repro.errors import (
     NoSuchKeyError,
     RetryBudgetExhaustedError,
@@ -247,7 +248,7 @@ class RetryBudget:
 
     def __init__(
         self,
-        limit: int = DEFAULT_RESILIENCE.retry_budget,
+        limit: int = DEFAULT_RESILIENCE_POLICY.retry_budget,
         query_id: str = "",
         breaker_states: Optional[Callable[[], Dict[str, str]]] = None,
     ):

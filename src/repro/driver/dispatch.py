@@ -101,7 +101,6 @@ def collect_results(
     by_key: Dict,
     label: str,
     counts: Optional[Counts] = None,
-    verify: bool = True,
     cancel: Optional[Any] = None,
 ) -> int:
     """Poll ``queue`` until every key of ``want`` reported; returns how many did.
@@ -132,7 +131,7 @@ def collect_results(
         if cancel is not None:
             cancel.check(label)
         for message in sqs.receive_messages(queue, max_messages=10):
-            payload = open_message(message.body, verify, counts)
+            payload = open_message(message.body, counts)
             if payload is None or payload.get("query_id") != query_id:
                 continue  # corrupt, or stale from an earlier query
             side, key = payload.get("side"), payload.get("worker_id", -1)
@@ -333,17 +332,15 @@ class QueryContext:
             breakers=self.breakers, budget=self.budget, now_fn=self.now, **kwargs,
         )
 
-    def collect(
-        self, queue: str, want: Dict, by_key: Dict, label: str, verify: bool
-    ) -> int:
+    def collect(self, queue: str, want: Dict, by_key: Dict, label: str) -> int:
         """:func:`collect_results` of this query's messages on ``queue``."""
         return collect_results(
             self.env.sqs, queue, self.query_id, want, by_key, label,
-            counts=self.counters, verify=verify, cancel=self.cancel,
+            counts=self.counters, cancel=self.cancel,
         )
 
     def lambda_transport(
-        self, function_name: str, queue: str, label: str, verify: bool,
+        self, function_name: str, queue: str, label: str,
         launch: Optional[Callable[[List[Dict], Callable[[Dict], Any]], None]] = None,
     ) -> Callable[[List[Dict], Dict, Dict], None]:
         """The Lambda + SQS transport of one fleet.
@@ -366,7 +363,7 @@ class QueryContext:
             else:
                 launch(payloads, invoke)
                 launch = None
-            self.collect(queue, want, by_key, label, verify)
+            self.collect(queue, want, by_key, label)
 
         return transport
 
@@ -467,13 +464,13 @@ class QueryContext:
             self.counters.note("resilience", outcome)
             self.counters.note("resilience", "wasted_cost_dollars", wasted)
 
-    def fetch_spilled(self, messages: Iterable[Dict], verify: bool) -> None:
+    def fetch_spilled(self, messages: Iterable[Dict]) -> None:
         """Fetch, in place, the frames accepted ``messages`` spilled to S3
         (:func:`~repro.driver.integrity.fetch_spilled_result`, with backoff)."""
         for message in messages:
             if "result_s3" in message:
                 message["frame"] = fetch_spilled_result(
-                    self.env.s3, message, verify, self.counters,
+                    self.env.s3, message, self.counters,
                     policy=self.policy, rng=self.rng,
                     breakers=self.breakers, budget=self.budget, now_fn=self.now,
                 )

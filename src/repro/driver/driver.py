@@ -37,7 +37,7 @@ import numpy as np
 from repro.cloud.environment import CloudEnvironment
 from repro.cloud.lambda_service import FunctionConfig
 from repro.cloud.s3 import SharedObjectMirror
-from repro.config import DEFAULT_RESILIENCE, IntegrityConfig
+from repro.config import DEFAULT_RESILIENCE
 from repro.driver import spans
 from repro.driver.admission import (
     AdmissionConfig,
@@ -169,7 +169,6 @@ class LambadaDriver:
         execution_mode: str = "serial",
         max_parallel_invocations: Optional[int] = None,
         resilience_policy: Optional[ResiliencePolicy] = None,
-        integrity: Optional[IntegrityConfig] = None,
         breakers: Optional[BreakerBoard] = None,
     ):
         """``execution_mode`` selects how the simulated fleet runs.
@@ -212,9 +211,6 @@ class LambadaDriver:
         #: query state, so the board lives as long as the driver — and a
         #: :class:`QuerySession` shares one board across all its drivers.
         self.breakers = breakers or BreakerBoard()
-        #: Content-checksum knobs: workers embed checksums in everything they
-        #: write and every consumer verifies on read (both default on).
-        self.integrity = integrity or IntegrityConfig()
         self.install()
 
     # -- installation -------------------------------------------------------------
@@ -251,7 +247,6 @@ class LambadaDriver:
             self.env,
             memory_mib=self.memory_mib,
             result_queue=self.result_queue,
-            integrity=self.integrity,
             resilience_policy=self.resilience_policy,
         )
 
@@ -338,8 +333,7 @@ class LambadaDriver:
                 lambda events: self._transport(
                     physical.base, events, self._invocation.plan(len(events), cold=cold), context
                 ),
-                {"function_name": self.function_name, "threads": threads,
-                 "integrity": self.integrity.to_dict()},
+                {"function_name": self.function_name, "threads": threads},
             )
             table, statistics, worker_results = self._join_coordinator.execute(
                 physical, num_workers=num_workers, context=context, final_scan=scan
@@ -479,7 +473,7 @@ class LambadaDriver:
         if pool is None:
             self.env.sqs.purge_queue(self.result_queue)
             yield context.lambda_transport(
-                self.function_name, self.result_queue, "collect", self.integrity.verify,
+                self.function_name, self.result_queue, "collect",
                 launch=functools.partial(self._launch_tree, launch),
             ), SCAN_FLEET
             return

@@ -10,11 +10,12 @@ Everything the verify-and-recover read path shares lives here:
   ``header`` is one JSON object (ids, status, counters, announcements).
   ``digest`` is the crc32 of the header text *as it travels*, eight hex
   digits, computed once by the sender and checked by the receiver before it
-  parses anything; an unsigned message (``integrity.generate=False``) starts
-  with the header's ``{``.  A message that reports a result table describes
-  its frame (:mod:`repro.engine.payload`) in the header: ``"frame": [length,
-  crc32]``, and ``"result_s3"``, where the frame is when it is not in the
-  message.  The frame rides behind the header while the whole message fits
+  parses anything.  Every message is signed and every frame checked: an
+  unsigned message (one that starts with the header's ``{``) or an unchecked
+  frame is corrupt, dropped like any other.  A message that reports a result
+  table describes its frame (:mod:`repro.engine.payload`) in the header:
+  ``"frame": [length, crc32]``, and ``"result_s3"``, where the frame is when
+  it is not in the message.  The frame rides behind the header while the whole message fits
   :data:`RESULT_SPILL_BYTES`; otherwise its raw bytes are PUT at
   ``result_s3`` — no JSON, no base64 — and the message is the header alone.
   Either way the receiver checks the frame the way a ranged GET checks a
@@ -39,7 +40,7 @@ import zlib
 from typing import Any, Dict, Optional
 
 from repro.cloud.s3 import parse_s3_path
-from repro.config import DEFAULT_RESILIENCE, IntegrityConfig
+from repro.config import DEFAULT_RESILIENCE
 from repro.counters import Counts
 from repro.driver.resilience import call_with_backoff
 from repro.errors import CorruptFileError
@@ -56,12 +57,12 @@ RESULT_BUCKET = "lambada-results"
 def post_result(
     env: Any,
     queue: str,
-    integrity: IntegrityConfig,
     header: Dict[str, Any],
     frame: Optional[bytes] = None,
     spill_key: Optional[str] = None,
 ) -> None:
-    """Send one result message: ``header``, and ``frame`` inline or spilled.
+    """Send one signed result message: ``header``, and ``frame`` (a checked
+    frame) inline or spilled.
 
     ``spill_key`` is where in :data:`RESULT_BUCKET` the frame goes when the
     message would not fit the queue; the caller suffixes it with the attempt,
@@ -74,8 +75,7 @@ def post_result(
             "result_s3": f"s3://{RESULT_BUCKET}/{spill_key}",
         }
     text = json.dumps(header)
-    if integrity.generate:
-        text = f"{zlib.crc32(text.encode()):08x}{text}"
+    text = f"{zlib.crc32(text.encode()):08x}{text}"
     if frame is not None:
         if len(text) + 1 + 4 * ((len(frame) + 2) // 3) > RESULT_SPILL_BYTES:
             env.s3.ensure_bucket(RESULT_BUCKET)
@@ -85,28 +85,25 @@ def post_result(
     env.sqs.send_message(queue, text)
 
 
-def open_message(
-    body: str, verify: bool = True, counts: Optional[Counts] = None
-) -> Optional[Dict[str, Any]]:
+def open_message(body: str, counts: Optional[Counts] = None) -> Optional[Dict[str, Any]]:
     """Parse one delivered result message; ``None`` when it is corrupt.
 
     An inline frame comes back as its bytes under ``"frame"``, checked, with
     ``"result_s3"`` removed (nothing was spilled); a spilled one keeps its
     ``[length, crc32]`` description there for :func:`fetch_spilled_result`.
     A message that does not parse (site ``sqs.parse``) or fails its digest or
-    its frame's checks (``sqs.digest``) is noted into ``counts`` and
-    dropped: its producer looks missing and the retry machinery re-invokes
-    it, so a corrupt message can never contribute rows.  Unsigned messages
-    and unchecked frames pass a verifying receiver.
+    its frame's checks (``sqs.digest``; an unsigned message and an unchecked
+    frame fail them too) is noted into ``counts`` and dropped: its producer
+    looks missing and the retry machinery re-invokes it, so a corrupt message
+    can never contribute rows.
     """
     site = "sqs.parse"
     try:
         text, _, tail = body.partition("\n")
-        if not text.startswith("{"):
-            digest, text = text[:8], text[8:]
-            if verify and digest != f"{zlib.crc32(text.encode()):08x}":
-                site = "sqs.digest"
-                raise ValueError("message digest mismatch")
+        digest, text = text[:8], text[8:]
+        if digest != f"{zlib.crc32(text.encode()):08x}":
+            site = "sqs.digest"
+            raise ValueError("message digest mismatch")
         message = json.loads(text)
         if not isinstance(message, dict):
             raise ValueError("result message is not an object")
@@ -118,9 +115,8 @@ def open_message(
             if spare and base64.b64encode(frame[-spare:]).decode("ascii") != tail[-4:]:
                 raise ValueError("non-canonical base64")
             path = message.pop("result_s3")
-            if verify:
-                site = "sqs.digest"
-                verify_frame(frame, *message["frame"], key=path)
+            site = "sqs.digest"
+            verify_frame(frame, *message["frame"], key=path)
             message["frame"] = frame
     except (ValueError, KeyError, TypeError, CorruptFileError):
         if counts is not None:
@@ -133,7 +129,6 @@ def open_message(
 def fetch_spilled_result(
     s3: Any,
     message: Dict[str, Any],
-    verify: bool,
     counts: Optional[Counts] = None,
     **backoff: Any,
 ) -> bytes:
@@ -144,7 +139,7 @@ def fetch_spilled_result(
     :func:`~repro.driver.resilience.call_with_backoff` with the caller's
     ``backoff`` context (``policy``/``rng`` and the overload plane's
     ``breakers``/``budget``/``now_fn``), its retries noted into ``counts``.
-    With ``verify`` on, the object must be the frame the message describes
+    The object must be the frame the message describes
     (length, crc, one hash pass; site ``spill.digest``): a corrupt first read
     (in-flight corruption) is cured by one re-issued GET, noted as
     ``("integrity", "re_reads")``, and a stale or swapped object —
@@ -155,8 +150,6 @@ def fetch_spilled_result(
     attempts = DEFAULT_RESILIENCE.spill_read_attempts
     for read_attempt in range(attempts):
         frame = call_with_backoff(s3.get_object, bucket, key, counts=counts, **backoff).data
-        if not verify:
-            break
         try:
             verify_frame(frame, *message["frame"], key=path)
         except CorruptFileError:

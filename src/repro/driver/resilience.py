@@ -30,42 +30,44 @@ import random
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.config import DEFAULT_RESILIENCE
 from repro.counters import Counts
 from repro.errors import NoSuchKeyError, SlowDownError, TooManyRequestsError
 
 
 @dataclass(frozen=True)
 class ResiliencePolicy:
-    """Knobs of the driver's fault-tolerance machinery.
+    """Knobs of the driver's fault-tolerance machinery, a per-driver override
+    surface.
 
-    Every numeric default comes from
-    :data:`repro.config.DEFAULT_RESILIENCE`, the single home of the
-    retry/backoff/breaker/budget numbers — this class only re-exposes them as
-    a per-driver override surface.
+    Each knob is declared here and nowhere else; the plane's constants that
+    no policy carries (poll rounds, spill reads, the pool, the breakers) are
+    :data:`repro.config.DEFAULT_RESILIENCE`.
     """
 
     #: Total attempts per worker including the first (>= 1).
-    max_attempts: int = DEFAULT_RESILIENCE.max_attempts
+    max_attempts: int = 4
     #: First backoff sleep (modelled seconds).
-    backoff_base_seconds: float = DEFAULT_RESILIENCE.backoff_base_seconds
+    backoff_base_seconds: float = 0.05
     #: Backoff ceiling (modelled seconds).
-    backoff_cap_seconds: float = DEFAULT_RESILIENCE.backoff_cap_seconds
+    backoff_cap_seconds: float = 2.0
     #: Modelled deadline for one wave of workers; workers still missing when
     #: the poll budget runs out are treated as failed and retried.
-    wave_deadline_seconds: float = DEFAULT_RESILIENCE.wave_deadline_seconds
+    wave_deadline_seconds: float = 60.0
     #: A worker is a straggler when its modelled duration exceeds
     #: ``hedge_factor`` x the fleet median ...
-    hedge_factor: float = DEFAULT_RESILIENCE.hedge_factor
+    hedge_factor: float = 4.0
     #: ... and this absolute floor (so tiny fleets/queries never hedge).
-    hedge_min_seconds: float = DEFAULT_RESILIENCE.hedge_min_seconds
+    hedge_min_seconds: float = 0.5
     #: At most this fraction of the fleet is hedged per query.
-    hedge_max_fraction: float = DEFAULT_RESILIENCE.hedge_max_fraction
+    hedge_max_fraction: float = 0.25
     #: Seed for the backoff/jitter RNG (independent of any fault plan).
-    jitter_seed: int = DEFAULT_RESILIENCE.jitter_seed
-    #: Per-query cap on combined retry/hedge spend (see
-    #: :class:`repro.driver.breakers.RetryBudget`).
-    retry_budget: int = DEFAULT_RESILIENCE.retry_budget
+    jitter_seed: int = 20260808
+    #: Per-query cap on the combined spend of ``call_with_backoff`` retries,
+    #: wave retries, driver re-invocations and hedges (see
+    #: :class:`repro.driver.breakers.RetryBudget`): exhausting it raises
+    #: :class:`~repro.errors.RetryBudgetExhaustedError` instead of burning
+    #: backoff and dollars forever under a sustained brownout.
+    retry_budget: int = 256
 
 
 DEFAULT_RESILIENCE_POLICY = ResiliencePolicy()

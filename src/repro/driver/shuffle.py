@@ -87,7 +87,7 @@ from repro.cloud.environment import CloudEnvironment
 from repro.cloud.lambda_service import FunctionConfig, InvocationContext
 from repro.cloud.network import BandwidthModel
 from repro.cloud.s3 import parse_s3_path
-from repro.config import DEFAULT_SCAN_CONNECTIONS, IntegrityConfig, MiB
+from repro.config import DEFAULT_SCAN_CONNECTIONS, MiB
 from repro.counters import Counts, LayerView
 from repro.driver import spans
 from repro.driver.dispatch import FleetLabels, QueryContext
@@ -336,10 +336,7 @@ def _guarded(env: CloudEnvironment, run):
             }
             if event.get("side") is not None:
                 message["side"] = event["side"]
-            post_result(
-                env, event["result_queue"],
-                IntegrityConfig.from_dict(event.get("integrity")), message,
-            )
+            post_result(env, event["result_queue"], message)
             return message
 
     return handler
@@ -358,16 +355,13 @@ def _fetch_partition(
     partition: int,
     num_partitions: int,
     counts: Counts,
-    integrity: IntegrityConfig,
 ) -> tuple:
     """Plan and fetch ``partition``'s slices of every input side.
 
     Returns ``(pieces per side, slices read, modelled fetch seconds)``.
     """
     plan = FetchPlan.build(manifests, partition, num_partitions, counts)
-    pieces, fetch_seconds = plan.fetch(
-        env.s3, env.bandwidth, context.memory_mib, counts, verify=integrity.verify
-    )
+    pieces, fetch_seconds = plan.fetch(env.s3, env.bandwidth, context.memory_mib, counts)
     return pieces, plan.slices, fetch_seconds
 
 
@@ -435,7 +429,6 @@ def _make_reduce_handler(env: CloudEnvironment):
         query_id = event["query_id"]
         partition = event["partition"]
         attempt = int(event.get("attempt", 0))
-        integrity = IntegrityConfig.from_dict(event.get("integrity"))
         counts = Counts()
         steps = event["steps"]
 
@@ -443,7 +436,7 @@ def _make_reduce_handler(env: CloudEnvironment):
             env, context,
             [SenderManifest(event["probe"])]
             + [SenderManifest(step["build"], bool(step.get("broadcast"))) for step in steps],
-            partition, event["num_partitions"], counts, integrity,
+            partition, event["num_partitions"], counts,
         )
         joined, *builds = (
             concat_tables(side_pieces) if side_pieces else {} for side_pieces in pieces
@@ -469,7 +462,7 @@ def _make_reduce_handler(env: CloudEnvironment):
             message.update(_emit(
                 env, event, partition, joined, [emit["key"]],
                 int(emit.get("num_partitions", event["num_partitions"])), emit["tag"],
-                counts, integrity,
+                counts,
             ))
         else:
             # With no joined rows the partial aggregate still emits the right
@@ -479,7 +472,7 @@ def _make_reduce_handler(env: CloudEnvironment):
                 list(event["group_by"]),
                 [AggregateSpec.from_dict(item) for item in event["aggregates"]],
             )
-            frame = encode_table(partial_table, checksum=integrity.generate)
+            frame = encode_table(partial_table)
         modelled_seconds = _charge_worker(
             env, context, _reduce_compute_seconds(slices_read), counts, fetch_seconds
         )
@@ -491,7 +484,7 @@ def _make_reduce_handler(env: CloudEnvironment):
         # which reach the driver in the message itself (they hold the path
         # the next wave reads).
         post_result(
-            env, event["result_queue"], integrity, message, frame,
+            env, event["result_queue"], message, frame,
             f"{query_id}/{event['spill_stem']}-{partition}.a{attempt}",
         )
         return message
@@ -736,17 +729,12 @@ class ShuffleJoinCoordinator:
         memory_mib: int = 2048,
         num_buckets: int = 10,
         result_queue: str = JOIN_RESULT_QUEUE,
-        integrity: Optional[IntegrityConfig] = None,
         resilience_policy: Optional[ResiliencePolicy] = None,
     ):
         self.env = env
         self.memory_mib = memory_mib
         self.num_buckets = num_buckets
         self.result_queue = result_queue
-        #: Content-checksum generation/verification: one crc32 per partition
-        #: frame, published again in the sender's announcement, and digests
-        #: on every result message.
-        self.integrity = integrity or IntegrityConfig()
         self.resilience_policy = resilience_policy or DEFAULT_RESILIENCE_POLICY
         env.sqs.create_queue(result_queue)
         # The handlers are stateless (per-query naming is derived from the
@@ -770,9 +758,7 @@ class ShuffleJoinCoordinator:
         retries (each writing under its own ``r{attempt}/`` prefix) charged to
         the ``wave_retries`` budget account, its failure named after the stage
         ``what``."""
-        transport = context.lambda_transport(
-            function_name, self.result_queue, what, self.integrity.verify
-        )
+        transport = context.lambda_transport(function_name, self.result_queue, what)
         return transport, FleetLabels(f"{what} dispatch", what, "wave_retries", stage=what)
 
     def _map_wave(self, context: QueryContext) -> "ScanWave":
@@ -865,7 +851,7 @@ class ShuffleJoinCoordinator:
         exchange = dag.has_exchange
         shared = {
             "query_id": query_id, "attempt": 0, "result_queue": scan.queue,
-            "integrity": self.integrity.to_dict(), **scan.fields,
+            **scan.fields,
         }
         events: Dict = {}
         for tag, plan in dag.sides():
@@ -962,7 +948,6 @@ class ShuffleJoinCoordinator:
                 "spill_stem": self.names.spill_stem,
                 "result_queue": self.result_queue,
                 "num_buckets": self.num_buckets,
-                "integrity": self.integrity.to_dict(),
             }
             if last:
                 what = self.names.reduce_label
@@ -987,7 +972,7 @@ class ShuffleJoinCoordinator:
                 probe_messages = final
 
         # -- driver scope ------------------------------------------------------------
-        context.fetch_spilled(final, self.integrity.verify)
+        context.fetch_spilled(final)
         for result, message in zip(worker_results[-len(final):], final):
             result.partial = message.get("frame")
         result = {} if dag.base.reduce_udf else merge_driver_scope(
@@ -1057,12 +1042,9 @@ class ShuffleAggregateCoordinator(ShuffleJoinCoordinator):
         memory_mib: int = 2048,
         num_buckets: int = 10,
         result_queue: str = SHUFFLE_RESULT_QUEUE,
-        integrity: Optional[IntegrityConfig] = None,
         resilience_policy: Optional[ResiliencePolicy] = None,
     ):
-        super().__init__(
-            env, memory_mib, num_buckets, result_queue, integrity, resilience_policy
-        )
+        super().__init__(env, memory_mib, num_buckets, result_queue, resilience_policy)
 
     def execute(
         self,

@@ -22,7 +22,6 @@ from typing import Any, Callable, Dict, Optional, Sequence
 
 from repro.cloud.environment import CloudEnvironment
 from repro.cloud.lambda_service import InvocationContext
-from repro.config import IntegrityConfig
 from repro.counters import Counts, LayerView
 from repro.driver.integrity import post_result
 from repro.engine.payload import encode_table
@@ -91,7 +90,6 @@ def _write_partitions(
     num_partitions: int,
     naming: WriteCombiningNaming,
     counts: Counts,
-    integrity: IntegrityConfig,
 ) -> Dict:
     """Hash-partition ``rows`` by ``keys`` and ship them through the exchange.
 
@@ -113,10 +111,7 @@ def _write_partitions(
     else:
         assignment = partition_assignments(rows, list(keys), num_partitions)
         reordered, boundaries = scatter_by_assignment(rows, assignment, num_partitions)
-    return write_combined(
-        env.s3, naming.path(sender, 0), reordered, boundaries, counts,
-        checksum=integrity.generate,
-    )
+    return write_combined(env.s3, naming.path(sender, 0), reordered, boundaries, counts)
 
 
 def _emit(
@@ -128,7 +123,6 @@ def _emit(
     num_partitions: int,
     tag: str,
     counts: Counts,
-    integrity: IntegrityConfig,
 ) -> Dict:
     """Ship one worker's output rows into the exchange under ``tag``.
 
@@ -146,9 +140,7 @@ def _emit(
         event["query_id"], tag, int(event.get("num_buckets", 10)),
         int(event.get("attempt", 0)),
     )
-    return _write_partitions(
-        env, event, sender, rows, keys, num_partitions, naming, counts, integrity
-    )
+    return _write_partitions(env, event, sender, rows, keys, num_partitions, naming, counts)
 
 
 def _charge_worker(
@@ -195,7 +187,6 @@ def make_worker_handler(env: CloudEnvironment) -> Callable[[Dict[str, Any], Invo
         result_queue: Optional[str] = event.get("result_queue")
         query_id = event.get("query_id", "query")
         function_name = event.get("function_name", WORKER_FUNCTION_NAME)
-        integrity = IntegrityConfig.from_dict(event.get("integrity"))
         side = event.get("side")
 
         # 1. Invoke second-generation children first so the whole fleet starts
@@ -230,7 +221,7 @@ def make_worker_handler(env: CloudEnvironment) -> Callable[[Dict[str, Any], Invo
             if side is not None:
                 message.update(_emit(
                     env, event, worker_id, table, plan.partition_keys,
-                    event["num_partitions"], side, result.counters, integrity,
+                    event["num_partitions"], side, result.counters,
                 ))
             elif table is not None:
                 frame = encode_table(table)
@@ -251,7 +242,7 @@ def make_worker_handler(env: CloudEnvironment) -> Callable[[Dict[str, Any], Invo
 
         if result_queue:
             post_result(
-                env, result_queue, integrity, message, frame,
+                env, result_queue, message, frame,
                 f"{query_id}/worker-{worker_id}.a{attempt}",
             )
         return message

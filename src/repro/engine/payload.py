@@ -5,7 +5,8 @@ rows, a final join wave's partials — travels as **one** frame of
 :mod:`repro.exchange.codec`, the format of the shuffle exchange's partitions
 and of the process pool's shared-memory plane: columns keep their dtypes bit
 for bit, each is stored raw or in the cheapest light-weight encoding, and one
-crc32 covers the frame.  The frame rides behind a result message's JSON
+crc32 covers the frame: every result frame is checked, and a frame that is
+not is corrupt.  The frame rides behind a result message's JSON
 header or, when the message would outgrow the queue, as a raw S3 object (see
 :func:`repro.driver.integrity.post_result`);
 :attr:`~repro.engine.pipeline.WorkerResult.partial` holds it in every
@@ -22,15 +23,11 @@ from typing import Optional
 from repro.engine.table import Table
 
 
-def encode_table(table: Table, checksum: bool = True) -> bytes:
-    """Serialise a result table into one frame.
-
-    ``checksum`` (default on, per :class:`~repro.config.IntegrityConfig`)
-    embeds the frame crc32; ``False`` writes the unchecked tag and no digest.
-    """
+def encode_table(table: Table) -> bytes:
+    """Serialise a result table into one checked frame."""
     from repro.exchange.codec import encode_frame
 
-    return encode_frame(table, checksum=checksum)
+    return encode_frame(table)
 
 
 def decode_table(
@@ -42,7 +39,7 @@ def decode_table(
     """Inverse of :func:`encode_table`.
 
     ``copy=False`` leaves raw columns as read-only views of ``frame`` —
-    enough for merge paths that only concatenate.  A checked frame is
+    enough for merge paths that only concatenate.  The frame's crc32 is
     verified unless ``verify=False`` (the collectors verify a frame where
     they accept it, so the merge does not hash it again); a mismatch raises
     :class:`~repro.errors.IntegrityError` with ``key`` naming the origin.

@@ -18,27 +18,18 @@ from repro.exchange.codec import decode_partition_slice, encode_partition
 from repro.formats.compression import Compression
 
 
-def serialize_partition(
-    table: Table,
-    compression: Compression = Compression.NONE,
-    checksum: bool = True,
-) -> bytes:
-    """Serialise a partition table into one typed frame of
-    :mod:`repro.exchange.codec` (empty table -> empty bytes).
-
-    ``checksum=False`` writes no embedded crc.
-    """
+def serialize_partition(table: Table, compression: Compression = Compression.NONE) -> bytes:
+    """Serialise a partition table into one checked frame of
+    :mod:`repro.exchange.codec` (empty table -> empty bytes)."""
     if table_num_rows(table) == 0:
         return b""
-    return encode_partition(table, compression, checksum=checksum)
+    return encode_partition(table, compression)
 
 
-def deserialize_partition(
-    data: bytes, verify: bool = True, key: Optional[str] = None
-) -> Table:
+def deserialize_partition(data: bytes, key: Optional[str] = None) -> Table:
     """Inverse of :func:`serialize_partition` (empty bytes -> empty table).
 
-    The embedded checksum of a checked frame is verified unless
-    ``verify=False``; ``key`` names the object in corruption reports.
+    The frame's embedded crc32 is verified; ``key`` names the object in
+    corruption reports.
     """
-    return decode_partition_slice(data, copy=True, verify=verify, key=key)
+    return decode_partition_slice(data, copy=True, key=key)

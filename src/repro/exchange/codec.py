@@ -16,7 +16,7 @@ all of them at once.  Both choose the same bytes for the same rows.
 
 Frame layout (all integers little endian)::
 
-    prefix   u8  tag        0x03 checked frame, 0x04 unchecked (crc field 0)
+    prefix   u8  tag        0x03, the one tag: every frame is checked
              u32 crc32      of every byte after the prefix
     head     u16 schema length
              ... schema     identical for every slice of one sender: packed
@@ -68,8 +68,10 @@ the embedded digest with the directory's (layer ``slice.crc``, which is what
 catches a stale but self-consistent body) — :func:`decode_ranged_slices`;
 :func:`verify_frame` is the same checks without the decode, for a frame that
 is accepted in one place and decoded in another (a worker's result table,
-:mod:`repro.engine.payload`).  The two tags differ in three bits, so no single flipped bit turns a checked
-frame into an unchecked one.
+:mod:`repro.engine.payload`).  There is one checked form and no other: a
+frame under any other tag — the retired unchecked tag ``0x04`` included —
+is no frame (layer ``codec.prefix``), and a directory entry that publishes
+no crc is corruption (``slice.crc``).
 
 **Multi-partition framing.**  :func:`encode_partition_set` serialises all
 partitions of one sender into a single buffer in receiver order, returning
@@ -115,11 +117,12 @@ from repro.formats.encoding import (
     widen,
 )
 
-#: Format byte of a checksummed frame.
+#: Format byte of a frame: every frame carries its crc32.
 CHECKED_PARTITION_TAG = 0x03
 
-#: Format byte of a frame written with ``checksum=False``: same layout, crc
-#: field zero.  Three bits away from :data:`CHECKED_PARTITION_TAG`.
+#: Retired format byte of an unchecked frame (crc field zero), three bits
+#: away from :data:`CHECKED_PARTITION_TAG`.  No writer produces it; a reader
+#: rejects it like any other byte that is not the checked tag.
 UNCHECKED_PARTITION_TAG = 0x04
 
 #: Directory id of an object column's JSON block; the fixed-width encodings
@@ -153,11 +156,8 @@ Buffer = Union[bytes, bytearray, memoryview]
 
 
 def is_fast_partition(data: Buffer) -> bool:
-    """Whether ``data`` starts like a partition frame (either tag)."""
-    return len(data) >= _PREFIX.size and data[0] in (
-        CHECKED_PARTITION_TAG,
-        UNCHECKED_PARTITION_TAG,
-    )
+    """Whether ``data`` starts like a partition frame (the checked tag)."""
+    return len(data) >= _PREFIX.size and data[0] == CHECKED_PARTITION_TAG
 
 
 # -- write side --------------------------------------------------------------------------
@@ -214,11 +214,9 @@ def _plan_column(array: np.ndarray, tiling: Tiling, entries: np.ndarray) -> List
     ]
 
 
-def _seal(head: bytes, blocks: Sequence, checksum: bool) -> List:
+def _seal(head: bytes, blocks: Sequence) -> List:
     """A frame's buffers: the prefix — with the one crc32 over everything
-    after it, when ``checksum`` — then ``head`` and ``blocks``."""
-    if not checksum:
-        return [_PREFIX.pack(UNCHECKED_PARTITION_TAG, 0), head, *blocks]
+    after it — then ``head`` and ``blocks``."""
     crc = zlib.crc32(head)
     for block in blocks:
         crc = zlib.crc32(block, crc)
@@ -267,7 +265,6 @@ def _encode_frames(
     arrays: Sequence[np.ndarray],
     bounds: Sequence[int],
     compression: Compression,
-    checksum: bool,
 ) -> Tuple[List, List[int]]:
     """Frame the non-empty partitions ``bounds[p]:bounds[p + 1]`` of ``arrays``.
 
@@ -286,21 +283,15 @@ def _encode_frames(
         ))
         if compression is not Compression.NONE:
             blocks = [compress(b"".join(blocks), compression)]
-        frame = _seal(head, blocks, checksum)
+        frame = _seal(head, blocks)
         lengths[partition] = sum(memoryview(part).nbytes for part in frame)
         parts += frame
     return parts, lengths
 
 
-def encode_frame(
-    table: Table,
-    compression: Compression = Compression.NONE,
-    checksum: bool = True,
-) -> bytes:
-    """Serialise a table into one frame.
+def encode_frame(table: Table, compression: Compression = Compression.NONE) -> bytes:
+    """Serialise a table into one checked frame.
 
-    ``checksum`` (default on, per :class:`~repro.config.IntegrityConfig`)
-    embeds the frame crc32; ``False`` writes the unchecked tag and no digest.
     ``compression`` is the optional block stage over the encoded body.
     """
     names = list(table.keys())
@@ -313,30 +304,25 @@ def encode_frame(
             + _NUM_ROWS.pack(0)
             + np.zeros(len(arrays), dtype=ENTRY).tobytes()
         )
-        return b"".join(_seal(head, (), checksum))
-    parts, _ = _encode_frames(names, arrays, [0, num_rows], compression, checksum)
+        return b"".join(_seal(head, ()))
+    parts, _ = _encode_frames(names, arrays, [0, num_rows], compression)
     return b"".join(parts)
 
 
-def encode_partition(
-    table: Table,
-    compression: Compression = Compression.NONE,
-    checksum: bool = True,
-) -> bytes:
+def encode_partition(table: Table, compression: Compression = Compression.NONE) -> bytes:
     """:func:`encode_frame` of one exchange partition.
 
     The exchange plane's own entry point: result tables
     (:mod:`repro.engine.payload`) go through :func:`encode_frame` directly,
     so a trace that wraps functions from outside tells the two planes apart.
     """
-    return encode_frame(table, compression, checksum)
+    return encode_frame(table, compression)
 
 
 def encode_partition_set(
     reordered: Table,
     boundaries: Union[Sequence[int], np.ndarray],
     compression: Compression = Compression.NONE,
-    checksum: bool = True,
 ) -> Tuple[bytes, List[int]]:
     """Serialise every partition of a scattered table into one buffer.
 
@@ -353,7 +339,7 @@ def encode_partition_set(
     names = list(reordered.keys())
     arrays = [np.ascontiguousarray(reordered[name]) for name in names]
     parts, lengths = _encode_frames(
-        names, arrays, [int(bound) for bound in boundaries], compression, checksum
+        names, arrays, [int(bound) for bound in boundaries], compression
     )
     offsets = [0]
     for length in lengths:
@@ -479,10 +465,12 @@ def verify_frame(
     offset directory, a result header — published about it: the byte count
     (layer ``slice.length``) and the embedded digest (``slice.crc``, which is
     what catches a stale or swapped but self-consistent frame).  ``hashed`` adds
-    the one crc32 pass of a checked frame against its embedded digest
-    (``codec.crc``).  Raises :class:`~repro.errors.IntegrityError`, or
-    :class:`~repro.errors.CorruptFileError` for bytes that are no frame, with
-    ``key`` and ``offset`` (where the frame starts in its object) as the
+    the one crc32 pass against the embedded digest (``codec.crc``); a caller
+    passes ``False`` only for bytes another check already hashed.  Raises
+    :class:`~repro.errors.IntegrityError`, or
+    :class:`~repro.errors.CorruptFileError` for bytes that are no checked
+    frame (layer ``codec.prefix``: too short, or any tag but the checked one),
+    with ``key`` and ``offset`` (where the frame starts in its object) as the
     provenance.
     """
     if length is not None and len(data) != length:
@@ -492,16 +480,18 @@ def verify_frame(
             expected=length, actual=len(data),
         )
     if not is_fast_partition(data):
+        unchecked = len(data) >= _PREFIX.size and data[0] == UNCHECKED_PARTITION_TAG
         raise CorruptFileError(
-            "not a partition frame", key=key, layer="codec.prefix"
+            "unchecked partition frame" if unchecked else "not a partition frame",
+            key=key, layer="codec.prefix",
         )
-    tag, embedded = _PREFIX.unpack_from(data)
+    embedded = _PREFIX.unpack_from(data)[1]
     if crc is not None and embedded != crc:
         raise IntegrityError(
             "frame does not carry the crc its announcement publishes",
             key=key, layer="slice.crc", offset=offset, expected=crc, actual=embedded,
         )
-    if hashed and tag == CHECKED_PARTITION_TAG:
+    if hashed:
         actual = zlib.crc32(memoryview(data)[_PREFIX.size:])
         if actual != embedded:
             raise IntegrityError(
@@ -519,7 +509,8 @@ def decode_frame(
 ) -> Table:
     """Inverse of :func:`encode_frame`.
 
-    A checked frame's crc32 is verified in one pass unless ``verify=False``;
+    The frame's crc32 is verified in one pass unless ``verify=False`` (for
+    a frame whose bytes were hashed where it was accepted);
     a mismatch raises :class:`~repro.errors.IntegrityError`, a frame that does
     not parse raises :class:`~repro.errors.CorruptFileError`, both with
     ``key`` as the provenance.  ``copy=False`` leaves ``RAW`` columns as
@@ -601,23 +592,21 @@ def decode_ranged_slices(
     data: Buffer,
     start: int,
     parts: Sequence[Tuple[int, int, Optional[int]]],
-    verify: bool = True,
     key: Optional[str] = None,
 ) -> List[Table]:
     """Verify a ranged GET against its directory entries, then decode it.
 
     ``data`` is the response to a GET of a combined object from byte
-    ``start``; ``parts`` are the ``(start, end, crc or None)`` directory
-    entries of the non-empty slices it covers, which tile the range.  With
-    ``verify`` on, the response must have the planned length (layer
-    ``slice.length``), each frame must carry the digest its directory entry
-    publishes (``slice.crc``) and must hash to it (``codec.crc``, one pass, in
-    :func:`decode_partition`).  A slice that does not start like a frame is
-    rejected as one (``codec.prefix``), verified or not.  The one place a
-    directory slice is verified.
+    ``start``; ``parts`` are the ``(start, end, crc)`` directory entries of
+    the non-empty slices it covers, which tile the range.  The response must
+    have the planned length (layer ``slice.length``), each entry must publish
+    a crc and each frame must carry it (``slice.crc``) and hash to it
+    (``codec.crc``, one pass, in :func:`decode_partition`); a slice that does
+    not start like a checked frame is rejected as one (``codec.prefix``).
+    The one place a directory slice is verified.
     """
     expected = parts[-1][1] - start
-    if verify and len(data) != expected:
+    if len(data) != expected:
         raise IntegrityError(
             "ranged GET returned wrong slice length",
             key=key, layer="slice.length", offset=start,
@@ -627,7 +616,11 @@ def decode_ranged_slices(
     tables: List[Table] = []
     for low, high, crc in parts:
         piece = view[low - start:high - start]
-        if verify and crc is not None:
-            verify_frame(piece, crc=crc, hashed=False, key=key, offset=low)
-        tables.append(decode_partition_slice(piece, verify=verify, key=key))
+        if crc is None:
+            raise IntegrityError(
+                "directory entry publishes no crc",
+                key=key, layer="slice.crc", offset=low,
+            )
+        verify_frame(piece, crc=crc, hashed=False, key=key, offset=low)
+        tables.append(decode_partition_slice(piece, key=key))
     return tables

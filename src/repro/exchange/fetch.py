@@ -46,7 +46,6 @@ def write_combined(
     reordered: Table,
     boundaries: Sequence[int],
     counts: Counts,
-    checksum: bool = True,
 ) -> Dict:
     """PUT every partition of a scattered table as one combined object.
 
@@ -55,10 +54,9 @@ def write_combined(
     partitions occupy zero bytes, and an empty table is still one (empty)
     PUT.  Returns the announcement: ``format``, ``combined_path``,
     ``combined_size``, ``offsets`` (one per slot plus the end) and ``crcs``
-    (one per slot, ``None`` without ``checksum``).  The PUT and its bytes
-    are noted into ``counts``.
+    (one per slot).  The PUT and its bytes are noted into ``counts``.
     """
-    payload, offsets = encode_partition_set(reordered, boundaries, checksum=checksum)
+    payload, offsets = encode_partition_set(reordered, boundaries)
     store.put_path(path, payload)
     counts.note("exchange", "put_requests")
     counts.note("exchange", "combined_put_requests")
@@ -68,7 +66,7 @@ def write_combined(
         "combined_path": path,
         "combined_size": len(payload),
         "offsets": offsets,
-        "crcs": slice_crcs(payload, offsets) if checksum else None,
+        "crcs": slice_crcs(payload, offsets),
     }
 
 
@@ -95,7 +93,8 @@ class SenderManifest:
     ``senders`` lists ``(sender, path, size, offsets, crcs)`` per combined
     object: ``offsets`` holds one entry per partition plus the object's end
     (partition ``p`` is ``offsets[p]:offsets[p + 1]``), ``crcs`` one crc32
-    per slice, or ``None`` when the sender published none.  Only announced
+    per slice (an entry without one is corrupt, rejected when it is read,
+    layer ``slice.crc``).  Only announced
     paths are ever read, so an orphan left by a mapper attempt that crashed
     after its PUT is never touched.  ``broadcast`` makes every receiver read
     the side whole — all partitions of every object — instead of its own
@@ -117,7 +116,8 @@ class SliceRange:
     start: int
     #: Exclusive end of the range.
     end: int
-    #: Directory crc32 of the slice, when the sender published one.
+    #: Directory crc32 of the slice (``None`` for a whole-object range, whose
+    #: ``parts`` carry one each; else only when the announcement was corrupt).
     crc: Optional[int]
     #: Size of the object the range is served from.
     object_size: int
@@ -208,14 +208,12 @@ class FetchPlan:
         bandwidth: BandwidthModel,
         memory_mib: int,
         counts: Counts,
-        verify: bool = True,
     ) -> Tuple[List[List[Table]], float]:
         """Issue the plan; returns ``(pieces per side, modelled seconds)``.
 
         Pieces keep plan order with empty tables dropped, so the consumer's
         output does not depend on which of a sender's slices were empty.
-        With ``verify`` on, every response is checked before its rows are
-        used: ranged-GET length against the offset directory, each frame's
+        Every response is checked before its rows are used: ranged-GET length against the offset directory, each frame's
         embedded crc against the directory's, and the frame's bytes against
         that crc in one pass (:func:`~repro.exchange.codec.
         decode_ranged_slices`).  A failed check re-fetches that range alone (in-flight
@@ -230,27 +228,26 @@ class FetchPlan:
         seconds = bandwidth.transfer_seconds(self.transfer_plan(memory_mib))
         for item in self.ranges:
             try:
-                tables, nbytes = self._read(store, item, counts, verify)
+                tables, nbytes = self._read(store, item, counts)
             except CorruptFileError as exc:
                 _note_mismatch(counts, exc)
                 seconds += bandwidth.transfer_seconds(
                     _transfer((item,), memory_mib, DEFAULT_SCAN_CONNECTIONS)
                 )
                 try:
-                    tables, nbytes = self._read(store, item, counts, verify)
+                    tables, nbytes = self._read(store, item, counts)
                 except CorruptFileError as again:
                     _note_mismatch(counts, again)
                     raise
                 counts.note("integrity", "re_reads")
-            if verify:
-                counts.note("integrity", "verified_bytes", nbytes)
+            counts.note("integrity", "verified_bytes", nbytes)
             pieces[item.side].extend(
                 table for table in tables if table_num_rows(table)
             )
         return pieces, seconds
 
     def _read(
-        self, store: ObjectStore, item: SliceRange, counts: Counts, verify: bool
+        self, store: ObjectStore, item: SliceRange, counts: Counts
     ) -> Tuple[List[Table], int]:
         """One ranged GET of ``item``, verified against its directory entries
         and decoded."""
@@ -260,7 +257,7 @@ class FetchPlan:
         counts.note("exchange", "bytes_read", len(data))
         counts.note("exchange", "bytes_touched", item.object_size)
         parts = item.parts or ((item.start, item.end, item.crc),)
-        tables = decode_ranged_slices(data, item.start, parts, verify=verify, key=item.path)
+        tables = decode_ranged_slices(data, item.start, parts, key=item.path)
         return tables, len(data)
 
 

@@ -39,9 +39,10 @@ File layout (all integers little endian)::
                             f64 min, f64 max      statistics of the chunk
                             u32 crc32             of the stored page
 
-    tail       u32 crc32 of the footer, u64 footer length, 4-byte magic:
-               "LPQ4" for a checked file, "LPQ3" for one written with
-               ``checksum=False`` (every crc field zero, nothing verified)
+    tail       u32 crc32 of the footer, u64 footer length, 4-byte magic
+               "LPQ4": every file is checked.  A file under any other tail —
+               the retired unchecked "LPQ3" tail (every crc field zero)
+               included — is rejected as corrupt (layer ``lpq.tail``)
 
 A reader locates the footer with a single read from the end of the file —
 exactly the access pattern the paper's scan operator exploits — and opens the
@@ -95,12 +96,12 @@ from repro.formats.encoding import (
 from repro.formats.schema import ColumnType, Field, Schema
 from repro.formats.source import BytesSource, RandomAccessSource
 
-#: Leading magic of every file, and tail magic of an unchecked one.
+#: Leading magic of every file (and the retired tail magic of an unchecked
+#: one, which no writer produces and every reader rejects).
 MAGIC = b"LPQ3"
 
-#: Tail magic of a file that carries crc32s (``checksum=True``, the default).
-#: Three bits away from :data:`MAGIC`: no single flipped bit turns a checked
-#: file into an unchecked one.
+#: Tail magic of every file: it carries crc32s.  Three bits away from
+#: :data:`MAGIC`.
 CHECKED_MAGIC = b"LPQ4"
 
 #: Distinct footers whose parse is kept (:meth:`FileMetadata.parse`).
@@ -170,9 +171,8 @@ class ColumnChunkMeta(NamedTuple):
     num_values: int
     min_value: float
     max_value: float
-    #: crc32 of the chunk's stored (compressed) bytes; ``None`` in a file
-    #: written with ``checksum=False`` (verification is skipped).
-    crc: Optional[int]
+    #: crc32 of the chunk's stored (compressed) bytes.
+    crc: int
     #: The FOR/DELTA page description (zero for the other encodings).
     width: int = 0
     exponent: int = 0
@@ -206,13 +206,11 @@ class RowGroupMeta:
 class FileMetadata:
     """Complete footer contents: the schema and the chunk directory."""
 
-    def __init__(self, schema: Schema, num_rows: int, chunks: np.ndarray, checked: bool):
+    def __init__(self, schema: Schema, num_rows: int, chunks: np.ndarray):
         self.schema = schema
         self.num_rows = num_rows
         #: ``(row groups, columns)`` structured array of directory entries.
         self.chunks = chunks
-        #: Whether the crc fields are meaningful (``CHECKED_MAGIC`` tail).
-        self.checked = checked
         rows = chunks["num_values"][:, 0] if len(schema) else np.zeros(len(chunks), int)
         self._group_rows = rows
         self.row_groups = [
@@ -230,12 +228,11 @@ class FileMetadata:
         if metas is None:
             position = self.schema.index_of(name)
             column_type = self.schema.field(name).type
-            checked = self.checked
             metas = self._directory[name] = [
                 ColumnChunkMeta(
                     name, column_type, _ENCODINGS[encoding], COMPRESSION_BY_ID[compression],
                     offset, compressed_size, uncompressed_size, num_values,
-                    min_value, max_value, crc if checked else None, width, exponent, base,
+                    min_value, max_value, crc, width, exponent, base,
                 )
                 for (
                     offset, compressed_size, uncompressed_size, num_values, encoding,
@@ -255,7 +252,7 @@ class FileMetadata:
 
     @staticmethod
     def parse(
-        footer: bytes, data_end: int, checked: bool, key: Optional[str] = None
+        footer: bytes, data_end: int, key: Optional[str] = None
     ) -> "FileMetadata":
         """Parse a footer produced by :meth:`pack`.
 
@@ -266,13 +263,13 @@ class FileMetadata:
         with layer ``lpq.footer``.
 
         A footer is parsed and checked once per distinct ``(footer,
-        data_end, checked)`` (the last :data:`FOOTERS_KEPT`): every reader of
+        data_end)`` (the last :data:`FOOTERS_KEPT`): every reader of
         those bytes shares one :class:`FileMetadata`, and with it the
         column directories and statistics decisions already built.  A footer
         that fails is not kept.
         """
         try:
-            return _parse_footer(bytes(footer), data_end, checked)
+            return _parse_footer(bytes(footer), data_end)
         except _FooterProblem as exc:
             raise CorruptFileError(
                 f"invalid footer: {exc}", key=key, layer="lpq.footer"
@@ -390,7 +387,7 @@ class _FooterProblem(Exception):
 
 
 @functools.lru_cache(maxsize=FOOTERS_KEPT)
-def _parse_footer(footer: bytes, data_end: int, checked: bool) -> FileMetadata:
+def _parse_footer(footer: bytes, data_end: int) -> FileMetadata:
     """The :class:`FileMetadata` of a footer, cached on the whole input (a
     raise is not cached); see :meth:`FileMetadata.parse`."""
     try:
@@ -420,7 +417,7 @@ def _parse_footer(footer: bytes, data_end: int, checked: bool) -> FileMetadata:
     problem = _directory_problem(schema, num_rows, chunks, data_end)
     if problem is not None:
         raise _FooterProblem(problem)
-    return FileMetadata(schema, num_rows, chunks, checked)
+    return FileMetadata(schema, num_rows, chunks)
 
 
 def _exact_number(value: object) -> bool:
@@ -486,7 +483,6 @@ class ColumnarWriter:
         row_group_rows: int = DEFAULT_ROW_GROUP_ROWS,
         compression: Compression = Compression.GZIP,
         encodings: Optional[Dict[str, Encoding]] = None,
-        checksum: bool = True,
     ):
         if row_group_rows <= 0:
             raise ValueError("row_group_rows must be positive")
@@ -495,9 +491,6 @@ class ColumnarWriter:
         self.compression = compression
         #: Per-column override of the encoding each row group would choose.
         self.encodings = dict(encodings or {})
-        #: Embed per-chunk crc32s and the footer crc (default on); ``False``
-        #: leaves every crc field zero under the unchecked tail magic.
-        self.checksum = checksum
 
     def write(self, table: Dict[str, np.ndarray]) -> bytes:
         """Serialise ``table`` into a complete LPQ file.
@@ -542,21 +535,16 @@ class ColumnarWriter:
                 stored if keep else page
                 for stored, page, keep in zip(deflated, pages, smaller.tolist())
             ]
-            if self.checksum:
-                entries["crc"] = [zlib.crc32(page) for page in pages]
+            entries["crc"] = [zlib.crc32(page) for page in pages]
             columns.append(pages)
         sizes = chunks["compressed_size"].astype(np.uint64).ravel()
         chunks["offset"] = (len(MAGIC) + np.cumsum(sizes) - sizes).reshape(chunks.shape)
 
-        footer = FileMetadata(self.schema, num_rows, chunks, self.checksum).pack()
+        footer = FileMetadata(self.schema, num_rows, chunks).pack()
         parts: List = [MAGIC]
         for group in range(groups):
             parts += [pages[group] for pages in columns]
-        parts.append(footer)
-        if self.checksum:
-            parts.append(_TAIL.pack(zlib.crc32(footer), len(footer), CHECKED_MAGIC))
-        else:
-            parts.append(_TAIL.pack(0, len(footer), MAGIC))
+        parts += [footer, _TAIL.pack(zlib.crc32(footer), len(footer), CHECKED_MAGIC)]
         return b"".join(parts)
 
 
@@ -565,16 +553,10 @@ def write_table(
     schema: Optional[Schema] = None,
     row_group_rows: int = DEFAULT_ROW_GROUP_ROWS,
     compression: Compression = Compression.GZIP,
-    checksum: bool = True,
 ) -> bytes:
     """Convenience wrapper: serialise a table with an inferred schema."""
     schema = schema or Schema.from_table(table)
-    writer = ColumnarWriter(
-        schema,
-        row_group_rows=row_group_rows,
-        compression=compression,
-        checksum=checksum,
-    )
+    writer = ColumnarWriter(schema, row_group_rows=row_group_rows, compression=compression)
     return writer.write(table)
 
 
@@ -587,26 +569,17 @@ class ColumnarFile:
     bytes — the property Lambada's scan operator depends on.
     """
 
-    def __init__(
-        self,
-        source: RandomAccessSource,
-        verify: bool = True,
-        name: Optional[str] = None,
-    ):
+    def __init__(self, source: RandomAccessSource, name: Optional[str] = None):
         self.source = source
         #: Object key / path the file was read from, for corruption reports.
         self.name = name if name is not None else getattr(source, "path", None)
-        #: Verify embedded checksums on read (``IntegrityConfig.verify``).
-        self.verify = verify
         self._magic_checked = False
         self.metadata = self._read_metadata()
 
     @classmethod
-    def from_bytes(
-        cls, data: bytes, verify: bool = True, name: Optional[str] = None
-    ) -> "ColumnarFile":
+    def from_bytes(cls, data: bytes, name: Optional[str] = None) -> "ColumnarFile":
         """Open a file held fully in memory."""
-        return cls(BytesSource(data), verify=verify, name=name)
+        return cls(BytesSource(data), name=name)
 
     # -- metadata ---------------------------------------------------------------
 
@@ -620,9 +593,10 @@ class ColumnarFile:
                 key=self.name, layer="lpq.tail",
             )
         footer_crc, footer_length, magic = _TAIL.unpack(tail)
-        if magic not in (MAGIC, CHECKED_MAGIC):
+        if magic != CHECKED_MAGIC:
             raise CorruptFileError(
-                "bad trailing magic; not an LPQ file",
+                "unchecked LPQ file" if magic == MAGIC
+                else "bad trailing magic; not an LPQ file",
                 key=self.name, layer="lpq.tail",
             )
         footer_start = size - _TAIL.size - footer_length
@@ -632,17 +606,15 @@ class ColumnarFile:
             )
         # Served from the tail read unless the footer is longer than it.
         footer = self.source.read_at(footer_start, footer_length)
-        checked = magic == CHECKED_MAGIC
-        if self.verify and checked:
-            actual = zlib.crc32(footer)
-            if actual != footer_crc:
-                raise IntegrityError(
-                    "LPQ footer checksum mismatch",
-                    key=self.name, layer="lpq.footer", offset=footer_start,
-                    expected=footer_crc, actual=actual,
-                )
+        actual = zlib.crc32(footer)
+        if actual != footer_crc:
+            raise IntegrityError(
+                "LPQ footer checksum mismatch",
+                key=self.name, layer="lpq.footer", offset=footer_start,
+                expected=footer_crc, actual=actual,
+            )
         self._check_magic()
-        return FileMetadata.parse(footer, footer_start, checked, key=self.name)
+        return FileMetadata.parse(footer, footer_start, key=self.name)
 
     def _check_magic(self) -> None:
         """Validate the leading magic once it is available without a request.
@@ -716,15 +688,13 @@ class ColumnarFile:
                 key=self.name, layer="lpq.chunk", offset=meta.offset,
                 expected=meta.compressed_size, actual=len(raw),
             )
-        if self.verify and meta.crc is not None:
-            actual = zlib.crc32(raw)
-            if actual != meta.crc:
-                raise IntegrityError(
-                    f"column chunk {column!r} of row group {group.index} "
-                    "checksum mismatch",
-                    key=self.name, layer="lpq.chunk", offset=meta.offset,
-                    expected=meta.crc, actual=actual,
-                )
+        actual = zlib.crc32(raw)
+        if actual != meta.crc:
+            raise IntegrityError(
+                f"column chunk {column!r} of row group {group.index} checksum mismatch",
+                key=self.name, layer="lpq.chunk", offset=meta.offset,
+                expected=meta.crc, actual=actual,
+            )
         layer = "lpq.chunk"  # the stored bytes do not inflate
         try:
             encoded = decompress(raw, meta.compression)

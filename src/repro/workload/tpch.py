@@ -478,7 +478,6 @@ def write_dataset(
     num_files: int = 4,
     row_group_rows: int = 2048,
     compression: Compression = Compression.GZIP,
-    checksum: bool = True,
 ) -> DatasetInfo:
     """Write a generated relation to the object store as columnar files.
 
@@ -499,7 +498,7 @@ def write_dataset(
         start, end = int(boundaries[index]), int(boundaries[index + 1])
         part = {name: column[start:end] for name, column in table.items()}
         data = write_table(part, schema=schema, row_group_rows=row_group_rows,
-                           compression=compression, checksum=checksum)
+                           compression=compression)
         key = f"{prefix}/part-{index:05d}.lpq"
         store.put_object(bucket, key, data)
         paths.append(f"s3://{bucket}/{key}")
@@ -524,7 +523,6 @@ def generate_lineitem_dataset(
     row_group_rows: int = 2048,
     compression: Compression = Compression.GZIP,
     seed: int = 7,
-    checksum: bool = True,
 ) -> DatasetInfo:
     """Generate LINEITEM (sorted by ``l_shipdate``) and write it to the store."""
     table = LineitemGenerator(scale_factor=scale_factor, seed=seed).generate()
@@ -532,7 +530,6 @@ def generate_lineitem_dataset(
         store, table, LINEITEM_SCHEMA, bucket=bucket, prefix=prefix,
         scale_factor=scale_factor, num_files=num_files,
         row_group_rows=row_group_rows, compression=compression,
-        checksum=checksum,
     )
 
 

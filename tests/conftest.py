@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.cloud.environment import CloudEnvironment
+from repro.cloud.metering import MeteringLedger
 from repro.cloud.s3 import SharedObjectMirror, segment_prefix
 from repro.driver.dispatch import QueryContext
 from repro.driver.driver import LambadaDriver
@@ -70,15 +71,35 @@ def queue_leftovers(env, query_id: str):
         ]
 
 
-def _record_calls(monkeypatch, cls, name):
-    """Wrap ``cls.name`` so that every call records its ``self``; returns
-    the list it records into."""
+def billed_while_running(ledger, query_id: str, start: int, end: int) -> float:
+    """Price of the records a query made: every record under its tag, and
+    any made untagged while it ran (records ``start:end`` of ``ledger``).
+
+    Priced by a ledger of their own in the original order, so with no
+    untagged record in the window the sum is the query's bill bit for bit."""
+    mine = MeteringLedger(ledger.prices)
+    for index, record in enumerate(ledger.records()):
+        if record.tag == query_id or (record.tag is None and start <= index < end):
+            mine.record(record.service, record.dimension, record.amount, tag=query_id)
+    return mine.total_cost(query_id)
+
+
+def _ledger_length(env) -> int:
+    """Records in ``env``'s ledger so far (0 for a stand-in without one)."""
+    ledger = getattr(env, "ledger", None)
+    return len(ledger) if ledger is not None else 0
+
+
+def _record_calls(monkeypatch, cls, name, mark=None):
+    """Wrap ``cls.name`` so that every call records its ``self`` — or, with
+    ``mark``, ``(self, mark(self))`` as the call returns; returns the list it
+    records into."""
     calls = []
     method = getattr(cls, name)
 
     def recording(self, *args, **kwargs):
         result = method(self, *args, **kwargs)
-        calls.append(self)
+        calls.append(self if mark is None else (self, mark(self)))
         return result
 
     monkeypatch.setattr(cls, name, recording)
@@ -89,30 +110,48 @@ def _record_calls(monkeypatch, cls, name):
 def invariants(monkeypatch):
     """After every test: no segment this process created outlives the mirror
     that held it, a closed driver's mirror is no longer live, no query attributes
-    more waste than the cloud billed it, and no query that returned a result
-    left an object under its prefix in the result or shuffle buckets — nor,
-    when no fault was injected into it, a message in any queue.  (A faulted
-    query may leave one on purpose: a delayed duplicate arrives after the
-    query has moved on, and the (query, attempt) dedup ignores it.)
+    more waste than the cloud billed it, no query's ``cost_total`` differs
+    from what the ledger billed it (its tagged records, and any record made
+    untagged while it ran: one would be a request billed to no query), and
+    no query that returned a result left an object under its prefix in the
+    result or shuffle buckets — nor, when no fault was injected into it, a
+    message in any queue.  (A faulted query may leave one on purpose: a
+    delayed duplicate arrives after the query has moved on, and the (query,
+    attempt) dedup ignores it.)
 
     Every query reports one :class:`QueryStatistics`, so one hook on its
     constructor sees every query the test ran, whatever ran it; one on
-    :class:`QueryContext` knows which environment each query ran in."""
-    built = _record_calls(monkeypatch, QueryStatistics, "__init__")
-    contexts = _record_calls(monkeypatch, QueryContext, "__init__")
+    :class:`QueryContext` knows which environment each query ran in, and
+    where in its ledger the query began."""
+    contexts = _record_calls(
+        monkeypatch, QueryContext, "__init__", lambda context: _ledger_length(context.env)
+    )
+
+    def ended(statistics):
+        query_id = statistics._trace.attrs.get("query_id")
+        envs = [context.env for context, _ in contexts if context.query_id == query_id]
+        return _ledger_length(envs[-1]) if envs else 0
+
+    built = _record_calls(monkeypatch, QueryStatistics, "__init__", ended)
     closed = _record_calls(monkeypatch, LambadaDriver, "close")
     yield
     assert leaked_segments() == []
     live = set(SharedObjectMirror._live)
     assert [driver for driver in closed if driver._mirror in live] == []
-    envs = {context.query_id: context.env for context in contexts}
-    for statistics in built:
+    starts = {context.query_id: (context.env, start) for context, start in contexts}
+    for statistics, end in built:
         assert statistics.resilience.wasted_cost_dollars <= statistics.cost_total
         query_id = statistics._trace.attrs.get("query_id")
-        if query_id in envs:
-            assert query_leftovers(envs[query_id], query_id) == []
+        if query_id in starts:
+            env, start = starts[query_id]
+            if getattr(env, "ledger", None) is not None:
+                assert statistics.cost_total == env.ledger.total_cost(query_id)
+                assert statistics.cost_total == billed_while_running(
+                    env.ledger, query_id, start, end
+                )
+            assert query_leftovers(env, query_id) == []
             if not statistics.resilience.faults_injected:
-                assert queue_leftovers(envs[query_id], query_id) == []
+                assert queue_leftovers(env, query_id) == []
 
 
 @pytest.fixture

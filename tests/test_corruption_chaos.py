@@ -251,8 +251,8 @@ def test_stale_body_serves_previous_version_and_is_detected(stack):
     import numpy as np
 
     env.s3.ensure_bucket("stale-test")
-    old = encode_partition({"k": np.arange(8, dtype=np.int64)}, checksum=True)
-    new = encode_partition({"k": np.arange(100, 108, dtype=np.int64)}, checksum=True)
+    old = encode_partition({"k": np.arange(8, dtype=np.int64)})
+    new = encode_partition({"k": np.arange(100, 108, dtype=np.int64)})
 
     # Previous versions are only retained while a fault plan is installed
     # (the lagging-replica model), so install before the overwrite.
@@ -269,12 +269,12 @@ def test_stale_body_serves_previous_version_and_is_detected(stack):
         served = env.s3.get_object("stale-test", "obj").data
         # The stale body is the *old* object — internally consistent, so the
         # frame checksum alone cannot flag it ...
-        stale = decode_partition(served, verify=True)
+        stale = decode_partition(served)
         assert stale["k"].tolist() == list(range(8))
         # ... which is why shuffle keys are attempt-suffixed and never
         # overwritten: uniqueness, not just checksums, is the defence.
         fresh = env.s3.get_object("stale-test", "obj").data
     finally:
         env.install_fault_plan(None)
-    assert decode_partition(fresh, verify=True)["k"].tolist() == list(range(100, 108))
+    assert decode_partition(fresh)["k"].tolist() == list(range(100, 108))
     assert env.fault_plan is None

@@ -12,7 +12,6 @@ path from quietly forking again.
 from __future__ import annotations
 
 import ast
-import json
 import random
 from collections import defaultdict
 from pathlib import Path
@@ -23,7 +22,6 @@ import pytest
 from repro.cloud.clock import VirtualClock
 from repro.cloud.faults import FaultPlan, FaultRule
 from repro.cloud.metering import MeteringLedger
-from repro.config import IntegrityConfig
 from repro.counters import Counts, LayerView
 from repro.driver.breakers import BreakerBoard
 from repro.driver.dispatch import (
@@ -34,6 +32,7 @@ from repro.driver.dispatch import (
     raise_unfinished,
     run_fleet,
 )
+from repro.driver.integrity import post_result
 from repro.driver.shuffle import JOIN_REDUCE_FUNCTION_NAME, ShuffleJoinCoordinator
 from repro.errors import ExecutionError, QueryTimeoutError, WorkerFailedError
 from repro.frontend.sql import parse_sql
@@ -71,13 +70,16 @@ class Recorder:
 
 
 class FakeQueue:
-    """Stands in for SQS: JSON bodies per queue, received in order."""
+    """Stands in for SQS: signed result messages per queue, received in order."""
 
     def __init__(self):
         self.bodies = defaultdict(list)
 
     def send(self, queue, message):
-        self.bodies[queue].append(json.dumps(message))
+        post_result(SimpleNamespace(sqs=self), queue, message)
+
+    def send_message(self, queue, body):
+        self.bodies[queue].append(body)
 
     def receive_messages(self, queue, max_messages=10):
         taken = self.bodies[queue][:max_messages]
@@ -302,7 +304,7 @@ def test_the_first_round_goes_through_the_launcher_and_later_rounds_are_flat():
         for payload in payloads:
             invoke({**payload, "children": []})
 
-    transport = context.lambda_transport("fn", "fake-queue", "collect", False, launch=launch)
+    transport = context.lambda_transport("fn", "fake-queue", "collect", launch=launch)
     messages, _ = context.wave(events, transport, LABELS, 2048)
     assert launched == [[0, 1, 2]]
     assert context.env.lambda_service.invoked == [
@@ -319,7 +321,7 @@ def test_the_first_round_goes_through_the_launcher_and_later_rounds_are_flat():
 def _wave(context, events, what="join stage 0"):
     """A shuffle wave — ``context.wave`` over the stage's transport and
     labels — on the fake service and queue; its messages."""
-    coordinator = SimpleNamespace(result_queue="fake-queue", integrity=IntegrityConfig())
+    coordinator = SimpleNamespace(result_queue="fake-queue")
     transport, labels = ShuffleJoinCoordinator._stage(coordinator, context, "fn", what)
     return context.wave(events, transport, labels, 2048)[0]
 
@@ -404,7 +406,7 @@ QUEUE = "dispatch-test-queue"
 
 
 def _send(env, **message):
-    env.sqs.send_json(QUEUE, {"query_id": "q", "status": "ok", **message})
+    post_result(env, QUEUE, {"query_id": "q", "status": "ok", **message})
 
 
 @pytest.fixture

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.driver.driver import LambadaDriver
+from repro.driver.integrity import post_result
 from repro.driver.resilience import ResiliencePolicy
 from repro.errors import WorkerFailedError
 from repro.frontend.sql import parse_sql
@@ -119,8 +120,8 @@ def test_stale_messages_from_other_queries_are_ignored(driver, dataset, lineitem
     """Results of an earlier query id do not satisfy the current collection."""
     from repro.workload.queries import q6_sql, reference_q6, tpch_catalog
 
-    driver.env.sqs.send_json(
-        driver.result_queue,
+    post_result(
+        driver.env, driver.result_queue,
         {"query_id": "stale-query", "worker_id": 0, "status": "ok", "result": {}},
     )
     result = driver.execute(parse_sql(q6_sql(), tpch_catalog(lineitem=dataset.paths)))
@@ -162,12 +163,10 @@ def test_retry_failures_reinvokes_only_failed_workers(driver, monkeypatch):
             message.update(status="error", error="injected")
         else:
             message.update(status="ok", result={"partial": {}, "rows_scanned": 7})
-        driver.env.sqs.send_json(driver.result_queue, message)
+        post_result(driver.env, driver.result_queue, message)
 
     monkeypatch.setattr(driver.env.lambda_service, "invoke", fake_invoke)
-    transport = context.lambda_transport(
-        driver.function_name, driver.result_queue, "collect", verify=True,
-    )
+    transport = context.lambda_transport(driver.function_name, driver.result_queue, "collect")
     messages, _ = context.wave(events, transport, SCAN_FLEET, driver.memory_mib)
     merged = dict(enumerate(messages))
 

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import repro.driver.worker as worker_module
 from repro.cloud.environment import CloudEnvironment
 from repro.cloud.network import BandwidthModel
-from repro.config import DEFAULT_SCAN_CONNECTIONS, IntegrityConfig, MiB
+from repro.config import DEFAULT_SCAN_CONNECTIONS, MiB
 from repro.counters import Counts, LayerView
 from repro.driver.shuffle import _reduce_compute_seconds, exchange_fan_out
 from repro.driver.worker import _join_map_naming, _write_partitions
@@ -305,7 +305,7 @@ def _write(env, rows, num_partitions, attempt=0):
     counts = Counts()
     announcement = _write_partitions(
         env, event, 4, rows, ["k"], num_partitions,
-        _join_map_naming("q", "L", 2, attempt), counts, IntegrityConfig(),
+        _join_map_naming("q", "L", 2, attempt), counts,
     )
     return announcement, LayerView(counts, "exchange")
 

@@ -8,7 +8,7 @@ import pytest
 
 from repro.cloud.faults import FaultPlan, FaultRule
 from repro.cloud.network import BandwidthModel, TransferPlan
-from repro.config import DEFAULT_SCAN_CHUNK_BYTES, DEFAULT_SCAN_CONNECTIONS, IntegrityConfig
+from repro.config import DEFAULT_SCAN_CHUNK_BYTES, DEFAULT_SCAN_CONNECTIONS
 from repro.counters import Counts, LayerView
 from repro.driver.shuffle import ShuffleAggregateCoordinator
 from repro.exchange.codec import encode_partition_set, slice_crcs
@@ -30,9 +30,8 @@ def _table(sender: int, keys) -> dict:
     return {"k": keys, "v": keys * 10.0 + sender}
 
 
-def _write_side(store, tag: str, tables, unchecked=()):
-    """Write one input side, one combined object per sender; senders in
-    ``unchecked`` write frames without checksums and announce no crcs.
+def _write_side(store, tag: str, tables):
+    """Write one input side, one combined object per sender.
 
     Returns the side's manifest and, per sender, the partitions it has rows
     for.
@@ -45,12 +44,10 @@ def _write_side(store, tag: str, tables, unchecked=()):
         non_empty[sender] = {
             p for p in range(P) if boundaries[p + 1] > boundaries[p]
         }
-        checked = sender not in unchecked
-        payload, offsets = encode_partition_set(reordered, boundaries, checksum=checked)
+        payload, offsets = encode_partition_set(reordered, boundaries)
         path = naming.path(sender, 0)
         store.put_path(path, payload)
-        crcs = slice_crcs(payload, offsets) if checked else None
-        senders.append([sender, path, len(payload), offsets, crcs])
+        senders.append([sender, path, len(payload), offsets, slice_crcs(payload, offsets)])
     return SenderManifest(senders), non_empty
 
 
@@ -60,8 +57,8 @@ def two_sides(env):
     left = [_table(s, rng.integers(0, 40, 30)) for s in range(5)]
     # Few distinct keys: most (sender, partition) pairs of this side are empty.
     right = [_table(s, rng.integers(0, 3, 8)) for s in range(4)]
-    left_manifest, left_pairs = _write_side(env.s3, "L", left, unchecked={1, 3})
-    right_manifest, right_pairs = _write_side(env.s3, "R", right, unchecked={2})
+    left_manifest, left_pairs = _write_side(env.s3, "L", left)
+    right_manifest, right_pairs = _write_side(env.s3, "R", right)
     return [left_manifest, right_manifest], [left_pairs, right_pairs], [left, right]
 
 
@@ -86,9 +83,9 @@ def test_plan_has_one_range_per_non_empty_pair_in_sender_order(env, two_sides, p
     assert stats.empty_parts_elided == total_pairs - len(expected)
     # Planning reads the announced directories only: not a single request.
     assert stats.total_requests == 0
+    crcs = [{entry[0]: entry[4] for entry in manifest.senders} for manifest in manifests]
     for item in plan.ranges:
-        unchecked = item.sender in ({1, 3} if item.side == 0 else {2})
-        assert (item.crc is None) == unchecked
+        assert item.crc == crcs[item.side][item.sender][partition]
         assert item.end - item.start == item.length > 0
 
 
@@ -165,7 +162,7 @@ def test_empty_plan_costs_nothing(env):
 def test_corrupt_slice_is_refetched_alone(env, two_sides, fault):
     manifests, _, _ = two_sides
     plan = _widest_plan(env, manifests)
-    victim = next(item for item in plan.ranges if item.crc is not None)
+    victim = plan.ranges[0]
     clean_counts = Counts()
     clean_stats = LayerView(clean_counts, "exchange")
     clean, clean_seconds = plan.fetch(env.s3, env.bandwidth, MEMORY_MIB, clean_counts)
@@ -251,14 +248,10 @@ def test_q3_leaves_no_objects_behind(env, driver, dataset, lineitem_table):
 
 
 @pytest.mark.parametrize("spill", [False, True])
-@pytest.mark.parametrize("checksums", [True, False])
-def test_shuffle_aggregation_leaves_no_objects_behind(
-    env, dataset, monkeypatch, spill, checksums
-):
+def test_shuffle_aggregation_leaves_no_objects_behind(env, dataset, monkeypatch, spill):
     if spill:
         monkeypatch.setattr("repro.driver.integrity.RESULT_SPILL_BYTES", 64)
-    integrity = IntegrityConfig(generate=checksums, verify=checksums)
-    coordinator = ShuffleAggregateCoordinator(env, integrity=integrity)
+    coordinator = ShuffleAggregateCoordinator(env)
     before = env.s3.object_count()
     puts_before = env.ledger.total("s3", "put_requests")
     _, stats = coordinator.execute(

@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.config import IntegrityConfig
 from repro.driver.shuffle import ShuffleAggregateCoordinator
 from repro.errors import CorruptFileError, IntegrityError
 from repro.exchange import codec
@@ -120,10 +119,10 @@ COLUMNS = st.one_of(
 
 
 @settings(max_examples=400, deadline=None)
-@given(column=COLUMNS, compression=st.sampled_from(list(Compression)), checksum=st.booleans())
-def test_any_column_round_trips_bit_identically(column, compression, checksum):
+@given(column=COLUMNS, compression=st.sampled_from(list(Compression)))
+def test_any_column_round_trips_bit_identically(column, compression):
     table = {"c": column, "row": np.arange(len(column), dtype=np.int32)}
-    frame = encode_partition(table, compression, checksum=checksum)
+    frame = encode_partition(table, compression)
     assert_bit_identical(table, decode_partition(frame, key="prop"))
     assert_bit_identical(table, decode_partition(frame, copy=False, verify=False))
 
@@ -280,23 +279,21 @@ def _golden_table():
 
 
 @pytest.mark.parametrize(
-    "compression, checksum, length, crc",
+    "compression, length, crc",
     [
         # Measured at the commit before the narrowing kernels moved into
         # ``repro.formats.encoding`` (PR 15's codec) as 239994 / 158676
         # bytes; re-pinned when width 3 joined the stored widths: the 4980
         # "price" values of the narrowed partitions take 3 bytes, not 4.
-        (Compression.NONE, True, 235014, 423604467),
-        (Compression.NONE, False, 235014, 1443692802),
-        (Compression.FAST, True, 155664, 4146029406),
-        (Compression.FAST, False, 155664, 2701981256),
+        (Compression.NONE, 235014, 423604467),
+        (Compression.FAST, 155664, 4146029406),
     ],
 )
-def test_frames_are_byte_identical_to_the_pinned_wire_format(compression, checksum, length, crc):
+def test_frames_are_byte_identical_to_the_pinned_wire_format(compression, length, crc):
     import zlib
 
     table, bounds = _golden_table()
-    payload, offsets = encode_partition_set(table, bounds, compression, checksum)
+    payload, offsets = encode_partition_set(table, bounds, compression)
     assert (len(payload), zlib.crc32(payload)) == (length, crc)
     assert offsets[-1] == length and offsets[1] == 0 and offsets[3] == offsets[4]
     for index, (low, high) in enumerate(zip(bounds, bounds[1:])):
@@ -365,17 +362,19 @@ def test_every_single_bit_flip_of_a_frame_raises(compression):
 
 @pytest.mark.parametrize("verify", [True, False])
 def test_a_corrupt_format_byte_is_rejected_as_a_frame(verify):
-    """A slice whose format byte is corrupt is not a frame — whether or not
-    it is verified, it is never parsed as anything else, and the announced
-    crc is not skipped for it."""
+    """A slice whose format byte is corrupt is not a frame — whether it is
+    checked against its directory entry or decoded unhashed (the production
+    path for bytes hashed where they were accepted), it is never parsed as
+    anything else, and the announced crc is not skipped for it."""
     _, frame = _small_frame()
     crc = slice_crcs(frame, [0, len(frame)])[0]
     flipped = bytearray(frame)
     flipped[0] ^= 0xFF
     with pytest.raises(CorruptFileError) as error:
-        decode_ranged_slices(
-            bytes(flipped), 0, ((0, len(frame), crc),), verify=verify, key="obj"
-        )
+        if verify:
+            decode_ranged_slices(bytes(flipped), 0, ((0, len(frame), crc),), key="obj")
+        else:
+            decode_partition_slice(bytes(flipped), verify=False, key="obj")
     assert (error.value.key, error.value.layer) == ("obj", "codec.prefix")
 
 
@@ -395,22 +394,23 @@ def test_every_truncation_of_a_frame_raises():
 
 
 def test_unchecked_frames_fail_typed_on_flips_and_truncations():
-    """Without a crc a flip may decode (to other values) — but what raises,
+    """Decoded without the hash pass (``verify=False``, the production path
+    for bytes hashed where they were accepted), a flip reaches the parser's
+    structural checks and may decode (to other values) — but what raises,
     raises typed with provenance, never a bare NumPy/struct error."""
     table = {"k": np.arange(24, dtype=np.int64) * 3, "v": np.random.default_rng(2).random(24)}
-    frame = encode_partition(table, checksum=False)
-    assert frame[0] == codec.UNCHECKED_PARTITION_TAG
-    assert_bit_identical(table, decode_partition(frame, verify=True))
+    frame = encode_partition(table)
+    assert_bit_identical(table, decode_partition(frame, verify=False))
     for cut in range(1, len(frame)):
         with pytest.raises(CorruptFileError) as error:
-            decode_partition(frame[:cut], key="obj")
+            decode_partition(frame[:cut], verify=False, key="obj")
         _assert_reported(error.value, "obj")
     for position in range(len(frame)):
         for bit in range(8):
             flipped = bytearray(frame)
             flipped[position] ^= 1 << bit
             try:
-                decode_partition(bytes(flipped), key="obj")
+                decode_partition(bytes(flipped), verify=False, key="obj")
             except CorruptFileError as error:
                 _assert_reported(error, "obj")
 
@@ -426,9 +426,10 @@ def test_directory_crc_is_the_embedded_crc_and_catches_a_stale_body():
     with pytest.raises(IntegrityError) as stale:
         decode_ranged_slices(other, 0, ((0, len(frame), crc),), key="obj")
     assert stale.value.layer == "slice.crc"
-    # verify=False reads it anyway; so does a directory without crcs.
-    assert decode_ranged_slices(other, 0, ((0, len(frame), crc),), verify=False)
-    assert decode_ranged_slices(other, 0, ((0, len(frame), None),))
+    # A directory entry without a crc announces nothing to check against.
+    with pytest.raises(IntegrityError) as unannounced:
+        decode_ranged_slices(frame, 0, ((0, len(frame), None),), key="obj")
+    assert unannounced.value.layer == "slice.crc"
 
 
 def test_one_crc_pass_per_slice_byte_on_each_side(monkeypatch):
@@ -455,7 +456,7 @@ def test_one_crc_pass_per_slice_byte_on_each_side(monkeypatch):
     assert sum(hashed) == covered
 
 
-# -- query answers are the parent's, whatever the wire options ----------------------------
+# -- query answers are the parent's ---------------------------------------------------------
 
 #: sha256 prefixes of the result tables (column names, dtypes and bytes) at
 #: SF 0.002 / seed 7, recorded at the parent commit — the zlib + JSON-header
@@ -467,12 +468,6 @@ PARENT_DIGESTS = {
     "l_orderkey": "da071f8569925900",
     "l_suppkey": "a35849a309510de5",
 }
-
-WIRE_CONFIGS = {
-    "default": IntegrityConfig(),
-    "unchecked": IntegrityConfig(generate=False),
-}
-
 
 def _table_digest(table) -> str:
     digest = hashlib.sha256()
@@ -489,29 +484,25 @@ def stack():
     return _stack()
 
 
-@pytest.mark.parametrize("wire", list(WIRE_CONFIGS))
 @pytest.mark.parametrize("mode", ["serial", "threads", "processes"])
-def test_join_queries_return_the_parents_tables(stack, mode, wire):
-    kwargs = {"execution_mode": mode, "integrity": WIRE_CONFIGS[wire]}
+def test_join_queries_return_the_parents_tables(stack, mode):
+    kwargs = {"execution_mode": mode}
     if mode == "processes":
         kwargs["max_parallel_invocations"] = 2
     session = _session(*stack, **kwargs)
     try:
         for name, sql in (("q3", q.q3_sql), ("q5", q.q5_sql), ("q18", q.q18_sql)):
             result = session.sql(sql())
-            assert _table_digest(result.table) == PARENT_DIGESTS[name], f"{name}/{mode}/{wire}"
+            assert _table_digest(result.table) == PARENT_DIGESTS[name], f"{name}/{mode}"
             assert result.statistics.exchange.bytes_written > 0
     finally:
         session.close()
     assert leaked_segments() == []
 
 
-@pytest.mark.parametrize("wire", list(WIRE_CONFIGS))
-def test_group_bys_return_the_parents_tables(stack, wire):
+def test_group_bys_return_the_parents_tables(stack):
     env, datasets = stack
-    coordinator = ShuffleAggregateCoordinator(
-        env, memory_mib=2048, num_buckets=4, integrity=WIRE_CONFIGS[wire]
-    )
+    coordinator = ShuffleAggregateCoordinator(env, memory_mib=2048, num_buckets=4)
     aggregates = [
         AggregateSpec("sum", col("l_extendedprice") * (1 - col("l_discount")), "revenue"),
         AggregateSpec("count", None, "items"),
@@ -523,5 +514,5 @@ def test_group_bys_return_the_parents_tables(stack, wire):
             paths, group_by=[key], aggregates=aggregates, order_by=[key],
             num_workers=len(paths),
         )
-        assert _table_digest(table) == PARENT_DIGESTS[key], f"{key}/{wire}"
+        assert _table_digest(table) == PARENT_DIGESTS[key], key
         assert statistics.exchange.combined_put_requests == sum(statistics.map_fleets.values())

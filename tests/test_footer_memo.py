@@ -1,12 +1,12 @@
 """A footer is parsed and checked once per distinct bytes, and a file's
 statistics decisions are made once per predicate.
 
-* ``FileMetadata.parse`` is memoized on ``(footer, data_end, checked)``: N
-  opens of one file run ``_directory_problem`` once, and readers share one
-  ``FileMetadata``; a different ``data_end`` or ``checked`` is a new entry;
-* everything before the parse still runs on every open: a flipped footer of
-  an unchecked file fails to parse (and is never kept), a checked one fails
-  its crc — both naming the file and ``lpq.footer``, after a clean open of
+* ``FileMetadata.parse`` is memoized on ``(footer, data_end)``: N opens of
+  one file run ``_directory_problem`` once, and readers share one
+  ``FileMetadata``; a different ``data_end`` is a new entry;
+* everything before the parse still runs on every open: a flipped footer
+  whose crc was recomputed fails to parse (and is never kept), one whose
+  crc was not fails the crc — both naming the file and ``lpq.footer``, after a clean open of
   the same file put it in the memo;
 * the scan's survivors and page plans come from
   ``FileMetadata.decision``, keyed by the literals' types as well as their
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -50,7 +51,7 @@ NAME = "data/memo.lpq"
 PATH = "s3://data/memo.lpq"
 
 
-def _file(seed: int, checksum: bool = True) -> bytes:
+def _file(seed: int) -> bytes:
     """A small file whose bytes no other test writes."""
     rng = np.random.default_rng(seed)
     rows = 1024
@@ -70,7 +71,7 @@ def _file(seed: int, checksum: bool = True) -> bytes:
         "key": (block % 3).astype(np.int32),
         "seed": np.full(rows, seed, dtype=np.int64),
     }
-    writer = ColumnarWriter(Schema.from_table(table), row_group_rows=128, checksum=checksum)
+    writer = ColumnarWriter(Schema.from_table(table), row_group_rows=128)
     return writer.write(table)
 
 
@@ -79,6 +80,13 @@ def _footer(data: bytes):
     length = int.from_bytes(data[-TAIL_BYTES + 4:-4], "little")
     start = len(data) - TAIL_BYTES - length
     return data[start:start + length], start, length
+
+
+def _footer_resealed(data: bytes) -> bytes:
+    """``data`` with the footer crc in its tail recomputed, so damage to the
+    footer reaches the parse instead of the crc."""
+    footer, start, length = _footer(data)
+    return data[:start + length] + zlib.crc32(footer).to_bytes(4, "little") + data[-12:]
 
 
 def _count_directory_checks(monkeypatch) -> list:
@@ -100,18 +108,18 @@ def test_n_opens_of_one_file_check_its_footer_once(monkeypatch):
     assert len(calls) == 1
     assert all(reader.metadata is readers[0].metadata for reader in readers)
     footer, start, _ = _footer(data)
-    assert FileMetadata.parse(footer, start, True) is readers[0].metadata
+    assert FileMetadata.parse(footer, start) is readers[0].metadata
     assert len(calls) == 1
-    # The whole input is the key: another data_end or checked flag misses.
-    moved = FileMetadata.parse(footer, start + 1, True)
-    unchecked = FileMetadata.parse(footer, start, False)
-    assert len(calls) == 3
-    assert moved is not readers[0].metadata and unchecked is not readers[0].metadata
-    assert not unchecked.checked and readers[0].metadata.checked
+    # The whole input is the key: another data_end misses.
+    moved = FileMetadata.parse(footer, start + 1)
+    assert len(calls) == 2
+    assert moved is not readers[0].metadata
 
 
 def test_a_flipped_unchecked_footer_still_fails_to_parse(monkeypatch):
-    data = _file(102, checksum=False)
+    """A flip the footer crc does not catch (the crc recomputed after it)
+    still fails the parse, every time."""
+    data = _file(102)
     clean = ColumnarFile.from_bytes(data, name=NAME).metadata
     footer, start, _ = _footer(data)
     # The low bit of the head's row count: the groups no longer add up.
@@ -120,7 +128,7 @@ def test_a_flipped_unchecked_footer_still_fails_to_parse(monkeypatch):
     calls = _count_directory_checks(monkeypatch)
     for _ in range(2):  # a footer that failed is not kept: checked again
         with pytest.raises(CorruptFileError) as raised:
-            ColumnarFile.from_bytes(bytes(broken), name=NAME)
+            ColumnarFile.from_bytes(_footer_resealed(bytes(broken)), name=NAME)
         assert (raised.value.key, raised.value.layer) == (NAME, "lpq.footer")
         assert "row count" in str(raised.value)
     assert len(calls) == 2
@@ -130,7 +138,7 @@ def test_a_flipped_unchecked_footer_still_fails_to_parse(monkeypatch):
         flipped = bytearray(data)
         flipped[start + position] ^= 1 << position % 8
         try:
-            metadata = ColumnarFile.from_bytes(bytes(flipped), name=NAME).metadata
+            metadata = ColumnarFile.from_bytes(_footer_resealed(bytes(flipped)), name=NAME).metadata
         except CorruptFileError as error:
             assert (error.key, error.layer) == (NAME, "lpq.footer")
         else:

@@ -90,14 +90,12 @@ def _same(actual, expected) -> bool:
 @given(
     drawn=_tables(),
     compression=st.sampled_from(list(Compression)),
-    checksum=st.booleans(),
 )
-def test_page_directory_matches_a_per_entry_build(drawn, compression, checksum):
+def test_page_directory_matches_a_per_entry_build(drawn, compression):
     table, group_rows = drawn
     schema = Schema([Field("i32", ColumnType.INT32), Field("i64", ColumnType.INT64),
                      Field("f64", ColumnType.FLOAT64)])
-    data = write_table(table, schema, row_group_rows=group_rows, compression=compression,
-                       checksum=checksum)
+    data = write_table(table, schema, row_group_rows=group_rows, compression=compression)
     reader = ColumnarFile.from_bytes(data)
     metadata = reader.metadata
     assert len(reader.row_groups) == math.ceil(len(table["i32"]) / group_rows)
@@ -110,7 +108,7 @@ def test_page_directory_matches_a_per_entry_build(drawn, compression, checksum):
             expected = ColumnChunkMeta(
                 field_.name, field_.type, Encoding(encoding), COMPRESSION_BY_ID[codec],
                 offset, compressed_size, uncompressed_size, num_values, low, high,
-                crc if checksum else None, width, exponent, base,
+                crc, width, exponent, base,
             )
             meta = group.column_meta(field_.name)
             assert meta is metas[group.index]
@@ -288,10 +286,10 @@ def _capture_emits(monkeypatch) -> List[Tuple[Dict, Dict, Counts]]:
     emitted: List[Tuple[Dict, Dict, Counts]] = []
     original = worker._emit
 
-    def recording(env, event, sender, rows, keys, num_partitions, tag, counts, integrity):
+    def recording(env, event, sender, rows, keys, num_partitions, tag, counts):
         if "plan" in event:  # a scan-wave mapper
             emitted.append((event, rows, Counts(counts)))
-        return original(env, event, sender, rows, keys, num_partitions, tag, counts, integrity)
+        return original(env, event, sender, rows, keys, num_partitions, tag, counts)
 
     monkeypatch.setattr(worker, "_emit", recording)
     return emitted
@@ -336,7 +334,7 @@ def test_a_predicate_that_empties_a_whole_run(stack, monkeypatch):
     }
     emitted: List[Tuple[Dict, Counts]] = []
     monkeypatch.setattr(worker, "_emit", lambda env, event, sender, rows, keys, parts, tag,
-                        counts, integrity: emitted.append((rows, Counts(counts))) or {})
+                        counts: emitted.append((rows, Counts(counts))) or {})
     monkeypatch.setattr(worker, "post_result", lambda *args, **kwargs: None)
     handler = worker.make_worker_handler(env)
     handler(event, InvocationContext(FunctionConfig(name="map", memory_mib=2048), 0, False))

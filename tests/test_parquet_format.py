@@ -133,7 +133,7 @@ def test_footer_roundtrip(sample_table):
     # The parsed footer serialises back to the stored one, byte for byte.
     assert data[-16 - len(footer):-16] == footer
     assert data[-16:] == struct.pack("<IQ4s", zlib.crc32(footer), len(footer), CHECKED_MAGIC)
-    restored = FileMetadata.parse(footer, len(data) - 16 - len(footer), checked=True)
+    restored = FileMetadata.parse(footer, len(data) - 16 - len(footer))
     assert restored.num_rows == metadata.num_rows
     assert restored.schema == metadata.schema
     assert len(restored.row_groups) == len(metadata.row_groups)
@@ -341,13 +341,44 @@ def test_surviving_groups_and_column_ranges_match_the_chunk_metadata():
 # -- malformed footers and pages: typed, with provenance ----------------------------------
 
 
+_TAIL = struct.Struct("<IQ4s")
+
+
+def resealed(data: bytes) -> bytes:
+    """``data`` with every crc recomputed over what the file's own tail and
+    footer describe — each page's in the directory, the footer's in the tail
+    — so damage reaches the reader's structural checks instead of a crc.  A
+    file whose tail or directory cannot be located keeps what it has."""
+    if len(data) < _TAIL.size:
+        return data
+    _, length, magic = _TAIL.unpack(data[-_TAIL.size:])
+    start = len(data) - _TAIL.size - length
+    if start < len(MAGIC):
+        return data
+    footer = bytearray(data[start:-_TAIL.size])
+    try:
+        groups, columns = struct.unpack_from("<IH", footer, 8)
+        count = groups * columns
+        directory = np.frombuffer(
+            footer, dtype=_CHUNK, count=count, offset=len(footer) - count * _CHUNK.itemsize
+        )
+    except (struct.error, ValueError):
+        directory = np.zeros(0, dtype=_CHUNK)
+    for index in range(len(directory)):
+        low = int(directory["offset"][index])
+        high = low + int(directory["compressed_size"][index])
+        if high <= start:
+            directory["crc"][index] = zlib.crc32(data[low:high])
+    return data[:start] + bytes(footer) + _TAIL.pack(zlib.crc32(footer), length, magic)
+
+
 def _rewritten(data: bytes, mutate) -> bytes:
-    """``data`` (an unchecked file) with ``mutate(footer bytearray)`` applied."""
-    _, length, magic = struct.unpack("<IQ4s", data[-16:])
-    assert magic == MAGIC
-    footer = bytearray(data[-16 - length:-16])
+    """``data`` with ``mutate(footer bytearray)`` applied, then resealed."""
+    _, length, magic = _TAIL.unpack(data[-_TAIL.size:])
+    assert magic == CHECKED_MAGIC
+    footer = bytearray(data[-_TAIL.size - length:-_TAIL.size])
     footer = mutate(footer) or footer
-    return data[:-16 - length] + bytes(footer) + struct.pack("<IQ4s", 0, len(footer), MAGIC)
+    return resealed(data[:-_TAIL.size - length] + bytes(footer) + _TAIL.pack(0, len(footer), magic))
 
 
 def _directory(footer: bytearray, groups: int, columns: int) -> np.ndarray:
@@ -416,7 +447,7 @@ def test_every_malformed_footer_is_a_typed_footer_error(name):
     # FOR on every narrowable column, so width/base/exponent checks apply to them.
     schema = Schema.from_table(table)
     data = ColumnarWriter(
-        schema, row_group_rows=1000, checksum=False,
+        schema, row_group_rows=1000,
         encodings={"key": Encoding.FOR, "flag": Encoding.FOR, "date": Encoding.FOR},
     ).write(table)
     assert ColumnarFile.from_bytes(data, name="obj").num_rows == 3000
@@ -428,7 +459,7 @@ def test_every_malformed_footer_is_a_typed_footer_error(name):
 
 
 def test_duplicate_column_names_in_a_footer_are_a_typed_footer_error():
-    data = write_table({"key": np.arange(5), "flag": np.arange(5)}, checksum=False)
+    data = write_table({"key": np.arange(5), "flag": np.arange(5)})
     with pytest.raises(CorruptFileError) as caught:
         ColumnarFile.from_bytes(_rewritten(data, _duplicate_name), name="obj")
     assert (caught.value.layer, caught.value.key) == ("lpq.footer", "obj")
@@ -440,9 +471,7 @@ def test_chunk_failures_carry_key_layer_and_offset():
     schema = Schema.from_table(table)
 
     def written(compression):
-        data = ColumnarWriter(
-            schema, row_group_rows=1000, compression=compression, checksum=False
-        ).write(table)
+        data = ColumnarWriter(schema, row_group_rows=1000, compression=compression).write(table)
         reader = ColumnarFile.from_bytes(data, name="obj")
         return bytearray(data), reader.row_groups[1], reader.row_groups[1].column_meta("flag")
 
@@ -455,14 +484,15 @@ def test_chunk_failures_carry_key_layer_and_offset():
     # A stored page that does not inflate: the chunk layer.
     data, group, meta = written(Compression.GZIP)
     data[meta.offset + 3] ^= 0xFF
-    error = failure(data)
+    error = failure(resealed(bytes(data)))
+    assert not isinstance(error, IntegrityError)
     assert (error.layer, error.key, error.offset) == ("lpq.chunk", "obj", meta.offset)
     assert "'flag'" in str(error) and "row group 1" in str(error)
 
     # A page that inflates but does not parse: the page layer.
     data, group, meta = written(Compression.NONE)
     data[meta.offset + meta.compressed_size - 1] = 200  # dictionary code out of range
-    error = failure(data)
+    error = failure(resealed(bytes(data)))
     assert (error.layer, error.key, error.offset) == ("lpq.page", "obj", meta.offset)
     assert "'flag'" in str(error) and "row group 1" in str(error)
 
@@ -471,7 +501,7 @@ def test_chunk_failures_carry_key_layer_and_offset():
     error = failure(_rewritten(bytes(data), _set("uncompressed_size", 17, column=1)))
     assert (error.layer, error.key, error.offset) == ("lpq.page", "obj", meta.offset)
 
-    # With checksums the crc catches the same flip first, as an IntegrityError.
+    # Not resealed, the crc catches the same flip first, as an IntegrityError.
     checked = bytearray(write_table(table, row_group_rows=1000))
     meta = ColumnarFile.from_bytes(bytes(checked)).row_groups[1].column_meta("flag")
     checked[meta.offset + 3] ^= 0xFF

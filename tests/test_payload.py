@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from repro.cloud.environment import CloudEnvironment
-from repro.config import IntegrityConfig
 from repro.driver.integrity import open_message, post_result
 from repro.engine.payload import decode_table, encode_table
 from repro.errors import CorruptFileError
@@ -21,10 +20,7 @@ def _wire(table) -> str:
     """The message text a worker posts for ``table``."""
     env = CloudEnvironment.create()
     env.sqs.create_queue("results")
-    post_result(
-        env, "results", IntegrityConfig(), {"worker_id": 0}, encode_table(table),
-        "q/worker-0.a0",
-    )
+    post_result(env, "results", {"worker_id": 0}, encode_table(table), "q/worker-0.a0")
     return env.sqs.receive_messages("results")[0].body
 
 

@@ -25,7 +25,6 @@ from hypothesis.extra import numpy as hnp
 import repro.driver.integrity as plane
 from repro.cloud.environment import CloudEnvironment
 from repro.cloud.faults import FaultPlan
-from repro.config import IntegrityConfig
 from repro.driver.integrity import (
     RESULT_BUCKET,
     fetch_spilled_result,
@@ -61,15 +60,12 @@ def env():
     return env
 
 
-def _post(env, table, spill=False, generate=True, header=HEADER) -> str:
+def _post(env, table, spill=False, header=HEADER) -> str:
     """Post ``table`` as a worker would; returns the text on the queue."""
     with pytest.MonkeyPatch.context() as patch:
         if spill:
             patch.setattr(plane, "RESULT_SPILL_BYTES", 0)
-        post_result(
-            env, QUEUE, IntegrityConfig(generate=generate), header,
-            encode_table(table, checksum=generate), SPILL_KEY,
-        )
+        post_result(env, QUEUE, header, encode_table(table), SPILL_KEY)
     (message,) = env.sqs.receive_messages(QUEUE)
     return message.body
 
@@ -129,18 +125,18 @@ def tables(draw):
 
 
 @settings(max_examples=120, deadline=None)
-@given(table=tables(), spill=st.booleans(), generate=st.booleans())
-def test_round_trip_is_bit_identical_inline_and_spilled(env, table, spill, generate):
+@given(table=tables(), spill=st.booleans())
+def test_round_trip_is_bit_identical_inline_and_spilled(env, table, spill):
     """Values *and* dtypes, through everything a result passes on its way."""
-    body = _post(env, table, spill=spill, generate=generate)
+    body = _post(env, table, spill=spill)
     counts, stats = _integrity()
-    message = open_message(body, True, counts)
+    message = open_message(body, counts)
     assert {name: message[name] for name in HEADER} == HEADER
     assert ("\n" in body) != spill and ("result_s3" in message) == spill
-    assert body.startswith("{") != generate
-    frame = fetch_spilled_result(env.s3, message, True, counts) if spill else message["frame"]
+    assert not body.startswith("{")
+    frame = fetch_spilled_result(env.s3, message, counts) if spill else message["frame"]
     assert isinstance(frame, bytes) and stats.clean
-    assert frame[0] == (codec.CHECKED_PARTITION_TAG if generate else codec.UNCHECKED_PARTITION_TAG)
+    assert frame[0] == codec.CHECKED_PARTITION_TAG
     assert_bit_identical(table, decode_table(frame, verify=False))
 
 
@@ -169,7 +165,7 @@ def test_message_layout(env):
         **HEADER, "frame": [len(frame), embedded], "result_s3": f"s3://{RESULT_BUCKET}/{SPILL_KEY}",
     }
     # A message without a table is the signed header alone.
-    post_result(env, QUEUE, IntegrityConfig(), {**HEADER, "status": "error", "error": "boom"})
+    post_result(env, QUEUE, {**HEADER, "status": "error", "error": "boom"})
     (message,) = env.sqs.receive_messages(QUEUE)
     assert "\n" not in message.body
     assert open_message(message.body) == {**HEADER, "status": "error", "error": "boom"}
@@ -197,7 +193,7 @@ PRINTABLE = [chr(code) for code in range(33, 127)]
 
 def _assert_dropped(corrupted: str, count: int = 1):
     counts, stats = _integrity()
-    assert open_message(corrupted, True, counts) is None
+    assert open_message(corrupted, counts) is None
     assert set(stats.mismatches) <= {"sqs.parse", "sqs.digest"}
     assert sum(stats.mismatches.values()) == stats.re_executions == count
 
@@ -220,7 +216,7 @@ def test_corrupt_text_rewrites_of_a_large_message_are_caught(env):
     sites = set()
     for _ in range(3000):
         counts, stats = _integrity()
-        assert open_message(plan.corrupt_text(body), True, counts) is None
+        assert open_message(plan.corrupt_text(body), counts) is None
         sites |= set(stats.mismatches)
     assert sites == {"sqs.parse", "sqs.digest"}
 
@@ -250,23 +246,17 @@ def test_signed_message_flips_always_detected(env):
     assert raised > 0
 
 
-def test_unsigned_message_and_unchecked_frame_pass_a_verifying_receiver(env):
-    table = _small_table()
-    body = _post(env, table, generate=False)
-    assert body.startswith("{")
-    counts, stats = _integrity()
-    message = open_message(body, True, counts)
-    assert stats.clean and message["frame"][0] == codec.UNCHECKED_PARTITION_TAG
-    assert_bit_identical(table, decode_table(message["frame"]))
-    # So does any plain JSON object a test or an older sender puts on the queue.
-    assert open_message('{"worker_id": 1, "status": "ok"}') == {"worker_id": 1, "status": "ok"}
+def test_unsigned_junk_and_misdigested_messages_are_dropped(env):
+    """Every message is signed, so one that is not — a plain JSON object, an
+    older sender's unsigned result — is corrupt, like junk and a wrong
+    digest."""
+    signed = _post(env, _small_table())
+    _assert_dropped(signed[8:])
+    _assert_dropped('{"worker_id": 1, "status": "ok"}')
     for junk in ("", "[]", "12345678[]", "{", "0000000"):
         _assert_dropped(junk)
-    # A non-verifying receiver reads a message whose digest is wrong.
-    signed = _post(env, table)
     wrong = "0" * 8 + signed[8:] if signed[:8] != "0" * 8 else "1" * 8 + signed[8:]
     _assert_dropped(wrong)
-    assert_bit_identical(table, decode_table(open_message(wrong, verify=False)["frame"]))
 
 
 def test_payload_digest_covers_structure(env):
@@ -296,7 +286,7 @@ def test_payload_digest_covers_structure(env):
     for label, other in replaced.items():
         swapped = f"{text}\n{base64.b64encode(encode_table(other)).decode('ascii')}"
         counts, stats = _integrity()
-        assert open_message(swapped, True, counts) is None, label
+        assert open_message(swapped, counts) is None, label
         assert stats.mismatches == {"sqs.digest": 1}, label
 
 
@@ -317,13 +307,13 @@ def _assert_caught_and_cured(pointer, frame: bytes, corrupted: bytes):
     path = pointer["result_s3"]
     counts, stats = _integrity()
     with pytest.raises(CorruptFileError) as caught:
-        fetch_spilled_result(_Served(corrupted, corrupted), pointer, True, counts)
+        fetch_spilled_result(_Served(corrupted, corrupted), pointer, counts)
     assert caught.value.key == path
     assert caught.value.layer in {"slice.length", "slice.crc", "codec.crc", "codec.prefix"}
     assert stats.mismatches == {"spill.digest": 2} and stats.re_reads == 0
     # In-flight corruption: the one re-read serves the object as it is stored.
     counts, stats = _integrity()
-    assert fetch_spilled_result(_Served(corrupted, frame), pointer, True, counts) == frame
+    assert fetch_spilled_result(_Served(corrupted, frame), pointer, counts) == frame
     assert (stats.mismatches, stats.re_reads) == ({"spill.digest": 1}, 1)
     assert stats.verified_bytes == len(frame)
     return caught.value.layer
@@ -342,8 +332,6 @@ def test_every_bit_flip_and_truncation_of_a_spilled_frame_is_caught_and_cured(en
     assert layers == {"codec.prefix", "slice.crc", "codec.crc"}
     for cut in range(len(frame)):
         assert _assert_caught_and_cured(pointer, frame, frame[:cut]) == "slice.length"
-    # An unverifying reader takes what it is served.
-    assert fetch_spilled_result(_Served(frame[:9]), pointer, False) == frame[:9]
 
 
 def test_stale_or_swapped_spill_object_is_caught_by_the_pointer_crc(env):
@@ -382,13 +370,13 @@ def test_one_dumps_one_loads_and_no_text_codec_over_spilled_result_bytes(env, mo
     dumps, loads = _Spy(monkeypatch, json, "dumps"), _Spy(monkeypatch, json, "loads")
     encodes = _Spy(monkeypatch, base64, "b64encode")
     decodes = _Spy(monkeypatch, base64, "b64decode")
-    post_result(env, QUEUE, IntegrityConfig(), HEADER, encode_table(table), SPILL_KEY)
+    post_result(env, QUEUE, HEADER, encode_table(table), SPILL_KEY)
     # The sender: one dumps, of the header (a dict of a handful of fields).
     assert dumps.sizes == [len(HEADER) + 2] and not loads.sizes
     assert encodes.sizes == ([] if spill else [frame_bytes])
     (delivered,) = env.sqs.receive_messages(QUEUE)
     message = open_message(delivered.body)
-    frame = fetch_spilled_result(env.s3, message, True) if spill else message["frame"]
+    frame = fetch_spilled_result(env.s3, message) if spill else message["frame"]
     # The receiver: one loads, of the header text — never of result bytes.
     assert len(dumps.sizes) == 1 and len(loads.sizes) == 1 and loads.sizes[0] < 300
     if spill:
@@ -406,14 +394,14 @@ def test_one_crc_pass_per_result_byte_per_side(env, monkeypatch, spill):
     monkeypatch.setattr(plane, "RESULT_SPILL_BYTES", 0 if spill else plane.RESULT_SPILL_BYTES)
     hashed = _Spy(monkeypatch, zlib, "crc32")
     frame = encode_table(table)
-    post_result(env, QUEUE, IntegrityConfig(), HEADER, frame, SPILL_KEY)
+    post_result(env, QUEUE, HEADER, frame, SPILL_KEY)
     (delivered,) = env.sqs.receive_messages(QUEUE)
     header_bytes = len(delivered.body.partition("\n")[0]) - 8
     # Sender: the frame's bytes after its prefix, once, and the header text.
     assert sum(hashed.sizes) == (len(frame) - 5) + header_bytes
     hashed.sizes.clear()
     message = open_message(delivered.body)
-    received = fetch_spilled_result(env.s3, message, True) if spill else message["frame"]
+    received = fetch_spilled_result(env.s3, message) if spill else message["frame"]
     # The merge decodes what the collector verified: no second pass.
     decode_table(received, copy=False, verify=False)
     assert sum(hashed.sizes) == (len(frame) - 5) + header_bytes

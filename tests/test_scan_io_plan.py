@@ -239,10 +239,9 @@ def footer_bytes(data: bytes) -> int:
     return struct.unpack("<IQ4s", data[-TAIL_BYTES:])[1]
 
 
-@pytest.mark.parametrize("checksum", [False, True], ids=["unchecked", "checked"])
-def test_open_small_file_is_one_get_and_no_head(checksum):
+def test_open_small_file_is_one_get_and_no_head():
     table = _table()
-    data = write_table(table, row_group_rows=500, checksum=checksum)
+    data = write_table(table, row_group_rows=500)
     store = recording_store(data)
     counts = dict(store.request_counts["data"])
     source = S3ObjectSource(store, PATH)
@@ -261,15 +260,12 @@ def test_open_small_file_is_one_get_and_no_head(checksum):
     assert shared.request_counts == {"get": 1}
 
 
-@pytest.mark.parametrize("checksum", [False, True], ids=["unchecked", "checked"])
 @pytest.mark.parametrize(
     "break_even", [0.0, 0.5, 1.5], ids=["exact", "short", "covers-footer"]
 )
-def test_open_large_file_is_at_most_two_gets(checksum, break_even):
+def test_open_large_file_is_at_most_two_gets(break_even):
     table = _table()
-    data = write_table(
-        table, row_group_rows=500, compression=Compression.NONE, checksum=checksum
-    )
+    data = write_table(table, row_group_rows=500, compression=Compression.NONE)
     # The break-even hole as a share of what the open needs: footer and tail.
     footer_length = footer_bytes(data)
     gap_bytes = int(break_even * (footer_length + TAIL_BYTES))

@@ -31,13 +31,14 @@ from repro.formats.encoding import (
     parse_encoded_chunk,
 )
 from repro.formats.compression import Compression
-from repro.formats.parquet import _CHUNK, MAGIC, ColumnarFile, write_table
+from repro.formats.parquet import _CHUNK, ColumnarFile, write_table
 from repro.formats.schema import ColumnType
 from repro.frontend.sql import parse_sql
 from repro.plan.expressions import col
 from repro.plan.optimizer import optimize
 from repro.workload import queries as q
 from tests.test_mode_parity import assert_bit_identical
+from tests.test_parquet_format import resealed
 from tests.test_scan_io_plan import EXACT, PATH, recording_store
 
 # -- (a) the run kernels equal the per-chunk kernels, bit for bit ---------------------
@@ -225,14 +226,14 @@ def test_a_run_batch_counts_its_row_groups(lineitem, monkeypatch):
 # -- (c) typed errors, where a row-group-at-a-time scan raised them ---------------------
 
 
-def _file(checksum=True, rows=3000):
+def _file(rows=3000):
     rng = np.random.default_rng(9)
     table = {
         "k": rng.integers(0, 5, rows).astype(np.int64),
         "v": np.round(rng.uniform(0, 100, rows), 2),
         "w": rng.integers(0, 1 << 30, rows).astype(np.int64),
     }
-    return table, write_table(table, row_group_rows=500, checksum=checksum)
+    return table, write_table(table, row_group_rows=500)
 
 
 def _fused(store):
@@ -275,7 +276,7 @@ def test_a_flipped_byte_fails_the_crc_at_its_row_group_before_the_next_get():
 
 def test_a_page_that_does_not_inflate_fails_typed_at_its_row_group(monkeypatch):
     monkeypatch.setattr(scan_module, "RUN_ROWS", 1000)  # runs of two row groups
-    _, data = _file(checksum=False)
+    _, data = _file()
     clean = recording_store(data)
     list(_fused(clean))
     reader = ColumnarFile.from_bytes(data)
@@ -285,7 +286,8 @@ def test_a_page_that_does_not_inflate_fails_typed_at_its_row_group(monkeypatch):
     assert meta.compression is Compression.GZIP
     broken = bytearray(data)
     broken[meta.offset:meta.offset + 2] = b"\xff\xff"  # no zlib header
-    store = recording_store(bytes(broken))
+    # Its crc recomputed, so the inflate is what fails.
+    store = recording_store(resealed(bytes(broken)))
     with pytest.raises(CorruptFileError) as caught:
         list(_fused(store))
     error = caught.value
@@ -298,16 +300,15 @@ def test_a_page_that_does_not_inflate_fails_typed_at_its_row_group(monkeypatch):
 
 
 def test_a_page_of_the_wrong_length_fails_typed_at_the_page_layer():
-    _, data = _file(checksum=False)
+    _, data = _file()
     _, length, magic = struct.unpack("<IQ4s", data[-16:])
-    assert magic == MAGIC
     footer = bytearray(data[-16 - length:-16])
     groups, columns = 6, 3
     directory = np.frombuffer(
         footer, dtype=_CHUNK, offset=len(footer) - groups * columns * _CHUNK.itemsize
     ).reshape(groups, columns)
     directory["uncompressed_size"][1, 2] += 1  # row group 1, column "w"
-    broken = data[:-16 - length] + bytes(footer) + struct.pack("<IQ4s", 0, len(footer), MAGIC)
+    broken = resealed(data[:-16 - length] + bytes(footer) + data[-16:])
     with pytest.raises(CorruptFileError) as caught:
         list(_fused(recording_store(broken)))
     error = caught.value

@@ -73,13 +73,11 @@ def test_serialize_partition_uses_fast_codec_by_default():
     table = {"k": np.arange(5, dtype=np.int64)}
     data = serialize_partition(table)
     assert is_fast_partition(data)
-    # Checksums are on by default, so the checked frame tag is written;
-    # checksum=False writes the same layout under the unchecked tag.
+    # Every frame is checked: the one tag, and a frame under the retired
+    # unchecked tag is not a frame.
     assert data[0] == CHECKED_PARTITION_TAG
-    unchecked = serialize_partition(table, checksum=False)
-    assert is_fast_partition(unchecked)
-    assert unchecked[0] == UNCHECKED_PARTITION_TAG
-    assert unchecked[5:] == data[5:]
+    unchecked = bytes([UNCHECKED_PARTITION_TAG]) + data[1:]
+    assert not is_fast_partition(unchecked)
 
 
 def test_empty_partition_roundtrip():

@@ -122,7 +122,7 @@ def test_large_results_spill_to_s3(env_with_data, monkeypatch):
     assert message["result"]["counters"]["scan.rows_output"] == 1000
     assert env.s3.object_count(RESULT_BUCKET) == 1
     # The object is the frame itself, and the frame the message describes.
-    frame = fetch_spilled_result(env.s3, message, verify=True)
+    frame = fetch_spilled_result(env.s3, message)
     assert env.s3.get_object(RESULT_BUCKET, "q-big/worker-7.a0").data == frame
     assert message["frame"] == [len(frame), int.from_bytes(frame[1:5], "little")]
     rows = decode_table(frame)

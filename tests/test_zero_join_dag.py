@@ -6,9 +6,8 @@ a zero-stage :class:`~repro.plan.physical.DagPhysicalPlan` and runs it on
 Two things are pinned here:
 
 * the facade and a hand-built zero-stage plan run straight through the join
-  coordinator give bit-identical tables and equal exchange counters, with
-  and without checksums (the announced directory then carries no crcs) and
-  frame compression;
+  coordinator give bit-identical tables and equal exchange counters, every
+  slice verified against the crc its directory announces;
 * the ``groupby_shuffle`` benchmark workload's two queries return exactly what
   they returned — and cost exactly the requests and modelled seconds they
   cost — on the commit before the two coordinators were unified, at that
@@ -25,7 +24,6 @@ import numpy as np
 import pytest
 
 from repro.cloud.environment import CloudEnvironment
-from repro.config import IntegrityConfig
 from repro.driver import spans
 from repro.driver.shuffle import ShuffleAggregateCoordinator, ShuffleJoinCoordinator
 from repro.plan.expressions import col, lit
@@ -76,16 +74,12 @@ def _zero_stage_plan(dataset) -> DagPhysicalPlan:
     )
 
 
-@pytest.mark.parametrize("checksums", [True, False])
-def test_facade_equals_hand_built_zero_stage_dag(env, dataset, checksums):
-    integrity = IntegrityConfig(generate=checksums, verify=checksums)
-    facade_table, facade_statistics = ShuffleAggregateCoordinator(
-        env, num_buckets=4, integrity=integrity
-    ).execute(
+def test_facade_equals_hand_built_zero_stage_dag(env, dataset):
+    facade_table, facade_statistics = ShuffleAggregateCoordinator(env, num_buckets=4).execute(
         dataset.paths, GROUP_BY, AGGREGATES, predicate=PREDICATE, order_by=GROUP_BY
     )
     dag_table, dag_statistics, worker_results = ShuffleJoinCoordinator(
-        env, num_buckets=4, integrity=integrity
+        env, num_buckets=4
     ).execute(_zero_stage_plan(dataset))
 
     assert_bit_identical(dag_table, facade_table, "facade vs zero-stage dag")
@@ -93,7 +87,7 @@ def test_facade_equals_hand_built_zero_stage_dag(env, dataset, checksums):
     # 93 KB in 4 files: below one mapper's break-even bytes.
     assert facade_statistics.exchange.put_requests == 1
     assert facade_statistics.exchange.combined_put_requests == 1
-    assert (facade_statistics.integrity.verified_bytes > 0) == checksums
+    assert facade_statistics.integrity.verified_bytes > 0
     assert facade_statistics.map_fleets == dag_statistics.map_fleets == {"L": 1}
     assert facade_statistics.num_workers == dag_statistics.num_workers == 2
     assert facade_statistics.rows_scanned == dag_statistics.rows_scanned
