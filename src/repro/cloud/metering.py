@@ -15,15 +15,13 @@ from __future__ import annotations
 import threading
 from collections import defaultdict
 from contextvars import ContextVar
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, NamedTuple, Optional
 
 from repro.cloud.pricing import DEFAULT_PRICES, PriceList
 
 
-@dataclass(frozen=True)
-class UsageRecord:
-    """A single billable event.
+class UsageRecord(NamedTuple):
+    """A single billable event (a tuple: one is made per request).
 
     ``dimension`` is a dotted name such as ``"s3.get_requests"`` or
     ``"lambda.gib_seconds"``; ``amount`` is in the natural unit of that

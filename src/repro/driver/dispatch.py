@@ -222,12 +222,12 @@ def run_fleet(
 
 
 def raise_unfinished(
-    events: Dict, by_key: Dict, history: List[Dict], stage: Optional[str] = None
+    events: Dict, by_key: Dict, trace: spans.Span, stage: Optional[str] = None
 ) -> None:
     """Raise the typed failure of a fleet that still lacks an ok result:
     :class:`~repro.errors.WorkerFailedError` with the attempt history of the
-    first worker whose last message is an error — its re-dispatch events in
-    ``history``, then that message — else
+    first worker whose last message is an error — its ``redispatch`` events
+    in the query span ``trace``, read only then, then that message — else
     :class:`~repro.errors.QueryTimeoutError`; ``stage`` prefixes either."""
     failed = failed_keys(events, by_key)
     if not failed:
@@ -237,6 +237,7 @@ def raise_unfinished(
         message = by_key.get(key)
         if message is not None:
             error = message.get("error", "unknown error")
+            history = spans.redispatches(trace)
             attempts = [event for event in history if event["key"] == key] + [
                 {"attempt": int(message.get("attempt", 0)), "error": error}
             ]
@@ -256,7 +257,8 @@ class QueryContext:
     statistics only read — ``counters``, every count keyed by ``(layer,
     name)`` (:mod:`repro.counters`), and ``trace``, the query span of its
     span tree (:mod:`repro.driver.spans`), whose ``redispatch`` events
-    :attr:`events` lists — and the fault plan's counts when the query opened;
+    :func:`~repro.driver.spans.redispatches` lists — and the fault plan's
+    counts when the query opened;
     the breaker board; with ``budgeted``, a
     :class:`~repro.driver.breakers.RetryBudget` of ``policy.retry_budget``
     named after the query; and the cancellation token, bound to :meth:`now`.
@@ -306,13 +308,6 @@ class QueryContext:
         finally:
             QUERY_TAG.reset(token)
             self.trace.wall_end = perf_counter()  # the outermost scope's exit is last
-
-    @property
-    def events(self) -> List[Dict]:
-        """One ``{"key", "attempt", "error", "backoff_seconds"}`` per
-        re-dispatched worker, in order — the ``redispatch`` events of the
-        trace: each is one more billed invocation."""
-        return spans.redispatches(self.trace)
 
     def bill(self) -> Dict[str, float]:
         """The query's dollars per billing dimension: the ledger's price of
@@ -386,7 +381,7 @@ class QueryContext:
         which prices a hedge's wasted seconds.
         """
         by_key = run_fleet(self, events, transport, max(1, self.policy.max_attempts), labels)
-        raise_unfinished(events, by_key, self.events, labels.stage)
+        raise_unfinished(events, by_key, self.trace, labels.stage)
         self._hedge(by_key, events, transport, memory_mib)
         rounds = max(int(event.get("attempt", 0)) for event in events.values())
         self.counters.note("resilience", "wave_retries", rounds)

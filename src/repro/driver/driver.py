@@ -29,7 +29,7 @@ import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
@@ -96,8 +96,14 @@ class QueryResult:
     statistics: QueryStatistics
     worker_results: List[WorkerResult]
     optimizer_report: Optional[OptimizerReport] = None
-    #: Rendering of the executed physical plan (``physical.explain()``).
-    plan_explain: str = ""
+    #: The physical plan that ran.
+    physical_plan: Optional[DagPhysicalPlan] = field(default=None, repr=False)
+
+    @functools.cached_property
+    def plan_explain(self) -> str:
+        """Rendering of the executed physical plan (``physical.explain()``),
+        made on first read."""
+        return "" if self.physical_plan is None else self.physical_plan.explain()
 
     def column(self, name: str) -> np.ndarray:
         """One result column as a NumPy array."""
@@ -328,19 +334,18 @@ class LambadaDriver:
             if cold:
                 for name in functions:
                     self.env.lambda_service.reset_warm_instances(name)
+            launch = functools.partial(self._invocation.plan, cold=cold)
             scan = ScanWave(
                 self.function_name, self.result_queue,
                 lambda events: self._transport(
-                    physical.base, events, self._invocation.plan(len(events), cold=cold), context
+                    physical.base, events, launch(len(events)), context
                 ),
                 {"function_name": self.function_name, "threads": threads},
             )
             table, statistics, worker_results = self._join_coordinator.execute(
-                physical, num_workers=num_workers, context=context, final_scan=scan
+                physical, num_workers=num_workers, context=context, final_scan=scan,
+                launch=launch,
             )
-            launch = self._invocation.plan(statistics.num_workers, cold=cold)
-            place = spans.place_dag if physical.has_exchange else spans.place_scan
-            place(context.trace, launch, statistics.resilience.backoff_seconds)
             statistics.cold = cold
             statistics.overload = self._overload_block(context.budget)
             reduce_udf = physical.base.reduce_udf
@@ -352,7 +357,7 @@ class LambadaDriver:
                 statistics=statistics,
                 worker_results=worker_results,
                 optimizer_report=report,
-                plan_explain=physical.explain(),
+                physical_plan=physical,
             )
 
     def _scan_files(
@@ -640,7 +645,7 @@ class LambadaDriver:
             statistics=statistics,
             worker_results=[],
             optimizer_report=report,
-            plan_explain=physical.explain(),
+            physical_plan=physical,
         )
 
 

@@ -28,6 +28,7 @@ driver's threads polling as get it there soonest.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from bisect import bisect_right
@@ -106,12 +107,16 @@ class LaunchPlan:
         )
 
     def worker_start_times(self) -> np.ndarray:
-        """Modelled start time of every worker, by worker id.
+        """Modelled start time of every worker, by worker id (read-only).
 
         A first-generation worker starts one request latency + start-up
         after the driver initiated it; its n-th child one latency + start-up
         after the parent got to the n-th of its invocations.
         """
+        return self._start_times
+
+    @functools.cached_property
+    def _start_times(self) -> np.ndarray:
         timeline = self.timeline()
         parent_started = timeline.before_own_invocation + timeline.own_invocation
         child = np.arange(self.num_workers - self.first_generation)
@@ -121,12 +126,14 @@ class LaunchPlan:
             + self.latency
             + self.startup
         )
-        return np.concatenate([parent_started, child_started])
+        starts = np.concatenate([parent_started, child_started])
+        starts.flags.writeable = False
+        return starts
 
-    @property
+    @functools.cached_property
     def time_to_start_all(self) -> float:
         """Time until every worker of the fleet is running."""
-        return float(self.worker_start_times().max())
+        return float(self._start_times.max())
 
     def collection(
         self, completion_times: Sequence[float], pollers: Optional[int] = None
@@ -271,6 +278,10 @@ def _last_start_seconds(
     return np.maximum(last_root, last_child)
 
 
+#: Fleet shapes ``(workers, cold)`` one model keeps priced.
+LAUNCH_PLANS_KEPT = 64
+
+
 class InvocationModel:
     """The launch priced from Table 1: whichever shape starts the fleet first."""
 
@@ -281,6 +292,7 @@ class InvocationModel:
         self.driver_rate = INVOCATION_RATE_DRIVER[region]
         self.worker_rate = INVOCATION_RATE_INTRA_REGION[region]
         self.latency = INVOCATION_LATENCY_SECONDS[region]
+        self._plans = functools.lru_cache(maxsize=LAUNCH_PLANS_KEPT)(self._price)
 
     def first_generation_count(self, num_workers: int, cold: bool = True) -> int:
         """Number of workers the driver invokes itself.
@@ -300,7 +312,12 @@ class InvocationModel:
         return int(candidates[np.argmin(seconds)])
 
     def plan(self, num_workers: int, cold: bool = True) -> LaunchPlan:
-        """The launch of a fleet of ``num_workers``."""
+        """The launch of a fleet of ``num_workers``: priced once per fleet
+        shape — the model's last :data:`LAUNCH_PLANS_KEPT` shapes are kept,
+        start times and all."""
+        return self._plans(num_workers, bool(cold))
+
+    def _price(self, num_workers: int, cold: bool) -> LaunchPlan:
         return LaunchPlan(
             num_workers=num_workers,
             first_generation=self.first_generation_count(num_workers, cold),

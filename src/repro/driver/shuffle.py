@@ -87,12 +87,12 @@ from repro.cloud.environment import CloudEnvironment
 from repro.cloud.lambda_service import FunctionConfig, InvocationContext
 from repro.cloud.network import BandwidthModel
 from repro.cloud.s3 import parse_s3_path
-from repro.config import DEFAULT_SCAN_CONNECTIONS, MiB
+from repro.config import DEFAULT_SCAN_CONNECTIONS, INVOCATION_RATE_DRIVER, MiB
 from repro.counters import Counts, LayerView
 from repro.driver import spans
 from repro.driver.dispatch import FleetLabels, QueryContext
 from repro.driver.integrity import RESULT_BUCKET, post_result
-from repro.driver.invocation import InvocationModel
+from repro.driver.invocation import LaunchPlan
 from repro.driver.resilience import DEFAULT_RESILIENCE_POLICY, ResiliencePolicy
 from repro.driver.spans import QueryStatistics
 from repro.driver.worker import _charge_worker, _emit, _join_map_naming, make_worker_handler
@@ -659,7 +659,7 @@ def scan_fan_out(
         return files
     break_even_bytes = int(
         bandwidth.link_bandwidth(memory_mib, DEFAULT_SCAN_CONNECTIONS)
-        / InvocationModel(region).driver_rate
+        / INVOCATION_RATE_DRIVER[region]
     )
     return min(files, -(-input_bytes // max(1, break_even_bytes)))
 
@@ -777,6 +777,7 @@ class ShuffleJoinCoordinator:
         num_workers: Optional[int] = None,
         context: Optional[QueryContext] = None,
         final_scan: Optional["ScanWave"] = None,
+        launch: Optional[Callable[[int], LaunchPlan]] = None,
     ):
         """Run the DAG plan; returns ``(table, statistics, worker_results)``.
 
@@ -787,7 +788,12 @@ class ShuffleJoinCoordinator:
         one wave through ``final_scan`` — the caller's function, queue and
         transport — or, without one, flat on this coordinator's map
         function; its fleet keeps one worker per file, at most
-        ``num_workers``.
+        ``num_workers``.  The run is placed on the modelled clock once: behind
+        ``launch(workers)``, the priced start of the driver's query that
+        passes it (:func:`~repro.driver.spans.place_scan` for a scan,
+        :func:`~repro.driver.spans.place_dag` for a DAG), or on its own
+        (:func:`~repro.driver.spans.place_run`: the aggregation facade, which
+        launches nothing).
 
         The query runs under ``context`` — without one, under a context of
         its own with no breaker board, no retry budget and no token.  A
@@ -829,9 +835,16 @@ class ShuffleJoinCoordinator:
                     self.env, query_id, num_buckets, scan.queue
                 )
             ):
-                return self._execute_waves(
+                table, statistics, worker_results = self._execute_waves(
                     dag, paths, mappers, num_partitions, scan, context
                 )
+            backoff = statistics.resilience.backoff_seconds
+            if launch is None:
+                spans.place_run(context.trace, backoff)
+            else:
+                place = spans.place_dag if dag.has_exchange else spans.place_scan
+                place(context.trace, launch(statistics.num_workers), backoff)
+            return table, statistics, worker_results
 
     def _scan_events(
         self,
@@ -994,7 +1007,6 @@ class ShuffleJoinCoordinator:
             )
             gc_deleted += swept
 
-        spans.place_run(context.trace, resilience.backoff_seconds)
         statistics = QueryStatistics(
             num_workers=sum(mappers.values()) + num_partitions * len(wave_stages),
             memory_mib=self.memory_mib,

@@ -71,9 +71,7 @@ class WorkerResult:
         """The JSON header of the result message: everything but
         :attr:`partial`, which travels as a frame beside it; the counters as
         ``{"layer.name": n}``."""
-        payload = {
-            f.name: getattr(self, f.name) for f in dataclass_fields(self) if f.name != "partial"
-        }
+        payload = {name: getattr(self, name) for name in _HEADER_FIELDS}
         payload["counters"] = {f"{layer}.{name}": n for (layer, name), n in self.counters.items()}
         return payload
 
@@ -84,12 +82,21 @@ class WorkerResult:
         Unknown keys are ignored so that results recorded by a newer payload
         format (which may carry extra fields) still replay on this version.
         """
-        known = {f.name for f in dataclass_fields(cls)} - {"partial"}
-        fields = {key: value for key, value in payload.items() if key in known}
-        fields["counters"] = Counts({
-            tuple(key.split(".", 1)): n for key, n in (payload.get("counters") or {}).items()
-        })
+        fields = {name: payload[name] for name in _HEADER_FIELDS if name in payload}
+        counters = payload.get("counters") or {}
+        fields["counters"] = Counts(dict(zip(map(_counter_key, counters), counters.values())))
         return cls(partial=partial, **fields)
+
+
+#: What :meth:`WorkerResult.to_payload` puts in the message header.
+_HEADER_FIELDS = tuple(f.name for f in dataclass_fields(WorkerResult) if f.name != "partial")
+
+
+@functools.lru_cache(maxsize=256)
+def _counter_key(text: str) -> tuple:
+    """``"layer.name"`` as the counter key ``(layer, name)``: split once per
+    name, not once per message."""
+    return tuple(text.split(".", 1))
 
 
 def _rows_as_tuples(table: Table, column_order: Sequence[str]) -> List[tuple]:

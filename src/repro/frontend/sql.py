@@ -33,9 +33,10 @@ token.
 from __future__ import annotations
 
 import datetime as _dt
+import functools
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, NoReturn, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, NoReturn, Optional, Sequence, Tuple, Union
 
 from repro.errors import SqlParseError, SqlSyntaxError
 from repro.plan.expressions import Column, Expression, col, lit
@@ -53,60 +54,66 @@ from repro.plan.logical import (
 
 _AGGREGATE_NAMES = {"sum", "count", "avg", "min", "max"}
 
+#: One token and the whitespace before it (or the whitespace before the end).
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<date>date\s*'(\d{4})-(\d{2})-(\d{2})')
-  | (?P<number>\d+\.\d*|\.\d+|\d+)
-  | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
-  | (?P<op><=|>=|<>|!=|=|<|>|\+|-|\*|/|\(|\)|,|\.)
+    \s*
+    (?:
+        (?P<date>date\s*'(\d{4})-(\d{2})-(\d{2})')
+      | (?P<number>\d+\.\d*|\.\d+|\d+)
+      | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
+      | (?P<op><=|>=|<>|!=|=|<|>|\+|-|\*|/|\(|\)|,|\.)
+      | \Z
+    )
     """,
     re.VERBOSE | re.IGNORECASE,
 )
+_SPACE_RE = re.compile(r"\s*")
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     value: str
     #: 0-based character offset of the token in the original statement.
     position: int = -1
 
-    def __str__(self) -> str:  # referenced in error messages
-        return f"{self.value!r}"
+
+#: ``_Token`` from a ``(kind, value, position)`` tuple, without a Python call.
+_token = functools.partial(tuple.__new__, _Token)
 
 
 def _tokenize(statement: str) -> List[_Token]:
+    """The statement's tokens, in one pass of :data:`_TOKEN_RE`; a character
+    no token starts with is a :class:`SqlParseError` at its position."""
     tokens: List[_Token] = []
+    append = tokens.append
     position = 0
-    while position < len(statement):
-        match = _TOKEN_RE.match(statement, position)
-        if match is None:
-            raise SqlParseError(
-                f"unexpected character {statement[position]!r}",
-                statement=statement,
-                position=position,
-            )
-        start = match.start()
-        position = match.end()
-        if match.lastgroup == "ws":
+    for match in _TOKEN_RE.finditer(statement):
+        skipped, end = match.span()
+        if skipped != position:
+            break  # the scan skipped a character no token starts with
+        position = end
+        kind = match.lastgroup
+        if kind is None:  # trailing whitespace
             continue
-        if match.lastgroup == "date":
-            date_match = re.search(r"(\d{4})-(\d{2})-(\d{2})", match.group("date"))
-            assert date_match is not None
+        start = match.start(kind)
+        if kind == "date":
             try:
-                days = date_to_days(*(int(part) for part in date_match.groups()))
+                days = date_to_days(*(int(part) for part in match.group(2, 3, 4)))
             except ValueError as exc:
                 raise SqlParseError(
                     f"invalid date literal: {exc}", statement=statement, position=start
                 ) from None
-            tokens.append(_Token("number", str(days), start))
-        elif match.lastgroup == "number":
-            tokens.append(_Token("number", match.group("number"), start))
-        elif match.lastgroup == "ident":
-            tokens.append(_Token("ident", match.group("ident"), start))
+            append(_token(("number", str(days), start)))
         else:
-            tokens.append(_Token("op", match.group("op"), start))
+            append(_token((kind, statement[start:end], start)))
+    if position < len(statement):
+        position = _SPACE_RE.match(statement, position).end()
+        raise SqlParseError(
+            f"unexpected character {statement[position]!r}",
+            statement=statement,
+            position=position,
+        )
     return tokens
 
 
@@ -198,7 +205,8 @@ class _Parser:
     """Recursive-descent parser over the token stream."""
 
     def __init__(self, tokens: List[_Token], statement: str = ""):
-        self.tokens = tokens
+        # One end token past the last: lookahead is a direct index.
+        self.tokens = [*tokens, _Token("end", "", len(statement))]
         self.statement = statement
         self.position = 0
 
@@ -207,25 +215,23 @@ class _Parser:
     def _error(self, message: str, token: Optional[_Token] = None) -> NoReturn:
         """Raise a :class:`SqlParseError` located at ``token`` (or the current
         token, or the end of the statement when the stream is exhausted)."""
-        where = token if token is not None else self._peek()
-        offset = where.position if where is not None else len(self.statement)
-        raise SqlParseError(message, statement=self.statement, position=offset)
+        where = token if token is not None else self.tokens[self.position]
+        raise SqlParseError(message, statement=self.statement, position=where.position)
 
     def _peek(self) -> Optional[_Token]:
-        if self.position < len(self.tokens):
-            return self.tokens[self.position]
-        return None
+        token = self.tokens[self.position]
+        return None if token.kind == "end" else token
 
     def _next(self) -> _Token:
-        token = self._peek()
-        if token is None:
+        token = self.tokens[self.position]
+        if token.kind == "end":
             self._error("unexpected end of statement")
         self.position += 1
         return token
 
     def _accept_keyword(self, *keywords: str) -> bool:
-        token = self._peek()
-        if token is not None and token.kind == "ident" and token.value.lower() in keywords:
+        token = self.tokens[self.position]
+        if token.kind == "ident" and token.value.lower() in keywords:
             self.position += 1
             return True
         return False
@@ -235,12 +241,12 @@ class _Parser:
             token = self._peek()
             self._error(
                 f"expected {keyword.upper()}, found "
-                f"{token if token is not None else 'end of statement'}"
+                f"{'end of statement' if token is None else repr(token.value)}"
             )
 
     def _accept_op(self, op: str) -> bool:
-        token = self._peek()
-        if token is not None and token.kind == "op" and token.value == op:
+        token = self.tokens[self.position]
+        if token.kind == "op" and token.value == op:
             self.position += 1
             return True
         return False
@@ -250,7 +256,7 @@ class _Parser:
             token = self._peek()
             self._error(
                 f"expected {op!r}, found "
-                f"{token if token is not None else 'end of statement'}"
+                f"{'end of statement' if token is None else repr(token.value)}"
             )
 
     # -- expression grammar ---------------------------------------------------------
@@ -259,42 +265,43 @@ class _Parser:
         """additive := term (('+'|'-') term)*"""
         left = self._parse_term()
         while True:
-            if self._accept_op("+"):
-                left = left + self._parse_term()
-            elif self._accept_op("-"):
-                left = left - self._parse_term()
-            else:
+            kind, op, _ = self.tokens[self.position]
+            if kind != "op" or (op != "+" and op != "-"):
                 return left
+            self.position += 1
+            right = self._parse_term()
+            left = left + right if op == "+" else left - right
 
     def _parse_term(self) -> Expression:
         left = self._parse_factor()
         while True:
-            if self._accept_op("*"):
-                left = left * self._parse_factor()
-            elif self._accept_op("/"):
-                left = left / self._parse_factor()
-            else:
+            kind, op, _ = self.tokens[self.position]
+            if kind != "op" or (op != "*" and op != "/"):
                 return left
+            self.position += 1
+            right = self._parse_factor()
+            left = left * right if op == "*" else left / right
 
     def _parse_factor(self) -> Expression:
-        token = self._peek()
-        if token is None:
+        token = self.tokens[self.position]
+        kind, value, _ = token
+        if kind == "end":
             self._error("unexpected end of expression")
-        if token.kind == "op" and token.value == "(":
-            self._next()
+        if kind == "op" and value == "(":
+            self.position += 1
             inner = self.parse_scalar()
             self._expect_op(")")
             return inner
-        if token.kind == "op" and token.value == "-":
-            self._next()
+        if kind == "op" and value == "-":
+            self.position += 1
             return lit(0) - self._parse_factor()
-        if token.kind == "number":
-            self._next()
-            value = float(token.value)
-            return lit(int(value)) if value.is_integer() and "." not in token.value else lit(value)
-        if token.kind == "ident":
-            self._next()
-            name = token.value.lower()
+        if kind == "number":
+            self.position += 1
+            number = float(value)
+            return lit(int(number)) if number.is_integer() and "." not in value else lit(number)
+        if kind == "ident":
+            self.position += 1
+            name = value.lower()
             if self._accept_op("."):
                 # Qualified reference (table.column): column names are unique
                 # across the numeric TPC-H relations, so the qualifier only
@@ -302,25 +309,25 @@ class _Parser:
                 column_token = self._next()
                 if column_token.kind != "ident":
                     self._error(
-                        f"expected a column name after '.', found {column_token}",
+                        f"expected a column name after '.', found {column_token.value!r}",
                         token=column_token,
                     )
                 name = column_token.value.lower()
             return col(name)
-        self._error(f"unexpected token {token}", token=token)
+        self._error(f"unexpected token {token.value!r}", token=token)
 
     def parse_column_ref(self) -> Tuple[Optional[str], str, _Token]:
         """A possibly qualified column reference: ``(qualifier, column,
         first token)``."""
         token = self._next()
         if token.kind != "ident":
-            self._error(f"expected a column name, found {token}", token=token)
+            self._error(f"expected a column name, found {token.value!r}", token=token)
         first = token.value.lower()
         if self._accept_op("."):
             column_token = self._next()
             if column_token.kind != "ident":
                 self._error(
-                    f"expected a column name after '.', found {column_token}",
+                    f"expected a column name after '.', found {column_token.value!r}",
                     token=column_token,
                 )
             return first, column_token.value.lower(), token
@@ -369,7 +376,7 @@ class _Parser:
                                   "<=": "__le__", ">": "__gt__", ">=": "__ge__"}[mapped])(right)
         self._error(
             f"expected a comparison operator, found "
-            f"{token if token is not None else 'end of statement'}"
+            f"{'end of statement' if token is None else repr(token.value)}"
         )
 
     # -- select list ---------------------------------------------------------------------
@@ -384,7 +391,6 @@ class _Parser:
         if (
             token.kind == "ident"
             and token.value.lower() in _AGGREGATE_NAMES
-            and self.position + 1 < len(self.tokens)
             and self.tokens[self.position + 1].value == "("
         ):
             function = self._next().value.lower()
@@ -403,7 +409,7 @@ class _Parser:
         if self._accept_keyword("as"):
             alias_token = self._next()
             if alias_token.kind != "ident":
-                self._error(f"expected an alias, found {alias_token}", token=alias_token)
+                self._error(f"expected an alias, found {alias_token.value!r}", token=alias_token)
             alias = alias_token.value.lower()
         if aggregate is not None:
             aggregate = AggregateSpec(aggregate.function, aggregate.expression, alias)
@@ -462,7 +468,7 @@ def parse_sql(statement: str, catalog: SqlCatalog) -> LogicalPlan:
             parser._error(
                 f"unsupported join condition: expected '=' between two column "
                 f"references, found "
-                f"{found if found is not None else 'end of statement'}"
+                f"{'end of statement' if found is None else repr(found.value)}"
             )
         second_ref = parser.parse_column_ref()
         left_key, right_key = _resolve_join_keys(
@@ -500,13 +506,13 @@ def parse_sql(statement: str, catalog: SqlCatalog) -> LogicalPlan:
         limit_token = parser._next()
         if limit_token.kind != "number":
             parser._error(
-                f"expected a number after LIMIT, found {limit_token}",
+                f"expected a number after LIMIT, found {limit_token.value!r}",
                 token=limit_token,
             )
         limit = int(float(limit_token.value))
 
     if parser._peek() is not None:
-        parser._error(f"unexpected trailing tokens starting at {parser._peek()}")
+        parser._error(f"unexpected trailing tokens starting at {parser._peek().value!r}")
 
     # -- build the logical plan -------------------------------------------------------
     plan: LogicalPlan = ScanNode(
@@ -588,7 +594,7 @@ def _expect_table(parser: _Parser, catalog: SqlCatalog, clause: str) -> str:
     """The next token as the name of a table the catalog knows."""
     token = parser._next()
     if token.kind != "ident":
-        parser._error(f"expected a table name after {clause}, found {token}", token=token)
+        parser._error(f"expected a table name after {clause}, found {token.value!r}", token=token)
     name = token.value.lower()
     if name not in catalog.tables:
         parser._error(f"unknown table {name!r}", token=token)

@@ -23,6 +23,7 @@ from repro.cloud.clock import VirtualClock
 from repro.cloud.faults import FaultPlan, FaultRule
 from repro.cloud.metering import MeteringLedger
 from repro.counters import Counts, LayerView
+from repro.driver import spans
 from repro.driver.breakers import BreakerBoard
 from repro.driver.dispatch import (
     NO_RESULT_ERROR,
@@ -121,7 +122,8 @@ def _fleet(transport, rounds, events=None, context=None):
     context = context or _context()
     events = events or {key: {"worker_id": key, "attempt": 0} for key in (2, 0, 1)}
     by_key = run_fleet(context, events, transport, rounds, LABELS)
-    return by_key, events, LayerView(context.counters, "resilience"), context.events, context.rng
+    history = spans.redispatches(context.trace)
+    return by_key, events, LayerView(context.counters, "resilience"), history, context.rng
 
 
 def _for_worker(history, key):
@@ -350,21 +352,24 @@ def test_wave_retries_count_the_rounds_re_dispatched(fail_until, rounds, retries
 
 def test_an_error_message_takes_precedence_over_silence():
     events = {key: {"attempt": 1} for key in range(3)}
-    log = [{"key": 2, "attempt": 0, "error": "RuntimeError: first"}]
+    trace = spans.Span("query")
+    spans.Span("attempt", spans.Span("wave", trace), key=2, attempt=0).event(
+        "redispatch", key=2, attempt=0, error="RuntimeError: first"
+    )
     by_key = {
         0: {"status": "ok", "attempt": 0},
         2: {"status": "error", "error": "RuntimeError: second", "attempt": 1},
     }
     # Worker 1 never reported, but worker 2's error names the failure.
     with pytest.raises(WorkerFailedError) as excinfo:
-        raise_unfinished(events, by_key, log, "join stage 1")
+        raise_unfinished(events, by_key, trace, "join stage 1")
     text = str(excinfo.value)
     assert text.startswith("worker 2 failed: join stage 1: RuntimeError: second")
     assert "attempt 0: RuntimeError: first" in text and "attempt 1: RuntimeError: second" in text
 
     with pytest.raises(QueryTimeoutError, match="got results from 2 distinct workers, expected 3"):
-        raise_unfinished(events, {**by_key, 2: {"status": "ok", "attempt": 1}}, log)
-    assert raise_unfinished(events, {key: {"status": "ok"} for key in range(3)}, log) is None
+        raise_unfinished(events, {**by_key, 2: {"status": "ok", "attempt": 1}}, trace)
+    assert raise_unfinished(events, {key: {"status": "ok"} for key in range(3)}, trace) is None
 
 
 def test_a_wave_that_loses_a_worker_on_every_attempt_times_out_naming_its_stage():

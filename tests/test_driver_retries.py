@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.driver import spans
 from repro.driver.driver import LambadaDriver
 from repro.driver.integrity import post_result
 from repro.driver.resilience import ResiliencePolicy
@@ -179,7 +180,8 @@ def test_retry_failures_reinvokes_only_failed_workers(driver, monkeypatch):
     resilience = context.counters
     assert resilience["resilience", "retries"] == 2
     assert resilience["resilience", "wave_retries"] == 1
-    assert [event["error"] for event in context.events if event["key"] == 1] == ["injected"]
+    history = spans.redispatches(context.trace)
+    assert [event["error"] for event in history if event["key"] == 1] == ["injected"]
     # The healthy worker's original result is untouched; retried workers
     # carry their fresh results.
     assert merged[1]["result"]["rows_scanned"] == 7
