@@ -6,55 +6,65 @@ read-after-write visibility, duplicated queue deliveries.  This module gives
 the simulation a way to *create* those failures on demand so the driver's
 fault-tolerance machinery can be exercised deterministically:
 
-* A :class:`FaultPlan` is a seeded RNG plus an ordered list of
-  :class:`FaultRule`\\ s.  Each rule targets one service (``s3`` / ``lambda`` /
-  ``sqs`` / ``pool``), one fault kind, and fires with probability ``rate`` per
-  eligible request, optionally capped at ``max_count`` total injections so
-  bounded retry budgets provably converge.
-* Services consult the plan only when one is installed
-  (:meth:`repro.cloud.environment.CloudEnvironment.install_fault_plan`); with
-  no plan the hook is a single ``is None`` check, keeping the fault-free path
+* A :class:`FaultPlan` is a seed plus an ordered list of
+  :class:`FaultRule`\\ s.  Each rule names one fault kind, fires with
+  probability ``rate`` per eligible request, and is optionally capped at
+  ``max_count`` total injections so bounded retry budgets provably converge.
+* Services consult the plan at a named site (:data:`SITES`) through one
+  method, :meth:`FaultPlan.decide`, which returns the first rule that fires
+  there (a :class:`Decision`) or ``None``; the service owns the effect.  With
+  no plan installed
+  (:meth:`repro.cloud.environment.CloudEnvironment.install_fault_plan`) the
+  consultation is a single ``is None`` check, keeping the fault-free path
   bitwise-unchanged and effectively free.
-* Every injection is counted in :attr:`FaultPlan.injected` so query statistics
-  can report how many faults a run survived.
+* Every injection is counted in :attr:`FaultPlan.injected`, and per query
+  (:data:`~repro.cloud.metering.QUERY_TAG`), so a query's statistics report
+  the faults it survived, not its neighbours'.
 
-Fault kinds by service:
+Draws are counter-based, after Salmon et al., "Parallel Random Numbers: As
+Easy as 1, 2, 3" (SC 2011): a rule fires when a blake2b hash of (seed, rule
+index, scope, ordinal), read as a fraction, is below its ``rate``.  The
+*scope* (:data:`FAULT_SCOPE`) is who asked: inside an invocation, the worker
+attempt (:func:`attempt_scope`, opened by the Lambda service and around each
+payload of the driver's process-pool transport, so an attempt draws alike on
+either transport); on the driver, the query
+(:meth:`repro.driver.dispatch.QueryContext.scope`).  The *ordinal* counts the
+scope's consultations.  An SQS delivery draws at the position stamped on its
+message at send (:meth:`FaultPlan.stamp`) plus its delivery count, not at the
+receiver's poll order.  So a decision depends neither on which thread got
+there first nor on another scope's traffic.  The query id is random and stays
+out of the key: queries of one shape under one plan draw alike.
 
-========  ====================  =====================================================
-service   fault                 effect
-========  ====================  =====================================================
-s3        ``slowdown``          raises :class:`~repro.errors.SlowDownError` (throttle)
-s3        ``read_after_write``  raises :class:`~repro.errors.NoSuchKeyError` once per
-                                freshly-written key (visibility lag)
-s3        ``crash_after_put``   raises :class:`~repro.errors.WorkerCrashError` *after*
-                                the PUT completed (worker dies mid-shuffle; the
-                                object it wrote stays behind)
-lambda    ``drop``              the invoke request is accepted but the function never
-                                runs — no result message, only the request fee billed
-lambda    ``timeout``           the function hangs and is killed at its configured
-                                timeout — no result message, full duration billed
-lambda    ``straggler``         the handler runs normally but its modelled duration
-                                is multiplied by ``factor``
-s3        ``bitflip``           a served GET body has 1–4 bytes XOR-flipped
-                                (in-flight corruption; the stored object is intact)
-s3        ``truncate``          a served GET body is cut short at a random length
-s3        ``stale_body``        a GET serves the key's *previous* version, when one
-                                exists (an eventually-consistent overwrite)
-sqs       ``corrupt_payload``   a delivered message body has one character rewritten
-sqs       ``duplicate``         a received message is re-delivered again later
-sqs       ``delay``             a message is skipped this receive and moved to the
-                                back of the queue
-pool      ``crash``             a process-pool task is reported as crashed; the
-                                driver must clean up its segment and retry
-s3        ``throttle_storm``    a *sustained* brownout: every matching request
-                                raises :class:`~repro.errors.SlowDownError` while
-                                the rule's clock window is active
-lambda    ``capacity``          the fleet is capped: invocations above
-                                ``capacity_limit`` concurrently-active instances
-                                are rejected (TooManyRequests) during the window
-========  ====================  =====================================================
+The order-dependent state is shared on purpose: the ``max_count`` caps (they
+bound retries), the once-per-key read-after-write memory, and the brownout
+windows, which read the clock.  Under concurrency, positions are
+arrival-independent until a cap is spent; which scope spends it is arrival
+order.
 
-Sustained brownouts (PR 9) are *time-windowed*: any rule may carry
+Fault kinds by site, and what the service does:
+
+* ``s3.request`` — ``slowdown``: raise :class:`~repro.errors.SlowDownError`;
+  ``throttle_storm``: the same, for every matching request of the rule's
+  window; ``read_after_write``: raise :class:`~repro.errors.NoSuchKeyError`
+  once per freshly-written key (visibility lag).
+* ``s3.body`` — ``bitflip`` (1–4 bytes XOR-flipped) or ``truncate`` (cut at a
+  drawn length): the served GET body arrives corrupted, the stored object is
+  intact; ``stale_body``: the key's previous version is served, if it has one.
+* ``s3.after_put`` — ``crash_after_put``: raise
+  :class:`~repro.errors.WorkerCrashError` after the PUT landed (the object
+  stays behind).
+* ``lambda.admit`` — ``capacity``: reject an invocation (TooManyRequests) at
+  or above ``capacity_limit`` active instances.
+* ``lambda.run`` — ``drop``: the function never runs (request fee billed);
+  ``timeout``: it hangs until killed at its timeout (full duration billed);
+  ``straggler``: it runs, its modelled duration multiplied by ``factor``.
+* ``sqs.deliver`` — ``delay``: skipped this receive, back of the queue;
+  ``corrupt_payload``: one character of the delivered body rewritten;
+  ``duplicate``: delivered now and again later.
+* ``pool.task`` — ``crash``: a process-pool task's result is lost; the
+  driver cleans up its segment and retries.
+
+Sustained brownouts are *time-windowed*: any rule may carry
 ``window_start_seconds``/``window_seconds`` and then only fires while the
 environment's modelled clock is inside the window (the plan is bound to the
 clock by :meth:`~repro.cloud.environment.CloudEnvironment.install_fault_plan`).
@@ -65,30 +75,28 @@ schedule used by :func:`brownout_plan` and the overload chaos suite.
 
 from __future__ import annotations
 
-import random
+import hashlib
+import itertools
 import threading
+from collections import Counter, defaultdict
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from repro.errors import NoSuchKeyError, SlowDownError, WorkerCrashError
+from repro.cloud.metering import QUERY_TAG
 
-#: Corruption kinds that mutate a served S3 body instead of failing the request.
-_S3_BODY_FAULTS = {"bitflip", "truncate", "stale_body"}
-
-_S3_FAULTS = (
-    {"slowdown", "read_after_write", "crash_after_put", "throttle_storm"}
-    | _S3_BODY_FAULTS
-)
-_LAMBDA_FAULTS = {"drop", "timeout", "straggler", "capacity"}
-_SQS_FAULTS = {"duplicate", "delay", "corrupt_payload"}
-_POOL_FAULTS = {"crash"}
-
-_VALID = {
-    "s3": _S3_FAULTS,
-    "lambda": _LAMBDA_FAULTS,
-    "sqs": _SQS_FAULTS,
-    "pool": _POOL_FAULTS,
+#: Each consultation site and the fault kinds (``service.fault``) it can fire.
+SITES: Dict[str, Tuple[str, ...]] = {
+    "s3.request": ("s3.slowdown", "s3.throttle_storm", "s3.read_after_write"),
+    "s3.body": ("s3.bitflip", "s3.truncate", "s3.stale_body"),
+    "s3.after_put": ("s3.crash_after_put",),
+    "lambda.admit": ("lambda.capacity",),
+    "lambda.run": ("lambda.drop", "lambda.timeout", "lambda.straggler"),
+    "sqs.deliver": ("sqs.delay", "sqs.corrupt_payload", "sqs.duplicate"),
+    "pool.task": ("pool.crash",),
 }
+_SITE_OF = {kind: site for site, kinds in SITES.items() for kind in kinds}
 
 
 @dataclass(frozen=True)
@@ -97,11 +105,11 @@ class FaultRule:
 
     ``operation`` narrows S3 rules to one verb (``get``/``put``/``head``/
     ``list``; empty matches any).  ``match`` is a substring filter against the
-    request target — ``bucket/key`` for S3, function name for Lambda, queue
-    name for SQS — so chaos schedules can scope faults to e.g. the shuffle
-    bucket without touching the base dataset.  ``max_count`` caps the total
-    number of injections from this rule (``None`` = unlimited); capped rules
-    guarantee that bounded retry budgets eventually converge.
+    request target — ``bucket/key`` for S3, function name for Lambda and the
+    pool, queue name for SQS — so chaos schedules can scope faults to e.g.
+    the shuffle bucket without touching the base dataset.  ``max_count`` caps
+    the total number of injections from this rule (``None`` = unlimited);
+    capped rules guarantee that bounded retry budgets eventually converge.
     """
 
     service: str
@@ -117,9 +125,9 @@ class FaultRule:
     lag_seconds: float = 5.0
     #: Brownout window (any rule): the rule only fires while the bound
     #: clock reads ``window_start_seconds <= now < window_start_seconds +
-    #: window_seconds``.  ``None`` window_seconds = always armed (the
-    #: pre-PR-9 behaviour).  Plans with windowed rules must be installed via
-    #: ``install_fault_plan`` so the environment binds its clock.
+    #: window_seconds``.  ``None`` window_seconds = always armed.  Plans with
+    #: windowed rules must be installed via ``install_fault_plan`` so the
+    #: environment binds its clock.
     window_start_seconds: float = 0.0
     window_seconds: Optional[float] = None
     #: Fleet cap for ``lambda.capacity`` rules: invocations are rejected
@@ -127,9 +135,9 @@ class FaultRule:
     capacity_limit: int = 0
 
     def __post_init__(self):
-        if self.service not in _VALID:
-            raise ValueError(f"unknown fault service {self.service!r}")
-        if self.fault not in _VALID[self.service]:
+        if self.kind not in _SITE_OF:
+            if not any(kind.startswith(f"{self.service}.") for kind in _SITE_OF):
+                raise ValueError(f"unknown fault service {self.service!r}")
             raise ValueError(
                 f"unknown fault {self.fault!r} for service {self.service!r}"
             )
@@ -142,28 +150,84 @@ class FaultRule:
         if self.fault == "capacity" and self.capacity_limit < 1:
             raise ValueError("capacity rules need capacity_limit >= 1")
 
+    @property
+    def kind(self) -> str:
+        """``service.fault``, the name injections are counted under."""
+        return f"{self.service}.{self.fault}"
+
+    def applies(self, target: str, facts: Dict[str, Any]) -> bool:
+        """Whether a consultation about ``target`` with ``facts`` is eligible
+        for this rule (before its window, cap and draw)."""
+        if self.match and self.match not in target:
+            return False
+        operation = facts.get("operation")
+        if self.operation and self.operation != operation:
+            return False
+        if self.fault == "read_after_write":
+            age = facts.get("age_seconds")
+            return operation in ("get", "head") and (age is None or age <= self.lag_seconds)
+        if self.fault == "stale_body":
+            return bool(facts.get("has_previous"))
+        if self.fault == "capacity":
+            return facts["active"] >= self.capacity_limit
+        return True
+
+
+class Decision(NamedTuple):
+    """A rule that fired, and the draw it fired on: a corruption seeds
+    ``random.Random(draw)`` for its offsets."""
+
+    rule: FaultRule
+    draw: int
+
+    @property
+    def fault(self) -> str:
+        return self.rule.fault
+
+
+#: Who consults a plan: a key, and the counter of its consultations.
+FaultScope = Tuple[str, Iterator[int]]
+
+#: The scope consulting the plan in this context (``None``: the plan's own).
+FAULT_SCOPE: ContextVar[Optional[FaultScope]] = ContextVar("fault_scope", default=None)
+
+
+@contextmanager
+def attempt_scope(function_name: str, event: Dict[str, Any]) -> Iterator[None]:
+    """Consult the plan as one worker attempt, read from its ``event``."""
+    worker = event.get("worker_id", event.get("partition"))
+    key = f"{function_name}/{event.get('side')}/{worker}/{event.get('attempt', 0)}"
+    token = FAULT_SCOPE.set((key, itertools.count()))
+    try:
+        yield
+    finally:
+        FAULT_SCOPE.reset(token)
+
+
+_SPAN = float(2 ** 64)
+
 
 class FaultPlan:
-    """A seeded schedule of fault injections consulted by the cloud services.
-
-    All decisions draw from one seeded :class:`random.Random` under a lock, so
-    a serial run with a given seed injects an identical fault schedule every
-    time.  (Threaded runs interleave requests nondeterministically; results
-    stay bit-identical because every fault is survivable, only the injection
-    *sites* move.)
+    """A seeded schedule of fault injections consulted by the cloud services
+    through :meth:`decide`: each draw is a function of the seed, the rule and
+    the consulting scope's position, so a seed replays its schedule exactly
+    and one scope's draws do not move when another's interleave with them.
+    Under concurrency, positions are arrival-independent until a cap is spent.
     """
 
     def __init__(self, rules: Sequence[FaultRule] = (), seed: int = 0):
         self.rules: List[FaultRule] = list(rules)
         self.seed = seed
-        self._rng = random.Random(seed)
-        self._lock = threading.Lock()
-        self._fired: List[int] = [0] * len(self.rules)
-        self._raw_injected: Set[str] = set()
+        self._key = str(seed).encode()
+        # Zero-rate rules never fire: they are not consulted, nor hashed.
+        self._sites: Dict[str, List[Tuple[int, FaultRule]]] = {site: [] for site in SITES}
+        for index, rule in enumerate(self.rules):
+            if rule.rate > 0.0:
+                self._sites[_SITE_OF[rule.kind]].append((index, rule))
         self._clock = None
-        self._has_windows = any(r.window_seconds is not None for r in self.rules)
-        #: Injection counts by fault kind, e.g. ``{"s3.slowdown": 3}``.
-        self.injected: Dict[str, int] = {}
+        # Guards the shared books below, never a draw.
+        self._lock = threading.Lock()
+        self.reset()
 
     def bind_clock(self, clock) -> None:
         """Attach the environment's clock so windowed rules can fire.
@@ -175,270 +239,74 @@ class FaultPlan:
         self._clock = clock
 
     def reset(self) -> None:
-        """Re-arm the plan: re-seed the RNG and zero every counter.
+        """Re-arm the plan: zero every counter and cap.
 
-        Restores the exact post-construction state so one plan object can be
+        Restores the post-construction state so one plan object can be
         reused across queries or pytest cases with a reproducible schedule —
-        cumulative ``injected`` counts, per-rule ``max_count`` exhaustion, and
-        the once-per-key read-after-write memory are all cleared.
+        cumulative ``injected`` counts, per-rule ``max_count`` exhaustion, the
+        once-per-key read-after-write memory and the position of consultations
+        made outside any scope are all cleared.
         """
         with self._lock:
-            self._rng = random.Random(self.seed)
-            self._fired = [0] * len(self.rules)
-            self._raw_injected.clear()
-            self.injected.clear()
+            self._fired: List[int] = [0] * len(self.rules)
+            self._raw_injected: Set[str] = set()
+            self._loose: FaultScope = ("plan", itertools.count())
+            #: Injection counts by fault kind, e.g. ``{"s3.slowdown": 3}``.
+            self.injected: Counter = Counter()
+            #: The same, by the query that drew them (``None``: outside any).
+            self._by_query: Dict[Optional[str], Counter] = defaultdict(Counter)
 
-    # -- internal -------------------------------------------------------------
+    def stamp(self) -> Tuple[str, int]:
+        """The calling scope's next draw position (the plan's own scope
+        outside any); an SQS message carries it from its send."""
+        key, ordinals = FAULT_SCOPE.get() or self._loose
+        return key, next(ordinals)
+
+    def decide(
+        self, site: str, target: str = "", stamp: Optional[Tuple] = None, **facts: Any
+    ) -> Optional[Decision]:
+        """The first rule of ``site`` that fires on this consultation, or ``None``.
+
+        ``target`` is what the request names (``bucket/key``, function or
+        queue name), ``facts`` what eligibility reads: ``operation``,
+        ``age_seconds``, ``has_previous``, ``active``.  Every call takes the
+        calling scope's next position, unless ``stamp`` gives one (an SQS
+        delivery: its send stamp plus its delivery count).  A firing rule is
+        counted plan-wide and under the calling query.
+        """
+        if stamp is None:
+            stamp = self.stamp()
+        for index, rule in self._sites[site]:
+            if not rule.applies(target, facts) or not self._window_active(rule):
+                continue
+            position = "|".join(map(str, (index, *stamp))).encode()
+            draw = int.from_bytes(
+                hashlib.blake2b(position, digest_size=8, key=self._key).digest(), "big"
+            )
+            if draw >= rule.rate * _SPAN:
+                continue
+            with self._lock:
+                if rule.max_count is not None and self._fired[index] >= rule.max_count:
+                    continue
+                if rule.fault == "read_after_write":
+                    # Fire at most once per key so retries converge.
+                    if target in self._raw_injected:
+                        continue
+                    self._raw_injected.add(target)
+                self._fired[index] += 1
+                self.injected[rule.kind] += 1
+                self._by_query[QUERY_TAG.get()][rule.kind] += 1
+            return Decision(rule, draw)
+        return None
 
     def _window_active(self, rule: FaultRule) -> bool:
-        """Whether ``rule``'s brownout window is currently open (under lock)."""
+        """Whether ``rule``'s brownout window is currently open."""
         if rule.window_seconds is None:
             return True
         if self._clock is None:
             return False
-        now = self._clock.now
         start = rule.window_start_seconds
-        return start <= now < start + rule.window_seconds
-
-    def _roll(self, index: int, rule: FaultRule) -> bool:
-        """Decide (under the lock) whether rule ``index`` fires now."""
-        if not self._window_active(rule):
-            return False
-        if rule.max_count is not None and self._fired[index] >= rule.max_count:
-            return False
-        if self._rng.random() >= rule.rate:
-            return False
-        self._fired[index] += 1
-        kind = f"{rule.service}.{rule.fault}"
-        self.injected[kind] = self.injected.get(kind, 0) + 1
-        return True
-
-    # -- S3 hooks -------------------------------------------------------------
-
-    def s3_fault(
-        self,
-        operation: str,
-        bucket: str,
-        key: str = "",
-        age_seconds: Optional[float] = None,
-    ) -> None:
-        """Raise an injected fault for one S3 request, or return normally.
-
-        Called by :class:`~repro.cloud.s3.ObjectStore` after the request
-        validated (bucket and, for reads, key exist) and before it is metered —
-        mirroring where the store's own rate limiter raises.
-        """
-        target = f"{bucket}/{key}"
-        with self._lock:
-            for index, rule in enumerate(self.rules):
-                if rule.service != "s3" or rule.fault == "crash_after_put":
-                    continue
-                if rule.operation and rule.operation != operation:
-                    continue
-                if rule.match and rule.match not in target:
-                    continue
-                if rule.fault in ("slowdown", "throttle_storm"):
-                    if self._roll(index, rule):
-                        raise SlowDownError(
-                            f"injected throttle on {operation} {target}"
-                            + (
-                                " (brownout storm)"
-                                if rule.fault == "throttle_storm"
-                                else ""
-                            )
-                        )
-                elif rule.fault == "read_after_write":
-                    if operation not in ("get", "head"):
-                        continue
-                    if target in self._raw_injected:
-                        # Fire at most once per key so retries converge.
-                        continue
-                    if age_seconds is not None and age_seconds > rule.lag_seconds:
-                        continue
-                    if self._roll(index, rule):
-                        self._raw_injected.add(target)
-                        raise NoSuchKeyError(
-                            f"s3://{target} (injected read-after-write lag)"
-                        )
-
-    def s3_body_fault(
-        self, operation: str, bucket: str, key: str = "", has_previous: bool = False
-    ) -> Optional[str]:
-        """Pick a body-corruption kind for one S3 read, or return ``None``.
-
-        Consulted by the object store *after* a GET succeeded, on the bytes
-        about to be served — these faults corrupt the response, never the
-        stored object (except ``stale_body``, which substitutes the key's
-        retained previous version and is skipped unless one exists, as
-        signalled by ``has_previous``).
-        """
-        if operation != "get":
-            return None
-        target = f"{bucket}/{key}"
-        with self._lock:
-            for index, rule in enumerate(self.rules):
-                if rule.service != "s3" or rule.fault not in _S3_BODY_FAULTS:
-                    continue
-                if rule.operation and rule.operation != operation:
-                    continue
-                if rule.match and rule.match not in target:
-                    continue
-                if rule.fault == "stale_body" and not has_previous:
-                    continue
-                if self._roll(index, rule):
-                    return rule.fault
-        return None
-
-    def corrupt_body(self, data: bytes, kind: str) -> bytes:
-        """Deterministically mutate a served body for an injected corruption.
-
-        ``bitflip`` XOR-flips 1–4 bytes at RNG-chosen positions; ``truncate``
-        cuts the body at an RNG-chosen shorter length.  Draws from the plan's
-        single seeded RNG under the lock, so a given seed always produces the
-        same mutation schedule.
-        """
-        if len(data) == 0:
-            return bytes(data)
-        with self._lock:
-            if kind == "truncate":
-                return bytes(data[: self._rng.randrange(len(data))])
-            flipped = bytearray(data)
-            for _ in range(self._rng.randint(1, 4)):
-                position = self._rng.randrange(len(flipped))
-                flipped[position] ^= self._rng.randint(1, 255)
-            return bytes(flipped)
-
-    def s3_after_put(self, bucket: str, key: str) -> None:
-        """Raise :class:`WorkerCrashError` after a completed PUT, or return.
-
-        The object stays behind — this is the duplicate-write hazard the
-        idempotent shuffle-retry protocol must survive.
-        """
-        target = f"{bucket}/{key}"
-        with self._lock:
-            for index, rule in enumerate(self.rules):
-                if rule.service != "s3" or rule.fault != "crash_after_put":
-                    continue
-                if rule.match and rule.match not in target:
-                    continue
-                if self._roll(index, rule):
-                    raise WorkerCrashError(
-                        f"injected worker crash after PUT s3://{target}"
-                    )
-
-    # -- Lambda hooks ---------------------------------------------------------
-
-    def invocation_fault(self, function_name: str) -> Optional[str]:
-        """Return ``"drop"``, ``"timeout"``, or ``None`` for one invocation."""
-        with self._lock:
-            for index, rule in enumerate(self.rules):
-                if rule.service != "lambda" or rule.fault not in (
-                    "drop",
-                    "timeout",
-                ):
-                    continue
-                if rule.match and rule.match not in function_name:
-                    continue
-                if self._roll(index, rule):
-                    return rule.fault
-        return None
-
-    def invocation_capacity(self, function_name: str, active: int) -> bool:
-        """Whether a brownout fleet cap rejects this invocation.
-
-        Consulted by :meth:`~repro.cloud.lambda_service.LambdaService.invoke`
-        with the number of already-active instances; ``True`` means the
-        service should raise :class:`~repro.errors.TooManyRequestsError`
-        exactly as its own concurrency limiter would.  Only invocations at or
-        above ``capacity_limit`` active instances are eligible, so a query
-        that stays under the cap never sees the storm.
-        """
-        with self._lock:
-            for index, rule in enumerate(self.rules):
-                if rule.service != "lambda" or rule.fault != "capacity":
-                    continue
-                if rule.match and rule.match not in function_name:
-                    continue
-                if active < rule.capacity_limit:
-                    continue
-                if self._roll(index, rule):
-                    return True
-        return False
-
-    def straggler_factor(self, function_name: str) -> float:
-        """Duration multiplier for one invocation (1.0 = no straggler)."""
-        with self._lock:
-            for index, rule in enumerate(self.rules):
-                if rule.service != "lambda" or rule.fault != "straggler":
-                    continue
-                if rule.match and rule.match not in function_name:
-                    continue
-                if self._roll(index, rule):
-                    return rule.factor
-        return 1.0
-
-    # -- SQS hooks ------------------------------------------------------------
-
-    def sqs_duplicate(self, queue: str) -> bool:
-        """Whether a just-received message should be re-delivered later."""
-        with self._lock:
-            for index, rule in enumerate(self.rules):
-                if rule.service != "sqs" or rule.fault != "duplicate":
-                    continue
-                if rule.match and rule.match not in queue:
-                    continue
-                if self._roll(index, rule):
-                    return True
-        return False
-
-    def sqs_delay(self, queue: str) -> bool:
-        """Whether a pending message should be skipped this receive."""
-        with self._lock:
-            for index, rule in enumerate(self.rules):
-                if rule.service != "sqs" or rule.fault != "delay":
-                    continue
-                if rule.match and rule.match not in queue:
-                    continue
-                if self._roll(index, rule):
-                    return True
-        return False
-
-    def sqs_corrupt(self, queue: str) -> bool:
-        """Whether a just-delivered message body should be corrupted."""
-        with self._lock:
-            for index, rule in enumerate(self.rules):
-                if rule.service != "sqs" or rule.fault != "corrupt_payload":
-                    continue
-                if rule.match and rule.match not in queue:
-                    continue
-                if self._roll(index, rule):
-                    return True
-        return False
-
-    def corrupt_text(self, body: str) -> str:
-        """Deterministically rewrite one character of a message body."""
-        if not body:
-            return body
-        with self._lock:
-            position = self._rng.randrange(len(body))
-            replacement = chr(33 + self._rng.randrange(94))
-            while replacement == body[position]:
-                replacement = chr(33 + self._rng.randrange(94))
-        return body[:position] + replacement + body[position + 1:]
-
-    # -- process-pool hook ----------------------------------------------------
-
-    def pool_crash(self, function_name: str = "", worker_id: int = -1) -> bool:
-        """Whether a process-pool task should be reported as crashed."""
-        with self._lock:
-            for index, rule in enumerate(self.rules):
-                if rule.service != "pool" or rule.fault != "crash":
-                    continue
-                if rule.match and rule.match not in function_name:
-                    continue
-                if self._roll(index, rule):
-                    return True
-        return False
+        return start <= self._clock.now < start + rule.window_seconds
 
     # -- statistics -----------------------------------------------------------
 
@@ -446,6 +314,11 @@ class FaultPlan:
         """Total number of faults injected so far."""
         with self._lock:
             return sum(self.injected.values())
+
+    def injected_into(self, query_id: str) -> Dict[str, int]:
+        """Per-kind counts of the faults injected while ``query_id`` ran."""
+        with self._lock:
+            return dict(self._by_query.get(query_id, ()))
 
     def to_dict(self) -> Dict[str, int]:
         """Copy of the per-kind injection counts."""
@@ -540,7 +413,7 @@ def brownout_plan(
 ) -> FaultPlan:
     """A sustained-brownout schedule, used by the overload chaos suite.
 
-    Models the regional bad afternoon PR 9's control plane exists for: an S3
+    Models the regional bad afternoon the overload control plane exists for: an S3
     throttle storm plus a Lambda fleet cap, both confined to one clock window
     (``storm_start_seconds`` .. ``+ storm_seconds``) so tests can drive the
     environment's clock into and out of the brownout deterministically.  Both
@@ -573,8 +446,12 @@ def brownout_plan(
 
 
 __all__ = [
+    "SITES",
+    "FAULT_SCOPE",
     "FaultRule",
+    "Decision",
     "FaultPlan",
+    "attempt_scope",
     "chaos_plan",
     "corruption_chaos_plan",
     "brownout_plan",

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.cloud.clock import VirtualClock
+from repro.cloud.faults import attempt_scope
 from repro.cloud.metering import MeteringLedger
 from repro.config import (
     GiB,
@@ -261,15 +262,14 @@ class LambdaService:
         failing the Invoke API call), except for service-level errors such as
         the concurrency limit which raise immediately.
         """
+        plan = self.fault_plan
         with self._lock:
             self._require_function(name)
             if self._active >= self.concurrency_limit:
                 raise TooManyRequestsError(
                     f"concurrency limit of {self.concurrency_limit} reached"
                 )
-            if self.fault_plan is not None and self.fault_plan.invocation_capacity(
-                name, self._active
-            ):
+            if plan is not None and plan.decide("lambda.admit", name, active=self._active):
                 # Injected brownout fleet cap: same shape as the service's own
                 # concurrency rejection, so driver retry/breaker paths treat
                 # both identically.
@@ -280,16 +280,19 @@ class LambdaService:
             handler = self._handlers[name]
 
         def run(context: InvocationContext) -> Tuple[Any, Optional[str], Optional[str]]:
-            plan = self.fault_plan
             try:
-                # An injected fault skips the handler, so no result message is
-                # ever posted — the driver only notices at its wave deadline.
-                fault = plan.invocation_fault(name) if plan is not None else None
-                if fault is not None:
-                    return None, None, fault
-                if plan is not None:
-                    context.straggler_factor = plan.straggler_factor(name)
-                return handler(event, context), None, None
+                # The invocation, and the handler's requests, draw as this
+                # worker attempt.
+                with attempt_scope(name, event):
+                    fault = plan.decide("lambda.run", name) if plan is not None else None
+                    if fault is not None and fault.fault == "straggler":
+                        context.straggler_factor = fault.rule.factor
+                    elif fault is not None:
+                        # A drop or timeout skips the handler, so no result
+                        # message is ever posted — the driver only notices at
+                        # its wave deadline.
+                        return None, None, fault.fault
+                    return handler(event, context), None, None
             except Exception as exc:  # noqa: BLE001 - report any handler failure
                 return None, f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}", None
             finally:

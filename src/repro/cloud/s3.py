@@ -19,6 +19,7 @@ object atomically.
 from __future__ import annotations
 
 import os
+import random
 import threading
 import uuid
 import weakref
@@ -39,6 +40,7 @@ from repro.errors import (
     NoSuchBucketError,
     NoSuchKeyError,
     SlowDownError,
+    WorkerCrashError,
 )
 
 
@@ -205,6 +207,26 @@ class ObjectStore:
                 f"bucket {bucket!r} exceeded {kind} rate limit of {limit}/s"
             )
 
+    def _request_fault(
+        self, operation: str, bucket: str, key: str = "",
+        age_seconds: Optional[float] = None,
+    ) -> None:
+        """Raise the fault the installed plan injects into one request, if any.
+
+        Consulted after the request validated (bucket and, for reads, key
+        exist) and before it is metered — where the rate limiter raises.
+        """
+        target = f"{bucket}/{key}"
+        fault = self.fault_plan.decide(
+            "s3.request", target, operation=operation, age_seconds=age_seconds
+        )
+        if fault is None:
+            return
+        if fault.fault == "read_after_write":
+            raise NoSuchKeyError(f"s3://{target} (injected read-after-write lag)")
+        storm = " (brownout storm)" if fault.fault == "throttle_storm" else ""
+        raise SlowDownError(f"injected throttle on {operation} {target}{storm}")
+
     # -- object operations --------------------------------------------------
 
     def put_object(self, bucket: str, key: str, data: bytes) -> ObjectMetadata:
@@ -226,8 +248,7 @@ class ObjectStore:
             self._require_bucket(bucket)
             self._check_rate(bucket, "write")
             if self.fault_plan is not None:
-                self.fault_plan.s3_fault("put", bucket, key)
-            if self.fault_plan is not None:
+                self._request_fault("put", bucket, key)
                 existing = self._buckets[bucket].get(key)
                 if existing is not None and existing != payload:
                     self._previous.setdefault(bucket, {})[key] = existing
@@ -239,10 +260,12 @@ class ObjectStore:
             self.request_counts[bucket]["put"] += 1
             self.ledger.record("s3", "put_requests", 1, self.clock.now)
             self.ledger.record("s3", "bytes_written", len(payload), self.clock.now)
-            if self.fault_plan is not None:
-                # May raise WorkerCrashError *after* the write landed — the
+            if self.fault_plan is not None and self.fault_plan.decide(
+                "s3.after_put", f"{bucket}/{key}", operation="put"
+            ):
+                # The worker dies *after* the write landed — the
                 # duplicate-object hazard retried shuffle mappers must survive.
-                self.fault_plan.s3_after_put(bucket, key)
+                raise WorkerCrashError(f"injected worker crash after PUT s3://{bucket}/{key}")
             return metadata
 
     def get_object(
@@ -271,15 +294,13 @@ class ObjectStore:
             metadata = self._metadata[bucket][key]
             corruption = None
             if self.fault_plan is not None:
-                self.fault_plan.s3_fault(
-                    "get", bucket, key,
-                    age_seconds=self.clock.now - metadata.created_at,
-                )
+                self._request_fault("get", bucket, key, self.clock.now - metadata.created_at)
                 previous = self._previous.get(bucket, {}).get(key)
-                corruption = self.fault_plan.s3_body_fault(
-                    "get", bucket, key, has_previous=previous is not None
+                corruption = self.fault_plan.decide(
+                    "s3.body", f"{bucket}/{key}", operation="get",
+                    has_previous=previous is not None,
                 )
-                if corruption == "stale_body":
+                if corruption is not None and corruption.fault == "stale_body":
                     # Serve the retained previous version — the stored object
                     # is untouched, exactly like a lagging replica.
                     data = previous
@@ -290,10 +311,18 @@ class ObjectStore:
             self.request_counts[bucket]["get"] += 1
             self.ledger.record("s3", "get_requests", 1, self.clock.now)
             self.ledger.record("s3", "bytes_read", len(chunk), self.clock.now)
-            if corruption in ("bitflip", "truncate"):
-                # In-flight response corruption: metered as the clean transfer
-                # (the bytes were sent; they arrived wrong).
-                chunk = self.fault_plan.corrupt_body(chunk, corruption)
+            if corruption is not None and corruption.fault != "stale_body" and chunk:
+                # In-flight response corruption, at offsets drawn from the
+                # decision: metered as the clean transfer (the bytes were
+                # sent; they arrived wrong).
+                rng = random.Random(corruption.draw)
+                if corruption.fault == "truncate":
+                    chunk = chunk[: rng.randrange(len(chunk))]
+                else:
+                    flipped = bytearray(chunk)
+                    for _ in range(rng.randint(1, 4)):
+                        flipped[rng.randrange(len(flipped))] ^= rng.randint(1, 255)
+                    chunk = bytes(flipped)
             return GetResult(
                 data=chunk, metadata=metadata, range_start=range_start, range_end=end
             )
@@ -306,11 +335,8 @@ class ObjectStore:
             if key not in self._metadata[bucket]:
                 raise NoSuchKeyError(f"s3://{bucket}/{key}")
             if self.fault_plan is not None:
-                meta = self._metadata[bucket][key]
-                self.fault_plan.s3_fault(
-                    "head", bucket, key,
-                    age_seconds=self.clock.now - meta.created_at,
-                )
+                created_at = self._metadata[bucket][key].created_at
+                self._request_fault("head", bucket, key, self.clock.now - created_at)
             self.request_counts[bucket]["get"] += 1
             self.ledger.record("s3", "get_requests", 1, self.clock.now)
             return self._metadata[bucket][key]
@@ -329,7 +355,7 @@ class ObjectStore:
             self._require_bucket(bucket)
             self._check_rate(bucket, "write")  # LIST is billed/limited like writes
             if self.fault_plan is not None:
-                self.fault_plan.s3_fault("list", bucket)
+                self._request_fault("list", bucket)
             self.request_counts[bucket]["list"] += 1
             self.ledger.record("s3", "list_requests", 1, self.clock.now)
             # Filter before sorting: LIST-heavy discovery (exchange receivers)

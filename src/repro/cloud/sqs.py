@@ -10,10 +10,11 @@ receive (sufficient for the single-consumer driver), and request metering.
 from __future__ import annotations
 
 import json
+import random
 import threading
 from collections import deque
-from dataclasses import dataclass
-from typing import Any, Deque, Dict, List, Optional
+from dataclasses import dataclass, replace
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.cloud.clock import VirtualClock
 from repro.cloud.metering import MeteringLedger
@@ -25,11 +26,18 @@ MAX_MESSAGE_BYTES = 256 * 1024
 
 @dataclass(frozen=True)
 class Message:
-    """A message delivered from a queue."""
+    """A message delivered from a queue.
+
+    ``stamp`` is the sender's fault-draw position, taken at send while a
+    fault plan is installed; ``deliveries`` counts the receives that handed
+    it out (or skipped it) before.  Together they key its delivery faults.
+    """
 
     body: str
     sent_at: float
     message_id: int
+    stamp: Optional[Tuple[str, int]] = None
+    deliveries: int = 0
 
     def json(self) -> Any:
         """Decode the body as JSON."""
@@ -92,7 +100,8 @@ class QueueService:
             )
         with self._lock:
             self._require_queue(queue)
-            message = Message(body=body, sent_at=self.clock.now, message_id=self._next_id)
+            stamp = self.fault_plan.stamp() if self.fault_plan is not None else None
+            message = Message(body, self.clock.now, self._next_id, stamp)
             self._next_id += 1
             self._queues[queue].append(message)
             self.ledger.record("sqs", "requests", 1, self.clock.now)
@@ -118,25 +127,34 @@ class QueueService:
             plan = self.fault_plan
             while self._queues[queue] and len(received) < max_messages:
                 message = self._queues[queue].popleft()
-                if plan is not None and plan.sqs_delay(queue):
+                fault = None
+                if plan is not None:
+                    # Drawn at the send's position and this delivery's
+                    # number, not at this poll's place in the queue.
+                    fault = plan.decide("sqs.deliver", queue, stamp=(
+                        None if message.stamp is None
+                        else (*message.stamp, message.deliveries)
+                    ))
+                    message = replace(message, deliveries=message.deliveries + 1)
+                kind = None if fault is None else fault.fault
+                if kind == "delay":
                     # Injected visibility delay: skipped this receive, back of
                     # the queue for a later poll.
                     redeliver.append(message)
                     continue
-                delivered = message
-                if plan is not None and plan.sqs_corrupt(queue):
-                    # Injected payload corruption: the delivered copy has one
-                    # character rewritten; the stored message stays intact, so
-                    # a later redelivery serves the clean body.
-                    delivered = Message(
-                        body=plan.corrupt_text(message.body),
-                        sent_at=message.sent_at,
-                        message_id=message.message_id,
-                    )
-                received.append(delivered)
-                if plan is not None and plan.sqs_duplicate(queue):
+                if kind == "duplicate":
                     # Injected at-least-once duplicate: delivered again later.
                     redeliver.append(message)
+                elif kind == "corrupt_payload" and message.body:
+                    # Injected payload corruption: the delivered copy has one
+                    # character rewritten to another printable one, at an
+                    # offset drawn from the decision.
+                    rng = random.Random(fault.draw)
+                    body = message.body
+                    at = rng.randrange(len(body))
+                    new = chr(33 + (ord(body[at]) - 32 + rng.randrange(93)) % 94)
+                    message = replace(message, body=body[:at] + new + body[at + 1:])
+                received.append(message)
             self._queues[queue].extend(redeliver)
             return received
 

@@ -25,6 +25,7 @@ records (:meth:`~QueryContext.bill`); its time is one span tree
 
 from __future__ import annotations
 
+import itertools
 import random
 import uuid
 from contextlib import contextmanager
@@ -32,6 +33,7 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
+from repro.cloud.faults import FAULT_SCOPE
 from repro.cloud.metering import QUERY_TAG
 from repro.config import DEFAULT_RESILIENCE
 from repro.counters import Counts
@@ -43,8 +45,6 @@ from repro.driver.resilience import (
     ResiliencePolicy,
     call_with_backoff,
     decorrelated_jitter,
-    fault_delta,
-    fault_snapshot,
     merge_attempt_message,
     pick_stragglers,
 )
@@ -257,11 +257,11 @@ class QueryContext:
     statistics only read — ``counters``, every count keyed by ``(layer,
     name)`` (:mod:`repro.counters`), and ``trace``, the query span of its
     span tree (:mod:`repro.driver.spans`), whose ``redispatch`` events
-    :func:`~repro.driver.spans.redispatches` lists — and the fault plan's
-    counts when the query opened;
-    the breaker board; with ``budgeted``, a
-    :class:`~repro.driver.breakers.RetryBudget` of ``policy.retry_budget``
-    named after the query; and the cancellation token, bound to :meth:`now`.
+    :func:`~repro.driver.spans.redispatches` lists — the fault scope that
+    positions its driver-side fault draws; the breaker board; with
+    ``budgeted``, a :class:`~repro.driver.breakers.RetryBudget` of
+    ``policy.retry_budget`` named after the query; and the cancellation
+    token, bound to :meth:`now`.
     Without a board, a budget or a token the context charges no breaker, caps
     no retry and never cancels.
 
@@ -287,25 +287,29 @@ class QueryContext:
         self.rng = random.Random(policy.jitter_seed)
         self.counters = Counts()
         self.trace = spans.Span("query", query_id=self.query_id)
+        # The query id is random, so it stays out of the draw key.
+        self.fault_scope = ("driver", itertools.count())
         self.breakers = breakers
         states = breakers.states if breakers is not None else None
         self.budget = (
             RetryBudget(policy.retry_budget, self.query_id, states) if budgeted else None
         )
         self.cancel = cancel
-        self._faults_before = fault_snapshot(env)
         if cancel is not None:
             cancel.bind(self.now, query_id=self.query_id)
 
     @contextmanager
     def scope(self) -> Iterator["QueryContext"]:
-        """Tag every ledger record made in this context — and in the thread
-        hops that carry it (``contextvars.copy_context().run``) — with the
-        query's id, until the block exits, however it exits."""
+        """Tag every ledger record and fault injection made in this context —
+        and in the thread hops that carry it (``contextvars.copy_context().run``)
+        — with the query's id, and draw its driver-side faults in the query's
+        scope, until the block exits, however it exits."""
         token = QUERY_TAG.set(self.query_id)
+        scope = FAULT_SCOPE.set(self.fault_scope)
         try:
             yield self
         finally:
+            FAULT_SCOPE.reset(scope)
             QUERY_TAG.reset(token)
             self.trace.wall_end = perf_counter()  # the outermost scope's exit is last
 
@@ -471,11 +475,15 @@ class QueryContext:
                 )
 
     def note_faults(self) -> None:
-        """Note what the fault plan injected since the last call (since the
-        query opened, at first) as ``("resilience", "fault.<kind>")``."""
-        for kind, count in fault_delta(self.env, self._faults_before).items():
-            self.counters.note("resilience", f"fault.{kind}", count)
-        self._faults_before = fault_snapshot(self.env)
+        """Note what the fault plan injected into this query and is not noted
+        yet as ``("resilience", "fault.<kind>")``."""
+        plan = getattr(self.env, "fault_plan", None)
+        if plan is None:
+            return
+        for kind, count in plan.injected_into(self.query_id).items():
+            noted = self.counters["resilience", f"fault.{kind}"]
+            if count > noted:
+                self.counters.note("resilience", f"fault.{kind}", count - noted)
 
     @contextmanager
     def teardown(self, collect_garbage: Callable[[str], Any]) -> Iterator[None]:

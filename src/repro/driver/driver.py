@@ -35,6 +35,7 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.cloud.environment import CloudEnvironment
+from repro.cloud.faults import attempt_scope
 from repro.cloud.lambda_service import FunctionConfig
 from repro.cloud.s3 import SharedObjectMirror
 from repro.config import DEFAULT_RESILIENCE
@@ -499,20 +500,27 @@ class LambadaDriver:
         by ``LambdaService.account_invocation`` in worker-id order, so
         cold/warm assignment is deterministic; the S3 GETs and bytes the
         children read go to the ledger.  An installed
-        :class:`~repro.cloud.faults.FaultPlan` is consulted as on the SQS
-        path: drops and timeouts are drawn before dispatch (the fragment
-        never runs), a pool crash loses a completed result, and straggler
-        slowdowns multiply the reported duration.
+        :class:`~repro.cloud.faults.FaultPlan` is consulted before dispatch
+        as each worker attempt, so an attempt draws what it would draw on
+        Lambda: a drop or timeout skips the fragment, a pool crash loses a
+        completed result, a straggler multiplies the reported duration.
         """
 
         def transport(payloads: List[Dict], by_key: Dict, want: Dict) -> None:
             plan = getattr(self.env, "fault_plan", None)
             faulted: Dict[int, str] = {}
-            if plan is not None:
-                for payload in payloads:
-                    fault = plan.invocation_fault(self.function_name)
-                    if fault is not None:
-                        faulted[payload["worker_id"]] = fault
+            stragglers, crashed = {}, set()
+            for payload in payloads if plan is not None else ():
+                worker_id = payload["worker_id"]
+                with attempt_scope(self.function_name, payload):
+                    run = plan.decide("lambda.run", self.function_name)
+                    if run is not None and run.fault != "straggler":
+                        faulted[worker_id] = run.fault
+                        continue
+                    if run is not None:
+                        stragglers[worker_id] = run.rule.factor
+                    if plan.decide("pool.task", self.function_name):
+                        crashed.add(worker_id)
             directory = self._mirror.directory
             raw = pool.run_tasks([
                 (
@@ -530,31 +538,23 @@ class LambadaDriver:
                 if fault is not None:
                     message = {"worker_id": worker_id, "status": "error"}
                 else:
-                    crashed = plan is not None and plan.pool_crash(
-                        self.function_name, worker_id
-                    )
                     message = self._pooled_message(raw.get(worker_id), worker_id)
                     if message["status"] == "ok":
                         # The child read its inputs whether or not it survives.
                         counts = message["result"]["counters"]
                         get_requests += counts.get("scan.get_requests", 0)
                         bytes_read += counts.get("scan.bytes_read", 0)
-                    if crashed:
+                    if worker_id in crashed:
                         # The child did the work, but the injected crash loses
                         # its result.
-                        message = {
-                            "worker_id": worker_id,
-                            "status": "error",
-                            "error": "WorkerCrashError: injected pool worker crash",
-                        }
+                        message = {"worker_id": worker_id, "status": "error",
+                                   "error": "WorkerCrashError: injected pool worker crash"}
                 message.setdefault("attempt", payload.get("attempt", 0))
                 duration = message.get("result", {}).get("duration_seconds", 0.0)
-                if plan is not None and message["status"] == "ok":
-                    duration *= plan.straggler_factor(self.function_name)
                 # Metered like an invocation of the in-process handler.
                 invocation = self.env.lambda_service.account_invocation(
                     self.function_name,
-                    duration_seconds=duration,
+                    duration_seconds=duration * stragglers.get(worker_id, 1.0),
                     cold_penalty=COLD_EXECUTION_PENALTY,
                     fault=fault,
                 )

@@ -14,8 +14,7 @@ failures a real deployment would see) lives here:
   (e.g. fetching a spilled result object that a fault plan made transiently
   invisible).
 * :func:`merge_attempt_message` — the (worker, attempt) dedup every result
-  collector applies; :func:`fault_snapshot` / :func:`fault_delta` — what the
-  installed fault plan injected during one query.
+  collector applies.
 
 What they count — retries, backoff, messages ignored — is noted as
 ``("resilience", ...)`` counts of the query's record (:mod:`repro.counters`).
@@ -154,24 +153,6 @@ def call_with_backoff(
             if breakers is not None and failed_service is not None:
                 breakers.record_success(failed_service, now_fn())
             return result
-
-
-def fault_snapshot(env: Any) -> Optional[Dict[str, int]]:
-    """Per-kind injection counts of the installed fault plan, or ``None``."""
-    plan = getattr(env, "fault_plan", None)
-    return plan.to_dict() if plan is not None else None
-
-
-def fault_delta(env: Any, snapshot: Optional[Dict[str, int]]) -> Dict[str, int]:
-    """Faults injected since ``snapshot`` (the plan outlives single queries)."""
-    if snapshot is None:
-        return {}
-    current = fault_snapshot(env) or {}
-    return {
-        kind: count - snapshot.get(kind, 0)
-        for kind, count in current.items()
-        if count > snapshot.get(kind, 0)
-    }
 
 
 def merge_attempt_message(

@@ -8,6 +8,8 @@ reset/rebind bookkeeping that keeps counters from leaking across queries.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -230,24 +232,26 @@ def test_cancellation_token_stage_trigger_and_deadline():
 
 
 def test_brownout_storm_is_window_gated():
-    clock = VirtualClock()
+    env = CloudEnvironment.create()
+    env.s3.create_bucket("bucket")
+    env.s3.put_object("bucket", "key", b"x")
     plan = brownout_plan(seed=3, storm_start_seconds=10.0, storm_seconds=20.0,
                          storm_rate=1.0)
-    plan.bind_clock(clock)
+    env.install_fault_plan(plan)
 
     # Before the window: no injection possible.
     for _ in range(20):
-        plan.s3_fault("get", "bucket", "key")
+        assert env.s3.get_object("bucket", "key").data == b"x"
     assert plan.injected_total() == 0
 
-    clock.advance(15.0)  # inside [10, 30)
+    env.clock.advance(15.0)  # inside [10, 30)
     with pytest.raises(SlowDownError, match="brownout storm"):
-        plan.s3_fault("get", "bucket", "key")
+        env.s3.get_object("bucket", "key")
 
-    clock.advance(20.0)  # past the window
+    env.clock.advance(20.0)  # past the window
     before = plan.injected_total()
     for _ in range(20):
-        plan.s3_fault("get", "bucket", "key")
+        assert env.s3.get_object("bucket", "key").data == b"x"
     assert plan.injected_total() == before
 
 
@@ -255,8 +259,8 @@ def test_windowed_rule_without_clock_never_fires():
     plan = FaultPlan(
         [FaultRule("s3", "throttle_storm", 1.0, window_seconds=60.0)], seed=1
     )
-    for _ in range(10):
-        plan.s3_fault("get", "bucket", "key")  # fail-safe: inactive
+    for _ in range(10):  # fail-safe: inactive
+        assert plan.decide("s3.request", "bucket/key", operation="get") is None
     assert plan.injected_total() == 0
 
 
@@ -268,8 +272,8 @@ def test_capacity_rule_rejects_only_above_fleet_cap():
         seed=1,
     )
     plan.bind_clock(clock)
-    assert not plan.invocation_capacity("worker", active=3)
-    assert plan.invocation_capacity("worker", active=4)
+    assert plan.decide("lambda.admit", "worker", active=3) is None
+    assert plan.decide("lambda.admit", "worker", active=4).fault == "capacity"
     assert plan.injected["lambda.capacity"] == 1
 
 
@@ -318,13 +322,10 @@ def test_fault_plan_reset_restores_deterministic_schedule():
     )
     outcomes = []
     for _ in range(2):
-        fired = []
-        for _ in range(20):
-            try:
-                plan.s3_fault("get", "bucket", "key")
-                fired.append(False)
-            except SlowDownError:
-                fired.append(True)
+        fired = [
+            plan.decide("s3.request", "bucket/key", operation="get") is not None
+            for _ in range(20)
+        ]
         outcomes.append((fired, dict(plan.injected)))
         plan.reset()
     assert outcomes[0] == outcomes[1]
@@ -415,3 +416,29 @@ def test_concurrent_join_queries_never_take_each_others_results():
         assert result.table.keys() == results[0].table.keys()
         for name, column in results[0].table.items():
             np.testing.assert_array_equal(result.table[name], column)
+
+
+def test_concurrent_queries_each_report_only_their_own_faults(monkeypatch):
+    """Eight Q1/Q6 queries at once in one session under an uncapped throttle
+    of the spilled-result GETs: the queries' ``faults_injected`` add up to
+    what the plan injected.  Read as deltas of the plan-wide counts, a query
+    also counted what its neighbours drew while it ran."""
+    monkeypatch.setattr("repro.driver.integrity.RESULT_SPILL_BYTES", 0)
+    env, dataset, _ = setup_functional_environment(scale_factor=0.002, num_files=4)
+    tables = tpch_catalog(lineitem=dataset.paths)
+    plans = [parse_sql(q1_sql(), tables), parse_sql(q6_sql(), tables)]
+    plan = FaultPlan(
+        [FaultRule("s3", "slowdown", 0.2, operation="get", match=RESULT_BUCKET)], seed=3
+    )
+    env.install_fault_plan(plan)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the session's threads finely
+    try:
+        with QuerySession(env) as session:
+            handles = [session.submit(plans[index % 2]) for index in range(8)]
+            results = [handle.result(timeout=120) for handle in handles]
+    finally:
+        sys.setswitchinterval(interval)
+        env.install_fault_plan(None)
+    counted = [sum(result.statistics.resilience.faults_injected.values()) for result in results]
+    assert sum(counted) == plan.injected_total() > 0

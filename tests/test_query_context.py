@@ -27,7 +27,6 @@ WRAPPED = (
     "collect_results",
     "fetch_spilled_result",
     "RetryBudget",
-    "fault_snapshot",
 )
 
 

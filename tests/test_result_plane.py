@@ -24,7 +24,7 @@ from hypothesis.extra import numpy as hnp
 
 import repro.driver.integrity as plane
 from repro.cloud.environment import CloudEnvironment
-from repro.cloud.faults import FaultPlan
+from repro.cloud.faults import FaultPlan, FaultRule
 from repro.driver.integrity import (
     RESULT_BUCKET,
     fetch_spilled_result,
@@ -201,7 +201,7 @@ def _assert_dropped(corrupted: str, count: int = 1):
 @pytest.mark.parametrize("spill", [False, True])
 def test_every_single_character_rewrite_of_a_sealed_message_is_caught(env, spill):
     """Exhaustively: every position of a small message, every replacement
-    ``FaultPlan.corrupt_text`` can draw — never a message, never rows."""
+    an injected ``sqs.corrupt_payload`` can draw — never a message, never rows."""
     body = _post(env, _small_table(), spill=spill)
     assert open_message(body) is not None
     for position, original in enumerate(body):
@@ -212,12 +212,18 @@ def test_every_single_character_rewrite_of_a_sealed_message_is_caught(env, spill
 
 def test_corrupt_text_rewrites_of_a_large_message_are_caught(env):
     body = _post(env, _fuzz_table())
-    plan = FaultPlan([], seed=5)
+    env.install_fault_plan(FaultPlan([FaultRule("sqs", "corrupt_payload", 1.0)], seed=5))
     sites = set()
-    for _ in range(3000):
-        counts, stats = _integrity()
-        assert open_message(plan.corrupt_text(body), counts) is None
-        sites |= set(stats.mismatches)
+    try:
+        for _ in range(3000):
+            env.sqs.send_message(QUEUE, body)
+            (message,) = env.sqs.receive_messages(QUEUE)
+            assert message.body != body
+            counts, stats = _integrity()
+            assert open_message(message.body, counts) is None
+            sites |= set(stats.mismatches)
+    finally:
+        env.install_fault_plan(None)
     assert sites == {"sqs.parse", "sqs.digest"}
 
 
