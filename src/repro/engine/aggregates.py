@@ -405,7 +405,9 @@ def finalize_aggregates(
 
     ``avg`` aggregates are finalised as ``sum / count`` from their partial
     columns (named ``__<alias>_sum`` / ``__<alias>_count``); the other
-    functions pass through under their alias.
+    functions pass through under their alias.  Without ``group_by`` the
+    result is one row even over no rows, as in SQL: ``count`` 0, every other
+    function NaN (SQL's NULL).
     """
     result: Table = {name: np.asarray(merged[name]) for name in group_by}
     for spec in final_aggregates:
@@ -425,4 +427,9 @@ def finalize_aggregates(
             if spec.alias not in merged:
                 raise ExecutionError(f"missing merged column for aggregate {spec.alias!r}")
             result[spec.alias] = np.asarray(merged[spec.alias])
+    if not group_by and table_num_rows(result) == 0:
+        result = {
+            spec.alias: np.array([0.0 if spec.function == "count" else np.nan])
+            for spec in final_aggregates
+        }
     return result

@@ -188,3 +188,13 @@ def dataset(env):
 def driver(env) -> LambadaDriver:
     """A driver installed into the environment."""
     return LambadaDriver(env, memory_mib=2048)
+
+
+@pytest.fixture(scope="session", autouse=True)
+def conformance_stacks():
+    """The conformance matrix's stacks (``tests/conformance.py``) are shared
+    by the whole session; their drivers' process pools close with it."""
+    yield
+    from tests.conformance import close_stacks
+
+    close_stacks()

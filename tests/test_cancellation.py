@@ -44,7 +44,7 @@ from repro.workload.queries import q3_sql, q6_sql, tpch_catalog
 from repro.workload.tpch import generate_orders_dataset
 
 from tests.conftest import leaked_segments
-from tests.test_mode_parity import assert_bit_identical
+from tests.conformance import assert_bit_identical
 
 NUM_BUCKETS = 4
 

@@ -31,11 +31,9 @@ from repro.frontend.sql import SqlCatalog, parse_sql
 from repro.plan.optimizer import optimize
 from repro.workload import queries as q
 
-from tests.test_dag_parity import _exchange_object_count
-from tests.test_join_e2e import assert_tables_match
+from tests.conformance import assert_bit_identical, assert_matches, exchange_object_count
 from tests.test_join_wave_fusion import MODES, RELATIONS, SEED, SF, SLOW_LINK, _session, _stack
 from tests.conftest import leaked_segments
-from tests.test_mode_parity import assert_bit_identical
 
 MEMORY_MIB = 2048
 FILES = 8  # LINEITEM files = the widest fleet = the fan-out before the rule
@@ -230,7 +228,7 @@ def test_answers_do_not_depend_on_the_fan_out(stack, tables, mode):
                 if exact:
                     assert_bit_identical(expected, run.table, where)
                 else:
-                    assert_tables_match(run.table, expected, where)
+                    assert_matches(name, run.table, expected, where)
             # One worker reads each sender object once; eight read it eight times.
             assert (
                 runs["rule"].statistics.exchange.get_requests
@@ -245,7 +243,7 @@ def test_answers_do_not_depend_on_the_fan_out(stack, tables, mode):
     finally:
         for session in sessions.values():
             session.close()
-    assert _exchange_object_count(env) == 0
+    assert exchange_object_count(env) == 0
     assert leaked_segments() == []
 
 
@@ -257,7 +255,7 @@ def test_a_slow_link_drives_the_fan_out_back_to_the_file_count(tables):
     for slow in (False, True):
         env, datasets = _stack(scale_factor=0.01, lineitem_files=FILES, orders_files=4, slow=slow)
         results[slow] = _session(env, datasets).sql(q.q5_sql())
-        assert _exchange_object_count(env) == 0
+        assert exchange_object_count(env) == 0
     fast, slow = results[False].statistics, results[True].statistics
     assert (fast.exchange_partitions, slow.exchange_partitions) == (1, FILES)
     assert fast.estimated_exchange_bytes == slow.estimated_exchange_bytes > 0

@@ -7,8 +7,6 @@ the directory is read back with the codec's own ``_read_head``.
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -35,23 +33,11 @@ from repro.exchange.partition import partition_scatter
 from repro.formats.compression import Compression
 from repro.plan.expressions import col
 from repro.plan.logical import AggregateSpec
-from repro.workload import queries as q
 
-from tests.test_join_wave_fusion import _session, _stack
-from tests.conftest import leaked_segments
+from tests.conformance import Cell, assert_bit_identical, check, table_digest
+from tests.test_join_wave_fusion import _stack
 
 INT_DTYPES = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
-
-
-def assert_bit_identical(expected, actual):
-    assert list(actual) == list(expected)
-    for name in expected:
-        want, got = np.asarray(expected[name]), actual[name]
-        assert got.dtype == want.dtype, name
-        if want.dtype.hasobject:
-            assert got.tolist() == want.tolist(), name
-        else:
-            assert got.tobytes() == want.tobytes(), name
 
 
 def directory(frame):
@@ -460,7 +446,7 @@ def test_one_crc_pass_per_slice_byte_on_each_side(monkeypatch):
 
 #: sha256 prefixes of the result tables (column names, dtypes and bytes) at
 #: SF 0.002 / seed 7, recorded at the parent commit — the zlib + JSON-header
-#: wire format — with ``_table_digest`` below.
+#: wire format — with ``table_digest``.
 PARENT_DIGESTS = {
     "q3": "d879a30235dd6d2c",
     "q5": "cbaf6140c70547d2",
@@ -469,15 +455,6 @@ PARENT_DIGESTS = {
     "l_suppkey": "a35849a309510de5",
 }
 
-def _table_digest(table) -> str:
-    digest = hashlib.sha256()
-    for name in table:
-        column = np.ascontiguousarray(table[name])
-        digest.update(name.encode())
-        digest.update(column.dtype.str.encode())
-        digest.update(column.tobytes())
-    return digest.hexdigest()[:16]
-
 
 @pytest.fixture(scope="module")
 def stack():
@@ -485,19 +462,12 @@ def stack():
 
 
 @pytest.mark.parametrize("mode", ["serial", "threads", "processes"])
-def test_join_queries_return_the_parents_tables(stack, mode):
-    kwargs = {"execution_mode": mode}
-    if mode == "processes":
-        kwargs["max_parallel_invocations"] = 2
-    session = _session(*stack, **kwargs)
-    try:
-        for name, sql in (("q3", q.q3_sql), ("q5", q.q5_sql), ("q18", q.q18_sql)):
-            result = session.sql(sql())
-            assert _table_digest(result.table) == PARENT_DIGESTS[name], f"{name}/{mode}"
-            assert result.statistics.exchange.bytes_written > 0
-    finally:
-        session.close()
-    assert leaked_segments() == []
+def test_join_queries_return_the_parents_tables(mode):
+    """Conformance-matrix cells (``tests/conformance.py``) on its seed-7 stack."""
+    for name in ("q3", "q5", "q18"):
+        result = check(Cell(name, mode=mode, front_end="sql"))
+        assert table_digest(result.table) == PARENT_DIGESTS[name], f"{name}/{mode}"
+        assert result.statistics.exchange.bytes_written > 0
 
 
 def test_group_bys_return_the_parents_tables(stack):
@@ -514,5 +484,5 @@ def test_group_bys_return_the_parents_tables(stack):
             paths, group_by=[key], aggregates=aggregates, order_by=[key],
             num_workers=len(paths),
         )
-        assert _table_digest(table) == PARENT_DIGESTS[key], key
+        assert table_digest(table) == PARENT_DIGESTS[key], key
         assert statistics.exchange.combined_put_requests == sum(statistics.map_fleets.values())

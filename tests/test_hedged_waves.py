@@ -27,7 +27,7 @@ from repro.plan.logical import AggregateSpec
 from repro.workload.queries import q3_sql, tpch_catalog
 from repro.workload.tpch import generate_orders_dataset
 
-from tests.test_mode_parity import assert_bit_identical
+from tests.conformance import assert_bit_identical
 
 #: Four hash partitions, so every wave has the four workers a hedge needs.
 WORKERS = 4

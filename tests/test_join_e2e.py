@@ -1,7 +1,7 @@
 """End-to-end distributed join queries (TPC-H Q3/Q12/Q14) over the shuffle plane.
 
-Parity is fuzzed across scale factors and partition counts against the NumPy
-reference implementations.  The counter tests pin the acceptance criterion
+Parity across scale factors, partition counts and both front ends is held by
+conformance-matrix cells (``tests/conformance.py``).  The counter tests pin the acceptance criterion
 that the join path rides the write-combined I/O plane (one combined PUT per
 mapper, ranged GETs only, in ``QueryStatistics.exchange``).
 """
@@ -9,7 +9,6 @@ mapper, ranged GETs only, in ``QueryStatistics.exchange``).
 import numpy as np
 import pytest
 
-from repro.driver.driver import LambadaDriver
 from repro.frontend.sql import SqlCatalog, parse_sql
 from repro.plan.logical import (
     AggregateNode,
@@ -21,26 +20,15 @@ from repro.plan.logical import (
 from repro.plan.expressions import col, lit
 from repro.plan.optimizer import optimize
 from repro.plan.physical import DagPhysicalPlan
-from repro.workload.queries import (
-    q3_sql,
-    q12_sql,
-    q14_sql,
-    q14_promo_revenue,
-    reference_q3,
-    reference_q12,
-    reference_q14,
-    tpch_catalog,
-)
+from repro.workload.queries import q3_sql, tpch_catalog
 from repro.workload.tpch import (
     LINEITEM_SCHEMA,
     ORDERS_SCHEMA,
-    LineitemGenerator,
     OrdersGenerator,
-    PartGenerator,
-    generate_lineitem_dataset,
     generate_orders_dataset,
     generate_part_dataset,
 )
+from tests.conformance import Cell, check
 
 
 @pytest.fixture
@@ -62,75 +50,40 @@ def orders_table():
     return OrdersGenerator(scale_factor=0.001, seed=7).generate()
 
 
-@pytest.fixture(scope="session")
-def part_table():
-    return PartGenerator(scale_factor=0.001, seed=7).generate()
-
-
-def assert_tables_match(table, reference, label=""):
-    assert set(table) == set(reference), (label, sorted(table), sorted(reference))
-    for name in reference:
-        np.testing.assert_allclose(
-            np.asarray(table[name], dtype=np.float64),
-            np.asarray(reference[name], dtype=np.float64),
-            rtol=1e-9,
-            err_msg=f"{label}:{name}",
-        )
-
-
 # ---------------------------------------------------------------------------
-# Parity of the three queries (driver plan path)
+# Parity: conformance-matrix cells (tests/conformance.py) — each equals
+# sqlite3 and the clean serial run of its (data, width, front end)
 # ---------------------------------------------------------------------------
 
-def test_q3_matches_reference(driver, dataset, orders_dataset, lineitem_table, orders_table):
-    tables = tpch_catalog(lineitem=dataset.paths, orders=orders_dataset.paths)
-    result = driver.execute(parse_sql(q3_sql(), tables))
-    assert_tables_match(result.table, reference_q3(lineitem_table, orders_table), "q3")
+def test_q3_matches_reference():
+    check(Cell("q3"))
 
 
-def test_q12_matches_reference(driver, dataset, orders_dataset, lineitem_table, orders_table):
-    tables = tpch_catalog(lineitem=dataset.paths, orders=orders_dataset.paths)
-    result = driver.execute(parse_sql(q12_sql(), tables))
-    assert_tables_match(result.table, reference_q12(lineitem_table, orders_table), "q12")
+def test_q12_matches_reference():
+    check(Cell("q12"))
 
 
-def test_q14_matches_reference(driver, dataset, part_dataset, lineitem_table, part_table):
-    tables = tpch_catalog(lineitem=dataset.paths, part=part_dataset.paths)
-    result = driver.execute(parse_sql(q14_sql(), tables))
-    reference = reference_q14(lineitem_table, part_table)
-    assert_tables_match(result.table, reference, "q14")
-    assert 0.0 < q14_promo_revenue(result.table) < 100.0
-    assert q14_promo_revenue(result.table) == pytest.approx(
-        q14_promo_revenue(reference)
-    )
+def test_q14_matches_reference():
+    check(Cell("q14"))
 
-
-# ---------------------------------------------------------------------------
-# Parity fuzz: scale factors x partition counts
-# ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("scale_factor", [0.0005, 0.002])
 @pytest.mark.parametrize("num_workers", [1, 3, 5])
-def test_q3_parity_across_scales_and_partitions(env, scale_factor, num_workers):
-    lineitem = generate_lineitem_dataset(
-        env.s3, scale_factor=scale_factor, num_files=4, row_group_rows=512, seed=11
-    )
-    orders = generate_orders_dataset(
-        env.s3, scale_factor=scale_factor, num_files=3, row_group_rows=512, seed=11
-    )
-    driver = LambadaDriver(env)
-    tables = tpch_catalog(lineitem=lineitem.paths, orders=orders.paths)
-    result = driver.execute(parse_sql(q3_sql(), tables), num_workers=num_workers)
-    reference = reference_q3(
-        LineitemGenerator(scale_factor, seed=11).generate(),
-        OrdersGenerator(scale_factor, seed=11).generate(),
-    )
-    assert_tables_match(result.table, reference, f"q3@sf{scale_factor}/w{num_workers}")
+def test_q3_parity_across_scales_and_partitions(scale_factor, num_workers):
+    check(Cell("q3", data={0.0005: "sf0.0005", 0.002: 11}[scale_factor], width=num_workers))
 
 
-# ---------------------------------------------------------------------------
-# SQL frontend path
-# ---------------------------------------------------------------------------
+def test_sql_q3_executes_end_to_end():
+    check(Cell("q3", front_end="sql"))
+
+
+def test_sql_q12_executes_end_to_end():
+    check(Cell("q12", front_end="sql"))
+
+
+def test_sql_q14_executes_end_to_end():
+    check(Cell("q14", front_end="sql"))
+
 
 @pytest.fixture
 def catalog(dataset, orders_dataset, part_dataset):
@@ -138,21 +91,6 @@ def catalog(dataset, orders_dataset, part_dataset):
     for info in (dataset, orders_dataset, part_dataset):
         catalog.register_dataset(info)
     return catalog
-
-
-def test_sql_q3_executes_end_to_end(driver, catalog, lineitem_table, orders_table):
-    result = driver.execute(parse_sql(q3_sql(), catalog))
-    assert_tables_match(result.table, reference_q3(lineitem_table, orders_table))
-
-
-def test_sql_q12_executes_end_to_end(driver, catalog, lineitem_table, orders_table):
-    result = driver.execute(parse_sql(q12_sql(), catalog))
-    assert_tables_match(result.table, reference_q12(lineitem_table, orders_table))
-
-
-def test_sql_q14_executes_end_to_end(driver, catalog, lineitem_table, part_table):
-    result = driver.execute(parse_sql(q14_sql(), catalog))
-    assert_tables_match(result.table, reference_q14(lineitem_table, part_table))
 
 
 # ---------------------------------------------------------------------------

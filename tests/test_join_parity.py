@@ -15,18 +15,12 @@ from hypothesis import strategies as st
 import repro.engine.join as join_module
 from repro.driver.shuffle import _join_step
 from repro.engine.join import hash_join
-from repro.engine.table import Table, filter_table, select_columns, table_num_rows
+from repro.engine.table import filter_table, select_columns, table_num_rows
 from repro.errors import ExecutionError, UnknownColumnError
 from repro.plan.expressions import col, evaluate, expression_to_dict
 
 from benchmarks._baselines import hash_join_dict
-
-
-def _assert_same_table(actual: Table, expected: Table):
-    assert list(actual.keys()) == list(expected.keys())
-    for name in expected:
-        assert actual[name].dtype == expected[name].dtype, name
-        np.testing.assert_array_equal(actual[name], expected[name], err_msg=name)
+from tests.conformance import assert_bit_identical
 
 
 def _single_key_cases():
@@ -88,7 +82,7 @@ def _single_key_cases():
 @pytest.mark.parametrize("case", list(_single_key_cases()))
 def test_vectorized_matches_dict_kernel(case):
     left, right = _single_key_cases()[case]
-    _assert_same_table(
+    assert_bit_identical(
         hash_join(left, right, "k", "k"), hash_join_dict(left, right, "k", "k")
     )
 
@@ -104,11 +98,11 @@ def test_mixed_int_float_keys_above_2_53_match_dict_kernel():
         "k": np.array([float(2 ** 53), 5.0, 5.5, -7.0, np.nan]),
         "rv": np.arange(5.0),
     }
-    _assert_same_table(
+    assert_bit_identical(
         hash_join(left, right, "k", "k"), hash_join_dict(left, right, "k", "k")
     )
     # And the reverse orientation (float probe side, int build side).
-    _assert_same_table(
+    assert_bit_identical(
         hash_join(right, left, "k", "k"), hash_join_dict(right, left, "k", "k")
     )
 
@@ -122,7 +116,7 @@ def test_mixed_uint64_float_keys_match_dict_kernel():
         "k": np.array([float(2 ** 63 + 2048), 12.0, -1.0, float(2 ** 53)]),
         "rv": np.arange(4.0),
     }
-    _assert_same_table(
+    assert_bit_identical(
         hash_join(left, right, "k", "k"), hash_join_dict(left, right, "k", "k")
     )
 
@@ -155,7 +149,7 @@ def test_join_probe_bench_shape_parity():
         "rv": rng.random(build_rows),
         "tag": rng.integers(0, 5, build_rows, dtype=np.int32),
     }
-    _assert_same_table(
+    assert_bit_identical(
         hash_join(left, right, "key", "key"),
         hash_join_dict(left, right, "key", "key"),
     )
@@ -167,8 +161,8 @@ def test_uint64_against_int64_keys_above_2_53_match_dict_kernel():
     right = {"k": np.array([2 ** 53, 5], dtype=np.int64), "rv": np.arange(2.0)}
     result = hash_join(left, right, "k", "k")
     assert table_num_rows(result) == 1
-    _assert_same_table(result, hash_join_dict(left, right, "k", "k"))
-    _assert_same_table(
+    assert_bit_identical(result, hash_join_dict(left, right, "k", "k"))
+    assert_bit_identical(
         hash_join(right, left, "k", "k"), hash_join_dict(right, left, "k", "k")
     )
 
@@ -177,7 +171,7 @@ def test_negative_and_huge_keys_of_a_signed_unsigned_pair_match_nothing():
     left = {"k": np.array([2 ** 64 - 1, 2 ** 63, 7], dtype=np.uint64)}
     right = {"k": np.array([-1, -(2 ** 63), 7, 7], dtype=np.int64), "rv": np.arange(4)}
     for probe, build in ((left, right), (right, left)):
-        _assert_same_table(
+        assert_bit_identical(
             hash_join(probe, build, "k", "k"), hash_join_dict(probe, build, "k", "k")
         )
     assert table_num_rows(hash_join(left, right, "k", "k")) == 2
@@ -273,7 +267,7 @@ def test_hash_join_equals_the_dict_kernel(inputs):
     expected = hash_join_dict(left, right, "k", right_key_name, suffix)
     if columns is not None:
         expected = {name: expected[name] for name in expected if name in columns}
-    _assert_same_table(
+    assert_bit_identical(
         hash_join(left, right, "k", right_key_name, suffix, columns=columns), expected
     )
 
@@ -321,14 +315,14 @@ def test_unique_integer_build_side_never_sorts_searches_or_expands(monkeypatch):
     right = {"k": build_keys, "rv": rng.random(1000)}
     result = hash_join(left, right, "k", "k")
     monkeypatch.undo()
-    _assert_same_table(result, hash_join_dict(left, right, "k", "k"))
+    assert_bit_identical(result, hash_join_dict(left, right, "k", "k"))
 
 
 def test_duplicate_build_keys_take_the_count_table(strategy_calls):
     rng = np.random.default_rng(4)
     left = {"k": rng.integers(0, 300, 2000, dtype=np.int64), "lv": rng.random(2000)}
     right = {"k": rng.integers(0, 300, 400, dtype=np.int64), "rv": rng.random(400)}
-    _assert_same_table(
+    assert_bit_identical(
         hash_join(left, right, "k", "k"), hash_join_dict(left, right, "k", "k")
     )
     assert strategy_calls == {"positions": 0, "count_table": 1, "searchsorted": 0}
@@ -347,7 +341,7 @@ def test_span_budget_per_row_is_inclusive(strategy_calls, unique, over_budget):
         "lv": np.arange(num_left),
     }
     right = {"k": build_keys, "rv": np.arange(num_right)}
-    _assert_same_table(
+    assert_bit_identical(
         hash_join(left, right, "k", "k"), hash_join_dict(left, right, "k", "k")
     )
     dense = over_budget <= 0
@@ -368,7 +362,7 @@ def test_span_at_the_entry_cap(strategy_calls, over_cap):
     left = {"k": rng.integers(-5, span + 5, num_left, dtype=np.int64)}
     left["k"][:4] = [0, span - 1, span, -1]
     right = {"k": np.array([span - 1, 0, span // 2], dtype=np.int64), "rv": np.arange(3)}
-    _assert_same_table(
+    assert_bit_identical(
         hash_join(left, right, "k", "k"), hash_join_dict(left, right, "k", "k")
     )
     assert strategy_calls["positions"] == 1 - over_cap
@@ -391,14 +385,14 @@ def test_probe_columns_pass_through_when_every_row_matches_once():
     result = hash_join(left, right, "n", "n")
     for name, column in left.items():
         assert result[name] is column
-    _assert_same_table(result, hash_join_dict(left, right, "n", "n"))
+    assert_bit_identical(result, hash_join_dict(left, right, "n", "n"))
 
     # One unmatched probe row and the result is gathered again.
     left["n"][17] = 99
     result = hash_join(left, right, "n", "n")
     assert table_num_rows(result) == 3999
     assert not any(np.shares_memory(result[name], left[name]) for name in left)
-    _assert_same_table(result, hash_join_dict(left, right, "n", "n"))
+    assert_bit_identical(result, hash_join_dict(left, right, "n", "n"))
 
 
 def test_columns_restrict_what_is_gathered():
@@ -407,10 +401,10 @@ def test_columns_restrict_what_is_gathered():
     full = hash_join(left, right, "k", "k")
     assert list(full) == ["k", "v", "x", "v_right", "w"]
     pruned = hash_join(left, right, "k", "k", columns=["w", "v_right", "k"])
-    _assert_same_table(pruned, {name: full[name] for name in ("k", "v_right", "w")})
+    assert_bit_identical(pruned, {name: full[name] for name in ("k", "v_right", "w")})
     assert hash_join(left, right, "k", "k", "_right", []) == {}
     # The five-positional call keeps meaning what it meant.
-    _assert_same_table(hash_join(left, right, "k", "k", "_b"), {
+    assert_bit_identical(hash_join(left, right, "k", "k", "_b"), {
         "k": full["k"], "v": full["v"], "x": full["x"], "v_b": full["v_right"], "w": full["w"],
     })
     with pytest.raises(UnknownColumnError):
@@ -462,4 +456,4 @@ def test_join_step_residual_may_read_columns_it_does_not_carry(restore):
     wire_step = {**step, "residual_predicate": expression_to_dict(residual)}
     result = _join_step(probe, build, wire_step)
     assert 0 < table_num_rows(result) < 300
-    _assert_same_table(result, _unpruned_join_step(probe, build, step))
+    assert_bit_identical(result, _unpruned_join_step(probe, build, step))

@@ -36,9 +36,8 @@ from repro.exchange.partition import partition_assignments, scatter_by_assignmen
 from repro.workload import queries as q
 from repro.workload import tpch
 
-from tests.test_dag_parity import _exchange_object_count
+from tests.conformance import assert_bit_identical, exchange_object_count
 from tests.conftest import leaked_segments
-from tests.test_mode_parity import assert_bit_identical
 
 SF = 0.002
 SEED = 7
@@ -184,7 +183,7 @@ def test_dag_queries_bit_identical_fused_unfused_reference(fused, unfused, table
         for session in sessions:
             session.close()
     for env, _ in (fused, unfused):
-        assert _exchange_object_count(env) == 0
+        assert exchange_object_count(env) == 0
     assert leaked_segments() == []
 
 
@@ -366,7 +365,7 @@ def test_corrupt_broadcast_read_in_a_fused_wave_keeps_the_result(fused):
     assert result.statistics.integrity.re_reads == 1
     assert result.statistics.exchange.get_requests == clean.statistics.exchange.get_requests + 1
     assert_bit_identical(clean.table, result.table)
-    assert _exchange_object_count(env) == 0
+    assert exchange_object_count(env) == 0
 
 
 # -- (e) only a faulted query sweeps by LIST ---------------------------------------------------
@@ -395,7 +394,7 @@ def test_list_sweep_runs_after_chaos_and_not_after_a_clean_run(fused, seed):
     assert stormy.statistics.gc_list_requests > 0
     assert stormy_lists >= stormy.statistics.gc_list_requests
     assert_bit_identical(clean.table, stormy.table)
-    assert _exchange_object_count(env) == 0
+    assert exchange_object_count(env) == 0
 
 
 # -- (f) the statistics' dollars are the ledger's ------------------------------------------------
@@ -422,7 +421,7 @@ def test_q5_cancel_between_join_waves_gcs_exchange_state(unfused, monkeypatch):
     env, datasets = unfused
     session = _session(env, datasets)
     baseline = session.sql(q.q5_sql())
-    before = _exchange_object_count(env)
+    before = exchange_object_count(env)
     deleted = []
     original = shuffle_module._gc_cancelled_query
 
@@ -436,6 +435,6 @@ def test_q5_cancel_between_join_waves_gcs_exchange_state(unfused, monkeypatch):
         session.sql(q.q5_sql(), cancel=token)
     assert excinfo.value.stage == token.observed_stage == "join stage 1"
     assert deleted and deleted[0] >= 1
-    assert _exchange_object_count(env) == before
+    assert exchange_object_count(env) == before
     assert env.sqs.approximate_message_count(session.driver.result_queue) == 0
     assert_bit_identical(baseline.table, session.sql(q.q5_sql()).table)

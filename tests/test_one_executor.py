@@ -32,7 +32,7 @@ from repro.workload.tpch import (
 )
 
 from tests.conftest import query_leftovers
-from tests.test_mode_parity import assert_bit_identical
+from tests.conformance import assert_bit_identical
 
 ROWS_SQL = "SELECT l_orderkey, l_quantity, l_extendedprice FROM lineitem"
 

@@ -24,7 +24,7 @@ from repro.driver.driver import LambadaDriver
 from repro.errors import NoSuchKeyError
 from repro.workload.tpch import generate_lineitem_dataset
 from tests.conftest import leaked_segments, shm_segments
-from tests.test_mode_parity import assert_bit_identical
+from tests.conformance import assert_bit_identical, close_stacks
 
 
 @pytest.fixture
@@ -126,6 +126,9 @@ def test_killed_child_attaches_again(stack, pooled, created):
 
 
 def test_close_unlinks_every_segment(stack):
+    # This driver must be the process's only pooled one: the conformance
+    # matrix's shared stacks close theirs first (they reopen on next use).
+    close_stacks()
     env, dataset, _ = stack
     driver = LambadaDriver(env, execution_mode="processes", max_parallel_invocations=2)
     run_tpch_query(driver, dataset, "q1")

@@ -12,23 +12,14 @@ from __future__ import annotations
 import os
 import uuid
 
-import numpy as np
 import pytest
 
 from repro.analysis.experiments import run_tpch_query, setup_functional_environment
 from repro.cloud.s3 import SHM_SEGMENT_PREFIX, segment_prefix
 from repro.driver.driver import LambadaDriver
 from repro.errors import WorkerFailedError
+from tests.conformance import assert_bit_identical
 from tests.conftest import leaked_segments, shm_segments
-
-
-def assert_bit_identical(expected, actual):
-    assert set(expected) == set(actual)
-    for name in expected:
-        left = np.asarray(expected[name])
-        right = np.asarray(actual[name])
-        assert left.dtype == right.dtype, name
-        assert np.array_equal(left, right, equal_nan=True), name
 
 
 @pytest.fixture(scope="module")

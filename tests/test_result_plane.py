@@ -6,7 +6,7 @@ Covers the message layout of ``repro/driver/integrity.py`` end to end —
 ``open_message`` / ``fetch_spilled_result`` → ``decode_table`` — its
 integrity guarantees, what each side spends (one ``dumps``, one ``loads``,
 one crc pass per result byte), and that query answers are the parent
-commit's in every execution mode.
+commit's in every execution mode (conformance-matrix cells).
 """
 
 from __future__ import annotations
@@ -37,9 +37,7 @@ from repro.errors import CorruptFileError, IntegrityError
 from repro.exchange import codec
 from repro.workload import queries as q
 
-from tests.test_exchange_wire_format import PARENT_DIGESTS as JOIN_DIGESTS
-from tests.test_exchange_wire_format import _table_digest, assert_bit_identical
-from tests.test_join_wave_fusion import _session, _stack
+from tests.conformance import Cell, assert_bit_identical, check, stack
 from tests.conftest import leaked_segments
 
 QUEUE = "results"
@@ -415,57 +413,28 @@ def test_one_crc_pass_per_result_byte_per_side(env, monkeypatch, spill):
 
 # -- answers are the parent commit's ------------------------------------------------------
 
-#: sha256 prefixes of the result tables (column names, dtypes and bytes) at
-#: SF 0.002 / seed 7, recorded at the parent commit (6cde867: ``{name: list}``
-#: and base64-in-JSON payloads), identical there in all three modes.  The
-#: join queries' digests are the ones ``test_exchange_wire_format.py`` pins
-#: (unchanged since PR 15); that file and ``test_zero_join_dag.py`` also hold
-#: both ``groupby_shuffle`` queries to their parent digests.
-PARENT_DIGESTS = {**JOIN_DIGESTS, "q1": "1c03cd00163c3c8a", "q6": "1a8ce50b7853b21f"}
-QUERIES = {"q1": q.q1_sql, "q6": q.q6_sql, "q3": q.q3_sql, "q5": q.q5_sql, "q18": q.q18_sql}
-
-
-@pytest.fixture(scope="module")
-def stack():
-    return _stack()
-
 
 @pytest.mark.parametrize("mode", ["serial", "threads", "processes"])
-def test_queries_return_the_parents_tables_in_every_mode(stack, mode):
-    kwargs = {"execution_mode": mode}
-    if mode == "processes":
-        kwargs["max_parallel_invocations"] = 2
-    session = _session(*stack, **kwargs)
-    try:
-        for name, sql in QUERIES.items():
-            result = session.sql(sql())
-            assert _table_digest(result.table) == PARENT_DIGESTS[name], f"{name}/{mode}"
-            assert all(
-                worker.partial is None or isinstance(worker.partial, bytes)
-                for worker in result.worker_results
-            )
-    finally:
-        session.close()
-    assert leaked_segments() == []
+def test_queries_return_the_parents_tables_in_every_mode(mode):
+    """Conformance-matrix cells (``tests/conformance.py``): bit-identical to
+    the serial run, whose digest is the parent commit's, and every partial
+    travelled as a frame."""
+    for query in ("q1", "q6", "q3", "q5", "q18"):
+        check(Cell(query, mode=mode, front_end="sql"))
 
 
-def test_pooled_partials_are_the_serial_frames_and_the_parent_encodes_nothing(stack, monkeypatch):
+def test_pooled_partials_are_the_serial_frames_and_the_parent_encodes_nothing(monkeypatch):
     """The process pool's results are detached by copying the frame out of
     its segment: the exposed partials are the bytes a serial worker ships,
     and the driver process never runs an encoder for them."""
-    serial = _session(*stack)
-    pooled = _session(*stack, execution_mode="processes", max_parallel_invocations=2)
-    try:
-        expected = serial.sql(q.q1_sql())
+    shared = stack(7)
+    expected = shared.session().sql(q.q1_sql())
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("the driver process encoded a result table")
+    def refuse(*args, **kwargs):
+        raise AssertionError("the driver process encoded a result table")
 
-        monkeypatch.setattr(codec, "encode_frame", refuse)
-        result = pooled.sql(q.q1_sql())
-    finally:
-        serial.close()
-        pooled.close()
+    monkeypatch.setattr(codec, "encode_frame", refuse)
+    result = shared.session("processes").sql(q.q1_sql())
     assert [worker.partial for worker in result.worker_results] == [
         worker.partial for worker in expected.worker_results
     ]

@@ -34,11 +34,9 @@ from repro.plan.expressions import col
 from repro.plan.optimizer import optimize
 from repro.workload import queries as q
 
-from tests.test_dag_parity import _exchange_object_count
-from tests.test_join_e2e import assert_tables_match
+from tests.conformance import assert_bit_identical, assert_matches, exchange_object_count
 from tests.test_join_wave_fusion import MODES, RELATIONS, SEED, SF, _session, _stack
 from tests.conftest import leaked_segments
-from tests.test_mode_parity import assert_bit_identical
 
 MEMORY_MIB = 2048
 
@@ -312,13 +310,13 @@ def test_answers_do_not_depend_on_the_scan_fleet_width(stack, tables, mode):
                 if exact:
                     assert_bit_identical(expected, run.table, where)
                 else:
-                    assert_tables_match(run.table, expected, where)
+                    assert_matches(name, run.table, expected, where)
             if exact:
                 assert_bit_identical(runs["rule"].table, runs["per-file"].table, name)
     finally:
         for session in sessions.values():
             session.close()
-    assert _exchange_object_count(env) == 0
+    assert exchange_object_count(env) == 0
     assert leaked_segments() == []
 
 
@@ -342,8 +340,8 @@ def test_empty_map_outputs_put_nothing(stack, tables):
     assert stats.exchange.put_requests == env.ledger.total("s3", "put_requests") - before == 3
     assert stats.exchange.list_requests + stats.exchange.head_requests == 0
     assert stats.gc_objects_deleted == 3 and stats.gc_list_requests == 0
-    assert_tables_match(result.table, expected, "q12")
-    assert _exchange_object_count(env) == 0
+    assert_matches("q12", result.table, expected, "q12")
+    assert exchange_object_count(env) == 0
 
 
 # -- (e) one truth at plan time ----------------------------------------------------------

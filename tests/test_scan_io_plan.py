@@ -41,7 +41,7 @@ from repro.workload import queries as q
 from repro.workload.tpch import generate_lineitem_dataset, generate_orders_dataset
 
 from tests.conftest import leaked_segments
-from tests.test_mode_parity import assert_bit_identical
+from tests.conformance import assert_bit_identical
 
 PATH = "s3://data/object"
 

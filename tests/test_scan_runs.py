@@ -37,7 +37,7 @@ from repro.frontend.sql import parse_sql
 from repro.plan.expressions import col
 from repro.plan.optimizer import optimize
 from repro.workload import queries as q
-from tests.test_mode_parity import assert_bit_identical
+from tests.conformance import assert_bit_identical
 from tests.test_parquet_format import resealed
 from tests.test_scan_io_plan import EXACT, PATH, recording_store
 

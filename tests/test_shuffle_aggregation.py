@@ -22,7 +22,7 @@ from repro.plan.logical import AggregateSpec
 from repro.workload.queries import q1_sql, tpch_catalog
 from repro.workload.tpch import generate_lineitem_dataset
 
-from tests.test_mode_parity import assert_bit_identical
+from tests.conformance import assert_bit_identical
 from tests.test_shuffle_parity import _assert_tables_identical, _driver_merge_reference
 
 

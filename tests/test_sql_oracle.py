@@ -6,7 +6,8 @@ dialect rewrites it documents), and this suite holds two things to it at
 two scale factors:
 
 * ``Session.sql`` — the whole serverless path: parse, optimize, scan and
-  join waves, driver merge;
+  join waves, driver merge — as conformance-matrix cells
+  (``tests/conformance.py``);
 * every NumPy ``reference_q*`` — the answers the end-to-end benchmark
   checks its runs against.
 
@@ -25,6 +26,7 @@ import repro
 from repro.workload import queries as q
 from repro.workload import tpch
 from tests import oracle
+from tests.conformance import Cell, assert_matches, check
 
 SCALE_FACTORS = (0.002, 0.01)
 SEED = 7
@@ -44,44 +46,11 @@ QUERIES = {
     "q18": (q.q18_sql, q.reference_q18, ("lineitem", "orders", "customer")),
 }
 
-#: Columns summed (or averaged) over non-integer measures: order-dependent.
-FLOAT_SUMS = {
-    "q1": ("sum_base_price", "sum_disc_price", "sum_charge", "avg_price", "avg_disc"),
-    "q3": ("revenue",),
-    "q6": ("revenue",),
-    "q14": ("revenue",),
-}
-
-
-def assert_matches(query: str, actual: dict, expected: dict, label: str) -> None:
-    assert sorted(actual) == sorted(expected), label
-    for name, column in expected.items():
-        got = np.asarray(actual[name], dtype=np.float64)
-        if name in FLOAT_SUMS.get(query, ()):
-            np.testing.assert_allclose(got, column, rtol=1e-9, err_msg=f"{label}: {name}")
-        else:
-            np.testing.assert_array_equal(got, column, err_msg=f"{label}: {name}")
-
-
-@pytest.fixture(scope="module", params=SCALE_FACTORS, ids=lambda sf: f"sf{sf}")
-def session(request):
-    """A session over all seven relations at one scale factor."""
-    env = repro.CloudEnvironment.create()
-    session = repro.connect(env)
-    for name in oracle.GENERATORS:
-        generate = getattr(tpch, f"generate_{name}_dataset")
-        session.register(generate(env.s3, scale_factor=request.param, seed=SEED))
-    yield request.param, session
-    session.close()
-
 
 @pytest.mark.parametrize("query", sorted(QUERIES))
-def test_session_sql_matches_sqlite(session, query):
-    scale_factor, facade = session
-    text = QUERIES[query][0]()
-    expected = oracle.run(text, scale_factor, SEED)
-    assert len(next(iter(expected.values()))) > 0, "the oracle returned no rows"
-    assert_matches(query, facade.sql(text).table, expected, f"{query}@{scale_factor}")
+@pytest.mark.parametrize("scale_factor", SCALE_FACTORS, ids=lambda sf: f"sf{sf}")
+def test_session_sql_matches_sqlite(scale_factor, query):
+    check(Cell(query, data={0.002: SEED, 0.01: "sf0.01"}[scale_factor], front_end="sql"))
 
 
 @pytest.mark.parametrize("scale_factor", SCALE_FACTORS, ids=lambda sf: f"sf{sf}")

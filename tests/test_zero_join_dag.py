@@ -32,7 +32,7 @@ from repro.plan.optimizer import _decompose_aggregates
 from repro.plan.physical import DagPhysicalPlan, DriverPlan, WorkerPlan
 from repro.workload.tpch import LineitemGenerator, generate_lineitem_dataset
 
-from tests.test_mode_parity import assert_bit_identical
+from tests.conformance import assert_bit_identical
 
 GROUP_BY = ["l_suppkey", "l_linestatus"]
 AGGREGATES = [
